@@ -21,62 +21,33 @@
 //! triggers.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use graphlab_atoms::{load_machine_part, LocalGraphInit};
+use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{MachineId, VertexId};
-use graphlab_net::codec::{decode_from, encode_to_bytes, Codec};
-use graphlab_net::fault::{DownMsg, UpMsg};
+use graphlab_net::codec::Codec;
 use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
 
-use crate::config::RecoveryMode;
 use crate::driver::{MachineResult, MachineSetup};
 use crate::globals::GlobalRegistry;
 use crate::local::{LocalGraph, RemoteCacheTable};
 use crate::messages::*;
-use crate::recovery::{
-    pick_adoption, pick_rollback, unrecoverable_down, RecoveryTracker, RECOVERY_DEADLINE,
-};
+use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
-use crate::snapshot::{
-    apply_file, restore_atoms_into_local, restore_into_local, write_snapshot_atoms, SnapshotFile,
-};
+use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Receive deadline inside the recovery sub-loops (progress is re-checked
-/// between receives; the overall round is bounded by `RECOVERY_DEADLINE`).
+/// Receive deadline while a recovery round is in progress: stall detection
+/// is timer-based (`recovery::tick`), so the pump must tick.
 const RECOVERY_POLL: Duration = Duration::from_millis(25);
 
-/// Why the BSP cycle machinery unwound to the top-level run loop.
-enum Interrupt {
-    /// A peer died — run the drain/rollback/resume recovery round.
-    Recover,
-    /// This machine was killed — wipe volatile state and wait for rebirth.
-    Die,
-    /// This machine is permanently dead under [`RecoveryMode::Adopt`]:
-    /// exit cleanly (no failure) while the survivors adopt its atoms.
-    Exit,
-    /// Unrecoverable: fail the run cleanly with this reason.
-    Abort(String),
-}
-
-/// The master's recovery order for one fault era: roll everyone back to a
-/// checkpoint, or have the survivors adopt the dead machines' atoms.
-enum RecoveryOrder {
-    Rollback(RollbackMsg),
-    Adopt(AdoptPlanMsg),
-}
-
-fn enc<T: Codec>(v: &T) -> Bytes {
-    encode_to_bytes(v)
-}
-
-fn dec<T: Codec>(b: Bytes) -> T {
-    decode_from(b).expect("malformed engine message")
-}
+/// Unwinds the BSP call stack to the top-level run loop with the recovery
+/// step that preempted it (`Continue` = a round is in progress). The
+/// protocol itself is event-driven and lives in [`crate::recovery`].
+struct Interrupt(Step);
 
 pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     lg: LocalGraph<V, E>,
@@ -128,7 +99,7 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     straggled: bool,
     effects: UpdateEffects,
 
-    // Failure recovery (§4.3; protocol in `crate::snapshot` docs).
+    // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
     rec: RecoveryTracker,
     /// Colour-steps executed across the whole run (unlike `step`, never
     /// reset by a rollback — the metrics source).
@@ -231,19 +202,30 @@ where
 
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
         self.initial_schedule();
-        loop {
-            match self.run_cycles() {
-                Ok(()) => break,
-                Err(int) => match self.handle_interrupt(int) {
-                    // Recovered: the BSP machinery restarts at cycle 0.
-                    Ok(true) => {}
-                    // Permanently dead under adoption: clean exit.
-                    Ok(false) => break,
-                    Err(reason) => {
-                        self.failure = Some(reason);
-                        break;
-                    }
-                },
+        while let Err(Interrupt(mut step)) = self.run_cycles() {
+            // A recovery round preempted the BSP machinery: pump the shared
+            // machine until the round resumes (overlapping failures restart
+            // it inside the machine), this machine leaves the run, or the
+            // run fails.
+            while step == Step::Continue {
+                step = match self.net.recv_timeout(RECOVERY_POLL) {
+                    Ok(env) => recovery::on_envelope(&mut self, env),
+                    Err(RecvError::Timeout) => recovery::tick(&mut self),
+                    Err(RecvError::MachineDown) => recovery::on_self_death(&mut self),
+                    Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
+                };
+            }
+            match step {
+                Step::Exit => {
+                    self.dead = true;
+                    break;
+                }
+                Step::Abort(reason) => {
+                    self.failure = Some(reason);
+                    break;
+                }
+                // Recovered: the BSP machinery restarts at cycle 0.
+                Step::Resumed | Step::Continue => {}
             }
         }
         // The master's final globals/halt broadcast may still sit in the
@@ -280,67 +262,34 @@ where
         }
     }
 
-    /// Single send point for all engine traffic. Recovery correctness
-    /// depends on a machine sending **no** engine message between its
-    /// drain point and the cluster-wide resume — keeping every send here
-    /// (and recovery control clearly separated) makes that auditable.
+    /// Single send point for all engine traffic (see
+    /// [`RecoveryTracker::send`] for the invariant it guards).
     fn send_msg(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
-        self.net.send(dst, kind, payload);
+        self.rec.send(&mut self.net, dst, kind, payload);
     }
 
-    /// Receives one engine envelope, intercepting the fault/recovery
-    /// control plane: a fresh `K_DOWN` (or `K_UP` on a machine that slept
-    /// through its own dead window) unwinds into recovery, `MachineDown`
-    /// unwinds into the dead wait, a timeout is a stall (clean failure,
-    /// never a hang).
+    /// Receives one engine envelope. The fault/recovery control plane is
+    /// delegated to the shared machine; anything that starts a round (a
+    /// fresh `K_DOWN`, our own death, a `K_UP` on a machine that slept
+    /// through its dead window) or ends the run unwinds the BSP stack.
+    /// A timeout is a stall (clean failure, never a hang).
     fn recv_env(&mut self, timeout: Duration) -> Result<Envelope, Interrupt> {
         loop {
-            match self.net.recv_timeout(timeout) {
-                Ok(env) => match env.kind {
-                    graphlab_net::K_DOWN => {
-                        let d: DownMsg = dec(env.payload);
-                        if d.machine == self.me().0 {
-                            // The fabric's wakeup for a victim blocked in
-                            // recv when the kill fired: we are the dead one.
-                            return Err(Interrupt::Die);
-                        }
-                        if let Some(i) = self.on_peer_down(&d) {
-                            return Err(i);
-                        }
-                        if self.rec.observe_era(d.era) {
-                            return Err(Interrupt::Recover);
-                        }
-                    }
-                    graphlab_net::K_UP => {
-                        // Zombie path: the dead window passed while this
-                        // thread was busy on its pre-crash backlog.
-                        let u: UpMsg = dec(env.payload);
-                        self.wipe_volatile();
-                        self.rec.observe_era(u.era);
-                        return Err(Interrupt::Recover);
-                    }
-                    K_RECOVER_ABORT => {
-                        let a: RecoverAbortMsg = dec(env.payload);
-                        return Err(Interrupt::Abort(a.reason));
-                    }
-                    K_RECOVER_READY | K_ROLLBACK | K_RECOVERED | K_RESUME | K_FLUSH_MARK
-                    | K_ADOPT_PLAN | K_ADOPT_DATA => {
-                        // Stale control from a superseded recovery round.
-                    }
-                    _ => return Ok(env),
-                },
-                Err(RecvError::Timeout) => {
-                    return Err(Interrupt::Abort(format!(
-                        "chromatic engine stalled: machine {} step {} received nothing for {:?}",
-                        self.me().0,
-                        self.step,
-                        timeout
-                    )));
-                }
-                Err(RecvError::MachineDown) => return Err(Interrupt::Die),
-                Err(RecvError::Disconnected) => {
-                    return Err(Interrupt::Abort("fabric disconnected".into()));
-                }
+            let step = match self.net.recv_timeout(timeout) {
+                Ok(env) if !is_recovery_control(env.kind) => return Ok(env),
+                Ok(env) => recovery::on_envelope(self, env),
+                Err(RecvError::Timeout) => Step::Abort(format!(
+                    "chromatic engine stalled: machine {} step {} received nothing for {:?}",
+                    self.me().0,
+                    self.step,
+                    timeout
+                )),
+                Err(RecvError::MachineDown) => recovery::on_self_death(self),
+                Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
+            };
+            // Stale control of a finished round is simply consumed.
+            if step != Step::Continue || self.rec.phase() != RecoveryPhase::Normal {
+                return Err(Interrupt(step));
             }
         }
     }
@@ -687,10 +636,10 @@ where
                     }
                     received += 1;
                 } else {
-                    return Err(Interrupt::Abort(format!(
+                    return Err(Interrupt(Step::Abort(format!(
                         "unexpected kind {} during sync round",
                         env.kind
-                    )));
+                    ))));
                 }
             }
             let total = self.lg.total_vertices();
@@ -775,10 +724,10 @@ where
                 if env.kind == K_CHROM_SNAP_DONE {
                     done += 1;
                 } else {
-                    return Err(Interrupt::Abort(format!(
+                    return Err(Interrupt(Step::Abort(format!(
                         "unexpected kind {} during snapshot",
                         env.kind
-                    )));
+                    ))));
                 }
             }
             for j in 1..m {
@@ -798,689 +747,6 @@ where
             }
         }
         Ok(())
-    }
-
-    // ---- failure recovery (§4.3; protocol in crate::snapshot docs) ----
-
-    /// Drives interrupts to quiescence: a death wait chains into a
-    /// recovery round, overlapping failures restart the round, and only
-    /// a successful resume returns `Ok(true)`. `Ok(false)` is the clean
-    /// permanent-death exit under adoption (no failure: the survivors
-    /// carry the run to completion without this machine).
-    fn handle_interrupt(&mut self, int: Interrupt) -> Result<bool, String> {
-        let mut int = int;
-        loop {
-            int = match int {
-                Interrupt::Abort(reason) => return Err(reason),
-                Interrupt::Exit => {
-                    self.dead = true;
-                    return Ok(false);
-                }
-                Interrupt::Die => match self.dead_wait() {
-                    Ok(()) => Interrupt::Recover,
-                    Err(i) => i,
-                },
-                Interrupt::Recover => match self.recover() {
-                    Ok(()) => return Ok(true),
-                    Err(i) => i,
-                },
-            };
-        }
-    }
-
-    /// Shared handling of a peer's `K_DOWN` (any receive site): fence the
-    /// lease table, and classify a restart-less death — an abort under
-    /// [`RecoveryMode::Rollback`], a permanent-death record (the machine
-    /// drops out of every barrier; its atoms will be adopted) under
-    /// [`RecoveryMode::Adopt`]. The caller still observes the era.
-    fn on_peer_down(&mut self, d: &DownMsg) -> Option<Interrupt> {
-        self.net.lease_note_death(d.machine, d.era);
-        if !d.restart {
-            if self.setup.config.recovery != RecoveryMode::Adopt {
-                return Some(Interrupt::Abort(unrecoverable_down(d)));
-            }
-            self.rec.note_death(d.machine as usize);
-            self.net.fence(d.machine);
-        }
-        None
-    }
-
-    /// This machine was killed: discard all volatile state and poll until
-    /// the fabric's `K_UP` marks the rebirth (adopting its fault era).
-    fn dead_wait(&mut self) -> Result<(), Interrupt> {
-        self.wipe_volatile();
-        if self.net.self_death() == Some(false) {
-            if self.setup.config.recovery == RecoveryMode::Adopt {
-                // The survivors adopt our atoms; this machine's run is
-                // over, cleanly.
-                return Err(Interrupt::Exit);
-            }
-            // No restart scheduled: fail fast instead of stalling the
-            // join for the full recovery deadline (survivors abort on
-            // their K_DOWN{restart: false} in parallel).
-            return Err(Interrupt::Abort(format!(
-                "machine {} killed with no restart scheduled",
-                self.me().0
-            )));
-        }
-        // lint: allow(determinism) -- recovery deadline timer; bounds waiting, never enters payloads or traces
-        let start = Instant::now();
-        loop {
-            if start.elapsed() > RECOVERY_DEADLINE {
-                return Err(Interrupt::Abort(format!(
-                    "machine {} dead past the recovery deadline with no restart",
-                    self.me().0
-                )));
-            }
-            match self.net.recv_timeout(RECOVERY_POLL) {
-                Ok(env) if env.kind == graphlab_net::K_UP => {
-                    let u: UpMsg = dec(env.payload);
-                    self.rec.observe_era(u.era);
-                    return Ok(());
-                }
-                Ok(_) => {} // pre-crash backlog junk: a crash loses it
-                Err(RecvError::MachineDown) | Err(RecvError::Timeout) => {}
-                Err(RecvError::Disconnected) => {
-                    return Err(Interrupt::Abort("fabric disconnected while dead".into()));
-                }
-            }
-        }
-    }
-
-    /// Crash semantics: every piece of volatile engine state is gone (the
-    /// rollback that follows restores data and re-seeds work).
-    fn wipe_volatile(&mut self) {
-        self.net.clear();
-        self.reset_engine_state();
-        // Permanent deaths are cluster-durable facts: a reborn machine
-        // that forgot them would wait forever on a dead peer's barriers.
-        let dead = self.rec.dead_mask().to_vec();
-        self.rec = RecoveryTracker::new(self.me().index(), self.num_machines());
-        for (j, d) in dead.into_iter().enumerate() {
-            if d {
-                self.rec.note_death(j);
-            }
-        }
-    }
-
-    /// Resets all volatile BSP state: colour queues, step/flush
-    /// accounting, ghost-cache assumptions. Graph data, metrics and the
-    /// recovery tracker are untouched.
-    fn reset_engine_state(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.queued.fill(false);
-        self.pending_total = 0;
-        self.step = 0;
-        self.recv_buckets.clear();
-        self.flush_promises.clear();
-        self.fwd_counts.fill(0);
-        self.cycle_updates = 0;
-        self.cache.invalidate_all();
-        self.effects.clear();
-        self.last_snap_updates =
-            self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// One full recovery round for the current fault era: drain → READY →
-    /// rollback order → channel flush → restore → resume barrier. An
-    /// `Err` escalates (a newer failure restarts the round via
-    /// `handle_interrupt`; an abort fails the run).
-    fn recover(&mut self) -> Result<(), Interrupt> {
-        let me = self.me().index();
-        loop {
-            // ---- drain: report the stopped-traffic point ----
-            self.net.flush_all();
-            let ready_era = self.rec.era;
-            if me == 0 {
-                self.rec.note_ready(0, ready_era);
-            } else {
-                self.send_msg(
-                    MachineId(0),
-                    K_RECOVER_READY,
-                    enc(&RecoverReadyMsg { era: ready_era }),
-                );
-                self.net.flush_all();
-            }
-            // lint: allow(determinism) -- recovery deadline timer; bounds waiting, never enters payloads or traces
-            let started = Instant::now();
-            let mut order: Option<RecoveryOrder> = None;
-            // Ghost-round data pulled off the wire while still waiting for
-            // a slower peer's flush marker (a fast peer may finish its
-            // surgery first); replayed into the adoption below.
-            let mut adopt_early: Vec<Envelope> = Vec::new();
-
-            // ---- collect/flush until the order can be applied ----
-            // `Some(order)` = channels flushed, apply it; `None` = the era
-            // was superseded by a further failure, re-drain.
-            let flushed: Option<RecoveryOrder> = loop {
-                if self.rec.era > ready_era {
-                    break None;
-                }
-                if started.elapsed() > RECOVERY_DEADLINE {
-                    return Err(Interrupt::Abort(format!(
-                        "recovery stalled at fault era {} (machine {}, order in: {}, {:?})",
-                        self.rec.era,
-                        me,
-                        order.is_some(),
-                        self.rec
-                    )));
-                }
-                if me == 0 && order.is_none() && self.rec.all_ready() {
-                    let survivors = self.rec.survivors();
-                    // lint: allow(survivor-barrier) -- not a barrier: comparing the live count to the full roster is how permanent deaths are detected (adopt vs rollback)
-                    order = if survivors < self.num_machines() {
-                        // Permanent deaths under Adopt mode (Rollback
-                        // aborts on them long before READY collection).
-                        let plan = self.master_order_adoption();
-                        self.broadcast_flush_mark(plan.era);
-                        Some(RecoveryOrder::Adopt(plan))
-                    } else {
-                        let msg = self.master_order_rollback()?;
-                        self.broadcast_flush_mark(msg.era);
-                        Some(RecoveryOrder::Rollback(msg))
-                    };
-                }
-                if order.is_some() && self.rec.marks_complete() {
-                    break order.take();
-                }
-                match self.net.recv_timeout(RECOVERY_POLL) {
-                    Ok(env) => match env.kind {
-                        graphlab_net::K_DOWN => {
-                            let d: DownMsg = dec(env.payload);
-                            if d.machine == self.me().0 {
-                                return Err(Interrupt::Die);
-                            }
-                            if let Some(i) = self.on_peer_down(&d) {
-                                return Err(i);
-                            }
-                            // A newer era is caught at the top of the loop.
-                            self.rec.observe_era(d.era);
-                        }
-                        graphlab_net::K_UP => {
-                            let u: UpMsg = dec(env.payload);
-                            self.wipe_volatile();
-                            self.rec.observe_era(u.era);
-                            break None; // re-drain as the reborn machine
-                        }
-                        K_RECOVER_READY => {
-                            let msg: RecoverReadyMsg = dec(env.payload);
-                            if me == 0 {
-                                self.rec.note_ready(env.src.index(), msg.era);
-                                // A READY proves the sender alive: un-fence
-                                // its lease (a reborn machine re-leases).
-                                self.net.lease_note_up(env.src.0, msg.era);
-                            }
-                        }
-                        K_ROLLBACK => {
-                            let msg: RollbackMsg = dec(env.payload);
-                            if msg.era >= self.rec.era {
-                                // Reborn machines adopt the rollback era.
-                                self.rec.observe_era(msg.era);
-                                self.broadcast_flush_mark(msg.era);
-                                order = Some(RecoveryOrder::Rollback(msg));
-                            }
-                        }
-                        K_ADOPT_PLAN => {
-                            let msg: AdoptPlanMsg = dec(env.payload);
-                            if msg.era >= self.rec.era {
-                                self.rec.observe_era(msg.era);
-                                // The plan is authoritative about who died
-                                // (a worker may have missed a K_DOWN).
-                                for &dm in &msg.dead {
-                                    self.rec.note_death(dm as usize);
-                                    self.net.lease_note_death(dm, msg.era);
-                                    self.net.fence(dm);
-                                }
-                                self.broadcast_flush_mark(msg.era);
-                                order = Some(RecoveryOrder::Adopt(msg));
-                            }
-                        }
-                        K_ADOPT_DATA => {
-                            // A fast peer already finished its surgery;
-                            // keep its ghost data for our own.
-                            adopt_early.push(env);
-                        }
-                        K_FLUSH_MARK => {
-                            let msg: RecoverEraMsg = dec(env.payload);
-                            self.rec.note_mark(env.src.index(), msg.era);
-                        }
-                        K_RECOVERED => {
-                            let msg: RecoverEraMsg = dec(env.payload);
-                            if me == 0 {
-                                // Early finishers; the barrier releases
-                                // after our own rollback below.
-                                self.rec.note_recovered(msg.era);
-                            }
-                        }
-                        K_RESUME => {} // stale
-                        K_RECOVER_ABORT => {
-                            let a: RecoverAbortMsg = dec(env.payload);
-                            return Err(Interrupt::Abort(a.reason));
-                        }
-                        _ => {
-                            // Pre-rollback engine traffic (it precedes its
-                            // sender's flush marker): discard.
-                        }
-                    },
-                    Err(RecvError::Timeout) => {}
-                    Err(RecvError::MachineDown) => return Err(Interrupt::Die),
-                    Err(RecvError::Disconnected) => {
-                        return Err(Interrupt::Abort("fabric disconnected".into()));
-                    }
-                }
-            };
-            let Some(flushed) = flushed else {
-                continue; // re-drain for the newer era
-            };
-
-            match flushed {
-                RecoveryOrder::Rollback(flushed) => {
-                    // ---- restore + reset ----
-                    if let Err(e) = restore_into_local(
-                        &self.setup.dfs,
-                        &self.setup.snap_prefix,
-                        flushed.snap,
-                        &mut self.lg,
-                    ) {
-                        return Err(Interrupt::Abort(format!(
-                            "checkpoint {} unreadable during rollback: {e}",
-                            flushed.snap
-                        )));
-                    }
-                    self.reset_engine_state();
-                    self.snapshots_taken = flushed.snap + 1;
-                    // Conservative re-seeding: schedule every owned vertex.
-                    for i in 0..self.lg.owned_vertices().len() {
-                        let l = self.lg.owned_vertices()[i];
-                        self.enqueue_local(l);
-                    }
-                    self.rec.after_rollback();
-                }
-                RecoveryOrder::Adopt(plan) => {
-                    self.apply_adoption(plan, adopt_early)?;
-                }
-            }
-
-            // ---- resume barrier ----
-            let era = self.rec.era;
-            let mut buffered: Vec<Envelope> = Vec::new();
-            if me == 0 {
-                if self.rec.note_recovered(era) {
-                    let payload = enc(&RecoverEraMsg { era });
-                    for j in 1..self.num_machines() {
-                        if !self.rec.is_dead(j) {
-                            self.send_msg(MachineId::from(j), K_RESUME, payload.clone());
-                        }
-                    }
-                    self.net.flush_all();
-                    return Ok(());
-                }
-            } else {
-                self.send_msg(MachineId(0), K_RECOVERED, enc(&RecoverEraMsg { era }));
-                self.net.flush_all();
-            }
-            // lint: allow(determinism) -- recovery deadline timer; bounds waiting, never enters payloads or traces
-            let barrier = Instant::now();
-            loop {
-                if barrier.elapsed() > RECOVERY_DEADLINE {
-                    return Err(Interrupt::Abort(format!(
-                        "resume barrier stalled at fault era {era} (machine {me})"
-                    )));
-                }
-                match self.net.recv_timeout(RECOVERY_POLL) {
-                    Ok(env) => match env.kind {
-                        K_RESUME => {
-                            let msg: RecoverEraMsg = dec(env.payload);
-                            if msg.era == era {
-                                // Replay post-rollback traffic from peers
-                                // that resumed before us.
-                                for env in buffered {
-                                    self.handle_msg(env);
-                                }
-                                return Ok(());
-                            }
-                        }
-                        K_RECOVERED => {
-                            let msg: RecoverEraMsg = dec(env.payload);
-                            if me == 0 && self.rec.note_recovered(msg.era) {
-                                let payload = enc(&RecoverEraMsg { era });
-                                for j in 1..self.num_machines() {
-                                    if !self.rec.is_dead(j) {
-                                        self.send_msg(
-                                            MachineId::from(j),
-                                            K_RESUME,
-                                            payload.clone(),
-                                        );
-                                    }
-                                }
-                                self.net.flush_all();
-                                for env in buffered {
-                                    self.handle_msg(env);
-                                }
-                                return Ok(());
-                            }
-                        }
-                        graphlab_net::K_DOWN => {
-                            let d: DownMsg = dec(env.payload);
-                            if d.machine == self.me().0 {
-                                return Err(Interrupt::Die);
-                            }
-                            if let Some(i) = self.on_peer_down(&d) {
-                                return Err(i);
-                            }
-                            if self.rec.observe_era(d.era) {
-                                return Err(Interrupt::Recover);
-                            }
-                        }
-                        K_RECOVER_ABORT => {
-                            let a: RecoverAbortMsg = dec(env.payload);
-                            return Err(Interrupt::Abort(a.reason));
-                        }
-                        K_RECOVER_READY | K_ROLLBACK | K_FLUSH_MARK | K_ADOPT_PLAN
-                        | K_ADOPT_DATA | graphlab_net::K_UP => {}
-                        _ => buffered.push(env),
-                    },
-                    Err(RecvError::Timeout) => {}
-                    Err(RecvError::MachineDown) => return Err(Interrupt::Die),
-                    Err(RecvError::Disconnected) => {
-                        return Err(Interrupt::Abort("fabric disconnected".into()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Master: all READYs in — prune torn checkpoints, pick the newest
-    /// complete one (shared policy: [`pick_rollback`]), broadcast the
-    /// rollback order, and return our own.
-    fn master_order_rollback(&mut self) -> Result<RollbackMsg, Interrupt> {
-        let n = self.num_machines();
-        let parts = self.setup.config.num_atoms;
-        match pick_rollback(&self.setup.dfs, &self.setup.snap_prefix, parts, self.rec.era) {
-            Ok(msg) => {
-                let payload = enc(&msg);
-                for i in 1..n {
-                    self.send_msg(MachineId::from(i), K_ROLLBACK, payload.clone());
-                }
-                self.net.flush_all();
-                Ok(msg)
-            }
-            Err(abort) => {
-                let payload = enc(&abort);
-                for j in 1..n {
-                    self.send_msg(MachineId::from(j), K_RECOVER_ABORT, payload.clone());
-                }
-                self.net.flush_all();
-                Err(Interrupt::Abort(abort.reason))
-            }
-        }
-    }
-
-    /// Master, every surviving READY in under [`RecoveryMode::Adopt`]:
-    /// computes the adoption plan (shared policy: [`pick_adoption`]) and
-    /// broadcasts it to the survivors.
-    fn master_order_adoption(&mut self) -> AdoptPlanMsg {
-        let plan = pick_adoption(
-            &self.setup.dfs,
-            &self.setup.snap_prefix,
-            self.setup.config.num_atoms,
-            self.rec.era,
-            &self.setup.index,
-            &self.setup.placement,
-            self.rec.dead_mask(),
-        );
-        let payload = enc(&plan);
-        for j in 1..self.num_machines() {
-            if !self.rec.is_dead(j) {
-                self.send_msg(MachineId::from(j), K_ADOPT_PLAN, payload.clone());
-            }
-        }
-        self.net.flush_all();
-        plan
-    }
-
-    /// Broadcasts this era's flush marker to every peer (see
-    /// [`K_FLUSH_MARK`]): everything this machine sent before it is
-    /// pre-drain engine traffic, delivered ahead of it by per-channel
-    /// FIFO.
-    fn broadcast_flush_mark(&mut self, era: u32) {
-        let payload = enc(&RecoverEraMsg { era });
-        for j in 0..self.num_machines() {
-            if j != self.me().index() && !self.rec.is_dead(j) {
-                self.send_msg(MachineId::from(j), K_FLUSH_MARK, payload.clone());
-            }
-        }
-        self.net.flush_all();
-    }
-
-    /// Restart-free recovery (the §3 elasticity claim made concrete):
-    /// rebuild this machine under the adopted placement without rolling
-    /// the cluster back. Own atoms keep their *live* data; adopted atoms
-    /// come from the latest complete per-atom checkpoint when one exists
-    /// (journal-only otherwise — ingress-initial data reconverges through
-    /// re-scheduling); ghosts are refreshed by one [`K_ADOPT_DATA`] round
-    /// between every surviving pair, which doubles as the FIFO barrier
-    /// before the resume handshake.
-    fn apply_adoption(
-        &mut self,
-        plan: AdoptPlanMsg,
-        early: Vec<Envelope>,
-    ) -> Result<(), Interrupt> {
-        let me = self.me();
-        // Diff against what this machine *currently* holds — the plan's
-        // placement is absolute, so adoptions interrupted by overlapping
-        // failures compose.
-        let old_atoms: std::collections::BTreeSet<graphlab_graph::AtomId> =
-            self.setup.placement.atoms_of(me).into_iter().collect();
-        let adopted: Vec<graphlab_graph::AtomId> = plan
-            .placement
-            .atoms_of(me)
-            .into_iter()
-            .filter(|a| !old_atoms.contains(a))
-            .collect();
-
-        // Keep the live values of everything currently owned, then reload
-        // the journals under the adopted placement (new ghost structure,
-        // mirror lists and atom spans).
-        let live = SnapshotFile::capture(&self.lg);
-        let init = match load_machine_part::<V, E>(
-            &self.setup.dfs,
-            &self.setup.index,
-            &plan.placement,
-            me,
-        ) {
-            Ok(init) => init,
-            Err(e) => {
-                return Err(Interrupt::Abort(format!(
-                    "adoption reload failed on machine {}: {e}",
-                    me.0
-                )))
-            }
-        };
-        self.lg = LocalGraph::from_init(init, Some(&self.setup.coloring));
-        self.setup.placement = std::sync::Arc::new(plan.placement.clone());
-
-        // Volatile engine state anew, at the new local sizes.
-        let nv = self.lg.num_local_vertices();
-        let m = self.num_machines();
-        self.cache = RemoteCacheTable::new(m, nv, 0);
-        self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
-        self.queued = vec![false; nv];
-        self.pending_total = 0;
-        self.step = 0;
-        self.recv_buckets.clear();
-        self.flush_promises.clear();
-        self.sync_stash.clear();
-        self.fwd_counts = vec![0; m];
-        self.cycle_updates = 0;
-        self.effects.clear();
-        self.last_snap_updates =
-            self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
-
-        // Own rows keep their live values...
-        if let Err(e) = apply_file(live, &mut self.lg) {
-            return Err(Interrupt::Abort(format!(
-                "live data re-apply failed during adoption: {e}"
-            )));
-        }
-        // ...and adopted rows overlay from the checkpoint, when one exists.
-        if let Some(snap) = plan.snap {
-            if !adopted.is_empty() {
-                if let Err(e) = restore_atoms_into_local(
-                    &self.setup.dfs,
-                    &self.setup.snap_prefix,
-                    snap,
-                    &adopted,
-                    &mut self.lg,
-                ) {
-                    return Err(Interrupt::Abort(format!(
-                        "checkpoint {snap} unreadable during adoption: {e}"
-                    )));
-                }
-            }
-        }
-        self.snapshots_taken = plan.snap.map_or(0, |s| s + 1);
-
-        // Ghost round: push our owned rows to every surviving peer that
-        // replicates them, then wait for every peer's round in turn.
-        self.send_adopt_data(plan.era);
-        self.collect_adopt_data(plan.era, early)?;
-
-        // Conservative re-seeding: schedule every owned vertex (adopted
-        // data may lag surviving live data; re-execution reconverges).
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
-            self.enqueue_local(l);
-        }
-        self.rec.after_adoption();
-        Ok(())
-    }
-
-    /// Sends exactly one [`K_ADOPT_DATA`] to every surviving peer — even
-    /// when empty, so receipt of the round is a per-channel barrier —
-    /// carrying the owned vertex rows mirrored on that peer and the owned
-    /// edge rows replicated there.
-    fn send_adopt_data(&mut self, era: u32) {
-        let m = self.num_machines();
-        let me = self.me();
-        let mut out: Vec<AdoptDataMsg> = (0..m)
-            .map(|_| AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() })
-            .collect();
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
-            let mirrors = self.lg.vertex_mirrors(l).to_vec();
-            if mirrors.is_empty() {
-                continue;
-            }
-            let row = (self.lg.vertex_gvid(l), enc(self.lg.vertex_data(l)));
-            for mm in mirrors {
-                out[mm.index()].vrows.push(row.clone());
-            }
-        }
-        for l in 0..self.lg.num_local_edges() as u32 {
-            if !self.lg.owns_edge(l) {
-                continue;
-            }
-            let (s, d) = self.lg.edge_endpoints_local(l);
-            let ms = self.lg.vertex_owner(s);
-            let md = self.lg.vertex_owner(d);
-            let other = if ms == me { md } else { ms };
-            if other != me {
-                out[other.index()]
-                    .erows
-                    .push((self.lg.edge_geid(l), enc(self.lg.edge_data(l))));
-            }
-        }
-        for (j, msg) in out.into_iter().enumerate() {
-            if j != me.index() && !self.rec.is_dead(j) {
-                self.send_msg(MachineId::from(j), K_ADOPT_DATA, enc(&msg));
-            }
-        }
-        self.net.flush_all();
-    }
-
-    /// Blocks until this era's ghost round arrived from every surviving
-    /// peer, applying the rows as they land. `early` replays envelopes
-    /// already pulled off the wire during the marker wait.
-    fn collect_adopt_data(&mut self, era: u32, early: Vec<Envelope>) -> Result<(), Interrupt> {
-        let me = self.me().index();
-        let m = self.num_machines();
-        let mut got = vec![false; m];
-        // lint: allow(determinism) -- recovery deadline timer; bounds waiting, never enters payloads or traces
-        let started = Instant::now();
-        let mut queue: VecDeque<Envelope> = early.into();
-        loop {
-            if (0..m).all(|j| j == me || self.rec.is_dead(j) || got[j]) {
-                return Ok(());
-            }
-            if started.elapsed() > RECOVERY_DEADLINE {
-                return Err(Interrupt::Abort(format!(
-                    "adoption ghost round stalled at fault era {era} (machine {me})"
-                )));
-            }
-            let env = match queue.pop_front() {
-                Some(env) => env,
-                None => match self.net.recv_timeout(RECOVERY_POLL) {
-                    Ok(env) => env,
-                    Err(RecvError::Timeout) => continue,
-                    Err(RecvError::MachineDown) => return Err(Interrupt::Die),
-                    Err(RecvError::Disconnected) => {
-                        return Err(Interrupt::Abort("fabric disconnected".into()));
-                    }
-                },
-            };
-            match env.kind {
-                K_ADOPT_DATA => {
-                    let d: AdoptDataMsg = dec(env.payload);
-                    if d.era != era {
-                        continue; // superseded round
-                    }
-                    for (v, blob) in d.vrows {
-                        if let Some(l) = self.lg.local_vertex(v) {
-                            *self.lg.vertex_data_mut(l) = dec(blob);
-                        }
-                    }
-                    for (e, blob) in d.erows {
-                        if let Some(l) = self.lg.local_edge(e) {
-                            *self.lg.edge_data_mut(l) = dec(blob);
-                        }
-                    }
-                    got[env.src.index()] = true;
-                }
-                graphlab_net::K_DOWN => {
-                    let d: DownMsg = dec(env.payload);
-                    if d.machine == self.me().0 {
-                        return Err(Interrupt::Die);
-                    }
-                    if let Some(i) = self.on_peer_down(&d) {
-                        return Err(i);
-                    }
-                    if self.rec.observe_era(d.era) {
-                        return Err(Interrupt::Recover);
-                    }
-                }
-                graphlab_net::K_UP => {
-                    let u: UpMsg = dec(env.payload);
-                    self.wipe_volatile();
-                    self.rec.observe_era(u.era);
-                    return Err(Interrupt::Recover);
-                }
-                K_RECOVERED => {
-                    // Fast peers racing ahead to the resume barrier.
-                    let msg: RecoverEraMsg = dec(env.payload);
-                    if me == 0 {
-                        self.rec.note_recovered(msg.era);
-                    }
-                }
-                K_RECOVER_ABORT => {
-                    let a: RecoverAbortMsg = dec(env.payload);
-                    return Err(Interrupt::Abort(a.reason));
-                }
-                _ => {} // stale control from superseded rounds
-            }
-        }
     }
 
     fn maybe_straggle(&mut self) {
@@ -1527,5 +793,127 @@ where
             chain_spans: Vec::new(),
             idle_wakeups: 0,
         }
+    }
+}
+
+impl<V, E, U> RecoveryHost for ChromaticMachine<V, E, U>
+where
+    V: Codec + Clone + Send + Sync + 'static,
+    E: Codec + Clone + Send + Sync + 'static,
+    U: UpdateFunction<V, E> + ?Sized,
+{
+    type V = V;
+    type E = E;
+
+    fn parts(&mut self) -> Parts<'_, V, E> {
+        Parts {
+            rec: &mut self.rec,
+            net: &mut self.net,
+            lg: &mut self.lg,
+            dfs: &self.setup.dfs,
+            index: &self.setup.index,
+            placement: &mut self.setup.placement,
+            coloring: Some(&self.setup.coloring),
+            snap_prefix: &self.setup.snap_prefix,
+            num_atoms: self.setup.config.num_atoms,
+            mode: self.setup.config.recovery,
+            snapshots: &mut self.snapshots_taken,
+        }
+    }
+
+    /// Resets all volatile BSP state — colour queues, step/flush
+    /// accounting, stashed sync partials, ghost-cache assumptions — sized
+    /// by the current local graph.
+    fn reset_engine_state(&mut self) {
+        let nv = self.lg.num_local_vertices();
+        let m = self.num_machines();
+        self.cache = RemoteCacheTable::new(m, nv, 0);
+        self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
+        self.queued = vec![false; nv];
+        self.pending_total = 0;
+        self.step = 0;
+        self.recv_buckets.clear();
+        self.flush_promises.clear();
+        self.sync_stash.clear();
+        self.fwd_counts = vec![0; m];
+        self.cycle_updates = 0;
+        self.effects.clear();
+        self.last_snap_updates =
+            self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn reseed(&mut self, l: u32) {
+        self.enqueue_local(l);
+    }
+
+    fn replay(&mut self, env: Envelope) {
+        self.handle_msg(env);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    use graphlab_atoms::{
+        build_atoms, load_machine_part, write_atoms, Placement, SimDfs, VertexPartition,
+    };
+    use graphlab_graph::{greedy_coloring, GraphBuilder};
+    use graphlab_net::{LatencyModel, SimNet};
+
+    /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
+    /// `sync_stash`, so a `K_CHROM_SYNC_PART` the master stashed while
+    /// still in `flush_round` survived a rollback and the restarted
+    /// `cycle_end_round(0)` drained it — "sync round out of step", or a
+    /// stale partial counted in place of the real one.
+    #[test]
+    fn reset_drops_stashed_sync_partials_and_every_other_volatile_field() {
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
+        for i in 0..8 {
+            b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
+        }
+        let graph = b.build();
+        let dfs = Arc::new(SimDfs::new());
+        let (atoms, index) = build_atoms(&graph, &VertexPartition::random_hash(8, 4, 3), "graph");
+        write_atoms(&dfs, "graph", &atoms, &index);
+        let placement = Placement::compute(&index, 2);
+        let init = load_machine_part(&dfs, &index, &placement, MachineId(0)).unwrap();
+        let update: Arc<dyn UpdateFunction<f64, f64>> =
+            Arc::new(|_: &mut UpdateContext<'_, f64, f64>| {});
+        let setup = MachineSetup {
+            dfs,
+            index: Arc::new(index),
+            placement: Arc::new(placement),
+            coloring: Arc::new(greedy_coloring(&graph)),
+            update,
+            syncs: Arc::new(Vec::new()),
+            stop: None,
+            initial: Arc::new(InitialSchedule::AllVertices),
+            config: crate::EngineConfig::new(2),
+            counters: crate::metrics::LiveCounters::new(),
+            snap_prefix: "ckpt".into(),
+        };
+        let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
+        eps.truncate(1);
+        let mut m = ChromaticMachine::new(eps.pop().unwrap().into(), setup, init);
+        m.initial_schedule();
+        m.step = 5;
+        let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };
+        m.handle_msg(Envelope {
+            src: MachineId(1),
+            dst: MachineId(0),
+            kind: K_CHROM_SYNC_PART,
+            payload: enc(&stale),
+        });
+        assert_eq!(m.sync_stash.len(), 1);
+
+        m.reset_engine_state();
+        assert!(m.sync_stash.is_empty(), "a stale partial must not reach the restarted cycle 0");
+        assert_eq!((m.step, m.pending_total), (0, 0));
+        assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
+        assert_eq!(m.queued.len(), m.lg.num_local_vertices());
+        assert_eq!(m.fwd_counts, [0, 0]);
     }
 }

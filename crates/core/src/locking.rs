@@ -33,30 +33,24 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use graphlab_atoms::{load_machine_part, LocalGraphInit};
+use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{ConsistencyModel, LockType, MachineId, VertexId};
-use graphlab_net::codec::{decode_from, encode_to_bytes, Codec};
-use graphlab_net::fault::{DownMsg, UpMsg};
+use graphlab_net::codec::Codec;
 use graphlab_net::termination::{Safra, SafraAction};
 use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
 
-use crate::config::{RecoveryMode, SnapshotMode};
+use crate::config::SnapshotMode;
 use crate::driver::{MachineResult, MachineSetup};
 use crate::globals::GlobalRegistry;
 use crate::local::{LocalGraph, RemoteCacheTable};
 use crate::messages::*;
-use crate::recovery::{
-    pick_adoption, pick_rollback, unrecoverable_down, RecoveryPhase, RecoveryTracker,
-    RECOVERY_DEADLINE,
-};
+use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
 use crate::scheduler::Scheduler;
-use crate::snapshot::{
-    apply_file, restore_atoms_into_local, restore_into_local, write_snapshot_atoms, SnapshotFile,
-};
+use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
 /// Priority marking a schedule request as a snapshot task (Alg. 5:
@@ -217,27 +211,6 @@ impl OutScope {
     }
 }
 
-fn trace_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("GRAPHLAB_TRACE").is_some())
-}
-
-macro_rules! tr {
-    ($($arg:tt)*) => {
-        if trace_on() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
-fn enc<T: Codec>(v: &T) -> Bytes {
-    encode_to_bytes(v)
-}
-
-fn dec<T: Codec>(b: Bytes) -> T {
-    decode_from(b).expect("malformed engine message")
-}
-
 // ---------------------------------------------------------------------
 // The machine loop
 // ---------------------------------------------------------------------
@@ -290,32 +263,14 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     m_sync_outstanding: Option<SyncEpoch>,
     m_final_sync_done: bool,
 
-    // Failure recovery (§4.3; protocol in `crate::snapshot` docs).
+    // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
     rec: RecoveryTracker,
-    phase: RecoveryPhase,
-    /// Rollback order being flushed towards (FlushWait).
-    rollback: Option<RollbackMsg>,
-    /// Adoption order being flushed towards (FlushWait, Adopt mode).
-    adopt_plan: Option<AdoptPlanMsg>,
-    /// Surviving peers whose ghost-data round arrived (AdoptData).
-    adopt_got: Vec<bool>,
-    /// K_ADOPT_DATA that raced ahead of a slower peer's flush marker —
-    /// replayed once our own adoption is applied.
-    adopt_early: Vec<Envelope>,
-    /// Clean permanent-death exit under [`RecoveryMode::Adopt`]: the
-    /// survivors absorbed this machine's atoms; it reports empty rows.
+    /// Clean permanent-death exit under adoption: the survivors absorbed
+    /// this machine's atoms; it reports empty rows.
     dead: bool,
-    /// Post-rollback traffic from machines that resumed before us
-    /// (AwaitResume) — replayed after K_RESUME, never dropped.
-    resume_buffer: Vec<Envelope>,
-    /// Entry time of the current recovery phase (stall deadline).
-    phase_since: Instant,
     failure: Option<String>,
 
     // Misc.
-    /// Scope data confirmed current by an "unchanged" marker instead of a
-    /// full row (diagnostics).
-    rows_unchanged: u64,
     updates_local: u64,
     // BTreeMap: drained into the run's trace output at finish — iteration
     // order must be deterministic, not the hasher's.
@@ -418,17 +373,8 @@ where
             m_sync_outstanding: None,
             m_final_sync_done: false,
             rec: RecoveryTracker::new(machine.index(), m),
-            phase: RecoveryPhase::Normal,
-            rollback: None,
-            adopt_plan: None,
-            adopt_got: Vec::new(),
-            adopt_early: Vec::new(),
             dead: false,
-            resume_buffer: Vec::new(),
-            // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-            phase_since: Instant::now(),
             failure: None,
-            rows_unchanged: 0,
             updates_local: 0,
             update_count_map: BTreeMap::new(),
             straggled: false,
@@ -499,27 +445,14 @@ where
         }
     }
 
-    /// Single send point for all engine traffic. Recovery correctness
-    /// depends on a machine sending **no** engine message between its
-    /// drain point and the cluster-wide resume — the flush-marker barrier
-    /// is only a barrier because everything after a machine's drain is
-    /// recovery control; this assert enforces it.
+    /// Single send point for all engine traffic (see
+    /// [`RecoveryTracker::send`] for the invariant it guards).
     fn send_msg(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
-        debug_assert!(
-            self.phase == RecoveryPhase::Normal || is_recovery_control(kind),
-            "engine message kind {kind} sent during recovery phase {:?}",
-            self.phase
-        );
-        self.net.send(dst, kind, payload);
+        self.rec.send(&mut self.net, dst, kind, payload);
     }
 
     fn broadcast_msg(&mut self, kind: u16, payload: &Bytes) {
-        for i in 0..self.num_machines() {
-            let dst = MachineId::from(i);
-            if dst != self.me() && !self.rec.is_dead(i) {
-                self.send_msg(dst, kind, payload.clone());
-            }
-        }
+        self.rec.broadcast(&mut self.net, kind, payload);
     }
 
     fn send_counted(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
@@ -552,27 +485,9 @@ where
 
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
         self.initial_schedule();
-        let mut iters = 0u64;
         while !self.halted && self.failure.is_none() {
-            iters += 1;
-            if std::env::var_os("GRAPHLAB_DEBUG").is_some() && iters.is_multiple_of(500) {
-                eprintln!(
-                    "[m{}] iter={} phase={:?} sched={} snapq={} out={} ready={} chains={} paused={} halt_pend={} updates={} same_rows={}",
-                    self.me().0,
-                    iters,
-                    self.phase,
-                    self.scheduler.len(),
-                    self.snap_queue.len(),
-                    self.out_scopes.len(),
-                    self.ready.len(),
-                    self.hop_chains.len(),
-                    self.snap_paused,
-                    self.m_halt_pending,
-                    self.updates_local,
-                    self.rows_unchanged,
-                );
-            }
-            if self.phase == RecoveryPhase::Normal {
+            let normal = self.rec.phase() == RecoveryPhase::Normal;
+            if normal {
                 self.maybe_straggle();
                 if self.is_master() {
                     self.master_triggers();
@@ -590,17 +505,8 @@ where
                         break;
                     }
                 }
-            } else {
-                self.recovery_triggers();
-                if self.halted || self.failure.is_some() {
-                    break;
-                }
             }
-            let deadline = if self.phase == RecoveryPhase::Normal {
-                self.next_recv_deadline()
-            } else {
-                IDLE_BLOCK
-            };
+            let deadline = if normal { self.next_recv_deadline() } else { IDLE_BLOCK };
             match self.net.recv_timeout(deadline) {
                 Ok(env) => {
                     self.dispatch(env);
@@ -613,12 +519,19 @@ where
                         }
                     }
                 }
-                Err(RecvError::Timeout) => {
-                    if self.phase == RecoveryPhase::Normal && deadline > Duration::ZERO {
+                Err(RecvError::Timeout) if normal => {
+                    if deadline > Duration::ZERO {
                         self.idle_wakeups += 1;
                     }
                 }
-                Err(RecvError::MachineDown) => self.on_self_death(),
+                Err(RecvError::Timeout) => {
+                    let step = recovery::tick(&mut self);
+                    self.on_recovery_step(step);
+                }
+                Err(RecvError::MachineDown) => {
+                    let step = recovery::on_self_death(&mut self);
+                    self.on_recovery_step(step);
+                }
                 Err(RecvError::Disconnected) => break,
             }
         }
@@ -628,75 +541,30 @@ where
         self.finish()
     }
 
-    /// Routes one envelope: the recovery/fabric control plane is handled
-    /// in every phase; engine traffic is handled (Normal), counted and
-    /// discarded (Drain/FlushWait — it predates the rollback), buffered
-    /// (AwaitResume — it is post-rollback work from early resumers), or
-    /// ignored (Dead).
+    /// Routes one envelope: normal-phase engine traffic goes straight to
+    /// [`Self::handle`]; the recovery/fabric control plane — and, while a
+    /// round is in progress, everything else, to be discarded or buffered
+    /// for replay by phase — goes to the shared recovery machine.
     fn dispatch(&mut self, env: Envelope) {
         match env.kind {
-            graphlab_net::K_DOWN => {
-                let d: DownMsg = dec(env.payload);
-                self.on_peer_down(d);
+            k if is_recovery_control(k) || self.rec.phase() != RecoveryPhase::Normal => {
+                let step = recovery::on_envelope(self, env);
+                self.on_recovery_step(step);
             }
-            graphlab_net::K_UP => {
-                let u: UpMsg = dec(env.payload);
-                self.on_self_up(u);
+            _ => self.handle(env),
+        }
+    }
+
+    /// Acts on the recovery machine's verdict (a resumed round needs
+    /// nothing: the loop simply finds the phase normal again).
+    fn on_recovery_step(&mut self, step: Step) {
+        match step {
+            Step::Continue | Step::Resumed => {}
+            Step::Exit => {
+                self.dead = true;
+                self.halted = true;
             }
-            K_RECOVER_READY => {
-                let msg: RecoverReadyMsg = dec(env.payload);
-                if self.is_master() {
-                    // The fabric delivers K_UP to the reborn machine only;
-                    // its READY is the master's cue to lease it afresh (and
-                    // to lift the expiry fence a restartable kill raised).
-                    self.net.lease_note_up(env.src.0, msg.era);
-                    self.rec.note_ready(env.src.index(), msg.era);
-                }
-            }
-            K_ROLLBACK => {
-                let msg: RollbackMsg = dec(env.payload);
-                self.on_rollback(msg);
-            }
-            K_ADOPT_PLAN => {
-                let msg: AdoptPlanMsg = dec(env.payload);
-                self.on_adopt_plan(msg);
-            }
-            K_ADOPT_DATA => {
-                self.on_adopt_data(env);
-            }
-            K_RECOVERED => {
-                let msg: RecoverEraMsg = dec(env.payload);
-                if self.is_master() && self.rec.note_recovered(msg.era) {
-                    self.master_release_resume();
-                }
-            }
-            K_RESUME => {
-                let msg: RecoverEraMsg = dec(env.payload);
-                self.on_resume(msg);
-            }
-            K_FLUSH_MARK => {
-                let msg: RecoverEraMsg = dec(env.payload);
-                self.rec.note_mark(env.src.index(), msg.era);
-            }
-            K_RECOVER_ABORT => {
-                let msg: RecoverAbortMsg = dec(env.payload);
-                self.failure = Some(msg.reason);
-            }
-            _ => match self.phase {
-                RecoveryPhase::Normal => self.handle(env),
-                // Pre-rollback traffic (it precedes its sender's flush
-                // marker): discard — the rollback wipes whatever it would
-                // have changed.
-                RecoveryPhase::Drain | RecoveryPhase::FlushWait => {}
-                // Post-rollback work from machines that resumed before
-                // us: replay after K_RESUME, never drop.
-                RecoveryPhase::AwaitResume => self.resume_buffer.push(env),
-                // No peer has resumed while any machine still collects
-                // ghost data, so engine traffic here can only be from a
-                // *future* resume racing ahead: buffer like AwaitResume.
-                RecoveryPhase::AdoptData => self.resume_buffer.push(env),
-                RecoveryPhase::Dead => {}
-            },
+            Step::Abort(reason) => self.failure = Some(reason),
         }
     }
 
@@ -1205,7 +1073,6 @@ where
             }
             K_SCOPE_DATA => {
                 let msg: ScopeDataMsg = dec(env.payload);
-                self.rows_unchanged += (msg.vsame + msg.esame) as u64;
                 tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.me().0, msg.reqid,
                     msg.vrows.len(), msg.erows.len(), msg.vsame, msg.esame);
                 // Rows + unchanged markers must cover the hop's whole share
@@ -1735,491 +1602,76 @@ where
         }
     }
 
-    // ---- failure recovery (§4.3; protocol in crate::snapshot docs) ----
-
-    /// Fabric notification: a peer died. Enter (or restart, on a newer
-    /// era) the drain phase. A notification about *ourselves* is the
-    /// fabric's wakeup for a victim that was blocked in `recv` when the
-    /// kill fired — equivalent to observing `MachineDown`.
-    fn on_peer_down(&mut self, d: DownMsg) {
-        if self.phase == RecoveryPhase::Dead {
-            return;
-        }
-        if d.machine == self.me().0 {
-            self.on_self_death();
-            return;
-        }
-        // Fence the victim's lease for every kind of death: a restartable
-        // victim is silent through its dead window and must not be
-        // re-declared by expiry (its READY after rebirth lifts the fence).
-        self.net.lease_note_death(d.machine, d.era);
-        if !d.restart {
-            if self.setup.config.recovery != RecoveryMode::Adopt {
-                self.failure = Some(unrecoverable_down(&d));
-                return;
-            }
-            self.rec.note_death(d.machine as usize);
-            self.net.fence(d.machine);
-        }
-        tr!("[m{}] PEER_DOWN m{} era={} restart={}", self.me().0, d.machine, d.era, d.restart);
-        if self.rec.observe_era(d.era) {
-            self.enter_drain();
-        }
-    }
-
-    /// Fabric notification on the reborn machine itself: rejoin the
-    /// recovery round for the current era with empty state.
-    fn on_self_up(&mut self, u: UpMsg) {
-        debug_assert_eq!(u.machine, self.me().0, "K_UP is delivered to the reborn machine only");
-        tr!("[m{}] SELF_UP era={}", self.me().0, u.era);
-        if self.phase != RecoveryPhase::Dead {
-            // The dead window passed without this thread ever observing
-            // MachineDown (it was busy on its pre-crash inbox backlog):
-            // complete the crash now, before rejoining.
-            self.wipe_volatile();
-        }
-        self.rec.observe_era(u.era);
-        self.phase = RecoveryPhase::Drain;
-        self.enter_drain();
-    }
-
-    /// This machine was killed: discard all volatile state and wait for
-    /// the fabric restart (the engine equivalent of a process replacement
-    /// that will reload from the checkpoint).
-    fn on_self_death(&mut self) {
-        if self.phase == RecoveryPhase::Dead {
-            return; // still dead; keep polling for rebirth
-        }
-        if self.net.self_death() == Some(false) {
-            if self.setup.config.recovery == RecoveryMode::Adopt {
-                // Restart-free mode: the survivors adopt our atoms; exit
-                // cleanly with nothing to report (rows empty by contract).
-                tr!("[m{}] SELF_DEATH permanent — clean exit", self.me().0);
-                self.wipe_volatile();
-                self.dead = true;
-                self.halted = true;
-                self.phase = RecoveryPhase::Dead;
-                return;
-            }
-            self.failure =
-                Some(format!("machine {} killed with no restart scheduled", self.me().0));
-            return;
-        }
-        tr!("[m{}] SELF_DEATH", self.me().0);
-        self.wipe_volatile();
-        self.phase = RecoveryPhase::Dead;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-    }
-
-    /// Crash semantics: every piece of volatile engine state is gone.
-    /// Graph data is restored (and work re-seeded) by the rollback that
-    /// must follow.
-    fn wipe_volatile(&mut self) {
-        self.net.clear();
-        self.reset_engine_state();
-        // Permanent deaths survive the wipe: they are cluster-durable
-        // facts (a real deployment relearns them from the master), and a
-        // reborn machine that forgot them would wait forever for a dead
-        // peer's flush marker.
-        let dead = self.rec.dead_mask().to_vec();
-        self.rec = RecoveryTracker::new(self.me().index(), self.num_machines());
-        for (m, was_dead) in dead.into_iter().enumerate() {
-            if was_dead {
-                self.rec.note_death(m);
-            }
-        }
-        self.rollback = None;
-        self.adopt_plan = None;
-        self.adopt_early.clear();
-        self.resume_buffer.clear();
-    }
-
-    /// Stops engine work and reports the drain point to the master.
-    fn enter_drain(&mut self) {
-        self.phase = RecoveryPhase::Drain;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        self.rollback = None;
-        self.adopt_plan = None;
-        self.adopt_early.clear();
-        self.resume_buffer.clear();
-        // Abort in-progress coordination; recovery rebuilds it.
-        self.m_sync_outstanding = None;
-        self.m_snap_in_progress = false;
-        // Engine sends still sitting in batch queues precede the drain
-        // point and must go out ahead of the (future) flush marker on
-        // each channel: flush, do not clear.
-        self.net.flush_all();
-        let era = self.rec.era;
-        tr!("[m{}] DRAIN era={}", self.me().0, era);
-        if self.is_master() {
-            self.rec.note_ready(0, era);
-        } else {
-            self.send_msg(MachineId(0), K_RECOVER_READY, enc(&RecoverReadyMsg { era }));
-            self.net.flush_all();
-        }
-    }
-
-    /// Per-iteration recovery progress: stall deadline, flush-target
-    /// completion, and the master's READY-collection trigger.
-    fn recovery_triggers(&mut self) {
-        if self.phase_since.elapsed() > RECOVERY_DEADLINE {
-            self.failure = Some(format!(
-                "recovery stalled in {:?} at fault era {} (machine {}, {:?})",
-                self.phase,
-                self.rec.era,
-                self.me().0,
-                self.rec
-            ));
-            return;
-        }
-        if self.phase == RecoveryPhase::FlushWait && self.rec.marks_complete() {
-            if self.rollback.is_some() {
-                self.do_rollback();
-            } else if self.adopt_plan.is_some() {
-                self.do_adoption();
-            }
-        }
-        if self.is_master() && self.phase == RecoveryPhase::Drain && self.rec.all_ready() {
-            // A non-empty dead set (possible only under Adopt mode — any
-            // other mode aborts on the K_DOWN) means restart-free
-            // adoption; a full cluster rolls back to the checkpoint.
-            // lint: allow(survivor-barrier) -- not a barrier: comparing the live count to the full roster is how permanent deaths are detected (adopt vs rollback)
-            if self.rec.survivors() < self.num_machines() {
-                self.master_order_adoption();
-            } else {
-                self.master_order_rollback();
-            }
-        }
-    }
-
-    /// Master, all READYs in: prune torn checkpoints, pick the newest
-    /// complete one, and order the cluster-wide rollback — or abort the
-    /// run cleanly when there is nothing to roll back to.
-    fn master_order_rollback(&mut self) {
-        let parts = self.setup.config.num_atoms;
-        match pick_rollback(&self.setup.dfs, &self.setup.snap_prefix, parts, self.rec.era) {
-            Ok(msg) => {
-                tr!("[m{}] ROLLBACK_ORDER snap={} era={}", self.me().0, msg.snap, msg.era);
-                let payload = enc(&msg);
-                self.broadcast_msg(K_ROLLBACK, &payload);
-                self.net.flush_all();
-                self.on_rollback(msg);
-            }
-            Err(abort) => {
-                let payload = enc(&abort);
-                self.broadcast_msg(K_RECOVER_ABORT, &payload);
-                self.net.flush_all();
-                self.failure = Some(abort.reason);
-            }
-        }
-    }
-
-    /// Rollback order received: broadcast this era's flush marker, then
-    /// drain inbound channels until every peer's marker arrived.
-    fn on_rollback(&mut self, msg: RollbackMsg) {
-        if msg.era < self.rec.era {
-            return; // superseded round
-        }
-        // A reborn machine may have missed intermediate K_DOWNs; the
-        // rollback's era is authoritative.
-        self.rec.observe_era(msg.era);
-        let payload = enc(&RecoverEraMsg { era: msg.era });
-        self.broadcast_msg(K_FLUSH_MARK, &payload);
-        self.net.flush_all();
-        self.rollback = Some(msg);
-        self.phase = RecoveryPhase::FlushWait;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        // Markers may already all be here (recovery_triggers rechecks
-        // after every received batch).
-        self.recovery_triggers();
-    }
-
-    /// Master, all surviving READYs in with at least one permanent death:
-    /// compute the adoption plan (re-balanced absolute placement + the
-    /// newest complete per-atom checkpoint to overlay, if any) and order
-    /// the restart-free round.
-    fn master_order_adoption(&mut self) {
-        let plan = pick_adoption(
-            &self.setup.dfs,
-            &self.setup.snap_prefix,
-            self.setup.config.num_atoms,
-            self.rec.era,
-            &self.setup.index,
-            &self.setup.placement,
-            self.rec.dead_mask(),
-        );
-        tr!(
-            "[m{}] ADOPT_ORDER snap={:?} era={} dead={:?}",
-            self.me().0,
-            plan.snap,
-            plan.era,
-            plan.dead
-        );
-        let payload = enc(&plan);
-        self.broadcast_msg(K_ADOPT_PLAN, &payload);
-        self.net.flush_all();
-        self.on_adopt_plan(plan);
-    }
-
-    /// Adoption order received: record the deaths it carries (a machine
-    /// deep in its inbox may see the plan before the K_DOWN), broadcast
-    /// this era's flush marker, then drain inbound channels until every
-    /// survivor's marker arrived.
-    fn on_adopt_plan(&mut self, msg: AdoptPlanMsg) {
-        if msg.era < self.rec.era {
-            return; // superseded round
-        }
-        self.rec.observe_era(msg.era);
-        for &dm in &msg.dead {
-            self.rec.note_death(dm as usize);
-            self.net.lease_note_death(dm, msg.era);
-            self.net.fence(dm);
-        }
-        let payload = enc(&RecoverEraMsg { era: msg.era });
-        self.broadcast_msg(K_FLUSH_MARK, &payload);
-        self.net.flush_all();
-        self.rollback = None;
-        self.adopt_plan = Some(msg);
-        self.phase = RecoveryPhase::FlushWait;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        self.recovery_triggers();
-    }
-
-    /// Channels flushed: restore the checkpoint, rebuild all volatile
-    /// state, and wait at the resume barrier.
-    fn do_rollback(&mut self) {
-        let msg = self.rollback.take().expect("rollback order");
-        if let Err(e) =
-            restore_into_local(&self.setup.dfs, &self.setup.snap_prefix, msg.snap, &mut self.lg)
-        {
-            self.failure = Some(format!("checkpoint {} unreadable during rollback: {e}", msg.snap));
-            return;
-        }
-        self.reset_engine_state();
-        // The restored checkpoint keeps its id; new snapshots continue
-        // after it (pruning already removed anything newer).
-        self.snapshots_written = msg.snap + 1;
-        // Conservative re-seeding: checkpoints do not capture scheduler
-        // state, so every owned vertex re-runs (self-stabilising update
-        // functions reconverge; cf. §4.3 recovery semantics).
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
-            self.scheduler.add(l, 1.0);
-        }
-        self.rec.after_rollback();
-        self.phase = RecoveryPhase::AwaitResume;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        let era = self.rec.era;
-        tr!("[m{}] ROLLED_BACK snap={} era={}", self.me().0, msg.snap, era);
-        if self.is_master() {
-            if self.rec.note_recovered(era) {
-                self.master_release_resume();
-            }
-        } else {
-            self.send_msg(MachineId(0), K_RECOVERED, enc(&RecoverEraMsg { era }));
-            self.net.flush_all();
-        }
-    }
-
-    /// Channels flushed under an adoption order: rebuild this machine
-    /// under the adopted placement without rolling the cluster back (the
-    /// restart-free §3 elasticity path). Own atoms keep their *live*
-    /// data; adopted atoms overlay the latest complete per-atom
-    /// checkpoint when one exists (journal-only otherwise — ingress
-    /// -initial data reconverges through re-scheduling); then one
-    /// [`K_ADOPT_DATA`] ghost round between every surviving pair
-    /// refreshes replicas and doubles as the FIFO barrier before the
-    /// resume handshake.
-    fn do_adoption(&mut self) {
-        let plan = self.adopt_plan.take().expect("adoption order");
-        let me = self.me();
-        // Diff against what this machine *currently* holds — the plan's
-        // placement is absolute, so adoptions interrupted by overlapping
-        // failures compose.
-        let old_atoms: std::collections::BTreeSet<graphlab_graph::AtomId> =
-            self.setup.placement.atoms_of(me).into_iter().collect();
-        let adopted: Vec<graphlab_graph::AtomId> = plan
-            .placement
-            .atoms_of(me)
-            .into_iter()
-            .filter(|a| !old_atoms.contains(a))
-            .collect();
-
-        // Keep the live values of everything currently owned, then reload
-        // the journals under the adopted placement (new ghost structure,
-        // mirror lists and atom spans).
-        let live = SnapshotFile::capture(&self.lg);
-        let init =
-            match load_machine_part::<V, E>(&self.setup.dfs, &self.setup.index, &plan.placement, me)
+    fn maybe_straggle(&mut self) {
+        if let Some(s) = self.setup.config.straggler {
+            if !self.straggled && self.me().0 == s.machine && self.global_updates() >= s.after_updates
             {
-                Ok(init) => init,
-                Err(e) => {
-                    self.failure =
-                        Some(format!("adoption reload failed on machine {}: {e}", me.0));
-                    return;
-                }
-            };
-        self.lg = LocalGraph::from_init(init, None);
-        self.setup.placement = std::sync::Arc::new(plan.placement.clone());
-        // All volatile engine state anew, at the new local sizes.
-        self.reset_engine_state();
-
-        // Own rows keep their live values...
-        if let Err(e) = apply_file(live, &mut self.lg) {
-            self.failure = Some(format!("live data re-apply failed during adoption: {e}"));
-            return;
-        }
-        // ...and adopted rows overlay from the checkpoint, when one exists.
-        if let Some(snap) = plan.snap {
-            if !adopted.is_empty() {
-                if let Err(e) = restore_atoms_into_local(
-                    &self.setup.dfs,
-                    &self.setup.snap_prefix,
-                    snap,
-                    &adopted,
-                    &mut self.lg,
-                ) {
-                    self.failure =
-                        Some(format!("checkpoint {snap} unreadable during adoption: {e}"));
-                    return;
-                }
+                self.straggled = true;
+                std::thread::sleep(s.duration);
             }
-        }
-        // New snapshots continue after the overlaid checkpoint (pruning
-        // already removed anything newer); journal-only restarts from 0.
-        self.snapshots_written = plan.snap.map_or(0, |s| s + 1);
-        tr!("[m{}] ADOPTED atoms={:?} era={}", me.0, adopted, plan.era);
-
-        self.send_adopt_data(plan.era);
-        self.adopt_got = vec![false; self.num_machines()];
-        self.phase = RecoveryPhase::AdoptData;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        for env in std::mem::take(&mut self.adopt_early) {
-            self.on_adopt_data(env);
-        }
-        self.check_adopt_done();
-    }
-
-    /// Sends exactly one [`K_ADOPT_DATA`] to every surviving peer — even
-    /// when empty, so receipt of the round is a per-channel barrier —
-    /// carrying the owned vertex rows mirrored on that peer and the owned
-    /// edge rows replicated there.
-    fn send_adopt_data(&mut self, era: u32) {
-        let m = self.num_machines();
-        let me = self.me();
-        let mut out: Vec<AdoptDataMsg> =
-            (0..m).map(|_| AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }).collect();
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
-            let mirrors = self.lg.vertex_mirrors(l).to_vec();
-            if mirrors.is_empty() {
-                continue;
-            }
-            let row = (self.lg.vertex_gvid(l), enc(self.lg.vertex_data(l)));
-            for mm in mirrors {
-                out[mm.index()].vrows.push(row.clone());
-            }
-        }
-        for l in 0..self.lg.num_local_edges() as u32 {
-            if !self.lg.owns_edge(l) {
-                continue;
-            }
-            let (s, d) = self.lg.edge_endpoints_local(l);
-            let ms = self.lg.vertex_owner(s);
-            let md = self.lg.vertex_owner(d);
-            let other = if ms == me { md } else { ms };
-            if other != me {
-                out[other.index()].erows.push((self.lg.edge_geid(l), enc(self.lg.edge_data(l))));
-            }
-        }
-        for (j, msg) in out.into_iter().enumerate() {
-            if j != me.index() && !self.rec.is_dead(j) {
-                self.send_msg(MachineId::from(j), K_ADOPT_DATA, enc(&msg));
-            }
-        }
-        self.net.flush_all();
-    }
-
-    /// One surviving peer's ghost-data round. Arrivals ahead of our own
-    /// marker completion (fast peers) are buffered and replayed once our
-    /// adoption is applied; rounds from superseded eras are dropped.
-    fn on_adopt_data(&mut self, env: Envelope) {
-        match self.phase {
-            // Our own adoption has not applied yet: hold the rows until
-            // the local graph exists under the new placement.
-            RecoveryPhase::Drain | RecoveryPhase::FlushWait => {
-                self.adopt_early.push(env);
-                return;
-            }
-            RecoveryPhase::AdoptData => {}
-            // Normal/AwaitResume/Dead: any round arriving here is from an
-            // era we already completed (a peer cannot start a newer round
-            // before our own flush marker, which we have not sent).
-            _ => return,
-        }
-        let msg: AdoptDataMsg = dec(env.payload);
-        if msg.era != self.rec.era {
-            return; // superseded round
-        }
-        for (v, blob) in msg.vrows {
-            if let Some(l) = self.lg.local_vertex(v) {
-                *self.lg.vertex_data_mut(l) = dec(blob);
-            }
-        }
-        for (e, blob) in msg.erows {
-            if let Some(l) = self.lg.local_edge(e) {
-                *self.lg.edge_data_mut(l) = dec(blob);
-            }
-        }
-        self.adopt_got[env.src.index()] = true;
-        self.check_adopt_done();
-    }
-
-    /// Every surviving peer's ghost round arrived: re-seed work and join
-    /// the resume barrier.
-    fn check_adopt_done(&mut self) {
-        if self.phase != RecoveryPhase::AdoptData {
-            return;
-        }
-        let me = self.me().index();
-        let done = (0..self.num_machines())
-            .all(|j| j == me || self.rec.is_dead(j) || self.adopt_got[j]);
-        if !done {
-            return;
-        }
-        // Conservative re-seeding: schedule every owned vertex (adopted
-        // data may lag surviving live data; re-execution reconverges).
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
-            self.scheduler.add(l, 1.0);
-        }
-        self.rec.after_adoption();
-        self.phase = RecoveryPhase::AwaitResume;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Instant::now();
-        let era = self.rec.era;
-        tr!("[m{}] ADOPT_DONE era={}", self.me().0, era);
-        if self.is_master() {
-            if self.rec.note_recovered(era) {
-                self.master_release_resume();
-            }
-        } else {
-            self.send_msg(MachineId(0), K_RECOVERED, enc(&RecoverEraMsg { era }));
-            self.net.flush_all();
         }
     }
 
-    /// Resets every piece of volatile engine state (shared by crash wipe,
-    /// rollback, and adoption). Reallocates everything sized by the local
-    /// graph — adoption changes the local vertex/edge space, so the
-    /// tables' dimensions must follow the graph. Does not touch graph
-    /// data, metrics, or the recovery tracker.
+    fn finish(mut self) -> MachineResult<V, E> {
+        let update_counts: Vec<(VertexId, u64)> =
+            std::mem::take(&mut self.update_count_map).into_iter().collect();
+        let globals = std::mem::take(&mut self.globals);
+        let updates = self.updates_local;
+        let snapshots = self.snapshots_written;
+        let recoveries = self.rec.recoveries;
+        let adoptions = self.rec.adoptions;
+        let failed = self.failure.take();
+        let dead = self.dead;
+        let (vrows, erows) =
+            if dead { (Vec::new(), Vec::new()) } else { self.lg.into_owned_data() };
+        MachineResult {
+            vrows,
+            erows,
+            globals,
+            updates,
+            update_counts,
+            steps: 0,
+            snapshots,
+            recoveries,
+            adoptions,
+            dead,
+            failed,
+            phase: crate::metrics::PhaseTimes::default(),
+            chain_spans: std::mem::take(&mut self.chain_spans),
+            idle_wakeups: self.idle_wakeups,
+        }
+    }
+}
+
+impl<V, E, U> RecoveryHost for LockingMachine<V, E, U>
+where
+    V: Codec + Clone + Send + Sync + 'static,
+    E: Codec + Clone + Send + Sync + 'static,
+    U: UpdateFunction<V, E> + ?Sized,
+{
+    type V = V;
+    type E = E;
+
+    fn parts(&mut self) -> Parts<'_, V, E> {
+        Parts {
+            rec: &mut self.rec,
+            net: &mut self.net,
+            lg: &mut self.lg,
+            dfs: &self.setup.dfs,
+            index: &self.setup.index,
+            placement: &mut self.setup.placement,
+            coloring: None,
+            snap_prefix: &self.setup.snap_prefix,
+            num_atoms: self.setup.config.num_atoms,
+            mode: self.setup.config.recovery,
+            snapshots: &mut self.snapshots_written,
+        }
+    }
+
+    /// Resets every piece of volatile engine state — scheduler, lock
+    /// table, chains, termination detector, snapshot and master
+    /// coordination state — reallocating everything sized by the local
+    /// graph.
     fn reset_engine_state(&mut self) {
         let n = self.num_machines();
         let nv = self.lg.num_local_vertices();
@@ -2263,66 +1715,12 @@ where
         self.effects.clear();
     }
 
-    /// Master: the whole cluster rolled back — release the resume barrier.
-    fn master_release_resume(&mut self) {
-        let era = self.rec.era;
-        let payload = enc(&RecoverEraMsg { era });
-        self.broadcast_msg(K_RESUME, &payload);
-        self.net.flush_all();
-        self.on_resume(RecoverEraMsg { era });
+    fn reseed(&mut self, l: u32) {
+        self.scheduler.add(l, 1.0);
     }
 
-    /// Resume barrier released: replay buffered post-rollback traffic and
-    /// return to normal operation.
-    fn on_resume(&mut self, msg: RecoverEraMsg) {
-        if msg.era != self.rec.era || self.phase != RecoveryPhase::AwaitResume {
-            return;
-        }
-        tr!("[m{}] RESUME era={} buffered={}", self.me().0, msg.era, self.resume_buffer.len());
-        self.phase = RecoveryPhase::Normal;
-        for env in std::mem::take(&mut self.resume_buffer) {
-            self.handle(env);
-        }
-    }
-
-    fn maybe_straggle(&mut self) {
-        if let Some(s) = self.setup.config.straggler {
-            if !self.straggled && self.me().0 == s.machine && self.global_updates() >= s.after_updates
-            {
-                self.straggled = true;
-                std::thread::sleep(s.duration);
-            }
-        }
-    }
-
-    fn finish(mut self) -> MachineResult<V, E> {
-        let update_counts: Vec<(VertexId, u64)> =
-            std::mem::take(&mut self.update_count_map).into_iter().collect();
-        let globals = std::mem::take(&mut self.globals);
-        let updates = self.updates_local;
-        let snapshots = self.snapshots_written;
-        let recoveries = self.rec.recoveries;
-        let adoptions = self.rec.adoptions;
-        let failed = self.failure.take();
-        let dead = self.dead;
-        let (vrows, erows) =
-            if dead { (Vec::new(), Vec::new()) } else { self.lg.into_owned_data() };
-        MachineResult {
-            vrows,
-            erows,
-            globals,
-            updates,
-            update_counts,
-            steps: 0,
-            snapshots,
-            recoveries,
-            adoptions,
-            dead,
-            failed,
-            phase: crate::metrics::PhaseTimes::default(),
-            chain_spans: std::mem::take(&mut self.chain_spans),
-            idle_wakeups: self.idle_wakeups,
-        }
+    fn replay(&mut self, env: Envelope) {
+        self.handle(env);
     }
 }
 

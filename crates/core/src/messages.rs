@@ -27,8 +27,36 @@
 
 use bytes::{Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, LockType, MachineId, VertexId};
-use graphlab_net::codec::{get_uvarint, put_uvarint, Codec};
+use graphlab_net::codec::{decode_from, encode_to_bytes, get_uvarint, put_uvarint, Codec};
 use graphlab_net::termination::Token;
+
+/// Encodes one protocol message (the engines' and the recovery machine's
+/// single encode point).
+pub(crate) fn enc<T: Codec>(v: &T) -> Bytes {
+    encode_to_bytes(v)
+}
+
+/// Decodes one protocol message from a peer of this same binary.
+pub(crate) fn dec<T: Codec>(b: Bytes) -> T {
+    decode_from(b).expect("malformed engine message")
+}
+
+/// Whether `GRAPHLAB_TRACE` is set (read once per process).
+pub(crate) fn trace_on() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("GRAPHLAB_TRACE").is_some())
+}
+
+/// Per-machine protocol event tracing to stderr under `GRAPHLAB_TRACE=1`
+/// (engine INIT/EXEC/SCHED/DATA/HALT lines and every recovery transition).
+macro_rules! tr {
+    ($($arg:tt)*) => {
+        if $crate::messages::trace_on() {
+            eprintln!($($arg)*);
+        }
+    };
+}
+pub(crate) use tr;
 
 // ---- message kinds ----
 //
@@ -92,18 +120,18 @@ use graphlab_net::termination::Token;
 // lint: kind K_SNAP_RESUME handlers: locking.rs
 // lint: kind K_SNAP_ASYNC_START handlers: locking.rs
 // lint: kind K_SNAP_ASYNC_MDONE handlers: locking.rs
-// lint: kind K_RECOVER_READY handlers: chromatic.rs, locking.rs
-// lint: kind K_ROLLBACK handlers: chromatic.rs, locking.rs
-// lint: kind K_RECOVERED handlers: chromatic.rs, locking.rs
-// lint: kind K_RESUME handlers: chromatic.rs, locking.rs
-// lint: kind K_RECOVER_ABORT handlers: chromatic.rs, locking.rs
-// lint: kind K_FLUSH_MARK handlers: chromatic.rs, locking.rs
-// lint: kind K_ADOPT_PLAN handlers: chromatic.rs, locking.rs
-// lint: kind K_ADOPT_DATA handlers: chromatic.rs, locking.rs
+// lint: kind K_RECOVER_READY handlers: recovery.rs
+// lint: kind K_ROLLBACK handlers: recovery.rs
+// lint: kind K_RECOVERED handlers: recovery.rs
+// lint: kind K_RESUME handlers: recovery.rs
+// lint: kind K_RECOVER_ABORT handlers: recovery.rs
+// lint: kind K_FLUSH_MARK handlers: recovery.rs
+// lint: kind K_ADOPT_PLAN handlers: recovery.rs
+// lint: kind K_ADOPT_DATA handlers: recovery.rs
 // lint: kind K_BATCH handlers: batch.rs
 // lint: kind K_ZIP handlers: batch.rs
-// lint: kind K_DOWN handlers: chromatic.rs, locking.rs, batch.rs
-// lint: kind K_UP handlers: chromatic.rs, locking.rs
+// lint: kind K_DOWN handlers: recovery.rs, batch.rs
+// lint: kind K_UP handlers: recovery.rs
 // lint: kind K_LEASE handlers: batch.rs
 
 /// Chromatic: vertex ghost update (owner → mirror).

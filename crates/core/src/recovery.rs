@@ -1,41 +1,71 @@
-//! Shared bookkeeping for the engines' checkpoint-rollback recovery
-//! protocol (§4.3; see the [`crate::snapshot`] module docs for the full
-//! protocol walkthrough).
+//! The engines' failure-recovery protocol (§4.3; see the
+//! [`crate::snapshot`] module docs for the full protocol walkthrough).
 //!
-//! Both engines drive the same master-coordinated state machine, keyed on
-//! the fabric **fault era** (total kills so far, carried by every
-//! `K_DOWN`/`K_UP` notification):
+//! Both engines drive the one master-coordinated state machine in this
+//! module, keyed on the fabric **fault era** (total kills so far, carried
+//! by every `K_DOWN`/`K_UP` notification):
 //!
 //! ```text
 //! normal --K_DOWN--> drain --K_ROLLBACK--> marker flush --all marks-->
-//!   restore+reset --K_RECOVERED--> await-resume --K_RESUME--> normal
+//!   restore+reset ------------------------> await-resume --K_RESUME--> normal
+//!                  \-K_ADOPT_PLAN-> marker flush --all marks-->
+//!   reload+reset+overlay --all K_ADOPT_DATA--^
+//!
+//! any phase --own death--> dead --K_UP--> drain
+//! any phase --newer era--> drain (the round restarts)
 //! ```
 //!
-//! The **marker flush** is what makes the rollback cut exact without any
-//! global counters: a machine stops sending engine traffic when it enters
-//! the drain (only recovery control flows after), and broadcasts the
-//! era's `K_FLUSH_MARK` when the rollback order arrives. Per-channel FIFO
-//! then guarantees that once a machine holds the current era's marker
-//! from every peer, every pre-drain engine message has already been
-//! delivered (and discarded) — nothing stale can surface after the
-//! restore. Channels touching the dead machine need no flushing at all:
-//! the fabric drops in-flight traffic of dead incarnations, and the
-//! reborn machine starts from an empty inbox.
+//! The master orders a **rollback** when every machine of the era reported
+//! READY, and an **adoption** when some of them are permanently dead (only
+//! possible under [`RecoveryMode::Adopt`]; otherwise a permanent death
+//! aborts the run): survivors reload their part under the re-balanced
+//! placement, keep their live rows, overlay the latest complete per-atom
+//! checkpoint on adopted atoms, and refresh ghosts with one
+//! `K_ADOPT_DATA` round between every surviving pair.
 //!
-//! The tracker owns the era arithmetic (overlapping failures supersede a
-//! round safely) and the master's READY/RECOVERED collection. All
-//! engine-specific state teardown (schedulers, lock tables, colour
-//! queues) stays in the engines.
+//! The **marker flush** is what makes the cut exact without any global
+//! counters: a machine stops sending engine traffic when it enters the
+//! drain (only recovery control flows after — [`RecoveryTracker::send`]
+//! asserts it), and broadcasts the era's `K_FLUSH_MARK` when the order
+//! arrives. Per-channel FIFO then guarantees that once a machine holds the
+//! current era's marker from every peer, every pre-drain engine message
+//! has already been delivered (and discarded) — nothing stale can surface
+//! after the restore. Channels touching the dead machine need no flushing
+//! at all: the fabric drops in-flight traffic of dead incarnations, and
+//! the reborn machine starts from an empty inbox.
+//!
+//! # Host seam
+//!
+//! An engine feeds the machine every recovery-control envelope (and, while
+//! a round is in progress, every envelope) through [`on_envelope`], its
+//! own death through [`on_self_death`] and idle time through [`tick`], and
+//! acts on the returned [`Step`]. The machine reaches back only through
+//! [`RecoveryHost`]: a split borrow of the protocol-visible state
+//! ([`Parts`]) plus three engine-specific operations — reallocate all
+//! volatile scheduling/isolation state at the current local sizes, reseed
+//! one owned vertex, handle one engine envelope. Everything else (era
+//! arithmetic, survivor-counted barriers, per-phase discard/buffer/replay
+//! of engine traffic, the stall deadline) lives here once.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use graphlab_atoms::SimDfs;
-use graphlab_net::fault::DownMsg;
+use bytes::Bytes;
+use graphlab_atoms::{load_machine_part, AtomIndex, Placement, SimDfs};
+use graphlab_graph::{AtomId, Coloring, MachineId};
+use graphlab_net::codec::Codec;
+use graphlab_net::fault::{DownMsg, UpMsg};
+use graphlab_net::{Batcher, Envelope};
 
-use crate::messages::{RecoverAbortMsg, RollbackMsg};
-use crate::snapshot::{latest_complete_snapshot, prune_snapshots_after};
+use crate::config::RecoveryMode;
+use crate::local::LocalGraph;
+use crate::messages::*;
+use crate::snapshot::{
+    apply_file, latest_complete_snapshot, prune_snapshots_after, restore_atoms_into_local,
+    restore_into_local, SnapshotFile,
+};
 
-/// A recovery round that makes no progress for this long fails the run
+/// A recovery phase that makes no progress for this long fails the run
 /// with a clean error instead of hanging (the chaos suite's "never hangs"
 /// guarantee; generous against CI scheduling noise).
 pub(crate) const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
@@ -55,8 +85,7 @@ pub(crate) fn unrecoverable_down(d: &DownMsg) -> String {
 /// target. `parts` is the number of distinct parts a complete checkpoint
 /// holds (one per atom in the engines' per-atom layout). `Ok` is the
 /// order to broadcast; `Err` is the abort to broadcast (no complete
-/// checkpoint — nothing to roll back to). Shared by both engines so the
-/// selection policy and the failure wording cannot diverge.
+/// checkpoint — nothing to roll back to).
 pub(crate) fn pick_rollback(
     dfs: &SimDfs,
     prefix: &str,
@@ -89,13 +118,13 @@ pub(crate) fn pick_adoption(
     prefix: &str,
     parts: usize,
     era: u32,
-    index: &graphlab_atoms::AtomIndex,
-    placement: &graphlab_atoms::Placement,
+    index: &AtomIndex,
+    placement: &Placement,
     dead: &[bool],
-) -> crate::messages::AdoptPlanMsg {
+) -> AdoptPlanMsg {
     let snap = latest_complete_snapshot(dfs, prefix, parts);
     prune_snapshots_after(dfs, prefix, snap);
-    crate::messages::AdoptPlanMsg {
+    AdoptPlanMsg {
         era,
         dead: (0..dead.len()).filter(|&m| dead[m]).map(|m| m as u16).collect(),
         placement: placement.adopt(index, dead),
@@ -110,20 +139,28 @@ pub(crate) enum RecoveryPhase {
     Normal,
     /// This machine is dead (fault plan); waiting for the fabric restart.
     Dead,
-    /// Drained and READY sent; waiting for the master's rollback order.
+    /// Drained and READY sent; waiting for the master's order.
     Drain,
-    /// Rollback received and own marker broadcast; discarding stale
-    /// traffic until every peer's flush marker arrived.
+    /// Order received and own marker broadcast; discarding stale traffic
+    /// until every peer's flush marker arrived.
     FlushWait,
     /// Adoption applied locally; waiting for every surviving peer's
-    /// `K_ADOPT_DATA` ghost round (locking engine only — the chromatic
-    /// engine collects the round inside its nested recovery loop).
+    /// `K_ADOPT_DATA` ghost round.
     AdoptData,
-    /// Rolled back; waiting for the cluster-wide resume barrier.
+    /// Rolled back (or adopted); waiting for the cluster-wide resume
+    /// barrier.
     AwaitResume,
 }
 
-/// Per-machine recovery bookkeeping shared by both distributed engines.
+/// The master's order for one fault era: roll everyone back to a
+/// checkpoint, or have the survivors adopt the dead machines' atoms.
+#[derive(Debug)]
+enum Order {
+    Rollback(RollbackMsg),
+    Adopt(AdoptPlanMsg),
+}
+
+/// Per-machine recovery state shared by both distributed engines.
 #[derive(Debug)]
 pub(crate) struct RecoveryTracker {
     me: usize,
@@ -145,6 +182,19 @@ pub(crate) struct RecoveryTracker {
     marks: Vec<bool>,
     /// Master: K_RECOVERED acknowledgements for the current era.
     recovered: usize,
+    phase: RecoveryPhase,
+    /// Entry time of the current phase (stall deadline).
+    phase_since: Option<Instant>,
+    /// The order being flushed towards (FlushWait).
+    order: Option<Order>,
+    /// Surviving peers whose ghost round arrived (AdoptData).
+    adopt_got: Vec<bool>,
+    /// `K_ADOPT_DATA` that raced ahead of a slower peer's flush marker —
+    /// applied once our own adoption surgery is done.
+    adopt_early: Vec<Envelope>,
+    /// Post-recovery engine traffic from machines that resumed before us
+    /// (AdoptData/AwaitResume) — replayed after `K_RESUME`, never dropped.
+    resume_buffer: Vec<Envelope>,
 }
 
 impl RecoveryTracker {
@@ -159,6 +209,54 @@ impl RecoveryTracker {
             ready: vec![false; n],
             marks: vec![false; n],
             recovered: 0,
+            phase: RecoveryPhase::Normal,
+            phase_since: None,
+            order: None,
+            adopt_got: Vec::new(),
+            adopt_early: Vec::new(),
+            resume_buffer: Vec::new(),
+        }
+    }
+
+    /// The phase this machine is in.
+    pub(crate) fn phase(&self) -> RecoveryPhase {
+        self.phase
+    }
+
+    fn enter(&mut self, phase: RecoveryPhase) {
+        self.phase = phase;
+        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
+        self.phase_since = Some(Instant::now());
+    }
+
+    /// Crash semantics: everything but the permanent deaths is forgotten.
+    /// Those are cluster-durable facts (a real deployment relearns them
+    /// from the master) — a reborn machine that forgot them would wait
+    /// forever for a dead peer's flush marker.
+    fn wipe(&mut self) {
+        let dead = std::mem::take(&mut self.dead);
+        *self = RecoveryTracker::new(self.me, self.n);
+        self.dead = dead;
+    }
+
+    /// Single send point for all traffic of a recovering machine.
+    /// Recovery correctness depends on a machine sending **no** engine
+    /// message between its drain point and the cluster-wide resume — the
+    /// flush-marker barrier is only a barrier because everything after a
+    /// machine's drain is recovery control; this assert enforces it.
+    pub(crate) fn send(&self, net: &mut Batcher, dst: MachineId, kind: u16, payload: Bytes) {
+        debug_assert!(
+            self.phase == RecoveryPhase::Normal || is_recovery_control(kind),
+            "engine message kind {kind} sent during recovery phase {:?}",
+            self.phase
+        );
+        net.send(dst, kind, payload);
+    }
+
+    /// Sends `payload` to every surviving peer.
+    pub(crate) fn broadcast(&self, net: &mut Batcher, kind: u16, payload: &Bytes) {
+        for j in (0..self.n).filter(|&j| j != self.me && !self.dead[j]) {
+            self.send(net, MachineId::from(j), kind, payload.clone());
         }
     }
 
@@ -184,9 +282,9 @@ impl RecoveryTracker {
     }
 
     /// Observes a fault era (from `K_DOWN`, `K_UP`, or — on a reborn
-    /// machine — the rollback order itself). Returns `true` when the era
-    /// advanced: the caller must (re-)enter the drain phase and send a
-    /// fresh READY; all collection state restarts.
+    /// machine — the order itself). Returns `true` when the era advanced:
+    /// the caller must (re-)enter the drain phase and send a fresh READY;
+    /// all collection state restarts.
     pub(crate) fn observe_era(&mut self, era: u32) -> bool {
         if era <= self.era {
             return false;
@@ -245,6 +343,521 @@ impl RecoveryTracker {
         }
         self.recovered >= self.survivors()
     }
+}
+
+/// The protocol-visible state of the machine being recovered, split so
+/// the borrows can be held side by side.
+pub(crate) struct Parts<'a, V, E> {
+    pub rec: &'a mut RecoveryTracker,
+    pub net: &'a mut Batcher,
+    pub lg: &'a mut LocalGraph<V, E>,
+    pub dfs: &'a SimDfs,
+    pub index: &'a AtomIndex,
+    /// Replaced by the plan's placement when an adoption is applied.
+    pub placement: &'a mut Arc<Placement>,
+    /// Colouring a reloaded local graph is built with (chromatic engine).
+    pub coloring: Option<&'a Coloring>,
+    pub snap_prefix: &'a str,
+    /// Parts of a complete checkpoint (`EngineConfig::num_atoms`).
+    pub num_atoms: usize,
+    pub mode: RecoveryMode,
+    /// The engine's next-snapshot-id counter: continues after the restored
+    /// or overlaid checkpoint (pruning removed anything newer).
+    pub snapshots: &'a mut u64,
+}
+
+/// What the recovery machine needs from the engine it recovers.
+pub(crate) trait RecoveryHost {
+    type V: Codec;
+    type E: Codec;
+
+    /// The state the protocol drives, borrowed field by field.
+    fn parts(&mut self) -> Parts<'_, Self::V, Self::E>;
+
+    /// Reallocates every piece of volatile engine state at the *current*
+    /// local graph sizes (adoption changes them). Graph data, metrics and
+    /// the tracker are untouched.
+    fn reset_engine_state(&mut self);
+
+    /// Schedules owned local vertex `l` (conservative re-seeding:
+    /// checkpoints do not capture scheduler state, so every owned vertex
+    /// re-runs and self-stabilising programs reconverge).
+    fn reseed(&mut self, l: u32);
+
+    /// Handles one engine envelope as in the normal phase (replay of
+    /// traffic buffered while waiting for the resume barrier).
+    fn replay(&mut self, env: Envelope);
+}
+
+/// What the engine loop does after feeding the machine one event.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Step {
+    /// Keep receiving.
+    Continue,
+    /// The round completed: data restored or adopted, engine state reset
+    /// and reseeded, buffered traffic replayed; the phase is Normal again.
+    Resumed,
+    /// Permanently dead under [`RecoveryMode::Adopt`]: leave the run
+    /// cleanly with no rows to report (the survivors adopt our atoms).
+    Exit,
+    /// Unrecoverable: fail the run cleanly with this reason.
+    Abort(String),
+}
+
+/// Routes one envelope. The recovery/fabric control plane is handled in
+/// every phase; engine traffic is handled (Normal), discarded (Drain and
+/// FlushWait — it precedes its sender's flush marker, and the restore
+/// wipes whatever it would have changed), or buffered for replay
+/// (AdoptData/AwaitResume — post-recovery work from early resumers). A
+/// dead machine ignores everything but its rebirth: a crash loses the
+/// pre-crash backlog.
+pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, env: Envelope) -> Step {
+    let Parts { rec, net, .. } = h.parts();
+    if rec.phase == RecoveryPhase::Dead && env.kind != graphlab_net::K_UP {
+        return tick(h);
+    }
+    let src = env.src.index();
+    match env.kind {
+        graphlab_net::K_DOWN => {
+            let d: DownMsg = dec(env.payload);
+            return on_down(h, d);
+        }
+        graphlab_net::K_UP => {
+            let u: UpMsg = dec(env.payload);
+            on_self_up(h, u);
+        }
+        K_RECOVER_READY => {
+            let msg: RecoverReadyMsg = dec(env.payload);
+            if rec.me == 0 {
+                // The fabric delivers K_UP to the reborn machine only; its
+                // READY is the master's cue to lease it afresh (and to
+                // lift the expiry fence a restartable kill raised).
+                net.lease_note_up(env.src.0, msg.era);
+                rec.note_ready(src, msg.era);
+            }
+        }
+        K_ROLLBACK => {
+            let msg: RollbackMsg = dec(env.payload);
+            on_order(h, msg.era, Order::Rollback(msg));
+        }
+        K_ADOPT_PLAN => {
+            let msg: AdoptPlanMsg = dec(env.payload);
+            on_order(h, msg.era, Order::Adopt(msg));
+        }
+        K_FLUSH_MARK => {
+            let msg: RecoverEraMsg = dec(env.payload);
+            rec.note_mark(src, msg.era);
+        }
+        K_ADOPT_DATA => match rec.phase {
+            // Our own surgery has not run yet: hold the rows until the
+            // local graph exists under the new placement.
+            RecoveryPhase::Drain | RecoveryPhase::FlushWait => rec.adopt_early.push(env),
+            RecoveryPhase::AdoptData => {
+                apply_adopt_data(h, env);
+                return check_adopt_done(h);
+            }
+            // A round we already completed (a peer cannot start a newer
+            // one before our own flush marker, which we have not sent).
+            _ => {}
+        },
+        K_RECOVERED => {
+            let msg: RecoverEraMsg = dec(env.payload);
+            // Early finishers are only counted; the barrier releases once
+            // the master itself waits at it.
+            if rec.me == 0
+                && rec.note_recovered(msg.era)
+                && rec.phase == RecoveryPhase::AwaitResume
+            {
+                return release_resume(h);
+            }
+        }
+        K_RESUME => {
+            let msg: RecoverEraMsg = dec(env.payload);
+            return on_resume(h, msg.era);
+        }
+        K_RECOVER_ABORT => {
+            let msg: RecoverAbortMsg = dec(env.payload);
+            return Step::Abort(msg.reason);
+        }
+        _ => match rec.phase {
+            RecoveryPhase::Normal => h.replay(env),
+            RecoveryPhase::AdoptData | RecoveryPhase::AwaitResume => rec.resume_buffer.push(env),
+            RecoveryPhase::Drain | RecoveryPhase::FlushWait | RecoveryPhase::Dead => {}
+        },
+    }
+    tick(h)
+}
+
+/// Progress that no single message carries: the stall deadline, applying
+/// the order once the channels are flushed, and the master's order once
+/// every READY is in. Call after every receive timeout while a round is
+/// in progress ([`on_envelope`] does so itself).
+pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
+    let rec = h.parts().rec;
+    if rec.phase == RecoveryPhase::Normal {
+        return Step::Continue;
+    }
+    if rec.phase_since.is_some_and(|t| t.elapsed() > RECOVERY_DEADLINE) {
+        return Step::Abort(format!(
+            "recovery stalled in {:?} at fault era {} (machine {}, dead {:?}, ready {:?}, \
+             marks {:?}, recovered {})",
+            rec.phase, rec.era, rec.me, rec.dead, rec.ready, rec.marks, rec.recovered
+        ));
+    }
+    if rec.phase == RecoveryPhase::FlushWait && rec.marks_complete() {
+        return apply_order(h);
+    }
+    if rec.me == 0 && rec.phase == RecoveryPhase::Drain && rec.all_ready() {
+        return master_order(h);
+    }
+    Step::Continue
+}
+
+/// A peer died (or the notification is about ourselves — the fabric's
+/// wakeup for a victim that was blocked in `recv` when the kill fired).
+/// Enters, or on a newer era restarts, the drain.
+fn on_down<H: RecoveryHost>(h: &mut H, d: DownMsg) -> Step {
+    let Parts { rec, net, mode, .. } = h.parts();
+    if d.machine as usize == rec.me {
+        return on_self_death(h);
+    }
+    // Fence the victim's lease for every kind of death: a restartable
+    // victim is silent through its dead window and must not be
+    // re-declared by expiry (its READY after rebirth lifts the fence).
+    net.lease_note_death(d.machine, d.era);
+    if !d.restart {
+        if mode != RecoveryMode::Adopt {
+            return Step::Abort(unrecoverable_down(&d));
+        }
+        rec.note_death(d.machine as usize);
+        net.fence(d.machine);
+    }
+    tr!("[m{}] PEER_DOWN m{} era={} restart={}", rec.me, d.machine, d.era, d.restart);
+    if rec.observe_era(d.era) {
+        enter_drain(h);
+    }
+    tick(h)
+}
+
+/// Fabric notification on the reborn machine itself: rejoin the round for
+/// the current era with empty state.
+fn on_self_up<H: RecoveryHost>(h: &mut H, u: UpMsg) {
+    let rec = h.parts().rec;
+    debug_assert_eq!(u.machine as usize, rec.me, "K_UP is delivered to the reborn machine only");
+    tr!("[m{}] SELF_UP era={}", rec.me, u.era);
+    if rec.phase != RecoveryPhase::Dead {
+        // The dead window passed without this thread ever observing
+        // MachineDown (it was busy on its pre-crash inbox backlog):
+        // complete the crash now, before rejoining.
+        wipe_volatile(h);
+    }
+    h.parts().rec.observe_era(u.era);
+    enter_drain(h);
+}
+
+/// This machine was killed (`RecvError::MachineDown`, or a `K_DOWN` about
+/// itself): discard all volatile state and wait for the fabric restart —
+/// the engine equivalent of a process replacement that will reload from
+/// the checkpoint. With no restart scheduled the machine leaves the run:
+/// cleanly under adoption, failing fast otherwise (survivors abort on
+/// their `K_DOWN{restart: false}` in parallel).
+pub(crate) fn on_self_death<H: RecoveryHost>(h: &mut H) -> Step {
+    let Parts { rec, net, mode, .. } = h.parts();
+    if rec.phase == RecoveryPhase::Dead {
+        return tick(h); // still dead; keep polling for rebirth
+    }
+    let permanent = net.self_death() == Some(false);
+    if permanent && mode != RecoveryMode::Adopt {
+        // The kill itself advanced the era past the last one seen here.
+        let d = DownMsg { machine: rec.me as u16, restart: false, era: rec.era + 1 };
+        return Step::Abort(unrecoverable_down(&d));
+    }
+    tr!("[m{}] SELF_DEATH permanent={permanent}", rec.me);
+    wipe_volatile(h);
+    h.parts().rec.enter(RecoveryPhase::Dead);
+    if permanent {
+        Step::Exit
+    } else {
+        Step::Continue
+    }
+}
+
+/// Crash semantics: every piece of volatile state is gone. Graph data is
+/// restored (and work re-seeded) by the round that must follow.
+fn wipe_volatile<H: RecoveryHost>(h: &mut H) {
+    h.parts().net.clear();
+    h.reset_engine_state();
+    h.parts().rec.wipe();
+}
+
+/// Stops engine work and reports the drain point to the master.
+fn enter_drain<H: RecoveryHost>(h: &mut H) {
+    let Parts { rec, net, .. } = h.parts();
+    rec.enter(RecoveryPhase::Drain);
+    rec.order = None;
+    rec.adopt_early.clear();
+    rec.resume_buffer.clear();
+    // Engine sends still sitting in batch queues precede the drain point
+    // and must go out ahead of the (future) flush marker on each channel:
+    // flush, do not clear.
+    net.flush_all();
+    let era = rec.era;
+    tr!("[m{}] DRAIN era={era}", rec.me);
+    if rec.me == 0 {
+        rec.note_ready(0, era);
+    } else {
+        rec.send(net, MachineId(0), K_RECOVER_READY, enc(&RecoverReadyMsg { era }));
+        net.flush_all();
+    }
+}
+
+/// Master, every surviving READY in: a non-empty dead set (possible only
+/// under [`RecoveryMode::Adopt`] — any other mode aborts on the `K_DOWN`)
+/// means restart-free adoption; a full cluster rolls back to the newest
+/// complete checkpoint, or aborts cleanly when there is none.
+fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
+    let Parts { rec, net, dfs, index, placement, snap_prefix, num_atoms, .. } = h.parts();
+    let era = rec.era;
+    let order = if rec.dead.contains(&true) {
+        let plan =
+            pick_adoption(dfs, snap_prefix, num_atoms, era, index, placement, rec.dead_mask());
+        rec.broadcast(net, K_ADOPT_PLAN, &enc(&plan));
+        Order::Adopt(plan)
+    } else {
+        match pick_rollback(dfs, snap_prefix, num_atoms, era) {
+            Ok(msg) => {
+                rec.broadcast(net, K_ROLLBACK, &enc(&msg));
+                Order::Rollback(msg)
+            }
+            Err(abort) => {
+                rec.broadcast(net, K_RECOVER_ABORT, &enc(&abort));
+                net.flush_all();
+                return Step::Abort(abort.reason);
+            }
+        }
+    };
+    net.flush_all();
+    on_order(h, era, order);
+    tick(h)
+}
+
+/// Order received (or, on the master, just issued): broadcast this era's
+/// flush marker — everything this machine sent before it is pre-drain
+/// engine traffic, delivered ahead of it by per-channel FIFO — then
+/// discard inbound traffic until every survivor's marker arrived.
+fn on_order<H: RecoveryHost>(h: &mut H, era: u32, order: Order) {
+    let Parts { rec, net, .. } = h.parts();
+    if era < rec.era {
+        return; // superseded round
+    }
+    // A reborn machine may have missed intermediate K_DOWNs; the order's
+    // era is authoritative.
+    rec.observe_era(era);
+    if let Order::Adopt(plan) = &order {
+        // So is the plan about who died (a machine that was itself dead
+        // at the time never saw that K_DOWN).
+        for &dm in &plan.dead {
+            rec.note_death(dm as usize);
+            net.lease_note_death(dm, era);
+            net.fence(dm);
+        }
+    }
+    tr!("[m{}] ORDER era={era} adopt={}", rec.me, matches!(order, Order::Adopt(_)));
+    rec.broadcast(net, K_FLUSH_MARK, &enc(&RecoverEraMsg { era }));
+    net.flush_all();
+    rec.order = Some(order);
+    rec.enter(RecoveryPhase::FlushWait);
+}
+
+/// Channels flushed: apply the order.
+fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
+    let Parts { rec, lg, dfs, snap_prefix, .. } = h.parts();
+    match rec.order.take().expect("FlushWait holds an order") {
+        Order::Rollback(msg) => {
+            // Restore the checkpoint, rebuild all volatile state, re-seed.
+            if let Err(e) = restore_into_local(dfs, snap_prefix, msg.snap, lg) {
+                return Step::Abort(format!(
+                    "checkpoint {} unreadable during rollback: {e}",
+                    msg.snap
+                ));
+            }
+            h.reset_engine_state();
+            let Parts { rec, snapshots, .. } = h.parts();
+            *snapshots = msg.snap + 1;
+            rec.after_rollback();
+            tr!("[m{}] ROLLED_BACK snap={} era={}", rec.me, msg.snap, rec.era);
+            join_resume_barrier(h)
+        }
+        Order::Adopt(plan) => adopt(h, plan),
+    }
+}
+
+/// Restart-free recovery (the §3 elasticity claim made concrete): rebuild
+/// this machine under the adopted placement without rolling the cluster
+/// back. Own atoms keep their *live* data; adopted atoms overlay the
+/// latest complete per-atom checkpoint when one exists (journal-only
+/// otherwise — ingress-initial data reconverges through re-scheduling);
+/// then one [`K_ADOPT_DATA`] ghost round between every surviving pair
+/// refreshes replicas and doubles as the FIFO barrier before the resume
+/// handshake.
+fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
+    let Parts { lg, dfs, index, placement, coloring, .. } = h.parts();
+    let me = lg.machine();
+    // Diff against what this machine *currently* holds — the plan's
+    // placement is absolute, so adoptions interrupted by overlapping
+    // failures compose.
+    let old_atoms: std::collections::BTreeSet<AtomId> =
+        placement.atoms_of(me).into_iter().collect();
+    let adopted: Vec<AtomId> =
+        plan.placement.atoms_of(me).into_iter().filter(|a| !old_atoms.contains(a)).collect();
+
+    // Keep the live values of everything currently owned, then reload the
+    // journals under the adopted placement (new ghost structure, mirror
+    // lists and atom spans).
+    let live = SnapshotFile::capture(lg);
+    match load_machine_part(dfs, index, &plan.placement, me) {
+        Ok(init) => *lg = LocalGraph::from_init(init, coloring),
+        Err(e) => return Step::Abort(format!("adoption reload failed on machine {}: {e}", me.0)),
+    }
+    *placement = Arc::new(plan.placement);
+    h.reset_engine_state();
+
+    let Parts { rec, net, lg, dfs, snap_prefix, snapshots, .. } = h.parts();
+    // Own rows keep their live values...
+    if let Err(e) = apply_file(live, lg) {
+        return Step::Abort(format!("live data re-apply failed during adoption: {e}"));
+    }
+    // ...and adopted rows overlay from the checkpoint, when one exists.
+    if let (Some(snap), false) = (plan.snap, adopted.is_empty()) {
+        if let Err(e) = restore_atoms_into_local(dfs, snap_prefix, snap, &adopted, lg) {
+            return Step::Abort(format!("checkpoint {snap} unreadable during adoption: {e}"));
+        }
+    }
+    // Journal-only adoption restarts the snapshot ids from 0.
+    *snapshots = plan.snap.map_or(0, |s| s + 1);
+    tr!("[m{}] ADOPTED atoms={adopted:?} era={}", me.0, plan.era);
+
+    send_adopt_data(rec, net, lg, plan.era);
+    rec.adopt_got = vec![false; rec.n];
+    rec.enter(RecoveryPhase::AdoptData);
+    for env in std::mem::take(&mut rec.adopt_early) {
+        apply_adopt_data(h, env);
+    }
+    check_adopt_done(h)
+}
+
+/// Sends exactly one [`K_ADOPT_DATA`] to every surviving peer — even when
+/// empty, so receipt of the round is a per-channel barrier — carrying the
+/// owned vertex rows mirrored on that peer and the owned edge rows
+/// replicated there.
+fn send_adopt_data<V: Codec, E: Codec>(
+    rec: &RecoveryTracker,
+    net: &mut Batcher,
+    lg: &LocalGraph<V, E>,
+    era: u32,
+) {
+    let me = lg.machine();
+    let mut out: Vec<AdoptDataMsg> =
+        (0..rec.n).map(|_| AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }).collect();
+    for &l in lg.owned_vertices() {
+        if lg.vertex_mirrors(l).is_empty() {
+            continue;
+        }
+        let row = (lg.vertex_gvid(l), enc(lg.vertex_data(l)));
+        for mm in lg.vertex_mirrors(l) {
+            out[mm.index()].vrows.push(row.clone());
+        }
+    }
+    for l in (0..lg.num_local_edges() as u32).filter(|&l| lg.owns_edge(l)) {
+        let (s, d) = lg.edge_endpoints_local(l);
+        let (ms, md) = (lg.vertex_owner(s), lg.vertex_owner(d));
+        let other = if ms == me { md } else { ms };
+        if other != me {
+            out[other.index()].erows.push((lg.edge_geid(l), enc(lg.edge_data(l))));
+        }
+    }
+    for (j, msg) in out.into_iter().enumerate() {
+        if j != rec.me && !rec.is_dead(j) {
+            rec.send(net, MachineId::from(j), K_ADOPT_DATA, enc(&msg));
+        }
+    }
+    net.flush_all();
+}
+
+/// One surviving peer's ghost round (AdoptData phase): apply its rows;
+/// rounds from superseded eras are dropped.
+fn apply_adopt_data<H: RecoveryHost>(h: &mut H, env: Envelope) {
+    let Parts { rec, lg, .. } = h.parts();
+    let msg: AdoptDataMsg = dec(env.payload);
+    if msg.era != rec.era {
+        return;
+    }
+    for (v, blob) in msg.vrows {
+        if let Some(l) = lg.local_vertex(v) {
+            *lg.vertex_data_mut(l) = dec(blob);
+        }
+    }
+    for (e, blob) in msg.erows {
+        if let Some(l) = lg.local_edge(e) {
+            *lg.edge_data_mut(l) = dec(blob);
+        }
+    }
+    rec.adopt_got[env.src.index()] = true;
+}
+
+/// Every surviving peer's ghost round arrived: join the resume barrier.
+fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
+    let rec = h.parts().rec;
+    if !(0..rec.n).all(|j| j == rec.me || rec.is_dead(j) || rec.adopt_got[j]) {
+        return Step::Continue;
+    }
+    rec.after_adoption();
+    tr!("[m{}] ADOPT_DONE era={}", rec.me, rec.era);
+    join_resume_barrier(h)
+}
+
+/// Data is in place: re-seed every owned vertex (adopted data may lag
+/// surviving live data; re-execution reconverges) and wait at the
+/// `K_RECOVERED`/`K_RESUME` barrier, which keeps post-recovery work from
+/// racing ahead of machines still restoring.
+fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
+    for l in h.parts().lg.owned_vertices().to_vec() {
+        h.reseed(l);
+    }
+    let Parts { rec, net, .. } = h.parts();
+    rec.enter(RecoveryPhase::AwaitResume);
+    let era = rec.era;
+    if rec.me != 0 {
+        rec.send(net, MachineId(0), K_RECOVERED, enc(&RecoverEraMsg { era }));
+        net.flush_all();
+    } else if rec.note_recovered(era) {
+        return release_resume(h);
+    }
+    Step::Continue
+}
+
+/// Master: every survivor recovered — release the resume barrier.
+fn release_resume<H: RecoveryHost>(h: &mut H) -> Step {
+    let Parts { rec, net, .. } = h.parts();
+    let era = rec.era;
+    rec.broadcast(net, K_RESUME, &enc(&RecoverEraMsg { era }));
+    net.flush_all();
+    on_resume(h, era)
+}
+
+/// Resume barrier released: back to normal operation, replaying buffered
+/// post-recovery traffic in arrival order.
+fn on_resume<H: RecoveryHost>(h: &mut H, era: u32) -> Step {
+    let rec = h.parts().rec;
+    if era != rec.era || rec.phase != RecoveryPhase::AwaitResume {
+        return tick(h); // stale
+    }
+    tr!("[m{}] RESUME era={era} buffered={}", rec.me, rec.resume_buffer.len());
+    rec.enter(RecoveryPhase::Normal);
+    for env in std::mem::take(&mut rec.resume_buffer) {
+        h.replay(env);
+    }
+    Step::Resumed
 }
 
 #[cfg(test)]
@@ -318,5 +931,242 @@ mod tests {
         assert!(t.note_recovered(1));
         t.after_rollback();
         assert_eq!(t.recoveries, 1);
+    }
+
+    // ---- the state machine, driven by scripted envelopes ----
+    //
+    // Machine 1 of a 3-endpoint zero-latency SimNet runs the protocol
+    // against a fake engine; machines 0 and 2 are bare endpoints whose
+    // inboxes show what the machine sent.
+
+    use graphlab_atoms::{build_atoms, write_atoms, VertexPartition};
+    use graphlab_graph::{GraphBuilder, VertexId};
+    use graphlab_net::{BatchPolicy, FaultPlan, FaultTrigger, LatencyModel, SimEndpoint, SimNet};
+
+    use crate::snapshot::write_snapshot_atoms;
+
+    struct FakeHost {
+        rec: RecoveryTracker,
+        net: Batcher,
+        lg: LocalGraph<f64, f64>,
+        dfs: SimDfs,
+        index: AtomIndex,
+        placement: Arc<Placement>,
+        mode: RecoveryMode,
+        snapshots: u64,
+        resets: usize,
+        seeded: Vec<u32>,
+        replayed: Vec<u16>,
+    }
+
+    impl RecoveryHost for FakeHost {
+        type V = f64;
+        type E = f64;
+        fn parts(&mut self) -> Parts<'_, f64, f64> {
+            Parts {
+                rec: &mut self.rec,
+                net: &mut self.net,
+                lg: &mut self.lg,
+                dfs: &self.dfs,
+                index: &self.index,
+                placement: &mut self.placement,
+                coloring: None,
+                snap_prefix: "ckpt",
+                num_atoms: 6,
+                mode: self.mode,
+                snapshots: &mut self.snapshots,
+            }
+        }
+        fn reset_engine_state(&mut self) {
+            self.resets += 1;
+            self.seeded.clear();
+        }
+        fn reseed(&mut self, l: u32) {
+            self.seeded.push(l);
+        }
+        fn replay(&mut self, env: Envelope) {
+            self.replayed.push(env.kind);
+        }
+    }
+
+    /// A 12-vertex ring with chords in 6 atoms on 3 machines; returns
+    /// machine 1's host and the endpoints of machines 0 and 2.
+    fn cluster(
+        mode: RecoveryMode,
+        faults: Option<FaultPlan>,
+    ) -> (FakeHost, SimEndpoint, SimEndpoint) {
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..12).map(|i| b.add_vertex(i as f64)).collect();
+        for i in 0..12 {
+            b.add_edge(v[i], v[(i + 1) % 12], 1.0).unwrap();
+            b.add_edge(v[i], v[(i + 5) % 12], 2.0).unwrap();
+        }
+        let graph = b.build();
+        let dfs = SimDfs::new();
+        let (atoms, index) = build_atoms(&graph, &VertexPartition::random_hash(12, 6, 7), "graph");
+        write_atoms(&dfs, "graph", &atoms, &index);
+        let placement = Placement::compute(&index, 3);
+        let init = load_machine_part(&dfs, &index, &placement, MachineId(1)).unwrap();
+        let (_net, mut eps) = match faults {
+            Some(plan) => SimNet::with_faults(3, LatencyModel::ZERO, 1, plan),
+            None => SimNet::with_seed(3, LatencyModel::ZERO, 1),
+        };
+        let (ep2, ep1, ep0) = (eps.pop().unwrap(), eps.pop().unwrap(), eps.pop().unwrap());
+        let host = FakeHost {
+            rec: RecoveryTracker::new(1, 3),
+            net: Batcher::new(ep1.into(), BatchPolicy::disabled()),
+            lg: LocalGraph::from_init(init, None),
+            dfs,
+            index,
+            placement: Arc::new(placement),
+            mode,
+            snapshots: 0,
+            resets: 0,
+            seeded: Vec::new(),
+            replayed: Vec::new(),
+        };
+        (host, ep0, ep2)
+    }
+
+    fn env<T: Codec>(src: u16, kind: u16, msg: &T) -> Envelope {
+        Envelope { src: MachineId(src), dst: MachineId(1), kind, payload: enc(msg) }
+    }
+
+    fn down(machine: u16, restart: bool, era: u32) -> Envelope {
+        env(0, graphlab_net::K_DOWN, &DownMsg { machine, restart, era })
+    }
+
+    /// Everything in `ep`'s inbox, as `(kind, era)` (every recovery
+    /// message starts with its era).
+    fn inbox(ep: &SimEndpoint) -> Vec<(u16, u32)> {
+        std::iter::from_fn(|| ep.try_recv().ok())
+            .map(|mut e| (e.kind, u32::decode(&mut e.payload).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn era_bump_during_flush_wait_redrains_with_a_fresh_ready() {
+        let (mut h, ep0, ep2) = cluster(RecoveryMode::Rollback, None);
+        assert_eq!(on_envelope(&mut h, down(2, true, 1)), Step::Continue);
+        assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
+        assert_eq!(inbox(&ep0), [(K_RECOVER_READY, 1)]);
+        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 1, snap: 0 }));
+        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        assert_eq!(inbox(&ep0), [(K_FLUSH_MARK, 1)]);
+        assert_eq!(inbox(&ep2), [(K_FLUSH_MARK, 1)], "a restartable victim still gets the marker");
+        // A second failure supersedes the round: back to the drain, the
+        // order forgotten, a READY for the new era on the wire.
+        assert_eq!(on_envelope(&mut h, down(2, true, 2)), Step::Continue);
+        assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
+        assert_eq!(inbox(&ep0), [(K_RECOVER_READY, 2)]);
+        for src in [0, 2] {
+            on_envelope(&mut h, env(src, K_FLUSH_MARK, &RecoverEraMsg { era: 2 }));
+        }
+        assert_eq!(h.rec.phase(), RecoveryPhase::Drain, "era-1 order must not apply in era 2");
+        assert_eq!(h.resets, 0);
+    }
+
+    /// Machine 2 dies for good under adoption; returns the host drained
+    /// for era 1, the master's plan, and a vertex the host will mirror
+    /// from machine 0 under it.
+    fn drained_for_adoption() -> (FakeHost, SimEndpoint, AdoptPlanMsg, VertexId) {
+        let (mut h, ep0, _ep2) = cluster(RecoveryMode::Adopt, None);
+        assert_eq!(on_envelope(&mut h, down(2, false, 1)), Step::Continue);
+        assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 2));
+        let dead = [false, false, true];
+        let plan = pick_adoption(&h.dfs, "ckpt", 6, 1, &h.index, &h.placement, &dead);
+        let init = load_machine_part(&h.dfs, &h.index, &plan.placement, MachineId(1)).unwrap();
+        let lg: LocalGraph<f64, f64> = LocalGraph::from_init(init, None);
+        let ghost = (0..lg.num_local_vertices() as u32)
+            .find(|&l| lg.vertex_owner(l) == MachineId(0))
+            .map(|l| lg.vertex_gvid(l))
+            .expect("machine 1 mirrors something of machine 0");
+        (h, ep0, plan, ghost)
+    }
+
+    #[test]
+    fn early_adopt_data_is_held_until_the_local_surgery_ran() {
+        let (mut h, ep0, plan, ghost) = drained_for_adoption();
+        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &plan));
+        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        // With three or more survivors a fast peer's ghost round overtakes
+        // a slow peer's marker; with two, scripting the round ahead of the
+        // marker forces the same hold.
+        let data = AdoptDataMsg { era: 1, vrows: vec![(ghost, enc(&42.0f64))], erows: Vec::new() };
+        assert_eq!(on_envelope(&mut h, env(0, K_ADOPT_DATA, &data)), Step::Continue);
+        assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::FlushWait, 0), "held, not applied");
+        on_envelope(&mut h, env(0, K_FLUSH_MARK, &RecoverEraMsg { era: 1 }));
+        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!((h.resets, h.rec.adoptions, h.snapshots), (1, 1, 0));
+        assert_eq!(h.seeded, h.lg.owned_vertices(), "every owned vertex reseeded after the reset");
+        assert_eq!(h.placement.atoms_of(MachineId(2)), []);
+        let l = h.lg.local_vertex(ghost).unwrap();
+        assert_eq!(*h.lg.vertex_data(l), 42.0, "held rows land in the rebuilt graph");
+        let kinds: Vec<u16> = inbox(&ep0).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kinds, [K_RECOVER_READY, K_FLUSH_MARK, K_ADOPT_DATA, K_RECOVERED]);
+    }
+
+    #[test]
+    fn engine_traffic_is_discarded_then_buffered_then_replayed_in_order() {
+        let (mut h, _ep0, plan, _) = drained_for_adoption();
+        let work = |kind: u16| env(0, kind, &0u32);
+        on_envelope(&mut h, work(K_LOCK_REQ)); // Drain: pre-drain traffic
+        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &plan));
+        on_envelope(&mut h, work(K_SCOPE_DATA)); // FlushWait: precedes the marker
+        on_envelope(&mut h, env(0, K_FLUSH_MARK, &RecoverEraMsg { era: 1 }));
+        assert_eq!(h.rec.phase(), RecoveryPhase::AdoptData);
+        on_envelope(&mut h, work(K_RELEASE));
+        let data = AdoptDataMsg { era: 1, vrows: Vec::new(), erows: Vec::new() };
+        on_envelope(&mut h, env(0, K_ADOPT_DATA, &data));
+        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        on_envelope(&mut h, work(K_LOCK_SCHED));
+        on_envelope(&mut h, work(K_TOKEN));
+        assert_eq!(h.replayed, [], "nothing reaches the engine before the resume");
+        let resume = env(0, K_RESUME, &RecoverEraMsg { era: 1 });
+        assert_eq!(on_envelope(&mut h, resume), Step::Resumed);
+        assert_eq!(h.rec.phase(), RecoveryPhase::Normal);
+        assert_eq!(h.replayed, [K_RELEASE, K_LOCK_SCHED, K_TOKEN]);
+    }
+
+    #[test]
+    fn stale_era_orders_and_resumes_are_ignored() {
+        let (mut h, ep0, ep2) = cluster(RecoveryMode::Adopt, None);
+        let file = SnapshotFile::capture(&h.lg);
+        let mine = h.placement.atoms_of(MachineId(1));
+        write_snapshot_atoms(&h.dfs, "ckpt", 4, file, &h.lg, &mine);
+        on_envelope(&mut h, down(2, true, 2));
+        inbox(&ep0);
+        let stale_plan =
+            AdoptPlanMsg { era: 1, dead: vec![2], placement: (*h.placement).clone(), snap: None };
+        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 1, snap: 4 }));
+        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &stale_plan));
+        assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 3));
+        assert_eq!((inbox(&ep0), inbox(&ep2)), (vec![], vec![]), "no marker for a stale order");
+        // The current era's order goes through...
+        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 2, snap: 4 }));
+        for src in [0, 2] {
+            on_envelope(&mut h, env(src, K_FLUSH_MARK, &RecoverEraMsg { era: 2 }));
+        }
+        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!((h.resets, h.rec.recoveries, h.snapshots), (1, 1, 5));
+        // ...and only the current era's resume releases the barrier.
+        let stale = env(0, K_RESUME, &RecoverEraMsg { era: 1 });
+        assert_eq!(on_envelope(&mut h, stale), Step::Continue);
+        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!(on_envelope(&mut h, env(0, K_RESUME, &RecoverEraMsg { era: 2 })), Step::Resumed);
+    }
+
+    #[test]
+    fn permanent_self_death_exits_under_adopt_and_aborts_under_rollback() {
+        let kill = || Some(FaultPlan::seeded(1).kill(1, FaultTrigger::Deliveries(0)));
+        let (mut h, ..) = cluster(RecoveryMode::Adopt, kill());
+        assert_eq!(on_self_death(&mut h), Step::Exit);
+        assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
+        assert_eq!(on_envelope(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
+        assert_eq!(h.rec.survivors(), 3);
+
+        let (mut h, ..) = cluster(RecoveryMode::Rollback, kill());
+        let d = DownMsg { machine: 1, restart: false, era: 1 };
+        assert_eq!(on_self_death(&mut h), Step::Abort(unrecoverable_down(&d)));
     }
 }

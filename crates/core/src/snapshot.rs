@@ -25,7 +25,10 @@
 //! is restored from the last checkpoint").
 //!
 //! Recovery is a master-coordinated cluster rollback, keyed on the fabric
-//! *fault era* (total kills so far):
+//! *fault era* (total kills so far). Both engines run the single
+//! implementation in `crate::recovery` (one event-driven state machine
+//! behind a small host seam; its module docs also cover the restart-free
+//! *adoption* branch taken under [`crate::RecoveryMode::Adopt`]):
 //!
 //! 1. **Drain.** On `K_DOWN` every survivor abandons its in-progress work
 //!    (epochs, snapshots, lock chains), stops sending engine traffic, and

@@ -643,7 +643,9 @@ pub fn check_blocking_recv(ws: &Workspace, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------- check 5
 
 /// Unsafe hygiene: every `unsafe` keyword carries a `SAFETY:` comment on
-/// the same line or on the contiguous comment/attribute lines above it.
+/// the same line or on the contiguous comment/attribute lines above it —
+/// or above the call/macro whose argument list, opened on the lines in
+/// between, the `unsafe` block is an argument of.
 pub fn check_unsafe_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
         let src = &f.text;
@@ -651,9 +653,13 @@ pub fn check_unsafe_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
         let mut line_has_code: BTreeMap<u32, bool> = BTreeMap::new();
         let mut line_comment_safety: BTreeMap<u32, bool> = BTreeMap::new();
         let mut line_first_is_attr: BTreeMap<u32, bool> = BTreeMap::new();
+        let mut line_opens_args: BTreeMap<u32, bool> = BTreeMap::new();
         for t in &f.toks {
             let entry = line_first_is_attr.entry(t.line).or_insert(t.is_punct('#'));
             let _ = entry;
+            if t.kind != TokKind::Comment {
+                line_opens_args.insert(t.line, t.is_punct('('));
+            }
             match t.kind {
                 TokKind::Comment => {
                     let has = t.text(src).to_ascii_lowercase().contains("safety");
@@ -682,7 +688,8 @@ pub fn check_unsafe_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
                 l -= 1;
                 let code = line_has_code.get(&l).copied().unwrap_or(false);
                 let attr = line_first_is_attr.get(&l).copied().unwrap_or(false);
-                if code && !attr {
+                let opens_args = line_opens_args.get(&l).copied().unwrap_or(false);
+                if code && !attr && !opens_args {
                     break; // hit a real code line without finding SAFETY
                 }
                 if line_comment_safety.get(&l).copied().unwrap_or(false) {

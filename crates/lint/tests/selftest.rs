@@ -77,6 +77,15 @@ pub fn f(b: bool) {\n\
     }\n\
 }\n";
 
+const UNSAFE_CLEAN_AS_ARGUMENT: &str = "\
+pub fn f() {\n\
+    // SAFETY: documents the whole call the block is an argument of.\n\
+    assert_eq!(\n\
+        unsafe { g() },\n\
+        0\n\
+    );\n\
+}\n";
+
 const MSGS_WITH_CODEC: &str = "\
 pub struct FooMsg { pub x: u32 }\n\
 impl Codec for FooMsg {\n\
@@ -280,8 +289,10 @@ fn unsafe_hygiene_requires_safety_comment() {
     let fs = findings_for(vec![("crates/node/src/sig.rs", UNSAFE_VIOLATION)], &["unsafe-hygiene"]);
     assert_eq!(count_check(&fs, "unsafe-hygiene"), 1, "findings: {fs:#?}");
 
-    let ok = findings_for(vec![("crates/node/src/sig.rs", UNSAFE_CLEAN)], &["unsafe-hygiene"]);
-    assert!(ok.is_empty(), "SAFETY-commented unsafe flagged: {ok:#?}");
+    for clean in [UNSAFE_CLEAN, UNSAFE_CLEAN_AS_ARGUMENT] {
+        let ok = findings_for(vec![("crates/node/src/sig.rs", clean)], &["unsafe-hygiene"]);
+        assert!(ok.is_empty(), "SAFETY-commented unsafe flagged: {ok:#?}");
+    }
 }
 
 #[test]
