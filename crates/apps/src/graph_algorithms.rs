@@ -184,6 +184,32 @@ mod tests {
         }
     }
 
+    /// SSSP schedules an unreached neighbour with priority `+inf` (the gap
+    /// to an infinite distance), which is also the locking engine's
+    /// snapshot-task sentinel: the task must reach the scheduler all the
+    /// same, on the owner's machine and across the cut.
+    #[test]
+    fn sssp_on_the_locking_engine_crosses_infinite_gaps() {
+        use graphlab_core::EngineKind;
+        for machines in [1, 2] {
+            let mut b = GraphBuilder::new();
+            let v: Vec<_> = (0..6).map(|_| b.add_vertex(0.0)).collect();
+            for w in v.windows(2) {
+                b.add_edge(w[0], w[1], 1.0).unwrap();
+            }
+            let mut g = b.build();
+            init_sssp(&mut g, VertexId(0));
+            GraphLab::on(&mut g)
+                .engine(EngineKind::Locking)
+                .machines(machines)
+                .scheduler(SchedulerKind::Priority)
+                .initial(InitialSchedule::Vertices(vec![(VertexId(0), 1.0)]))
+                .run(Sssp { undirected: false });
+            let dist: Vec<f64> = g.vertices().map(|v| *g.vertex_data(v)).collect();
+            assert_eq!(dist, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "{machines} machine(s)");
+        }
+    }
+
     #[test]
     fn unreachable_vertices_stay_infinite() {
         let mut b = GraphBuilder::new();

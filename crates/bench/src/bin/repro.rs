@@ -1461,6 +1461,39 @@ fn phases() {
         }
         t.print();
     }
+    // The locking engine's hot-path counters on `glbench`'s `pr-locking`
+    // configuration, priority against FIFO: what each loop pass, update
+    // and lock cost in events (ROADMAP 1(c)).
+    let mut base = web_graph(12_000, 4, 42);
+    init_ranks(&mut base);
+    println!("  locking engine, 2 machines, hot-path counters:");
+    let mut t = Table::new(&[
+        "scheduler", "updates", "loop passes", "blocking recvs", "lock acquires", "parked",
+        "acquires/update", "mean pipeline", "updates/pass",
+    ]);
+    for (name, kind) in [("priority", SchedulerKind::Priority), ("FIFO", SchedulerKind::Fifo)] {
+        let mut g = base.clone();
+        let m = GraphLab::on(&mut g)
+            .engine(EngineKind::Locking)
+            .machines(2)
+            .scheduler(kind)
+            .seed(42)
+            .run(PageRank { alpha: 0.15, epsilon: 1e-9, dynamic: true })
+            .metrics;
+        let (h, passes) = (m.hot, m.hot.loop_iters.max(1) as f64);
+        t.row(vec![
+            name.into(),
+            format!("{}", m.updates),
+            format!("{}", h.loop_iters),
+            format!("{}", h.blocking_recvs),
+            format!("{}", h.lock_acquires),
+            format!("{}", h.lock_parks),
+            format!("{:.1}", h.lock_acquires as f64 / m.updates.max(1) as f64),
+            format!("{:.1}", h.pipeline_occupancy as f64 / passes),
+            format!("{:.1}", m.updates as f64 / passes),
+        ]);
+    }
+    t.print();
     println!("  (real-socket numbers: `cargo run -p graphlab-node --release -- spawn \\");
     println!("   --machines 4 --engine both --check` writes BENCH_tcp_smoke.json)");
 }

@@ -441,13 +441,12 @@ where
         // fabric's delivery interleavings (and with them fault traces) must
         // be a function of the seed alone.
         let mut remote: BTreeMap<MachineId, Vec<(VertexId, f64)>> = BTreeMap::new();
-        for &(gv, prio) in &effects.scheduled {
-            let lv = self.lg.local_vertex(gv).expect("scheduled vertex is in scope");
+        for &(lv, prio) in &effects.scheduled {
             let owner = self.lg.vertex_owner(lv);
             if owner == me {
                 self.enqueue_local(lv);
             } else {
-                remote.entry(owner).or_default().push((gv, prio));
+                remote.entry(owner).or_default().push((self.lg.vertex_gvid(lv), prio));
             }
         }
         for (mm, tasks) in remote {
@@ -792,6 +791,7 @@ where
             phase: crate::metrics::PhaseTimes::default(),
             chain_spans: Vec::new(),
             idle_wakeups: 0,
+            hot: Default::default(),
         }
     }
 }
@@ -854,13 +854,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    use graphlab_atoms::{
-        build_atoms, load_machine_part, write_atoms, Placement, SimDfs, VertexPartition,
-    };
-    use graphlab_graph::{greedy_coloring, GraphBuilder};
-    use graphlab_net::{LatencyModel, SimNet};
+    use graphlab_atoms::VertexPartition;
+    use graphlab_graph::GraphBuilder;
 
     /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
     /// `sync_stash`, so a `K_CHROM_SYNC_PART` the master stashed while
@@ -874,30 +869,14 @@ mod tests {
         for i in 0..8 {
             b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
         }
-        let graph = b.build();
-        let dfs = Arc::new(SimDfs::new());
-        let (atoms, index) = build_atoms(&graph, &VertexPartition::random_hash(8, 4, 3), "graph");
-        write_atoms(&dfs, "graph", &atoms, &index);
-        let placement = Placement::compute(&index, 2);
-        let init = load_machine_part(&dfs, &index, &placement, MachineId(0)).unwrap();
-        let update: Arc<dyn UpdateFunction<f64, f64>> =
-            Arc::new(|_: &mut UpdateContext<'_, f64, f64>| {});
-        let setup = MachineSetup {
-            dfs,
-            index: Arc::new(index),
-            placement: Arc::new(placement),
-            coloring: Arc::new(greedy_coloring(&graph)),
-            update,
-            syncs: Arc::new(Vec::new()),
-            stop: None,
-            initial: Arc::new(InitialSchedule::AllVertices),
-            config: crate::EngineConfig::new(2),
-            counters: crate::metrics::LiveCounters::new(),
-            snap_prefix: "ckpt".into(),
-        };
-        let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        eps.truncate(1);
-        let mut m = ChromaticMachine::new(eps.pop().unwrap().into(), setup, init);
+        let (setup, init, mut eps) = crate::driver::scripted_machine(
+            &b.build(),
+            &VertexPartition::random_hash(8, 4, 3),
+            MachineId(0),
+            crate::EngineConfig::new(2),
+            InitialSchedule::AllVertices,
+        );
+        let mut m = ChromaticMachine::new(eps.swap_remove(0).into(), setup, init);
         m.initial_schedule();
         m.step = 5;
         let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };

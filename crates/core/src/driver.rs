@@ -31,7 +31,7 @@ use crate::chromatic::ChromaticMachine;
 use crate::config::EngineConfig;
 use crate::globals::GlobalRegistry;
 use crate::locking::LockingMachine;
-use crate::metrics::{sample_timeline, EngineMetrics, LiveCounters, PhaseTimes};
+use crate::metrics::{sample_timeline, EngineMetrics, HotCounters, LiveCounters, PhaseTimes};
 use crate::reference::InitialSchedule;
 use crate::sync::SyncList;
 use crate::update::UpdateFunction;
@@ -131,6 +131,8 @@ pub(crate) struct MachineResult<V, E> {
     pub chain_spans: Vec<u64>,
     /// Normal-phase receive deadlines that expired with nothing to do.
     pub idle_wakeups: u64,
+    /// Hot-path event counts (locking engine; zero for chromatic).
+    pub hot: HotCounters,
 }
 
 /// Everything a machine thread needs at spawn (endpoint travels
@@ -318,6 +320,7 @@ where
             phases,
             chain_spans: r.chain_spans,
             idle_wakeups,
+            hot: r.hot,
         };
         return EngineOutput {
             metrics,
@@ -371,6 +374,7 @@ where
     let mut phases = vec![PhaseTimes::default(); config.num_machines];
     let mut chain_spans: Vec<u64> = Vec::new();
     let mut idle_wakeups = vec![0u64; config.num_machines];
+    let mut hot = HotCounters::default();
     for (i, r) in results.into_iter().enumerate() {
         // A dead machine's rows are stale (the survivors adopted its
         // atoms and carry the authoritative values); write back nothing
@@ -406,6 +410,7 @@ where
             chain_spans[s] += n;
         }
         idle_wakeups[i] = r.idle_wakeups;
+        hot.add(&r.hot);
     }
 
     let stats = net.stats();
@@ -424,6 +429,7 @@ where
         phases,
         chain_spans,
         idle_wakeups,
+        hot,
     };
     EngineOutput { metrics, globals, dfs, failure, owned: None }
 }
@@ -461,6 +467,56 @@ where
         net_wait,
     };
     r
+}
+
+/// The update function of [`scripted_machine`]s: does nothing.
+#[cfg(test)]
+pub(crate) struct NoUpdate;
+
+#[cfg(test)]
+impl UpdateFunction<f64, f64> for NoUpdate {
+    fn update(&self, _ctx: &mut crate::update::UpdateContext<'_, f64, f64>) {}
+}
+
+/// Unit-test fixture: machine `me`'s setup and ingress part of a
+/// `config.num_machines`-machine cluster over `graph` cut by `partition`
+/// (atom `a` on machine `a mod m`), and every machine's zero-latency SimNet
+/// endpoint — for tests that script envelopes
+/// into one machine loop.
+#[cfg(test)]
+#[allow(clippy::type_complexity)]
+pub(crate) fn scripted_machine(
+    graph: &DataGraph<f64, f64>,
+    partition: &VertexPartition,
+    me: MachineId,
+    config: EngineConfig,
+    initial: InitialSchedule,
+) -> (
+    MachineSetup<f64, f64, NoUpdate>,
+    graphlab_atoms::LocalGraphInit<f64, f64>,
+    Vec<graphlab_net::SimEndpoint>,
+) {
+    let dfs = Arc::new(SimDfs::new());
+    let (atoms, index) = build_atoms(graph, partition, "graph");
+    write_atoms(&dfs, "graph", &atoms, &index);
+    let placement = Placement::round_robin(atoms.len(), config.num_machines);
+    let init = load_machine_part(&dfs, &index, &placement, me).expect("ingress");
+    let (_net, endpoints) =
+        SimNet::with_seed(config.num_machines, graphlab_net::LatencyModel::ZERO, 1);
+    let setup = MachineSetup {
+        dfs,
+        index: Arc::new(index),
+        placement: Arc::new(placement),
+        coloring: Arc::new(graphlab_graph::greedy_coloring(graph)),
+        update: Arc::new(NoUpdate),
+        syncs: Arc::new(Vec::new()),
+        stop: None,
+        initial: Arc::new(initial),
+        config,
+        counters: LiveCounters::new(),
+        snap_prefix: "ckpt".to_string(),
+    };
+    (setup, init, endpoints)
 }
 
 /// Convenience: a [`DistributedGraph`] bundles the persisted atom

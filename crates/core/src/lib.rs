@@ -50,8 +50,8 @@ pub use driver::{DistributedGraph, EngineKind, EngineOutput, PartitionStrategy};
 /// spelling `GraphLab::on(..).engine(Engine::Locking)`.
 pub use driver::EngineKind as Engine;
 pub use globals::{GlobalHandle, GlobalRegistry};
-pub use local::{LocalAdjEntry, LocalGraph, RemoteCacheTable};
-pub use metrics::{EngineMetrics, PhaseTimes};
+pub use local::{LocalAdjEntry, LocalGraph, RemoteCacheTable, ScopePlans};
+pub use metrics::{EngineMetrics, HotCounters, PhaseTimes};
 pub use program::{GraphLab, SyncCadence};
 pub use reference::InitialSchedule;
 pub use scheduler::{Scheduler, SchedulerKind};

@@ -11,10 +11,11 @@
 //! locally (guaranteed by atom construction), so update functions always
 //! run against full scopes. Ghost vertices have partial adjacency.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use graphlab_graph::{
-    AtomId, Coloring, ConsistencyModel, DataGraph, EdgeDir, EdgeId, LockType, MachineId, VertexId,
+    AtomId, Coloring, ConsistencyModel, DataGraph, EdgeDir, EdgeId, IdMap, LockType, MachineId,
+    VertexId,
 };
 use graphlab_atoms::{InitEdge, InitVertex, LocalGraphInit};
 
@@ -61,8 +62,8 @@ pub struct LocalGraph<V, E> {
     adj: Vec<LocalAdjEntry>,
 
     // Global → local maps.
-    vmap: HashMap<VertexId, u32>,
-    emap: HashMap<EdgeId, u32>,
+    vmap: IdMap<VertexId, u32>,
+    emap: IdMap<EdgeId, u32>,
 
     /// Local indices of owned vertices, ascending by global id.
     owned: Vec<u32>,
@@ -77,7 +78,7 @@ impl<V, E> LocalGraph<V, E> {
         let nv = vertices.len();
         let ne = edges.len();
 
-        let mut vmap = HashMap::with_capacity(nv);
+        let mut vmap = IdMap::with_capacity_and_hasher(nv, Default::default());
         let mut gvid = Vec::with_capacity(nv);
         let mut vowner = Vec::with_capacity(nv);
         let mut vdata = Vec::with_capacity(nv);
@@ -96,7 +97,7 @@ impl<V, E> LocalGraph<V, E> {
             vatom.push(atom);
         }
 
-        let mut emap = HashMap::with_capacity(ne);
+        let mut emap = IdMap::with_capacity_and_hasher(ne, Default::default());
         let mut geid = Vec::with_capacity(ne);
         let mut esrc = Vec::with_capacity(ne);
         let mut edst = Vec::with_capacity(ne);
@@ -424,34 +425,6 @@ impl<V, E> LocalGraph<V, E> {
         &self.adj[lo..hi]
     }
 
-    // ---- lock planning (§4.2.2) ----
-
-    /// The lock plan of vertex `l`'s scope under `model`: distinct
-    /// `(vertex, lock)` pairs sorted by the canonical deadlock-avoidance
-    /// order `(owner(v), v)`. Returns global vertex ids.
-    pub fn lock_plan(&self, l: u32, model: ConsistencyModel) -> Vec<(VertexId, LockType)> {
-        let mut plan: Vec<(MachineId, VertexId, LockType)> = Vec::with_capacity(self.adj(l).len() + 1);
-        plan.push((self.vowner[l as usize], self.gvid[l as usize], model.central_lock()));
-        if let Some(nbr_lock) = model.neighbor_lock() {
-            for e in self.adj(l) {
-                plan.push((self.vowner[e.nbr as usize], self.gvid[e.nbr as usize], nbr_lock));
-            }
-        }
-        plan.sort_unstable();
-        // Merge duplicates (parallel edges): strongest lock wins.
-        plan.dedup_by(|next, prev| {
-            if prev.1 == next.1 {
-                if next.2 == LockType::Write {
-                    prev.2 = LockType::Write;
-                }
-                true
-            } else {
-                false
-            }
-        });
-        plan.into_iter().map(|(_, v, t)| (v, t)).collect()
-    }
-
     /// Consumes the local graph, returning the owned data for result
     /// collection: `(vertex rows, edge rows)` with global ids.
     #[allow(clippy::type_complexity)]
@@ -471,6 +444,161 @@ impl<V, E> LocalGraph<V, E> {
             }
         }
         (vrows, erows)
+    }
+}
+
+/// Precomputed lock plans of the locking engine (§4.2.2): one CSR row per
+/// local vertex `c` (owned or ghost) holding its scope — `c` and its local
+/// adjacency as local ids, deduplicated, in the canonical deadlock-avoidance
+/// order `(owner(v), gvid(v))` — cut into per-owner runs, plus the edges of
+/// `c`'s adjacency this machine owns, by global edge id.
+///
+/// Rows are model-independent. The requester's plan is the whole row of
+/// its (owned, hence fully adjacent) centre; a remote hop's share is the
+/// `owner == me` run of the *ghost* centre's row, which agrees with the
+/// requester's because every edge incident on an owned vertex is local; the
+/// chain's machine list is the run owners. The lock type is applied at use
+/// ([`scope_lock`]); vertex consistency narrows every range to the centre.
+pub struct ScopePlans {
+    verts: Vec<u32>,
+    /// Row `c` is runs `run_off[c]..run_off[c + 1]`; run `k` is owned by
+    /// `run_owner[k]` and spans `verts[run_start[k]..run_start[k + 1]]`.
+    run_off: Vec<u32>,
+    run_owner: Vec<MachineId>,
+    run_start: Vec<u32>,
+    edge_off: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+/// The lock a scope of centre `c` under `model` takes on its row vertex
+/// `lv` (`None`: vertex consistency leaves neighbours unlocked). A centre
+/// with a self-loop is write-locked once — the strongest lock wins.
+#[inline]
+pub fn scope_lock(model: ConsistencyModel, c: u32, lv: u32) -> Option<LockType> {
+    if lv == c {
+        Some(model.central_lock())
+    } else {
+        model.neighbor_lock()
+    }
+}
+
+/// `c`'s scope as local ids in canonical order, duplicates merged.
+fn scope_row<V, E>(lg: &LocalGraph<V, E>, c: u32, row: &mut Vec<u32>) {
+    row.clear();
+    row.push(c);
+    row.extend(lg.adj(c).iter().map(|e| e.nbr));
+    row.sort_unstable_by_key(|&l| (lg.vertex_owner(l), lg.vertex_gvid(l)));
+    row.dedup();
+}
+
+impl ScopePlans {
+    /// Builds every row of `lg`: O(|E_local| log d) time, about
+    /// `4·(|V_local| + 2|E_local|)` bytes.
+    pub fn build<V, E>(lg: &LocalGraph<V, E>) -> Self {
+        let nv = lg.num_local_vertices();
+        let mut p = ScopePlans {
+            verts: Vec::with_capacity(nv + lg.adj.len()),
+            run_off: Vec::with_capacity(nv + 1),
+            run_owner: Vec::new(),
+            run_start: Vec::new(),
+            edge_off: Vec::with_capacity(nv + 1),
+            edges: Vec::new(),
+        };
+        let (mut row, mut owned) = (Vec::new(), Vec::new());
+        for c in 0..nv as u32 {
+            p.run_off.push(p.run_owner.len() as u32);
+            p.edge_off.push(p.edges.len() as u32);
+            scope_row(lg, c, &mut row);
+            for (i, &l) in row.iter().enumerate() {
+                let owner = lg.vertex_owner(l);
+                if i == 0 || lg.vertex_owner(row[i - 1]) != owner {
+                    p.run_owner.push(owner);
+                    p.run_start.push(p.verts.len() as u32);
+                }
+                p.verts.push(l);
+            }
+            // A self-loop lists its edge twice in `adj(c)`.
+            owned.clear();
+            owned.extend(lg.adj(c).iter().map(|e| e.edge).filter(|&e| lg.owns_edge(e)));
+            owned.sort_unstable_by_key(|&e| lg.edge_geid(e));
+            owned.dedup();
+            p.edges.extend_from_slice(&owned);
+        }
+        p.run_off.push(p.run_owner.len() as u32);
+        p.run_start.push(p.verts.len() as u32);
+        p.edge_off.push(p.edges.len() as u32);
+        p
+    }
+
+    /// Local vertex ids of an index range handed out by this type.
+    #[inline]
+    pub fn verts(&self, r: Range<u32>) -> &[u32] {
+        &self.verts[r.start as usize..r.end as usize]
+    }
+
+    /// The local vertex id at index `i` of the vertex array.
+    #[inline]
+    pub fn vert(&self, i: u32) -> u32 {
+        self.verts[i as usize]
+    }
+
+    fn runs(&self, c: u32) -> Range<usize> {
+        self.run_off[c as usize] as usize..self.run_off[c as usize + 1] as usize
+    }
+
+    /// `c`'s whole row: the requester's plan under edge/full consistency.
+    pub fn row(&self, c: u32) -> Range<u32> {
+        let runs = self.runs(c);
+        self.run_start[runs.start]..self.run_start[runs.end]
+    }
+
+    /// The machines owning a vertex of `c`'s row, ascending — under
+    /// edge/full consistency the machines its lock chain visits.
+    #[inline]
+    pub fn owners(&self, c: u32) -> &[MachineId] {
+        &self.run_owner[self.runs(c)]
+    }
+
+    /// The machines a chain for `c` (owned by `owner`) visits under
+    /// `model`: every owner, or only the centre's under vertex consistency.
+    pub fn lock_owners(&self, c: u32, owner: MachineId, model: ConsistencyModel) -> &[MachineId] {
+        let owners = self.owners(c);
+        if model.neighbor_lock().is_some() {
+            return owners;
+        }
+        let k = owners.binary_search(&owner).expect("centre is in its own row");
+        &owners[k..=k]
+    }
+
+    /// Machine `m`'s share of the locks of `c`'s scope under `model`, in
+    /// acquisition order (empty when `m` owns none of them).
+    pub fn share(&self, c: u32, m: MachineId, model: ConsistencyModel) -> Range<u32> {
+        let Ok(k) = self.owners(c).binary_search(&m) else { return 0..0 };
+        let k = self.runs(c).start + k;
+        let run = self.run_start[k]..self.run_start[k + 1];
+        if model.neighbor_lock().is_some() {
+            return run;
+        }
+        // Vertex consistency: the centre alone, on the machine owning it.
+        match self.verts(run.clone()).iter().position(|&l| l == c) {
+            Some(i) => run.start + i as u32..run.start + i as u32 + 1,
+            None => 0..0,
+        }
+    }
+
+    /// The edges of `c`'s adjacency this machine owns, ascending by global
+    /// edge id — a hop's share of the scope's edge data.
+    #[inline]
+    pub fn owned_edges(&self, c: u32) -> &[u32] {
+        &self.edges[self.edge_off[c as usize] as usize..self.edge_off[c as usize + 1] as usize]
+    }
+
+    /// Whether `c`'s stored row still describes `lg` — false when the
+    /// local graph was rebuilt (rollback, adoption) without its plans.
+    pub fn row_is_current<V, E>(&self, lg: &LocalGraph<V, E>, c: u32) -> bool {
+        let mut row = Vec::new();
+        scope_row(lg, c, &mut row);
+        self.run_off.len() == lg.num_local_vertices() + 1 && row == self.verts(self.row(c))
     }
 }
 
@@ -563,6 +691,23 @@ mod tests {
         b.build()
     }
 
+    /// The requester's plan of `l` under `model` as `(vertex, lock)` pairs:
+    /// every visited machine's share, in chain order.
+    fn plan(
+        lg: &LocalGraph<f64, f64>,
+        l: u32,
+        model: ConsistencyModel,
+    ) -> Vec<(VertexId, LockType)> {
+        let plans = ScopePlans::build(lg);
+        assert!(plans.row_is_current(lg, l));
+        plans
+            .lock_owners(l, lg.vertex_owner(l), model)
+            .iter()
+            .flat_map(|&m| plans.verts(plans.share(l, m, model)).to_vec())
+            .map(|lv| (lg.vertex_gvid(lv), scope_lock(model, l, lv).expect("planned vertex")))
+            .collect()
+    }
+
     #[test]
     fn single_machine_mirrors_graph() {
         let g = path3();
@@ -581,7 +726,7 @@ mod tests {
         let g = path3();
         let lg = LocalGraph::single_machine(&g, None);
         let l1 = lg.local_vertex(VertexId(1)).unwrap();
-        let plan = lg.lock_plan(l1, ConsistencyModel::Edge);
+        let plan = plan(&lg, l1, ConsistencyModel::Edge);
         assert_eq!(
             plan,
             vec![
@@ -598,7 +743,7 @@ mod tests {
         let lg = LocalGraph::single_machine(&g, None);
         let l1 = lg.local_vertex(VertexId(1)).unwrap();
         assert_eq!(
-            lg.lock_plan(l1, ConsistencyModel::Vertex),
+            plan(&lg, l1, ConsistencyModel::Vertex),
             vec![(VertexId(1), LockType::Write)]
         );
     }
@@ -609,7 +754,7 @@ mod tests {
         let lg = LocalGraph::single_machine(&g, None);
         let l0 = lg.local_vertex(VertexId(0)).unwrap();
         assert_eq!(
-            lg.lock_plan(l0, ConsistencyModel::Full),
+            plan(&lg, l0, ConsistencyModel::Full),
             vec![(VertexId(0), LockType::Write), (VertexId(1), LockType::Write)]
         );
     }
@@ -624,7 +769,7 @@ mod tests {
         let g = b.build();
         let lg = LocalGraph::single_machine(&g, None);
         let la = lg.local_vertex(VertexId(0)).unwrap();
-        let plan = lg.lock_plan(la, ConsistencyModel::Edge);
+        let plan = plan(&lg, la, ConsistencyModel::Edge);
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0], (VertexId(0), LockType::Write));
         assert_eq!(plan[1], (VertexId(1), LockType::Read));

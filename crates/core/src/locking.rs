@@ -25,19 +25,39 @@
 //!    readers-writer lock: acquisition never blocks the engine thread,
 //!    parked requests are resumed from release processing.
 //!
+//! # Data layout of the hot path
+//!
+//! Acquiring, executing and releasing a scope hashes nothing, sorts nothing
+//! and, once buffers have grown, allocates only the outgoing payloads:
+//!
+//! - **Plans** ([`ScopePlans`]): one CSR row per local vertex, built with
+//!   the machine and rebuilt when recovery replaces the local graph. A hop
+//!   walks `plans.share(..)`, its own run of the centre's row.
+//! - **Slabs**: `HopChain`s and `OutScope`s live in `Vec` slabs with free
+//!   lists; lock wait queues, the ready list and each scope ↔ local chain
+//!   link carry `SlotRef`s (slot + generation) that index straight in.
+//! - **Still keyed**, once per *received message* (a slot index cannot ride
+//!   the wire without changing it), through [`IdMap`]: `K_RELEASE` finds its
+//!   chain by `(requester, reqid)`, `K_SCOPE_DATA` its scope by `reqid`,
+//!   rows their datum by global id. Single-machine scopes are never indexed.
+//! - **Scratch** owned by the machine: per-destination commit output
+//!   drained in machine-id order, the woken-chain list, one message buffer
+//!   and one row buffer; `messages.rs` owns every wire layout.
+//!
 //! Termination uses the marker/token algorithm (Misra \[26\], Safra
 //! formulation) from `graphlab-net`. Snapshots (§4.3) come in both
 //! flavours: stop-and-flush synchronous, and the asynchronous
 //! Chandy-Lamport variant expressed as a prioritised update function
 //! (Alg. 5).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
-use graphlab_graph::{ConsistencyModel, LockType, MachineId, VertexId};
+use graphlab_graph::{ConsistencyModel, IdMap, LockType, MachineId, VertexId};
 use graphlab_net::codec::Codec;
 use graphlab_net::termination::{Safra, SafraAction};
 use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
@@ -45,8 +65,9 @@ use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
 use crate::config::SnapshotMode;
 use crate::driver::{MachineResult, MachineSetup};
 use crate::globals::GlobalRegistry;
-use crate::local::{LocalGraph, RemoteCacheTable};
+use crate::local::{scope_lock, LocalGraph, RemoteCacheTable, ScopePlans};
 use crate::messages::*;
+use crate::metrics::HotCounters;
 use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
 use crate::scheduler::Scheduler;
@@ -89,7 +110,7 @@ type SyncEpoch = (u64, Vec<Box<dyn std::any::Any + Send>>, usize);
 struct LockState {
     readers: u32,
     writer: bool,
-    queue: VecDeque<(ChainKey, LockType)>,
+    queue: VecDeque<(SlotRef, LockType)>,
 }
 
 impl LockState {
@@ -135,33 +156,31 @@ impl LockTable {
     /// Attempts to acquire; returns `true` when granted immediately,
     /// otherwise the request is queued and will surface through
     /// [`LockTable::release`].
-    pub(crate) fn acquire(&mut self, v: u32, t: LockType, key: ChainKey) -> bool {
+    pub(crate) fn acquire(&mut self, v: u32, t: LockType, chain: SlotRef) -> bool {
         let st = &mut self.states[v as usize];
         if st.queue.is_empty() && st.compatible(t) {
             st.grant(t);
             true
         } else {
-            st.queue.push_back((key, t));
+            st.queue.push_back((chain, t));
             false
         }
     }
 
-    /// Releases a held lock; returns the chains whose queued request on
-    /// this vertex just got granted (readers batch).
-    pub(crate) fn release(&mut self, v: u32, t: LockType) -> Vec<ChainKey> {
+    /// Releases a held lock, appending to `granted` the chains whose
+    /// queued request on this vertex just got granted (readers batch).
+    pub(crate) fn release(&mut self, v: u32, t: LockType, granted: &mut Vec<SlotRef>) {
         let st = &mut self.states[v as usize];
         st.ungrant(t);
-        let mut granted = Vec::new();
-        while let Some(&(key, ty)) = st.queue.front() {
+        while let Some(&(chain, ty)) = st.queue.front() {
             if st.compatible(ty) {
                 st.grant(ty);
                 st.queue.pop_front();
-                granted.push(key);
+                granted.push(chain);
             } else {
                 break;
             }
         }
-        granted
     }
 
     #[cfg(test)]
@@ -174,41 +193,103 @@ impl LockTable {
 // Chain bookkeeping
 // ---------------------------------------------------------------------
 
+/// Names a slab slot. Lock wait queues and the ready list carry these; the
+/// generation catches a name that outlived its slot (debug builds).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SlotRef {
+    slot: u32,
+    generation: u32,
+}
+
+/// `Vec` slab with a free list (a freed slot keeps its last value until
+/// it is reused).
+#[derive(Default)]
+struct Slab<T> {
+    slots: Vec<T>,
+    gens: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, value: T) -> SlotRef {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = value;
+                slot
+            }
+            None => {
+                self.slots.push(value);
+                self.gens.push(0);
+                self.slots.len() as u32 - 1
+            }
+        };
+        SlotRef { slot, generation: self.gens[slot as usize] }
+    }
+
+    fn get(&mut self, r: SlotRef) -> &mut T {
+        debug_assert_eq!(self.gens[r.slot as usize], r.generation, "stale slab reference");
+        &mut self.slots[r.slot as usize]
+    }
+
+    fn free(&mut self, r: SlotRef) {
+        debug_assert_eq!(self.gens[r.slot as usize], r.generation, "slot freed twice");
+        self.gens[r.slot as usize] += 1;
+        self.free.push(r.slot);
+    }
+
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
 /// A lock chain resident at this machine (one hop's view).
+#[derive(Default)]
 struct HopChain {
-    msg: LockReqMsg,
-    /// Plan entries owned by this machine: (local vertex, lock type), in
-    /// plan (canonical) order.
-    my_locks: Vec<(u32, LockType)>,
-    /// Next lock to acquire (sequential acquisition).
-    next: usize,
+    requester: MachineId,
+    reqid: u64,
+    /// Local id of the scope's centre: the plan row this hop walks.
+    center: u32,
+    model: ConsistencyModel,
+    /// This machine's share of the row ([`ScopePlans::share`]) and the next
+    /// lock to acquire in it (sequential acquisition).
+    locks: Range<u32>,
+    next: u32,
+    /// The requester-side scope, when this machine initiated the chain.
+    out: SlotRef,
+    /// Machines still to visit after this hop, as the request listed them
+    /// (a chain this machine initiated reads them off its plan instead).
+    rest: Vec<MachineId>,
 }
 
 /// Requester-side state of an outstanding scope acquisition.
+#[derive(Default)]
 struct OutScope {
-    center_l: u32,
-    plan: Vec<(VertexId, LockType)>,
-    machines: Vec<MachineId>,
-    remote_needed: usize,
-    data_got: usize,
-    has_local_hop: bool,
+    reqid: u64,
+    center: u32,
+    model: ConsistencyModel,
+    remote_needed: u32,
+    data_got: u32,
     local_done: bool,
     is_snapshot: bool,
-    queued_ready: bool,
+    /// The local hop's chain, once it started.
+    chain: SlotRef,
 }
 
 impl OutScope {
-    /// Becomes true exactly once: when all remote hops delivered their
-    /// scope data and the local hop (if any) completed.
-    fn now_ready(&mut self) -> bool {
-        let ready = self.data_got >= self.remote_needed && (!self.has_local_hop || self.local_done);
-        if ready && !self.queued_ready {
-            self.queued_ready = true;
-            true
-        } else {
-            false
-        }
+    /// Whether every remote hop delivered its scope data and the local hop
+    /// (the centre is ours) completed. Each of those events happens once, so
+    /// asked after each, this turns true exactly once: at the last of them.
+    fn is_ready(&self) -> bool {
+        self.data_got == self.remote_needed && self.local_done
     }
+}
+
+/// Dirty data and schedule requests of one commit bound for one machine.
+#[derive(Default)]
+struct Outbox {
+    vwrites: Vec<u32>,
+    ewrites: Vec<u32>,
+    sched: Vec<(VertexId, f64)>,
 }
 
 // ---------------------------------------------------------------------
@@ -225,9 +306,16 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// Owner-side ghost-cache version table: what every peer already holds
     /// of this machine's data (delta scope sync, §4.2.2 versioning).
     cache: RemoteCacheTable,
-    hop_chains: HashMap<ChainKey, HopChain>,
-    out_scopes: HashMap<u64, OutScope>,
-    ready: VecDeque<u64>,
+    plans: ScopePlans,
+    chains: Slab<HopChain>,
+    /// Other machines' chains resident here, by `(requester, reqid)`:
+    /// looked up once per `K_RELEASE`.
+    chain_index: IdMap<ChainKey, SlotRef>,
+    outs: Slab<OutScope>,
+    /// Own scopes that span other machines, by reqid: looked up once per
+    /// `K_SCOPE_DATA` (and per `K_LOCK_REQ` reaching its own requester).
+    out_index: IdMap<u64, SlotRef>,
+    ready: VecDeque<SlotRef>,
     next_reqid: u64,
     safra: Safra,
     halted: bool,
@@ -277,6 +365,14 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     update_count_map: BTreeMap<VertexId, u64>,
     straggled: bool,
     effects: UpdateEffects,
+    // Commit/hop scratch, reused across updates: chains woken by a
+    // release, per-destination commit output (by machine id), the message
+    // being encoded and the datum being encoded into it.
+    woken: Vec<SlotRef>,
+    outbox: Vec<Outbox>,
+    msgbuf: BytesMut,
+    rowbuf: BytesMut,
+    hot: HotCounters,
 
     // Control-plane accounting (`repro -- abl-control`).
     /// Lock-chain span histogram: `chain_spans[s]` counts chains that
@@ -341,8 +437,11 @@ where
             scheduler: Scheduler::new(setup.config.scheduler, nv),
             locks: LockTable::new(nv),
             cache: RemoteCacheTable::new(m, nv, ne),
-            hop_chains: HashMap::new(),
-            out_scopes: HashMap::new(),
+            plans: ScopePlans::build(&lg),
+            chains: Slab::default(),
+            chain_index: IdMap::default(),
+            outs: Slab::default(),
+            out_index: IdMap::default(),
             ready: VecDeque::new(),
             next_reqid: 1,
             safra: Safra::new(machine, m),
@@ -379,6 +478,11 @@ where
             update_count_map: BTreeMap::new(),
             straggled: false,
             effects: UpdateEffects::default(),
+            woken: Vec::new(),
+            outbox: (0..m).map(|_| Outbox::default()).collect(),
+            msgbuf: BytesMut::new(),
+            rowbuf: BytesMut::new(),
+            hot: HotCounters::default(),
             chain_spans: Vec::new(),
             idle_wakeups: 0,
             note_every,
@@ -488,6 +592,8 @@ where
         while !self.halted && self.failure.is_none() {
             let normal = self.rec.phase() == RecoveryPhase::Normal;
             if normal {
+                self.hot.loop_iters += 1;
+                self.hot.pipeline_occupancy += self.outs.live() as u64;
                 self.maybe_straggle();
                 if self.is_master() {
                     self.master_triggers();
@@ -507,6 +613,7 @@ where
                 }
             }
             let deadline = if normal { self.next_recv_deadline() } else { IDLE_BLOCK };
+            self.hot.blocking_recvs += u64::from(normal && deadline > Duration::ZERO);
             match self.net.recv_timeout(deadline) {
                 Ok(env) => {
                     self.dispatch(env);
@@ -599,7 +706,7 @@ where
         if self.snap_paused || self.halted {
             return false;
         }
-        if self.out_scopes.len() >= self.setup.config.max_pipeline.max(1) {
+        if self.outs.live() >= self.setup.config.max_pipeline.max(1) {
             return false;
         }
         if !self.snap_queue.is_empty() {
@@ -620,7 +727,7 @@ where
             self.cap_reached = true;
             self.scheduler = Scheduler::new(self.setup.config.scheduler, self.lg.num_local_vertices());
         }
-        while self.out_scopes.len() < self.setup.config.max_pipeline.max(1) {
+        while self.outs.live() < self.setup.config.max_pipeline.max(1) {
             // Snapshot tasks first (priority), then the app scheduler.
             let (l, is_snap) = if let Some(l) = self.pop_snap_task() {
                 (l, true)
@@ -655,18 +762,9 @@ where
         } else {
             self.setup.config.consistency
         };
-        let plan = self.lg.lock_plan(l, model);
-        let mut machines: Vec<MachineId> = Vec::new();
-        for &(v, _) in &plan {
-            let lv = self.lg.local_vertex(v).expect("plan vertex local");
-            let owner = self.lg.vertex_owner(lv);
-            if machines.last() != Some(&owner) {
-                machines.push(owner);
-            }
-        }
-        debug_assert!(machines.windows(2).all(|w| w[0] < w[1]), "plan sorted by owner");
-
-        let span = machines.len();
+        let me = self.me();
+        let machines = self.plans.lock_owners(l, me, model);
+        let (span, first) = (machines.len(), machines[0]);
         if self.chain_spans.len() <= span {
             self.chain_spans.resize(span + 1, 0);
         }
@@ -675,216 +773,180 @@ where
         let reqid = self.next_reqid;
         self.next_reqid += 1;
         tr!("[m{}] INIT reqid={} center=v{} machines={:?}",
-            self.me().0, reqid, self.lg.vertex_gvid(l).0,
-            machines.iter().map(|m| m.0).collect::<Vec<_>>());
-        let msg = LockReqMsg {
-            requester: self.me(),
+            me.0, reqid, self.lg.vertex_gvid(l).0, machines);
+        let out = self.outs.insert(OutScope {
             reqid,
-            scope_v: self.lg.vertex_gvid(l),
-            machines: machines.clone(),
-            model: consistency_to_u8(model),
-        };
-        let remote_needed = machines.iter().filter(|&&m| m != self.me()).count();
-        let has_local_hop = machines.contains(&self.me());
-        self.out_scopes.insert(
-            reqid,
-            OutScope {
-                center_l: l,
-                plan,
-                machines: machines.clone(),
-                remote_needed,
-                data_got: 0,
-                has_local_hop,
-                local_done: false,
-                is_snapshot,
-                queued_ready: false,
-            },
-        );
-        if machines[0] == self.me() {
-            self.start_hop(msg);
+            center: l,
+            model,
+            remote_needed: span as u32 - 1,
+            is_snapshot,
+            ..OutScope::default()
+        });
+        if span > 1 {
+            self.out_index.insert(reqid, out);
+        }
+        if first == me {
+            let chain = HopChain { requester: me, reqid, center: l, model, out, ..HopChain::default() };
+            self.start_hop(chain);
         } else {
-            let dst = machines[0];
-            self.send_counted(dst, K_LOCK_REQ, enc(&msg));
+            self.msgbuf.clear();
+            let (scope_v, model) = (self.lg.vertex_gvid(l), consistency_to_u8(model));
+            LockReqMsg::put(&mut self.msgbuf, me, reqid, scope_v, machines, model);
+            let payload = Bytes::copy_from_slice(&self.msgbuf);
+            self.send_counted(first, K_LOCK_REQ, payload);
         }
     }
 
     // ---- hop processing ----
 
-    fn start_hop(&mut self, msg: LockReqMsg) {
-        debug_assert_eq!(msg.machines.first(), Some(&self.me()), "chain head is this hop");
-        let key: ChainKey = (msg.requester.0, msg.reqid);
-        let my_locks: Vec<(u32, LockType)> = if msg.requester == self.me() {
-            // The requester kept the authoritative plan in its OutScope.
-            let out = self.out_scopes.get(&msg.reqid).expect("own scope");
-            out.plan
-                .iter()
-                .filter_map(|&(v, t)| {
-                    let lv = self.lg.local_vertex(v).expect("plan vertex local");
-                    self.lg.owns_vertex(lv).then_some((lv, t))
-                })
-                .collect()
+    /// Starts this machine's hop of `chain`: its share of the centre's plan
+    /// row, taken lock by lock.
+    fn start_hop(&mut self, mut chain: HopChain) {
+        debug_assert!(self.plans.row_is_current(&self.lg, chain.center), "plans outlived their graph");
+        let me = self.me();
+        chain.locks = self.plans.share(chain.center, me, chain.model);
+        chain.next = chain.locks.start;
+        debug_assert!(!chain.locks.is_empty(), "hop visits a machine owning scope vertices");
+        let (requester, reqid, out) = (chain.requester, chain.reqid, chain.out);
+        let r = self.chains.insert(chain);
+        if requester == me {
+            self.outs.get(out).chain = r;
         } else {
-            self.derive_local_locks(&msg)
-        };
-        debug_assert!(!my_locks.is_empty(), "hop visits a machine owning scope vertices");
-        self.hop_chains.insert(key, HopChain { msg, my_locks, next: 0 });
-        self.advance_chain(key);
+            self.chain_index.insert((requester.0, reqid), r);
+        }
+        self.advance_chain(r);
     }
 
-    /// Reconstructs this machine's share of the scope's lock plan from
-    /// replicated structure — the request ships no plan (derived plans).
-    ///
-    /// Agreement with the requester's [`LocalGraph::lock_plan`] is exact:
-    /// a hop owns a scope vertex only if it is the centre or one of its
-    /// neighbours; every edge incident on an owned vertex is local
-    /// (ownership invariant), so the owned neighbour set is fully visible
-    /// through the ghost centre's local adjacency, and the canonical
-    /// `(owner, v)` order restricted to one machine is just ascending
-    /// vertex id.
-    fn derive_local_locks(&self, msg: &LockReqMsg) -> Vec<(u32, LockType)> {
-        let model = consistency_from_u8(msg.model).expect("valid consistency model");
-        let c = self.lg.local_vertex(msg.scope_v).expect("scope centre replicated at hop");
-        let mut locks: Vec<(u32, LockType)> = Vec::new();
-        if self.lg.owns_vertex(c) {
-            locks.push((c, model.central_lock()));
-        }
-        if let Some(nbr_lock) = model.neighbor_lock() {
-            for e in self.lg.adj(c) {
-                if self.lg.owns_vertex(e.nbr) {
-                    locks.push((e.nbr, nbr_lock));
-                }
+    fn advance_chain(&mut self, r: SlotRef) {
+        let chain = self.chains.get(r);
+        while chain.next < chain.locks.end {
+            let lv = self.plans.vert(chain.next);
+            let t = scope_lock(chain.model, chain.center, lv).expect("planned vertex is locked");
+            self.hot.lock_acquires += 1;
+            if !self.locks.acquire(lv, t, r) {
+                self.hot.lock_parks += 1;
+                return; // parked; resumed through resume_chain
             }
+            chain.next += 1;
         }
-        locks.sort_unstable_by_key(|&(lv, _)| self.lg.vertex_gvid(lv));
-        // Parallel edges repeat a neighbour with the same lock type.
-        locks.dedup_by_key(|&mut (lv, _)| lv);
-        locks
-    }
-
-    fn advance_chain(&mut self, key: ChainKey) {
-        loop {
-            let Some(chain) = self.hop_chains.get_mut(&key) else { return };
-            if chain.next < chain.my_locks.len() {
-                let (lv, t) = chain.my_locks[chain.next];
-                if self.locks.acquire(lv, t, key) {
-                    let chain = self.hop_chains.get_mut(&key).expect("still present");
-                    chain.next += 1;
-                } else {
-                    return; // parked; resumed through resume_chain
-                }
-            } else {
-                self.complete_hop(key);
-                return;
-            }
-        }
+        self.complete_hop(r);
     }
 
     /// Resumes a chain whose parked lock was just granted by
     /// [`LockTable::release`]: the lock at `next` is already held, so step
     /// past it before continuing sequential acquisition.
-    fn resume_chain(&mut self, key: ChainKey) {
-        let chain = self.hop_chains.get_mut(&key).expect("granted chain present");
-        chain.next += 1;
-        self.advance_chain(key);
+    fn resume_chain(&mut self, r: SlotRef) {
+        self.chains.get(r).next += 1;
+        self.advance_chain(r);
     }
 
-    /// All local locks of `key` granted: send fresh scope data to the
+    /// All local locks of chain `r` granted: send fresh scope data to the
     /// requester and forward the chain.
-    fn complete_hop(&mut self, key: ChainKey) {
-        let chain = self.hop_chains.get(&key).expect("chain present");
-        let msg = chain.msg.clone();
-        let my_locks = chain.my_locks.clone();
-        let requester = msg.requester;
-
-        if requester != self.me() {
-            // Version-filtered data sync: "synchronization of locked data is
-            // performed immediately as each machine completes its local
-            // locks". A row is skipped when the remote-cache table proves
-            // the requester already holds the current version (it was
-            // either shipped to it, or written *by* it, on this same FIFO
-            // channel pair) — a compact marker rides instead. The owned
-            // vertex set is the derived lock set; the owned edge set is
-            // derived from the ghost centre's adjacency the same way.
-            let req = requester.index();
-            let filter = !self.setup.config.no_version_filter;
-            let mut vrows = Vec::new();
-            let mut vsame = 0u32;
-            for &(lv, _) in &my_locks {
-                debug_assert!(self.lg.owns_vertex(lv));
-                let cur = self.lg.vertex_version(lv);
-                if filter && self.cache.v_known(req, lv) >= cur {
-                    vsame += 1;
-                } else {
-                    self.cache.note_v(req, lv, cur);
-                    vrows.push(VertexRow {
-                        vid: self.lg.vertex_gvid(lv),
-                        version: cur,
-                        snap: self.snap_epoch[lv as usize],
-                        data: enc(self.lg.vertex_data(lv)),
-                    });
-                }
-            }
-            let c = self.lg.local_vertex(msg.scope_v).expect("scope centre replicated at hop");
-            let mut owned_edges: Vec<(graphlab_graph::EdgeId, u32)> = self
-                .lg
-                .adj(c)
-                .iter()
-                .filter(|e| self.lg.owns_edge(e.edge))
-                .map(|e| (self.lg.edge_geid(e.edge), e.edge))
-                .collect();
-            owned_edges.sort_unstable();
-            owned_edges.dedup();
-            let mut erows = Vec::new();
-            let mut esame = 0u32;
-            for (ge, le) in owned_edges {
-                let cur = self.lg.edge_version(le);
-                if filter && self.cache.e_known(req, le) >= cur {
-                    esame += 1;
-                } else {
-                    self.cache.note_e(req, le, cur);
-                    erows.push(EdgeRow { eid: ge, version: cur, data: enc(self.lg.edge_data(le)) });
-                }
-            }
-            let data = ScopeDataMsg { reqid: msg.reqid, vrows, erows, vsame, esame };
-            self.send_counted(requester, K_SCOPE_DATA, enc(&data));
+    fn complete_hop(&mut self, r: SlotRef) {
+        let me = self.me();
+        let chain = self.chains.get(r);
+        let (requester, reqid, center, model) =
+            (chain.requester, chain.reqid, chain.center, chain.model);
+        if requester != me {
+            let locks = chain.locks.clone();
+            self.send_scope_data(requester, reqid, center, locks);
         } else {
-            let out = self.out_scopes.get_mut(&msg.reqid).expect("own scope");
-            out.local_done = true;
-            if out.now_ready() {
-                self.ready.push_back(msg.reqid);
+            let out = chain.out;
+            let scope = self.outs.get(out);
+            scope.local_done = true;
+            if scope.is_ready() {
+                self.ready.push_back(out);
             }
         }
 
         // Continuation passing: forward to the next machine in canonical
-        // order, popping this hop off the chain so visited machines stop
-        // paying wire bytes.
-        if msg.machines.len() > 1 {
-            let mut fwd = msg;
-            fwd.machines.remove(0);
-            let dst = fwd.machines[0];
-            if dst == self.me() {
-                self.start_hop(fwd);
-            } else {
-                self.send_counted(dst, K_LOCK_REQ, enc(&fwd));
-            }
+        // order, naming only the machines still to visit so visited hops
+        // stop paying wire bytes.
+        let rest = if requester == me {
+            let machines = self.plans.lock_owners(center, me, model);
+            &machines[machines.partition_point(|&m| m <= me)..]
+        } else {
+            &self.chains.get(r).rest[..]
+        };
+        if let Some(&dst) = rest.first() {
+            debug_assert!(dst > me, "chains visit machines in ascending order");
+            self.msgbuf.clear();
+            let (scope_v, model) = (self.lg.vertex_gvid(center), consistency_to_u8(model));
+            LockReqMsg::put(&mut self.msgbuf, requester, reqid, scope_v, rest, model);
+            let payload = Bytes::copy_from_slice(&self.msgbuf);
+            self.send_counted(dst, K_LOCK_REQ, payload);
         }
+    }
+
+    /// Version-filtered data sync: "synchronization of locked data is
+    /// performed immediately as each machine completes its local locks". A
+    /// row is skipped when the remote-cache table proves the requester
+    /// already holds the current version (it was either shipped to it, or
+    /// written *by* it, on this same FIFO channel pair) — a compact marker
+    /// rides instead. The owned vertex set is the hop's lock share; the
+    /// owned edge set is the plan row's edge list.
+    fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
+        let req = to.index();
+        let filter = !self.setup.config.no_version_filter;
+        let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
+        let (lg, snap_epoch) = (&self.lg, &self.snap_epoch);
+        let stale_v = |cache: &RemoteCacheTable, lv| {
+            !filter || cache.v_known(req, lv) < lg.vertex_version(lv)
+        };
+        let stale_e =
+            |cache: &RemoteCacheTable, le| !filter || cache.e_known(req, le) < lg.edge_version(le);
+        // The fresh-row counts prefix the rows on the wire: count first.
+        let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
+        let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
+        self.msgbuf.clear();
+        ScopeDataMsg::put(
+            &mut self.msgbuf,
+            &mut (&mut self.cache, &mut self.rowbuf),
+            reqid,
+            (nv, (verts.len() - nv) as u32),
+            |(cache, row), buf| {
+                for &lv in verts {
+                    debug_assert!(lg.owns_vertex(lv));
+                    if stale_v(cache, lv) {
+                        let cur = lg.vertex_version(lv);
+                        cache.note_v(req, lv, cur);
+                        row.clear();
+                        lg.vertex_data(lv).encode(row);
+                        VertexRow::put(buf, lg.vertex_gvid(lv), cur, snap_epoch[lv as usize], row);
+                    }
+                }
+            },
+            (ne, (edges.len() - ne) as u32),
+            |(cache, row), buf| {
+                for &le in edges {
+                    if stale_e(cache, le) {
+                        let cur = lg.edge_version(le);
+                        cache.note_e(req, le, cur);
+                        row.clear();
+                        lg.edge_data(le).encode(row);
+                        EdgeRow::put(buf, lg.edge_geid(le), cur, row);
+                    }
+                }
+            },
+        );
+        let payload = Bytes::copy_from_slice(&self.msgbuf);
+        self.send_counted(to, K_SCOPE_DATA, payload);
     }
 
     // ---- execution ----
 
     fn execute_ready(&mut self) {
-        while let Some(reqid) = self.ready.pop_front() {
-            let is_snap = self.out_scopes.get(&reqid).expect("ready scope").is_snapshot;
-            if is_snap {
-                self.execute_snapshot_update(reqid);
+        while let Some(out) = self.ready.pop_front() {
+            if self.outs.get(out).is_snapshot {
+                self.execute_snapshot_update(out);
             } else {
-                self.execute_update(reqid);
+                self.execute_update(out);
             }
         }
     }
 
-    fn execute_update(&mut self, reqid: u64) {
-        let center = self.out_scopes.get(&reqid).expect("scope").center_l;
+    fn execute_update(&mut self, out: SlotRef) {
+        let center = self.outs.get(out).center;
         self.effects.clear();
         {
             let mut ctx = UpdateContext::new(
@@ -905,129 +967,190 @@ where
                 .map(|e| (self.lg.vertex_gvid(e.nbr).0, self.lg.vertex_version(e.nbr)))
                 .collect();
             tr!("[m{}] EXEC reqid={} v{} dirty={} sched={:?} nbr_vers={:?}",
-                self.me().0, reqid, self.lg.vertex_gvid(center).0, self.effects.dirty_self,
-                self.effects.scheduled.iter().map(|(v, _)| v.0).collect::<Vec<_>>(), nbrs);
+                self.me().0, self.outs.get(out).reqid, self.lg.vertex_gvid(center).0,
+                self.effects.dirty_self,
+                self.effects.scheduled.iter().map(|s| self.lg.vertex_gvid(s.0).0).collect::<Vec<_>>(),
+                nbrs);
         }
         self.setup.counters.updates.fetch_add(1, AtomicOrdering::Relaxed);
         self.maybe_send_upd_note(false);
         if self.setup.config.trace {
             *self.update_count_map.entry(self.lg.vertex_gvid(center)).or_insert(0) += 1;
         }
-        self.commit_and_release(reqid);
+        self.commit_and_release(out);
     }
 
-    fn commit_and_release(&mut self, reqid: u64) {
+    /// Enqueues a task for a vertex this machine owns: a snapshot task
+    /// (Alg. 5) to the snapshot queue unless the vertex is already marked,
+    /// an application task to the scheduler.
+    fn schedule_owned(&mut self, lv: u32, prio: f64, is_snapshot: bool) {
+        debug_assert!(self.lg.owns_vertex(lv));
+        if is_snapshot {
+            if self.current_snap > 0 && self.snap_epoch[lv as usize] != self.current_snap {
+                self.snap_queue.push_back(lv);
+            }
+        } else if !self.cap_reached {
+            let fresh = self.scheduler.add(lv, prio);
+            tr!("[m{}] SCHED v{} fresh={}", self.me().0, self.lg.vertex_gvid(lv).0, fresh);
+        }
+    }
+
+    fn commit_and_release(&mut self, out: SlotRef) {
         let me = self.me();
-        let effects = std::mem::take(&mut self.effects);
-        let out = self.out_scopes.remove(&reqid).expect("scope");
-        let center = out.center_l;
+        let mut effects = std::mem::take(&mut self.effects);
+        let scope = self.outs.get(out);
+        let (reqid, center, model, chain) = (scope.reqid, scope.center, scope.model, scope.chain);
+        let is_snapshot = scope.is_snapshot;
+        if scope.remote_needed > 0 {
+            self.out_index.remove(&reqid);
+        }
+        self.outs.free(out);
 
-        // Version bumps for locally-owned dirty data; write-back rows for
-        // remotely-owned dirty data, grouped by owner.
-        let mut vwrites: HashMap<MachineId, Vec<(VertexId, u32, Bytes)>> = HashMap::new();
-        let mut ewrites: HashMap<MachineId, Vec<(graphlab_graph::EdgeId, Bytes)>> = HashMap::new();
-
+        // Version bumps for locally-owned dirty data; remotely-owned dirty
+        // data is written back with its owner's release.
         if effects.dirty_self {
             debug_assert!(self.lg.owns_vertex(center));
             self.lg.bump_vertex_version(center);
         }
-        let mut dirty_edges = effects.dirty_edges.clone();
-        dirty_edges.sort_unstable();
-        dirty_edges.dedup();
-        for le in dirty_edges {
+        effects.dirty_edges.sort_unstable();
+        effects.dirty_edges.dedup();
+        for &le in &effects.dirty_edges {
             if self.lg.owns_edge(le) {
                 self.lg.bump_edge_version(le);
             } else {
-                let owner = self.lg.edge_owner(le);
-                ewrites
-                    .entry(owner)
-                    .or_default()
-                    .push((self.lg.edge_geid(le), enc(self.lg.edge_data(le))));
+                self.outbox[self.lg.edge_owner(le).index()].ewrites.push(le);
             }
         }
-        let mut dirty_nbrs = effects.dirty_nbrs.clone();
-        dirty_nbrs.sort_unstable();
-        dirty_nbrs.dedup();
-        for ln in dirty_nbrs {
+        effects.dirty_nbrs.sort_unstable();
+        effects.dirty_nbrs.dedup();
+        for &ln in &effects.dirty_nbrs {
             if self.lg.owns_vertex(ln) {
                 self.lg.bump_vertex_version(ln);
             } else {
-                let owner = self.lg.vertex_owner(ln);
-                vwrites.entry(owner).or_default().push((
-                    self.lg.vertex_gvid(ln),
-                    self.snap_epoch[ln as usize],
-                    enc(self.lg.vertex_data(ln)),
-                ));
+                self.outbox[self.lg.vertex_owner(ln).index()].vwrites.push(ln);
             }
         }
 
         // Scheduling — must happen before the scope is unlocked (snapshot
         // correctness condition, and per-channel FIFO makes "before" hold
-        // remotely too).
-        // BTreeMap: sends fan out in machine order so delivery interleavings
-        // are a function of the seed, not the hasher (fault-trace replay).
-        let mut remote_sched: BTreeMap<MachineId, Vec<(VertexId, f64)>> = BTreeMap::new();
-        for &(gv, prio) in &effects.scheduled {
-            let lv = self.lg.local_vertex(gv).expect("scheduled vertex in scope");
+        // remotely too). Sends fan out in machine order so delivery
+        // interleavings are a function of the seed (fault-trace replay);
+        // every scheduled vertex is in the scope, so the row's owners cover
+        // them under every consistency model.
+        for &(lv, prio) in &effects.scheduled {
             let owner = self.lg.vertex_owner(lv);
             if owner == me {
-                if !self.cap_reached {
-                    let fresh = self.scheduler.add(lv, prio);
-                    tr!("[m{}] SCHED_LOCAL v{} fresh={}", me.0, gv.0, fresh);
-                }
+                self.schedule_owned(lv, prio, is_snapshot);
             } else {
-                remote_sched.entry(owner).or_default().push((gv, prio));
+                // Infinity is the snapshot-task sentinel on the wire: an
+                // application task that hot travels as the largest finite
+                // priority (SSSP schedules unreached neighbours with +inf).
+                let prio = if is_snapshot { SNAPSHOT_PRIORITY } else { prio.min(f64::MAX) };
+                self.outbox[owner.index()].sched.push((self.lg.vertex_gvid(lv), prio));
             }
         }
-        for (mm, tasks) in remote_sched {
-            tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
-                tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
-            self.send_counted(mm, K_LOCK_SCHED, enc(&ScheduleMsg { tasks }));
+        for k in 0..self.plans.owners(center).len() {
+            let mm = self.plans.owners(center)[k];
+            let tasks = &mut self.outbox[mm.index()].sched;
+            if !tasks.is_empty() {
+                tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
+                    tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
+                self.msgbuf.clear();
+                ScheduleMsg::put(&mut self.msgbuf, tasks);
+                tasks.clear();
+                let payload = Bytes::copy_from_slice(&self.msgbuf);
+                self.send_counted(mm, K_LOCK_SCHED, payload);
+            }
         }
 
         // Release per machine, with piggybacked write-backs. Remote hops
-        // drop their own derived lock set (the release only names the
-        // chain); the local hop releases through its HopChain directly.
-        for &mm in &out.machines {
+        // drop their own lock share (the release only names the chain).
+        for k in 0..self.plans.lock_owners(center, me, model).len() {
+            let mm = self.plans.lock_owners(center, me, model)[k];
             if mm == me {
-                let chain = self.hop_chains.remove(&(me.0, reqid)).expect("local hop chain");
-                for (lv, t) in chain.my_locks {
-                    let granted = self.locks.release(lv, t);
-                    for key in granted {
-                        self.resume_chain(key);
-                    }
-                }
-            } else {
-                let rel = ReleaseMsg {
-                    reqid,
-                    vwrites: vwrites.remove(&mm).unwrap_or_default(),
-                    ewrites: ewrites.remove(&mm).unwrap_or_default(),
-                };
-                self.send_counted(mm, K_RELEASE, enc(&rel));
+                self.release_chain(chain);
+                continue;
             }
+            let (lg, snap_epoch, ob) = (&self.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
+            self.msgbuf.clear();
+            ReleaseMsg::put(
+                &mut self.msgbuf,
+                &mut self.rowbuf,
+                reqid,
+                ob.vwrites.len(),
+                |row, buf| {
+                    for lv in ob.vwrites.drain(..) {
+                        row.clear();
+                        lg.vertex_data(lv).encode(row);
+                        let snap = snap_epoch[lv as usize];
+                        ReleaseMsg::put_vwrite(buf, lg.vertex_gvid(lv), snap, row);
+                    }
+                },
+                ob.ewrites.len(),
+                |row, buf| {
+                    for le in ob.ewrites.drain(..) {
+                        row.clear();
+                        lg.edge_data(le).encode(row);
+                        ReleaseMsg::put_ewrite(buf, lg.edge_geid(le), row);
+                    }
+                },
+            );
+            let payload = Bytes::copy_from_slice(&self.msgbuf);
+            self.send_counted(mm, K_RELEASE, payload);
         }
-        debug_assert!(vwrites.is_empty(), "write-back owner not in lock plan");
-        debug_assert!(ewrites.is_empty(), "edge write-back owner not in lock plan");
+        // Dirty data owned by a machine the chain did not lock (racing
+        // writes) has no release to ride: dropped, never left behind for a
+        // later scope's release.
+        for ob in &mut self.outbox {
+            debug_assert!(
+                ob.vwrites.len() + ob.ewrites.len() + ob.sched.len() == 0,
+                "write-back or schedule owner not in the scope's plan"
+            );
+            ob.vwrites.clear();
+            ob.ewrites.clear();
+            ob.sched.clear();
+        }
         self.effects = effects;
     }
 
+    /// Drops every lock chain `r` holds here, resuming the chains each
+    /// release grants before the next lock is released, then frees the slot.
+    fn release_chain(&mut self, r: SlotRef) {
+        let chain = self.chains.get(r);
+        let (locks, center, model) = (chain.locks.clone(), chain.center, chain.model);
+        debug_assert_eq!(chain.next, locks.end, "released chain holds its whole share");
+        let mut woken = std::mem::take(&mut self.woken);
+        for i in locks {
+            let lv = self.plans.vert(i);
+            let t = scope_lock(model, center, lv).expect("planned vertex is locked");
+            self.locks.release(lv, t, &mut woken);
+            for w in woken.drain(..) {
+                self.resume_chain(w);
+            }
+        }
+        self.woken = woken;
+        self.chains.free(r);
+    }
+
     /// Alg. 5: the snapshot update function.
-    fn execute_snapshot_update(&mut self, reqid: u64) {
-        let center = self.out_scopes.get(&reqid).expect("scope").center_l;
+    fn execute_snapshot_update(&mut self, out: SlotRef) {
+        let center = self.outs.get(out).center;
         let snap = self.current_snap;
+        self.effects.clear();
         if self.snap_epoch[center as usize] != snap {
             // Save D_v.
             self.snap_buffer
                 .vrows
                 .push((self.lg.vertex_gvid(center), enc(self.lg.vertex_data(center))));
-            // Save edges to not-yet-snapshotted neighbours; schedule them.
-            let adj: Vec<_> = self.lg.adj(center).to_vec();
-            for e in adj {
+            // Save edges to not-yet-snapshotted neighbours; schedule them
+            // (commit routes owned ones to the snapshot queue, the rest to
+            // their owners).
+            for e in self.lg.adj(center) {
                 if self.snap_epoch[e.nbr as usize] != snap {
                     self.snap_buffer
                         .erows
                         .push((self.lg.edge_geid(e.edge), enc(self.lg.edge_data(e.edge))));
-                    self.effects.scheduled.push((self.lg.vertex_gvid(e.nbr), SNAPSHOT_PRIORITY));
+                    self.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
@@ -1036,27 +1159,7 @@ where
             self.snap_remaining -= 1;
             self.lg.bump_vertex_version(center);
         }
-        // Route snapshot schedules: owned → snapshot queue, remote → owner.
-        let scheduled = std::mem::take(&mut self.effects.scheduled);
-        // BTreeMap: sends fan out in machine order so delivery interleavings
-        // are a function of the seed, not the hasher (fault-trace replay).
-        let mut remote_sched: BTreeMap<MachineId, Vec<(VertexId, f64)>> = BTreeMap::new();
-        for (gv, prio) in scheduled {
-            let lv = self.lg.local_vertex(gv).expect("in scope");
-            let owner = self.lg.vertex_owner(lv);
-            if owner == self.me() {
-                if self.snap_epoch[lv as usize] != snap {
-                    self.snap_queue.push_back(lv);
-                }
-            } else {
-                remote_sched.entry(owner).or_default().push((gv, prio));
-            }
-        }
-        for (mm, tasks) in remote_sched {
-            self.send_counted(mm, K_LOCK_SCHED, enc(&ScheduleMsg { tasks }));
-        }
-        self.effects.clear();
-        self.commit_and_release(reqid);
+        self.commit_and_release(out);
     }
 
     // ---- message handling ----
@@ -1069,25 +1172,31 @@ where
         match env.kind {
             K_LOCK_REQ => {
                 let msg: LockReqMsg = dec(env.payload);
-                self.start_hop(msg);
+                debug_assert_eq!(msg.machines.first(), Some(&self.me()), "chain head is this hop");
+                let model = consistency_from_u8(msg.model).expect("valid consistency model");
+                let c = self.lg.local_vertex(msg.scope_v).expect("scope centre replicated at hop");
+                let out = if msg.requester == self.me() {
+                    *self.out_index.get(&msg.reqid).expect("own scope")
+                } else {
+                    SlotRef::default()
+                };
+                let (requester, reqid, mut rest) = (msg.requester, msg.reqid, msg.machines);
+                rest.remove(0);
+                let center = c;
+                self.start_hop(HopChain { requester, reqid, center, model, out, rest, ..HopChain::default() });
             }
             K_SCOPE_DATA => {
                 let msg: ScopeDataMsg = dec(env.payload);
                 tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.me().0, msg.reqid,
                     msg.vrows.len(), msg.erows.len(), msg.vsame, msg.esame);
+                let out = self.out_index.get(&msg.reqid).copied();
                 // Rows + unchanged markers must cover the hop's whole share
-                // of the scope's vertices (the requester knows exactly
-                // which plan vertices env.src owns).
+                // of the scope's vertices (the requester's plan row says
+                // exactly which of them env.src owns).
                 debug_assert!(
-                    self.out_scopes.get(&msg.reqid).is_none_or(|out| {
-                        let owned = out
-                            .plan
-                            .iter()
-                            .filter(|&&(v, _)| {
-                                let lv = self.lg.local_vertex(v).expect("plan vertex local");
-                                self.lg.vertex_owner(lv) == env.src
-                            })
-                            .count();
+                    out.is_none_or(|out| {
+                        let (c, model) = (self.outs.get(out).center, self.outs.get(out).model);
+                        let owned = self.plans.share(c, env.src, model).len();
                         msg.vrows.len() + msg.vsame as usize == owned
                     }),
                     "scope response does not cover the hop's owned vertices"
@@ -1107,10 +1216,11 @@ where
                         self.lg.apply_edge_update(le, row.version, dec(row.data));
                     }
                 }
-                if let Some(out) = self.out_scopes.get_mut(&msg.reqid) {
-                    out.data_got += 1;
-                    if out.now_ready() {
-                        self.ready.push_back(msg.reqid);
+                if let Some(out) = out {
+                    let scope = self.outs.get(out);
+                    scope.data_got += 1;
+                    if scope.is_ready() {
+                        self.ready.push_back(out);
                     }
                 }
             }
@@ -1136,30 +1246,16 @@ where
                     self.cache.note_e(env.src.index(), le, ver);
                 }
                 let chain = self
-                    .hop_chains
+                    .chain_index
                     .remove(&(env.src.0, msg.reqid))
                     .expect("release for a chain this hop holds");
-                for (lv, t) in chain.my_locks {
-                    let granted = self.locks.release(lv, t);
-                    for key in granted {
-                        self.resume_chain(key);
-                    }
-                }
+                self.release_chain(chain);
             }
             K_LOCK_SCHED => {
                 let msg: ScheduleMsg = dec(env.payload);
                 for (gv, prio) in msg.tasks {
                     if let Some(lv) = self.lg.local_vertex(gv) {
-                        debug_assert!(self.lg.owns_vertex(lv));
-                        if prio == SNAPSHOT_PRIORITY {
-                            if self.current_snap > 0 && self.snap_epoch[lv as usize] != self.current_snap
-                            {
-                                self.snap_queue.push_back(lv);
-                            }
-                        } else if !self.cap_reached {
-                            let fresh = self.scheduler.add(lv, prio);
-                            tr!("[m{}] SCHED_RECV v{} fresh={}", self.me().0, gv.0, fresh);
-                        }
+                        self.schedule_owned(lv, prio, prio == SNAPSHOT_PRIORITY);
                     }
                 }
             }
@@ -1176,7 +1272,7 @@ where
             }
             K_HALT => {
                 tr!("[m{}] HALT sched_len={} out={} ready={}", self.me().0,
-                    self.scheduler.len(), self.out_scopes.len(), self.ready.len());
+                    self.scheduler.len(), self.outs.live(), self.ready.len());
                 self.send_msg(MachineId(0), K_HALT_ACK, Bytes::new());
                 self.halted = true;
             }
@@ -1306,7 +1402,7 @@ where
     fn update_idle(&mut self) {
         let idle = (self.scheduler.is_empty() || self.cap_reached)
             && self.snap_queue.is_empty()
-            && self.out_scopes.is_empty()
+            && self.outs.live() == 0
             && self.ready.is_empty();
         if idle {
             // Close the master's last trigger window with an exact count
@@ -1506,7 +1602,7 @@ where
         }
 
         // Synchronous: drained → READY; flush satisfied → write + DONE.
-        if self.snap_paused && !self.snap_ready_sent && self.out_scopes.is_empty() && self.ready.is_empty()
+        if self.snap_paused && !self.snap_ready_sent && self.outs.live() == 0 && self.ready.is_empty()
         {
             self.snap_ready_sent = true;
             let msg = SnapReadyMsg { snap: self.snapshots_written, sent_to: self.sent_counts.clone() };
@@ -1639,6 +1735,7 @@ where
             phase: crate::metrics::PhaseTimes::default(),
             chain_spans: std::mem::take(&mut self.chain_spans),
             idle_wakeups: self.idle_wakeups,
+            hot: self.hot,
         }
     }
 }
@@ -1671,7 +1768,8 @@ where
     /// Resets every piece of volatile engine state — scheduler, lock
     /// table, chains, termination detector, snapshot and master
     /// coordination state — reallocating everything sized by the local
-    /// graph.
+    /// graph, and rebuilding the lock plans derived from it (a rollback or
+    /// an adoption may have replaced the graph).
     fn reset_engine_state(&mut self) {
         let n = self.num_machines();
         let nv = self.lg.num_local_vertices();
@@ -1679,8 +1777,11 @@ where
         self.scheduler = Scheduler::new(self.setup.config.scheduler, nv);
         self.locks = LockTable::new(nv);
         self.cache = RemoteCacheTable::new(n, nv, ne);
-        self.hop_chains.clear();
-        self.out_scopes.clear();
+        self.plans = ScopePlans::build(&self.lg);
+        self.chains = Slab::default();
+        self.chain_index.clear();
+        self.outs = Slab::default();
+        self.out_index.clear();
         self.ready.clear();
         // The crash may have taken the ring's only token with it; the
         // cluster-wide reset re-probes from scratch (see
@@ -1727,10 +1828,100 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{scripted_machine, NoUpdate};
 
-    const KA: ChainKey = (0, 1);
-    const KB: ChainKey = (0, 2);
-    const KC: ChainKey = (1, 1);
+    const KA: SlotRef = SlotRef { slot: 0, generation: 0 };
+    const KB: SlotRef = SlotRef { slot: 1, generation: 0 };
+    const KC: SlotRef = SlotRef { slot: 2, generation: 0 };
+
+    fn release(t: &mut LockTable, v: u32, ty: LockType) -> Vec<SlotRef> {
+        let mut granted = Vec::new();
+        t.release(v, ty, &mut granted);
+        granted
+    }
+
+    /// Machine 2 of three over the complete digraph on three vertices,
+    /// vertex `i` on machine `i`, full consistency, unbatched; plus machine
+    /// 0's endpoint, where machine 2's scope data arrives.
+    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, graphlab_net::SimEndpoint) {
+        let mut b = graphlab_graph::GraphBuilder::new();
+        let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
+        for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            b.add_edge(v[i], v[j], 1.0).unwrap();
+        }
+        let one_each = graphlab_atoms::VertexPartition::from_assignment(
+            (0..3).map(graphlab_graph::AtomId).collect(),
+            3,
+        );
+        let mut config = crate::EngineConfig::new(3);
+        config.consistency = ConsistencyModel::Full;
+        config.batch = graphlab_net::BatchPolicy::disabled();
+        let none = InitialSchedule::Vertices(Vec::new());
+        let (setup, init, mut eps) =
+            scripted_machine(&b.build(), &one_each, MachineId(2), config, none);
+        (LockingMachine::new(eps.pop().unwrap().into(), setup, init), eps.swap_remove(0))
+    }
+
+    /// The interleaving per-channel FIFO cannot rule out: requester 0's
+    /// chain `reqid + max_pipeline`, forwarded by machine 1, reaches machine
+    /// 2 before 0's direct `K_RELEASE` for `reqid`. The late chain parks,
+    /// the release wakes it, and the freed slot is reused while the woken
+    /// chain is still live — no aliasing, no lost wake-up.
+    #[test]
+    fn forwarded_request_overtaking_a_release_parks_and_reuses_the_slot() {
+        let (mut m, ep0) = hop_machine();
+        let p = m.setup.config.max_pipeline as u64;
+        let from0 = |kind: u16, payload: Bytes| Envelope {
+            src: MachineId(0),
+            dst: MachineId(2),
+            kind,
+            payload,
+        };
+        let request = |reqid: u64| {
+            from0(
+                K_LOCK_REQ,
+                enc(&LockReqMsg {
+                    requester: MachineId(0),
+                    reqid,
+                    scope_v: VertexId(0),
+                    machines: vec![MachineId(2)],
+                    model: consistency_to_u8(ConsistencyModel::Full),
+                }),
+            )
+        };
+        let release =
+            |reqid: u64| from0(K_RELEASE, enc(&ReleaseMsg { reqid, vwrites: vec![], ewrites: vec![] }));
+        let answered = |ep: &graphlab_net::SimEndpoint| -> Option<u64> {
+            let env = ep.try_recv().ok()?;
+            assert_eq!(env.kind, K_SCOPE_DATA);
+            Some(dec::<ScopeDataMsg>(env.payload).reqid)
+        };
+        let w = m.lg.local_vertex(VertexId(2)).unwrap();
+
+        m.handle(request(1));
+        assert_eq!(answered(&ep0), Some(1));
+        assert_eq!(m.locks.held(w), (0, true));
+        // The overtaking request parks behind chain 1's write lock.
+        m.handle(request(1 + p));
+        assert_eq!(answered(&ep0), None);
+        assert_eq!((m.chains.live(), m.hot.lock_parks), (2, 1));
+        let first = m.chain_index[&(0, 1)];
+        // The release frees chain 1 and wakes the parked chain.
+        m.handle(release(1));
+        assert_eq!(answered(&ep0), Some(1 + p));
+        assert_eq!(m.chains.live(), 1);
+        // The next request takes over the freed slot under a new generation
+        // while the woken chain still holds the lock it waits for.
+        m.handle(request(2 + p));
+        let reused = m.chain_index[&(0, 2 + p)];
+        assert_eq!((reused.slot, reused.generation), (first.slot, first.generation + 1));
+        assert_eq!(answered(&ep0), None);
+        m.handle(release(1 + p));
+        assert_eq!(answered(&ep0), Some(2 + p));
+        m.handle(release(2 + p));
+        assert_eq!((m.chains.live(), m.chain_index.len()), (0, 0));
+        assert_eq!(m.locks.held(w), (0, false));
+    }
 
     #[test]
     fn read_locks_share() {
@@ -1746,11 +1937,11 @@ mod tests {
         assert!(t.acquire(0, LockType::Write, KA));
         assert!(!t.acquire(0, LockType::Read, KB));
         assert!(!t.acquire(0, LockType::Write, KC));
-        let granted = t.release(0, LockType::Write);
+        let granted = release(&mut t, 0, LockType::Write);
         // FIFO: the read parked first is granted; the write must wait.
         assert_eq!(granted, vec![KB]);
         assert_eq!(t.held(0), (1, false));
-        let granted = t.release(0, LockType::Read);
+        let granted = release(&mut t, 0, LockType::Read);
         assert_eq!(granted, vec![KC]);
         assert_eq!(t.held(0), (0, true));
     }
@@ -1762,9 +1953,9 @@ mod tests {
         assert!(!t.acquire(0, LockType::Write, KB)); // queued
         // A new reader may NOT barge past the queued writer.
         assert!(!t.acquire(0, LockType::Read, KC));
-        let granted = t.release(0, LockType::Read);
+        let granted = release(&mut t, 0, LockType::Read);
         assert_eq!(granted, vec![KB]);
-        let granted = t.release(0, LockType::Write);
+        let granted = release(&mut t, 0, LockType::Write);
         assert_eq!(granted, vec![KC]);
     }
 
@@ -1774,7 +1965,7 @@ mod tests {
         assert!(t.acquire(0, LockType::Write, KA));
         assert!(!t.acquire(0, LockType::Read, KB));
         assert!(!t.acquire(0, LockType::Read, KC));
-        let granted = t.release(0, LockType::Write);
+        let granted = release(&mut t, 0, LockType::Write);
         assert_eq!(granted, vec![KB, KC], "consecutive readers granted together");
         assert_eq!(t.held(0), (2, false));
     }
@@ -1791,6 +1982,6 @@ mod tests {
     fn release_empty_queue_grants_nothing() {
         let mut t = LockTable::new(1);
         assert!(t.acquire(0, LockType::Read, KA));
-        assert!(t.release(0, LockType::Read).is_empty());
+        assert!(release(&mut t, 0, LockType::Read).is_empty());
     }
 }

@@ -25,7 +25,7 @@
 //! unlocks the scope, and the Alg. 5 snapshot markers ride data messages
 //! in channel order.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, LockType, MachineId, VertexId};
 use graphlab_net::codec::{decode_from, encode_to_bytes, get_uvarint, put_uvarint, Codec};
 use graphlab_net::termination::Token;
@@ -39,6 +39,13 @@ pub(crate) fn enc<T: Codec>(v: &T) -> Bytes {
 /// Decodes one protocol message from a peer of this same binary.
 pub(crate) fn dec<T: Codec>(b: Bytes) -> T {
     decode_from(b).expect("malformed engine message")
+}
+
+/// Appends `data` as a length-prefixed blob — the wire form of a `Bytes`
+/// field, for callers streaming a row out of a reused scratch buffer.
+fn put_blob(buf: &mut BytesMut, data: &[u8]) {
+    put_uvarint(buf, data.len() as u64);
+    buf.put_slice(data);
 }
 
 /// Whether `GRAPHLAB_TRACE` is set (read once per process).
@@ -323,12 +330,19 @@ pub struct VertexRow {
     pub data: Bytes,
 }
 
+impl VertexRow {
+    /// Streams one row from its parts (what [`Codec::encode`] writes).
+    pub(crate) fn put(buf: &mut BytesMut, vid: VertexId, version: u64, snap: u32, data: &[u8]) {
+        vid.encode(buf);
+        version.encode(buf);
+        snap.encode(buf);
+        put_blob(buf, data);
+    }
+}
+
 impl Codec for VertexRow {
     fn encode(&self, buf: &mut BytesMut) {
-        self.vid.encode(buf);
-        self.version.encode(buf);
-        self.snap.encode(buf);
-        self.data.encode(buf);
+        Self::put(buf, self.vid, self.version, self.snap, &self.data);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         Some(VertexRow {
@@ -351,11 +365,18 @@ pub struct EdgeRow {
     pub data: Bytes,
 }
 
+impl EdgeRow {
+    /// Streams one row from its parts (what [`Codec::encode`] writes).
+    pub(crate) fn put(buf: &mut BytesMut, eid: EdgeId, version: u64, data: &[u8]) {
+        eid.encode(buf);
+        version.encode(buf);
+        put_blob(buf, data);
+    }
+}
+
 impl Codec for EdgeRow {
     fn encode(&self, buf: &mut BytesMut) {
-        self.eid.encode(buf);
-        self.version.encode(buf);
-        self.data.encode(buf);
+        Self::put(buf, self.eid, self.version, &self.data);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         Some(EdgeRow {
@@ -391,13 +412,20 @@ fn wire_priority(p: f64) -> f32 {
     }
 }
 
-impl Codec for ScheduleMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.tasks.len() as u64);
-        for &(v, prio) in &self.tasks {
+impl ScheduleMsg {
+    /// Streams a message from borrowed tasks (what [`Codec::encode`] writes).
+    pub(crate) fn put(buf: &mut BytesMut, tasks: &[(VertexId, f64)]) {
+        put_uvarint(buf, tasks.len() as u64);
+        for &(v, prio) in tasks {
             v.encode(buf);
             wire_priority(prio).encode(buf);
         }
+    }
+}
+
+impl Codec for ScheduleMsg {
+    fn encode(&self, buf: &mut BytesMut) {
+        Self::put(buf, &self.tasks);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         let n = get_uvarint(buf)? as usize;
@@ -613,13 +641,30 @@ pub fn lock_type_from_u8(v: u8) -> Option<LockType> {
     }
 }
 
+impl LockReqMsg {
+    /// Streams a request from its parts (what [`Codec::encode`] writes).
+    pub(crate) fn put(
+        buf: &mut BytesMut,
+        requester: MachineId,
+        reqid: u64,
+        scope_v: VertexId,
+        machines: &[MachineId],
+        model: u8,
+    ) {
+        requester.encode(buf);
+        reqid.encode(buf);
+        scope_v.encode(buf);
+        put_uvarint(buf, machines.len() as u64);
+        for m in machines {
+            m.encode(buf);
+        }
+        model.encode(buf);
+    }
+}
+
 impl Codec for LockReqMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        self.requester.encode(buf);
-        self.reqid.encode(buf);
-        self.scope_v.encode(buf);
-        self.machines.encode(buf);
-        self.model.encode(buf);
+        Self::put(buf, self.requester, self.reqid, self.scope_v, &self.machines, self.model);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         Some(LockReqMsg {
@@ -656,13 +701,41 @@ pub struct ScopeDataMsg {
     pub esame: u32,
 }
 
+impl ScopeDataMsg {
+    /// Streams a response whose rows the caller appends: `vrows` writes
+    /// exactly `nv` rows with [`VertexRow::put`], then `erows` exactly `ne`
+    /// with [`EdgeRow::put`]; `cx` is the state both writers work on. This
+    /// is the message's one wire layout — [`Codec::encode`] goes through it.
+    pub(crate) fn put<C>(
+        buf: &mut BytesMut,
+        cx: &mut C,
+        reqid: u64,
+        (nv, vsame): (usize, u32),
+        vrows: impl FnOnce(&mut C, &mut BytesMut),
+        (ne, esame): (usize, u32),
+        erows: impl FnOnce(&mut C, &mut BytesMut),
+    ) {
+        reqid.encode(buf);
+        put_uvarint(buf, nv as u64);
+        vrows(cx, buf);
+        put_uvarint(buf, ne as u64);
+        erows(cx, buf);
+        vsame.encode(buf);
+        esame.encode(buf);
+    }
+}
+
 impl Codec for ScopeDataMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        self.reqid.encode(buf);
-        self.vrows.encode(buf);
-        self.erows.encode(buf);
-        self.vsame.encode(buf);
-        self.esame.encode(buf);
+        Self::put(
+            buf,
+            &mut (),
+            self.reqid,
+            (self.vrows.len(), self.vsame),
+            |_, buf| self.vrows.iter().for_each(|r| r.encode(buf)),
+            (self.erows.len(), self.esame),
+            |_, buf| self.erows.iter().for_each(|r| r.encode(buf)),
+        );
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         Some(ScopeDataMsg {
@@ -692,20 +765,52 @@ pub struct ReleaseMsg {
     pub ewrites: Vec<(EdgeId, Bytes)>,
 }
 
+impl ReleaseMsg {
+    /// Streams a release whose write-backs the caller appends: `vwrites`
+    /// writes exactly `nv` rows with [`Self::put_vwrite`], then `ewrites`
+    /// exactly `ne` with [`Self::put_ewrite`]; `cx` is the state both work
+    /// on. The message's one wire layout — [`Codec::encode`] goes through it.
+    pub(crate) fn put<C>(
+        buf: &mut BytesMut,
+        cx: &mut C,
+        reqid: u64,
+        nv: usize,
+        vwrites: impl FnOnce(&mut C, &mut BytesMut),
+        ne: usize,
+        ewrites: impl FnOnce(&mut C, &mut BytesMut),
+    ) {
+        reqid.encode(buf);
+        (nv as u32).encode(buf);
+        vwrites(cx, buf);
+        (ne as u32).encode(buf);
+        ewrites(cx, buf);
+    }
+
+    /// One vertex write-back row.
+    pub(crate) fn put_vwrite(buf: &mut BytesMut, v: VertexId, snap: u32, data: &[u8]) {
+        v.encode(buf);
+        snap.encode(buf);
+        put_blob(buf, data);
+    }
+
+    /// One edge write-back row.
+    pub(crate) fn put_ewrite(buf: &mut BytesMut, e: EdgeId, data: &[u8]) {
+        e.encode(buf);
+        put_blob(buf, data);
+    }
+}
+
 impl Codec for ReleaseMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        self.reqid.encode(buf);
-        (self.vwrites.len() as u32).encode(buf);
-        for (v, snap, b) in &self.vwrites {
-            v.encode(buf);
-            snap.encode(buf);
-            b.encode(buf);
-        }
-        (self.ewrites.len() as u32).encode(buf);
-        for (e, b) in &self.ewrites {
-            e.encode(buf);
-            b.encode(buf);
-        }
+        Self::put(
+            buf,
+            &mut (),
+            self.reqid,
+            self.vwrites.len(),
+            |_, buf| self.vwrites.iter().for_each(|(v, s, b)| Self::put_vwrite(buf, *v, *s, b)),
+            self.ewrites.len(),
+            |_, buf| self.ewrites.iter().for_each(|(e, b)| Self::put_ewrite(buf, *e, b)),
+        );
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         let reqid = u64::decode(buf)?;

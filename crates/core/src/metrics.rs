@@ -68,6 +68,36 @@ impl PhaseTimes {
     }
 }
 
+/// Event counts on the locking engine's hot path (counters, not timers:
+/// reading the clock there would cost more than the work it times). The
+/// ratios explain a run: `lock_acquires / updates` is the per-update
+/// locking work, `pipeline_occupancy / loop_iters` the mean number of
+/// scopes in flight, `updates / loop_iters` the work done per wake-up.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HotCounters {
+    /// Normal-phase passes of the machine loop.
+    pub loop_iters: u64,
+    /// Receives the loop was willing to block in (nothing runnable).
+    pub blocking_recvs: u64,
+    /// Lock acquisitions attempted (granted at once or parked).
+    pub lock_acquires: u64,
+    /// Acquisitions that parked behind a conflicting holder or waiter.
+    pub lock_parks: u64,
+    /// Outstanding scopes summed over loop passes.
+    pub pipeline_occupancy: u64,
+}
+
+impl HotCounters {
+    /// Adds another machine's counts.
+    pub fn add(&mut self, other: &HotCounters) {
+        self.loop_iters += other.loop_iters;
+        self.blocking_recvs += other.blocking_recvs;
+        self.lock_acquires += other.lock_acquires;
+        self.lock_parks += other.lock_parks;
+        self.pipeline_occupancy += other.pipeline_occupancy;
+    }
+}
+
 /// Final metrics of an engine run.
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
@@ -117,6 +147,9 @@ pub struct EngineMetrics {
     /// indexed by machine id. With message-driven master triggers an idle
     /// cluster takes zero — pinned by the idle-cluster regression.
     pub idle_wakeups: Vec<u64>,
+    /// Hot-path event counts summed over machines (locking engine; zero
+    /// otherwise). Printed by `repro -- phases`.
+    pub hot: HotCounters,
 }
 
 impl EngineMetrics {

@@ -91,8 +91,7 @@ where
         if config.trace {
             update_counts[lg.vertex_gvid(l).index()] += 1;
         }
-        for &(gv, prio) in &effects.scheduled {
-            let lv = lg.local_vertex(gv).expect("scheduled vertex is local");
+        for &(lv, prio) in &effects.scheduled {
             scheduler.add(lv, prio);
         }
         if config.sync_interval_updates > 0
@@ -137,6 +136,7 @@ where
             phases: Vec::new(),
             chain_spans: Vec::new(),
             idle_wakeups: Vec::new(),
+            hot: Default::default(),
         },
         globals,
         dfs: Arc::new(SimDfs::new()),

@@ -49,8 +49,8 @@ where
 /// at commit time.
 #[derive(Debug, Default)]
 pub struct UpdateEffects {
-    /// Vertices scheduled for future execution (global ids + priority).
-    pub scheduled: Vec<(VertexId, f64)>,
+    /// Vertices scheduled for future execution (local indices + priority).
+    pub scheduled: Vec<(u32, f64)>,
     /// Central vertex datum was written.
     pub dirty_self: bool,
     /// Local edge indices whose data was written.
@@ -215,15 +215,14 @@ impl<'a, V, E> UpdateContext<'a, V, E> {
     /// under the priority scheduler; ignored by FIFO/sweep).
     #[inline]
     pub fn schedule_nbr(&mut self, i: usize, priority: f64) {
-        let g = self.nbr(i);
-        self.effects.scheduled.push((g, priority));
+        let l = self.lg.adj(self.v)[i].nbr;
+        self.effects.scheduled.push((l, priority));
     }
 
     /// Re-schedules the central vertex itself.
     #[inline]
     pub fn schedule_self(&mut self, priority: f64) {
-        let g = self.vertex();
-        self.effects.scheduled.push((g, priority));
+        self.effects.scheduled.push((self.v, priority));
     }
 
     /// Schedules an arbitrary vertex of the scope by global id (must be the
@@ -235,7 +234,8 @@ impl<'a, V, E> UpdateContext<'a, V, E> {
             "scheduled vertex {v} outside the scope of {}",
             self.vertex()
         );
-        self.effects.scheduled.push((v, priority));
+        let l = self.lg.local_vertex(v).expect("scheduled vertex is in the scope");
+        self.effects.scheduled.push((l, priority));
     }
 
     // ---- globals (§3.5) ----

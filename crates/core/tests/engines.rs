@@ -132,6 +132,34 @@ fn locking_with_latency_and_small_pipeline() {
     expect_all_vertices(&dist, expected);
 }
 
+/// Three machines on jittered links with a two-deep pipeline, write locks
+/// on whole scopes and the hash partition (every chain spans machines):
+/// forwarded lock requests and direct releases travel different channels,
+/// so slab slots are recycled under every arrival order the fabric allows.
+/// The hot-path counters must show the contention the set-up is for.
+#[test]
+fn locking_jittered_links_recycle_chain_slots() {
+    let jittery = LatencyModel {
+        fixed: Duration::from_micros(50),
+        per_kib: Duration::from_micros(10),
+        jitter: Duration::from_micros(300),
+    };
+    let mut dist = grid(8, 8);
+    let out = GraphLab::on(&mut dist)
+        .engine(EngineKind::Locking)
+        .machines(3)
+        .consistency(ConsistencyModel::Full)
+        .latency(jittery)
+        .configure(|c| c.max_pipeline = 2)
+        .run(MaxDiffusion);
+    let expected = (0..64).map(|i| ((i * 31) % 97) as f64).fold(f64::MIN, f64::max);
+    expect_all_vertices(&dist, expected);
+    let hot = out.metrics.hot;
+    assert!(hot.lock_acquires >= out.metrics.updates, "every update locks its centre");
+    assert!(hot.lock_parks > 0, "no chain ever waited: the test lost its contention");
+    assert!(hot.pipeline_occupancy <= 2 * hot.loop_iters, "pipeline deeper than configured");
+}
+
 #[test]
 fn locking_priority_scheduler() {
     let mut dist = ring(30);

@@ -30,5 +30,5 @@ pub mod stats;
 pub use coloring::{greedy_coloring, second_order_coloring, verify_coloring, Coloring};
 pub use consistency::{ConsistencyModel, LockType};
 pub use graph::{DataGraph, EdgeDir, GraphBuilder, GraphError, NeighborEntry};
-pub use ids::{AtomId, EdgeId, MachineId, VertexId};
+pub use ids::{AtomId, EdgeId, IdHasher, IdMap, MachineId, VertexId};
 pub use stats::GraphStats;

@@ -300,6 +300,11 @@ const ITER_METHODS: &[&str] = &[
     "drain",
 ];
 
+/// Type names whose iteration order is the hasher's: the std containers
+/// and `IdMap`, `graphlab-graph`'s alias for a `HashMap` under its integer-id
+/// hasher (point lookups by id are its only legitimate protocol use).
+const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet", "IdMap"];
+
 /// RNG constructors/seeders that demand a written justification in
 /// protocol paths (seeded ones included: the reason documents the seed's
 /// provenance).
@@ -387,9 +392,9 @@ pub fn check_determinism(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// Names declared (outside test code) with a hash-container type: struct
-/// fields / params `name: ..HashMap<..>`, and `let [mut] name =
-/// HashMap::..` initialisations.
+/// Names declared (outside test code) with a hash-container type
+/// ([`HASH_CONTAINERS`]): struct fields / params `name: ..HashMap<..>`, and
+/// `let [mut] name = HashMap::..` initialisations.
 fn collect_hash_names<'a>(f: &'a SourceFile, code: &[usize]) -> Vec<&'a str> {
     let src = &f.text;
     let toks = &f.toks;
@@ -399,8 +404,7 @@ fn collect_hash_names<'a>(f: &'a SourceFile, code: &[usize]) -> Vec<&'a str> {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let text = t.text(src);
-        if text != "HashMap" && text != "HashSet" {
+        if !HASH_CONTAINERS.contains(&t.text(src)) {
             continue;
         }
         if f.in_test_code(t.start) {

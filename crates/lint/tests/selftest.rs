@@ -59,6 +59,32 @@ pub fn f() {\n\
     let _ = Instant::now();\n\
 }\n";
 
+const DET_IDMAP_VIOLATION: &str = "\
+pub struct Engine {\n\
+    chain_index: IdMap<(u16, u64), u32>,\n\
+}\n\
+impl Engine {\n\
+    pub fn drain(&mut self, out: &mut Vec<u32>) {\n\
+        for (_, slot) in self.chain_index.drain() {\n\
+            out.push(slot);\n\
+        }\n\
+        let local = IdMap::default();\n\
+        out.extend(local.values());\n\
+    }\n\
+}\n";
+
+const DET_IDMAP_CLEAN: &str = "\
+pub struct Engine {\n\
+    chain_index: IdMap<(u16, u64), u32>,\n\
+}\n\
+impl Engine {\n\
+    pub fn release(&mut self, src: u16, reqid: u64) -> Option<u32> {\n\
+        self.chain_index.insert((src, reqid + 1), 7);\n\
+        let held = self.chain_index.get(&(src, reqid)).copied();\n\
+        self.chain_index.remove(&(src, reqid)).or(held)\n\
+    }\n\
+}\n";
+
 const RECV_VIOLATION: &str = "\
 pub fn pump(rx: std::sync::mpsc::Receiver<u32>) {\n\
     let _ = rx.recv();\n\
@@ -253,6 +279,22 @@ fn determinism_catches_hash_iteration_and_wall_clock() {
     // Same code outside the protocol-critical scope is not flagged.
     let out = findings_for(vec![("crates/bench/src/foo.rs", DET_VIOLATIONS)], &["determinism"]);
     assert!(out.is_empty(), "out-of-scope file flagged: {out:#?}");
+}
+
+#[test]
+fn determinism_treats_the_id_map_alias_as_a_hash_container() {
+    let fs = findings_for(
+        vec![("crates/core/src/locking.rs", DET_IDMAP_VIOLATION)],
+        &["determinism"],
+    );
+    assert_eq!(count_check(&fs, "determinism"), 2, "findings: {fs:#?}");
+    assert!(fs.iter().any(|f| f.contains("chain_index") && f.contains("drain")), "{fs:#?}");
+    assert!(fs.iter().any(|f| f.contains("local") && f.contains("values")), "{fs:#?}");
+
+    // Keyed inserts, lookups and removals are what the alias is for.
+    let ok =
+        findings_for(vec![("crates/core/src/locking.rs", DET_IDMAP_CLEAN)], &["determinism"]);
+    assert!(ok.is_empty(), "point lookups flagged: {ok:#?}");
 }
 
 #[test]

@@ -289,10 +289,12 @@ impl Batcher {
         }
         let count = q.count;
         q.count = 0;
+        let used = q.buf.len();
         let mut buf = std::mem::take(&mut q.buf).freeze();
-        // Right-size the replacement up front so the next batch does not
-        // re-grow from zero through repeated doublings.
-        q.buf.reserve(self.policy.max_bytes);
+        // Size the replacement by what this flush used, so the next batch
+        // neither re-grows from zero through repeated doublings nor pays
+        // for a full-size buffer when envelopes are a few hundred bytes.
+        q.buf.reserve(used.min(self.policy.max_bytes));
         if count == 1 {
             // A batch of one is pure overhead: unwrap it.
             let kind = get_uvarint(&mut buf).expect("own framing") as u16;
@@ -510,6 +512,26 @@ mod tests {
         assert_eq!(net.stats().total_msgs(), 0, "still buffered");
         b0.send(MachineId(1), 1, Bytes::from(vec![0u8; 60]));
         assert_eq!(net.stats().total_msgs(), 1, "auto-flush at max_bytes");
+    }
+
+    #[test]
+    fn replacement_queue_buffer_is_sized_by_the_last_flush() {
+        let (_net, mut b0, _b1) = pair(BatchPolicy::default());
+        let max = BatchPolicy::default().max_bytes;
+        // A small flush: the next buffer is small too, not `max_bytes`.
+        for k in 0..3u16 {
+            b0.send(MachineId(1), k, Bytes::from(vec![0u8; 40]));
+        }
+        b0.flush(MachineId(1));
+        let cap = b0.queues[1].buf.capacity();
+        assert!((3 * 40..1024).contains(&cap), "after a ~130-byte flush: capacity {cap}");
+        // A full flush (the byte threshold trips it): a full-size buffer.
+        for k in 0..5u16 {
+            b0.send(MachineId(1), k, Bytes::from(vec![0u8; max / 4]));
+        }
+        assert_eq!(b0.queues[1].count, 1, "the fourth send flushed, the fifth is queued");
+        let cap = b0.queues[1].buf.capacity();
+        assert!((max..2 * max).contains(&cap), "after a full flush: capacity {cap}");
     }
 
     #[test]

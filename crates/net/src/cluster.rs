@@ -34,7 +34,7 @@
 //! charged to [`crate::batch::K_ZIP`] — run an uncompressed arm when a
 //! per-kind breakdown of the savings is wanted.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,13 +101,50 @@ pub struct KindTraffic {
     pub bytes: u64,
 }
 
+/// Kinds below this bound have a per-kind row of their own: the engines'
+/// registry range (`// lint: kind-map core = 1..=63` in
+/// `graphlab-core::messages`) plus 0.
+const LOW_KINDS: u16 = 64;
+
+/// First kind of the transport's own registry range
+/// (`// lint: kind-map net = 65531..=65535`), which has rows too.
+const FIRST_NET_KIND: u16 = u16::MAX - 4;
+
+/// The row every kind outside both registry ranges is charged to (tests
+/// and ad-hoc tools; no engine sends one), so the rows always add up to
+/// the bytes received.
+pub const UNREGISTERED_KIND: u16 = LOW_KINDS;
+
+const KIND_SLOTS: usize = LOW_KINDS as usize + 1 + (u16::MAX - FIRST_NET_KIND) as usize + 1;
+
+fn kind_slot(kind: u16) -> usize {
+    if kind < LOW_KINDS {
+        kind as usize
+    } else if kind >= FIRST_NET_KIND {
+        (LOW_KINDS + 1 + (kind - FIRST_NET_KIND)) as usize
+    } else {
+        UNREGISTERED_KIND as usize
+    }
+}
+
+fn slot_kind(slot: usize) -> u16 {
+    if slot <= LOW_KINDS as usize {
+        slot as u16
+    } else {
+        FIRST_NET_KIND + (slot - LOW_KINDS as usize - 1) as u16
+    }
+}
+
 /// Shared atomic traffic counters for a cluster.
 pub struct NetStats {
     bytes_sent: Vec<AtomicU64>,
     bytes_received: Vec<AtomicU64>,
     msgs_sent: Vec<AtomicU64>,
     msgs_received: Vec<AtomicU64>,
-    by_kind: Mutex<HashMap<u16, KindTraffic>>,
+    /// Per-kind `(msgs, bytes)`, dense by [`kind_slot`]: kinds are
+    /// registry-bounded, so delivery charges a fixed array instead of
+    /// locking a cluster-wide map.
+    by_kind: Vec<(AtomicU64, AtomicU64)>,
 }
 
 impl NetStats {
@@ -118,7 +155,7 @@ impl NetStats {
             bytes_received: mk(),
             msgs_sent: mk(),
             msgs_received: mk(),
-            by_kind: Mutex::new(HashMap::new()),
+            by_kind: (0..KIND_SLOTS).map(|_| (AtomicU64::new(0), AtomicU64::new(0))).collect(),
         }
     }
 
@@ -148,58 +185,59 @@ impl NetStats {
         self.msgs_sent.iter().map(|a| a.load(Ordering::Relaxed)).sum()
     }
 
-    /// Delivered traffic of one message kind.
+    fn row(&self, slot: usize) -> KindTraffic {
+        let (msgs, bytes) = &self.by_kind[slot];
+        KindTraffic { msgs: msgs.load(Ordering::Relaxed), bytes: bytes.load(Ordering::Relaxed) }
+    }
+
+    /// Delivered traffic of one message kind (of every unregistered kind
+    /// together, for a kind outside the registry ranges).
     pub fn kind(&self, kind: u16) -> KindTraffic {
-        self.by_kind.lock().get(&kind).copied().unwrap_or_default()
+        self.row(kind_slot(kind))
     }
 
-    /// Delivered traffic broken down by message kind, sorted by kind.
+    /// Delivered traffic broken down by message kind, sorted by kind; kinds
+    /// that saw no traffic have no row.
     pub fn by_kind(&self) -> Vec<(u16, KindTraffic)> {
-        let mut rows: Vec<(u16, KindTraffic)> =
-            // lint: allow(determinism) -- snapshot of a stats map; rows are sorted by kind on the next line
-            self.by_kind.lock().iter().map(|(&k, &t)| (k, t)).collect();
-        rows.sort_unstable_by_key(|&(k, _)| k);
-        rows
+        (0..KIND_SLOTS)
+            .map(|slot| (slot_kind(slot), self.row(slot)))
+            .filter(|(_, t)| *t != KindTraffic::default())
+            .collect()
     }
 
-    /// Charges (`sign = 1`) or rolls back (`sign = -1`) one envelope's
-    /// attribution rows under a single lock acquisition. Internal to
-    /// delivery.
-    fn charge_kinds(&self, rows: &[(u16, u64)], sign: i64) {
-        let mut map = self.by_kind.lock();
-        for &(k, b) in rows {
-            let e = map.entry(k).or_default();
-            e.msgs = e.msgs.wrapping_add_signed(sign);
-            e.bytes = e.bytes.wrapping_add_signed(sign * b as i64);
-        }
+    fn charge_kind(&self, kind: u16, bytes: u64, sign: i64) {
+        let (m, b) = &self.by_kind[kind_slot(kind)];
+        // Two's complement: adding `-x as u64` subtracts x.
+        m.fetch_add(sign as u64, Ordering::Relaxed);
+        b.fetch_add((sign * bytes as i64) as u64, Ordering::Relaxed);
     }
-}
 
-/// Per-kind attribution of one delivered envelope: `(kind, bytes)` rows.
-/// Batch envelopes are split into their sub-messages (framing + payload
-/// each), with the transport header on the envelope row.
-fn kind_attribution(env: &Envelope) -> Vec<(u16, u64)> {
-    use crate::batch::K_BATCH;
-    use crate::codec::get_uvarint;
-    if env.kind != K_BATCH {
-        return vec![(env.kind, env.wire_bytes() as u64)];
-    }
-    let mut rows = vec![(K_BATCH, HEADER_BYTES as u64)];
-    let mut buf = env.payload.clone();
-    while buf.has_remaining() {
-        let before = buf.remaining();
-        let (Some(kind), Some(len)) = (get_uvarint(&mut buf), get_uvarint(&mut buf)) else {
-            break; // malformed; charge what parsed
-        };
-        let header = before - buf.remaining();
-        let len = len as usize;
-        if buf.remaining() < len {
-            break;
+    /// Charges (`sign = 1`) or rolls back (`sign = -1`) the per-kind rows
+    /// of one delivered envelope while walking it. A batch envelope is
+    /// split into its sub-messages (framing + payload each), with the
+    /// transport header on the envelope row.
+    fn charge_kinds(&self, env: &Envelope, sign: i64) {
+        use crate::batch::K_BATCH;
+        use crate::codec::get_uvarint;
+        if env.kind != K_BATCH {
+            return self.charge_kind(env.kind, env.wire_bytes() as u64, sign);
         }
-        buf.advance(len);
-        rows.push((kind as u16, (header + len) as u64));
+        self.charge_kind(K_BATCH, HEADER_BYTES as u64, sign);
+        let mut buf: &[u8] = &env.payload;
+        while buf.has_remaining() {
+            let before = buf.remaining();
+            let (Some(kind), Some(len)) = (get_uvarint(&mut buf), get_uvarint(&mut buf)) else {
+                break; // malformed; charge what parsed
+            };
+            let header = before - buf.remaining();
+            let len = len as usize;
+            if buf.remaining() < len {
+                break;
+            }
+            buf.advance(len);
+            self.charge_kind(kind as u16, (header + len) as u64, sign);
+        }
     }
-    rows
 }
 
 /// Error returned by blocking receives.
@@ -560,7 +598,7 @@ pub(crate) fn charge_delivery(stats: &NetStats, env: &Envelope) {
     let dst = env.dst.index();
     stats.bytes_received[dst].fetch_add(env.wire_bytes() as u64, Ordering::Relaxed);
     stats.msgs_received[dst].fetch_add(1, Ordering::Relaxed);
-    stats.charge_kinds(&kind_attribution(env), 1);
+    stats.charge_kinds(env, 1);
 }
 
 /// Hands `env` to its destination inbox and charges the receive counters.
@@ -571,14 +609,14 @@ pub(crate) fn charge_delivery(stats: &NetStats, env: &Envelope) {
 pub(crate) fn deliver(inboxes: &[Sender<Envelope>], stats: &NetStats, env: Envelope) {
     let dst = env.dst.index();
     let wire = env.wire_bytes() as u64;
-    let kinds = kind_attribution(&env);
     stats.bytes_received[dst].fetch_add(wire, Ordering::Relaxed);
     stats.msgs_received[dst].fetch_add(1, Ordering::Relaxed);
-    stats.charge_kinds(&kinds, 1);
-    if inboxes[dst].send(env).is_err() {
+    stats.charge_kinds(&env, 1);
+    // A refused envelope comes back in the error: roll its rows back.
+    if let Err(refused) = inboxes[dst].send(env) {
         stats.bytes_received[dst].fetch_sub(wire, Ordering::Relaxed);
         stats.msgs_received[dst].fetch_sub(1, Ordering::Relaxed);
-        stats.charge_kinds(&kinds, -1);
+        stats.charge_kinds(&refused.0, -1);
     }
 }
 
@@ -808,6 +846,28 @@ mod tests {
         assert_eq!(net.stats().kind(42), KindTraffic::default());
         let rows = net.stats().by_kind();
         assert_eq!(rows.iter().map(|&(k, _)| k).collect::<Vec<_>>(), vec![7, 9]);
+    }
+
+    #[test]
+    fn kinds_outside_the_registry_share_one_row() {
+        let (net, eps) = SimNet::new(2, LatencyModel::ZERO);
+        eps[0].send(MachineId(1), 104, Bytes::from(vec![0u8; 10]));
+        eps[0].send(MachineId(1), 30_000, Bytes::from(vec![0u8; 6]));
+        eps[0].send(MachineId(1), crate::fault::K_DOWN, Bytes::new());
+        for _ in 0..3 {
+            eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
+        }
+        let other = KindTraffic { msgs: 2, bytes: (2 * HEADER_BYTES + 16) as u64 };
+        assert_eq!(net.stats().kind(104), other);
+        assert_eq!(
+            net.stats().by_kind(),
+            vec![
+                (UNREGISTERED_KIND, other),
+                (crate::fault::K_DOWN, KindTraffic { msgs: 1, bytes: HEADER_BYTES as u64 }),
+            ]
+        );
+        let total: u64 = net.stats().by_kind().iter().map(|(_, t)| t.bytes).sum();
+        assert_eq!(total, net.stats().machine(MachineId(1)).bytes_received);
     }
 
     #[test]

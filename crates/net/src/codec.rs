@@ -68,10 +68,10 @@ pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-/// Reads an LEB128 varint from the front of `buf`. Returns `None` on a
-/// short read or a >64-bit overflow.
+/// Reads an LEB128 varint from the front of `buf` (a [`Bytes`] cursor or a
+/// plain `&[u8]`). Returns `None` on a short read or a >64-bit overflow.
 #[inline]
-pub fn get_uvarint(buf: &mut Bytes) -> Option<u64> {
+pub fn get_uvarint<B: Buf>(buf: &mut B) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

@@ -585,6 +585,196 @@ mod serializability {
     }
 }
 
+/// ISSUE 16: the precomputed lock plans (`ScopePlans`) against the
+/// per-scope derivations they replaced. The old `LocalGraph::lock_plan`,
+/// the locking engine's `derive_local_locks` and its owned-edge sort live
+/// on here, as oracles only.
+mod scope_plans {
+    use super::*;
+    use graphlab::atoms::{InitEdge, InitVertex, LocalGraphInit};
+    use graphlab::core::local::{scope_lock, ScopePlans};
+    use graphlab::core::LocalGraph;
+    use graphlab::graph::{AtomId, ConsistencyModel, EdgeId, LockType};
+
+    type Lg = LocalGraph<f64, f64>;
+
+    /// Oracle: the requester's plan, as the engine used to build it per
+    /// scope — sort by `(owner, v)`, merge duplicates to the strongest lock.
+    fn lock_plan(lg: &Lg, l: u32, model: ConsistencyModel) -> Vec<(VertexId, LockType)> {
+        let mut plan = vec![(lg.vertex_owner(l), lg.vertex_gvid(l), model.central_lock())];
+        if let Some(nbr_lock) = model.neighbor_lock() {
+            for e in lg.adj(l) {
+                plan.push((lg.vertex_owner(e.nbr), lg.vertex_gvid(e.nbr), nbr_lock));
+            }
+        }
+        plan.sort_unstable();
+        plan.dedup_by(|next, prev| {
+            if prev.1 == next.1 {
+                if next.2 == LockType::Write {
+                    prev.2 = LockType::Write;
+                }
+                true
+            } else {
+                false
+            }
+        });
+        plan.into_iter().map(|(_, v, t)| (v, t)).collect()
+    }
+
+    /// Oracle: a remote hop's share, as it used to be derived per hop from
+    /// the ghost centre's adjacency. (The engine only ran it where the
+    /// centre is a ghost; skipping the centre's self-loop entries lets it
+    /// stand in for the owner's own hop too.)
+    fn derive_local_locks(lg: &Lg, c: u32, model: ConsistencyModel) -> Vec<(u32, LockType)> {
+        let mut locks = Vec::new();
+        if lg.owns_vertex(c) {
+            locks.push((c, model.central_lock()));
+        }
+        if let Some(nbr_lock) = model.neighbor_lock() {
+            for e in lg.adj(c) {
+                if lg.owns_vertex(e.nbr) && e.nbr != c {
+                    locks.push((e.nbr, nbr_lock));
+                }
+            }
+        }
+        locks.sort_unstable_by_key(|&(lv, _)| lg.vertex_gvid(lv));
+        locks.dedup_by_key(|&mut (lv, _)| lv);
+        locks
+    }
+
+    /// Oracle: a hop's share of the scope's edges, by global edge id.
+    fn owned_edges(lg: &Lg, c: u32) -> Vec<u32> {
+        let mut owned: Vec<(EdgeId, u32)> = lg
+            .adj(c)
+            .iter()
+            .filter(|e| lg.owns_edge(e.edge))
+            .map(|e| (lg.edge_geid(e.edge), e.edge))
+            .collect();
+        owned.sort_unstable();
+        owned.dedup();
+        owned.into_iter().map(|(_, le)| le).collect()
+    }
+
+    /// Every machine's local graph of a multigraph given as an edge list
+    /// and a vertex → machine map, built the way atom ingress would (owned
+    /// vertices with their whole adjacency, the far ends as ghosts; an edge
+    /// belongs to its target's machine) but admitting self-loops, which
+    /// `GraphBuilder` rejects and the plans must still get right.
+    fn local_graphs(n: usize, machines: usize, edges: &[(usize, usize)], owner: &[usize]) -> Vec<Lg> {
+        (0..machines)
+            .map(|m| {
+                let mine: Vec<usize> = (0..edges.len())
+                    .filter(|&e| owner[edges[e].0] == m || owner[edges[e].1] == m)
+                    .collect();
+                let mut present: Vec<bool> = owner.iter().map(|&o| o == m).collect();
+                for &e in &mine {
+                    present[edges[e].0] = true;
+                    present[edges[e].1] = true;
+                }
+                LocalGraph::from_init(
+                    LocalGraphInit {
+                        machine: MachineId::from(m),
+                        num_machines: machines,
+                        vertices: (0..n)
+                            .filter(|&v| present[v])
+                            .map(|v| InitVertex {
+                                gvid: VertexId(v as u32),
+                                atom: AtomId(owner[v] as u32),
+                                owner: MachineId::from(owner[v]),
+                                mirrors: Vec::new(),
+                                data: 0.0,
+                            })
+                            .collect(),
+                        edges: mine
+                            .iter()
+                            .map(|&e| InitEdge {
+                                geid: EdgeId(e as u32),
+                                src: VertexId(edges[e].0 as u32),
+                                dst: VertexId(edges[e].1 as u32),
+                                owner: MachineId::from(owner[edges[e].1]),
+                                data: 0.0,
+                            })
+                            .collect(),
+                        total_vertices: n as u64,
+                        total_edges: edges.len() as u64,
+                    },
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    /// `(n, machines, edges, owner)`: endpoints drawn from `0..2n` fold
+    /// their upper half onto vertices 0 and 1, so those are hubs and carry
+    /// parallel edges and self-loops.
+    #[allow(clippy::type_complexity)]
+    fn arb_cluster() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>, Vec<usize>)> {
+        (2usize..24, 1usize..5).prop_flat_map(|(n, machines)| {
+            let end = move |x: usize| if x < n { x } else { x % 2 };
+            (
+                Just(n),
+                Just(machines),
+                proptest::collection::vec((0..2 * n, 0..2 * n), 0..90)
+                    .prop_map(move |es| es.into_iter().map(|(s, d)| (end(s), end(d))).collect()),
+                proptest::collection::vec(0..machines, n..n + 1),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn plans_agree_with_the_per_scope_derivations(cluster in arb_cluster()) {
+            let (n, machines, edges, owner) = cluster;
+            let lgs = local_graphs(n, machines, &edges, &owner);
+            let plans: Vec<ScopePlans> = lgs.iter().map(ScopePlans::build).collect();
+            let with_locks = |lg: &Lg, c: u32, model, verts: &[u32]| -> Vec<(VertexId, LockType)> {
+                verts.iter().map(|&lv| (lg.vertex_gvid(lv), scope_lock(model, c, lv).unwrap())).collect()
+            };
+            for model in [ConsistencyModel::Vertex, ConsistencyModel::Edge, ConsistencyModel::Full] {
+                for (m, (lg, p)) in lgs.iter().zip(&plans).enumerate() {
+                    let me = MachineId::from(m);
+                    for c in 0..lg.num_local_vertices() as u32 {
+                        prop_assert!(p.row_is_current(lg, c));
+                        // Every hop's share, owner or ghost side.
+                        let share = with_locks(lg, c, model, p.verts(p.share(c, me, model)));
+                        let derived: Vec<_> = derive_local_locks(lg, c, model)
+                            .into_iter()
+                            .map(|(lv, t)| (lg.vertex_gvid(lv), t))
+                            .collect();
+                        prop_assert_eq!(&share, &derived);
+                        prop_assert_eq!(p.owned_edges(c), &owned_edges(lg, c)[..]);
+                        if !lg.owns_vertex(c) {
+                            continue;
+                        }
+                        // The requester's plan: its whole row (the centre
+                        // alone under vertex consistency) ...
+                        let old = lock_plan(lg, c, model);
+                        if model == ConsistencyModel::Vertex {
+                            prop_assert_eq!(&share, &old);
+                        } else {
+                            prop_assert_eq!(&with_locks(lg, c, model, p.verts(p.row(c))), &old);
+                        }
+                        // ... which the hops' own shares, each taken from
+                        // the hop's local graph, tile in machine order.
+                        let gc = lg.vertex_gvid(c);
+                        let mut tiled = Vec::new();
+                        for &h in p.lock_owners(c, me, model) {
+                            let (hlg, hp) = (&lgs[h.index()], &plans[h.index()]);
+                            let hc = hlg.local_vertex(gc).expect("hop holds the centre");
+                            let hop = hp.share(hc, h, model);
+                            prop_assert!(!hop.is_empty(), "chain visits a machine owning nothing");
+                            tiled.extend(with_locks(hlg, hc, model, hp.verts(hop)));
+                        }
+                        prop_assert_eq!(&tiled, &old);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// ISSUE 4: typed-aggregate codec roundtrip properties. The sync plumbing
 /// ships accumulators as codec bytes tagged by `Copy` handle ids; these
 /// pin (a) that arbitrary accumulator shapes survive the wire and (b)
