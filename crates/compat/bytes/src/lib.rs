@@ -8,7 +8,7 @@
 //! Vendored because the build environment cannot reach crates.io.
 
 use std::fmt;
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 macro_rules! fmt_bytes_debug {
@@ -64,10 +64,12 @@ impl Bytes {
         Bytes::from(data.to_vec())
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -87,6 +89,21 @@ impl Bytes {
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
         Bytes { data: self.data.clone(), start: self.start + begin, end: self.start + end }
+    }
+
+    /// The view of `self` that `subset` — a slice borrowed from `self` —
+    /// covers, sharing the backing storage. Panics when `subset` lies
+    /// outside `self`.
+    pub fn slice_ref(&self, subset: &[u8]) -> Self {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let (base, sub) = (self.as_slice().as_ptr() as usize, subset.as_ptr() as usize);
+        assert!(
+            base <= sub && sub + subset.len() <= base + self.len(),
+            "slice_ref: subset is not within self"
+        );
+        self.slice(sub - base..sub - base + subset.len())
     }
 
     /// Splits off and returns the first `at` bytes, advancing `self`.
@@ -113,12 +130,14 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -184,10 +203,12 @@ impl BytesMut {
         BytesMut { data: Vec::with_capacity(cap) }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -200,12 +221,18 @@ impl BytesMut {
         self.data.reserve(additional);
     }
 
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 
+    #[inline]
     pub fn clear(&mut self) {
         self.data.clear();
+    }
+
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(len);
     }
 
     pub fn freeze(self) -> Bytes {
@@ -220,8 +247,16 @@ impl BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -285,14 +320,17 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
         self.start += cnt;
@@ -306,14 +344,17 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
@@ -346,8 +387,14 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.data.push(v);
     }
 }
 
@@ -464,6 +511,30 @@ mod tests {
         assert_eq!(head.as_slice(), &[0, 1]);
         assert_eq!(m.as_slice(), &[2, 3, 4, 5]);
         assert_eq!(b.len(), 6);
+    }
+
+    #[test]
+    fn slice_ref_shares_storage_and_rejects_foreign_slices() {
+        let b = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
+        let view = b.slice(1..);
+        let n = allocs_during(|| {
+            let s = view.slice_ref(&view[2..4]);
+            assert_eq!((s.as_slice(), s.as_ptr()), (&[3u8, 4][..], b.as_ptr().wrapping_add(3)));
+            assert!(view.slice_ref(&view[3..3]).is_empty());
+        });
+        assert_eq!(n, 0, "slice_ref allocated");
+        let other = [3u8, 4];
+        assert!(std::panic::catch_unwind(|| view.slice_ref(&other)).is_err());
+    }
+
+    #[test]
+    fn bytes_mut_patches_and_truncates_in_place() {
+        let mut w = BytesMut::new();
+        w.put_slice(b"a?cdef");
+        w[1] = b'b';
+        w.copy_within(2..6, 1);
+        w.truncate(5);
+        assert_eq!(&w[..], b"acdef");
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl<T> Receiver<T> {
     }
 
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        // The clock is read only when about to wait: a queued message (or a
+        // zero timeout, the engines' poll) costs no `Instant::now()`.
+        let mut deadline = None;
         let mut queue = self.shared.queue.lock().unwrap();
         loop {
             if let Some(v) = queue.pop_front() {
@@ -116,7 +118,11 @@ impl<T> Receiver<T> {
             if self.shared.disconnected() {
                 return Err(RecvTimeoutError::Disconnected);
             }
+            if timeout.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
@@ -197,6 +203,16 @@ mod tests {
             Err(RecvTimeoutError::Disconnected)
         );
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn queued_message_is_returned_under_a_zero_timeout() {
+        let (tx, rx) = unbounded();
+        tx.send(5).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(5));
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Err(RecvTimeoutError::Timeout));
+        drop(tx);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{MachineId, VertexId};
 use graphlab_net::codec::Codec;
@@ -98,6 +98,10 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     last_snap_updates: u64,
     straggled: bool,
     effects: UpdateEffects,
+    /// Ghost-row scratch: the datum being encoded, and the tagged row built
+    /// around it once and appended to each destination's batch queue.
+    rowbuf: BytesMut,
+    msgbuf: BytesMut,
 
     // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
     rec: RecoveryTracker,
@@ -150,6 +154,8 @@ where
             last_snap_updates: 0,
             straggled: false,
             effects: UpdateEffects::default(),
+            rowbuf: BytesMut::new(),
+            msgbuf: BytesMut::new(),
             rec: RecoveryTracker::new(machine.index(), m),
             steps_total: 0,
             failure: None,
@@ -268,6 +274,36 @@ where
         self.rec.send(&mut self.net, dst, kind, payload);
     }
 
+    /// Stages in `msgbuf` the `(step, phase)`-tagged row of local vertex
+    /// `l` at `version`, for [`Self::send_staged`].
+    fn stage_vertex_row(&mut self, l: u32, step: u64, phase: u8, version: u64) {
+        self.rowbuf.clear();
+        self.lg.vertex_data(l).encode(&mut self.rowbuf);
+        self.msgbuf.clear();
+        let (gvid, data) = (self.lg.vertex_gvid(l), &self.rowbuf);
+        StepTagged::<VertexRow>::put(&mut self.msgbuf, step, phase, |buf| {
+            VertexRow::put(buf, gvid, version, 0, data)
+        });
+    }
+
+    /// Stages in `msgbuf` the direct-phase row of local edge `le`.
+    fn stage_edge_row(&mut self, le: u32, step: u64, version: u64) {
+        self.rowbuf.clear();
+        self.lg.edge_data(le).encode(&mut self.rowbuf);
+        self.msgbuf.clear();
+        let (geid, data) = (self.lg.edge_geid(le), &self.rowbuf);
+        StepTagged::<EdgeRow>::put(&mut self.msgbuf, step, 0, |buf| {
+            EdgeRow::put(buf, geid, version, data)
+        });
+    }
+
+    /// Appends the staged row to `dst`'s batch queue: a row fanned out to
+    /// several mirrors is encoded once.
+    fn send_staged(&mut self, dst: MachineId, kind: u16) {
+        let row = &self.msgbuf;
+        self.rec.send_with(&mut self.net, dst, kind, |buf| buf.put_slice(row));
+    }
+
     /// Receives one engine envelope. The fault/recovery control plane is
     /// delegated to the shared machine; anything that starts a round (a
     /// fresh `K_DOWN`, our own death, a `K_UP` on a machine that slept
@@ -347,31 +383,13 @@ where
 
         if effects.dirty_self {
             let version = self.lg.bump_vertex_version(l);
-            let gvid = self.lg.vertex_gvid(l);
-            if !self.lg.vertex_mirrors(l).is_empty() {
-                let payload = enc(&StepTagged {
-                    step,
-                    phase: 0u8,
-                    inner: VertexRow {
-                        vid: gvid,
-                        version,
-                        snap: 0,
-                        data: enc(self.lg.vertex_data(l)),
-                    },
-                });
-                let mirrors = self.lg.vertex_mirrors(l).to_vec();
-                for mm in mirrors {
-                    self.send_msg(mm, K_CHROM_VDATA, payload.clone());
-                    direct[mm.index()] += 1;
-                }
-            }
+            self.push_to_mirrors(l, step, version, direct);
         }
 
         let mut dirty_edges = effects.dirty_edges.clone();
         dirty_edges.sort_unstable();
         dirty_edges.dedup();
         for le in dirty_edges {
-            let geid = self.lg.edge_geid(le);
             if self.lg.owns_edge(le) {
                 let version = self.lg.bump_edge_version(le);
                 let (s, d) = self.lg.edge_endpoints_local(le);
@@ -379,22 +397,14 @@ where
                 let md = self.lg.vertex_owner(d);
                 let other = if ms == me { md } else { ms };
                 if other != me {
-                    let payload = enc(&StepTagged {
-                        step,
-                        phase: 0u8,
-                        inner: EdgeRow { eid: geid, version, data: enc(self.lg.edge_data(le)) },
-                    });
-                    self.send_msg(other, K_CHROM_EDATA, payload);
+                    self.stage_edge_row(le, step, version);
+                    self.send_staged(other, K_CHROM_EDATA);
                     direct[other.index()] += 1;
                 }
             } else {
                 let owner = self.lg.edge_owner(le);
-                let payload = enc(&StepTagged {
-                    step,
-                    phase: 0u8,
-                    inner: EdgeRow { eid: geid, version: 0, data: enc(self.lg.edge_data(le)) },
-                });
-                self.send_msg(owner, K_CHROM_WB_E, payload);
+                self.stage_edge_row(le, step, 0);
+                self.send_staged(owner, K_CHROM_WB_E);
                 direct[owner.index()] += 1;
             }
         }
@@ -403,34 +413,13 @@ where
         dirty_nbrs.sort_unstable();
         dirty_nbrs.dedup();
         for ln in dirty_nbrs {
-            let gvid = self.lg.vertex_gvid(ln);
             if self.lg.owns_vertex(ln) {
                 let version = self.lg.bump_vertex_version(ln);
-                if !self.lg.vertex_mirrors(ln).is_empty() {
-                    let payload = enc(&StepTagged {
-                        step,
-                        phase: 0u8,
-                        inner: VertexRow {
-                            vid: gvid,
-                            version,
-                            snap: 0,
-                            data: enc(self.lg.vertex_data(ln)),
-                        },
-                    });
-                    let mirrors = self.lg.vertex_mirrors(ln).to_vec();
-                    for mm in mirrors {
-                        self.send_msg(mm, K_CHROM_VDATA, payload.clone());
-                        direct[mm.index()] += 1;
-                    }
-                }
+                self.push_to_mirrors(ln, step, version, direct);
             } else {
                 let owner = self.lg.vertex_owner(ln);
-                let payload = enc(&StepTagged {
-                    step,
-                    phase: 0u8,
-                    inner: VertexRow { vid: gvid, version: 0, snap: 0, data: enc(self.lg.vertex_data(ln)) },
-                });
-                self.send_msg(owner, K_CHROM_WB_V, payload);
+                self.stage_vertex_row(ln, step, 0, 0);
+                self.send_staged(owner, K_CHROM_WB_V);
                 direct[owner.index()] += 1;
             }
         }
@@ -450,12 +439,27 @@ where
             }
         }
         for (mm, tasks) in remote {
-            let payload = enc(&StepTagged { step, phase: 0u8, inner: ScheduleMsg { tasks } });
-            self.send_msg(mm, K_CHROM_SCHED, payload);
+            self.rec.send_with(&mut self.net, mm, K_CHROM_SCHED, |buf| {
+                StepTagged::<ScheduleMsg>::put(buf, step, 0, |buf| ScheduleMsg::put(buf, &tasks))
+            });
             direct[mm.index()] += 1;
         }
 
         self.effects = effects;
+    }
+
+    /// Ghost push of owned vertex `l`, just bumped to `version`, to every
+    /// mirror (direct phase).
+    fn push_to_mirrors(&mut self, l: u32, step: u64, version: u64, direct: &mut [u64]) {
+        if self.lg.vertex_mirrors(l).is_empty() {
+            return;
+        }
+        self.stage_vertex_row(l, step, 0, version);
+        for k in 0..self.lg.vertex_mirrors(l).len() {
+            let mm = self.lg.vertex_mirrors(l)[k];
+            self.send_staged(mm, K_CHROM_VDATA);
+            direct[mm.index()] += 1;
+        }
     }
 
     /// Sends flush markers for (self.step, phase) promising `counts`, then
@@ -513,74 +517,63 @@ where
     fn handle_msg(&mut self, env: Envelope) {
         match env.kind {
             K_CHROM_VDATA => {
-                let t: StepTagged<VertexRow> = dec(env.payload);
-                if let Some(l) = self.lg.local_vertex(t.inner.vid) {
-                    self.lg.apply_vertex_update(l, t.inner.version, dec(t.inner.data));
+                let ((step, phase), (vid, version, _, data)) = tagged(&env, VertexRow::read);
+                if let Some(l) = self.lg.local_vertex(vid) {
+                    self.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
                 }
-                self.bucket_incr(env.src, t.step, t.phase);
+                self.bucket_incr(env.src, step, phase);
             }
             K_CHROM_EDATA => {
-                let t: StepTagged<EdgeRow> = dec(env.payload);
-                if let Some(l) = self.lg.local_edge(t.inner.eid) {
-                    self.lg.apply_edge_update(l, t.inner.version, dec(t.inner.data));
+                let ((step, phase), (eid, version, data)) = tagged(&env, EdgeRow::read);
+                if let Some(l) = self.lg.local_edge(eid) {
+                    self.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
                 }
-                self.bucket_incr(env.src, t.step, t.phase);
+                self.bucket_incr(env.src, step, phase);
             }
             K_CHROM_WB_V => {
-                let t: StepTagged<VertexRow> = dec(env.payload);
-                let l = self.lg.local_vertex(t.inner.vid).expect("write-back target owned");
+                let ((step, phase), (vid, _, _, data)) = tagged(&env, VertexRow::read);
+                let l = self.lg.local_vertex(vid).expect("write-back target owned");
                 debug_assert!(self.lg.owns_vertex(l));
-                *self.lg.vertex_data_mut(l) = dec(t.inner.data);
+                *self.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
                 let version = self.lg.bump_vertex_version(l);
                 // The writer holds exactly the data it sent us.
                 self.cache.note_v(env.src.index(), l, version);
                 // Forward to every mirror whose known version is older
                 // (phase 1 accounting) — version-aware exclusion of the
                 // writer itself.
-                let mirrors: Vec<MachineId> = self
-                    .lg
-                    .vertex_mirrors(l)
-                    .iter()
-                    .copied()
-                    .filter(|&mm| self.cache.v_known(mm.index(), l) < version)
-                    .collect();
-                if !mirrors.is_empty() {
-                    let payload = enc(&StepTagged {
-                        step: t.step,
-                        phase: 1u8,
-                        inner: VertexRow {
-                            vid: t.inner.vid,
-                            version,
-                            snap: 0,
-                            data: enc(self.lg.vertex_data(l)),
-                        },
-                    });
-                    for mm in mirrors {
+                let mut staged = false;
+                for k in 0..self.lg.vertex_mirrors(l).len() {
+                    let mm = self.lg.vertex_mirrors(l)[k];
+                    if self.cache.v_known(mm.index(), l) < version {
+                        if !std::mem::replace(&mut staged, true) {
+                            self.stage_vertex_row(l, step, 1, version);
+                        }
                         self.cache.note_v(mm.index(), l, version);
-                        self.send_msg(mm, K_CHROM_VDATA, payload.clone());
+                        self.send_staged(mm, K_CHROM_VDATA);
                         self.fwd_counts[mm.index()] += 1;
                     }
                 }
-                self.bucket_incr(env.src, t.step, t.phase);
+                self.bucket_incr(env.src, step, phase);
             }
             K_CHROM_WB_E => {
-                let t: StepTagged<EdgeRow> = dec(env.payload);
-                let l = self.lg.local_edge(t.inner.eid).expect("write-back target owned");
+                let ((step, phase), (eid, _, data)) = tagged(&env, EdgeRow::read);
+                let l = self.lg.local_edge(eid).expect("write-back target owned");
                 debug_assert!(self.lg.owns_edge(l));
-                *self.lg.edge_data_mut(l) = dec(t.inner.data);
+                *self.lg.edge_data_mut(l) = dec_in(&env.payload, data);
                 self.lg.bump_edge_version(l);
                 // An edge has exactly two replicas; the write-back came from
                 // the only mirror, so no forward is needed.
-                self.bucket_incr(env.src, t.step, t.phase);
+                self.bucket_incr(env.src, step, phase);
             }
             K_CHROM_SCHED => {
-                let t: StepTagged<ScheduleMsg> = dec(env.payload);
-                for (gv, _prio) in &t.inner.tasks {
-                    let l = self.lg.local_vertex(*gv).expect("scheduled vertex is local");
-                    debug_assert!(self.lg.owns_vertex(l));
-                    self.enqueue_local(l);
-                }
-                self.bucket_incr(env.src, t.step, t.phase);
+                let ((step, phase), ()) = tagged(&env, |p| {
+                    ScheduleMsg::read(p, |gv, _prio| {
+                        let l = self.lg.local_vertex(gv).expect("scheduled vertex is local");
+                        debug_assert!(self.lg.owns_vertex(l));
+                        self.enqueue_local(l);
+                    })
+                });
+                self.bucket_incr(env.src, step, phase);
             }
             K_CHROM_FLUSH_A => {
                 let f: FlushMsg = dec(env.payload);
@@ -794,6 +787,15 @@ where
             hot: Default::default(),
         }
     }
+}
+
+/// Reads a step-tagged data message in place: the `(step, phase)` tag, then
+/// what `inner` reads behind it.
+fn tagged<'a, T>(
+    env: &'a Envelope,
+    inner: impl FnOnce(&mut &'a [u8]) -> Option<T>,
+) -> ((u64, u8), T) {
+    read_all(&env.payload, |p| Some((StepTagged::<T>::read(p)?, inner(p)?)))
 }
 
 impl<V, E, U> RecoveryHost for ChromaticMachine<V, E, U>

@@ -28,7 +28,8 @@
 //! # Data layout of the hot path
 //!
 //! Acquiring, executing and releasing a scope hashes nothing, sorts nothing
-//! and, once buffers have grown, allocates only the outgoing payloads:
+//! and, once buffers have grown, allocates nothing — its messages included,
+//! which cost one copy each: the bytes `put` writes into the envelope.
 //!
 //! - **Plans** ([`ScopePlans`]): one CSR row per local vertex, built with
 //!   the machine and rebuilt when recovery replaces the local graph. A hop
@@ -40,9 +41,18 @@
 //!   the wire without changing it), through [`IdMap`]: `K_RELEASE` finds its
 //!   chain by `(requester, reqid)`, `K_SCOPE_DATA` its scope by `reqid`,
 //!   rows their datum by global id. Single-machine scopes are never indexed.
+//! - **Messages** have no buffer of their own. A send books the message
+//!   (`count_sent`) and hands `RecoveryTracker::send_with` — the single send
+//!   point — the message's `put` from `messages.rs`, which encodes straight
+//!   into the destination's `Batcher` queue; a received `K_LOCK_REQ`,
+//!   `K_SCOPE_DATA`, `K_RELEASE` or `K_LOCK_SCHED` is walked in place by the
+//!   matching `read`, rows applied as they are met, a datum decoded from a
+//!   view of the envelope. `messages.rs` owns every wire layout, both ways.
 //! - **Scratch** owned by the machine: per-destination commit output
-//!   drained in machine-id order, the woken-chain list, one message buffer
-//!   and one row buffer; `messages.rs` owns every wire layout.
+//!   drained in machine-id order, the woken-chain list, one row buffer (a
+//!   datum is encoded there before its length-prefixed row is written) and
+//!   the machine lists of released chains, which the next forwarded
+//!   requests take over.
 //!
 //! Termination uses the marker/token algorithm (Misra \[26\], Safra
 //! formulation) from `graphlab-net`. Snapshots (§4.3) come in both
@@ -366,12 +376,13 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     straggled: bool,
     effects: UpdateEffects,
     // Commit/hop scratch, reused across updates: chains woken by a
-    // release, per-destination commit output (by machine id), the message
-    // being encoded and the datum being encoded into it.
+    // release, per-destination commit output (by machine id), the datum
+    // being encoded into an outgoing row, and the `HopChain::rest` vectors
+    // of released chains.
     woken: Vec<SlotRef>,
     outbox: Vec<Outbox>,
-    msgbuf: BytesMut,
     rowbuf: BytesMut,
+    rest_pool: Vec<Vec<MachineId>>,
     hot: HotCounters,
 
     // Control-plane accounting (`repro -- abl-control`).
@@ -480,8 +491,8 @@ where
             effects: UpdateEffects::default(),
             woken: Vec::new(),
             outbox: (0..m).map(|_| Outbox::default()).collect(),
-            msgbuf: BytesMut::new(),
             rowbuf: BytesMut::new(),
+            rest_pool: Vec::new(),
             hot: HotCounters::default(),
             chain_spans: Vec::new(),
             idle_wakeups: 0,
@@ -559,12 +570,15 @@ where
         self.rec.broadcast(&mut self.net, kind, payload);
     }
 
-    fn send_counted(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+    /// Books one counted-work message to `dst` (Safra's balance, the
+    /// snapshot flush counts). The caller then encodes it straight into
+    /// `dst`'s batch queue through [`RecoveryTracker::send_with`] — split in
+    /// two because the encoders borrow the rest of the machine.
+    fn count_sent(&mut self, dst: MachineId, kind: u16) {
         debug_assert!(is_counted_work(kind));
         debug_assert!(dst != self.me());
         self.safra.on_message_sent(1);
         self.sent_counts[dst.index()] += 1;
-        self.send_msg(dst, kind, payload);
     }
 
     fn initial_schedule(&mut self) {
@@ -789,11 +803,12 @@ where
             let chain = HopChain { requester: me, reqid, center: l, model, out, ..HopChain::default() };
             self.start_hop(chain);
         } else {
-            self.msgbuf.clear();
-            let (scope_v, model) = (self.lg.vertex_gvid(l), consistency_to_u8(model));
-            LockReqMsg::put(&mut self.msgbuf, me, reqid, scope_v, machines, model);
-            let payload = Bytes::copy_from_slice(&self.msgbuf);
-            self.send_counted(first, K_LOCK_REQ, payload);
+            self.count_sent(first, K_LOCK_REQ);
+            let (scope_v, machines) = (self.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
+            let model = consistency_to_u8(model);
+            self.rec.send_with(&mut self.net, first, K_LOCK_REQ, |buf| {
+                LockReqMsg::put(buf, me, reqid, scope_v, machines, model)
+            });
         }
     }
 
@@ -870,11 +885,13 @@ where
         };
         if let Some(&dst) = rest.first() {
             debug_assert!(dst > me, "chains visit machines in ascending order");
-            self.msgbuf.clear();
+            // (`count_sent`, field by field: `rest` borrows the plans or the chain.)
+            self.safra.on_message_sent(1);
+            self.sent_counts[dst.index()] += 1;
             let (scope_v, model) = (self.lg.vertex_gvid(center), consistency_to_u8(model));
-            LockReqMsg::put(&mut self.msgbuf, requester, reqid, scope_v, rest, model);
-            let payload = Bytes::copy_from_slice(&self.msgbuf);
-            self.send_counted(dst, K_LOCK_REQ, payload);
+            self.rec.send_with(&mut self.net, dst, K_LOCK_REQ, |buf| {
+                LockReqMsg::put(buf, requester, reqid, scope_v, rest, model)
+            });
         }
     }
 
@@ -886,6 +903,7 @@ where
     /// rides instead. The owned vertex set is the hop's lock share; the
     /// owned edge set is the plan row's edge list.
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
+        self.count_sent(to, K_SCOPE_DATA);
         let req = to.index();
         let filter = !self.setup.config.no_version_filter;
         let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
@@ -898,39 +916,40 @@ where
         // The fresh-row counts prefix the rows on the wire: count first.
         let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
         let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
-        self.msgbuf.clear();
-        ScopeDataMsg::put(
-            &mut self.msgbuf,
-            &mut (&mut self.cache, &mut self.rowbuf),
-            reqid,
-            (nv, (verts.len() - nv) as u32),
-            |(cache, row), buf| {
-                for &lv in verts {
-                    debug_assert!(lg.owns_vertex(lv));
-                    if stale_v(cache, lv) {
-                        let cur = lg.vertex_version(lv);
-                        cache.note_v(req, lv, cur);
-                        row.clear();
-                        lg.vertex_data(lv).encode(row);
-                        VertexRow::put(buf, lg.vertex_gvid(lv), cur, snap_epoch[lv as usize], row);
+        let cx = &mut (&mut self.cache, &mut self.rowbuf);
+        self.rec.send_with(&mut self.net, to, K_SCOPE_DATA, |buf| {
+            ScopeDataMsg::put(
+                buf,
+                cx,
+                reqid,
+                (nv, (verts.len() - nv) as u32),
+                |(cache, row), buf| {
+                    for &lv in verts {
+                        debug_assert!(lg.owns_vertex(lv));
+                        if stale_v(cache, lv) {
+                            let cur = lg.vertex_version(lv);
+                            cache.note_v(req, lv, cur);
+                            row.clear();
+                            lg.vertex_data(lv).encode(row);
+                            let snap = snap_epoch[lv as usize];
+                            VertexRow::put(buf, lg.vertex_gvid(lv), cur, snap, row);
+                        }
                     }
-                }
-            },
-            (ne, (edges.len() - ne) as u32),
-            |(cache, row), buf| {
-                for &le in edges {
-                    if stale_e(cache, le) {
-                        let cur = lg.edge_version(le);
-                        cache.note_e(req, le, cur);
-                        row.clear();
-                        lg.edge_data(le).encode(row);
-                        EdgeRow::put(buf, lg.edge_geid(le), cur, row);
+                },
+                (ne, (edges.len() - ne) as u32),
+                |(cache, row), buf| {
+                    for &le in edges {
+                        if stale_e(cache, le) {
+                            let cur = lg.edge_version(le);
+                            cache.note_e(req, le, cur);
+                            row.clear();
+                            lg.edge_data(le).encode(row);
+                            EdgeRow::put(buf, lg.edge_geid(le), cur, row);
+                        }
                     }
-                }
-            },
-        );
-        let payload = Bytes::copy_from_slice(&self.msgbuf);
-        self.send_counted(to, K_SCOPE_DATA, payload);
+                },
+            )
+        });
     }
 
     // ---- execution ----
@@ -1051,15 +1070,13 @@ where
         }
         for k in 0..self.plans.owners(center).len() {
             let mm = self.plans.owners(center)[k];
-            let tasks = &mut self.outbox[mm.index()].sched;
-            if !tasks.is_empty() {
+            if !self.outbox[mm.index()].sched.is_empty() {
+                self.count_sent(mm, K_LOCK_SCHED);
+                let tasks = &mut self.outbox[mm.index()].sched;
                 tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
                     tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
-                self.msgbuf.clear();
-                ScheduleMsg::put(&mut self.msgbuf, tasks);
+                self.rec.send_with(&mut self.net, mm, K_LOCK_SCHED, |buf| ScheduleMsg::put(buf, tasks));
                 tasks.clear();
-                let payload = Bytes::copy_from_slice(&self.msgbuf);
-                self.send_counted(mm, K_LOCK_SCHED, payload);
             }
         }
 
@@ -1071,32 +1088,33 @@ where
                 self.release_chain(chain);
                 continue;
             }
+            self.count_sent(mm, K_RELEASE);
             let (lg, snap_epoch, ob) = (&self.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
-            self.msgbuf.clear();
-            ReleaseMsg::put(
-                &mut self.msgbuf,
-                &mut self.rowbuf,
-                reqid,
-                ob.vwrites.len(),
-                |row, buf| {
-                    for lv in ob.vwrites.drain(..) {
-                        row.clear();
-                        lg.vertex_data(lv).encode(row);
-                        let snap = snap_epoch[lv as usize];
-                        ReleaseMsg::put_vwrite(buf, lg.vertex_gvid(lv), snap, row);
-                    }
-                },
-                ob.ewrites.len(),
-                |row, buf| {
-                    for le in ob.ewrites.drain(..) {
-                        row.clear();
-                        lg.edge_data(le).encode(row);
-                        ReleaseMsg::put_ewrite(buf, lg.edge_geid(le), row);
-                    }
-                },
-            );
-            let payload = Bytes::copy_from_slice(&self.msgbuf);
-            self.send_counted(mm, K_RELEASE, payload);
+            let rowbuf = &mut self.rowbuf;
+            self.rec.send_with(&mut self.net, mm, K_RELEASE, |buf| {
+                ReleaseMsg::put(
+                    buf,
+                    rowbuf,
+                    reqid,
+                    ob.vwrites.len(),
+                    |row, buf| {
+                        for lv in ob.vwrites.drain(..) {
+                            row.clear();
+                            lg.vertex_data(lv).encode(row);
+                            let snap = snap_epoch[lv as usize];
+                            ReleaseMsg::put_vwrite(buf, lg.vertex_gvid(lv), snap, row);
+                        }
+                    },
+                    ob.ewrites.len(),
+                    |row, buf| {
+                        for le in ob.ewrites.drain(..) {
+                            row.clear();
+                            lg.edge_data(le).encode(row);
+                            ReleaseMsg::put_ewrite(buf, lg.edge_geid(le), row);
+                        }
+                    },
+                )
+            });
         }
         // Dirty data owned by a machine the chain did not lock (racing
         // writes) has no release to ride: dropped, never left behind for a
@@ -1129,6 +1147,11 @@ where
             }
         }
         self.woken = woken;
+        let mut rest = std::mem::take(&mut self.chains.get(r).rest);
+        if rest.capacity() > 0 {
+            rest.clear();
+            self.rest_pool.push(rest);
+        }
         self.chains.free(r);
     }
 
@@ -1171,51 +1194,63 @@ where
         }
         match env.kind {
             K_LOCK_REQ => {
-                let msg: LockReqMsg = dec(env.payload);
-                debug_assert_eq!(msg.machines.first(), Some(&self.me()), "chain head is this hop");
-                let model = consistency_from_u8(msg.model).expect("valid consistency model");
-                let c = self.lg.local_vertex(msg.scope_v).expect("scope centre replicated at hop");
-                let out = if msg.requester == self.me() {
-                    *self.out_index.get(&msg.reqid).expect("own scope")
+                // The chain's head is this hop; the machines behind it are
+                // what the chain keeps (in a released chain's vector).
+                let (mut head, mut rest) = (None, self.rest_pool.pop().unwrap_or_default());
+                let (requester, reqid, scope_v, model) = read_all(&env.payload, |p| {
+                    LockReqMsg::read(p, |m| match head {
+                        None => head = Some(m),
+                        Some(_) => rest.push(m),
+                    })
+                });
+                debug_assert_eq!(head, Some(self.me()), "chain head is this hop");
+                let model = consistency_from_u8(model).expect("valid consistency model");
+                let center = self.lg.local_vertex(scope_v).expect("scope centre replicated at hop");
+                let out = if requester == self.me() {
+                    *self.out_index.get(&reqid).expect("own scope")
                 } else {
                     SlotRef::default()
                 };
-                let (requester, reqid, mut rest) = (msg.requester, msg.reqid, msg.machines);
-                rest.remove(0);
-                let center = c;
                 self.start_hop(HopChain { requester, reqid, center, model, out, rest, ..HopChain::default() });
             }
             K_SCOPE_DATA => {
-                let msg: ScopeDataMsg = dec(env.payload);
-                tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.me().0, msg.reqid,
-                    msg.vrows.len(), msg.erows.len(), msg.vsame, msg.esame);
-                let out = self.out_index.get(&msg.reqid).copied();
+                // Rows are applied as they are read: nothing is built.
+                let (src, payload) = (env.src, &env.payload);
+                let (reqid, (nv, vsame), (ne, esame)) = read_all(payload, |p| {
+                    ScopeDataMsg::read(
+                        p,
+                        self,
+                        |m, vid, version, snap, data| {
+                            if let Some(lv) = m.lg.local_vertex(vid) {
+                                let datum = dec_in(payload, data);
+                                let applied = m.lg.apply_vertex_update(lv, version, datum);
+                                tr!("[m{}] DATA from=m{} v{} ver={} applied={}", m.me().0,
+                                    src.0, vid.0, version, applied);
+                                if snap > m.snap_epoch[lv as usize] {
+                                    m.snap_epoch[lv as usize] = snap;
+                                }
+                            }
+                        },
+                        |m, eid, version, data| {
+                            if let Some(le) = m.lg.local_edge(eid) {
+                                m.lg.apply_edge_update(le, version, dec_in(payload, data));
+                            }
+                        },
+                    )
+                });
+                tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.me().0, reqid,
+                    nv, ne, vsame, esame);
+                let out = self.out_index.get(&reqid).copied();
                 // Rows + unchanged markers must cover the hop's whole share
                 // of the scope's vertices (the requester's plan row says
                 // exactly which of them env.src owns).
                 debug_assert!(
                     out.is_none_or(|out| {
                         let (c, model) = (self.outs.get(out).center, self.outs.get(out).model);
-                        let owned = self.plans.share(c, env.src, model).len();
-                        msg.vrows.len() + msg.vsame as usize == owned
+                        nv + vsame as usize == self.plans.share(c, src, model).len()
                     }),
                     "scope response does not cover the hop's owned vertices"
                 );
-                for row in msg.vrows {
-                    if let Some(lv) = self.lg.local_vertex(row.vid) {
-                        let applied = self.lg.apply_vertex_update(lv, row.version, dec(row.data));
-                        tr!("[m{}] DATA reqid={} v{} ver={} applied={}", self.me().0,
-                            msg.reqid, row.vid.0, row.version, applied);
-                        if row.snap > self.snap_epoch[lv as usize] {
-                            self.snap_epoch[lv as usize] = row.snap;
-                        }
-                    }
-                }
-                for row in msg.erows {
-                    if let Some(le) = self.lg.local_edge(row.eid) {
-                        self.lg.apply_edge_update(le, row.version, dec(row.data));
-                    }
-                }
                 if let Some(out) = out {
                     let scope = self.outs.get(out);
                     scope.data_got += 1;
@@ -1225,40 +1260,45 @@ where
                 }
             }
             K_RELEASE => {
-                let msg: ReleaseMsg = dec(env.payload);
-                for (v, snap, blob) in msg.vwrites {
-                    let lv = self.lg.local_vertex(v).expect("write-back target local");
-                    debug_assert!(self.lg.owns_vertex(lv));
-                    *self.lg.vertex_data_mut(lv) = dec(blob);
-                    let ver = self.lg.bump_vertex_version(lv);
-                    // The bump invalidates every peer's cache entry; the
-                    // writer itself holds exactly the data it wrote.
-                    self.cache.note_v(env.src.index(), lv, ver);
-                    if snap > self.snap_epoch[lv as usize] {
-                        self.snap_epoch[lv as usize] = snap;
-                    }
-                }
-                for (e, blob) in msg.ewrites {
-                    let le = self.lg.local_edge(e).expect("write-back target local");
-                    debug_assert!(self.lg.owns_edge(le));
-                    *self.lg.edge_data_mut(le) = dec(blob);
-                    let ver = self.lg.bump_edge_version(le);
-                    self.cache.note_e(env.src.index(), le, ver);
-                }
+                let (src, payload) = (env.src.index(), &env.payload);
+                let reqid = read_all(payload, |p| {
+                    ReleaseMsg::read(
+                        p,
+                        self,
+                        |m, v, snap, data| {
+                            let lv = m.lg.local_vertex(v).expect("write-back target local");
+                            debug_assert!(m.lg.owns_vertex(lv));
+                            *m.lg.vertex_data_mut(lv) = dec_in(payload, data);
+                            let ver = m.lg.bump_vertex_version(lv);
+                            // The bump invalidates every peer's cache entry;
+                            // the writer itself holds exactly the data it wrote.
+                            m.cache.note_v(src, lv, ver);
+                            if snap > m.snap_epoch[lv as usize] {
+                                m.snap_epoch[lv as usize] = snap;
+                            }
+                        },
+                        |m, e, data| {
+                            let le = m.lg.local_edge(e).expect("write-back target local");
+                            debug_assert!(m.lg.owns_edge(le));
+                            *m.lg.edge_data_mut(le) = dec_in(payload, data);
+                            let ver = m.lg.bump_edge_version(le);
+                            m.cache.note_e(src, le, ver);
+                        },
+                    )
+                });
                 let chain = self
                     .chain_index
-                    .remove(&(env.src.0, msg.reqid))
+                    .remove(&(env.src.0, reqid))
                     .expect("release for a chain this hop holds");
                 self.release_chain(chain);
             }
-            K_LOCK_SCHED => {
-                let msg: ScheduleMsg = dec(env.payload);
-                for (gv, prio) in msg.tasks {
+            K_LOCK_SCHED => read_all(&env.payload, |p| {
+                ScheduleMsg::read(p, |gv, prio| {
                     if let Some(lv) = self.lg.local_vertex(gv) {
                         self.schedule_owned(lv, prio, prio == SNAPSHOT_PRIORITY);
                     }
-                }
-            }
+                })
+            }),
             K_TOKEN => {
                 let tok: TokenMsg = dec(env.payload);
                 // Re-evaluate idleness *now*: work-bearing messages handled

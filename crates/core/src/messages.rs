@@ -27,7 +27,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, LockType, MachineId, VertexId};
-use graphlab_net::codec::{decode_from, encode_to_bytes, get_uvarint, put_uvarint, Codec};
+use graphlab_net::codec::{
+    decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_uvarint, Codec,
+};
 use graphlab_net::termination::Token;
 
 /// Encodes one protocol message (the engines' and the recovery machine's
@@ -39,6 +41,22 @@ pub(crate) fn enc<T: Codec>(v: &T) -> Bytes {
 /// Decodes one protocol message from a peer of this same binary.
 pub(crate) fn dec<T: Codec>(b: Bytes) -> T {
     decode_from(b).expect("malformed engine message")
+}
+
+/// Runs a message's in-place reader over a whole payload from a peer of
+/// this same binary (the engines' receive path; `dec` without the structs).
+pub(crate) fn read_all<'a, T>(
+    payload: &'a [u8],
+    read: impl FnOnce(&mut &'a [u8]) -> Option<T>,
+) -> T {
+    let mut rest = payload;
+    read(&mut rest).filter(|_| rest.is_empty()).expect("malformed engine message")
+}
+
+/// Decodes a datum a reader left in place in `payload`. (`Codec::decode`
+/// wants a `Bytes`: this one is a view of the envelope, not a copy.)
+pub(crate) fn dec_in<T: Codec>(payload: &Bytes, data: &[u8]) -> T {
+    dec(payload.slice_ref(data))
 }
 
 /// Appends `data` as a length-prefixed blob — the wire form of a `Bytes`
@@ -338,6 +356,12 @@ impl VertexRow {
         snap.encode(buf);
         put_blob(buf, data);
     }
+
+    /// Reads one row into the parts `put` takes; `data` stays where it is
+    /// in `buf`.
+    pub fn read<'a>(buf: &mut &'a [u8]) -> Option<(VertexId, u64, u32, &'a [u8])> {
+        Some((VertexId(get_varint(buf)?), get_varint(buf)?, get_varint(buf)?, get_blob(buf)?))
+    }
 }
 
 impl Codec for VertexRow {
@@ -345,11 +369,9 @@ impl Codec for VertexRow {
         Self::put(buf, self.vid, self.version, self.snap, &self.data);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(VertexRow {
-            vid: VertexId::decode(buf)?,
-            version: u64::decode(buf)?,
-            snap: u32::decode(buf)?,
-            data: Bytes::decode(buf)?,
+        decode_with(buf, |src, rest| {
+            let (vid, version, snap, data) = Self::read(rest)?;
+            Some(VertexRow { vid, version, snap, data: src.slice_ref(data) })
         })
     }
 }
@@ -372,6 +394,12 @@ impl EdgeRow {
         version.encode(buf);
         put_blob(buf, data);
     }
+
+    /// Reads one row into the parts `put` takes; `data` stays where it is
+    /// in `buf`.
+    pub fn read<'a>(buf: &mut &'a [u8]) -> Option<(EdgeId, u64, &'a [u8])> {
+        Some((EdgeId(get_varint(buf)?), get_varint(buf)?, get_blob(buf)?))
+    }
 }
 
 impl Codec for EdgeRow {
@@ -379,10 +407,9 @@ impl Codec for EdgeRow {
         Self::put(buf, self.eid, self.version, &self.data);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(EdgeRow {
-            eid: EdgeId::decode(buf)?,
-            version: u64::decode(buf)?,
-            data: Bytes::decode(buf)?,
+        decode_with(buf, |src, rest| {
+            let (eid, version, data) = Self::read(rest)?;
+            Some(EdgeRow { eid, version, data: src.slice_ref(data) })
         })
     }
 }
@@ -421,6 +448,14 @@ impl ScheduleMsg {
             wire_priority(prio).encode(buf);
         }
     }
+
+    /// Reads a message, handing each task to `task` as it is met.
+    pub fn read(buf: &mut &[u8], mut task: impl FnMut(VertexId, f64)) -> Option<()> {
+        for _ in 0..get_varint::<usize, _>(buf)? {
+            task(VertexId(get_varint(buf)?), f32::from_le_bytes(get_array(buf)?) as f64);
+        }
+        Some(())
+    }
 }
 
 impl Codec for ScheduleMsg {
@@ -428,11 +463,8 @@ impl Codec for ScheduleMsg {
         Self::put(buf, &self.tasks);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        let n = get_uvarint(buf)? as usize;
-        let mut tasks = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            tasks.push((VertexId::decode(buf)?, f32::decode(buf)? as f64));
-        }
+        let mut tasks = Vec::new();
+        decode_with(buf, |_, rest| Self::read(rest, |v, prio| tasks.push((v, prio))))?;
         Some(ScheduleMsg { tasks })
     }
 }
@@ -451,14 +483,28 @@ pub struct StepTagged<T> {
     pub inner: T,
 }
 
+impl<T> StepTagged<T> {
+    /// Streams a tagged message whose payload `inner` appends (what
+    /// [`Codec::encode`] writes).
+    pub(crate) fn put(buf: &mut BytesMut, step: u64, phase: u8, inner: impl FnOnce(&mut BytesMut)) {
+        step.encode(buf);
+        phase.encode(buf);
+        inner(buf);
+    }
+
+    /// Reads the `(step, phase)` tag; the payload follows in `buf`.
+    pub fn read(buf: &mut &[u8]) -> Option<(u64, u8)> {
+        Some((get_varint(buf)?, get_array::<1>(buf)?[0]))
+    }
+}
+
 impl<T: Codec> Codec for StepTagged<T> {
     fn encode(&self, buf: &mut BytesMut) {
-        self.step.encode(buf);
-        self.phase.encode(buf);
-        self.inner.encode(buf);
+        Self::put(buf, self.step, self.phase, |buf| self.inner.encode(buf));
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(StepTagged { step: u64::decode(buf)?, phase: u8::decode(buf)?, inner: T::decode(buf)? })
+        let (step, phase) = decode_with(buf, |_, rest| Self::read(rest))?;
+        Some(StepTagged { step, phase, inner: T::decode(buf)? })
     }
 }
 
@@ -660,6 +706,19 @@ impl LockReqMsg {
         }
         model.encode(buf);
     }
+
+    /// Reads a request into `(requester, reqid, scope_v, model)`, handing
+    /// each chain machine to `machine` as it is met.
+    pub fn read(
+        buf: &mut &[u8],
+        mut machine: impl FnMut(MachineId),
+    ) -> Option<(MachineId, u64, VertexId, u8)> {
+        let head = (MachineId(get_varint(buf)?), get_varint(buf)?, VertexId(get_varint(buf)?));
+        for _ in 0..get_varint::<usize, _>(buf)? {
+            machine(MachineId(get_varint(buf)?));
+        }
+        Some((head.0, head.1, head.2, get_array::<1>(buf)?[0]))
+    }
 }
 
 impl Codec for LockReqMsg {
@@ -667,13 +726,10 @@ impl Codec for LockReqMsg {
         Self::put(buf, self.requester, self.reqid, self.scope_v, &self.machines, self.model);
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(LockReqMsg {
-            requester: MachineId::decode(buf)?,
-            reqid: u64::decode(buf)?,
-            scope_v: VertexId::decode(buf)?,
-            machines: Vec::<MachineId>::decode(buf)?,
-            model: u8::decode(buf)?,
-        })
+        let mut machines = Vec::new();
+        let (requester, reqid, scope_v, model) =
+            decode_with(buf, |_, rest| Self::read(rest, |m| machines.push(m)))?;
+        Some(LockReqMsg { requester, reqid, scope_v, machines, model })
     }
 }
 
@@ -701,6 +757,10 @@ pub struct ScopeDataMsg {
     pub esame: u32,
 }
 
+/// What is left of a [`ScopeDataMsg`] once its rows are dealt with:
+/// `(reqid, (fresh vertex rows, vsame), (fresh edge rows, esame))`.
+pub type ScopeDataHead = (u64, (usize, u32), (usize, u32));
+
 impl ScopeDataMsg {
     /// Streams a response whose rows the caller appends: `vrows` writes
     /// exactly `nv` rows with [`VertexRow::put`], then `erows` exactly `ne`
@@ -723,6 +783,29 @@ impl ScopeDataMsg {
         vsame.encode(buf);
         esame.encode(buf);
     }
+
+    /// Reads a response, handing each row to `vrow` / `erow` as it is met,
+    /// in the parts [`VertexRow::read`] / [`EdgeRow::read`] give; `cx` is
+    /// the state both work on.
+    pub fn read<'a, C>(
+        buf: &mut &'a [u8],
+        cx: &mut C,
+        mut vrow: impl FnMut(&mut C, VertexId, u64, u32, &'a [u8]),
+        mut erow: impl FnMut(&mut C, EdgeId, u64, &'a [u8]),
+    ) -> Option<ScopeDataHead> {
+        let reqid = get_varint(buf)?;
+        let nv = get_varint(buf)?;
+        for _ in 0..nv {
+            let (vid, version, snap, data) = VertexRow::read(buf)?;
+            vrow(cx, vid, version, snap, data);
+        }
+        let ne = get_varint(buf)?;
+        for _ in 0..ne {
+            let (eid, version, data) = EdgeRow::read(buf)?;
+            erow(cx, eid, version, data);
+        }
+        Some((reqid, (nv, get_varint(buf)?), (ne, get_varint(buf)?)))
+    }
 }
 
 impl Codec for ScopeDataMsg {
@@ -738,12 +821,19 @@ impl Codec for ScopeDataMsg {
         );
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(ScopeDataMsg {
-            reqid: u64::decode(buf)?,
-            vrows: Vec::<VertexRow>::decode(buf)?,
-            erows: Vec::<EdgeRow>::decode(buf)?,
-            vsame: u32::decode(buf)?,
-            esame: u32::decode(buf)?,
+        decode_with(buf, |src, rest| {
+            let mut rows = (Vec::new(), Vec::new());
+            let (reqid, (_, vsame), (_, esame)) = Self::read(
+                rest,
+                &mut rows,
+                |rows, vid, version, snap, data| {
+                    rows.0.push(VertexRow { vid, version, snap, data: src.slice_ref(data) })
+                },
+                |rows, eid, version, data| {
+                    rows.1.push(EdgeRow { eid, version, data: src.slice_ref(data) })
+                },
+            )?;
+            Some(ScopeDataMsg { reqid, vrows: rows.0, erows: rows.1, vsame, esame })
         })
     }
 }
@@ -798,6 +888,25 @@ impl ReleaseMsg {
         e.encode(buf);
         put_blob(buf, data);
     }
+
+    /// Reads a release, handing each write-back to `vwrite` / `ewrite` as it
+    /// is met (its blob stays where it is in `buf`); `cx` is the state both
+    /// work on. Returns the request id.
+    pub fn read<'a, C>(
+        buf: &mut &'a [u8],
+        cx: &mut C,
+        mut vwrite: impl FnMut(&mut C, VertexId, u32, &'a [u8]),
+        mut ewrite: impl FnMut(&mut C, EdgeId, &'a [u8]),
+    ) -> Option<u64> {
+        let reqid = get_varint(buf)?;
+        for _ in 0..get_varint::<u32, _>(buf)? {
+            vwrite(cx, VertexId(get_varint(buf)?), get_varint(buf)?, get_blob(buf)?);
+        }
+        for _ in 0..get_varint::<u32, _>(buf)? {
+            ewrite(cx, EdgeId(get_varint(buf)?), get_blob(buf)?);
+        }
+        Some(reqid)
+    }
 }
 
 impl Codec for ReleaseMsg {
@@ -813,18 +922,16 @@ impl Codec for ReleaseMsg {
         );
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        let reqid = u64::decode(buf)?;
-        let nv = u32::decode(buf)? as usize;
-        let mut vwrites = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            vwrites.push((VertexId::decode(buf)?, u32::decode(buf)?, Bytes::decode(buf)?));
-        }
-        let ne = u32::decode(buf)? as usize;
-        let mut ewrites = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            ewrites.push((EdgeId::decode(buf)?, Bytes::decode(buf)?));
-        }
-        Some(ReleaseMsg { reqid, vwrites, ewrites })
+        decode_with(buf, |src, rest| {
+            let mut writes = (Vec::new(), Vec::new());
+            let reqid = Self::read(
+                rest,
+                &mut writes,
+                |w, v, snap, data| w.0.push((v, snap, src.slice_ref(data))),
+                |w, e, data| w.1.push((e, src.slice_ref(data))),
+            )?;
+            Some(ReleaseMsg { reqid, vwrites: writes.0, ewrites: writes.1 })
+        })
     }
 }
 

@@ -50,7 +50,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use graphlab_atoms::{load_machine_part, AtomIndex, Placement, SimDfs};
 use graphlab_graph::{AtomId, Coloring, MachineId};
 use graphlab_net::codec::Codec;
@@ -244,13 +244,32 @@ impl RecoveryTracker {
     /// message between its drain point and the cluster-wide resume — the
     /// flush-marker barrier is only a barrier because everything after a
     /// machine's drain is recovery control; this assert enforces it.
+    /// `put` encodes the message straight into `dst`'s batch queue
+    /// ([`Batcher::send_with`]).
+    pub(crate) fn send_with(
+        &self,
+        net: &mut Batcher,
+        dst: MachineId,
+        kind: u16,
+        put: impl FnOnce(&mut BytesMut),
+    ) {
+        self.assert_may_send(kind);
+        net.send_with(dst, kind, put);
+    }
+
+    /// [`Self::send_with`] for a payload already encoded (control traffic,
+    /// and blobs too big for a queue, which leave without a copy).
     pub(crate) fn send(&self, net: &mut Batcher, dst: MachineId, kind: u16, payload: Bytes) {
+        self.assert_may_send(kind);
+        net.send(dst, kind, payload);
+    }
+
+    fn assert_may_send(&self, kind: u16) {
         debug_assert!(
             self.phase == RecoveryPhase::Normal || is_recovery_control(kind),
             "engine message kind {kind} sent during recovery phase {:?}",
             self.phase
         );
-        net.send(dst, kind, payload);
     }
 
     /// Sends `payload` to every surviving peer.

@@ -7,8 +7,12 @@
 //! delivery heap. A [`Batcher`] wraps an [`Endpoint`] and coalesces
 //! messages bound for the same machine into one envelope:
 //!
-//! - `send` appends to a per-destination queue and flushes it when the
-//!   [`BatchPolicy`] thresholds (message count or payload bytes) are hit;
+//! - [`Batcher::send_with`] writes the sub-header into the destination's
+//!   queue buffer and lets the caller encode the message straight behind it
+//!   — the engines' data plane: one copy per message, no buffer of its own —
+//!   and flushes the queue when the [`BatchPolicy`] thresholds (message
+//!   count or payload bytes) are hit; [`Batcher::send`] takes a finished
+//!   [`Bytes`] payload down the same path (control traffic);
 //! - oversized payloads flush their queue first (order!) and go out
 //!   unbatched;
 //! - every *blocking* receive flushes all queues, so a machine never
@@ -20,7 +24,13 @@
 //!   [`BatchPolicy::compress_min`] bytes long are run through the LZSS pass
 //!   in [`crate::compress`] and shipped under the reserved [`K_ZIP`] kind
 //!   (original kind + compressed body), kept only when it actually
-//!   shrinks; receivers decompress transparently before unpacking.
+//!   shrinks; receivers decompress transparently before unpacking. The
+//!   LZSS table and its output buffer belong to the batcher and are reused
+//!   from envelope to envelope.
+//!
+//! How a message gets into its envelope does not show on the wire: queue
+//! bytes, flush points and compressed streams are what they were when every
+//! message arrived as a `Bytes`.
 //!
 //! Because each queue is FIFO and the fabric guarantees per-channel FIFO
 //! delivery of the batch envelopes themselves, routing *all* traffic to a
@@ -39,7 +49,7 @@ use crate::fault::{DownMsg, K_DOWN};
 use crate::lease::{LeaseConfig, LeaseState, K_LEASE, LEASE_MASTER};
 use crate::transport::Endpoint;
 use crate::codec::{encode_to_bytes, get_uvarint, put_uvarint};
-use crate::compress;
+use crate::compress::{self, Lzss};
 
 /// Reserved message kind for a batch envelope. Application tag spaces must
 /// not use it (the engines use `1..=39`; see `graphlab-core::messages`).
@@ -97,9 +107,33 @@ impl BatchPolicy {
     }
 }
 
+/// Sub-messages framed back to back, waiting for one destination. The
+/// buffer stays with the queue: a flush copies out (or compresses) what it
+/// ships, so a warm queue never allocates.
 struct Queue {
     buf: BytesMut,
     count: usize,
+}
+
+/// What [`Batcher::put_wire`] ships: bytes still in a queue buffer, copied
+/// out only if they leave raw, or a payload the caller already owns.
+enum Wire<'a> {
+    Queued(&'a [u8]),
+    Owned(Bytes),
+}
+
+/// Writes `len` as the varint at `at`, where one placeholder byte stands
+/// before the `len` payload bytes that end `buf`. A varint of more than one
+/// byte moves the payload up to make room.
+fn patch_len(buf: &mut BytesMut, at: usize, len: usize) {
+    let width = (usize::BITS - (len | 1).leading_zeros()).div_ceil(7) as usize;
+    if width > 1 {
+        buf.put_slice(&[0; 9][..width - 1]);
+        buf[at + 1..].rotate_right(width - 1);
+    }
+    for (k, b) in buf[at..at + width].iter_mut().enumerate() {
+        *b = (len >> (7 * k)) as u8 & 0x7f | if k + 1 < width { 0x80 } else { 0 };
+    }
 }
 
 /// Counters describing what the batcher did (diagnostics; the wire-level
@@ -131,6 +165,10 @@ pub struct Batcher {
     /// Messages unpacked from a received batch, drained before the socket.
     pending: VecDeque<Envelope>,
     counters: BatchCounters,
+    /// Compressor state and the [`K_ZIP`] body under construction, reused
+    /// from envelope to envelope.
+    lzss: Lzss,
+    zip: Vec<u8>,
     /// Lease-based failure detection ([`crate::lease`]), when enabled:
     /// received envelopes refresh the sender's lease, blocking waits are
     /// sliced so heartbeats go out and the master's expiry scan runs, and
@@ -155,6 +193,8 @@ impl Batcher {
             queues: (0..n).map(|_| Queue { buf: BytesMut::new(), count: 0 }).collect(),
             pending: VecDeque::new(),
             counters: BatchCounters::default(),
+            lzss: Lzss::default(),
+            zip: Vec::new(),
             lease: None,
             fenced: vec![false; n],
         }
@@ -243,32 +283,64 @@ impl Batcher {
     /// Queues (or sends) `payload` to `dst`. Messages to one destination
     /// are delivered in send order regardless of how they are packed.
     pub fn send(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+        if self.goes_alone(dst, payload.len()) {
+            // An owned payload that is not batched leaves as it is, so the
+            // big blob does not get copied.
+            self.send_alone(dst, kind, payload);
+        } else {
+            self.send_with(dst, kind, |buf| buf.put_slice(&payload));
+        }
+    }
+
+    /// Queues (or sends) to `dst` the message `put` writes: the sub-header
+    /// goes into the destination's queue buffer and `put` appends the
+    /// payload straight behind it. [`Batcher::send`] is this with a copy for
+    /// `put`; the bytes queued, the flush points and the wire are the same.
+    pub fn send_with(&mut self, dst: MachineId, kind: u16, put: impl FnOnce(&mut BytesMut)) {
         debug_assert!(
             kind != K_BATCH && kind != K_ZIP,
             "K_BATCH/K_ZIP are reserved for the transport"
         );
-        if !self.policy.enabled || dst == self.ep.id() {
-            self.counters.unbatched += 1;
-            self.put_wire(dst, kind, payload);
-            return;
-        }
-        if payload.len() >= self.policy.max_bytes {
-            // Oversized: drain everything queued ahead of it, then send
-            // unbatched so the big blob does not get copied again.
-            self.flush(dst);
-            self.counters.unbatched += 1;
-            self.put_wire(dst, kind, payload);
-            return;
+        let q = &mut self.queues[dst.index()];
+        let start = q.buf.len();
+        put_uvarint(&mut q.buf, kind as u64);
+        // The length precedes a payload whose size is known only once it is
+        // written: hold the one byte nearly every message needs.
+        let len_at = q.buf.len();
+        q.buf.put_u8(0);
+        put(&mut q.buf);
+        let len = q.buf.len() - len_at - 1;
+        if self.goes_alone(dst, len) {
+            let q = &mut self.queues[dst.index()];
+            let payload = Bytes::copy_from_slice(&q.buf[len_at + 1..]);
+            q.buf.truncate(start);
+            return self.send_alone(dst, kind, payload);
         }
         let q = &mut self.queues[dst.index()];
-        put_uvarint(&mut q.buf, kind as u64);
-        put_uvarint(&mut q.buf, payload.len() as u64);
-        q.buf.put_slice(&payload);
+        patch_len(&mut q.buf, len_at, len);
         q.count += 1;
         self.counters.queued += 1;
         if q.count >= self.policy.max_msgs || q.buf.len() >= self.policy.max_bytes {
             self.flush(dst);
         }
+    }
+
+    /// Whether a `len`-byte payload for `dst` bypasses the queue: the
+    /// pass-through policy, self-sends, and payloads a queue may not hold.
+    fn goes_alone(&self, dst: MachineId, len: usize) -> bool {
+        !self.policy.enabled || dst == self.ep.id() || len >= self.policy.max_bytes
+    }
+
+    /// Sends `payload` unbatched, behind everything queued ahead of it
+    /// (order!).
+    fn send_alone(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+        debug_assert!(
+            kind != K_BATCH && kind != K_ZIP,
+            "K_BATCH/K_ZIP are reserved for the transport"
+        );
+        self.flush(dst);
+        self.counters.unbatched += 1;
+        self.put_wire(dst, kind, Wire::Owned(payload));
     }
 
     /// Sends `payload` to every *other* machine (through the queues).
@@ -287,32 +359,29 @@ impl Batcher {
         if q.count == 0 {
             return;
         }
-        let count = q.count;
-        q.count = 0;
-        let used = q.buf.len();
-        let mut buf = std::mem::take(&mut q.buf).freeze();
-        // Size the replacement by what this flush used, so the next batch
-        // neither re-grows from zero through repeated doublings nor pays
-        // for a full-size buffer when envelopes are a few hundred bytes.
-        q.buf.reserve(used.min(self.policy.max_bytes));
+        let count = std::mem::take(&mut q.count);
+        // (Taken for the call only: `put_wire` needs the whole batcher.)
+        let mut buf = std::mem::take(&mut q.buf);
         if count == 1 {
             // A batch of one is pure overhead: unwrap it.
-            let kind = get_uvarint(&mut buf).expect("own framing") as u16;
-            let len = get_uvarint(&mut buf).expect("own framing") as usize;
-            let payload = buf.copy_to_bytes(len);
+            let mut payload: &[u8] = &buf;
+            let kind = get_uvarint(&mut payload).expect("own framing") as u16;
+            get_uvarint(&mut payload).expect("own framing");
             self.counters.unbatched += 1;
             self.counters.queued -= 1;
-            self.put_wire(dst, kind, payload);
+            self.put_wire(dst, kind, Wire::Queued(payload));
         } else {
             self.counters.batches += 1;
-            self.put_wire(dst, K_BATCH, buf);
+            self.put_wire(dst, K_BATCH, Wire::Queued(&buf));
         }
+        buf.clear();
+        self.queues[dst.index()].buf = buf;
     }
 
     /// Final wire hop: compresses the envelope when the policy asks for it
     /// and it pays off, otherwise ships it raw. Self-sends never compress
     /// (they are free and never touch the wire).
-    fn put_wire(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+    fn put_wire(&mut self, dst: MachineId, kind: u16, payload: Wire<'_>) {
         if self.fenced[dst.index()] && dst != self.ep.id() {
             return;
         }
@@ -323,23 +392,29 @@ impl Batcher {
                 l.note_sent_to_master();
             }
         }
-        if self.policy.compress && dst != self.ep.id() && payload.len() >= self.policy.compress_min
-        {
-            let packed = compress::compress(&payload);
-            if packed.len() + 2 < payload.len() {
+        let body: &[u8] = match &payload {
+            Wire::Queued(body) => body,
+            Wire::Owned(body) => body,
+        };
+        if self.policy.compress && dst != self.ep.id() && body.len() >= self.policy.compress_min {
+            // The K_ZIP body, written once: kind tag, then the stream.
+            self.zip.clear();
+            self.zip.extend_from_slice(&kind.to_le_bytes());
+            self.lzss.compress_into(body, &mut self.zip);
+            if self.zip.len() < body.len() {
                 self.counters.compressed += 1;
-                self.counters.compress_in += payload.len() as u64;
-                self.counters.compress_out += (packed.len() + 2) as u64;
-                let mut buf = BytesMut::with_capacity(packed.len() + 2);
-                buf.put_u16_le(kind);
-                buf.put_slice(&packed);
+                self.counters.compress_in += body.len() as u64;
+                self.counters.compress_out += self.zip.len() as u64;
                 // lint: allow(fenced-send) -- put_wire IS the fenced path's terminal hop; the fence mask was checked on entry
-                self.ep.send(dst, K_ZIP, buf.freeze());
+                self.ep.send(dst, K_ZIP, Bytes::copy_from_slice(&self.zip));
                 return;
             }
         }
         // lint: allow(fenced-send) -- put_wire IS the fenced path's terminal hop; the fence mask was checked on entry
-        self.ep.send(dst, kind, payload);
+        self.ep.send(dst, kind, match payload {
+            Wire::Queued(body) => Bytes::copy_from_slice(body),
+            Wire::Owned(body) => body,
+        });
     }
 
     /// Flushes every destination queue.
@@ -349,15 +424,18 @@ impl Batcher {
         }
     }
 
-    /// Drops everything buffered on both sides: queued unsent messages and
-    /// unpacked-but-unread batch contents. Crash-restart semantics — a
-    /// reborn machine must not leak pre-crash traffic into its new life.
+    /// Drops everything buffered on both sides: queued unsent messages,
+    /// unpacked-but-unread batch contents and what the compressor kept of
+    /// the last envelope. Crash-restart semantics — a reborn machine must
+    /// not leak pre-crash traffic into its new life.
     pub fn clear(&mut self) {
         for q in &mut self.queues {
             q.buf.clear();
             q.count = 0;
         }
         self.pending.clear();
+        self.zip.clear();
+        self.lzss.reset();
     }
 
     /// Whether the wrapped machine is currently dead under the fault plan
@@ -515,23 +593,40 @@ mod tests {
     }
 
     #[test]
-    fn replacement_queue_buffer_is_sized_by_the_last_flush() {
+    fn a_flush_leaves_the_queue_its_buffer() {
         let (_net, mut b0, _b1) = pair(BatchPolicy::default());
-        let max = BatchPolicy::default().max_bytes;
-        // A small flush: the next buffer is small too, not `max_bytes`.
         for k in 0..3u16 {
             b0.send(MachineId(1), k, Bytes::from(vec![0u8; 40]));
         }
+        let (ptr, cap) = (b0.queues[1].buf.as_ptr(), b0.queues[1].buf.capacity());
         b0.flush(MachineId(1));
-        let cap = b0.queues[1].buf.capacity();
-        assert!((3 * 40..1024).contains(&cap), "after a ~130-byte flush: capacity {cap}");
-        // A full flush (the byte threshold trips it): a full-size buffer.
-        for k in 0..5u16 {
-            b0.send(MachineId(1), k, Bytes::from(vec![0u8; max / 4]));
+        let q = &b0.queues[1];
+        assert_eq!((q.buf.as_ptr(), q.buf.capacity(), q.buf.len(), q.count), (ptr, cap, 0, 0));
+    }
+
+    /// What `send_with` queues and ships is what `send` does, whatever the
+    /// payload length does to the sub-header (1-, 2- and 3-byte varints) and
+    /// for a payload that turns out too big for the queue.
+    #[test]
+    fn in_place_append_matches_send() {
+        let policy = BatchPolicy { max_bytes: 20_000, ..BatchPolicy::uncompressed() };
+        let lens = [0usize, 1, 127, 128, 300, 16_383, 16_384, 25_000, 5];
+        let (net_a, mut a0, mut a1) = pair(policy);
+        let (net_b, mut b0, mut b1) = pair(policy);
+        for (k, &len) in lens.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + k) as u8).collect();
+            a0.send(MachineId(1), k as u16, Bytes::from(payload.clone()));
+            b0.send_with(MachineId(1), k as u16, |buf| buf.put_slice(&payload));
+            assert_eq!(a0.queues[1].buf, b0.queues[1].buf, "after payload {k}");
         }
-        assert_eq!(b0.queues[1].count, 1, "the fourth send flushed, the fifth is queued");
-        let cap = b0.queues[1].buf.capacity();
-        assert!((max..2 * max).contains(&cap), "after a full flush: capacity {cap}");
+        a0.flush_all();
+        b0.flush_all();
+        assert_eq!(a0.counters(), b0.counters());
+        assert_eq!(net_a.stats().all(), net_b.stats().all());
+        for _ in &lens {
+            let (a, b) = (a1.try_recv().unwrap(), b1.try_recv().unwrap());
+            assert_eq!((a.kind, &a.payload), (b.kind, &b.payload));
+        }
     }
 
     #[test]

@@ -93,6 +93,50 @@ pub fn get_uvarint<B: Buf>(buf: &mut B) -> Option<u64> {
     }
 }
 
+/// Reads a varint that must fit `T` (`None` also when it does not).
+#[inline]
+pub fn get_varint<T: TryFrom<u64>, B: Buf>(buf: &mut B) -> Option<T> {
+    T::try_from(get_uvarint(buf)?).ok()
+}
+
+// ---- reading in place ----
+//
+// A message reader takes `&mut &[u8]`, a cursor over a borrowed slice of the
+// received envelope, and returns `None` on short or malformed input.
+
+/// Reads `N` fixed bytes off the front of `buf`.
+#[inline]
+pub fn get_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+/// Reads a length-prefixed blob — the wire form of a [`Bytes`] field —
+/// without copying it.
+#[inline]
+pub fn get_blob<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let len = get_varint::<usize, _>(buf)?;
+    let (blob, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
+    Some(blob)
+}
+
+/// Runs a message reader over the front of `buf` and consumes what it read:
+/// how a [`Codec::decode`] is built on the message's in-place reader, so the
+/// message has one layout. The reader also gets the buffer itself, to cut
+/// owned views of what it borrowed ([`Bytes::slice_ref`]).
+pub fn decode_with<T>(
+    buf: &mut Bytes,
+    read: impl for<'a> FnOnce(&'a Bytes, &mut &'a [u8]) -> Option<T>,
+) -> Option<T> {
+    let mut rest: &[u8] = buf;
+    let value = read(buf, &mut rest)?;
+    let used = buf.len() - rest.len();
+    buf.advance(used);
+    Some(value)
+}
+
 /// Zig-zag maps a signed value so small magnitudes varint-encode short.
 #[inline]
 pub fn zigzag(v: i64) -> u64 {
@@ -169,8 +213,7 @@ macro_rules! impl_codec_uvarint {
             }
             #[inline]
             fn decode(buf: &mut Bytes) -> Option<Self> {
-                let v = get_uvarint(buf)?;
-                <$t>::try_from(v).ok()
+                get_varint(buf)
             }
         }
     };
@@ -213,36 +256,44 @@ impl Codec for () {
 }
 
 impl Codec for VertexId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> Option<Self> {
         u32::decode(buf).map(VertexId)
     }
 }
 
 impl Codec for EdgeId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> Option<Self> {
         u32::decode(buf).map(EdgeId)
     }
 }
 
 impl Codec for AtomId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> Option<Self> {
         u32::decode(buf).map(AtomId)
     }
 }
 
 impl Codec for MachineId {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> Option<Self> {
         u16::decode(buf).map(MachineId)
     }

@@ -14,10 +14,11 @@
 //!
 //! The compressor is greedy with a single-entry hash table over 4-byte
 //! prefixes — no chains, no lazy matching — tuned for "fast and always
-//! correct" rather than maximal ratio. [`compress`] never fails;
-//! [`decompress`] validates every reference and returns `None` on malformed
-//! input. `decompress(compress(x)) == x` for every byte string (pinned by
-//! the workspace proptest suite).
+//! correct" rather than maximal ratio. The table lives in an [`Lzss`] that a
+//! caller with many inputs reuses; [`compress`] is the same pass from a fresh
+//! one. Compression never fails; [`decompress`] validates every reference
+//! and returns `None` on malformed input. `decompress(compress(x)) == x` for
+//! every byte string (pinned by the workspace proptest suite).
 
 /// Matches shorter than this are emitted as literals.
 pub const MIN_MATCH: usize = 4;
@@ -30,8 +31,28 @@ const HASH_BITS: u32 = 13;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    let v = u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, up to
+/// `limit` bytes (`a < b`, `b + limit <= data.len()`), eight bytes a step.
+#[inline]
+fn common_prefix(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let (x, y) = (&data[a..a + limit], &data[b..b + limit]);
+    let mut l = 0;
+    while l + 8 <= limit {
+        let word = |s: &[u8]| u64::from_le_bytes(s[l..l + 8].try_into().expect("8 bytes"));
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return l + diff.trailing_zeros() as usize / 8;
+        }
+        l += 8;
+    }
+    while l < limit && x[l] == y[l] {
+        l += 1;
+    }
+    l
 }
 
 fn put_uvarint_vec(out: &mut Vec<u8>, mut v: u64) {
@@ -66,71 +87,113 @@ fn get_uvarint_slice(data: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Compresses `data`. The output always decompresses back exactly; it is
-/// *not* guaranteed to be smaller (callers keep the raw form when it wins).
+/// Compresses `data` from a fresh state. The output always decompresses back
+/// exactly; it is *not* guaranteed to be smaller (callers keep the raw form
+/// when it wins).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 10);
-    put_uvarint_vec(&mut out, data.len() as u64);
+    let mut out = Vec::new();
+    Lzss::default().compress_into(data, &mut out);
+    out
+}
 
-    let mut head = vec![u32::MAX; 1 << HASH_BITS];
-    let mut ctrl_pos = 0usize;
-    let mut ctrl_left = 0u32;
-    let mut i = 0usize;
+/// The compressor's match table, kept between inputs so that a caller with
+/// many small inputs (the `Batcher`: one envelope after another) neither
+/// allocates nor fills 32 KiB per input. The stream written for an input
+/// does not depend on what the table saw before: it is byte for byte what
+/// [`compress`] writes from a fresh state.
+pub struct Lzss {
+    /// Last position seen per 4-byte-prefix hash, as `base + offset`.
+    head: Box<[u32; 1 << HASH_BITS]>,
+    /// Table value of the current input's offset 0. Every input takes the
+    /// positions after its predecessor's, so an entry left by an earlier
+    /// input is below `base` and reads as empty: no clearing between inputs.
+    base: u32,
+}
 
-    macro_rules! begin_token {
-        ($is_literal:expr) => {{
-            if ctrl_left == 0 {
-                ctrl_pos = out.len();
-                out.push(0);
-                ctrl_left = 8;
-            }
-            if $is_literal {
-                out[ctrl_pos] |= 1 << (8 - ctrl_left);
-            }
-            ctrl_left -= 1;
-        }};
+impl Default for Lzss {
+    /// A fresh state (the zeroed table holds no position: `base` is 1).
+    fn default() -> Self {
+        let head = vec![0; 1 << HASH_BITS].into_boxed_slice();
+        Lzss { head: head.try_into().expect("table size"), base: 1 }
+    }
+}
+
+impl Lzss {
+    /// Forgets every position seen so far.
+    pub fn reset(&mut self) {
+        self.head.fill(0);
+        self.base = 1;
     }
 
-    while i < data.len() {
-        let mut match_len = 0usize;
-        let mut match_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash4(data, i);
-            let cand = head[h] as usize;
-            head[h] = i as u32;
-            if cand != u32::MAX as usize && i - cand <= MAX_DISTANCE {
-                let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0usize;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
+    /// Appends the compressed stream of `data` to `out`.
+    pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        let len = u32::try_from(data.len()).expect("LZSS inputs are envelopes, far below 4 GiB");
+        if self.base.checked_add(len).is_none() {
+            self.reset(); // positions would wrap into live ones
+        }
+        let base = self.base;
+        self.base += len;
+        let head = &mut *self.head;
+        // Worst case — every byte a literal, one control byte per eight — so
+        // that no input grows `out` half-way, and equal lengths never do.
+        out.reserve(10 + data.len() + data.len() / 8 + 1);
+        put_uvarint_vec(out, data.len() as u64);
+
+        let mut ctrl_pos = 0usize;
+        let mut ctrl_left = 0u32;
+        let mut i = 0usize;
+
+        macro_rules! begin_token {
+            ($is_literal:expr) => {{
+                if ctrl_left == 0 {
+                    ctrl_pos = out.len();
+                    out.push(0);
+                    ctrl_left = 8;
                 }
-                if l >= MIN_MATCH {
-                    match_len = l;
-                    match_dist = i - cand;
+                if $is_literal {
+                    out[ctrl_pos] |= 1 << (8 - ctrl_left);
+                }
+                ctrl_left -= 1;
+            }};
+        }
+
+        while i < data.len() {
+            let mut match_len = 0usize;
+            let mut match_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let h = hash4(data, i);
+                let seen = head[h];
+                head[h] = base + i as u32;
+                if seen >= base && i - (seen - base) as usize <= MAX_DISTANCE {
+                    let cand = (seen - base) as usize;
+                    let l = common_prefix(data, cand, i, (data.len() - i).min(MAX_MATCH));
+                    if l >= MIN_MATCH {
+                        match_len = l;
+                        match_dist = i - cand;
+                    }
                 }
             }
-        }
-        if match_len > 0 {
-            begin_token!(false);
-            out.extend_from_slice(&(match_dist as u16).to_le_bytes());
-            out.push((match_len - MIN_MATCH) as u8);
-            // Seed the table inside the matched region so later data can
-            // reference it too.
-            let end = i + match_len;
-            i += 1;
-            while i < end {
-                if i + MIN_MATCH <= data.len() {
-                    head[hash4(data, i)] = i as u32;
+            if match_len > 0 {
+                begin_token!(false);
+                out.extend_from_slice(&(match_dist as u16).to_le_bytes());
+                out.push((match_len - MIN_MATCH) as u8);
+                // Seed the table inside the matched region so later data can
+                // reference it too.
+                let end = i + match_len;
+                i += 1;
+                while i < end {
+                    if i + MIN_MATCH <= data.len() {
+                        head[hash4(data, i)] = base + i as u32;
+                    }
+                    i += 1;
                 }
+            } else {
+                begin_token!(true);
+                out.push(data[i]);
                 i += 1;
             }
-        } else {
-            begin_token!(true);
-            out.push(data[i]);
-            i += 1;
         }
     }
-    out
 }
 
 /// Decompresses a [`compress`] output. Returns `None` on any malformed
@@ -164,9 +227,14 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
                     return None;
                 }
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping: the reference reads what it writes.
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
                 }
             }
         }
@@ -253,6 +321,25 @@ mod tests {
         assert!(decompress(&ok).is_some());
         ok.push(0);
         assert_eq!(decompress(&ok), None);
+    }
+
+    #[test]
+    fn reused_state_writes_what_a_fresh_one_does() {
+        // Each input repeats its predecessor, so every stale table entry is
+        // a tempting match; the last one forces the position wrap-around.
+        let inputs: [&[u8]; 5] =
+            [b"abcdabcdabcdabcd", b"abcdabcdabcdabcd", b"", b"xabcdabcdabcd", b"abcdabcd-abcd"];
+        let mut state = Lzss::default();
+        let mut out = Vec::new();
+        for (k, data) in inputs.iter().enumerate() {
+            if k == inputs.len() - 1 {
+                state.base = u32::MAX - 5;
+            }
+            out.clear();
+            state.compress_into(data, &mut out);
+            assert_eq!(out, compress(data), "input {k}");
+        }
+        assert_eq!(state.base, 1 + inputs[4].len() as u32, "the wrap reset the table");
     }
 
     #[test]

@@ -76,6 +76,20 @@
 //! (`u16::MAX - 1`, compressed envelope); application tag spaces must stay
 //! clear of both.
 //!
+//! A message costs one copy on its way out and none on its way in. The
+//! engines' data plane sends with [`batch::Batcher::send_with`]: the
+//! batcher writes the sub-header into the destination's queue buffer and
+//! the caller's encoder appends the message behind it — no message buffer,
+//! no `Bytes` per message. [`batch::Batcher::send`] (a finished `Bytes`:
+//! control traffic, blobs too big to batch) is the same path with a copy
+//! for an encoder. A flush compresses the queue where it lies, with an
+//! [`compress::Lzss`] table the batcher keeps from envelope to envelope, and
+//! received sub-messages are views of the envelope's one buffer, which the
+//! engines read in place ([`codec::get_varint`], [`codec::get_blob`],
+//! [`codec::decode_with`] for the `Codec::decode` of the same layout).
+//! None of this shows on the wire: envelopes, flush points and compressed
+//! streams are byte for byte what the `Bytes`-per-message path produced.
+//!
 //! Traffic is measured by [`cluster::NetStats`]: per-machine send/receive
 //! counters plus a per-message-kind breakdown charged at delivery
 //! ([`cluster::NetStats::by_kind`]) that attributes batch sub-messages to

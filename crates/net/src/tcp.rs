@@ -30,7 +30,7 @@
 //!
 //! [`SimNet`]: crate::cluster::SimNet
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -201,12 +201,12 @@ impl TcpNet {
         let mut outs: Vec<Mutex<OutLink>> = Vec::with_capacity(n);
         for (j, peer) in cfg.peers.iter().enumerate() {
             if j == me.index() {
-                outs.push(Mutex::new(OutLink { stream: None, retry_after: None }));
+                outs.push(Mutex::new(OutLink::new(None)));
                 continue;
             }
             let s = dial(peer, me, n as u16, cfg.run_id, deadline)?;
             shared.register(&s);
-            outs.push(Mutex::new(OutLink { stream: Some(s), retry_after: None }));
+            outs.push(Mutex::new(OutLink::new(Some(s))));
         }
 
         let ep = TcpEndpoint {
@@ -260,6 +260,14 @@ struct OutLink {
     /// which blocks the engine thread long enough to starve its own lease
     /// heartbeats — the master then declares *live* machines dead.
     retry_after: Option<Instant>,
+    /// The frame being written (header + payload, one `write`), reused.
+    frame: Vec<u8>,
+}
+
+impl OutLink {
+    fn new(stream: Option<TcpStream>) -> Self {
+        OutLink { stream, retry_after: None, frame: Vec::new() }
+    }
 }
 
 /// One machine's handle on the TCP fabric; the real-socket counterpart of
@@ -307,8 +315,9 @@ impl TcpEndpoint {
         }
         charge_send(&self.stats, &env);
         let mut out = self.outs[dst.index()].lock();
-        let sent = match out.stream.as_mut() {
-            Some(s) => write_frame(s, &env).is_ok(),
+        let OutLink { stream, frame, .. } = &mut *out;
+        let sent = match stream {
+            Some(s) => write_frame(s, &env, frame).is_ok(),
             None => false,
         };
         if sent {
@@ -326,7 +335,7 @@ impl TcpEndpoint {
         let deadline = now + RECONNECT_TIMEOUT;
         if let Ok(mut s) = dial(&self.peers[dst.index()], self.id, self.n as u16, self.run_id, deadline)
         {
-            if write_frame(&mut s, &env).is_ok() {
+            if write_frame(&mut s, &env, &mut out.frame).is_ok() {
                 self.shared.register(&s);
                 out.stream = Some(s);
                 out.retry_after = None;
@@ -386,17 +395,18 @@ impl TcpEndpoint {
 // ------------------------------------------------------------------ wire
 
 /// Writes one `[len u32 | kind u16 | payload]` frame. Small frames go out
-/// in a single write so `TCP_NODELAY` does not split them into two packets.
-fn write_frame(s: &mut TcpStream, env: &Envelope) -> io::Result<()> {
+/// in a single write so `TCP_NODELAY` does not split them into two packets;
+/// `frame` is the link's buffer they are assembled in.
+fn write_frame(s: &mut TcpStream, env: &Envelope, frame: &mut Vec<u8>) -> io::Result<()> {
     let len = env.payload.len();
     let mut header = [0u8; 6];
     header[..4].copy_from_slice(&(len as u32).to_le_bytes());
     header[4..].copy_from_slice(&env.kind.to_le_bytes());
     if len <= 64 * 1024 {
-        let mut buf = Vec::with_capacity(6 + len);
-        buf.extend_from_slice(&header);
-        buf.extend_from_slice(&env.payload);
-        s.write_all(&buf)
+        frame.clear();
+        frame.extend_from_slice(&header);
+        frame.extend_from_slice(&env.payload);
+        s.write_all(frame)
     } else {
         s.write_all(&header)?;
         s.write_all(&env.payload)
@@ -406,12 +416,14 @@ fn write_frame(s: &mut TcpStream, env: &Envelope) -> io::Result<()> {
 /// Reads frames off one incoming stream until EOF/error, charging delivery
 /// and handing envelopes to the inbox.
 fn reader_loop(
-    mut s: TcpStream,
+    s: TcpStream,
     src: MachineId,
     dst: MachineId,
     stats: Arc<NetStats>,
     inbox_tx: Sender<Envelope>,
 ) {
+    // Buffered: a burst of small frames costs one `read`, not two each.
+    let mut s = BufReader::new(s);
     let mut header = [0u8; 6];
     loop {
         if s.read_exact(&mut header).is_err() {
@@ -422,8 +434,9 @@ fn reader_loop(
         if len > MAX_FRAME {
             return; // corrupt stream
         }
-        let mut payload = vec![0u8; len];
-        if s.read_exact(&mut payload).is_err() {
+        // (No zero fill: `read_to_end` appends into the reserved space.)
+        let mut payload = Vec::with_capacity(len);
+        if !matches!(s.by_ref().take(len as u64).read_to_end(&mut payload), Ok(n) if n == len) {
             return;
         }
         let env = Envelope { src, dst, kind, payload: Bytes::from(payload) };

@@ -92,7 +92,9 @@ fn killed_worker_is_adopted_over_tcp() {
             .args(["--edges-per", "4", "--out"])
             .arg(&out_file);
         if m == victim {
-            cmd.args(["--die-after-ms", "200"]);
+            // (After the mesh is up. A release build finishes this run in
+            // ~150 ms: a later death would find the victim already done.)
+            cmd.args(["--die-after-ms", "50"]);
         }
         let child = cmd.spawn().expect("spawn worker");
         children.push((m, out_file, child));

@@ -481,6 +481,170 @@ mod wire_codec {
         // The snapshot priority must survive the f32 wire representation.
         rt(ScheduleMsg { tasks: vec![(VertexId(1), f64::INFINITY)] });
     }
+
+    // ---- ISSUE 17: the in-place readers and the in-place append ----
+    //
+    // The engines no longer build these messages: they append them to the
+    // Batcher's envelope with `put` and walk received ones with `read`.
+    // Each reader below rebuilds the owned message from what `read` hands
+    // out, so it can be held against `Codec::decode`.
+
+    fn own(data: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(data)
+    }
+
+    fn read_vrow(p: &mut &[u8]) -> Option<VertexRow> {
+        let (vid, version, snap, data) = VertexRow::read(p)?;
+        Some(VertexRow { vid, version, snap, data: own(data) })
+    }
+
+    fn read_erow(p: &mut &[u8]) -> Option<EdgeRow> {
+        let (eid, version, data) = EdgeRow::read(p)?;
+        Some(EdgeRow { eid, version, data: own(data) })
+    }
+
+    fn read_sched(p: &mut &[u8]) -> Option<ScheduleMsg> {
+        let mut tasks = Vec::new();
+        ScheduleMsg::read(p, |v, prio| tasks.push((v, prio)))?;
+        Some(ScheduleMsg { tasks })
+    }
+
+    fn read_lock_req(p: &mut &[u8]) -> Option<LockReqMsg> {
+        let mut machines = Vec::new();
+        let (requester, reqid, scope_v, model) = LockReqMsg::read(p, |m| machines.push(m))?;
+        Some(LockReqMsg { requester, reqid, scope_v, machines, model })
+    }
+
+    fn read_scope_data(p: &mut &[u8]) -> Option<ScopeDataMsg> {
+        let mut rows = (Vec::new(), Vec::new());
+        let (reqid, (nv, vsame), (ne, esame)) = ScopeDataMsg::read(
+            p,
+            &mut rows,
+            |r, vid, version, snap, data| r.0.push(VertexRow { vid, version, snap, data: own(data) }),
+            |r, eid, version, data| r.1.push(EdgeRow { eid, version, data: own(data) }),
+        )?;
+        assert_eq!((nv, ne), (rows.0.len(), rows.1.len()), "counts are the rows handed out");
+        Some(ScopeDataMsg { reqid, vrows: rows.0, erows: rows.1, vsame, esame })
+    }
+
+    fn read_release(p: &mut &[u8]) -> Option<ReleaseMsg> {
+        let mut w = (Vec::new(), Vec::new());
+        let reqid = ReleaseMsg::read(
+            p,
+            &mut w,
+            |w, v, snap, data| w.0.push((v, snap, own(data))),
+            |w, e, data| w.1.push((e, own(data))),
+        )?;
+        Some(ReleaseMsg { reqid, vwrites: w.0, ewrites: w.1 })
+    }
+
+    fn read_tagged<T>(
+        inner: impl Fn(&mut &[u8]) -> Option<T>,
+    ) -> impl Fn(&mut &[u8]) -> Option<StepTagged<T>> {
+        move |p| {
+            let (step, phase) = StepTagged::<T>::read(p)?;
+            Some(StepTagged { step, phase, inner: inner(p)? })
+        }
+    }
+
+    /// The payload the receiver gets for a message `put` appends in place to
+    /// a batch envelope (behind another message, so the framing is real).
+    fn appended_in_place(put: impl FnOnce(&mut BytesMut)) -> Bytes {
+        use graphlab::net::{BatchPolicy, Batcher, LatencyModel, SimNet};
+        let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
+        let mut rx = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+        let mut tx = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+        tx.send(MachineId(1), 1, Bytes::from_static(b"ahead"));
+        tx.send_with(MachineId(1), 2, put);
+        tx.flush_all();
+        assert_eq!(&rx.try_recv().expect("first message").payload[..], b"ahead");
+        let env = rx.try_recv().expect("second message");
+        assert_eq!(env.kind, 2);
+        env.payload
+    }
+
+    /// `read` is the inverse of `put` (= `Codec::encode`), agrees with
+    /// `Codec::decode` on every truncation of the encoding (both refuse),
+    /// on the encoding with one byte overwritten and on `junk`, and an
+    /// in-place append puts `encode_to_bytes`' bytes in the envelope.
+    fn in_place<T: Codec + PartialEq + std::fmt::Debug>(
+        v: &T,
+        read: impl Fn(&mut &[u8]) -> Option<T>,
+        (at, byte): (usize, u32),
+        junk: &Bytes,
+    ) {
+        let whole = |bytes: &[u8]| {
+            let mut p = bytes;
+            read(&mut p).filter(|_| p.is_empty())
+        };
+        let enc = encode_to_bytes(v);
+        assert_eq!(whole(&enc).as_ref(), Some(v), "read . put is not the identity");
+        for cut in 0..enc.len() {
+            assert_eq!(whole(&enc[..cut]), None, "reader took a truncated message (cut {cut})");
+            assert_eq!(decode_from::<T>(enc.slice(..cut)), None, "decode took one (cut {cut})");
+        }
+        let mut bent = enc.to_vec();
+        if !bent.is_empty() {
+            let at = at % bent.len();
+            bent[at] = byte as u8;
+        }
+        for bytes in [Bytes::from(bent), junk.clone()] {
+            assert_eq!(whole(&bytes), decode_from::<T>(bytes.clone()), "reader and decode differ");
+        }
+        assert_eq!(appended_in_place(|buf| v.encode(buf)), enc, "in-place append");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn rows_and_tagged_rows_read_in_place(
+            step in 0u64..u64::MAX,
+            phase in 0u32..256,
+            row in arb_vrow(),
+            erow in arb_erow(),
+            sched in arb_sched(),
+            bend in (0usize..4096, 0u32..256),
+            junk in arb_bytes(),
+        ) {
+            in_place(&row, read_vrow, bend, &junk);
+            in_place(&erow, read_erow, bend, &junk);
+            in_place(&sched, read_sched, bend, &junk);
+            let phase = phase as u8;
+            in_place(&StepTagged { step, phase, inner: row }, read_tagged(read_vrow), bend, &junk);
+            in_place(&StepTagged { step, phase, inner: erow }, read_tagged(read_erow), bend, &junk);
+            in_place(&StepTagged { step, phase, inner: sched }, read_tagged(read_sched), bend, &junk);
+        }
+
+        #[test]
+        fn lock_engine_msgs_read_in_place(
+            ids in (0u32..65536, 0u64..u64::MAX, 0u32..u32::MAX, 0u32..256),
+            machines in proptest::collection::vec(0u32..65536, 0..10),
+            vrows in proptest::collection::vec(arb_vrow(), 0..6),
+            erows in proptest::collection::vec(arb_erow(), 0..6),
+            same in (0u32..u32::MAX, 0u32..u32::MAX),
+            bend in (0usize..4096, 0u32..256),
+            junk in arb_bytes(),
+        ) {
+            let (requester, reqid, scope_v, model) = ids;
+            let req = LockReqMsg {
+                requester: MachineId(requester as u16),
+                reqid,
+                scope_v: VertexId(scope_v),
+                machines: machines.into_iter().map(|m| MachineId(m as u16)).collect(),
+                model: model as u8,
+            };
+            in_place(&req, read_lock_req, bend, &junk);
+            let release = ReleaseMsg {
+                reqid,
+                vwrites: vrows.iter().map(|r| (r.vid, r.snap, r.data.clone())).collect(),
+                ewrites: erows.iter().map(|r| (r.eid, r.data.clone())).collect(),
+            };
+            in_place(&release, read_release, bend, &junk);
+            let data = ScopeDataMsg { reqid, vrows, erows, vsame: same.0, esame: same.1 };
+            in_place(&data, read_scope_data, bend, &junk);
+        }
+    }
 }
 
 /// ISSUE 3: the LZSS pass under the batch envelopes decompresses to
@@ -490,9 +654,103 @@ mod compression {
     use super::*;
     use bytes::Bytes;
     use graphlab::graph::MachineId;
-    use graphlab::net::compress::{compress, decompress};
+    use bytes::BufMut;
+    use graphlab::net::compress::{compress, decompress, Lzss, MAX_DISTANCE, MAX_MATCH, MIN_MATCH};
     use graphlab::net::{BatchPolicy, Batcher, LatencyModel, SimNet};
     use std::time::Duration;
+
+    /// The compressor as it stood before ISSUE 17 (a fresh table per input,
+    /// `u32::MAX` for "empty", byte-wise match extension), kept as the oracle
+    /// for "the wire did not change": the reusable [`Lzss`] state and its
+    /// faster loops must write these bytes for every input.
+    fn reference_compress(data: &[u8]) -> Vec<u8> {
+        let hash4 = |i: usize| {
+            let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+            (v.wrapping_mul(0x9E37_79B1) >> (32 - 13)) as usize
+        };
+        let mut out = Vec::new();
+        let mut v = data.len() as u64;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        let mut head = vec![u32::MAX; 1 << 13];
+        let (mut ctrl_pos, mut ctrl_left, mut i) = (0usize, 0u32, 0usize);
+        while i < data.len() {
+            let (mut match_len, mut match_dist) = (0usize, 0usize);
+            if i + MIN_MATCH <= data.len() {
+                let h = hash4(i);
+                let cand = head[h] as usize;
+                head[h] = i as u32;
+                if cand != u32::MAX as usize && i - cand <= MAX_DISTANCE {
+                    let limit = (data.len() - i).min(MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < limit && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l >= MIN_MATCH {
+                        (match_len, match_dist) = (l, i - cand);
+                    }
+                }
+            }
+            if ctrl_left == 0 {
+                ctrl_pos = out.len();
+                out.push(0);
+                ctrl_left = 8;
+            }
+            if match_len == 0 {
+                out[ctrl_pos] |= 1 << (8 - ctrl_left);
+                out.push(data[i]);
+                i += 1;
+            } else {
+                out.extend_from_slice(&(match_dist as u16).to_le_bytes());
+                out.push((match_len - MIN_MATCH) as u8);
+                let end = i + match_len;
+                i += 1;
+                while i < end {
+                    if i + MIN_MATCH <= data.len() {
+                        head[hash4(i)] = i as u32;
+                    }
+                    i += 1;
+                }
+            }
+            ctrl_left -= 1;
+        }
+        out
+    }
+
+    /// One received message: `(kind, payload)`.
+    type Got = (u16, Vec<u8>);
+
+    /// Sends `msgs` (`(in place?, fill, size)`) machine 0 → 1 under
+    /// `policy`, each through `send_with` or `send` as `in_place` decides,
+    /// and returns what arrived plus the bytes and envelopes it took.
+    fn deliver(
+        policy: BatchPolicy,
+        msgs: &[(bool, u32, usize)],
+        in_place: impl Fn(bool) -> bool,
+    ) -> (Vec<Got>, u64, u64) {
+        let (net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
+        let mut rx = Batcher::new(eps.pop().unwrap().into(), policy);
+        let mut tx = Batcher::new(eps.pop().unwrap().into(), policy);
+        for (k, &(flag, fill, size)) in msgs.iter().enumerate() {
+            // Half constant fill, half a counter: some of it compresses.
+            let payload: Vec<u8> =
+                (0..size).map(|i| if i % 2 == 0 { fill as u8 } else { (i / 2) as u8 }).collect();
+            if in_place(flag) {
+                tx.send_with(MachineId(1), k as u16, |buf| buf.put_slice(&payload));
+            } else {
+                tx.send(MachineId(1), k as u16, Bytes::from(payload));
+            }
+        }
+        tx.flush_all();
+        let got = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|env| (env.kind, env.payload.to_vec()))
+            .collect();
+        let sent = net.stats().machine(MachineId(0));
+        (got, sent.bytes_sent, sent.msgs_sent)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -516,6 +774,58 @@ mod compression {
             prop_assert_eq!(decompress(&packed).as_deref(), Some(&data[..]));
             if data.len() > 256 {
                 prop_assert!(packed.len() < data.len(), "repetitive data must shrink");
+            }
+        }
+
+        /// ISSUE 17: one `Lzss` state reused over a sequence of inputs
+        /// writes, input by input, the stream a fresh state writes. Every
+        /// input is cut from the same material, so whatever an earlier one
+        /// left in the table is a tempting (and wrong) match for the next.
+        #[test]
+        fn reused_lzss_state_never_matches_into_an_earlier_input(
+            unit in proptest::collection::vec(0u32..256, 1..24),
+            inputs in proptest::collection::vec(
+                (0usize..60, proptest::collection::vec(0u32..256, 0..80), 0usize..24),
+                1..10,
+            ),
+        ) {
+            let mut state = Lzss::default();
+            let mut out = vec![0xEE; 3];
+            for (reps, noise, skip) in inputs {
+                let data: Vec<u8> = std::iter::repeat_n(unit.iter(), reps)
+                    .flatten()
+                    .chain(&noise)
+                    .skip(skip)
+                    .map(|&b| b as u8)
+                    .collect();
+                out.truncate(3);
+                state.compress_into(&data, &mut out);
+                prop_assert_eq!(&out[..3], &[0xEE; 3], "compress_into appends");
+                let fresh = compress(&data);
+                prop_assert_eq!(&out[3..], &fresh[..], "a stale table entry showed");
+                prop_assert_eq!(&fresh, &reference_compress(&data), "the stream changed");
+                prop_assert_eq!(decompress(&fresh).as_deref(), Some(&data[..]));
+            }
+        }
+
+        /// ISSUE 17: interleaving in-place appends with `send(Bytes)` calls
+        /// delivers what the all-`send` path delivers, in the same order,
+        /// in the same envelopes and wire bytes — with compression on and
+        /// off, oversized payloads (which leave alone) included.
+        #[test]
+        fn in_place_appends_and_sends_share_one_path(
+            msgs in proptest::collection::vec((0u32..2, 0u32..256, 0usize..700), 1..90),
+            big in (0usize..90, 16_000usize..20_000),
+        ) {
+            let mut msgs: Vec<(bool, u32, usize)> =
+                msgs.into_iter().map(|(flag, fill, size)| (flag == 1, fill, size)).collect();
+            let at = big.0 % msgs.len();
+            msgs[at].2 = big.1;
+            for policy in [BatchPolicy::default(), BatchPolicy::uncompressed()] {
+                let all_send = deliver(policy, &msgs, |_| false);
+                prop_assert_eq!(all_send.0.len(), msgs.len());
+                prop_assert_eq!(&deliver(policy, &msgs, |flag| flag), &all_send);
+                prop_assert_eq!(&deliver(policy, &msgs, |_| true), &all_send);
             }
         }
 
