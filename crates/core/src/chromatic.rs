@@ -7,13 +7,25 @@
 //! ghost data are communicated **asynchronously while the colour-step
 //! runs**, and a full communication barrier separates colour-steps.
 //!
+//! The colour-step is the unit of exchange. Ghost rows and write-backs are
+//! collected in one open *block* per (destination, kind) — the
+//! `(step, phase)` tag once, then rows back to back — which goes on the
+//! wire when it reaches `BLOCK_BYTES` (so communication still overlaps
+//! the step), when a row of another `(step, phase)` joins its slot, and at
+//! the latest when the round ends. Remote scheduling requests are a *set*
+//! per owner (duplicates merge, as in the local queues) sent once when the
+//! step has executed.
+//!
 //! The barrier is realised as a two-round counting flush: after executing
 //! its part of the step, every machine tells every other machine how many
-//! data messages it sent them (round A); write-backs processed during
-//! round A may trigger forwards to other mirrors, which are accounted in
-//! round B. A machine enters the next colour-step only after receiving
-//! every promised message, so all modifications are visible before the
-//! next colour begins.
+//! data messages — blocks and task sets — it sent them (round A);
+//! write-backs processed during round A may trigger forwards to other
+//! mirrors, which are accounted in round B. A machine enters the next
+//! colour-step only after receiving every promised message, so all
+//! modifications are visible before the next colour begins. The invariant
+//! the count rests on: **no row stays in an open block past the flush
+//! marker of its `(step, phase)`** — `flush_round` closes every block
+//! before it sends the markers.
 //!
 //! Between colour *cycles* (one pass over all colours) the machines run the
 //! sync operations and the master decides halting ("the entire cycle
@@ -25,7 +37,7 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
-use graphlab_graph::{MachineId, VertexId};
+use graphlab_graph::{EdgeId, MachineId, VertexId};
 use graphlab_net::codec::Codec;
 use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
 
@@ -44,6 +56,23 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 /// is timer-based (`recovery::tick`), so the pump must tick.
 const RECOVERY_POLL: Duration = Duration::from_millis(25);
 
+/// An open block goes on the wire once it holds this many bytes: well under
+/// `BatchPolicy::max_bytes`, so ghost changes leave while the colour-step
+/// still runs (§4.2.1) and blocks share the batcher's envelopes.
+const BLOCK_BYTES: usize = 4 * 1024;
+
+/// The row kinds, `K_CHROM_VDATA..=K_CHROM_WB_E`: one block slot each per
+/// destination.
+const ROW_KINDS: usize = (K_CHROM_WB_E - K_CHROM_VDATA + 1) as usize;
+
+/// Rows of one `(step, phase)` bound for one (destination, kind), in wire
+/// form; empty when no block is open.
+#[derive(Default)]
+struct Block {
+    tag: (u64, u8),
+    buf: BytesMut,
+}
+
 /// Unwinds the BSP call stack to the top-level run loop with the recovery
 /// step that preempted it (`Continue` = a round is in progress). The
 /// protocol itself is event-driven and lives in [`crate::recovery`].
@@ -57,20 +86,28 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     num_colors: u32,
     /// Owner-side ghost version table over the exchange path.
     ///
-    /// The chromatic exchange is *push-based*: every ghost push follows a
-    /// strictly newer version bump, so — unlike the locking engine's
-    /// pull-based scope sync — direct pushes are already version-minimal
-    /// by construction and carry no guard here. The table earns its keep
-    /// on the **write-back fan-out**: a write-back source is noted at the
-    /// bumped version, and forwards go only to mirrors whose known version
-    /// is older, which is the version-aware generalisation of "do not
-    /// bounce the data back to its writer".
+    /// The chromatic exchange is *push-based*: every row pushed to a ghost
+    /// follows a strictly newer version bump, so — unlike the locking
+    /// engine's pull-based scope sync — direct pushes are already
+    /// version-minimal by construction and carry no guard here. The table
+    /// earns its keep on the **write-back fan-out**: a write-back source is
+    /// noted at the bumped version, and forwards go only to mirrors whose
+    /// known version is older, which is the version-aware generalisation
+    /// of "do not bounce the data back to its writer".
     cache: RemoteCacheTable,
 
-    // Task queues, one per colour; `queued` dedups.
+    // Task queues, one per colour; `queued` dedups, per local vertex: an
+    // owned one is in its colour's queue, a ghost in this step's
+    // `remote_tasks`.
     queues: Vec<VecDeque<u32>>,
     queued: Vec<bool>,
     pending_total: u64,
+    /// The tasks the running step's updates scheduled on each other
+    /// machine's vertices (local ids), sent as one set when it ends. Every
+    /// scheduled neighbour has another colour and runs in a later step
+    /// either way, so the set executed in each step is what per-update
+    /// forwarding gave.
+    remote_tasks: Vec<Vec<u32>>,
 
     // Step / flush accounting.
     step: u64,
@@ -83,9 +120,18 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// partial while we are still collecting flushes from a slower peer.
     /// `handle_msg` stashes them here; `cycle_end_round` drains first.
     sync_stash: VecDeque<Envelope>,
-    /// Forward sends per destination accumulated during the current phase-A
-    /// wait (write-back propagation).
-    fwd_counts: Vec<u64>,
+    /// The open row blocks, slot `dst * ROW_KINDS + (kind - K_CHROM_VDATA)`.
+    /// Blocks of one `(step, phase)` leave in slot order, not in the order
+    /// their first rows were written, and a row may overtake one of another
+    /// kind. That is safe: a proper colouring — first-order for edge,
+    /// second-order for full consistency — gives every datum at most one
+    /// writer per colour-step, so no two rows of a step carry the same
+    /// datum, and every row of a step is applied before the next begins.
+    blocks: Vec<Block>,
+    /// Data messages sent per destination, `[phase][dst]`, since the last
+    /// flush marker of that phase: blocks of direct pushes and write-backs
+    /// plus task sets (phase 0), blocks of forwarded write-backs (phase 1).
+    sent: [Vec<u64>; 2],
 
     // Bookkeeping.
     updates_local: u64,
@@ -98,10 +144,9 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     last_snap_updates: u64,
     straggled: bool,
     effects: UpdateEffects,
-    /// Ghost-row scratch: the datum being encoded, and the tagged row built
-    /// around it once and appended to each destination's batch queue.
+    /// Row scratch: the datum of the row being sent, encoded once for
+    /// every block it joins.
     rowbuf: BytesMut,
-    msgbuf: BytesMut,
 
     // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
     rec: RecoveryTracker,
@@ -141,11 +186,13 @@ where
             queues: (0..num_colors).map(|_| VecDeque::new()).collect(),
             queued: vec![false; nv],
             pending_total: 0,
+            remote_tasks: vec![Vec::new(); m],
             step: 0,
             recv_buckets: HashMap::new(),
             flush_promises: HashMap::new(),
             sync_stash: VecDeque::new(),
-            fwd_counts: vec![0; m],
+            blocks: (0..m * ROW_KINDS).map(|_| Block::default()).collect(),
+            sent: [vec![0; m], vec![0; m]],
             updates_local: 0,
             cycle_updates: 0,
             update_counts: Vec::new(),
@@ -155,7 +202,6 @@ where
             straggled: false,
             effects: UpdateEffects::default(),
             rowbuf: BytesMut::new(),
-            msgbuf: BytesMut::new(),
             rec: RecoveryTracker::new(machine.index(), m),
             steps_total: 0,
             failure: None,
@@ -248,11 +294,9 @@ where
         loop {
             self.cycle_updates = 0;
             for color in 0..self.num_colors {
-                let direct = self.execute_color_step(color);
-                self.flush_round(0, direct)?;
-                let zeros = vec![0; self.num_machines()];
-                let fwd = std::mem::replace(&mut self.fwd_counts, zeros);
-                self.flush_round(1, fwd)?;
+                self.execute_color_step(color);
+                self.flush_round(0)?;
+                self.flush_round(1)?;
                 self.step += 1;
                 self.steps_total += 1;
                 self.maybe_straggle();
@@ -274,34 +318,40 @@ where
         self.rec.send(&mut self.net, dst, kind, payload);
     }
 
-    /// Stages in `msgbuf` the `(step, phase)`-tagged row of local vertex
-    /// `l` at `version`, for [`Self::send_staged`].
-    fn stage_vertex_row(&mut self, l: u32, step: u64, phase: u8, version: u64) {
-        self.rowbuf.clear();
-        self.lg.vertex_data(l).encode(&mut self.rowbuf);
-        self.msgbuf.clear();
-        let (gvid, data) = (self.lg.vertex_gvid(l), &self.rowbuf);
-        StepTagged::<VertexRow>::put(&mut self.msgbuf, step, phase, |buf| {
-            VertexRow::put(buf, gvid, version, 0, data)
-        });
+    /// Appends to `dst`'s open `kind` block the row `put` builds around the
+    /// datum in `rowbuf`, opening the block with its `(step, phase)` tag —
+    /// after closing one of another tag — and closing it once it is full.
+    fn send_row(
+        &mut self,
+        dst: MachineId,
+        kind: u16,
+        tag: (u64, u8),
+        put: impl FnOnce(&mut BytesMut, &[u8]),
+    ) {
+        let slot = dst.index() * ROW_KINDS + (kind - K_CHROM_VDATA) as usize;
+        if !self.blocks[slot].buf.is_empty() && self.blocks[slot].tag != tag {
+            self.close_block(slot);
+        }
+        let block = &mut self.blocks[slot];
+        if block.buf.is_empty() {
+            block.tag = tag;
+            StepTagged::<()>::put(&mut block.buf, tag.0, tag.1, |_| {});
+        }
+        put(&mut block.buf, &self.rowbuf);
+        if block.buf.len() >= BLOCK_BYTES {
+            self.close_block(slot);
+        }
     }
 
-    /// Stages in `msgbuf` the direct-phase row of local edge `le`.
-    fn stage_edge_row(&mut self, le: u32, step: u64, version: u64) {
-        self.rowbuf.clear();
-        self.lg.edge_data(le).encode(&mut self.rowbuf);
-        self.msgbuf.clear();
-        let (geid, data) = (self.lg.edge_geid(le), &self.rowbuf);
-        StepTagged::<EdgeRow>::put(&mut self.msgbuf, step, 0, |buf| {
-            EdgeRow::put(buf, geid, version, data)
-        });
-    }
-
-    /// Appends the staged row to `dst`'s batch queue: a row fanned out to
-    /// several mirrors is encoded once.
-    fn send_staged(&mut self, dst: MachineId, kind: u16) {
-        let row = &self.msgbuf;
-        self.rec.send_with(&mut self.net, dst, kind, |buf| buf.put_slice(row));
+    /// Puts the open block in `slot` on the wire and counts it for the
+    /// flush marker of its phase.
+    fn close_block(&mut self, slot: usize) {
+        let Self { blocks, rec, net, sent, .. } = self;
+        let (dst, block) = (MachineId::from(slot / ROW_KINDS), &mut blocks[slot]);
+        let kind = K_CHROM_VDATA + (slot % ROW_KINDS) as u16;
+        rec.send_with(net, dst, kind, |buf| buf.put_slice(&block.buf));
+        block.buf.clear();
+        sent[block.tag.1 as usize][dst.index()] += 1;
     }
 
     /// Receives one engine envelope. The fault/recovery control plane is
@@ -330,18 +380,17 @@ where
         }
     }
 
-    /// Executes all queued vertices of `color`; returns data-message send
-    /// counts per destination machine.
-    fn execute_color_step(&mut self, color: u32) -> Vec<u64> {
-        let m = self.num_machines();
-        let mut direct = vec![0u64; m];
-        let mut batch: Vec<u32> = Vec::with_capacity(self.queues[color as usize].len());
-        while let Some(l) = self.queues[color as usize].pop_front() {
+    /// Executes all queued vertices of `color`, then sends every owner the
+    /// set of its vertices they scheduled.
+    fn execute_color_step(&mut self, color: u32) {
+        // The step executes what its queue held when it began: a vertex
+        // that schedules itself meanwhile runs next cycle.
+        let mut batch = std::mem::take(&mut self.queues[color as usize]);
+        self.pending_total -= batch.len() as u64;
+        for &l in &batch {
             self.queued[l as usize] = false;
-            self.pending_total -= 1;
-            batch.push(l);
         }
-        for l in batch {
+        for &l in &batch {
             self.effects.clear();
             {
                 let mut ctx = UpdateContext::new(
@@ -362,7 +411,7 @@ where
             if self.setup.config.trace {
                 *self.update_count_map.entry(self.lg.vertex_gvid(l)).or_insert(0) += 1;
             }
-            self.commit(l, &mut direct);
+            self.commit(l);
             // Respect the global update cap: stop executing this step.
             let cap = self.setup.config.max_updates;
             if cap > 0
@@ -371,25 +420,41 @@ where
                 break;
             }
         }
-        direct
+        // The drained queue keeps its buffer.
+        batch.clear();
+        batch.append(&mut self.queues[color as usize]);
+        self.queues[color as usize] = batch;
+
+        let Self { remote_tasks, queued, lg, rec, net, sent, step, .. } = self;
+        for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
+            tasks.sort_unstable_by_key(|&l| lg.vertex_gvid(l));
+            rec.send_with(net, MachineId::from(j), K_CHROM_SCHED, |buf| {
+                StepTagged::<TaskSetMsg>::put(buf, *step, 0, |buf| {
+                    TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
+                })
+            });
+            sent[0][j] += 1;
+            for l in tasks.drain(..) {
+                queued[l as usize] = false;
+            }
+        }
     }
 
     /// Applies an update's effects: version bumps, ghost pushes,
     /// write-backs and schedule forwards.
-    fn commit(&mut self, l: u32, direct: &mut [u64]) {
+    fn commit(&mut self, l: u32) {
         let me = self.me();
-        let step = self.step;
-        let effects = std::mem::take(&mut self.effects);
+        let tag = (self.step, 0);
+        let mut effects = std::mem::take(&mut self.effects);
 
         if effects.dirty_self {
             let version = self.lg.bump_vertex_version(l);
-            self.push_to_mirrors(l, step, version, direct);
+            self.push_to_mirrors(l, version);
         }
 
-        let mut dirty_edges = effects.dirty_edges.clone();
-        dirty_edges.sort_unstable();
-        dirty_edges.dedup();
-        for le in dirty_edges {
+        effects.dirty_edges.sort_unstable();
+        effects.dirty_edges.dedup();
+        for &le in &effects.dirty_edges {
             if self.lg.owns_edge(le) {
                 let version = self.lg.bump_edge_version(le);
                 let (s, d) = self.lg.edge_endpoints_local(le);
@@ -397,78 +462,93 @@ where
                 let md = self.lg.vertex_owner(d);
                 let other = if ms == me { md } else { ms };
                 if other != me {
-                    self.stage_edge_row(le, step, version);
-                    self.send_staged(other, K_CHROM_EDATA);
-                    direct[other.index()] += 1;
+                    let geid = self.encode_edge(le);
+                    self.send_row(other, K_CHROM_EDATA, tag, |buf, data| {
+                        EdgeRow::put(buf, geid, version, data)
+                    });
                 }
             } else {
-                let owner = self.lg.edge_owner(le);
-                self.stage_edge_row(le, step, 0);
-                self.send_staged(owner, K_CHROM_WB_E);
-                direct[owner.index()] += 1;
+                let (owner, geid) = (self.lg.edge_owner(le), self.encode_edge(le));
+                self.send_row(owner, K_CHROM_WB_E, tag, |buf, data| {
+                    EdgeRow::put(buf, geid, 0, data)
+                });
             }
         }
 
-        let mut dirty_nbrs = effects.dirty_nbrs.clone();
-        dirty_nbrs.sort_unstable();
-        dirty_nbrs.dedup();
-        for ln in dirty_nbrs {
+        effects.dirty_nbrs.sort_unstable();
+        effects.dirty_nbrs.dedup();
+        for &ln in &effects.dirty_nbrs {
             if self.lg.owns_vertex(ln) {
                 let version = self.lg.bump_vertex_version(ln);
-                self.push_to_mirrors(ln, step, version, direct);
+                self.push_to_mirrors(ln, version);
             } else {
-                let owner = self.lg.vertex_owner(ln);
-                self.stage_vertex_row(ln, step, 0, 0);
-                self.send_staged(owner, K_CHROM_WB_V);
-                direct[owner.index()] += 1;
+                let (owner, gvid) = (self.lg.vertex_owner(ln), self.encode_vertex(ln));
+                self.send_row(owner, K_CHROM_WB_V, tag, |buf, data| {
+                    VertexRow::put(buf, gvid, 0, 0, data)
+                });
             }
         }
 
-        // Scheduling: local tasks enqueue directly; remote tasks forward to
-        // their owner, grouped into one message per machine. BTreeMap so the
-        // per-destination send order is machine order, not hash order — the
-        // fabric's delivery interleavings (and with them fault traces) must
-        // be a function of the seed alone.
-        let mut remote: BTreeMap<MachineId, Vec<(VertexId, f64)>> = BTreeMap::new();
-        for &(lv, prio) in &effects.scheduled {
-            let owner = self.lg.vertex_owner(lv);
-            if owner == me {
+        // Scheduling: local tasks enqueue directly, remote ones join their
+        // owner's set for this step.
+        for &(lv, _) in &effects.scheduled {
+            if self.lg.owns_vertex(lv) {
                 self.enqueue_local(lv);
-            } else {
-                remote.entry(owner).or_default().push((self.lg.vertex_gvid(lv), prio));
+            } else if !std::mem::replace(&mut self.queued[lv as usize], true) {
+                self.remote_tasks[self.lg.vertex_owner(lv).index()].push(lv);
             }
-        }
-        for (mm, tasks) in remote {
-            self.rec.send_with(&mut self.net, mm, K_CHROM_SCHED, |buf| {
-                StepTagged::<ScheduleMsg>::put(buf, step, 0, |buf| ScheduleMsg::put(buf, &tasks))
-            });
-            direct[mm.index()] += 1;
         }
 
         self.effects = effects;
     }
 
+    /// Encodes local vertex `l`'s datum into `rowbuf` for [`Self::send_row`].
+    fn encode_vertex(&mut self, l: u32) -> VertexId {
+        self.rowbuf.clear();
+        self.lg.vertex_data(l).encode(&mut self.rowbuf);
+        self.lg.vertex_gvid(l)
+    }
+
+    /// Encodes local edge `le`'s datum into `rowbuf` for [`Self::send_row`].
+    fn encode_edge(&mut self, le: u32) -> EdgeId {
+        self.rowbuf.clear();
+        self.lg.edge_data(le).encode(&mut self.rowbuf);
+        self.lg.edge_geid(le)
+    }
+
     /// Ghost push of owned vertex `l`, just bumped to `version`, to every
     /// mirror (direct phase).
-    fn push_to_mirrors(&mut self, l: u32, step: u64, version: u64, direct: &mut [u64]) {
+    fn push_to_mirrors(&mut self, l: u32, version: u64) {
         if self.lg.vertex_mirrors(l).is_empty() {
             return;
         }
-        self.stage_vertex_row(l, step, 0, version);
+        let (gvid, tag) = (self.encode_vertex(l), (self.step, 0));
         for k in 0..self.lg.vertex_mirrors(l).len() {
             let mm = self.lg.vertex_mirrors(l)[k];
-            self.send_staged(mm, K_CHROM_VDATA);
-            direct[mm.index()] += 1;
+            self.send_row(mm, K_CHROM_VDATA, tag, |buf, data| {
+                VertexRow::put(buf, gvid, version, 0, data)
+            });
         }
     }
 
-    /// Sends flush markers for (self.step, phase) promising `counts`, then
-    /// blocks until every peer's flush and all promised data arrived.
-    fn flush_round(&mut self, phase: u8, counts: Vec<u64>) -> Result<(), Interrupt> {
+    /// Closes every open block, sends flush markers for (self.step, phase)
+    /// promising what `sent` counted, then blocks until every peer's flush
+    /// and all promised data arrived.
+    fn flush_round(&mut self, phase: u8) -> Result<(), Interrupt> {
         let m = self.num_machines();
         let me = self.me().index();
         let step = self.step;
-        for (j, &count) in counts.iter().enumerate().take(m) {
+        debug_assert!(
+            self.blocks.iter().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
+            "a row outlived the flush marker of its (step, phase)"
+        );
+        for slot in 0..self.blocks.len() {
+            if !self.blocks[slot].buf.is_empty() {
+                self.close_block(slot);
+            }
+        }
+        for j in 0..m {
+            let count = std::mem::take(&mut self.sent[phase as usize][j]);
             if j != me && !self.rec.is_dead(j) {
                 let msg = FlushMsg {
                     step,
@@ -510,70 +590,77 @@ where
         Ok(())
     }
 
-    fn bucket_incr(&mut self, src: MachineId, step: u64, phase: u8) {
-        *self.recv_buckets.entry((src.0, step, phase)).or_insert(0) += 1;
+    /// Walks the row block in `env` in place, handing `row` each row with
+    /// the block's step as it is met, and counts the block as received.
+    fn on_block<'a, R>(
+        &mut self,
+        env: &'a Envelope,
+        read: impl Fn(&mut &'a [u8]) -> Option<R>,
+        mut row: impl FnMut(&mut Self, u64, R),
+    ) {
+        let (step, phase) = read_all(&env.payload, |p| {
+            StepTagged::<R>::read_block(p, read, |step, r| row(self, step, r))
+        });
+        *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
     }
 
     fn handle_msg(&mut self, env: Envelope) {
         match env.kind {
             K_CHROM_VDATA => {
-                let ((step, phase), (vid, version, _, data)) = tagged(&env, VertexRow::read);
-                if let Some(l) = self.lg.local_vertex(vid) {
-                    self.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
-                }
-                self.bucket_incr(env.src, step, phase);
+                self.on_block(&env, VertexRow::read, |this, _, (vid, version, _, data)| {
+                    if let Some(l) = this.lg.local_vertex(vid) {
+                        this.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
+                    }
+                })
             }
-            K_CHROM_EDATA => {
-                let ((step, phase), (eid, version, data)) = tagged(&env, EdgeRow::read);
-                if let Some(l) = self.lg.local_edge(eid) {
-                    self.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
+            K_CHROM_EDATA => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
+                if let Some(l) = this.lg.local_edge(eid) {
+                    this.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
                 }
-                self.bucket_incr(env.src, step, phase);
-            }
-            K_CHROM_WB_V => {
-                let ((step, phase), (vid, _, _, data)) = tagged(&env, VertexRow::read);
-                let l = self.lg.local_vertex(vid).expect("write-back target owned");
-                debug_assert!(self.lg.owns_vertex(l));
-                *self.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
-                let version = self.lg.bump_vertex_version(l);
+            }),
+            K_CHROM_WB_V => self.on_block(&env, VertexRow::read, |this, step, (vid, _, _, data)| {
+                let l = this.lg.local_vertex(vid).expect("write-back target owned");
+                debug_assert!(this.lg.owns_vertex(l));
+                *this.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
+                let version = this.lg.bump_vertex_version(l);
                 // The writer holds exactly the data it sent us.
-                self.cache.note_v(env.src.index(), l, version);
+                this.cache.note_v(env.src.index(), l, version);
                 // Forward to every mirror whose known version is older
                 // (phase 1 accounting) — version-aware exclusion of the
                 // writer itself.
-                let mut staged = false;
-                for k in 0..self.lg.vertex_mirrors(l).len() {
-                    let mm = self.lg.vertex_mirrors(l)[k];
-                    if self.cache.v_known(mm.index(), l) < version {
-                        if !std::mem::replace(&mut staged, true) {
-                            self.stage_vertex_row(l, step, 1, version);
+                let mut encoded = false;
+                for k in 0..this.lg.vertex_mirrors(l).len() {
+                    let mm = this.lg.vertex_mirrors(l)[k];
+                    if this.cache.v_known(mm.index(), l) < version {
+                        if !std::mem::replace(&mut encoded, true) {
+                            this.encode_vertex(l);
                         }
-                        self.cache.note_v(mm.index(), l, version);
-                        self.send_staged(mm, K_CHROM_VDATA);
-                        self.fwd_counts[mm.index()] += 1;
+                        this.cache.note_v(mm.index(), l, version);
+                        this.send_row(mm, K_CHROM_VDATA, (step, 1), |buf, data| {
+                            VertexRow::put(buf, vid, version, 0, data)
+                        });
                     }
                 }
-                self.bucket_incr(env.src, step, phase);
-            }
-            K_CHROM_WB_E => {
-                let ((step, phase), (eid, _, data)) = tagged(&env, EdgeRow::read);
-                let l = self.lg.local_edge(eid).expect("write-back target owned");
-                debug_assert!(self.lg.owns_edge(l));
-                *self.lg.edge_data_mut(l) = dec_in(&env.payload, data);
-                self.lg.bump_edge_version(l);
+            }),
+            K_CHROM_WB_E => self.on_block(&env, EdgeRow::read, |this, _, (eid, _, data)| {
+                let l = this.lg.local_edge(eid).expect("write-back target owned");
+                debug_assert!(this.lg.owns_edge(l));
+                *this.lg.edge_data_mut(l) = dec_in(&env.payload, data);
                 // An edge has exactly two replicas; the write-back came from
                 // the only mirror, so no forward is needed.
-                self.bucket_incr(env.src, step, phase);
-            }
+                this.lg.bump_edge_version(l);
+            }),
             K_CHROM_SCHED => {
-                let ((step, phase), ()) = tagged(&env, |p| {
-                    ScheduleMsg::read(p, |gv, _prio| {
+                let (step, phase) = read_all(&env.payload, |p| {
+                    let tag = StepTagged::<TaskSetMsg>::read(p)?;
+                    TaskSetMsg::read(p, |gv| {
                         let l = self.lg.local_vertex(gv).expect("scheduled vertex is local");
                         debug_assert!(self.lg.owns_vertex(l));
                         self.enqueue_local(l);
-                    })
+                    })?;
+                    Some(tag)
                 });
-                self.bucket_incr(env.src, step, phase);
+                *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
             }
             K_CHROM_FLUSH_A => {
                 let f: FlushMsg = dec(env.payload);
@@ -789,15 +876,6 @@ where
     }
 }
 
-/// Reads a step-tagged data message in place: the `(step, phase)` tag, then
-/// what `inner` reads behind it.
-fn tagged<'a, T>(
-    env: &'a Envelope,
-    inner: impl FnOnce(&mut &'a [u8]) -> Option<T>,
-) -> ((u64, u8), T) {
-    read_all(&env.payload, |p| Some((StepTagged::<T>::read(p)?, inner(p)?)))
-}
-
 impl<V, E, U> RecoveryHost for ChromaticMachine<V, E, U>
 where
     V: Codec + Clone + Send + Sync + 'static,
@@ -823,9 +901,9 @@ where
         }
     }
 
-    /// Resets all volatile BSP state — colour queues, step/flush
-    /// accounting, stashed sync partials, ghost-cache assumptions — sized
-    /// by the current local graph.
+    /// Resets all volatile BSP state — colour queues, collected tasks, open
+    /// blocks, step/flush accounting, stashed sync partials, ghost-cache
+    /// assumptions — sized by the current local graph.
     fn reset_engine_state(&mut self) {
         let nv = self.lg.num_local_vertices();
         let m = self.num_machines();
@@ -833,11 +911,13 @@ where
         self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
         self.queued = vec![false; nv];
         self.pending_total = 0;
+        self.remote_tasks.iter_mut().for_each(Vec::clear);
         self.step = 0;
         self.recv_buckets.clear();
         self.flush_promises.clear();
         self.sync_stash.clear();
-        self.fwd_counts = vec![0; m];
+        self.blocks.iter_mut().for_each(|b| b.buf.clear());
+        self.sent.iter_mut().for_each(|s| s.fill(0));
         self.cycle_updates = 0;
         self.effects.clear();
         self.last_snap_updates =
@@ -856,45 +936,238 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{scripted_machine, NoUpdate};
     use graphlab_atoms::VertexPartition;
-    use graphlab_graph::GraphBuilder;
+    use graphlab_graph::{AtomId, GraphBuilder};
+    use graphlab_net::{BatchPolicy, SimEndpoint};
 
-    /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
-    /// `sync_stash`, so a `K_CHROM_SYNC_PART` the master stashed while
-    /// still in `flush_round` survived a rollback and the restarted
-    /// `cycle_end_round(0)` drained it — "sync round out of step", or a
-    /// stale partial counted in place of the real one.
-    #[test]
-    fn reset_drops_stashed_sync_partials_and_every_other_volatile_field() {
+    type Machine = ChromaticMachine<f64, f64, NoUpdate>;
+
+    /// Machine 0 of `machines` over `graph`, unbatched — every block is an
+    /// envelope of its own on the wire — and the other machines' endpoints
+    /// (`peers[j - 1]` is machine `j`'s).
+    fn machine0(
+        graph: &graphlab_graph::DataGraph<f64, f64>,
+        partition: &VertexPartition,
+        machines: usize,
+    ) -> (Machine, Vec<SimEndpoint>) {
+        let mut config = crate::EngineConfig::new(machines);
+        config.batch = BatchPolicy::disabled();
+        let (setup, init, mut eps) =
+            scripted_machine(graph, partition, MachineId(0), config, InitialSchedule::AllVertices);
+        (ChromaticMachine::new(eps.remove(0).into(), setup, init), eps)
+    }
+
+    /// The complete digraph on three vertices, vertex `i` on machine `i`:
+    /// machine 0's vertex has a mirror on both peers.
+    fn triangle() -> (Machine, Vec<SimEndpoint>) {
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
+        for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            b.add_edge(v[i], v[j], 1.0).unwrap();
+        }
+        let one_each = VertexPartition::from_assignment((0..3).map(AtomId).collect(), 3);
+        machine0(&b.build(), &one_each, 3)
+    }
+
+    /// The ring on eight vertices over two machines.
+    fn ring() -> (Machine, Vec<SimEndpoint>) {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
         for i in 0..8 {
             b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
         }
-        let (setup, init, mut eps) = crate::driver::scripted_machine(
-            &b.build(),
-            &VertexPartition::random_hash(8, 4, 3),
-            MachineId(0),
-            crate::EngineConfig::new(2),
-            InitialSchedule::AllVertices,
-        );
-        let mut m = ChromaticMachine::new(eps.swap_remove(0).into(), setup, init);
+        machine0(&b.build(), &VertexPartition::random_hash(8, 4, 3), 2)
+    }
+
+    fn from(src: u16, kind: u16, payload: Bytes) -> Envelope {
+        Envelope { src: MachineId(src), dst: MachineId(0), kind, payload }
+    }
+
+    /// A vertex row block off the wire: its kind, its tag and the
+    /// `(vertex, version)` of its rows.
+    type VertexBlock = (u16, (u64, u8), Vec<(u32, u64)>);
+
+    /// The next envelope at `ep`, read as a vertex row block.
+    fn vertex_block(ep: &SimEndpoint) -> Option<VertexBlock> {
+        let env = ep.try_recv().ok()?;
+        let mut rows = Vec::new();
+        let tag = read_all(&env.payload, |p| {
+            StepTagged::<VertexRow>::read_block(p, VertexRow::read, |_, (v, version, _, _)| {
+                rows.push((v.0, version))
+            })
+        });
+        Some((env.kind, tag, rows))
+    }
+
+    /// The next envelope at `ep` as a flush marker: `(kind, step, count)`.
+    fn flush_marker(ep: &SimEndpoint) -> Option<(u16, u64, u64)> {
+        let env = ep.try_recv().ok()?;
+        let f: FlushMsg = dec(env.payload);
+        Some((env.kind, f.step, f.count))
+    }
+
+    /// Scripts every peer's flush marker of `(step, phase)`, promising
+    /// nothing beyond what machine 0 already got, so `flush_round` returns
+    /// without waiting.
+    fn promise(m: &mut Machine, step: u64, phase: u8) {
+        let kind = if phase == 0 { K_CHROM_FLUSH_A } else { K_CHROM_FLUSH_B };
+        for j in 1..m.num_machines() as u16 {
+            let count = m.recv_buckets.get(&(j, step, phase)).copied().unwrap_or(0);
+            m.handle_msg(from(j, kind, enc(&FlushMsg { step, count, updates: 0, pending: 0 })));
+        }
+    }
+
+    /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
+    /// `(step, phase)` joins its slot, and at the latest when the round
+    /// ends — and each is counted for the flush marker of its own phase.
+    #[test]
+    fn a_block_closes_when_full_on_a_change_of_tag_and_when_the_round_ends() {
+        let (mut m, peers) = triangle();
+        let l = m.lg.local_vertex(VertexId(0)).unwrap();
+        let push = |m: &mut Machine| {
+            let version = m.lg.bump_vertex_version(l);
+            m.push_to_mirrors(l, version);
+            version
+        };
+
+        // Full: rows pile up unsent, then leave together.
+        let mut pushed = Vec::new();
+        let full = loop {
+            pushed.push((0, push(&mut m)));
+            if let Some(block) = vertex_block(&peers[0]) {
+                break block;
+            }
+        };
+        assert!(pushed.len() > 300, "a 4 KiB block holds hundreds of 12-byte rows");
+        assert_eq!(full, (K_CHROM_VDATA, (0, 0), pushed.clone()));
+        assert_eq!(vertex_block(&peers[1]), Some(full), "every mirror gets the same rows");
+        assert_eq!(m.sent, [[0, 1, 1], [0, 0, 0]]);
+
+        // Change of tag: a forward for machine 1 closes its direct block;
+        // machine 2's stays open.
+        let version = push(&mut m);
+        m.encode_vertex(l);
+        m.send_row(MachineId(1), K_CHROM_VDATA, (0, 1), |buf, data| {
+            VertexRow::put(buf, VertexId(0), version + 1, 0, data)
+        });
+        assert_eq!(vertex_block(&peers[0]), Some((K_CHROM_VDATA, (0, 0), vec![(0, version)])));
+        assert_eq!(vertex_block(&peers[1]), None);
+        assert_eq!(m.sent, [[0, 2, 1], [0, 0, 0]]);
+
+        // End of the round: what is open leaves ahead of the markers, and
+        // the forward is promised in round B, not A.
+        promise(&mut m, 0, 0);
+        assert!(m.flush_round(0).is_ok());
+        assert_eq!(vertex_block(&peers[0]), Some((K_CHROM_VDATA, (0, 1), vec![(0, version + 1)])));
+        assert_eq!(vertex_block(&peers[1]), Some((K_CHROM_VDATA, (0, 0), vec![(0, version)])));
+        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_A, 0, 2)));
+        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_A, 0, 2)));
+        assert_eq!(m.sent, [[0, 0, 0], [0, 1, 0]]);
+        promise(&mut m, 0, 1);
+        assert!(m.flush_round(1).is_ok());
+        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_B, 0, 1)));
+        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_B, 0, 0)));
+        assert!(m.blocks.iter().all(|b| b.buf.is_empty()) && m.sent == [[0; 3], [0; 3]]);
+    }
+
+    /// A racing peer: machine 1 is already in step 3 while machine 0 still
+    /// waits in `cycle_end_round` (or `write_snapshot`) after step 2. Its
+    /// write-back is applied at once; the forward to the other mirror waits
+    /// in a phase-1 block tagged 3 and is promised by `FLUSH_B` of step 3 —
+    /// `FLUSH_A` of step 3 must not count it, or machine 2 waits for a
+    /// direct block that never comes.
+    #[test]
+    fn a_write_back_of_the_next_step_is_forwarded_in_that_steps_second_round() {
+        let (mut m, peers) = triangle();
+        m.step = 3;
+        let mut wb = BytesMut::new();
+        StepTagged::<VertexRow>::put(&mut wb, 3, 0, |buf| {
+            VertexRow::put(buf, VertexId(0), 0, 0, &enc(&7.5f64))
+        });
+        m.handle_msg(from(1, K_CHROM_WB_V, wb.freeze()));
+        let l = m.lg.local_vertex(VertexId(0)).unwrap();
+        assert_eq!((*m.lg.vertex_data(l), m.lg.vertex_version(l)), (7.5, 1));
+        assert!(peers.iter().all(|ep| ep.try_recv().is_err()), "nothing leaves before the step");
+        assert_eq!(m.sent, [[0; 3], [0; 3]]);
+
+        m.execute_color_step(0);
+        promise(&mut m, 3, 0);
+        assert!(m.flush_round(0).is_ok());
+        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_A, 3, 0)));
+        assert_eq!(vertex_block(&peers[1]), Some((K_CHROM_VDATA, (3, 1), vec![(0, 1)])));
+        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_A, 3, 0)));
+        promise(&mut m, 3, 1);
+        assert!(m.flush_round(1).is_ok());
+        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_B, 3, 0)), "not to the writer");
+        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_B, 3, 1)));
+    }
+
+    /// The remote tasks of a step are one set per owner: duplicates merge,
+    /// the ids ascend, and it is sent — and counted — once, when the step
+    /// has executed.
+    #[test]
+    fn remote_tasks_of_a_step_leave_as_one_ascending_set() {
+        let (mut m, peers) = ring();
+        let l = m.lg.owned_vertices()[0];
+        let mut ghosts: Vec<u32> =
+            (0..m.lg.num_local_vertices() as u32).filter(|&g| !m.lg.owns_vertex(g)).collect();
+        assert!(ghosts.len() >= 2);
+        ghosts.sort_by_key(|&g| std::cmp::Reverse(m.lg.vertex_gvid(g)));
+        for _ in 0..2 {
+            m.effects.scheduled = ghosts.iter().map(|&g| (g, 1.0)).chain([(l, 2.0)]).collect();
+            m.commit(l);
+        }
+        assert_eq!((m.pending_total, m.remote_tasks[1].len()), (1, ghosts.len()));
+        assert!(peers[0].try_recv().is_err(), "nothing leaves per update");
+
+        m.step = 4;
+        m.execute_color_step(m.lg.vertex_color(l));
+        let env = peers[0].try_recv().expect("the step's task set");
+        let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.lg.vertex_gvid(g)).collect();
+        set.reverse();
+        let expected = StepTagged { step: 4, phase: 0, inner: TaskSetMsg { tasks: set } };
+        assert_eq!((env.kind, dec::<StepTagged<TaskSetMsg>>(env.payload)), (K_CHROM_SCHED, expected));
+        assert!(peers[0].try_recv().is_err());
+        assert_eq!(m.sent, [[0, 1], [0, 0]]);
+        assert!(m.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.queued[g as usize]));
+    }
+
+    /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
+    /// `sync_stash`, so a `K_CHROM_SYNC_PART` the master stashed while
+    /// still in `flush_round` survived a rollback and the restarted
+    /// `cycle_end_round(0)` drained it — "sync round out of step", or a
+    /// stale partial counted in place of the real one. The same holds for
+    /// every engine buffer: a rollback or an adoption must find no pre-crash
+    /// row, task or count in one, as `Batcher::clear` guarantees for the
+    /// queues.
+    #[test]
+    fn reset_drops_stashed_sync_partials_and_every_other_volatile_field() {
+        let (mut m, peers) = ring();
         m.initial_schedule();
         m.step = 5;
         let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };
-        m.handle_msg(Envelope {
-            src: MachineId(1),
-            dst: MachineId(0),
-            kind: K_CHROM_SYNC_PART,
-            payload: enc(&stale),
-        });
+        m.handle_msg(from(1, K_CHROM_SYNC_PART, enc(&stale)));
         assert_eq!(m.sync_stash.len(), 1);
+        // An update that left a row in an open block and a task in the set
+        // for machine 1, and a block already counted for the next marker.
+        let l = *m.lg.owned_vertices().iter().find(|&&l| !m.lg.vertex_mirrors(l).is_empty()).unwrap();
+        let ghost = (0..m.lg.num_local_vertices() as u32).find(|&g| !m.lg.owns_vertex(g)).unwrap();
+        m.effects.dirty_self = true;
+        m.effects.scheduled.push((ghost, 1.0));
+        m.commit(l);
+        m.sent[1][1] = 1;
+        assert!(m.blocks.iter().any(|b| !b.buf.is_empty()));
+        assert!(m.queued[ghost as usize] && m.remote_tasks[1] == [ghost]);
 
         m.reset_engine_state();
         assert!(m.sync_stash.is_empty(), "a stale partial must not reach the restarted cycle 0");
         assert_eq!((m.step, m.pending_total), (0, 0));
         assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
         assert_eq!(m.queued.len(), m.lg.num_local_vertices());
-        assert_eq!(m.fwd_counts, [0, 0]);
+        assert!(m.blocks.iter().all(|b| b.buf.is_empty()), "a pre-crash row survived");
+        assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
+        assert_eq!(m.sent, [[0, 0], [0, 0]]);
+        assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 }

@@ -4,9 +4,9 @@
 //! explicit binary encoding (DESIGN.md D1). Message kinds are partitioned
 //! by engine:
 //!
-//! - `1..=19` — chromatic engine (§4.2.1): ghost data flushes, write-backs,
-//!   schedule forwards, the two-round step flush, and the per-cycle
-//!   sync/halt round.
+//! - `1..=19` — chromatic engine (§4.2.1): ghost data and write-back row
+//!   blocks, one task set per colour-step and owner, the two-round step
+//!   flush, and the per-cycle sync/halt round.
 //! - `20..=39` — locking engine (§4.2.2): pipelined lock chains, scope data
 //!   synchronisation, releases with piggybacked write-backs, termination
 //!   tokens and halt control, background sync, and both snapshot protocols.
@@ -28,7 +28,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, LockType, MachineId, VertexId};
 use graphlab_net::codec::{
-    decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_uvarint, Codec,
+    decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_id_deltas,
+    put_uvarint, Codec,
 };
 use graphlab_net::termination::Token;
 
@@ -159,19 +160,24 @@ pub(crate) use tr;
 // lint: kind K_UP handlers: recovery.rs
 // lint: kind K_LEASE handlers: batch.rs
 
-/// Chromatic: vertex ghost update (owner → mirror).
+/// Chromatic: vertex ghost updates (owner → mirror), a block of
+/// [`VertexRow`]s.
 pub const K_CHROM_VDATA: u16 = 1;
-/// Chromatic: edge ghost update (owner → mirror).
+/// Chromatic: edge ghost updates (owner → mirror), a block of [`EdgeRow`]s.
 pub const K_CHROM_EDATA: u16 = 2;
-/// Chromatic: vertex write-back (mirror → owner; full consistency).
+/// Chromatic: vertex write-backs (mirror → owner; full consistency), a
+/// block of [`VertexRow`]s.
 pub const K_CHROM_WB_V: u16 = 3;
-/// Chromatic: edge write-back (mirror → owner).
+/// Chromatic: edge write-backs (mirror → owner), a block of [`EdgeRow`]s.
 pub const K_CHROM_WB_E: u16 = 4;
-/// Chromatic: remote schedule request.
+/// Chromatic: a colour-step's remote schedule requests for one owner, a
+/// tagged [`TaskSetMsg`].
 pub const K_CHROM_SCHED: u16 = 5;
-/// Chromatic: first-round step flush (promises direct message counts).
+/// Chromatic: first-round step flush (promises direct block and task-set
+/// counts).
 pub const K_CHROM_FLUSH_A: u16 = 6;
-/// Chromatic: second-round step flush (promises forwarded write-backs).
+/// Chromatic: second-round step flush (promises forwarded write-back
+/// blocks).
 pub const K_CHROM_FLUSH_B: u16 = 7;
 /// Chromatic: per-cycle sync partial (machine → master).
 pub const K_CHROM_SYNC_PART: u16 = 8;
@@ -470,6 +476,17 @@ impl Codec for ScheduleMsg {
 }
 
 // ---- chromatic engine ----
+//
+// The colour-step is the unit of exchange. Payloads of the five data kinds,
+// every one behind the `(step, phase)` tag of [`StepTagged`]:
+//
+//   K_CHROM_VDATA, K_CHROM_WB_V   step, phase, VertexRow*   (a row block)
+//   K_CHROM_EDATA, K_CHROM_WB_E   step, phase, EdgeRow*     (a row block)
+//   K_CHROM_SCHED                 step, phase, TaskSetMsg
+//
+// A row block carries the tag once and then rows back to back to the end
+// of the payload, with no count: a `StepTagged<VertexRow>` is a block of
+// one row, and [`StepTagged::read_block`] walks any block in place.
 
 /// Step-tagged data envelope: the chromatic engine's flush accounting
 /// buckets data messages by `(step, phase)`.
@@ -496,6 +513,21 @@ impl<T> StepTagged<T> {
     pub fn read(buf: &mut &[u8]) -> Option<(u64, u8)> {
         Some((get_varint(buf)?, get_array::<1>(buf)?[0]))
     }
+
+    /// Reads a row block — the tag, then what `read` reads ([`VertexRow::read`]
+    /// or [`EdgeRow::read`]) back to back to the end of `buf` — handing
+    /// each row to `row` with its step as it is met. Returns the tag.
+    pub fn read_block<'a, R>(
+        buf: &mut &'a [u8],
+        read: impl Fn(&mut &'a [u8]) -> Option<R>,
+        mut row: impl FnMut(u64, R),
+    ) -> Option<(u64, u8)> {
+        let tag = Self::read(buf)?;
+        while !buf.is_empty() {
+            row(tag.0, read(buf)?);
+        }
+        Some(tag)
+    }
 }
 
 impl<T: Codec> Codec for StepTagged<T> {
@@ -508,14 +540,53 @@ impl<T: Codec> Codec for StepTagged<T> {
     }
 }
 
+/// The vertices of one owner that one colour-step's updates on one machine
+/// scheduled: a *set*, as the scheduler is (duplicate requests merge,
+/// arXiv 1006.4990 §3.4), sent once when the step ends. Ascending global
+/// ids, gap-encoded ([`put_id_deltas`]' layout); no priorities — the
+/// chromatic engine executes by colour and has never used them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TaskSetMsg {
+    /// Vertices to enqueue at the receiving owner, ascending.
+    pub tasks: Vec<VertexId>,
+}
+
+impl TaskSetMsg {
+    /// Streams a set of `n` ascending ids (what [`Codec::encode`] writes).
+    pub(crate) fn put(buf: &mut BytesMut, n: usize, tasks: impl Iterator<Item = VertexId>) {
+        put_id_deltas(buf, n, tasks.map(|v| v.0));
+    }
+
+    /// Reads a set, handing each vertex to `task` as it is met.
+    pub fn read(buf: &mut &[u8], mut task: impl FnMut(VertexId)) -> Option<()> {
+        let mut id = 0u32;
+        for _ in 0..get_varint::<usize, _>(buf)? {
+            id = id.checked_add(get_varint(buf)?)?;
+            task(VertexId(id));
+        }
+        Some(())
+    }
+}
+
+impl Codec for TaskSetMsg {
+    fn encode(&self, buf: &mut BytesMut) {
+        Self::put(buf, self.tasks.len(), self.tasks.iter().copied());
+    }
+    fn decode(buf: &mut Bytes) -> Option<Self> {
+        let mut tasks = Vec::new();
+        decode_with(buf, |_, rest| Self::read(rest, |v| tasks.push(v)))?;
+        Some(TaskSetMsg { tasks })
+    }
+}
+
 /// Flush marker: "during (step, phase) I sent you `count` data messages;
 /// I executed `updates` updates this step and have `pending` tasks queued".
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlushMsg {
     /// Global colour-step counter.
     pub step: u64,
-    /// Number of data messages the sender addressed to the receiver in
-    /// this step/phase.
+    /// Number of data messages — row blocks and task sets — the sender
+    /// addressed to the receiver in this step/phase.
     pub count: u64,
     /// Updates the sender executed this step (phase A only; diagnostics /
     /// halt decision input).
@@ -1206,6 +1277,8 @@ mod tests {
             phase: 1,
             inner: VertexRow { vid: VertexId(0), version: 1, snap: 0, data: Bytes::from_static(b"d") },
         });
+        rt(StepTagged { step: 12, phase: 0, inner: TaskSetMsg { tasks: vec![] } });
+        rt(TaskSetMsg { tasks: vec![VertexId(0), VertexId(7), VertexId(7), VertexId(u32::MAX)] });
         rt(FlushMsg { step: 3, count: 17, updates: 5, pending: 2 });
         rt(SyncPartialMsg {
             cycle: 2,
@@ -1219,6 +1292,16 @@ mod tests {
             halt: true,
             snapshot: Some(1),
         });
+    }
+
+    #[test]
+    fn task_set_ids_past_u32_are_refused() {
+        // Two gaps that sum past the id space: a malformed set, not a wrap.
+        let mut buf = BytesMut::new();
+        put_id_deltas(&mut buf, 2, [u32::MAX, u32::MAX].into_iter());
+        buf[6] = 1; // second gap: 1
+        assert_eq!(TaskSetMsg::read(&mut &buf[..], |_| {}), None);
+        assert_eq!(decode_from::<TaskSetMsg>(buf.freeze()), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphlab_core::*;
-use graphlab_graph::{Coloring, ConsistencyModel, DataGraph, GraphBuilder, VertexId};
+use graphlab_graph::{Coloring, ConsistencyModel, DataGraph, EdgeDir, GraphBuilder, VertexId};
 use graphlab_net::LatencyModel;
 
 /// Max-diffusion: every vertex converges to the global maximum of its
@@ -526,4 +526,129 @@ fn stop_when_halts_locking_engine_mid_run() {
         .run(Forever);
     assert!(out.metrics.updates >= 40, "ran until the stop fired");
     assert!(out.globals.get(TOTAL).is_some_and(|t| t[0] >= 40.0));
+}
+
+// ---- the chromatic engine's colour-step exchange ----
+
+/// Dynamic PageRank (the paper's Alg. 1, α 0.15): out-neighbours are
+/// scheduled when the rank moved by more than ε.
+struct DynamicPageRank(f64);
+impl UpdateFunction<f64, f64> for DynamicPageRank {
+    fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
+        let mut rank = 0.15 / ctx.num_vertices() as f64;
+        for i in 0..ctx.num_neighbors() {
+            if ctx.nbr_dir(i) == EdgeDir::In {
+                rank += 0.85 * ctx.edge_data(i) * *ctx.nbr_data(i);
+            }
+        }
+        let delta = (rank - *ctx.vertex_data()).abs();
+        *ctx.vertex_data_mut() = rank;
+        if delta > self.0 {
+            for i in 0..ctx.num_neighbors() {
+                if ctx.nbr_dir(i) == EdgeDir::Out {
+                    ctx.schedule_nbr(i, delta);
+                }
+            }
+        }
+    }
+}
+
+/// A web-like digraph on `n` pages from a fixed LCG: every page links to up
+/// to four others, low ids preferred (hubs), weights `1 / outdeg`.
+fn web(n: usize) -> DataGraph<f64, f64> {
+    let mut state = 42u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut links: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (v, out) in links.iter_mut().enumerate() {
+        for k in 0..4 {
+            let t = if k % 2 == 0 { next() % n } else { (next() % n) * (next() % n) / n };
+            if t != v && !out.contains(&t) {
+                out.push(t);
+            }
+        }
+    }
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = (0..n).map(|_| b.add_vertex(1.0 / n as f64)).collect();
+    for (v, out) in links.iter().enumerate() {
+        for &t in out {
+            b.add_edge(ids[v], ids[t], 1.0 / out.len() as f64).unwrap();
+        }
+    }
+    b.build()
+}
+
+/// What a chromatic run did: updates, colour-steps, and every vertex datum
+/// to the bit.
+fn chromatic_outcome(
+    mut graph: DataGraph<f64, f64>,
+    machines: usize,
+    consistency: ConsistencyModel,
+    update: impl UpdateFunction<f64, f64> + 'static,
+) -> (u64, u64, Vec<u64>) {
+    let out = GraphLab::on(&mut graph)
+        .engine(EngineKind::Chromatic)
+        .machines(machines)
+        .consistency(consistency)
+        .seed(42)
+        .run(update);
+    let data = graph.vertices().map(|v| graph.vertex_data(v).to_bits()).collect();
+    (out.metrics.updates, out.metrics.steps, data)
+}
+
+/// The set a colour-step executes is a function of the graph and the
+/// colouring alone, so the engine's work and every bit of its fixpoint are
+/// the same on any number of machines — provided every ghost row,
+/// write-back, forward and task arrived before the next step began. This
+/// is the exact oracle for the exchange: edge consistency with ghost pushes
+/// and remote tasks (PageRank), full consistency with write-backs and
+/// their phase-1 forwards (`PushMax`).
+#[test]
+fn chromatic_work_and_fixpoint_do_not_depend_on_the_machine_count() {
+    fn check(app: &str, run: impl Fn(usize) -> (u64, u64, Vec<u64>)) {
+        let (updates, steps, data) = run(1);
+        assert!(updates > data.len() as u64 && steps > 2, "{app}: the run is dynamic");
+        for m in [2usize, 3, 4, 8] {
+            let (u, s, d) = run(m);
+            assert_eq!((u, s), (updates, steps), "{app}: updates and steps on {m} machines");
+            assert!(d == data, "{app}: vertex data differs on {m} machines");
+        }
+    }
+    let (edge, full) = (ConsistencyModel::Edge, ConsistencyModel::Full);
+    check("pagerank", |m| chromatic_outcome(web(3_000), m, edge, DynamicPageRank(1e-10)));
+    check("push-max on a ring", |m| chromatic_outcome(ring(20), m, full, PushMax));
+    check("push-max on a grid", |m| chromatic_outcome(grid(9, 7), m, full, PushMax));
+}
+
+/// The colour-step is the unit of exchange: a machine sends an owner one
+/// task set per step, and a mirror's machine one row block per step plus
+/// one per `BLOCK_BYTES` (4 KiB) of rows — not a message per update or per
+/// ghost row. (Uncompressed: a compressed envelope hides its sub-messages
+/// from `bytes_by_kind`.)
+#[test]
+fn chromatic_traffic_is_per_step_not_per_update() {
+    let mut graph = web(6_000);
+    let out = GraphLab::on(&mut graph)
+        .engine(EngineKind::Chromatic)
+        .machines(2)
+        .seed(42)
+        .configure(|c| c.batch = BatchPolicy::uncompressed())
+        .run(DynamicPageRank(1e-10));
+    let traffic = |kind: u16| {
+        out.metrics.bytes_by_kind.iter().find(|(k, _)| *k == kind).map(|(_, t)| *t).unwrap_or_default()
+    };
+    let (sched, vdata) = (traffic(messages::K_CHROM_SCHED), traffic(messages::K_CHROM_VDATA));
+    let per_step = out.metrics.steps * 2;
+    assert!(out.metrics.updates > 20 * per_step, "too small a run to tell steps from updates");
+    assert!(sched.msgs > 0 && vdata.msgs > 0);
+    assert!(sched.msgs <= per_step, "{} task sets in {} steps", sched.msgs, out.metrics.steps);
+    assert!(
+        vdata.msgs <= per_step + vdata.bytes / 4096,
+        "{} row blocks ({} bytes) in {} steps",
+        vdata.msgs,
+        vdata.bytes,
+        out.metrics.steps
+    );
 }

@@ -740,6 +740,12 @@ mod tests {
         assert!(sent > 40 * 64, "raw envelope must carry full payload bytes");
     }
 
+    /// The lease tests run on the wall clock: a period short enough to be
+    /// missed by a thread the scheduler held back for 40 ms made them fail
+    /// on a loaded two-CPU host. A quarter of a second cannot be starved
+    /// that way; the bounds below are multiples of it.
+    const TEST_LEASE: Duration = Duration::from_millis(250);
+
     #[test]
     fn lease_master_declares_silent_worker_dead() {
         // Worker 1 never services its batcher: no traffic, no heartbeats.
@@ -748,15 +754,15 @@ mod tests {
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
         let _b1 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
         let mut b0 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-        b0.enable_lease(crate::lease::LeaseConfig::with_period(Duration::from_millis(40)));
+        b0.enable_lease(crate::lease::LeaseConfig::with_period(TEST_LEASE));
         let t0 = std::time::Instant::now();
-        let env = b0.recv_timeout(Duration::from_secs(5)).expect("death notice");
+        let env = b0.recv_timeout(20 * TEST_LEASE).expect("death notice");
         assert_eq!(env.kind, crate::fault::K_DOWN);
         let d: crate::fault::DownMsg =
             crate::codec::decode_from(env.payload).expect("decode DownMsg");
         assert_eq!((d.machine, d.restart, d.era), (1, false, 1));
         assert!(
-            t0.elapsed() < Duration::from_millis(400),
+            t0.elapsed() < 10 * TEST_LEASE,
             "detection latency unbounded: {:?}",
             t0.elapsed()
         );
@@ -769,14 +775,14 @@ mod tests {
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
         let mut b1 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
         let mut b0 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-        let cfg = crate::lease::LeaseConfig::with_period(Duration::from_millis(40));
+        let cfg = crate::lease::LeaseConfig::with_period(TEST_LEASE);
         b0.enable_lease(cfg);
         b1.enable_lease(cfg);
         let h = std::thread::spawn(move || {
-            // Idle worker: ~10 lease periods of nothing but heartbeats.
-            let _ = b1.recv_timeout(Duration::from_millis(400));
+            // Idle worker: four lease periods of nothing but heartbeats.
+            let _ = b1.recv_timeout(4 * TEST_LEASE);
         });
-        let got = b0.recv_timeout(Duration::from_millis(400));
+        let got = b0.recv_timeout(4 * TEST_LEASE);
         assert!(
             matches!(got, Err(RecvError::Timeout)),
             "idle worker was declared dead: {got:?}"

@@ -244,6 +244,15 @@ mod wire_codec {
             .prop_map(|(eid, version, data)| EdgeRow { eid: EdgeId(eid), version, data })
     }
 
+    /// A colour-step's task set: ascending ids, duplicates allowed on the
+    /// wire (the engine never writes one).
+    fn arb_task_set() -> impl Strategy<Value = TaskSetMsg> {
+        proptest::collection::vec(0u32..u32::MAX, 0..24).prop_map(|mut ids| {
+            ids.sort_unstable();
+            TaskSetMsg { tasks: ids.into_iter().map(VertexId).collect() }
+        })
+    }
+
     /// Schedule priorities travel as f32 by design; generate exactly
     /// f32-representable values so equality round-trips.
     fn arb_sched() -> impl Strategy<Value = ScheduleMsg> {
@@ -314,6 +323,12 @@ mod wire_codec {
 
         #[test]
         fn schedule_msgs_roundtrip(msg in arb_sched()) { rt(msg); }
+
+        #[test]
+        fn task_sets_roundtrip(step in 0u64..u64::MAX, set in arb_task_set()) {
+            rt(set.clone());
+            rt(StepTagged { step, phase: 0, inner: set });
+        }
 
         #[test]
         fn step_tagged_roundtrip(
@@ -594,8 +609,117 @@ mod wire_codec {
         assert_eq!(appended_in_place(|buf| v.encode(buf)), enc, "in-place append");
     }
 
+    fn read_task_set(p: &mut &[u8]) -> Option<TaskSetMsg> {
+        let mut tasks = Vec::new();
+        TaskSetMsg::read(p, |v| tasks.push(v))?;
+        Some(TaskSetMsg { tasks })
+    }
+
+    // ---- ISSUE 19: row blocks ----
+    //
+    // The chromatic engine never builds a block as a value: it appends rows
+    // to a buffer behind one tag and walks a received block with
+    // `StepTagged::read_block`. `Block` is the owned message written out the
+    // long way — the tag, then `Codec::decode` row by row to the end of the
+    // payload — as the oracle for that walk.
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Block<T> {
+        step: u64,
+        phase: u8,
+        rows: Vec<T>,
+    }
+
+    impl<T: Codec> Codec for Block<T> {
+        fn encode(&self, buf: &mut BytesMut) {
+            StepTagged { step: self.step, phase: self.phase, inner: () }.encode(buf);
+            self.rows.iter().for_each(|r| r.encode(buf));
+        }
+        fn decode(buf: &mut Bytes) -> Option<Self> {
+            let StepTagged { step, phase, inner: () } = StepTagged::decode(buf)?;
+            let mut rows = Vec::new();
+            while !buf.is_empty() {
+                rows.push(T::decode(buf)?);
+            }
+            Some(Block { step, phase, rows })
+        }
+    }
+
+    /// A block read in place with `StepTagged::read_block` agrees with the
+    /// owned decode: on the encoding, on every truncation of it — a prefix
+    /// of the rows when the cut falls between two rows, `None` everywhere
+    /// else, never a panic — and with `junk` behind it; a block of one row
+    /// is, byte for byte, the `StepTagged<T>` message it replaces; and an
+    /// in-place append puts the same bytes in the envelope.
+    fn block_in_place<T: Codec + Clone + PartialEq + std::fmt::Debug>(
+        block: &Block<T>,
+        read: impl Fn(&mut &[u8]) -> Option<T>,
+        junk: &Bytes,
+    ) {
+        let walk = |bytes: &[u8]| {
+            let (mut p, mut rows) = (bytes, Vec::new());
+            let (step, phase) = StepTagged::<T>::read_block(&mut p, &read, |s, r| rows.push((s, r)))?;
+            assert!(p.is_empty() && rows.iter().all(|(s, _)| *s == step), "walks to the end");
+            Some(Block { step, phase, rows: rows.into_iter().map(|(_, r)| r).collect() })
+        };
+        let enc = encode_to_bytes(block);
+        assert_eq!(walk(&enc).as_ref(), Some(block), "read_block . put is not the identity");
+        let mut prefixes = 0;
+        for cut in 0..enc.len() {
+            let got = walk(&enc[..cut]);
+            assert_eq!(got, decode_from(enc.slice(..cut)), "walk and decode differ (cut {cut})");
+            if let Some(b) = got {
+                assert_eq!(b.rows[..], block.rows[..b.rows.len()], "not a prefix (cut {cut})");
+                assert_eq!(encode_to_bytes(&b).len(), cut, "a row cut short was taken (cut {cut})");
+                prefixes += 1;
+            }
+        }
+        assert_eq!(prefixes, block.rows.len(), "one row boundary per row, the tag's included");
+        let mut suffixed = enc.to_vec();
+        suffixed.extend_from_slice(junk);
+        assert_eq!(walk(&suffixed), decode_from(Bytes::from(suffixed)), "junk suffix");
+        if let [row] = &block.rows[..] {
+            let tagged = StepTagged { step: block.step, phase: block.phase, inner: row.clone() };
+            assert_eq!(enc, encode_to_bytes(&tagged), "a one-row block is the old message");
+        }
+        assert_eq!(appended_in_place(|buf| block.encode(buf)), enc, "in-place append");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn row_blocks_read_in_place(
+            step in 0u64..u64::MAX,
+            phase in 0u32..256,
+            vrows in proptest::collection::vec(arb_vrow(), 0..6),
+            erows in proptest::collection::vec(arb_erow(), 0..6),
+            junk in arb_bytes(),
+        ) {
+            let phase = phase as u8;
+            block_in_place(&Block { step, phase, rows: vrows[..vrows.len().min(1)].to_vec() }, read_vrow, &junk);
+            block_in_place(&Block { step, phase, rows: vrows }, read_vrow, &junk);
+            block_in_place(&Block { step, phase, rows: erows }, read_erow, &junk);
+        }
+
+        #[test]
+        fn task_sets_read_in_place(
+            step in 0u64..u64::MAX,
+            phase in 0u32..256,
+            set in arb_task_set(),
+            bend in (0usize..4096, 0u32..256),
+            junk in arb_bytes(),
+        ) {
+            in_place(&set, read_task_set, bend, &junk);
+            // The set is delimited by its count: what follows it is not read.
+            let mut suffixed = encode_to_bytes(&set).to_vec();
+            suffixed.extend_from_slice(&junk);
+            let mut p = &suffixed[..];
+            prop_assert_eq!(read_task_set(&mut p).as_ref(), Some(&set));
+            prop_assert_eq!(p, &junk[..]);
+            let tagged = StepTagged { step, phase: phase as u8, inner: set };
+            in_place(&tagged, read_tagged(read_task_set), bend, &junk);
+        }
 
         #[test]
         fn rows_and_tagged_rows_read_in_place(
