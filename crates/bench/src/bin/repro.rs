@@ -27,8 +27,10 @@ use graphlab_baselines::pregel::{PregelConfig, PregelEngine, PregelPageRank};
 use graphlab_baselines::{ec2_cost_usd, CC1_4XLARGE_HOURLY_USD};
 use graphlab_atoms::VertexPartition;
 use graphlab_bench::Table;
+use graphlab_core::messages::LockKind;
+use graphlab_core::metrics::traffic_of;
 use graphlab_core::{
-    optimal_checkpoint_interval_secs, EngineConfig, EngineKind, FaultPlan, FaultTrigger, GraphLab,
+    young_interval, EngineConfig, EngineKind, FaultPlan, FaultTrigger, GraphLab,
     PartitionStrategy, PlacementStrategy, RecoveryMode, SchedulerKind, SnapshotConfig,
     SnapshotMode, StragglerConfig, SyncCadence,
 };
@@ -847,7 +849,7 @@ fn eq3() {
         (256, year, 120.0),
         (64, year, 600.0),
     ] {
-        let ti = optimal_checkpoint_interval_secs(ck, mtbf, m);
+        let ti = young_interval(ck, mtbf, m);
         t.row(vec![
             format!("{m}"),
             format!("{:.2} y", mtbf / year),
@@ -1000,15 +1002,12 @@ fn abl_bytes() {
     // Per-kind attribution of the savings (the two *raw* arms, so batch
     // sub-messages stay attributable; the compressed arm's innards are
     // opaque K_ZIP envelopes by design).
-    let lookup = |rows: &[(u16, graphlab_net::KindTraffic)], k: u16| {
-        rows.iter().find(|&&(kk, _)| kk == k).map(|&(_, t)| t.bytes).unwrap_or(0)
-    };
     let mut kinds: Vec<u16> = kind_rows[0].iter().chain(&kind_rows[1]).map(|&(k, _)| k).collect();
     kinds.sort_unstable();
     kinds.dedup();
     let mut kt = Table::new(&["kind", "baseline KB", "delta-sync KB", "reduction"]);
     for k in kinds {
-        let (a, b) = (lookup(&kind_rows[0], k), lookup(&kind_rows[1], k));
+        let (a, b) = (traffic_of(&kind_rows[0], k).bytes, traffic_of(&kind_rows[1], k).bytes);
         kt.row(vec![
             graphlab_core::messages::kind_name(k).into(),
             format!("{:.1}", a as f64 / 1e3),
@@ -1114,11 +1113,8 @@ fn abl_control() {
             // arms land within 1e-9 of the unique fixpoint.
             .configure(|c| c.num_atoms = 128)
             .run(PageRank { alpha: 0.15, epsilon: 1e-14, dynamic: true });
-        let lookup = |k: u16| {
-            out.metrics.bytes_by_kind.iter().find(|&&(kk, _)| kk == k).map(|&(_, t)| t.bytes)
-        };
-        control[i] = lookup(graphlab_core::messages::K_LOCK_REQ).unwrap_or(0)
-            + lookup(graphlab_core::messages::K_RELEASE).unwrap_or(0);
+        control[i] = out.metrics.traffic(LockKind::Req).bytes
+            + out.metrics.traffic(LockKind::Release).bytes;
         means[i] = out.metrics.mean_chain_span();
         let chains: u64 = out.metrics.chain_spans.iter().sum();
         let local = out.metrics.chain_spans.first().copied().unwrap_or(0)
@@ -1158,17 +1154,10 @@ fn abl_control() {
     ht.print();
 
     // Control traffic attribution (the chain protocol kinds).
-    let lookup = |rows: &[(u16, graphlab_net::KindTraffic)], k: u16| {
-        rows.iter().find(|&&(kk, _)| kk == k).map(|&(_, t)| t.bytes).unwrap_or(0)
-    };
     let mut kt = Table::new(&["kind", "round-robin KB", "replication-aware KB", "reduction"]);
-    for k in [
-        graphlab_core::messages::K_LOCK_REQ,
-        graphlab_core::messages::K_SCOPE_DATA,
-        graphlab_core::messages::K_RELEASE,
-        graphlab_core::messages::K_UPD_NOTE,
-    ] {
-        let (a, b) = (lookup(&kind_rows[0], k), lookup(&kind_rows[1], k));
+    for k in [LockKind::Req, LockKind::ScopeData, LockKind::Release, LockKind::UpdNote] {
+        let k = k as u16;
+        let (a, b) = (traffic_of(&kind_rows[0], k).bytes, traffic_of(&kind_rows[1], k).bytes);
         kt.row(vec![
             graphlab_core::messages::kind_name(k).into(),
             format!("{:.1}", a as f64 / 1e3),

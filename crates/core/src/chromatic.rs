@@ -48,6 +48,7 @@ use crate::messages::*;
 use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
 use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
@@ -61,9 +62,28 @@ const RECOVERY_POLL: Duration = Duration::from_millis(25);
 /// still runs (§4.2.1) and blocks share the batcher's envelopes.
 const BLOCK_BYTES: usize = 4 * 1024;
 
-/// The row kinds, `K_CHROM_VDATA..=K_CHROM_WB_E`: one block slot each per
-/// destination.
-const ROW_KINDS: usize = (K_CHROM_WB_E - K_CHROM_VDATA + 1) as usize;
+/// The kinds that travel as row blocks: one block slot each per
+/// destination, at `RowKind as usize`.
+#[derive(Clone, Copy)]
+enum RowKind {
+    VData,
+    EData,
+    WbV,
+    WbE,
+}
+
+impl RowKind {
+    const ALL: [RowKind; 4] = [RowKind::VData, RowKind::EData, RowKind::WbV, RowKind::WbE];
+
+    fn wire(self) -> ChromKind {
+        match self {
+            RowKind::VData => ChromKind::VData,
+            RowKind::EData => ChromKind::EData,
+            RowKind::WbV => ChromKind::WbV,
+            RowKind::WbE => ChromKind::WbE,
+        }
+    }
+}
 
 /// Rows of one `(step, phase)` bound for one (destination, kind), in wire
 /// form; empty when no block is open.
@@ -120,14 +140,14 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// partial while we are still collecting flushes from a slower peer.
     /// `handle_msg` stashes them here; `cycle_end_round` drains first.
     sync_stash: VecDeque<Envelope>,
-    /// The open row blocks, slot `dst * ROW_KINDS + (kind - K_CHROM_VDATA)`.
+    /// The open row blocks: `blocks[dst][kind as usize]`.
     /// Blocks of one `(step, phase)` leave in slot order, not in the order
     /// their first rows were written, and a row may overtake one of another
     /// kind. That is safe: a proper colouring — first-order for edge,
     /// second-order for full consistency — gives every datum at most one
     /// writer per colour-step, so no two rows of a step carry the same
     /// datum, and every row of a step is applied before the next begins.
-    blocks: Vec<Block>,
+    blocks: Vec<[Block; RowKind::ALL.len()]>,
     /// Data messages sent per destination, `[phase][dst]`, since the last
     /// flush marker of that phase: blocks of direct pushes and write-backs
     /// plus task sets (phase 0), blocks of forwarded write-backs (phase 1).
@@ -191,7 +211,7 @@ where
             recv_buckets: HashMap::new(),
             flush_promises: HashMap::new(),
             sync_stash: VecDeque::new(),
-            blocks: (0..m * ROW_KINDS).map(|_| Block::default()).collect(),
+            blocks: (0..m).map(|_| Default::default()).collect(),
             sent: [vec![0; m], vec![0; m]],
             updates_local: 0,
             cycle_updates: 0,
@@ -261,7 +281,7 @@ where
             // run fails.
             while step == Step::Continue {
                 step = match self.net.recv_timeout(RECOVERY_POLL) {
-                    Ok(env) => recovery::on_envelope(&mut self, env),
+                    Ok(env) => recovery::on_envelope(&mut self, Kind::of(&env), env),
                     Err(RecvError::Timeout) => recovery::tick(&mut self),
                     Err(RecvError::MachineDown) => recovery::on_self_death(&mut self),
                     Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
@@ -314,7 +334,7 @@ where
 
     /// Single send point for all engine traffic (see
     /// [`RecoveryTracker::send`] for the invariant it guards).
-    fn send_msg(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+    fn send_msg(&mut self, dst: MachineId, kind: ChromKind, payload: Bytes) {
         self.rec.send(&mut self.net, dst, kind, payload);
     }
 
@@ -324,32 +344,31 @@ where
     fn send_row(
         &mut self,
         dst: MachineId,
-        kind: u16,
+        kind: RowKind,
         tag: (u64, u8),
         put: impl FnOnce(&mut BytesMut, &[u8]),
     ) {
-        let slot = dst.index() * ROW_KINDS + (kind - K_CHROM_VDATA) as usize;
-        if !self.blocks[slot].buf.is_empty() && self.blocks[slot].tag != tag {
-            self.close_block(slot);
+        let block = &self.blocks[dst.index()][kind as usize];
+        if !block.buf.is_empty() && block.tag != tag {
+            self.close_block(dst, kind);
         }
-        let block = &mut self.blocks[slot];
+        let block = &mut self.blocks[dst.index()][kind as usize];
         if block.buf.is_empty() {
             block.tag = tag;
             StepTagged::<()>::put(&mut block.buf, tag.0, tag.1, |_| {});
         }
         put(&mut block.buf, &self.rowbuf);
         if block.buf.len() >= BLOCK_BYTES {
-            self.close_block(slot);
+            self.close_block(dst, kind);
         }
     }
 
-    /// Puts the open block in `slot` on the wire and counts it for the
+    /// Puts `dst`'s open `kind` block on the wire and counts it for the
     /// flush marker of its phase.
-    fn close_block(&mut self, slot: usize) {
+    fn close_block(&mut self, dst: MachineId, kind: RowKind) {
         let Self { blocks, rec, net, sent, .. } = self;
-        let (dst, block) = (MachineId::from(slot / ROW_KINDS), &mut blocks[slot]);
-        let kind = K_CHROM_VDATA + (slot % ROW_KINDS) as u16;
-        rec.send_with(net, dst, kind, |buf| buf.put_slice(&block.buf));
+        let block = &mut blocks[dst.index()][kind as usize];
+        rec.send_with(net, dst, kind.wire(), |buf| buf.put_slice(&block.buf));
         block.buf.clear();
         sent[block.tag.1 as usize][dst.index()] += 1;
     }
@@ -359,11 +378,14 @@ where
     /// fresh `K_DOWN`, our own death, a `K_UP` on a machine that slept
     /// through its dead window) or ends the run unwinds the BSP stack.
     /// A timeout is a stall (clean failure, never a hang).
-    fn recv_env(&mut self, timeout: Duration) -> Result<Envelope, Interrupt> {
+    fn recv_env(&mut self, timeout: Duration) -> Result<(ChromKind, Envelope), Interrupt> {
         loop {
             let step = match self.net.recv_timeout(timeout) {
-                Ok(env) if !is_recovery_control(env.kind) => return Ok(env),
-                Ok(env) => recovery::on_envelope(self, env),
+                Ok(env) => match Kind::of(&env) {
+                    Kind::Chrom(kind) => return Ok((kind, env)),
+                    kind @ Kind::Recovery(_) => recovery::on_envelope(self, kind, env),
+                    Kind::Lock(kind) => panic!("{} in the chromatic engine", kind.name()),
+                },
                 Err(RecvError::Timeout) => Step::Abort(format!(
                     "chromatic engine stalled: machine {} step {} received nothing for {:?}",
                     self.me().0,
@@ -428,7 +450,7 @@ where
         let Self { remote_tasks, queued, lg, rec, net, sent, step, .. } = self;
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
             tasks.sort_unstable_by_key(|&l| lg.vertex_gvid(l));
-            rec.send_with(net, MachineId::from(j), K_CHROM_SCHED, |buf| {
+            rec.send_with(net, MachineId::from(j), ChromKind::Sched, |buf| {
                 StepTagged::<TaskSetMsg>::put(buf, *step, 0, |buf| {
                     TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
                 })
@@ -463,13 +485,13 @@ where
                 let other = if ms == me { md } else { ms };
                 if other != me {
                     let geid = self.encode_edge(le);
-                    self.send_row(other, K_CHROM_EDATA, tag, |buf, data| {
+                    self.send_row(other, RowKind::EData, tag, |buf, data| {
                         EdgeRow::put(buf, geid, version, data)
                     });
                 }
             } else {
                 let (owner, geid) = (self.lg.edge_owner(le), self.encode_edge(le));
-                self.send_row(owner, K_CHROM_WB_E, tag, |buf, data| {
+                self.send_row(owner, RowKind::WbE, tag, |buf, data| {
                     EdgeRow::put(buf, geid, 0, data)
                 });
             }
@@ -483,7 +505,7 @@ where
                 self.push_to_mirrors(ln, version);
             } else {
                 let (owner, gvid) = (self.lg.vertex_owner(ln), self.encode_vertex(ln));
-                self.send_row(owner, K_CHROM_WB_V, tag, |buf, data| {
+                self.send_row(owner, RowKind::WbV, tag, |buf, data| {
                     VertexRow::put(buf, gvid, 0, 0, data)
                 });
             }
@@ -525,7 +547,7 @@ where
         let (gvid, tag) = (self.encode_vertex(l), (self.step, 0));
         for k in 0..self.lg.vertex_mirrors(l).len() {
             let mm = self.lg.vertex_mirrors(l)[k];
-            self.send_row(mm, K_CHROM_VDATA, tag, |buf, data| {
+            self.send_row(mm, RowKind::VData, tag, |buf, data| {
                 VertexRow::put(buf, gvid, version, 0, data)
             });
         }
@@ -539,12 +561,12 @@ where
         let me = self.me().index();
         let step = self.step;
         debug_assert!(
-            self.blocks.iter().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
+            self.blocks.iter().flatten().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
             "a row outlived the flush marker of its (step, phase)"
         );
-        for slot in 0..self.blocks.len() {
-            if !self.blocks[slot].buf.is_empty() {
-                self.close_block(slot);
+        for (dst, kind) in (0..m).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k))) {
+            if !self.blocks[dst.index()][kind as usize].buf.is_empty() {
+                self.close_block(dst, kind);
             }
         }
         for j in 0..m {
@@ -558,7 +580,7 @@ where
                 };
                 self.send_msg(
                     MachineId::from(j),
-                    if phase == 0 { K_CHROM_FLUSH_A } else { K_CHROM_FLUSH_B },
+                    if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB },
                     enc(&msg),
                 );
             }
@@ -579,8 +601,8 @@ where
             if complete {
                 break;
             }
-            let env = self.recv_env(RECV_TIMEOUT)?;
-            self.handle_msg(env);
+            let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
+            self.handle_msg(kind, env);
         }
         // Prune accounting of completed steps to keep the maps small.
         if step > 1 {
@@ -604,21 +626,23 @@ where
         *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
     }
 
-    fn handle_msg(&mut self, env: Envelope) {
-        match env.kind {
-            K_CHROM_VDATA => {
+    /// Handles one envelope of a colour-step's exchange; the kinds of the
+    /// sync and snapshot rounds are taken by those rounds' own loops.
+    fn handle_msg(&mut self, kind: ChromKind, env: Envelope) {
+        match kind {
+            ChromKind::VData => {
                 self.on_block(&env, VertexRow::read, |this, _, (vid, version, _, data)| {
                     if let Some(l) = this.lg.local_vertex(vid) {
                         this.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
                     }
                 })
             }
-            K_CHROM_EDATA => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
+            ChromKind::EData => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
                 if let Some(l) = this.lg.local_edge(eid) {
                     this.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
                 }
             }),
-            K_CHROM_WB_V => self.on_block(&env, VertexRow::read, |this, step, (vid, _, _, data)| {
+            ChromKind::WbV => self.on_block(&env, VertexRow::read, |this, step, (vid, _, _, data)| {
                 let l = this.lg.local_vertex(vid).expect("write-back target owned");
                 debug_assert!(this.lg.owns_vertex(l));
                 *this.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
@@ -636,13 +660,13 @@ where
                             this.encode_vertex(l);
                         }
                         this.cache.note_v(mm.index(), l, version);
-                        this.send_row(mm, K_CHROM_VDATA, (step, 1), |buf, data| {
+                        this.send_row(mm, RowKind::VData, (step, 1), |buf, data| {
                             VertexRow::put(buf, vid, version, 0, data)
                         });
                     }
                 }
             }),
-            K_CHROM_WB_E => self.on_block(&env, EdgeRow::read, |this, _, (eid, _, data)| {
+            ChromKind::WbE => self.on_block(&env, EdgeRow::read, |this, _, (eid, _, data)| {
                 let l = this.lg.local_edge(eid).expect("write-back target owned");
                 debug_assert!(this.lg.owns_edge(l));
                 *this.lg.edge_data_mut(l) = dec_in(&env.payload, data);
@@ -650,7 +674,7 @@ where
                 // the only mirror, so no forward is needed.
                 this.lg.bump_edge_version(l);
             }),
-            K_CHROM_SCHED => {
+            ChromKind::Sched => {
                 let (step, phase) = read_all(&env.payload, |p| {
                     let tag = StepTagged::<TaskSetMsg>::read(p)?;
                     TaskSetMsg::read(p, |gv| {
@@ -662,16 +686,18 @@ where
                 });
                 *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
             }
-            K_CHROM_FLUSH_A => {
+            ChromKind::FlushA => {
                 let f: FlushMsg = dec(env.payload);
                 self.flush_promises.insert((env.src.0, f.step, 0), f);
             }
-            K_CHROM_FLUSH_B => {
+            ChromKind::FlushB => {
                 let f: FlushMsg = dec(env.payload);
                 self.flush_promises.insert((env.src.0, f.step, 1), f);
             }
-            K_CHROM_SYNC_PART => self.sync_stash.push_back(env),
-            other => panic!("unexpected message kind {other} in chromatic engine"),
+            ChromKind::SyncPart => self.sync_stash.push_back(env),
+            ChromKind::SyncGlob | ChromKind::SnapDone | ChromKind::SnapResume => {
+                panic!("{} outside its round", kind.name())
+            }
         }
     }
 
@@ -679,15 +705,9 @@ where
     /// `(halt, snapshot_id)`.
     fn cycle_end_round(&mut self, cycle: u64) -> Result<(bool, Option<u64>), Interrupt> {
         let m = self.num_machines();
-        let partials: Vec<(u32, Bytes)> = self
-            .setup
-            .syncs
-            .iter()
-            .map(|op| (op.id(), op.local_partial(&self.lg)))
-            .collect();
         let my_msg = SyncPartialMsg {
             cycle,
-            partials,
+            partials: local_partials(&self.setup.syncs, &self.lg),
             pending: self.pending_total,
             updates: self.updates_local,
         };
@@ -696,38 +716,28 @@ where
             let mut pend = my_msg.pending;
             let mut accs: Vec<Box<dyn std::any::Any + Send>> =
                 self.setup.syncs.iter().map(|op| op.init_acc()).collect();
-            for (i, (_, part)) in my_msg.partials.iter().enumerate() {
-                self.setup.syncs[i].combine(accs[i].as_mut(), part);
-            }
+            combine_partials(&self.setup.syncs, &mut accs, &my_msg.partials);
             let mut received = 1usize;
             while received < self.rec.survivors() {
-                let env = match self.sync_stash.pop_front() {
-                    Some(env) => env,
+                let (kind, env) = match self.sync_stash.pop_front() {
+                    Some(env) => (ChromKind::SyncPart, env),
                     None => self.recv_env(RECV_TIMEOUT)?,
                 };
-                if env.kind == K_CHROM_SYNC_PART {
+                if kind == ChromKind::SyncPart {
                     let p: SyncPartialMsg = dec(env.payload);
                     assert_eq!(p.cycle, cycle, "sync round out of step");
                     pend += p.pending;
-                    for (i, (id, part)) in p.partials.iter().enumerate() {
-                        debug_assert_eq!(*id, self.setup.syncs[i].id());
-                        self.setup.syncs[i].combine(accs[i].as_mut(), part);
-                    }
+                    combine_partials(&self.setup.syncs, &mut accs, &p.partials);
                     received += 1;
                 } else {
                     return Err(Interrupt(Step::Abort(format!(
-                        "unexpected kind {} during sync round",
-                        env.kind
+                        "unexpected {} during sync round",
+                        kind.name()
                     ))));
                 }
             }
             let total = self.lg.total_vertices();
-            let mut globals_rows = Vec::new();
-            for (op, acc) in self.setup.syncs.iter().zip(accs) {
-                let (bytes, typed) = op.finalize(acc, total);
-                let ver = self.globals.set(op.id(), typed);
-                globals_rows.push((op.id(), ver, bytes));
-            }
+            let globals_rows = finalize_into(&self.setup.syncs, accs, total, &mut self.globals);
             let g_updates =
                 self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
             let cap = self.setup.config.max_updates;
@@ -752,33 +762,24 @@ where
             let payload = enc(&out);
             for j in 1..m {
                 if !self.rec.is_dead(j) {
-                    self.send_msg(MachineId::from(j), K_CHROM_SYNC_GLOB, payload.clone());
+                    self.send_msg(MachineId::from(j), ChromKind::SyncGlob, payload.clone());
                 }
             }
             Ok((halt, snapshot))
         } else {
-            self.send_msg(MachineId(0), K_CHROM_SYNC_PART, enc(&my_msg));
+            self.send_msg(MachineId(0), ChromKind::SyncPart, enc(&my_msg));
             loop {
-                let env = self.recv_env(RECV_TIMEOUT)?;
-                if env.kind == K_CHROM_SYNC_GLOB {
+                let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
+                if kind == ChromKind::SyncGlob {
                     let g: SyncGlobalsMsg = dec(env.payload);
                     assert_eq!(g.cycle, cycle);
-                    for (id, ver, bytes) in g.globals {
-                        let op = self
-                            .setup
-                            .syncs
-                            .iter()
-                            .find(|s| s.id() == id)
-                            .expect("broadcast global matches a registered sync");
-                        let typed = op.decode_out(bytes).expect("malformed global value");
-                        self.globals.apply(id, ver, typed);
-                    }
+                    apply_globals(&self.setup.syncs, g.globals, &mut self.globals);
                     return Ok((g.halt, g.snapshot));
                 }
                 // Faster peers may already be executing the next cycle's
                 // first colour-step: absorb their (step-tagged) data
                 // traffic while we wait for our globals.
-                self.handle_msg(env);
+                self.handle_msg(kind, env);
             }
         }
     }
@@ -799,30 +800,30 @@ where
         if self.me() == MachineId(0) {
             let mut done = 1usize;
             while done < self.rec.survivors() {
-                let env = self.recv_env(RECV_TIMEOUT)?;
-                if env.kind == K_CHROM_SNAP_DONE {
+                let (kind, _) = self.recv_env(RECV_TIMEOUT)?;
+                if kind == ChromKind::SnapDone {
                     done += 1;
                 } else {
                     return Err(Interrupt(Step::Abort(format!(
-                        "unexpected kind {} during snapshot",
-                        env.kind
+                        "unexpected {} during snapshot",
+                        kind.name()
                     ))));
                 }
             }
             for j in 1..m {
                 if !self.rec.is_dead(j) {
-                    self.send_msg(MachineId::from(j), K_CHROM_SNAP_RESUME, Bytes::new());
+                    self.send_msg(MachineId::from(j), ChromKind::SnapResume, Bytes::new());
                 }
             }
         } else {
-            self.send_msg(MachineId(0), K_CHROM_SNAP_DONE, Bytes::new());
+            self.send_msg(MachineId(0), ChromKind::SnapDone, Bytes::new());
             loop {
-                let env = self.recv_env(RECV_TIMEOUT)?;
-                if env.kind == K_CHROM_SNAP_RESUME {
+                let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
+                if kind == ChromKind::SnapResume {
                     break;
                 }
                 // Resumed peers may already be racing ahead.
-                self.handle_msg(env);
+                self.handle_msg(kind, env);
             }
         }
         Ok(())
@@ -916,7 +917,7 @@ where
         self.recv_buckets.clear();
         self.flush_promises.clear();
         self.sync_stash.clear();
-        self.blocks.iter_mut().for_each(|b| b.buf.clear());
+        self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
         self.sent.iter_mut().for_each(|s| s.fill(0));
         self.cycle_updates = 0;
         self.effects.clear();
@@ -928,8 +929,13 @@ where
         self.enqueue_local(l);
     }
 
-    fn replay(&mut self, env: Envelope) {
-        self.handle_msg(env);
+    fn replay(&mut self, kind: Kind, env: Envelope) {
+        match kind {
+            Kind::Chrom(kind) => self.handle_msg(kind, env),
+            kind @ (Kind::Lock(_) | Kind::Recovery(_)) => {
+                panic!("{} replayed into the chromatic engine", kind.name())
+            }
+        }
     }
 }
 
@@ -980,13 +986,21 @@ mod tests {
         machine0(&b.build(), &VertexPartition::random_hash(8, 4, 3), 2)
     }
 
-    fn from(src: u16, kind: u16, payload: Bytes) -> Envelope {
-        Envelope { src: MachineId(src), dst: MachineId(0), kind, payload }
+    /// Machine 0 handles `payload` as a `kind` from machine `src`.
+    fn handle_from(m: &mut Machine, src: u16, kind: ChromKind, payload: Bytes) {
+        let env = Envelope { src: MachineId(src), dst: MachineId(0), kind: kind as u16, payload };
+        m.handle_msg(kind, env);
+    }
+
+    /// What the chromatic engine sent `env` as.
+    fn kind_of(env: &Envelope) -> ChromKind {
+        let Kind::Chrom(kind) = Kind::of(env) else { panic!("not the engine's: {env:?}") };
+        kind
     }
 
     /// A vertex row block off the wire: its kind, its tag and the
     /// `(vertex, version)` of its rows.
-    type VertexBlock = (u16, (u64, u8), Vec<(u32, u64)>);
+    type VertexBlock = (ChromKind, (u64, u8), Vec<(u32, u64)>);
 
     /// The next envelope at `ep`, read as a vertex row block.
     fn vertex_block(ep: &SimEndpoint) -> Option<VertexBlock> {
@@ -997,24 +1011,25 @@ mod tests {
                 rows.push((v.0, version))
             })
         });
-        Some((env.kind, tag, rows))
+        Some((kind_of(&env), tag, rows))
     }
 
     /// The next envelope at `ep` as a flush marker: `(kind, step, count)`.
-    fn flush_marker(ep: &SimEndpoint) -> Option<(u16, u64, u64)> {
+    fn flush_marker(ep: &SimEndpoint) -> Option<(ChromKind, u64, u64)> {
         let env = ep.try_recv().ok()?;
+        let kind = kind_of(&env);
         let f: FlushMsg = dec(env.payload);
-        Some((env.kind, f.step, f.count))
+        Some((kind, f.step, f.count))
     }
 
     /// Scripts every peer's flush marker of `(step, phase)`, promising
     /// nothing beyond what machine 0 already got, so `flush_round` returns
     /// without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
-        let kind = if phase == 0 { K_CHROM_FLUSH_A } else { K_CHROM_FLUSH_B };
+        let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         for j in 1..m.num_machines() as u16 {
             let count = m.recv_buckets.get(&(j, step, phase)).copied().unwrap_or(0);
-            m.handle_msg(from(j, kind, enc(&FlushMsg { step, count, updates: 0, pending: 0 })));
+            handle_from(m, j, kind, enc(&FlushMsg { step, count, updates: 0, pending: 0 }));
         }
     }
 
@@ -1040,7 +1055,7 @@ mod tests {
             }
         };
         assert!(pushed.len() > 300, "a 4 KiB block holds hundreds of 12-byte rows");
-        assert_eq!(full, (K_CHROM_VDATA, (0, 0), pushed.clone()));
+        assert_eq!(full, (ChromKind::VData, (0, 0), pushed.clone()));
         assert_eq!(vertex_block(&peers[1]), Some(full), "every mirror gets the same rows");
         assert_eq!(m.sent, [[0, 1, 1], [0, 0, 0]]);
 
@@ -1048,10 +1063,10 @@ mod tests {
         // machine 2's stays open.
         let version = push(&mut m);
         m.encode_vertex(l);
-        m.send_row(MachineId(1), K_CHROM_VDATA, (0, 1), |buf, data| {
+        m.send_row(MachineId(1), RowKind::VData, (0, 1), |buf, data| {
             VertexRow::put(buf, VertexId(0), version + 1, 0, data)
         });
-        assert_eq!(vertex_block(&peers[0]), Some((K_CHROM_VDATA, (0, 0), vec![(0, version)])));
+        assert_eq!(vertex_block(&peers[0]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
         assert_eq!(vertex_block(&peers[1]), None);
         assert_eq!(m.sent, [[0, 2, 1], [0, 0, 0]]);
 
@@ -1059,16 +1074,17 @@ mod tests {
         // the forward is promised in round B, not A.
         promise(&mut m, 0, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(vertex_block(&peers[0]), Some((K_CHROM_VDATA, (0, 1), vec![(0, version + 1)])));
-        assert_eq!(vertex_block(&peers[1]), Some((K_CHROM_VDATA, (0, 0), vec![(0, version)])));
-        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_A, 0, 2)));
-        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_A, 0, 2)));
+        let forwarded = (ChromKind::VData, (0, 1), vec![(0, version + 1)]);
+        assert_eq!(vertex_block(&peers[0]), Some(forwarded));
+        assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 0, 2)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 0, 2)));
         assert_eq!(m.sent, [[0, 0, 0], [0, 1, 0]]);
         promise(&mut m, 0, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_B, 0, 1)));
-        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_B, 0, 0)));
-        assert!(m.blocks.iter().all(|b| b.buf.is_empty()) && m.sent == [[0; 3], [0; 3]]);
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 0, 1)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 0, 0)));
+        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()) && m.sent == [[0; 3], [0; 3]]);
     }
 
     /// A racing peer: machine 1 is already in step 3 while machine 0 still
@@ -1085,7 +1101,7 @@ mod tests {
         StepTagged::<VertexRow>::put(&mut wb, 3, 0, |buf| {
             VertexRow::put(buf, VertexId(0), 0, 0, &enc(&7.5f64))
         });
-        m.handle_msg(from(1, K_CHROM_WB_V, wb.freeze()));
+        handle_from(&mut m, 1, ChromKind::WbV, wb.freeze());
         let l = m.lg.local_vertex(VertexId(0)).unwrap();
         assert_eq!((*m.lg.vertex_data(l), m.lg.vertex_version(l)), (7.5, 1));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()), "nothing leaves before the step");
@@ -1094,13 +1110,13 @@ mod tests {
         m.execute_color_step(0);
         promise(&mut m, 3, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_A, 3, 0)));
-        assert_eq!(vertex_block(&peers[1]), Some((K_CHROM_VDATA, (3, 1), vec![(0, 1)])));
-        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_A, 3, 0)));
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 3, 0)));
+        assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (3, 1), vec![(0, 1)])));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 3, 0)));
         promise(&mut m, 3, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((K_CHROM_FLUSH_B, 3, 0)), "not to the writer");
-        assert_eq!(flush_marker(&peers[1]), Some((K_CHROM_FLUSH_B, 3, 1)));
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 3, 0)), "not to the writer");
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 3, 1)));
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
@@ -1127,14 +1143,15 @@ mod tests {
         let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.lg.vertex_gvid(g)).collect();
         set.reverse();
         let expected = StepTagged { step: 4, phase: 0, inner: TaskSetMsg { tasks: set } };
-        assert_eq!((env.kind, dec::<StepTagged<TaskSetMsg>>(env.payload)), (K_CHROM_SCHED, expected));
+        assert_eq!(kind_of(&env), ChromKind::Sched);
+        assert_eq!(dec::<StepTagged<TaskSetMsg>>(env.payload), expected);
         assert!(peers[0].try_recv().is_err());
         assert_eq!(m.sent, [[0, 1], [0, 0]]);
         assert!(m.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.queued[g as usize]));
     }
 
     /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
-    /// `sync_stash`, so a `K_CHROM_SYNC_PART` the master stashed while
+    /// `sync_stash`, so a `ChromKind::SyncPart` the master stashed while
     /// still in `flush_round` survived a rollback and the restarted
     /// `cycle_end_round(0)` drained it — "sync round out of step", or a
     /// stale partial counted in place of the real one. The same holds for
@@ -1147,7 +1164,7 @@ mod tests {
         m.initial_schedule();
         m.step = 5;
         let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };
-        m.handle_msg(from(1, K_CHROM_SYNC_PART, enc(&stale)));
+        handle_from(&mut m, 1, ChromKind::SyncPart, enc(&stale));
         assert_eq!(m.sync_stash.len(), 1);
         // An update that left a row in an open block and a task in the set
         // for machine 1, and a block already counted for the next marker.
@@ -1157,7 +1174,7 @@ mod tests {
         m.effects.scheduled.push((ghost, 1.0));
         m.commit(l);
         m.sent[1][1] = 1;
-        assert!(m.blocks.iter().any(|b| !b.buf.is_empty()));
+        assert!(m.blocks.iter().flatten().any(|b| !b.buf.is_empty()));
         assert!(m.queued[ghost as usize] && m.remote_tasks[1] == [ghost]);
 
         m.reset_engine_state();
@@ -1165,7 +1182,7 @@ mod tests {
         assert_eq!((m.step, m.pending_total), (0, 0));
         assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
         assert_eq!(m.queued.len(), m.lg.num_local_vertices());
-        assert!(m.blocks.iter().all(|b| b.buf.is_empty()), "a pre-crash row survived");
+        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
         assert_eq!(m.sent, [[0, 0], [0, 0]]);
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");

@@ -56,7 +56,7 @@ pub use program::{GraphLab, SyncCadence};
 pub use reference::InitialSchedule;
 pub use scheduler::{Scheduler, SchedulerKind};
 pub use snapshot::{
-    latest_complete_snapshot, optimal_checkpoint_interval_secs, restore_snapshot, snapshot_exists,
+    latest_complete_snapshot, restore_snapshot, snapshot_exists,
     young_interval, SnapshotFile,
 };
 pub use sync::{local_partial, Aggregate, FnSync, SyncScope};

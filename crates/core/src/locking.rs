@@ -38,16 +38,16 @@
 //!   lists; lock wait queues, the ready list and each scope ↔ local chain
 //!   link carry `SlotRef`s (slot + generation) that index straight in.
 //! - **Still keyed**, once per *received message* (a slot index cannot ride
-//!   the wire without changing it), through [`IdMap`]: `K_RELEASE` finds its
-//!   chain by `(requester, reqid)`, `K_SCOPE_DATA` its scope by `reqid`,
-//!   rows their datum by global id. Single-machine scopes are never indexed.
+//!   the wire without changing it), through [`IdMap`]: a `Release` finds its
+//!   chain by `(requester, reqid)`, a `ScopeData` its scope by `reqid`, rows
+//!   their datum by global id. Single-machine scopes are never indexed.
 //! - **Messages** have no buffer of their own. A send books the message
 //!   (`count_sent`) and hands `RecoveryTracker::send_with` — the single send
 //!   point — the message's `put` from `messages.rs`, which encodes straight
-//!   into the destination's `Batcher` queue; a received `K_LOCK_REQ`,
-//!   `K_SCOPE_DATA`, `K_RELEASE` or `K_LOCK_SCHED` is walked in place by the
-//!   matching `read`, rows applied as they are met, a datum decoded from a
-//!   view of the envelope. `messages.rs` owns every wire layout, both ways.
+//!   into the destination's `Batcher` queue; a received `Req`, `ScopeData`,
+//!   `Release` or `Sched` ([`LockKind`]) is walked in place by the matching
+//!   `read`, rows applied as they are met, a datum decoded from a view of
+//!   the envelope. `messages.rs` owns every wire layout, both ways.
 //! - **Scratch** owned by the machine: per-destination commit output
 //!   drained in machine-id order, the woken-chain list, one row buffer (a
 //!   datum is encoded there before its length-prefixed row is written) and
@@ -82,6 +82,7 @@ use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker,
 use crate::reference::InitialSchedule;
 use crate::scheduler::Scheduler;
 use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
 /// Priority marking a schedule request as a snapshot task (Alg. 5:
@@ -93,7 +94,7 @@ pub const SNAPSHOT_PRIORITY: f64 = f64::INFINITY;
 const IDLE_BLOCK: Duration = Duration::from_millis(25);
 
 /// Receive deadline for an idle (or pipeline-full) machine in the normal
-/// phase — master included, now that [`K_UPD_NOTE`] announces worker
+/// phase — master included, now that [`LockKind::UpdNote`] announces worker
 /// update counts and sync/snapshot/halt triggers are message-driven.
 /// Purely a liveness backstop: every state change arrives as a message,
 /// which wakes the blocked `recv_timeout` immediately, so a healthy
@@ -319,11 +320,11 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     plans: ScopePlans,
     chains: Slab<HopChain>,
     /// Other machines' chains resident here, by `(requester, reqid)`:
-    /// looked up once per `K_RELEASE`.
+    /// looked up once per `LockKind::Release`.
     chain_index: IdMap<ChainKey, SlotRef>,
     outs: Slab<OutScope>,
     /// Own scopes that span other machines, by reqid: looked up once per
-    /// `K_SCOPE_DATA` (and per `K_LOCK_REQ` reaching its own requester).
+    /// `LockKind::ScopeData` (and per `LockKind::Req` reaching its own requester).
     out_index: IdMap<u64, SlotRef>,
     ready: VecDeque<SlotRef>,
     next_reqid: u64,
@@ -393,14 +394,14 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// runnable work. Message-driven triggers keep this at zero on an
     /// idle healthy cluster.
     idle_wakeups: u64,
-    /// [`K_UPD_NOTE`] granule: a worker notifies the master every
+    /// [`LockKind::UpdNote`] granule: a worker notifies the master every
     /// `note_every` local updates. 0 = no counter-driven triggers are
     /// configured, so no notes are ever sent.
     note_every: u64,
     /// Local update count as of the last note sent (workers only).
     last_noted: u64,
     /// Master: highest cumulative update count each peer has announced
-    /// via [`K_UPD_NOTE`]. Own slot unused — `updates_local` is
+    /// via [`LockKind::UpdNote`]. Own slot unused — `updates_local` is
     /// authoritative. Monotonic, so notes are idempotent and survive
     /// rollbacks (local counts never reset).
     m_peer_updates: Vec<u64>,
@@ -426,7 +427,7 @@ where
         if let Some(period) = setup.config.lease {
             net.enable_lease(LeaseConfig::with_period(period));
         }
-        // K_UPD_NOTE granule: fine enough that the master observes a
+        // LockKind::UpdNote granule: fine enough that the master observes a
         // counter-driven trigger at most ~1/8 interval late across the
         // whole cluster (m-1 peers, each up to a granule behind), coarse
         // enough that notes stay a negligible traffic fraction. No
@@ -532,7 +533,7 @@ where
 
     /// The master's message-driven view of the cluster-wide update count:
     /// its own local count plus the highest count each peer announced via
-    /// [`K_UPD_NOTE`]. Drives sync/snapshot triggers instead of polling
+    /// [`LockKind::UpdNote`]. Drives sync/snapshot triggers instead of polling
     /// the shared counter — a lower bound on the true total, at most
     /// ~`finest_interval / 8` behind by the note granule. On non-masters
     /// (all note slots zero) this degenerates to the local count.
@@ -556,17 +557,17 @@ where
         if due {
             self.last_noted = self.updates_local;
             let msg = UpdNoteMsg { from: self.me(), updates: self.updates_local };
-            self.send_msg(MachineId(0), K_UPD_NOTE, enc(&msg));
+            self.send_msg(MachineId(0), LockKind::UpdNote, enc(&msg));
         }
     }
 
     /// Single send point for all engine traffic (see
     /// [`RecoveryTracker::send`] for the invariant it guards).
-    fn send_msg(&mut self, dst: MachineId, kind: u16, payload: Bytes) {
+    fn send_msg(&mut self, dst: MachineId, kind: LockKind, payload: Bytes) {
         self.rec.send(&mut self.net, dst, kind, payload);
     }
 
-    fn broadcast_msg(&mut self, kind: u16, payload: &Bytes) {
+    fn broadcast_msg(&mut self, kind: LockKind, payload: &Bytes) {
         self.rec.broadcast(&mut self.net, kind, payload);
     }
 
@@ -574,8 +575,8 @@ where
     /// snapshot flush counts). The caller then encodes it straight into
     /// `dst`'s batch queue through [`RecoveryTracker::send_with`] — split in
     /// two because the encoders borrow the rest of the machine.
-    fn count_sent(&mut self, dst: MachineId, kind: u16) {
-        debug_assert!(is_counted_work(kind));
+    fn count_sent(&mut self, dst: MachineId, kind: LockKind) {
+        debug_assert!(kind.is_counted_work());
         debug_assert!(dst != self.me());
         self.safra.on_message_sent(1);
         self.sent_counts[dst.index()] += 1;
@@ -667,12 +668,20 @@ where
     /// round is in progress, everything else, to be discarded or buffered
     /// for replay by phase — goes to the shared recovery machine.
     fn dispatch(&mut self, env: Envelope) {
-        match env.kind {
-            k if is_recovery_control(k) || self.rec.phase() != RecoveryPhase::Normal => {
-                let step = recovery::on_envelope(self, env);
+        self.route(Kind::of(&env), env);
+    }
+
+    /// [`Self::dispatch`], for an envelope already decoded as `kind`.
+    fn route(&mut self, kind: Kind, env: Envelope) {
+        match kind {
+            Kind::Lock(kind) if self.rec.phase() == RecoveryPhase::Normal => {
+                self.handle(kind, env)
+            }
+            Kind::Lock(_) | Kind::Recovery(_) => {
+                let step = recovery::on_envelope(self, kind, env);
                 self.on_recovery_step(step);
             }
-            _ => self.handle(env),
+            Kind::Chrom(kind) => panic!("{} in the locking engine", kind.name()),
         }
     }
 
@@ -694,7 +703,7 @@ where
     /// With runnable local work the loop must not block at all; otherwise
     /// progress is message-driven (lock grants, scope data, releases,
     /// tokens — and, for the master's sync/snapshot/halt triggers,
-    /// [`K_UPD_NOTE`] counter announcements — all wake the blocked
+    /// [`LockKind::UpdNote`] counter announcements — all wake the blocked
     /// receive), so idle and pipeline-full machines sleep on a pure
     /// liveness backstop. The one timed path left is an injected
     /// straggler that has not fired yet: its trigger reads the shared
@@ -803,10 +812,10 @@ where
             let chain = HopChain { requester: me, reqid, center: l, model, out, ..HopChain::default() };
             self.start_hop(chain);
         } else {
-            self.count_sent(first, K_LOCK_REQ);
+            self.count_sent(first, LockKind::Req);
             let (scope_v, machines) = (self.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
             let model = consistency_to_u8(model);
-            self.rec.send_with(&mut self.net, first, K_LOCK_REQ, |buf| {
+            self.rec.send_with(&mut self.net, first, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, me, reqid, scope_v, machines, model)
             });
         }
@@ -889,7 +898,7 @@ where
             self.safra.on_message_sent(1);
             self.sent_counts[dst.index()] += 1;
             let (scope_v, model) = (self.lg.vertex_gvid(center), consistency_to_u8(model));
-            self.rec.send_with(&mut self.net, dst, K_LOCK_REQ, |buf| {
+            self.rec.send_with(&mut self.net, dst, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, requester, reqid, scope_v, rest, model)
             });
         }
@@ -903,7 +912,7 @@ where
     /// rides instead. The owned vertex set is the hop's lock share; the
     /// owned edge set is the plan row's edge list.
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
-        self.count_sent(to, K_SCOPE_DATA);
+        self.count_sent(to, LockKind::ScopeData);
         let req = to.index();
         let filter = !self.setup.config.no_version_filter;
         let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
@@ -917,7 +926,7 @@ where
         let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
         let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
         let cx = &mut (&mut self.cache, &mut self.rowbuf);
-        self.rec.send_with(&mut self.net, to, K_SCOPE_DATA, |buf| {
+        self.rec.send_with(&mut self.net, to, LockKind::ScopeData, |buf| {
             ScopeDataMsg::put(
                 buf,
                 cx,
@@ -1071,11 +1080,11 @@ where
         for k in 0..self.plans.owners(center).len() {
             let mm = self.plans.owners(center)[k];
             if !self.outbox[mm.index()].sched.is_empty() {
-                self.count_sent(mm, K_LOCK_SCHED);
+                self.count_sent(mm, LockKind::Sched);
                 let tasks = &mut self.outbox[mm.index()].sched;
                 tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
                     tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
-                self.rec.send_with(&mut self.net, mm, K_LOCK_SCHED, |buf| ScheduleMsg::put(buf, tasks));
+                self.rec.send_with(&mut self.net, mm, LockKind::Sched, |buf| ScheduleMsg::put(buf, tasks));
                 tasks.clear();
             }
         }
@@ -1088,10 +1097,10 @@ where
                 self.release_chain(chain);
                 continue;
             }
-            self.count_sent(mm, K_RELEASE);
+            self.count_sent(mm, LockKind::Release);
             let (lg, snap_epoch, ob) = (&self.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
             let rowbuf = &mut self.rowbuf;
-            self.rec.send_with(&mut self.net, mm, K_RELEASE, |buf| {
+            self.rec.send_with(&mut self.net, mm, LockKind::Release, |buf| {
                 ReleaseMsg::put(
                     buf,
                     rowbuf,
@@ -1187,13 +1196,13 @@ where
 
     // ---- message handling ----
 
-    fn handle(&mut self, env: Envelope) {
-        if is_counted_work(env.kind) {
+    fn handle(&mut self, kind: LockKind, env: Envelope) {
+        if kind.is_counted_work() {
             self.safra.on_message_received(1);
             self.recv_counts[env.src.index()] += 1;
         }
-        match env.kind {
-            K_LOCK_REQ => {
+        match kind {
+            LockKind::Req => {
                 // The chain's head is this hop; the machines behind it are
                 // what the chain keeps (in a released chain's vector).
                 let (mut head, mut rest) = (None, self.rest_pool.pop().unwrap_or_default());
@@ -1213,7 +1222,7 @@ where
                 };
                 self.start_hop(HopChain { requester, reqid, center, model, out, rest, ..HopChain::default() });
             }
-            K_SCOPE_DATA => {
+            LockKind::ScopeData => {
                 // Rows are applied as they are read: nothing is built.
                 let (src, payload) = (env.src, &env.payload);
                 let (reqid, (nv, vsame), (ne, esame)) = read_all(payload, |p| {
@@ -1259,7 +1268,7 @@ where
                     }
                 }
             }
-            K_RELEASE => {
+            LockKind::Release => {
                 let (src, payload) = (env.src.index(), &env.payload);
                 let reqid = read_all(payload, |p| {
                     ReleaseMsg::read(
@@ -1292,14 +1301,14 @@ where
                     .expect("release for a chain this hop holds");
                 self.release_chain(chain);
             }
-            K_LOCK_SCHED => read_all(&env.payload, |p| {
+            LockKind::Sched => read_all(&env.payload, |p| {
                 ScheduleMsg::read(p, |gv, prio| {
                     if let Some(lv) = self.lg.local_vertex(gv) {
                         self.schedule_owned(lv, prio, prio == SNAPSHOT_PRIORITY);
                     }
                 })
             }),
-            K_TOKEN => {
+            LockKind::Token => {
                 let tok: TokenMsg = dec(env.payload);
                 // Re-evaluate idleness *now*: work-bearing messages handled
                 // earlier in this same receive batch may have refilled the
@@ -1310,62 +1319,48 @@ where
                 let action = self.safra.on_token(tok.0);
                 self.apply_safra(action);
             }
-            K_HALT => {
+            LockKind::Halt => {
                 tr!("[m{}] HALT sched_len={} out={} ready={}", self.me().0,
                     self.scheduler.len(), self.outs.live(), self.ready.len());
-                self.send_msg(MachineId(0), K_HALT_ACK, Bytes::new());
+                self.send_msg(MachineId(0), LockKind::HaltAck, Bytes::new());
                 self.halted = true;
             }
-            K_HALT_ACK => {
+            LockKind::HaltAck => {
                 self.m_halt_acks += 1;
             }
-            K_LSYNC_PART => {
+            LockKind::SyncPart => {
                 let msg: LockSyncPartialMsg = dec(env.payload);
                 self.master_collect_sync(msg);
             }
-            K_LSYNC_GLOB => {
+            LockKind::SyncGlob => {
                 let msg: SyncGlobalsMsg = dec(env.payload);
-                for (id, ver, bytes) in msg.globals {
-                    let op = self
-                        .setup
-                        .syncs
-                        .iter()
-                        .find(|s| s.id() == id)
-                        .expect("broadcast global matches a registered sync");
-                    let typed = op.decode_out(bytes).expect("malformed global value");
-                    self.globals.apply(id, ver, typed);
-                }
+                apply_globals(&self.setup.syncs, msg.globals, &mut self.globals);
             }
-            K_LSYNC_REQ => {
+            LockKind::SyncReq => {
                 let epoch: u64 = dec(env.payload);
-                let partials: Vec<(u32, Bytes)> = self
-                    .setup
-                    .syncs
-                    .iter()
-                    .map(|op| (op.id(), op.local_partial(&self.lg)))
-                    .collect();
+                let partials = local_partials(&self.setup.syncs, &self.lg);
                 self.send_msg(
                     MachineId(0),
-                    K_LSYNC_PART,
+                    LockKind::SyncPart,
                     enc(&LockSyncPartialMsg { epoch, partials }),
                 );
             }
-            K_SNAP_SYNC_START => {
+            LockKind::SnapSyncStart => {
                 let _snap: u64 = dec(env.payload);
                 self.begin_sync_snapshot();
             }
-            K_SNAP_SYNC_READY => {
+            LockKind::SnapSyncReady => {
                 let msg: SnapReadyMsg = dec(env.payload);
                 self.master_collect_snap_ready(env.src, msg);
             }
-            K_SNAP_SYNC_FLUSH => {
+            LockKind::SnapSyncFlush => {
                 let msg: SnapFlushMsg = dec(env.payload);
                 self.snap_flush_target = Some(msg.expect_from);
             }
-            K_SNAP_DONE => {
+            LockKind::SnapDone => {
                 self.m_snap_done += 1;
             }
-            K_SNAP_RESUME => {
+            LockKind::SnapResume => {
                 self.snap_paused = false;
                 self.snap_ready_sent = false;
                 self.snap_flush_target = None;
@@ -1375,21 +1370,20 @@ where
                 // the table never spans a snapshot boundary.
                 self.cache.invalidate_all();
             }
-            K_SNAP_ASYNC_START => {
+            LockKind::SnapAsyncStart => {
                 let snap: u64 = dec(env.payload);
                 self.begin_async_snapshot(snap as u32);
             }
-            K_SNAP_ASYNC_MDONE => {
+            LockKind::SnapAsyncMdone => {
                 self.m_async_done += 1;
             }
-            K_UPD_NOTE => {
+            LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
                 if self.is_master() {
                     let slot = &mut self.m_peer_updates[msg.from.index()];
                     *slot = (*slot).max(msg.updates);
                 }
             }
-            other => panic!("unexpected message kind {other} in locking engine"),
         }
     }
 
@@ -1411,7 +1405,7 @@ where
                         to = MachineId::from((to.index() + 1) % n);
                     }
                     if to != self.me() {
-                        self.send_msg(to, K_TOKEN, enc(&TokenMsg(token)));
+                        self.send_msg(to, LockKind::Token, enc(&TokenMsg(token)));
                         return;
                     }
                     match self.safra.on_token(token) {
@@ -1491,12 +1485,12 @@ where
             match snap_cfg.mode {
                 SnapshotMode::Synchronous => {
                     let payload = enc(&id);
-                    self.broadcast_msg(K_SNAP_SYNC_START, &payload);
+                    self.broadcast_msg(LockKind::SnapSyncStart, &payload);
                     self.begin_sync_snapshot();
                 }
                 SnapshotMode::Asynchronous => {
                     let payload = enc(&(id + 1));
-                    self.broadcast_msg(K_SNAP_ASYNC_START, &payload);
+                    self.broadcast_msg(LockKind::SnapAsyncStart, &payload);
                     self.begin_async_snapshot((id + 1) as u32);
                 }
                 SnapshotMode::None => unreachable!(),
@@ -1520,7 +1514,7 @@ where
             } else {
                 self.m_halt_sent = true;
                 self.m_halt_acks = 1; // self
-                self.broadcast_msg(K_HALT, &Bytes::new());
+                self.broadcast_msg(LockKind::Halt, &Bytes::new());
             }
         }
         if self.m_halt_sent && self.m_halt_acks >= self.live_machines() {
@@ -1532,13 +1526,11 @@ where
         self.m_sync_epoch += 1;
         let epoch = if fin { u64::MAX } else { self.m_sync_epoch };
         let payload = enc(&epoch);
-        self.broadcast_msg(K_LSYNC_REQ, &payload);
+        self.broadcast_msg(LockKind::SyncReq, &payload);
         let mut accs: Vec<Box<dyn std::any::Any + Send>> =
             self.setup.syncs.iter().map(|op| op.init_acc()).collect();
-        for (i, op) in self.setup.syncs.iter().enumerate() {
-            let part = op.local_partial(&self.lg);
-            op.combine(accs[i].as_mut(), &part);
-        }
+        let mine = local_partials(&self.setup.syncs, &self.lg);
+        combine_partials(&self.setup.syncs, &mut accs, &mine);
         self.m_sync_outstanding = Some((epoch, accs, 1));
         if self.live_machines() == 1 {
             self.finish_sync_epoch();
@@ -1553,10 +1545,7 @@ where
         if msg.epoch != *epoch {
             return;
         }
-        for (i, (id, part)) in msg.partials.iter().enumerate() {
-            debug_assert_eq!(*id, self.setup.syncs[i].id());
-            self.setup.syncs[i].combine(accs[i].as_mut(), part);
-        }
+        combine_partials(&self.setup.syncs, accs, &msg.partials);
         *got += 1;
         if *got >= need {
             self.finish_sync_epoch();
@@ -1566,15 +1555,10 @@ where
     fn finish_sync_epoch(&mut self) {
         let (epoch, accs, _) = self.m_sync_outstanding.take().expect("epoch active");
         let total = self.lg.total_vertices();
-        let mut rows = Vec::new();
-        for (op, acc) in self.setup.syncs.iter().zip(accs) {
-            let (bytes, typed) = op.finalize(acc, total);
-            let ver = self.globals.set(op.id(), typed);
-            rows.push((op.id(), ver, bytes));
-        }
+        let rows = finalize_into(&self.setup.syncs, accs, total, &mut self.globals);
         let msg = SyncGlobalsMsg { cycle: epoch, globals: rows, halt: false, snapshot: None };
         let payload = enc(&msg);
-        self.broadcast_msg(K_LSYNC_GLOB, &payload);
+        self.broadcast_msg(LockKind::SyncGlob, &payload);
         if epoch == u64::MAX {
             self.m_final_sync_done = true;
         }
@@ -1599,7 +1583,7 @@ where
 
     fn begin_async_snapshot(&mut self, snap: u32) {
         // Snapshot boundary: drop all residency assumptions (see the
-        // K_SNAP_RESUME note). Alg. 5's marker propagation additionally
+        // LockKind::SnapResume note). Alg. 5's marker propagation additionally
         // relies on version bumps, which this makes unconditionally safe.
         self.cache.invalidate_all();
         self.current_snap = snap;
@@ -1630,7 +1614,7 @@ where
         if self.is_master() {
             self.m_async_done += 1;
         } else {
-            self.send_msg(MachineId(0), K_SNAP_ASYNC_MDONE, Bytes::new());
+            self.send_msg(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
         }
     }
 
@@ -1649,7 +1633,7 @@ where
             if self.is_master() {
                 self.master_collect_snap_ready(MachineId(0), msg);
             } else {
-                self.send_msg(MachineId(0), K_SNAP_SYNC_READY, enc(&msg));
+                self.send_msg(MachineId(0), LockKind::SnapSyncReady, enc(&msg));
             }
         }
         if self.snap_paused && !self.snap_written {
@@ -1673,7 +1657,7 @@ where
                         self.m_snap_done += 1;
                         self.master_check_snap_done();
                     } else {
-                        self.send_msg(MachineId(0), K_SNAP_DONE, Bytes::new());
+                        self.send_msg(MachineId(0), LockKind::SnapDone, Bytes::new());
                     }
                 }
             }
@@ -1713,7 +1697,7 @@ where
                 if i == self.me().index() {
                     self.snap_flush_target = Some(msg.expect_from);
                 } else if !self.rec.is_dead(i) {
-                    self.send_msg(MachineId::from(i), K_SNAP_SYNC_FLUSH, enc(&msg));
+                    self.send_msg(MachineId::from(i), LockKind::SnapSyncFlush, enc(&msg));
                 }
             }
             self.m_snap_ready = vec![None; m];
@@ -1727,13 +1711,13 @@ where
         {
             self.m_snap_in_progress = false;
             self.m_snap_done = 0;
-            self.broadcast_msg(K_SNAP_RESUME, &Bytes::new());
+            self.broadcast_msg(LockKind::SnapResume, &Bytes::new());
             self.snap_paused = false;
             self.snap_ready_sent = false;
             self.snap_flush_target = None;
             self.snap_written = false;
             // The master resumes inline (it never receives its own
-            // broadcast): same conservative invalidation as K_SNAP_RESUME.
+            // broadcast): same conservative invalidation as LockKind::SnapResume.
             self.cache.invalidate_all();
         }
     }
@@ -1843,7 +1827,7 @@ where
         self.m_snap_ready = vec![None; n];
         self.m_snap_done = 0;
         self.m_async_done = 0;
-        // `updates_local` and the K_UPD_NOTE state (`last_noted`,
+        // `updates_local` and the LockKind::UpdNote state (`last_noted`,
         // `m_peer_updates`) deliberately survive: counts are cumulative
         // and never reset, which is what makes stale notes idempotent.
         self.m_last_snap_updates = self.observed_updates();
@@ -1860,8 +1844,8 @@ where
         self.scheduler.add(l, 1.0);
     }
 
-    fn replay(&mut self, env: Envelope) {
-        self.handle(env);
+    fn replay(&mut self, kind: Kind, env: Envelope) {
+        self.route(kind, env);
     }
 }
 
@@ -1904,22 +1888,22 @@ mod tests {
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's
     /// chain `reqid + max_pipeline`, forwarded by machine 1, reaches machine
-    /// 2 before 0's direct `K_RELEASE` for `reqid`. The late chain parks,
+    /// 2 before 0's direct `LockKind::Release` for `reqid`. The late chain parks,
     /// the release wakes it, and the freed slot is reused while the woken
     /// chain is still live — no aliasing, no lost wake-up.
     #[test]
     fn forwarded_request_overtaking_a_release_parks_and_reuses_the_slot() {
         let (mut m, ep0) = hop_machine();
         let p = m.setup.config.max_pipeline as u64;
-        let from0 = |kind: u16, payload: Bytes| Envelope {
+        let from0 = |kind: LockKind, payload: Bytes| Envelope {
             src: MachineId(0),
             dst: MachineId(2),
-            kind,
+            kind: kind as u16,
             payload,
         };
         let request = |reqid: u64| {
             from0(
-                K_LOCK_REQ,
+                LockKind::Req,
                 enc(&LockReqMsg {
                     requester: MachineId(0),
                     reqid,
@@ -1929,36 +1913,37 @@ mod tests {
                 }),
             )
         };
-        let release =
-            |reqid: u64| from0(K_RELEASE, enc(&ReleaseMsg { reqid, vwrites: vec![], ewrites: vec![] }));
+        let release = |reqid: u64| {
+            from0(LockKind::Release, enc(&ReleaseMsg { reqid, vwrites: vec![], ewrites: vec![] }))
+        };
         let answered = |ep: &graphlab_net::SimEndpoint| -> Option<u64> {
             let env = ep.try_recv().ok()?;
-            assert_eq!(env.kind, K_SCOPE_DATA);
+            assert_eq!(Kind::of(&env), Kind::Lock(LockKind::ScopeData));
             Some(dec::<ScopeDataMsg>(env.payload).reqid)
         };
         let w = m.lg.local_vertex(VertexId(2)).unwrap();
 
-        m.handle(request(1));
+        m.dispatch(request(1));
         assert_eq!(answered(&ep0), Some(1));
         assert_eq!(m.locks.held(w), (0, true));
         // The overtaking request parks behind chain 1's write lock.
-        m.handle(request(1 + p));
+        m.dispatch(request(1 + p));
         assert_eq!(answered(&ep0), None);
         assert_eq!((m.chains.live(), m.hot.lock_parks), (2, 1));
         let first = m.chain_index[&(0, 1)];
         // The release frees chain 1 and wakes the parked chain.
-        m.handle(release(1));
+        m.dispatch(release(1));
         assert_eq!(answered(&ep0), Some(1 + p));
         assert_eq!(m.chains.live(), 1);
         // The next request takes over the freed slot under a new generation
         // while the woken chain still holds the lock it waits for.
-        m.handle(request(2 + p));
+        m.dispatch(request(2 + p));
         let reused = m.chain_index[&(0, 2 + p)];
         assert_eq!((reused.slot, reused.generation), (first.slot, first.generation + 1));
         assert_eq!(answered(&ep0), None);
-        m.handle(release(1 + p));
+        m.dispatch(release(1 + p));
         assert_eq!(answered(&ep0), Some(2 + p));
-        m.handle(release(2 + p));
+        m.dispatch(release(2 + p));
         assert_eq!((m.chains.live(), m.chain_index.len()), (0, 0));
         assert_eq!(m.locks.held(w), (0, false));
     }

@@ -1,20 +1,29 @@
 //! Wire protocol of the distributed engines.
 //!
 //! Every payload that crosses a machine boundary is defined here with an
-//! explicit binary encoding (DESIGN.md D1). Message kinds are partitioned
-//! by engine:
+//! explicit binary encoding (DESIGN.md D1). The message kinds are declared
+//! once, as [`Kind`]: a `#[repr(u16)]` enum per plane that receives them,
+//! with the wire numbers as discriminants.
 //!
-//! - `1..=19` — chromatic engine (§4.2.1): ghost data and write-back row
-//!   blocks, one task set per colour-step and owner, the two-round step
-//!   flush, and the per-cycle sync/halt round.
-//! - `20..=39` — locking engine (§4.2.2): pipelined lock chains, scope data
-//!   synchronisation, releases with piggybacked write-backs, termination
-//!   tokens and halt control, background sync, and both snapshot protocols.
-//! - `u16::MAX` and `u16::MAX - 1` — **reserved by the transport** for
-//!   batch envelopes ([`graphlab_net::batch::K_BATCH`]) and compressed
-//!   envelopes ([`graphlab_net::batch::K_ZIP`]); the engines never see
-//!   either because the [`graphlab_net::batch::Batcher`] decompresses and
-//!   unpacks on receive. New tags must stay clear of both.
+//! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): ghost data and
+//!   write-back row blocks, one task set per colour-step and owner, the
+//!   two-round step flush, and the per-cycle sync/halt round.
+//! - [`LockKind`], `20..=38` — locking engine (§4.2.2): pipelined lock
+//!   chains, scope data synchronisation, releases with piggybacked
+//!   write-backs, termination tokens and halt control, background sync, and
+//!   both snapshot protocols.
+//! - [`RecoveryKind`], `40..=47` and the transport's down/up/lease
+//!   notifications — the recovery state machine both engines drive.
+//!
+//! An envelope's `u16` is decoded where it is received (`Kind::of`; a
+//! number no plane owns is rejected by [`Kind::from_wire`], nowhere else)
+//! and each dispatcher matches its own plane's enum with no catch-all arm,
+//! so the compiler holds the registry: a kind cannot be declared without a
+//! number and a name, or received without every dispatcher of its plane
+//! saying what it does with it. `graphlab-net` stays kind-agnostic (`u16`)
+//! and keeps `u16::MAX` and `u16::MAX - 1` for its batch and compressed
+//! envelopes, which the [`graphlab_net::batch::Batcher`] unpacks on receive;
+//! the engines never see either.
 //!
 //! User data (`V`/`E`) always travels as pre-encoded [`Bytes`] blobs so the
 //! protocol structs stay monomorphic.
@@ -85,256 +94,261 @@ macro_rules! tr {
 pub(crate) use tr;
 
 // ---- message kinds ----
-//
-// Registry map — the ground truth `graphlab-lint`'s kind-registry check
-// enforces (global uniqueness, per-crate ranges, gap reuse, dead kinds).
-// Two reservations partition the u16 kind space:
-//
-//   - `core` counts **up from 1** (engine protocol; headroom to 63),
-//   - `net` counts **down from u16::MAX** (transport-reserved control
-//     kinds the engines never see: batch/compressed envelopes and the
-//     fabric's down/up notifications, 65532..=65535).
-//
-// Gap values are *retired or deliberately skipped* and must never be
-// reassigned — a decoder for a recycled kind would silently misparse
-// snapshots/traces recorded before the reuse:
-//
-//   - 36: skipped when the background-sync request landed at 37, keeping
-//     the snapshot block `29..=35` visually closed; never shipped.
-//   - 39: unassigned headroom left between the locking block (`20..=38` —
-//     38 became the counter-threshold note `K_UPD_NOTE`) and the recovery
-//     block (`40..=47`) so either side can grow without renumbering.
-//
-// lint: kind-map core = 1..=63 gaps 36, 39
-// lint: kind-map net = 65531..=65535
-//
-// Per-kind handler provenance — ground truth for `graphlab-lint`'s
-// msg-flow check. Each `kind` line declares the file(s) that legitimately
-// *receive* that kind; the check then proves every declared file still
-// contains a live handler site (match arm, guard, or kind comparison) and
-// that the kind has at least one non-test send site. Deleting a handler
-// arm — or adding a kind without declaring who handles it — turns CI red.
-// The net crate's transport kinds are declared here too so the whole wire
-// protocol reads from one table.
-//
-// lint: kind K_CHROM_VDATA handlers: chromatic.rs
-// lint: kind K_CHROM_EDATA handlers: chromatic.rs
-// lint: kind K_CHROM_WB_V handlers: chromatic.rs
-// lint: kind K_CHROM_WB_E handlers: chromatic.rs
-// lint: kind K_CHROM_SCHED handlers: chromatic.rs
-// lint: kind K_CHROM_FLUSH_A handlers: chromatic.rs
-// lint: kind K_CHROM_FLUSH_B handlers: chromatic.rs
-// lint: kind K_CHROM_SYNC_PART handlers: chromatic.rs
-// lint: kind K_CHROM_SYNC_GLOB handlers: chromatic.rs
-// lint: kind K_CHROM_SNAP_DONE handlers: chromatic.rs
-// lint: kind K_CHROM_SNAP_RESUME handlers: chromatic.rs
-// lint: kind K_LOCK_REQ handlers: locking.rs
-// lint: kind K_SCOPE_DATA handlers: locking.rs
-// lint: kind K_RELEASE handlers: locking.rs
-// lint: kind K_LOCK_SCHED handlers: locking.rs
-// lint: kind K_TOKEN handlers: locking.rs
-// lint: kind K_HALT handlers: locking.rs
-// lint: kind K_HALT_ACK handlers: locking.rs
-// lint: kind K_LSYNC_PART handlers: locking.rs
-// lint: kind K_LSYNC_GLOB handlers: locking.rs
-// lint: kind K_LSYNC_REQ handlers: locking.rs
-// lint: kind K_UPD_NOTE handlers: locking.rs
-// lint: kind K_SNAP_SYNC_START handlers: locking.rs
-// lint: kind K_SNAP_SYNC_READY handlers: locking.rs
-// lint: kind K_SNAP_SYNC_FLUSH handlers: locking.rs
-// lint: kind K_SNAP_DONE handlers: locking.rs
-// lint: kind K_SNAP_RESUME handlers: locking.rs
-// lint: kind K_SNAP_ASYNC_START handlers: locking.rs
-// lint: kind K_SNAP_ASYNC_MDONE handlers: locking.rs
-// lint: kind K_RECOVER_READY handlers: recovery.rs
-// lint: kind K_ROLLBACK handlers: recovery.rs
-// lint: kind K_RECOVERED handlers: recovery.rs
-// lint: kind K_RESUME handlers: recovery.rs
-// lint: kind K_RECOVER_ABORT handlers: recovery.rs
-// lint: kind K_FLUSH_MARK handlers: recovery.rs
-// lint: kind K_ADOPT_PLAN handlers: recovery.rs
-// lint: kind K_ADOPT_DATA handlers: recovery.rs
-// lint: kind K_BATCH handlers: batch.rs
-// lint: kind K_ZIP handlers: batch.rs
-// lint: kind K_DOWN handlers: recovery.rs, batch.rs
-// lint: kind K_UP handlers: recovery.rs
-// lint: kind K_LEASE handlers: batch.rs
 
-/// Chromatic: vertex ghost updates (owner → mirror), a block of
-/// [`VertexRow`]s.
-pub const K_CHROM_VDATA: u16 = 1;
-/// Chromatic: edge ghost updates (owner → mirror), a block of [`EdgeRow`]s.
-pub const K_CHROM_EDATA: u16 = 2;
-/// Chromatic: vertex write-backs (mirror → owner; full consistency), a
-/// block of [`VertexRow`]s.
-pub const K_CHROM_WB_V: u16 = 3;
-/// Chromatic: edge write-backs (mirror → owner), a block of [`EdgeRow`]s.
-pub const K_CHROM_WB_E: u16 = 4;
-/// Chromatic: a colour-step's remote schedule requests for one owner, a
-/// tagged [`TaskSetMsg`].
-pub const K_CHROM_SCHED: u16 = 5;
-/// Chromatic: first-round step flush (promises direct block and task-set
-/// counts).
-pub const K_CHROM_FLUSH_A: u16 = 6;
-/// Chromatic: second-round step flush (promises forwarded write-back
-/// blocks).
-pub const K_CHROM_FLUSH_B: u16 = 7;
-/// Chromatic: per-cycle sync partial (machine → master).
-pub const K_CHROM_SYNC_PART: u16 = 8;
-/// Chromatic: per-cycle globals + halt decision (master → all).
-pub const K_CHROM_SYNC_GLOB: u16 = 9;
-/// Chromatic: snapshot written acknowledgement (machine → master).
-pub const K_CHROM_SNAP_DONE: u16 = 10;
-/// Chromatic: resume after snapshot (master → all).
-pub const K_CHROM_SNAP_RESUME: u16 = 11;
+/// Declares the wire's kinds, once: a `#[repr(u16)]` enum per receiving
+/// plane with each kind's number and traffic-table name, and [`Kind`] over
+/// them. Rust rejects a number used twice within a plane; the
+/// `kinds_are_pinned` test holds the whole table.
+macro_rules! kinds {
+    ($(
+        $(#[$plane_doc:meta])*
+        $plane:ident($sub:ident) {
+            $($(#[$doc:meta])* $variant:ident = $wire:expr, $name:literal;)*
+        }
+    )*) => {
+        $(
+            $(#[$plane_doc])*
+            #[repr(u16)]
+            #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+            pub enum $sub {
+                $($(#[$doc])* $variant = $wire,)*
+            }
 
-/// Locking: lock chain request hop.
-pub const K_LOCK_REQ: u16 = 20;
-/// Locking: scope data sync (hop → requester).
-pub const K_SCOPE_DATA: u16 = 21;
-/// Locking: lock release + write-backs (requester → hop).
-pub const K_RELEASE: u16 = 22;
-/// Locking: remote schedule request.
-pub const K_LOCK_SCHED: u16 = 23;
-/// Locking: termination-detection token.
-pub const K_TOKEN: u16 = 24;
-/// Locking: halt broadcast (master → all).
-pub const K_HALT: u16 = 25;
-/// Locking: halt acknowledgement (machine → master).
-pub const K_HALT_ACK: u16 = 26;
-/// Locking: background sync partial (machine → master).
-pub const K_LSYNC_PART: u16 = 27;
-/// Locking: background sync globals (master → all).
-pub const K_LSYNC_GLOB: u16 = 28;
-/// Locking: synchronous snapshot — suspend request (master → all).
-pub const K_SNAP_SYNC_START: u16 = 29;
-/// Locking: synchronous snapshot — machine drained, with cumulative
-/// per-destination send counts (machine → master).
-pub const K_SNAP_SYNC_READY: u16 = 30;
-/// Locking: synchronous snapshot — aggregated flush targets (master → all).
-pub const K_SNAP_SYNC_FLUSH: u16 = 31;
-/// Locking: snapshot file written (machine → master).
-pub const K_SNAP_DONE: u16 = 32;
-/// Locking: resume computation (master → all).
-pub const K_SNAP_RESUME: u16 = 33;
-/// Locking: asynchronous snapshot start (master → all).
-pub const K_SNAP_ASYNC_START: u16 = 34;
-/// Locking: asynchronous snapshot — machine finished all owned vertices.
-pub const K_SNAP_ASYNC_MDONE: u16 = 35;
-/// Locking: background sync request (master → all); payload is the epoch.
-pub const K_LSYNC_REQ: u16 = 37;
-/// Locking: counter-threshold update note (machine → master). Sent when a
-/// machine's cumulative local update count crosses a granule of the
-/// finest configured trigger interval (background sync / snapshot
-/// cadence), and once more with the exact count when it goes idle. This
-/// replaces the master's timed counter poll: all sync/snapshot/halt
-/// triggers are driven by these notes, so an idle cluster exchanges no
-/// control traffic at all. Never sent when no trigger is configured. Not
-/// counted work (it must not disturb Safra's termination invariant).
-pub const K_UPD_NOTE: u16 = 38;
+            impl $sub {
+                #[allow(non_upper_case_globals)]
+                fn from_wire(kind: u16) -> Option<$sub> {
+                    $(const $variant: u16 = $sub::$variant as u16;)*
+                    match kind {
+                        $($variant => Some($sub::$variant),)*
+                        _ => None,
+                    }
+                }
 
-/// Recovery (both engines, `40..=45`): machine has stopped sending engine
-/// traffic for the current fault era (machine → master).
-pub const K_RECOVER_READY: u16 = 40;
-/// Recovery: roll back to checkpoint `snap` after the marker flush
-/// (master → all).
-pub const K_ROLLBACK: u16 = 41;
-/// Recovery: rollback applied, ready to resume (machine → master).
-pub const K_RECOVERED: u16 = 42;
-/// Recovery: all machines rolled back — resume computation (master → all).
-pub const K_RESUME: u16 = 43;
-/// Recovery: unrecoverable — fail the run with the attached reason
-/// (master → all).
-pub const K_RECOVER_ABORT: u16 = 44;
-/// Recovery: channel flush marker (all → all, sent on receiving the
-/// rollback order). Per-channel FIFO makes it a barrier: once a machine
-/// holds the current era's marker from every peer, no pre-rollback
-/// message can ever surface on any channel.
-pub const K_FLUSH_MARK: u16 = 45;
-/// Recovery/adoption: the master's adoption plan (master → survivors).
-/// Carries the re-balanced atom placement survivors rebuild from; dead
-/// machines' atoms have been reassigned, survivors' own atoms stay put.
-pub const K_ADOPT_PLAN: u16 = 46;
-/// Recovery/adoption: ghost-rebuild data round (survivor → survivor,
-/// exactly one per ordered pair even when empty). Carries the sender's
-/// authoritative rows for vertices/edges the receiver mirrors; doubling
-/// as a FIFO barrier that flushes pre-adoption traffic off each channel.
-pub const K_ADOPT_DATA: u16 = 47;
+                /// Name in traffic tables.
+                pub fn name(self) -> &'static str {
+                    match self {
+                        $($sub::$variant => $name,)*
+                    }
+                }
+            }
 
-/// Returns whether a message kind carries engine *work* and therefore
-/// participates in termination detection counters (Safra).
-pub fn is_counted_work(kind: u16) -> bool {
-    matches!(kind, K_LOCK_REQ | K_SCOPE_DATA | K_RELEASE | K_LOCK_SCHED)
+            impl From<$sub> for Kind {
+                fn from(kind: $sub) -> Kind {
+                    Kind::$plane(kind)
+                }
+            }
+        )*
+
+        /// A message kind, under the plane that receives it. An envelope's
+        /// `u16` becomes a `Kind` once, where it is received
+        /// (`Kind::of`); each plane then matches its own enum
+        /// exhaustively, so a new kind is one line here and the compiler
+        /// lists every dispatcher that must say what it does with it.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Kind {
+            $($(#[$plane_doc])* $plane($sub),)*
+        }
+
+        impl Kind {
+            /// The kind with this wire number — the one place a number no
+            /// plane owns is rejected.
+            pub fn from_wire(kind: u16) -> Option<Kind> {
+                None$(.or_else(|| $sub::from_wire(kind).map(Kind::$plane)))*
+            }
+
+            /// The number on the wire.
+            pub fn wire(self) -> u16 {
+                match self {
+                    $(Kind::$plane(kind) => kind as u16,)*
+                }
+            }
+
+            /// Name in traffic tables.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Kind::$plane(kind) => kind.name(),)*
+                }
+            }
+        }
+    };
 }
 
-/// Returns whether a kind belongs to the recovery/fabric control plane —
-/// the only traffic a machine emits between its drain point and the
-/// cluster-wide resume, which is what makes the [`K_FLUSH_MARK`] barrier
-/// exact: everything a peer sent before its marker is engine traffic from
-/// before its drain.
-pub fn is_recovery_control(kind: u16) -> bool {
-    matches!(
-        kind,
-        K_RECOVER_READY
-            | K_ROLLBACK
-            | K_RECOVERED
-            | K_RESUME
-            | K_RECOVER_ABORT
-            | K_FLUSH_MARK
-            | K_ADOPT_PLAN
-            | K_ADOPT_DATA
-    ) || kind == graphlab_net::K_DOWN
-        || kind == graphlab_net::K_UP
-        || kind == graphlab_net::K_LEASE
+kinds! {
+    /// Chromatic engine (§4.2.1), `1..=11`: received by
+    /// `ChromaticMachine::handle_msg` and its sync and snapshot rounds.
+    Chrom(ChromKind) {
+        /// Vertex ghost updates (owner → mirror), a block of [`VertexRow`]s.
+        VData = 1, "chrom/vdata";
+        /// Edge ghost updates (owner → mirror), a block of [`EdgeRow`]s.
+        EData = 2, "chrom/edata";
+        /// Vertex write-backs (mirror → owner; full consistency), a block
+        /// of [`VertexRow`]s.
+        WbV = 3, "chrom/wb-v";
+        /// Edge write-backs (mirror → owner), a block of [`EdgeRow`]s.
+        WbE = 4, "chrom/wb-e";
+        /// A colour-step's remote schedule requests for one owner, a
+        /// tagged [`TaskSetMsg`].
+        Sched = 5, "chrom/sched";
+        /// First-round step flush (promises direct block and task-set
+        /// counts).
+        FlushA = 6, "chrom/flush-a";
+        /// Second-round step flush (promises forwarded write-back blocks).
+        FlushB = 7, "chrom/flush-b";
+        /// Per-cycle sync partial (machine → master).
+        SyncPart = 8, "chrom/sync-part";
+        /// Per-cycle globals + halt decision (master → all).
+        SyncGlob = 9, "chrom/sync-glob";
+        /// Snapshot written acknowledgement (machine → master).
+        SnapDone = 10, "chrom/snap-done";
+        /// Resume after snapshot (master → all).
+        SnapResume = 11, "chrom/snap-resume";
+    }
+
+    /// Locking engine (§4.2.2), `20..=38`: received by
+    /// `LockingMachine::handle`. 36 (skipped when the background-sync
+    /// request landed at 37, never shipped) and 39 (headroom before the
+    /// recovery block) stay unassigned: a decoder for a recycled number
+    /// would misparse snapshots and traces recorded before the reuse.
+    Lock(LockKind) {
+        /// Lock chain request hop.
+        Req = 20, "lock/req";
+        /// Scope data sync (hop → requester).
+        ScopeData = 21, "lock/scope-data";
+        /// Lock release + write-backs (requester → hop).
+        Release = 22, "lock/release";
+        /// Remote schedule request.
+        Sched = 23, "lock/sched";
+        /// Termination-detection token.
+        Token = 24, "lock/token";
+        /// Halt broadcast (master → all).
+        Halt = 25, "lock/halt";
+        /// Halt acknowledgement (machine → master).
+        HaltAck = 26, "lock/halt-ack";
+        /// Background sync partial (machine → master).
+        SyncPart = 27, "lock/sync-part";
+        /// Background sync globals (master → all).
+        SyncGlob = 28, "lock/sync-glob";
+        /// Synchronous snapshot — suspend request (master → all).
+        SnapSyncStart = 29, "snap/sync-start";
+        /// Synchronous snapshot — machine drained, with cumulative
+        /// per-destination send counts (machine → master).
+        SnapSyncReady = 30, "snap/sync-ready";
+        /// Synchronous snapshot — aggregated flush targets (master → all).
+        SnapSyncFlush = 31, "snap/sync-flush";
+        /// Snapshot file written (machine → master).
+        SnapDone = 32, "snap/done";
+        /// Resume computation (master → all).
+        SnapResume = 33, "snap/resume";
+        /// Asynchronous snapshot start (master → all).
+        SnapAsyncStart = 34, "snap/async-start";
+        /// Asynchronous snapshot — machine finished all owned vertices.
+        SnapAsyncMdone = 35, "snap/async-mdone";
+        /// Background sync request (master → all); payload is the epoch.
+        SyncReq = 37, "lock/sync-req";
+        /// Counter-threshold update note (machine → master). Sent when a
+        /// machine's cumulative local update count crosses a granule of the
+        /// finest configured trigger interval (background sync / snapshot
+        /// cadence), and once more with the exact count when it goes idle.
+        /// All sync/snapshot/halt triggers are driven by these notes, so an
+        /// idle cluster exchanges no control traffic at all. Never sent
+        /// when no trigger is configured.
+        UpdNote = 38, "lock/upd-note";
+    }
+
+    /// Recovery and fabric control plane (both engines), `40..=47` and the
+    /// transport's fault and lease notifications: received by
+    /// `recovery::on_envelope`. The only traffic a machine emits between
+    /// its drain point and the cluster-wide resume, which is what makes
+    /// the [`RecoveryKind::FlushMark`] barrier exact: everything a peer
+    /// sent before its marker is engine traffic from before its drain.
+    Recovery(RecoveryKind) {
+        /// Machine has stopped sending engine traffic for the current
+        /// fault era (machine → master).
+        Ready = 40, "recover/ready";
+        /// Roll back to checkpoint `snap` after the marker flush
+        /// (master → all).
+        Rollback = 41, "recover/rollback";
+        /// Rollback applied, ready to resume (machine → master).
+        Recovered = 42, "recover/recovered";
+        /// All machines rolled back — resume computation (master → all).
+        Resume = 43, "recover/resume";
+        /// Unrecoverable — fail the run with the attached reason
+        /// (master → all).
+        Abort = 44, "recover/abort";
+        /// Channel flush marker (all → all, sent on receiving the rollback
+        /// order). Per-channel FIFO makes it a barrier: once a machine
+        /// holds the current era's marker from every peer, no pre-rollback
+        /// message can ever surface on any channel.
+        FlushMark = 45, "recover/flush-mark";
+        /// The master's adoption plan (master → survivors). Carries the
+        /// re-balanced atom placement survivors rebuild from; dead
+        /// machines' atoms have been reassigned, survivors' own atoms stay
+        /// put.
+        AdoptPlan = 46, "recover/adopt-plan";
+        /// Ghost-rebuild data round (survivor → survivor, exactly one per
+        /// ordered pair even when empty). Carries the sender's
+        /// authoritative rows for vertices/edges the receiver mirrors;
+        /// doubling as a FIFO barrier that flushes pre-adoption traffic off
+        /// each channel.
+        AdoptData = 47, "recover/adopt-data";
+        /// Lease heartbeat ([`graphlab_net::K_LEASE`]); the `Batcher`
+        /// consumes it.
+        Lease = graphlab_net::K_LEASE, "net/lease";
+        /// A machine rose again ([`graphlab_net::K_UP`]), delivered to the
+        /// reborn machine only.
+        Up = graphlab_net::K_UP, "fault/up";
+        /// A machine died ([`graphlab_net::K_DOWN`]), from the fault
+        /// fabric's oracle or an expired lease.
+        Down = graphlab_net::K_DOWN, "fault/down";
+    }
 }
 
-/// Human-readable name of a message kind, for traffic tables
-/// (`repro -- abl-bytes` and the per-kind [`graphlab_net::NetStats`] rows).
+impl Kind {
+    /// The kind of an envelope from a peer of this same binary.
+    pub(crate) fn of(env: &graphlab_net::Envelope) -> Kind {
+        Kind::from_wire(env.kind).expect("malformed engine message")
+    }
+}
+
+impl LockKind {
+    /// Whether this kind carries engine *work* and therefore participates
+    /// in the termination detection counters (Safra) — the control kinds,
+    /// [`LockKind::UpdNote`] among them, must not disturb its invariant.
+    pub fn is_counted_work(self) -> bool {
+        use LockKind::*;
+        match self {
+            Req | ScopeData | Release | Sched => true,
+            Token | Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapSyncStart
+            | SnapSyncReady | SnapSyncFlush | SnapDone | SnapResume | SnapAsyncStart
+            | SnapAsyncMdone => false,
+        }
+    }
+}
+
+// The wire numbers `glbench` names (it matches on them and reads
+// `EngineMetrics::bytes_by_kind` by them), read off the enums.
+/// [`ChromKind::VData`] on the wire.
+pub const K_CHROM_VDATA: u16 = ChromKind::VData as u16;
+/// [`ChromKind::EData`] on the wire.
+pub const K_CHROM_EDATA: u16 = ChromKind::EData as u16;
+/// [`LockKind::Req`] on the wire.
+pub const K_LOCK_REQ: u16 = LockKind::Req as u16;
+/// [`LockKind::ScopeData`] on the wire.
+pub const K_SCOPE_DATA: u16 = LockKind::ScopeData as u16;
+/// [`LockKind::Release`] on the wire.
+pub const K_RELEASE: u16 = LockKind::Release as u16;
+/// [`LockKind::Sched`] on the wire.
+pub const K_LOCK_SCHED: u16 = LockKind::Sched as u16;
+
+/// Name of a wire number in traffic tables (`repro -- abl-bytes` and the
+/// per-kind [`graphlab_net::NetStats`] rows): [`Kind::name`], plus the two
+/// envelope kinds the `Batcher` never lets through to an engine.
 pub fn kind_name(kind: u16) -> &'static str {
-    match kind {
-        K_CHROM_VDATA => "chrom/vdata",
-        K_CHROM_EDATA => "chrom/edata",
-        K_CHROM_WB_V => "chrom/wb-v",
-        K_CHROM_WB_E => "chrom/wb-e",
-        K_CHROM_SCHED => "chrom/sched",
-        K_CHROM_FLUSH_A => "chrom/flush-a",
-        K_CHROM_FLUSH_B => "chrom/flush-b",
-        K_CHROM_SYNC_PART => "chrom/sync-part",
-        K_CHROM_SYNC_GLOB => "chrom/sync-glob",
-        K_CHROM_SNAP_DONE => "chrom/snap-done",
-        K_CHROM_SNAP_RESUME => "chrom/snap-resume",
-        K_LOCK_REQ => "lock/req",
-        K_SCOPE_DATA => "lock/scope-data",
-        K_RELEASE => "lock/release",
-        K_LOCK_SCHED => "lock/sched",
-        K_TOKEN => "lock/token",
-        K_HALT => "lock/halt",
-        K_HALT_ACK => "lock/halt-ack",
-        K_LSYNC_PART => "lock/sync-part",
-        K_LSYNC_GLOB => "lock/sync-glob",
-        K_LSYNC_REQ => "lock/sync-req",
-        K_UPD_NOTE => "lock/upd-note",
-        K_SNAP_SYNC_START => "snap/sync-start",
-        K_SNAP_SYNC_READY => "snap/sync-ready",
-        K_SNAP_SYNC_FLUSH => "snap/sync-flush",
-        K_SNAP_DONE => "snap/done",
-        K_SNAP_RESUME => "snap/resume",
-        K_SNAP_ASYNC_START => "snap/async-start",
-        K_SNAP_ASYNC_MDONE => "snap/async-mdone",
-        K_RECOVER_READY => "recover/ready",
-        K_ROLLBACK => "recover/rollback",
-        K_RECOVERED => "recover/recovered",
-        K_RESUME => "recover/resume",
-        K_RECOVER_ABORT => "recover/abort",
-        K_FLUSH_MARK => "recover/flush-mark",
-        K_ADOPT_PLAN => "recover/adopt-plan",
-        K_ADOPT_DATA => "recover/adopt-data",
-        graphlab_net::K_BATCH => "net/batch",
-        graphlab_net::K_ZIP => "net/zip",
-        graphlab_net::K_DOWN => "fault/down",
-        graphlab_net::K_UP => "fault/up",
-        graphlab_net::K_LEASE => "net/lease",
-        _ => "unknown",
+    match Kind::from_wire(kind) {
+        Some(kind) => kind.name(),
+        None if kind == graphlab_net::K_BATCH => "net/batch",
+        None if kind == graphlab_net::K_ZIP => "net/zip",
+        None => "unknown",
     }
 }
 
@@ -480,9 +494,9 @@ impl Codec for ScheduleMsg {
 // The colour-step is the unit of exchange. Payloads of the five data kinds,
 // every one behind the `(step, phase)` tag of [`StepTagged`]:
 //
-//   K_CHROM_VDATA, K_CHROM_WB_V   step, phase, VertexRow*   (a row block)
-//   K_CHROM_EDATA, K_CHROM_WB_E   step, phase, EdgeRow*     (a row block)
-//   K_CHROM_SCHED                 step, phase, TaskSetMsg
+//   ChromKind::VData, ChromKind::WbV   step, phase, VertexRow*   (a row block)
+//   ChromKind::EData, ChromKind::WbE   step, phase, EdgeRow*     (a row block)
+//   ChromKind::Sched                 step, phase, TaskSetMsg
 //
 // A row block carries the tag once and then rows back to back to the end
 // of the payload, with no count: a `StepTagged<VertexRow>` is a block of
@@ -1028,7 +1042,7 @@ impl Codec for LockSyncPartialMsg {
     }
 }
 
-/// Counter-threshold update note ([`K_UPD_NOTE`], machine → master): the
+/// Counter-threshold update note ([`LockKind::UpdNote`], machine → master): the
 /// sender has executed `updates` update functions in total since engine
 /// start. Cumulative and therefore idempotent — the master keeps the max
 /// per peer, so duplicates, reordering across rollbacks (counters never
@@ -1114,7 +1128,7 @@ impl Codec for RecoverReadyMsg {
     }
 }
 
-/// Master's rollback order: broadcast the era's [`K_FLUSH_MARK`] to every
+/// Master's rollback order: broadcast the era's [`RecoveryKind::FlushMark`] to every
 /// peer, drain inbound channels until every peer's marker arrived, then
 /// restore checkpoint `snap` and reset all volatile engine state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1136,7 +1150,7 @@ impl Codec for RollbackMsg {
 }
 
 /// Rollback-applied acknowledgement (machine → master); the payload is the
-/// fault era. Also used, era-tagged, for the final `K_RESUME` barrier
+/// fault era. Also used, era-tagged, for the final `RecoveryKind::Resume` barrier
 /// release (master → all), so late resumers never miss work sent by early
 /// ones — pre-resume arrivals are buffered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1175,7 +1189,7 @@ impl Codec for RecoverAbortMsg {
     }
 }
 
-/// Master's adoption order (master → survivors, [`K_ADOPT_PLAN`]): the
+/// Master's adoption order (master → survivors, [`RecoveryKind::AdoptPlan`]): the
 /// re-balanced atom placement after reassigning every dead machine's atoms
 /// over the survivors. Survivors rebuild their local graph from this
 /// placement's journals, then overlay checkpoint `snap` for the adopted
@@ -1210,7 +1224,7 @@ impl Codec for AdoptPlanMsg {
     }
 }
 
-/// Ghost-rebuild round ([`K_ADOPT_DATA`], survivor → survivor): the
+/// Ghost-rebuild round ([`RecoveryKind::AdoptData`], survivor → survivor): the
 /// sender's authoritative current data for vertices it owns that the
 /// receiver mirrors, and for edges whose replica lives on the receiver.
 /// Sent exactly once per ordered survivor pair — an empty one still
@@ -1358,60 +1372,82 @@ mod tests {
     }
 
     #[test]
-    fn recovery_control_classification() {
-        for k in [
-            K_RECOVER_READY,
-            K_ROLLBACK,
-            K_RECOVERED,
-            K_RESUME,
-            K_RECOVER_ABORT,
-            K_FLUSH_MARK,
-            K_ADOPT_PLAN,
-            K_ADOPT_DATA,
-        ] {
-            assert!(is_recovery_control(k));
-            assert!(!is_counted_work(k));
-            assert_ne!(kind_name(k), "unknown");
-        }
-        assert!(is_recovery_control(graphlab_net::K_DOWN));
-        assert!(is_recovery_control(graphlab_net::K_UP));
-        assert!(is_recovery_control(graphlab_net::K_LEASE));
-        assert!(!is_recovery_control(K_LOCK_REQ));
-        assert!(!is_recovery_control(K_TOKEN));
-        assert!(!is_recovery_control(K_CHROM_VDATA));
-    }
-
-    #[test]
     fn lock_type_wire_mapping() {
         assert_eq!(lock_type_from_u8(lock_type_to_u8(LockType::Read)), Some(LockType::Read));
         assert_eq!(lock_type_from_u8(lock_type_to_u8(LockType::Write)), Some(LockType::Write));
         assert_eq!(lock_type_from_u8(7), None);
     }
 
+    /// The wire must not move: every number that has a name, with its
+    /// name, as of PR 19 (36 and 39 stay unassigned).
     #[test]
-    fn counted_work_classification() {
-        assert!(is_counted_work(K_LOCK_REQ));
-        assert!(is_counted_work(K_SCOPE_DATA));
-        assert!(is_counted_work(K_RELEASE));
-        assert!(is_counted_work(K_LOCK_SCHED));
-        assert!(!is_counted_work(K_TOKEN));
-        assert!(!is_counted_work(K_HALT));
-        assert!(!is_counted_work(K_CHROM_VDATA));
-        assert!(!is_counted_work(K_LSYNC_PART));
-        // An update note must disturb neither Safra's work counters nor
-        // the recovery drain barrier.
-        assert!(!is_counted_work(K_UPD_NOTE));
-        assert!(!is_recovery_control(K_UPD_NOTE));
-    }
-
-    #[test]
-    fn every_engine_kind_has_a_name() {
-        for k in (1..=11).chain(20..=35).chain([37, 38]) {
-            assert_ne!(kind_name(k), "unknown", "kind {k} unnamed");
+    fn kinds_are_pinned() {
+        const TABLE: [(u16, &str); 42] = [
+            (1, "chrom/vdata"),
+            (2, "chrom/edata"),
+            (3, "chrom/wb-v"),
+            (4, "chrom/wb-e"),
+            (5, "chrom/sched"),
+            (6, "chrom/flush-a"),
+            (7, "chrom/flush-b"),
+            (8, "chrom/sync-part"),
+            (9, "chrom/sync-glob"),
+            (10, "chrom/snap-done"),
+            (11, "chrom/snap-resume"),
+            (20, "lock/req"),
+            (21, "lock/scope-data"),
+            (22, "lock/release"),
+            (23, "lock/sched"),
+            (24, "lock/token"),
+            (25, "lock/halt"),
+            (26, "lock/halt-ack"),
+            (27, "lock/sync-part"),
+            (28, "lock/sync-glob"),
+            (29, "snap/sync-start"),
+            (30, "snap/sync-ready"),
+            (31, "snap/sync-flush"),
+            (32, "snap/done"),
+            (33, "snap/resume"),
+            (34, "snap/async-start"),
+            (35, "snap/async-mdone"),
+            (37, "lock/sync-req"),
+            (38, "lock/upd-note"),
+            (40, "recover/ready"),
+            (41, "recover/rollback"),
+            (42, "recover/recovered"),
+            (43, "recover/resume"),
+            (44, "recover/abort"),
+            (45, "recover/flush-mark"),
+            (46, "recover/adopt-plan"),
+            (47, "recover/adopt-data"),
+            (65531, "net/lease"),
+            (65532, "fault/up"),
+            (65533, "fault/down"),
+            (65534, "net/zip"),
+            (65535, "net/batch"),
+        ];
+        let named: Vec<(u16, &str)> = (0..=u16::MAX)
+            .map(|k| (k, kind_name(k)))
+            .filter(|&(_, name)| name != "unknown")
+            .collect();
+        assert_eq!(named, TABLE);
+        let mut names: Vec<&str> = TABLE.iter().map(|&(_, name)| name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TABLE.len(), "a name is used twice");
+        // A number is one plane's or nobody's: the two envelope kinds have
+        // a name but never reach an engine.
+        for (k, name) in (0..=u16::MAX).map(|k| (k, kind_name(k))) {
+            match Kind::from_wire(k) {
+                Some(kind) => assert_eq!((kind.wire(), kind.name()), (k, name)),
+                None => assert!(matches!(name, "unknown" | "net/zip" | "net/batch"), "{k}"),
+            }
         }
-        assert_eq!(kind_name(graphlab_net::K_BATCH), "net/batch");
-        assert_eq!(kind_name(graphlab_net::K_ZIP), "net/zip");
-        assert_eq!(kind_name(12345), "unknown");
+        // Safra counts the four kinds that carry work, and no control kind.
+        let counted: Vec<u16> = (0..=u16::MAX)
+            .filter(|&k| matches!(Kind::from_wire(k), Some(Kind::Lock(k)) if k.is_counted_work()))
+            .collect();
+        assert_eq!(counted, [K_LOCK_REQ, K_SCOPE_DATA, K_RELEASE, K_LOCK_SCHED]);
     }
 
     #[test]

@@ -152,7 +152,19 @@ pub struct EngineMetrics {
     pub hot: HotCounters,
 }
 
+/// Delivered traffic of wire number `kind` among per-kind rows such as
+/// [`EngineMetrics::bytes_by_kind`]; zero when none arrived.
+pub fn traffic_of(rows: &[(u16, graphlab_net::KindTraffic)], kind: u16) -> graphlab_net::KindTraffic {
+    rows.iter().find(|&&(k, _)| k == kind).map(|&(_, t)| t).unwrap_or_default()
+}
+
 impl EngineMetrics {
+    /// Delivered traffic of one message kind, from
+    /// [`bytes_by_kind`](Self::bytes_by_kind); zero when none arrived.
+    pub fn traffic(&self, kind: impl Into<crate::messages::Kind>) -> graphlab_net::KindTraffic {
+        traffic_of(&self.bytes_by_kind, kind.into().wire())
+    }
+
     /// Aggregate throughput in updates per second.
     pub fn updates_per_second(&self) -> f64 {
         let secs = self.runtime.as_secs_f64();

@@ -3,15 +3,16 @@
 //!
 //! Both engines drive the one master-coordinated state machine in this
 //! module, keyed on the fabric **fault era** (total kills so far, carried
-//! by every `K_DOWN`/`K_UP` notification):
+//! by every [`RecoveryKind::Down`]/[`RecoveryKind::Up`] notification; the
+//! edges below are [`RecoveryKind`]s):
 //!
 //! ```text
-//! normal --K_DOWN--> drain --K_ROLLBACK--> marker flush --all marks-->
-//!   restore+reset ------------------------> await-resume --K_RESUME--> normal
-//!                  \-K_ADOPT_PLAN-> marker flush --all marks-->
-//!   reload+reset+overlay --all K_ADOPT_DATA--^
+//! normal --Down--> drain --Rollback--> marker flush --all marks-->
+//!   restore+reset ------------------------> await-resume --Resume--> normal
+//!                  \-AdoptPlan-> marker flush --all marks-->
+//!   reload+reset+overlay --all AdoptData--^
 //!
-//! any phase --own death--> dead --K_UP--> drain
+//! any phase --own death--> dead --Up--> drain
 //! any phase --newer era--> drain (the round restarts)
 //! ```
 //!
@@ -21,13 +22,13 @@
 //! aborts the run): survivors reload their part under the re-balanced
 //! placement, keep their live rows, overlay the latest complete per-atom
 //! checkpoint on adopted atoms, and refresh ghosts with one
-//! `K_ADOPT_DATA` round between every surviving pair.
+//! `RecoveryKind::AdoptData` round between every surviving pair.
 //!
 //! The **marker flush** is what makes the cut exact without any global
 //! counters: a machine stops sending engine traffic when it enters the
 //! drain (only recovery control flows after — [`RecoveryTracker::send`]
-//! asserts it), and broadcasts the era's `K_FLUSH_MARK` when the order
-//! arrives. Per-channel FIFO then guarantees that once a machine holds the
+//! asserts it), and broadcasts the era's `RecoveryKind::FlushMark` when the
+//! order arrives. Per-channel FIFO then guarantees that once a machine holds the
 //! current era's marker from every peer, every pre-drain engine message
 //! has already been delivered (and discarded) — nothing stale can surface
 //! after the restore. Channels touching the dead machine need no flushing
@@ -145,7 +146,7 @@ pub(crate) enum RecoveryPhase {
     /// until every peer's flush marker arrived.
     FlushWait,
     /// Adoption applied locally; waiting for every surviving peer's
-    /// `K_ADOPT_DATA` ghost round.
+    /// `RecoveryKind::AdoptData` ghost round.
     AdoptData,
     /// Rolled back (or adopted); waiting for the cluster-wide resume
     /// barrier.
@@ -180,7 +181,7 @@ pub(crate) struct RecoveryTracker {
     ready: Vec<bool>,
     /// Peers whose flush marker arrived for the current era.
     marks: Vec<bool>,
-    /// Master: K_RECOVERED acknowledgements for the current era.
+    /// Master: RecoveryKind::Recovered acknowledgements for the current era.
     recovered: usize,
     phase: RecoveryPhase,
     /// Entry time of the current phase (stall deadline).
@@ -189,12 +190,12 @@ pub(crate) struct RecoveryTracker {
     order: Option<Order>,
     /// Surviving peers whose ghost round arrived (AdoptData).
     adopt_got: Vec<bool>,
-    /// `K_ADOPT_DATA` that raced ahead of a slower peer's flush marker —
+    /// `RecoveryKind::AdoptData` that raced ahead of a slower peer's flush marker —
     /// applied once our own adoption surgery is done.
     adopt_early: Vec<Envelope>,
     /// Post-recovery engine traffic from machines that resumed before us
-    /// (AdoptData/AwaitResume) — replayed after `K_RESUME`, never dropped.
-    resume_buffer: Vec<Envelope>,
+    /// (AdoptData/AwaitResume) — replayed after `RecoveryKind::Resume`, never dropped.
+    resume_buffer: Vec<(Kind, Envelope)>,
 }
 
 impl RecoveryTracker {
@@ -250,30 +251,38 @@ impl RecoveryTracker {
         &self,
         net: &mut Batcher,
         dst: MachineId,
-        kind: u16,
+        kind: impl Into<Kind>,
         put: impl FnOnce(&mut BytesMut),
     ) {
-        self.assert_may_send(kind);
-        net.send_with(dst, kind, put);
+        net.send_with(dst, self.may_send(kind.into()), put);
     }
 
     /// [`Self::send_with`] for a payload already encoded (control traffic,
     /// and blobs too big for a queue, which leave without a copy).
-    pub(crate) fn send(&self, net: &mut Batcher, dst: MachineId, kind: u16, payload: Bytes) {
-        self.assert_may_send(kind);
-        net.send(dst, kind, payload);
+    pub(crate) fn send(
+        &self,
+        net: &mut Batcher,
+        dst: MachineId,
+        kind: impl Into<Kind>,
+        payload: Bytes,
+    ) {
+        net.send(dst, self.may_send(kind.into()), payload);
     }
 
-    fn assert_may_send(&self, kind: u16) {
+    /// `kind` as the transport takes it, having checked it may leave now.
+    fn may_send(&self, kind: Kind) -> u16 {
         debug_assert!(
-            self.phase == RecoveryPhase::Normal || is_recovery_control(kind),
-            "engine message kind {kind} sent during recovery phase {:?}",
+            self.phase == RecoveryPhase::Normal || matches!(kind, Kind::Recovery(_)),
+            "engine message {} sent during recovery phase {:?}",
+            kind.name(),
             self.phase
         );
+        kind.wire()
     }
 
     /// Sends `payload` to every surviving peer.
-    pub(crate) fn broadcast(&self, net: &mut Batcher, kind: u16, payload: &Bytes) {
+    pub(crate) fn broadcast(&self, net: &mut Batcher, kind: impl Into<Kind>, payload: &Bytes) {
+        let kind = kind.into();
         for j in (0..self.n).filter(|&j| j != self.me && !self.dead[j]) {
             self.send(net, MachineId::from(j), kind, payload.clone());
         }
@@ -354,7 +363,7 @@ impl RecoveryTracker {
         self.adoptions += 1;
     }
 
-    /// Master: counts a K_RECOVERED for `era`; returns whether every
+    /// Master: counts a RecoveryKind::Recovered for `era`; returns whether every
     /// survivor has recovered and the resume barrier can release.
     pub(crate) fn note_recovered(&mut self, era: u32) -> bool {
         if era == self.era {
@@ -403,9 +412,10 @@ pub(crate) trait RecoveryHost {
     /// re-runs and self-stabilising programs reconverge).
     fn reseed(&mut self, l: u32);
 
-    /// Handles one engine envelope as in the normal phase (replay of
-    /// traffic buffered while waiting for the resume barrier).
-    fn replay(&mut self, env: Envelope);
+    /// Handles one engine envelope, decoded as `kind` where it was
+    /// received, as in the normal phase (replay of traffic buffered while
+    /// waiting for the resume barrier).
+    fn replay(&mut self, kind: Kind, env: Envelope);
 }
 
 /// What the engine loop does after feeding the machine one event.
@@ -423,29 +433,44 @@ pub(crate) enum Step {
     Abort(String),
 }
 
-/// Routes one envelope. The recovery/fabric control plane is handled in
+/// Routes one envelope, decoded as `kind` where it was received (the one
+/// decode of its `u16`). The recovery/fabric control plane is handled in
 /// every phase; engine traffic is handled (Normal), discarded (Drain and
 /// FlushWait — it precedes its sender's flush marker, and the restore
 /// wipes whatever it would have changed), or buffered for replay
 /// (AdoptData/AwaitResume — post-recovery work from early resumers). A
 /// dead machine ignores everything but its rebirth: a crash loses the
 /// pre-crash backlog.
-pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, env: Envelope) -> Step {
+pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope) -> Step {
     let Parts { rec, net, .. } = h.parts();
-    if rec.phase == RecoveryPhase::Dead && env.kind != graphlab_net::K_UP {
+    if rec.phase == RecoveryPhase::Dead && kind != Kind::Recovery(RecoveryKind::Up) {
         return tick(h);
     }
+    let kind = match kind {
+        Kind::Recovery(kind) => kind,
+        Kind::Chrom(_) | Kind::Lock(_) => {
+            match rec.phase {
+                RecoveryPhase::Normal => h.replay(kind, env),
+                RecoveryPhase::AdoptData | RecoveryPhase::AwaitResume => {
+                    rec.resume_buffer.push((kind, env))
+                }
+                RecoveryPhase::Drain | RecoveryPhase::FlushWait | RecoveryPhase::Dead => {}
+            }
+            return tick(h);
+        }
+    };
     let src = env.src.index();
-    match env.kind {
-        graphlab_net::K_DOWN => {
+    match kind {
+        RecoveryKind::Down => {
             let d: DownMsg = dec(env.payload);
             return on_down(h, d);
         }
-        graphlab_net::K_UP => {
+        RecoveryKind::Up => {
             let u: UpMsg = dec(env.payload);
             on_self_up(h, u);
         }
-        K_RECOVER_READY => {
+        RecoveryKind::Lease => unreachable!("the Batcher consumes lease heartbeats"),
+        RecoveryKind::Ready => {
             let msg: RecoverReadyMsg = dec(env.payload);
             if rec.me == 0 {
                 // The fabric delivers K_UP to the reborn machine only; its
@@ -455,19 +480,19 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, env: Envelope) -> Step {
                 rec.note_ready(src, msg.era);
             }
         }
-        K_ROLLBACK => {
+        RecoveryKind::Rollback => {
             let msg: RollbackMsg = dec(env.payload);
             on_order(h, msg.era, Order::Rollback(msg));
         }
-        K_ADOPT_PLAN => {
+        RecoveryKind::AdoptPlan => {
             let msg: AdoptPlanMsg = dec(env.payload);
             on_order(h, msg.era, Order::Adopt(msg));
         }
-        K_FLUSH_MARK => {
+        RecoveryKind::FlushMark => {
             let msg: RecoverEraMsg = dec(env.payload);
             rec.note_mark(src, msg.era);
         }
-        K_ADOPT_DATA => match rec.phase {
+        RecoveryKind::AdoptData => match rec.phase {
             // Our own surgery has not run yet: hold the rows until the
             // local graph exists under the new placement.
             RecoveryPhase::Drain | RecoveryPhase::FlushWait => rec.adopt_early.push(env),
@@ -479,7 +504,7 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, env: Envelope) -> Step {
             // one before our own flush marker, which we have not sent).
             _ => {}
         },
-        K_RECOVERED => {
+        RecoveryKind::Recovered => {
             let msg: RecoverEraMsg = dec(env.payload);
             // Early finishers are only counted; the barrier releases once
             // the master itself waits at it.
@@ -490,19 +515,14 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, env: Envelope) -> Step {
                 return release_resume(h);
             }
         }
-        K_RESUME => {
+        RecoveryKind::Resume => {
             let msg: RecoverEraMsg = dec(env.payload);
             return on_resume(h, msg.era);
         }
-        K_RECOVER_ABORT => {
+        RecoveryKind::Abort => {
             let msg: RecoverAbortMsg = dec(env.payload);
             return Step::Abort(msg.reason);
         }
-        _ => match rec.phase {
-            RecoveryPhase::Normal => h.replay(env),
-            RecoveryPhase::AdoptData | RecoveryPhase::AwaitResume => rec.resume_buffer.push(env),
-            RecoveryPhase::Drain | RecoveryPhase::FlushWait | RecoveryPhase::Dead => {}
-        },
     }
     tick(h)
 }
@@ -625,7 +645,7 @@ fn enter_drain<H: RecoveryHost>(h: &mut H) {
     if rec.me == 0 {
         rec.note_ready(0, era);
     } else {
-        rec.send(net, MachineId(0), K_RECOVER_READY, enc(&RecoverReadyMsg { era }));
+        rec.send(net, MachineId(0), RecoveryKind::Ready, enc(&RecoverReadyMsg { era }));
         net.flush_all();
     }
 }
@@ -640,16 +660,16 @@ fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
     let order = if rec.dead.contains(&true) {
         let plan =
             pick_adoption(dfs, snap_prefix, num_atoms, era, index, placement, rec.dead_mask());
-        rec.broadcast(net, K_ADOPT_PLAN, &enc(&plan));
+        rec.broadcast(net, RecoveryKind::AdoptPlan, &enc(&plan));
         Order::Adopt(plan)
     } else {
         match pick_rollback(dfs, snap_prefix, num_atoms, era) {
             Ok(msg) => {
-                rec.broadcast(net, K_ROLLBACK, &enc(&msg));
+                rec.broadcast(net, RecoveryKind::Rollback, &enc(&msg));
                 Order::Rollback(msg)
             }
             Err(abort) => {
-                rec.broadcast(net, K_RECOVER_ABORT, &enc(&abort));
+                rec.broadcast(net, RecoveryKind::Abort, &enc(&abort));
                 net.flush_all();
                 return Step::Abort(abort.reason);
             }
@@ -682,7 +702,7 @@ fn on_order<H: RecoveryHost>(h: &mut H, era: u32, order: Order) {
         }
     }
     tr!("[m{}] ORDER era={era} adopt={}", rec.me, matches!(order, Order::Adopt(_)));
-    rec.broadcast(net, K_FLUSH_MARK, &enc(&RecoverEraMsg { era }));
+    rec.broadcast(net, RecoveryKind::FlushMark, &enc(&RecoverEraMsg { era }));
     net.flush_all();
     rec.order = Some(order);
     rec.enter(RecoveryPhase::FlushWait);
@@ -716,7 +736,7 @@ fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
 /// back. Own atoms keep their *live* data; adopted atoms overlay the
 /// latest complete per-atom checkpoint when one exists (journal-only
 /// otherwise — ingress-initial data reconverges through re-scheduling);
-/// then one [`K_ADOPT_DATA`] ghost round between every surviving pair
+/// then one [`RecoveryKind::AdoptData`] ghost round between every surviving pair
 /// refreshes replicas and doubles as the FIFO barrier before the resume
 /// handshake.
 fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
@@ -765,7 +785,7 @@ fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
     check_adopt_done(h)
 }
 
-/// Sends exactly one [`K_ADOPT_DATA`] to every surviving peer — even when
+/// Sends exactly one [`RecoveryKind::AdoptData`] to every surviving peer — even when
 /// empty, so receipt of the round is a per-channel barrier — carrying the
 /// owned vertex rows mirrored on that peer and the owned edge rows
 /// replicated there.
@@ -797,7 +817,7 @@ fn send_adopt_data<V: Codec, E: Codec>(
     }
     for (j, msg) in out.into_iter().enumerate() {
         if j != rec.me && !rec.is_dead(j) {
-            rec.send(net, MachineId::from(j), K_ADOPT_DATA, enc(&msg));
+            rec.send(net, MachineId::from(j), RecoveryKind::AdoptData, enc(&msg));
         }
     }
     net.flush_all();
@@ -837,7 +857,7 @@ fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
 
 /// Data is in place: re-seed every owned vertex (adopted data may lag
 /// surviving live data; re-execution reconverges) and wait at the
-/// `K_RECOVERED`/`K_RESUME` barrier, which keeps post-recovery work from
+/// `Recovered`/`Resume` barrier, which keeps post-recovery work from
 /// racing ahead of machines still restoring.
 fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
     for l in h.parts().lg.owned_vertices().to_vec() {
@@ -847,7 +867,7 @@ fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
     rec.enter(RecoveryPhase::AwaitResume);
     let era = rec.era;
     if rec.me != 0 {
-        rec.send(net, MachineId(0), K_RECOVERED, enc(&RecoverEraMsg { era }));
+        rec.send(net, MachineId(0), RecoveryKind::Recovered, enc(&RecoverEraMsg { era }));
         net.flush_all();
     } else if rec.note_recovered(era) {
         return release_resume(h);
@@ -859,7 +879,7 @@ fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
 fn release_resume<H: RecoveryHost>(h: &mut H) -> Step {
     let Parts { rec, net, .. } = h.parts();
     let era = rec.era;
-    rec.broadcast(net, K_RESUME, &enc(&RecoverEraMsg { era }));
+    rec.broadcast(net, RecoveryKind::Resume, &enc(&RecoverEraMsg { era }));
     net.flush_all();
     on_resume(h, era)
 }
@@ -873,8 +893,8 @@ fn on_resume<H: RecoveryHost>(h: &mut H, era: u32) -> Step {
     }
     tr!("[m{}] RESUME era={era} buffered={}", rec.me, rec.resume_buffer.len());
     rec.enter(RecoveryPhase::Normal);
-    for env in std::mem::take(&mut rec.resume_buffer) {
-        h.replay(env);
+    for (kind, env) in std::mem::take(&mut rec.resume_buffer) {
+        h.replay(kind, env);
     }
     Step::Resumed
 }
@@ -975,7 +995,7 @@ mod tests {
         snapshots: u64,
         resets: usize,
         seeded: Vec<u32>,
-        replayed: Vec<u16>,
+        replayed: Vec<Kind>,
     }
 
     impl RecoveryHost for FakeHost {
@@ -1003,8 +1023,8 @@ mod tests {
         fn reseed(&mut self, l: u32) {
             self.seeded.push(l);
         }
-        fn replay(&mut self, env: Envelope) {
-            self.replayed.push(env.kind);
+        fn replay(&mut self, kind: Kind, _: Envelope) {
+            self.replayed.push(kind);
         }
     }
 
@@ -1047,39 +1067,52 @@ mod tests {
         (host, ep0, ep2)
     }
 
-    fn env<T: Codec>(src: u16, kind: u16, msg: &T) -> Envelope {
+    fn env<T: Codec>(src: u16, kind: impl Into<Kind>, msg: &T) -> Envelope {
+        let kind = kind.into().wire();
         Envelope { src: MachineId(src), dst: MachineId(1), kind, payload: enc(msg) }
     }
 
+    /// `e` as from the wire: decoded once, where it is received.
+    fn feed(h: &mut FakeHost, e: Envelope) -> Step {
+        on_envelope(h, Kind::of(&e), e)
+    }
+
     fn down(machine: u16, restart: bool, era: u32) -> Envelope {
-        env(0, graphlab_net::K_DOWN, &DownMsg { machine, restart, era })
+        env(0, RecoveryKind::Down, &DownMsg { machine, restart, era })
     }
 
     /// Everything in `ep`'s inbox, as `(kind, era)` (every recovery
     /// message starts with its era).
-    fn inbox(ep: &SimEndpoint) -> Vec<(u16, u32)> {
+    fn inbox(ep: &SimEndpoint) -> Vec<(RecoveryKind, u32)> {
         std::iter::from_fn(|| ep.try_recv().ok())
-            .map(|mut e| (e.kind, u32::decode(&mut e.payload).unwrap()))
+            .map(|mut e| {
+                let Kind::Recovery(kind) = Kind::of(&e) else { panic!("engine traffic: {e:?}") };
+                (kind, u32::decode(&mut e.payload).unwrap())
+            })
             .collect()
     }
 
     #[test]
     fn era_bump_during_flush_wait_redrains_with_a_fresh_ready() {
         let (mut h, ep0, ep2) = cluster(RecoveryMode::Rollback, None);
-        assert_eq!(on_envelope(&mut h, down(2, true, 1)), Step::Continue);
+        assert_eq!(feed(&mut h, down(2, true, 1)), Step::Continue);
         assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
-        assert_eq!(inbox(&ep0), [(K_RECOVER_READY, 1)]);
-        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 1, snap: 0 }));
+        assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 1)]);
+        feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 1, snap: 0 }));
         assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
-        assert_eq!(inbox(&ep0), [(K_FLUSH_MARK, 1)]);
-        assert_eq!(inbox(&ep2), [(K_FLUSH_MARK, 1)], "a restartable victim still gets the marker");
+        assert_eq!(inbox(&ep0), [(RecoveryKind::FlushMark, 1)]);
+        assert_eq!(
+            inbox(&ep2),
+            [(RecoveryKind::FlushMark, 1)],
+            "a restartable victim still gets the marker"
+        );
         // A second failure supersedes the round: back to the drain, the
         // order forgotten, a READY for the new era on the wire.
-        assert_eq!(on_envelope(&mut h, down(2, true, 2)), Step::Continue);
+        assert_eq!(feed(&mut h, down(2, true, 2)), Step::Continue);
         assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
-        assert_eq!(inbox(&ep0), [(K_RECOVER_READY, 2)]);
+        assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 2)]);
         for src in [0, 2] {
-            on_envelope(&mut h, env(src, K_FLUSH_MARK, &RecoverEraMsg { era: 2 }));
+            feed(&mut h, env(src, RecoveryKind::FlushMark, &RecoverEraMsg { era: 2 }));
         }
         assert_eq!(h.rec.phase(), RecoveryPhase::Drain, "era-1 order must not apply in era 2");
         assert_eq!(h.resets, 0);
@@ -1090,7 +1123,7 @@ mod tests {
     /// from machine 0 under it.
     fn drained_for_adoption() -> (FakeHost, SimEndpoint, AdoptPlanMsg, VertexId) {
         let (mut h, ep0, _ep2) = cluster(RecoveryMode::Adopt, None);
-        assert_eq!(on_envelope(&mut h, down(2, false, 1)), Step::Continue);
+        assert_eq!(feed(&mut h, down(2, false, 1)), Step::Continue);
         assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 2));
         let dead = [false, false, true];
         let plan = pick_adoption(&h.dfs, "ckpt", 6, 1, &h.index, &h.placement, &dead);
@@ -1106,45 +1139,47 @@ mod tests {
     #[test]
     fn early_adopt_data_is_held_until_the_local_surgery_ran() {
         let (mut h, ep0, plan, ghost) = drained_for_adoption();
-        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &plan));
+        feed(&mut h, env(0, RecoveryKind::AdoptPlan, &plan));
         assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
         // With three or more survivors a fast peer's ghost round overtakes
         // a slow peer's marker; with two, scripting the round ahead of the
         // marker forces the same hold.
         let data = AdoptDataMsg { era: 1, vrows: vec![(ghost, enc(&42.0f64))], erows: Vec::new() };
-        assert_eq!(on_envelope(&mut h, env(0, K_ADOPT_DATA, &data)), Step::Continue);
+        assert_eq!(feed(&mut h, env(0, RecoveryKind::AdoptData, &data)), Step::Continue);
         assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::FlushWait, 0), "held, not applied");
-        on_envelope(&mut h, env(0, K_FLUSH_MARK, &RecoverEraMsg { era: 1 }));
+        feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
         assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
         assert_eq!((h.resets, h.rec.adoptions, h.snapshots), (1, 1, 0));
         assert_eq!(h.seeded, h.lg.owned_vertices(), "every owned vertex reseeded after the reset");
         assert_eq!(h.placement.atoms_of(MachineId(2)), []);
         let l = h.lg.local_vertex(ghost).unwrap();
         assert_eq!(*h.lg.vertex_data(l), 42.0, "held rows land in the rebuilt graph");
-        let kinds: Vec<u16> = inbox(&ep0).into_iter().map(|(k, _)| k).collect();
-        assert_eq!(kinds, [K_RECOVER_READY, K_FLUSH_MARK, K_ADOPT_DATA, K_RECOVERED]);
+        use RecoveryKind::*;
+        let kinds: Vec<RecoveryKind> = inbox(&ep0).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kinds, [Ready, FlushMark, AdoptData, Recovered]);
     }
 
     #[test]
     fn engine_traffic_is_discarded_then_buffered_then_replayed_in_order() {
         let (mut h, _ep0, plan, _) = drained_for_adoption();
-        let work = |kind: u16| env(0, kind, &0u32);
-        on_envelope(&mut h, work(K_LOCK_REQ)); // Drain: pre-drain traffic
-        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &plan));
-        on_envelope(&mut h, work(K_SCOPE_DATA)); // FlushWait: precedes the marker
-        on_envelope(&mut h, env(0, K_FLUSH_MARK, &RecoverEraMsg { era: 1 }));
+        let work = |kind: LockKind| env(0, kind, &0u32);
+        feed(&mut h, work(LockKind::Req)); // Drain: pre-drain traffic
+        feed(&mut h, env(0, RecoveryKind::AdoptPlan, &plan));
+        feed(&mut h, work(LockKind::ScopeData)); // FlushWait: precedes the marker
+        feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
         assert_eq!(h.rec.phase(), RecoveryPhase::AdoptData);
-        on_envelope(&mut h, work(K_RELEASE));
+        feed(&mut h, work(LockKind::Release));
         let data = AdoptDataMsg { era: 1, vrows: Vec::new(), erows: Vec::new() };
-        on_envelope(&mut h, env(0, K_ADOPT_DATA, &data));
+        feed(&mut h, env(0, RecoveryKind::AdoptData, &data));
         assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
-        on_envelope(&mut h, work(K_LOCK_SCHED));
-        on_envelope(&mut h, work(K_TOKEN));
+        feed(&mut h, work(LockKind::Sched));
+        feed(&mut h, work(LockKind::Token));
         assert_eq!(h.replayed, [], "nothing reaches the engine before the resume");
-        let resume = env(0, K_RESUME, &RecoverEraMsg { era: 1 });
-        assert_eq!(on_envelope(&mut h, resume), Step::Resumed);
+        let resume = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 1 });
+        assert_eq!(feed(&mut h, resume), Step::Resumed);
         assert_eq!(h.rec.phase(), RecoveryPhase::Normal);
-        assert_eq!(h.replayed, [K_RELEASE, K_LOCK_SCHED, K_TOKEN]);
+        let after_resume = [LockKind::Release, LockKind::Sched, LockKind::Token];
+        assert_eq!(h.replayed, after_resume.map(Kind::Lock));
     }
 
     #[test]
@@ -1153,26 +1188,27 @@ mod tests {
         let file = SnapshotFile::capture(&h.lg);
         let mine = h.placement.atoms_of(MachineId(1));
         write_snapshot_atoms(&h.dfs, "ckpt", 4, file, &h.lg, &mine);
-        on_envelope(&mut h, down(2, true, 2));
+        feed(&mut h, down(2, true, 2));
         inbox(&ep0);
         let stale_plan =
             AdoptPlanMsg { era: 1, dead: vec![2], placement: (*h.placement).clone(), snap: None };
-        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 1, snap: 4 }));
-        on_envelope(&mut h, env(0, K_ADOPT_PLAN, &stale_plan));
+        feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 1, snap: 4 }));
+        feed(&mut h, env(0, RecoveryKind::AdoptPlan, &stale_plan));
         assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 3));
         assert_eq!((inbox(&ep0), inbox(&ep2)), (vec![], vec![]), "no marker for a stale order");
         // The current era's order goes through...
-        on_envelope(&mut h, env(0, K_ROLLBACK, &RollbackMsg { era: 2, snap: 4 }));
+        feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 2, snap: 4 }));
         for src in [0, 2] {
-            on_envelope(&mut h, env(src, K_FLUSH_MARK, &RecoverEraMsg { era: 2 }));
+            feed(&mut h, env(src, RecoveryKind::FlushMark, &RecoverEraMsg { era: 2 }));
         }
         assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
         assert_eq!((h.resets, h.rec.recoveries, h.snapshots), (1, 1, 5));
         // ...and only the current era's resume releases the barrier.
-        let stale = env(0, K_RESUME, &RecoverEraMsg { era: 1 });
-        assert_eq!(on_envelope(&mut h, stale), Step::Continue);
+        let stale = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 1 });
+        assert_eq!(feed(&mut h, stale), Step::Continue);
         assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
-        assert_eq!(on_envelope(&mut h, env(0, K_RESUME, &RecoverEraMsg { era: 2 })), Step::Resumed);
+        let current = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 2 });
+        assert_eq!(feed(&mut h, current), Step::Resumed);
     }
 
     #[test]
@@ -1181,7 +1217,7 @@ mod tests {
         let (mut h, ..) = cluster(RecoveryMode::Adopt, kill());
         assert_eq!(on_self_death(&mut h), Step::Exit);
         assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
-        assert_eq!(on_envelope(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
+        assert_eq!(feed(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
         assert_eq!(h.rec.survivors(), 3);
 
         let (mut h, ..) = cluster(RecoveryMode::Rollback, kill());

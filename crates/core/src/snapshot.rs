@@ -142,14 +142,6 @@ fn snap_dir(prefix: &str, id: u64) -> String {
     format!("{prefix}/snap_{id:06}")
 }
 
-/// DFS file name of machine `m`'s part of snapshot `id` (whole-machine
-/// checkpoint files: the single-machine/reference paths and
-/// [`restore_snapshot`] tests; distributed engines write per-atom files,
-/// [`atom_snap_file_name`]).
-pub fn snap_file_name(prefix: &str, id: u64, machine: MachineId) -> String {
-    format!("{}/machine_{:06}", snap_dir(prefix, id), machine.0)
-}
-
 /// DFS file name of `machine`'s rows for `atom` in snapshot `id` — the
 /// per-atom checkpoint layout adoption restores from. Written only by the
 /// atom's **owner**; these are the files completeness counting demands.
@@ -182,15 +174,12 @@ fn parse_snap_id(prefix: &str, name: &str) -> Option<u64> {
     id.parse().ok()
 }
 
-/// The distinct *part* a snapshot file contributes: an owner-written atom
-/// file (per-atom layout), a ghost contribution (foreign-atom rows — real
-/// data, but `counted: false`), or a whole machine (legacy layout).
-/// Kind-namespaced so atom 3 and machine 3 never collide.
+/// The part a snapshot file contributes: an atom's rows, written by its
+/// owner or — a ghost contribution, real data but `counted: false` — by a
+/// neighbour.
 struct SnapPart {
     id: u64,
-    /// `(kind, index)`: `(0, machine)` legacy, `(1, atom)` owner file,
-    /// `(2, atom)` ghost contribution.
-    part: (u8, u64),
+    atom: u64,
     /// Whether this part counts toward snapshot completeness. Ghost files
     /// don't: only the owner's write proves the atom finished its cut.
     counted: bool,
@@ -200,34 +189,27 @@ fn parse_snap_part(prefix: &str, name: &str) -> Option<SnapPart> {
     let rest = name.strip_prefix(prefix)?.strip_prefix("/snap_")?;
     let (id, part) = rest.split_once('/')?;
     let id: u64 = id.parse().ok()?;
-    let atom_of = |s: &str| -> Option<u64> {
-        let s = s.split_once("_m").map_or(s, |(a, _)| a);
-        s.parse().ok()
+    let (atom, counted) = match part.strip_prefix("atom_") {
+        Some(atom) => (atom, true),
+        None => (part.strip_prefix("ghost_")?, false),
     };
-    if let Some(atom) = part.strip_prefix("atom_") {
-        return Some(SnapPart { id, part: (1, atom_of(atom)?), counted: true });
-    }
-    if let Some(atom) = part.strip_prefix("ghost_") {
-        return Some(SnapPart { id, part: (2, atom_of(atom)?), counted: false });
-    }
-    let machine = part.strip_prefix("machine_")?;
-    Some(SnapPart { id, part: (0, machine.parse().ok()?), counted: true })
+    let atom = atom.split_once("_m").map_or(atom, |(a, _)| a).parse().ok()?;
+    Some(SnapPart { id, atom, counted })
 }
 
 /// The newest snapshot id for which all `parts` distinct counted parts
-/// exist — every atom written *by its owner* in the distributed per-atom
-/// layout, every machine in the whole-machine layout — the only kind of
+/// exist — every atom written *by its owner* — the only kind of
 /// checkpoint recovery may restore (a partial set is a torn cut: some
 /// machine died mid-write). Ghost contributions never count: they would
 /// mark a dead machine's atoms complete without its data. Ids compare
 /// numerically, never lexicographically.
 pub fn latest_complete_snapshot(dfs: &SimDfs, prefix: &str, parts: usize) -> Option<u64> {
-    let mut seen: std::collections::BTreeMap<u64, std::collections::BTreeSet<(u8, u64)>> =
+    let mut seen: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
         std::collections::BTreeMap::new();
     for name in dfs.list_prefix(&format!("{prefix}/snap_")) {
         if let Some(p) = parse_snap_part(prefix, &name) {
             if p.counted {
-                seen.entry(p.id).or_default().insert(p.part);
+                seen.entry(p.id).or_default().insert(p.atom);
             }
         }
     }
@@ -372,7 +354,7 @@ where
     let mut ne = 0;
     for name in dfs.list_prefix(&format!("{}/", snap_dir(prefix, id))) {
         match parse_snap_part(prefix, &name) {
-            Some(SnapPart { part: (1 | 2, atom), .. }) if wanted.contains(&atom) => {}
+            Some(SnapPart { atom, .. }) if wanted.contains(&atom) => {}
             _ => continue,
         }
         let bytes = dfs.read(&name).map_err(|e| e.to_string())?;
@@ -436,15 +418,6 @@ pub fn young_interval(checkpoint_secs: f64, mtbf_per_machine_secs: f64, machines
     (2.0 * checkpoint_secs * cluster_mtbf).sqrt()
 }
 
-/// Alias of [`young_interval`] under its historical name.
-pub fn optimal_checkpoint_interval_secs(
-    checkpoint_secs: f64,
-    mtbf_per_machine_secs: f64,
-    machines: u32,
-) -> f64 {
-    young_interval(checkpoint_secs, mtbf_per_machine_secs, machines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +452,7 @@ mod tests {
         let lg = LocalGraph::single_machine(&g, None);
         let dfs = SimDfs::new();
         dfs.write(
-            &snap_file_name("ckpt", 0, MachineId(0)),
+            &atom_snap_file_name("ckpt", 0, AtomId(0), MachineId(0)),
             encode_to_bytes(&SnapshotFile::capture(&lg)),
         );
         assert!(snapshot_exists(&dfs, "ckpt", 0));
@@ -503,15 +476,15 @@ mod tests {
     fn youngs_interval_matches_paper_example() {
         // §4.3: 64 machines, per-machine MTBF 1 year, checkpoint 2 min
         // → interval ≈ 3 hours.
-        let t = optimal_checkpoint_interval_secs(120.0, 365.25 * 24.0 * 3600.0, 64);
+        let t = young_interval(120.0, 365.25 * 24.0 * 3600.0, 64);
         let hours = t / 3600.0;
         assert!((2.5..3.5).contains(&hours), "got {hours} hours");
     }
 
     #[test]
     fn interval_grows_with_mtbf() {
-        let a = optimal_checkpoint_interval_secs(60.0, 1e6, 8);
-        let b = optimal_checkpoint_interval_secs(60.0, 4e6, 8);
+        let a = young_interval(60.0, 1e6, 8);
+        let b = young_interval(60.0, 4e6, 8);
         assert!((b / a - 2.0).abs() < 1e-9, "sqrt scaling");
     }
 
@@ -523,8 +496,6 @@ mod tests {
         assert!((young_interval(2.0, 100.0, 4) - 10.0).abs() < 1e-12);
         // Zero checkpoint cost => checkpoint continuously.
         assert_eq!(young_interval(0.0, 1e9, 16), 0.0);
-        // The historical name is a strict alias.
-        assert_eq!(young_interval(7.0, 1234.0, 3), optimal_checkpoint_interval_secs(7.0, 1234.0, 3));
     }
 
     #[test]
@@ -549,17 +520,18 @@ mod tests {
     fn latest_complete_snapshot_ignores_partial_cuts() {
         let dfs = SimDfs::new();
         let blob = || encode_to_bytes(&SnapshotFile::default());
-        // Snapshot 0: complete over 3 machines.
+        // Snapshot 0: complete over 3 atoms, one per machine.
+        let part = |id, m| atom_snap_file_name("ckpt", id, AtomId(m), MachineId(m as u16));
         for m in 0..3 {
-            dfs.write(&snap_file_name("ckpt", 0, MachineId(m)), blob());
+            dfs.write(&part(0, m), blob());
         }
         // Snapshot 1: torn (machine 2 died mid-write).
         for m in 0..2 {
-            dfs.write(&snap_file_name("ckpt", 1, MachineId(m)), blob());
+            dfs.write(&part(1, m), blob());
         }
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 3), Some(0));
         // Completing snapshot 1 moves the answer forward.
-        dfs.write(&snap_file_name("ckpt", 1, MachineId(2)), blob());
+        dfs.write(&part(1, 2), blob());
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 3), Some(1));
         // No checkpoint at all.
         assert_eq!(latest_complete_snapshot(&dfs, "none", 3), None);
@@ -573,7 +545,7 @@ mod tests {
         let blob = || encode_to_bytes(&SnapshotFile::default());
         for id in 0..3u64 {
             for m in 0..2 {
-                dfs.write(&snap_file_name("ckpt", id, MachineId(m)), blob());
+                dfs.write(&atom_snap_file_name("ckpt", id, AtomId(m), MachineId(0)), blob());
             }
         }
         assert_eq!(prune_snapshots_after(&dfs, "ckpt", Some(0)), 4);
@@ -593,12 +565,12 @@ mod tests {
         // comparison is numeric, whatever width a file was written at.
         let dfs = SimDfs::new();
         let blob = || encode_to_bytes(&SnapshotFile::default());
-        dfs.write("ckpt/snap_9999/machine_0000", blob());
-        dfs.write("ckpt/snap_10000/machine_0000", blob());
+        dfs.write("ckpt/snap_9999/atom_0000_m0000", blob());
+        dfs.write("ckpt/snap_10000/atom_0000_m0000", blob());
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 1), Some(10000));
         assert_eq!(prune_snapshots_after(&dfs, "ckpt", Some(9999)), 1);
-        assert!(dfs.exists("ckpt/snap_9999/machine_0000"), "9999 kept");
-        assert!(!dfs.exists("ckpt/snap_10000/machine_0000"), "10000 pruned");
+        assert!(dfs.exists("ckpt/snap_9999/atom_0000_m0000"), "9999 kept");
+        assert!(!dfs.exists("ckpt/snap_10000/atom_0000_m0000"), "10000 pruned");
     }
 
     #[test]
@@ -608,7 +580,7 @@ mod tests {
         let dfs = SimDfs::new();
         let blob = || encode_to_bytes(&SnapshotFile::default());
         for id in [999_999, 1_000_000] {
-            dfs.write(&snap_file_name("ckpt", id, MachineId(0)), blob());
+            dfs.write(&atom_snap_file_name("ckpt", id, AtomId(0), MachineId(0)), blob());
         }
         assert!(snapshot_exists(&dfs, "ckpt", 1_000_000));
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 1), Some(1_000_000));
@@ -714,7 +686,7 @@ mod tests {
         lg.bump_edge_version(0);
         let dfs = SimDfs::new();
         dfs.write(
-            &snap_file_name("ckpt", 0, MachineId(0)),
+            &atom_snap_file_name("ckpt", 0, AtomId(0), MachineId(0)),
             encode_to_bytes(&SnapshotFile::capture(&lg)),
         );
         // Wreck the live state, then roll back.

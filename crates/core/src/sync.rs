@@ -255,6 +255,58 @@ where
 /// The engines' shared sync list.
 pub(crate) type SyncList<V, E> = Arc<Vec<Box<dyn ErasedSync<V, E>>>>;
 
+/// Every sync's partial over this machine's owned vertices, in wire shape.
+pub(crate) fn local_partials<V, E>(
+    syncs: &[Box<dyn ErasedSync<V, E>>],
+    lg: &LocalGraph<V, E>,
+) -> Vec<(u32, Bytes)> {
+    syncs.iter().map(|op| (op.id(), op.local_partial(lg))).collect()
+}
+
+/// Master: folds one machine's partials into the epoch's accumulators
+/// (`accs[i]` from `syncs[i].init_acc()`).
+pub(crate) fn combine_partials<V, E>(
+    syncs: &[Box<dyn ErasedSync<V, E>>],
+    accs: &mut [Box<dyn Any + Send>],
+    partials: &[(u32, Bytes)],
+) {
+    for (i, (id, part)) in partials.iter().enumerate() {
+        debug_assert_eq!(*id, syncs[i].id());
+        syncs[i].combine(accs[i].as_mut(), part);
+    }
+}
+
+/// Master: finalizes the epoch's accumulators into its own `globals` and
+/// returns the `(handle id, version, encoded value)` rows to broadcast.
+pub(crate) fn finalize_into<V, E>(
+    syncs: &[Box<dyn ErasedSync<V, E>>],
+    accs: Vec<Box<dyn Any + Send>>,
+    total_vertices: u64,
+    globals: &mut crate::globals::GlobalRegistry,
+) -> Vec<(u32, u64, Bytes)> {
+    let mut rows = Vec::with_capacity(syncs.len());
+    for (op, acc) in syncs.iter().zip(accs) {
+        let (bytes, typed) = op.finalize(acc, total_vertices);
+        rows.push((op.id(), globals.set(op.id(), typed), bytes));
+    }
+    rows
+}
+
+/// Applies the rows the master broadcast to this machine's `globals`.
+pub(crate) fn apply_globals<V, E>(
+    syncs: &[Box<dyn ErasedSync<V, E>>],
+    rows: Vec<(u32, u64, Bytes)>,
+    globals: &mut crate::globals::GlobalRegistry,
+) {
+    for (id, ver, bytes) in rows {
+        let op = syncs
+            .iter()
+            .find(|s| s.id() == id)
+            .expect("broadcast global matches a registered sync");
+        globals.apply(id, ver, op.decode_out(bytes).expect("malformed global value"));
+    }
+}
+
 /// Runs every registered sync locally (single-machine path: the
 /// sequential engine), staying typed end to end — no codec roundtrip.
 pub(crate) fn run_local_syncs<V, E>(

@@ -636,10 +636,8 @@ fn chromatic_traffic_is_per_step_not_per_update() {
         .seed(42)
         .configure(|c| c.batch = BatchPolicy::uncompressed())
         .run(DynamicPageRank(1e-10));
-    let traffic = |kind: u16| {
-        out.metrics.bytes_by_kind.iter().find(|(k, _)| *k == kind).map(|(_, t)| *t).unwrap_or_default()
-    };
-    let (sched, vdata) = (traffic(messages::K_CHROM_SCHED), traffic(messages::K_CHROM_VDATA));
+    let sched = out.metrics.traffic(messages::ChromKind::Sched);
+    let vdata = out.metrics.traffic(messages::ChromKind::VData);
     let per_step = out.metrics.steps * 2;
     assert!(out.metrics.updates > 20 * per_step, "too small a run to tell steps from updates");
     assert!(sched.msgs > 0 && vdata.msgs > 0);

@@ -2,12 +2,9 @@
 //!
 //! Each check walks the token streams of a [`Workspace`] and pushes
 //! [`Finding`]s; suppression handling and ordering live in
-//! [`crate::run_checks`]. Checks 1–5 are token-level scans; checks 6–9
-//! (msg-flow, era-fencing, survivor-barrier, fenced-send) are
-//! protocol-flow analyses over the [`crate::parser::ItemMap`] item
-//! structure.
-
-use std::collections::BTreeMap;
+//! [`crate::run_checks`]. Checks 1–3 are token-level scans; checks 4–6
+//! (era-fencing, survivor-barrier, fenced-send) are protocol-flow analyses
+//! over the [`crate::parser::ItemMap`] item structure.
 
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{close_delim, ItemMap};
@@ -45,247 +42,6 @@ fn finding(check: &'static str, f: &SourceFile, t: &Tok, message: String) -> Fin
 }
 
 // ---------------------------------------------------------------- check 1
-
-/// One `pub const K_*: u16 = ..;` definition.
-struct KindDef {
-    file: usize,
-    tok: usize,
-    name: String,
-    value: Option<u64>,
-}
-
-/// Kind-registry audit: global uniqueness, per-crate reserved ranges and
-/// gaps (ground truth: `// lint: kind-map` comments), and liveness.
-pub fn check_kind_registry(ws: &Workspace, out: &mut Vec<Finding>) {
-    // Ground truth: collect kind-map declarations.
-    let mut maps: BTreeMap<String, (usize, crate::source::KindMap)> = BTreeMap::new();
-    for (fi, f) in ws.files.iter().enumerate() {
-        for m in &f.kind_maps {
-            if let Some((prev_fi, prev)) = maps.get(&m.krate) {
-                out.push(Finding {
-                    check: "kind-registry",
-                    path: f.path.clone(),
-                    line: m.line,
-                    col: 1,
-                    message: format!(
-                        "duplicate kind-map for crate `{}` (first declared at {}:{})",
-                        m.krate, ws.files[*prev_fi].path, prev.line
-                    ),
-                });
-            } else {
-                maps.insert(m.krate.clone(), (fi, m.clone()));
-            }
-        }
-    }
-    // Declared ranges must not overlap across crates.
-    let entries: Vec<_> = maps.values().collect();
-    for i in 0..entries.len() {
-        for j in i + 1..entries.len() {
-            let (a, b) = (&entries[i].1, &entries[j].1);
-            if a.lo <= b.hi && b.lo <= a.hi {
-                out.push(Finding {
-                    check: "kind-registry",
-                    path: ws.files[entries[j].0].path.clone(),
-                    line: b.line,
-                    col: 1,
-                    message: format!(
-                        "kind-map ranges overlap: `{}` {}..={} vs `{}` {}..={}",
-                        a.krate, a.lo, a.hi, b.krate, b.lo, b.hi
-                    ),
-                });
-            }
-        }
-    }
-
-    // Definitions: `pub const K_*: <ty> = <expr>;` outside test code.
-    let mut defs: Vec<KindDef> = Vec::new();
-    for (fi, f) in ws.files.iter().enumerate() {
-        let toks = &f.toks;
-        let src = &f.text;
-        let code: Vec<usize> = (0..toks.len())
-            .filter(|&i| toks[i].kind != TokKind::Comment)
-            .collect();
-        for w in 0..code.len().saturating_sub(3) {
-            let [a, b, c, d] = [code[w], code[w + 1], code[w + 2], code[w + 3]];
-            if !(toks[a].is_ident(src, "pub")
-                && toks[b].is_ident(src, "const")
-                && toks[c].kind == TokKind::Ident
-                && toks[c].text(src).starts_with("K_")
-                && toks[d].is_punct(':'))
-            {
-                continue;
-            }
-            if f.in_test_code(toks[c].start) {
-                continue;
-            }
-            let name = toks[c].text(src).to_string();
-            // Type must be u16 — kinds travel as a u16 header field.
-            let ty = code.get(w + 4).map(|&i| &toks[i]);
-            if !ty.map(|t| t.is_ident(src, "u16")).unwrap_or(false) {
-                out.push(finding(
-                    "kind-registry",
-                    f,
-                    &toks[c],
-                    format!("kind constant `{name}` must have type u16"),
-                ));
-                continue;
-            }
-            let value = eval_kind_expr(toks, src, &code[w + 5..]);
-            if value.is_none() {
-                out.push(finding(
-                    "kind-registry",
-                    f,
-                    &toks[c],
-                    format!(
-                        "kind constant `{name}` is not statically evaluable \
-                         (expected an integer literal or `u16::MAX - n`)"
-                    ),
-                ));
-            }
-            defs.push(KindDef { file: fi, tok: c, name, value });
-        }
-    }
-
-    // Range + gap membership per definition.
-    for d in &defs {
-        let f = &ws.files[d.file];
-        let t = &f.toks[d.tok];
-        let Some(v) = d.value else { continue };
-        let krate = f.crate_name();
-        match maps.get(krate) {
-            None => out.push(finding(
-                "kind-registry",
-                f,
-                t,
-                format!(
-                    "kind constant `{}` defined in crate `{krate}`, which has no \
-                     `lint: kind-map` reservation",
-                    d.name
-                ),
-            )),
-            Some((_, m)) => {
-                if v < m.lo || v > m.hi {
-                    out.push(finding(
-                        "kind-registry",
-                        f,
-                        t,
-                        format!(
-                            "kind `{}` = {v} outside crate `{krate}`'s reserved range \
-                             {}..={}",
-                            d.name, m.lo, m.hi
-                        ),
-                    ));
-                } else if m.in_gap(v) {
-                    out.push(finding(
-                        "kind-registry",
-                        f,
-                        t,
-                        format!(
-                            "kind `{}` = {v} reuses a reserved/retired gap value of crate \
-                             `{krate}`'s kind-map",
-                            d.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Global uniqueness.
-    let mut by_value: BTreeMap<u64, &KindDef> = BTreeMap::new();
-    for d in &defs {
-        let Some(v) = d.value else { continue };
-        if let Some(first) = by_value.get(&v) {
-            let ff = &ws.files[first.file];
-            let f = &ws.files[d.file];
-            out.push(finding(
-                "kind-registry",
-                f,
-                &f.toks[d.tok],
-                format!(
-                    "kind `{}` = {v} collides with `{}` ({}:{})",
-                    d.name, first.name, ff.path, ff.toks[first.tok].line
-                ),
-            ));
-        } else {
-            by_value.insert(v, d);
-        }
-    }
-
-    // Liveness: every kind needs at least one non-defining reference
-    // outside `use` declarations.
-    let mut refs: BTreeMap<&str, u64> = defs.iter().map(|d| (d.name.as_str(), 0)).collect();
-    for (fi, f) in ws.files.iter().enumerate() {
-        let src = &f.text;
-        let mut in_use_decl = false;
-        for (ti, t) in f.toks.iter().enumerate() {
-            match t.kind {
-                TokKind::Ident if t.is_ident(src, "use") => in_use_decl = true,
-                TokKind::Punct(';') => in_use_decl = false,
-                TokKind::Ident if !in_use_decl => {
-                    let text = t.text(src);
-                    if let Some(n) = refs.get_mut(text) {
-                        let is_def_site =
-                            defs.iter().any(|d| d.file == fi && d.tok == ti);
-                        if !is_def_site {
-                            *n += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    for d in &defs {
-        if refs.get(d.name.as_str()) == Some(&0) {
-            let f = &ws.files[d.file];
-            out.push(finding(
-                "kind-registry",
-                f,
-                &f.toks[d.tok],
-                format!("dead kind: `{}` is never referenced outside its definition", d.name),
-            ));
-        }
-    }
-}
-
-/// Evaluates the constant expression between `=` and `;`: an integer
-/// literal, `u16::MAX`, or `u16::MAX - n`.
-fn eval_kind_expr(toks: &[Tok], src: &str, code: &[usize]) -> Option<u64> {
-    // code[0] should be '='.
-    if code.is_empty() || !toks[code[0]].is_punct('=') {
-        return None;
-    }
-    let expr: Vec<&Tok> = code[1..]
-        .iter()
-        .map(|&i| &toks[i])
-        .take_while(|t| !t.is_punct(';'))
-        .collect();
-    match expr.as_slice() {
-        [n] if n.kind == TokKind::Num => n.value,
-        [u, c1, c2, m]
-            if u.is_ident(src, "u16")
-                && c1.is_punct(':')
-                && c2.is_punct(':')
-                && m.is_ident(src, "MAX") =>
-        {
-            Some(u16::MAX as u64)
-        }
-        [u, c1, c2, m, minus, n]
-            if u.is_ident(src, "u16")
-                && c1.is_punct(':')
-                && c2.is_punct(':')
-                && m.is_ident(src, "MAX")
-                && minus.is_punct('-')
-                && n.kind == TokKind::Num =>
-        {
-            Some(u16::MAX as u64 - n.value?)
-        }
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------- check 2
 
 /// Iteration methods whose visit order is the hasher's, not the data's.
 const ITER_METHODS: &[&str] = &[
@@ -505,7 +261,7 @@ fn matches_path_call(toks: &[Tok], src: &str, after: &[usize], name: &str) -> bo
         && toks[after[2]].is_ident(src, name)
 }
 
-// ---------------------------------------------------------------- check 3
+// ---------------------------------------------------------------- check 2
 
 /// Codec cross-reference: every `impl Codec for T` in
 /// `core/src/messages.rs` must be exercised by the `wire_codec` proptest
@@ -609,7 +365,7 @@ fn wire_codec_idents(f: &SourceFile) -> Vec<&str> {
     Vec::new()
 }
 
-// ---------------------------------------------------------------- check 4
+// ---------------------------------------------------------------- check 3
 
 /// Blocking-recv audit: untimed `.recv()` outside the transport layer's
 /// blessed sites can deadlock termination/recovery (PR 5's audit replaced
@@ -644,77 +400,7 @@ pub fn check_blocking_recv(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- check 5
-
-/// Unsafe hygiene: every `unsafe` keyword carries a `SAFETY:` comment on
-/// the same line or on the contiguous comment/attribute lines above it —
-/// or above the call/macro whose argument list, opened on the lines in
-/// between, the `unsafe` block is an argument of.
-pub fn check_unsafe_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
-    for f in &ws.files {
-        let src = &f.text;
-        // Per-line classification.
-        let mut line_has_code: BTreeMap<u32, bool> = BTreeMap::new();
-        let mut line_comment_safety: BTreeMap<u32, bool> = BTreeMap::new();
-        let mut line_first_is_attr: BTreeMap<u32, bool> = BTreeMap::new();
-        let mut line_opens_args: BTreeMap<u32, bool> = BTreeMap::new();
-        for t in &f.toks {
-            let entry = line_first_is_attr.entry(t.line).or_insert(t.is_punct('#'));
-            let _ = entry;
-            if t.kind != TokKind::Comment {
-                line_opens_args.insert(t.line, t.is_punct('('));
-            }
-            match t.kind {
-                TokKind::Comment => {
-                    let has = t.text(src).to_ascii_lowercase().contains("safety");
-                    let e = line_comment_safety.entry(t.line).or_insert(false);
-                    *e |= has;
-                    // A multi-line block comment marks every line it spans.
-                    if has {
-                        let extra = t.text(src).matches('\n').count() as u32;
-                        for l in t.line..=t.line + extra {
-                            *line_comment_safety.entry(l).or_insert(false) |= true;
-                        }
-                    }
-                }
-                _ => {
-                    *line_has_code.entry(t.line).or_insert(false) |= true;
-                }
-            }
-        }
-        for t in &f.toks {
-            if !t.is_ident(src, "unsafe") {
-                continue;
-            }
-            let mut ok = line_comment_safety.get(&t.line).copied().unwrap_or(false);
-            let mut l = t.line;
-            while !ok && l > 1 {
-                l -= 1;
-                let code = line_has_code.get(&l).copied().unwrap_or(false);
-                let attr = line_first_is_attr.get(&l).copied().unwrap_or(false);
-                let opens_args = line_opens_args.get(&l).copied().unwrap_or(false);
-                if code && !attr && !opens_args {
-                    break; // hit a real code line without finding SAFETY
-                }
-                if line_comment_safety.get(&l).copied().unwrap_or(false) {
-                    ok = true;
-                }
-            }
-            if !ok {
-                out.push(finding(
-                    "unsafe-hygiene",
-                    f,
-                    t,
-                    "`unsafe` without a `// SAFETY:` comment — state the invariant that \
-                     makes this sound"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- checks 6-9 shared
+// ------------------------------------------------------- checks 4-6 shared
 
 /// The punct char of the code token at `w`, if in range and a punct.
 fn punct_at(toks: &[Tok], code: &[usize], w: isize) -> Option<char> {
@@ -754,18 +440,6 @@ fn cmp_after(toks: &[Tok], code: &[usize], w: usize) -> bool {
     }
 }
 
-/// Whether the span `lo..=hi` of code tokens has `==`/`!=` immediately on
-/// either side (equality tests only — used for kind-comparison handler
-/// sites).
-fn eq_adjacent(toks: &[Tok], code: &[usize], lo: usize, hi: usize) -> bool {
-    let p1 = punct_at(toks, code, lo as isize - 1);
-    let p2 = punct_at(toks, code, lo as isize - 2);
-    let n1 = punct_at(toks, code, hi as isize + 1);
-    let n2 = punct_at(toks, code, hi as isize + 2);
-    (p1 == Some('=') && matches!(p2, Some('=') | Some('!')))
-        || (matches!(n1, Some('=') | Some('!')) && n2 == Some('='))
-}
-
 /// Walks back over a `seg :: seg ::` path prefix from the code token at
 /// `w`; returns the code index of the path's first segment.
 fn path_start(toks: &[Tok], code: &[usize], w: usize) -> usize {
@@ -780,196 +454,7 @@ fn path_start(toks: &[Tok], code: &[usize], w: usize) -> usize {
     s
 }
 
-// ---------------------------------------------------------------- check 6
-
-/// Whether a callee name is a send-shaped call for the msg-flow check: a
-/// kind constant in its argument list is a send site.
-fn is_sendish(name: &str) -> bool {
-    name.contains("send") || name.contains("broadcast") || name == "put" || name == "put_wire"
-}
-
-/// Message send/handler cross-reference. Ground truth is the per-kind
-/// `// lint: kind K_X handlers: <file.rs>[, ..]` declarations next to the
-/// kind registry: every registered kind must carry one, every declared
-/// handler file must actually contain a handler site (match arm, guard, or
-/// `==`/`!=` kind comparison) for that kind, and every kind must have at
-/// least one non-test send site (a `*send*`/`*broadcast*`/`put`/`put_wire`
-/// call carrying it, or a `kind: K_X` struct-literal field). Removing a
-/// handler arm for a declared kind turns this check red.
-pub fn check_msg_flow(ws: &Workspace, out: &mut Vec<Finding>) {
-    // Kind definitions (non-test `pub const K_*: u16`).
-    struct Def {
-        file: usize,
-        tok: usize,
-        name: String,
-    }
-    let mut defs: Vec<Def> = Vec::new();
-    for (fi, f) in ws.files.iter().enumerate() {
-        let (src, toks) = (&f.text, &f.toks);
-        let code: Vec<usize> =
-            (0..toks.len()).filter(|&i| toks[i].kind != TokKind::Comment).collect();
-        for w in 0..code.len().saturating_sub(3) {
-            let [a, b, c, d] = [code[w], code[w + 1], code[w + 2], code[w + 3]];
-            if toks[a].is_ident(src, "pub")
-                && toks[b].is_ident(src, "const")
-                && toks[c].kind == TokKind::Ident
-                && toks[c].text(src).starts_with("K_")
-                && toks[d].is_punct(':')
-                && !f.in_test_code(toks[c].start)
-            {
-                defs.push(Def { file: fi, tok: c, name: toks[c].text(src).to_string() });
-            }
-        }
-    }
-
-    // Handler-provenance declarations; duplicates and unknown kinds are
-    // findings themselves.
-    let mut decls: BTreeMap<String, (usize, crate::source::KindFlow)> = BTreeMap::new();
-    for (fi, f) in ws.files.iter().enumerate() {
-        for d in &f.kind_flows {
-            if let Some((pfi, prev)) = decls.get(&d.kind) {
-                out.push(Finding {
-                    check: "msg-flow",
-                    path: f.path.clone(),
-                    line: d.line,
-                    col: 1,
-                    message: format!(
-                        "duplicate `kind {}` declaration (first at {}:{})",
-                        d.kind, ws.files[*pfi].path, prev.line
-                    ),
-                });
-            } else {
-                decls.insert(d.kind.clone(), (fi, d.clone()));
-            }
-        }
-    }
-    for (name, (fi, d)) in &decls {
-        if !defs.iter().any(|k| &k.name == name) {
-            out.push(Finding {
-                check: "msg-flow",
-                path: ws.files[*fi].path.clone(),
-                line: d.line,
-                col: 1,
-                message: format!(
-                    "`kind {name}` declaration names a kind constant that is not defined \
-                     anywhere in the workspace"
-                ),
-            });
-        }
-    }
-
-    // Site scan: handler evidence per (file, kind) and global send evidence.
-    let known = |name: &str| defs.iter().any(|d| d.name == name);
-    let mut handled: std::collections::BTreeSet<(usize, String)> = Default::default();
-    let mut sent: std::collections::BTreeSet<String> = Default::default();
-    for (fi, f) in ws.files.iter().enumerate() {
-        let (src, toks) = (&f.text, &f.toks);
-        let im = ItemMap::build(toks, src);
-        let code = &im.code;
-        for w in 0..code.len() {
-            let t = &toks[code[w]];
-            if t.kind != TokKind::Ident || f.in_test_code(t.start) {
-                continue;
-            }
-            let text = t.text(src);
-            if text.starts_with("K_") && known(text) {
-                let lo = path_start(toks, code, w);
-                // Handler site: match-arm pattern/guard, or kind equality.
-                if im.in_arm_pattern(w) || eq_adjacent(toks, code, lo, w) {
-                    handled.insert((fi, text.to_string()));
-                    continue;
-                }
-                // Send site: `kind: K_X` struct-literal field.
-                if punct_at(toks, code, lo as isize - 1) == Some(':')
-                    && punct_at(toks, code, lo as isize - 2) != Some(':')
-                    && lo >= 2
-                    && toks[code[lo - 2]].is_ident(src, "kind")
-                {
-                    sent.insert(text.to_string());
-                }
-            } else if is_sendish(text) && punct_at(toks, code, w as isize + 1) == Some('(') {
-                // Send site: kind constants in a send-shaped call's args.
-                let close = close_delim(toks, code, w + 1, '(', ')');
-                for k in w + 2..close {
-                    let a = &toks[code[k]];
-                    if a.kind == TokKind::Ident {
-                        let at = a.text(src);
-                        if at.starts_with("K_") && known(at) {
-                            sent.insert(at.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Every registered kind needs a declaration, live handler files, and a
-    // send site.
-    for d in &defs {
-        let f = &ws.files[d.file];
-        let t = &f.toks[d.tok];
-        let Some((dfi, decl)) = decls.get(&d.name) else {
-            out.push(finding(
-                "msg-flow",
-                f,
-                t,
-                format!(
-                    "kind `{}` has no handler declaration — add \
-                     `// lint: kind {} handlers: <file.rs>[, ..]` naming where it is \
-                     legitimately received",
-                    d.name, d.name
-                ),
-            ));
-            continue;
-        };
-        let decl_path = ws.files[*dfi].path.clone();
-        for h in &decl.handlers {
-            let suffix = format!("/{h}");
-            match ws.files.iter().position(|f| f.path.ends_with(&suffix) || &f.path == h) {
-                None => out.push(Finding {
-                    check: "msg-flow",
-                    path: decl_path.clone(),
-                    line: decl.line,
-                    col: 1,
-                    message: format!(
-                        "kind `{}` declares handler file `{h}`, which is not in the workspace",
-                        d.name
-                    ),
-                }),
-                Some(hfi) => {
-                    if !handled.contains(&(hfi, d.name.clone())) {
-                        out.push(Finding {
-                            check: "msg-flow",
-                            path: decl_path.clone(),
-                            line: decl.line,
-                            col: 1,
-                            message: format!(
-                                "kind `{}` is declared handled in `{h}` but no match arm, \
-                                 guard, or kind comparison references it there — dropped \
-                                 handler or stale declaration",
-                                d.name
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        if !sent.contains(&d.name) {
-            out.push(finding(
-                "msg-flow",
-                f,
-                t,
-                format!(
-                    "kind `{}` is handled but never sent: no non-test \
-                     send/broadcast/put/put_wire call or `kind:` struct field carries it",
-                    d.name
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- check 7
+// ---------------------------------------------------------------- check 4
 
 /// Wire messages that carry a fault-era field: stale copies from a
 /// previous era must be fenced before they mutate engine state.
@@ -1139,7 +624,7 @@ fn delegated_fence(
     false
 }
 
-// ---------------------------------------------------------------- check 8
+// ---------------------------------------------------------------- check 5
 
 /// Files whose barrier/quorum logic must count live membership.
 const BARRIER_FILES: &[&str] = &[
@@ -1225,7 +710,7 @@ pub fn check_survivor_barrier(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- check 9
+// ---------------------------------------------------------------- check 6
 
 /// Fenced sends: engine/transport code must not call `Endpoint::send`
 /// directly — the Batcher's `put`/`put_wire` path applies the fenced-mask

@@ -15,8 +15,7 @@ pub enum TokKind {
     /// Single punctuation character (`.`, `:`, `{`, ...). Multi-character
     /// operators arrive as consecutive tokens (`::` is two `:`).
     Punct(char),
-    /// Numeric literal; `value` holds the parsed integer when it is a
-    /// plain decimal/hex/binary/octal integer (suffixes and `_` ignored).
+    /// Numeric literal.
     Num,
     /// String literal of any flavour (`""`, `r""`, `r#""#`, `b""`, `c""`).
     Str,
@@ -41,8 +40,6 @@ pub struct Tok {
     pub line: u32,
     /// 1-based column (in bytes) of `start`.
     pub col: u32,
-    /// Parsed value for integer `Num` tokens.
-    pub value: Option<u64>,
 }
 
 impl Tok {
@@ -71,14 +68,13 @@ pub fn lex(src: &str) -> Vec<Tok> {
     let mut line_start = 0usize;
 
     macro_rules! push {
-        ($kind:expr, $start:expr, $end:expr, $sline:expr, $scol:expr, $val:expr) => {
+        ($kind:expr, $start:expr, $end:expr, $sline:expr, $scol:expr) => {
             toks.push(Tok {
                 kind: $kind,
                 start: $start,
                 end: $end,
                 line: $sline,
                 col: $scol,
-                value: $val,
             })
         };
     }
@@ -99,7 +95,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                push!(TokKind::Comment, start, i, tline, tcol, None);
+                push!(TokKind::Comment, start, i, tline, tcol);
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
                 let start = i;
@@ -120,12 +116,12 @@ pub fn lex(src: &str) -> Vec<Tok> {
                         i += 1;
                     }
                 }
-                push!(TokKind::Comment, start, i, tline, tcol, None);
+                push!(TokKind::Comment, start, i, tline, tcol);
             }
             b'"' => {
                 let start = i;
                 i = scan_string(b, i + 1, &mut line, &mut line_start);
-                push!(TokKind::Str, start, i, tline, tcol, None);
+                push!(TokKind::Str, start, i, tline, tcol);
             }
             b'r' | b'b' | b'c' if raw_or_byte_string(b, i).is_some() => {
                 let (body, hashes) = raw_or_byte_string(b, i).unwrap();
@@ -136,7 +132,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 } else {
                     scan_raw_string(b, body, hashes, &mut line, &mut line_start)
                 };
-                push!(TokKind::Str, start, i, tline, tcol, None);
+                push!(TokKind::Str, start, i, tline, tcol);
             }
             b'\'' => {
                 // Lifetime vs char literal: a lifetime is `'` + ident with no
@@ -152,13 +148,13 @@ pub fn lex(src: &str) -> Vec<Tok> {
                         // 'a' — single char in quotes: char literal.
                         if k == j + 1 {
                             i = k + 1;
-                            push!(TokKind::Char, start, i, tline, tcol, None);
+                            push!(TokKind::Char, start, i, tline, tcol);
                             continue;
                         }
                     }
                     // lifetime
                     i = k;
-                    push!(TokKind::Lifetime, start, i, tline, tcol, None);
+                    push!(TokKind::Lifetime, start, i, tline, tcol);
                     continue;
                 }
                 // char literal with escape or punctuation: scan to closing '.
@@ -174,14 +170,14 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     }
                 }
                 i = j;
-                push!(TokKind::Char, start, i, tline, tcol, None);
+                push!(TokKind::Char, start, i, tline, tcol);
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                push!(TokKind::Ident, start, i, tline, tcol, None);
+                push!(TokKind::Ident, start, i, tline, tcol);
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -193,16 +189,13 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     }
                     i += 1;
                 }
-                let text: String =
-                    src[start..i].chars().filter(|&ch| ch != '_').collect();
-                let value = parse_int(&text);
-                push!(TokKind::Num, start, i, tline, tcol, value);
+                push!(TokKind::Num, start, i, tline, tcol);
             }
             _ => {
                 // Punct or non-ASCII byte: emit one char.
                 let ch_len = utf8_len(c);
                 let ch = src[i..].chars().next().unwrap_or('?');
-                push!(TokKind::Punct(ch), i, i + ch_len, tline, tcol, None);
+                push!(TokKind::Punct(ch), i, i + ch_len, tline, tcol);
                 i += ch_len;
             }
         }
@@ -285,25 +278,6 @@ fn scan_raw_string(
     i
 }
 
-fn parse_int(text: &str) -> Option<u64> {
-    let t = text
-        .trim_end_matches(|c: char| c.is_ascii_alphabetic())
-        .trim_end_matches(|c: char| c.is_ascii_alphanumeric());
-    let t = if t.is_empty() { text } else { t };
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else if let Some(bin) = t.strip_prefix("0b") {
-        u64::from_str_radix(bin, 2).ok()
-    } else if let Some(oct) = t.strip_prefix("0o") {
-        u64::from_str_radix(oct, 8).ok()
-    } else {
-        // Strip a type suffix like `u16` that survived the trims above
-        // (e.g. "1u16" -> trims to "1u16" when digits follow letters).
-        let digits: String = t.chars().take_while(|c| c.is_ascii_digit()).collect();
-        digits.parse().ok()
-    }
-}
-
 fn utf8_len(first: u8) -> usize {
     match first {
         0x00..=0x7F => 1,
@@ -346,10 +320,11 @@ fn f<'a>(x: &'a str) {}
     }
 
     #[test]
-    fn numbers_and_values() {
-        let toks = lex("const A: u16 = 65_535; const B: u16 = 0x10; let r = 1..=3;");
-        let nums: Vec<u64> = toks.iter().filter_map(|t| t.value).collect();
-        assert_eq!(nums, vec![65535, 16, 1, 3]);
+    fn numbers_stop_at_a_range_operator() {
+        let src = "const A: u16 = 65_535; const B: u16 = 0x10; let r = 1..=3;";
+        let nums: Vec<&str> =
+            lex(src).iter().filter(|t| t.kind == TokKind::Num).map(|t| t.text(src)).collect();
+        assert_eq!(nums, ["65_535", "0x10", "1", "3"]);
     }
 
     #[test]

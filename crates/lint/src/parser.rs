@@ -1,6 +1,6 @@
 //! Lightweight item-structure layer on top of the lexer — just enough
-//! shape for the protocol-flow checks: `fn` body spans, `match`-arm
-//! pattern/body spans, call sites, and balanced-group scanning. This is
+//! shape for the protocol-flow checks: `fn` body spans, `match`-arm body
+//! spans, call sites, and balanced-group scanning. This is
 //! deliberately not a Rust grammar; it never fails, it only under-reports
 //! on shapes it does not model (and the selftests pin the shapes the
 //! checks rely on).
@@ -21,13 +21,8 @@ pub struct FnSpan {
     pub body: (usize, usize),
 }
 
-/// One `pattern [if guard] => body` arm of a `match`. The guard, when
-/// present, is part of the pattern range — for the checks' purposes a
-/// kind tested in a guard is handled exactly like one in the pattern.
+/// One `pattern [if guard] => body` arm of a `match`.
 pub struct ArmSpan {
-    /// Inclusive code-token range of the pattern (and guard), excluding
-    /// the `=>`.
-    pub pat: (usize, usize),
     /// Inclusive code-token range of the body (braces included for block
     /// bodies).
     pub body: (usize, usize),
@@ -89,18 +84,6 @@ impl ItemMap {
             .filter(|f| f.body.0 <= ci && ci <= f.body.1)
             .min_by_key(|f| f.body.1 - f.body.0)
     }
-
-    /// The first fn with this name (the protocol files the checks follow
-    /// delegation into do not overload handler names).
-    pub fn fn_named(&self, name: &str, src: &str, toks: &[Tok]) -> Option<&FnSpan> {
-        let _ = (src, toks);
-        self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// Whether code-token index `ci` sits in any arm's pattern (or guard).
-    pub fn in_arm_pattern(&self, ci: usize) -> bool {
-        self.arms.iter().any(|a| a.pat.0 <= ci && ci <= a.pat.1)
-    }
 }
 
 /// Scans forward from code index `from` for the `{` that opens an item
@@ -152,7 +135,6 @@ fn parse_arms(toks: &[Tok], code: &[usize], open: usize, close: usize, out: &mut
         }
         // Pattern: scan to `=>` at bracket depth 0 (struct patterns and
         // guards may nest all three bracket kinds).
-        let pat_lo = k;
         let mut depth = 0i32;
         let mut arrow = None;
         let mut j = k;
@@ -173,7 +155,6 @@ fn parse_arms(toks: &[Tok], code: &[usize], open: usize, close: usize, out: &mut
             j += 1;
         }
         let Some(ar) = arrow else { break };
-        let pat = (pat_lo, ar.saturating_sub(1).max(pat_lo));
         let body_lo = ar + 2;
         if body_lo >= close {
             break;
@@ -200,7 +181,7 @@ fn parse_arms(toks: &[Tok], code: &[usize], open: usize, close: usize, out: &mut
             }
             (hi, j + 1)
         };
-        out.push(ArmSpan { pat, body: (body_lo, body_hi) });
+        out.push(ArmSpan { body: (body_lo, body_hi) });
         k = next;
     }
 }
@@ -243,13 +224,6 @@ mod tests {
         }\n";
         let (toks, im) = map(src);
         assert_eq!(im.arms.len(), 4);
-        // K_D sits in the guard — pattern territory.
-        let kd = im
-            .code
-            .iter()
-            .position(|&i| toks[i].is_ident(src, "K_D"))
-            .unwrap();
-        assert!(im.in_arm_pattern(kd));
         // `two` is an expression body.
         let two = im
             .code

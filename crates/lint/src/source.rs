@@ -1,7 +1,7 @@
 //! Source-file model: tokens plus the lint's comment-level metadata —
-//! `// lint: allow(<check>) -- <reason>` suppressions, `// lint: kind-map`
-//! registry declarations, and `#[cfg(test)]` regions (test code is exempt
-//! from the determinism and blocking-recv checks).
+//! `// lint: allow(<check>) -- <reason>` suppressions and `#[cfg(test)]`
+//! regions (test code is exempt from the determinism and blocking-recv
+//! checks).
 
 use std::path::{Path, PathBuf};
 
@@ -19,44 +19,6 @@ pub struct Suppression {
     /// Line the suppression applies to: the comment's own line when it
     /// trails code, otherwise the first code line after the comment.
     pub target_line: u32,
-}
-
-/// A parsed `// lint: kind-map <crate> = <lo>..=<hi> [gaps a, b..=c]`
-/// declaration — the ground truth the kind-registry check enforces.
-#[derive(Clone, Debug)]
-pub struct KindMap {
-    /// Crate directory name under `crates/` (e.g. `core`, `net`).
-    pub krate: String,
-    /// Inclusive reserved range for the crate's kind constants.
-    pub lo: u64,
-    /// Inclusive upper bound.
-    pub hi: u64,
-    /// Values inside the range that must stay unassigned (retired or
-    /// reserved kinds).
-    pub gaps: Vec<(u64, u64)>,
-    /// Declaration site.
-    pub line: u32,
-}
-
-impl KindMap {
-    /// Whether `v` falls in a declared gap.
-    pub fn in_gap(&self, v: u64) -> bool {
-        self.gaps.iter().any(|&(a, b)| v >= a && v <= b)
-    }
-}
-
-/// A parsed `// lint: kind K_NAME handlers: <file.rs>[, <file.rs>..]`
-/// declaration — the per-kind handler provenance the msg-flow check
-/// cross-references send sites and handler arms against.
-#[derive(Clone, Debug)]
-pub struct KindFlow {
-    /// The kind constant's name (`K_*`).
-    pub kind: String,
-    /// Basenames of the files that legitimately receive this kind (e.g.
-    /// `chromatic.rs`); matched against workspace paths by suffix.
-    pub handlers: Vec<String>,
-    /// Declaration site.
-    pub line: u32,
 }
 
 /// A malformed `// lint:` comment (bad directives must not pass silently).
@@ -78,10 +40,6 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Suppressions declared in this file.
     pub suppressions: Vec<Suppression>,
-    /// Kind-map declarations in this file.
-    pub kind_maps: Vec<KindMap>,
-    /// Per-kind handler declarations in this file.
-    pub kind_flows: Vec<KindFlow>,
     /// Unparseable `lint:` directives.
     pub bad_directives: Vec<BadDirective>,
     /// Byte ranges covered by `#[cfg(test)]` items.
@@ -99,8 +57,6 @@ impl SourceFile {
             text,
             toks,
             suppressions: Vec::new(),
-            kind_maps: Vec::new(),
-            kind_flows: Vec::new(),
             bad_directives: Vec::new(),
             test_ranges: Vec::new(),
         };
@@ -112,17 +68,6 @@ impl SourceFile {
     /// Whether byte offset `pos` sits inside a `#[cfg(test)]` item.
     pub fn in_test_code(&self, pos: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| pos >= a && pos < b)
-    }
-
-    /// The crate directory name this file belongs to (`crates/<name>/...`),
-    /// or a pseudo-crate for root `src/`, `tests/`, `examples/` files.
-    pub fn crate_name(&self) -> &str {
-        let mut parts = self.path.split('/');
-        match parts.next() {
-            Some("crates") => parts.next().unwrap_or("?"),
-            Some(first) => first,
-            None => "?",
-        }
     }
 
     fn extract_directives(&mut self) {
@@ -154,27 +99,10 @@ impl SourceFile {
                     }
                     Err(message) => self.bad_directives.push(BadDirective { message, line }),
                 }
-            } else if let Some(rest) = body.strip_prefix("kind-map") {
-                match parse_kind_map(rest) {
-                    Ok((krate, lo, hi, gaps)) => {
-                        self.kind_maps.push(KindMap { krate, lo, hi, gaps, line })
-                    }
-                    Err(message) => self.bad_directives.push(BadDirective { message, line }),
-                }
-            } else if let Some(rest) = body.strip_prefix("kind") {
-                // Checked after `kind-map`, whose prefix this overlaps.
-                match parse_kind_flow(rest) {
-                    Ok((kind, handlers)) => {
-                        self.kind_flows.push(KindFlow { kind, handlers, line })
-                    }
-                    Err(message) => self.bad_directives.push(BadDirective { message, line }),
-                }
             } else {
                 self.bad_directives.push(BadDirective {
                     message: format!(
-                        "unknown lint directive {body:?} (expected `allow(<check>) -- <reason>`, \
-                         `kind-map <crate> = <lo>..=<hi> [gaps ..]`, or \
-                         `kind K_NAME handlers: <file.rs>, ..`)"
+                        "unknown lint directive {body:?} (expected `allow(<check>) -- <reason>`)"
                     ),
                     line,
                 });
@@ -294,77 +222,6 @@ fn parse_allow(rest: &str) -> Result<(String, Option<String>), String> {
     }
 }
 
-/// Parsed kind-map payload: `(crate, lo, hi, gaps)`.
-type KindMapParts = (String, u64, u64, Vec<(u64, u64)>);
-
-/// Parses `<crate> = <lo>..=<hi> [gaps a, b..=c, ...]`.
-fn parse_kind_map(rest: &str) -> Result<KindMapParts, String> {
-    let rest = rest.trim();
-    let (krate, rest) = rest
-        .split_once('=')
-        .ok_or_else(|| "kind-map missing `=`".to_string())?;
-    let krate = krate.trim().to_string();
-    if krate.is_empty() {
-        return Err("kind-map missing crate name".to_string());
-    }
-    let rest = rest.trim();
-    let (range_text, gaps_text) = match rest.split_once("gaps") {
-        Some((r, g)) => (r.trim(), Some(g.trim())),
-        None => (rest, None),
-    };
-    let (lo, hi) = parse_range(range_text)
-        .ok_or_else(|| format!("bad range {range_text:?} (expected `lo..=hi`)"))?;
-    let mut gaps = Vec::new();
-    if let Some(g) = gaps_text {
-        for part in g.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let pair = parse_range(part)
-                .or_else(|| part.parse::<u64>().ok().map(|v| (v, v)))
-                .ok_or_else(|| format!("bad gap {part:?} (expected `n` or `a..=b`)"))?;
-            gaps.push(pair);
-        }
-    }
-    Ok((krate, lo, hi, gaps))
-}
-
-fn parse_range(s: &str) -> Option<(u64, u64)> {
-    let (a, b) = s.split_once("..=")?;
-    Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
-}
-
-/// Parses `K_NAME handlers: <file.rs>[, <file.rs>..]` (the tail of
-/// `kind`).
-fn parse_kind_flow(rest: &str) -> Result<(String, Vec<String>), String> {
-    let rest = rest.trim();
-    let (kind, files) = rest
-        .split_once("handlers:")
-        .ok_or_else(|| "kind declaration missing `handlers:`".to_string())?;
-    let kind = kind.trim().to_string();
-    if !kind.starts_with("K_")
-        || !kind.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-    {
-        return Err(format!("bad kind name {kind:?} in kind declaration (expected `K_*`)"));
-    }
-    let mut handlers = Vec::new();
-    for part in files.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if !part.ends_with(".rs") || part.contains(char::is_whitespace) {
-            return Err(format!("bad handler file {part:?} (expected a `.rs` basename)"));
-        }
-        handlers.push(part.to_string());
-    }
-    if handlers.is_empty() {
-        return Err(format!("kind `{kind}` declares no handler files"));
-    }
-    Ok((kind, handlers))
-}
-
 /// The set of files under analysis.
 pub struct Workspace {
     /// Parsed files, sorted by path (analysis must itself be deterministic).
@@ -440,43 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_map_parses_gaps() {
-        let f = SourceFile::parse(
-            "m.rs",
-            "// lint: kind-map core = 1..=63 gaps 36, 38..=39\n".to_string(),
-        );
-        assert_eq!(f.kind_maps.len(), 1);
-        let m = &f.kind_maps[0];
-        assert_eq!((m.lo, m.hi), (1, 63));
-        assert!(m.in_gap(36) && m.in_gap(38) && m.in_gap(39));
-        assert!(!m.in_gap(37) && !m.in_gap(40));
-    }
-
-    #[test]
-    fn kind_flow_parses_handler_lists() {
-        let f = SourceFile::parse(
-            "m.rs",
-            "// lint: kind K_ROLLBACK handlers: chromatic.rs, locking.rs\n".to_string(),
-        );
-        assert_eq!(f.kind_flows.len(), 1);
-        let d = &f.kind_flows[0];
-        assert_eq!(d.kind, "K_ROLLBACK");
-        assert_eq!(d.handlers, vec!["chromatic.rs", "locking.rs"]);
-        assert_eq!(d.line, 1);
-    }
-
-    #[test]
-    fn kind_flow_rejects_bad_shapes() {
-        let bad = "// lint: kind ROLLBACK handlers: a.rs\n\
-                   // lint: kind K_A handlers:\n\
-                   // lint: kind K_A a.rs\n\
-                   // lint: kind K_A handlers: a.txt\n";
-        let f = SourceFile::parse("m.rs", bad.to_string());
-        assert!(f.kind_flows.is_empty());
-        assert_eq!(f.bad_directives.len(), 4, "{:#?}", f.bad_directives);
-    }
-
-    #[test]
     fn bad_directives_are_recorded() {
         let f = SourceFile::parse(
             "m.rs",
@@ -496,14 +316,5 @@ mod tests {
         assert!(f.in_test_code(inner));
         assert!(!f.in_test_code(0));
         assert!(!f.in_test_code(live2));
-    }
-
-    #[test]
-    fn crate_names() {
-        assert_eq!(
-            SourceFile::parse("crates/net/src/tcp.rs", String::new()).crate_name(),
-            "net"
-        );
-        assert_eq!(SourceFile::parse("tests/properties.rs", String::new()).crate_name(), "tests");
     }
 }

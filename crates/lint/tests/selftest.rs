@@ -22,32 +22,6 @@ fn count_check(fs: &[String], check: &str) -> usize {
 
 // ---------------------------------------------------------- check fixtures
 
-const KIND_VIOLATIONS: &str = "\
-// lint: kind-map core = 1..=10 gaps 5\n\
-pub const K_A: u16 = 1;\n\
-pub const K_DUP: u16 = 1;\n\
-pub const K_GAP: u16 = 5;\n\
-pub const K_OOR: u16 = 99;\n\
-pub const K_DEAD: u16 = 2;\n\
-pub fn touch() { let _ = (K_A, K_DUP, K_GAP, K_OOR); }\n";
-
-const KIND_CLEAN: &str = "\
-// lint: kind-map core = 1..=10 gaps 5\n\
-// lint: kind K_A handlers: engine.rs\n\
-pub const K_A: u16 = 1;\n\
-pub fn touch() { let _ = K_A; }\n";
-
-/// Companion to [`KIND_CLEAN`]: a handler arm and a send site, so the
-/// all-checks clean run stays clean under msg-flow too.
-const KIND_CLEAN_ENGINE: &str = "\
-pub fn handle(kind: u16) {\n\
-    match kind {\n\
-        K_A => work(),\n\
-        _ => {}\n\
-    }\n\
-}\n\
-pub fn emit(net: &mut Net) { net.send(0, K_A, vec![]); }\n";
-
 const DET_VIOLATIONS: &str = "\
 use std::collections::HashMap;\n\
 use std::time::Instant;\n\
@@ -90,28 +64,6 @@ pub fn pump(rx: std::sync::mpsc::Receiver<u32>) {\n\
     let _ = rx.recv();\n\
 }\n";
 
-const UNSAFE_VIOLATION: &str = "\
-pub fn f() {\n\
-    unsafe { std::hint::unreachable_unchecked() }\n\
-}\n";
-
-const UNSAFE_CLEAN: &str = "\
-pub fn f(b: bool) {\n\
-    if !b {\n\
-        // SAFETY: caller guarantees `b` is always true here.\n\
-        unsafe { std::hint::unreachable_unchecked() }\n\
-    }\n\
-}\n";
-
-const UNSAFE_CLEAN_AS_ARGUMENT: &str = "\
-pub fn f() {\n\
-    // SAFETY: documents the whole call the block is an argument of.\n\
-    assert_eq!(\n\
-        unsafe { g() },\n\
-        0\n\
-    );\n\
-}\n";
-
 const MSGS_WITH_CODEC: &str = "\
 pub struct FooMsg { pub x: u32 }\n\
 impl Codec for FooMsg {\n\
@@ -126,41 +78,6 @@ const PROPS_COVER_FOO: &str = "\
 mod wire_codec {\n\
     fn roundtrips() { rt(FooMsg { x: 1 }); }\n\
 }\n";
-
-// Six msg-flow violations: duplicate declaration, declaration for an
-// undefined kind, declared-but-unhandled, undeclared kind, declared
-// handler file missing from the workspace, handled-but-never-sent.
-const FLOW_MSGS: &str = "\
-// lint: kind K_GOOD handlers: engine.rs\n\
-// lint: kind K_GOOD handlers: engine.rs\n\
-// lint: kind K_GHOST handlers: engine.rs\n\
-// lint: kind K_GONE handlers: engine.rs\n\
-// lint: kind K_MISSFILE handlers: nowhere.rs\n\
-// lint: kind K_NOSEND handlers: engine.rs\n\
-pub const K_GOOD: u16 = 1;\n\
-pub const K_GONE: u16 = 2;\n\
-pub const K_NODECL: u16 = 3;\n\
-pub const K_MISSFILE: u16 = 4;\n\
-pub const K_NOSEND: u16 = 5;\n";
-
-const FLOW_ENGINE: &str = "\
-pub fn handle(env: Env) {\n\
-    match env.kind {\n\
-        K_GOOD => on_good(env),\n\
-        k if k == K_NOSEND => on_nosend(env),\n\
-        _ => {}\n\
-    }\n\
-}\n\
-pub fn emit(net: &mut Net) {\n\
-    net.send(0, K_GOOD, vec![]);\n\
-    net.broadcast(K_GONE, vec![]);\n\
-    net.put_wire(1, K_MISSFILE, vec![]);\n\
-    let _ = Env { kind: K_NODECL, payload: vec![] };\n\
-}\n";
-
-const FLOW_CLEAN_MSGS: &str = "\
-// lint: kind K_GOOD handlers: engine.rs\n\
-pub const K_GOOD: u16 = 1;\n";
 
 // Era-fencing violation: an arm decodes an era-carrying message and acts
 // without any fence.
@@ -253,23 +170,6 @@ impl B {\n\
 // ----------------------------------------------------- each check catches
 
 #[test]
-fn kind_registry_catches_dup_gap_range_and_dead() {
-    let fs = findings_for(
-        vec![("crates/core/src/messages.rs", KIND_VIOLATIONS)],
-        &["kind-registry"],
-    );
-    assert_eq!(count_check(&fs, "kind-registry"), 4, "findings: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("K_DUP")), "duplicate value: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("K_GAP")), "retired gap: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("K_OOR")), "out of range: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("K_DEAD")), "dead kind: {fs:#?}");
-
-    let clean =
-        findings_for(vec![("crates/core/src/messages.rs", KIND_CLEAN)], &["kind-registry"]);
-    assert!(clean.is_empty(), "clean fixture flagged: {clean:#?}");
-}
-
-#[test]
 fn determinism_catches_hash_iteration_and_wall_clock() {
     let fs = findings_for(vec![("crates/net/src/foo.rs", DET_VIOLATIONS)], &["determinism"]);
     assert_eq!(count_check(&fs, "determinism"), 2, "findings: {fs:#?}");
@@ -327,93 +227,6 @@ fn blocking_recv_catches_untimed_recv() {
 }
 
 #[test]
-fn unsafe_hygiene_requires_safety_comment() {
-    let fs = findings_for(vec![("crates/node/src/sig.rs", UNSAFE_VIOLATION)], &["unsafe-hygiene"]);
-    assert_eq!(count_check(&fs, "unsafe-hygiene"), 1, "findings: {fs:#?}");
-
-    for clean in [UNSAFE_CLEAN, UNSAFE_CLEAN_AS_ARGUMENT] {
-        let ok = findings_for(vec![("crates/node/src/sig.rs", clean)], &["unsafe-hygiene"]);
-        assert!(ok.is_empty(), "SAFETY-commented unsafe flagged: {ok:#?}");
-    }
-}
-
-#[test]
-fn msg_flow_catches_all_six_violation_shapes() {
-    let fs = findings_for(
-        vec![
-            ("crates/core/src/messages.rs", FLOW_MSGS),
-            ("crates/core/src/engine.rs", FLOW_ENGINE),
-        ],
-        &["msg-flow"],
-    );
-    assert_eq!(count_check(&fs, "msg-flow"), 6, "findings: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("duplicate `kind K_GOOD`")), "dup decl: {fs:#?}");
-    assert!(fs.iter().any(|f| f.contains("K_GHOST")), "unknown kind: {fs:#?}");
-    assert!(
-        fs.iter().any(|f| f.contains("K_GONE") && f.contains("no match arm")),
-        "dropped handler: {fs:#?}"
-    );
-    assert!(fs.iter().any(|f| f.contains("`nowhere.rs`")), "missing file: {fs:#?}");
-    assert!(
-        fs.iter().any(|f| f.contains("K_NODECL") && f.contains("no handler declaration")),
-        "undeclared: {fs:#?}"
-    );
-    assert!(
-        fs.iter().any(|f| f.contains("K_NOSEND") && f.contains("never sent")),
-        "never sent: {fs:#?}"
-    );
-
-    // Clean twin: one kind, declared, handled, sent.
-    let clean = findings_for(
-        vec![
-            ("crates/core/src/messages.rs", FLOW_CLEAN_MSGS),
-            ("crates/core/src/engine.rs", FLOW_ENGINE),
-        ],
-        &["msg-flow"],
-    );
-    assert!(clean.is_empty(), "clean twin flagged: {clean:#?}");
-}
-
-/// The counter-threshold notification kind (K_UPD_NOTE, the
-/// message-driven-master protocol) is guarded by msg-flow for real:
-/// deleting its `lint: kind` declaration from the actual messages.rs
-/// makes the check flag it, so the registry comment can't silently rot.
-#[test]
-fn upd_note_handler_declaration_has_teeth() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let msgs =
-        std::fs::read_to_string(root.join("crates/core/src/messages.rs")).expect("messages.rs");
-    let locking =
-        std::fs::read_to_string(root.join("crates/core/src/locking.rs")).expect("locking.rs");
-    let stripped: String = msgs
-        .lines()
-        .filter(|l| !(l.contains("lint: kind K_UPD_NOTE")))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(stripped.len() < msgs.len(), "declaration line not found to strip");
-
-    let with_decl = findings_for(
-        vec![
-            ("crates/core/src/messages.rs", &msgs),
-            ("crates/core/src/locking.rs", &locking),
-        ],
-        &["msg-flow"],
-    );
-    let without_decl = findings_for(
-        vec![
-            ("crates/core/src/messages.rs", &stripped),
-            ("crates/core/src/locking.rs", &locking),
-        ],
-        &["msg-flow"],
-    );
-    let undeclared = |fs: &[String]| {
-        fs.iter().any(|f| f.contains("K_UPD_NOTE") && f.contains("no handler declaration"))
-    };
-    assert!(!undeclared(&with_decl), "real declaration not recognised: {with_decl:#?}");
-    assert!(undeclared(&without_decl), "stripped declaration not flagged: {without_decl:#?}");
-}
-
-#[test]
 fn era_fencing_catches_unfenced_decode_and_accepts_all_fence_shapes() {
     let fs = findings_for(vec![("crates/core/src/engine.rs", ERA_VIOLATION)], &["era-fencing"]);
     assert_eq!(count_check(&fs, "era-fencing"), 1, "findings: {fs:#?}");
@@ -462,18 +275,13 @@ fn fenced_send_catches_raw_endpoint_send() {
 }
 
 #[test]
-fn test_code_is_exempt_from_protocol_checks_but_not_unsafe() {
-    let text = format!(
-        "#[cfg(test)]\nmod tests {{\n{}{}    pub fn u() {{ unsafe {{ g() }} }}\n}}\n",
-        DET_VIOLATIONS, RECV_VIOLATION
-    );
+fn test_code_is_exempt_from_protocol_checks() {
+    let text = format!("#[cfg(test)]\nmod tests {{\n{DET_VIOLATIONS}{RECV_VIOLATION}}}\n");
     let fs = findings_for(
         vec![("crates/net/src/foo.rs", text.as_str())],
-        &["determinism", "blocking-recv", "unsafe-hygiene"],
+        &["determinism", "blocking-recv"],
     );
-    assert_eq!(count_check(&fs, "determinism"), 0, "{fs:#?}");
-    assert_eq!(count_check(&fs, "blocking-recv"), 0, "{fs:#?}");
-    assert_eq!(count_check(&fs, "unsafe-hygiene"), 1, "{fs:#?}");
+    assert!(fs.is_empty(), "{fs:#?}");
 }
 
 // ------------------------------------------------------------ suppression
@@ -547,15 +355,6 @@ fn directive_marker_mid_comment_is_prose_not_a_directive() {
     assert!(fs.is_empty(), "prose parsed as directive: {fs:#?}");
 }
 
-#[test]
-fn unsafe_in_doc_comment_text_is_not_flagged() {
-    // The word "unsafe" in a doc comment (e.g. config.rs's "Deliberately
-    // unsafe (Fig. 1(d))" mode description) is comment text, not code.
-    let text = "/// **Deliberately unsafe** consistency mode.\npub struct M;\npub fn f(m: M) { let _ = m; }\n";
-    let fs = findings_for(vec![("crates/core/src/config.rs", text)], &["unsafe-hygiene"]);
-    assert!(fs.is_empty(), "doc-comment 'unsafe' flagged: {fs:#?}");
-}
-
 // -------------------------------------------------------- bin exit codes
 
 fn fixture_dir(name: &str, files: &[(&str, &str)]) -> PathBuf {
@@ -588,7 +387,6 @@ type BinCase = (&'static str, &'static str, &'static [(&'static str, &'static st
 #[test]
 fn bin_exits_nonzero_on_each_seeded_violation() {
     let cases: &[BinCase] = &[
-        ("kind-registry", "kinds", &[("crates/core/src/messages.rs", KIND_VIOLATIONS)]),
         ("determinism", "det", &[("crates/net/src/foo.rs", DET_VIOLATIONS)]),
         (
             "codec-xref",
@@ -599,15 +397,6 @@ fn bin_exits_nonzero_on_each_seeded_violation() {
             ],
         ),
         ("blocking-recv", "recv", &[("crates/core/src/driver.rs", RECV_VIOLATION)]),
-        ("unsafe-hygiene", "unsafe", &[("crates/node/src/sig.rs", UNSAFE_VIOLATION)]),
-        (
-            "msg-flow",
-            "flow",
-            &[
-                ("crates/core/src/messages.rs", FLOW_MSGS),
-                ("crates/core/src/engine.rs", FLOW_ENGINE),
-            ],
-        ),
         ("era-fencing", "era", &[("crates/core/src/engine.rs", ERA_VIOLATION)]),
         (
             "survivor-barrier",
@@ -631,8 +420,8 @@ fn bin_exits_zero_on_clean_fixture_and_two_on_usage_errors() {
     let dir = fixture_dir(
         "clean",
         &[
-            ("crates/core/src/messages.rs", KIND_CLEAN),
-            ("crates/core/src/engine.rs", KIND_CLEAN_ENGINE),
+            ("crates/core/src/recovery.rs", BARRIER_CLEAN),
+            ("crates/net/src/batch.rs", FENCED_CLEAN),
         ],
     );
     let (code, _) = run_bin(&[dir.to_str().unwrap()], None);
@@ -648,7 +437,7 @@ fn bin_exits_zero_on_clean_fixture_and_two_on_usage_errors() {
 // ------------------------------------------------------ the real workspace
 
 /// The pin that gives the CI step its teeth: the repo's own tree passes all
-/// nine checks, with every surviving suppression carrying a reason.
+/// six checks, with every surviving suppression carrying a reason.
 #[test]
 fn real_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

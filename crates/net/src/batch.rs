@@ -45,20 +45,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graphlab_graph::MachineId;
 
 use crate::cluster::{Envelope, RecvError};
-use crate::fault::{DownMsg, K_DOWN};
-use crate::lease::{LeaseConfig, LeaseState, K_LEASE, LEASE_MASTER};
+use crate::cluster::{K_BATCH, K_DOWN, K_LEASE, K_ZIP};
+use crate::fault::DownMsg;
+use crate::lease::{LeaseConfig, LeaseState, LEASE_MASTER};
 use crate::transport::Endpoint;
 use crate::codec::{encode_to_bytes, get_uvarint, put_uvarint};
 use crate::compress::{self, Lzss};
-
-/// Reserved message kind for a batch envelope. Application tag spaces must
-/// not use it (the engines use `1..=39`; see `graphlab-core::messages`).
-pub const K_BATCH: u16 = u16::MAX;
-
-/// Reserved message kind for a compressed envelope: payload is the
-/// original kind (`u16` LE) followed by an LZSS stream
-/// ([`crate::compress`]) of the original payload.
-pub const K_ZIP: u16 = u16::MAX - 1;
 
 /// Per-submessage framing inside a batch envelope: varint kind + varint
 /// length (2 bytes for typical engine messages, up to this bound).
@@ -757,7 +749,7 @@ mod tests {
         b0.enable_lease(crate::lease::LeaseConfig::with_period(TEST_LEASE));
         let t0 = std::time::Instant::now();
         let env = b0.recv_timeout(20 * TEST_LEASE).expect("death notice");
-        assert_eq!(env.kind, crate::fault::K_DOWN);
+        assert_eq!(env.kind, K_DOWN);
         let d: crate::fault::DownMsg =
             crate::codec::decode_from(env.payload).expect("decode DownMsg");
         assert_eq!((d.machine, d.restart, d.era), (1, false, 1));

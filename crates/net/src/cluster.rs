@@ -31,7 +31,7 @@
 //! counters ([`NetStats::by_kind`]) follow the same delivery rule; batch
 //! envelopes are attributed to the kinds *inside* them (the envelope row
 //! keeps only the wire header), while compressed envelopes are opaque and
-//! charged to [`crate::batch::K_ZIP`] — run an uncompressed arm when a
+//! charged to [`K_ZIP`] — run an uncompressed arm when a
 //! per-kind breakdown of the savings is wanted.
 
 use std::collections::BinaryHeap;
@@ -101,14 +101,33 @@ pub struct KindTraffic {
     pub bytes: u64,
 }
 
+// The transport's own kinds, counted down from `u16::MAX`. Everything else
+// is the application's (`graphlab-core::messages::Kind` counts up from 1);
+// this crate treats a kind as a number and nothing more.
+
+/// A batch envelope ([`crate::batch::Batcher`]). Application tag spaces
+/// must not use it.
+pub const K_BATCH: u16 = u16::MAX;
+/// A compressed envelope: payload is the original kind (`u16` LE) followed
+/// by an LZSS stream ([`crate::compress`]) of the original payload.
+pub const K_ZIP: u16 = u16::MAX - 1;
+/// Fabric → engines, "machine `m` is down". Payload is a
+/// [`crate::fault::DownMsg`].
+pub const K_DOWN: u16 = u16::MAX - 2;
+/// Fabric → reborn machine, "you are back". Payload is an
+/// [`crate::fault::UpMsg`].
+pub const K_UP: u16 = u16::MAX - 3;
+/// Explicit lease heartbeat (worker → master, sent only when idle past half
+/// the lease period). Swallowed by the [`crate::Batcher`]; engines never
+/// see it.
+pub const K_LEASE: u16 = u16::MAX - 4;
+
 /// Kinds below this bound have a per-kind row of their own: the engines'
-/// registry range (`// lint: kind-map core = 1..=63` in
-/// `graphlab-core::messages`) plus 0.
+/// kinds (below 64) plus 0.
 const LOW_KINDS: u16 = 64;
 
-/// First kind of the transport's own registry range
-/// (`// lint: kind-map net = 65531..=65535`), which has rows too.
-const FIRST_NET_KIND: u16 = u16::MAX - 4;
+/// First of the transport's own kinds, which have rows too.
+const FIRST_NET_KIND: u16 = K_LEASE;
 
 /// The row every kind outside both registry ranges is charged to (tests
 /// and ad-hoc tools; no engine sends one), so the rows always add up to
@@ -217,7 +236,6 @@ impl NetStats {
     /// split into its sub-messages (framing + payload each), with the
     /// transport header on the envelope row.
     fn charge_kinds(&self, env: &Envelope, sign: i64) {
-        use crate::batch::K_BATCH;
         use crate::codec::get_uvarint;
         if env.kind != K_BATCH {
             return self.charge_kind(env.kind, env.wire_bytes() as u64, sign);
@@ -853,7 +871,7 @@ mod tests {
         let (net, eps) = SimNet::new(2, LatencyModel::ZERO);
         eps[0].send(MachineId(1), 104, Bytes::from(vec![0u8; 10]));
         eps[0].send(MachineId(1), 30_000, Bytes::from(vec![0u8; 6]));
-        eps[0].send(MachineId(1), crate::fault::K_DOWN, Bytes::new());
+        eps[0].send(MachineId(1), K_DOWN, Bytes::new());
         for _ in 0..3 {
             eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
         }
@@ -863,7 +881,7 @@ mod tests {
             net.stats().by_kind(),
             vec![
                 (UNREGISTERED_KIND, other),
-                (crate::fault::K_DOWN, KindTraffic { msgs: 1, bytes: HEADER_BYTES as u64 }),
+                (K_DOWN, KindTraffic { msgs: 1, bytes: HEADER_BYTES as u64 }),
             ]
         );
         let total: u64 = net.stats().by_kind().iter().map(|(_, t)| t.bytes).sum();
@@ -872,7 +890,6 @@ mod tests {
 
     #[test]
     fn batch_envelopes_attribute_inner_kinds() {
-        use crate::batch::K_BATCH;
         use crate::codec::put_uvarint;
         // Hand-rolled batch envelope: two sub-messages of kinds 3 and 4
         // (varint framing: 1-byte kind + 1-byte length each here).

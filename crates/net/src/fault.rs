@@ -40,15 +40,8 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 
+use crate::cluster::{K_DOWN, K_UP};
 use crate::codec::Codec;
-
-/// Reserved control kind: fabric → engines, "machine `m` is down".
-/// Payload is a [`DownMsg`].
-pub const K_DOWN: u16 = u16::MAX - 2;
-
-/// Reserved control kind: fabric → reborn machine, "you are back".
-/// Payload is an [`UpMsg`].
-pub const K_UP: u16 = u16::MAX - 3;
 
 /// Payload of a [`K_DOWN`] notification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

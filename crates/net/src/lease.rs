@@ -6,7 +6,7 @@
 //! (machine 0): any envelope it puts on the wire towards the master
 //! refreshes the lease, and when a machine has been idle towards the
 //! master for more than half the lease period it sends an explicit
-//! [`K_LEASE`] heartbeat. The master scans its lease table whenever it
+//! [`crate::K_LEASE`] heartbeat. The master scans its lease table whenever it
 //! waits on the network; a machine whose lease has expired is declared
 //! dead **once** (the declaration is fenced by the recovery era, so a
 //! duplicate declaration — e.g. the SimNet oracle racing the detector —
@@ -29,11 +29,6 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::{get_uvarint, put_uvarint, Codec};
-
-/// Reserved kind for explicit lease heartbeats (worker → master, sent
-/// only when idle past half the lease period). Swallowed by the
-/// [`crate::Batcher`]; engines never see it.
-pub const K_LEASE: u16 = u16::MAX - 4;
 
 /// The machine that owns the lease table and declares deaths. Machine 0
 /// is the coordination/recovery master throughout the engines and may

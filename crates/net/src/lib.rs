@@ -71,10 +71,12 @@
 //! preserving per-channel order. Outgoing envelopes at least
 //! [`batch::BatchPolicy::compress_min`] bytes long are additionally run
 //! through a dependency-free LZSS pass ([`compress`]) and shipped under a
-//! reserved kind when that shrinks them. Two transport kinds are reserved:
-//! [`batch::K_BATCH`] (`u16::MAX`, batch envelope) and [`batch::K_ZIP`]
-//! (`u16::MAX - 1`, compressed envelope); application tag spaces must stay
-//! clear of both.
+//! reserved kind when that shrinks them. The crate is otherwise
+//! kind-agnostic: a kind is a `u16` the application chooses, except the
+//! five the transport keeps for itself, declared together in [`cluster`] —
+//! [`K_BATCH`] (`u16::MAX`, batch envelope), [`K_ZIP`] (compressed
+//! envelope), [`K_DOWN`]/[`K_UP`] (fault notifications) and [`K_LEASE`]
+//! (heartbeat); application tag spaces must stay clear of them.
 //!
 //! A message costs one copy on its way out and none on its way in. The
 //! engines' data plane sends with [`batch::Batcher::send_with`]: the
@@ -95,13 +97,10 @@
 //! ([`cluster::NetStats::by_kind`]) that attributes batch sub-messages to
 //! their real kinds — the instrumentation behind `repro -- abl-bytes`.
 //!
-//! The crate also provides the two distributed-coordination state machines
-//! the engines are built from: a marker/token termination detector
-//! ([`termination::Safra`], the algorithm of Misra \[26\] in its
-//! counter-carrying Safra formulation) and an epoch barrier
-//! ([`barrier::BarrierMaster`]).
+//! The crate also provides the marker/token termination detector the
+//! locking engine is built from ([`termination::Safra`], the algorithm of
+//! Misra \[26\] in its counter-carrying Safra formulation).
 
-pub mod barrier;
 pub mod batch;
 pub mod cluster;
 pub mod codec;
@@ -113,13 +112,15 @@ pub mod tcp;
 pub mod termination;
 pub mod transport;
 
-pub use barrier::BarrierMaster;
-pub use batch::{BatchCounters, BatchPolicy, Batcher, K_BATCH, K_ZIP};
-pub use cluster::{Envelope, KindTraffic, MachineTraffic, NetStats, RecvError, SimEndpoint, SimNet};
+pub use batch::{BatchCounters, BatchPolicy, Batcher};
+pub use cluster::{
+    Envelope, KindTraffic, MachineTraffic, NetStats, RecvError, SimEndpoint, SimNet, K_BATCH,
+    K_DOWN, K_LEASE, K_UP, K_ZIP,
+};
 pub use codec::{decode_from, encode_to_bytes, Codec};
-pub use fault::{DownMsg, FaultEvent, FaultPlan, FaultTrigger, UpMsg, K_DOWN, K_UP};
+pub use fault::{DownMsg, FaultEvent, FaultPlan, FaultTrigger, UpMsg};
 pub use latency::LatencyModel;
-pub use lease::{LeaseConfig, LeaseMsg, LeaseState, K_LEASE};
+pub use lease::{LeaseConfig, LeaseMsg, LeaseState};
 pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpEndpoint, TcpNet, MIN_TCP_LEASE};
 pub use termination::{Safra, SafraAction, Token};
 pub use transport::{Endpoint, Net, Transport};

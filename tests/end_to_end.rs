@@ -693,13 +693,13 @@ fn ingress_pipeline_is_usable_standalone() {
 
 /// ISSUE 10 (satellite): message-driven masters mean an idle cluster does
 /// zero control work. With no counter-driven triggers configured the
-/// counter-threshold note (`K_UPD_NOTE`) is never sent and no machine
+/// counter-threshold note (`LockKind::UpdNote`) is never sent and no machine
 /// ever expires an idle receive deadline; with a sync cadence the notes
 /// appear — that is the mechanism that replaced the master's 2 ms
 /// counter poll — and the master still takes zero scheduled wakeups.
 #[test]
 fn idle_cluster_does_zero_control_work() {
-    use graphlab::core::messages::K_UPD_NOTE;
+    use graphlab::core::messages::LockKind;
 
     let base = web_graph(400, 4, 21);
     let n = base.num_vertices() as u64;
@@ -715,8 +715,8 @@ fn idle_cluster_does_zero_control_work() {
         "an idle cluster between work must take zero scheduled wakeups"
     );
     assert!(
-        !out.metrics.bytes_by_kind.iter().any(|(k, _)| *k == K_UPD_NOTE),
-        "K_UPD_NOTE sent although no counter-driven trigger is configured"
+        out.metrics.traffic(LockKind::UpdNote).msgs == 0,
+        "an update note sent although no counter-driven trigger is configured"
     );
 
     // Arm 2: a sync cadence makes workers announce their counters.
@@ -729,7 +729,123 @@ fn idle_cluster_does_zero_control_work() {
         .run(pr);
     assert_eq!(out.metrics.idle_wakeups[0], 0, "master fell back to a timed wakeup");
     assert!(
-        out.metrics.bytes_by_kind.iter().any(|(k, t)| *k == K_UPD_NOTE && t.msgs > 0),
+        out.metrics.traffic(LockKind::UpdNote).msgs > 0,
         "counter notes must drive the master's sync triggers"
     );
+}
+
+/// Every message kind is delivered in some run that finishes clean. The
+/// dispatchers match their plane's kinds exhaustively and panic on another
+/// plane's, so delivered-and-finished means handled: a kind nobody sends
+/// any more, or one a dispatcher stopped taking, fails here. The rows are
+/// the cells of the tests above at their kill points.
+#[test]
+fn every_message_kind_is_delivered_in_a_clean_run() {
+    use graphlab::core::messages::{Kind, RecoveryKind};
+    use graphlab::core::{BatchPolicy, UpdateContext, UpdateFunction};
+    use graphlab::graph::{ConsistencyModel, GraphBuilder};
+    use std::time::Duration;
+
+    // Cannot be seen delivered in a run that finishes clean.
+    let exceptions = [
+        // The master's verdict that the run is unrecoverable: it ends in
+        // `Err` (`kill_before_first_checkpoint_fails_cleanly`).
+        Kind::Recovery(RecoveryKind::Abort),
+        // The fabric puts it in the reborn machine's own inbox, a self-send,
+        // which `NetStats` does not charge. The restart rows stand in: the
+        // master orders no rollback before the reborn machine's `Ready`,
+        // which it sends on handling its `Up`.
+        Kind::Recovery(RecoveryKind::Up),
+    ];
+
+    let mut delivered = std::collections::BTreeSet::new();
+    let (sync, asynchronous) = (SnapshotMode::Synchronous, SnapshotMode::Asynchronous);
+    let restart = |kill_at| {
+        FaultPlan::seeded(1).kill_and_restart(
+            2,
+            FaultTrigger::Deliveries(kill_at),
+            FaultTrigger::Elapsed(Duration::from_millis(30)),
+        )
+    };
+    let silent_death = FaultPlan::seeded(7).kill(2, FaultTrigger::Deliveries(800)).without_oracle();
+    let rows = [
+        // A kill with rollback; sync snapshots and a background sync.
+        (EngineKind::Locking, sync, Some(restart(4_000)), RecoveryMode::Rollback, None),
+        // Asynchronous (Chandy-Lamport) snapshots.
+        (EngineKind::Locking, asynchronous, None, RecoveryMode::Rollback, None),
+        (EngineKind::Chromatic, sync, Some(restart(1_000)), RecoveryMode::Rollback, None),
+        // A permanent kill seen by lease expiry alone, then adoption.
+        (
+            EngineKind::Chromatic,
+            sync,
+            Some(silent_death),
+            RecoveryMode::Adopt,
+            Some(Duration::from_millis(200)),
+        ),
+    ];
+    let web = web_graph(500, 4, 17);
+    let n = web.num_vertices() as u64;
+    for (engine, mode, faults, recovery, lease) in rows {
+        let mut g = web.clone();
+        init_ranks(&mut g);
+        let mut program = GraphLab::on(&mut g)
+            .engine(engine)
+            .machines(4)
+            .snapshot(SnapshotConfig { mode, every_updates: 400, max_snapshots: 64 })
+            .recovery(recovery)
+            // A compressed envelope hides the kinds inside it.
+            .configure(|c| c.batch = BatchPolicy::uncompressed())
+            .sync(PAGERANK_RESIDUAL, RankResidual { alpha: 0.15 }, SyncCadence::Updates(n));
+        let killed = faults.is_some();
+        if let Some(plan) = faults {
+            program = program.faults(plan);
+        }
+        if let Some(period) = lease {
+            program = program.lease(period);
+        }
+        let out = program.run(PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true });
+        let rounds = out.metrics.recoveries + out.metrics.adoptions;
+        assert_eq!(rounds > 0, killed, "{engine:?}/{mode:?}: {rounds} recovery rounds");
+        delivered.extend(out.metrics.bytes_by_kind.iter().map(|&(kind, _)| kind));
+    }
+
+    // The write-back kinds: under full consistency a vertex writes its
+    // neighbours and its edges, some of them another machine's.
+    struct PushAndStamp;
+    impl UpdateFunction<f64, f64> for PushAndStamp {
+        fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
+            let mine = *ctx.vertex_data();
+            for i in 0..ctx.num_neighbors() {
+                if *ctx.edge_data(i) < mine {
+                    *ctx.edge_data_mut(i) = mine;
+                }
+                if *ctx.nbr_data(i) < mine {
+                    *ctx.nbr_data_mut(i) = mine;
+                    ctx.schedule_nbr(i, 1.0);
+                }
+            }
+        }
+    }
+    let mut b = GraphBuilder::new();
+    let ring: Vec<_> = (0..24).map(|i| b.add_vertex(((i * 7919) % 24) as f64)).collect();
+    for i in 0..24 {
+        b.add_edge(ring[i], ring[(i + 1) % 24], 0.0).unwrap();
+    }
+    let mut ring = b.build();
+    let out = GraphLab::on(&mut ring)
+        .engine(EngineKind::Chromatic)
+        .machines(3)
+        .consistency(ConsistencyModel::Full)
+        .run(PushAndStamp);
+    delivered.extend(out.metrics.bytes_by_kind.iter().map(|&(kind, _)| kind));
+
+    let missing: Vec<&str> = (0..=u16::MAX)
+        .filter_map(Kind::from_wire)
+        .filter(|kind| !exceptions.contains(kind) && !delivered.contains(&kind.wire()))
+        .map(Kind::name)
+        .collect();
+    assert!(missing.is_empty(), "never delivered: {missing:?}");
+    for kind in exceptions {
+        assert!(!delivered.contains(&kind.wire()), "{} is no exception any more", kind.name());
+    }
 }
