@@ -44,7 +44,7 @@ impl SymMatrix {
     }
 
     /// `self += x xᵀ` (rank-one update).
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "the index also addresses the packed matrix, as in the textbook form")]
     pub fn add_outer(&mut self, x: &[f64]) {
         debug_assert_eq!(x.len(), self.n);
         for i in 0..self.n {
@@ -77,7 +77,7 @@ impl std::error::Error for NotPositiveDefinite {}
 
 /// Solves `A x = b` for symmetric positive-definite `A` via Cholesky
 /// (`A = L Lᵀ`), overwriting `b` with `x`. `a` is consumed as scratch.
-#[allow(clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop, reason = "the indices address both the factor and the right-hand side, as in the textbook form")]
 pub fn cholesky_solve(mut a: SymMatrix, b: &mut [f64]) -> Result<(), NotPositiveDefinite> {
     let n = a.n;
     debug_assert_eq!(b.len(), n);

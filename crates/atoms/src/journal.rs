@@ -22,7 +22,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graphlab_graph::{AtomId, EdgeId, VertexId};
-use graphlab_net::codec::Codec;
+use graphlab_net::codec::{get_uvarint, put_uvarint, Codec};
 
 const MAGIC: &[u8; 4] = b"GLAT";
 const VERSION: u8 = 1;
@@ -58,36 +58,6 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-#[inline]
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-#[inline]
-fn get_varint(buf: &mut Bytes) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() || shift >= 64 {
-            return None;
-        }
-        let byte = buf.get_u8();
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -108,14 +78,14 @@ impl JournalWriter {
         let mut buf = BytesMut::with_capacity(256);
         buf.put_slice(MAGIC);
         buf.put_u8(VERSION);
-        put_varint(&mut buf, atom.0 as u64);
+        put_uvarint(&mut buf, atom.0 as u64);
         JournalWriter { buf }
     }
 
     fn put_blob<T: Codec>(&mut self, data: &T) {
         let mut tmp = BytesMut::new();
         data.encode(&mut tmp);
-        put_varint(&mut self.buf, tmp.len() as u64);
+        put_uvarint(&mut self.buf, tmp.len() as u64);
         self.buf.put_slice(&tmp);
     }
 
@@ -123,10 +93,10 @@ impl JournalWriter {
     /// of atoms that hold a ghost of it (its mirrors).
     pub fn add_vertex<V: Codec>(&mut self, gvid: VertexId, mirrors: &[AtomId], data: &V) {
         self.buf.put_u8(TAG_VERTEX);
-        put_varint(&mut self.buf, gvid.0 as u64);
-        put_varint(&mut self.buf, mirrors.len() as u64);
+        put_uvarint(&mut self.buf, gvid.0 as u64);
+        put_uvarint(&mut self.buf, mirrors.len() as u64);
         for m in mirrors {
-            put_varint(&mut self.buf, m.0 as u64);
+            put_uvarint(&mut self.buf, m.0 as u64);
         }
         self.put_blob(data);
     }
@@ -136,8 +106,8 @@ impl JournalWriter {
     /// needs no remote fetch).
     pub fn add_ghost<V: Codec>(&mut self, gvid: VertexId, owner_atom: AtomId, data: &V) {
         self.buf.put_u8(TAG_GHOST);
-        put_varint(&mut self.buf, gvid.0 as u64);
-        put_varint(&mut self.buf, owner_atom.0 as u64);
+        put_uvarint(&mut self.buf, gvid.0 as u64);
+        put_uvarint(&mut self.buf, owner_atom.0 as u64);
         self.put_blob(data);
     }
 
@@ -152,9 +122,9 @@ impl JournalWriter {
         data: &E,
     ) {
         self.buf.put_u8(TAG_EDGE);
-        put_varint(&mut self.buf, geid.0 as u64);
-        put_varint(&mut self.buf, src.0 as u64);
-        put_varint(&mut self.buf, dst.0 as u64);
+        put_uvarint(&mut self.buf, geid.0 as u64);
+        put_uvarint(&mut self.buf, src.0 as u64);
+        put_uvarint(&mut self.buf, dst.0 as u64);
         self.buf.put_u8(owned as u8);
         self.put_blob(data);
     }
@@ -233,7 +203,7 @@ impl<V: Codec, E: Codec> JournalReader<V, E> {
         if body.get_u8() != VERSION {
             return Err(JournalError::BadHeader);
         }
-        let atom = get_varint(&mut body).ok_or(JournalError::Corrupt("atom id"))? as u32;
+        let atom = get_uvarint(&mut body).ok_or(JournalError::Corrupt("atom id"))? as u32;
         Ok(JournalReader { body, atom: AtomId(atom), _marker: std::marker::PhantomData })
     }
 
@@ -243,7 +213,7 @@ impl<V: Codec, E: Codec> JournalReader<V, E> {
     }
 
     fn get_blob<T: Codec>(&mut self) -> Result<T, JournalError> {
-        let len = get_varint(&mut self.body).ok_or(JournalError::Corrupt("blob len"))? as usize;
+        let len = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("blob len"))? as usize;
         if self.body.remaining() < len {
             return Err(JournalError::Corrupt("blob body"));
         }
@@ -263,19 +233,19 @@ impl<V: Codec, E: Codec> JournalReader<V, E> {
         let tag = self.body.get_u8();
         match tag {
             TAG_VERTEX => {
-                let gvid = get_varint(&mut self.body).ok_or(JournalError::Corrupt("gvid"))?;
-                let nm = get_varint(&mut self.body).ok_or(JournalError::Corrupt("mirrors"))?;
+                let gvid = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("gvid"))?;
+                let nm = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("mirrors"))?;
                 let mut mirrors = Vec::with_capacity(nm as usize);
                 for _ in 0..nm {
-                    let a = get_varint(&mut self.body).ok_or(JournalError::Corrupt("mirror"))?;
+                    let a = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("mirror"))?;
                     mirrors.push(AtomId(a as u32));
                 }
                 let data = self.get_blob()?;
                 Ok(Some(JournalRecord::Vertex { gvid: VertexId(gvid as u32), mirrors, data }))
             }
             TAG_GHOST => {
-                let gvid = get_varint(&mut self.body).ok_or(JournalError::Corrupt("gvid"))?;
-                let owner = get_varint(&mut self.body).ok_or(JournalError::Corrupt("owner"))?;
+                let gvid = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("gvid"))?;
+                let owner = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("owner"))?;
                 let data = self.get_blob()?;
                 Ok(Some(JournalRecord::Ghost {
                     gvid: VertexId(gvid as u32),
@@ -284,9 +254,9 @@ impl<V: Codec, E: Codec> JournalReader<V, E> {
                 }))
             }
             TAG_EDGE => {
-                let geid = get_varint(&mut self.body).ok_or(JournalError::Corrupt("geid"))?;
-                let src = get_varint(&mut self.body).ok_or(JournalError::Corrupt("src"))?;
-                let dst = get_varint(&mut self.body).ok_or(JournalError::Corrupt("dst"))?;
+                let geid = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("geid"))?;
+                let src = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("src"))?;
+                let dst = get_uvarint(&mut self.body).ok_or(JournalError::Corrupt("dst"))?;
                 if !self.body.has_remaining() {
                     return Err(JournalError::Corrupt("owned flag"));
                 }
@@ -320,6 +290,17 @@ mod tests {
         w.add_ghost(VertexId(42), AtomId(3), &2.5f64);
         w.add_edge(EdgeId(9), VertexId(42), VertexId(5000), true, &0.25f64);
         let bytes = w.finish();
+        // The on-DFS format, byte for byte (ids as LEB128 varints: 5000 is
+        // `136, 39`), ending in the end tag and the FNV-1a checksum.
+        #[rustfmt::skip]
+        let pinned = [
+            71, 76, 65, 84, 1, 7,
+            1, 136, 39, 2, 1, 2, 8, 0, 0, 0, 0, 0, 0, 248, 63,
+            2, 42, 3, 8, 0, 0, 0, 0, 0, 0, 4, 64,
+            3, 9, 42, 136, 39, 1, 8, 0, 0, 0, 0, 0, 0, 208, 63,
+            255, 93, 37, 163, 171, 151, 65, 80, 59,
+        ];
+        assert_eq!(bytes[..], pinned);
 
         let mut r = JournalReader::<f64, f64>::open(bytes).unwrap();
         assert_eq!(r.atom(), AtomId(7));
@@ -388,15 +369,19 @@ mod tests {
     }
 
     #[test]
-    fn varint_boundaries() {
-        let mut buf = BytesMut::new();
-        for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
-            buf.clear();
-            put_varint(&mut buf, v);
-            let mut b = buf.clone().freeze();
-            assert_eq!(get_varint(&mut b), Some(v));
-            assert!(!b.has_remaining());
-        }
+    fn varint_overflowing_64_bits_is_corrupt() {
+        // A 10-byte varint whose last byte carries more than the 64th bit.
+        let mut raw = MAGIC.to_vec();
+        raw.push(VERSION);
+        raw.extend([0xff; 9]);
+        raw.push(0x02);
+        let csum = fnv1a(&raw);
+        raw.push(TAG_END);
+        raw.extend(csum.to_le_bytes());
+        assert_eq!(
+            JournalReader::<u64, u64>::open(Bytes::from(raw)).err(),
+            Some(JournalError::Corrupt("atom id"))
+        );
     }
 
     #[test]

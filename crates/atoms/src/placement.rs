@@ -19,9 +19,8 @@
 //!   scatter baseline the ablations compare against.
 //!
 //! All strategies are deterministic pure functions of the index — no RNG,
-//! no hash-order iteration — per the graphlab-lint determinism contract
-//! (placement runs inside adoption plans, which must replay identically
-//! on every survivor).
+//! no hash-order iteration: placement runs inside adoption plans, which
+//! must replay identically on every survivor.
 
 use bytes::{Bytes, BytesMut};
 use graphlab_graph::{AtomId, MachineId};

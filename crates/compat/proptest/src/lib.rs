@@ -126,7 +126,7 @@ macro_rules! impl_tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
 
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the macro binds each tuple element to its type parameter's name")]
             fn generate(&self, rng: &mut StdRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

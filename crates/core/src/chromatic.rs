@@ -45,7 +45,7 @@ use crate::driver::{MachineResult, MachineSetup};
 use crate::globals::GlobalRegistry;
 use crate::local::{LocalGraph, RemoteCacheTable};
 use crate::messages::*;
-use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
+use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step, Tally};
 use crate::reference::InitialSchedule;
 use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
@@ -193,6 +193,7 @@ where
         let lg = LocalGraph::from_init(init, Some(&setup.coloring));
         let num_colors = setup.coloring.num_colors().max(1);
         let nv = lg.num_local_vertices();
+        #[expect(clippy::disallowed_methods, reason = "sizes the RecoveryTracker and the per-machine tables; every later question about membership goes to the tracker")]
         let m = lg.num_machines();
         let machine = lg.machine();
         let mut net = Batcher::new(ep, setup.config.batch);
@@ -236,10 +237,6 @@ where
 
     fn me(&self) -> MachineId {
         self.lg.machine()
-    }
-
-    fn num_machines(&self) -> usize {
-        self.lg.num_machines()
     }
 
     fn enqueue_local(&mut self, l: u32) {
@@ -557,43 +554,37 @@ where
     /// promising what `sent` counted, then blocks until every peer's flush
     /// and all promised data arrived.
     fn flush_round(&mut self, phase: u8) -> Result<(), Interrupt> {
-        let m = self.num_machines();
-        let me = self.me().index();
         let step = self.step;
         debug_assert!(
             self.blocks.iter().flatten().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
             "a row outlived the flush marker of its (step, phase)"
         );
-        for (dst, kind) in (0..m).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k))) {
+        for (dst, kind) in
+            (0..self.blocks.len()).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k)))
+        {
             if !self.blocks[dst.index()][kind as usize].buf.is_empty() {
                 self.close_block(dst, kind);
             }
         }
-        for j in 0..m {
-            let count = std::mem::take(&mut self.sent[phase as usize][j]);
-            if j != me && !self.rec.is_dead(j) {
-                let msg = FlushMsg {
-                    step,
-                    count,
-                    updates: self.cycle_updates,
-                    pending: self.pending_total,
-                };
-                self.send_msg(
-                    MachineId::from(j),
-                    if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB },
-                    enc(&msg),
-                );
-            }
+        let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
+        for dst in self.rec.peers() {
+            let msg = FlushMsg {
+                step,
+                count: self.sent[phase as usize][dst.index()],
+                updates: self.cycle_updates,
+                pending: self.pending_total,
+            };
+            self.rec.send(&mut self.net, dst, kind, enc(&msg));
         }
+        self.sent[phase as usize].fill(0);
         loop {
             // Dead machines owe nothing: their atoms were adopted and the
             // fabric drops their in-flight traffic.
-            let complete = (0..m).filter(|&j| j != me && !self.rec.is_dead(j)).all(|j| {
-                match self.flush_promises.get(&(j as u16, step, phase)) {
+            let complete = self.rec.peers().all(|j| {
+                match self.flush_promises.get(&(j.0, step, phase)) {
                     None => false,
                     Some(f) => {
-                        let got =
-                            self.recv_buckets.get(&(j as u16, step, phase)).copied().unwrap_or(0);
+                        let got = self.recv_buckets.get(&(j.0, step, phase)).copied().unwrap_or(0);
                         got >= f.count
                     }
                 }
@@ -704,7 +695,6 @@ where
     /// Cycle-end sync + halt + snapshot coordination. Returns
     /// `(halt, snapshot_id)`.
     fn cycle_end_round(&mut self, cycle: u64) -> Result<(bool, Option<u64>), Interrupt> {
-        let m = self.num_machines();
         let my_msg = SyncPartialMsg {
             cycle,
             partials: local_partials(&self.setup.syncs, &self.lg),
@@ -717,8 +707,8 @@ where
             let mut accs: Vec<Box<dyn std::any::Any + Send>> =
                 self.setup.syncs.iter().map(|op| op.init_acc()).collect();
             combine_partials(&self.setup.syncs, &mut accs, &my_msg.partials);
-            let mut received = 1usize;
-            while received < self.rec.survivors() {
+            let mut received = Tally::with_own_vote();
+            while !self.rec.complete(&received) {
                 let (kind, env) = match self.sync_stash.pop_front() {
                     Some(env) => (ChromKind::SyncPart, env),
                     None => self.recv_env(RECV_TIMEOUT)?,
@@ -728,7 +718,7 @@ where
                     assert_eq!(p.cycle, cycle, "sync round out of step");
                     pend += p.pending;
                     combine_partials(&self.setup.syncs, &mut accs, &p.partials);
-                    received += 1;
+                    received.vote();
                 } else {
                     return Err(Interrupt(Step::Abort(format!(
                         "unexpected {} during sync round",
@@ -760,11 +750,7 @@ where
             };
             let out = SyncGlobalsMsg { cycle, globals: globals_rows, halt, snapshot };
             let payload = enc(&out);
-            for j in 1..m {
-                if !self.rec.is_dead(j) {
-                    self.send_msg(MachineId::from(j), ChromKind::SyncGlob, payload.clone());
-                }
-            }
+            self.rec.broadcast(&mut self.net, ChromKind::SyncGlob, &payload);
             Ok((halt, snapshot))
         } else {
             self.send_msg(MachineId(0), ChromKind::SyncPart, enc(&my_msg));
@@ -796,13 +782,12 @@ where
             &my_atoms,
         );
         self.snapshots_taken = self.snapshots_taken.max(snap + 1);
-        let m = self.num_machines();
         if self.me() == MachineId(0) {
-            let mut done = 1usize;
-            while done < self.rec.survivors() {
+            let mut done = Tally::with_own_vote();
+            while !self.rec.complete(&done) {
                 let (kind, _) = self.recv_env(RECV_TIMEOUT)?;
                 if kind == ChromKind::SnapDone {
-                    done += 1;
+                    done.vote();
                 } else {
                     return Err(Interrupt(Step::Abort(format!(
                         "unexpected {} during snapshot",
@@ -810,11 +795,7 @@ where
                     ))));
                 }
             }
-            for j in 1..m {
-                if !self.rec.is_dead(j) {
-                    self.send_msg(MachineId::from(j), ChromKind::SnapResume, Bytes::new());
-                }
-            }
+            self.rec.broadcast(&mut self.net, ChromKind::SnapResume, &Bytes::new());
         } else {
             self.send_msg(MachineId(0), ChromKind::SnapDone, Bytes::new());
             loop {
@@ -907,8 +888,7 @@ where
     /// assumptions — sized by the current local graph.
     fn reset_engine_state(&mut self) {
         let nv = self.lg.num_local_vertices();
-        let m = self.num_machines();
-        self.cache = RemoteCacheTable::new(m, nv, 0);
+        self.cache = RemoteCacheTable::new(self.blocks.len(), nv, 0);
         self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
         self.queued = vec![false; nv];
         self.pending_total = 0;
@@ -1027,7 +1007,7 @@ mod tests {
     /// without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
-        for j in 1..m.num_machines() as u16 {
+        for j in 1..m.blocks.len() as u16 {
             let count = m.recv_buckets.get(&(j, step, phase)).copied().unwrap_or(0);
             handle_from(m, j, kind, enc(&FlushMsg { step, count, updates: 0, pending: 0 }));
         }

@@ -91,7 +91,8 @@ pub struct EngineConfig {
     /// hops, grants, schedule requests, write-backs) bound for the same
     /// machine ride one envelope. Flushed by size/count thresholds and
     /// before every blocking receive. `BatchPolicy::compress` additionally
-    /// LZ-compresses envelopes above `compress_min` bytes (on by default);
+    /// LZ-compresses envelopes of at least `graphlab_net::batch::COMPRESS_MIN`
+    /// bytes (on by default);
     /// `BatchPolicy::uncompressed()` keeps batching but ships raw bytes,
     /// `BatchPolicy::disabled()` sends every message individually and raw
     /// (ablation baselines).

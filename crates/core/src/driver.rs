@@ -25,7 +25,7 @@ use graphlab_atoms::{build_atoms, load_machine_part, write_atoms, SimDfs, Vertex
 use graphlab_atoms::placement::Placement;
 use graphlab_graph::{Coloring, DataGraph, EdgeId, MachineId, VertexId};
 use graphlab_net::codec::Codec;
-use graphlab_net::{Endpoint, SimNet, TcpNet, Transport};
+use graphlab_net::{Endpoint, Net, SimNet, TcpNet, Transport};
 
 use crate::chromatic::ChromaticMachine;
 use crate::config::EngineConfig;
@@ -169,7 +169,7 @@ pub(crate) fn make_partition<V, E>(
 /// Shared distributed skeleton: ingress → spawn `run_machine` per machine
 /// → join → write back. `engine` selects which machine loop runs; the
 /// sequential engine never enters here.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the builder's one call site passes each part of a program once; a struct would only rename them")]
 pub(crate) fn run_distributed<V, E, U>(
     engine: EngineKind,
     graph: &mut DataGraph<V, E>,
@@ -242,126 +242,84 @@ where
         None
     };
 
-    // Real-socket runs: this process is exactly one machine of the mesh.
-    if let Transport::Tcp(tcp) = &config.transport {
-        assert!(
-            config.faults.as_ref().is_none_or(|p| p.is_empty()),
-            "fault plans are SimNet-only; TCP runs take real faults instead"
-        );
-        assert_eq!(
-            tcp.peers.len(),
-            config.num_machines,
-            "TCP peer list must name every machine"
-        );
-        let machine = tcp.machine;
-        // lint: allow(determinism) -- wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire
-        let start = Instant::now();
-        let result = match TcpNet::connect(tcp) {
-            Ok((net, ep)) => {
-                let r = run_machine(engine, ep.into(), make_setup(&counters));
-                // Graceful close: FIN after any queued bytes, so slower
-                // peers drain our final protocol messages; full teardown
-                // happens when `net` drops below.
-                net.shutdown();
-                Ok((net, r))
-            }
-            Err(e) => Err(format!("machine {machine}: tcp mesh setup failed: {e}")),
-        };
-        let runtime = start.elapsed();
-        counters.done.store(true, Ordering::Relaxed);
-        let updates_timeline = sampler.map(|s| s.join().expect("sampler")).unwrap_or_default();
-
-        let (net, r) = match result {
-            Ok(x) => x,
-            Err(failure) => {
-                return EngineOutput {
-                    metrics: EngineMetrics::default(),
-                    globals: GlobalRegistry::new(),
-                    dfs,
-                    failure: Some(failure),
-                    owned: Some(Vec::new()),
+    // Run the machines: under TCP this process is exactly one machine of
+    // the mesh; under SimNet every machine is a thread of this process.
+    // `net` stays alive until its counters are read below.
+    let (ran, runtime) = match &config.transport {
+        Transport::Tcp(tcp) => {
+            assert!(
+                config.faults.as_ref().is_none_or(|p| p.is_empty()),
+                "fault plans are SimNet-only; TCP runs take real faults instead"
+            );
+            assert_eq!(
+                tcp.peers.len(),
+                config.num_machines,
+                "TCP peer list must name every machine"
+            );
+            let machine = tcp.machine;
+            #[expect(clippy::disallowed_methods, reason = "wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire")]
+            let start = Instant::now();
+            let ran = match TcpNet::connect(tcp) {
+                Ok((net, ep)) => {
+                    let r = run_machine(engine, ep.into(), make_setup(&counters));
+                    // Graceful close: FIN after any queued bytes, so slower
+                    // peers drain our final protocol messages; full teardown
+                    // happens when `net` drops below.
+                    net.shutdown();
+                    Ok((Net::Tcp(net), vec![(machine.index(), r)]))
                 }
+                Err(e) => Err(format!("machine {machine}: tcp mesh setup failed: {e}")),
+            };
+            (ran, start.elapsed())
+        }
+        Transport::Sim(latency) => {
+            let (net, endpoints) = match &config.faults {
+                Some(plan) if !plan.is_empty() => {
+                    SimNet::with_faults(config.num_machines, *latency, config.seed, plan.clone())
+                }
+                _ => SimNet::with_seed(config.num_machines, *latency, config.seed),
+            };
+            #[expect(clippy::disallowed_methods, reason = "wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire")]
+            let start = Instant::now();
+            let mut handles = Vec::with_capacity(config.num_machines);
+            for endpoint in endpoints {
+                let setup = make_setup(&counters);
+                let kind = engine;
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("machine-{}", endpoint.id()))
+                        .spawn(move || run_machine(kind, endpoint.into(), setup))
+                        .expect("spawn machine thread"),
+                );
             }
-        };
-
-        // Write back only what this machine owns; the spawn harness merges
-        // the per-process results.
-        let mut owned = Vec::with_capacity(r.vrows.len());
-        for (v, d) in r.vrows {
-            *graph.vertex_data_mut(v) = d;
-            owned.push(v);
+            let results = handles
+                .into_iter()
+                .map(|h| h.join().expect("machine thread panicked"))
+                .enumerate()
+                .collect::<Vec<_>>();
+            (Ok((Net::Sim(net), results)), start.elapsed())
         }
-        for (e, d) in r.erows {
-            *graph.edge_data_mut(e) = d;
-        }
-        let mut update_counts =
-            if config.trace { vec![0u64; graph.num_vertices()] } else { Vec::new() };
-        for (v, c) in r.update_counts {
-            update_counts[v.index()] += c;
-        }
-        let mut phases = vec![PhaseTimes::default(); config.num_machines];
-        phases[machine.index()] = r.phase;
-        let mut idle_wakeups = vec![0u64; config.num_machines];
-        idle_wakeups[machine.index()] = r.idle_wakeups;
-
-        let stats = net.stats();
-        let metrics = EngineMetrics {
-            updates: r.updates,
-            runtime,
-            update_counts,
-            updates_timeline,
-            bytes_sent_per_machine: stats.all().iter().map(|t| t.bytes_sent).collect(),
-            total_messages: stats.total_msgs(),
-            bytes_by_kind: stats.by_kind(),
-            steps: r.steps,
-            snapshots: r.snapshots,
-            recoveries: r.recoveries,
-            adoptions: r.adoptions,
-            phases,
-            chain_spans: r.chain_spans,
-            idle_wakeups,
-            hot: r.hot,
-        };
-        return EngineOutput {
-            metrics,
-            globals: r.globals,
-            dfs,
-            failure: r.failed,
-            owned: Some(owned),
-        };
-    }
-
-    let Transport::Sim(latency) = &config.transport else { unreachable!("tcp handled above") };
-    let (net, endpoints) = match &config.faults {
-        Some(plan) if !plan.is_empty() => {
-            SimNet::with_faults(config.num_machines, *latency, config.seed, plan.clone())
-        }
-        _ => SimNet::with_seed(config.num_machines, *latency, config.seed),
     };
-
-    // lint: allow(determinism) -- wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.num_machines);
-    for endpoint in endpoints {
-        let setup = make_setup(&counters);
-        let kind = engine;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("machine-{}", endpoint.id()))
-                .spawn(move || run_machine(kind, endpoint.into(), setup))
-                .expect("spawn machine thread"),
-        );
-    }
-
-    let mut results: Vec<MachineResult<V, E>> = Vec::with_capacity(handles.len());
-    for h in handles {
-        results.push(h.join().expect("machine thread panicked"));
-    }
-    let runtime = start.elapsed();
     counters.done.store(true, Ordering::Relaxed);
     let updates_timeline = sampler.map(|s| s.join().expect("sampler")).unwrap_or_default();
+    let (net, results) = match ran {
+        Ok(x) => x,
+        Err(failure) => {
+            return EngineOutput {
+                metrics: EngineMetrics::default(),
+                globals: GlobalRegistry::new(),
+                dfs,
+                failure: Some(failure),
+                owned: Some(Vec::new()),
+            }
+        }
+    };
 
-    // Write final data back into the caller's graph.
+    // Merge the results and write final data back into the caller's graph.
+    // A TCP process holds one machine's result and reports which vertices
+    // that wrote (the spawn harness merges the per-process outputs); a
+    // SimNet run holds them all and writes the whole graph back.
+    let mut owned = config.transport.is_tcp().then(Vec::new);
     let mut update_counts =
         if config.trace { vec![0u64; graph.num_vertices()] } else { Vec::new() };
     let mut total_updates = 0u64;
@@ -370,12 +328,12 @@ where
     let mut recoveries = 0u64;
     let mut adoptions = 0u64;
     let mut failure: Option<String> = None;
-    let mut globals = GlobalRegistry::new();
+    let mut globals = None;
     let mut phases = vec![PhaseTimes::default(); config.num_machines];
     let mut chain_spans: Vec<u64> = Vec::new();
     let mut idle_wakeups = vec![0u64; config.num_machines];
     let mut hot = HotCounters::default();
-    for (i, r) in results.into_iter().enumerate() {
+    for (i, r) in results {
         // A dead machine's rows are stale (the survivors adopted its
         // atoms and carry the authoritative values); write back nothing
         // from it. Its rows are empty by contract — this guards the
@@ -383,6 +341,9 @@ where
         if !r.dead {
             for (v, d) in r.vrows {
                 *graph.vertex_data_mut(v) = d;
+                if let Some(owned) = &mut owned {
+                    owned.push(v);
+                }
             }
             for (e, d) in r.erows {
                 *graph.edge_data_mut(e) = d;
@@ -399,9 +360,8 @@ where
         if failure.is_none() {
             failure = r.failed;
         }
-        if i == 0 {
-            globals = r.globals;
-        }
+        // The sync master's, or under TCP this machine's own.
+        globals.get_or_insert(r.globals);
         phases[i] = r.phase;
         if chain_spans.len() < r.chain_spans.len() {
             chain_spans.resize(r.chain_spans.len(), 0);
@@ -431,7 +391,7 @@ where
         idle_wakeups,
         hot,
     };
-    EngineOutput { metrics, globals, dfs, failure, owned: None }
+    EngineOutput { metrics, globals: globals.unwrap_or_default(), dfs, failure, owned }
 }
 
 /// Runs one machine's engine loop on the given (already-connected)
@@ -447,7 +407,7 @@ where
     E: Codec + Clone + Send + Sync + 'static,
     U: UpdateFunction<V, E>,
 {
-    // lint: allow(determinism) -- wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire
+    #[expect(clippy::disallowed_methods, reason = "wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire")]
     let t0 = Instant::now();
     let machine = endpoint.id();
     let wait = endpoint.net_wait_counter();
@@ -484,7 +444,7 @@ impl UpdateFunction<f64, f64> for NoUpdate {
 /// endpoint — for tests that script envelopes
 /// into one machine loop.
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "a test-only tuple of the three things a scripted machine is built from")]
 pub(crate) fn scripted_machine(
     graph: &DataGraph<f64, f64>,
     partition: &VertexPartition,

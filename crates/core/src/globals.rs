@@ -125,6 +125,7 @@ impl GlobalRegistry {
 
     /// Ids of all published values, sorted.
     pub fn ids(&self) -> Vec<u32> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line before anything can observe the order")]
         let mut ids: Vec<u32> = self.values.keys().copied().collect();
         ids.sort_unstable();
         ids

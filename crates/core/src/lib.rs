@@ -26,6 +26,20 @@
 //! fully asynchronous Chandy-Lamport variant expressed as a GraphLab
 //! update function ([`snapshot`]).
 
+#![deny(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "unit tests script raw endpoints and time themselves; the invariants bind shipped code"
+    )
+)]
+
 pub mod chromatic;
 pub mod config;
 pub mod driver;

@@ -427,7 +427,7 @@ impl<V, E> LocalGraph<V, E> {
 
     /// Consumes the local graph, returning the owned data for result
     /// collection: `(vertex rows, edge rows)` with global ids.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "two row lists with global ids; the doc comment names them")]
     pub fn into_owned_data(mut self) -> (Vec<(VertexId, V)>, Vec<(EdgeId, E)>) {
         let mut vrows = Vec::with_capacity(self.owned.len());
         // Drain in descending local index so swap_remove-like moves stay valid.

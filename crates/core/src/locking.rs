@@ -78,7 +78,7 @@ use crate::globals::GlobalRegistry;
 use crate::local::{scope_lock, LocalGraph, RemoteCacheTable, ScopePlans};
 use crate::messages::*;
 use crate::metrics::HotCounters;
-use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step};
+use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step, Tally};
 use crate::reference::InitialSchedule;
 use crate::scheduler::Scheduler;
 use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
@@ -111,7 +111,7 @@ const STRAGGLER_POLL: Duration = Duration::from_millis(2);
 type ChainKey = (u16, u64);
 
 /// Master-side in-flight sync epoch: `(epoch, accumulators, partials got)`.
-type SyncEpoch = (u64, Vec<Box<dyn std::any::Any + Send>>, usize);
+type SyncEpoch = (u64, Vec<Box<dyn std::any::Any + Send>>, Tally);
 
 // ---------------------------------------------------------------------
 // Non-blocking callback readers-writer lock table
@@ -351,12 +351,12 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     // Master-only coordination state.
     m_snap_in_progress: bool,
     m_snap_ready: Vec<Option<Vec<u64>>>,
-    m_snap_done: usize,
-    m_async_done: usize,
+    m_snap_done: Tally,
+    m_async_done: Tally,
     m_last_snap_updates: u64,
     m_halt_pending: bool,
     m_halt_sent: bool,
-    m_halt_acks: usize,
+    m_halt_acks: Tally,
     m_sync_epoch: u64,
     m_sync_next_at: u64,
     m_sync_outstanding: Option<SyncEpoch>,
@@ -421,6 +421,7 @@ where
         let lg = LocalGraph::from_init(init, None);
         let nv = lg.num_local_vertices();
         let ne = lg.num_local_edges();
+        #[expect(clippy::disallowed_methods, reason = "sizes the RecoveryTracker and the per-machine tables; every later question about membership goes to the tracker")]
         let m = lg.num_machines();
         let machine = lg.machine();
         let mut net = Batcher::new(ep, setup.config.batch);
@@ -473,12 +474,12 @@ where
             snapshots_written: 0,
             m_snap_in_progress: false,
             m_snap_ready: vec![None; m],
-            m_snap_done: 0,
-            m_async_done: 0,
+            m_snap_done: Tally::default(),
+            m_async_done: Tally::default(),
             m_last_snap_updates: 0,
             m_halt_pending: false,
             m_halt_sent: false,
-            m_halt_acks: 0,
+            m_halt_acks: Tally::default(),
             m_sync_epoch: 0,
             m_sync_next_at: setup.config.sync_interval_updates,
             m_sync_outstanding: None,
@@ -513,18 +514,6 @@ where
 
     fn is_master(&self) -> bool {
         self.me() == MachineId(0)
-    }
-
-    fn num_machines(&self) -> usize {
-        self.lg.num_machines()
-    }
-
-    /// Machines not recorded permanently dead. Every master-side
-    /// coordination barrier (halt acks, snapshot READY/DONE collection,
-    /// sync partials) counts against this, not `num_machines`, so the
-    /// cluster keeps converging after an adoption.
-    fn live_machines(&self) -> usize {
-        self.rec.survivors()
     }
 
     fn global_updates(&self) -> u64 {
@@ -1326,7 +1315,7 @@ where
                 self.halted = true;
             }
             LockKind::HaltAck => {
-                self.m_halt_acks += 1;
+                self.m_halt_acks.vote();
             }
             LockKind::SyncPart => {
                 let msg: LockSyncPartialMsg = dec(env.payload);
@@ -1358,7 +1347,7 @@ where
                 self.snap_flush_target = Some(msg.expect_from);
             }
             LockKind::SnapDone => {
-                self.m_snap_done += 1;
+                self.m_snap_done.vote();
             }
             LockKind::SnapResume => {
                 self.snap_paused = false;
@@ -1375,7 +1364,7 @@ where
                 self.begin_async_snapshot(snap as u32);
             }
             LockKind::SnapAsyncMdone => {
-                self.m_async_done += 1;
+                self.m_async_done.vote();
             }
             LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
@@ -1397,13 +1386,10 @@ where
                 // invariant. When every other member is dead the token is
                 // self-delivered (sole-survivor decision); bounded because
                 // a self-delivered round whitens us, so the retry decides.
-                let n = self.num_machines();
                 let mut to = to;
                 let mut token = token;
                 for _ in 0..4 {
-                    while self.rec.is_dead(to.index()) {
-                        to = MachineId::from((to.index() + 1) % n);
-                    }
+                    to = self.rec.survivor_from(to);
                     if to != self.me() {
                         self.send_msg(to, LockKind::Token, enc(&TokenMsg(token)));
                         return;
@@ -1478,9 +1464,9 @@ where
         {
             self.m_last_snap_updates = g_updates;
             self.m_snap_in_progress = true;
-            self.m_snap_done = 0;
-            self.m_async_done = 0;
-            self.m_snap_ready = vec![None; self.num_machines()];
+            self.m_snap_done = Tally::default();
+            self.m_async_done = Tally::default();
+            self.m_snap_ready.fill(None);
             let id = self.snapshots_written;
             match snap_cfg.mode {
                 SnapshotMode::Synchronous => {
@@ -1500,7 +1486,7 @@ where
         // Async snapshot completion.
         if self.m_snap_in_progress
             && self.setup.config.snapshot.mode == SnapshotMode::Asynchronous
-            && self.m_async_done >= self.live_machines()
+            && self.rec.complete(&self.m_async_done)
         {
             self.m_snap_in_progress = false;
         }
@@ -1513,11 +1499,11 @@ where
                 }
             } else {
                 self.m_halt_sent = true;
-                self.m_halt_acks = 1; // self
+                self.m_halt_acks = Tally::with_own_vote();
                 self.broadcast_msg(LockKind::Halt, &Bytes::new());
             }
         }
-        if self.m_halt_sent && self.m_halt_acks >= self.live_machines() {
+        if self.m_halt_sent && self.rec.complete(&self.m_halt_acks) {
             self.halted = true;
         }
     }
@@ -1531,14 +1517,15 @@ where
             self.setup.syncs.iter().map(|op| op.init_acc()).collect();
         let mine = local_partials(&self.setup.syncs, &self.lg);
         combine_partials(&self.setup.syncs, &mut accs, &mine);
-        self.m_sync_outstanding = Some((epoch, accs, 1));
-        if self.live_machines() == 1 {
+        let got = Tally::with_own_vote();
+        let alone = self.rec.complete(&got);
+        self.m_sync_outstanding = Some((epoch, accs, got));
+        if alone {
             self.finish_sync_epoch();
         }
     }
 
     fn master_collect_sync(&mut self, msg: LockSyncPartialMsg) {
-        let need = self.live_machines();
         let Some((epoch, accs, got)) = self.m_sync_outstanding.as_mut() else {
             return; // stale partial from an abandoned epoch
         };
@@ -1546,8 +1533,8 @@ where
             return;
         }
         combine_partials(&self.setup.syncs, accs, &msg.partials);
-        *got += 1;
-        if *got >= need {
+        got.vote();
+        if self.rec.complete(got) {
             self.finish_sync_epoch();
         }
     }
@@ -1612,7 +1599,7 @@ where
         );
         self.snapshots_written += 1;
         if self.is_master() {
-            self.m_async_done += 1;
+            self.m_async_done.vote();
         } else {
             self.send_msg(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
         }
@@ -1638,9 +1625,9 @@ where
         }
         if self.snap_paused && !self.snap_written {
             if let Some(target) = &self.snap_flush_target {
-                let flushed = (0..self.num_machines()).all(|j| {
-                    j == self.me().index() || self.rec.is_dead(j) || self.recv_counts[j] >= target[j]
-                });
+                let flushed = self
+                    .rec
+                    .all_survivors(|j| j == self.me().index() || self.recv_counts[j] >= target[j]);
                 if flushed {
                     self.snap_written = true;
                     let file = SnapshotFile::capture(&self.lg);
@@ -1654,7 +1641,7 @@ where
                     );
                     self.snapshots_written += 1;
                     if self.is_master() {
-                        self.m_snap_done += 1;
+                        self.m_snap_done.vote();
                         self.master_check_snap_done();
                     } else {
                         self.send_msg(MachineId(0), LockKind::SnapDone, Bytes::new());
@@ -1680,37 +1667,28 @@ where
             return;
         }
         self.m_snap_ready[src.index()] = Some(msg.sent_to);
-        let all_ready = self
-            .m_snap_ready
-            .iter()
-            .enumerate()
-            .all(|(j, r)| self.rec.is_dead(j) || r.is_some());
-        if all_ready {
+        if self.rec.all_survivors(|j| self.m_snap_ready[j].is_some()) {
             // All survivors drained: broadcast per-machine flush targets
             // (dead machines contribute no counted work: expect zero).
-            let m = self.num_machines();
-            for i in 0..m {
-                let expect_from: Vec<u64> = (0..m)
-                    .map(|j| self.m_snap_ready[j].as_ref().map_or(0, |sent| sent[i]))
-                    .collect();
-                let msg = SnapFlushMsg { snap: self.snapshots_written, expect_from };
-                if i == self.me().index() {
-                    self.snap_flush_target = Some(msg.expect_from);
-                } else if !self.rec.is_dead(i) {
-                    self.send_msg(MachineId::from(i), LockKind::SnapSyncFlush, enc(&msg));
-                }
+            let ready: Vec<_> = self.m_snap_ready.iter_mut().map(Option::take).collect();
+            let expect_from = |i: MachineId| -> Vec<u64> {
+                ready.iter().map(|r| r.as_ref().map_or(0, |sent| sent[i.index()])).collect()
+            };
+            self.snap_flush_target = Some(expect_from(self.me()));
+            for dst in self.rec.peers() {
+                let msg = SnapFlushMsg { snap: self.snapshots_written, expect_from: expect_from(dst) };
+                self.rec.send(&mut self.net, dst, LockKind::SnapSyncFlush, enc(&msg));
             }
-            self.m_snap_ready = vec![None; m];
         }
     }
 
     fn master_check_snap_done(&mut self) {
         if self.m_snap_in_progress
             && self.setup.config.snapshot.mode == SnapshotMode::Synchronous
-            && self.m_snap_done >= self.live_machines()
+            && self.rec.complete(&self.m_snap_done)
         {
             self.m_snap_in_progress = false;
-            self.m_snap_done = 0;
+            self.m_snap_done = Tally::default();
             self.broadcast_msg(LockKind::SnapResume, &Bytes::new());
             self.snap_paused = false;
             self.snap_ready_sent = false;
@@ -1795,12 +1773,11 @@ where
     /// graph, and rebuilding the lock plans derived from it (a rollback or
     /// an adoption may have replaced the graph).
     fn reset_engine_state(&mut self) {
-        let n = self.num_machines();
         let nv = self.lg.num_local_vertices();
         let ne = self.lg.num_local_edges();
         self.scheduler = Scheduler::new(self.setup.config.scheduler, nv);
         self.locks = LockTable::new(nv);
-        self.cache = RemoteCacheTable::new(n, nv, ne);
+        self.cache = RemoteCacheTable::new(self.sent_counts.len(), nv, ne);
         self.plans = ScopePlans::build(&self.lg);
         self.chains = Slab::default();
         self.chain_index.clear();
@@ -1812,8 +1789,8 @@ where
         // `graphlab_net::termination` § Faults).
         self.safra.reset();
         self.cap_reached = false;
-        self.sent_counts = vec![0; n];
-        self.recv_counts = vec![0; n];
+        self.sent_counts.fill(0);
+        self.recv_counts.fill(0);
         self.snap_epoch = vec![0; nv];
         self.current_snap = 0;
         self.snap_queue.clear();
@@ -1824,16 +1801,16 @@ where
         self.snap_flush_target = None;
         self.snap_written = false;
         self.m_snap_in_progress = false;
-        self.m_snap_ready = vec![None; n];
-        self.m_snap_done = 0;
-        self.m_async_done = 0;
+        self.m_snap_ready.fill(None);
+        self.m_snap_done = Tally::default();
+        self.m_async_done = Tally::default();
         // `updates_local` and the LockKind::UpdNote state (`last_noted`,
         // `m_peer_updates`) deliberately survive: counts are cumulative
         // and never reset, which is what makes stale notes idempotent.
         self.m_last_snap_updates = self.observed_updates();
         self.m_halt_pending = false;
         self.m_halt_sent = false;
-        self.m_halt_acks = 0;
+        self.m_halt_acks = Tally::default();
         self.m_sync_outstanding = None;
         self.m_sync_next_at = self.observed_updates() + self.setup.config.sync_interval_updates;
         self.m_final_sync_done = false;

@@ -115,7 +115,7 @@ macro_rules! kinds {
             }
 
             impl $sub {
-                #[allow(non_upper_case_globals)]
+                #[allow(non_upper_case_globals, reason = "the consts reuse the variant idents the macro was given, so they can be match patterns")]
                 fn from_wire(kind: u16) -> Option<$sub> {
                     $(const $variant: u16 = $sub::$variant as u16;)*
                     match kind {

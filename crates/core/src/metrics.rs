@@ -33,6 +33,7 @@ pub fn sample_timeline(
 ) -> std::thread::JoinHandle<Vec<(f64, u64)>> {
     let counters = Arc::clone(counters);
     std::thread::spawn(move || {
+        #[expect(clippy::disallowed_methods, reason = "time axis of the sampled updates series (Fig. 4); measurement only, never crosses the wire")]
         let start = Instant::now();
         let mut series = Vec::new();
         loop {

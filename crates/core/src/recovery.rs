@@ -133,6 +133,40 @@ pub(crate) fn pick_adoption(
     }
 }
 
+pub(crate) use tally::Tally;
+
+/// In a module of its own so that nothing — this file included — can read
+/// the count: a quorum is asked for, never computed.
+mod tally {
+    /// Votes collected towards a barrier (halt acks, snapshot DONEs, sync
+    /// partials, RECOVEREDs). Dead machines never vote, so the one question
+    /// a tally answers is [`RecoveryTracker::complete`] — as many votes as
+    /// survivors; it compares with nothing else, the static machine count
+    /// least of all.
+    ///
+    /// [`RecoveryTracker::complete`]: super::RecoveryTracker::complete
+    #[derive(Debug, Default)]
+    pub(crate) struct Tally(usize);
+
+    impl Tally {
+        /// A tally that starts with the collecting machine's own vote.
+        pub(crate) fn with_own_vote() -> Self {
+            Tally(1)
+        }
+
+        pub(crate) fn vote(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    impl super::RecoveryTracker {
+        /// Whether every machine still alive has voted.
+        pub(crate) fn complete(&self, votes: &Tally) -> bool {
+            votes.0 >= self.survivors()
+        }
+    }
+}
+
 /// Where a machine stands in the recovery protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RecoveryPhase {
@@ -182,7 +216,7 @@ pub(crate) struct RecoveryTracker {
     /// Peers whose flush marker arrived for the current era.
     marks: Vec<bool>,
     /// Master: RecoveryKind::Recovered acknowledgements for the current era.
-    recovered: usize,
+    recovered: Tally,
     phase: RecoveryPhase,
     /// Entry time of the current phase (stall deadline).
     phase_since: Option<Instant>,
@@ -209,7 +243,7 @@ impl RecoveryTracker {
             dead: vec![false; n],
             ready: vec![false; n],
             marks: vec![false; n],
-            recovered: 0,
+            recovered: Tally::default(),
             phase: RecoveryPhase::Normal,
             phase_since: None,
             order: None,
@@ -226,8 +260,9 @@ impl RecoveryTracker {
 
     fn enter(&mut self, phase: RecoveryPhase) {
         self.phase = phase;
-        // lint: allow(determinism) -- recovery-phase stall timer; bounds waiting, never enters payloads or traces
-        self.phase_since = Some(Instant::now());
+        #[expect(clippy::disallowed_methods, reason = "recovery-phase stall timer; bounds waiting, never enters payloads or traces")]
+        let now = Instant::now();
+        self.phase_since = Some(now);
     }
 
     /// Crash semantics: everything but the permanent deaths is forgotten.
@@ -283,8 +318,8 @@ impl RecoveryTracker {
     /// Sends `payload` to every surviving peer.
     pub(crate) fn broadcast(&self, net: &mut Batcher, kind: impl Into<Kind>, payload: &Bytes) {
         let kind = kind.into();
-        for j in (0..self.n).filter(|&j| j != self.me && !self.dead[j]) {
-            self.send(net, MachineId::from(j), kind, payload.clone());
+        for dst in self.peers() {
+            self.send(net, dst, kind, payload.clone());
         }
     }
 
@@ -294,19 +329,30 @@ impl RecoveryTracker {
         self.dead[machine] = true;
     }
 
-    /// Whether `machine` is recorded permanently dead.
-    pub(crate) fn is_dead(&self, machine: usize) -> bool {
-        self.dead[machine]
-    }
-
-    /// The permanent-death mask (index = machine).
-    pub(crate) fn dead_mask(&self) -> &[bool] {
-        &self.dead
-    }
-
-    /// Number of machines still alive.
-    pub(crate) fn survivors(&self) -> usize {
+    /// Number of machines still alive. Private: a barrier asks
+    /// [`Self::complete`], [`Self::all_survivors`] or [`Self::peers`].
+    fn survivors(&self) -> usize {
         self.dead.iter().filter(|&&d| !d).count()
+    }
+
+    /// Every surviving machine but this one, ascending: whom a broadcast
+    /// reaches and who owes this machine a reply.
+    pub(crate) fn peers(&self) -> impl Iterator<Item = MachineId> + '_ {
+        (0..self.n).filter(|&j| j != self.me && !self.dead[j]).map(MachineId::from)
+    }
+
+    /// Whether `holds` of every surviving machine, this one included (the
+    /// dead owe nothing).
+    pub(crate) fn all_survivors(&self, mut holds: impl FnMut(usize) -> bool) -> bool {
+        (0..self.n).all(|j| self.dead[j] || holds(j))
+    }
+
+    /// The first survivor at or after `machine` in ring order (the
+    /// termination token routes around the dead).
+    pub(crate) fn survivor_from(&self, machine: MachineId) -> MachineId {
+        let alive = |j: &usize| !self.dead[j % self.n];
+        let j = (machine.index()..machine.index() + self.n).find(alive);
+        MachineId::from(j.expect("this machine is alive") % self.n)
     }
 
     /// Observes a fault era (from `K_DOWN`, `K_UP`, or — on a reborn
@@ -320,7 +366,7 @@ impl RecoveryTracker {
         self.era = era;
         self.ready.fill(false);
         self.marks.fill(false);
-        self.recovered = 0;
+        self.recovered = Tally::default();
         true
     }
 
@@ -335,7 +381,7 @@ impl RecoveryTracker {
     /// restartable kill never enters the dead set) reported READY for the
     /// current era.
     pub(crate) fn all_ready(&self) -> bool {
-        (0..self.n).all(|j| self.dead[j] || self.ready[j])
+        self.all_survivors(|j| self.ready[j])
     }
 
     /// Records peer `src`'s flush marker for `era` (stale ignored).
@@ -350,7 +396,7 @@ impl RecoveryTracker {
     /// surface (dead machines' channels need no flushing: the fabric
     /// drops dead incarnations' traffic).
     pub(crate) fn marks_complete(&self) -> bool {
-        (0..self.n).all(|j| j == self.me || self.dead[j] || self.marks[j])
+        self.all_survivors(|j| j == self.me || self.marks[j])
     }
 
     /// Called when this machine's rollback is applied.
@@ -367,9 +413,9 @@ impl RecoveryTracker {
     /// survivor has recovered and the resume barrier can release.
     pub(crate) fn note_recovered(&mut self, era: u32) -> bool {
         if era == self.era {
-            self.recovered += 1;
+            self.recovered.vote();
         }
-        self.recovered >= self.survivors()
+        self.complete(&self.recovered)
     }
 }
 
@@ -539,7 +585,7 @@ pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
     if rec.phase_since.is_some_and(|t| t.elapsed() > RECOVERY_DEADLINE) {
         return Step::Abort(format!(
             "recovery stalled in {:?} at fault era {} (machine {}, dead {:?}, ready {:?}, \
-             marks {:?}, recovered {})",
+             marks {:?}, recovered {:?})",
             rec.phase, rec.era, rec.me, rec.dead, rec.ready, rec.marks, rec.recovered
         ));
     }
@@ -659,7 +705,7 @@ fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
     let era = rec.era;
     let order = if rec.dead.contains(&true) {
         let plan =
-            pick_adoption(dfs, snap_prefix, num_atoms, era, index, placement, rec.dead_mask());
+            pick_adoption(dfs, snap_prefix, num_atoms, era, index, placement, &rec.dead);
         rec.broadcast(net, RecoveryKind::AdoptPlan, &enc(&plan));
         Order::Adopt(plan)
     } else {
@@ -796,8 +842,7 @@ fn send_adopt_data<V: Codec, E: Codec>(
     era: u32,
 ) {
     let me = lg.machine();
-    let mut out: Vec<AdoptDataMsg> =
-        (0..rec.n).map(|_| AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }).collect();
+    let mut out = vec![AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }; rec.n];
     for &l in lg.owned_vertices() {
         if lg.vertex_mirrors(l).is_empty() {
             continue;
@@ -815,10 +860,8 @@ fn send_adopt_data<V: Codec, E: Codec>(
             out[other.index()].erows.push((lg.edge_geid(l), enc(lg.edge_data(l))));
         }
     }
-    for (j, msg) in out.into_iter().enumerate() {
-        if j != rec.me && !rec.is_dead(j) {
-            rec.send(net, MachineId::from(j), RecoveryKind::AdoptData, enc(&msg));
-        }
+    for dst in rec.peers() {
+        rec.send(net, dst, RecoveryKind::AdoptData, enc(&out[dst.index()]));
     }
     net.flush_all();
 }
@@ -847,7 +890,7 @@ fn apply_adopt_data<H: RecoveryHost>(h: &mut H, env: Envelope) {
 /// Every surviving peer's ghost round arrived: join the resume barrier.
 fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
     let rec = h.parts().rec;
-    if !(0..rec.n).all(|j| j == rec.me || rec.is_dead(j) || rec.adopt_got[j]) {
+    if !rec.all_survivors(|j| j == rec.me || rec.adopt_got[j]) {
         return Step::Continue;
     }
     rec.after_adoption();
@@ -939,7 +982,7 @@ mod tests {
         let mut t = RecoveryTracker::new(0, 4);
         t.observe_era(1);
         t.note_death(2);
-        assert!(t.is_dead(2));
+        assert_eq!(t.dead, [false, false, true, false]);
         assert_eq!(t.survivors(), 3);
         t.note_ready(0, 1);
         t.note_ready(1, 1);
@@ -954,7 +997,7 @@ mod tests {
         assert!(t.note_recovered(1), "resume releases at 3 survivors");
         // Deaths persist across eras; collection state does not.
         assert!(t.observe_era(2));
-        assert!(t.is_dead(2));
+        assert!(t.dead[2]);
         assert!(!t.all_ready());
         t.after_adoption();
         assert_eq!(t.adoptions, 1);
@@ -1034,6 +1077,17 @@ mod tests {
         mode: RecoveryMode,
         faults: Option<FaultPlan>,
     ) -> (FakeHost, SimEndpoint, SimEndpoint) {
+        let (host, [ep0, ep2]) = cluster_of(1, mode, faults);
+        (host, ep0, ep2)
+    }
+
+    /// The same cluster seen from machine `me`: its host and the other two
+    /// machines' endpoints, ascending.
+    fn cluster_of(
+        me: u16,
+        mode: RecoveryMode,
+        faults: Option<FaultPlan>,
+    ) -> (FakeHost, [SimEndpoint; 2]) {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..12).map(|i| b.add_vertex(i as f64)).collect();
         for i in 0..12 {
@@ -1045,15 +1099,15 @@ mod tests {
         let (atoms, index) = build_atoms(&graph, &VertexPartition::random_hash(12, 6, 7), "graph");
         write_atoms(&dfs, "graph", &atoms, &index);
         let placement = Placement::compute(&index, 3);
-        let init = load_machine_part(&dfs, &index, &placement, MachineId(1)).unwrap();
+        let init = load_machine_part(&dfs, &index, &placement, MachineId(me)).unwrap();
         let (_net, mut eps) = match faults {
             Some(plan) => SimNet::with_faults(3, LatencyModel::ZERO, 1, plan),
             None => SimNet::with_seed(3, LatencyModel::ZERO, 1),
         };
-        let (ep2, ep1, ep0) = (eps.pop().unwrap(), eps.pop().unwrap(), eps.pop().unwrap());
+        let mine = eps.remove(me as usize);
         let host = FakeHost {
-            rec: RecoveryTracker::new(1, 3),
-            net: Batcher::new(ep1.into(), BatchPolicy::disabled()),
+            rec: RecoveryTracker::new(me as usize, 3),
+            net: Batcher::new(mine.into(), BatchPolicy::disabled()),
             lg: LocalGraph::from_init(init, None),
             dfs,
             index,
@@ -1064,7 +1118,7 @@ mod tests {
             seeded: Vec::new(),
             replayed: Vec::new(),
         };
-        (host, ep0, ep2)
+        (host, eps.try_into().ok().expect("two other machines"))
     }
 
     fn env<T: Codec>(src: u16, kind: impl Into<Kind>, msg: &T) -> Envelope {
@@ -1182,6 +1236,70 @@ mod tests {
         assert_eq!(h.replayed, after_resume.map(Kind::Lock));
     }
 
+    /// The value only a stale [`AdoptDataMsg`] carries.
+    const STALE: f64 = -99.0;
+
+    /// `kind` as `src` would send it in fault era `era`, or `None` for a
+    /// kind that cannot be stale. No catch-all arm: a new recovery kind
+    /// says here whether it carries an era, and if it does,
+    /// [`assert_stale_is_inert`] holds it to the fence.
+    fn stamped(h: &FakeHost, src: u16, kind: RecoveryKind, era: u32) -> Option<Envelope> {
+        Some(match kind {
+            RecoveryKind::Ready => env(src, kind, &RecoverReadyMsg { era }),
+            RecoveryKind::Rollback => env(src, kind, &RollbackMsg { era, snap: 4 }),
+            RecoveryKind::AdoptPlan => {
+                let placement = (*h.placement).clone();
+                env(src, kind, &AdoptPlanMsg { era, dead: vec![2], placement, snap: None })
+            }
+            RecoveryKind::FlushMark | RecoveryKind::Recovered | RecoveryKind::Resume => {
+                env(src, kind, &RecoverEraMsg { era })
+            }
+            RecoveryKind::AdoptData => {
+                let vrows = (0..12).map(|v| (VertexId(v), enc(&STALE))).collect();
+                env(src, kind, &AdoptDataMsg { era, vrows, erows: Vec::new() })
+            }
+            RecoveryKind::Down => down(2, true, era),
+            // From the local fabric, once per rebirth, to a tracker the
+            // crash wiped back to era 0: every era is news to it.
+            RecoveryKind::Up => return None,
+            // Fails the run in whatever era it is read.
+            RecoveryKind::Abort => return None,
+            // The Batcher consumes heartbeats.
+            RecoveryKind::Lease => return None,
+        })
+    }
+
+    /// What a message could disturb: the tracker, what the engine saw of it
+    /// and the vertex data. Ghost rounds held for the local surgery are set
+    /// aside — `apply_adopt_data` checks their era when it applies them, and
+    /// the vertex data then shows whether it did.
+    fn observable(h: &mut FakeHost) -> String {
+        let held = std::mem::take(&mut h.rec.adopt_early);
+        let data: Vec<f64> =
+            (0..h.lg.num_local_vertices() as u32).map(|l| *h.lg.vertex_data(l)).collect();
+        let seen = (h.resets, &h.seeded, &h.replayed, h.snapshots, data);
+        let all = format!("{:?} {seen:?}", h.rec);
+        h.rec.adopt_early = held;
+        all
+    }
+
+    /// Delivers a copy from the superseded `era` of every era-carrying
+    /// recovery kind in the phase `h` is in, and asserts that none of them
+    /// moved the tracker, reached the engine, was answered or took a step.
+    fn assert_stale_is_inert(h: &mut FakeHost, others: [&SimEndpoint; 2], era: u32) {
+        let (phase, src) = (h.rec.phase(), if h.rec.me == 0 { 1 } else { 0 });
+        for kind in (0..=u16::MAX).filter_map(Kind::from_wire) {
+            let Kind::Recovery(kind) = kind else { continue };
+            let Some(stale) = stamped(h, src, kind, era) else { continue };
+            let before = observable(h);
+            assert_eq!(feed(h, stale), Step::Continue, "stale {kind:?} in {phase:?}");
+            assert_eq!(observable(h), before, "stale {kind:?} acted on in {phase:?}");
+            for ep in others {
+                assert_eq!(inbox(ep), [], "stale {kind:?} answered in {phase:?}");
+            }
+        }
+    }
+
     #[test]
     fn stale_era_orders_and_resumes_are_ignored() {
         let (mut h, ep0, ep2) = cluster(RecoveryMode::Adopt, None);
@@ -1189,26 +1307,59 @@ mod tests {
         let mine = h.placement.atoms_of(MachineId(1));
         write_snapshot_atoms(&h.dfs, "ckpt", 4, file, &h.lg, &mine);
         feed(&mut h, down(2, true, 2));
-        inbox(&ep0);
-        let stale_plan =
-            AdoptPlanMsg { era: 1, dead: vec![2], placement: (*h.placement).clone(), snap: None };
-        feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 1, snap: 4 }));
-        feed(&mut h, env(0, RecoveryKind::AdoptPlan, &stale_plan));
         assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 3));
-        assert_eq!((inbox(&ep0), inbox(&ep2)), (vec![], vec![]), "no marker for a stale order");
+        assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 2)]);
+        assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         // The current era's order goes through...
         feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 2, snap: 4 }));
+        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        assert_eq!([inbox(&ep0), inbox(&ep2)], [[(RecoveryKind::FlushMark, 2)]; 2]);
+        assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         for src in [0, 2] {
             feed(&mut h, env(src, RecoveryKind::FlushMark, &RecoverEraMsg { era: 2 }));
         }
         assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
         assert_eq!((h.resets, h.rec.recoveries, h.snapshots), (1, 1, 5));
+        assert_eq!(inbox(&ep0), [(RecoveryKind::Recovered, 2)]);
         // ...and only the current era's resume releases the barrier.
-        let stale = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 1 });
-        assert_eq!(feed(&mut h, stale), Step::Continue);
-        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         let current = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 2 });
         assert_eq!(feed(&mut h, current), Step::Resumed);
+        assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
+    }
+
+    /// The era fence, phase by phase: an adoption round in era 2 as the
+    /// master (machine 0) and as a worker (machine 1) lives it, with a copy
+    /// of every era-1 message delivered after each transition.
+    #[test]
+    fn a_stale_copy_of_every_kind_is_inert_in_every_phase_of_an_adoption() {
+        use RecoveryKind::*;
+        for me in [0u16, 1] {
+            let (mut h, [a, b]) = cluster_of(me, RecoveryMode::Adopt, None);
+            let peer = 1 - me;
+            let dead = [false, false, true];
+            let plan = pick_adoption(&h.dfs, "ckpt", 6, 2, &h.index, &h.placement, &dead);
+            let now = RecoverEraMsg { era: 2 };
+            let rows = AdoptDataMsg { era: 2, vrows: Vec::new(), erows: Vec::new() };
+            // What the one surviving peer sends, and where it takes `h`.
+            let round = [
+                (down(2, false, 2), RecoveryPhase::Drain),
+                match me {
+                    0 => (env(peer, Ready, &RecoverReadyMsg { era: 2 }), RecoveryPhase::FlushWait),
+                    _ => (env(peer, AdoptPlan, &plan), RecoveryPhase::FlushWait),
+                },
+                (env(peer, FlushMark, &now), RecoveryPhase::AdoptData),
+                (env(peer, AdoptData, &rows), RecoveryPhase::AwaitResume),
+                (env(peer, if me == 0 { Recovered } else { Resume }, &now), RecoveryPhase::Normal),
+            ];
+            for (msg, phase) in round {
+                feed(&mut h, msg);
+                assert_eq!(h.rec.phase(), phase, "machine {me}");
+                let _the_rounds_own_sends = (inbox(&a), inbox(&b));
+                assert_stale_is_inert(&mut h, [&a, &b], 1);
+            }
+            assert_eq!((h.rec.adoptions, h.rec.recoveries, h.resets), (1, 0, 1));
+        }
     }
 
     #[test]

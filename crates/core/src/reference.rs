@@ -55,6 +55,7 @@ where
     E: Clone + Send + Sync + 'static,
     U: UpdateFunction<V, E> + ?Sized,
 {
+    #[expect(clippy::disallowed_methods, reason = "runtime of the sequential oracle (EngineMetrics); measurement only, no wire to cross")]
     let start = Instant::now();
     let mut lg = LocalGraph::single_machine(graph, None);
     let mut globals = GlobalRegistry::new();

@@ -102,18 +102,26 @@ impl Codec for SnapshotFile {
         }
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        let nv = u32::decode(buf)? as usize;
+        let nv = row_count(buf)?;
         let mut vrows = Vec::with_capacity(nv);
         for _ in 0..nv {
             vrows.push((VertexId::decode(buf)?, Bytes::decode(buf)?));
         }
-        let ne = u32::decode(buf)? as usize;
+        let ne = row_count(buf)?;
         let mut erows = Vec::with_capacity(ne);
         for _ in 0..ne {
             erows.push((EdgeId::decode(buf)?, Bytes::decode(buf)?));
         }
         Some(SnapshotFile { vrows, erows })
     }
+}
+
+/// A row count as the file states it, refused when the bytes behind it
+/// could not hold that many rows (two at least each: an id and a blob
+/// length) — so a torn or corrupt checkpoint cannot size an allocation.
+fn row_count(buf: &mut Bytes) -> Option<usize> {
+    let n = u32::decode(buf)? as usize;
+    (n <= buf.len() / 2).then_some(n)
 }
 
 impl SnapshotFile {
@@ -248,21 +256,35 @@ where
     V: Codec,
     E: Codec,
 {
+    let applied = apply_files(dfs, snapshot_files(dfs, prefix, id)?, |file| apply_file(file, lg))?;
+    lg.reset_versions();
+    Ok(applied)
+}
+
+/// Every file of snapshot `id`, which must exist.
+fn snapshot_files(dfs: &SimDfs, prefix: &str, id: u64) -> Result<Vec<String>, String> {
     let files = dfs.list_prefix(&format!("{}/", snap_dir(prefix, id)));
     if files.is_empty() {
         return Err(format!("snapshot {id} not found under {prefix}"));
     }
-    let mut nv = 0;
-    let mut ne = 0;
+    Ok(files)
+}
+
+/// Reads and decodes each of `files` and hands it to `apply`; returns the
+/// sum of the `(vertex, edge)` row counts `apply` reports.
+fn apply_files(
+    dfs: &SimDfs,
+    files: impl IntoIterator<Item = String>,
+    mut apply: impl FnMut(SnapshotFile) -> Result<(usize, usize), String>,
+) -> Result<(usize, usize), String> {
+    let mut applied = (0, 0);
     for name in files {
         let bytes = dfs.read(&name).map_err(|e| e.to_string())?;
-        let file: SnapshotFile = decode_from(bytes).ok_or("corrupt snapshot file")?;
-        let (av, ae) = apply_file(file, lg)?;
-        nv += av;
-        ne += ae;
+        let (nv, ne) = apply(decode_from(bytes).ok_or("corrupt snapshot file")?)?;
+        applied.0 += nv;
+        applied.1 += ne;
     }
-    lg.reset_versions();
-    Ok((nv, ne))
+    Ok(applied)
 }
 
 /// Applies one checkpoint file's locally-present rows; returns the counts.
@@ -350,20 +372,10 @@ where
     E: Codec,
 {
     let wanted: std::collections::BTreeSet<u64> = atoms.iter().map(|a| a.0 as u64).collect();
-    let mut nv = 0;
-    let mut ne = 0;
-    for name in dfs.list_prefix(&format!("{}/", snap_dir(prefix, id))) {
-        match parse_snap_part(prefix, &name) {
-            Some(SnapPart { atom, .. }) if wanted.contains(&atom) => {}
-            _ => continue,
-        }
-        let bytes = dfs.read(&name).map_err(|e| e.to_string())?;
-        let file: SnapshotFile = decode_from(bytes).ok_or("corrupt snapshot file")?;
-        let (av, ae) = apply_file(file, lg)?;
-        nv += av;
-        ne += ae;
-    }
-    Ok((nv, ne))
+    let files = dfs.list_prefix(&format!("{}/", snap_dir(prefix, id))).into_iter().filter(|name| {
+        matches!(parse_snap_part(prefix, name), Some(SnapPart { atom, .. }) if wanted.contains(&atom))
+    });
+    apply_files(dfs, files, |file| apply_file(file, lg))
 }
 
 /// Restores snapshot `id` into `graph` (which must share the structure the
@@ -383,27 +395,16 @@ where
     V: Codec,
     E: Codec,
 {
-    let files = dfs.list_prefix(&format!("{}/", snap_dir(prefix, id)));
-    if files.is_empty() {
-        return Err(format!("snapshot {id} not found under {prefix}"));
-    }
-    let mut nv = 0;
-    let mut ne = 0;
-    for name in files {
-        let bytes = dfs.read(&name).map_err(|e| e.to_string())?;
-        let file: SnapshotFile = decode_from(bytes).ok_or("corrupt snapshot file")?;
+    apply_files(dfs, snapshot_files(dfs, prefix, id)?, |file| {
+        let applied = (file.vrows.len(), file.erows.len());
         for (v, blob) in file.vrows {
-            let data: V = decode_from(blob).ok_or("corrupt vertex blob")?;
-            *graph.vertex_data_mut(v) = data;
-            nv += 1;
+            *graph.vertex_data_mut(v) = decode_from(blob).ok_or("corrupt vertex blob")?;
         }
         for (e, blob) in file.erows {
-            let data: E = decode_from(blob).ok_or("corrupt edge blob")?;
-            *graph.edge_data_mut(e) = data;
-            ne += 1;
+            *graph.edge_data_mut(e) = decode_from(blob).ok_or("corrupt edge blob")?;
         }
-    }
-    Ok((nv, ne))
+        Ok(applied)
+    })
 }
 
 /// Young's first-order approximation of the optimal checkpoint interval
@@ -441,6 +442,27 @@ mod tests {
         assert_eq!(f.erows.len(), 3);
         let enc = encode_to_bytes(&f);
         assert_eq!(decode_from::<SnapshotFile>(enc), Some(f));
+    }
+
+    #[test]
+    fn an_inflated_row_count_is_refused_before_it_sizes_an_allocation() {
+        let f = SnapshotFile { vrows: vec![(VertexId(1), Bytes::from_static(b"x"))], erows: vec![] };
+        for field in 0..2 {
+            // A count no file this short could hold, in place of the
+            // vertex count and then of the edge count.
+            let mut torn = BytesMut::new();
+            if field == 1 {
+                1u32.encode(&mut torn);
+                f.vrows[0].0.encode(&mut torn);
+                f.vrows[0].1.encode(&mut torn);
+            }
+            u32::MAX.encode(&mut torn);
+            torn.extend_from_slice(&[0; 8]);
+            assert_eq!(decode_from::<SnapshotFile>(torn.freeze()), None, "count field {field}");
+        }
+        // The bound is exact: the smallest rows there are still decode.
+        let tight = SnapshotFile { vrows: vec![(VertexId(0), Bytes::new()); 3], erows: vec![] };
+        assert_eq!(decode_from::<SnapshotFile>(encode_to_bytes(&tight)), Some(tight));
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub trait Aggregate<V, E>: Send + Sync + 'static {
 /// common shape (convergence estimators, counters, GMM sufficient
 /// statistics); constructed from plain functions over the central vertex
 /// datum.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "two boxed closures whose signatures are the sync op's contract")]
 pub struct FnSync<V> {
     width: usize,
     map: Box<dyn Fn(VertexId, &V) -> Vec<f64> + Send + Sync>,

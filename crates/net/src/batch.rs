@@ -21,7 +21,7 @@
 //! - received [`K_BATCH`] envelopes are transparently unpacked, in order,
 //!   into the individual messages;
 //! - when [`BatchPolicy::compress`] is on, outgoing wire payloads at least
-//!   [`BatchPolicy::compress_min`] bytes long are run through the LZSS pass
+//!   [`COMPRESS_MIN`] bytes long are run through the LZSS pass
 //!   in [`crate::compress`] and shipped under the reserved [`K_ZIP`] kind
 //!   (original kind + compressed body), kept only when it actually
 //!   shrinks; receivers decompress transparently before unpacking. The
@@ -56,6 +56,10 @@ use crate::compress::{self, Lzss};
 /// length (2 bytes for typical engine messages, up to this bound).
 pub const SUB_HEADER_MAX_BYTES: usize = 3 + 5;
 
+/// Smallest wire payload worth an LZSS attempt: below it the stream's
+/// framing eats what a match could save.
+pub const COMPRESS_MIN: usize = 96;
+
 /// Flush policy for a [`Batcher`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
@@ -67,21 +71,13 @@ pub struct BatchPolicy {
     /// Flush a destination queue once it holds this many messages.
     pub max_msgs: usize,
     /// Compress outgoing wire payloads (batch envelopes and oversized
-    /// singles) with the LZSS pass when they reach `compress_min` bytes.
+    /// singles) with the LZSS pass when they reach [`COMPRESS_MIN`] bytes.
     pub compress: bool,
-    /// Minimum wire payload size worth compressing.
-    pub compress_min: usize,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            enabled: true,
-            max_bytes: 16 * 1024,
-            max_msgs: 64,
-            compress: true,
-            compress_min: 96,
-        }
+        BatchPolicy { enabled: true, max_bytes: 16 * 1024, max_msgs: 64, compress: true }
     }
 }
 
@@ -245,13 +241,13 @@ impl Batcher {
                 let payload = encode_to_bytes(&down);
                 for j in 0..ep.num_machines() {
                     if j != victim as usize && !l.is_dead(j) {
-                        // lint: allow(fenced-send) -- this IS the fencing machinery: the victim was masked above and the loop skips it and the already-dead
+                        #[expect(clippy::disallowed_methods, reason = "this IS the fencing machinery: the victim was masked above and the loop skips it and the already-dead")]
                         ep.send(MachineId::from(j), K_DOWN, payload.clone());
                     }
                 }
             }
         } else if l.heartbeat_due() {
-            // lint: allow(fenced-send) -- liveness signal: a heartbeat must never sit in a batch queue, and the lease master is the failure detector itself
+            #[expect(clippy::disallowed_methods, reason = "liveness signal: a heartbeat must never sit in a batch queue, and the lease master is the failure detector itself")]
             ep.send(MachineId::from(LEASE_MASTER), K_LEASE, encode_to_bytes(&l.heartbeat()));
             l.note_sent_to_master();
         }
@@ -388,7 +384,7 @@ impl Batcher {
             Wire::Queued(body) => body,
             Wire::Owned(body) => body,
         };
-        if self.policy.compress && dst != self.ep.id() && body.len() >= self.policy.compress_min {
+        if self.policy.compress && dst != self.ep.id() && body.len() >= COMPRESS_MIN {
             // The K_ZIP body, written once: kind tag, then the stream.
             self.zip.clear();
             self.zip.extend_from_slice(&kind.to_le_bytes());
@@ -397,12 +393,12 @@ impl Batcher {
                 self.counters.compressed += 1;
                 self.counters.compress_in += body.len() as u64;
                 self.counters.compress_out += self.zip.len() as u64;
-                // lint: allow(fenced-send) -- put_wire IS the fenced path's terminal hop; the fence mask was checked on entry
+                #[expect(clippy::disallowed_methods, reason = "put_wire IS the fenced path's terminal hop; the fence mask was checked on entry")]
                 self.ep.send(dst, K_ZIP, Bytes::copy_from_slice(&self.zip));
                 return;
             }
         }
-        // lint: allow(fenced-send) -- put_wire IS the fenced path's terminal hop; the fence mask was checked on entry
+        #[expect(clippy::disallowed_methods, reason = "put_wire IS the fenced path's terminal hop; the fence mask was checked on entry")]
         self.ep.send(dst, kind, match payload {
             Wire::Queued(body) => Bytes::copy_from_slice(body),
             Wire::Owned(body) => body,
@@ -448,12 +444,12 @@ impl Batcher {
         }
         // Lease detection slices the wait so heartbeats go out and the
         // master's expiry scan runs even while this machine is blocked.
-        // lint: allow(determinism) -- lease pacing is wall-clock by contract; it times heartbeats, never wire contents
+        #[expect(clippy::disallowed_methods, reason = "lease pacing is wall-clock by contract; it times heartbeats, never wire contents")]
         let deadline = Instant::now() + timeout;
         loop {
             self.lease_tick();
             let slice = self.lease.as_ref().expect("lease checked above").config().slice();
-            // lint: allow(determinism) -- remaining-wait computation for the lease-sliced block
+            #[expect(clippy::disallowed_methods, reason = "remaining-wait computation for the lease-sliced block")]
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.recv_inner(slice.min(remaining)) {
                 // Heartbeats refreshed the sender's lease on receipt; the

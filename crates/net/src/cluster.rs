@@ -364,7 +364,7 @@ impl SimEndpoint {
         let mut incs = (0u32, 0u32);
         if let Some(f) = &self.faults {
             let mut st = f.lock();
-            // lint: allow(determinism) -- resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path
+            #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
             st.poll(Instant::now());
             if !st.is_alive(self.id.index()) {
                 return;
@@ -378,7 +378,7 @@ impl SimEndpoint {
         match (&self.delay_tx, dst == self.id) {
             (Some(delay), false) => {
                 let mut st = self.send_state.lock();
-                // lint: allow(determinism) -- SimNet's clock for imposing link latency; ordering is pinned by the per-channel FIFO clamp, not by timing
+                #[expect(clippy::disallowed_methods, reason = "SimNet's clock for imposing link latency; ordering is pinned by the per-channel FIFO clamp, not by timing")]
                 let now = Instant::now();
                 let tx = self.latency.transmit_time(env.wire_bytes());
                 let prop = self.latency.propagation_delay(&mut st.jitter);
@@ -407,7 +407,7 @@ impl SimEndpoint {
                     // the receiver); skip the counters entirely.
                     let _ = self.direct[dst.index()].send(env);
                 } else if let Some(f) = &self.faults {
-                    // lint: allow(determinism) -- fault-gate delivery timestamp; the fault trace is keyed by delivery counts, not times
+                    #[expect(clippy::disallowed_methods, reason = "fault-gate delivery timestamp; the fault trace is keyed by delivery counts, not times")]
                     f.lock().on_deliver(env, incs.0, incs.1, Instant::now());
                 } else {
                     deliver(&self.direct, &self.stats, env);
@@ -432,7 +432,7 @@ impl SimEndpoint {
     fn dead_check(&self) -> Option<bool> {
         let f = self.faults.as_ref()?;
         let mut st = f.lock();
-        // lint: allow(determinism) -- resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path
+        #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
         st.poll(Instant::now());
         if st.is_alive(self.id.index()) {
             return None;
@@ -457,7 +457,7 @@ impl SimEndpoint {
         if self.dead_check().is_some() {
             return Err(RecvError::MachineDown);
         }
-        // lint: allow(blocking-recv) -- the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)
+        #[expect(clippy::disallowed_methods, reason = "the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)")]
         self.rx.recv().map_err(|_| RecvError::Disconnected)
     }
 
@@ -552,7 +552,7 @@ impl SimNet {
             (Some(dtx), Some(handle))
         };
 
-        // lint: allow(determinism) -- run-start epoch for the virtual clock; never enters payloads or traces
+        #[expect(clippy::disallowed_methods, reason = "run-start epoch for the virtual clock; never enters payloads or traces")]
         let epoch = Instant::now();
         let endpoints = rxs
             .into_iter()
@@ -647,7 +647,7 @@ fn delivery_loop(
     let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
     loop {
         // Deliver everything due.
-        // lint: allow(determinism) -- delay-thread due-time check; ordering is pinned by the per-channel FIFO clamp, not by timing
+        #[expect(clippy::disallowed_methods, reason = "delay-thread due-time check; ordering is pinned by the per-channel FIFO clamp, not by timing")]
         let now = Instant::now();
         while let Some(top) = heap.peek() {
             if top.deliver_at <= now {
@@ -661,9 +661,9 @@ fn delivery_loop(
             }
         }
         // Wait for the next due time or a new message.
+        #[expect(clippy::disallowed_methods, reason = "delay-thread sleep sizing only; early/late wakeups cannot reorder deliveries")]
         let wait = heap
             .peek()
-            // lint: allow(determinism) -- delay-thread sleep sizing only; early/late wakeups cannot reorder deliveries
             .map(|d| d.deliver_at.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(50));
         match rx.recv_timeout(wait) {

@@ -79,12 +79,10 @@ pub fn get_uvarint<B: Buf>(buf: &mut B) -> Option<u64> {
             return None;
         }
         let b = buf.get_u8();
-        if shift == 63 && (b & 0x7f) > 1 {
-            return None; // would overflow the 64th bit
-        }
         v |= ((b & 0x7f) as u64) << shift;
         if b & 0x80 == 0 {
-            return Some(v);
+            // Only a tenth byte can carry bits beyond the 64th.
+            return (shift < 63 || b <= 1).then_some(v);
         }
         shift += 7;
         if shift > 63 {

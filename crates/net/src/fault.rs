@@ -351,7 +351,7 @@ impl FaultState {
             })
             .collect();
         FaultState {
-            // lint: allow(determinism) -- anchors wall-clock Elapsed triggers; deterministic plans use delivery-count triggers
+            #[expect(clippy::disallowed_methods, reason = "anchors wall-clock Elapsed triggers; deterministic plans use delivery-count triggers")]
             start: Instant::now(),
             deliveries: 0,
             era: 0,
@@ -435,7 +435,7 @@ impl FaultState {
             // Anchor the kill-relative restart trigger to now.
             let resolved = match at {
                 FaultTrigger::Deliveries(n) => ResolvedTrigger::AtDeliveries(self.deliveries + n),
-                // lint: allow(determinism) -- Elapsed restarts are wall-clock by contract; deterministic plans use delivery-count triggers
+                #[expect(clippy::disallowed_methods, reason = "Elapsed restarts are wall-clock by contract; deterministic plans use delivery-count triggers")]
                 FaultTrigger::Elapsed(d) => ResolvedTrigger::AtTime(Instant::now() + d),
             };
             self.restarts.push((k.machine, resolved));

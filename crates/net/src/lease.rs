@@ -104,7 +104,7 @@ impl Codec for LeaseMsg {
 
 /// Wall-clock read for lease bookkeeping, kept in one place.
 fn now() -> Instant {
-    // lint: allow(determinism) -- leases are promises about real time; timestamps never enter wire payloads
+    #[expect(clippy::disallowed_methods, reason = "leases are promises about real time; timestamps never enter wire payloads")]
     Instant::now()
 }
 

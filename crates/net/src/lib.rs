@@ -69,7 +69,7 @@
 //! small control messages bound for the same machine into one envelope
 //! (flushed by size/count thresholds and before every blocking receive),
 //! preserving per-channel order. Outgoing envelopes at least
-//! [`batch::BatchPolicy::compress_min`] bytes long are additionally run
+//! [`batch::COMPRESS_MIN`] bytes long are additionally run
 //! through a dependency-free LZSS pass ([`compress`]) and shipped under a
 //! reserved kind when that shrinks them. The crate is otherwise
 //! kind-agnostic: a kind is a `u16` the application chooses, except the
@@ -100,6 +100,20 @@
 //! The crate also provides the marker/token termination detector the
 //! locking engine is built from ([`termination::Safra`], the algorithm of
 //! Misra \[26\] in its counter-carrying Safra formulation).
+
+#![deny(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "unit tests drive raw endpoints and time themselves; the invariants bind shipped code"
+    )
+)]
 
 pub mod batch;
 pub mod cluster;

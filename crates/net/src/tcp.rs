@@ -169,7 +169,7 @@ impl TcpNet {
         assert!(n > 0, "cluster needs at least one machine");
         assert!(me.index() < n, "machine id {me} out of range for {n} peers");
 
-        // lint: allow(determinism) -- mesh-dial deadline; the real-socket backend is wall-clock by nature
+        #[expect(clippy::disallowed_methods, reason = "mesh-dial deadline; the real-socket backend is wall-clock by nature")]
         let deadline = Instant::now() + cfg.connect_timeout;
         let listener = bind_retry(&cfg.peers[me.index()], deadline)?;
         listener.set_nonblocking(true)?;
@@ -327,7 +327,7 @@ impl TcpEndpoint {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // lint: allow(determinism) -- probation clock; the real-socket backend is wall-clock by nature
+        #[expect(clippy::disallowed_methods, reason = "probation clock; the real-socket backend is wall-clock by nature")]
         let now = Instant::now();
         if out.retry_after.is_some_and(|t| now < t) {
             return; // peer recently unreachable: fail fast, drop the message
@@ -342,8 +342,9 @@ impl TcpEndpoint {
                 return;
             }
         }
-        // lint: allow(determinism) -- probation clock; the real-socket backend is wall-clock by nature
-        out.retry_after = Some(Instant::now() + RECONNECT_TIMEOUT);
+        #[expect(clippy::disallowed_methods, reason = "probation clock; the real-socket backend is wall-clock by nature")]
+        let retry_after = Instant::now() + RECONNECT_TIMEOUT;
+        out.retry_after = Some(retry_after);
     }
 
     /// Broadcasts to every *other* machine.
@@ -364,7 +365,7 @@ impl TcpEndpoint {
 
     /// Blocking receive.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
-        // lint: allow(blocking-recv) -- the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)
+        #[expect(clippy::disallowed_methods, reason = "the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)")]
         self.rx.recv().map_err(|_| RecvError::Disconnected)
     }
 
@@ -541,7 +542,7 @@ fn dial(addr: &str, src: MachineId, n: u16, run_id: u64, deadline: Instant) -> i
             }
             Err(e) => e,
         };
-        // lint: allow(determinism) -- dial-retry deadline; the real-socket backend is wall-clock by nature
+        #[expect(clippy::disallowed_methods, reason = "dial-retry deadline; the real-socket backend is wall-clock by nature")]
         if Instant::now() >= deadline {
             return Err(err);
         }
@@ -556,7 +557,7 @@ fn bind_retry(addr: &str, deadline: Instant) -> io::Result<TcpListener> {
         match TcpListener::bind(addr) {
             Ok(l) => return Ok(l),
             Err(e) => {
-                // lint: allow(determinism) -- bind-retry deadline; the real-socket backend is wall-clock by nature
+                #[expect(clippy::disallowed_methods, reason = "bind-retry deadline; the real-socket backend is wall-clock by nature")]
                 if Instant::now() >= deadline {
                     return Err(e);
                 }

@@ -160,12 +160,12 @@ impl Endpoint {
 
     /// Blocking receive; elapsed time is charged to the net-wait counter.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
-        // lint: allow(determinism) -- net-wait phase accounting (EngineMetrics); measurement only
+        #[expect(clippy::disallowed_methods, reason = "net-wait phase accounting (EngineMetrics); measurement only")]
         let t0 = Instant::now();
         let r = match &self.imp {
-            // lint: allow(blocking-recv) -- seam delegation to the backend's blessed blocking primitive (PR 5 termination audit)
+            #[expect(clippy::disallowed_methods, reason = "seam delegation to the backend's blessed blocking primitive (PR 5 termination audit)")]
             Imp::Sim(e) => e.recv(),
-            // lint: allow(blocking-recv) -- seam delegation to the backend's blessed blocking primitive (PR 5 termination audit)
+            #[expect(clippy::disallowed_methods, reason = "seam delegation to the backend's blessed blocking primitive (PR 5 termination audit)")]
             Imp::Tcp(e) => e.recv(),
         };
         self.wait_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -175,7 +175,7 @@ impl Endpoint {
     /// Blocking receive with timeout; elapsed time (including timeouts) is
     /// charged to the net-wait counter.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        // lint: allow(determinism) -- net-wait phase accounting (EngineMetrics); measurement only
+        #[expect(clippy::disallowed_methods, reason = "net-wait phase accounting (EngineMetrics); measurement only")]
         let t0 = Instant::now();
         let r = match &self.imp {
             Imp::Sim(e) => e.recv_timeout(timeout),

@@ -22,6 +22,11 @@
 //! (delivery thread + clamp paths), and TcpNet over real localhost
 //! sockets spanning genuinely concurrent mesh setup.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the suite exercises the raw endpoint contract itself: sends, broadcasts and timed waits below the Batcher"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 

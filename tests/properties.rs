@@ -771,6 +771,29 @@ mod wire_codec {
     }
 }
 
+/// Every `impl Codec` in `core/src/messages.rs` is named inside
+/// `mod wire_codec` above: a wire type cannot land without a roundtrip
+/// property beside the others.
+#[test]
+fn every_codec_impl_in_messages_has_a_wire_codec_property() {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let impls: Vec<&str> = include_str!("../crates/core/src/messages.rs")
+        .lines()
+        .filter(|l| l.starts_with("impl"))
+        .filter_map(|l| l.split_once(" Codec for "))
+        .map(|(_, ty)| ty.split(|c| !ident(c)).next().expect("split yields one item"))
+        .collect();
+    assert!(impls.len() >= 22, "the scan lost the impls it used to find: {impls:?}");
+    let suite = include_str!("properties.rs")
+        .split_once("\nmod wire_codec {")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .expect("tests/properties.rs has a `mod wire_codec`")
+        .0;
+    let covered: std::collections::BTreeSet<&str> = suite.split(|c| !ident(c)).collect();
+    let missing: Vec<&&str> = impls.iter().filter(|ty| !covered.contains(**ty)).collect();
+    assert!(missing.is_empty(), "`impl Codec` without a wire_codec property: {missing:?}");
+}
+
 /// ISSUE 3: the LZSS pass under the batch envelopes decompresses to
 /// exactly what was compressed, for every byte string, and the batcher's
 /// compressed envelopes deliver the original messages in order.
@@ -1141,7 +1164,7 @@ mod scope_plans {
     /// `(n, machines, edges, owner)`: endpoints drawn from `0..2n` fold
     /// their upper half onto vertices 0 and 1, so those are hubs and carry
     /// parallel edges and self-loops.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a strategy over the tuple the doc comment spells out")]
     fn arb_cluster() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>, Vec<usize>)> {
         (2usize..24, 1usize..5).prop_flat_map(|(n, machines)| {
             let end = move |x: usize| if x < n { x } else { x % 2 };
