@@ -58,7 +58,7 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 const RECOVERY_POLL: Duration = Duration::from_millis(25);
 
 /// An open block goes on the wire once it holds this many bytes: well under
-/// `BatchPolicy::max_bytes`, so ghost changes leave while the colour-step
+/// `graphlab_net::batch::BATCH_BYTES`, so ghost changes leave while the colour-step
 /// still runs (§4.2.1) and blocks share the batcher's envelopes.
 const BLOCK_BYTES: usize = 4 * 1024;
 
@@ -162,6 +162,11 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     update_count_map: BTreeMap<VertexId, u64>,
     snapshots_taken: u64,
     last_snap_updates: u64,
+    /// Master only: the highest cumulative update count each peer has
+    /// reported in a `SyncPart`. Per-peer maxima, so the cluster total
+    /// stays monotone across rollbacks (local counts never reset) and
+    /// adoptions (a dead peer's last report stands).
+    m_peer_updates: Vec<u64>,
     straggled: bool,
     effects: UpdateEffects,
     /// Row scratch: the datum of the row being sent, encoded once for
@@ -220,6 +225,7 @@ where
             update_count_map: BTreeMap::new(),
             snapshots_taken: 0,
             last_snap_updates: 0,
+            m_peer_updates: vec![0; m],
             straggled: false,
             effects: UpdateEffects::default(),
             rowbuf: BytesMut::new(),
@@ -692,6 +698,14 @@ where
         }
     }
 
+    /// The master's view of the cluster-wide update count: its own plus
+    /// what the peers' sync partials reported — exact at a fault-free cycle
+    /// end, and the same over TCP as on SimNet (the process-shared
+    /// `LiveCounters` only ever hold the machines of this process).
+    fn observed_updates(&self) -> u64 {
+        self.updates_local + self.m_peer_updates.iter().sum::<u64>()
+    }
+
     /// Cycle-end sync + halt + snapshot coordination. Returns
     /// `(halt, snapshot_id)`.
     fn cycle_end_round(&mut self, cycle: u64) -> Result<(bool, Option<u64>), Interrupt> {
@@ -714,9 +728,11 @@ where
                     None => self.recv_env(RECV_TIMEOUT)?,
                 };
                 if kind == ChromKind::SyncPart {
+                    let src = env.src.index();
                     let p: SyncPartialMsg = dec(env.payload);
                     assert_eq!(p.cycle, cycle, "sync round out of step");
                     pend += p.pending;
+                    self.m_peer_updates[src] = self.m_peer_updates[src].max(p.updates);
                     combine_partials(&self.setup.syncs, &mut accs, &p.partials);
                     received.vote();
                 } else {
@@ -728,8 +744,7 @@ where
             }
             let total = self.lg.total_vertices();
             let globals_rows = finalize_into(&self.setup.syncs, accs, total, &mut self.globals);
-            let g_updates =
-                self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
+            let g_updates = self.observed_updates();
             let cap = self.setup.config.max_updates;
             // Aggregate-driven termination (§3.5): the stop predicate runs
             // over the just-finalized globals, composing with the cap and
@@ -901,8 +916,7 @@ where
         self.sent.iter_mut().for_each(|s| s.fill(0));
         self.cycle_updates = 0;
         self.effects.clear();
-        self.last_snap_updates =
-            self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed);
+        self.last_snap_updates = self.observed_updates();
     }
 
     fn reseed(&mut self, l: u32) {
@@ -925,7 +939,7 @@ mod tests {
     use crate::driver::{scripted_machine, NoUpdate};
     use graphlab_atoms::VertexPartition;
     use graphlab_graph::{AtomId, GraphBuilder};
-    use graphlab_net::{BatchPolicy, SimEndpoint};
+    use graphlab_net::BatchPolicy;
 
     type Machine = ChromaticMachine<f64, f64, NoUpdate>;
 
@@ -936,17 +950,17 @@ mod tests {
         graph: &graphlab_graph::DataGraph<f64, f64>,
         partition: &VertexPartition,
         machines: usize,
-    ) -> (Machine, Vec<SimEndpoint>) {
+    ) -> (Machine, Vec<Endpoint>) {
         let mut config = crate::EngineConfig::new(machines);
         config.batch = BatchPolicy::disabled();
         let (setup, init, mut eps) =
             scripted_machine(graph, partition, MachineId(0), config, InitialSchedule::AllVertices);
-        (ChromaticMachine::new(eps.remove(0).into(), setup, init), eps)
+        (ChromaticMachine::new(eps.remove(0), setup, init), eps)
     }
 
     /// The complete digraph on three vertices, vertex `i` on machine `i`:
     /// machine 0's vertex has a mirror on both peers.
-    fn triangle() -> (Machine, Vec<SimEndpoint>) {
+    fn triangle() -> (Machine, Vec<Endpoint>) {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
         for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
@@ -957,7 +971,7 @@ mod tests {
     }
 
     /// The ring on eight vertices over two machines.
-    fn ring() -> (Machine, Vec<SimEndpoint>) {
+    fn ring() -> (Machine, Vec<Endpoint>) {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
         for i in 0..8 {
@@ -983,7 +997,7 @@ mod tests {
     type VertexBlock = (ChromKind, (u64, u8), Vec<(u32, u64)>);
 
     /// The next envelope at `ep`, read as a vertex row block.
-    fn vertex_block(ep: &SimEndpoint) -> Option<VertexBlock> {
+    fn vertex_block(ep: &Endpoint) -> Option<VertexBlock> {
         let env = ep.try_recv().ok()?;
         let mut rows = Vec::new();
         let tag = read_all(&env.payload, |p| {
@@ -995,7 +1009,7 @@ mod tests {
     }
 
     /// The next envelope at `ep` as a flush marker: `(kind, step, count)`.
-    fn flush_marker(ep: &SimEndpoint) -> Option<(ChromKind, u64, u64)> {
+    fn flush_marker(ep: &Endpoint) -> Option<(ChromKind, u64, u64)> {
         let env = ep.try_recv().ok()?;
         let kind = kind_of(&env);
         let f: FlushMsg = dec(env.payload);
@@ -1128,6 +1142,53 @@ mod tests {
         assert!(peers[0].try_recv().is_err());
         assert_eq!(m.sent, [[0, 1], [0, 0]]);
         assert!(m.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.queued[g as usize]));
+    }
+
+    /// The master decides the `max_updates` halt and the snapshot trigger
+    /// from the counts the sync partials carry — its own plus each peer's
+    /// highest — and not from the process's `LiveCounters`, which under
+    /// `Transport::Tcp` hold machine 0's updates only (the cap then applied
+    /// per machine and snapshots came ~m times late).
+    #[test]
+    fn the_master_counts_updates_from_the_sync_partials() {
+        use crate::config::{SnapshotConfig, SnapshotMode};
+        use std::sync::atomic::Ordering;
+        let (mut m, peers) = ring();
+        m.setup.config.max_updates = 100;
+        m.setup.config.snapshot =
+            SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 40, max_snapshots: 9 };
+        m.pending_total = 1; // work is left: only the cap can halt the run
+        m.updates_local = 10;
+        // One cycle end with machine 1 reporting `updates`: what the master
+        // decided, as broadcast.
+        let mut cycle = 0;
+        let mut round = |m: &mut Machine, updates: u64| {
+            let part = SyncPartialMsg { cycle, partials: Vec::new(), pending: 1, updates };
+            handle_from(m, 1, ChromKind::SyncPart, enc(&part));
+            assert!(m.cycle_end_round(cycle).is_ok());
+            cycle += 1;
+            let env = peers[0].try_recv().expect("the round's globals");
+            assert_eq!(kind_of(&env), ChromKind::SyncGlob);
+            let g: SyncGlobalsMsg = dec(env.payload);
+            (g.halt, g.snapshot)
+        };
+
+        // The shared atomic is far past the cap and the interval; the
+        // reported 10 + 20 updates are past neither.
+        m.setup.counters.updates.store(10_000, Ordering::Relaxed);
+        assert_eq!(round(&mut m, 20), (false, None));
+        // From here the atomic says nothing ran, and the reports decide.
+        m.setup.counters.updates.store(0, Ordering::Relaxed);
+        assert_eq!(round(&mut m, 35), (false, Some(0)), "10 + 35 crosses the interval");
+        assert_eq!(round(&mut m, 5), (false, None), "a stale, lower report never lowers the total");
+        assert_eq!((m.observed_updates(), m.last_snap_updates), (45, 45));
+        assert_eq!(round(&mut m, 80), (false, Some(0)), "10 + 80: an interval past the last");
+        // A rollback re-bases the trigger on the same view.
+        m.last_snap_updates = 0;
+        m.reset_engine_state();
+        m.pending_total = 1;
+        assert_eq!(m.last_snap_updates, 90);
+        assert_eq!(round(&mut m, 95), (true, None), "10 + 95 crosses the cap");
     }
 
     /// Regression: `reset_engine_state` (rollback, crash wipe) forgot

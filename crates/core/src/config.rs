@@ -90,9 +90,9 @@ pub struct EngineConfig {
     /// Message batching/coalescing policy: small control messages (lock
     /// hops, grants, schedule requests, write-backs) bound for the same
     /// machine ride one envelope. Flushed by size/count thresholds and
-    /// before every blocking receive. `BatchPolicy::compress` additionally
+    /// before every blocking receive. The default additionally
     /// LZ-compresses envelopes of at least `graphlab_net::batch::COMPRESS_MIN`
-    /// bytes (on by default);
+    /// bytes;
     /// `BatchPolicy::uncompressed()` keeps batching but ships raw bytes,
     /// `BatchPolicy::disabled()` sends every message individually and raw
     /// (ablation baselines).

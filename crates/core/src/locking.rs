@@ -1844,7 +1844,7 @@ mod tests {
     /// Machine 2 of three over the complete digraph on three vertices,
     /// vertex `i` on machine `i`, full consistency, unbatched; plus machine
     /// 0's endpoint, where machine 2's scope data arrives.
-    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, graphlab_net::SimEndpoint) {
+    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, Endpoint) {
         let mut b = graphlab_graph::GraphBuilder::new();
         let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
         for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
@@ -1860,7 +1860,7 @@ mod tests {
         let none = InitialSchedule::Vertices(Vec::new());
         let (setup, init, mut eps) =
             scripted_machine(&b.build(), &one_each, MachineId(2), config, none);
-        (LockingMachine::new(eps.pop().unwrap().into(), setup, init), eps.swap_remove(0))
+        (LockingMachine::new(eps.pop().unwrap(), setup, init), eps.swap_remove(0))
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's
@@ -1893,7 +1893,7 @@ mod tests {
         let release = |reqid: u64| {
             from0(LockKind::Release, enc(&ReleaseMsg { reqid, vwrites: vec![], ewrites: vec![] }))
         };
-        let answered = |ep: &graphlab_net::SimEndpoint| -> Option<u64> {
+        let answered = |ep: &Endpoint| -> Option<u64> {
             let env = ep.try_recv().ok()?;
             assert_eq!(Kind::of(&env), Kind::Lock(LockKind::ScopeData));
             Some(dec::<ScopeDataMsg>(env.payload).reqid)

@@ -2,8 +2,14 @@
 //!
 //! The counters here are *simulation instrumentation*: shared atomics that
 //! bypass the share-nothing message rule (the real system would aggregate
-//! them post-hoc from per-machine logs). They never influence engine
-//! behaviour.
+//! them post-hoc from per-machine logs) and hold only the machines of this
+//! process — one, under `Transport::Tcp`. The masters' halt, sync and
+//! snapshot decisions do not read them (both engines count updates from
+//! the messages they get). Three reads remain in the engines, each a
+//! per-machine approximation over TCP: the `max_updates` break in the
+//! middle of a chromatic colour-step (the cycle end decides the halt), the
+//! same cap in the locking engine's `pump`, and the one-shot
+//! `EngineConfig::straggler` trigger.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

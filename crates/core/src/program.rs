@@ -256,14 +256,6 @@ where
         self
     }
 
-    /// Replaces the whole [`EngineConfig`] (callers that already carry
-    /// one, e.g. across sweep arms). Builder methods called afterwards
-    /// still apply on top.
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Registers a sync operation (§3.5): `op` maintains the global value
     /// read back through `ctx.global(handle)`, re-evaluated per `cadence`.
     ///

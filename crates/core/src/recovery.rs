@@ -1023,7 +1023,7 @@ mod tests {
 
     use graphlab_atoms::{build_atoms, write_atoms, VertexPartition};
     use graphlab_graph::{GraphBuilder, VertexId};
-    use graphlab_net::{BatchPolicy, FaultPlan, FaultTrigger, LatencyModel, SimEndpoint, SimNet};
+    use graphlab_net::{BatchPolicy, Endpoint, FaultPlan, FaultTrigger, LatencyModel, SimNet};
 
     use crate::snapshot::write_snapshot_atoms;
 
@@ -1076,7 +1076,7 @@ mod tests {
     fn cluster(
         mode: RecoveryMode,
         faults: Option<FaultPlan>,
-    ) -> (FakeHost, SimEndpoint, SimEndpoint) {
+    ) -> (FakeHost, Endpoint, Endpoint) {
         let (host, [ep0, ep2]) = cluster_of(1, mode, faults);
         (host, ep0, ep2)
     }
@@ -1087,7 +1087,7 @@ mod tests {
         me: u16,
         mode: RecoveryMode,
         faults: Option<FaultPlan>,
-    ) -> (FakeHost, [SimEndpoint; 2]) {
+    ) -> (FakeHost, [Endpoint; 2]) {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..12).map(|i| b.add_vertex(i as f64)).collect();
         for i in 0..12 {
@@ -1107,7 +1107,7 @@ mod tests {
         let mine = eps.remove(me as usize);
         let host = FakeHost {
             rec: RecoveryTracker::new(me as usize, 3),
-            net: Batcher::new(mine.into(), BatchPolicy::disabled()),
+            net: Batcher::new(mine, BatchPolicy::disabled()),
             lg: LocalGraph::from_init(init, None),
             dfs,
             index,
@@ -1137,7 +1137,7 @@ mod tests {
 
     /// Everything in `ep`'s inbox, as `(kind, era)` (every recovery
     /// message starts with its era).
-    fn inbox(ep: &SimEndpoint) -> Vec<(RecoveryKind, u32)> {
+    fn inbox(ep: &Endpoint) -> Vec<(RecoveryKind, u32)> {
         std::iter::from_fn(|| ep.try_recv().ok())
             .map(|mut e| {
                 let Kind::Recovery(kind) = Kind::of(&e) else { panic!("engine traffic: {e:?}") };
@@ -1175,7 +1175,7 @@ mod tests {
     /// Machine 2 dies for good under adoption; returns the host drained
     /// for era 1, the master's plan, and a vertex the host will mirror
     /// from machine 0 under it.
-    fn drained_for_adoption() -> (FakeHost, SimEndpoint, AdoptPlanMsg, VertexId) {
+    fn drained_for_adoption() -> (FakeHost, Endpoint, AdoptPlanMsg, VertexId) {
         let (mut h, ep0, _ep2) = cluster(RecoveryMode::Adopt, None);
         assert_eq!(feed(&mut h, down(2, false, 1)), Step::Continue);
         assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 2));
@@ -1286,7 +1286,7 @@ mod tests {
     /// Delivers a copy from the superseded `era` of every era-carrying
     /// recovery kind in the phase `h` is in, and asserts that none of them
     /// moved the tracker, reached the engine, was answered or took a step.
-    fn assert_stale_is_inert(h: &mut FakeHost, others: [&SimEndpoint; 2], era: u32) {
+    fn assert_stale_is_inert(h: &mut FakeHost, others: [&Endpoint; 2], era: u32) {
         let (phase, src) = (h.rec.phase(), if h.rec.me == 0 { 1 } else { 0 });
         for kind in (0..=u16::MAX).filter_map(Kind::from_wire) {
             let Kind::Recovery(kind) = kind else { continue };

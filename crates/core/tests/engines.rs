@@ -650,3 +650,74 @@ fn chromatic_traffic_is_per_step_not_per_update() {
         out.metrics.steps
     );
 }
+
+// ---- the distributed skeleton over real sockets ----
+
+/// `n` loopback addresses nothing listens on: bound to port 0 for the
+/// kernel to pick them, then released (the spawn harness's allocation).
+fn free_ports(n: usize) -> Vec<String> {
+    let held: Vec<std::net::TcpListener> =
+        (0..n).map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind :0")).collect();
+    held.iter().map(|l| l.local_addr().expect("bound").to_string()).collect()
+}
+
+/// Two `Transport::Tcp` machines — two threads of this process, each with
+/// its own copy of the graph, as two OS processes would have — do the work
+/// of their SimNet twin and reach its fixpoint to the bit: the engine sees
+/// one endpoint, whichever fabric is under it.
+#[test]
+fn chromatic_over_tcp_matches_its_simnet_twin() {
+    let (updates, steps, data) =
+        chromatic_outcome(web(1_500), 2, ConsistencyModel::Edge, DynamicPageRank(1e-10));
+    let peers = free_ports(2);
+    let run_id = u64::from(std::process::id()) << 16 | 0xE9;
+    let machines: Vec<_> = (0..2u16)
+        .map(|m| {
+            let config = TcpConfig::new(graphlab_graph::MachineId(m), peers.clone(), run_id);
+            std::thread::spawn(move || {
+                let mut graph = web(1_500);
+                let out = GraphLab::on(&mut graph)
+                    .engine(EngineKind::Chromatic)
+                    .machines(2)
+                    .consistency(ConsistencyModel::Edge)
+                    .seed(42)
+                    .transport(Transport::Tcp(config))
+                    .try_run(DynamicPageRank(1e-10))
+                    .expect("a clean run");
+                let owned = out.owned.expect("a TCP run reports what it wrote back");
+                let rows: Vec<_> =
+                    owned.iter().map(|&v| (v.index(), graph.vertex_data(v).to_bits())).collect();
+                (out.metrics.updates, out.metrics.steps, rows)
+            })
+        })
+        .collect();
+    let mut merged = vec![None; data.len()];
+    let mut total = 0;
+    for machine in machines {
+        let (u, s, rows) = machine.join().expect("machine thread");
+        assert_eq!(s, steps, "colour-steps");
+        total += u;
+        for (v, bits) in rows {
+            assert!(merged[v].replace(bits).is_none(), "vertex {v} written back twice");
+        }
+    }
+    assert_eq!(total, updates, "updates, summed over the machines");
+    assert!(merged.iter().map(|b| b.expect("every vertex owned")).eq(data), "fixpoint bits");
+}
+
+/// A peer that never comes up ends `try_run` in an `Err` at the mesh
+/// deadline, not in a panic or a hang.
+#[test]
+fn tcp_run_with_an_unreachable_peer_fails_cleanly() {
+    let mut config = TcpConfig::new(graphlab_graph::MachineId(0), free_ports(2), 7);
+    config.connect_timeout = Duration::from_millis(200);
+    let mut graph = ring(8);
+    let err = GraphLab::on(&mut graph)
+        .engine(EngineKind::Chromatic)
+        .machines(2)
+        .transport(Transport::Tcp(config))
+        .try_run(MaxDiffusion)
+        .err()
+        .expect("no mesh, no run");
+    assert!(err.contains("tcp mesh setup failed"), "{err}");
+}

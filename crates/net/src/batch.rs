@@ -10,8 +10,8 @@
 //! - [`Batcher::send_with`] writes the sub-header into the destination's
 //!   queue buffer and lets the caller encode the message straight behind it
 //!   — the engines' data plane: one copy per message, no buffer of its own —
-//!   and flushes the queue when the [`BatchPolicy`] thresholds (message
-//!   count or payload bytes) are hit; [`Batcher::send`] takes a finished
+//!   and flushes the queue when a threshold ([`BATCH_MSGS`] messages or
+//!   [`BATCH_BYTES`] bytes) is hit; [`Batcher::send`] takes a finished
 //!   [`Bytes`] payload down the same path (control traffic);
 //! - oversized payloads flush their queue first (order!) and go out
 //!   unbatched;
@@ -20,7 +20,7 @@
 //!   batching can therefore never deadlock an engine;
 //! - received [`K_BATCH`] envelopes are transparently unpacked, in order,
 //!   into the individual messages;
-//! - when [`BatchPolicy::compress`] is on, outgoing wire payloads at least
+//! - under [`BatchPolicy::Compressed`], outgoing wire payloads at least
 //!   [`COMPRESS_MIN`] bytes long are run through the LZSS pass
 //!   in [`crate::compress`] and shipped under the reserved [`K_ZIP`] kind
 //!   (original kind + compressed body), kept only when it actually
@@ -60,38 +60,39 @@ pub const SUB_HEADER_MAX_BYTES: usize = 3 + 5;
 /// framing eats what a match could save.
 pub const COMPRESS_MIN: usize = 96;
 
-/// Flush policy for a [`Batcher`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Master switch; `false` makes the batcher a transparent pass-through.
-    pub enabled: bool,
-    /// Flush a destination queue once its buffered bytes reach this bound;
-    /// payloads at least this large bypass batching entirely.
-    pub max_bytes: usize,
-    /// Flush a destination queue once it holds this many messages.
-    pub max_msgs: usize,
-    /// Compress outgoing wire payloads (batch envelopes and oversized
-    /// singles) with the LZSS pass when they reach [`COMPRESS_MIN`] bytes.
-    pub compress: bool,
-}
+/// A destination queue is flushed once its buffered bytes reach this bound;
+/// payloads at least this large bypass batching entirely.
+pub const BATCH_BYTES: usize = 16 * 1024;
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy { enabled: true, max_bytes: 16 * 1024, max_msgs: 64, compress: true }
-    }
+/// A destination queue is flushed once it holds this many messages.
+pub const BATCH_MSGS: usize = 64;
+
+/// What a [`Batcher`] does with outgoing messages.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BatchPolicy {
+    /// Pass-through: every message goes out individually and raw.
+    Disabled,
+    /// Coalesce messages per destination up to [`BATCH_BYTES`] /
+    /// [`BATCH_MSGS`]; ship the envelopes raw.
+    Uncompressed,
+    /// Coalesce, and run outgoing wire payloads (batch envelopes and
+    /// oversized singles) of at least [`COMPRESS_MIN`] bytes through the
+    /// LZSS pass.
+    #[default]
+    Compressed,
 }
 
 impl BatchPolicy {
     /// A pass-through policy: every message goes out individually and raw
     /// (ablation / traffic-accounting baselines).
     pub fn disabled() -> Self {
-        BatchPolicy { enabled: false, compress: false, ..BatchPolicy::default() }
+        BatchPolicy::Disabled
     }
 
     /// Default batching thresholds without the compression pass (wire
     /// format ablation arm).
     pub fn uncompressed() -> Self {
-        BatchPolicy { compress: false, ..BatchPolicy::default() }
+        BatchPolicy::Uncompressed
     }
 }
 
@@ -203,11 +204,6 @@ impl Batcher {
         self.lease = Some(LeaseState::new(me, self.ep.num_machines(), cfg));
     }
 
-    /// Whether lease detection is on.
-    pub fn lease_enabled(&self) -> bool {
-        self.lease.is_some()
-    }
-
     /// Engine hook: a death was observed (any detector). Fences the dead
     /// machine out of the lease table so the detector never re-declares
     /// it, and keeps the era monotone.
@@ -308,7 +304,7 @@ impl Batcher {
         patch_len(&mut q.buf, len_at, len);
         q.count += 1;
         self.counters.queued += 1;
-        if q.count >= self.policy.max_msgs || q.buf.len() >= self.policy.max_bytes {
+        if q.count >= BATCH_MSGS || q.buf.len() >= BATCH_BYTES {
             self.flush(dst);
         }
     }
@@ -316,7 +312,7 @@ impl Batcher {
     /// Whether a `len`-byte payload for `dst` bypasses the queue: the
     /// pass-through policy, self-sends, and payloads a queue may not hold.
     fn goes_alone(&self, dst: MachineId, len: usize) -> bool {
-        !self.policy.enabled || dst == self.ep.id() || len >= self.policy.max_bytes
+        self.policy == BatchPolicy::Disabled || dst == self.ep.id() || len >= BATCH_BYTES
     }
 
     /// Sends `payload` unbatched, behind everything queued ahead of it
@@ -384,7 +380,8 @@ impl Batcher {
             Wire::Queued(body) => body,
             Wire::Owned(body) => body,
         };
-        if self.policy.compress && dst != self.ep.id() && body.len() >= COMPRESS_MIN {
+        if self.policy == BatchPolicy::Compressed && dst != self.ep.id() && body.len() >= COMPRESS_MIN
+        {
             // The K_ZIP body, written once: kind tag, then the stream.
             self.zip.clear();
             self.zip.extend_from_slice(&kind.to_le_bytes());
@@ -537,8 +534,8 @@ mod tests {
 
     fn pair(policy: BatchPolicy) -> (SimNet, Batcher, Batcher) {
         let (net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        let b1 = Batcher::new(eps.pop().unwrap().into(), policy);
-        let b0 = Batcher::new(eps.pop().unwrap().into(), policy);
+        let b1 = Batcher::new(eps.pop().unwrap(), policy);
+        let b0 = Batcher::new(eps.pop().unwrap(), policy);
         (net, b0, b1)
     }
 
@@ -562,22 +559,22 @@ mod tests {
 
     #[test]
     fn count_threshold_triggers_flush() {
-        let policy = BatchPolicy { max_msgs: 3, ..BatchPolicy::default() };
-        let (net, mut b0, _b1) = pair(policy);
-        for k in 0..3u16 {
+        let (net, mut b0, _b1) = pair(BatchPolicy::default());
+        for k in 1..BATCH_MSGS as u16 {
             b0.send(MachineId(1), k, Bytes::new());
         }
-        assert_eq!(net.stats().total_msgs(), 1, "auto-flush at max_msgs");
+        assert_eq!(net.stats().total_msgs(), 0, "still buffered");
+        b0.send(MachineId(1), 0, Bytes::new());
+        assert_eq!(net.stats().total_msgs(), 1, "auto-flush at BATCH_MSGS");
     }
 
     #[test]
     fn byte_threshold_triggers_flush() {
-        let policy = BatchPolicy { max_bytes: 100, ..BatchPolicy::default() };
-        let (net, mut b0, _b1) = pair(policy);
-        b0.send(MachineId(1), 0, Bytes::from(vec![0u8; 60]));
+        let (net, mut b0, _b1) = pair(BatchPolicy::default());
+        b0.send(MachineId(1), 0, Bytes::from(vec![0u8; BATCH_BYTES * 3 / 5]));
         assert_eq!(net.stats().total_msgs(), 0, "still buffered");
-        b0.send(MachineId(1), 1, Bytes::from(vec![0u8; 60]));
-        assert_eq!(net.stats().total_msgs(), 1, "auto-flush at max_bytes");
+        b0.send(MachineId(1), 1, Bytes::from(vec![0u8; BATCH_BYTES * 3 / 5]));
+        assert_eq!(net.stats().total_msgs(), 1, "auto-flush at BATCH_BYTES");
     }
 
     #[test]
@@ -593,14 +590,14 @@ mod tests {
     }
 
     /// What `send_with` queues and ships is what `send` does, whatever the
-    /// payload length does to the sub-header (1-, 2- and 3-byte varints) and
-    /// for a payload that turns out too big for the queue.
+    /// payload length does to the sub-header (1- and 2-byte length varints,
+    /// up to the longest payload a queue holds) and for payloads that turn
+    /// out too big for the queue.
     #[test]
     fn in_place_append_matches_send() {
-        let policy = BatchPolicy { max_bytes: 20_000, ..BatchPolicy::uncompressed() };
-        let lens = [0usize, 1, 127, 128, 300, 16_383, 16_384, 25_000, 5];
-        let (net_a, mut a0, mut a1) = pair(policy);
-        let (net_b, mut b0, mut b1) = pair(policy);
+        let lens = [0usize, 1, 127, 128, 300, BATCH_BYTES - 1, BATCH_BYTES, 25_000, 5];
+        let (net_a, mut a0, mut a1) = pair(BatchPolicy::uncompressed());
+        let (net_b, mut b0, mut b1) = pair(BatchPolicy::uncompressed());
         for (k, &len) in lens.iter().enumerate() {
             let payload: Vec<u8> = (0..len).map(|i| (i * 7 + k) as u8).collect();
             a0.send(MachineId(1), k as u16, Bytes::from(payload.clone()));
@@ -619,16 +616,15 @@ mod tests {
 
     #[test]
     fn oversized_payload_flushes_queue_first() {
-        let policy = BatchPolicy { max_bytes: 64, ..BatchPolicy::default() };
-        let (_net, mut b0, mut b1) = pair(policy);
+        let (_net, mut b0, mut b1) = pair(BatchPolicy::default());
         b0.send(MachineId(1), 0, Bytes::from(vec![1u8; 8]));
-        b0.send(MachineId(1), 1, Bytes::from(vec![2u8; 256])); // oversized
+        b0.send(MachineId(1), 1, Bytes::from(vec![2u8; BATCH_BYTES])); // oversized
         b0.flush_all();
         // Order preserved: queued small message first, then the big one.
         let a = b1.recv_timeout(Duration::from_secs(1)).unwrap();
         let b = b1.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!((a.kind, b.kind), (0, 1));
-        assert_eq!(b.payload.len(), 256);
+        assert_eq!(b.payload.len(), BATCH_BYTES);
     }
 
     #[test]
@@ -740,8 +736,8 @@ mod tests {
         // The master's sliced wait must synthesize a fabric-shaped K_DOWN
         // (restart = false, era 1) within a bounded number of periods.
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        let _b1 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-        let mut b0 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+        let _b1 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
+        let mut b0 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
         b0.enable_lease(crate::lease::LeaseConfig::with_period(TEST_LEASE));
         let t0 = std::time::Instant::now();
         let env = b0.recv_timeout(20 * TEST_LEASE).expect("death notice");
@@ -761,8 +757,8 @@ mod tests {
         // Both machines idle in their receive loops; the worker's
         // heartbeats must keep its lease alive for many periods.
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        let mut b1 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-        let mut b0 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+        let mut b1 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
+        let mut b0 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
         let cfg = crate::lease::LeaseConfig::with_period(TEST_LEASE);
         b0.enable_lease(cfg);
         b1.enable_lease(cfg);

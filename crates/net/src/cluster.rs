@@ -1,11 +1,14 @@
-//! The simulated cluster fabric: machine endpoints, message envelopes,
-//! delayed delivery, and traffic accounting.
+//! The simulated cluster fabric: message envelopes, delayed delivery,
+//! traffic accounting, and the `SimLink` an [`Endpoint`] sends through.
 //!
-//! A [`SimNet`] wires `n` machine [`SimEndpoint`]s together. Sending is
-//! non-blocking (channels are unbounded, like the paper's asynchronous RPC
-//! over TCP); receiving blocks with optional timeout. When the
-//! [`LatencyModel`] is non-zero a dedicated delivery thread holds messages
-//! in a deliver-at-ordered heap.
+//! A [`SimNet`] wires `n` machine [`Endpoint`]s together: one inbox channel
+//! per machine, which the endpoint receives from (the receive half is
+//! [`crate::transport`]'s, shared with the TCP fabric) and which this
+//! module delivers into. Sending is non-blocking (channels are unbounded,
+//! like the paper's asynchronous RPC over TCP). When the [`LatencyModel`]
+//! is non-zero a dedicated delivery thread holds messages in a
+//! deliver-at-ordered heap; when a [`FaultPlan`] is installed every send
+//! and delivery passes its gate ([`crate::fault`]).
 //!
 //! # Delivery guarantees
 //!
@@ -40,12 +43,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use graphlab_graph::MachineId;
 use parking_lot::Mutex;
 
 use crate::fault::{FaultEvent, FaultPlan, FaultState};
 use crate::latency::LatencyModel;
+use crate::transport::{Endpoint, Link};
 
 /// Shared, lock-protected fault state (present only when a
 /// [`FaultPlan`] was installed).
@@ -319,172 +323,82 @@ struct SendState {
     channels: Vec<ChannelState>,
 }
 
-/// One machine's handle on the fabric.
-pub struct SimEndpoint {
-    id: MachineId,
-    n: usize,
+/// How an envelope leaves a [`SimNet`] machine: the [`Endpoint`]'s link
+/// over the simulated fabric.
+pub(crate) struct SimLink {
+    /// Every machine's inbox, for zero-latency delivery at the send point.
     direct: Vec<Sender<Envelope>>,
-    rx: Receiver<Envelope>,
     delay_tx: Option<Sender<Delayed>>,
     latency: LatencyModel,
-    stats: Arc<NetStats>,
     faults: Option<FaultCtl>,
     // Send-side state; endpoints are owned by exactly one machine thread.
     send_state: Mutex<SendState>,
 }
 
-impl SimEndpoint {
-    /// This machine's id.
-    pub fn id(&self) -> MachineId {
-        self.id
+impl SimLink {
+    /// Fault gate at the send point: a dead machine's sends vanish without
+    /// touching any counter (the process is gone), while sends *to* a dead
+    /// machine are still charged as sent and dropped at the delivery point.
+    /// Returns the (src, dst) incarnations at send time.
+    pub(crate) fn admit(&self, src: MachineId, dst: MachineId) -> Option<(u32, u32)> {
+        let Some(f) = &self.faults else { return Some((0, 0)) };
+        let mut st = f.lock();
+        #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
+        st.poll(Instant::now());
+        st.is_alive(src.index()).then(|| st.incarnations(src.index(), dst.index()))
     }
 
-    /// Number of machines in the cluster.
-    pub fn num_machines(&self) -> usize {
-        self.n
-    }
-
-    /// Traffic counters shared by the whole cluster.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
-    }
-
-    /// Sends `payload` to `dst` with application tag `kind`.
-    ///
-    /// Self-sends are delivered through the same path (useful for uniform
-    /// engine code), but charged zero network bytes.
-    ///
-    /// Under a fault plan, a dead machine's sends vanish without touching
-    /// any counter (the process is gone), while sends *to* a dead machine
-    /// are still charged as sent and dropped at the delivery point.
-    pub fn send(&self, dst: MachineId, kind: u16, payload: Bytes) {
-        let env = Envelope { src: self.id, dst, kind, payload };
-        let wire = env.wire_bytes() as u64;
-        // Fault gate at the send point.
-        let mut incs = (0u32, 0u32);
-        if let Some(f) = &self.faults {
-            let mut st = f.lock();
-            #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
-            st.poll(Instant::now());
-            if !st.is_alive(self.id.index()) {
-                return;
-            }
-            incs = st.incarnations(self.id.index(), dst.index());
-        }
-        if dst != self.id {
-            self.stats.bytes_sent[self.id.index()].fetch_add(wire, Ordering::Relaxed);
-            self.stats.msgs_sent[self.id.index()].fetch_add(1, Ordering::Relaxed);
-        }
-        match (&self.delay_tx, dst == self.id) {
-            (Some(delay), false) => {
-                let mut st = self.send_state.lock();
-                #[expect(clippy::disallowed_methods, reason = "SimNet's clock for imposing link latency; ordering is pinned by the per-channel FIFO clamp, not by timing")]
-                let now = Instant::now();
-                let tx = self.latency.transmit_time(env.wire_bytes());
-                let prop = self.latency.propagation_delay(&mut st.jitter);
-                let seq = st.seq;
-                st.seq += 1;
-                let ch = &mut st.channels[dst.index()];
-                // Link serialization: transmission starts when the channel
-                // is free, charging queueing delay behind earlier
-                // (possibly large) messages.
-                let start = ch.free_at.max(now);
-                ch.free_at = start + tx;
-                // FIFO clamp: jitter must not let this message arrive
-                // before its channel predecessor.
-                let deliver_at = (ch.free_at + prop).max(ch.last_deliver_at);
-                ch.last_deliver_at = deliver_at;
-                // The push to the delivery thread stays under the lock:
-                // heap-insertion order must match schedule order, or a
-                // concurrent sender on the same channel could get its
-                // later message delivered while this one is in transit to
-                // the heap. Delivery thread gone => shutting down; drop.
-                let _ = delay.send(Delayed { deliver_at, seq, env, incs });
-            }
-            _ => {
-                if dst == self.id {
-                    // Self-sends are free and always deliverable (we hold
-                    // the receiver); skip the counters entirely.
-                    let _ = self.direct[dst.index()].send(env);
-                } else if let Some(f) = &self.faults {
-                    #[expect(clippy::disallowed_methods, reason = "fault-gate delivery timestamp; the fault trace is keyed by delivery counts, not times")]
-                    f.lock().on_deliver(env, incs.0, incs.1, Instant::now());
-                } else {
-                    deliver(&self.direct, &self.stats, env);
-                }
-            }
+    /// Schedules `env` (admitted under `incs`, bound for another machine)
+    /// on its channel, or delivers it on the spot at zero latency.
+    pub(crate) fn send(&self, stats: &NetStats, env: Envelope, incs: (u32, u32)) {
+        if let Some(delay) = &self.delay_tx {
+            let mut st = self.send_state.lock();
+            #[expect(clippy::disallowed_methods, reason = "SimNet's clock for imposing link latency; ordering is pinned by the per-channel FIFO clamp, not by timing")]
+            let now = Instant::now();
+            let tx = self.latency.transmit_time(env.wire_bytes());
+            let prop = self.latency.propagation_delay(&mut st.jitter);
+            let seq = st.seq;
+            st.seq += 1;
+            let ch = &mut st.channels[env.dst.index()];
+            // Link serialization: transmission starts when the channel
+            // is free, charging queueing delay behind earlier
+            // (possibly large) messages.
+            let start = ch.free_at.max(now);
+            ch.free_at = start + tx;
+            // FIFO clamp: jitter must not let this message arrive
+            // before its channel predecessor.
+            let deliver_at = (ch.free_at + prop).max(ch.last_deliver_at);
+            ch.last_deliver_at = deliver_at;
+            // The push to the delivery thread stays under the lock:
+            // heap-insertion order must match schedule order, or a
+            // concurrent sender on the same channel could get its
+            // later message delivered while this one is in transit to
+            // the heap. Delivery thread gone => shutting down; drop.
+            let _ = delay.send(Delayed { deliver_at, seq, env, incs });
+        } else if let Some(f) = &self.faults {
+            #[expect(clippy::disallowed_methods, reason = "fault-gate delivery timestamp; the fault trace is keyed by delivery counts, not times")]
+            f.lock().on_deliver(env, incs.0, incs.1, Instant::now());
+        } else {
+            deliver(&self.direct, stats, env);
         }
     }
 
-    /// Broadcasts to every *other* machine.
-    pub fn broadcast(&self, kind: u16, payload: &Bytes) {
-        for i in 0..self.n {
-            let dst = MachineId::from(i);
-            if dst != self.id {
-                self.send(dst, kind, payload.clone());
-            }
-        }
-    }
-
-    /// If this machine is currently dead, drains its inbox (a crash loses
-    /// volatile state) and reports whether a restart is scheduled.
+    /// If machine `id` is currently dead, drains its inbox `rx` (a crash
+    /// loses volatile state) and reports whether a restart is scheduled.
     /// `None` = alive.
-    fn dead_check(&self) -> Option<bool> {
+    pub(crate) fn dead_check(&self, id: MachineId, rx: &Receiver<Envelope>) -> Option<bool> {
         let f = self.faults.as_ref()?;
         let mut st = f.lock();
         #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
         st.poll(Instant::now());
-        if st.is_alive(self.id.index()) {
+        if st.is_alive(id.index()) {
             return None;
         }
         // Drain under the fault lock: a restart (which injects the K_UP
         // marker) cannot interleave with the drain, so the marker is never
         // swept away.
-        while self.rx.try_recv().is_ok() {}
-        Some(st.restart_scheduled(self.id.index()))
-    }
-
-    /// Whether this machine is currently dead, and if so whether the plan
-    /// schedules a restart (`Some(true)` = will come back). An engine that
-    /// sees [`RecvError::MachineDown`] uses this to decide between waiting
-    /// for rebirth and giving up.
-    pub fn self_death(&self) -> Option<bool> {
-        self.dead_check()
-    }
-
-    /// Blocking receive.
-    pub fn recv(&self) -> Result<Envelope, RecvError> {
-        if self.dead_check().is_some() {
-            return Err(RecvError::MachineDown);
-        }
-        #[expect(clippy::disallowed_methods, reason = "the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)")]
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    /// Blocking receive with timeout. When the machine is dead the call
-    /// sleeps briefly (bounded by `timeout`) and returns
-    /// [`RecvError::MachineDown`], so engine loops poll their way through
-    /// the dead window without spinning.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        if self.dead_check().is_some() {
-            std::thread::sleep(timeout.min(Duration::from_millis(5)));
-            return Err(RecvError::MachineDown);
-        }
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<Envelope, RecvError> {
-        if self.dead_check().is_some() {
-            return Err(RecvError::MachineDown);
-        }
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => RecvError::Timeout,
-            TryRecvError::Disconnected => RecvError::Disconnected,
-        })
+        while rx.try_recv().is_ok() {}
+        Some(st.restart_scheduled(id.index()))
     }
 }
 
@@ -498,12 +412,12 @@ pub struct SimNet {
 impl SimNet {
     /// Creates a fabric of `n` machines with the given latency model and
     /// returns one endpoint per machine.
-    pub fn new(n: usize, latency: LatencyModel) -> (SimNet, Vec<SimEndpoint>) {
+    pub fn new(n: usize, latency: LatencyModel) -> (SimNet, Vec<Endpoint>) {
         Self::with_seed(n, latency, 0x9E37_79B9_7F4A_7C15)
     }
 
     /// As [`SimNet::new`] with an explicit jitter seed.
-    pub fn with_seed(n: usize, latency: LatencyModel, seed: u64) -> (SimNet, Vec<SimEndpoint>) {
+    pub fn with_seed(n: usize, latency: LatencyModel, seed: u64) -> (SimNet, Vec<Endpoint>) {
         Self::build(n, latency, seed, None)
     }
 
@@ -514,7 +428,7 @@ impl SimNet {
         latency: LatencyModel,
         seed: u64,
         plan: FaultPlan,
-    ) -> (SimNet, Vec<SimEndpoint>) {
+    ) -> (SimNet, Vec<Endpoint>) {
         Self::build(n, latency, seed, Some(plan))
     }
 
@@ -523,7 +437,7 @@ impl SimNet {
         latency: LatencyModel,
         seed: u64,
         plan: Option<FaultPlan>,
-    ) -> (SimNet, Vec<SimEndpoint>) {
+    ) -> (SimNet, Vec<Endpoint>) {
         assert!(n > 0, "cluster needs at least one machine");
         let stats = Arc::new(NetStats::new(n));
         let mut txs = Vec::with_capacity(n);
@@ -557,22 +471,22 @@ impl SimNet {
         let endpoints = rxs
             .into_iter()
             .enumerate()
-            .map(|(i, rx)| SimEndpoint {
-                id: MachineId::from(i),
-                n,
-                direct: txs.clone(),
-                rx,
-                delay_tx: delay_tx.clone(),
-                latency,
-                stats: Arc::clone(&stats),
-                faults: faults.clone(),
-                send_state: Mutex::new(SendState {
-                    jitter: seed ^ (i as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407),
-                    seq: 0,
-                    channels: (0..n)
-                        .map(|_| ChannelState { free_at: epoch, last_deliver_at: epoch })
-                        .collect(),
-                }),
+            .map(|(i, rx)| {
+                let link = SimLink {
+                    direct: txs.clone(),
+                    delay_tx: delay_tx.clone(),
+                    latency,
+                    faults: faults.clone(),
+                    send_state: Mutex::new(SendState {
+                        jitter: seed ^ (i as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407),
+                        seq: 0,
+                        channels: (0..n)
+                            .map(|_| ChannelState { free_at: epoch, last_deliver_at: epoch })
+                            .collect(),
+                    }),
+                };
+                let stats = Arc::clone(&stats);
+                Endpoint::new(MachineId::from(i), n, stats, rx, txs[i].clone(), Link::Sim(link))
             })
             .collect();
 
@@ -601,8 +515,8 @@ impl Drop for SimNet {
     }
 }
 
-/// Charges one envelope to the send-side counters. Transports call this at
-/// the send point (self-sends are free and must not be charged).
+/// Charges one envelope to the send-side counters: [`Endpoint::send`], at
+/// the send point (self-sends are free and are not charged).
 pub(crate) fn charge_send(stats: &NetStats, env: &Envelope) {
     let src = env.src.index();
     stats.bytes_sent[src].fetch_add(env.wire_bytes() as u64, Ordering::Relaxed);
@@ -627,9 +541,7 @@ pub(crate) fn charge_delivery(stats: &NetStats, env: &Envelope) {
 pub(crate) fn deliver(inboxes: &[Sender<Envelope>], stats: &NetStats, env: Envelope) {
     let dst = env.dst.index();
     let wire = env.wire_bytes() as u64;
-    stats.bytes_received[dst].fetch_add(wire, Ordering::Relaxed);
-    stats.msgs_received[dst].fetch_add(1, Ordering::Relaxed);
-    stats.charge_kinds(&env, 1);
+    charge_delivery(stats, &env);
     // A refused envelope comes back in the error: roll its rows back.
     if let Err(refused) = inboxes[dst].send(env) {
         stats.bytes_received[dst].fetch_sub(wire, Ordering::Relaxed);

@@ -1,12 +1,12 @@
 //! # graphlab-net
 //!
 //! The cluster runtime underlying the distributed GraphLab reproduction
-//! (§4.4 "System Design"), behind one **transport seam**.
+//! (§4.4 "System Design"), behind one **endpoint**.
 //!
 //! The paper runs one symmetric GraphLab process per EC2 machine,
 //! communicating through a custom asynchronous RPC protocol over TCP/IP.
-//! This crate offers that fabric twice behind a single seam
-//! ([`transport::Endpoint`] / [`transport::Net`], selected by
+//! This crate offers that fabric twice under one machine handle,
+//! [`transport::Endpoint`] (the fabric is selected by
 //! [`transport::Transport`]):
 //!
 //! - [`cluster::SimNet`] — the deterministic in-process twin: every
@@ -16,13 +16,16 @@
 //!   (one per machine, full mesh, handshake-validated), for honest
 //!   wall-clock numbers.
 //!
-//! Both backends expose identical semantics — per-channel FIFO, the same
+//! Both deliver into the endpoint's inbox channel, so receiving, self-sends,
+//! `broadcast` and the send counters are one implementation; a fabric
+//! contributes only the private `Link` an envelope for another machine
+//! leaves through (delay heap + fault gate, or a framed socket write). The
+//! semantics are therefore identical — per-channel FIFO, the same
 //! [`cluster::RecvError`] meanings, free self-sends, delivery-charged
-//! [`cluster::NetStats`] — and are pinned to each other by a shared
-//! transport-conformance suite, so engine protocols proven under chaos on
-//! `SimNet` run byte-for-byte unchanged over sockets (the
-//! FoundationDB/MadSim pattern). Three properties keep the fabric honest
-//! on either backend:
+//! [`cluster::NetStats`] — and pinned by a conformance suite over both, so
+//! engine protocols proven under chaos on `SimNet` run byte-for-byte
+//! unchanged over sockets (the FoundationDB/MadSim pattern). Three
+//! properties keep the fabric honest on either backend:
 //!
 //! 1. **Share-nothing**: every payload crossing a machine boundary must be
 //!    encoded to bytes through the [`codec::Codec`] trait. Machines never
@@ -128,13 +131,13 @@ pub mod transport;
 
 pub use batch::{BatchCounters, BatchPolicy, Batcher};
 pub use cluster::{
-    Envelope, KindTraffic, MachineTraffic, NetStats, RecvError, SimEndpoint, SimNet, K_BATCH,
-    K_DOWN, K_LEASE, K_UP, K_ZIP,
+    Envelope, KindTraffic, MachineTraffic, NetStats, RecvError, SimNet, K_BATCH, K_DOWN, K_LEASE,
+    K_UP, K_ZIP,
 };
 pub use codec::{decode_from, encode_to_bytes, Codec};
 pub use fault::{DownMsg, FaultEvent, FaultPlan, FaultTrigger, UpMsg};
 pub use latency::LatencyModel;
 pub use lease::{LeaseConfig, LeaseMsg, LeaseState};
-pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpEndpoint, TcpNet, MIN_TCP_LEASE};
+pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpNet, MIN_TCP_LEASE};
 pub use termination::{Safra, SafraAction, Token};
-pub use transport::{Endpoint, Net, Transport};
+pub use transport::{Endpoint, Transport};

@@ -1,7 +1,9 @@
 //! Real-TCP transport: the same [`Envelope`] fabric as [`SimNet`], but
 //! between OS processes over length-prefixed frames on localhost or a real
 //! network (§4.4: one symmetric GraphLab process per machine, asynchronous
-//! RPC over TCP/IP).
+//! RPC over TCP/IP). The machine's handle is the same [`Endpoint`] as on
+//! the sim fabric — socket readers deliver into its inbox — and this module
+//! supplies the `TcpLink` its sends leave through.
 //!
 //! [`TcpNet::connect`] builds a full mesh: every machine listens on its own
 //! address and dials every peer, so each ordered (src, dst) pair owns one
@@ -37,11 +39,12 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Sender};
 use graphlab_graph::MachineId;
 use parking_lot::Mutex;
 
-use crate::cluster::{charge_delivery, charge_send, Envelope, NetStats, RecvError};
+use crate::cluster::{charge_delivery, Envelope, NetStats};
+use crate::transport::{Endpoint, Link};
 
 /// First handshake field; rejects random port scanners and cross-protocol
 /// connects before any state is allocated.
@@ -150,10 +153,9 @@ pub fn shutdown_active() {
 
 /// Owner handle of one machine's TCP transport (listener, acceptor and
 /// reader threads). Dropping it closes every connection and joins the I/O
-/// threads; the paired [`TcpEndpoint`] should be dropped first.
+/// threads; the paired [`Endpoint`] should be dropped first.
 pub struct TcpNet {
     shared: Arc<TcpShared>,
-    stats: Arc<NetStats>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -163,7 +165,7 @@ impl TcpNet {
     /// dials every peer (retrying until `connect_timeout`) with the
     /// handshake. Returns once all outgoing connections are established —
     /// incoming ones complete asynchronously as peers dial in.
-    pub fn connect(cfg: &TcpConfig) -> io::Result<(TcpNet, TcpEndpoint)> {
+    pub fn connect(cfg: &TcpConfig) -> io::Result<(TcpNet, Endpoint)> {
         let n = cfg.peers.len();
         let me = cfg.machine;
         assert!(n > 0, "cluster needs at least one machine");
@@ -180,7 +182,7 @@ impl TcpNet {
         let (inbox_tx, rx) = channel::unbounded();
         let threads = Mutex::new(Vec::new());
 
-        let net = TcpNet { shared: Arc::clone(&shared), stats: Arc::clone(&stats), threads };
+        let net = TcpNet { shared: Arc::clone(&shared), threads };
 
         // Acceptor: validates handshakes and spawns one reader per incoming
         // stream, for the life of the transport (reconnects re-enter here).
@@ -209,25 +211,10 @@ impl TcpNet {
             outs.push(Mutex::new(OutLink::new(Some(s))));
         }
 
-        let ep = TcpEndpoint {
-            id: me,
-            n,
-            run_id: cfg.run_id,
-            peers: cfg.peers.clone(),
-            stats,
-            outs,
-            shared,
-            inbox_tx,
-            rx,
-        };
+        let link = TcpLink { run_id: cfg.run_id, peers: cfg.peers.clone(), outs, shared };
+        let ep = Endpoint::new(me, n, stats, rx, inbox_tx, Link::Tcp(link));
         MESH_UP.store(true, Ordering::SeqCst);
         Ok((net, ep))
-    }
-
-    /// This machine's view of the traffic counters (own rows only; peers
-    /// account for themselves).
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
     }
 
     /// Graceful shutdown: stops further sends and closes the write half of
@@ -270,51 +257,26 @@ impl OutLink {
     }
 }
 
-/// One machine's handle on the TCP fabric; the real-socket counterpart of
-/// [`crate::cluster::SimEndpoint`] with identical send/receive semantics.
-pub struct TcpEndpoint {
-    id: MachineId,
-    n: usize,
+/// How an envelope leaves a [`TcpNet`] machine: the [`Endpoint`]'s link
+/// over real sockets, one outgoing stream per peer.
+pub(crate) struct TcpLink {
     run_id: u64,
     peers: Vec<String>,
-    stats: Arc<NetStats>,
     outs: Vec<Mutex<OutLink>>,
     shared: Arc<TcpShared>,
-    inbox_tx: Sender<Envelope>,
-    rx: Receiver<Envelope>,
 }
 
-impl TcpEndpoint {
-    /// This machine's id.
-    pub fn id(&self) -> MachineId {
-        self.id
-    }
-
-    /// Number of machines in the cluster.
-    pub fn num_machines(&self) -> usize {
-        self.n
-    }
-
-    /// This machine's traffic counters.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
-    }
-
-    /// Sends `payload` to `dst`. Self-sends deliver through the inbox and
-    /// are charged zero network bytes, like the sim fabric. A broken stream
-    /// is redialled once (with a fresh handshake); if that also fails the
-    /// message is dropped — the peer is gone — and the link enters a
-    /// fail-fast probation: further sends drop immediately (no dial, no
-    /// stall) until `RECONNECT_TIMEOUT` has passed, so a dead peer costs
-    /// the caller at most one redial deadline per probation window.
-    pub fn send(&self, dst: MachineId, kind: u16, payload: Bytes) {
-        let env = Envelope { src: self.id, dst, kind, payload };
-        if dst == self.id {
-            let _ = self.inbox_tx.send(env);
-            return;
-        }
-        charge_send(&self.stats, &env);
-        let mut out = self.outs[dst.index()].lock();
+impl TcpLink {
+    /// Writes `env` (already charged, bound for another machine) to its
+    /// peer's stream. A broken stream is redialled once (with a fresh
+    /// handshake); if that also fails the message is dropped — the peer is
+    /// gone — and the link enters a fail-fast probation: further sends drop
+    /// immediately (no dial, no stall) until `RECONNECT_TIMEOUT` has
+    /// passed, so a dead peer costs the caller at most one redial deadline
+    /// per probation window.
+    pub(crate) fn send(&self, env: Envelope) {
+        let dst = env.dst.index();
+        let mut out = self.outs[dst].lock();
         let OutLink { stream, frame, .. } = &mut *out;
         let sent = match stream {
             Some(s) => write_frame(s, &env, frame).is_ok(),
@@ -333,8 +295,8 @@ impl TcpEndpoint {
             return; // peer recently unreachable: fail fast, drop the message
         }
         let deadline = now + RECONNECT_TIMEOUT;
-        if let Ok(mut s) = dial(&self.peers[dst.index()], self.id, self.n as u16, self.run_id, deadline)
-        {
+        let n = self.peers.len() as u16;
+        if let Ok(mut s) = dial(&self.peers[dst], env.src, n, self.run_id, deadline) {
             if write_frame(&mut s, &env, &mut out.frame).is_ok() {
                 self.shared.register(&s);
                 out.stream = Some(s);
@@ -345,51 +307,6 @@ impl TcpEndpoint {
         #[expect(clippy::disallowed_methods, reason = "probation clock; the real-socket backend is wall-clock by nature")]
         let retry_after = Instant::now() + RECONNECT_TIMEOUT;
         out.retry_after = Some(retry_after);
-    }
-
-    /// Broadcasts to every *other* machine.
-    pub fn broadcast(&self, kind: u16, payload: &Bytes) {
-        for i in 0..self.n {
-            let dst = MachineId::from(i);
-            if dst != self.id {
-                self.send(dst, kind, payload.clone());
-            }
-        }
-    }
-
-    /// Fault-plan self-inspection: always `None` — deterministic fault
-    /// injection lives on [`crate::cluster::SimNet`] only.
-    pub fn self_death(&self) -> Option<bool> {
-        None
-    }
-
-    /// Blocking receive.
-    pub fn recv(&self) -> Result<Envelope, RecvError> {
-        #[expect(clippy::disallowed_methods, reason = "the transport-layer primitive itself; engines only call the seam's recv_timeout (PR 5 termination audit)")]
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    /// Blocking receive with timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => RecvError::Timeout,
-            TryRecvError::Disconnected => RecvError::Disconnected,
-        })
-    }
-
-    /// Graceful shutdown of the send side: peers drain in-flight frames and
-    /// then observe EOF. Equivalent to [`TcpNet::shutdown`].
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.close_all(Shutdown::Write);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Transport-conformance suite: the contract both fabric backends must
 //! satisfy, run against each of them through one generic harness.
 //!
-//! The seam ([`Endpoint`]/[`Net`]) promises the engines identical
-//! observable semantics regardless of backend:
+//! The [`Endpoint`] promises the engines identical observable semantics
+//! regardless of backend:
 //!
 //! - **per-channel FIFO**: messages from A to B arrive in send order,
 //!   whatever their sizes and whatever other channels are doing;
@@ -17,7 +17,7 @@
 //!   send point, receives to the receiver's row at actual delivery, both
 //!   at `HEADER_BYTES + payload` per envelope.
 //!
-//! Every test body is written once against the seam and executed per
+//! Every test body is written once against the endpoint and executed per
 //! backend: SimNet at zero latency, SimNet under a jittery latency model
 //! (delivery thread + clamp paths), and TcpNet over real localhost
 //! sockets spanning genuinely concurrent mesh setup.
@@ -33,9 +33,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use graphlab_graph::MachineId;
 use graphlab_net::cluster::HEADER_BYTES;
-use graphlab_net::{
-    Endpoint, LatencyModel, Net, RecvError, SimNet, TcpConfig, TcpNet,
-};
+use graphlab_net::{Endpoint, LatencyModel, RecvError, SimNet, TcpConfig, TcpNet};
 
 #[derive(Clone, Copy, Debug)]
 enum Backend {
@@ -62,14 +60,15 @@ fn alloc_ports(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Builds an `n`-machine cluster on the given backend. Callers must drop
-/// the endpoints before the nets (the sim fabric's delivery thread only
+/// Builds an `n`-machine cluster on the given backend: its owner handles
+/// (kept only to be dropped) and its endpoints. Callers must drop the
+/// endpoints before the owners (the sim fabric's delivery thread only
 /// exits once every endpoint is gone) — which `run_on` guarantees.
-fn cluster(backend: Backend, n: usize) -> (Vec<Net>, Vec<Endpoint>) {
+fn cluster(backend: Backend, n: usize) -> (Box<dyn std::any::Any>, Vec<Endpoint>) {
     match backend {
         Backend::SimZero => {
             let (net, eps) = SimNet::new(n, LatencyModel::ZERO);
-            (vec![Net::Sim(net)], eps.into_iter().map(Into::into).collect())
+            (Box::new(net), eps)
         }
         Backend::SimLatency => {
             let model = LatencyModel {
@@ -78,7 +77,7 @@ fn cluster(backend: Backend, n: usize) -> (Vec<Net>, Vec<Endpoint>) {
                 jitter: Duration::from_micros(80),
             };
             let (net, eps) = SimNet::with_seed(n, model, 0xC0FFEE);
-            (vec![Net::Sim(net)], eps.into_iter().map(Into::into).collect())
+            (Box::new(net), eps)
         }
         Backend::Tcp => {
             let peers = alloc_ports(n);
@@ -89,20 +88,15 @@ fn cluster(backend: Backend, n: usize) -> (Vec<Net>, Vec<Endpoint>) {
                     std::thread::spawn(move || TcpNet::connect(&cfg).expect("tcp mesh"))
                 })
                 .collect();
-            let mut nets = Vec::with_capacity(n);
-            let mut eps = Vec::with_capacity(n);
-            for h in handles {
-                let (net, ep) = h.join().expect("mesh thread");
-                nets.push(Net::Tcp(net));
-                eps.push(ep.into());
-            }
-            (nets, eps)
+            let (nets, eps): (Vec<TcpNet>, Vec<Endpoint>) =
+                handles.into_iter().map(|h| h.join().expect("mesh thread")).unzip();
+            (Box::new(nets), eps)
         }
     }
 }
 
 /// Runs `body` once per backend with a fresh `n`-machine cluster,
-/// tearing down endpoints-before-nets.
+/// tearing down endpoints before owners.
 fn run_on(n: usize, body: impl Fn(Backend, &mut Vec<Endpoint>)) {
     for backend in BACKENDS {
         let (nets, mut eps) = cluster(backend, n);
@@ -195,12 +189,27 @@ fn recv_timeout_and_try_recv_semantics() {
         let waited = t0.elapsed();
         assert!(waited >= Duration::from_millis(25), "{backend:?}: returned early ({waited:?})");
         assert!(waited < Duration::from_secs(5), "{backend:?}: overslept ({waited:?})");
-        // The wait was charged to the seam's net-wait counter.
-        assert!(eps[1].net_wait() >= Duration::from_millis(25), "{backend:?}: net-wait uncharged");
         // A message that then arrives is delivered, not swallowed.
         eps[0].send(MachineId(1), 3, seq_payload(0));
         let env = eps[1].recv_timeout(Duration::from_secs(10)).expect("delivered");
         assert_eq!(env.kind, 3, "{backend:?}");
+    });
+}
+
+#[test]
+fn only_blocking_waits_are_charged_as_net_wait() {
+    run_on(2, |backend, eps| {
+        let wait = eps[1].net_wait_counter();
+        let charged = || Duration::from_nanos(wait.load(Ordering::Relaxed));
+        // A poll is not a wait, on an empty inbox or a full one.
+        assert!(matches!(eps[1].try_recv(), Err(RecvError::Timeout)), "{backend:?}");
+        eps[1].send(MachineId(1), 1, Bytes::new());
+        eps[1].try_recv().expect("self-sends are in the inbox when send returns");
+        assert_eq!(charged(), Duration::ZERO, "{backend:?}: try_recv charged as net-wait");
+        // A receive that times out spent its whole timeout waiting.
+        let r = eps[1].recv_timeout(Duration::from_millis(30));
+        assert!(matches!(r, Err(RecvError::Timeout)), "{backend:?}: {r:?}");
+        assert!(charged() >= Duration::from_millis(25), "{backend:?}: net-wait uncharged");
     });
 }
 

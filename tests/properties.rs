@@ -567,8 +567,8 @@ mod wire_codec {
     fn appended_in_place(put: impl FnOnce(&mut BytesMut)) -> Bytes {
         use graphlab::net::{BatchPolicy, Batcher, LatencyModel, SimNet};
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        let mut rx = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-        let mut tx = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+        let mut rx = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
+        let mut tx = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
         tx.send(MachineId(1), 1, Bytes::from_static(b"ahead"));
         tx.send_with(MachineId(1), 2, put);
         tx.flush_all();
@@ -879,8 +879,8 @@ mod compression {
         in_place: impl Fn(bool) -> bool,
     ) -> (Vec<Got>, u64, u64) {
         let (net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-        let mut rx = Batcher::new(eps.pop().unwrap().into(), policy);
-        let mut tx = Batcher::new(eps.pop().unwrap().into(), policy);
+        let mut rx = Batcher::new(eps.pop().unwrap(), policy);
+        let mut tx = Batcher::new(eps.pop().unwrap(), policy);
         for (k, &(flag, fill, size)) in msgs.iter().enumerate() {
             // Half constant fill, half a counter: some of it compresses.
             let payload: Vec<u8> =
@@ -983,8 +983,8 @@ mod compression {
             // Mixed compressible (constant-fill) payload sizes through a
             // compressing batcher: contents and order must be preserved.
             let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
-            let mut b1 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
-            let mut b0 = Batcher::new(eps.pop().unwrap().into(), BatchPolicy::default());
+            let mut b1 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
+            let mut b0 = Batcher::new(eps.pop().unwrap(), BatchPolicy::default());
             for (k, (fill, size)) in payloads.iter().enumerate() {
                 b0.send(MachineId(1), k as u16, Bytes::from(vec![*fill as u8; *size]));
             }
