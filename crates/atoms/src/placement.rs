@@ -245,6 +245,11 @@ impl Placement {
         self.num_machines
     }
 
+    /// Number of atoms placed.
+    pub fn num_atoms(&self) -> usize {
+        self.machine_of.len()
+    }
+
     /// Atoms assigned to `machine`.
     pub fn atoms_of(&self, machine: MachineId) -> Vec<AtomId> {
         self.machine_of

@@ -72,12 +72,34 @@ pub struct LocalGraph<V, E> {
 impl<V, E> LocalGraph<V, E> {
     /// Materialises an ingress part. `coloring`, when present, attaches a
     /// colour to every local vertex (chromatic engine).
+    ///
+    /// Local ids are the ranks of the global ids, so an `init` ascending by
+    /// global id — what [`graphlab_atoms::load_machine_part`] returns — is
+    /// taken as it is; any other order is sorted first.
     pub fn from_init(init: LocalGraphInit<V, E>, coloring: Option<&Coloring>) -> Self {
-        let LocalGraphInit { machine, num_machines, vertices, edges, total_vertices, total_edges } =
-            init;
+        let LocalGraphInit {
+            machine,
+            num_machines,
+            mut vertices,
+            mut edges,
+            total_vertices,
+            total_edges,
+        } = init;
+        // (Asked first: the stable sort would set up its merge buffer even
+        // for sorted input.)
+        if !vertices.is_sorted_by_key(|v| v.gvid) {
+            vertices.sort_by_key(|v| v.gvid);
+        }
+        if !edges.is_sorted_by_key(|e| e.geid) {
+            edges.sort_by_key(|e| e.geid);
+        }
         let nv = vertices.len();
         let ne = edges.len();
 
+        // Global → local, dense up to the largest local vertex, for the edge
+        // endpoints below; `vmap` serves the lookups of the run.
+        const ABSENT: u32 = u32::MAX;
+        let mut local = vec![ABSENT; vertices.last().map_or(0, |v| v.gvid.index() + 1)];
         let mut vmap = IdMap::with_capacity_and_hasher(nv, Default::default());
         let mut gvid = Vec::with_capacity(nv);
         let mut vowner = Vec::with_capacity(nv);
@@ -88,6 +110,7 @@ impl<V, E> LocalGraph<V, E> {
         for (i, InitVertex { gvid: g, atom, owner, mirrors, data }) in
             vertices.into_iter().enumerate()
         {
+            local[g.index()] = i as u32;
             vmap.insert(g, i as u32);
             gvid.push(g);
             vowner.push(owner);
@@ -96,6 +119,11 @@ impl<V, E> LocalGraph<V, E> {
             vcolor.push(coloring.map_or(0, |c| c.color(g)));
             vatom.push(atom);
         }
+        let local_of = |g: VertexId| {
+            let l = local.get(g.index()).copied().unwrap_or(ABSENT);
+            assert_ne!(l, ABSENT, "edge endpoint {g} locally present");
+            l
+        };
 
         let mut emap = IdMap::with_capacity_and_hasher(ne, Default::default());
         let mut geid = Vec::with_capacity(ne);
@@ -106,11 +134,12 @@ impl<V, E> LocalGraph<V, E> {
         for (i, InitEdge { geid: g, src, dst, owner, data }) in edges.into_iter().enumerate() {
             emap.insert(g, i as u32);
             geid.push(g);
-            esrc.push(*vmap.get(&src).expect("edge src locally present"));
-            edst.push(*vmap.get(&dst).expect("edge dst locally present"));
+            esrc.push(local_of(src));
+            edst.push(local_of(dst));
             eowner.push(owner);
             edata.push(data);
         }
+        drop(local);
 
         // CSR over local vertices.
         let mut counts = vec![0u32; nv + 1];
@@ -133,10 +162,11 @@ impl<V, E> LocalGraph<V, E> {
                 LocalAdjEntry { nbr: s, edge: e as u32, dir: EdgeDir::In };
             cursor[d as usize] += 1;
         }
-        // Deterministic order: sort each slice by (global nbr id, global edge id).
+        // Deterministic order: each slice by (global nbr id, global edge id),
+        // which is the order of the local ids.
         for vi in 0..nv {
             let (lo, hi) = (adj_off[vi] as usize, adj_off[vi + 1] as usize);
-            adj[lo..hi].sort_unstable_by_key(|e| (gvid[e.nbr as usize], geid[e.edge as usize]));
+            adj[lo..hi].sort_unstable_by_key(|e| (e.nbr, e.edge));
         }
 
         let owned: Vec<u32> = (0..nv as u32).filter(|&i| vowner[i as usize] == machine).collect();
@@ -719,6 +749,66 @@ mod tests {
         let l1 = lg.local_vertex(VertexId(1)).unwrap();
         assert_eq!(lg.adj(l1).len(), 2);
         assert!(lg.owns_vertex(l1));
+    }
+
+    #[test]
+    fn from_init_does_not_depend_on_the_order_of_its_input() {
+        use graphlab_atoms::{build_atoms, load_machine_part, write_atoms, Placement, SimDfs, VertexPartition};
+        // A ring with chords and a parallel pair, cut into 5 atoms on 2
+        // machines: owned vertices, ghosts, owned and ghost edge copies.
+        let mut b = GraphBuilder::new();
+        let v: Vec<_> = (0..30).map(|i| b.add_vertex(i as f64)).collect();
+        for i in 0..30 {
+            b.add_edge(v[i], v[(i + 1) % 30], i as f64).unwrap();
+            b.add_edge(v[(i * 7 + 3) % 30], v[i], 0.5).unwrap();
+        }
+        b.add_edge(v[0], v[1], 9.0).unwrap();
+        let g = b.build();
+        let coloring = graphlab_graph::greedy_coloring(&g);
+        let dfs = SimDfs::new();
+        let (atoms, index) = build_atoms(&g, &VertexPartition::random_hash(30, 5, 3), "g");
+        write_atoms(&dfs, "g", &atoms, &index);
+        let placement = Placement::compute(&index, 2);
+
+        for m in [MachineId(0), MachineId(1)] {
+            let sorted = load_machine_part::<f64, f64>(&dfs, &index, &placement, m).unwrap();
+            let mut shuffled = sorted.clone();
+            shuffled.vertices.sort_by_key(|v| v.gvid.0.wrapping_mul(2_654_435_761));
+            shuffled.edges.sort_by_key(|e| e.geid.0.wrapping_mul(2_654_435_761));
+            assert!(!shuffled.vertices.is_sorted_by_key(|v| v.gvid));
+            assert!(!shuffled.edges.is_sorted_by_key(|e| e.geid));
+
+            let a = LocalGraph::from_init(sorted, Some(&coloring));
+            let b = LocalGraph::from_init(shuffled, Some(&coloring));
+            for gv in g.vertices() {
+                assert_eq!(a.local_vertex(gv), b.local_vertex(gv));
+            }
+            for ge in g.edges() {
+                assert_eq!(a.local_edge(ge), b.local_edge(ge));
+            }
+            // Local ids agree, so every column can be compared directly.
+            assert!(a.num_local_vertices() > a.owned_vertices().len(), "the part has ghosts");
+            assert_eq!(a.owned_vertices(), b.owned_vertices());
+            for l in 0..a.num_local_vertices() as u32 {
+                assert_eq!(a.vertex_gvid(l), b.vertex_gvid(l));
+                assert_eq!(a.adj(l), b.adj(l));
+                assert_eq!(a.vertex_owner(l), b.vertex_owner(l));
+                assert_eq!(a.vertex_atom(l), b.vertex_atom(l));
+                assert_eq!(a.vertex_mirrors(l), b.vertex_mirrors(l));
+                assert_eq!(a.vertex_color(l), coloring.color(a.vertex_gvid(l)));
+                assert_eq!(a.vertex_color(l), b.vertex_color(l));
+                assert_eq!(a.vertex_data(l), b.vertex_data(l));
+                // Each list ascends by (global neighbour id, global edge id).
+                let key = |e: &LocalAdjEntry| (a.vertex_gvid(e.nbr), a.edge_geid(e.edge));
+                assert!(a.adj(l).is_sorted_by_key(key));
+            }
+            for l in 0..a.num_local_edges() as u32 {
+                assert_eq!(a.edge_geid(l), b.edge_geid(l));
+                assert_eq!(a.edge_endpoints_local(l), b.edge_endpoints_local(l));
+                assert_eq!(a.edge_owner(l), b.edge_owner(l));
+                assert_eq!(a.edge_data(l), b.edge_data(l));
+            }
+        }
     }
 
     #[test]

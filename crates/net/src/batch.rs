@@ -49,7 +49,7 @@ use crate::cluster::{K_BATCH, K_DOWN, K_LEASE, K_ZIP};
 use crate::fault::DownMsg;
 use crate::lease::{LeaseConfig, LeaseState, LEASE_MASTER};
 use crate::transport::Endpoint;
-use crate::codec::{encode_to_bytes, get_uvarint, put_uvarint};
+use crate::codec::{encode_to_bytes, get_uvarint, patch_len, put_uvarint};
 use crate::compress::{self, Lzss};
 
 /// Per-submessage framing inside a batch envelope: varint kind + varint
@@ -109,20 +109,6 @@ struct Queue {
 enum Wire<'a> {
     Queued(&'a [u8]),
     Owned(Bytes),
-}
-
-/// Writes `len` as the varint at `at`, where one placeholder byte stands
-/// before the `len` payload bytes that end `buf`. A varint of more than one
-/// byte moves the payload up to make room.
-fn patch_len(buf: &mut BytesMut, at: usize, len: usize) {
-    let width = (usize::BITS - (len | 1).leading_zeros()).div_ceil(7) as usize;
-    if width > 1 {
-        buf.put_slice(&[0; 9][..width - 1]);
-        buf[at + 1..].rotate_right(width - 1);
-    }
-    for (k, b) in buf[at..at + width].iter_mut().enumerate() {
-        *b = (len >> (7 * k)) as u8 & 0x7f | if k + 1 < width { 0x80 } else { 0 };
-    }
 }
 
 /// Counters describing what the batcher did (diagnostics; the wire-level

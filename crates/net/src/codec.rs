@@ -91,6 +91,22 @@ pub fn get_uvarint<B: Buf>(buf: &mut B) -> Option<u64> {
     }
 }
 
+/// Writes `len` as the varint at `at`, where one placeholder byte stands
+/// before the `len` payload bytes that end `buf`: how a length prefix is
+/// written when the payload is encoded in place behind it. A varint of more
+/// than one byte moves the payload up to make room.
+#[inline]
+pub fn patch_len(buf: &mut BytesMut, at: usize, len: usize) {
+    let width = (usize::BITS - (len | 1).leading_zeros()).div_ceil(7) as usize;
+    if width > 1 {
+        buf.put_slice(&[0; 9][..width - 1]);
+        buf[at + 1..].rotate_right(width - 1);
+    }
+    for (k, b) in buf[at..at + width].iter_mut().enumerate() {
+        *b = (len >> (7 * k)) as u8 & 0x7f | if k + 1 < width { 0x80 } else { 0 };
+    }
+}
+
 /// Reads a varint that must fit `T` (`None` also when it does not).
 #[inline]
 pub fn get_varint<T: TryFrom<u64>, B: Buf>(buf: &mut B) -> Option<T> {

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use graphlab::atoms::{build_atoms, load_machine_part, write_atoms, SimDfs, VertexPartition};
+use graphlab::atoms::{
+    build_atoms, load_machine_part, write_atoms, Atom, AtomIndex, InitEdge, InitVertex,
+    JournalWriter, LocalGraphInit, SimDfs, VertexPartition,
+};
 use graphlab::atoms::placement::Placement;
 use graphlab::graph::{
     greedy_coloring, second_order_coloring, verify_coloring, DataGraph, GraphBuilder, MachineId,
@@ -29,6 +32,74 @@ fn arb_graph() -> impl Strategy<Value = DataGraph<f64, f64>> {
             b.build()
         })
     })
+}
+
+/// Reference model of `load_machine_part`: the map-based algorithm it ran
+/// until PR 23, over whole decoded [`Atom`]s and ordered maps. Owned records
+/// win over ghost records, a ghost's first record wins over later ones, an
+/// edge belongs to the machine of its target's atom, and every copy of an
+/// edge collapses into one.
+fn reference_machine_part(
+    dfs: &SimDfs,
+    index: &AtomIndex,
+    placement: &Placement,
+    machine: MachineId,
+) -> LocalGraphInit<f64, f64> {
+    use std::collections::BTreeMap;
+    let decoded: Vec<Atom<f64, f64>> = placement
+        .atoms_of(machine)
+        .iter()
+        .map(|&a| Atom::decode_journal(dfs.read(&index.entry(a).file).unwrap()).unwrap())
+        .collect();
+
+    let mut vertices = BTreeMap::new();
+    let mut owner_atom = BTreeMap::new();
+    for atom in &decoded {
+        for ov in &atom.owned_vertices {
+            let mut mirrors: Vec<MachineId> = ov
+                .mirrors
+                .iter()
+                .map(|&ma| placement.machine_of(ma))
+                .filter(|&m| m != machine)
+                .collect();
+            mirrors.sort_unstable();
+            mirrors.dedup();
+            owner_atom.insert(ov.gvid, atom.id);
+            vertices.insert(
+                ov.gvid,
+                InitVertex { gvid: ov.gvid, atom: atom.id, owner: machine, mirrors, data: ov.data },
+            );
+        }
+    }
+    for gv in decoded.iter().flat_map(|atom| &atom.ghost_vertices) {
+        owner_atom.entry(gv.gvid).or_insert(gv.owner_atom);
+        vertices.entry(gv.gvid).or_insert_with(|| InitVertex {
+            gvid: gv.gvid,
+            atom: gv.owner_atom,
+            owner: placement.machine_of(gv.owner_atom),
+            mirrors: Vec::new(),
+            data: gv.data,
+        });
+    }
+    let mut edges = BTreeMap::new();
+    for ae in decoded.iter().flat_map(|atom| &atom.edges) {
+        let owner = placement.machine_of(owner_atom[&ae.dst]);
+        edges.entry(ae.geid).or_insert(InitEdge {
+            geid: ae.geid,
+            src: ae.src,
+            dst: ae.dst,
+            owner,
+            data: ae.data,
+        });
+    }
+    LocalGraphInit {
+        machine,
+        num_machines: placement.num_machines(),
+        vertices: vertices.into_values().collect(),
+        edges: edges.into_values().collect(),
+        total_vertices: index.total_vertices,
+        total_edges: index.total_edges,
+    }
 }
 
 proptest! {
@@ -122,6 +193,62 @@ proptest! {
         }
         prop_assert!(vertex_owned.iter().all(|&c| c == 1), "each vertex owned exactly once");
         prop_assert!(edge_owned.iter().all(|&c| c == 1), "each edge owned exactly once");
+    }
+
+    #[test]
+    fn atom_ingress_matches_the_reference_model(
+        g in arb_graph(),
+        k in 1usize..12,
+        machines in 0usize..12,
+        strategy in 0usize..3,
+        dead in 0usize..12,
+    ) {
+        let machines = 1 + machines % k; // 1..=k
+        let p = VertexPartition::random_hash(g.num_vertices(), k, 7);
+        let (atoms, index) = build_atoms(&g, &p, "t");
+        let dfs = SimDfs::new();
+        write_atoms(&dfs, "t", &atoms, &index);
+        // The same atoms, every journal written backwards: edges first.
+        let backwards = SimDfs::new();
+        for atom in &atoms {
+            let mut w = JournalWriter::new(atom.id);
+            for e in atom.edges.iter().rev() {
+                w.add_edge(e.geid, e.src, e.dst, e.owned, &e.data);
+            }
+            for gv in atom.ghost_vertices.iter().rev() {
+                w.add_ghost(gv.gvid, gv.owner_atom, &gv.data);
+            }
+            for ov in atom.owned_vertices.iter().rev() {
+                w.add_vertex(ov.gvid, &ov.mirrors, &ov.data);
+            }
+            backwards.write(&index.entry(atom.id).file, w.finish());
+        }
+        let placement = match strategy {
+            0 => Placement::compute(&index, machines),
+            1 => Placement::round_robin(k, machines),
+            // One machine dead and its atoms adopted: sibling atoms that
+            // were placed apart now shadow each other's ghosts.
+            _ => {
+                let mut down = vec![false; machines];
+                down[dead % machines] = machines > 1;
+                Placement::compute(&index, machines).adopt(&index, &down)
+            }
+        };
+
+        for m in (0..machines).map(MachineId::from) {
+            let model = reference_machine_part(&dfs, &index, &placement, m);
+            for dfs in [&dfs, &backwards] {
+                let part = load_machine_part::<f64, f64>(dfs, &index, &placement, m).unwrap();
+                prop_assert_eq!(&part.vertices, &model.vertices);
+                prop_assert_eq!(&part.edges, &model.edges);
+                prop_assert_eq!(
+                    (part.machine, part.num_machines, part.total_vertices, part.total_edges),
+                    (model.machine, model.num_machines, model.total_vertices, model.total_edges)
+                );
+                prop_assert!(part.vertices.windows(2).all(|w| w[0].gvid < w[1].gvid));
+                prop_assert!(part.edges.windows(2).all(|w| w[0].geid < w[1].geid));
+            }
+        }
     }
 
     #[test]
