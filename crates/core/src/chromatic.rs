@@ -32,24 +32,24 @@
 //! executed zero updates and all schedulers are empty") and snapshot
 //! triggers.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{EdgeId, MachineId, VertexId};
 use graphlab_net::codec::Codec;
-use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
+use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::driver::{MachineResult, MachineSetup};
-use crate::globals::GlobalRegistry;
-use crate::local::{LocalGraph, RemoteCacheTable};
+use crate::local::RemoteCacheTable;
+use crate::machine::Machine;
 use crate::messages::*;
-use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step, Tally};
-use crate::reference::InitialSchedule;
-use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::recovery::{self, RecoveryHost, RecoveryPhase, Step, Tally};
+use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
-use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
+use crate::update::UpdateFunction;
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -99,10 +99,9 @@ struct Block {
 struct Interrupt(Step);
 
 pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
-    lg: LocalGraph<V, E>,
-    net: Batcher,
-    setup: MachineSetup<V, E, U>,
-    globals: GlobalRegistry,
+    /// The machine under the engine: everything the locking engine has too.
+    core: Machine<V, E>,
+    update: Arc<U>,
     num_colors: u32,
     /// Owner-side ghost version table over the exchange path.
     ///
@@ -153,35 +152,11 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// plus task sets (phase 0), blocks of forwarded write-backs (phase 1).
     sent: [Vec<u64>; 2],
 
-    // Bookkeeping.
-    updates_local: u64,
+    /// Updates this cycle (the flush markers carry it).
     cycle_updates: u64,
-    update_counts: Vec<(VertexId, u64)>,
-    // BTreeMap: drained into the run's trace output at finish — iteration
-    // order must be deterministic, not the hasher's.
-    update_count_map: BTreeMap<VertexId, u64>,
-    snapshots_taken: u64,
-    last_snap_updates: u64,
-    /// Master only: the highest cumulative update count each peer has
-    /// reported in a `SyncPart`. Per-peer maxima, so the cluster total
-    /// stays monotone across rollbacks (local counts never reset) and
-    /// adoptions (a dead peer's last report stands).
-    m_peer_updates: Vec<u64>,
-    straggled: bool,
-    effects: UpdateEffects,
-    /// Row scratch: the datum of the row being sent, encoded once for
-    /// every block it joins.
-    rowbuf: BytesMut,
-
-    // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
-    rec: RecoveryTracker,
     /// Colour-steps executed across the whole run (unlike `step`, never
     /// reset by a rollback — the metrics source).
     steps_total: u64,
-    failure: Option<String>,
-    /// Permanently dead under adoption: the run ends cleanly with no
-    /// owned data (the survivors adopted it).
-    dead: bool,
 }
 
 impl<V, E, U> ChromaticMachine<V, E, U>
@@ -192,19 +167,14 @@ where
 {
     pub(crate) fn new(
         ep: Endpoint,
-        setup: MachineSetup<V, E, U>,
+        setup: MachineSetup<V, E>,
+        update: Arc<U>,
         init: LocalGraphInit<V, E>,
     ) -> Self {
-        let lg = LocalGraph::from_init(init, Some(&setup.coloring));
-        let num_colors = setup.coloring.num_colors().max(1);
-        let nv = lg.num_local_vertices();
-        #[expect(clippy::disallowed_methods, reason = "sizes the RecoveryTracker and the per-machine tables; every later question about membership goes to the tracker")]
-        let m = lg.num_machines();
-        let machine = lg.machine();
-        let mut net = Batcher::new(ep, setup.config.batch);
-        if let Some(period) = setup.config.lease {
-            net.enable_lease(LeaseConfig::with_period(period));
-        }
+        let coloring = setup.coloring.as_ref().expect("the chromatic engine runs on a colouring");
+        let num_colors = coloring.num_colors().max(1);
+        let core = Machine::new(ep, setup, init);
+        let (m, nv) = (core.slots(), core.lg.num_local_vertices());
         ChromaticMachine {
             // Edge slots unused: edges have exactly two replicas, so an
             // edge write-back never fans out.
@@ -219,59 +189,26 @@ where
             sync_stash: VecDeque::new(),
             blocks: (0..m).map(|_| Default::default()).collect(),
             sent: [vec![0; m], vec![0; m]],
-            updates_local: 0,
             cycle_updates: 0,
-            update_counts: Vec::new(),
-            update_count_map: BTreeMap::new(),
-            snapshots_taken: 0,
-            last_snap_updates: 0,
-            m_peer_updates: vec![0; m],
-            straggled: false,
-            effects: UpdateEffects::default(),
-            rowbuf: BytesMut::new(),
-            rec: RecoveryTracker::new(machine.index(), m),
             steps_total: 0,
-            failure: None,
-            dead: false,
-            globals: GlobalRegistry::new(),
             num_colors,
-            lg,
-            net,
-            setup,
+            core,
+            update,
         }
-    }
-
-    fn me(&self) -> MachineId {
-        self.lg.machine()
     }
 
     fn enqueue_local(&mut self, l: u32) {
         if !self.queued[l as usize] {
             self.queued[l as usize] = true;
-            let c = self.lg.vertex_color(l) as usize;
+            let c = self.core.lg.vertex_color(l) as usize;
             self.queues[c].push_back(l);
             self.pending_total += 1;
         }
     }
 
     fn initial_schedule(&mut self) {
-        match &*self.setup.initial {
-            InitialSchedule::AllVertices => {
-                for i in 0..self.lg.owned_vertices().len() {
-                    let l = self.lg.owned_vertices()[i];
-                    self.enqueue_local(l);
-                }
-            }
-            InitialSchedule::Vertices(vs) => {
-                let initial = vs.clone();
-                for (v, _) in initial {
-                    if let Some(l) = self.lg.local_vertex(v) {
-                        if self.lg.owns_vertex(l) {
-                            self.enqueue_local(l);
-                        }
-                    }
-                }
-            }
+        for (l, _) in self.core.initial_tasks() {
+            self.enqueue_local(l);
         }
     }
 
@@ -283,30 +220,22 @@ where
             // it inside the machine), this machine leaves the run, or the
             // run fails.
             while step == Step::Continue {
-                step = match self.net.recv_timeout(RECOVERY_POLL) {
+                step = match self.core.net.recv_timeout(RECOVERY_POLL) {
                     Ok(env) => recovery::on_envelope(&mut self, Kind::of(&env), env),
                     Err(RecvError::Timeout) => recovery::tick(&mut self),
                     Err(RecvError::MachineDown) => recovery::on_self_death(&mut self),
                     Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
                 };
             }
-            match step {
-                Step::Exit => {
-                    self.dead = true;
-                    break;
-                }
-                Step::Abort(reason) => {
-                    self.failure = Some(reason);
-                    break;
-                }
-                // Recovered: the BSP machinery restarts at cycle 0.
-                Step::Resumed | Step::Continue => {}
+            if self.core.ends_run(step) {
+                break;
             }
+            // Recovered: the BSP machinery restarts at cycle 0.
         }
         // The master's final globals/halt broadcast may still sit in the
         // batch queues; peers are blocked waiting for it.
-        self.net.flush_all();
-        self.finish()
+        self.core.net.flush_all();
+        MachineResult { steps: self.steps_total, ..self.core.finish() }
     }
 
     /// The BSP cycle machinery. Returns `Ok(())` on a normal halt and
@@ -322,7 +251,7 @@ where
                 self.flush_round(1)?;
                 self.step += 1;
                 self.steps_total += 1;
-                self.maybe_straggle();
+                self.core.maybe_straggle();
             }
             let (halt, snapshot) = self.cycle_end_round(cycle)?;
             if let Some(snap) = snapshot {
@@ -333,12 +262,6 @@ where
             }
             cycle += 1;
         }
-    }
-
-    /// Single send point for all engine traffic (see
-    /// [`RecoveryTracker::send`] for the invariant it guards).
-    fn send_msg(&mut self, dst: MachineId, kind: ChromKind, payload: Bytes) {
-        self.rec.send(&mut self.net, dst, kind, payload);
     }
 
     /// Appends to `dst`'s open `kind` block the row `put` builds around the
@@ -360,7 +283,7 @@ where
             block.tag = tag;
             StepTagged::<()>::put(&mut block.buf, tag.0, tag.1, |_| {});
         }
-        put(&mut block.buf, &self.rowbuf);
+        put(&mut block.buf, &self.core.rowbuf);
         if block.buf.len() >= BLOCK_BYTES {
             self.close_block(dst, kind);
         }
@@ -369,9 +292,9 @@ where
     /// Puts `dst`'s open `kind` block on the wire and counts it for the
     /// flush marker of its phase.
     fn close_block(&mut self, dst: MachineId, kind: RowKind) {
-        let Self { blocks, rec, net, sent, .. } = self;
+        let Self { blocks, core, sent, .. } = self;
         let block = &mut blocks[dst.index()][kind as usize];
-        rec.send_with(net, dst, kind.wire(), |buf| buf.put_slice(&block.buf));
+        core.send_with(dst, kind.wire(), |buf| buf.put_slice(&block.buf));
         block.buf.clear();
         sent[block.tag.1 as usize][dst.index()] += 1;
     }
@@ -383,7 +306,7 @@ where
     /// A timeout is a stall (clean failure, never a hang).
     fn recv_env(&mut self, timeout: Duration) -> Result<(ChromKind, Envelope), Interrupt> {
         loop {
-            let step = match self.net.recv_timeout(timeout) {
+            let step = match self.core.net.recv_timeout(timeout) {
                 Ok(env) => match Kind::of(&env) {
                     Kind::Chrom(kind) => return Ok((kind, env)),
                     kind @ Kind::Recovery(_) => recovery::on_envelope(self, kind, env),
@@ -391,7 +314,7 @@ where
                 },
                 Err(RecvError::Timeout) => Step::Abort(format!(
                     "chromatic engine stalled: machine {} step {} received nothing for {:?}",
-                    self.me().0,
+                    self.core.me().0,
                     self.step,
                     timeout
                 )),
@@ -399,7 +322,7 @@ where
                 Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
             };
             // Stale control of a finished round is simply consumed.
-            if step != Step::Continue || self.rec.phase() != RecoveryPhase::Normal {
+            if step != Step::Continue || self.core.rec.phase() != RecoveryPhase::Normal {
                 return Err(Interrupt(step));
             }
         }
@@ -416,32 +339,11 @@ where
             self.queued[l as usize] = false;
         }
         for &l in &batch {
-            self.effects.clear();
-            {
-                let mut ctx = UpdateContext::new(
-                    &mut self.lg,
-                    l,
-                    self.setup.config.consistency,
-                    &self.globals,
-                    &mut self.effects,
-                );
-                self.setup.update.update(&mut ctx);
-            }
-            self.updates_local += 1;
+            self.core.execute(&*self.update, l);
             self.cycle_updates += 1;
-            self.setup
-                .counters
-                .updates
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if self.setup.config.trace {
-                *self.update_count_map.entry(self.lg.vertex_gvid(l)).or_insert(0) += 1;
-            }
             self.commit(l);
             // Respect the global update cap: stop executing this step.
-            let cap = self.setup.config.max_updates;
-            if cap > 0
-                && self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed) >= cap
-            {
+            if self.core.capped(self.core.live_updates()) {
                 break;
             }
         }
@@ -450,7 +352,8 @@ where
         batch.append(&mut self.queues[color as usize]);
         self.queues[color as usize] = batch;
 
-        let Self { remote_tasks, queued, lg, rec, net, sent, step, .. } = self;
+        let Self { remote_tasks, queued, core, sent, step, .. } = self;
+        let Machine { lg, rec, net, .. } = core;
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
             tasks.sort_unstable_by_key(|&l| lg.vertex_gvid(l));
             rec.send_with(net, MachineId::from(j), ChromKind::Sched, |buf| {
@@ -468,23 +371,23 @@ where
     /// Applies an update's effects: version bumps, ghost pushes,
     /// write-backs and schedule forwards.
     fn commit(&mut self, l: u32) {
-        let me = self.me();
+        let me = self.core.me();
         let tag = (self.step, 0);
-        let mut effects = std::mem::take(&mut self.effects);
+        let mut effects = std::mem::take(&mut self.core.effects);
 
         if effects.dirty_self {
-            let version = self.lg.bump_vertex_version(l);
+            let version = self.core.lg.bump_vertex_version(l);
             self.push_to_mirrors(l, version);
         }
 
         effects.dirty_edges.sort_unstable();
         effects.dirty_edges.dedup();
         for &le in &effects.dirty_edges {
-            if self.lg.owns_edge(le) {
-                let version = self.lg.bump_edge_version(le);
-                let (s, d) = self.lg.edge_endpoints_local(le);
-                let ms = self.lg.vertex_owner(s);
-                let md = self.lg.vertex_owner(d);
+            if self.core.lg.owns_edge(le) {
+                let version = self.core.lg.bump_edge_version(le);
+                let (s, d) = self.core.lg.edge_endpoints_local(le);
+                let ms = self.core.lg.vertex_owner(s);
+                let md = self.core.lg.vertex_owner(d);
                 let other = if ms == me { md } else { ms };
                 if other != me {
                     let geid = self.encode_edge(le);
@@ -493,7 +396,7 @@ where
                     });
                 }
             } else {
-                let (owner, geid) = (self.lg.edge_owner(le), self.encode_edge(le));
+                let (owner, geid) = (self.core.lg.edge_owner(le), self.encode_edge(le));
                 self.send_row(owner, RowKind::WbE, tag, |buf, data| {
                     EdgeRow::put(buf, geid, 0, data)
                 });
@@ -503,11 +406,11 @@ where
         effects.dirty_nbrs.sort_unstable();
         effects.dirty_nbrs.dedup();
         for &ln in &effects.dirty_nbrs {
-            if self.lg.owns_vertex(ln) {
-                let version = self.lg.bump_vertex_version(ln);
+            if self.core.lg.owns_vertex(ln) {
+                let version = self.core.lg.bump_vertex_version(ln);
                 self.push_to_mirrors(ln, version);
             } else {
-                let (owner, gvid) = (self.lg.vertex_owner(ln), self.encode_vertex(ln));
+                let (owner, gvid) = (self.core.lg.vertex_owner(ln), self.encode_vertex(ln));
                 self.send_row(owner, RowKind::WbV, tag, |buf, data| {
                     VertexRow::put(buf, gvid, 0, 0, data)
                 });
@@ -517,39 +420,39 @@ where
         // Scheduling: local tasks enqueue directly, remote ones join their
         // owner's set for this step.
         for &(lv, _) in &effects.scheduled {
-            if self.lg.owns_vertex(lv) {
+            if self.core.lg.owns_vertex(lv) {
                 self.enqueue_local(lv);
             } else if !std::mem::replace(&mut self.queued[lv as usize], true) {
-                self.remote_tasks[self.lg.vertex_owner(lv).index()].push(lv);
+                self.remote_tasks[self.core.lg.vertex_owner(lv).index()].push(lv);
             }
         }
 
-        self.effects = effects;
+        self.core.effects = effects;
     }
 
     /// Encodes local vertex `l`'s datum into `rowbuf` for [`Self::send_row`].
     fn encode_vertex(&mut self, l: u32) -> VertexId {
-        self.rowbuf.clear();
-        self.lg.vertex_data(l).encode(&mut self.rowbuf);
-        self.lg.vertex_gvid(l)
+        self.core.rowbuf.clear();
+        self.core.lg.vertex_data(l).encode(&mut self.core.rowbuf);
+        self.core.lg.vertex_gvid(l)
     }
 
     /// Encodes local edge `le`'s datum into `rowbuf` for [`Self::send_row`].
     fn encode_edge(&mut self, le: u32) -> EdgeId {
-        self.rowbuf.clear();
-        self.lg.edge_data(le).encode(&mut self.rowbuf);
-        self.lg.edge_geid(le)
+        self.core.rowbuf.clear();
+        self.core.lg.edge_data(le).encode(&mut self.core.rowbuf);
+        self.core.lg.edge_geid(le)
     }
 
     /// Ghost push of owned vertex `l`, just bumped to `version`, to every
     /// mirror (direct phase).
     fn push_to_mirrors(&mut self, l: u32, version: u64) {
-        if self.lg.vertex_mirrors(l).is_empty() {
+        if self.core.lg.vertex_mirrors(l).is_empty() {
             return;
         }
         let (gvid, tag) = (self.encode_vertex(l), (self.step, 0));
-        for k in 0..self.lg.vertex_mirrors(l).len() {
-            let mm = self.lg.vertex_mirrors(l)[k];
+        for k in 0..self.core.lg.vertex_mirrors(l).len() {
+            let mm = self.core.lg.vertex_mirrors(l)[k];
             self.send_row(mm, RowKind::VData, tag, |buf, data| {
                 VertexRow::put(buf, gvid, version, 0, data)
             });
@@ -573,20 +476,20 @@ where
             }
         }
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
-        for dst in self.rec.peers() {
+        for dst in self.core.rec.peers() {
             let msg = FlushMsg {
                 step,
                 count: self.sent[phase as usize][dst.index()],
                 updates: self.cycle_updates,
                 pending: self.pending_total,
             };
-            self.rec.send(&mut self.net, dst, kind, enc(&msg));
+            self.core.rec.send(&mut self.core.net, dst, kind, enc(&msg));
         }
         self.sent[phase as usize].fill(0);
         loop {
             // Dead machines owe nothing: their atoms were adopted and the
             // fabric drops their in-flight traffic.
-            let complete = self.rec.peers().all(|j| {
+            let complete = self.core.rec.peers().all(|j| {
                 match self.flush_promises.get(&(j.0, step, phase)) {
                     None => false,
                     Some(f) => {
@@ -629,29 +532,29 @@ where
         match kind {
             ChromKind::VData => {
                 self.on_block(&env, VertexRow::read, |this, _, (vid, version, _, data)| {
-                    if let Some(l) = this.lg.local_vertex(vid) {
-                        this.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
+                    if let Some(l) = this.core.lg.local_vertex(vid) {
+                        this.core.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
                     }
                 })
             }
             ChromKind::EData => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
-                if let Some(l) = this.lg.local_edge(eid) {
-                    this.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
+                if let Some(l) = this.core.lg.local_edge(eid) {
+                    this.core.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
                 }
             }),
             ChromKind::WbV => self.on_block(&env, VertexRow::read, |this, step, (vid, _, _, data)| {
-                let l = this.lg.local_vertex(vid).expect("write-back target owned");
-                debug_assert!(this.lg.owns_vertex(l));
-                *this.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
-                let version = this.lg.bump_vertex_version(l);
+                let l = this.core.lg.local_vertex(vid).expect("write-back target owned");
+                debug_assert!(this.core.lg.owns_vertex(l));
+                *this.core.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
+                let version = this.core.lg.bump_vertex_version(l);
                 // The writer holds exactly the data it sent us.
                 this.cache.note_v(env.src.index(), l, version);
                 // Forward to every mirror whose known version is older
                 // (phase 1 accounting) — version-aware exclusion of the
                 // writer itself.
                 let mut encoded = false;
-                for k in 0..this.lg.vertex_mirrors(l).len() {
-                    let mm = this.lg.vertex_mirrors(l)[k];
+                for k in 0..this.core.lg.vertex_mirrors(l).len() {
+                    let mm = this.core.lg.vertex_mirrors(l)[k];
                     if this.cache.v_known(mm.index(), l) < version {
                         if !std::mem::replace(&mut encoded, true) {
                             this.encode_vertex(l);
@@ -664,19 +567,19 @@ where
                 }
             }),
             ChromKind::WbE => self.on_block(&env, EdgeRow::read, |this, _, (eid, _, data)| {
-                let l = this.lg.local_edge(eid).expect("write-back target owned");
-                debug_assert!(this.lg.owns_edge(l));
-                *this.lg.edge_data_mut(l) = dec_in(&env.payload, data);
+                let l = this.core.lg.local_edge(eid).expect("write-back target owned");
+                debug_assert!(this.core.lg.owns_edge(l));
+                *this.core.lg.edge_data_mut(l) = dec_in(&env.payload, data);
                 // An edge has exactly two replicas; the write-back came from
                 // the only mirror, so no forward is needed.
-                this.lg.bump_edge_version(l);
+                this.core.lg.bump_edge_version(l);
             }),
             ChromKind::Sched => {
                 let (step, phase) = read_all(&env.payload, |p| {
                     let tag = StepTagged::<TaskSetMsg>::read(p)?;
                     TaskSetMsg::read(p, |gv| {
-                        let l = self.lg.local_vertex(gv).expect("scheduled vertex is local");
-                        debug_assert!(self.lg.owns_vertex(l));
+                        let l = self.core.lg.local_vertex(gv).expect("scheduled vertex is local");
+                        debug_assert!(self.core.lg.owns_vertex(l));
                         self.enqueue_local(l);
                     })?;
                     Some(tag)
@@ -698,42 +601,34 @@ where
         }
     }
 
-    /// The master's view of the cluster-wide update count: its own plus
-    /// what the peers' sync partials reported — exact at a fault-free cycle
-    /// end, and the same over TCP as on SimNet (the process-shared
-    /// `LiveCounters` only ever hold the machines of this process).
-    fn observed_updates(&self) -> u64 {
-        self.updates_local + self.m_peer_updates.iter().sum::<u64>()
-    }
-
     /// Cycle-end sync + halt + snapshot coordination. Returns
     /// `(halt, snapshot_id)`.
     fn cycle_end_round(&mut self, cycle: u64) -> Result<(bool, Option<u64>), Interrupt> {
         let my_msg = SyncPartialMsg {
             cycle,
-            partials: local_partials(&self.setup.syncs, &self.lg),
+            partials: local_partials(&self.core.setup.syncs, &self.core.lg),
             pending: self.pending_total,
-            updates: self.updates_local,
+            updates: self.core.updates_local,
         };
-        if self.me() == MachineId(0) {
+        if self.core.is_master() {
             // Master: collect, combine, decide, broadcast.
             let mut pend = my_msg.pending;
             let mut accs: Vec<Box<dyn std::any::Any + Send>> =
-                self.setup.syncs.iter().map(|op| op.init_acc()).collect();
-            combine_partials(&self.setup.syncs, &mut accs, &my_msg.partials);
+                self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+            combine_partials(&self.core.setup.syncs, &mut accs, &my_msg.partials);
             let mut received = Tally::with_own_vote();
-            while !self.rec.complete(&received) {
+            while !self.core.rec.complete(&received) {
                 let (kind, env) = match self.sync_stash.pop_front() {
                     Some(env) => (ChromKind::SyncPart, env),
                     None => self.recv_env(RECV_TIMEOUT)?,
                 };
                 if kind == ChromKind::SyncPart {
-                    let src = env.src.index();
+                    let src = env.src;
                     let p: SyncPartialMsg = dec(env.payload);
                     assert_eq!(p.cycle, cycle, "sync round out of step");
                     pend += p.pending;
-                    self.m_peer_updates[src] = self.m_peer_updates[src].max(p.updates);
-                    combine_partials(&self.setup.syncs, &mut accs, &p.partials);
+                    self.core.note_peer_updates(src, p.updates);
+                    combine_partials(&self.core.setup.syncs, &mut accs, &p.partials);
                     received.vote();
                 } else {
                     return Err(Interrupt(Step::Abort(format!(
@@ -742,39 +637,27 @@ where
                     ))));
                 }
             }
-            let total = self.lg.total_vertices();
-            let globals_rows = finalize_into(&self.setup.syncs, accs, total, &mut self.globals);
-            let g_updates = self.observed_updates();
-            let cap = self.setup.config.max_updates;
+            let total = self.core.lg.total_vertices();
+            let globals_rows =
+                finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
             // Aggregate-driven termination (§3.5): the stop predicate runs
             // over the just-finalized globals, composing with the cap and
             // the natural no-pending-work halt.
-            let stop_hit = self.setup.stop.as_ref().is_some_and(|f| f(&self.globals));
-            let halt = pend == 0 || (cap > 0 && g_updates >= cap) || stop_hit;
-            let snap_cfg = self.setup.config.snapshot;
-            let snapshot = if !halt
-                && snap_cfg.mode != crate::config::SnapshotMode::None
-                && self.snapshots_taken < snap_cfg.max_snapshots
-                && snap_cfg.every_updates > 0
-                && g_updates - self.last_snap_updates >= snap_cfg.every_updates
-            {
-                self.last_snap_updates = g_updates;
-                Some(self.snapshots_taken)
-            } else {
-                None
-            };
+            let stop_hit = self.core.stop_hit();
+            let halt = pend == 0 || self.core.capped(self.core.observed_updates()) || stop_hit;
+            let snapshot = if halt { None } else { self.core.snapshot_due() };
             let out = SyncGlobalsMsg { cycle, globals: globals_rows, halt, snapshot };
             let payload = enc(&out);
-            self.rec.broadcast(&mut self.net, ChromKind::SyncGlob, &payload);
+            self.core.broadcast(ChromKind::SyncGlob, &payload);
             Ok((halt, snapshot))
         } else {
-            self.send_msg(MachineId(0), ChromKind::SyncPart, enc(&my_msg));
+            self.core.send(MachineId(0), ChromKind::SyncPart, enc(&my_msg));
             loop {
                 let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
                 if kind == ChromKind::SyncGlob {
                     let g: SyncGlobalsMsg = dec(env.payload);
                     assert_eq!(g.cycle, cycle);
-                    apply_globals(&self.setup.syncs, g.globals, &mut self.globals);
+                    apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
                     return Ok((g.halt, g.snapshot));
                 }
                 // Faster peers may already be executing the next cycle's
@@ -786,20 +669,10 @@ where
     }
 
     fn write_snapshot(&mut self, snap: u64) -> Result<(), Interrupt> {
-        let file = SnapshotFile::capture(&self.lg);
-        let my_atoms = self.setup.placement.atoms_of(self.me());
-        write_snapshot_atoms(
-            &self.setup.dfs,
-            &self.setup.snap_prefix,
-            snap,
-            file,
-            &self.lg,
-            &my_atoms,
-        );
-        self.snapshots_taken = self.snapshots_taken.max(snap + 1);
-        if self.me() == MachineId(0) {
+        self.core.write_checkpoint(snap, SnapshotFile::capture(&self.core.lg));
+        if self.core.is_master() {
             let mut done = Tally::with_own_vote();
-            while !self.rec.complete(&done) {
+            while !self.core.rec.complete(&done) {
                 let (kind, _) = self.recv_env(RECV_TIMEOUT)?;
                 if kind == ChromKind::SnapDone {
                     done.vote();
@@ -810,9 +683,9 @@ where
                     ))));
                 }
             }
-            self.rec.broadcast(&mut self.net, ChromKind::SnapResume, &Bytes::new());
+            self.core.broadcast(ChromKind::SnapResume, &Bytes::new());
         } else {
-            self.send_msg(MachineId(0), ChromKind::SnapDone, Bytes::new());
+            self.core.send(MachineId(0), ChromKind::SnapDone, Bytes::new());
             loop {
                 let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
                 if kind == ChromKind::SnapResume {
@@ -823,53 +696,6 @@ where
             }
         }
         Ok(())
-    }
-
-    fn maybe_straggle(&mut self) {
-        if let Some(s) = self.setup.config.straggler {
-            if !self.straggled
-                && self.me().0 == s.machine
-                && self.setup.counters.updates.load(std::sync::atomic::Ordering::Relaxed)
-                    >= s.after_updates
-            {
-                self.straggled = true;
-                std::thread::sleep(s.duration);
-            }
-        }
-    }
-
-    fn finish(mut self) -> MachineResult<V, E> {
-        self.update_counts = std::mem::take(&mut self.update_count_map).into_iter().collect();
-        let globals = std::mem::take(&mut self.globals);
-        let updates = self.updates_local;
-        let update_counts = std::mem::take(&mut self.update_counts);
-        let snapshots = self.snapshots_taken;
-        let recoveries = self.rec.recoveries;
-        let adoptions = self.rec.adoptions;
-        let failed = self.failure.take();
-        let steps = self.steps_total;
-        let dead = self.dead;
-        // A dead machine's rows are stale by definition (survivors adopted
-        // its atoms): it must contribute nothing to the write-back.
-        let (vrows, erows) =
-            if dead { (Vec::new(), Vec::new()) } else { self.lg.into_owned_data() };
-        MachineResult {
-            vrows,
-            erows,
-            globals,
-            updates,
-            update_counts,
-            steps,
-            snapshots,
-            recoveries,
-            adoptions,
-            dead,
-            failed,
-            phase: crate::metrics::PhaseTimes::default(),
-            chain_spans: Vec::new(),
-            idle_wakeups: 0,
-            hot: Default::default(),
-        }
     }
 }
 
@@ -882,28 +708,16 @@ where
     type V = V;
     type E = E;
 
-    fn parts(&mut self) -> Parts<'_, V, E> {
-        Parts {
-            rec: &mut self.rec,
-            net: &mut self.net,
-            lg: &mut self.lg,
-            dfs: &self.setup.dfs,
-            index: &self.setup.index,
-            placement: &mut self.setup.placement,
-            coloring: Some(&self.setup.coloring),
-            snap_prefix: &self.setup.snap_prefix,
-            num_atoms: self.setup.config.num_atoms,
-            mode: self.setup.config.recovery,
-            snapshots: &mut self.snapshots_taken,
-        }
+    fn machine(&mut self) -> &mut Machine<V, E> {
+        &mut self.core
     }
 
     /// Resets all volatile BSP state — colour queues, collected tasks, open
     /// blocks, step/flush accounting, stashed sync partials, ghost-cache
     /// assumptions — sized by the current local graph.
     fn reset_engine_state(&mut self) {
-        let nv = self.lg.num_local_vertices();
-        self.cache = RemoteCacheTable::new(self.blocks.len(), nv, 0);
+        let nv = self.core.lg.num_local_vertices();
+        self.cache = RemoteCacheTable::new(self.core.slots(), nv, 0);
         self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
         self.queued = vec![false; nv];
         self.pending_total = 0;
@@ -915,8 +729,6 @@ where
         self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
         self.sent.iter_mut().for_each(|s| s.fill(0));
         self.cycle_updates = 0;
-        self.effects.clear();
-        self.last_snap_updates = self.observed_updates();
     }
 
     fn reseed(&mut self, l: u32) {
@@ -936,7 +748,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{scripted_machine, NoUpdate};
+    use crate::driver::tests::{scripted_machine, NoUpdate};
+    use crate::reference::InitialSchedule;
     use graphlab_atoms::VertexPartition;
     use graphlab_graph::{AtomId, GraphBuilder};
     use graphlab_net::BatchPolicy;
@@ -955,7 +768,7 @@ mod tests {
         config.batch = BatchPolicy::disabled();
         let (setup, init, mut eps) =
             scripted_machine(graph, partition, MachineId(0), config, InitialSchedule::AllVertices);
-        (ChromaticMachine::new(eps.remove(0), setup, init), eps)
+        (ChromaticMachine::new(eps.remove(0), setup, Arc::new(NoUpdate), init), eps)
     }
 
     /// The complete digraph on three vertices, vertex `i` on machine `i`:
@@ -1033,9 +846,9 @@ mod tests {
     #[test]
     fn a_block_closes_when_full_on_a_change_of_tag_and_when_the_round_ends() {
         let (mut m, peers) = triangle();
-        let l = m.lg.local_vertex(VertexId(0)).unwrap();
+        let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
         let push = |m: &mut Machine| {
-            let version = m.lg.bump_vertex_version(l);
+            let version = m.core.lg.bump_vertex_version(l);
             m.push_to_mirrors(l, version);
             version
         };
@@ -1096,8 +909,8 @@ mod tests {
             VertexRow::put(buf, VertexId(0), 0, 0, &enc(&7.5f64))
         });
         handle_from(&mut m, 1, ChromKind::WbV, wb.freeze());
-        let l = m.lg.local_vertex(VertexId(0)).unwrap();
-        assert_eq!((*m.lg.vertex_data(l), m.lg.vertex_version(l)), (7.5, 1));
+        let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
+        assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (7.5, 1));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()), "nothing leaves before the step");
         assert_eq!(m.sent, [[0; 3], [0; 3]]);
 
@@ -1119,22 +932,22 @@ mod tests {
     #[test]
     fn remote_tasks_of_a_step_leave_as_one_ascending_set() {
         let (mut m, peers) = ring();
-        let l = m.lg.owned_vertices()[0];
+        let l = m.core.lg.owned_vertices()[0];
         let mut ghosts: Vec<u32> =
-            (0..m.lg.num_local_vertices() as u32).filter(|&g| !m.lg.owns_vertex(g)).collect();
+            (0..m.core.lg.num_local_vertices() as u32).filter(|&g| !m.core.lg.owns_vertex(g)).collect();
         assert!(ghosts.len() >= 2);
-        ghosts.sort_by_key(|&g| std::cmp::Reverse(m.lg.vertex_gvid(g)));
+        ghosts.sort_by_key(|&g| std::cmp::Reverse(m.core.lg.vertex_gvid(g)));
         for _ in 0..2 {
-            m.effects.scheduled = ghosts.iter().map(|&g| (g, 1.0)).chain([(l, 2.0)]).collect();
+            m.core.effects.scheduled = ghosts.iter().map(|&g| (g, 1.0)).chain([(l, 2.0)]).collect();
             m.commit(l);
         }
         assert_eq!((m.pending_total, m.remote_tasks[1].len()), (1, ghosts.len()));
         assert!(peers[0].try_recv().is_err(), "nothing leaves per update");
 
         m.step = 4;
-        m.execute_color_step(m.lg.vertex_color(l));
+        m.execute_color_step(m.core.lg.vertex_color(l));
         let env = peers[0].try_recv().expect("the step's task set");
-        let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.lg.vertex_gvid(g)).collect();
+        let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.core.lg.vertex_gvid(g)).collect();
         set.reverse();
         let expected = StepTagged { step: 4, phase: 0, inner: TaskSetMsg { tasks: set } };
         assert_eq!(kind_of(&env), ChromKind::Sched);
@@ -1154,11 +967,11 @@ mod tests {
         use crate::config::{SnapshotConfig, SnapshotMode};
         use std::sync::atomic::Ordering;
         let (mut m, peers) = ring();
-        m.setup.config.max_updates = 100;
-        m.setup.config.snapshot =
+        m.core.setup.config.max_updates = 100;
+        m.core.setup.config.snapshot =
             SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 40, max_snapshots: 9 };
         m.pending_total = 1; // work is left: only the cap can halt the run
-        m.updates_local = 10;
+        m.core.updates_local = 10;
         // One cycle end with machine 1 reporting `updates`: what the master
         // decided, as broadcast.
         let mut cycle = 0;
@@ -1175,19 +988,20 @@ mod tests {
 
         // The shared atomic is far past the cap and the interval; the
         // reported 10 + 20 updates are past neither.
-        m.setup.counters.updates.store(10_000, Ordering::Relaxed);
+        m.core.setup.counters.updates.store(10_000, Ordering::Relaxed);
         assert_eq!(round(&mut m, 20), (false, None));
         // From here the atomic says nothing ran, and the reports decide.
-        m.setup.counters.updates.store(0, Ordering::Relaxed);
+        m.core.setup.counters.updates.store(0, Ordering::Relaxed);
         assert_eq!(round(&mut m, 35), (false, Some(0)), "10 + 35 crosses the interval");
         assert_eq!(round(&mut m, 5), (false, None), "a stale, lower report never lowers the total");
-        assert_eq!((m.observed_updates(), m.last_snap_updates), (45, 45));
+        assert_eq!((m.core.observed_updates(), m.core.last_snap_updates), (45, 45));
         assert_eq!(round(&mut m, 80), (false, Some(0)), "10 + 80: an interval past the last");
         // A rollback re-bases the trigger on the same view.
-        m.last_snap_updates = 0;
+        m.core.last_snap_updates = 0;
+        m.core.reset_engine_state();
         m.reset_engine_state();
         m.pending_total = 1;
-        assert_eq!(m.last_snap_updates, 90);
+        assert_eq!(m.core.last_snap_updates, 90);
         assert_eq!(round(&mut m, 95), (true, None), "10 + 95 crosses the cap");
     }
 
@@ -1209,10 +1023,10 @@ mod tests {
         assert_eq!(m.sync_stash.len(), 1);
         // An update that left a row in an open block and a task in the set
         // for machine 1, and a block already counted for the next marker.
-        let l = *m.lg.owned_vertices().iter().find(|&&l| !m.lg.vertex_mirrors(l).is_empty()).unwrap();
-        let ghost = (0..m.lg.num_local_vertices() as u32).find(|&g| !m.lg.owns_vertex(g)).unwrap();
-        m.effects.dirty_self = true;
-        m.effects.scheduled.push((ghost, 1.0));
+        let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
+        let ghost = (0..m.core.lg.num_local_vertices() as u32).find(|&g| !m.core.lg.owns_vertex(g)).unwrap();
+        m.core.effects.dirty_self = true;
+        m.core.effects.scheduled.push((ghost, 1.0));
         m.commit(l);
         m.sent[1][1] = 1;
         assert!(m.blocks.iter().flatten().any(|b| !b.buf.is_empty()));
@@ -1222,7 +1036,7 @@ mod tests {
         assert!(m.sync_stash.is_empty(), "a stale partial must not reach the restarted cycle 0");
         assert_eq!((m.step, m.pending_total), (0, 0));
         assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
-        assert_eq!(m.queued.len(), m.lg.num_local_vertices());
+        assert_eq!(m.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
         assert_eq!(m.sent, [[0, 0], [0, 0]]);

@@ -23,14 +23,15 @@ use std::time::{Duration, Instant};
 
 use graphlab_atoms::{build_atoms, load_machine_part, write_atoms, SimDfs, VertexPartition};
 use graphlab_atoms::placement::Placement;
-use graphlab_graph::{Coloring, DataGraph, EdgeId, MachineId, VertexId};
+use graphlab_graph::{Coloring, DataGraph, EdgeId, VertexId};
 use graphlab_net::codec::Codec;
-use graphlab_net::{Endpoint, SimNet, TcpNet, Transport};
+use graphlab_net::{Batcher, Endpoint, SimNet, TcpNet, Transport};
 
 use crate::chromatic::ChromaticMachine;
 use crate::config::EngineConfig;
 use crate::globals::GlobalRegistry;
 use crate::locking::LockingMachine;
+use crate::messages::{enc, Kind, RecoverAbortMsg, RecoveryKind};
 use crate::metrics::{sample_timeline, EngineMetrics, HotCounters, LiveCounters, PhaseTimes};
 use crate::reference::InitialSchedule;
 use crate::sync::SyncList;
@@ -135,14 +136,39 @@ pub(crate) struct MachineResult<V, E> {
     pub hot: HotCounters,
 }
 
-/// Everything a machine thread needs at spawn (endpoint travels
-/// separately so the machine loop can own it).
-pub(crate) struct MachineSetup<V, E, U: ?Sized> {
+/// What a machine that executed nothing reports; `Machine::finish` and the
+/// engines fill in the rest.
+impl<V, E> Default for MachineResult<V, E> {
+    fn default() -> Self {
+        MachineResult {
+            vrows: Vec::new(),
+            erows: Vec::new(),
+            globals: GlobalRegistry::new(),
+            updates: 0,
+            update_counts: Vec::new(),
+            steps: 0,
+            snapshots: 0,
+            recoveries: 0,
+            adoptions: 0,
+            dead: false,
+            failed: None,
+            phase: PhaseTimes::default(),
+            chain_spans: Vec::new(),
+            idle_wakeups: 0,
+            hot: HotCounters::default(),
+        }
+    }
+}
+
+/// Everything a machine thread needs at spawn but the update function
+/// (the endpoint travels separately so the machine loop can own it).
+pub(crate) struct MachineSetup<V, E> {
     pub dfs: Arc<SimDfs>,
     pub index: Arc<graphlab_atoms::AtomIndex>,
     pub placement: Arc<Placement>,
-    pub coloring: Arc<Coloring>,
-    pub update: Arc<U>,
+    /// The colouring a (re)loaded local graph is built with: the chromatic
+    /// engine's, `None` for the locking engine.
+    pub coloring: Option<Arc<Coloring>>,
     pub syncs: SyncList<V, E>,
     pub stop: Option<StopFn>,
     pub initial: Arc<InitialSchedule>,
@@ -173,7 +199,7 @@ pub(crate) fn make_partition<V, E>(
 pub(crate) fn run_distributed<V, E, U>(
     engine: EngineKind,
     graph: &mut DataGraph<V, E>,
-    coloring: Coloring,
+    coloring: Option<Coloring>,
     update: Arc<U>,
     initial: InitialSchedule,
     syncs: SyncList<V, E>,
@@ -216,7 +242,7 @@ where
     let placement =
         Arc::new(Placement::with_strategy(&index, config.num_machines, config.placement));
     let index = Arc::new(index);
-    let coloring = Arc::new(coloring);
+    let coloring = coloring.map(Arc::new);
     let initial = Arc::new(initial);
     let counters = LiveCounters::new();
 
@@ -224,8 +250,7 @@ where
         dfs: Arc::clone(&dfs),
         index: Arc::clone(&index),
         placement: Arc::clone(&placement),
-        coloring: Arc::clone(&coloring),
-        update: Arc::clone(&update),
+        coloring: coloring.clone(),
         syncs: Arc::clone(&syncs),
         stop: stop.clone(),
         initial: Arc::clone(&initial),
@@ -278,15 +303,16 @@ where
         let stats = Arc::clone(endpoints[0].stats());
         let results: Vec<_> = if endpoints.len() == 1 {
             let endpoint = endpoints.pop().expect("one endpoint");
-            vec![(endpoint.id().index(), run_machine(engine, endpoint, make_setup()))]
+            let update = Arc::clone(&update);
+            vec![(endpoint.id().index(), run_machine(engine, endpoint, make_setup(), update))]
         } else {
             let handles: Vec<_> = endpoints
                 .into_iter()
                 .map(|endpoint| {
-                    let (id, setup) = (endpoint.id(), make_setup());
+                    let (id, setup, update) = (endpoint.id(), make_setup(), Arc::clone(&update));
                     let handle = std::thread::Builder::new()
                         .name(format!("machine-{id}"))
-                        .spawn(move || run_machine(engine, endpoint, setup))
+                        .spawn(move || run_machine(engine, endpoint, setup, update))
                         .expect("spawn machine thread");
                     (id.index(), handle)
                 })
@@ -404,7 +430,8 @@ where
 fn run_machine<V, E, U>(
     kind: EngineKind,
     endpoint: Endpoint,
-    setup: MachineSetup<V, E, U>,
+    setup: MachineSetup<V, E>,
+    update: Arc<U>,
 ) -> MachineResult<V, E>
 where
     V: Codec + Clone + Send + Sync + 'static,
@@ -415,12 +442,23 @@ where
     let t0 = Instant::now();
     let machine = endpoint.id();
     let wait = endpoint.net_wait_counter();
-    let init = load_machine_part::<V, E>(&setup.dfs, &setup.index, &setup.placement, machine)
-        .expect("ingress");
+    let init = match load_machine_part(&setup.dfs, &setup.index, &setup.placement, machine) {
+        Ok(init) => init,
+        // Journals are outside input. The peers wait for this machine: fail
+        // their runs too, with the reason, through the recovery plane.
+        Err(e) => {
+            let reason = format!("machine {}: ingress: {e}", machine.0);
+            let abort = RecoverAbortMsg { era: 0, reason: reason.clone() };
+            let mut net = Batcher::new(endpoint, setup.config.batch);
+            net.broadcast(Kind::from(RecoveryKind::Abort).wire(), &enc(&abort));
+            net.flush_all();
+            return MachineResult { failed: Some(reason), ..MachineResult::default() };
+        }
+    };
     let setup_time = t0.elapsed();
     let mut r = match kind {
-        EngineKind::Chromatic => ChromaticMachine::new(endpoint, setup, init).run(),
-        EngineKind::Locking => LockingMachine::new(endpoint, setup, init).run(),
+        EngineKind::Chromatic => ChromaticMachine::new(endpoint, setup, update, init).run(),
+        EngineKind::Locking => LockingMachine::new(endpoint, setup, update, init).run(),
         EngineKind::Sequential => unreachable!("sequential runs bypass the machine loop"),
     };
     let total = t0.elapsed();
@@ -433,98 +471,82 @@ where
     r
 }
 
-/// The update function of [`scripted_machine`]s: does nothing.
 #[cfg(test)]
-pub(crate) struct NoUpdate;
+pub(crate) mod tests {
+    use super::*;
+    use crate::messages::dec;
+    use graphlab_graph::MachineId;
 
-#[cfg(test)]
-impl UpdateFunction<f64, f64> for NoUpdate {
-    fn update(&self, _ctx: &mut crate::update::UpdateContext<'_, f64, f64>) {}
-}
+    /// The update function of [`scripted_machine`]s: does nothing.
+    pub(crate) struct NoUpdate;
 
-/// Unit-test fixture: machine `me`'s setup and ingress part of a
-/// `config.num_machines`-machine cluster over `graph` cut by `partition`
-/// (atom `a` on machine `a mod m`), and every machine's zero-latency SimNet
-/// endpoint — for tests that script envelopes
-/// into one machine loop.
-#[cfg(test)]
-#[allow(clippy::type_complexity, reason = "a test-only tuple of the three things a scripted machine is built from")]
-pub(crate) fn scripted_machine(
-    graph: &DataGraph<f64, f64>,
-    partition: &VertexPartition,
-    me: MachineId,
-    config: EngineConfig,
-    initial: InitialSchedule,
-) -> (
-    MachineSetup<f64, f64, NoUpdate>,
-    graphlab_atoms::LocalGraphInit<f64, f64>,
-    Vec<Endpoint>,
-) {
-    let dfs = Arc::new(SimDfs::new());
-    let (atoms, index) = build_atoms(graph, partition, "graph");
-    write_atoms(&dfs, "graph", &atoms, &index);
-    let placement = Placement::round_robin(atoms.len(), config.num_machines);
-    let init = load_machine_part(&dfs, &index, &placement, me).expect("ingress");
-    let (_net, endpoints) =
-        SimNet::with_seed(config.num_machines, graphlab_net::LatencyModel::ZERO, 1);
-    let setup = MachineSetup {
-        dfs,
-        index: Arc::new(index),
-        placement: Arc::new(placement),
-        coloring: Arc::new(graphlab_graph::greedy_coloring(graph)),
-        update: Arc::new(NoUpdate),
-        syncs: Arc::new(Vec::new()),
-        stop: None,
-        initial: Arc::new(initial),
-        config,
-        counters: LiveCounters::new(),
-        snap_prefix: "ckpt".to_string(),
-    };
-    (setup, init, endpoints)
-}
-
-/// Convenience: a [`DistributedGraph`] bundles the persisted atom
-/// representation for callers that want to reuse one ingress across runs
-/// (e.g. cluster-size sweeps, Fig. 6(a)).
-pub struct DistributedGraph {
-    /// Simulated DFS holding the atom journals.
-    pub dfs: Arc<SimDfs>,
-    /// Atom index (meta-graph).
-    pub index: Arc<graphlab_atoms::AtomIndex>,
-}
-
-impl DistributedGraph {
-    /// Builds atoms for `graph` under `strategy` and persists them.
-    pub fn build<V, E>(
-        graph: &DataGraph<V, E>,
-        strategy: &PartitionStrategy,
-        num_atoms: usize,
-        seed: u64,
-    ) -> Self
-    where
-        V: Codec + Clone,
-        E: Codec + Clone,
-    {
-        let partition = make_partition(graph, strategy, num_atoms, seed);
-        let dfs = Arc::new(SimDfs::new());
-        let (atoms, index) = build_atoms(graph, &partition, "graph");
-        write_atoms(&dfs, "graph", &atoms, &index);
-        DistributedGraph { dfs, index: Arc::new(index) }
+    impl UpdateFunction<f64, f64> for NoUpdate {
+        fn update(&self, _ctx: &mut crate::update::UpdateContext<'_, f64, f64>) {}
     }
 
-    /// Places the atoms onto `num_machines` machines and loads every
-    /// machine's part (ingress check / inspection).
-    pub fn load_all<V, E>(&self, num_machines: usize) -> Vec<graphlab_atoms::LocalGraphInit<V, E>>
-    where
-        V: Codec,
-        E: Codec,
-    {
-        let placement = Placement::compute(&self.index, num_machines);
-        (0..num_machines)
-            .map(|m| {
-                load_machine_part(&self.dfs, &self.index, &placement, MachineId::from(m))
-                    .expect("ingress")
-            })
-            .collect()
+    /// Unit-test fixture: machine `me`'s setup and ingress part of a
+    /// `config.num_machines`-machine cluster over `graph` cut by `partition`
+    /// (atom `a` on machine `a mod m`), and every machine's zero-latency SimNet
+    /// endpoint — for tests that script envelopes
+    /// into one machine loop.
+    #[allow(clippy::type_complexity, reason = "a test-only tuple of the three things a scripted machine is built from")]
+    pub(crate) fn scripted_machine(
+        graph: &DataGraph<f64, f64>,
+        partition: &VertexPartition,
+        me: MachineId,
+        config: EngineConfig,
+        initial: InitialSchedule,
+    ) -> (MachineSetup<f64, f64>, graphlab_atoms::LocalGraphInit<f64, f64>, Vec<Endpoint>) {
+        let dfs = Arc::new(SimDfs::new());
+        let (atoms, index) = build_atoms(graph, partition, "graph");
+        write_atoms(&dfs, "graph", &atoms, &index);
+        let placement = Placement::round_robin(atoms.len(), config.num_machines);
+        let init = load_machine_part(&dfs, &index, &placement, me).expect("ingress");
+        let (_net, endpoints) =
+            SimNet::with_seed(config.num_machines, graphlab_net::LatencyModel::ZERO, 1);
+        let setup = MachineSetup {
+            dfs,
+            index: Arc::new(index),
+            placement: Arc::new(placement),
+            coloring: Some(Arc::new(graphlab_graph::greedy_coloring(graph))),
+            syncs: Arc::new(Vec::new()),
+            stop: None,
+            initial: Arc::new(initial),
+            config,
+            counters: LiveCounters::new(),
+            snap_prefix: "ckpt".to_string(),
+        };
+        (setup, init, endpoints)
+    }
+
+    /// ROADMAP 3(a): a journal that cannot be read fails the run through
+    /// `failed` — on this machine and, by an `Abort` on the recovery plane,
+    /// on the peers that would otherwise wait for it — instead of panicking
+    /// the machine thread.
+    #[test]
+    fn a_missing_journal_fails_the_machine_cleanly_and_tells_the_peers() {
+        let mut b = graphlab_graph::GraphBuilder::new();
+        let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
+        for i in 0..8 {
+            b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
+        }
+        let (setup, _, mut eps) = scripted_machine(
+            &b.build(),
+            &VertexPartition::random_hash(8, 4, 3),
+            MachineId(1),
+            EngineConfig::new(2),
+            InitialSchedule::AllVertices,
+        );
+        let mine = setup.placement.atoms_of(MachineId(1))[0];
+        assert!(setup.dfs.delete(&setup.index.entry(mine).file));
+        let (ep1, ep0) = (eps.pop().unwrap(), eps.pop().unwrap());
+        // The failure precedes the choice of engine.
+        let r = run_machine(EngineKind::Locking, ep1, setup, Arc::new(NoUpdate));
+        let reason = r.failed.expect("the run failed");
+        assert!(reason.starts_with("machine 1: ingress: "), "{reason}");
+        assert!(r.vrows.is_empty() && r.erows.is_empty() && r.updates == 0);
+        let told = ep0.try_recv().expect("the peer is told");
+        assert_eq!(Kind::of(&told), Kind::Recovery(RecoveryKind::Abort));
+        assert_eq!(dec::<RecoverAbortMsg>(told.payload).reason, reason);
     }
 }

@@ -19,6 +19,13 @@
 //! - the **locking engine** ([`locking`]): fully asynchronous pipelined
 //!   distributed locking with prioritised dynamic scheduling (§4.2.2).
 //!
+//! Under both distributed engines sits one `machine::Machine` — the paper's
+//! symmetric per-machine process (§4.4, Fig. 5(a)): local graph
+//! ([`local`]), batched comms layer, DFS handle and placement, the
+//! fault-tolerance state the one `recovery` protocol drives, update
+//! accounting and the snapshot trigger. The engines add only how they order
+//! and exchange updates.
+//!
 //! Termination is first-class: [`GraphLab::stop_when`] predicates over
 //! finalized globals run at sync boundaries (the paper's aggregate-driven
 //! convergence checks), composing with update caps. Fault tolerance
@@ -46,6 +53,7 @@ pub mod driver;
 pub mod globals;
 pub mod local;
 pub mod locking;
+pub(crate) mod machine;
 pub mod messages;
 pub mod metrics;
 pub mod program;
@@ -59,7 +67,7 @@ pub mod update;
 pub use config::{EngineConfig, RecoveryMode, SnapshotConfig, SnapshotMode, StragglerConfig};
 pub use graphlab_atoms::PlacementStrategy;
 pub use graphlab_net::{BatchPolicy, FaultPlan, FaultTrigger, TcpConfig, Transport};
-pub use driver::{DistributedGraph, EngineKind, EngineOutput, PartitionStrategy};
+pub use driver::{EngineKind, EngineOutput, PartitionStrategy};
 /// `Engine` is an alias for [`EngineKind`], matching the builder-chain
 /// spelling `GraphLab::on(..).engine(Engine::Locking)`.
 pub use driver::EngineKind as Engine;

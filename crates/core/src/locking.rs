@@ -60,30 +60,29 @@
 //! Chandy-Lamport variant expressed as a prioritised update function
 //! (Alg. 5).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{ConsistencyModel, IdMap, LockType, MachineId, VertexId};
 use graphlab_net::codec::Codec;
 use graphlab_net::termination::{Safra, SafraAction};
-use graphlab_net::{Batcher, Endpoint, Envelope, LeaseConfig, RecvError};
+use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::config::SnapshotMode;
 use crate::driver::{MachineResult, MachineSetup};
-use crate::globals::GlobalRegistry;
-use crate::local::{scope_lock, LocalGraph, RemoteCacheTable, ScopePlans};
+use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
+use crate::machine::Machine;
 use crate::messages::*;
 use crate::metrics::HotCounters;
-use crate::recovery::{self, Parts, RecoveryHost, RecoveryPhase, RecoveryTracker, Step, Tally};
-use crate::reference::InitialSchedule;
+use crate::recovery::{self, RecoveryHost, RecoveryPhase, Tally};
 use crate::scheduler::Scheduler;
-use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
-use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
+use crate::update::UpdateFunction;
 
 /// Priority marking a schedule request as a snapshot task (Alg. 5:
 /// "the Snapshot Update is prioritized over other update functions").
@@ -308,10 +307,9 @@ struct Outbox {
 // ---------------------------------------------------------------------
 
 pub(crate) struct LockingMachine<V, E, U: ?Sized> {
-    lg: LocalGraph<V, E>,
-    net: Batcher,
-    setup: MachineSetup<V, E, U>,
-    globals: GlobalRegistry,
+    /// The machine under the engine: everything the chromatic engine has too.
+    core: Machine<V, E>,
+    update: Arc<U>,
     scheduler: Scheduler,
     locks: LockTable,
     /// Owner-side ghost-cache version table: what every peer already holds
@@ -346,14 +344,12 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     snap_ready_sent: bool,
     snap_flush_target: Option<Vec<u64>>,
     snap_written: bool,
-    snapshots_written: u64,
 
     // Master-only coordination state.
     m_snap_in_progress: bool,
     m_snap_ready: Vec<Option<Vec<u64>>>,
     m_snap_done: Tally,
     m_async_done: Tally,
-    m_last_snap_updates: u64,
     m_halt_pending: bool,
     m_halt_sent: bool,
     m_halt_acks: Tally,
@@ -362,27 +358,11 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     m_sync_outstanding: Option<SyncEpoch>,
     m_final_sync_done: bool,
 
-    // Failure recovery (§4.3): the shared `crate::recovery` machine's state.
-    rec: RecoveryTracker,
-    /// Clean permanent-death exit under adoption: the survivors absorbed
-    /// this machine's atoms; it reports empty rows.
-    dead: bool,
-    failure: Option<String>,
-
-    // Misc.
-    updates_local: u64,
-    // BTreeMap: drained into the run's trace output at finish — iteration
-    // order must be deterministic, not the hasher's.
-    update_count_map: BTreeMap<VertexId, u64>,
-    straggled: bool,
-    effects: UpdateEffects,
-    // Commit/hop scratch, reused across updates: chains woken by a
-    // release, per-destination commit output (by machine id), the datum
-    // being encoded into an outgoing row, and the `HopChain::rest` vectors
-    // of released chains.
+    // Commit/hop scratch, reused across updates (beside `core.rowbuf`):
+    // chains woken by a release, per-destination commit output (by machine
+    // id) and the `HopChain::rest` vectors of released chains.
     woken: Vec<SlotRef>,
     outbox: Vec<Outbox>,
-    rowbuf: BytesMut,
     rest_pool: Vec<Vec<MachineId>>,
     hot: HotCounters,
 
@@ -400,11 +380,6 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     note_every: u64,
     /// Local update count as of the last note sent (workers only).
     last_noted: u64,
-    /// Master: highest cumulative update count each peer has announced
-    /// via [`LockKind::UpdNote`]. Own slot unused — `updates_local` is
-    /// authoritative. Monotonic, so notes are idempotent and survive
-    /// rollbacks (local counts never reset).
-    m_peer_updates: Vec<u64>,
 }
 
 impl<V, E, U> LockingMachine<V, E, U>
@@ -415,19 +390,13 @@ where
 {
     pub(crate) fn new(
         ep: Endpoint,
-        setup: MachineSetup<V, E, U>,
+        setup: MachineSetup<V, E>,
+        update: Arc<U>,
         init: LocalGraphInit<V, E>,
     ) -> Self {
-        let lg = LocalGraph::from_init(init, None);
-        let nv = lg.num_local_vertices();
-        let ne = lg.num_local_edges();
-        #[expect(clippy::disallowed_methods, reason = "sizes the RecoveryTracker and the per-machine tables; every later question about membership goes to the tracker")]
-        let m = lg.num_machines();
-        let machine = lg.machine();
-        let mut net = Batcher::new(ep, setup.config.batch);
-        if let Some(period) = setup.config.lease {
-            net.enable_lease(LeaseConfig::with_period(period));
-        }
+        let core = Machine::new(ep, setup, init);
+        let (setup, lg, m) = (&core.setup, &core.lg, core.slots());
+        let (nv, ne) = (lg.num_local_vertices(), lg.num_local_edges());
         // LockKind::UpdNote granule: fine enough that the master observes a
         // counter-driven trigger at most ~1/8 interval late across the
         // whole cluster (m-1 peers, each up to a granule behind), coarse
@@ -450,14 +419,14 @@ where
             scheduler: Scheduler::new(setup.config.scheduler, nv),
             locks: LockTable::new(nv),
             cache: RemoteCacheTable::new(m, nv, ne),
-            plans: ScopePlans::build(&lg),
+            plans: ScopePlans::build(lg),
             chains: Slab::default(),
             chain_index: IdMap::default(),
             outs: Slab::default(),
             out_index: IdMap::default(),
             ready: VecDeque::new(),
             next_reqid: 1,
-            safra: Safra::new(machine, m),
+            safra: Safra::new(core.me(), m),
             halted: false,
             cap_reached: false,
             sent_counts: vec![0; m],
@@ -471,12 +440,10 @@ where
             snap_ready_sent: false,
             snap_flush_target: None,
             snap_written: false,
-            snapshots_written: 0,
             m_snap_in_progress: false,
             m_snap_ready: vec![None; m],
             m_snap_done: Tally::default(),
             m_async_done: Tally::default(),
-            m_last_snap_updates: 0,
             m_halt_pending: false,
             m_halt_sent: false,
             m_halt_acks: Tally::default(),
@@ -484,129 +451,71 @@ where
             m_sync_next_at: setup.config.sync_interval_updates,
             m_sync_outstanding: None,
             m_final_sync_done: false,
-            rec: RecoveryTracker::new(machine.index(), m),
-            dead: false,
-            failure: None,
-            updates_local: 0,
-            update_count_map: BTreeMap::new(),
-            straggled: false,
-            effects: UpdateEffects::default(),
             woken: Vec::new(),
             outbox: (0..m).map(|_| Outbox::default()).collect(),
-            rowbuf: BytesMut::new(),
             rest_pool: Vec::new(),
             hot: HotCounters::default(),
             chain_spans: Vec::new(),
             idle_wakeups: 0,
             note_every,
             last_noted: 0,
-            m_peer_updates: vec![0; m],
-            globals: GlobalRegistry::new(),
-            lg,
-            net,
-            setup,
+            core,
+            update,
         }
-    }
-
-    fn me(&self) -> MachineId {
-        self.lg.machine()
-    }
-
-    fn is_master(&self) -> bool {
-        self.me() == MachineId(0)
-    }
-
-    fn global_updates(&self) -> u64 {
-        self.setup.counters.updates.load(AtomicOrdering::Relaxed)
-    }
-
-    /// The master's message-driven view of the cluster-wide update count:
-    /// its own local count plus the highest count each peer announced via
-    /// [`LockKind::UpdNote`]. Drives sync/snapshot triggers instead of polling
-    /// the shared counter — a lower bound on the true total, at most
-    /// ~`finest_interval / 8` behind by the note granule. On non-masters
-    /// (all note slots zero) this degenerates to the local count.
-    fn observed_updates(&self) -> u64 {
-        self.updates_local + self.m_peer_updates.iter().sum::<u64>()
     }
 
     /// Worker-side half of the message-driven master: announce the local
     /// cumulative update count when it crosses a granule boundary, or
     /// (`flush`) with its exact value on the idle transition, so the
-    /// master's last trigger window closes without a timer.
+    /// master's last trigger window closes without a timer. The master's
+    /// `Machine::observed_updates` — what drives its sync and snapshot
+    /// triggers instead of polling the shared counter — is then at most
+    /// ~`finest_interval / 8` behind the true total.
     fn maybe_send_upd_note(&mut self, flush: bool) {
-        if self.note_every == 0 || self.is_master() {
+        if self.note_every == 0 || self.core.is_master() {
             return;
         }
         let due = if flush {
-            self.updates_local > self.last_noted
+            self.core.updates_local > self.last_noted
         } else {
-            self.updates_local - self.last_noted >= self.note_every
+            self.core.updates_local - self.last_noted >= self.note_every
         };
         if due {
-            self.last_noted = self.updates_local;
-            let msg = UpdNoteMsg { from: self.me(), updates: self.updates_local };
-            self.send_msg(MachineId(0), LockKind::UpdNote, enc(&msg));
+            self.last_noted = self.core.updates_local;
+            let msg = UpdNoteMsg { from: self.core.me(), updates: self.core.updates_local };
+            self.core.send(MachineId(0), LockKind::UpdNote, enc(&msg));
         }
-    }
-
-    /// Single send point for all engine traffic (see
-    /// [`RecoveryTracker::send`] for the invariant it guards).
-    fn send_msg(&mut self, dst: MachineId, kind: LockKind, payload: Bytes) {
-        self.rec.send(&mut self.net, dst, kind, payload);
-    }
-
-    fn broadcast_msg(&mut self, kind: LockKind, payload: &Bytes) {
-        self.rec.broadcast(&mut self.net, kind, payload);
     }
 
     /// Books one counted-work message to `dst` (Safra's balance, the
     /// snapshot flush counts). The caller then encodes it straight into
-    /// `dst`'s batch queue through [`RecoveryTracker::send_with`] — split in
+    /// `dst`'s batch queue through `RecoveryTracker::send_with` — split in
     /// two because the encoders borrow the rest of the machine.
     fn count_sent(&mut self, dst: MachineId, kind: LockKind) {
         debug_assert!(kind.is_counted_work());
-        debug_assert!(dst != self.me());
+        debug_assert!(dst != self.core.me());
         self.safra.on_message_sent(1);
         self.sent_counts[dst.index()] += 1;
     }
 
-    fn initial_schedule(&mut self) {
-        match &*self.setup.initial {
-            InitialSchedule::AllVertices => {
-                for i in 0..self.lg.owned_vertices().len() {
-                    let l = self.lg.owned_vertices()[i];
-                    self.scheduler.add(l, 1.0);
-                }
-            }
-            InitialSchedule::Vertices(vs) => {
-                for (v, p) in vs.clone() {
-                    if let Some(l) = self.lg.local_vertex(v) {
-                        if self.lg.owns_vertex(l) {
-                            self.scheduler.add(l, p);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
-        self.initial_schedule();
-        while !self.halted && self.failure.is_none() {
-            let normal = self.rec.phase() == RecoveryPhase::Normal;
+        for (l, p) in self.core.initial_tasks() {
+            self.scheduler.add(l, p);
+        }
+        while !self.halted && self.core.failure.is_none() {
+            let normal = self.core.rec.phase() == RecoveryPhase::Normal;
             if normal {
                 self.hot.loop_iters += 1;
                 self.hot.pipeline_occupancy += self.outs.live() as u64;
-                self.maybe_straggle();
-                if self.is_master() {
+                self.core.maybe_straggle();
+                if self.core.is_master() {
                     self.master_triggers();
                 }
                 self.pump();
                 self.execute_ready();
                 self.check_snapshot_progress();
                 self.update_idle();
-                if self.is_master() {
+                if self.core.is_master() {
                     // update_idle may have completed Safra termination
                     // (m_halt_pending) — sequence the halt now rather than
                     // after a full idle deadline.
@@ -618,13 +527,13 @@ where
             }
             let deadline = if normal { self.next_recv_deadline() } else { IDLE_BLOCK };
             self.hot.blocking_recvs += u64::from(normal && deadline > Duration::ZERO);
-            match self.net.recv_timeout(deadline) {
+            match self.core.net.recv_timeout(deadline) {
                 Ok(env) => {
                     self.dispatch(env);
                     // Drain the inbox without blocking to amortise the
                     // pump/execute overhead across message bursts.
                     for _ in 0..512 {
-                        match self.net.try_recv() {
+                        match self.core.net.try_recv() {
                             Ok(env) => self.dispatch(env),
                             Err(_) => break,
                         }
@@ -637,19 +546,24 @@ where
                 }
                 Err(RecvError::Timeout) => {
                     let step = recovery::tick(&mut self);
-                    self.on_recovery_step(step);
+                    self.halted |= self.core.ends_run(step);
                 }
                 Err(RecvError::MachineDown) => {
                     let step = recovery::on_self_death(&mut self);
-                    self.on_recovery_step(step);
+                    self.halted |= self.core.ends_run(step);
                 }
                 Err(RecvError::Disconnected) => break,
             }
         }
         // Halt-era messages (acks, final releases) may still sit in the
         // batch queues; the master is blocked waiting for them.
-        self.net.flush_all();
-        self.finish()
+        self.core.net.flush_all();
+        MachineResult {
+            chain_spans: self.chain_spans,
+            idle_wakeups: self.idle_wakeups,
+            hot: self.hot,
+            ..self.core.finish()
+        }
     }
 
     /// Routes one envelope: normal-phase engine traffic goes straight to
@@ -663,27 +577,16 @@ where
     /// [`Self::dispatch`], for an envelope already decoded as `kind`.
     fn route(&mut self, kind: Kind, env: Envelope) {
         match kind {
-            Kind::Lock(kind) if self.rec.phase() == RecoveryPhase::Normal => {
+            Kind::Lock(kind) if self.core.rec.phase() == RecoveryPhase::Normal => {
                 self.handle(kind, env)
             }
             Kind::Lock(_) | Kind::Recovery(_) => {
+                // A resumed round needs nothing: the loop simply finds the
+                // phase normal again.
                 let step = recovery::on_envelope(self, kind, env);
-                self.on_recovery_step(step);
+                self.halted |= self.core.ends_run(step);
             }
             Kind::Chrom(kind) => panic!("{} in the locking engine", kind.name()),
-        }
-    }
-
-    /// Acts on the recovery machine's verdict (a resumed round needs
-    /// nothing: the loop simply finds the phase normal again).
-    fn on_recovery_step(&mut self, step: Step) {
-        match step {
-            Step::Continue | Step::Resumed => {}
-            Step::Exit => {
-                self.dead = true;
-                self.halted = true;
-            }
-            Step::Abort(reason) => self.failure = Some(reason),
         }
     }
 
@@ -701,10 +604,8 @@ where
         if self.has_runnable_work() {
             return Duration::ZERO;
         }
-        if let Some(s) = self.setup.config.straggler {
-            if s.machine == self.me().0 && !self.straggled {
-                return STRAGGLER_POLL;
-            }
+        if self.core.straggler_pending().is_some() {
+            return STRAGGLER_POLL;
         }
         IDLE_BACKSTOP
     }
@@ -718,7 +619,7 @@ where
         if self.snap_paused || self.halted {
             return false;
         }
-        if self.outs.live() >= self.setup.config.max_pipeline.max(1) {
+        if self.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
             return false;
         }
         if !self.snap_queue.is_empty() {
@@ -733,13 +634,13 @@ where
         if self.snap_paused || self.halted {
             return;
         }
-        let cap = self.setup.config.max_updates;
-        if cap > 0 && !self.cap_reached && self.global_updates() >= cap {
+        if !self.cap_reached && self.core.capped(self.core.live_updates()) {
             // Drop remaining tasks so the cluster can quiesce.
             self.cap_reached = true;
-            self.scheduler = Scheduler::new(self.setup.config.scheduler, self.lg.num_local_vertices());
+            let nv = self.core.lg.num_local_vertices();
+            self.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         }
-        while self.outs.live() < self.setup.config.max_pipeline.max(1) {
+        while self.outs.live() < self.core.setup.config.max_pipeline.max(1) {
             // Snapshot tasks first (priority), then the app scheduler.
             let (l, is_snap) = if let Some(l) = self.pop_snap_task() {
                 (l, true)
@@ -767,14 +668,14 @@ where
     fn initiate_chain(&mut self, l: u32, is_snapshot: bool) {
         let model = if is_snapshot {
             ConsistencyModel::Edge
-        } else if self.setup.config.racing {
+        } else if self.core.setup.config.racing {
             // Fig. 1(d): lock only the central vertex; reads of neighbour
             // ghosts race against concurrent writers.
             ConsistencyModel::Vertex
         } else {
-            self.setup.config.consistency
+            self.core.setup.config.consistency
         };
-        let me = self.me();
+        let me = self.core.me();
         let machines = self.plans.lock_owners(l, me, model);
         let (span, first) = (machines.len(), machines[0]);
         if self.chain_spans.len() <= span {
@@ -785,7 +686,7 @@ where
         let reqid = self.next_reqid;
         self.next_reqid += 1;
         tr!("[m{}] INIT reqid={} center=v{} machines={:?}",
-            me.0, reqid, self.lg.vertex_gvid(l).0, machines);
+            me.0, reqid, self.core.lg.vertex_gvid(l).0, machines);
         let out = self.outs.insert(OutScope {
             reqid,
             center: l,
@@ -802,9 +703,9 @@ where
             self.start_hop(chain);
         } else {
             self.count_sent(first, LockKind::Req);
-            let (scope_v, machines) = (self.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
+            let (scope_v, machines) = (self.core.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
             let model = consistency_to_u8(model);
-            self.rec.send_with(&mut self.net, first, LockKind::Req, |buf| {
+            self.core.send_with(first, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, me, reqid, scope_v, machines, model)
             });
         }
@@ -815,8 +716,8 @@ where
     /// Starts this machine's hop of `chain`: its share of the centre's plan
     /// row, taken lock by lock.
     fn start_hop(&mut self, mut chain: HopChain) {
-        debug_assert!(self.plans.row_is_current(&self.lg, chain.center), "plans outlived their graph");
-        let me = self.me();
+        debug_assert!(self.plans.row_is_current(&self.core.lg, chain.center), "plans outlived their graph");
+        let me = self.core.me();
         chain.locks = self.plans.share(chain.center, me, chain.model);
         chain.next = chain.locks.start;
         debug_assert!(!chain.locks.is_empty(), "hop visits a machine owning scope vertices");
@@ -856,7 +757,7 @@ where
     /// All local locks of chain `r` granted: send fresh scope data to the
     /// requester and forward the chain.
     fn complete_hop(&mut self, r: SlotRef) {
-        let me = self.me();
+        let me = self.core.me();
         let chain = self.chains.get(r);
         let (requester, reqid, center, model) =
             (chain.requester, chain.reqid, chain.center, chain.model);
@@ -886,8 +787,8 @@ where
             // (`count_sent`, field by field: `rest` borrows the plans or the chain.)
             self.safra.on_message_sent(1);
             self.sent_counts[dst.index()] += 1;
-            let (scope_v, model) = (self.lg.vertex_gvid(center), consistency_to_u8(model));
-            self.rec.send_with(&mut self.net, dst, LockKind::Req, |buf| {
+            let (scope_v, model) = (self.core.lg.vertex_gvid(center), consistency_to_u8(model));
+            self.core.send_with(dst, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, requester, reqid, scope_v, rest, model)
             });
         }
@@ -903,9 +804,9 @@ where
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
         self.count_sent(to, LockKind::ScopeData);
         let req = to.index();
-        let filter = !self.setup.config.no_version_filter;
+        let filter = !self.core.setup.config.no_version_filter;
         let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
-        let (lg, snap_epoch) = (&self.lg, &self.snap_epoch);
+        let (lg, snap_epoch) = (&self.core.lg, &self.snap_epoch);
         let stale_v = |cache: &RemoteCacheTable, lv| {
             !filter || cache.v_known(req, lv) < lg.vertex_version(lv)
         };
@@ -914,8 +815,8 @@ where
         // The fresh-row counts prefix the rows on the wire: count first.
         let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
         let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
-        let cx = &mut (&mut self.cache, &mut self.rowbuf);
-        self.rec.send_with(&mut self.net, to, LockKind::ScopeData, |buf| {
+        let cx = &mut (&mut self.cache, &mut self.core.rowbuf);
+        self.core.rec.send_with(&mut self.core.net, to, LockKind::ScopeData, |buf| {
             ScopeDataMsg::put(
                 buf,
                 cx,
@@ -964,36 +865,22 @@ where
 
     fn execute_update(&mut self, out: SlotRef) {
         let center = self.outs.get(out).center;
-        self.effects.clear();
-        {
-            let mut ctx = UpdateContext::new(
-                &mut self.lg,
-                center,
-                self.setup.config.consistency,
-                &self.globals,
-                &mut self.effects,
-            );
-            self.setup.update.update(&mut ctx);
-        }
-        self.updates_local += 1;
+        self.core.execute(&*self.update, center);
         if trace_on() {
             let nbrs: Vec<(u32, u64)> = self
+                .core
                 .lg
                 .adj(center)
                 .iter()
-                .map(|e| (self.lg.vertex_gvid(e.nbr).0, self.lg.vertex_version(e.nbr)))
+                .map(|e| (self.core.lg.vertex_gvid(e.nbr).0, self.core.lg.vertex_version(e.nbr)))
                 .collect();
             tr!("[m{}] EXEC reqid={} v{} dirty={} sched={:?} nbr_vers={:?}",
-                self.me().0, self.outs.get(out).reqid, self.lg.vertex_gvid(center).0,
-                self.effects.dirty_self,
-                self.effects.scheduled.iter().map(|s| self.lg.vertex_gvid(s.0).0).collect::<Vec<_>>(),
+                self.core.me().0, self.outs.get(out).reqid, self.core.lg.vertex_gvid(center).0,
+                self.core.effects.dirty_self,
+                self.core.effects.scheduled.iter().map(|s| self.core.lg.vertex_gvid(s.0).0).collect::<Vec<_>>(),
                 nbrs);
         }
-        self.setup.counters.updates.fetch_add(1, AtomicOrdering::Relaxed);
         self.maybe_send_upd_note(false);
-        if self.setup.config.trace {
-            *self.update_count_map.entry(self.lg.vertex_gvid(center)).or_insert(0) += 1;
-        }
         self.commit_and_release(out);
     }
 
@@ -1001,20 +888,20 @@ where
     /// (Alg. 5) to the snapshot queue unless the vertex is already marked,
     /// an application task to the scheduler.
     fn schedule_owned(&mut self, lv: u32, prio: f64, is_snapshot: bool) {
-        debug_assert!(self.lg.owns_vertex(lv));
+        debug_assert!(self.core.lg.owns_vertex(lv));
         if is_snapshot {
             if self.current_snap > 0 && self.snap_epoch[lv as usize] != self.current_snap {
                 self.snap_queue.push_back(lv);
             }
         } else if !self.cap_reached {
             let fresh = self.scheduler.add(lv, prio);
-            tr!("[m{}] SCHED v{} fresh={}", self.me().0, self.lg.vertex_gvid(lv).0, fresh);
+            tr!("[m{}] SCHED v{} fresh={}", self.core.me().0, self.core.lg.vertex_gvid(lv).0, fresh);
         }
     }
 
     fn commit_and_release(&mut self, out: SlotRef) {
-        let me = self.me();
-        let mut effects = std::mem::take(&mut self.effects);
+        let me = self.core.me();
+        let mut effects = std::mem::take(&mut self.core.effects);
         let scope = self.outs.get(out);
         let (reqid, center, model, chain) = (scope.reqid, scope.center, scope.model, scope.chain);
         let is_snapshot = scope.is_snapshot;
@@ -1026,25 +913,25 @@ where
         // Version bumps for locally-owned dirty data; remotely-owned dirty
         // data is written back with its owner's release.
         if effects.dirty_self {
-            debug_assert!(self.lg.owns_vertex(center));
-            self.lg.bump_vertex_version(center);
+            debug_assert!(self.core.lg.owns_vertex(center));
+            self.core.lg.bump_vertex_version(center);
         }
         effects.dirty_edges.sort_unstable();
         effects.dirty_edges.dedup();
         for &le in &effects.dirty_edges {
-            if self.lg.owns_edge(le) {
-                self.lg.bump_edge_version(le);
+            if self.core.lg.owns_edge(le) {
+                self.core.lg.bump_edge_version(le);
             } else {
-                self.outbox[self.lg.edge_owner(le).index()].ewrites.push(le);
+                self.outbox[self.core.lg.edge_owner(le).index()].ewrites.push(le);
             }
         }
         effects.dirty_nbrs.sort_unstable();
         effects.dirty_nbrs.dedup();
         for &ln in &effects.dirty_nbrs {
-            if self.lg.owns_vertex(ln) {
-                self.lg.bump_vertex_version(ln);
+            if self.core.lg.owns_vertex(ln) {
+                self.core.lg.bump_vertex_version(ln);
             } else {
-                self.outbox[self.lg.vertex_owner(ln).index()].vwrites.push(ln);
+                self.outbox[self.core.lg.vertex_owner(ln).index()].vwrites.push(ln);
             }
         }
 
@@ -1055,7 +942,7 @@ where
         // every scheduled vertex is in the scope, so the row's owners cover
         // them under every consistency model.
         for &(lv, prio) in &effects.scheduled {
-            let owner = self.lg.vertex_owner(lv);
+            let owner = self.core.lg.vertex_owner(lv);
             if owner == me {
                 self.schedule_owned(lv, prio, is_snapshot);
             } else {
@@ -1063,7 +950,7 @@ where
                 // application task that hot travels as the largest finite
                 // priority (SSSP schedules unreached neighbours with +inf).
                 let prio = if is_snapshot { SNAPSHOT_PRIORITY } else { prio.min(f64::MAX) };
-                self.outbox[owner.index()].sched.push((self.lg.vertex_gvid(lv), prio));
+                self.outbox[owner.index()].sched.push((self.core.lg.vertex_gvid(lv), prio));
             }
         }
         for k in 0..self.plans.owners(center).len() {
@@ -1073,7 +960,7 @@ where
                 let tasks = &mut self.outbox[mm.index()].sched;
                 tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
                     tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
-                self.rec.send_with(&mut self.net, mm, LockKind::Sched, |buf| ScheduleMsg::put(buf, tasks));
+                self.core.send_with(mm, LockKind::Sched, |buf| ScheduleMsg::put(buf, tasks));
                 tasks.clear();
             }
         }
@@ -1087,9 +974,9 @@ where
                 continue;
             }
             self.count_sent(mm, LockKind::Release);
-            let (lg, snap_epoch, ob) = (&self.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
-            let rowbuf = &mut self.rowbuf;
-            self.rec.send_with(&mut self.net, mm, LockKind::Release, |buf| {
+            let (lg, snap_epoch, ob) = (&self.core.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
+            let rowbuf = &mut self.core.rowbuf;
+            self.core.rec.send_with(&mut self.core.net, mm, LockKind::Release, |buf| {
                 ReleaseMsg::put(
                     buf,
                     rowbuf,
@@ -1126,7 +1013,7 @@ where
             ob.ewrites.clear();
             ob.sched.clear();
         }
-        self.effects = effects;
+        self.core.effects = effects;
     }
 
     /// Drops every lock chain `r` holds here, resuming the chains each
@@ -1157,28 +1044,28 @@ where
     fn execute_snapshot_update(&mut self, out: SlotRef) {
         let center = self.outs.get(out).center;
         let snap = self.current_snap;
-        self.effects.clear();
+        self.core.effects.clear();
         if self.snap_epoch[center as usize] != snap {
             // Save D_v.
             self.snap_buffer
                 .vrows
-                .push((self.lg.vertex_gvid(center), enc(self.lg.vertex_data(center))));
+                .push((self.core.lg.vertex_gvid(center), enc(self.core.lg.vertex_data(center))));
             // Save edges to not-yet-snapshotted neighbours; schedule them
             // (commit routes owned ones to the snapshot queue, the rest to
             // their owners).
-            for e in self.lg.adj(center) {
+            for e in self.core.lg.adj(center) {
                 if self.snap_epoch[e.nbr as usize] != snap {
                     self.snap_buffer
                         .erows
-                        .push((self.lg.edge_geid(e.edge), enc(self.lg.edge_data(e.edge))));
-                    self.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
+                        .push((self.core.lg.edge_geid(e.edge), enc(self.core.lg.edge_data(e.edge))));
+                    self.core.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
             // propagates with the ordinary scope-data synchronisation.
             self.snap_epoch[center as usize] = snap;
             self.snap_remaining -= 1;
-            self.lg.bump_vertex_version(center);
+            self.core.lg.bump_vertex_version(center);
         }
         self.commit_and_release(out);
     }
@@ -1201,10 +1088,10 @@ where
                         Some(_) => rest.push(m),
                     })
                 });
-                debug_assert_eq!(head, Some(self.me()), "chain head is this hop");
+                debug_assert_eq!(head, Some(self.core.me()), "chain head is this hop");
                 let model = consistency_from_u8(model).expect("valid consistency model");
-                let center = self.lg.local_vertex(scope_v).expect("scope centre replicated at hop");
-                let out = if requester == self.me() {
+                let center = self.core.lg.local_vertex(scope_v).expect("scope centre replicated at hop");
+                let out = if requester == self.core.me() {
                     *self.out_index.get(&reqid).expect("own scope")
                 } else {
                     SlotRef::default()
@@ -1219,10 +1106,10 @@ where
                         p,
                         self,
                         |m, vid, version, snap, data| {
-                            if let Some(lv) = m.lg.local_vertex(vid) {
+                            if let Some(lv) = m.core.lg.local_vertex(vid) {
                                 let datum = dec_in(payload, data);
-                                let applied = m.lg.apply_vertex_update(lv, version, datum);
-                                tr!("[m{}] DATA from=m{} v{} ver={} applied={}", m.me().0,
+                                let applied = m.core.lg.apply_vertex_update(lv, version, datum);
+                                tr!("[m{}] DATA from=m{} v{} ver={} applied={}", m.core.me().0,
                                     src.0, vid.0, version, applied);
                                 if snap > m.snap_epoch[lv as usize] {
                                     m.snap_epoch[lv as usize] = snap;
@@ -1230,13 +1117,13 @@ where
                             }
                         },
                         |m, eid, version, data| {
-                            if let Some(le) = m.lg.local_edge(eid) {
-                                m.lg.apply_edge_update(le, version, dec_in(payload, data));
+                            if let Some(le) = m.core.lg.local_edge(eid) {
+                                m.core.lg.apply_edge_update(le, version, dec_in(payload, data));
                             }
                         },
                     )
                 });
-                tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.me().0, reqid,
+                tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.core.me().0, reqid,
                     nv, ne, vsame, esame);
                 let out = self.out_index.get(&reqid).copied();
                 // Rows + unchanged markers must cover the hop's whole share
@@ -1264,10 +1151,10 @@ where
                         p,
                         self,
                         |m, v, snap, data| {
-                            let lv = m.lg.local_vertex(v).expect("write-back target local");
-                            debug_assert!(m.lg.owns_vertex(lv));
-                            *m.lg.vertex_data_mut(lv) = dec_in(payload, data);
-                            let ver = m.lg.bump_vertex_version(lv);
+                            let lv = m.core.lg.local_vertex(v).expect("write-back target local");
+                            debug_assert!(m.core.lg.owns_vertex(lv));
+                            *m.core.lg.vertex_data_mut(lv) = dec_in(payload, data);
+                            let ver = m.core.lg.bump_vertex_version(lv);
                             // The bump invalidates every peer's cache entry;
                             // the writer itself holds exactly the data it wrote.
                             m.cache.note_v(src, lv, ver);
@@ -1276,10 +1163,10 @@ where
                             }
                         },
                         |m, e, data| {
-                            let le = m.lg.local_edge(e).expect("write-back target local");
-                            debug_assert!(m.lg.owns_edge(le));
-                            *m.lg.edge_data_mut(le) = dec_in(payload, data);
-                            let ver = m.lg.bump_edge_version(le);
+                            let le = m.core.lg.local_edge(e).expect("write-back target local");
+                            debug_assert!(m.core.lg.owns_edge(le));
+                            *m.core.lg.edge_data_mut(le) = dec_in(payload, data);
+                            let ver = m.core.lg.bump_edge_version(le);
                             m.cache.note_e(src, le, ver);
                         },
                     )
@@ -1292,7 +1179,7 @@ where
             }
             LockKind::Sched => read_all(&env.payload, |p| {
                 ScheduleMsg::read(p, |gv, prio| {
-                    if let Some(lv) = self.lg.local_vertex(gv) {
+                    if let Some(lv) = self.core.lg.local_vertex(gv) {
                         self.schedule_owned(lv, prio, prio == SNAPSHOT_PRIORITY);
                     }
                 })
@@ -1309,9 +1196,9 @@ where
                 self.apply_safra(action);
             }
             LockKind::Halt => {
-                tr!("[m{}] HALT sched_len={} out={} ready={}", self.me().0,
+                tr!("[m{}] HALT sched_len={} out={} ready={}", self.core.me().0,
                     self.scheduler.len(), self.outs.live(), self.ready.len());
-                self.send_msg(MachineId(0), LockKind::HaltAck, Bytes::new());
+                self.core.send(MachineId(0), LockKind::HaltAck, Bytes::new());
                 self.halted = true;
             }
             LockKind::HaltAck => {
@@ -1323,12 +1210,12 @@ where
             }
             LockKind::SyncGlob => {
                 let msg: SyncGlobalsMsg = dec(env.payload);
-                apply_globals(&self.setup.syncs, msg.globals, &mut self.globals);
+                apply_globals(&self.core.setup.syncs, msg.globals, &mut self.core.globals);
             }
             LockKind::SyncReq => {
                 let epoch: u64 = dec(env.payload);
-                let partials = local_partials(&self.setup.syncs, &self.lg);
-                self.send_msg(
+                let partials = local_partials(&self.core.setup.syncs, &self.core.lg);
+                self.core.send(
                     MachineId(0),
                     LockKind::SyncPart,
                     enc(&LockSyncPartialMsg { epoch, partials }),
@@ -1368,9 +1255,8 @@ where
             }
             LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
-                if self.is_master() {
-                    let slot = &mut self.m_peer_updates[msg.from.index()];
-                    *slot = (*slot).max(msg.updates);
+                if self.core.is_master() {
+                    self.core.note_peer_updates(msg.from, msg.updates);
                 }
             }
         }
@@ -1389,9 +1275,9 @@ where
                 let mut to = to;
                 let mut token = token;
                 for _ in 0..4 {
-                    to = self.rec.survivor_from(to);
-                    if to != self.me() {
-                        self.send_msg(to, LockKind::Token, enc(&TokenMsg(token)));
+                    to = self.core.rec.survivor_from(to);
+                    if to != self.core.me() {
+                        self.core.send(to, LockKind::Token, enc(&TokenMsg(token)));
                         return;
                     }
                     match self.safra.on_token(token) {
@@ -1405,15 +1291,15 @@ where
                         }
                     }
                 }
-                self.failure = Some(
+                self.core.failure = Some(
                     "termination probe cannot complete: sole survivor with a nonzero \
                      message balance"
                         .into(),
                 );
             }
             SafraAction::Terminated => {
-                debug_assert!(self.is_master());
-                tr!("[m{}] SAFRA_TERMINATED", self.me().0);
+                debug_assert!(self.core.is_master());
+                tr!("[m{}] SAFRA_TERMINATED", self.core.me().0);
                 self.m_halt_pending = true;
             }
         }
@@ -1437,13 +1323,13 @@ where
     // ---- master coordination ----
 
     fn master_triggers(&mut self) {
-        debug_assert!(self.is_master());
-        let g_updates = self.observed_updates();
+        debug_assert!(self.core.is_master());
+        let g_updates = self.core.observed_updates();
 
         // Background sync epochs.
-        let interval = self.setup.config.sync_interval_updates;
+        let interval = self.core.setup.config.sync_interval_updates;
         if interval > 0
-            && !self.setup.syncs.is_empty()
+            && !self.core.setup.syncs.is_empty()
             && self.m_sync_outstanding.is_none()
             && g_updates >= self.m_sync_next_at
             && !self.m_halt_sent
@@ -1453,57 +1339,48 @@ where
         }
 
         // Snapshot triggers.
-        let snap_cfg = self.setup.config.snapshot;
-        if snap_cfg.mode != SnapshotMode::None
-            && snap_cfg.every_updates > 0
-            && !self.m_snap_in_progress
-            && (self.snapshots_written) < snap_cfg.max_snapshots
-            && g_updates.saturating_sub(self.m_last_snap_updates) >= snap_cfg.every_updates
-            && !self.m_halt_pending
-            && !self.m_halt_sent
-        {
-            self.m_last_snap_updates = g_updates;
+        let busy = self.m_snap_in_progress || self.m_halt_pending || self.m_halt_sent;
+        if let Some(id) = if busy { None } else { self.core.snapshot_due() } {
             self.m_snap_in_progress = true;
             self.m_snap_done = Tally::default();
             self.m_async_done = Tally::default();
             self.m_snap_ready.fill(None);
-            let id = self.snapshots_written;
-            match snap_cfg.mode {
+            match self.core.setup.config.snapshot.mode {
                 SnapshotMode::Synchronous => {
                     let payload = enc(&id);
-                    self.broadcast_msg(LockKind::SnapSyncStart, &payload);
+                    self.core.broadcast(LockKind::SnapSyncStart, &payload);
                     self.begin_sync_snapshot();
                 }
                 SnapshotMode::Asynchronous => {
                     let payload = enc(&(id + 1));
-                    self.broadcast_msg(LockKind::SnapAsyncStart, &payload);
+                    self.core.broadcast(LockKind::SnapAsyncStart, &payload);
                     self.begin_async_snapshot((id + 1) as u32);
                 }
-                SnapshotMode::None => unreachable!(),
+                SnapshotMode::None => unreachable!("no snapshot is ever due"),
             }
         }
 
         // Async snapshot completion.
         if self.m_snap_in_progress
-            && self.setup.config.snapshot.mode == SnapshotMode::Asynchronous
-            && self.rec.complete(&self.m_async_done)
+            && self.core.setup.config.snapshot.mode == SnapshotMode::Asynchronous
+            && self.core.rec.complete(&self.m_async_done)
         {
             self.m_snap_in_progress = false;
         }
 
         // Halt sequencing: optional final sync, then halt broadcast.
         if self.m_halt_pending && !self.m_snap_in_progress && !self.m_halt_sent {
-            if !self.setup.syncs.is_empty() && !self.m_final_sync_done {
+            if !self.core.setup.syncs.is_empty() && !self.m_final_sync_done {
                 if self.m_sync_outstanding.is_none() {
                     self.start_sync_epoch(true);
                 }
             } else {
                 self.m_halt_sent = true;
                 self.m_halt_acks = Tally::with_own_vote();
-                self.broadcast_msg(LockKind::Halt, &Bytes::new());
+                self.core.broadcast(LockKind::Halt, &Bytes::new());
             }
         }
-        if self.m_halt_sent && self.rec.complete(&self.m_halt_acks) {
+        if self.m_halt_sent && self.core.rec.complete(&self.m_halt_acks) {
             self.halted = true;
         }
     }
@@ -1512,13 +1389,13 @@ where
         self.m_sync_epoch += 1;
         let epoch = if fin { u64::MAX } else { self.m_sync_epoch };
         let payload = enc(&epoch);
-        self.broadcast_msg(LockKind::SyncReq, &payload);
+        self.core.broadcast(LockKind::SyncReq, &payload);
         let mut accs: Vec<Box<dyn std::any::Any + Send>> =
-            self.setup.syncs.iter().map(|op| op.init_acc()).collect();
-        let mine = local_partials(&self.setup.syncs, &self.lg);
-        combine_partials(&self.setup.syncs, &mut accs, &mine);
+            self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+        let mine = local_partials(&self.core.setup.syncs, &self.core.lg);
+        combine_partials(&self.core.setup.syncs, &mut accs, &mine);
         let got = Tally::with_own_vote();
-        let alone = self.rec.complete(&got);
+        let alone = self.core.rec.complete(&got);
         self.m_sync_outstanding = Some((epoch, accs, got));
         if alone {
             self.finish_sync_epoch();
@@ -1532,28 +1409,28 @@ where
         if msg.epoch != *epoch {
             return;
         }
-        combine_partials(&self.setup.syncs, accs, &msg.partials);
+        combine_partials(&self.core.setup.syncs, accs, &msg.partials);
         got.vote();
-        if self.rec.complete(got) {
+        if self.core.rec.complete(got) {
             self.finish_sync_epoch();
         }
     }
 
     fn finish_sync_epoch(&mut self) {
         let (epoch, accs, _) = self.m_sync_outstanding.take().expect("epoch active");
-        let total = self.lg.total_vertices();
-        let rows = finalize_into(&self.setup.syncs, accs, total, &mut self.globals);
+        let total = self.core.lg.total_vertices();
+        let rows = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
         let msg = SyncGlobalsMsg { cycle: epoch, globals: rows, halt: false, snapshot: None };
         let payload = enc(&msg);
-        self.broadcast_msg(LockKind::SyncGlob, &payload);
+        self.core.broadcast(LockKind::SyncGlob, &payload);
         if epoch == u64::MAX {
             self.m_final_sync_done = true;
         }
         // Aggregate-driven termination (§3.5): evaluate the stop predicate
         // over the just-finalized globals. The epoch that tripped it doubles
         // as the final sync — everyone already holds these values.
-        if !self.m_halt_pending && self.setup.stop.as_ref().is_some_and(|f| f(&self.globals)) {
-            tr!("[m{}] STOP_WHEN fired at epoch {}", self.me().0, epoch);
+        if !self.m_halt_pending && self.core.stop_hit() {
+            tr!("[m{}] STOP_WHEN fired at epoch {}", self.core.me().0, epoch);
             self.m_halt_pending = true;
             self.m_final_sync_done = true;
         }
@@ -1575,10 +1452,10 @@ where
         self.cache.invalidate_all();
         self.current_snap = snap;
         self.snap_buffer = SnapshotFile::default();
-        self.snap_remaining = self.lg.owned_vertices().len();
+        self.snap_remaining = self.core.lg.owned_vertices().len();
         self.snap_queue.clear();
-        for i in 0..self.lg.owned_vertices().len() {
-            let l = self.lg.owned_vertices()[i];
+        for i in 0..self.core.lg.owned_vertices().len() {
+            let l = self.core.lg.owned_vertices()[i];
             self.snap_queue.push_back(l);
         }
         if self.snap_remaining == 0 {
@@ -1589,19 +1466,11 @@ where
 
     fn finish_async_snapshot(&mut self) {
         let file = std::mem::take(&mut self.snap_buffer);
-        write_snapshot_atoms(
-            &self.setup.dfs,
-            &self.setup.snap_prefix,
-            self.current_snap as u64 - 1,
-            file,
-            &self.lg,
-            &self.setup.placement.atoms_of(self.me()),
-        );
-        self.snapshots_written += 1;
-        if self.is_master() {
+        self.core.write_checkpoint(self.current_snap as u64 - 1, file);
+        if self.core.is_master() {
             self.m_async_done.vote();
         } else {
-            self.send_msg(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
+            self.core.send(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
         }
     }
 
@@ -1616,40 +1485,33 @@ where
         if self.snap_paused && !self.snap_ready_sent && self.outs.live() == 0 && self.ready.is_empty()
         {
             self.snap_ready_sent = true;
-            let msg = SnapReadyMsg { snap: self.snapshots_written, sent_to: self.sent_counts.clone() };
-            if self.is_master() {
+            let msg = SnapReadyMsg { snap: self.core.snapshots, sent_to: self.sent_counts.clone() };
+            if self.core.is_master() {
                 self.master_collect_snap_ready(MachineId(0), msg);
             } else {
-                self.send_msg(MachineId(0), LockKind::SnapSyncReady, enc(&msg));
+                self.core.send(MachineId(0), LockKind::SnapSyncReady, enc(&msg));
             }
         }
         if self.snap_paused && !self.snap_written {
             if let Some(target) = &self.snap_flush_target {
                 let flushed = self
+                    .core
                     .rec
-                    .all_survivors(|j| j == self.me().index() || self.recv_counts[j] >= target[j]);
+                    .all_survivors(|j| j == self.core.me().index() || self.recv_counts[j] >= target[j]);
                 if flushed {
                     self.snap_written = true;
-                    let file = SnapshotFile::capture(&self.lg);
-                    write_snapshot_atoms(
-                        &self.setup.dfs,
-                        &self.setup.snap_prefix,
-                        self.snapshots_written,
-                        file,
-                        &self.lg,
-                        &self.setup.placement.atoms_of(self.me()),
-                    );
-                    self.snapshots_written += 1;
-                    if self.is_master() {
+                    let file = SnapshotFile::capture(&self.core.lg);
+                    self.core.write_checkpoint(self.core.snapshots, file);
+                    if self.core.is_master() {
                         self.m_snap_done.vote();
                         self.master_check_snap_done();
                     } else {
-                        self.send_msg(MachineId(0), LockKind::SnapDone, Bytes::new());
+                        self.core.send(MachineId(0), LockKind::SnapDone, Bytes::new());
                     }
                 }
             }
         }
-        if self.is_master() {
+        if self.core.is_master() {
             self.master_check_snap_done();
         }
     }
@@ -1659,37 +1521,37 @@ where
         // zero; use the written counter as the definitive latch.
         self.snap_buffer.vrows.is_empty()
             && self.snap_buffer.erows.is_empty()
-            && self.snapshots_written as u32 >= self.current_snap
+            && self.core.snapshots as u32 >= self.current_snap
     }
 
     fn master_collect_snap_ready(&mut self, src: MachineId, msg: SnapReadyMsg) {
-        if !self.is_master() {
+        if !self.core.is_master() {
             return;
         }
         self.m_snap_ready[src.index()] = Some(msg.sent_to);
-        if self.rec.all_survivors(|j| self.m_snap_ready[j].is_some()) {
+        if self.core.rec.all_survivors(|j| self.m_snap_ready[j].is_some()) {
             // All survivors drained: broadcast per-machine flush targets
             // (dead machines contribute no counted work: expect zero).
             let ready: Vec<_> = self.m_snap_ready.iter_mut().map(Option::take).collect();
             let expect_from = |i: MachineId| -> Vec<u64> {
                 ready.iter().map(|r| r.as_ref().map_or(0, |sent| sent[i.index()])).collect()
             };
-            self.snap_flush_target = Some(expect_from(self.me()));
-            for dst in self.rec.peers() {
-                let msg = SnapFlushMsg { snap: self.snapshots_written, expect_from: expect_from(dst) };
-                self.rec.send(&mut self.net, dst, LockKind::SnapSyncFlush, enc(&msg));
+            self.snap_flush_target = Some(expect_from(self.core.me()));
+            for dst in self.core.rec.peers() {
+                let msg = SnapFlushMsg { snap: self.core.snapshots, expect_from: expect_from(dst) };
+                self.core.rec.send(&mut self.core.net, dst, LockKind::SnapSyncFlush, enc(&msg));
             }
         }
     }
 
     fn master_check_snap_done(&mut self) {
         if self.m_snap_in_progress
-            && self.setup.config.snapshot.mode == SnapshotMode::Synchronous
-            && self.rec.complete(&self.m_snap_done)
+            && self.core.setup.config.snapshot.mode == SnapshotMode::Synchronous
+            && self.core.rec.complete(&self.m_snap_done)
         {
             self.m_snap_in_progress = false;
             self.m_snap_done = Tally::default();
-            self.broadcast_msg(LockKind::SnapResume, &Bytes::new());
+            self.core.broadcast(LockKind::SnapResume, &Bytes::new());
             self.snap_paused = false;
             self.snap_ready_sent = false;
             self.snap_flush_target = None;
@@ -1697,47 +1559,6 @@ where
             // The master resumes inline (it never receives its own
             // broadcast): same conservative invalidation as LockKind::SnapResume.
             self.cache.invalidate_all();
-        }
-    }
-
-    fn maybe_straggle(&mut self) {
-        if let Some(s) = self.setup.config.straggler {
-            if !self.straggled && self.me().0 == s.machine && self.global_updates() >= s.after_updates
-            {
-                self.straggled = true;
-                std::thread::sleep(s.duration);
-            }
-        }
-    }
-
-    fn finish(mut self) -> MachineResult<V, E> {
-        let update_counts: Vec<(VertexId, u64)> =
-            std::mem::take(&mut self.update_count_map).into_iter().collect();
-        let globals = std::mem::take(&mut self.globals);
-        let updates = self.updates_local;
-        let snapshots = self.snapshots_written;
-        let recoveries = self.rec.recoveries;
-        let adoptions = self.rec.adoptions;
-        let failed = self.failure.take();
-        let dead = self.dead;
-        let (vrows, erows) =
-            if dead { (Vec::new(), Vec::new()) } else { self.lg.into_owned_data() };
-        MachineResult {
-            vrows,
-            erows,
-            globals,
-            updates,
-            update_counts,
-            steps: 0,
-            snapshots,
-            recoveries,
-            adoptions,
-            dead,
-            failed,
-            phase: crate::metrics::PhaseTimes::default(),
-            chain_spans: std::mem::take(&mut self.chain_spans),
-            idle_wakeups: self.idle_wakeups,
-            hot: self.hot,
         }
     }
 }
@@ -1751,20 +1572,8 @@ where
     type V = V;
     type E = E;
 
-    fn parts(&mut self) -> Parts<'_, V, E> {
-        Parts {
-            rec: &mut self.rec,
-            net: &mut self.net,
-            lg: &mut self.lg,
-            dfs: &self.setup.dfs,
-            index: &self.setup.index,
-            placement: &mut self.setup.placement,
-            coloring: None,
-            snap_prefix: &self.setup.snap_prefix,
-            num_atoms: self.setup.config.num_atoms,
-            mode: self.setup.config.recovery,
-            snapshots: &mut self.snapshots_written,
-        }
+    fn machine(&mut self) -> &mut Machine<V, E> {
+        &mut self.core
     }
 
     /// Resets every piece of volatile engine state — scheduler, lock
@@ -1773,12 +1582,12 @@ where
     /// graph, and rebuilding the lock plans derived from it (a rollback or
     /// an adoption may have replaced the graph).
     fn reset_engine_state(&mut self) {
-        let nv = self.lg.num_local_vertices();
-        let ne = self.lg.num_local_edges();
-        self.scheduler = Scheduler::new(self.setup.config.scheduler, nv);
+        let nv = self.core.lg.num_local_vertices();
+        let ne = self.core.lg.num_local_edges();
+        self.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         self.locks = LockTable::new(nv);
         self.cache = RemoteCacheTable::new(self.sent_counts.len(), nv, ne);
-        self.plans = ScopePlans::build(&self.lg);
+        self.plans = ScopePlans::build(&self.core.lg);
         self.chains = Slab::default();
         self.chain_index.clear();
         self.outs = Slab::default();
@@ -1804,17 +1613,16 @@ where
         self.m_snap_ready.fill(None);
         self.m_snap_done = Tally::default();
         self.m_async_done = Tally::default();
-        // `updates_local` and the LockKind::UpdNote state (`last_noted`,
-        // `m_peer_updates`) deliberately survive: counts are cumulative
-        // and never reset, which is what makes stale notes idempotent.
-        self.m_last_snap_updates = self.observed_updates();
+        // The LockKind::UpdNote state (`last_noted`, like the machine's
+        // counts) deliberately survives: counts are cumulative and never
+        // reset, which is what makes stale notes idempotent.
         self.m_halt_pending = false;
         self.m_halt_sent = false;
         self.m_halt_acks = Tally::default();
         self.m_sync_outstanding = None;
-        self.m_sync_next_at = self.observed_updates() + self.setup.config.sync_interval_updates;
+        self.m_sync_next_at =
+            self.core.observed_updates() + self.core.setup.config.sync_interval_updates;
         self.m_final_sync_done = false;
-        self.effects.clear();
     }
 
     fn reseed(&mut self, l: u32) {
@@ -1829,7 +1637,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{scripted_machine, NoUpdate};
+    use crate::driver::tests::{scripted_machine, NoUpdate};
+    use crate::reference::InitialSchedule;
 
     const KA: SlotRef = SlotRef { slot: 0, generation: 0 };
     const KB: SlotRef = SlotRef { slot: 1, generation: 0 };
@@ -1860,7 +1669,8 @@ mod tests {
         let none = InitialSchedule::Vertices(Vec::new());
         let (setup, init, mut eps) =
             scripted_machine(&b.build(), &one_each, MachineId(2), config, none);
-        (LockingMachine::new(eps.pop().unwrap(), setup, init), eps.swap_remove(0))
+        let update = Arc::new(NoUpdate);
+        (LockingMachine::new(eps.pop().unwrap(), setup, update, init), eps.swap_remove(0))
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's
@@ -1871,7 +1681,7 @@ mod tests {
     #[test]
     fn forwarded_request_overtaking_a_release_parks_and_reuses_the_slot() {
         let (mut m, ep0) = hop_machine();
-        let p = m.setup.config.max_pipeline as u64;
+        let p = m.core.setup.config.max_pipeline as u64;
         let from0 = |kind: LockKind, payload: Bytes| Envelope {
             src: MachineId(0),
             dst: MachineId(2),
@@ -1898,7 +1708,7 @@ mod tests {
             assert_eq!(Kind::of(&env), Kind::Lock(LockKind::ScopeData));
             Some(dec::<ScopeDataMsg>(env.payload).reqid)
         };
-        let w = m.lg.local_vertex(VertexId(2)).unwrap();
+        let w = m.core.lg.local_vertex(VertexId(2)).unwrap();
 
         m.dispatch(request(1));
         assert_eq!(answered(&ep0), Some(1));

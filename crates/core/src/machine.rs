@@ -1,0 +1,379 @@
+//! One GraphLab machine (§4.4, Fig. 5(a)): the state and behaviour every
+//! machine has whichever engine runs on it — local graph, comms layer, DFS
+//! handle and placement, fault-tolerance state, update accounting, the
+//! master's view of the cluster-wide update count.
+//!
+//! The engines ([`crate::chromatic`], [`crate::locking`]) each hold one as
+//! `core` and add only how they order and exchange updates;
+//! [`crate::recovery`] drives it directly (`RecoveryHost::machine`). What
+//! only one engine has — colour queues and blocks, lock table and chains,
+//! the sync/snapshot choreography — does not belong here, and neither does
+//! the update function: [`Machine::execute`] borrows it per call.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+
+use bytes::{Bytes, BytesMut};
+use graphlab_atoms::LocalGraphInit;
+use graphlab_graph::{MachineId, VertexId};
+use graphlab_net::{Batcher, Endpoint, LeaseConfig};
+
+use crate::config::{SnapshotMode, StragglerConfig};
+use crate::driver::{MachineResult, MachineSetup};
+use crate::globals::GlobalRegistry;
+use crate::local::LocalGraph;
+use crate::messages::Kind;
+use crate::recovery::{RecoveryTracker, Step};
+use crate::reference::InitialSchedule;
+use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
+
+pub(crate) struct Machine<V, E> {
+    pub lg: LocalGraph<V, E>,
+    pub net: Batcher,
+    /// What the driver handed over; `placement` is replaced when an
+    /// adoption is applied.
+    pub setup: MachineSetup<V, E>,
+    pub globals: GlobalRegistry,
+    /// Failure recovery (§4.3): the shared [`crate::recovery`] machine's state.
+    pub rec: RecoveryTracker,
+    /// Id of the next checkpoint: continues after a restored or overlaid
+    /// one (pruning removed anything newer).
+    pub snapshots: u64,
+    /// Updates executed here over the whole run (a rollback never resets it,
+    /// which keeps the cluster total monotone).
+    pub updates_local: u64,
+    /// Master: the highest cumulative update count each peer has reported
+    /// (own slot unused). Per-peer maxima, so the total stays monotone
+    /// across rollbacks and adoptions (a dead peer's last report stands).
+    peer_updates: Vec<u64>,
+    /// Master: [`Self::observed_updates`] at the last snapshot trigger.
+    pub last_snap_updates: u64,
+    // BTreeMap: drained into the run's trace output at finish — iteration
+    // order must be deterministic, not the hasher's.
+    update_count_map: BTreeMap<VertexId, u64>,
+    straggled: bool,
+    /// What the update just executed asked for, until the engine commits it.
+    pub effects: UpdateEffects,
+    /// Row scratch: the datum of the row being sent, encoded once.
+    pub rowbuf: BytesMut,
+    /// Permanently dead under adoption: the run ends cleanly with no owned
+    /// data (the survivors adopted it).
+    pub dead: bool,
+    pub failure: Option<String>,
+}
+
+impl<V, E> Machine<V, E> {
+    pub fn new(ep: Endpoint, setup: MachineSetup<V, E>, init: LocalGraphInit<V, E>) -> Self {
+        let lg = LocalGraph::from_init(init, setup.coloring.as_deref());
+        #[expect(clippy::disallowed_methods, reason = "sizes the RecoveryTracker and the per-machine tables; every later question about membership goes to the tracker")]
+        let m = lg.num_machines();
+        let mut net = Batcher::new(ep, setup.config.batch);
+        if let Some(period) = setup.config.lease {
+            net.enable_lease(LeaseConfig::with_period(period));
+        }
+        Machine {
+            rec: RecoveryTracker::new(lg.machine().index(), m),
+            globals: GlobalRegistry::new(),
+            snapshots: 0,
+            updates_local: 0,
+            peer_updates: vec![0; m],
+            last_snap_updates: 0,
+            update_count_map: BTreeMap::new(),
+            straggled: false,
+            effects: UpdateEffects::default(),
+            rowbuf: BytesMut::new(),
+            dead: false,
+            failure: None,
+            lg,
+            net,
+            setup,
+        }
+    }
+
+    pub fn me(&self) -> MachineId {
+        self.lg.machine()
+    }
+
+    pub fn is_master(&self) -> bool {
+        self.me() == MachineId(0)
+    }
+
+    /// Length of a table with one slot per machine, the dead included. Never
+    /// a quorum: barriers ask the tracker.
+    pub fn slots(&self) -> usize {
+        self.peer_updates.len()
+    }
+
+    /// Single send point for all engine traffic (see
+    /// [`RecoveryTracker::send_with`] for the invariant it guards). A `put`
+    /// that reads this machine's graph calls the tracker with `net` beside it.
+    pub fn send_with(
+        &mut self,
+        dst: MachineId,
+        kind: impl Into<Kind>,
+        put: impl FnOnce(&mut BytesMut),
+    ) {
+        self.rec.send_with(&mut self.net, dst, kind, put);
+    }
+
+    pub fn send(&mut self, dst: MachineId, kind: impl Into<Kind>, payload: Bytes) {
+        self.rec.send(&mut self.net, dst, kind, payload);
+    }
+
+    /// Sends `payload` to every surviving peer.
+    pub fn broadcast(&mut self, kind: impl Into<Kind>, payload: &Bytes) {
+        self.rec.broadcast(&mut self.net, kind, payload);
+    }
+
+    /// The initial schedule's tasks on vertices this machine owns, as
+    /// `(local id, priority)`.
+    pub fn initial_tasks(&self) -> Vec<(u32, f64)> {
+        match &*self.setup.initial {
+            InitialSchedule::AllVertices => {
+                self.lg.owned_vertices().iter().map(|&l| (l, 1.0)).collect()
+            }
+            InitialSchedule::Vertices(vs) => vs
+                .iter()
+                .filter_map(|&(v, p)| Some((self.lg.local_vertex(v)?, p)))
+                .filter(|&(l, _)| self.lg.owns_vertex(l))
+                .collect(),
+        }
+    }
+
+    /// Runs `update` on owned vertex `l` and books it; what it asked for is
+    /// in `effects` for the engine to commit.
+    pub fn execute<U: UpdateFunction<V, E> + ?Sized>(&mut self, update: &U, l: u32) {
+        self.effects.clear();
+        let mut ctx = UpdateContext::new(
+            &mut self.lg,
+            l,
+            self.setup.config.consistency,
+            &self.globals,
+            &mut self.effects,
+        );
+        update.update(&mut ctx);
+        self.updates_local += 1;
+        self.setup.counters.updates.fetch_add(1, Ordering::Relaxed);
+        if self.setup.config.trace {
+            *self.update_count_map.entry(self.lg.vertex_gvid(l)).or_insert(0) += 1;
+        }
+    }
+
+    /// Updates executed so far by the machines of this process (all of them
+    /// on SimNet, this one over TCP): what the mid-run cap and the straggler
+    /// read, where no message can be waited for.
+    pub fn live_updates(&self) -> u64 {
+        self.setup.counters.updates.load(Ordering::Relaxed)
+    }
+
+    /// Whether `updates` has reached the configured cap (0 = no cap).
+    pub fn capped(&self, updates: u64) -> bool {
+        let cap = self.setup.config.max_updates;
+        cap > 0 && updates >= cap
+    }
+
+    /// Master: records that `peer` reported `updates` executed so far.
+    pub fn note_peer_updates(&mut self, peer: MachineId, updates: u64) {
+        let slot = &mut self.peer_updates[peer.index()];
+        *slot = (*slot).max(updates);
+    }
+
+    /// The master's message-driven view of the cluster-wide update count:
+    /// its own plus the highest each peer reported — a lower bound on the
+    /// true total, and the same over TCP as on SimNet (the process-shared
+    /// `LiveCounters` only ever hold the machines of this process). On a
+    /// worker it is the local count.
+    pub fn observed_updates(&self) -> u64 {
+        self.updates_local + self.peer_updates.iter().sum::<u64>()
+    }
+
+    /// Master: the id of the checkpoint to start now, if the configured
+    /// interval of [`Self::observed_updates`] has passed since the last
+    /// trigger; the window then restarts. The caller first rules out what
+    /// only its engine knows (halting, a snapshot in progress).
+    pub fn snapshot_due(&mut self) -> Option<u64> {
+        let cfg = self.setup.config.snapshot;
+        let updates = self.observed_updates();
+        let due = cfg.mode != SnapshotMode::None
+            && cfg.every_updates > 0
+            && self.snapshots < cfg.max_snapshots
+            && updates.saturating_sub(self.last_snap_updates) >= cfg.every_updates;
+        due.then(|| {
+            self.last_snap_updates = updates;
+            self.snapshots
+        })
+    }
+
+    /// Aggregate-driven termination (§3.5): the stop predicate over the
+    /// globals as they stand — the master asks right after finalizing them.
+    pub fn stop_hit(&self) -> bool {
+        self.setup.stop.as_ref().is_some_and(|f| f(&self.globals))
+    }
+
+    /// The injected straggler, while it is this machine's and has not fired.
+    pub fn straggler_pending(&self) -> Option<StragglerConfig> {
+        self.setup.config.straggler.filter(|s| !self.straggled && s.machine == self.me().0)
+    }
+
+    pub fn maybe_straggle(&mut self) {
+        let due = self.straggler_pending().filter(|s| self.live_updates() >= s.after_updates);
+        if let Some(s) = due {
+            self.straggled = true;
+            std::thread::sleep(s.duration);
+        }
+    }
+
+    /// Writes `rows` as this machine's atoms' part of checkpoint `id`.
+    pub fn write_checkpoint(&mut self, id: u64, rows: SnapshotFile) {
+        let mine = self.setup.placement.atoms_of(self.me());
+        write_snapshot_atoms(&self.setup.dfs, &self.setup.snap_prefix, id, rows, &self.lg, &mine);
+        self.snapshots = self.snapshots.max(id + 1);
+    }
+
+    /// The machine's share of a reset of all volatile state (a crash, a
+    /// rollback, an adoption), applied by [`crate::recovery`] beside
+    /// `RecoveryHost::reset_engine_state`: nothing of an interrupted update
+    /// survives, and the snapshot window restarts from the counts as they
+    /// stand (they are cumulative and never reset, which is what makes
+    /// stale reports idempotent).
+    pub fn reset_engine_state(&mut self) {
+        self.effects.clear();
+        self.last_snap_updates = self.observed_updates();
+    }
+
+    /// Books the recovery machine's verdict; `true` when it ends this
+    /// machine's run.
+    pub fn ends_run(&mut self, step: Step) -> bool {
+        match step {
+            Step::Continue | Step::Resumed => return false,
+            Step::Exit => self.dead = true,
+            Step::Abort(reason) => self.failure = Some(reason),
+        }
+        true
+    }
+
+    /// What this machine hands back at join time; the engine adds its own
+    /// counters.
+    pub fn finish(self) -> MachineResult<V, E> {
+        // A dead machine's rows are stale by definition (survivors adopted
+        // its atoms): it must contribute nothing to the write-back.
+        let (vrows, erows) =
+            if self.dead { (Vec::new(), Vec::new()) } else { self.lg.into_owned_data() };
+        MachineResult {
+            vrows,
+            erows,
+            globals: self.globals,
+            updates: self.updates_local,
+            update_counts: self.update_count_map.into_iter().collect(),
+            snapshots: self.snapshots,
+            recoveries: self.rec.recoveries,
+            adoptions: self.rec.adoptions,
+            dead: self.dead,
+            failed: self.failure,
+            ..MachineResult::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SnapshotConfig;
+    use crate::driver::tests::scripted_machine;
+    use graphlab_atoms::VertexPartition;
+    use graphlab_graph::GraphBuilder;
+
+    /// Machine 0 of two over the ring on eight vertices, scheduled with
+    /// `initial`; machine 1's endpoint is dropped (nothing here receives).
+    fn machine0(initial: InitialSchedule) -> Machine<f64, f64> {
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
+        for i in 0..8 {
+            b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
+        }
+        let cut = VertexPartition::random_hash(8, 4, 3);
+        let config = crate::EngineConfig::new(2);
+        let (setup, init, mut eps) = scripted_machine(&b.build(), &cut, MachineId(0), config, initial);
+        Machine::new(eps.remove(0), setup, init)
+    }
+
+    #[test]
+    fn a_dead_machines_finish_reports_no_rows() {
+        let alive = machine0(InitialSchedule::AllVertices);
+        let owned = alive.lg.owned_vertices().len();
+        let r = alive.finish();
+        assert!(owned > 0 && r.vrows.len() == owned && !r.erows.is_empty() && !r.dead);
+
+        let mut m = machine0(InitialSchedule::AllVertices);
+        m.updates_local = 7;
+        assert!(m.ends_run(Step::Exit), "a permanent death ends the run");
+        let r = m.finish();
+        assert!(r.dead && r.failed.is_none() && r.vrows.is_empty() && r.erows.is_empty());
+        assert_eq!(r.updates, 7, "what it executed before dying still counts");
+
+        let mut m = machine0(InitialSchedule::AllVertices);
+        assert!(!m.ends_run(Step::Continue) && !m.ends_run(Step::Resumed));
+        assert!(m.ends_run(Step::Abort("why".into())));
+        let r = m.finish();
+        assert_eq!((r.failed.as_deref(), r.dead, r.vrows.len()), (Some("why"), false, owned));
+    }
+
+    #[test]
+    fn the_snapshot_trigger_honours_its_config_and_restarts_its_window_after_a_reset() {
+        let mut m = machine0(InitialSchedule::AllVertices);
+        let every = |mode, every_updates, max_snapshots| SnapshotConfig { mode, every_updates, max_snapshots };
+        m.updates_local = 100;
+        for off in [
+            every(SnapshotMode::None, 10, 9),
+            every(SnapshotMode::Synchronous, 0, 9),
+            every(SnapshotMode::Asynchronous, 10, 0),
+        ] {
+            m.setup.config.snapshot = off;
+            assert_eq!((m.snapshot_due(), m.last_snap_updates), (None, 0), "{off:?}");
+        }
+
+        m.setup.config.snapshot = every(SnapshotMode::Synchronous, 40, 2);
+        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(0), 100));
+        assert_eq!(m.snapshot_due(), None, "the window restarted at the trigger");
+        m.note_peer_updates(MachineId(1), 39);
+        assert_eq!(m.snapshot_due(), None, "100 + 39: one short of the interval");
+        m.note_peer_updates(MachineId(1), 40);
+        m.note_peer_updates(MachineId(1), 5); // a stale report never lowers the total
+        assert_eq!(m.observed_updates(), 140);
+        m.snapshots = 1; // the first checkpoint was written meanwhile
+        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(1), 140));
+
+        // A rollback to checkpoint 0 re-bases the window on the counts as
+        // they stand: they are cumulative and were not rolled back.
+        m.updates_local = 200;
+        m.effects.dirty_self = true;
+        m.reset_engine_state();
+        m.snapshots = 1;
+        assert_eq!((m.last_snap_updates, m.effects.dirty_self), (240, false));
+        m.updates_local = 239;
+        assert_eq!(m.snapshot_due(), None);
+        m.updates_local = 240;
+        assert_eq!(m.snapshot_due(), Some(1));
+        m.snapshots = 2;
+        m.updates_local = 1_000;
+        assert_eq!(m.snapshot_due(), None, "max_snapshots reached");
+    }
+
+    #[test]
+    fn the_initial_schedule_yields_owned_vertices_only() {
+        let m = machine0(InitialSchedule::AllVertices);
+        let all: Vec<(u32, f64)> = m.lg.owned_vertices().iter().map(|&l| (l, 1.0)).collect();
+        assert_eq!(m.initial_tasks(), all);
+
+        // Every vertex of the graph named, with its id as priority: ghosts
+        // and vertices machine 0 does not hold at all fall out.
+        let named = (0..8).map(|v| (VertexId(v), v as f64)).collect();
+        let m = machine0(InitialSchedule::Vertices(named));
+        let ghosts = (0..m.lg.num_local_vertices() as u32).filter(|&l| !m.lg.owns_vertex(l)).count();
+        assert!(ghosts > 0 && m.lg.num_local_vertices() < 8, "the fixture has ghosts and strangers");
+        let expected: Vec<(u32, f64)> =
+            m.lg.owned_vertices().iter().map(|&l| (l, m.lg.vertex_gvid(l).0 as f64)).collect();
+        assert_eq!(m.initial_tasks(), expected);
+    }
+}

@@ -411,26 +411,14 @@ where
             EngineKind::Sequential => {
                 run_sequential_program(graph, &*update, initial, &syncs, stop, &config)
             }
-            EngineKind::Chromatic => {
-                let coloring = resolve_coloring(graph, coloring, config.consistency);
+            EngineKind::Chromatic | EngineKind::Locking => {
+                // Only the chromatic engine reads a colouring.
+                let coloring = (engine == EngineKind::Chromatic)
+                    .then(|| resolve_coloring(graph, coloring, config.consistency));
                 run_distributed(
-                    EngineKind::Chromatic,
+                    engine,
                     graph,
                     coloring,
-                    update,
-                    initial,
-                    syncs,
-                    stop,
-                    &config,
-                    &strategy,
-                )
-            }
-            EngineKind::Locking => {
-                let uniform = Coloring::uniform(graph.num_vertices());
-                run_distributed(
-                    EngineKind::Locking,
-                    graph,
-                    uniform,
                     update,
                     initial,
                     syncs,

@@ -41,8 +41,9 @@
 //! a round is in progress, every envelope) through [`on_envelope`], its
 //! own death through [`on_self_death`] and idle time through [`tick`], and
 //! acts on the returned [`Step`]. The machine reaches back only through
-//! [`RecoveryHost`]: a split borrow of the protocol-visible state
-//! ([`Parts`]) plus three engine-specific operations — reallocate all
+//! [`RecoveryHost`]: the [`Machine`] under the engine — whose tracker,
+//! batcher, local graph, DFS handle and placement the protocol drives as
+//! plain fields — plus three engine-specific operations: reallocate all
 //! volatile scheduling/isolation state at the current local sizes, reseed
 //! one owned vertex, handle one engine envelope. Everything else (era
 //! arithmetic, survivor-counted barriers, per-phase discard/buffer/replay
@@ -52,14 +53,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use graphlab_atoms::{load_machine_part, AtomIndex, Placement, SimDfs};
-use graphlab_graph::{AtomId, Coloring, MachineId};
+use graphlab_atoms::load_machine_part;
+use graphlab_graph::{AtomId, MachineId};
 use graphlab_net::codec::Codec;
 use graphlab_net::fault::{DownMsg, UpMsg};
 use graphlab_net::{Batcher, Envelope};
 
 use crate::config::RecoveryMode;
+use crate::driver::MachineSetup;
 use crate::local::LocalGraph;
+use crate::machine::Machine;
 use crate::messages::*;
 use crate::snapshot::{
     apply_file, latest_complete_snapshot, prune_snapshots_after, restore_atoms_into_local,
@@ -82,20 +85,19 @@ pub(crate) fn unrecoverable_down(d: &DownMsg) -> String {
     )
 }
 
+/// The latest checkpoint complete in every part (one per atom in the
+/// engines' per-atom layout), torn ones newer than it pruned.
+fn latest_checkpoint<V, E>(s: &MachineSetup<V, E>) -> Option<u64> {
+    let latest = latest_complete_snapshot(&s.dfs, &s.snap_prefix, s.config.num_atoms);
+    prune_snapshots_after(&s.dfs, &s.snap_prefix, latest);
+    latest
+}
+
 /// Master, all READYs in: prunes torn checkpoints and picks the rollback
-/// target. `parts` is the number of distinct parts a complete checkpoint
-/// holds (one per atom in the engines' per-atom layout). `Ok` is the
-/// order to broadcast; `Err` is the abort to broadcast (no complete
-/// checkpoint — nothing to roll back to).
-pub(crate) fn pick_rollback(
-    dfs: &SimDfs,
-    prefix: &str,
-    parts: usize,
-    era: u32,
-) -> Result<RollbackMsg, RecoverAbortMsg> {
-    let latest = latest_complete_snapshot(dfs, prefix, parts);
-    prune_snapshots_after(dfs, prefix, latest);
-    match latest {
+/// target. `Ok` is the order to broadcast; `Err` is the abort to broadcast
+/// (no complete checkpoint — nothing to roll back to).
+fn pick_rollback<V, E>(s: &MachineSetup<V, E>, era: u32) -> Result<RollbackMsg, RecoverAbortMsg> {
+    match latest_checkpoint(s) {
         Some(snap) => Ok(RollbackMsg { era, snap }),
         None => Err(RecoverAbortMsg {
             era,
@@ -114,22 +116,12 @@ pub(crate) fn pick_rollback(
 /// journal-only adoption: adopted vertices restart from ingress-initial
 /// data and reconverge through re-scheduling — adoption never *requires*
 /// checkpoints the way rollback does).
-pub(crate) fn pick_adoption(
-    dfs: &SimDfs,
-    prefix: &str,
-    parts: usize,
-    era: u32,
-    index: &AtomIndex,
-    placement: &Placement,
-    dead: &[bool],
-) -> AdoptPlanMsg {
-    let snap = latest_complete_snapshot(dfs, prefix, parts);
-    prune_snapshots_after(dfs, prefix, snap);
+fn pick_adoption<V, E>(s: &MachineSetup<V, E>, era: u32, dead: &[bool]) -> AdoptPlanMsg {
     AdoptPlanMsg {
         era,
         dead: (0..dead.len()).filter(|&m| dead[m]).map(|m| m as u16).collect(),
-        placement: placement.adopt(index, dead),
-        snap,
+        placement: s.placement.adopt(&s.index, dead),
+        snap: latest_checkpoint(s),
     }
 }
 
@@ -419,38 +411,18 @@ impl RecoveryTracker {
     }
 }
 
-/// The protocol-visible state of the machine being recovered, split so
-/// the borrows can be held side by side.
-pub(crate) struct Parts<'a, V, E> {
-    pub rec: &'a mut RecoveryTracker,
-    pub net: &'a mut Batcher,
-    pub lg: &'a mut LocalGraph<V, E>,
-    pub dfs: &'a SimDfs,
-    pub index: &'a AtomIndex,
-    /// Replaced by the plan's placement when an adoption is applied.
-    pub placement: &'a mut Arc<Placement>,
-    /// Colouring a reloaded local graph is built with (chromatic engine).
-    pub coloring: Option<&'a Coloring>,
-    pub snap_prefix: &'a str,
-    /// Parts of a complete checkpoint (`EngineConfig::num_atoms`).
-    pub num_atoms: usize,
-    pub mode: RecoveryMode,
-    /// The engine's next-snapshot-id counter: continues after the restored
-    /// or overlaid checkpoint (pruning removed anything newer).
-    pub snapshots: &'a mut u64,
-}
-
 /// What the recovery machine needs from the engine it recovers.
 pub(crate) trait RecoveryHost {
     type V: Codec;
     type E: Codec;
 
-    /// The state the protocol drives, borrowed field by field.
-    fn parts(&mut self) -> Parts<'_, Self::V, Self::E>;
+    /// The machine under the engine: the state the protocol drives.
+    fn machine(&mut self) -> &mut Machine<Self::V, Self::E>;
 
     /// Reallocates every piece of volatile engine state at the *current*
     /// local graph sizes (adoption changes them). Graph data, metrics and
-    /// the tracker are untouched.
+    /// the tracker are untouched; the machine's own share
+    /// ([`Machine::reset_engine_state`]) is reset beside it.
     fn reset_engine_state(&mut self);
 
     /// Schedules owned local vertex `l` (conservative re-seeding:
@@ -488,17 +460,17 @@ pub(crate) enum Step {
 /// dead machine ignores everything but its rebirth: a crash loses the
 /// pre-crash backlog.
 pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope) -> Step {
-    let Parts { rec, net, .. } = h.parts();
-    if rec.phase == RecoveryPhase::Dead && kind != Kind::Recovery(RecoveryKind::Up) {
+    let m = h.machine();
+    if m.rec.phase == RecoveryPhase::Dead && kind != Kind::Recovery(RecoveryKind::Up) {
         return tick(h);
     }
     let kind = match kind {
         Kind::Recovery(kind) => kind,
         Kind::Chrom(_) | Kind::Lock(_) => {
-            match rec.phase {
+            match m.rec.phase {
                 RecoveryPhase::Normal => h.replay(kind, env),
                 RecoveryPhase::AdoptData | RecoveryPhase::AwaitResume => {
-                    rec.resume_buffer.push((kind, env))
+                    m.rec.resume_buffer.push((kind, env))
                 }
                 RecoveryPhase::Drain | RecoveryPhase::FlushWait | RecoveryPhase::Dead => {}
             }
@@ -518,12 +490,12 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
         RecoveryKind::Lease => unreachable!("the Batcher consumes lease heartbeats"),
         RecoveryKind::Ready => {
             let msg: RecoverReadyMsg = dec(env.payload);
-            if rec.me == 0 {
+            if m.rec.me == 0 {
                 // The fabric delivers K_UP to the reborn machine only; its
                 // READY is the master's cue to lease it afresh (and to
                 // lift the expiry fence a restartable kill raised).
-                net.lease_note_up(env.src.0, msg.era);
-                rec.note_ready(src, msg.era);
+                m.net.lease_note_up(env.src.0, msg.era);
+                m.rec.note_ready(src, msg.era);
             }
         }
         RecoveryKind::Rollback => {
@@ -536,12 +508,12 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
         }
         RecoveryKind::FlushMark => {
             let msg: RecoverEraMsg = dec(env.payload);
-            rec.note_mark(src, msg.era);
+            m.rec.note_mark(src, msg.era);
         }
-        RecoveryKind::AdoptData => match rec.phase {
+        RecoveryKind::AdoptData => match m.rec.phase {
             // Our own surgery has not run yet: hold the rows until the
             // local graph exists under the new placement.
-            RecoveryPhase::Drain | RecoveryPhase::FlushWait => rec.adopt_early.push(env),
+            RecoveryPhase::Drain | RecoveryPhase::FlushWait => m.rec.adopt_early.push(env),
             RecoveryPhase::AdoptData => {
                 apply_adopt_data(h, env);
                 return check_adopt_done(h);
@@ -554,9 +526,9 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
             let msg: RecoverEraMsg = dec(env.payload);
             // Early finishers are only counted; the barrier releases once
             // the master itself waits at it.
-            if rec.me == 0
-                && rec.note_recovered(msg.era)
-                && rec.phase == RecoveryPhase::AwaitResume
+            if m.rec.me == 0
+                && m.rec.note_recovered(msg.era)
+                && m.rec.phase == RecoveryPhase::AwaitResume
             {
                 return release_resume(h);
             }
@@ -578,7 +550,7 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
 /// every READY is in. Call after every receive timeout while a round is
 /// in progress ([`on_envelope`] does so itself).
 pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
-    let rec = h.parts().rec;
+    let rec = &h.machine().rec;
     if rec.phase == RecoveryPhase::Normal {
         return Step::Continue;
     }
@@ -602,23 +574,23 @@ pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
 /// wakeup for a victim that was blocked in `recv` when the kill fired).
 /// Enters, or on a newer era restarts, the drain.
 fn on_down<H: RecoveryHost>(h: &mut H, d: DownMsg) -> Step {
-    let Parts { rec, net, mode, .. } = h.parts();
-    if d.machine as usize == rec.me {
+    let m = h.machine();
+    if d.machine as usize == m.rec.me {
         return on_self_death(h);
     }
     // Fence the victim's lease for every kind of death: a restartable
     // victim is silent through its dead window and must not be
     // re-declared by expiry (its READY after rebirth lifts the fence).
-    net.lease_note_death(d.machine, d.era);
+    m.net.lease_note_death(d.machine, d.era);
     if !d.restart {
-        if mode != RecoveryMode::Adopt {
+        if m.setup.config.recovery != RecoveryMode::Adopt {
             return Step::Abort(unrecoverable_down(&d));
         }
-        rec.note_death(d.machine as usize);
-        net.fence(d.machine);
+        m.rec.note_death(d.machine as usize);
+        m.net.fence(d.machine);
     }
-    tr!("[m{}] PEER_DOWN m{} era={} restart={}", rec.me, d.machine, d.era, d.restart);
-    if rec.observe_era(d.era) {
+    tr!("[m{}] PEER_DOWN m{} era={} restart={}", m.rec.me, d.machine, d.era, d.restart);
+    if m.rec.observe_era(d.era) {
         enter_drain(h);
     }
     tick(h)
@@ -627,7 +599,7 @@ fn on_down<H: RecoveryHost>(h: &mut H, d: DownMsg) -> Step {
 /// Fabric notification on the reborn machine itself: rejoin the round for
 /// the current era with empty state.
 fn on_self_up<H: RecoveryHost>(h: &mut H, u: UpMsg) {
-    let rec = h.parts().rec;
+    let rec = &h.machine().rec;
     debug_assert_eq!(u.machine as usize, rec.me, "K_UP is delivered to the reborn machine only");
     tr!("[m{}] SELF_UP era={}", rec.me, u.era);
     if rec.phase != RecoveryPhase::Dead {
@@ -636,7 +608,7 @@ fn on_self_up<H: RecoveryHost>(h: &mut H, u: UpMsg) {
         // complete the crash now, before rejoining.
         wipe_volatile(h);
     }
-    h.parts().rec.observe_era(u.era);
+    h.machine().rec.observe_era(u.era);
     enter_drain(h);
 }
 
@@ -647,19 +619,19 @@ fn on_self_up<H: RecoveryHost>(h: &mut H, u: UpMsg) {
 /// cleanly under adoption, failing fast otherwise (survivors abort on
 /// their `K_DOWN{restart: false}` in parallel).
 pub(crate) fn on_self_death<H: RecoveryHost>(h: &mut H) -> Step {
-    let Parts { rec, net, mode, .. } = h.parts();
-    if rec.phase == RecoveryPhase::Dead {
+    let m = h.machine();
+    if m.rec.phase == RecoveryPhase::Dead {
         return tick(h); // still dead; keep polling for rebirth
     }
-    let permanent = net.self_death() == Some(false);
-    if permanent && mode != RecoveryMode::Adopt {
+    let permanent = m.net.self_death() == Some(false);
+    if permanent && m.setup.config.recovery != RecoveryMode::Adopt {
         // The kill itself advanced the era past the last one seen here.
-        let d = DownMsg { machine: rec.me as u16, restart: false, era: rec.era + 1 };
+        let d = DownMsg { machine: m.rec.me as u16, restart: false, era: m.rec.era + 1 };
         return Step::Abort(unrecoverable_down(&d));
     }
-    tr!("[m{}] SELF_DEATH permanent={permanent}", rec.me);
+    tr!("[m{}] SELF_DEATH permanent={permanent}", m.rec.me);
     wipe_volatile(h);
-    h.parts().rec.enter(RecoveryPhase::Dead);
+    h.machine().rec.enter(RecoveryPhase::Dead);
     if permanent {
         Step::Exit
     } else {
@@ -670,29 +642,36 @@ pub(crate) fn on_self_death<H: RecoveryHost>(h: &mut H) -> Step {
 /// Crash semantics: every piece of volatile state is gone. Graph data is
 /// restored (and work re-seeded) by the round that must follow.
 fn wipe_volatile<H: RecoveryHost>(h: &mut H) {
-    h.parts().net.clear();
+    h.machine().net.clear();
+    reset_engine_state(h);
+    h.machine().rec.wipe();
+}
+
+/// All volatile state below the tracker: the machine's share, then the
+/// engine's.
+fn reset_engine_state<H: RecoveryHost>(h: &mut H) {
+    h.machine().reset_engine_state();
     h.reset_engine_state();
-    h.parts().rec.wipe();
 }
 
 /// Stops engine work and reports the drain point to the master.
 fn enter_drain<H: RecoveryHost>(h: &mut H) {
-    let Parts { rec, net, .. } = h.parts();
-    rec.enter(RecoveryPhase::Drain);
-    rec.order = None;
-    rec.adopt_early.clear();
-    rec.resume_buffer.clear();
+    let m = h.machine();
+    m.rec.enter(RecoveryPhase::Drain);
+    m.rec.order = None;
+    m.rec.adopt_early.clear();
+    m.rec.resume_buffer.clear();
     // Engine sends still sitting in batch queues precede the drain point
     // and must go out ahead of the (future) flush marker on each channel:
     // flush, do not clear.
-    net.flush_all();
-    let era = rec.era;
-    tr!("[m{}] DRAIN era={era}", rec.me);
-    if rec.me == 0 {
-        rec.note_ready(0, era);
+    m.net.flush_all();
+    let era = m.rec.era;
+    tr!("[m{}] DRAIN era={era}", m.rec.me);
+    if m.rec.me == 0 {
+        m.rec.note_ready(0, era);
     } else {
-        rec.send(net, MachineId(0), RecoveryKind::Ready, enc(&RecoverReadyMsg { era }));
-        net.flush_all();
+        m.send(MachineId(0), RecoveryKind::Ready, enc(&RecoverReadyMsg { era }));
+        m.net.flush_all();
     }
 }
 
@@ -701,27 +680,26 @@ fn enter_drain<H: RecoveryHost>(h: &mut H) {
 /// means restart-free adoption; a full cluster rolls back to the newest
 /// complete checkpoint, or aborts cleanly when there is none.
 fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
-    let Parts { rec, net, dfs, index, placement, snap_prefix, num_atoms, .. } = h.parts();
-    let era = rec.era;
-    let order = if rec.dead.contains(&true) {
-        let plan =
-            pick_adoption(dfs, snap_prefix, num_atoms, era, index, placement, &rec.dead);
-        rec.broadcast(net, RecoveryKind::AdoptPlan, &enc(&plan));
+    let m = h.machine();
+    let (era, s) = (m.rec.era, &m.setup);
+    let order = if m.rec.dead.contains(&true) {
+        let plan = pick_adoption(s, era, &m.rec.dead);
+        m.broadcast(RecoveryKind::AdoptPlan, &enc(&plan));
         Order::Adopt(plan)
     } else {
-        match pick_rollback(dfs, snap_prefix, num_atoms, era) {
+        match pick_rollback(s, era) {
             Ok(msg) => {
-                rec.broadcast(net, RecoveryKind::Rollback, &enc(&msg));
+                m.broadcast(RecoveryKind::Rollback, &enc(&msg));
                 Order::Rollback(msg)
             }
             Err(abort) => {
-                rec.broadcast(net, RecoveryKind::Abort, &enc(&abort));
-                net.flush_all();
+                m.broadcast(RecoveryKind::Abort, &enc(&abort));
+                m.net.flush_all();
                 return Step::Abort(abort.reason);
             }
         }
     };
-    net.flush_all();
+    m.net.flush_all();
     on_order(h, era, order);
     tick(h)
 }
@@ -731,46 +709,47 @@ fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
 /// engine traffic, delivered ahead of it by per-channel FIFO — then
 /// discard inbound traffic until every survivor's marker arrived.
 fn on_order<H: RecoveryHost>(h: &mut H, era: u32, order: Order) {
-    let Parts { rec, net, .. } = h.parts();
-    if era < rec.era {
+    let m = h.machine();
+    if era < m.rec.era {
         return; // superseded round
     }
     // A reborn machine may have missed intermediate K_DOWNs; the order's
     // era is authoritative.
-    rec.observe_era(era);
+    m.rec.observe_era(era);
     if let Order::Adopt(plan) = &order {
         // So is the plan about who died (a machine that was itself dead
         // at the time never saw that K_DOWN).
         for &dm in &plan.dead {
-            rec.note_death(dm as usize);
-            net.lease_note_death(dm, era);
-            net.fence(dm);
+            m.rec.note_death(dm as usize);
+            m.net.lease_note_death(dm, era);
+            m.net.fence(dm);
         }
     }
-    tr!("[m{}] ORDER era={era} adopt={}", rec.me, matches!(order, Order::Adopt(_)));
-    rec.broadcast(net, RecoveryKind::FlushMark, &enc(&RecoverEraMsg { era }));
-    net.flush_all();
-    rec.order = Some(order);
-    rec.enter(RecoveryPhase::FlushWait);
+    tr!("[m{}] ORDER era={era} adopt={}", m.rec.me, matches!(order, Order::Adopt(_)));
+    m.broadcast(RecoveryKind::FlushMark, &enc(&RecoverEraMsg { era }));
+    m.net.flush_all();
+    m.rec.order = Some(order);
+    m.rec.enter(RecoveryPhase::FlushWait);
 }
 
 /// Channels flushed: apply the order.
 fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
-    let Parts { rec, lg, dfs, snap_prefix, .. } = h.parts();
-    match rec.order.take().expect("FlushWait holds an order") {
+    let m = h.machine();
+    match m.rec.order.take().expect("FlushWait holds an order") {
         Order::Rollback(msg) => {
             // Restore the checkpoint, rebuild all volatile state, re-seed.
-            if let Err(e) = restore_into_local(dfs, snap_prefix, msg.snap, lg) {
+            let (dfs, prefix) = (&m.setup.dfs, &m.setup.snap_prefix);
+            if let Err(e) = restore_into_local(dfs, prefix, msg.snap, &mut m.lg) {
                 return Step::Abort(format!(
                     "checkpoint {} unreadable during rollback: {e}",
                     msg.snap
                 ));
             }
-            h.reset_engine_state();
-            let Parts { rec, snapshots, .. } = h.parts();
-            *snapshots = msg.snap + 1;
-            rec.after_rollback();
-            tr!("[m{}] ROLLED_BACK snap={} era={}", rec.me, msg.snap, rec.era);
+            reset_engine_state(h);
+            let m = h.machine();
+            m.snapshots = msg.snap + 1;
+            m.rec.after_rollback();
+            tr!("[m{}] ROLLED_BACK snap={} era={}", m.rec.me, msg.snap, m.rec.era);
             join_resume_barrier(h)
         }
         Order::Adopt(plan) => adopt(h, plan),
@@ -786,46 +765,47 @@ fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
 /// refreshes replicas and doubles as the FIFO barrier before the resume
 /// handshake.
 fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
-    let Parts { lg, dfs, index, placement, coloring, .. } = h.parts();
-    let me = lg.machine();
+    let m = h.machine();
+    let me = m.me();
     // Diff against what this machine *currently* holds — the plan's
     // placement is absolute, so adoptions interrupted by overlapping
     // failures compose.
     let old_atoms: std::collections::BTreeSet<AtomId> =
-        placement.atoms_of(me).into_iter().collect();
+        m.setup.placement.atoms_of(me).into_iter().collect();
     let adopted: Vec<AtomId> =
         plan.placement.atoms_of(me).into_iter().filter(|a| !old_atoms.contains(a)).collect();
 
     // Keep the live values of everything currently owned, then reload the
     // journals under the adopted placement (new ghost structure, mirror
     // lists and atom spans).
-    let live = SnapshotFile::capture(lg);
-    match load_machine_part(dfs, index, &plan.placement, me) {
-        Ok(init) => *lg = LocalGraph::from_init(init, coloring),
+    let live = SnapshotFile::capture(&m.lg);
+    match load_machine_part(&m.setup.dfs, &m.setup.index, &plan.placement, me) {
+        Ok(init) => m.lg = LocalGraph::from_init(init, m.setup.coloring.as_deref()),
         Err(e) => return Step::Abort(format!("adoption reload failed on machine {}: {e}", me.0)),
     }
-    *placement = Arc::new(plan.placement);
-    h.reset_engine_state();
+    m.setup.placement = Arc::new(plan.placement);
+    reset_engine_state(h);
 
-    let Parts { rec, net, lg, dfs, snap_prefix, snapshots, .. } = h.parts();
+    let m = h.machine();
     // Own rows keep their live values...
-    if let Err(e) = apply_file(live, lg) {
+    if let Err(e) = apply_file(live, &mut m.lg) {
         return Step::Abort(format!("live data re-apply failed during adoption: {e}"));
     }
     // ...and adopted rows overlay from the checkpoint, when one exists.
     if let (Some(snap), false) = (plan.snap, adopted.is_empty()) {
-        if let Err(e) = restore_atoms_into_local(dfs, snap_prefix, snap, &adopted, lg) {
+        let (dfs, prefix) = (&m.setup.dfs, &m.setup.snap_prefix);
+        if let Err(e) = restore_atoms_into_local(dfs, prefix, snap, &adopted, &mut m.lg) {
             return Step::Abort(format!("checkpoint {snap} unreadable during adoption: {e}"));
         }
     }
     // Journal-only adoption restarts the snapshot ids from 0.
-    *snapshots = plan.snap.map_or(0, |s| s + 1);
+    m.snapshots = plan.snap.map_or(0, |s| s + 1);
     tr!("[m{}] ADOPTED atoms={adopted:?} era={}", me.0, plan.era);
 
-    send_adopt_data(rec, net, lg, plan.era);
-    rec.adopt_got = vec![false; rec.n];
-    rec.enter(RecoveryPhase::AdoptData);
-    for env in std::mem::take(&mut rec.adopt_early) {
+    send_adopt_data(m, plan.era);
+    m.rec.adopt_got = vec![false; m.rec.n];
+    m.rec.enter(RecoveryPhase::AdoptData);
+    for env in std::mem::take(&mut m.rec.adopt_early) {
         apply_adopt_data(h, env);
     }
     check_adopt_done(h)
@@ -835,14 +815,9 @@ fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
 /// empty, so receipt of the round is a per-channel barrier — carrying the
 /// owned vertex rows mirrored on that peer and the owned edge rows
 /// replicated there.
-fn send_adopt_data<V: Codec, E: Codec>(
-    rec: &RecoveryTracker,
-    net: &mut Batcher,
-    lg: &LocalGraph<V, E>,
-    era: u32,
-) {
-    let me = lg.machine();
-    let mut out = vec![AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }; rec.n];
+fn send_adopt_data<V: Codec, E: Codec>(m: &mut Machine<V, E>, era: u32) {
+    let (me, lg) = (m.me(), &m.lg);
+    let mut out = vec![AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }; m.rec.n];
     for &l in lg.owned_vertices() {
         if lg.vertex_mirrors(l).is_empty() {
             continue;
@@ -860,36 +835,36 @@ fn send_adopt_data<V: Codec, E: Codec>(
             out[other.index()].erows.push((lg.edge_geid(l), enc(lg.edge_data(l))));
         }
     }
-    for dst in rec.peers() {
-        rec.send(net, dst, RecoveryKind::AdoptData, enc(&out[dst.index()]));
+    for dst in m.rec.peers() {
+        m.rec.send(&mut m.net, dst, RecoveryKind::AdoptData, enc(&out[dst.index()]));
     }
-    net.flush_all();
+    m.net.flush_all();
 }
 
 /// One surviving peer's ghost round (AdoptData phase): apply its rows;
 /// rounds from superseded eras are dropped.
 fn apply_adopt_data<H: RecoveryHost>(h: &mut H, env: Envelope) {
-    let Parts { rec, lg, .. } = h.parts();
+    let m = h.machine();
     let msg: AdoptDataMsg = dec(env.payload);
-    if msg.era != rec.era {
+    if msg.era != m.rec.era {
         return;
     }
     for (v, blob) in msg.vrows {
-        if let Some(l) = lg.local_vertex(v) {
-            *lg.vertex_data_mut(l) = dec(blob);
+        if let Some(l) = m.lg.local_vertex(v) {
+            *m.lg.vertex_data_mut(l) = dec(blob);
         }
     }
     for (e, blob) in msg.erows {
-        if let Some(l) = lg.local_edge(e) {
-            *lg.edge_data_mut(l) = dec(blob);
+        if let Some(l) = m.lg.local_edge(e) {
+            *m.lg.edge_data_mut(l) = dec(blob);
         }
     }
-    rec.adopt_got[env.src.index()] = true;
+    m.rec.adopt_got[env.src.index()] = true;
 }
 
 /// Every surviving peer's ghost round arrived: join the resume barrier.
 fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
-    let rec = h.parts().rec;
+    let rec = &mut h.machine().rec;
     if !rec.all_survivors(|j| j == rec.me || rec.adopt_got[j]) {
         return Step::Continue;
     }
@@ -903,16 +878,16 @@ fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
 /// `Recovered`/`Resume` barrier, which keeps post-recovery work from
 /// racing ahead of machines still restoring.
 fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
-    for l in h.parts().lg.owned_vertices().to_vec() {
+    for l in h.machine().lg.owned_vertices().to_vec() {
         h.reseed(l);
     }
-    let Parts { rec, net, .. } = h.parts();
-    rec.enter(RecoveryPhase::AwaitResume);
-    let era = rec.era;
-    if rec.me != 0 {
-        rec.send(net, MachineId(0), RecoveryKind::Recovered, enc(&RecoverEraMsg { era }));
-        net.flush_all();
-    } else if rec.note_recovered(era) {
+    let m = h.machine();
+    m.rec.enter(RecoveryPhase::AwaitResume);
+    let era = m.rec.era;
+    if m.rec.me != 0 {
+        m.send(MachineId(0), RecoveryKind::Recovered, enc(&RecoverEraMsg { era }));
+        m.net.flush_all();
+    } else if m.rec.note_recovered(era) {
         return release_resume(h);
     }
     Step::Continue
@@ -920,17 +895,17 @@ fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
 
 /// Master: every survivor recovered — release the resume barrier.
 fn release_resume<H: RecoveryHost>(h: &mut H) -> Step {
-    let Parts { rec, net, .. } = h.parts();
-    let era = rec.era;
-    rec.broadcast(net, RecoveryKind::Resume, &enc(&RecoverEraMsg { era }));
-    net.flush_all();
+    let m = h.machine();
+    let era = m.rec.era;
+    m.broadcast(RecoveryKind::Resume, &enc(&RecoverEraMsg { era }));
+    m.net.flush_all();
     on_resume(h, era)
 }
 
 /// Resume barrier released: back to normal operation, replaying buffered
 /// post-recovery traffic in arrival order.
 fn on_resume<H: RecoveryHost>(h: &mut H, era: u32) -> Step {
-    let rec = h.parts().rec;
+    let rec = &mut h.machine().rec;
     if era != rec.era || rec.phase != RecoveryPhase::AwaitResume {
         return tick(h); // stale
     }
@@ -1018,24 +993,17 @@ mod tests {
     // ---- the state machine, driven by scripted envelopes ----
     //
     // Machine 1 of a 3-endpoint zero-latency SimNet runs the protocol
-    // against a fake engine; machines 0 and 2 are bare endpoints whose
-    // inboxes show what the machine sent.
+    // against a fake engine on the real `Machine`; machines 0 and 2 are bare
+    // endpoints whose inboxes show what the machine sent.
 
-    use graphlab_atoms::{build_atoms, write_atoms, VertexPartition};
+    use graphlab_atoms::{build_atoms, write_atoms, Placement, SimDfs, VertexPartition};
     use graphlab_graph::{GraphBuilder, VertexId};
     use graphlab_net::{BatchPolicy, Endpoint, FaultPlan, FaultTrigger, LatencyModel, SimNet};
 
     use crate::snapshot::write_snapshot_atoms;
 
     struct FakeHost {
-        rec: RecoveryTracker,
-        net: Batcher,
-        lg: LocalGraph<f64, f64>,
-        dfs: SimDfs,
-        index: AtomIndex,
-        placement: Arc<Placement>,
-        mode: RecoveryMode,
-        snapshots: u64,
+        core: Machine<f64, f64>,
         resets: usize,
         seeded: Vec<u32>,
         replayed: Vec<Kind>,
@@ -1044,20 +1012,8 @@ mod tests {
     impl RecoveryHost for FakeHost {
         type V = f64;
         type E = f64;
-        fn parts(&mut self) -> Parts<'_, f64, f64> {
-            Parts {
-                rec: &mut self.rec,
-                net: &mut self.net,
-                lg: &mut self.lg,
-                dfs: &self.dfs,
-                index: &self.index,
-                placement: &mut self.placement,
-                coloring: None,
-                snap_prefix: "ckpt",
-                num_atoms: 6,
-                mode: self.mode,
-                snapshots: &mut self.snapshots,
-            }
+        fn machine(&mut self) -> &mut Machine<f64, f64> {
+            &mut self.core
         }
         fn reset_engine_state(&mut self) {
             self.resets += 1;
@@ -1105,15 +1061,22 @@ mod tests {
             None => SimNet::with_seed(3, LatencyModel::ZERO, 1),
         };
         let mine = eps.remove(me as usize);
-        let host = FakeHost {
-            rec: RecoveryTracker::new(me as usize, 3),
-            net: Batcher::new(mine, BatchPolicy::disabled()),
-            lg: LocalGraph::from_init(init, None),
-            dfs,
-            index,
+        let mut config = crate::EngineConfig::new(3);
+        (config.num_atoms, config.recovery, config.batch) = (6, mode, BatchPolicy::disabled());
+        let setup = MachineSetup {
+            dfs: Arc::new(dfs),
+            index: Arc::new(index),
             placement: Arc::new(placement),
-            mode,
-            snapshots: 0,
+            coloring: None,
+            syncs: Arc::new(Vec::new()),
+            stop: None,
+            initial: Arc::new(crate::InitialSchedule::AllVertices),
+            config,
+            counters: crate::metrics::LiveCounters::new(),
+            snap_prefix: "ckpt".to_string(),
+        };
+        let host = FakeHost {
+            core: Machine::new(mine, setup, init),
             resets: 0,
             seeded: Vec::new(),
             replayed: Vec::new(),
@@ -1150,10 +1113,10 @@ mod tests {
     fn era_bump_during_flush_wait_redrains_with_a_fresh_ready() {
         let (mut h, ep0, ep2) = cluster(RecoveryMode::Rollback, None);
         assert_eq!(feed(&mut h, down(2, true, 1)), Step::Continue);
-        assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::Drain);
         assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 1)]);
         feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 1, snap: 0 }));
-        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::FlushWait);
         assert_eq!(inbox(&ep0), [(RecoveryKind::FlushMark, 1)]);
         assert_eq!(
             inbox(&ep2),
@@ -1163,12 +1126,12 @@ mod tests {
         // A second failure supersedes the round: back to the drain, the
         // order forgotten, a READY for the new era on the wire.
         assert_eq!(feed(&mut h, down(2, true, 2)), Step::Continue);
-        assert_eq!(h.rec.phase(), RecoveryPhase::Drain);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::Drain);
         assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 2)]);
         for src in [0, 2] {
             feed(&mut h, env(src, RecoveryKind::FlushMark, &RecoverEraMsg { era: 2 }));
         }
-        assert_eq!(h.rec.phase(), RecoveryPhase::Drain, "era-1 order must not apply in era 2");
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::Drain, "era-1 order must not apply in era 2");
         assert_eq!(h.resets, 0);
     }
 
@@ -1178,10 +1141,10 @@ mod tests {
     fn drained_for_adoption() -> (FakeHost, Endpoint, AdoptPlanMsg, VertexId) {
         let (mut h, ep0, _ep2) = cluster(RecoveryMode::Adopt, None);
         assert_eq!(feed(&mut h, down(2, false, 1)), Step::Continue);
-        assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 2));
+        assert_eq!((h.core.rec.phase(), h.core.rec.survivors()), (RecoveryPhase::Drain, 2));
         let dead = [false, false, true];
-        let plan = pick_adoption(&h.dfs, "ckpt", 6, 1, &h.index, &h.placement, &dead);
-        let init = load_machine_part(&h.dfs, &h.index, &plan.placement, MachineId(1)).unwrap();
+        let plan = pick_adoption(&h.core.setup, 1, &dead);
+        let init = load_machine_part(&h.core.setup.dfs, &h.core.setup.index, &plan.placement, MachineId(1)).unwrap();
         let lg: LocalGraph<f64, f64> = LocalGraph::from_init(init, None);
         let ghost = (0..lg.num_local_vertices() as u32)
             .find(|&l| lg.vertex_owner(l) == MachineId(0))
@@ -1194,20 +1157,20 @@ mod tests {
     fn early_adopt_data_is_held_until_the_local_surgery_ran() {
         let (mut h, ep0, plan, ghost) = drained_for_adoption();
         feed(&mut h, env(0, RecoveryKind::AdoptPlan, &plan));
-        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::FlushWait);
         // With three or more survivors a fast peer's ghost round overtakes
         // a slow peer's marker; with two, scripting the round ahead of the
         // marker forces the same hold.
         let data = AdoptDataMsg { era: 1, vrows: vec![(ghost, enc(&42.0f64))], erows: Vec::new() };
         assert_eq!(feed(&mut h, env(0, RecoveryKind::AdoptData, &data)), Step::Continue);
-        assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::FlushWait, 0), "held, not applied");
+        assert_eq!((h.core.rec.phase(), h.resets), (RecoveryPhase::FlushWait, 0), "held, not applied");
         feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
-        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
-        assert_eq!((h.resets, h.rec.adoptions, h.snapshots), (1, 1, 0));
-        assert_eq!(h.seeded, h.lg.owned_vertices(), "every owned vertex reseeded after the reset");
-        assert_eq!(h.placement.atoms_of(MachineId(2)), []);
-        let l = h.lg.local_vertex(ghost).unwrap();
-        assert_eq!(*h.lg.vertex_data(l), 42.0, "held rows land in the rebuilt graph");
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!((h.resets, h.core.rec.adoptions, h.core.snapshots), (1, 1, 0));
+        assert_eq!(h.seeded, h.core.lg.owned_vertices(), "every owned vertex reseeded after the reset");
+        assert_eq!(h.core.setup.placement.atoms_of(MachineId(2)), []);
+        let l = h.core.lg.local_vertex(ghost).unwrap();
+        assert_eq!(*h.core.lg.vertex_data(l), 42.0, "held rows land in the rebuilt graph");
         use RecoveryKind::*;
         let kinds: Vec<RecoveryKind> = inbox(&ep0).into_iter().map(|(k, _)| k).collect();
         assert_eq!(kinds, [Ready, FlushMark, AdoptData, Recovered]);
@@ -1221,17 +1184,17 @@ mod tests {
         feed(&mut h, env(0, RecoveryKind::AdoptPlan, &plan));
         feed(&mut h, work(LockKind::ScopeData)); // FlushWait: precedes the marker
         feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
-        assert_eq!(h.rec.phase(), RecoveryPhase::AdoptData);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::AdoptData);
         feed(&mut h, work(LockKind::Release));
         let data = AdoptDataMsg { era: 1, vrows: Vec::new(), erows: Vec::new() };
         feed(&mut h, env(0, RecoveryKind::AdoptData, &data));
-        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::AwaitResume);
         feed(&mut h, work(LockKind::Sched));
         feed(&mut h, work(LockKind::Token));
         assert_eq!(h.replayed, [], "nothing reaches the engine before the resume");
         let resume = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 1 });
         assert_eq!(feed(&mut h, resume), Step::Resumed);
-        assert_eq!(h.rec.phase(), RecoveryPhase::Normal);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::Normal);
         let after_resume = [LockKind::Release, LockKind::Sched, LockKind::Token];
         assert_eq!(h.replayed, after_resume.map(Kind::Lock));
     }
@@ -1248,7 +1211,7 @@ mod tests {
             RecoveryKind::Ready => env(src, kind, &RecoverReadyMsg { era }),
             RecoveryKind::Rollback => env(src, kind, &RollbackMsg { era, snap: 4 }),
             RecoveryKind::AdoptPlan => {
-                let placement = (*h.placement).clone();
+                let placement = (*h.core.setup.placement).clone();
                 env(src, kind, &AdoptPlanMsg { era, dead: vec![2], placement, snap: None })
             }
             RecoveryKind::FlushMark | RecoveryKind::Recovered | RecoveryKind::Resume => {
@@ -1274,12 +1237,12 @@ mod tests {
     /// aside — `apply_adopt_data` checks their era when it applies them, and
     /// the vertex data then shows whether it did.
     fn observable(h: &mut FakeHost) -> String {
-        let held = std::mem::take(&mut h.rec.adopt_early);
+        let held = std::mem::take(&mut h.core.rec.adopt_early);
         let data: Vec<f64> =
-            (0..h.lg.num_local_vertices() as u32).map(|l| *h.lg.vertex_data(l)).collect();
-        let seen = (h.resets, &h.seeded, &h.replayed, h.snapshots, data);
-        let all = format!("{:?} {seen:?}", h.rec);
-        h.rec.adopt_early = held;
+            (0..h.core.lg.num_local_vertices() as u32).map(|l| *h.core.lg.vertex_data(l)).collect();
+        let seen = (h.resets, &h.seeded, &h.replayed, h.core.snapshots, data);
+        let all = format!("{:?} {seen:?}", h.core.rec);
+        h.core.rec.adopt_early = held;
         all
     }
 
@@ -1287,7 +1250,7 @@ mod tests {
     /// recovery kind in the phase `h` is in, and asserts that none of them
     /// moved the tracker, reached the engine, was answered or took a step.
     fn assert_stale_is_inert(h: &mut FakeHost, others: [&Endpoint; 2], era: u32) {
-        let (phase, src) = (h.rec.phase(), if h.rec.me == 0 { 1 } else { 0 });
+        let (phase, src) = (h.core.rec.phase(), if h.core.rec.me == 0 { 1 } else { 0 });
         for kind in (0..=u16::MAX).filter_map(Kind::from_wire) {
             let Kind::Recovery(kind) = kind else { continue };
             let Some(stale) = stamped(h, src, kind, era) else { continue };
@@ -1303,23 +1266,23 @@ mod tests {
     #[test]
     fn stale_era_orders_and_resumes_are_ignored() {
         let (mut h, ep0, ep2) = cluster(RecoveryMode::Adopt, None);
-        let file = SnapshotFile::capture(&h.lg);
-        let mine = h.placement.atoms_of(MachineId(1));
-        write_snapshot_atoms(&h.dfs, "ckpt", 4, file, &h.lg, &mine);
+        let file = SnapshotFile::capture(&h.core.lg);
+        let mine = h.core.setup.placement.atoms_of(MachineId(1));
+        write_snapshot_atoms(&h.core.setup.dfs, "ckpt", 4, file, &h.core.lg, &mine);
         feed(&mut h, down(2, true, 2));
-        assert_eq!((h.rec.phase(), h.rec.survivors()), (RecoveryPhase::Drain, 3));
+        assert_eq!((h.core.rec.phase(), h.core.rec.survivors()), (RecoveryPhase::Drain, 3));
         assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 2)]);
         assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         // The current era's order goes through...
         feed(&mut h, env(0, RecoveryKind::Rollback, &RollbackMsg { era: 2, snap: 4 }));
-        assert_eq!(h.rec.phase(), RecoveryPhase::FlushWait);
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::FlushWait);
         assert_eq!([inbox(&ep0), inbox(&ep2)], [[(RecoveryKind::FlushMark, 2)]; 2]);
         assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         for src in [0, 2] {
             feed(&mut h, env(src, RecoveryKind::FlushMark, &RecoverEraMsg { era: 2 }));
         }
-        assert_eq!(h.rec.phase(), RecoveryPhase::AwaitResume);
-        assert_eq!((h.resets, h.rec.recoveries, h.snapshots), (1, 1, 5));
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::AwaitResume);
+        assert_eq!((h.resets, h.core.rec.recoveries, h.core.snapshots), (1, 1, 5));
         assert_eq!(inbox(&ep0), [(RecoveryKind::Recovered, 2)]);
         // ...and only the current era's resume releases the barrier.
         assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
@@ -1338,7 +1301,7 @@ mod tests {
             let (mut h, [a, b]) = cluster_of(me, RecoveryMode::Adopt, None);
             let peer = 1 - me;
             let dead = [false, false, true];
-            let plan = pick_adoption(&h.dfs, "ckpt", 6, 2, &h.index, &h.placement, &dead);
+            let plan = pick_adoption(&h.core.setup, 2, &dead);
             let now = RecoverEraMsg { era: 2 };
             let rows = AdoptDataMsg { era: 2, vrows: Vec::new(), erows: Vec::new() };
             // What the one surviving peer sends, and where it takes `h`.
@@ -1354,11 +1317,11 @@ mod tests {
             ];
             for (msg, phase) in round {
                 feed(&mut h, msg);
-                assert_eq!(h.rec.phase(), phase, "machine {me}");
+                assert_eq!(h.core.rec.phase(), phase, "machine {me}");
                 let _the_rounds_own_sends = (inbox(&a), inbox(&b));
                 assert_stale_is_inert(&mut h, [&a, &b], 1);
             }
-            assert_eq!((h.rec.adoptions, h.rec.recoveries, h.resets), (1, 0, 1));
+            assert_eq!((h.core.rec.adoptions, h.core.rec.recoveries, h.resets), (1, 0, 1));
         }
     }
 
@@ -1367,9 +1330,9 @@ mod tests {
         let kill = || Some(FaultPlan::seeded(1).kill(1, FaultTrigger::Deliveries(0)));
         let (mut h, ..) = cluster(RecoveryMode::Adopt, kill());
         assert_eq!(on_self_death(&mut h), Step::Exit);
-        assert_eq!((h.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
+        assert_eq!((h.core.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
         assert_eq!(feed(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
-        assert_eq!(h.rec.survivors(), 3);
+        assert_eq!(h.core.rec.survivors(), 3);
 
         let (mut h, ..) = cluster(RecoveryMode::Rollback, kill());
         let d = DownMsg { machine: 1, restart: false, era: 1 };

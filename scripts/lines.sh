@@ -1,0 +1,24 @@
+#!/bin/sh
+# The figures ROADMAP's "Lines (after PR N)" paragraph quotes, so that a
+# simplicity PR's number is one command's output. Run from anywhere:
+# `scripts/lines.sh [repo root]`. "Outside #[cfg(test)]" counts each file
+# up to, not including, its last `#[cfg(test)]` line (the unit-test module
+# closes every file that has one); a file with none counts whole.
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+core=crates/core/src
+
+outside_tests() {
+    awk 'FNR == 1 { total += cut ? cut - 1 : n; n = 0; cut = 0 }
+         { n = FNR }
+         /^[[:space:]]*#\[cfg\(test\)\]/ { cut = FNR }
+         END { print total + (cut ? cut - 1 : n) }' "$@"
+}
+
+printf '%-44s %6d\n' "$core total" "$(cat $core/*.rs | wc -l)"
+printf '%-44s %6d\n' "$core outside #[cfg(test)]" "$(outside_tests $core/*.rs)"
+for f in chromatic locking recovery; do
+    printf '%-44s %6d\n' "$core/$f.rs" "$(wc -l < $core/$f.rs)"
+done
+printf '%-44s %6d\n' "Rust under crates src tests examples" \
+    "$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l)"

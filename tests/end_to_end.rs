@@ -676,21 +676,6 @@ fn lease_expiry_detects_death_without_oracle() {
     }
 }
 
-#[test]
-fn ingress_pipeline_is_usable_standalone() {
-    // DistributedGraph: build atoms once, load for several cluster sizes.
-    let g = web_graph(500, 3, 2);
-    let dg = graphlab::core::DistributedGraph::build(&g, &PartitionStrategy::BfsGrow, 16, 1);
-    for m in [1usize, 2, 5] {
-        let parts = dg.load_all::<f64, f64>(m);
-        let owned: usize = parts
-            .iter()
-            .map(|p| p.vertices.iter().filter(|v| v.owner == p.machine).count())
-            .sum();
-        assert_eq!(owned, 500, "{m} machines");
-    }
-}
-
 /// ISSUE 10 (satellite): message-driven masters mean an idle cluster does
 /// zero control work. With no counter-driven triggers configured the
 /// counter-threshold note (`LockKind::UpdNote`) is never sent and no machine
