@@ -16,23 +16,24 @@
 //! per owner (duplicates merge, as in the local queues) sent once when the
 //! step has executed.
 //!
-//! The barrier is realised as a two-round counting flush: after executing
-//! its part of the step, every machine tells every other machine how many
-//! data messages — blocks and task sets — it sent them (round A);
-//! write-backs processed during round A may trigger forwards to other
-//! mirrors, which are accounted in round B. A machine enters the next
-//! colour-step only after receiving every promised message, so all
-//! modifications are visible before the next colour begins. The invariant
-//! the count rests on: **no row stays in an open block past the flush
-//! marker of its `(step, phase)`** — `flush_round` closes every block
-//! before it sends the markers.
+//! The barrier is two rounds of FIFO markers, like recovery's `FlushMark`:
+//! after executing its part of the step, every machine sends every other
+//! machine a `FlushA` marker behind its blocks and task sets (round A);
+//! write-backs applied during round A may trigger forwards to other
+//! mirrors, which go out ahead of the `FlushB` marker (round B). Per-channel
+//! FIFO makes a peer's marker proof that everything it sent in the round
+//! has arrived, so a machine enters the next colour-step once it holds
+//! every surviving peer's markers and all modifications are visible before
+//! the next colour begins. The one invariant: **no row outlives its
+//! round's marker** — `flush_round` closes every block before it sends
+//! the markers.
 //!
 //! Between colour *cycles* (one pass over all colours) the machines run the
 //! sync operations and the master decides halting ("the entire cycle
 //! executed zero updates and all schedulers are empty") and snapshot
 //! triggers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,6 +94,12 @@ struct Block {
     buf: BytesMut,
 }
 
+/// The flush round of a `(step, phase)` tag, numbered in the order the
+/// machines run them.
+fn round((step, phase): (u64, u8)) -> u64 {
+    2 * step + phase as u64
+}
+
 /// Unwinds the BSP call stack to the top-level run loop with the recovery
 /// step that preempted it (`Continue` = a round is in progress). The
 /// protocol itself is event-driven and lives in [`crate::recovery`].
@@ -128,12 +135,11 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// forwarding gave.
     remote_tasks: Vec<Vec<u32>>,
 
-    // Step / flush accounting.
     step: u64,
-    /// Received data-message counts bucketed by (src, step, phase).
-    recv_buckets: HashMap<(u16, u64, u8), u64>,
-    /// Flush promises bucketed by (src, step, phase).
-    flush_promises: HashMap<(u16, u64, u8), FlushMsg>,
+    /// Flush markers received from each machine: round `2·step + phase` is
+    /// complete once every surviving peer's count exceeds it. A peer runs
+    /// at most one round ahead, which the count absorbs.
+    marks: Vec<u64>,
     /// Sync partials that raced ahead of the master's own cycle end: a
     /// fast peer can finish the cycle's last flush round and send its
     /// partial while we are still collecting flushes from a slower peer.
@@ -147,13 +153,7 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// writer per colour-step, so no two rows of a step carry the same
     /// datum, and every row of a step is applied before the next begins.
     blocks: Vec<[Block; RowKind::ALL.len()]>,
-    /// Data messages sent per destination, `[phase][dst]`, since the last
-    /// flush marker of that phase: blocks of direct pushes and write-backs
-    /// plus task sets (phase 0), blocks of forwarded write-backs (phase 1).
-    sent: [Vec<u64>; 2],
 
-    /// Updates this cycle (the flush markers carry it).
-    cycle_updates: u64,
     /// Colour-steps executed across the whole run (unlike `step`, never
     /// reset by a rollback — the metrics source).
     steps_total: u64,
@@ -184,12 +184,9 @@ where
             pending_total: 0,
             remote_tasks: vec![Vec::new(); m],
             step: 0,
-            recv_buckets: HashMap::new(),
-            flush_promises: HashMap::new(),
+            marks: vec![0; m],
             sync_stash: VecDeque::new(),
             blocks: (0..m).map(|_| Default::default()).collect(),
-            sent: [vec![0; m], vec![0; m]],
-            cycle_updates: 0,
             steps_total: 0,
             num_colors,
             core,
@@ -244,7 +241,6 @@ where
     fn run_cycles(&mut self) -> Result<(), Interrupt> {
         let mut cycle = 0u64;
         loop {
-            self.cycle_updates = 0;
             for color in 0..self.num_colors {
                 self.execute_color_step(color);
                 self.flush_round(0)?;
@@ -289,14 +285,12 @@ where
         }
     }
 
-    /// Puts `dst`'s open `kind` block on the wire and counts it for the
-    /// flush marker of its phase.
+    /// Puts `dst`'s open `kind` block on the wire.
     fn close_block(&mut self, dst: MachineId, kind: RowKind) {
-        let Self { blocks, core, sent, .. } = self;
+        let Self { blocks, core, .. } = self;
         let block = &mut blocks[dst.index()][kind as usize];
         core.send_with(dst, kind.wire(), |buf| buf.put_slice(&block.buf));
         block.buf.clear();
-        sent[block.tag.1 as usize][dst.index()] += 1;
     }
 
     /// Receives one engine envelope. The fault/recovery control plane is
@@ -340,7 +334,6 @@ where
         }
         for &l in &batch {
             self.core.execute(&*self.update, l);
-            self.cycle_updates += 1;
             self.commit(l);
             // Respect the global update cap: stop executing this step.
             if self.core.capped(self.core.live_updates()) {
@@ -352,7 +345,7 @@ where
         batch.append(&mut self.queues[color as usize]);
         self.queues[color as usize] = batch;
 
-        let Self { remote_tasks, queued, core, sent, step, .. } = self;
+        let Self { remote_tasks, queued, core, step, .. } = self;
         let Machine { lg, rec, net, .. } = core;
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
             tasks.sort_unstable_by_key(|&l| lg.vertex_gvid(l));
@@ -361,7 +354,6 @@ where
                     TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
                 })
             });
-            sent[0][j] += 1;
             for l in tasks.drain(..) {
                 queued[l as usize] = false;
             }
@@ -459,9 +451,11 @@ where
         }
     }
 
-    /// Closes every open block, sends flush markers for (self.step, phase)
-    /// promising what `sent` counted, then blocks until every peer's flush
-    /// and all promised data arrived.
+    /// Closes every open block, sends the markers of `(self.step, phase)`
+    /// behind them, then blocks until every surviving peer's marker of the
+    /// round arrived — and with it, by per-channel FIFO, all it sent in the
+    /// round. Dead machines owe nothing: their atoms were adopted and the
+    /// fabric drops their in-flight traffic.
     fn flush_round(&mut self, phase: u8) -> Result<(), Interrupt> {
         let step = self.step;
         debug_assert!(
@@ -476,54 +470,38 @@ where
             }
         }
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
-        for dst in self.core.rec.peers() {
-            let msg = FlushMsg {
-                step,
-                count: self.sent[phase as usize][dst.index()],
-                updates: self.cycle_updates,
-                pending: self.pending_total,
-            };
-            self.core.rec.send(&mut self.core.net, dst, kind, enc(&msg));
-        }
-        self.sent[phase as usize].fill(0);
-        loop {
-            // Dead machines owe nothing: their atoms were adopted and the
-            // fabric drops their in-flight traffic.
-            let complete = self.core.rec.peers().all(|j| {
-                match self.flush_promises.get(&(j.0, step, phase)) {
-                    None => false,
-                    Some(f) => {
-                        let got = self.recv_buckets.get(&(j.0, step, phase)).copied().unwrap_or(0);
-                        got >= f.count
-                    }
-                }
-            });
-            if complete {
-                break;
-            }
+        self.core.broadcast(kind, &enc(&step));
+        while !self.holds_marks(round((step, phase))) {
             let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
             self.handle_msg(kind, env);
-        }
-        // Prune accounting of completed steps to keep the maps small.
-        if step > 1 {
-            self.recv_buckets.retain(|&(_, s, _), _| s + 1 >= step);
-            self.flush_promises.retain(|&(_, s, _), _| s + 1 >= step);
         }
         Ok(())
     }
 
+    /// Whether every surviving peer's marker of `round` has arrived.
+    fn holds_marks(&self, round: u64) -> bool {
+        let me = self.core.me().index();
+        self.core.rec.all_survivors(|j| j == me || self.marks[j] > round)
+    }
+
     /// Walks the row block in `env` in place, handing `row` each row with
-    /// the block's step as it is met, and counts the block as received.
+    /// the block's step as it is met.
     fn on_block<'a, R>(
         &mut self,
         env: &'a Envelope,
         read: impl Fn(&mut &'a [u8]) -> Option<R>,
         mut row: impl FnMut(&mut Self, u64, R),
     ) {
-        let (step, phase) = read_all(&env.payload, |p| {
+        let tag = read_all(&env.payload, |p| {
             StepTagged::<R>::read_block(p, read, |step, r| row(self, step, r))
         });
-        *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
+        self.debug_assert_ahead_of_marker(env.src, tag);
+    }
+
+    /// A block or task set tagged `tag` from `src` travels ahead of its
+    /// round's marker on the channel.
+    fn debug_assert_ahead_of_marker(&self, src: MachineId, tag: (u64, u8)) {
+        debug_assert!(round(tag) >= self.marks[src.index()], "machine {} sent {tag:?} behind its marker", src.0);
     }
 
     /// Handles one envelope of a colour-step's exchange; the kinds of the
@@ -575,7 +553,7 @@ where
                 this.core.lg.bump_edge_version(l);
             }),
             ChromKind::Sched => {
-                let (step, phase) = read_all(&env.payload, |p| {
+                let tag = read_all(&env.payload, |p| {
                     let tag = StepTagged::<TaskSetMsg>::read(p)?;
                     TaskSetMsg::read(p, |gv| {
                         let l = self.core.lg.local_vertex(gv).expect("scheduled vertex is local");
@@ -584,15 +562,13 @@ where
                     })?;
                     Some(tag)
                 });
-                *self.recv_buckets.entry((env.src.0, step, phase)).or_insert(0) += 1;
+                self.debug_assert_ahead_of_marker(env.src, tag);
             }
-            ChromKind::FlushA => {
-                let f: FlushMsg = dec(env.payload);
-                self.flush_promises.insert((env.src.0, f.step, 0), f);
-            }
-            ChromKind::FlushB => {
-                let f: FlushMsg = dec(env.payload);
-                self.flush_promises.insert((env.src.0, f.step, 1), f);
+            ChromKind::FlushA | ChromKind::FlushB => {
+                let tag = (dec(env.payload), (kind == ChromKind::FlushB) as u8);
+                let marks = &mut self.marks[env.src.index()];
+                debug_assert_eq!(round(tag), *marks, "machine {} skipped a flush round", env.src.0);
+                *marks += 1;
             }
             ChromKind::SyncPart => self.sync_stash.push_back(env),
             ChromKind::SyncGlob | ChromKind::SnapDone | ChromKind::SnapResume => {
@@ -713,7 +689,7 @@ where
     }
 
     /// Resets all volatile BSP state — colour queues, collected tasks, open
-    /// blocks, step/flush accounting, stashed sync partials, ghost-cache
+    /// blocks, step and marker counts, stashed sync partials, ghost-cache
     /// assumptions — sized by the current local graph.
     fn reset_engine_state(&mut self) {
         let nv = self.core.lg.num_local_vertices();
@@ -723,12 +699,9 @@ where
         self.pending_total = 0;
         self.remote_tasks.iter_mut().for_each(Vec::clear);
         self.step = 0;
-        self.recv_buckets.clear();
-        self.flush_promises.clear();
+        self.marks.fill(0);
         self.sync_stash.clear();
         self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
-        self.sent.iter_mut().for_each(|s| s.fill(0));
-        self.cycle_updates = 0;
     }
 
     fn reseed(&mut self, l: u32) {
@@ -821,28 +794,32 @@ mod tests {
         Some((kind_of(&env), tag, rows))
     }
 
-    /// The next envelope at `ep` as a flush marker: `(kind, step, count)`.
-    fn flush_marker(ep: &Endpoint) -> Option<(ChromKind, u64, u64)> {
+    /// The next envelope at `ep` as a flush marker, whose whole payload is
+    /// its step: `(kind, step)`.
+    fn flush_marker(ep: &Endpoint) -> Option<(ChromKind, u64)> {
         let env = ep.try_recv().ok()?;
-        let kind = kind_of(&env);
-        let f: FlushMsg = dec(env.payload);
-        Some((kind, f.step, f.count))
+        Some((kind_of(&env), dec(env.payload)))
     }
 
-    /// Scripts every peer's flush marker of `(step, phase)`, promising
-    /// nothing beyond what machine 0 already got, so `flush_round` returns
-    /// without waiting.
+    /// Scripts every peer's marker of `(step, phase)`, so `flush_round`
+    /// returns without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         for j in 1..m.blocks.len() as u16 {
-            let count = m.recv_buckets.get(&(j, step, phase)).copied().unwrap_or(0);
-            handle_from(m, j, kind, enc(&FlushMsg { step, count, updates: 0, pending: 0 }));
+            handle_from(m, j, kind, enc(&step));
         }
+    }
+
+    /// Machine 0 as it enters `step`: every round before it complete.
+    fn at_step(m: &mut Machine, step: u64) {
+        m.step = step;
+        m.marks.fill(round((step, 0)));
     }
 
     /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
     /// `(step, phase)` joins its slot, and at the latest when the round
-    /// ends — and each is counted for the flush marker of its own phase.
+    /// ends — on every peer's channel ahead of its round's marker, which
+    /// carries the step and nothing else.
     #[test]
     fn a_block_closes_when_full_on_a_change_of_tag_and_when_the_round_ends() {
         let (mut m, peers) = triangle();
@@ -864,7 +841,6 @@ mod tests {
         assert!(pushed.len() > 300, "a 4 KiB block holds hundreds of 12-byte rows");
         assert_eq!(full, (ChromKind::VData, (0, 0), pushed.clone()));
         assert_eq!(vertex_block(&peers[1]), Some(full), "every mirror gets the same rows");
-        assert_eq!(m.sent, [[0, 1, 1], [0, 0, 0]]);
 
         // Change of tag: a forward for machine 1 closes its direct block;
         // machine 2's stays open.
@@ -875,35 +851,33 @@ mod tests {
         });
         assert_eq!(vertex_block(&peers[0]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
         assert_eq!(vertex_block(&peers[1]), None);
-        assert_eq!(m.sent, [[0, 2, 1], [0, 0, 0]]);
 
-        // End of the round: what is open leaves ahead of the markers, and
-        // the forward is promised in round B, not A.
+        // End of the round: what is open leaves ahead of the markers — the
+        // forward of round B included.
         promise(&mut m, 0, 0);
         assert!(m.flush_round(0).is_ok());
         let forwarded = (ChromKind::VData, (0, 1), vec![(0, version + 1)]);
         assert_eq!(vertex_block(&peers[0]), Some(forwarded));
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 0, 2)));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 0, 2)));
-        assert_eq!(m.sent, [[0, 0, 0], [0, 1, 0]]);
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 0)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 0)));
         promise(&mut m, 0, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 0, 1)));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 0, 0)));
-        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()) && m.sent == [[0; 3], [0; 3]]);
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 0)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 0)));
+        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()));
+        assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
     /// A racing peer: machine 1 is already in step 3 while machine 0 still
     /// waits in `cycle_end_round` (or `write_snapshot`) after step 2. Its
     /// write-back is applied at once; the forward to the other mirror waits
-    /// in a phase-1 block tagged 3 and is promised by `FLUSH_B` of step 3 —
-    /// `FLUSH_A` of step 3 must not count it, or machine 2 waits for a
-    /// direct block that never comes.
+    /// in a phase-1 block tagged 3, which leaves when step 3's first round
+    /// ends, ahead of both its markers — and never to the writer.
     #[test]
     fn a_write_back_of_the_next_step_is_forwarded_in_that_steps_second_round() {
         let (mut m, peers) = triangle();
-        m.step = 3;
+        at_step(&mut m, 3);
         let mut wb = BytesMut::new();
         StepTagged::<VertexRow>::put(&mut wb, 3, 0, |buf| {
             VertexRow::put(buf, VertexId(0), 0, 0, &enc(&7.5f64))
@@ -912,23 +886,43 @@ mod tests {
         let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
         assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (7.5, 1));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()), "nothing leaves before the step");
-        assert_eq!(m.sent, [[0; 3], [0; 3]]);
 
         m.execute_color_step(0);
         promise(&mut m, 3, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 3, 0)));
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 3)), "not to the writer");
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (3, 1), vec![(0, 1)])));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 3, 0)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 3)));
         promise(&mut m, 3, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 3, 0)), "not to the writer");
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 3, 1)));
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 3)));
+        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 3)));
+        assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
+    }
+
+    /// A peer runs at most one round ahead: its marker of the next round
+    /// arrives while machine 0 still waits for a slower peer's, and the
+    /// count keeps it for the round it belongs to.
+    #[test]
+    fn a_marker_of_the_next_round_counts_for_that_round() {
+        let (mut m, _peers) = triangle();
+        promise(&mut m, 0, 0);
+        assert!(m.holds_marks(0) && !m.holds_marks(1));
+        // Machine 1 finished round (0, 1) and sent step 1's first marker;
+        // machine 2's (0, 1) marker is still on its way.
+        handle_from(&mut m, 1, ChromKind::FlushB, enc(&0u64));
+        handle_from(&mut m, 1, ChromKind::FlushA, enc(&1u64));
+        assert!(!m.holds_marks(1));
+        handle_from(&mut m, 2, ChromKind::FlushB, enc(&0u64));
+        assert!(m.holds_marks(1) && !m.holds_marks(2));
+        handle_from(&mut m, 2, ChromKind::FlushA, enc(&1u64));
+        assert!(m.holds_marks(2) && !m.holds_marks(3));
+        assert_eq!(m.marks, [0, 3, 3]);
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
-    /// the ids ascend, and it is sent — and counted — once, when the step
-    /// has executed.
+    /// the ids ascend, and it is sent once, when the step has executed,
+    /// ahead of the step's first marker.
     #[test]
     fn remote_tasks_of_a_step_leave_as_one_ascending_set() {
         let (mut m, peers) = ring();
@@ -944,7 +938,7 @@ mod tests {
         assert_eq!((m.pending_total, m.remote_tasks[1].len()), (1, ghosts.len()));
         assert!(peers[0].try_recv().is_err(), "nothing leaves per update");
 
-        m.step = 4;
+        at_step(&mut m, 4);
         m.execute_color_step(m.core.lg.vertex_color(l));
         let env = peers[0].try_recv().expect("the step's task set");
         let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.core.lg.vertex_gvid(g)).collect();
@@ -953,8 +947,11 @@ mod tests {
         assert_eq!(kind_of(&env), ChromKind::Sched);
         assert_eq!(dec::<StepTagged<TaskSetMsg>>(env.payload), expected);
         assert!(peers[0].try_recv().is_err());
-        assert_eq!(m.sent, [[0, 1], [0, 0]]);
         assert!(m.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.queued[g as usize]));
+        promise(&mut m, 4, 0);
+        assert!(m.flush_round(0).is_ok());
+        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 4)));
+        assert!(peers[0].try_recv().is_err());
     }
 
     /// The master decides the `max_updates` halt and the snapshot trigger
@@ -1017,18 +1014,17 @@ mod tests {
     fn reset_drops_stashed_sync_partials_and_every_other_volatile_field() {
         let (mut m, peers) = ring();
         m.initial_schedule();
-        m.step = 5;
+        at_step(&mut m, 5);
         let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };
         handle_from(&mut m, 1, ChromKind::SyncPart, enc(&stale));
         assert_eq!(m.sync_stash.len(), 1);
         // An update that left a row in an open block and a task in the set
-        // for machine 1, and a block already counted for the next marker.
+        // for machine 1.
         let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
         let ghost = (0..m.core.lg.num_local_vertices() as u32).find(|&g| !m.core.lg.owns_vertex(g)).unwrap();
         m.core.effects.dirty_self = true;
         m.core.effects.scheduled.push((ghost, 1.0));
         m.commit(l);
-        m.sent[1][1] = 1;
         assert!(m.blocks.iter().flatten().any(|b| !b.buf.is_empty()));
         assert!(m.queued[ghost as usize] && m.remote_tasks[1] == [ghost]);
 
@@ -1039,7 +1035,7 @@ mod tests {
         assert_eq!(m.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
-        assert_eq!(m.sent, [[0, 0], [0, 0]]);
+        assert_eq!(m.marks, [0, 0], "a pre-crash marker survived");
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 }

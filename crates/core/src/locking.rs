@@ -56,7 +56,8 @@
 //!
 //! Termination uses the marker/token algorithm (Misra \[26\], Safra
 //! formulation) from `graphlab-net`. Snapshots (§4.3) come in both
-//! flavours: stop-and-flush synchronous, and the asynchronous
+//! flavours: stop-and-flush synchronous (a FIFO marker barrier, like
+//! recovery's), and the asynchronous
 //! Chandy-Lamport variant expressed as a prioritised update function
 //! (Alg. 5).
 
@@ -330,10 +331,6 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     halted: bool,
     cap_reached: bool,
 
-    // Counted-work message accounting (snapshot channel flush).
-    sent_counts: Vec<u64>,
-    recv_counts: Vec<u64>,
-
     // Snapshot state.
     snap_epoch: Vec<u32>,
     current_snap: u32,
@@ -342,12 +339,14 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     snap_remaining: usize,
     snap_paused: bool,
     snap_ready_sent: bool,
-    snap_flush_target: Option<Vec<u64>>,
+    /// Synchronous snapshot: the `LockKind::SnapSyncFlush` markers held,
+    /// this machine's own counted in — `None` until it has sent its own.
+    snap_flushes: Option<Tally>,
     snap_written: bool,
 
     // Master-only coordination state.
     m_snap_in_progress: bool,
-    m_snap_ready: Vec<Option<Vec<u64>>>,
+    m_snap_ready: Tally,
     m_snap_done: Tally,
     m_async_done: Tally,
     m_halt_pending: bool,
@@ -429,8 +428,6 @@ where
             safra: Safra::new(core.me(), m),
             halted: false,
             cap_reached: false,
-            sent_counts: vec![0; m],
-            recv_counts: vec![0; m],
             snap_epoch: vec![0; nv],
             current_snap: 0,
             snap_queue: VecDeque::new(),
@@ -438,10 +435,10 @@ where
             snap_remaining: 0,
             snap_paused: false,
             snap_ready_sent: false,
-            snap_flush_target: None,
+            snap_flushes: None,
             snap_written: false,
             m_snap_in_progress: false,
-            m_snap_ready: vec![None; m],
+            m_snap_ready: Tally::default(),
             m_snap_done: Tally::default(),
             m_async_done: Tally::default(),
             m_halt_pending: false,
@@ -487,15 +484,14 @@ where
         }
     }
 
-    /// Books one counted-work message to `dst` (Safra's balance, the
-    /// snapshot flush counts). The caller then encodes it straight into
-    /// `dst`'s batch queue through `RecoveryTracker::send_with` — split in
-    /// two because the encoders borrow the rest of the machine.
+    /// Books one counted-work message to `dst` in Safra's balance. The
+    /// caller then encodes it straight into `dst`'s batch queue through
+    /// `RecoveryTracker::send_with` — split in two because the encoders
+    /// borrow the rest of the machine.
     fn count_sent(&mut self, dst: MachineId, kind: LockKind) {
         debug_assert!(kind.is_counted_work());
         debug_assert!(dst != self.core.me());
         self.safra.on_message_sent(1);
-        self.sent_counts[dst.index()] += 1;
     }
 
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
@@ -784,9 +780,8 @@ where
         };
         if let Some(&dst) = rest.first() {
             debug_assert!(dst > me, "chains visit machines in ascending order");
-            // (`count_sent`, field by field: `rest` borrows the plans or the chain.)
+            // (`count_sent`'s body: `rest` borrows the plans or the chain.)
             self.safra.on_message_sent(1);
-            self.sent_counts[dst.index()] += 1;
             let (scope_v, model) = (self.core.lg.vertex_gvid(center), consistency_to_u8(model));
             self.core.send_with(dst, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, requester, reqid, scope_v, rest, model)
@@ -1075,7 +1070,6 @@ where
     fn handle(&mut self, kind: LockKind, env: Envelope) {
         if kind.is_counted_work() {
             self.safra.on_message_received(1);
-            self.recv_counts[env.src.index()] += 1;
         }
         match kind {
             LockKind::Req => {
@@ -1226,26 +1220,17 @@ where
                 self.begin_sync_snapshot();
             }
             LockKind::SnapSyncReady => {
-                let msg: SnapReadyMsg = dec(env.payload);
-                self.master_collect_snap_ready(env.src, msg);
+                debug_assert_eq!(dec::<u64>(env.payload), self.core.snapshots, "READY of another snapshot");
+                self.master_collect_snap_ready();
             }
             LockKind::SnapSyncFlush => {
-                let msg: SnapFlushMsg = dec(env.payload);
-                self.snap_flush_target = Some(msg.expect_from);
+                debug_assert_eq!(dec::<u64>(env.payload), self.core.snapshots, "marker of another snapshot");
+                self.snap_flush().vote();
             }
             LockKind::SnapDone => {
                 self.m_snap_done.vote();
             }
-            LockKind::SnapResume => {
-                self.snap_paused = false;
-                self.snap_ready_sent = false;
-                self.snap_flush_target = None;
-                self.snap_written = false;
-                // Conservative: the checkpoint just cut may be restored
-                // into a fresh cluster later; drop residency assumptions so
-                // the table never spans a snapshot boundary.
-                self.cache.invalidate_all();
-            }
+            LockKind::SnapResume => self.end_sync_snapshot(),
             LockKind::SnapAsyncStart => {
                 let snap: u64 = dec(env.payload);
                 self.begin_async_snapshot(snap as u32);
@@ -1344,7 +1329,7 @@ where
             self.m_snap_in_progress = true;
             self.m_snap_done = Tally::default();
             self.m_async_done = Tally::default();
-            self.m_snap_ready.fill(None);
+            self.m_snap_ready = Tally::default();
             match self.core.setup.config.snapshot.mode {
                 SnapshotMode::Synchronous => {
                     let payload = enc(&id);
@@ -1439,10 +1424,21 @@ where
     // ---- snapshots ----
 
     fn begin_sync_snapshot(&mut self) {
+        debug_assert!(!self.snap_ready_sent && self.snap_flushes.is_none() && !self.snap_written);
         self.snap_paused = true;
+    }
+
+    /// Leaves a synchronous snapshot: on `LockKind::SnapResume`, inline on
+    /// the master (it never receives its own broadcast), and in a reset.
+    fn end_sync_snapshot(&mut self) {
+        self.snap_paused = false;
         self.snap_ready_sent = false;
-        self.snap_flush_target = None;
+        self.snap_flushes = None;
         self.snap_written = false;
+        // Conservative: the checkpoint just cut may be restored into a
+        // fresh cluster later; drop residency assumptions so the table
+        // never spans a snapshot boundary.
+        self.cache.invalidate_all();
     }
 
     fn begin_async_snapshot(&mut self, snap: u32) {
@@ -1481,34 +1477,27 @@ where
             self.finish_async_snapshot();
         }
 
-        // Synchronous: drained → READY; flush satisfied → write + DONE.
+        // Synchronous: drained → READY; every survivor's flush marker held
+        // → write + DONE.
         if self.snap_paused && !self.snap_ready_sent && self.outs.live() == 0 && self.ready.is_empty()
         {
             self.snap_ready_sent = true;
-            let msg = SnapReadyMsg { snap: self.core.snapshots, sent_to: self.sent_counts.clone() };
             if self.core.is_master() {
-                self.master_collect_snap_ready(MachineId(0), msg);
+                self.master_collect_snap_ready();
             } else {
-                self.core.send(MachineId(0), LockKind::SnapSyncReady, enc(&msg));
+                self.core.send(MachineId(0), LockKind::SnapSyncReady, enc(&self.core.snapshots));
             }
         }
-        if self.snap_paused && !self.snap_written {
-            if let Some(target) = &self.snap_flush_target {
-                let flushed = self
-                    .core
-                    .rec
-                    .all_survivors(|j| j == self.core.me().index() || self.recv_counts[j] >= target[j]);
-                if flushed {
-                    self.snap_written = true;
-                    let file = SnapshotFile::capture(&self.core.lg);
-                    self.core.write_checkpoint(self.core.snapshots, file);
-                    if self.core.is_master() {
-                        self.m_snap_done.vote();
-                        self.master_check_snap_done();
-                    } else {
-                        self.core.send(MachineId(0), LockKind::SnapDone, Bytes::new());
-                    }
-                }
+        let flushed = self.snap_flushes.as_ref().is_some_and(|t| self.core.rec.complete(t));
+        if flushed && !self.snap_written {
+            self.snap_written = true;
+            let file = SnapshotFile::capture(&self.core.lg);
+            self.core.write_checkpoint(self.core.snapshots, file);
+            if self.core.is_master() {
+                self.m_snap_done.vote();
+                self.master_check_snap_done();
+            } else {
+                self.core.send(MachineId(0), LockKind::SnapDone, Bytes::new());
             }
         }
         if self.core.is_master() {
@@ -1524,24 +1513,27 @@ where
             && self.core.snapshots as u32 >= self.current_snap
     }
 
-    fn master_collect_snap_ready(&mut self, src: MachineId, msg: SnapReadyMsg) {
-        if !self.core.is_master() {
-            return;
+    /// Master: one more machine drained. Once every survivor is, no lock
+    /// chain is left anywhere, so no machine sends counted work before the
+    /// resume: the master's flush marker opens the barrier.
+    fn master_collect_snap_ready(&mut self) {
+        self.m_snap_ready.vote();
+        if self.core.rec.complete(&self.m_snap_ready) {
+            self.snap_flush();
         }
-        self.m_snap_ready[src.index()] = Some(msg.sent_to);
-        if self.core.rec.all_survivors(|j| self.m_snap_ready[j].is_some()) {
-            // All survivors drained: broadcast per-machine flush targets
-            // (dead machines contribute no counted work: expect zero).
-            let ready: Vec<_> = self.m_snap_ready.iter_mut().map(Option::take).collect();
-            let expect_from = |i: MachineId| -> Vec<u64> {
-                ready.iter().map(|r| r.as_ref().map_or(0, |sent| sent[i.index()])).collect()
-            };
-            self.snap_flush_target = Some(expect_from(self.core.me()));
-            for dst in self.core.rec.peers() {
-                let msg = SnapFlushMsg { snap: self.core.snapshots, expect_from: expect_from(dst) };
-                self.core.rec.send(&mut self.core.net, dst, LockKind::SnapSyncFlush, enc(&msg));
-            }
+    }
+
+    /// The synchronous snapshot's flush markers held, after broadcasting
+    /// this machine's own if it has not yet: the master does on the last
+    /// READY, a worker on the first marker it receives. A marker follows
+    /// all of its sender's counted work on the channel, so holding every
+    /// survivor's means holding all of it.
+    fn snap_flush(&mut self) -> &mut Tally {
+        if self.snap_flushes.is_none() {
+            let payload = enc(&self.core.snapshots);
+            self.core.broadcast(LockKind::SnapSyncFlush, &payload);
         }
+        self.snap_flushes.get_or_insert_with(Tally::with_own_vote)
     }
 
     fn master_check_snap_done(&mut self) {
@@ -1552,13 +1544,7 @@ where
             self.m_snap_in_progress = false;
             self.m_snap_done = Tally::default();
             self.core.broadcast(LockKind::SnapResume, &Bytes::new());
-            self.snap_paused = false;
-            self.snap_ready_sent = false;
-            self.snap_flush_target = None;
-            self.snap_written = false;
-            // The master resumes inline (it never receives its own
-            // broadcast): same conservative invalidation as LockKind::SnapResume.
-            self.cache.invalidate_all();
+            self.end_sync_snapshot();
         }
     }
 }
@@ -1586,7 +1572,7 @@ where
         let ne = self.core.lg.num_local_edges();
         self.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         self.locks = LockTable::new(nv);
-        self.cache = RemoteCacheTable::new(self.sent_counts.len(), nv, ne);
+        self.cache = RemoteCacheTable::new(self.core.slots(), nv, ne);
         self.plans = ScopePlans::build(&self.core.lg);
         self.chains = Slab::default();
         self.chain_index.clear();
@@ -1598,19 +1584,14 @@ where
         // `graphlab_net::termination` § Faults).
         self.safra.reset();
         self.cap_reached = false;
-        self.sent_counts.fill(0);
-        self.recv_counts.fill(0);
         self.snap_epoch = vec![0; nv];
         self.current_snap = 0;
         self.snap_queue.clear();
         self.snap_buffer = SnapshotFile::default();
         self.snap_remaining = 0;
-        self.snap_paused = false;
-        self.snap_ready_sent = false;
-        self.snap_flush_target = None;
-        self.snap_written = false;
+        self.end_sync_snapshot();
         self.m_snap_in_progress = false;
-        self.m_snap_ready.fill(None);
+        self.m_snap_ready = Tally::default();
         self.m_snap_done = Tally::default();
         self.m_async_done = Tally::default();
         // The LockKind::UpdNote state (`last_noted`, like the machine's
@@ -1639,6 +1620,7 @@ mod tests {
     use super::*;
     use crate::driver::tests::{scripted_machine, NoUpdate};
     use crate::reference::InitialSchedule;
+    use crate::snapshot::{restore_snapshot, snapshot_exists};
 
     const KA: SlotRef = SlotRef { slot: 0, generation: 0 };
     const KB: SlotRef = SlotRef { slot: 1, generation: 0 };
@@ -1650,15 +1632,20 @@ mod tests {
         granted
     }
 
-    /// Machine 2 of three over the complete digraph on three vertices,
-    /// vertex `i` on machine `i`, full consistency, unbatched; plus machine
-    /// 0's endpoint, where machine 2's scope data arrives.
-    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, Endpoint) {
+    /// The complete digraph on three vertices, vertex `i` holding `i`.
+    fn triangle() -> graphlab_graph::DataGraph<f64, f64> {
         let mut b = graphlab_graph::GraphBuilder::new();
         let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
         for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
             b.add_edge(v[i], v[j], 1.0).unwrap();
         }
+        b.build()
+    }
+
+    /// Machine 2 of three over [`triangle`], vertex `i` on machine `i`, full
+    /// consistency, unbatched; plus machines 0 and 1's endpoints
+    /// (`peers[j]` is machine `j`'s), where what machine 2 sends arrives.
+    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, Vec<Endpoint>) {
         let one_each = graphlab_atoms::VertexPartition::from_assignment(
             (0..3).map(graphlab_graph::AtomId).collect(),
             3,
@@ -1668,9 +1655,70 @@ mod tests {
         config.batch = graphlab_net::BatchPolicy::disabled();
         let none = InitialSchedule::Vertices(Vec::new());
         let (setup, init, mut eps) =
-            scripted_machine(&b.build(), &one_each, MachineId(2), config, none);
+            scripted_machine(&triangle(), &one_each, MachineId(2), config, none);
         let update = Arc::new(NoUpdate);
-        (LockingMachine::new(eps.pop().unwrap(), setup, update, init), eps.swap_remove(0))
+        (LockingMachine::new(eps.pop().unwrap(), setup, update, init), eps)
+    }
+
+    /// What has arrived at `ep`, as `(kind, payload)`.
+    fn inbox(ep: &Endpoint) -> Vec<(LockKind, Bytes)> {
+        std::iter::from_fn(|| ep.try_recv().ok())
+            .map(|env| match Kind::of(&env) {
+                Kind::Lock(kind) => (kind, env.payload),
+                kind => panic!("{} is not the locking engine's", kind.name()),
+            })
+            .collect()
+    }
+
+    /// The synchronous snapshot's flush is a marker barrier. Machine 2, a
+    /// worker: a peer's `SnapSyncFlush` that overtakes the master's makes
+    /// it send its own, once; nothing is captured until every survivor's
+    /// marker has arrived; and a `Release` write-back queued ahead of a
+    /// marker on the same channel is in the checkpoint.
+    #[test]
+    fn sync_snapshot_captures_once_every_survivors_marker_arrived() {
+        let (mut m, peers) = hop_machine();
+        let from = |src: usize, kind: LockKind, payload: Bytes| {
+            peers[src].send(MachineId(2), kind as u16, payload)
+        };
+        let pump = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
+            while let Ok(env) = m.core.net.try_recv() {
+                m.dispatch(env);
+            }
+            m.check_snapshot_progress();
+        };
+        let marker = (LockKind::SnapSyncFlush, enc(&0u64));
+        // Machine 1's chain holds vertex 2's lock when the snapshot starts.
+        let (model, machines) = (consistency_to_u8(ConsistencyModel::Full), vec![MachineId(2)]);
+        let req = LockReqMsg { requester: MachineId(1), reqid: 7, scope_v: VertexId(1), machines, model };
+        from(1, LockKind::Req, enc(&req));
+        from(0, LockKind::SnapSyncStart, enc(&0u64));
+        pump(&mut m);
+        assert_eq!(inbox(&peers[1]).len(), 1, "the chain's scope data");
+        assert_eq!(inbox(&peers[0]), [(LockKind::SnapSyncReady, enc(&0u64))]);
+
+        // Machine 1 drained and got the master's marker first: its release
+        // (with vertex 2's write-back) and its own marker are on the channel.
+        let vwrites = vec![(VertexId(2), 0, enc(&42.0f64))];
+        from(1, LockKind::Release, enc(&ReleaseMsg { reqid: 7, vwrites, ewrites: vec![] }));
+        from(1, LockKind::SnapSyncFlush, enc(&0u64));
+        pump(&mut m);
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker.clone()]]);
+        let dfs = m.core.setup.dfs.clone();
+        assert!(!snapshot_exists(&dfs, "ckpt", 0), "captured without the master's marker");
+
+        // The master's marker: the barrier is complete, no second marker leaves.
+        from(0, LockKind::SnapSyncFlush, enc(&0u64));
+        pump(&mut m);
+        assert_eq!(inbox(&peers[0]), [(LockKind::SnapDone, Bytes::new())]);
+        assert!(inbox(&peers[1]).is_empty());
+        let mut restored = triangle();
+        restore_snapshot(&dfs, "ckpt", 0, &mut restored).unwrap();
+        assert_eq!(*restored.vertex_data(VertexId(2)), 42.0, "the write-back ahead of the marker");
+
+        from(0, LockKind::SnapResume, Bytes::new());
+        pump(&mut m);
+        assert!(!m.snap_paused && m.snap_flushes.is_none() && m.chains.live() == 0);
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's
@@ -1680,7 +1728,8 @@ mod tests {
     /// chain is still live — no aliasing, no lost wake-up.
     #[test]
     fn forwarded_request_overtaking_a_release_parks_and_reuses_the_slot() {
-        let (mut m, ep0) = hop_machine();
+        let (mut m, mut peers) = hop_machine();
+        let ep0 = peers.remove(0);
         let p = m.core.setup.config.max_pipeline as u64;
         let from0 = |kind: LockKind, payload: Bytes| Envelope {
             src: MachineId(0),

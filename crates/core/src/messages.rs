@@ -7,7 +7,7 @@
 //!
 //! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): ghost data and
 //!   write-back row blocks, one task set per colour-step and owner, the
-//!   two-round step flush, and the per-cycle sync/halt round.
+//!   step barrier's two marker rounds, and the per-cycle sync/halt round.
 //! - [`LockKind`], `20..=38` — locking engine (§4.2.2): pipelined lock
 //!   chains, scope data synchronisation, releases with piggybacked
 //!   write-backs, termination tokens and halt control, background sync, and
@@ -31,11 +31,14 @@
 //! Several protocol invariants assume the fabric's **per-channel FIFO**
 //! delivery guarantee (see `graphlab-net`): a [`ScheduleMsg`] emitted
 //! during commit must reach the owner before the [`ReleaseMsg`] that
-//! unlocks the scope, and the Alg. 5 snapshot markers ride data messages
-//! in channel order.
+//! unlocks the scope, the Alg. 5 snapshot markers ride data messages in
+//! channel order, and every channel flush is a marker barrier — once a
+//! machine holds a peer's marker ([`ChromKind::FlushA`]/[`ChromKind::FlushB`],
+//! [`LockKind::SnapSyncFlush`], [`RecoveryKind::FlushMark`]), it holds
+//! everything that peer sent it before the marker.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use graphlab_graph::{ConsistencyModel, EdgeId, LockType, MachineId, VertexId};
+use graphlab_graph::{ConsistencyModel, EdgeId, MachineId, VertexId};
 use graphlab_net::codec::{
     decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_id_deltas,
     put_uvarint, Codec,
@@ -189,10 +192,13 @@ kinds! {
         /// A colour-step's remote schedule requests for one owner, a
         /// tagged [`TaskSetMsg`].
         Sched = 5, "chrom/sched";
-        /// First-round step flush (promises direct block and task-set
-        /// counts).
+        /// First-round step marker (all → all; the payload is the step):
+        /// the sender's direct blocks and task sets of the step are ahead
+        /// of it on the channel.
         FlushA = 6, "chrom/flush-a";
-        /// Second-round step flush (promises forwarded write-back blocks).
+        /// Second-round step marker (all → all; the payload is the step):
+        /// the sender's forwarded write-back blocks of the step are ahead
+        /// of it.
         FlushB = 7, "chrom/flush-b";
         /// Per-cycle sync partial (machine → master).
         SyncPart = 8, "chrom/sync-part";
@@ -230,10 +236,13 @@ kinds! {
         SyncGlob = 28, "lock/sync-glob";
         /// Synchronous snapshot — suspend request (master → all).
         SnapSyncStart = 29, "snap/sync-start";
-        /// Synchronous snapshot — machine drained, with cumulative
-        /// per-destination send counts (machine → master).
+        /// Synchronous snapshot — machine drained: no lock chain of its own
+        /// is left (machine → master; the payload is the snapshot id).
         SnapSyncReady = 30, "snap/sync-ready";
-        /// Synchronous snapshot — aggregated flush targets (master → all).
+        /// Synchronous snapshot — channel marker (all → all; the payload is
+        /// the snapshot id): the master's once every survivor is drained, a
+        /// worker's on the first one it receives. The sender's counted work
+        /// is ahead of it on the channel.
         SnapSyncFlush = 31, "snap/sync-flush";
         /// Snapshot file written (machine → master).
         SnapDone = 32, "snap/done";
@@ -502,8 +511,8 @@ impl Codec for ScheduleMsg {
 // of the payload, with no count: a `StepTagged<VertexRow>` is a block of
 // one row, and [`StepTagged::read_block`] walks any block in place.
 
-/// Step-tagged data envelope: the chromatic engine's flush accounting
-/// buckets data messages by `(step, phase)`.
+/// Step-tagged data envelope: the `(step, phase)` of the flush round whose
+/// marker the message goes out ahead of.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StepTagged<T> {
     /// Global colour-step counter.
@@ -590,39 +599,6 @@ impl Codec for TaskSetMsg {
         let mut tasks = Vec::new();
         decode_with(buf, |_, rest| Self::read(rest, |v| tasks.push(v)))?;
         Some(TaskSetMsg { tasks })
-    }
-}
-
-/// Flush marker: "during (step, phase) I sent you `count` data messages;
-/// I executed `updates` updates this step and have `pending` tasks queued".
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlushMsg {
-    /// Global colour-step counter.
-    pub step: u64,
-    /// Number of data messages — row blocks and task sets — the sender
-    /// addressed to the receiver in this step/phase.
-    pub count: u64,
-    /// Updates the sender executed this step (phase A only; diagnostics /
-    /// halt decision input).
-    pub updates: u64,
-    /// Sender's total queued tasks at flush time.
-    pub pending: u64,
-}
-
-impl Codec for FlushMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.step.encode(buf);
-        self.count.encode(buf);
-        self.updates.encode(buf);
-        self.pending.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(FlushMsg {
-            step: u64::decode(buf)?,
-            count: u64::decode(buf)?,
-            updates: u64::decode(buf)?,
-            pending: u64::decode(buf)?,
-        })
     }
 }
 
@@ -751,23 +727,6 @@ pub fn consistency_from_u8(v: u8) -> Option<ConsistencyModel> {
         0 => Some(ConsistencyModel::Vertex),
         1 => Some(ConsistencyModel::Edge),
         2 => Some(ConsistencyModel::Full),
-        _ => None,
-    }
-}
-
-/// Encodes a [`LockType`] for the wire.
-pub fn lock_type_to_u8(t: LockType) -> u8 {
-    match t {
-        LockType::Read => 0,
-        LockType::Write => 1,
-    }
-}
-
-/// Decodes a [`LockType`] from the wire.
-pub fn lock_type_from_u8(v: u8) -> Option<LockType> {
-    match v {
-        0 => Some(LockType::Read),
-        1 => Some(LockType::Write),
         _ => None,
     }
 }
@@ -1066,48 +1025,6 @@ impl Codec for UpdNoteMsg {
     }
 }
 
-/// Synchronous-snapshot drain acknowledgement with cumulative engine
-/// message send counts per destination (for channel flushing).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SnapReadyMsg {
-    /// Snapshot id.
-    pub snap: u64,
-    /// Cumulative counted-work messages this machine has sent to each
-    /// destination machine since engine start.
-    pub sent_to: Vec<u64>,
-}
-
-impl Codec for SnapReadyMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.snap.encode(buf);
-        self.sent_to.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(SnapReadyMsg { snap: u64::decode(buf)?, sent_to: Vec::<u64>::decode(buf)? })
-    }
-}
-
-/// Aggregated flush targets: machine `i` must have received
-/// `expect_from[j]` counted messages from each machine `j` before writing
-/// its snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SnapFlushMsg {
-    /// Snapshot id.
-    pub snap: u64,
-    /// Per-source cumulative receive targets for the *receiving* machine.
-    pub expect_from: Vec<u64>,
-}
-
-impl Codec for SnapFlushMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.snap.encode(buf);
-        self.expect_from.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(SnapFlushMsg { snap: u64::decode(buf)?, expect_from: Vec::<u64>::decode(buf)? })
-    }
-}
-
 // ---- recovery (both engines) ----
 
 /// Drain acknowledgement: "I have stopped sending engine traffic for
@@ -1293,7 +1210,6 @@ mod tests {
         });
         rt(StepTagged { step: 12, phase: 0, inner: TaskSetMsg { tasks: vec![] } });
         rt(TaskSetMsg { tasks: vec![VertexId(0), VertexId(7), VertexId(7), VertexId(u32::MAX)] });
-        rt(FlushMsg { step: 3, count: 17, updates: 5, pending: 2 });
         rt(SyncPartialMsg {
             cycle: 2,
             partials: vec![(0, Bytes::from_static(b"acc")), (7, Bytes::new())],
@@ -1341,8 +1257,6 @@ mod tests {
         });
         rt(LockSyncPartialMsg { epoch: 1, partials: vec![(2, Bytes::from_static(b"p"))] });
         rt(UpdNoteMsg { from: MachineId(3), updates: 12345 });
-        rt(SnapReadyMsg { snap: 1, sent_to: vec![10, 0, 5] });
-        rt(SnapFlushMsg { snap: 1, expect_from: vec![2, 2, 2] });
         rt(TokenMsg(Token { count: -2, black: false, round: 4 }));
     }
 
@@ -1369,13 +1283,6 @@ mod tests {
             vrows: vec![(VertexId(3), Bytes::from_static(b"v"))],
             erows: vec![(EdgeId(9), Bytes::new())],
         });
-    }
-
-    #[test]
-    fn lock_type_wire_mapping() {
-        assert_eq!(lock_type_from_u8(lock_type_to_u8(LockType::Read)), Some(LockType::Read));
-        assert_eq!(lock_type_from_u8(lock_type_to_u8(LockType::Write)), Some(LockType::Write));
-        assert_eq!(lock_type_from_u8(7), None);
     }
 
     /// The wire must not move: every number that has a name, with its

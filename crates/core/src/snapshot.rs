@@ -5,7 +5,10 @@
 //! - **Synchronous**: suspend update execution, flush all communication
 //!   channels, save all owned data. The chromatic engine does this at a
 //!   cycle boundary (a natural barrier); the locking engine runs a
-//!   drain → counted channel flush → save → resume protocol.
+//!   drain → marker flush → save → resume protocol: once every machine
+//!   is drained, each broadcasts a `SnapSyncFlush` marker behind its last
+//!   counted message and saves once it holds every survivor's — the same
+//!   FIFO barrier as the chromatic step's and recovery's below.
 //! - **Asynchronous**: the Chandy-Lamport variant expressed *as a GraphLab
 //!   update function* (Alg. 5), valid under edge consistency with
 //!   schedule-before-unlock and snapshot-update priority. Each vertex saves

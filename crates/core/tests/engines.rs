@@ -437,6 +437,97 @@ fn async_snapshot_is_consistent_cut() {
     }
 }
 
+/// Chip-firing: a vertex holding at least `deg(v)` chips sends one to each
+/// neighbour. Every update conserves the total exactly, a game with fewer
+/// chips than edges ends, and the stable configuration does not depend on
+/// the order the vertices fired in (the abelian property). Max-diffusion
+/// cannot see a torn cut — any restored state reaches its fixpoint — but a
+/// chip-firing checkpoint that caught a chip in flight holds the wrong total.
+struct ChipFiring;
+impl UpdateFunction<u64, ()> for ChipFiring {
+    fn update(&self, ctx: &mut UpdateContext<'_, u64, ()>) {
+        let deg = ctx.num_neighbors() as u64;
+        if *ctx.vertex_data() < deg.max(1) {
+            return;
+        }
+        *ctx.vertex_data_mut() -= deg;
+        for i in 0..ctx.num_neighbors() {
+            *ctx.nbr_data_mut(i) += 1;
+            ctx.schedule_nbr(i, 1.0);
+        }
+        if *ctx.vertex_data() >= deg {
+            ctx.schedule_self(1.0);
+        }
+    }
+}
+
+/// A `w × h` grid (one edge per adjacent pair), `c` chips on vertex `i` for
+/// each `(i, c)` in `chips` and none elsewhere.
+fn chip_grid(w: usize, h: usize, chips: &[(usize, u64)]) -> DataGraph<u64, ()> {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = (0..w * h).map(|_| b.add_vertex(0u64)).collect();
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                b.add_edge(ids[y * w + x], ids[y * w + x + 1], ()).unwrap();
+            }
+            if y + 1 < h {
+                b.add_edge(ids[y * w + x], ids[(y + 1) * w + x], ()).unwrap();
+            }
+        }
+    }
+    let mut g = b.build();
+    for &(i, c) in chips {
+        *g.vertex_data_mut(ids[i]) = c;
+    }
+    g
+}
+
+fn chips(g: &DataGraph<u64, ()>) -> Vec<u64> {
+    g.vertices().map(|v| *g.vertex_data(v)).collect()
+}
+
+/// Every synchronous checkpoint is a consistent cut: on both engines, at
+/// zero and at `ec2_like()` latency, each one restored into a fresh graph
+/// holds exactly the chips the run started with — a write-back caught in
+/// flight would lose or double one — and the run's fixpoint is the
+/// sequential engine's.
+#[test]
+fn sync_snapshots_of_chip_firing_conserve_every_chip() {
+    let (w, h) = (8, 8); // 112 edges
+    let placed = [(0, 40), (27, 30), (63, 25)];
+    let total: u64 = placed.iter().map(|&(_, c)| c).sum();
+    let mut seq = chip_grid(w, h, &placed);
+    let full = ConsistencyModel::Full;
+    let seq_updates = GraphLab::on(&mut seq).consistency(full).run(ChipFiring).metrics.updates;
+    assert_eq!(chips(&seq).iter().sum::<u64>(), total);
+    for engine in [EngineKind::Chromatic, EngineKind::Locking] {
+        for latency in [LatencyModel::ZERO, LatencyModel::ec2_like()] {
+            let cell = format!("{engine:?} at {latency:?}");
+            let mut dist = chip_grid(w, h, &placed);
+            let out = GraphLab::on(&mut dist)
+                .engine(engine)
+                .machines(3)
+                .consistency(full)
+                .latency(latency)
+                .snapshot(SnapshotConfig {
+                    mode: SnapshotMode::Synchronous,
+                    every_updates: seq_updates / 6,
+                    max_snapshots: 4,
+                })
+                .run(ChipFiring);
+            assert_eq!(chips(&dist), chips(&seq), "{cell}: fixpoint");
+            assert!(out.metrics.snapshots >= 2, "{cell}: {} snapshots", out.metrics.snapshots);
+            for id in 0..out.metrics.snapshots {
+                let mut restored = chip_grid(w, h, &[]);
+                restore_snapshot(&out.dfs, "ckpt", id, &mut restored).unwrap();
+                let held: u64 = chips(&restored).iter().sum();
+                assert_eq!(held, total, "{cell}: checkpoint {id} is a torn cut");
+            }
+        }
+    }
+}
+
 #[test]
 fn straggler_injection_slows_but_completes() {
     let mut dist = ring(20);

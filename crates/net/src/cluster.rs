@@ -19,7 +19,8 @@
 //!    overtake a large or unluckily-jittered predecessor on the same
 //!    channel — the property TCP gives the paper's RPC layer, and which
 //!    both engines' protocols (schedule-before-release, the Alg. 5
-//!    snapshot marker, the chromatic counting flush) depend on.
+//!    snapshot marker, the marker barriers of the chromatic step, the
+//!    synchronous snapshot and recovery) depend on.
 //! 2. **Bandwidth-serialized links.** A channel transmits one message at a
 //!    time: `per_kib` charges *queueing* delay, not just propagation. A
 //!    burst of scope-data transfers occupies the link back-to-back and

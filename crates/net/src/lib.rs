@@ -53,10 +53,14 @@
 //!
 //! Engine protocols may (and do) rely on per-channel ordering: the
 //! locking engine's schedule-before-release invariant, the asynchronous
-//! Chandy-Lamport snapshot marker (Alg. 5), and the chromatic engine's
-//! counting flush all assume it. `SimNet` enforces this with its
-//! deliver-at clamp (see [`cluster`]); `TcpNet` gets it from TCP itself by
-//! dedicating one stream to each ordered (src, dst) pair (see [`tcp`]).
+//! Chandy-Lamport snapshot marker (Alg. 5), and the three channel flushes
+//! — the chromatic step barrier, the synchronous snapshot's and
+//! recovery's — which are marker barriers with no message counts: a peer's
+//! marker proves everything it sent before it has arrived. That assumes
+//! **reliable** per-channel FIFO between live machines. `SimNet` enforces
+//! it with its deliver-at clamp (see [`cluster`]); `TcpNet` gets it from
+//! TCP itself by dedicating one stream to each ordered (src, dst) pair
+//! (see [`tcp`]), except across a redial, which is outside the contract.
 //!
 //! ## Wire format
 //!

@@ -22,6 +22,15 @@
 //! looks like from the outside. Deterministic chaos testing stays on
 //! [`SimNet`]; `TcpNet` is the honest-wall-clock twin.
 //!
+//! The redial path is outside the per-channel FIFO contract the engines'
+//! marker barriers (the chromatic step, the synchronous snapshot,
+//! recovery's `FlushMark`), schedule-before-release and Alg. 5 rely on: a
+//! frame can be lost with a broken stream, and the old and new streams'
+//! reader threads can each deliver into the inbox. A peer whose stream
+//! broke is the lease's matter (a peer death), not the barriers'. (Until
+//! PR 25 the chromatic step counted its messages and would have noticed a
+//! lost frame, as a 30 s stall; a marker does not.)
+//!
 //! Traffic accounting matches the sim fabric byte for byte: sends charge
 //! [`Envelope::wire_bytes`] (payload + the same [`crate::cluster::HEADER_BYTES`]
 //! framing constant) at the send point, receives are charged at actual

@@ -471,16 +471,6 @@ mod wire_codec {
         }
 
         #[test]
-        fn flush_msgs_roundtrip(
-            step in 0u64..u64::MAX,
-            count in 0u64..u64::MAX,
-            updates in 0u64..u64::MAX,
-            pending in 0u64..u64::MAX,
-        ) {
-            rt(FlushMsg { step, count, updates, pending });
-        }
-
-        #[test]
         fn sync_partial_msgs_roundtrip(
             cycle in 0u64..u64::MAX,
             partials in proptest::collection::vec((0u32..u32::MAX, arb_bytes()), 0..5),
@@ -548,15 +538,6 @@ mod wire_codec {
                 vwrites: vwrites.into_iter().map(|(v, s, b)| (VertexId(v), s, b)).collect(),
                 ewrites: ewrites.into_iter().map(|(e, b)| (EdgeId(e), b)).collect(),
             });
-        }
-
-        #[test]
-        fn snapshot_msgs_roundtrip(
-            snap in 0u64..u64::MAX,
-            counts in proptest::collection::vec(0u64..u64::MAX, 0..10),
-        ) {
-            rt(SnapReadyMsg { snap, sent_to: counts.clone() });
-            rt(SnapFlushMsg { snap, expect_from: counts });
         }
 
         #[test]
@@ -910,7 +891,7 @@ fn every_codec_impl_in_messages_has_a_wire_codec_property() {
         .filter_map(|l| l.split_once(" Codec for "))
         .map(|(_, ty)| ty.split(|c| !ident(c)).next().expect("split yields one item"))
         .collect();
-    assert!(impls.len() >= 22, "the scan lost the impls it used to find: {impls:?}");
+    assert!(impls.len() >= 19, "the scan lost the impls it used to find: {impls:?}");
     let suite = include_str!("properties.rs")
         .split_once("\nmod wire_codec {")
         .and_then(|(_, rest)| rest.split_once("\n}\n"))
