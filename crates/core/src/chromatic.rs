@@ -47,7 +47,7 @@ use crate::driver::{MachineResult, MachineSetup};
 use crate::local::RemoteCacheTable;
 use crate::machine::Machine;
 use crate::messages::*;
-use crate::recovery::{self, RecoveryHost, RecoveryPhase, Step, Tally};
+use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step, Tally};
 use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
@@ -136,10 +136,10 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     remote_tasks: Vec<Vec<u32>>,
 
     step: u64,
-    /// Flush markers received from each machine: round `2·step + phase` is
-    /// complete once every surviving peer's count exceeds it. A peer runs
-    /// at most one round ahead, which the count absorbs.
-    marks: Vec<u64>,
+    /// Flush markers received, by round `2·step + phase`. A peer runs at
+    /// most one round ahead, and its marker of the next round implies the
+    /// current one's.
+    marks: Markers,
     /// Sync partials that raced ahead of the master's own cycle end: a
     /// fast peer can finish the cycle's last flush round and send its
     /// partial while we are still collecting flushes from a slower peer.
@@ -184,7 +184,7 @@ where
             pending_total: 0,
             remote_tasks: vec![Vec::new(); m],
             step: 0,
-            marks: vec![0; m],
+            marks: Markers::new(m),
             sync_stash: VecDeque::new(),
             blocks: (0..m).map(|_| Default::default()).collect(),
             steps_total: 0,
@@ -471,17 +471,11 @@ where
         }
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         self.core.broadcast(kind, &enc(&step));
-        while !self.holds_marks(round((step, phase))) {
+        while !self.core.rec.holds(&self.marks, round((step, phase))) {
             let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
             self.handle_msg(kind, env);
         }
         Ok(())
-    }
-
-    /// Whether every surviving peer's marker of `round` has arrived.
-    fn holds_marks(&self, round: u64) -> bool {
-        let me = self.core.me().index();
-        self.core.rec.all_survivors(|j| j == me || self.marks[j] > round)
     }
 
     /// Walks the row block in `env` in place, handing `row` each row with
@@ -501,7 +495,7 @@ where
     /// A block or task set tagged `tag` from `src` travels ahead of its
     /// round's marker on the channel.
     fn debug_assert_ahead_of_marker(&self, src: MachineId, tag: (u64, u8)) {
-        debug_assert!(round(tag) >= self.marks[src.index()], "machine {} sent {tag:?} behind its marker", src.0);
+        debug_assert!(round(tag) >= self.marks.next(src), "machine {} sent {tag:?} behind its marker", src.0);
     }
 
     /// Handles one envelope of a colour-step's exchange; the kinds of the
@@ -565,10 +559,9 @@ where
                 self.debug_assert_ahead_of_marker(env.src, tag);
             }
             ChromKind::FlushA | ChromKind::FlushB => {
-                let tag = (dec(env.payload), (kind == ChromKind::FlushB) as u8);
-                let marks = &mut self.marks[env.src.index()];
-                debug_assert_eq!(round(tag), *marks, "machine {} skipped a flush round", env.src.0);
-                *marks += 1;
+                let r = round((dec(env.payload), (kind == ChromKind::FlushB) as u8));
+                debug_assert_eq!(r, self.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
+                self.marks.note(env.src, r);
             }
             ChromKind::SyncPart => self.sync_stash.push_back(env),
             ChromKind::SyncGlob | ChromKind::SnapDone | ChromKind::SnapResume => {
@@ -699,7 +692,7 @@ where
         self.pending_total = 0;
         self.remote_tasks.iter_mut().for_each(Vec::clear);
         self.step = 0;
-        self.marks.fill(0);
+        self.marks = Markers::new(self.core.slots());
         self.sync_stash.clear();
         self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
     }
@@ -810,10 +803,22 @@ mod tests {
         }
     }
 
-    /// Machine 0 as it enters `step`: every round before it complete.
+    /// Machine 0 as it enters `step` (> 0): every round before it complete.
     fn at_step(m: &mut Machine, step: u64) {
         m.step = step;
-        m.marks.fill(round((step, 0)));
+        for j in 1..m.blocks.len() as u16 {
+            m.marks.note(MachineId(j), round((step, 0)) - 1);
+        }
+    }
+
+    /// Whether machine 0 holds every peer's marker of `round`.
+    fn holds(m: &Machine, round: u64) -> bool {
+        m.core.rec.holds(&m.marks, round)
+    }
+
+    /// The first round whose marker machine 0 lacks, per machine.
+    fn next_marks(m: &Machine) -> Vec<u64> {
+        (0..m.blocks.len() as u16).map(|j| m.marks.next(MachineId(j))).collect()
     }
 
     /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
@@ -907,17 +912,17 @@ mod tests {
     fn a_marker_of_the_next_round_counts_for_that_round() {
         let (mut m, _peers) = triangle();
         promise(&mut m, 0, 0);
-        assert!(m.holds_marks(0) && !m.holds_marks(1));
+        assert!(holds(&m, 0) && !holds(&m, 1));
         // Machine 1 finished round (0, 1) and sent step 1's first marker;
         // machine 2's (0, 1) marker is still on its way.
         handle_from(&mut m, 1, ChromKind::FlushB, enc(&0u64));
         handle_from(&mut m, 1, ChromKind::FlushA, enc(&1u64));
-        assert!(!m.holds_marks(1));
+        assert!(!holds(&m, 1));
         handle_from(&mut m, 2, ChromKind::FlushB, enc(&0u64));
-        assert!(m.holds_marks(1) && !m.holds_marks(2));
+        assert!(holds(&m, 1) && !holds(&m, 2));
         handle_from(&mut m, 2, ChromKind::FlushA, enc(&1u64));
-        assert!(m.holds_marks(2) && !m.holds_marks(3));
-        assert_eq!(m.marks, [0, 3, 3]);
+        assert!(holds(&m, 2) && !holds(&m, 3));
+        assert_eq!(next_marks(&m), [0, 3, 3]);
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
@@ -1035,7 +1040,7 @@ mod tests {
         assert_eq!(m.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
-        assert_eq!(m.marks, [0, 0], "a pre-crash marker survived");
+        assert_eq!(next_marks(&m), [0, 0], "a pre-crash marker survived");
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 }

@@ -41,10 +41,10 @@
 //!   the wire without changing it), through [`IdMap`]: a `Release` finds its
 //!   chain by `(requester, reqid)`, a `ScopeData` its scope by `reqid`, rows
 //!   their datum by global id. Single-machine scopes are never indexed.
-//! - **Messages** have no buffer of their own. A send books the message
-//!   (`count_sent`) and hands `RecoveryTracker::send_with` — the single send
-//!   point — the message's `put` from `messages.rs`, which encodes straight
-//!   into the destination's `Batcher` queue; a received `Req`, `ScopeData`,
+//! - **Messages** have no buffer of their own. A send hands
+//!   `RecoveryTracker::send_with` — the single send point — the message's
+//!   `put` from `messages.rs`, which encodes straight into the
+//!   destination's `Batcher` queue; a received `Req`, `ScopeData`,
 //!   `Release` or `Sched` ([`LockKind`]) is walked in place by the matching
 //!   `read`, rows applied as they are met, a datum decoded from a view of
 //!   the envelope. `messages.rs` owns every wire layout, both ways.
@@ -54,12 +54,50 @@
 //!   the machine lists of released chains, which the next forwarded
 //!   requests take over.
 //!
-//! Termination uses the marker/token algorithm (Misra \[26\], Safra
-//! formulation) from `graphlab-net`. Snapshots (§4.3) come in both
-//! flavours: stop-and-flush synchronous (a FIFO marker barrier, like
-//! recovery's), and the asynchronous
+//! Snapshots (§4.3) come in both flavours: stop-and-flush synchronous (a
+//! FIFO marker barrier, like recovery's), and the asynchronous
 //! Chandy-Lamport variant expressed as a prioritised update function
 //! (Alg. 5).
+//!
+//! # Termination: the quiet round
+//!
+//! The run is over when every machine is idle (scheduler, snapshot queue,
+//! pipeline and ready list empty) and no work is in flight. §4.2.2 evaluates
+//! this "using the distributed consensus algorithm described in
+//! \[Misra 83\]", which counts nothing: it runs markers over FIFO
+//! channels, as every other barrier here does (`recovery::Markers`).
+//! Quiet round `k`:
+//!
+//! - the idle master broadcasts `Quiet(k)` ([`LockKind::Quiet`]); every
+//!   other machine broadcasts its own on the first one it receives, but
+//!   only once it is idle — a busy machine defers, so the round waits
+//!   instead of polling;
+//! - a machine is *dirty* if work ([`LockKind::is_counted_work`]) reaches
+//!   it after it sent its own marker and before it holds every survivor's;
+//! - holding every survivor's, it reports `(k, clean)` to the master
+//!   ([`LockKind::QuietReport`]). If every report is clean the master goes
+//!   on to the final sync and `Halt`; otherwise it starts round `k + 1`
+//!   once it is idle again.
+//!
+//! Master triggers count as work: no sync epoch or snapshot starts while a
+//! round is in flight, and no round while one of them is — a snapshot
+//! wakes machines with no counted message. A death needs nothing of its
+//! own: recovery discards the pre-drain traffic, `reset_engine_state`
+//! abandons the round everywhere, and the master opens a fresh one once it
+//! is idle after the resume. On a lone survivor the round has no peers and
+//! completes at once.
+//!
+//! **Why a clean round is sound.** Suppose every report of round `k` was
+//! clean, and take the first counted message any machine sent after its
+//! own marker. Its sender was idle when it sent the marker, so something
+//! woke it: a counted message it received after its marker. That message
+//! was sent earlier, so before its own sender's marker; by FIFO it arrived
+//! ahead of that marker, so its receiver got it after its own marker and
+//! before it held every survivor's — the receiver was dirty, which
+//! contradicts the clean reports. So no machine sent work after its
+//! marker, every machine was idle at its marker, and all work sent before
+//! a marker reached its receiver before the receiver's own: the cluster is
+//! quiescent.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -70,7 +108,6 @@ use bytes::Bytes;
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{ConsistencyModel, IdMap, LockType, MachineId, VertexId};
 use graphlab_net::codec::Codec;
-use graphlab_net::termination::{Safra, SafraAction};
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::config::SnapshotMode;
@@ -79,7 +116,7 @@ use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
 use crate::machine::Machine;
 use crate::messages::*;
 use crate::metrics::HotCounters;
-use crate::recovery::{self, RecoveryHost, RecoveryPhase, Tally};
+use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Tally};
 use crate::scheduler::Scheduler;
 use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
@@ -95,7 +132,8 @@ const IDLE_BLOCK: Duration = Duration::from_millis(25);
 
 /// Receive deadline for an idle (or pipeline-full) machine in the normal
 /// phase — master included, now that [`LockKind::UpdNote`] announces worker
-/// update counts and sync/snapshot/halt triggers are message-driven.
+/// update counts, sync/snapshot triggers are message-driven and the quiet
+/// round moves only on its markers and reports.
 /// Purely a liveness backstop: every state change arrives as a message,
 /// which wakes the blocked `recv_timeout` immediately, so a healthy
 /// cluster never lets this expire (the idle-cluster regression pins the
@@ -112,6 +150,27 @@ type ChainKey = (u16, u64);
 
 /// Master-side in-flight sync epoch: `(epoch, accumulators, partials got)`.
 type SyncEpoch = (u64, Vec<Box<dyn std::any::Any + Send>>, Tally);
+
+/// Where a machine stands in the quiet round (termination; module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Quiet {
+    /// Round `k` reported here, or none started yet (`Done(0)`).
+    Done(u64),
+    /// Round `k` reached this machine; its own marker waits until it is
+    /// idle.
+    Owed(u64),
+    /// Its own marker of round `k` is out; `true` once work arrived since.
+    Sent(u64, bool),
+}
+
+impl Quiet {
+    /// The latest round this machine has seen.
+    fn round(self) -> u64 {
+        match self {
+            Quiet::Done(k) | Quiet::Owed(k) | Quiet::Sent(k, _) => k,
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Non-blocking callback readers-writer lock table
@@ -327,7 +386,10 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     out_index: IdMap<u64, SlotRef>,
     ready: VecDeque<SlotRef>,
     next_reqid: u64,
-    safra: Safra,
+    /// Termination: this machine's part in the quiet round, and the
+    /// `LockKind::Quiet` markers held.
+    quiet: Quiet,
+    quiet_marks: Markers,
     halted: bool,
     cap_reached: bool,
 
@@ -339,12 +401,15 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     snap_remaining: usize,
     snap_paused: bool,
     snap_ready_sent: bool,
-    /// Synchronous snapshot: the `LockKind::SnapSyncFlush` markers held,
-    /// this machine's own counted in — `None` until it has sent its own.
-    snap_flushes: Option<Tally>,
+    /// Synchronous snapshot: the `LockKind::SnapSyncFlush` markers held —
+    /// `None` until this machine has sent its own.
+    snap_flushes: Option<Markers>,
     snap_written: bool,
 
     // Master-only coordination state.
+    /// The quiet round in flight: the reports got, and whether all of them
+    /// were clean.
+    m_quiet: Option<(Tally, bool)>,
     m_snap_in_progress: bool,
     m_snap_ready: Tally,
     m_snap_done: Tally,
@@ -425,7 +490,8 @@ where
             out_index: IdMap::default(),
             ready: VecDeque::new(),
             next_reqid: 1,
-            safra: Safra::new(core.me(), m),
+            quiet: Quiet::Done(0),
+            quiet_marks: Markers::new(m),
             halted: false,
             cap_reached: false,
             snap_epoch: vec![0; nv],
@@ -437,6 +503,7 @@ where
             snap_ready_sent: false,
             snap_flushes: None,
             snap_written: false,
+            m_quiet: None,
             m_snap_in_progress: false,
             m_snap_ready: Tally::default(),
             m_snap_done: Tally::default(),
@@ -484,16 +551,6 @@ where
         }
     }
 
-    /// Books one counted-work message to `dst` in Safra's balance. The
-    /// caller then encodes it straight into `dst`'s batch queue through
-    /// `RecoveryTracker::send_with` — split in two because the encoders
-    /// borrow the rest of the machine.
-    fn count_sent(&mut self, dst: MachineId, kind: LockKind) {
-        debug_assert!(kind.is_counted_work());
-        debug_assert!(dst != self.core.me());
-        self.safra.on_message_sent(1);
-    }
-
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
         for (l, p) in self.core.initial_tasks() {
             self.scheduler.add(l, p);
@@ -512,9 +569,9 @@ where
                 self.check_snapshot_progress();
                 self.update_idle();
                 if self.core.is_master() {
-                    // update_idle may have completed Safra termination
-                    // (m_halt_pending) — sequence the halt now rather than
-                    // after a full idle deadline.
+                    // update_idle may have collected the last clean report
+                    // of a quiet round (m_halt_pending) — sequence the halt
+                    // now rather than after a full idle deadline.
                     self.master_triggers();
                     if self.halted {
                         break;
@@ -589,13 +646,13 @@ where
     /// How long the machine loop may block in `recv_timeout`.
     ///
     /// With runnable local work the loop must not block at all; otherwise
-    /// progress is message-driven (lock grants, scope data, releases,
-    /// tokens — and, for the master's sync/snapshot/halt triggers,
-    /// [`LockKind::UpdNote`] counter announcements — all wake the blocked
-    /// receive), so idle and pipeline-full machines sleep on a pure
-    /// liveness backstop. The one timed path left is an injected
-    /// straggler that has not fired yet: its trigger reads the shared
-    /// update counter, which no message announces.
+    /// progress is message-driven (lock grants, scope data, releases, the
+    /// quiet round's markers and reports — and, for the master's
+    /// sync/snapshot triggers, [`LockKind::UpdNote`] counter announcements
+    /// — all wake the blocked receive), so idle and pipeline-full machines
+    /// sleep on a pure liveness backstop. The one timed path left is an
+    /// injected straggler that has not fired yet: its trigger reads the
+    /// shared update counter, which no message announces.
     fn next_recv_deadline(&self) -> Duration {
         if self.has_runnable_work() {
             return Duration::ZERO;
@@ -698,7 +755,6 @@ where
             let chain = HopChain { requester: me, reqid, center: l, model, out, ..HopChain::default() };
             self.start_hop(chain);
         } else {
-            self.count_sent(first, LockKind::Req);
             let (scope_v, machines) = (self.core.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
             let model = consistency_to_u8(model);
             self.core.send_with(first, LockKind::Req, |buf| {
@@ -780,8 +836,6 @@ where
         };
         if let Some(&dst) = rest.first() {
             debug_assert!(dst > me, "chains visit machines in ascending order");
-            // (`count_sent`'s body: `rest` borrows the plans or the chain.)
-            self.safra.on_message_sent(1);
             let (scope_v, model) = (self.core.lg.vertex_gvid(center), consistency_to_u8(model));
             self.core.send_with(dst, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, requester, reqid, scope_v, rest, model)
@@ -797,7 +851,6 @@ where
     /// rides instead. The owned vertex set is the hop's lock share; the
     /// owned edge set is the plan row's edge list.
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
-        self.count_sent(to, LockKind::ScopeData);
         let req = to.index();
         let filter = !self.core.setup.config.no_version_filter;
         let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
@@ -951,7 +1004,6 @@ where
         for k in 0..self.plans.owners(center).len() {
             let mm = self.plans.owners(center)[k];
             if !self.outbox[mm.index()].sched.is_empty() {
-                self.count_sent(mm, LockKind::Sched);
                 let tasks = &mut self.outbox[mm.index()].sched;
                 tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
                     tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
@@ -968,7 +1020,6 @@ where
                 self.release_chain(chain);
                 continue;
             }
-            self.count_sent(mm, LockKind::Release);
             let (lg, snap_epoch, ob) = (&self.core.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
             let rowbuf = &mut self.core.rowbuf;
             self.core.rec.send_with(&mut self.core.net, mm, LockKind::Release, |buf| {
@@ -1069,7 +1120,9 @@ where
 
     fn handle(&mut self, kind: LockKind, env: Envelope) {
         if kind.is_counted_work() {
-            self.safra.on_message_received(1);
+            if let Quiet::Sent(k, _) = self.quiet {
+                self.quiet = Quiet::Sent(k, true);
+            }
         }
         match kind {
             LockKind::Req => {
@@ -1178,17 +1231,16 @@ where
                     }
                 })
             }),
-            LockKind::Token => {
-                let tok: TokenMsg = dec(env.payload);
-                // Re-evaluate idleness *now*: work-bearing messages handled
-                // earlier in this same receive batch may have refilled the
-                // scheduler since the last `update_idle`, and deciding (or
-                // forwarding) on a stale idle flag lets the initiator
-                // declare termination with tasks still queued locally.
-                self.update_idle();
-                let action = self.safra.on_token(tok.0);
-                self.apply_safra(action);
+            LockKind::Quiet => {
+                // This machine's own marker waits for `update_idle`, which
+                // sees whatever work arrived ahead of this one.
+                let k: u64 = dec(env.payload);
+                self.quiet_marks.note(env.src, k);
+                if k > self.quiet.round() {
+                    self.quiet = Quiet::Owed(k);
+                }
             }
+            LockKind::QuietReport => self.master_collect_quiet(dec(env.payload)),
             LockKind::Halt => {
                 tr!("[m{}] HALT sched_len={} out={} ready={}", self.core.me().0,
                     self.scheduler.len(), self.outs.live(), self.ready.len());
@@ -1224,8 +1276,9 @@ where
                 self.master_collect_snap_ready();
             }
             LockKind::SnapSyncFlush => {
-                debug_assert_eq!(dec::<u64>(env.payload), self.core.snapshots, "marker of another snapshot");
-                self.snap_flush().vote();
+                let snap: u64 = dec(env.payload);
+                debug_assert_eq!(snap, self.core.snapshots, "marker of another snapshot");
+                self.snap_flush().note(env.src, snap);
             }
             LockKind::SnapDone => {
                 self.m_snap_done.vote();
@@ -1235,9 +1288,7 @@ where
                 let snap: u64 = dec(env.payload);
                 self.begin_async_snapshot(snap as u32);
             }
-            LockKind::SnapAsyncMdone => {
-                self.m_async_done.vote();
-            }
+            LockKind::SnapAsyncMdone => self.master_collect_async_done(),
             LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
                 if self.core.is_master() {
@@ -1247,49 +1298,11 @@ where
         }
     }
 
-    fn apply_safra(&mut self, action: SafraAction) {
-        match action {
-            SafraAction::None => {}
-            SafraAction::SendToken { to, token } => {
-                // Route around permanently-dead ring members: a dead
-                // machine is indistinguishable from an idle white peer
-                // with zero counters, so skipping it preserves Safra's
-                // invariant. When every other member is dead the token is
-                // self-delivered (sole-survivor decision); bounded because
-                // a self-delivered round whitens us, so the retry decides.
-                let mut to = to;
-                let mut token = token;
-                for _ in 0..4 {
-                    to = self.core.rec.survivor_from(to);
-                    if to != self.core.me() {
-                        self.core.send(to, LockKind::Token, enc(&TokenMsg(token)));
-                        return;
-                    }
-                    match self.safra.on_token(token) {
-                        SafraAction::SendToken { to: t, token: k } => {
-                            to = t;
-                            token = k;
-                        }
-                        other => {
-                            self.apply_safra(other);
-                            return;
-                        }
-                    }
-                }
-                self.core.failure = Some(
-                    "termination probe cannot complete: sole survivor with a nonzero \
-                     message balance"
-                        .into(),
-                );
-            }
-            SafraAction::Terminated => {
-                debug_assert!(self.core.is_master());
-                tr!("[m{}] SAFRA_TERMINATED", self.core.me().0);
-                self.m_halt_pending = true;
-            }
-        }
-    }
-
+    /// The quiet round's local steps (module docs): an idle master opens a
+    /// round, an idle machine sends the marker it owes, and one that holds
+    /// every survivor's marker reports. Taken until none applies: the
+    /// master's own report can end a dirty round, which an idle master
+    /// follows with the next at once — nothing else would wake it.
     fn update_idle(&mut self) {
         let idle = (self.scheduler.is_empty() || self.cap_reached)
             && self.snap_queue.is_empty()
@@ -1297,12 +1310,31 @@ where
             && self.ready.is_empty();
         if idle {
             // Close the master's last trigger window with an exact count
-            // before going quiet (notes are not counted work, so Safra's
-            // balance is untouched).
+            // before going quiet (notes are not work: they dirty no round).
             self.maybe_send_upd_note(true);
         }
-        let action = self.safra.set_idle(idle);
-        self.apply_safra(action);
+        loop {
+            match self.quiet {
+                Quiet::Done(last) if idle && self.core.is_master() && !self.master_busy() => {
+                    self.m_quiet = Some((Tally::default(), true));
+                    self.quiet = Quiet::Owed(last + 1);
+                }
+                Quiet::Owed(k) if idle => {
+                    self.core.broadcast(LockKind::Quiet, &enc(&k));
+                    self.quiet = Quiet::Sent(k, false);
+                }
+                Quiet::Sent(k, dirty) if self.core.rec.holds(&self.quiet_marks, k) => {
+                    self.quiet = Quiet::Done(k);
+                    let report = QuietReportMsg { round: k, clean: !dirty };
+                    if self.core.is_master() {
+                        self.master_collect_quiet(report);
+                    } else {
+                        self.core.send(MachineId(0), LockKind::QuietReport, enc(&report));
+                    }
+                }
+                _ => return,
+            }
+        }
     }
 
     // ---- master coordination ----
@@ -1311,11 +1343,13 @@ where
         debug_assert!(self.core.is_master());
         let g_updates = self.core.observed_updates();
 
-        // Background sync epochs.
+        // Background sync epochs. Neither they nor snapshots start during a
+        // quiet round: a trigger is work.
         let interval = self.core.setup.config.sync_interval_updates;
         if interval > 0
             && !self.core.setup.syncs.is_empty()
             && self.m_sync_outstanding.is_none()
+            && self.m_quiet.is_none()
             && g_updates >= self.m_sync_next_at
             && !self.m_halt_sent
         {
@@ -1324,7 +1358,10 @@ where
         }
 
         // Snapshot triggers.
-        let busy = self.m_snap_in_progress || self.m_halt_pending || self.m_halt_sent;
+        let busy = self.m_snap_in_progress
+            || self.m_quiet.is_some()
+            || self.m_halt_pending
+            || self.m_halt_sent;
         if let Some(id) = if busy { None } else { self.core.snapshot_due() } {
             self.m_snap_in_progress = true;
             self.m_snap_done = Tally::default();
@@ -1345,14 +1382,6 @@ where
             }
         }
 
-        // Async snapshot completion.
-        if self.m_snap_in_progress
-            && self.core.setup.config.snapshot.mode == SnapshotMode::Asynchronous
-            && self.core.rec.complete(&self.m_async_done)
-        {
-            self.m_snap_in_progress = false;
-        }
-
         // Halt sequencing: optional final sync, then halt broadcast.
         if self.m_halt_pending && !self.m_snap_in_progress && !self.m_halt_sent {
             if !self.core.setup.syncs.is_empty() && !self.m_final_sync_done {
@@ -1367,6 +1396,31 @@ where
         }
         if self.m_halt_sent && self.core.rec.complete(&self.m_halt_acks) {
             self.halted = true;
+        }
+    }
+
+    /// Master: whether a quiet round may not open now — one is in flight,
+    /// or a sync epoch, a snapshot or the halt is.
+    fn master_busy(&self) -> bool {
+        self.m_quiet.is_some()
+            || self.m_sync_outstanding.is_some()
+            || self.m_snap_in_progress
+            || self.m_halt_pending
+            || self.m_halt_sent
+    }
+
+    /// Master: one more verdict on the round in flight. Once every
+    /// survivor's is in, the run halts if all were clean; otherwise the
+    /// next round opens when the master is idle again.
+    fn master_collect_quiet(&mut self, report: QuietReportMsg) {
+        debug_assert_eq!(report.round, self.quiet.round(), "report of another round");
+        let (reports, clean) = self.m_quiet.as_mut().expect("a report of the round in flight");
+        reports.vote();
+        *clean &= report.clean;
+        if self.core.rec.complete(reports) {
+            tr!("[m{}] QUIET round={} clean={}", self.core.me().0, report.round, *clean);
+            self.m_halt_pending |= *clean;
+            self.m_quiet = None;
         }
     }
 
@@ -1464,9 +1518,19 @@ where
         let file = std::mem::take(&mut self.snap_buffer);
         self.core.write_checkpoint(self.current_snap as u64 - 1, file);
         if self.core.is_master() {
-            self.m_async_done.vote();
+            self.master_collect_async_done();
         } else {
             self.core.send(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
+        }
+    }
+
+    /// Master: one more machine wrote its part of the asynchronous
+    /// snapshot. Decided here, where the votes arrive, so that a quiet
+    /// round can open on the same idle pass.
+    fn master_collect_async_done(&mut self) {
+        self.m_async_done.vote();
+        if self.core.rec.complete(&self.m_async_done) {
+            self.m_snap_in_progress = false;
         }
     }
 
@@ -1488,7 +1552,8 @@ where
                 self.core.send(MachineId(0), LockKind::SnapSyncReady, enc(&self.core.snapshots));
             }
         }
-        let flushed = self.snap_flushes.as_ref().is_some_and(|t| self.core.rec.complete(t));
+        let snap = self.core.snapshots;
+        let flushed = self.snap_flushes.as_ref().is_some_and(|m| self.core.rec.holds(m, snap));
         if flushed && !self.snap_written {
             self.snap_written = true;
             let file = SnapshotFile::capture(&self.core.lg);
@@ -1528,12 +1593,13 @@ where
     /// READY, a worker on the first marker it receives. A marker follows
     /// all of its sender's counted work on the channel, so holding every
     /// survivor's means holding all of it.
-    fn snap_flush(&mut self) -> &mut Tally {
+    fn snap_flush(&mut self) -> &mut Markers {
         if self.snap_flushes.is_none() {
             let payload = enc(&self.core.snapshots);
             self.core.broadcast(LockKind::SnapSyncFlush, &payload);
         }
-        self.snap_flushes.get_or_insert_with(Tally::with_own_vote)
+        let slots = self.core.slots();
+        self.snap_flushes.get_or_insert_with(|| Markers::new(slots))
     }
 
     fn master_check_snap_done(&mut self) {
@@ -1563,8 +1629,8 @@ where
     }
 
     /// Resets every piece of volatile engine state — scheduler, lock
-    /// table, chains, termination detector, snapshot and master
-    /// coordination state — reallocating everything sized by the local
+    /// table, chains, quiet round, snapshot and master coordination
+    /// state — reallocating everything sized by the local
     /// graph, and rebuilding the lock plans derived from it (a rollback or
     /// an adoption may have replaced the graph).
     fn reset_engine_state(&mut self) {
@@ -1579,10 +1645,10 @@ where
         self.outs = Slab::default();
         self.out_index.clear();
         self.ready.clear();
-        // The crash may have taken the ring's only token with it; the
-        // cluster-wide reset re-probes from scratch (see
-        // `graphlab_net::termination` § Faults).
-        self.safra.reset();
+        // The round in flight is abandoned; the master opens a fresh one
+        // once it is idle after the resume.
+        self.quiet = Quiet::Done(0);
+        self.quiet_marks = Markers::new(self.core.slots());
         self.cap_reached = false;
         self.snap_epoch = vec![0; nv];
         self.current_snap = 0;
@@ -1590,6 +1656,7 @@ where
         self.snap_buffer = SnapshotFile::default();
         self.snap_remaining = 0;
         self.end_sync_snapshot();
+        self.m_quiet = None;
         self.m_snap_in_progress = false;
         self.m_snap_ready = Tally::default();
         self.m_snap_done = Tally::default();
@@ -1642,10 +1709,11 @@ mod tests {
         b.build()
     }
 
-    /// Machine 2 of three over [`triangle`], vertex `i` on machine `i`, full
-    /// consistency, unbatched; plus machines 0 and 1's endpoints
-    /// (`peers[j]` is machine `j`'s), where what machine 2 sends arrives.
-    fn hop_machine() -> (LockingMachine<f64, f64, NoUpdate>, Vec<Endpoint>) {
+    /// Machine `me` of three over [`triangle`], vertex `i` on machine `i`,
+    /// full consistency, unbatched, nothing scheduled; plus the other two
+    /// machines' endpoints, ascending, where what machine `me` sends
+    /// arrives (for machine 2, `peers[j]` is machine `j`'s).
+    fn hop_machine(me: u16) -> (LockingMachine<f64, f64, NoUpdate>, Vec<Endpoint>) {
         let one_each = graphlab_atoms::VertexPartition::from_assignment(
             (0..3).map(graphlab_graph::AtomId).collect(),
             3,
@@ -1655,9 +1723,9 @@ mod tests {
         config.batch = graphlab_net::BatchPolicy::disabled();
         let none = InitialSchedule::Vertices(Vec::new());
         let (setup, init, mut eps) =
-            scripted_machine(&triangle(), &one_each, MachineId(2), config, none);
+            scripted_machine(&triangle(), &one_each, MachineId(me), config, none);
         let update = Arc::new(NoUpdate);
-        (LockingMachine::new(eps.pop().unwrap(), setup, update, init), eps)
+        (LockingMachine::new(eps.remove(me as usize), setup, update, init), eps)
     }
 
     /// What has arrived at `ep`, as `(kind, payload)`.
@@ -1677,7 +1745,7 @@ mod tests {
     /// marker on the same channel is in the checkpoint.
     #[test]
     fn sync_snapshot_captures_once_every_survivors_marker_arrived() {
-        let (mut m, peers) = hop_machine();
+        let (mut m, peers) = hop_machine(2);
         let from = |src: usize, kind: LockKind, payload: Bytes| {
             peers[src].send(MachineId(2), kind as u16, payload)
         };
@@ -1721,6 +1789,76 @@ mod tests {
         assert!(!m.snap_paused && m.snap_flushes.is_none() && m.chains.live() == 0);
     }
 
+    /// Machine `src`'s `kind` message, handled by `m` as the loop would.
+    fn deliver(m: &mut LockingMachine<f64, f64, NoUpdate>, src: u16, kind: LockKind, payload: Bytes) {
+        let dst = m.core.me();
+        m.dispatch(Envelope { src: MachineId(src), dst, kind: kind as u16, payload });
+    }
+
+    /// Termination on the master: a `Sched` queued ahead of machine 1's
+    /// `Quiet(1)` reaches it after its own marker and before it holds
+    /// every survivor's, so round 1 is dirty and the run does not halt,
+    /// though both peers report clean. The master's own report is the last
+    /// in, on an idle pass, and that pass opens round 2: nothing else
+    /// would wake an idle master.
+    #[test]
+    fn work_ahead_of_a_peers_quiet_marker_makes_the_round_dirty() {
+        let (mut m, peers) = hop_machine(0);
+        let quiet = |k: u64| (LockKind::Quiet, enc(&k));
+        let clean = enc(&QuietReportMsg { round: 1, clean: true });
+        m.update_idle();
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet(1)], [quiet(1)]]);
+
+        let sched = ScheduleMsg { tasks: vec![(VertexId(0), 1.0)] };
+        deliver(&mut m, 1, LockKind::Sched, enc(&sched));
+        deliver(&mut m, 1, LockKind::Quiet, enc(&1u64));
+        deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
+        m.update_idle();
+        assert_eq!(m.quiet, Quiet::Sent(1, true));
+        assert_eq!(m.scheduler.pop(), m.core.lg.local_vertex(VertexId(0)), "the task ran");
+
+        deliver(&mut m, 2, LockKind::Quiet, enc(&1u64));
+        deliver(&mut m, 2, LockKind::QuietReport, clean);
+        m.update_idle();
+        m.master_triggers();
+        assert!(!m.m_halt_pending && !m.m_halt_sent, "a dirty round halted the run");
+        assert_eq!(m.quiet, Quiet::Sent(2, false));
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet(2)], [quiet(2)]]);
+    }
+
+    /// Termination across a death: `reset_engine_state` abandons the round
+    /// in flight — no marker or report from before it counts — and the
+    /// master's next idle pass opens a fresh one, which needs every
+    /// survivor's marker and report again.
+    #[test]
+    fn a_reset_abandons_the_quiet_round_and_the_master_opens_a_fresh_one() {
+        let (mut m, peers) = hop_machine(0);
+        let clean = enc(&QuietReportMsg { round: 1, clean: true });
+        m.update_idle();
+        deliver(&mut m, 1, LockKind::Quiet, enc(&1u64));
+        deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
+        assert!(m.m_quiet.is_some() && m.quiet_marks.next(MachineId(1)) == 2);
+
+        m.core.reset_engine_state();
+        RecoveryHost::reset_engine_state(&mut m);
+        assert_eq!(m.quiet, Quiet::Done(0));
+        assert_eq!(m.quiet_marks.next(MachineId(1)), 0, "a pre-reset marker survived");
+        assert!(m.m_quiet.is_none(), "a pre-reset report survived");
+        let _round_1 = (inbox(&peers[0]), inbox(&peers[1]));
+
+        m.update_idle();
+        let quiet = (LockKind::Quiet, enc(&1u64));
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet.clone()], [quiet]]);
+        for src in [1, 2] {
+            deliver(&mut m, src, LockKind::Quiet, enc(&1u64));
+        }
+        deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
+        m.update_idle();
+        assert!(!m.m_halt_pending, "halted without machine 2's report");
+        deliver(&mut m, 2, LockKind::QuietReport, clean);
+        assert!(m.m_halt_pending);
+    }
+
     /// The interleaving per-channel FIFO cannot rule out: requester 0's
     /// chain `reqid + max_pipeline`, forwarded by machine 1, reaches machine
     /// 2 before 0's direct `LockKind::Release` for `reqid`. The late chain parks,
@@ -1728,7 +1866,7 @@ mod tests {
     /// chain is still live — no aliasing, no lost wake-up.
     #[test]
     fn forwarded_request_overtaking_a_release_parks_and_reuses_the_slot() {
-        let (mut m, mut peers) = hop_machine();
+        let (mut m, mut peers) = hop_machine(2);
         let ep0 = peers.remove(0);
         let p = m.core.setup.config.max_pipeline as u64;
         let from0 = |kind: LockKind, payload: Bytes| Envelope {

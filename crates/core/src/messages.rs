@@ -8,10 +8,10 @@
 //! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): ghost data and
 //!   write-back row blocks, one task set per colour-step and owner, the
 //!   step barrier's two marker rounds, and the per-cycle sync/halt round.
-//! - [`LockKind`], `20..=38` — locking engine (§4.2.2): pipelined lock
-//!   chains, scope data synchronisation, releases with piggybacked
-//!   write-backs, termination tokens and halt control, background sync, and
-//!   both snapshot protocols.
+//! - [`LockKind`], `20..=38` and `48..=49` — locking engine (§4.2.2):
+//!   pipelined lock chains, scope data synchronisation, releases with
+//!   piggybacked write-backs, the quiet round's markers and reports and halt
+//!   control (termination), background sync, and both snapshot protocols.
 //! - [`RecoveryKind`], `40..=47` and the transport's down/up/lease
 //!   notifications — the recovery state machine both engines drive.
 //!
@@ -34,8 +34,9 @@
 //! unlocks the scope, the Alg. 5 snapshot markers ride data messages in
 //! channel order, and every channel flush is a marker barrier — once a
 //! machine holds a peer's marker ([`ChromKind::FlushA`]/[`ChromKind::FlushB`],
-//! [`LockKind::SnapSyncFlush`], [`RecoveryKind::FlushMark`]), it holds
-//! everything that peer sent it before the marker.
+//! [`LockKind::SnapSyncFlush`], [`RecoveryKind::FlushMark`],
+//! [`LockKind::Quiet`]), it holds everything that peer sent it before the
+//! marker.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, MachineId, VertexId};
@@ -43,7 +44,6 @@ use graphlab_net::codec::{
     decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_id_deltas,
     put_uvarint, Codec,
 };
-use graphlab_net::termination::Token;
 
 /// Encodes one protocol message (the engines' and the recovery machine's
 /// single encode point).
@@ -210,11 +210,12 @@ kinds! {
         SnapResume = 11, "chrom/snap-resume";
     }
 
-    /// Locking engine (§4.2.2), `20..=38`: received by
-    /// `LockingMachine::handle`. 36 (skipped when the background-sync
-    /// request landed at 37, never shipped) and 39 (headroom before the
-    /// recovery block) stay unassigned: a decoder for a recycled number
-    /// would misparse snapshots and traces recorded before the reuse.
+    /// Locking engine (§4.2.2), `20..=38` and `48..=49`: received by
+    /// `LockingMachine::handle`. 24 (the termination token until PR 26),
+    /// 36 (skipped when the background-sync request landed at 37,
+    /// never shipped) and 39 (headroom before the recovery block) stay
+    /// unassigned: a decoder for a recycled number would misparse snapshots
+    /// and traces recorded before the reuse.
     Lock(LockKind) {
         /// Lock chain request hop.
         Req = 20, "lock/req";
@@ -224,8 +225,6 @@ kinds! {
         Release = 22, "lock/release";
         /// Remote schedule request.
         Sched = 23, "lock/sched";
-        /// Termination-detection token.
-        Token = 24, "lock/token";
         /// Halt broadcast (master → all).
         Halt = 25, "lock/halt";
         /// Halt acknowledgement (machine → master).
@@ -262,6 +261,14 @@ kinds! {
         /// idle cluster exchanges no control traffic at all. Never sent
         /// when no trigger is configured.
         UpdNote = 38, "lock/upd-note";
+        /// Quiet-round marker (all → all; the payload is the round): an
+        /// idle master opens a round with it, every other machine sends
+        /// its own on the first one it receives, once it is idle. The
+        /// sender's counted work is ahead of it on the channel.
+        Quiet = 48, "lock/quiet";
+        /// Quiet-round verdict (machine → master), a [`QuietReportMsg`]:
+        /// sent once the machine holds every survivor's marker.
+        QuietReport = 49, "lock/quiet-report";
     }
 
     /// Recovery and fabric control plane (both engines), `40..=47` and the
@@ -320,16 +327,16 @@ impl Kind {
 }
 
 impl LockKind {
-    /// Whether this kind carries engine *work* and therefore participates
-    /// in the termination detection counters (Safra) — the control kinds,
-    /// [`LockKind::UpdNote`] among them, must not disturb its invariant.
+    /// Whether this kind carries engine *work*: work that dirties a quiet
+    /// round (termination, see `crate::locking`). The control kinds,
+    /// [`LockKind::UpdNote`] among them, dirty none.
     pub fn is_counted_work(self) -> bool {
         use LockKind::*;
         match self {
             Req | ScopeData | Release | Sched => true,
-            Token | Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapSyncStart
+            Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapSyncStart
             | SnapSyncReady | SnapSyncFlush | SnapDone | SnapResume | SnapAsyncStart
-            | SnapAsyncMdone => false,
+            | SnapAsyncMdone | Quiet | QuietReport => false,
         }
     }
 }
@@ -1025,6 +1032,27 @@ impl Codec for UpdNoteMsg {
     }
 }
 
+/// A machine's verdict on quiet round `round` ([`LockKind::QuietReport`],
+/// machine → master): `clean` unless counted work reached it between its
+/// own marker and the last survivor's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QuietReportMsg {
+    /// The round reported on.
+    pub round: u64,
+    /// No work arrived while the round's markers were in flight.
+    pub clean: bool,
+}
+
+impl Codec for QuietReportMsg {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.round.encode(buf);
+        self.clean.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Option<Self> {
+        Some(QuietReportMsg { round: u64::decode(buf)?, clean: bool::decode(buf)? })
+    }
+}
+
 // ---- recovery (both engines) ----
 
 /// Drain acknowledgement: "I have stopped sending engine traffic for
@@ -1171,19 +1199,6 @@ impl Codec for AdoptDataMsg {
     }
 }
 
-/// Wraps a Safra token for the wire.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TokenMsg(pub Token);
-
-impl Codec for TokenMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Token::decode(buf).map(TokenMsg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1257,7 +1272,7 @@ mod tests {
         });
         rt(LockSyncPartialMsg { epoch: 1, partials: vec![(2, Bytes::from_static(b"p"))] });
         rt(UpdNoteMsg { from: MachineId(3), updates: 12345 });
-        rt(TokenMsg(Token { count: -2, black: false, round: 4 }));
+        rt(QuietReportMsg { round: 4, clean: false });
     }
 
     #[test]
@@ -1286,10 +1301,10 @@ mod tests {
     }
 
     /// The wire must not move: every number that has a name, with its
-    /// name, as of PR 19 (36 and 39 stay unassigned).
+    /// name, as of PR 26 (24, 36 and 39 stay unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 42] = [
+        const TABLE: [(u16, &str); 43] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (3, "chrom/wb-v"),
@@ -1305,7 +1320,6 @@ mod tests {
             (21, "lock/scope-data"),
             (22, "lock/release"),
             (23, "lock/sched"),
-            (24, "lock/token"),
             (25, "lock/halt"),
             (26, "lock/halt-ack"),
             (27, "lock/sync-part"),
@@ -1327,6 +1341,8 @@ mod tests {
             (45, "recover/flush-mark"),
             (46, "recover/adopt-plan"),
             (47, "recover/adopt-data"),
+            (48, "lock/quiet"),
+            (49, "lock/quiet-report"),
             (65531, "net/lease"),
             (65532, "fault/up"),
             (65533, "fault/down"),
@@ -1350,7 +1366,8 @@ mod tests {
                 None => assert!(matches!(name, "unknown" | "net/zip" | "net/batch"), "{k}"),
             }
         }
-        // Safra counts the four kinds that carry work, and no control kind.
+        // The four kinds that carry work dirty a quiet round; no control
+        // kind does.
         let counted: Vec<u16> = (0..=u16::MAX)
             .filter(|&k| matches!(Kind::from_wire(k), Some(Kind::Lock(k)) if k.is_counted_work()))
             .collect();

@@ -125,11 +125,13 @@ fn pick_adoption<V, E>(s: &MachineSetup<V, E>, era: u32, dead: &[bool]) -> Adopt
     }
 }
 
-pub(crate) use tally::Tally;
+pub(crate) use tally::{Markers, Tally};
 
 /// In a module of its own so that nothing — this file included — can read
 /// the count: a quorum is asked for, never computed.
 mod tally {
+    use graphlab_graph::MachineId;
+
     /// Votes collected towards a barrier (halt acks, snapshot DONEs, sync
     /// partials, RECOVEREDs). Dead machines never vote, so the one question
     /// a tally answers is [`RecoveryTracker::complete`] — as many votes as
@@ -151,10 +153,46 @@ mod tally {
         }
     }
 
+    /// The FIFO marker barriers' record — the chromatic step's flush
+    /// rounds, the synchronous snapshot's, recovery's fault eras, the quiet
+    /// round's: per machine, the highest round whose marker arrived from
+    /// it. A marker follows everything its sender sent before it on the
+    /// channel, so the one question is [`RecoveryTracker::holds`]: has
+    /// every survivor's marker of a round arrived?
+    ///
+    /// [`RecoveryTracker::holds`]: super::RecoveryTracker::holds
+    #[derive(Debug)]
+    pub(crate) struct Markers(Vec<Option<u64>>);
+
+    impl Markers {
+        /// No marker from any of `slots` machines yet.
+        pub(crate) fn new(slots: usize) -> Self {
+            Markers(vec![None; slots])
+        }
+
+        /// `src`'s marker of `round` arrived; an older one changes nothing.
+        pub(crate) fn note(&mut self, src: MachineId, round: u64) {
+            let highest = &mut self.0[src.index()];
+            *highest = (*highest).max(Some(round));
+        }
+
+        /// The first round whose marker from `src` has not arrived.
+        pub(crate) fn next(&self, src: MachineId) -> u64 {
+            self.0[src.index()].map_or(0, |r| r + 1)
+        }
+    }
+
     impl super::RecoveryTracker {
         /// Whether every machine still alive has voted.
         pub(crate) fn complete(&self, votes: &Tally) -> bool {
             votes.0 >= self.survivors()
+        }
+
+        /// Whether every surviving peer's marker of `round`, or of a later
+        /// one, has arrived. A machine needs no marker from itself, and the
+        /// dead owe none: the fabric drops their in-flight traffic.
+        pub(crate) fn holds(&self, marks: &Markers, round: u64) -> bool {
+            self.all_survivors(|j| j == self.me || marks.0[j] >= Some(round))
         }
     }
 }
@@ -205,8 +243,8 @@ pub(crate) struct RecoveryTracker {
     dead: Vec<bool>,
     /// Master: machines whose READY arrived for the current era.
     ready: Vec<bool>,
-    /// Peers whose flush marker arrived for the current era.
-    marks: Vec<bool>,
+    /// Peers' flush markers, by era.
+    marks: Markers,
     /// Master: RecoveryKind::Recovered acknowledgements for the current era.
     recovered: Tally,
     phase: RecoveryPhase,
@@ -234,7 +272,7 @@ impl RecoveryTracker {
             adoptions: 0,
             dead: vec![false; n],
             ready: vec![false; n],
-            marks: vec![false; n],
+            marks: Markers::new(n),
             recovered: Tally::default(),
             phase: RecoveryPhase::Normal,
             phase_since: None,
@@ -339,14 +377,6 @@ impl RecoveryTracker {
         (0..self.n).all(|j| self.dead[j] || holds(j))
     }
 
-    /// The first survivor at or after `machine` in ring order (the
-    /// termination token routes around the dead).
-    pub(crate) fn survivor_from(&self, machine: MachineId) -> MachineId {
-        let alive = |j: &usize| !self.dead[j % self.n];
-        let j = (machine.index()..machine.index() + self.n).find(alive);
-        MachineId::from(j.expect("this machine is alive") % self.n)
-    }
-
     /// Observes a fault era (from `K_DOWN`, `K_UP`, or — on a reborn
     /// machine — the order itself). Returns `true` when the era advanced:
     /// the caller must (re-)enter the drain phase and send a fresh READY;
@@ -357,7 +387,6 @@ impl RecoveryTracker {
         }
         self.era = era;
         self.ready.fill(false);
-        self.marks.fill(false);
         self.recovered = Tally::default();
         true
     }
@@ -374,21 +403,6 @@ impl RecoveryTracker {
     /// current era.
     pub(crate) fn all_ready(&self) -> bool {
         self.all_survivors(|j| self.ready[j])
-    }
-
-    /// Records peer `src`'s flush marker for `era` (stale ignored).
-    pub(crate) fn note_mark(&mut self, src: usize, era: u32) {
-        if era == self.era {
-            self.marks[src] = true;
-        }
-    }
-
-    /// Whether the current era's marker arrived from every surviving peer
-    /// — the FIFO barrier after which no pre-drain engine message can
-    /// surface (dead machines' channels need no flushing: the fabric
-    /// drops dead incarnations' traffic).
-    pub(crate) fn marks_complete(&self) -> bool {
-        self.all_survivors(|j| j == self.me || self.marks[j])
     }
 
     /// Called when this machine's rollback is applied.
@@ -508,7 +522,10 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
         }
         RecoveryKind::FlushMark => {
             let msg: RecoverEraMsg = dec(env.payload);
-            m.rec.note_mark(src, msg.era);
+            // Stale eras leave no trace (the era fence).
+            if msg.era == m.rec.era {
+                m.rec.marks.note(env.src, msg.era.into());
+            }
         }
         RecoveryKind::AdoptData => match m.rec.phase {
             // Our own surgery has not run yet: hold the rows until the
@@ -561,7 +578,9 @@ pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
             rec.phase, rec.era, rec.me, rec.dead, rec.ready, rec.marks, rec.recovered
         ));
     }
-    if rec.phase == RecoveryPhase::FlushWait && rec.marks_complete() {
+    // Every survivor's marker of the era: no pre-drain engine message can
+    // surface any more.
+    if rec.phase == RecoveryPhase::FlushWait && rec.holds(&rec.marks, rec.era.into()) {
         return apply_order(h);
     }
     if rec.me == 0 && rec.phase == RecoveryPhase::Drain && rec.all_ready() {
@@ -929,13 +948,13 @@ mod tests {
         t.note_ready(1, 1);
         t.note_ready(2, 1);
         assert!(t.all_ready());
-        t.note_mark(1, 1);
-        t.note_mark(2, 1);
-        assert!(t.marks_complete());
+        t.marks.note(MachineId(1), 1);
+        t.marks.note(MachineId(2), 1);
+        assert!(t.holds(&t.marks, 1));
         // A second failure restarts the round.
         assert!(t.observe_era(2));
         assert!(!t.all_ready());
-        assert!(!t.marks_complete());
+        assert!(!t.holds(&t.marks, 2));
         assert!(!t.observe_era(2), "same era observed twice is a no-op");
         assert!(!t.observe_era(1), "stale era ignored");
     }
@@ -946,10 +965,10 @@ mod tests {
         t.observe_era(3);
         t.note_ready(0, 2); // stale era
         assert!(!t.all_ready());
-        t.note_mark(0, 2); // stale era
-        assert!(!t.marks_complete());
-        t.note_mark(0, 3);
-        assert!(t.marks_complete(), "own channel needs no marker");
+        t.marks.note(MachineId(0), 2); // stale era
+        assert!(!t.holds(&t.marks, 3));
+        t.marks.note(MachineId(0), 3);
+        assert!(t.holds(&t.marks, 3), "own channel needs no marker");
     }
 
     #[test]
@@ -964,9 +983,9 @@ mod tests {
         assert!(!t.all_ready(), "machine 3 still owes a READY");
         t.note_ready(3, 1);
         assert!(t.all_ready(), "the dead machine owes nothing");
-        t.note_mark(1, 1);
-        t.note_mark(3, 1);
-        assert!(t.marks_complete(), "no marker expected from the dead");
+        t.marks.note(MachineId(1), 1);
+        t.marks.note(MachineId(3), 1);
+        assert!(t.holds(&t.marks, 1), "no marker expected from the dead");
         assert!(!t.note_recovered(1));
         assert!(!t.note_recovered(1));
         assert!(t.note_recovered(1), "resume releases at 3 survivors");
@@ -1190,12 +1209,12 @@ mod tests {
         feed(&mut h, env(0, RecoveryKind::AdoptData, &data));
         assert_eq!(h.core.rec.phase(), RecoveryPhase::AwaitResume);
         feed(&mut h, work(LockKind::Sched));
-        feed(&mut h, work(LockKind::Token));
+        feed(&mut h, work(LockKind::Quiet));
         assert_eq!(h.replayed, [], "nothing reaches the engine before the resume");
         let resume = env(0, RecoveryKind::Resume, &RecoverEraMsg { era: 1 });
         assert_eq!(feed(&mut h, resume), Step::Resumed);
         assert_eq!(h.core.rec.phase(), RecoveryPhase::Normal);
-        let after_resume = [LockKind::Release, LockKind::Sched, LockKind::Token];
+        let after_resume = [LockKind::Release, LockKind::Sched, LockKind::Quiet];
         assert_eq!(h.replayed, after_resume.map(Kind::Lock));
     }
 

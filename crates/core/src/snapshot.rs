@@ -53,10 +53,10 @@
 //!    an empty inbox). The machine then restores owned *and ghost* data
 //!    from the checkpoint ([`restore_into_local`]), resets versions to
 //!    zero, conservatively invalidates its `RemoteCacheTable`, rebuilds
-//!    scheduler/lock/engine state (including the termination detector —
-//!    the crash may have eaten the Safra token), and re-schedules all
-//!    owned vertices (the conservative over-approximation of the lost
-//!    scheduler state).
+//!    scheduler/lock/engine state (the locking engine's quiet round in
+//!    flight is abandoned; the master opens a fresh one after the resume),
+//!    and re-schedules all owned vertices (the conservative
+//!    over-approximation of the lost scheduler state).
 //! 4. **Resume.** A final `RECOVERED`/`RESUME` barrier keeps post-rollback
 //!    work from racing ahead of machines still restoring; traffic that
 //!    does arrive early is buffered, not dropped. Overlapping failures

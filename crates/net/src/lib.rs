@@ -53,11 +53,12 @@
 //!
 //! Engine protocols may (and do) rely on per-channel ordering: the
 //! locking engine's schedule-before-release invariant, the asynchronous
-//! Chandy-Lamport snapshot marker (Alg. 5), and the three channel flushes
-//! — the chromatic step barrier, the synchronous snapshot's and
-//! recovery's — which are marker barriers with no message counts: a peer's
-//! marker proves everything it sent before it has arrived. That assumes
-//! **reliable** per-channel FIFO between live machines. `SimNet` enforces
+//! Chandy-Lamport snapshot marker (Alg. 5), and the four channel flushes
+//! — the chromatic step barrier, the synchronous snapshot's, recovery's
+//! and the locking engine's termination round — which are marker barriers
+//! with no message counts: a peer's marker proves everything it sent
+//! before it has arrived. That assumes **reliable** per-channel FIFO
+//! between live machines. `SimNet` enforces
 //! it with its deliver-at clamp (see [`cluster`]); `TcpNet` gets it from
 //! TCP itself by dedicating one stream to each ordered (src, dst) pair
 //! (see [`tcp`]), except across a redial, which is outside the contract.
@@ -103,10 +104,6 @@
 //! counters plus a per-message-kind breakdown charged at delivery
 //! ([`cluster::NetStats::by_kind`]) that attributes batch sub-messages to
 //! their real kinds — the instrumentation behind `repro -- abl-bytes`.
-//!
-//! The crate also provides the marker/token termination detector the
-//! locking engine is built from ([`termination::Safra`], the algorithm of
-//! Misra \[26\] in its counter-carrying Safra formulation).
 
 #![deny(
     clippy::disallowed_methods,
@@ -130,7 +127,6 @@ pub mod fault;
 pub mod latency;
 pub mod lease;
 pub mod tcp;
-pub mod termination;
 pub mod transport;
 
 pub use batch::{BatchCounters, BatchPolicy, Batcher};
@@ -143,5 +139,4 @@ pub use fault::{DownMsg, FaultEvent, FaultPlan, FaultTrigger, UpMsg};
 pub use latency::LatencyModel;
 pub use lease::{LeaseConfig, LeaseMsg, LeaseState};
 pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpNet, MIN_TCP_LEASE};
-pub use termination::{Safra, SafraAction, Token};
 pub use transport::{Endpoint, Transport};

@@ -7,6 +7,7 @@
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 core=crates/core/src
+net=crates/net/src
 
 outside_tests() {
     awk 'FNR == 1 { total += cut ? cut - 1 : n; n = 0; cut = 0 }
@@ -15,8 +16,10 @@ outside_tests() {
          END { print total + (cut ? cut - 1 : n) }' "$@"
 }
 
-printf '%-44s %6d\n' "$core total" "$(cat $core/*.rs | wc -l)"
-printf '%-44s %6d\n' "$core outside #[cfg(test)]" "$(outside_tests $core/*.rs)"
+for dir in $core $net; do
+    printf '%-44s %6d\n' "$dir total" "$(cat $dir/*.rs | wc -l)"
+    printf '%-44s %6d\n' "$dir outside #[cfg(test)]" "$(outside_tests $dir/*.rs)"
+done
 for f in chromatic locking recovery; do
     printf '%-44s %6d\n' "$core/$f.rs" "$(wc -l < $core/$f.rs)"
 done

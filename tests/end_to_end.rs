@@ -676,6 +676,27 @@ fn lease_expiry_detects_death_without_oracle() {
     }
 }
 
+/// A lone survivor terminates: on two machines under
+/// [`RecoveryMode::Adopt`] the worker dies for good, the master adopts
+/// every atom (journal-only: no checkpoint), and its quiet round — with no
+/// peer's marker to wait for — ends the run at the oracle's fixpoint.
+#[test]
+fn a_lone_survivor_adopts_every_atom_and_terminates() {
+    let base = web_graph(500, 4, 17);
+    let oracle = exact_pagerank(&base, 0.15, 200);
+    let mut g = base.clone();
+    init_ranks(&mut g);
+    let out = GraphLab::on(&mut g)
+        .engine(EngineKind::Locking)
+        .machines(2)
+        .recovery(RecoveryMode::Adopt)
+        .faults(FaultPlan::seeded(1).kill(1, FaultTrigger::Deliveries(200)))
+        .run(PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true });
+    assert_eq!((out.metrics.adoptions, out.metrics.recoveries), (1, 0));
+    let ranks: Vec<f64> = g.vertices().map(|v| *g.vertex_data(v)).collect();
+    assert!(l1_error(&ranks, &oracle) < 1e-6, "the lone survivor's run diverged from the oracle");
+}
+
 /// ISSUE 10 (satellite): message-driven masters mean an idle cluster does
 /// zero control work. With no counter-driven triggers configured the
 /// counter-threshold note (`LockKind::UpdNote`) is never sent and no machine
