@@ -17,10 +17,8 @@
 //! neighbours by residual (Fig. 9(a)). Running under vertex consistency
 //! instead allows races — the instability demonstrated in Fig. 1(d).
 
-use bytes::{Bytes, BytesMut};
 use graphlab_core::{UpdateContext, UpdateFunction};
 use graphlab_graph::DataGraph;
-use graphlab_net::codec::Codec;
 
 use crate::linalg::{cholesky_solve, dist2, dot, SymMatrix};
 
@@ -47,14 +45,7 @@ impl AlsVertex {
     }
 }
 
-impl Codec for AlsVertex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.factors.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(AlsVertex { factors: Vec::<f64>::decode(buf)? })
-    }
-}
+graphlab_net::codec_fields! { AlsVertex { factors } }
 
 /// The ALS update function.
 #[derive(Clone, Debug)]

@@ -13,10 +13,8 @@
 //! bytes: a dense distribution over types) — this is what makes NER the
 //! communication-bound worst case of the evaluation (Fig. 6(b)).
 
-use bytes::{Bytes, BytesMut};
 use graphlab_core::{UpdateContext, UpdateFunction};
 use graphlab_graph::DataGraph;
-use graphlab_net::codec::Codec;
 
 /// A noun-phrase or context vertex.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -51,15 +49,7 @@ impl CoemVertex {
     }
 }
 
-impl Codec for CoemVertex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.dist.encode(buf);
-        self.seed.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(CoemVertex { dist: Vec::<f64>::decode(buf)?, seed: bool::decode(buf)? })
-    }
-}
+graphlab_net::codec_fields! { CoemVertex { dist, seed } }
 
 /// The CoEM update function.
 #[derive(Clone, Debug)]

@@ -13,10 +13,8 @@
 //! adaptive schedule the paper deploys on the locking engine with the
 //! approximate priority scheduler.
 
-use bytes::{Bytes, BytesMut};
 use graphlab_core::{UpdateContext, UpdateFunction};
 use graphlab_graph::EdgeDir;
-use graphlab_net::codec::Codec;
 
 use crate::gmm::{GmmSync, GMM_GLOBAL};
 use crate::lbp::BpEdge;
@@ -65,20 +63,7 @@ impl CosegVertex {
     }
 }
 
-impl Codec for CosegVertex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.feature.encode(buf);
-        self.prior.encode(buf);
-        self.belief.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(CosegVertex {
-            feature: f64::decode(buf)?,
-            prior: Vec::<f64>::decode(buf)?,
-            belief: Vec::<f64>::decode(buf)?,
-        })
-    }
-}
+graphlab_net::codec_fields! { CosegVertex { feature, prior, belief } }
 
 /// The CoSeg update function: GMM-prior refresh + residual BP step.
 #[derive(Clone, Debug)]

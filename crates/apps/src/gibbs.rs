@@ -13,10 +13,8 @@
 //! per-vertex counter-based RNG so execution stays deterministic per
 //! (vertex, sample-index) regardless of engine interleaving.
 
-use bytes::{Bytes, BytesMut};
 use graphlab_core::{UpdateContext, UpdateFunction};
 use graphlab_graph::DataGraph;
-use graphlab_net::codec::Codec;
 
 /// A Gibbs variable: current label, unary potentials, sample statistics.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -56,22 +54,7 @@ impl GibbsVertex {
     }
 }
 
-impl Codec for GibbsVertex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.label.encode(buf);
-        self.unary.encode(buf);
-        self.samples.encode(buf);
-        self.counts.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(GibbsVertex {
-            label: u32::decode(buf)?,
-            unary: Vec::<f64>::decode(buf)?,
-            samples: u64::decode(buf)?,
-            counts: Vec::<u64>::decode(buf)?,
-        })
-    }
-}
+graphlab_net::codec_fields! { GibbsVertex { label, unary, samples, counts } }
 
 /// The Gibbs resampling update function.
 #[derive(Clone, Debug)]

@@ -13,10 +13,8 @@
 //! the message sent to it) — residual BP [Elidan et al.], the paper's
 //! state-of-the-art adaptive schedule for CoSeg.
 
-use bytes::{Bytes, BytesMut};
 use graphlab_core::{UpdateContext, UpdateFunction};
 use graphlab_graph::{DataGraph, EdgeDir};
-use graphlab_net::codec::Codec;
 
 /// Vertex state: prior (unnormalised likelihood) and posterior belief over
 /// `K` labels.
@@ -52,15 +50,7 @@ impl BpVertex {
     }
 }
 
-impl Codec for BpVertex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.prior.encode(buf);
-        self.belief.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(BpVertex { prior: Vec::<f64>::decode(buf)?, belief: Vec::<f64>::decode(buf)? })
-    }
-}
+graphlab_net::codec_fields! { BpVertex { prior, belief } }
 
 /// Edge state: the two directed messages (normalised distributions).
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -78,15 +68,7 @@ impl BpEdge {
     }
 }
 
-impl Codec for BpEdge {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.msg_fwd.encode(buf);
-        self.msg_rev.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(BpEdge { msg_fwd: Vec::<f64>::decode(buf)?, msg_rev: Vec::<f64>::decode(buf)? })
-    }
-}
+graphlab_net::codec_fields! { BpEdge { msg_fwd, msg_rev } }
 
 /// The loopy BP update function with residual scheduling.
 #[derive(Clone, Debug)]

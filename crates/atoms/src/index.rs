@@ -3,9 +3,7 @@
 //! locations. Placement (phase two of the two-phase scheme) runs on this
 //! tiny graph instead of the full data graph.
 
-use bytes::{Bytes, BytesMut};
 use graphlab_graph::AtomId;
-use graphlab_net::codec::Codec;
 
 /// Per-atom metadata in the index.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,24 +20,7 @@ pub struct AtomIndexEntry {
     pub neighbors: Vec<(AtomId, u64)>,
 }
 
-impl Codec for AtomIndexEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.atom.encode(buf);
-        self.owned_vertices.encode(buf);
-        self.owned_edges.encode(buf);
-        self.file.encode(buf);
-        self.neighbors.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(AtomIndexEntry {
-            atom: AtomId::decode(buf)?,
-            owned_vertices: u64::decode(buf)?,
-            owned_edges: u64::decode(buf)?,
-            file: String::decode(buf)?,
-            neighbors: Vec::<(AtomId, u64)>::decode(buf)?,
-        })
-    }
-}
+graphlab_net::codec_fields! { AtomIndexEntry { atom, owned_vertices, owned_edges, file, neighbors } }
 
 /// The atom index: the meta-graph over all `k` atoms.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -51,6 +32,8 @@ pub struct AtomIndex {
     /// Total edges in the full graph.
     pub total_edges: u64,
 }
+
+graphlab_net::codec_fields! { AtomIndex { entries, total_vertices, total_edges } }
 
 impl AtomIndex {
     /// Number of atoms.
@@ -72,21 +55,6 @@ impl AtomIndex {
     /// Conventional DFS file name of one atom journal.
     pub fn atom_file_name(prefix: &str, atom: AtomId) -> String {
         format!("{prefix}/atom_{:06}", atom.0)
-    }
-}
-
-impl Codec for AtomIndex {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.entries.encode(buf);
-        self.total_vertices.encode(buf);
-        self.total_edges.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(AtomIndex {
-            entries: Vec::<AtomIndexEntry>::decode(buf)?,
-            total_vertices: u64::decode(buf)?,
-            total_edges: u64::decode(buf)?,
-        })
     }
 }
 

@@ -28,6 +28,16 @@
 //! User data (`V`/`E`) always travels as pre-encoded [`Bytes`] blobs so the
 //! protocol structs stay monomorphic.
 //!
+//! Each message's layout is written once. A struct whose wire form is its
+//! fields' own encodings, in order, lists its fields in [`codec_fields!`]
+//! below its definition, and the compiler holds the list to the struct.
+//! The rows and the data-plane messages ([`VertexRow`], [`EdgeRow`],
+//! [`LockReqMsg`], [`ScopeDataMsg`], [`ReleaseMsg`]) are streamed from
+//! borrowed data by their sender and read in place by their receiver, so
+//! they have a hand-written `put` / `read` pair that their `Codec` goes
+//! through; so do [`ScheduleMsg`] (priorities as `f32`), [`TaskSetMsg`]
+//! (gap-encoded ids) and the generic [`StepTagged`].
+//!
 //! Several protocol invariants assume the fabric's **per-channel FIFO**
 //! delivery guarantee (see `graphlab-net`): a [`ScheduleMsg`] emitted
 //! during commit must reach the owner before the [`ReleaseMsg`] that
@@ -44,6 +54,7 @@ use graphlab_net::codec::{
     decode_from, decode_with, encode_to_bytes, get_array, get_blob, get_varint, put_id_deltas,
     put_uvarint, Codec,
 };
+use graphlab_net::codec_fields;
 
 /// Encodes one protocol message (the engines' and the recovery machine's
 /// single encode point).
@@ -628,22 +639,7 @@ pub struct SyncPartialMsg {
     pub updates: u64,
 }
 
-impl Codec for SyncPartialMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cycle.encode(buf);
-        self.partials.encode(buf);
-        self.pending.encode(buf);
-        self.updates.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(SyncPartialMsg {
-            cycle: u64::decode(buf)?,
-            partials: Vec::<(u32, Bytes)>::decode(buf)?,
-            pending: u64::decode(buf)?,
-            updates: u64::decode(buf)?,
-        })
-    }
-}
+codec_fields! { SyncPartialMsg { cycle, partials, pending, updates } }
 
 /// Master's cycle-end broadcast: finalised globals, halt flag, snapshot
 /// trigger.
@@ -659,22 +655,7 @@ pub struct SyncGlobalsMsg {
     pub snapshot: Option<u64>,
 }
 
-impl Codec for SyncGlobalsMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cycle.encode(buf);
-        self.globals.encode(buf);
-        self.halt.encode(buf);
-        self.snapshot.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(SyncGlobalsMsg {
-            cycle: u64::decode(buf)?,
-            globals: Vec::<(u32, u64, Bytes)>::decode(buf)?,
-            halt: bool::decode(buf)?,
-            snapshot: Option::<u64>::decode(buf)?,
-        })
-    }
-}
+codec_fields! { SyncGlobalsMsg { cycle, globals, halt, snapshot } }
 
 // ---- locking engine ----
 
@@ -995,18 +976,7 @@ pub struct LockSyncPartialMsg {
     pub partials: Vec<(u32, Bytes)>,
 }
 
-impl Codec for LockSyncPartialMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.epoch.encode(buf);
-        self.partials.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(LockSyncPartialMsg {
-            epoch: u64::decode(buf)?,
-            partials: Vec::<(u32, Bytes)>::decode(buf)?,
-        })
-    }
-}
+codec_fields! { LockSyncPartialMsg { epoch, partials } }
 
 /// Counter-threshold update note ([`LockKind::UpdNote`], machine → master): the
 /// sender has executed `updates` update functions in total since engine
@@ -1022,15 +992,7 @@ pub struct UpdNoteMsg {
     pub updates: u64,
 }
 
-impl Codec for UpdNoteMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.from.encode(buf);
-        self.updates.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(UpdNoteMsg { from: MachineId::decode(buf)?, updates: u64::decode(buf)? })
-    }
-}
+codec_fields! { UpdNoteMsg { from, updates } }
 
 /// A machine's verdict on quiet round `round` ([`LockKind::QuietReport`],
 /// machine → master): `clean` unless counted work reached it between its
@@ -1043,35 +1005,9 @@ pub struct QuietReportMsg {
     pub clean: bool,
 }
 
-impl Codec for QuietReportMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.round.encode(buf);
-        self.clean.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(QuietReportMsg { round: u64::decode(buf)?, clean: bool::decode(buf)? })
-    }
-}
+codec_fields! { QuietReportMsg { round, clean } }
 
 // ---- recovery (both engines) ----
-
-/// Drain acknowledgement: "I have stopped sending engine traffic for
-/// fault era `era`" (machine → master; a reborn machine sends it as soon
-/// as its fabric `K_UP` arrives).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoverReadyMsg {
-    /// Fabric fault era this drain belongs to.
-    pub era: u32,
-}
-
-impl Codec for RecoverReadyMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(RecoverReadyMsg { era: u32::decode(buf)? })
-    }
-}
 
 /// Master's rollback order: broadcast the era's [`RecoveryKind::FlushMark`] to every
 /// peer, drain inbound channels until every peer's marker arrived, then
@@ -1084,34 +1020,24 @@ pub struct RollbackMsg {
     pub snap: u64,
 }
 
-impl Codec for RollbackMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-        self.snap.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(RollbackMsg { era: u32::decode(buf)?, snap: u64::decode(buf)? })
-    }
-}
+codec_fields! { RollbackMsg { era, snap } }
 
-/// Rollback-applied acknowledgement (machine → master); the payload is the
-/// fault era. Also used, era-tagged, for the final `RecoveryKind::Resume` barrier
-/// release (master → all), so late resumers never miss work sent by early
-/// ones — pre-resume arrivals are buffered.
+/// A recovery step of fault era `era`, named by its kind:
+/// - [`RecoveryKind::Ready`], the drain acknowledgement: "I have stopped
+///   sending engine traffic for this era" (machine → master; a reborn
+///   machine sends it as soon as its fabric `K_UP` arrives);
+/// - [`RecoveryKind::FlushMark`], the channel marker (all → all);
+/// - [`RecoveryKind::Recovered`], rollback applied (machine → master);
+/// - [`RecoveryKind::Resume`], the final barrier release (master → all), so
+///   late resumers never miss work sent by early ones — pre-resume arrivals
+///   are buffered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoverEraMsg {
     /// Fault era being acknowledged/released.
     pub era: u32,
 }
 
-impl Codec for RecoverEraMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(RecoverEraMsg { era: u32::decode(buf)? })
-    }
-}
+codec_fields! { RecoverEraMsg { era } }
 
 /// Unrecoverable-failure broadcast: the run fails cleanly with `reason`
 /// (e.g. *"no complete checkpoint"*) instead of hanging or panicking.
@@ -1124,15 +1050,7 @@ pub struct RecoverAbortMsg {
     pub reason: String,
 }
 
-impl Codec for RecoverAbortMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-        self.reason.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(RecoverAbortMsg { era: u32::decode(buf)?, reason: String::decode(buf)? })
-    }
-}
+codec_fields! { RecoverAbortMsg { era, reason } }
 
 /// Master's adoption order (master → survivors, [`RecoveryKind::AdoptPlan`]): the
 /// re-balanced atom placement after reassigning every dead machine's atoms
@@ -1152,22 +1070,7 @@ pub struct AdoptPlanMsg {
     pub snap: Option<u64>,
 }
 
-impl Codec for AdoptPlanMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-        self.dead.encode(buf);
-        self.placement.encode(buf);
-        self.snap.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(AdoptPlanMsg {
-            era: u32::decode(buf)?,
-            dead: Vec::<u16>::decode(buf)?,
-            placement: graphlab_atoms::Placement::decode(buf)?,
-            snap: Option::<u64>::decode(buf)?,
-        })
-    }
-}
+codec_fields! { AdoptPlanMsg { era, dead, placement, snap } }
 
 /// Ghost-rebuild round ([`RecoveryKind::AdoptData`], survivor → survivor): the
 /// sender's authoritative current data for vertices it owns that the
@@ -1184,20 +1087,7 @@ pub struct AdoptDataMsg {
     pub erows: Vec<(EdgeId, Bytes)>,
 }
 
-impl Codec for AdoptDataMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.era.encode(buf);
-        self.vrows.encode(buf);
-        self.erows.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(AdoptDataMsg {
-            era: u32::decode(buf)?,
-            vrows: Vec::<(VertexId, Bytes)>::decode(buf)?,
-            erows: Vec::<(EdgeId, Bytes)>::decode(buf)?,
-        })
-    }
-}
+codec_fields! { AdoptDataMsg { era, vrows, erows } }
 
 #[cfg(test)]
 mod tests {
@@ -1277,7 +1167,6 @@ mod tests {
 
     #[test]
     fn recovery_msgs_roundtrip() {
-        rt(RecoverReadyMsg { era: 2 });
         rt(RollbackMsg { era: 2, snap: 1 });
         rt(RecoverEraMsg { era: 3 });
         rt(RecoverAbortMsg { era: 1, reason: "no complete checkpoint".into() });

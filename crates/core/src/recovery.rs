@@ -503,7 +503,7 @@ pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope)
         }
         RecoveryKind::Lease => unreachable!("the Batcher consumes lease heartbeats"),
         RecoveryKind::Ready => {
-            let msg: RecoverReadyMsg = dec(env.payload);
+            let msg: RecoverEraMsg = dec(env.payload);
             if m.rec.me == 0 {
                 // The fabric delivers K_UP to the reborn machine only; its
                 // READY is the master's cue to lease it afresh (and to
@@ -689,7 +689,7 @@ fn enter_drain<H: RecoveryHost>(h: &mut H) {
     if m.rec.me == 0 {
         m.rec.note_ready(0, era);
     } else {
-        m.send(MachineId(0), RecoveryKind::Ready, enc(&RecoverReadyMsg { era }));
+        m.send(MachineId(0), RecoveryKind::Ready, enc(&RecoverEraMsg { era }));
         m.net.flush_all();
     }
 }
@@ -1227,15 +1227,15 @@ mod tests {
     /// [`assert_stale_is_inert`] holds it to the fence.
     fn stamped(h: &FakeHost, src: u16, kind: RecoveryKind, era: u32) -> Option<Envelope> {
         Some(match kind {
-            RecoveryKind::Ready => env(src, kind, &RecoverReadyMsg { era }),
             RecoveryKind::Rollback => env(src, kind, &RollbackMsg { era, snap: 4 }),
             RecoveryKind::AdoptPlan => {
                 let placement = (*h.core.setup.placement).clone();
                 env(src, kind, &AdoptPlanMsg { era, dead: vec![2], placement, snap: None })
             }
-            RecoveryKind::FlushMark | RecoveryKind::Recovered | RecoveryKind::Resume => {
-                env(src, kind, &RecoverEraMsg { era })
-            }
+            RecoveryKind::Ready
+            | RecoveryKind::FlushMark
+            | RecoveryKind::Recovered
+            | RecoveryKind::Resume => env(src, kind, &RecoverEraMsg { era }),
             RecoveryKind::AdoptData => {
                 let vrows = (0..12).map(|v| (VertexId(v), enc(&STALE))).collect();
                 env(src, kind, &AdoptDataMsg { era, vrows, erows: Vec::new() })
@@ -1327,7 +1327,7 @@ mod tests {
             let round = [
                 (down(2, false, 2), RecoveryPhase::Drain),
                 match me {
-                    0 => (env(peer, Ready, &RecoverReadyMsg { era: 2 }), RecoveryPhase::FlushWait),
+                    0 => (env(peer, Ready, &now), RecoveryPhase::FlushWait),
                     _ => (env(peer, AdoptPlan, &plan), RecoveryPhase::FlushWait),
                 },
                 (env(peer, FlushMark, &now), RecoveryPhase::AdoptData),

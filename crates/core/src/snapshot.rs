@@ -72,7 +72,7 @@
 //! the DFS, restoration, completeness scanning/pruning, and Young's
 //! first-order optimal checkpoint interval (Eq. 3).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use graphlab_graph::{AtomId, DataGraph, EdgeId, MachineId, VertexId};
 use graphlab_net::codec::{decode_from, encode_to_bytes, Codec};
 use graphlab_atoms::SimDfs;
@@ -91,41 +91,9 @@ pub struct SnapshotFile {
     pub erows: Vec<(EdgeId, Bytes)>,
 }
 
-impl Codec for SnapshotFile {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.vrows.len() as u32).encode(buf);
-        for (v, b) in &self.vrows {
-            v.encode(buf);
-            b.encode(buf);
-        }
-        (self.erows.len() as u32).encode(buf);
-        for (e, b) in &self.erows {
-            e.encode(buf);
-            b.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        let nv = row_count(buf)?;
-        let mut vrows = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            vrows.push((VertexId::decode(buf)?, Bytes::decode(buf)?));
-        }
-        let ne = row_count(buf)?;
-        let mut erows = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            erows.push((EdgeId::decode(buf)?, Bytes::decode(buf)?));
-        }
-        Some(SnapshotFile { vrows, erows })
-    }
-}
-
-/// A row count as the file states it, refused when the bytes behind it
-/// could not hold that many rows (two at least each: an id and a blob
-/// length) — so a torn or corrupt checkpoint cannot size an allocation.
-fn row_count(buf: &mut Bytes) -> Option<usize> {
-    let n = u32::decode(buf)? as usize;
-    (n <= buf.len() / 2).then_some(n)
-}
+// A torn or corrupt checkpoint cannot size an allocation: `Vec`'s decode
+// reserves no more rows than bytes are left.
+graphlab_net::codec_fields! { SnapshotFile { vrows, erows } }
 
 impl SnapshotFile {
     /// Captures all owned data of a local graph (synchronous snapshots save
@@ -425,6 +393,7 @@ pub fn young_interval(checkpoint_secs: f64, mtbf_per_machine_secs: f64, machines
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use graphlab_graph::GraphBuilder;
 
     fn graph() -> DataGraph<f64, u32> {

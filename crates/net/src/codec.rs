@@ -18,6 +18,22 @@
 //! additionally be gap-encoded with [`put_id_deltas`]/[`get_id_deltas`].
 //! (The atom journal in `graphlab-atoms` uses a separate varint format
 //! tuned for on-disk size.)
+//!
+//! # Declaring a wire type
+//!
+//! A struct whose wire form is its fields' own encodings, one after the
+//! other, names its fields once, in [`codec_fields!`](crate::codec_fields):
+//! `codec_fields! { RollbackMsg { era, snap } }` is its [`Codec`]. Both
+//! directions go through that one list and take the struct apart or build
+//! it without `..`, so a field left out of it, or a field added to the
+//! struct and not to it, does not compile. The order of the list is the
+//! wire order.
+//!
+//! A type whose wire form differs from its fields' — priorities narrowed to
+//! `f32`, gap-encoded ids, rows its sender streams from borrowed data and
+//! its receiver walks in place — writes a `put` / `read` pair by hand, and
+//! its `Codec` goes through them (`decode` by [`decode_with`]), so it too
+//! has one layout.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graphlab_graph::{AtomId, EdgeId, MachineId, VertexId};
@@ -50,6 +66,27 @@ pub fn decode_from<T: Codec>(bytes: Bytes) -> Option<T> {
         return None;
     }
     Some(v)
+}
+
+/// Implements [`Codec`] for each struct listed, from its field names:
+/// `encode` writes the fields in list order and `decode` reads them back in
+/// that order, each through its own type's `Codec`. Both take the struct
+/// apart or build it without `..`, so the list must name every field (see
+/// "Declaring a wire type" in [`codec`](crate::codec)). Like any `Codec`
+/// impl, the expansion names `bytes`, so the calling crate depends on it.
+#[macro_export]
+macro_rules! codec_fields {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                let $ty { $($field),* } = self;
+                $($crate::codec::Codec::encode($field, buf);)*
+            }
+            fn decode(buf: &mut ::bytes::Bytes) -> Option<Self> {
+                Some($ty { $($field: $crate::codec::Codec::decode(buf)?),* })
+            }
+        }
+    )*};
 }
 
 // ---- varint primitives ----
@@ -180,7 +217,9 @@ pub fn put_id_deltas(buf: &mut BytesMut, n: usize, ids: impl Iterator<Item = u32
 /// Decodes a gap-encoded id sequence written by [`put_id_deltas`].
 pub fn get_id_deltas(buf: &mut Bytes) -> Option<Vec<u32>> {
     let n = get_uvarint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    // Every gap takes a byte at least: a count the buffer cannot back sizes
+    // nothing beyond it.
+    let mut out = Vec::with_capacity(n.min(buf.remaining()));
     let mut prev = 0u64;
     for _ in 0..n {
         let gap = get_uvarint(buf)?;
@@ -269,49 +308,22 @@ impl Codec for () {
     }
 }
 
-impl Codec for VertexId {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        u32::decode(buf).map(VertexId)
-    }
+macro_rules! impl_codec_id {
+    ($($id:ident($inner:ty)),*) => {$(
+        impl Codec for $id {
+            #[inline]
+            fn encode(&self, buf: &mut BytesMut) {
+                self.0.encode(buf);
+            }
+            #[inline]
+            fn decode(buf: &mut Bytes) -> Option<Self> {
+                <$inner>::decode(buf).map($id)
+            }
+        }
+    )*};
 }
 
-impl Codec for EdgeId {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        u32::decode(buf).map(EdgeId)
-    }
-}
-
-impl Codec for AtomId {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        u32::decode(buf).map(AtomId)
-    }
-}
-
-impl Codec for MachineId {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    #[inline]
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        u16::decode(buf).map(MachineId)
-    }
-}
+impl_codec_id!(VertexId(u32), EdgeId(u32), AtomId(u32), MachineId(u16));
 
 impl Codec for String {
     fn encode(&self, buf: &mut BytesMut) {
@@ -337,7 +349,9 @@ impl<T: Codec> Codec for Vec<T> {
     }
     fn decode(buf: &mut Bytes) -> Option<Self> {
         let len = get_uvarint(buf)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        // Every element that needs memory takes a byte at least: a length
+        // the buffer cannot back sizes nothing beyond it.
+        let mut out = Vec::with_capacity(len.min(buf.remaining()));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }

@@ -38,10 +38,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
-
 use crate::cluster::{K_DOWN, K_UP};
-use crate::codec::Codec;
 
 /// Payload of a [`K_DOWN`] notification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,20 +52,7 @@ pub struct DownMsg {
     pub era: u32,
 }
 
-impl Codec for DownMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.machine.encode(buf);
-        self.restart.encode(buf);
-        self.era.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(DownMsg {
-            machine: u16::decode(buf)?,
-            restart: bool::decode(buf)?,
-            era: u32::decode(buf)?,
-        })
-    }
-}
+crate::codec_fields! { DownMsg { machine, restart, era } }
 
 /// Payload of a [`K_UP`] notification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,15 +63,7 @@ pub struct UpMsg {
     pub era: u32,
 }
 
-impl Codec for UpMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.machine.encode(buf);
-        self.era.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(UpMsg { machine: u16::decode(buf)?, era: u32::decode(buf)? })
-    }
-}
+crate::codec_fields! { UpMsg { machine, era } }
 
 /// When a fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -628,6 +604,7 @@ mod tests {
     use crate::cluster::{RecvError, SimNet};
     use crate::codec::decode_from;
     use crate::latency::LatencyModel;
+    use bytes::Bytes;
     use graphlab_graph::MachineId;
 
     const T: Duration = Duration::from_secs(2);

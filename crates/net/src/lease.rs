@@ -26,10 +26,6 @@
 
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
-
-use crate::codec::{get_uvarint, put_uvarint, Codec};
-
 /// The machine that owns the lease table and declares deaths. Machine 0
 /// is the coordination/recovery master throughout the engines and may
 /// not die (ROADMAP invariant), so it is also the failure detector.
@@ -87,20 +83,7 @@ pub struct LeaseMsg {
     pub era: u32,
 }
 
-impl Codec for LeaseMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.machine as u64);
-        put_uvarint(buf, self.incarnation as u64);
-        put_uvarint(buf, self.era as u64);
-    }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(LeaseMsg {
-            machine: get_uvarint(buf)? as u16,
-            incarnation: get_uvarint(buf)? as u32,
-            era: get_uvarint(buf)? as u32,
-        })
-    }
-}
+crate::codec_fields! { LeaseMsg { machine, incarnation, era } }
 
 /// Wall-clock read for lease bookkeeping, kept in one place.
 fn now() -> Instant {
@@ -224,6 +207,15 @@ mod tests {
     fn lease_msg_roundtrips() {
         let m = LeaseMsg { machine: 7, incarnation: 3, era: 12 };
         assert_eq!(decode_from::<LeaseMsg>(encode_to_bytes(&m)), Some(m));
+    }
+
+    #[test]
+    fn a_heartbeat_naming_a_machine_past_u16_is_refused() {
+        let mut buf = bytes::BytesMut::new();
+        for field in [1 << 16, 0, 0] {
+            crate::codec::put_uvarint(&mut buf, field);
+        }
+        assert_eq!(decode_from::<LeaseMsg>(buf.freeze()), None);
     }
 
     #[test]

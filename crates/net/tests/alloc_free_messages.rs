@@ -1,31 +1,41 @@
 //! Allocation regression test for the message path: once buffers are warm,
 //! a message encoded in place into its `Batcher` envelope, shipped, unpacked
 //! and read in place costs **no** heap allocation — only the envelope does,
-//! a small fixed number of times. (Its own test binary: a
+//! a small fixed number of times; and a length prefix a peer inflates sizes
+//! no allocation beyond the payload behind it. (Its own test binary: a
 //! `#[global_allocator]` is per binary.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use bytes::Bytes;
 use graphlab_graph::MachineId;
-use graphlab_net::codec::{get_uvarint, put_uvarint};
-use graphlab_net::{BatchPolicy, Batcher, LatencyModel, SimNet};
+use graphlab_net::codec::{get_id_deltas, get_uvarint, put_uvarint};
+use graphlab_net::{BatchPolicy, Batcher, Codec, LatencyModel, SimNet};
 
 thread_local! {
     /// Allocations made by the current thread (tests run in parallel).
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes the current thread asked for, a grown buffer's new size included.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Books one allocation of `size` bytes.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size));
 }
 
 struct CountingAlloc;
 
 // SAFETY: every operation is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a plain const-initialised
-// thread-local `Cell` that itself never allocates.
+// the `GlobalAlloc` contract; the counters are plain const-initialised
+// thread-local `Cell`s that themselves never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract (non-zero
     // size), which is exactly what `System.alloc` requires.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -38,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract, which is
     // `System.realloc`'s; a buffer that grows counts as an allocation.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -105,4 +115,28 @@ fn a_warm_message_path_allocates_per_envelope_not_per_message() {
         }
         assert_eq!(tx.counters().batches, 5);
     }
+}
+
+/// What `f` returns, and the bytes it asked the allocator for.
+fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
+}
+
+#[test]
+fn an_inflated_length_prefix_reserves_no_more_than_its_payload() {
+    // Four bytes, a varint 2^20 and one more, that claim 2^20 elements:
+    // rows of the widest kind the sync rounds decode, `(handle, version,
+    // blob)` (tens of MB reserved before the first row fails, were the claim
+    // believed), and gap-encoded ids.
+    type Row = (u32, u64, Bytes);
+    let hostile = Bytes::from_static(&[0x80, 0x80, 0x40, 0]);
+    let (mut rows, mut ids) = (hostile.clone(), hostile.clone());
+    let (decoded, asked) = bytes_requested(|| Vec::<Row>::decode(&mut rows));
+    assert_eq!(decoded, None);
+    assert!(asked <= hostile.len() * size_of::<Row>(), "{asked} bytes asked for rows");
+    let (decoded, asked) = bytes_requested(|| get_id_deltas(&mut ids));
+    assert_eq!(decoded, None);
+    assert!(asked <= hostile.len() * size_of::<u32>(), "{asked} bytes asked for ids");
 }
