@@ -19,13 +19,13 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use graphlab_atoms::{build_atoms, load_machine_part, write_atoms, SimDfs, VertexPartition};
 use graphlab_atoms::placement::Placement;
 use graphlab_graph::{Coloring, DataGraph, EdgeId, VertexId};
 use graphlab_net::codec::Codec;
-use graphlab_net::{Batcher, Endpoint, SimNet, TcpNet, Transport};
+use graphlab_net::{clock, Batcher, Endpoint, SimNet, TcpNet, Transport};
 
 use crate::chromatic::ChromaticMachine;
 use crate::config::EngineConfig;
@@ -269,8 +269,7 @@ where
     // machine's under SimNet, where machines are threads of this process;
     // its own under TCP, where it is exactly one machine of the mesh. The
     // owner handles stay alive until the end of this function.
-    #[expect(clippy::disallowed_methods, reason = "wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire")]
-    let start = Instant::now();
+    let start = clock::now();
     let (opened, _sim, tcp) = match &config.transport {
         Transport::Sim(latency) => {
             let (net, endpoints) = match &config.faults {
@@ -330,7 +329,7 @@ where
         // drops.
         net.shutdown();
     }
-    let runtime = start.elapsed();
+    let runtime = clock::now() - start;
     counters.done.store(true, Ordering::Relaxed);
     let updates_timeline = sampler.map(|s| s.join().expect("sampler")).unwrap_or_default();
     let (stats, results) = match ran {
@@ -438,8 +437,7 @@ where
     E: Codec + Clone + Send + Sync + 'static,
     U: UpdateFunction<V, E>,
 {
-    #[expect(clippy::disallowed_methods, reason = "wall-clock phase metrics (EngineMetrics); measurement only, never crosses the wire")]
-    let t0 = Instant::now();
+    let t0 = clock::now();
     let machine = endpoint.id();
     let wait = endpoint.net_wait_counter();
     let init = match load_machine_part(&setup.dfs, &setup.index, &setup.placement, machine) {
@@ -455,13 +453,13 @@ where
             return MachineResult { failed: Some(reason), ..MachineResult::default() };
         }
     };
-    let setup_time = t0.elapsed();
+    let setup_time = clock::now() - t0;
     let mut r = match kind {
         EngineKind::Chromatic => ChromaticMachine::new(endpoint, setup, update, init).run(),
         EngineKind::Locking => LockingMachine::new(endpoint, setup, update, init).run(),
         EngineKind::Sequential => unreachable!("sequential runs bypass the machine loop"),
     };
-    let total = t0.elapsed();
+    let total = clock::now() - t0;
     let net_wait = Duration::from_nanos(wait.load(Ordering::Relaxed));
     r.phase = PhaseTimes {
         setup: setup_time,

@@ -220,7 +220,7 @@ impl<V, E> Machine<V, E> {
         let due = self.straggler_pending().filter(|s| self.live_updates() >= s.after_updates);
         if let Some(s) = due {
             self.straggled = true;
-            std::thread::sleep(s.duration);
+            graphlab_net::clock::sleep(s.duration);
         }
     }
 

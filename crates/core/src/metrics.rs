@@ -13,7 +13,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use graphlab_net::clock;
 
 /// Live counters shared by all machine threads of one engine run.
 #[derive(Debug)]
@@ -39,15 +41,14 @@ pub fn sample_timeline(
 ) -> std::thread::JoinHandle<Vec<(f64, u64)>> {
     let counters = Arc::clone(counters);
     std::thread::spawn(move || {
-        #[expect(clippy::disallowed_methods, reason = "time axis of the sampled updates series (Fig. 4); measurement only, never crosses the wire")]
-        let start = Instant::now();
+        let start = clock::now();
         let mut series = Vec::new();
         loop {
-            series.push((start.elapsed().as_secs_f64(), counters.updates.load(Ordering::Relaxed)));
+            series.push(((clock::now() - start).as_secs_f64(), counters.updates.load(Ordering::Relaxed)));
             if counters.done.load(Ordering::Relaxed) {
                 return series;
             }
-            std::thread::sleep(period);
+            clock::sleep(period);
         }
     })
 }

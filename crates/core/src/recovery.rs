@@ -55,6 +55,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use graphlab_atoms::load_machine_part;
 use graphlab_graph::{AtomId, MachineId};
+use graphlab_net::clock;
 use graphlab_net::codec::Codec;
 use graphlab_net::fault::{DownMsg, UpMsg};
 use graphlab_net::{Batcher, Envelope};
@@ -290,9 +291,7 @@ impl RecoveryTracker {
 
     fn enter(&mut self, phase: RecoveryPhase) {
         self.phase = phase;
-        #[expect(clippy::disallowed_methods, reason = "recovery-phase stall timer; bounds waiting, never enters payloads or traces")]
-        let now = Instant::now();
-        self.phase_since = Some(now);
+        self.phase_since = Some(clock::now());
     }
 
     /// Crash semantics: everything but the permanent deaths is forgotten.
@@ -571,7 +570,7 @@ pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
     if rec.phase == RecoveryPhase::Normal {
         return Step::Continue;
     }
-    if rec.phase_since.is_some_and(|t| t.elapsed() > RECOVERY_DEADLINE) {
+    if rec.phase_since.is_some_and(|t| clock::now() - t > RECOVERY_DEADLINE) {
         return Step::Abort(format!(
             "recovery stalled in {:?} at fault era {} (machine {}, dead {:?}, ready {:?}, \
              marks {:?}, recovered {:?})",

@@ -17,10 +17,10 @@
 //! update functions, same typed syncs, same `stop_when` termination.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use graphlab_atoms::SimDfs;
 use graphlab_graph::{DataGraph, VertexId};
+use graphlab_net::clock;
 
 use crate::config::EngineConfig;
 use crate::driver::{EngineOutput, StopFn};
@@ -55,8 +55,7 @@ where
     E: Clone + Send + Sync + 'static,
     U: UpdateFunction<V, E> + ?Sized,
 {
-    #[expect(clippy::disallowed_methods, reason = "runtime of the sequential oracle (EngineMetrics); measurement only, no wire to cross")]
-    let start = Instant::now();
+    let start = clock::now();
     let mut lg = LocalGraph::single_machine(graph, None);
     let mut globals = GlobalRegistry::new();
     let mut scheduler = Scheduler::new(config.scheduler, lg.num_local_vertices());
@@ -124,7 +123,7 @@ where
     EngineOutput {
         metrics: EngineMetrics {
             updates,
-            runtime: start.elapsed(),
+            runtime: clock::now() - start,
             update_counts,
             updates_timeline: Vec::new(),
             bytes_sent_per_machine: vec![0],

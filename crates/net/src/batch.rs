@@ -39,11 +39,12 @@
 //! so cannot reorder anything either.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graphlab_graph::MachineId;
 
+use crate::clock;
 use crate::cluster::{Envelope, RecvError};
 use crate::cluster::{K_BATCH, K_DOWN, K_LEASE, K_ZIP};
 use crate::fault::DownMsg;
@@ -187,7 +188,7 @@ impl Batcher {
     /// start heartbeating when idle. See [`crate::lease`].
     pub fn enable_lease(&mut self, cfg: LeaseConfig) {
         let me = self.ep.id().index() as u16;
-        self.lease = Some(LeaseState::new(me, self.ep.num_machines(), cfg));
+        self.lease = Some(LeaseState::new(me, self.ep.num_machines(), cfg, clock::now()));
     }
 
     /// Engine hook: a death was observed (any detector). Fences the dead
@@ -202,7 +203,7 @@ impl Batcher {
     /// Engine hook: a restart was observed — the machine leases afresh.
     pub fn lease_note_up(&mut self, machine: u16, era: u32) {
         if let Some(l) = &mut self.lease {
-            l.observe_up(machine as usize, era);
+            l.observe_up(machine as usize, era, clock::now());
         }
     }
 
@@ -215,8 +216,9 @@ impl Batcher {
     fn lease_tick(&mut self) {
         let Batcher { ep, lease, fenced, .. } = self;
         let Some(l) = lease else { return };
+        let now = clock::now();
         if l.is_master() {
-            while let Some((victim, era)) = l.expired() {
+            while let Some((victim, era)) = l.expired(now) {
                 // A lease expiry is always a permanent declaration.
                 fenced[victim as usize] = true;
                 let down = DownMsg { machine: victim, restart: false, era };
@@ -228,10 +230,10 @@ impl Batcher {
                     }
                 }
             }
-        } else if l.heartbeat_due() {
+        } else if l.heartbeat_due(now) {
             #[expect(clippy::disallowed_methods, reason = "liveness signal: a heartbeat must never sit in a batch queue, and the lease master is the failure detector itself")]
             ep.send(MachineId::from(LEASE_MASTER), K_LEASE, encode_to_bytes(&l.heartbeat()));
-            l.note_sent_to_master();
+            l.note_sent_to_master(now);
         }
     }
 
@@ -359,7 +361,7 @@ impl Batcher {
             // Piggybacked lease refresh: any traffic towards the master
             // resets the heartbeat clock.
             if dst.index() == LEASE_MASTER && !l.is_master() {
-                l.note_sent_to_master();
+                l.note_sent_to_master(clock::now());
             }
         }
         let body: &[u8] = match &payload {
@@ -427,13 +429,11 @@ impl Batcher {
         }
         // Lease detection slices the wait so heartbeats go out and the
         // master's expiry scan runs even while this machine is blocked.
-        #[expect(clippy::disallowed_methods, reason = "lease pacing is wall-clock by contract; it times heartbeats, never wire contents")]
-        let deadline = Instant::now() + timeout;
+        let deadline = clock::now() + timeout;
         loop {
             self.lease_tick();
             let slice = self.lease.as_ref().expect("lease checked above").config().slice();
-            #[expect(clippy::disallowed_methods, reason = "remaining-wait computation for the lease-sliced block")]
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = deadline.saturating_duration_since(clock::now());
             match self.recv_inner(slice.min(remaining)) {
                 // Heartbeats refreshed the sender's lease on receipt; the
                 // engines never see them.
@@ -485,7 +485,7 @@ impl Batcher {
             // as its source, and a death notice must not refresh the
             // victim's own lease.
             if env.kind != K_DOWN {
-                l.refresh(env.src.index());
+                l.refresh(env.src.index(), clock::now());
             }
         }
         let env = if env.kind == K_ZIP {

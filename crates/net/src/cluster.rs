@@ -48,6 +48,7 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use graphlab_graph::MachineId;
 use parking_lot::Mutex;
 
+use crate::clock;
 use crate::fault::{FaultEvent, FaultPlan, FaultState};
 use crate::latency::LatencyModel;
 use crate::transport::{Endpoint, Link};
@@ -344,8 +345,7 @@ impl SimLink {
     pub(crate) fn admit(&self, src: MachineId, dst: MachineId) -> Option<(u32, u32)> {
         let Some(f) = &self.faults else { return Some((0, 0)) };
         let mut st = f.lock();
-        #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
-        st.poll(Instant::now());
+        st.poll(clock::now());
         st.is_alive(src.index()).then(|| st.incarnations(src.index(), dst.index()))
     }
 
@@ -354,8 +354,7 @@ impl SimLink {
     pub(crate) fn send(&self, stats: &NetStats, env: Envelope, incs: (u32, u32)) {
         if let Some(delay) = &self.delay_tx {
             let mut st = self.send_state.lock();
-            #[expect(clippy::disallowed_methods, reason = "SimNet's clock for imposing link latency; ordering is pinned by the per-channel FIFO clamp, not by timing")]
-            let now = Instant::now();
+            let now = clock::now();
             let tx = self.latency.transmit_time(env.wire_bytes());
             let prop = self.latency.propagation_delay(&mut st.jitter);
             let seq = st.seq;
@@ -377,8 +376,7 @@ impl SimLink {
             // the heap. Delivery thread gone => shutting down; drop.
             let _ = delay.send(Delayed { deliver_at, seq, env, incs });
         } else if let Some(f) = &self.faults {
-            #[expect(clippy::disallowed_methods, reason = "fault-gate delivery timestamp; the fault trace is keyed by delivery counts, not times")]
-            f.lock().on_deliver(env, incs.0, incs.1, Instant::now());
+            f.lock().on_deliver(env, incs.0, incs.1, clock::now());
         } else {
             deliver(&self.direct, stats, env);
         }
@@ -390,8 +388,7 @@ impl SimLink {
     pub(crate) fn dead_check(&self, id: MachineId, rx: &Receiver<Envelope>) -> Option<bool> {
         let f = self.faults.as_ref()?;
         let mut st = f.lock();
-        #[expect(clippy::disallowed_methods, reason = "resolves wall-clock Elapsed fault triggers; delivery-count triggers are the deterministic path")]
-        st.poll(Instant::now());
+        st.poll(clock::now());
         if st.is_alive(id.index()) {
             return None;
         }
@@ -449,8 +446,9 @@ impl SimNet {
             rxs.push(rx);
         }
 
+        let epoch = clock::now();
         let faults: Option<FaultCtl> = plan.map(|p| {
-            Arc::new(Mutex::new(FaultState::new(p, n, txs.clone(), Arc::clone(&stats))))
+            Arc::new(Mutex::new(FaultState::new(p, n, epoch, txs.clone(), Arc::clone(&stats))))
         });
 
         let (delay_tx, delivery) = if latency.is_zero() {
@@ -467,8 +465,6 @@ impl SimNet {
             (Some(dtx), Some(handle))
         };
 
-        #[expect(clippy::disallowed_methods, reason = "run-start epoch for the virtual clock; never enters payloads or traces")]
-        let epoch = Instant::now();
         let endpoints = rxs
             .into_iter()
             .enumerate()
@@ -560,8 +556,7 @@ fn delivery_loop(
     let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
     loop {
         // Deliver everything due.
-        #[expect(clippy::disallowed_methods, reason = "delay-thread due-time check; ordering is pinned by the per-channel FIFO clamp, not by timing")]
-        let now = Instant::now();
+        let now = clock::now();
         while let Some(top) = heap.peek() {
             if top.deliver_at <= now {
                 let d = heap.pop().expect("peeked");
@@ -574,10 +569,9 @@ fn delivery_loop(
             }
         }
         // Wait for the next due time or a new message.
-        #[expect(clippy::disallowed_methods, reason = "delay-thread sleep sizing only; early/late wakeups cannot reorder deliveries")]
         let wait = heap
             .peek()
-            .map(|d| d.deliver_at.saturating_duration_since(Instant::now()))
+            .map(|d| d.deliver_at.saturating_duration_since(clock::now()))
             .unwrap_or(Duration::from_millis(50));
         match rx.recv_timeout(wait) {
             Ok(d) => heap.push(d),

@@ -72,8 +72,8 @@ pub enum FaultTrigger {
     /// (the deterministic trigger: exact under any thread interleaving of a
     /// fixed per-channel workload).
     Deliveries(u64),
-    /// After this much wall-clock time since fabric creation (convenient,
-    /// but only as deterministic as the run's timing).
+    /// After this much time since fabric creation (convenient, but only as
+    /// deterministic as the run's timing).
     Elapsed(Duration),
 }
 
@@ -307,9 +307,11 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
+    /// State for an `n`-machine fabric; `Elapsed` triggers count from `start`.
     pub(crate) fn new(
         plan: FaultPlan,
         n: usize,
+        start: Instant,
         inboxes: Vec<crossbeam::channel::Sender<crate::cluster::Envelope>>,
         stats: std::sync::Arc<crate::cluster::NetStats>,
     ) -> Self {
@@ -327,8 +329,7 @@ impl FaultState {
             })
             .collect();
         FaultState {
-            #[expect(clippy::disallowed_methods, reason = "anchors wall-clock Elapsed triggers; deterministic plans use delivery-count triggers")]
-            start: Instant::now(),
+            start,
             deliveries: 0,
             era: 0,
             alive: vec![true; n],
@@ -361,7 +362,7 @@ impl FaultState {
         while i < self.kills.len() {
             if self.due(&self.kills[i].at, now) {
                 let k = self.kills.swap_remove(i);
-                self.fire_kill(k);
+                self.fire_kill(k, now);
             } else {
                 i += 1;
             }
@@ -398,7 +399,7 @@ impl FaultState {
         }
     }
 
-    fn fire_kill(&mut self, k: KillSpec) {
+    fn fire_kill(&mut self, k: KillSpec, now: Instant) {
         let m = k.machine as usize;
         if !self.alive[m] {
             return; // already dead; ignore the duplicate
@@ -408,11 +409,10 @@ impl FaultState {
         self.era += 1;
         self.restart_scheduled[m] = k.restart_at.is_some();
         if let Some(at) = k.restart_at {
-            // Anchor the kill-relative restart trigger to now.
+            // Anchor the kill-relative restart trigger to the kill.
             let resolved = match at {
                 FaultTrigger::Deliveries(n) => ResolvedTrigger::AtDeliveries(self.deliveries + n),
-                #[expect(clippy::disallowed_methods, reason = "Elapsed restarts are wall-clock by contract; deterministic plans use delivery-count triggers")]
-                FaultTrigger::Elapsed(d) => ResolvedTrigger::AtTime(Instant::now() + d),
+                FaultTrigger::Elapsed(d) => ResolvedTrigger::AtTime(now + d),
             };
             self.restarts.push((k.machine, resolved));
         }
@@ -686,6 +686,25 @@ mod tests {
         }
         assert_eq!(kinds, vec![K_UP], "stale incarnation message leaked: {kinds:?}");
         assert_eq!(net.stats().machine(MachineId(1)).msgs_received, 0);
+    }
+
+    #[test]
+    fn elapsed_triggers_fire_exactly_on_time_and_a_restart_counts_from_the_kill() {
+        let (d, r, ns) = (Duration::from_secs(10), Duration::from_secs(5), Duration::from_nanos(1));
+        let plan = FaultPlan::seeded(1)
+            .kill_and_restart(1, FaultTrigger::Elapsed(d), FaultTrigger::Elapsed(r));
+        let (txs, _rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| crossbeam::channel::unbounded()).unzip();
+        let start = Instant::now();
+        let stats = std::sync::Arc::new(crate::cluster::NetStats::new(2));
+        let mut st = FaultState::new(plan, 2, start, txs, stats);
+        st.poll(start + d - ns);
+        assert!(st.is_alive(1), "killed before its time");
+        st.poll(start + d);
+        assert!(!st.is_alive(1) && st.restart_scheduled(1));
+        st.poll(start + d + r - ns);
+        assert!(!st.is_alive(1), "restarted before the dead window ended");
+        st.poll(start + d + r);
+        assert!(st.is_alive(1), "the restart is due at kill + r");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! — where a crashed peer otherwise only ever surfaces as reconnect
 //! timeouts — lease expiry is the *only* detector.
 //!
-//! Timing here is wall-clock by nature (a lease is a promise about real
-//! time); none of it ever influences wire payload *contents*, only
-//! whether a `K_DOWN` is synthesized.
+//! A lease is a promise about real time: [`LeaseState`] decides on the
+//! `now` its caller reads from [`crate::clock`], and only whether a
+//! `K_DOWN` is synthesized, never what a payload holds.
 
 use std::time::{Duration, Instant};
 
@@ -85,12 +85,6 @@ pub struct LeaseMsg {
 
 crate::codec_fields! { LeaseMsg { machine, incarnation, era } }
 
-/// Wall-clock read for lease bookkeeping, kept in one place.
-fn now() -> Instant {
-    #[expect(clippy::disallowed_methods, reason = "leases are promises about real time; timestamps never enter wire payloads")]
-    Instant::now()
-}
-
 /// One machine's lease bookkeeping. Workers track only when they last
 /// talked to the master; the master additionally tracks when it last
 /// heard from each machine and which machines it has declared dead.
@@ -109,10 +103,9 @@ pub struct LeaseState {
 
 impl LeaseState {
     /// Fresh lease state for machine `me` of `n`; every lease starts
-    /// refreshed (the cluster is alive at ingress).
-    pub fn new(me: u16, n: usize, cfg: LeaseConfig) -> Self {
-        let t = now();
-        LeaseState { me, cfg, era: 0, last_seen: vec![t; n], dead: vec![false; n], last_beat: t }
+    /// refreshed at `now` (the cluster is alive at ingress).
+    pub fn new(me: u16, n: usize, cfg: LeaseConfig, now: Instant) -> Self {
+        LeaseState { me, cfg, era: 0, last_seen: vec![now; n], dead: vec![false; n], last_beat: now }
     }
 
     /// The configured policy.
@@ -135,12 +128,12 @@ impl LeaseState {
         self.dead[machine]
     }
 
-    /// Any envelope from `src` proves it alive *now* — the piggybacked
+    /// Any envelope from `src` proves it alive at `now` — the piggybacked
     /// refresh. Machines already declared dead are fenced out: a delayed
     /// heartbeat cannot resurrect them.
-    pub fn refresh(&mut self, src: usize) {
+    pub fn refresh(&mut self, src: usize, now: Instant) {
         if !self.dead[src] {
-            self.last_seen[src] = now();
+            self.last_seen[src] = now;
         }
     }
 
@@ -151,23 +144,23 @@ impl LeaseState {
         self.era = self.era.max(era);
     }
 
-    /// An engine observed a restart: the machine leases afresh.
-    pub fn observe_up(&mut self, machine: usize, era: u32) {
+    /// An engine observed a restart: the machine leases afresh from `now`.
+    pub fn observe_up(&mut self, machine: usize, era: u32, now: Instant) {
         self.dead[machine] = false;
-        self.last_seen[machine] = now();
+        self.last_seen[machine] = now;
         self.era = self.era.max(era);
     }
 
     /// Worker side: whether an explicit heartbeat to the master is due
-    /// (idle towards the master past half the lease period).
-    pub fn heartbeat_due(&self) -> bool {
-        !self.is_master() && self.last_beat.elapsed() >= self.cfg.heartbeat_every()
+    /// (idle towards the master for half the lease period by `now`).
+    pub fn heartbeat_due(&self, now: Instant) -> bool {
+        !self.is_master() && now - self.last_beat >= self.cfg.heartbeat_every()
     }
 
-    /// Worker side: something went out towards the master (piggybacked
-    /// refresh) or an explicit heartbeat was just sent.
-    pub fn note_sent_to_master(&mut self) {
-        self.last_beat = now();
+    /// Worker side: something went out towards the master at `now`
+    /// (piggybacked refresh) or an explicit heartbeat was just sent.
+    pub fn note_sent_to_master(&mut self, now: Instant) {
+        self.last_beat = now;
     }
 
     /// The heartbeat payload this machine would send.
@@ -175,11 +168,11 @@ impl LeaseState {
         LeaseMsg { machine: self.me, incarnation: 0, era: self.era }
     }
 
-    /// Master side: declares the next expired machine dead, if any.
-    /// Marks it dead, advances the era past everything observed, and
-    /// returns `(victim, era)` for the `K_DOWN` broadcast. Each victim is
-    /// declared exactly once.
-    pub fn expired(&mut self) -> Option<(u16, u32)> {
+    /// Master side: declares the next machine whose lease has expired by
+    /// `now` dead, if any. Marks it dead, advances the era past everything
+    /// observed, and returns `(victim, era)` for the `K_DOWN` broadcast.
+    /// Each victim is declared exactly once.
+    pub fn expired(&mut self, now: Instant) -> Option<(u16, u32)> {
         if !self.is_master() {
             return None;
         }
@@ -188,7 +181,7 @@ impl LeaseState {
             if j == self.me as usize || self.dead[j] {
                 continue;
             }
-            if self.last_seen[j].elapsed() > self.cfg.period {
+            if now - self.last_seen[j] > self.cfg.period {
                 self.dead[j] = true;
                 self.era += 1;
                 return Some((j as u16, self.era));
@@ -218,49 +211,52 @@ mod tests {
         assert_eq!(decode_from::<LeaseMsg>(buf.freeze()), None);
     }
 
+    const NS: Duration = Duration::from_nanos(1);
+
     #[test]
     fn refresh_keeps_lease_alive_and_expiry_fires_once() {
-        let cfg = LeaseConfig::with_period(Duration::from_millis(40));
-        let mut l = LeaseState::new(0, 3, cfg);
-        std::thread::sleep(Duration::from_millis(25));
-        l.refresh(1); // machine 1 talked; machine 2 stays silent
-        assert_eq!(l.expired(), None, "nothing expired yet");
-        std::thread::sleep(Duration::from_millis(25));
-        // Machine 2 has now been silent for ~50ms > 40ms; machine 1 for ~25ms.
-        assert_eq!(l.expired(), Some((2, 1)));
+        let period = Duration::from_millis(40);
+        let t0 = Instant::now();
+        let mut l = LeaseState::new(0, 3, LeaseConfig::with_period(period), t0);
+        let talked = t0 + Duration::from_millis(25);
+        l.refresh(1, talked); // machine 1 talked; machine 2 stays silent
+        assert_eq!(l.expired(t0 + period), None, "a lease holds for its whole period");
+        assert_eq!(l.expired(t0 + period + NS), Some((2, 1)));
         assert!(l.is_dead(2));
-        assert_eq!(l.expired(), None, "a death is declared exactly once");
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(l.expired(), Some((1, 2)), "next victim gets the next era");
+        assert_eq!(l.expired(t0 + period + NS), None, "a death is declared exactly once");
+        assert_eq!(l.expired(talked + period), None, "the refresh restarted machine 1's lease");
+        assert_eq!(l.expired(talked + period + NS), Some((1, 2)), "next victim gets the next era");
     }
 
     #[test]
     fn dead_machines_cannot_refresh() {
         let cfg = LeaseConfig::with_period(Duration::from_millis(20));
-        let mut l = LeaseState::new(0, 2, cfg);
+        let t0 = Instant::now();
+        let mut l = LeaseState::new(0, 2, cfg, t0);
         l.observe_death(1, 5);
-        l.refresh(1); // delayed heartbeat from the corpse
+        let later = t0 + Duration::from_secs(1);
+        l.refresh(1, later); // delayed heartbeat from the corpse
         assert!(l.is_dead(1));
         assert_eq!(l.era(), 5);
-        assert_eq!(l.expired(), None, "already dead: no duplicate declaration");
+        assert_eq!(l.expired(later), None, "already dead: no duplicate declaration");
     }
 
     #[test]
     fn heartbeat_cadence_is_half_period() {
-        let cfg = LeaseConfig::with_period(Duration::from_millis(30));
-        let mut l = LeaseState::new(1, 2, cfg);
-        assert!(!l.heartbeat_due());
-        std::thread::sleep(Duration::from_millis(16));
-        assert!(l.heartbeat_due());
-        l.note_sent_to_master();
-        assert!(!l.heartbeat_due());
+        let half = Duration::from_millis(15);
+        let t0 = Instant::now();
+        let mut l = LeaseState::new(1, 2, LeaseConfig::with_period(2 * half), t0);
+        assert!(!l.heartbeat_due(t0 + half - NS));
+        assert!(l.heartbeat_due(t0 + half));
+        l.note_sent_to_master(t0 + half);
+        assert!(!l.heartbeat_due(t0 + 2 * half - NS));
+        assert!(l.heartbeat_due(t0 + 2 * half));
     }
 
     #[test]
     fn workers_never_declare_deaths() {
-        let cfg = LeaseConfig::with_period(Duration::from_millis(1));
-        let mut l = LeaseState::new(1, 3, cfg);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(l.expired(), None);
+        let t0 = Instant::now();
+        let mut l = LeaseState::new(1, 3, LeaseConfig::with_period(Duration::from_millis(1)), t0);
+        assert_eq!(l.expired(t0 + Duration::from_secs(3600)), None);
     }
 }

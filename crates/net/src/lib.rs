@@ -104,6 +104,12 @@
 //! counters plus a per-message-kind breakdown charged at delivery
 //! ([`cluster::NetStats::by_kind`]) that attributes batch sub-messages to
 //! their real kinds — the instrumentation behind `repro -- abl-bytes`.
+//!
+//! ## Time
+//!
+//! This crate and `graphlab-core` read the wall clock and wait on it only
+//! through [`clock`]. Time decides when deliveries, heartbeats, expiries and
+//! timeouts happen, never what a payload holds.
 
 #![deny(
     clippy::disallowed_methods,
@@ -120,6 +126,7 @@
 )]
 
 pub mod batch;
+pub mod clock;
 pub mod cluster;
 pub mod codec;
 pub mod compress;

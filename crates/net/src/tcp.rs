@@ -52,6 +52,7 @@ use crossbeam::channel::{self, Sender};
 use graphlab_graph::MachineId;
 use parking_lot::Mutex;
 
+use crate::clock;
 use crate::cluster::{charge_delivery, Envelope, NetStats};
 use crate::transport::{Endpoint, Link};
 
@@ -180,9 +181,9 @@ impl TcpNet {
         assert!(n > 0, "cluster needs at least one machine");
         assert!(me.index() < n, "machine id {me} out of range for {n} peers");
 
-        #[expect(clippy::disallowed_methods, reason = "mesh-dial deadline; the real-socket backend is wall-clock by nature")]
-        let deadline = Instant::now() + cfg.connect_timeout;
-        let listener = bind_retry(&cfg.peers[me.index()], deadline)?;
+        let deadline = clock::now() + cfg.connect_timeout;
+        // (A fresh worker may race a port the parent's allocation just freed.)
+        let listener = retry_until(deadline, || TcpListener::bind(&cfg.peers[me.index()]))?;
         listener.set_nonblocking(true)?;
 
         let stats = Arc::new(NetStats::new(n));
@@ -298,8 +299,7 @@ impl TcpLink {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        #[expect(clippy::disallowed_methods, reason = "probation clock; the real-socket backend is wall-clock by nature")]
-        let now = Instant::now();
+        let now = clock::now();
         if out.retry_after.is_some_and(|t| now < t) {
             return; // peer recently unreachable: fail fast, drop the message
         }
@@ -313,9 +313,7 @@ impl TcpLink {
                 return;
             }
         }
-        #[expect(clippy::disallowed_methods, reason = "probation clock; the real-socket backend is wall-clock by nature")]
-        let retry_after = Instant::now() + RECONNECT_TIMEOUT;
-        out.retry_after = Some(retry_after);
+        out.retry_after = Some(clock::now() + RECONNECT_TIMEOUT);
     }
 }
 
@@ -408,10 +406,7 @@ fn accept_loop(
                     Err(_) => drop(s), // wrong magic/version/run/size: reject
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => clock::sleep(Duration::from_millis(2)), // none pending, or a transient error
         }
     }
     // Readers exit on EOF or forced close; TcpNet::drop has closed every
@@ -451,44 +446,30 @@ fn read_handshake(s: &mut TcpStream, n: u16, run_id: u64) -> io::Result<MachineI
 /// waiting for the accept side's ACK.
 fn dial(addr: &str, src: MachineId, n: u16, run_id: u64, deadline: Instant) -> io::Result<TcpStream> {
     let hs = handshake_bytes(src, n, run_id);
-    loop {
-        let err = match TcpStream::connect(addr) {
-            Ok(mut s) => {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                let ok = s.write_all(&hs).is_ok() && {
-                    let mut ack = [0u8; 1];
-                    s.read_exact(&mut ack).is_ok() && ack[0] == ACK
-                };
-                if ok {
-                    let _ = s.set_read_timeout(None);
-                    return Ok(s);
-                }
-                io::Error::new(io::ErrorKind::ConnectionRefused, format!("{addr} rejected handshake"))
-            }
-            Err(e) => e,
+    retry_until(deadline, || {
+        let mut s = TcpStream::connect(addr)?;
+        let _ = s.set_nodelay(true);
+        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+        let ok = s.write_all(&hs).is_ok() && {
+            let mut ack = [0u8; 1];
+            s.read_exact(&mut ack).is_ok() && ack[0] == ACK
         };
-        #[expect(clippy::disallowed_methods, reason = "dial-retry deadline; the real-socket backend is wall-clock by nature")]
-        if Instant::now() >= deadline {
-            return Err(err);
+        if !ok {
+            let why = format!("{addr} rejected handshake");
+            return Err(io::Error::new(io::ErrorKind::ConnectionRefused, why));
         }
-        std::thread::sleep(Duration::from_millis(25));
-    }
+        let _ = s.set_read_timeout(None);
+        Ok(s)
+    })
 }
 
-/// Binds `addr` with retries until `deadline` — a freshly spawned worker
-/// may race a just-released port from the parent's allocation pass.
-fn bind_retry(addr: &str, deadline: Instant) -> io::Result<TcpListener> {
+/// Runs `attempt` until it succeeds, pausing 25 ms between tries; once
+/// `deadline` has passed, a failure is returned as it is.
+fn retry_until<T>(deadline: Instant, mut attempt: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     loop {
-        match TcpListener::bind(addr) {
-            Ok(l) => return Ok(l),
-            Err(e) => {
-                #[expect(clippy::disallowed_methods, reason = "bind-retry deadline; the real-socket backend is wall-clock by nature")]
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
+        match attempt() {
+            Err(_) if clock::now() < deadline => clock::sleep(Duration::from_millis(25)),
+            result => return result,
         }
     }
 }

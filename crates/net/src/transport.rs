@@ -27,12 +27,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use graphlab_graph::MachineId;
 
+use crate::clock;
 use crate::cluster::{charge_send, Envelope, NetStats, RecvError, SimLink};
 use crate::latency::LatencyModel;
 use crate::tcp::{TcpConfig, TcpLink};
@@ -187,10 +188,9 @@ impl Endpoint {
     /// Runs a blocking wait and charges its elapsed time to the net-wait
     /// counter.
     fn charged<T>(&self, wait: impl FnOnce() -> T) -> T {
-        #[expect(clippy::disallowed_methods, reason = "net-wait phase accounting (EngineMetrics); measurement only")]
-        let t0 = Instant::now();
+        let t0 = clock::now();
         let r = wait();
-        self.wait_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.wait_nanos.fetch_add((clock::now() - t0).as_nanos() as u64, Ordering::Relaxed);
         r
     }
 
@@ -213,7 +213,7 @@ impl Endpoint {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         self.charged(|| {
             if self.self_death().is_some() {
-                std::thread::sleep(timeout.min(Duration::from_millis(5)));
+                clock::sleep(timeout.min(Duration::from_millis(5)));
                 return Err(RecvError::MachineDown);
             }
             self.rx.recv_timeout(timeout).map_err(|e| match e {
