@@ -348,7 +348,8 @@ where
         let Self { remote_tasks, queued, core, step, .. } = self;
         let Machine { lg, rec, net, .. } = core;
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
-            tasks.sort_unstable_by_key(|&l| lg.vertex_gvid(l));
+            // Ascending local ids are ascending global ids.
+            tasks.sort_unstable();
             rec.send_with(net, MachineId::from(j), ChromKind::Sched, |buf| {
                 StepTagged::<TaskSetMsg>::put(buf, *step, 0, |buf| {
                     TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))

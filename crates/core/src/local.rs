@@ -2,10 +2,14 @@
 //!
 //! Each machine materialises its [`LocalGraphInit`] (owned vertices/edges
 //! plus ghosts, §4.1) into a [`LocalGraph`]: dense columns indexed by
-//! *local* ids with hash maps back to global ids, a local CSR adjacency,
-//! and a data *version* per datum implementing the ghost cache coherence
-//! scheme ("cache coherence is managed using a simple versioning system,
-//! eliminating the transmission of unchanged or constant data").
+//! *local* ids, a local CSR adjacency, and a data *version* per datum
+//! implementing the ghost cache coherence scheme ("cache coherence is
+//! managed using a simple versioning system, eliminating the transmission
+//! of unchanged or constant data").
+//!
+//! Local ids are the ranks of the global ids, so the `gvid` and `geid`
+//! columns ascend strictly and global → local is a rank query on them,
+//! answered through a `RankIndex` per column — no hash map.
 //!
 //! Invariant: every **owned** vertex has its complete global adjacency
 //! locally (guaranteed by atom construction), so update functions always
@@ -14,8 +18,7 @@
 use std::ops::Range;
 
 use graphlab_graph::{
-    AtomId, Coloring, ConsistencyModel, DataGraph, EdgeDir, EdgeId, IdMap, LockType, MachineId,
-    VertexId,
+    AtomId, Coloring, ConsistencyModel, DataGraph, EdgeDir, EdgeId, LockType, MachineId, VertexId,
 };
 use graphlab_atoms::{InitEdge, InitVertex, LocalGraphInit};
 
@@ -28,6 +31,40 @@ pub struct LocalAdjEntry {
     pub edge: u32,
     /// Direction of the edge relative to the list's owner.
     pub dir: EdgeDir,
+}
+
+/// Global → local over a strictly ascending id column. `start[b]` is the
+/// first local id whose global id is at least `b << shift`, so bucket `b`
+/// of the column is `start[b]..start[b + 1]`. `shift` is the smallest that
+/// leaves no more buckets than ids: at most one `u32` per id, plus two.
+struct RankIndex {
+    shift: u32,
+    start: Vec<u32>,
+}
+
+impl RankIndex {
+    /// Indexes `col` in one pass; `raw` is an id's integer value.
+    fn new<T: Copy>(col: &[T], raw: impl Fn(T) -> u32) -> Self {
+        let (n, max) = (col.len() as u64, col.last().map_or(0, |&g| u64::from(raw(g))));
+        let shift = (0..32).find(|&s| max >> s < n).unwrap_or(32);
+        let buckets = (max >> shift) as usize + 1;
+        let mut start = Vec::with_capacity(buckets + 1);
+        for (l, &g) in col.iter().enumerate() {
+            // The buckets up to `g`'s that have no start yet start here.
+            start.resize((u64::from(raw(g)) >> shift) as usize + 1, l as u32);
+        }
+        start.resize(buckets + 1, n as u32);
+        RankIndex { shift, start }
+    }
+
+    /// The position of `g` (raw value `raw`) in the indexed `col`, if there.
+    #[inline]
+    fn rank<T: Ord>(&self, col: &[T], g: T, raw: u32) -> Option<u32> {
+        let b = (u64::from(raw) >> self.shift) as usize;
+        let hi = *self.start.get(b + 1)? as usize;
+        let lo = self.start[b] as usize;
+        col[lo..hi].binary_search(&g).ok().map(|i| (lo + i) as u32)
+    }
 }
 
 /// One machine's portion of the data graph.
@@ -61,9 +98,9 @@ pub struct LocalGraph<V, E> {
     adj_off: Vec<u32>,
     adj: Vec<LocalAdjEntry>,
 
-    // Global → local maps.
-    vmap: IdMap<VertexId, u32>,
-    emap: IdMap<EdgeId, u32>,
+    // Global → local over `gvid` and `geid`.
+    vrank: RankIndex,
+    erank: RankIndex,
 
     /// Local indices of owned vertices, ascending by global id.
     owned: Vec<u32>,
@@ -93,25 +130,21 @@ impl<V, E> LocalGraph<V, E> {
         if !edges.is_sorted_by_key(|e| e.geid) {
             edges.sort_by_key(|e| e.geid);
         }
+        // The rank indexes and every sort by local id rely on this.
+        debug_assert!(
+            vertices.is_sorted_by(|a, b| a.gvid < b.gvid) && edges.is_sorted_by(|a, b| a.geid < b.geid),
+            "global ids are unique in a part"
+        );
         let nv = vertices.len();
         let ne = edges.len();
 
-        // Global → local, dense up to the largest local vertex, for the edge
-        // endpoints below; `vmap` serves the lookups of the run.
-        const ABSENT: u32 = u32::MAX;
-        let mut local = vec![ABSENT; vertices.last().map_or(0, |v| v.gvid.index() + 1)];
-        let mut vmap = IdMap::with_capacity_and_hasher(nv, Default::default());
         let mut gvid = Vec::with_capacity(nv);
         let mut vowner = Vec::with_capacity(nv);
         let mut vdata = Vec::with_capacity(nv);
         let mut vmirrors = Vec::with_capacity(nv);
         let mut vcolor = Vec::with_capacity(nv);
         let mut vatom = Vec::with_capacity(nv);
-        for (i, InitVertex { gvid: g, atom, owner, mirrors, data }) in
-            vertices.into_iter().enumerate()
-        {
-            local[g.index()] = i as u32;
-            vmap.insert(g, i as u32);
+        for InitVertex { gvid: g, atom, owner, mirrors, data } in vertices {
             gvid.push(g);
             vowner.push(owner);
             vdata.push(data);
@@ -119,27 +152,24 @@ impl<V, E> LocalGraph<V, E> {
             vcolor.push(coloring.map_or(0, |c| c.color(g)));
             vatom.push(atom);
         }
+        let vrank = RankIndex::new(&gvid, |v| v.0);
         let local_of = |g: VertexId| {
-            let l = local.get(g.index()).copied().unwrap_or(ABSENT);
-            assert_ne!(l, ABSENT, "edge endpoint {g} locally present");
-            l
+            vrank.rank(&gvid, g, g.0).unwrap_or_else(|| panic!("edge endpoint {g} locally present"))
         };
 
-        let mut emap = IdMap::with_capacity_and_hasher(ne, Default::default());
         let mut geid = Vec::with_capacity(ne);
         let mut esrc = Vec::with_capacity(ne);
         let mut edst = Vec::with_capacity(ne);
         let mut eowner = Vec::with_capacity(ne);
         let mut edata = Vec::with_capacity(ne);
-        for (i, InitEdge { geid: g, src, dst, owner, data }) in edges.into_iter().enumerate() {
-            emap.insert(g, i as u32);
+        for InitEdge { geid: g, src, dst, owner, data } in edges {
             geid.push(g);
             esrc.push(local_of(src));
             edst.push(local_of(dst));
             eowner.push(owner);
             edata.push(data);
         }
-        drop(local);
+        let erank = RankIndex::new(&geid, |e| e.0);
 
         // CSR over local vertices.
         let mut counts = vec![0u32; nv + 1];
@@ -191,8 +221,8 @@ impl<V, E> LocalGraph<V, E> {
             eversion: vec![0; ne],
             adj_off,
             adj,
-            vmap,
-            emap,
+            vrank,
+            erank,
             owned,
         }
     }
@@ -278,13 +308,13 @@ impl<V, E> LocalGraph<V, E> {
     /// Local index of a global vertex id, if present.
     #[inline]
     pub fn local_vertex(&self, g: VertexId) -> Option<u32> {
-        self.vmap.get(&g).copied()
+        self.vrank.rank(&self.gvid, g, g.0)
     }
 
     /// Local index of a global edge id, if present.
     #[inline]
     pub fn local_edge(&self, g: EdgeId) -> Option<u32> {
-        self.emap.get(&g).copied()
+        self.erank.rank(&self.geid, g, g.0)
     }
 
     /// Global id of a local vertex.
@@ -517,7 +547,8 @@ fn scope_row<V, E>(lg: &LocalGraph<V, E>, c: u32, row: &mut Vec<u32>) {
     row.clear();
     row.push(c);
     row.extend(lg.adj(c).iter().map(|e| e.nbr));
-    row.sort_unstable_by_key(|&l| (lg.vertex_owner(l), lg.vertex_gvid(l)));
+    // Local ids ascend with global ids: this is the order `(owner, gvid)`.
+    row.sort_unstable_by_key(|&l| (lg.vertex_owner(l), l));
     row.dedup();
 }
 
@@ -550,7 +581,7 @@ impl ScopePlans {
             // A self-loop lists its edge twice in `adj(c)`.
             owned.clear();
             owned.extend(lg.adj(c).iter().map(|e| e.edge).filter(|&e| lg.owns_edge(e)));
-            owned.sort_unstable_by_key(|&e| lg.edge_geid(e));
+            owned.sort_unstable();
             owned.dedup();
             p.edges.extend_from_slice(&owned);
         }

@@ -61,7 +61,8 @@ pub fn sample_timeline(
 /// put real network latency in `net_wait`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Ingress: building this machine's part of the graph.
+    /// Ingress: loading this machine's part of the graph. `LocalGraph::from_init`
+    /// runs after it, inside the engine, so its cost counts in `compute`.
     pub setup: Duration,
     /// Engine time not spent blocked on the network.
     pub compute: Duration,

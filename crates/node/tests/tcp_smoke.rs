@@ -70,7 +70,11 @@ fn four_process_pagerank_matches_simnet_for_both_engines() {
 #[test]
 fn killed_worker_is_adopted_over_tcp() {
     let _mesh = mesh_lock();
-    let vertices = 12_000usize;
+    // Sized so that an unkilled run lasts ≥ 5× the victim's death delay
+    // below: a release build's engine took 330–440 ms on a 2-vCPU host
+    // (12 000 vertices took 75–90 ms, under 2× the delay, and the victim
+    // sometimes finished before it died).
+    let vertices = 64_000usize;
     let victim = 2u16;
     // Reserve 4 ports the workers re-bind (bind_retry covers the race).
     let ports: Vec<u16> = (0..4)
@@ -92,8 +96,8 @@ fn killed_worker_is_adopted_over_tcp() {
             .args(["--edges-per", "4", "--out"])
             .arg(&out_file);
         if m == victim {
-            // (After the mesh is up. A release build finishes this run in
-            // ~150 ms: a later death would find the victim already done.)
+            // (After the mesh is up; a later death could find the victim
+            // already done.)
             cmd.args(["--die-after-ms", "50"]);
         }
         let child = cmd.spawn().expect("spawn worker");

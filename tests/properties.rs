@@ -251,6 +251,44 @@ proptest! {
         }
     }
 
+    /// `LocalGraph`'s global → local lookup against its definition: an id's
+    /// local id is its position in the `gvid`/`geid` column, and an id not
+    /// there — past the column's end, `u32::MAX` — has none. Parts on 8
+    /// machines are sparse, so their index buckets span several ids.
+    #[test]
+    fn local_lookup_is_the_rank_of_the_id(g in arb_graph(), k in 8usize..17) {
+        use graphlab::core::LocalGraph;
+        use graphlab::graph::EdgeId;
+        let (atoms, index) = build_atoms(&g, &VertexPartition::random_hash(g.num_vertices(), k, 7), "t");
+        let dfs = SimDfs::new();
+        write_atoms(&dfs, "t", &atoms, &index);
+        let mut parts = vec![LocalGraphInit {
+            machine: MachineId(0),
+            num_machines: 1,
+            vertices: Vec::new(),
+            edges: Vec::new(),
+            total_vertices: 0,
+            total_edges: 0,
+        }];
+        for machines in [1, 2, 8] {
+            let placement = Placement::compute(&index, machines);
+            for m in (0..machines).map(MachineId::from) {
+                parts.push(load_machine_part::<f64, f64>(&dfs, &index, &placement, m).unwrap());
+            }
+        }
+        let past_every_id = g.num_vertices().max(g.num_edges()) as u32 + 64;
+        for part in parts {
+            let lg = LocalGraph::from_init(part, None);
+            let gvid: Vec<VertexId> = (0..lg.num_local_vertices() as u32).map(|l| lg.vertex_gvid(l)).collect();
+            let geid: Vec<EdgeId> = (0..lg.num_local_edges() as u32).map(|l| lg.edge_geid(l)).collect();
+            for id in (0..=past_every_id).chain([u32::MAX]) {
+                let position = |found: Option<usize>| found.map(|l| l as u32);
+                prop_assert_eq!(lg.local_vertex(VertexId(id)), position(gvid.iter().position(|&v| v == VertexId(id))));
+                prop_assert_eq!(lg.local_edge(EdgeId(id)), position(geid.iter().position(|&e| e == EdgeId(id))));
+            }
+        }
+    }
+
     #[test]
     fn journal_roundtrip_arbitrary_atoms(
         vdata in proptest::collection::vec(-1e9f64..1e9, 1..20),
