@@ -54,11 +54,6 @@
 //!   the machine lists of released chains, which the next forwarded
 //!   requests take over.
 //!
-//! Snapshots (§4.3) come in both flavours: stop-and-flush synchronous (a
-//! FIFO marker barrier, like recovery's), and the asynchronous
-//! Chandy-Lamport variant expressed as a prioritised update function
-//! (Alg. 5).
-//!
 //! # Termination: the quiet round
 //!
 //! The run is over when every machine is idle (scheduler, snapshot queue,
@@ -79,13 +74,11 @@
 //!   on to the final sync and `Halt`; otherwise it starts round `k + 1`
 //!   once it is idle again.
 //!
-//! Master triggers count as work: no sync epoch or snapshot starts while a
-//! round is in flight, and no round while one of them is — a snapshot
-//! wakes machines with no counted message. A death needs nothing of its
-//! own: recovery discards the pre-drain traffic, `reset_engine_state`
-//! abandons the round everywhere, and the master opens a fresh one once it
-//! is idle after the resume. On a lone survivor the round has no peers and
-//! completes at once.
+//! Master triggers count as work ("Coordination" below). A death needs
+//! nothing of its own: recovery discards the pre-drain traffic,
+//! `reset_engine_state` abandons the round everywhere, and the master opens
+//! a fresh one once it is idle after the resume. On a lone survivor the
+//! round has no peers and completes at once.
 //!
 //! **Why a clean round is sound.** Suppose every report of round `k` was
 //! clean, and take the first counted message any machine sent after its
@@ -98,6 +91,40 @@
 //! marker, every machine was idle at its marker, and all work sent before
 //! a marker reached its receiver before the receiver's own: the cluster is
 //! quiescent.
+//!
+//! # Coordination
+//!
+//! Where the master stands in its protocols is one `Round`; where a machine
+//! stands in a snapshot (§4.3) is one `SnapPart`. Their transitions:
+//!
+//! - `Round` (master): `Idle → Quiet → Idle` (dirty) or `→ Halt` (clean);
+//!   `Idle → Snapshot → Idle` once every survivor's part is written;
+//!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
+//!   sync first when syncs are configured and no epoch just finalized the
+//!   globals, then counts the acks.
+//! - `SnapPart`, stop-and-flush: `Idle → Sync(Draining → Drained →
+//!   Flushing → Written) → Idle`, from `SnapSyncStart` to `SnapResume`, its
+//!   flush a FIFO marker barrier like recovery's. Chandy-Lamport as a
+//!   prioritised update function (Alg. 5): `Idle → Async → Idle`, from
+//!   `SnapAsyncStart` until every owned vertex is marked and the part
+//!   written. The per-vertex colour and the snapshot id live beside it:
+//!   Alg. 5's colour outlives the part.
+//!
+//! A trigger is work (a snapshot wakes machines with no counted message):
+//! a quiet round or a snapshot starts only from `Idle`, a quiet round only
+//! with no sync epoch out, and no sync epoch starts during a quiet round or
+//! the halt. Two overlaps are allowed:
+//!
+//! - a sync epoch runs beside a snapshot (it is not in the enum): its
+//!   partials read the graph as it stands and carry no work;
+//! - a stop predicate that fires during a snapshot (from such an epoch)
+//!   halts the run only once that snapshot is written, so the last
+//!   checkpoint taken is complete: `Snapshot`'s `halt` latch.
+//!
+//! The master's own votes, reports and broadcasts go where its peers' go:
+//! `tell_master` and `broadcast_all` hand them to `handle` at once, so the
+//! master decides on the pass its own vote lands — an idle master has
+//! nothing else to wake it. A reset sets both enums to `Idle`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -169,6 +196,59 @@ impl Quiet {
         match self {
             Quiet::Done(k) | Quiet::Owed(k) | Quiet::Sent(k, _) => k,
         }
+    }
+}
+
+/// The master's round in flight (module docs, "Coordination").
+enum Round {
+    /// None: a quiet round or a snapshot may start.
+    Idle,
+    /// A quiet round: the reports got, and whether every one was clean.
+    Quiet { reports: Tally, clean: bool },
+    /// A snapshot: `SnapSyncReady` votes until every survivor drained
+    /// (synchronous mode), then `SnapDone` votes — no part is written
+    /// before the master's flush marker. `halt`: the stop predicate fired
+    /// during it, so the run halts once it is written.
+    Snapshot { votes: Tally, halt: bool },
+    /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
+    /// acks.
+    Halt { acks: Option<Tally> },
+}
+
+/// This machine's part of the snapshot in flight (module docs,
+/// "Coordination").
+enum SnapPart {
+    /// None in flight, or this machine's asynchronous part is written.
+    Idle,
+    /// Stop-and-flush: no new lock chain starts until `SnapResume`.
+    Sync(SyncPart),
+    /// Alg. 5: owned vertices to snapshot (all of them, then the ones
+    /// neighbours schedule), the rows saved so far, and how many owned
+    /// vertices are still unmarked.
+    Async { queue: VecDeque<u32>, buffer: SnapshotFile, remaining: usize },
+}
+
+/// Where a machine stands in a synchronous snapshot.
+enum SyncPart {
+    /// Chains of its own still in flight.
+    Draining,
+    /// None left; `SnapSyncReady` sent.
+    Drained,
+    /// Its flush marker out; the survivors' markers held so far.
+    Flushing(Markers),
+    /// Captured and written, `SnapDone` sent.
+    Written,
+}
+
+impl SnapPart {
+    /// Whether new lock chains wait for the resume.
+    fn pauses(&self) -> bool {
+        matches!(self, SnapPart::Sync(_))
+    }
+
+    /// Whether snapshot tasks are queued.
+    fn has_tasks(&self) -> bool {
+        matches!(self, SnapPart::Async { queue, .. } if !queue.is_empty())
     }
 }
 
@@ -396,31 +476,13 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     // Snapshot state.
     snap_epoch: Vec<u32>,
     current_snap: u32,
-    snap_queue: VecDeque<u32>,
-    snap_buffer: SnapshotFile,
-    snap_remaining: usize,
-    snap_paused: bool,
-    snap_ready_sent: bool,
-    /// Synchronous snapshot: the `LockKind::SnapSyncFlush` markers held —
-    /// `None` until this machine has sent its own.
-    snap_flushes: Option<Markers>,
-    snap_written: bool,
+    part: SnapPart,
 
     // Master-only coordination state.
-    /// The quiet round in flight: the reports got, and whether all of them
-    /// were clean.
-    m_quiet: Option<(Tally, bool)>,
-    m_snap_in_progress: bool,
-    m_snap_ready: Tally,
-    m_snap_done: Tally,
-    m_async_done: Tally,
-    m_halt_pending: bool,
-    m_halt_sent: bool,
-    m_halt_acks: Tally,
+    round: Round,
     m_sync_epoch: u64,
     m_sync_next_at: u64,
     m_sync_outstanding: Option<SyncEpoch>,
-    m_final_sync_done: bool,
 
     // Commit/hop scratch, reused across updates (beside `core.rowbuf`):
     // chains woken by a release, per-destination commit output (by machine
@@ -496,25 +558,11 @@ where
             cap_reached: false,
             snap_epoch: vec![0; nv],
             current_snap: 0,
-            snap_queue: VecDeque::new(),
-            snap_buffer: SnapshotFile::default(),
-            snap_remaining: 0,
-            snap_paused: false,
-            snap_ready_sent: false,
-            snap_flushes: None,
-            snap_written: false,
-            m_quiet: None,
-            m_snap_in_progress: false,
-            m_snap_ready: Tally::default(),
-            m_snap_done: Tally::default(),
-            m_async_done: Tally::default(),
-            m_halt_pending: false,
-            m_halt_sent: false,
-            m_halt_acks: Tally::default(),
+            part: SnapPart::Idle,
+            round: Round::Idle,
             m_sync_epoch: 0,
             m_sync_next_at: setup.config.sync_interval_updates,
             m_sync_outstanding: None,
-            m_final_sync_done: false,
             woken: Vec::new(),
             outbox: (0..m).map(|_| Outbox::default()).collect(),
             rest_pool: Vec::new(),
@@ -569,9 +617,9 @@ where
                 self.check_snapshot_progress();
                 self.update_idle();
                 if self.core.is_master() {
-                    // update_idle may have collected the last clean report
-                    // of a quiet round (m_halt_pending) — sequence the halt
-                    // now rather than after a full idle deadline.
+                    // update_idle may have ended a quiet round (a clean one
+                    // halts a lone master): start what is due now rather
+                    // than after a full idle deadline.
                     self.master_triggers();
                     if self.halted {
                         break;
@@ -669,13 +717,13 @@ where
         if !self.ready.is_empty() {
             return true;
         }
-        if self.snap_paused || self.halted {
+        if self.part.pauses() || self.halted {
             return false;
         }
         if self.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
             return false;
         }
-        if !self.snap_queue.is_empty() {
+        if self.part.has_tasks() {
             return true;
         }
         !self.cap_reached && !self.scheduler.is_empty()
@@ -684,7 +732,7 @@ where
     // ---- pipeline ----
 
     fn pump(&mut self) {
-        if self.snap_paused || self.halted {
+        if self.part.pauses() || self.halted {
             return;
         }
         if !self.cap_reached && self.core.capped(self.core.live_updates()) {
@@ -710,7 +758,8 @@ where
     }
 
     fn pop_snap_task(&mut self) -> Option<u32> {
-        while let Some(l) = self.snap_queue.pop_front() {
+        let SnapPart::Async { queue, .. } = &mut self.part else { return None };
+        while let Some(l) = queue.pop_front() {
             if self.snap_epoch[l as usize] != self.current_snap {
                 return Some(l);
             }
@@ -933,13 +982,15 @@ where
     }
 
     /// Enqueues a task for a vertex this machine owns: a snapshot task
-    /// (Alg. 5) to the snapshot queue unless the vertex is already marked,
-    /// an application task to the scheduler.
+    /// (Alg. 5) to the asynchronous part's queue unless the vertex is
+    /// already marked, an application task to the scheduler.
     fn schedule_owned(&mut self, lv: u32, prio: f64, is_snapshot: bool) {
         debug_assert!(self.core.lg.owns_vertex(lv));
         if is_snapshot {
-            if self.current_snap > 0 && self.snap_epoch[lv as usize] != self.current_snap {
-                self.snap_queue.push_back(lv);
+            if let SnapPart::Async { queue, .. } = &mut self.part {
+                if self.snap_epoch[lv as usize] != self.current_snap {
+                    queue.push_back(lv);
+                }
             }
         } else if !self.cap_reached {
             let fresh = self.scheduler.add(lv, prio);
@@ -1092,25 +1143,26 @@ where
         let snap = self.current_snap;
         self.core.effects.clear();
         if self.snap_epoch[center as usize] != snap {
+            // An owned vertex is unmarked only while its part is not written.
+            let SnapPart::Async { buffer, remaining, .. } = &mut self.part else {
+                unreachable!("an unmarked snapshot task outside an asynchronous part")
+            };
+            let lg = &self.core.lg;
             // Save D_v.
-            self.snap_buffer
-                .vrows
-                .push((self.core.lg.vertex_gvid(center), enc(self.core.lg.vertex_data(center))));
+            buffer.vrows.push((lg.vertex_gvid(center), enc(lg.vertex_data(center))));
             // Save edges to not-yet-snapshotted neighbours; schedule them
             // (commit routes owned ones to the snapshot queue, the rest to
             // their owners).
-            for e in self.core.lg.adj(center) {
+            for e in lg.adj(center) {
                 if self.snap_epoch[e.nbr as usize] != snap {
-                    self.snap_buffer
-                        .erows
-                        .push((self.core.lg.edge_geid(e.edge), enc(self.core.lg.edge_data(e.edge))));
+                    buffer.erows.push((lg.edge_geid(e.edge), enc(lg.edge_data(e.edge))));
                     self.core.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
             // propagates with the ordinary scope-data synchronisation.
             self.snap_epoch[center as usize] = snap;
-            self.snap_remaining -= 1;
+            *remaining -= 1;
             self.core.lg.bump_vertex_version(center);
         }
         self.commit_and_release(out);
@@ -1248,7 +1300,11 @@ where
                 self.halted = true;
             }
             LockKind::HaltAck => {
-                self.m_halt_acks.vote();
+                let Round::Halt { acks: Some(acks) } = &mut self.round else {
+                    unreachable!("an ack of no halt")
+                };
+                acks.vote();
+                self.halted = self.core.rec.complete(acks);
             }
             LockKind::SyncPart => {
                 let msg: LockSyncPartialMsg = dec(env.payload);
@@ -1261,34 +1317,41 @@ where
             LockKind::SyncReq => {
                 let epoch: u64 = dec(env.payload);
                 let partials = local_partials(&self.core.setup.syncs, &self.core.lg);
-                self.core.send(
-                    MachineId(0),
-                    LockKind::SyncPart,
-                    enc(&LockSyncPartialMsg { epoch, partials }),
-                );
+                self.tell_master(LockKind::SyncPart, enc(&LockSyncPartialMsg { epoch, partials }));
             }
             LockKind::SnapSyncStart => {
-                let _snap: u64 = dec(env.payload);
-                self.begin_sync_snapshot();
+                debug_assert!(matches!(self.part, SnapPart::Idle), "a snapshot inside a snapshot");
+                self.part = SnapPart::Sync(SyncPart::Draining);
             }
             LockKind::SnapSyncReady => {
                 debug_assert_eq!(dec::<u64>(env.payload), self.core.snapshots, "READY of another snapshot");
-                self.master_collect_snap_ready();
+                self.master_collect_snap(kind);
             }
             LockKind::SnapSyncFlush => {
                 let snap: u64 = dec(env.payload);
                 debug_assert_eq!(snap, self.core.snapshots, "marker of another snapshot");
                 self.snap_flush().note(env.src, snap);
             }
-            LockKind::SnapDone => {
-                self.m_snap_done.vote();
+            LockKind::SnapDone => self.master_collect_snap(kind),
+            LockKind::SnapResume => {
+                self.part = SnapPart::Idle;
+                // Conservative: the checkpoint just cut may be restored into
+                // a fresh cluster later; drop residency assumptions so the
+                // table never spans a snapshot boundary.
+                self.cache.invalidate_all();
             }
-            LockKind::SnapResume => self.end_sync_snapshot(),
             LockKind::SnapAsyncStart => {
-                let snap: u64 = dec(env.payload);
-                self.begin_async_snapshot(snap as u32);
+                debug_assert!(matches!(self.part, SnapPart::Idle), "a snapshot inside a snapshot");
+                // Snapshot boundary: drop all residency assumptions (see
+                // LockKind::SnapResume). Alg. 5's marker propagation also
+                // relies on version bumps, which this makes unconditionally
+                // safe.
+                self.cache.invalidate_all();
+                self.current_snap = dec::<u64>(env.payload) as u32;
+                let owned = self.core.lg.owned_vertices();
+                let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
+                self.part = SnapPart::Async { queue, buffer: SnapshotFile::default(), remaining };
             }
-            LockKind::SnapAsyncMdone => self.master_collect_async_done(),
             LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
                 if self.core.is_master() {
@@ -1305,7 +1368,7 @@ where
     /// follows with the next at once — nothing else would wake it.
     fn update_idle(&mut self) {
         let idle = (self.scheduler.is_empty() || self.cap_reached)
-            && self.snap_queue.is_empty()
+            && !self.part.has_tasks()
             && self.outs.live() == 0
             && self.ready.is_empty();
         if idle {
@@ -1315,8 +1378,13 @@ where
         }
         loop {
             match self.quiet {
-                Quiet::Done(last) if idle && self.core.is_master() && !self.master_busy() => {
-                    self.m_quiet = Some((Tally::default(), true));
+                Quiet::Done(last)
+                    if idle
+                        && self.core.is_master()
+                        && matches!(self.round, Round::Idle)
+                        && self.m_sync_outstanding.is_none() =>
+                {
+                    self.round = Round::Quiet { reports: Tally::default(), clean: true };
                     self.quiet = Quiet::Owed(last + 1);
                 }
                 Quiet::Owed(k) if idle => {
@@ -1326,15 +1394,35 @@ where
                 Quiet::Sent(k, dirty) if self.core.rec.holds(&self.quiet_marks, k) => {
                     self.quiet = Quiet::Done(k);
                     let report = QuietReportMsg { round: k, clean: !dirty };
-                    if self.core.is_master() {
-                        self.master_collect_quiet(report);
-                    } else {
-                        self.core.send(MachineId(0), LockKind::QuietReport, enc(&report));
-                    }
+                    self.tell_master(LockKind::QuietReport, enc(&report));
                 }
                 _ => return,
             }
         }
+    }
+
+    /// Handles this machine's own `kind` message at once, as a peer does
+    /// on receipt (nothing is sent to oneself).
+    fn handle_own(&mut self, kind: LockKind, payload: Bytes) {
+        let me = self.core.me();
+        self.handle(kind, Envelope { src: me, dst: me, kind: kind as u16, payload });
+    }
+
+    /// A vote or report for the master: sent, or on the master itself
+    /// handled at once, so that it decides on the pass its own vote lands —
+    /// an idle master has nothing else to wake it.
+    fn tell_master(&mut self, kind: LockKind, payload: Bytes) {
+        if self.core.is_master() {
+            self.handle_own(kind, payload);
+        } else {
+            self.core.send(MachineId(0), kind, payload);
+        }
+    }
+
+    /// Master: `kind` to every peer, and handled here as they handle it.
+    fn broadcast_all(&mut self, kind: LockKind, payload: Bytes) {
+        self.core.broadcast(kind, &payload);
+        self.handle_own(kind, payload);
     }
 
     // ---- master coordination ----
@@ -1343,102 +1431,73 @@ where
         debug_assert!(self.core.is_master());
         let g_updates = self.core.observed_updates();
 
-        // Background sync epochs. Neither they nor snapshots start during a
-        // quiet round: a trigger is work.
+        // Background sync epochs: beside a snapshot, never during a quiet
+        // round or the halt, nor once a stop is latched (a trigger is work).
         let interval = self.core.setup.config.sync_interval_updates;
         if interval > 0
             && !self.core.setup.syncs.is_empty()
             && self.m_sync_outstanding.is_none()
-            && self.m_quiet.is_none()
+            && matches!(self.round, Round::Idle | Round::Snapshot { halt: false, .. })
             && g_updates >= self.m_sync_next_at
-            && !self.m_halt_sent
         {
             self.m_sync_next_at = g_updates + interval;
             self.start_sync_epoch(false);
         }
 
         // Snapshot triggers.
-        let busy = self.m_snap_in_progress
-            || self.m_quiet.is_some()
-            || self.m_halt_pending
-            || self.m_halt_sent;
-        if let Some(id) = if busy { None } else { self.core.snapshot_due() } {
-            self.m_snap_in_progress = true;
-            self.m_snap_done = Tally::default();
-            self.m_async_done = Tally::default();
-            self.m_snap_ready = Tally::default();
-            match self.core.setup.config.snapshot.mode {
-                SnapshotMode::Synchronous => {
-                    let payload = enc(&id);
-                    self.core.broadcast(LockKind::SnapSyncStart, &payload);
-                    self.begin_sync_snapshot();
-                }
-                SnapshotMode::Asynchronous => {
-                    let payload = enc(&(id + 1));
-                    self.core.broadcast(LockKind::SnapAsyncStart, &payload);
-                    self.begin_async_snapshot((id + 1) as u32);
-                }
+        let idle = matches!(self.round, Round::Idle);
+        if let Some(id) = if idle { self.core.snapshot_due() } else { None } {
+            self.round = Round::Snapshot { votes: Tally::default(), halt: false };
+            let (kind, payload) = match self.core.setup.config.snapshot.mode {
+                SnapshotMode::Synchronous => (LockKind::SnapSyncStart, enc(&id)),
+                SnapshotMode::Asynchronous => (LockKind::SnapAsyncStart, enc(&(id + 1))),
                 SnapshotMode::None => unreachable!("no snapshot is ever due"),
-            }
+            };
+            self.broadcast_all(kind, payload);
         }
-
-        // Halt sequencing: optional final sync, then halt broadcast.
-        if self.m_halt_pending && !self.m_snap_in_progress && !self.m_halt_sent {
-            if !self.core.setup.syncs.is_empty() && !self.m_final_sync_done {
-                if self.m_sync_outstanding.is_none() {
-                    self.start_sync_epoch(true);
-                }
-            } else {
-                self.m_halt_sent = true;
-                self.m_halt_acks = Tally::with_own_vote();
-                self.core.broadcast(LockKind::Halt, &Bytes::new());
-            }
-        }
-        if self.m_halt_sent && self.core.rec.complete(&self.m_halt_acks) {
-            self.halted = true;
-        }
-    }
-
-    /// Master: whether a quiet round may not open now — one is in flight,
-    /// or a sync epoch, a snapshot or the halt is.
-    fn master_busy(&self) -> bool {
-        self.m_quiet.is_some()
-            || self.m_sync_outstanding.is_some()
-            || self.m_snap_in_progress
-            || self.m_halt_pending
-            || self.m_halt_sent
     }
 
     /// Master: one more verdict on the round in flight. Once every
-    /// survivor's is in, the run halts if all were clean; otherwise the
-    /// next round opens when the master is idle again.
+    /// survivor's is in, the run ends if all were clean — with syncs
+    /// configured the final sync first, so that every machine halts holding
+    /// the final globals; otherwise the next round opens when the master is
+    /// idle again.
     fn master_collect_quiet(&mut self, report: QuietReportMsg) {
         debug_assert_eq!(report.round, self.quiet.round(), "report of another round");
-        let (reports, clean) = self.m_quiet.as_mut().expect("a report of the round in flight");
+        let Round::Quiet { reports, clean } = &mut self.round else {
+            unreachable!("a report of no round in flight")
+        };
         reports.vote();
         *clean &= report.clean;
         if self.core.rec.complete(reports) {
-            tr!("[m{}] QUIET round={} clean={}", self.core.me().0, report.round, *clean);
-            self.m_halt_pending |= *clean;
-            self.m_quiet = None;
+            let clean = *clean;
+            tr!("[m{}] QUIET round={} clean={}", self.core.me().0, report.round, clean);
+            self.round = Round::Idle;
+            if clean && self.core.setup.syncs.is_empty() {
+                self.halt();
+            } else if clean {
+                self.round = Round::Halt { acks: None };
+                self.start_sync_epoch(true);
+            }
         }
     }
 
+    /// Master: `Halt` out; the run is over here once every survivor acked.
+    fn halt(&mut self) {
+        let acks = Tally::with_own_vote();
+        self.halted = self.core.rec.complete(&acks);
+        self.round = Round::Halt { acks: Some(acks) };
+        self.core.broadcast(LockKind::Halt, &Bytes::new());
+    }
+
+    /// Master: every machine's partials, the master's own included, are
+    /// collected by `master_collect_sync`.
     fn start_sync_epoch(&mut self, fin: bool) {
         self.m_sync_epoch += 1;
         let epoch = if fin { u64::MAX } else { self.m_sync_epoch };
-        let payload = enc(&epoch);
-        self.core.broadcast(LockKind::SyncReq, &payload);
-        let mut accs: Vec<Box<dyn std::any::Any + Send>> =
-            self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
-        let mine = local_partials(&self.core.setup.syncs, &self.core.lg);
-        combine_partials(&self.core.setup.syncs, &mut accs, &mine);
-        let got = Tally::with_own_vote();
-        let alone = self.core.rec.complete(&got);
-        self.m_sync_outstanding = Some((epoch, accs, got));
-        if alone {
-            self.finish_sync_epoch();
-        }
+        let accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+        self.m_sync_outstanding = Some((epoch, accs, Tally::default()));
+        self.broadcast_all(LockKind::SyncReq, enc(&epoch));
     }
 
     fn master_collect_sync(&mut self, msg: LockSyncPartialMsg) {
@@ -1463,154 +1522,96 @@ where
         let payload = enc(&msg);
         self.core.broadcast(LockKind::SyncGlob, &payload);
         if epoch == u64::MAX {
-            self.m_final_sync_done = true;
-        }
-        // Aggregate-driven termination (§3.5): evaluate the stop predicate
-        // over the just-finalized globals. The epoch that tripped it doubles
-        // as the final sync — everyone already holds these values.
-        if !self.m_halt_pending && self.core.stop_hit() {
+            self.halt();
+        } else if self.core.stop_hit() {
+            // Aggregate-driven termination (§3.5): the stop predicate over
+            // the just-finalized globals. The epoch that tripped it doubles
+            // as the final sync — everyone already holds these values. A
+            // snapshot in flight is written first.
             tr!("[m{}] STOP_WHEN fired at epoch {}", self.core.me().0, epoch);
-            self.m_halt_pending = true;
-            self.m_final_sync_done = true;
+            match &mut self.round {
+                Round::Snapshot { halt, .. } => *halt = true,
+                _ => self.halt(),
+            }
         }
     }
 
     // ---- snapshots ----
 
-    fn begin_sync_snapshot(&mut self) {
-        debug_assert!(!self.snap_ready_sent && self.snap_flushes.is_none() && !self.snap_written);
-        self.snap_paused = true;
-    }
-
-    /// Leaves a synchronous snapshot: on `LockKind::SnapResume`, inline on
-    /// the master (it never receives its own broadcast), and in a reset.
-    fn end_sync_snapshot(&mut self) {
-        self.snap_paused = false;
-        self.snap_ready_sent = false;
-        self.snap_flushes = None;
-        self.snap_written = false;
-        // Conservative: the checkpoint just cut may be restored into a
-        // fresh cluster later; drop residency assumptions so the table
-        // never spans a snapshot boundary.
-        self.cache.invalidate_all();
-    }
-
-    fn begin_async_snapshot(&mut self, snap: u32) {
-        // Snapshot boundary: drop all residency assumptions (see the
-        // LockKind::SnapResume note). Alg. 5's marker propagation additionally
-        // relies on version bumps, which this makes unconditionally safe.
-        self.cache.invalidate_all();
-        self.current_snap = snap;
-        self.snap_buffer = SnapshotFile::default();
-        self.snap_remaining = self.core.lg.owned_vertices().len();
-        self.snap_queue.clear();
-        for i in 0..self.core.lg.owned_vertices().len() {
-            let l = self.core.lg.owned_vertices()[i];
-            self.snap_queue.push_back(l);
-        }
-        if self.snap_remaining == 0 {
-            // No owned vertices: immediately done.
-            self.finish_async_snapshot();
-        }
-    }
-
-    fn finish_async_snapshot(&mut self) {
-        let file = std::mem::take(&mut self.snap_buffer);
-        self.core.write_checkpoint(self.current_snap as u64 - 1, file);
-        if self.core.is_master() {
-            self.master_collect_async_done();
-        } else {
-            self.core.send(MachineId(0), LockKind::SnapAsyncMdone, Bytes::new());
-        }
-    }
-
-    /// Master: one more machine wrote its part of the asynchronous
-    /// snapshot. Decided here, where the votes arrive, so that a quiet
-    /// round can open on the same idle pass.
-    fn master_collect_async_done(&mut self) {
-        self.m_async_done.vote();
-        if self.core.rec.complete(&self.m_async_done) {
-            self.m_snap_in_progress = false;
-        }
-    }
-
+    /// Moves this machine's part as far as it goes (module docs,
+    /// "Coordination"): an asynchronous part is written once every owned
+    /// vertex is marked; a synchronous one is drained once no chain of its
+    /// own is left, and written once every survivor's flush marker is held.
     fn check_snapshot_progress(&mut self) {
-        // Asynchronous: machine part complete when every owned vertex is
-        // marked.
-        if self.current_snap > 0 && self.snap_remaining == 0 && !self.snap_buffer_is_flushed() {
-            self.finish_async_snapshot();
-        }
-
-        // Synchronous: drained → READY; every survivor's flush marker held
-        // → write + DONE.
-        if self.snap_paused && !self.snap_ready_sent && self.outs.live() == 0 && self.ready.is_empty()
-        {
-            self.snap_ready_sent = true;
-            if self.core.is_master() {
-                self.master_collect_snap_ready();
-            } else {
-                self.core.send(MachineId(0), LockKind::SnapSyncReady, enc(&self.core.snapshots));
+        loop {
+            let snap = self.core.snapshots;
+            match &mut self.part {
+                SnapPart::Async { remaining: 0, buffer, .. } => {
+                    let file = std::mem::take(buffer);
+                    self.part = SnapPart::Idle;
+                    self.core.write_checkpoint(self.current_snap as u64 - 1, file);
+                    self.tell_master(LockKind::SnapDone, Bytes::new());
+                }
+                SnapPart::Sync(SyncPart::Draining)
+                    if self.outs.live() == 0 && self.ready.is_empty() =>
+                {
+                    self.part = SnapPart::Sync(SyncPart::Drained);
+                    self.tell_master(LockKind::SnapSyncReady, enc(&snap));
+                }
+                SnapPart::Sync(SyncPart::Flushing(marks)) if self.core.rec.holds(marks, snap) => {
+                    self.part = SnapPart::Sync(SyncPart::Written);
+                    let file = SnapshotFile::capture(&self.core.lg);
+                    self.core.write_checkpoint(snap, file);
+                    self.tell_master(LockKind::SnapDone, Bytes::new());
+                }
+                _ => return,
             }
-        }
-        let snap = self.core.snapshots;
-        let flushed = self.snap_flushes.as_ref().is_some_and(|m| self.core.rec.holds(m, snap));
-        if flushed && !self.snap_written {
-            self.snap_written = true;
-            let file = SnapshotFile::capture(&self.core.lg);
-            self.core.write_checkpoint(self.core.snapshots, file);
-            if self.core.is_master() {
-                self.m_snap_done.vote();
-                self.master_check_snap_done();
-            } else {
-                self.core.send(MachineId(0), LockKind::SnapDone, Bytes::new());
-            }
-        }
-        if self.core.is_master() {
-            self.master_check_snap_done();
         }
     }
 
-    fn snap_buffer_is_flushed(&self) -> bool {
-        // After finish_async_snapshot the buffer is empty *and* remaining is
-        // zero; use the written counter as the definitive latch.
-        self.snap_buffer.vrows.is_empty()
-            && self.snap_buffer.erows.is_empty()
-            && self.core.snapshots as u32 >= self.current_snap
-    }
-
-    /// Master: one more machine drained. Once every survivor is, no lock
-    /// chain is left anywhere, so no machine sends counted work before the
-    /// resume: the master's flush marker opens the barrier.
-    fn master_collect_snap_ready(&mut self) {
-        self.m_snap_ready.vote();
-        if self.core.rec.complete(&self.m_snap_ready) {
+    /// Master: one more machine drained (`kind` `SnapSyncReady`) or wrote
+    /// its part (`SnapDone`). Once every survivor is drained no lock chain
+    /// is left anywhere, so no machine sends counted work before the
+    /// resume: the master's flush marker opens the barrier. Once every
+    /// part is written the snapshot is over, and so is the run if a stop
+    /// fired during it.
+    fn master_collect_snap(&mut self, kind: LockKind) {
+        let Round::Snapshot { votes, halt } = &mut self.round else {
+            unreachable!("{} of no snapshot in flight", kind.name())
+        };
+        votes.vote();
+        if !self.core.rec.complete(votes) {
+            return;
+        }
+        if kind == LockKind::SnapSyncReady {
+            *votes = Tally::default();
             self.snap_flush();
+            return;
+        }
+        let halt = *halt;
+        self.round = Round::Idle;
+        if self.core.setup.config.snapshot.mode == SnapshotMode::Synchronous {
+            self.broadcast_all(LockKind::SnapResume, Bytes::new());
+        }
+        if halt {
+            self.halt();
         }
     }
 
     /// The synchronous snapshot's flush markers held, after broadcasting
-    /// this machine's own if it has not yet: the master does on the last
-    /// READY, a worker on the first marker it receives. A marker follows
-    /// all of its sender's counted work on the channel, so holding every
-    /// survivor's means holding all of it.
+    /// this machine's own if it has not yet: the master does once every
+    /// survivor is drained, a worker on the first marker it receives. A
+    /// marker follows all of its sender's counted work on the channel, so
+    /// holding every survivor's means holding all of it.
     fn snap_flush(&mut self) -> &mut Markers {
-        if self.snap_flushes.is_none() {
+        if let SnapPart::Sync(SyncPart::Drained) = self.part {
             let payload = enc(&self.core.snapshots);
             self.core.broadcast(LockKind::SnapSyncFlush, &payload);
+            self.part = SnapPart::Sync(SyncPart::Flushing(Markers::new(self.core.slots())));
         }
-        let slots = self.core.slots();
-        self.snap_flushes.get_or_insert_with(|| Markers::new(slots))
-    }
-
-    fn master_check_snap_done(&mut self) {
-        if self.m_snap_in_progress
-            && self.core.setup.config.snapshot.mode == SnapshotMode::Synchronous
-            && self.core.rec.complete(&self.m_snap_done)
-        {
-            self.m_snap_in_progress = false;
-            self.m_snap_done = Tally::default();
-            self.core.broadcast(LockKind::SnapResume, &Bytes::new());
-            self.end_sync_snapshot();
+        match &mut self.part {
+            SnapPart::Sync(SyncPart::Flushing(marks)) => marks,
+            _ => unreachable!("a flush marker before every survivor drained"),
         }
     }
 }
@@ -1652,25 +1653,14 @@ where
         self.cap_reached = false;
         self.snap_epoch = vec![0; nv];
         self.current_snap = 0;
-        self.snap_queue.clear();
-        self.snap_buffer = SnapshotFile::default();
-        self.snap_remaining = 0;
-        self.end_sync_snapshot();
-        self.m_quiet = None;
-        self.m_snap_in_progress = false;
-        self.m_snap_ready = Tally::default();
-        self.m_snap_done = Tally::default();
-        self.m_async_done = Tally::default();
+        self.part = SnapPart::Idle;
+        self.round = Round::Idle;
         // The LockKind::UpdNote state (`last_noted`, like the machine's
         // counts) deliberately survives: counts are cumulative and never
         // reset, which is what makes stale notes idempotent.
-        self.m_halt_pending = false;
-        self.m_halt_sent = false;
-        self.m_halt_acks = Tally::default();
         self.m_sync_outstanding = None;
         self.m_sync_next_at =
             self.core.observed_updates() + self.core.setup.config.sync_interval_updates;
-        self.m_final_sync_done = false;
     }
 
     fn reseed(&mut self, l: u32) {
@@ -1786,7 +1776,7 @@ mod tests {
 
         from(0, LockKind::SnapResume, Bytes::new());
         pump(&mut m);
-        assert!(!m.snap_paused && m.snap_flushes.is_none() && m.chains.live() == 0);
+        assert!(matches!(m.part, SnapPart::Idle) && m.chains.live() == 0);
     }
 
     /// Machine `src`'s `kind` message, handled by `m` as the loop would.
@@ -1821,7 +1811,7 @@ mod tests {
         deliver(&mut m, 2, LockKind::QuietReport, clean);
         m.update_idle();
         m.master_triggers();
-        assert!(!m.m_halt_pending && !m.m_halt_sent, "a dirty round halted the run");
+        assert!(!matches!(m.round, Round::Halt { .. }), "a dirty round halted the run");
         assert_eq!(m.quiet, Quiet::Sent(2, false));
         assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet(2)], [quiet(2)]]);
     }
@@ -1837,13 +1827,13 @@ mod tests {
         m.update_idle();
         deliver(&mut m, 1, LockKind::Quiet, enc(&1u64));
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
-        assert!(m.m_quiet.is_some() && m.quiet_marks.next(MachineId(1)) == 2);
+        assert!(matches!(m.round, Round::Quiet { .. }) && m.quiet_marks.next(MachineId(1)) == 2);
 
         m.core.reset_engine_state();
         RecoveryHost::reset_engine_state(&mut m);
         assert_eq!(m.quiet, Quiet::Done(0));
         assert_eq!(m.quiet_marks.next(MachineId(1)), 0, "a pre-reset marker survived");
-        assert!(m.m_quiet.is_none(), "a pre-reset report survived");
+        assert!(matches!(m.round, Round::Idle), "a pre-reset report survived");
         let _round_1 = (inbox(&peers[0]), inbox(&peers[1]));
 
         m.update_idle();
@@ -1854,9 +1844,80 @@ mod tests {
         }
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
         m.update_idle();
-        assert!(!m.m_halt_pending, "halted without machine 2's report");
+        assert!(!matches!(m.round, Round::Halt { .. }), "halted without machine 2's report");
         deliver(&mut m, 2, LockKind::QuietReport, clean);
-        assert!(m.m_halt_pending);
+        assert!(matches!(m.round, Round::Halt { .. }));
+    }
+
+    /// A trigger is work: while a synchronous snapshot is in flight an idle
+    /// master opens no quiet round, not even once its own part is written.
+    /// The last peer's `SnapDone` ends the snapshot where it lands, so the
+    /// next idle pass opens round 1.
+    #[test]
+    fn no_quiet_round_opens_while_a_snapshot_is_in_flight() {
+        let (mut m, peers) = hop_machine(0);
+        let mode = SnapshotMode::Synchronous;
+        m.core.setup.config.snapshot =
+            crate::config::SnapshotConfig { mode, every_updates: 1, max_snapshots: 1 };
+        m.core.note_peer_updates(MachineId(1), 1);
+        let pass = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
+            m.master_triggers();
+            m.check_snapshot_progress();
+            m.update_idle();
+        };
+        let to_both = |kind: LockKind, payload: Bytes| [[(kind, payload.clone())], [(kind, payload)]];
+        pass(&mut m);
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapSyncStart, enc(&0u64)));
+        for src in [1, 2] {
+            deliver(&mut m, src, LockKind::SnapSyncReady, enc(&0u64));
+        }
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapSyncFlush, enc(&0u64)));
+        for src in [1, 2] {
+            deliver(&mut m, src, LockKind::SnapSyncFlush, enc(&0u64));
+        }
+        pass(&mut m);
+        assert!(snapshot_exists(&m.core.setup.dfs, "ckpt", 0), "the master's part");
+        deliver(&mut m, 1, LockKind::SnapDone, Bytes::new());
+        pass(&mut m);
+        assert!(inbox(&peers[0]).is_empty() && inbox(&peers[1]).is_empty(), "a round during a snapshot");
+
+        deliver(&mut m, 2, LockKind::SnapDone, Bytes::new());
+        assert!(matches!((&m.round, &m.part), (Round::Idle, SnapPart::Idle)));
+        pass(&mut m);
+        let (resume, quiet) = ((LockKind::SnapResume, Bytes::new()), (LockKind::Quiet, enc(&1u64)));
+        let both = [resume, quiet];
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [both.clone(), both]);
+    }
+
+    /// A worker's asynchronous part is written once and announced once,
+    /// although `check_snapshot_progress` runs on every pass of the loop.
+    #[test]
+    fn an_asynchronous_part_is_written_and_announced_once() {
+        let (mut m, peers) = hop_machine(2);
+        deliver(&mut m, 0, LockKind::SnapAsyncStart, enc(&1u64));
+        // Vertex 2's snapshot update locks its whole scope: machine 0's hop,
+        // then machine 1's, then its own.
+        m.pump();
+        let sent = inbox(&peers[0]);
+        let [(LockKind::Req, req)] = &sent[..] else { panic!("no chain to machine 0: {sent:?}") };
+        let reqid = dec::<LockReqMsg>(req.clone()).reqid;
+        let data = ScopeDataMsg { reqid, vrows: vec![], erows: vec![], vsame: 1, esame: 0 };
+        for src in [0, 1] {
+            deliver(&mut m, src, LockKind::ScopeData, enc(&data));
+        }
+        let (model, machines) = (consistency_to_u8(ConsistencyModel::Edge), vec![MachineId(2)]);
+        let back = LockReqMsg { requester: MachineId(2), reqid, scope_v: VertexId(2), machines, model };
+        deliver(&mut m, 1, LockKind::Req, enc(&back));
+        m.execute_ready();
+        for _ in 0..3 {
+            m.check_snapshot_progress();
+        }
+        let done = |ep| inbox(ep).iter().filter(|(kind, _)| *kind == LockKind::SnapDone).count();
+        assert_eq!((done(&peers[0]), done(&peers[1])), (1, 0), "announced once, to the master");
+        let mut restored = triangle();
+        let (nv, _) = restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
+        assert_eq!(nv, 1, "vertex 2's row, not an empty second write over it");
+        assert!(matches!(m.part, SnapPart::Idle));
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's

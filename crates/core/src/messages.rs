@@ -222,11 +222,12 @@ kinds! {
     }
 
     /// Locking engine (§4.2.2), `20..=38` and `48..=49`: received by
-    /// `LockingMachine::handle`. 24 (the termination token until PR 26),
-    /// 36 (skipped when the background-sync request landed at 37,
-    /// never shipped) and 39 (headroom before the recovery block) stay
-    /// unassigned: a decoder for a recycled number would misparse snapshots
-    /// and traces recorded before the reuse.
+    /// `LockingMachine::handle`. 24 (the termination token before the quiet
+    /// round), 35 (the asynchronous snapshot's own "part written" vote,
+    /// now [`LockKind::SnapDone`]), 36 (skipped when the background-sync
+    /// request landed at 37, never shipped) and 39 (headroom before the
+    /// recovery block) stay unassigned: a decoder for a recycled number
+    /// would misparse snapshots and traces recorded before the reuse.
     Lock(LockKind) {
         /// Lock chain request hop.
         Req = 20, "lock/req";
@@ -254,14 +255,13 @@ kinds! {
         /// worker's on the first one it receives. The sender's counted work
         /// is ahead of it on the channel.
         SnapSyncFlush = 31, "snap/sync-flush";
-        /// Snapshot file written (machine → master).
+        /// The machine's part of a snapshot written, in either mode
+        /// (machine → master).
         SnapDone = 32, "snap/done";
         /// Resume computation (master → all).
         SnapResume = 33, "snap/resume";
         /// Asynchronous snapshot start (master → all).
         SnapAsyncStart = 34, "snap/async-start";
-        /// Asynchronous snapshot — machine finished all owned vertices.
-        SnapAsyncMdone = 35, "snap/async-mdone";
         /// Background sync request (master → all); payload is the epoch.
         SyncReq = 37, "lock/sync-req";
         /// Counter-threshold update note (machine → master). Sent when a
@@ -346,8 +346,8 @@ impl LockKind {
         match self {
             Req | ScopeData | Release | Sched => true,
             Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapSyncStart
-            | SnapSyncReady | SnapSyncFlush | SnapDone | SnapResume | SnapAsyncStart
-            | SnapAsyncMdone | Quiet | QuietReport => false,
+            | SnapSyncReady | SnapSyncFlush | SnapDone | SnapResume | SnapAsyncStart | Quiet
+            | QuietReport => false,
         }
     }
 }
@@ -1190,10 +1190,10 @@ mod tests {
     }
 
     /// The wire must not move: every number that has a name, with its
-    /// name, as of PR 26 (24, 36 and 39 stay unassigned).
+    /// name (24, 35, 36 and 39 stay unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 43] = [
+        const TABLE: [(u16, &str); 42] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (3, "chrom/wb-v"),
@@ -1219,7 +1219,6 @@ mod tests {
             (32, "snap/done"),
             (33, "snap/resume"),
             (34, "snap/async-start"),
-            (35, "snap/async-mdone"),
             (37, "lock/sync-req"),
             (38, "lock/upd-note"),
             (40, "recover/ready"),

@@ -596,7 +596,10 @@ fn uniform_coloring_rejected_for_edge_consistency() {
 #[test]
 fn stop_when_halts_locking_engine_mid_run() {
     // Counter app re-schedules itself forever; only the stop predicate
-    // (updates counted through a sync) can end the run.
+    // (updates counted through a sync) can end the run. A snapshot every
+    // ~10 updates is usually in flight when the predicate fires: the halt
+    // waits until every machine wrote its part, so the last one taken is
+    // complete.
     struct Forever;
     impl UpdateFunction<f64, f64> for Forever {
         fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
@@ -605,18 +608,29 @@ fn stop_when_halts_locking_engine_mid_run() {
         }
     }
     const TOTAL: GlobalHandle<Vec<f64>> = GlobalHandle::new(5);
-    let mut dist = ring(8);
-    for i in 0..8 {
-        *dist.vertex_data_mut(VertexId(i)) = 0.0;
+    let atoms = EngineConfig::new(2).num_atoms;
+    for mode in [SnapshotMode::Synchronous, SnapshotMode::Asynchronous] {
+        let mut dist = ring(8);
+        for i in 0..8 {
+            *dist.vertex_data_mut(VertexId(i)) = 0.0;
+        }
+        let out = GraphLab::on(&mut dist)
+            .engine(EngineKind::Locking)
+            .machines(2)
+            .snapshot(SnapshotConfig { mode, every_updates: 10, max_snapshots: 64 })
+            .sync(TOTAL, FnSync::new(1, |_, d: &f64| vec![*d], |a, _| a), SyncCadence::Updates(10))
+            .stop_when(|g| g.get(TOTAL).is_some_and(|t| t[0] >= 40.0))
+            .try_run(Forever)
+            .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert!(out.metrics.updates >= 40, "{mode:?}: ran until the stop fired");
+        assert!(out.globals.get(TOTAL).is_some_and(|t| t[0] >= 40.0));
+        assert!(out.metrics.snapshots >= 1, "{mode:?}: no snapshot taken");
+        assert_eq!(
+            latest_complete_snapshot(&out.dfs, "ckpt", atoms),
+            Some(out.metrics.snapshots - 1),
+            "{mode:?}: the halt cut the last snapshot short"
+        );
     }
-    let out = GraphLab::on(&mut dist)
-        .engine(EngineKind::Locking)
-        .machines(2)
-        .sync(TOTAL, FnSync::new(1, |_, d: &f64| vec![*d], |a, _| a), SyncCadence::Updates(10))
-        .stop_when(|g| g.get(TOTAL).is_some_and(|t| t[0] >= 40.0))
-        .run(Forever);
-    assert!(out.metrics.updates >= 40, "ran until the stop fired");
-    assert!(out.globals.get(TOTAL).is_some_and(|t| t[0] >= 40.0));
 }
 
 // ---- the chromatic engine's colour-step exchange ----

@@ -18,13 +18,14 @@ outside_tests() {
 }
 
 for dir in $core $net; do
-    printf '%-44s %6d\n' "$dir total" "$(cat $dir/*.rs | wc -l)"
-    printf '%-44s %6d\n' "$dir outside #[cfg(test)]" "$(outside_tests $dir/*.rs)"
+    printf '%-50s %6d\n' "$dir total" "$(cat $dir/*.rs | wc -l)"
+    printf '%-50s %6d\n' "$dir outside #[cfg(test)]" "$(outside_tests $dir/*.rs)"
 done
 for f in chromatic locking recovery; do
-    printf '%-44s %6d\n' "$core/$f.rs" "$(wc -l < $core/$f.rs)"
+    printf '%-50s %6d\n' "$core/$f.rs" "$(wc -l < $core/$f.rs)"
+    printf '%-50s %6d\n' "$core/$f.rs outside #[cfg(test)]" "$(outside_tests $core/$f.rs)"
 done
-printf '%-44s %6d\n' "disallowed_methods #[expect]s in core + net" \
+printf '%-50s %6d\n' "disallowed_methods #[expect]s in core + net" \
     "$(cat $core/*.rs $net/*.rs | grep -c '#\[expect(clippy::disallowed_methods')"
-printf '%-44s %6d\n' "Rust under crates src tests examples" \
+printf '%-50s %6d\n' "Rust under crates src tests examples" \
     "$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l)"
