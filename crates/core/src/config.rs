@@ -9,7 +9,7 @@ use graphlab_net::{BatchPolicy, FaultPlan, Transport};
 use crate::scheduler::SchedulerKind;
 
 /// Snapshotting mode (§4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SnapshotMode {
     /// No fault tolerance.
     #[default]

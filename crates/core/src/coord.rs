@@ -1,0 +1,1145 @@
+//! The locking engine's coordination (§4.2.2, §4.3) as one pure
+//! transition function: termination by the quiet round, both snapshot
+//! modes, background sync epochs and the halt.
+//!
+//! [`Coord::step`] takes one [`Input`] and the machine's
+//! [`RecoveryTracker`], which it asks only who survives (`complete`,
+//! `holds`), and appends the [`Output`]s the engine applies, in order.
+//! **This module owns every decision; [`crate::locking`] owns every datum
+//! and every byte**: the sync accumulators, Alg. 5's queue, rows and
+//! per-vertex colour, the graph, the `UpdNote` pacing, every encode and
+//! decode. The barriers' `Markers`/`holds` rule is `crate::recovery`'s.
+//! The master's own votes, reports and broadcasts are transitions inside
+//! `step`, so it decides on the pass its own vote lands.
+//!
+//! # Termination: the quiet round
+//!
+//! The run is over when every machine is idle (scheduler, snapshot queue,
+//! pipeline and ready list empty) and no work is in flight. §4.2.2 evaluates
+//! this "using the distributed consensus algorithm described in
+//! \[Misra 83\]", which counts nothing: it runs markers over FIFO
+//! channels, as every other barrier here does (`recovery::Markers`).
+//! Quiet round `k`:
+//!
+//! - the idle master broadcasts `Quiet(k)` ([`LockKind::Quiet`]); every
+//!   other machine broadcasts its own on the first one it receives, but
+//!   only once it is idle — a busy machine defers, so the round waits
+//!   instead of polling;
+//! - a machine is *dirty* if work ([`LockKind::is_counted_work`]) reaches
+//!   it after it sent its own marker and before it holds every survivor's;
+//! - holding every survivor's, it reports `(k, clean)` to the master
+//!   ([`LockKind::QuietReport`]). If every report is clean the master goes
+//!   on to the final sync and `Halt`; otherwise it starts round `k + 1`
+//!   once it is idle again.
+//!
+//! Master triggers count as work ("Coordination" below). A death needs
+//! nothing of its own: recovery discards the pre-drain traffic,
+//! [`Coord::reset`] abandons the round everywhere, and the master opens a
+//! fresh one once it is idle after the resume. On a lone survivor the
+//! round has no peers and completes at once.
+//!
+//! **Why a clean round is sound.** Suppose every report of round `k` was
+//! clean, and take the first counted message any machine sent after its
+//! own marker. Its sender was idle when it sent the marker, so something
+//! woke it: a counted message it received after its marker. That message
+//! was sent earlier, so before its own sender's marker; by FIFO it arrived
+//! ahead of that marker, so its receiver got it after its own marker and
+//! before it held every survivor's — the receiver was dirty, which
+//! contradicts the clean reports. So no machine sent work after its
+//! marker, every machine was idle at its marker, and all work sent before
+//! a marker reached its receiver before the receiver's own: the cluster is
+//! quiescent.
+//!
+//! # Coordination
+//!
+//! Where the master stands in its protocols is one [`Round`]; where a
+//! machine stands in a snapshot is one [`Part`]. Their transitions:
+//!
+//! - `Round` (master): `Idle → Quiet → Idle` (dirty) or `→ Halt` (clean);
+//!   `Idle → Snapshot → Idle` once every survivor's part is written;
+//!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
+//!   sync first when syncs are configured, then counts the acks.
+//! - `Part`, stop-and-flush: `Idle → Draining → Drained → Flushing →
+//!   Written → Idle`, from `SnapSyncStart` to `SnapResume`, its flush a
+//!   FIFO marker barrier like recovery's. Chandy-Lamport as a prioritised
+//!   update function (Alg. 5): `Idle → Async → Idle`, from `SnapAsyncStart`
+//!   until the engine has marked every owned vertex and written the part.
+//!   Either mode's part written is one `SnapDone` vote.
+//!
+//! A trigger is work (a snapshot wakes machines with no counted message):
+//! a quiet round or a snapshot starts only from `Idle`, a quiet round only
+//! with no sync epoch out, and no sync epoch starts during a quiet round or
+//! the halt. Two overlaps are allowed:
+//!
+//! - a sync epoch runs beside a snapshot (it is not in the enum): its
+//!   partials read the graph as it stands and carry no work;
+//! - a stop predicate that fires during a snapshot (from such an epoch)
+//!   halts the run only once that snapshot is written, so the last
+//!   checkpoint taken is complete: `Snapshot`'s `halt` latch.
+//!
+//! # The chromatic engine's BSP master is another state machine
+//!
+//! `ChromaticMachine::{cycle_end_round, write_snapshot}` do not fit this
+//! `Input` alphabet. They are one blocking exchange that every machine
+//! enters at the end of every colour cycle, not protocols running beside
+//! the work. Of the inputs above they would take only "snapshot due",
+//! "stop fired" and their own round's messages: termination there is a
+//! count (`SyncPartialMsg::pending`, summed at the master) taken at a
+//! global barrier, so "counted work arrived" and a pass's `idle` and
+//! `drained` mean nothing; the step barrier is already held when a cycle
+//! ends, so a part has no `Draining` or `Flushing`; and sync, halt and
+//! snapshot are one decision per cycle in one `SyncGlobalsMsg`, where the
+//! locking master runs three protocols that overlap. Fitting them would
+//! take a new input, "cycle ended (pending, updates)", and a `Round` that
+//! shares no transition with this one.
+//!
+//! `coord::tests` checks all of this by exhaustive search (its docs).
+//!
+//! [`LockKind::Quiet`]: crate::messages::LockKind::Quiet
+//! [`LockKind::QuietReport`]: crate::messages::LockKind::QuietReport
+//! [`LockKind::is_counted_work`]: crate::messages::LockKind::is_counted_work
+
+use graphlab_graph::MachineId;
+
+use crate::config::SnapshotMode;
+use crate::recovery::{Markers, RecoveryTracker, Tally};
+
+/// The machine that runs the master's half of every protocol.
+const MASTER: MachineId = MachineId(0);
+
+/// The final sync's epoch: finalizing it ends the run.
+pub(crate) const FINAL: u64 = u64::MAX;
+
+/// Where a machine stands in the quiet round (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Quiet {
+    /// Round `k` reported here, or none started yet (`Done(0)`).
+    Done(u64),
+    /// Round `k` reached this machine; its own marker waits until it is
+    /// idle.
+    Owed(u64),
+    /// Its own marker of round `k` is out; `true` once work arrived since.
+    Sent(u64, bool),
+}
+
+/// The master's round in flight (module docs, "Coordination").
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Round {
+    /// None: a quiet round or a snapshot may start.
+    Idle,
+    /// A quiet round: the reports got, and whether every one was clean.
+    Quiet { reports: Tally, clean: bool },
+    /// A snapshot: `SnapSyncReady` votes until every survivor drained
+    /// (synchronous mode), then `SnapDone` votes. `halt`: the stop
+    /// predicate fired during it, so the run halts once it is written.
+    Snapshot { votes: Tally, halt: bool },
+    /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
+    /// acks.
+    Halt { acks: Option<Tally> },
+}
+
+/// The control half of this machine's part of the snapshot in flight
+/// (module docs, "Coordination"); an asynchronous part's data is the
+/// engine's.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Part {
+    /// None in flight, or this machine's asynchronous part is written.
+    Idle,
+    /// Snapshot `id`, stop-and-flush (no new lock chain until `SnapResume`):
+    /// chains of its own still in flight; none left, `SnapSyncReady` sent;
+    /// its flush marker out, with the survivors' held so far; captured,
+    /// `SnapDone` sent.
+    Draining(u64),
+    Drained(u64),
+    Flushing(u64, Markers),
+    Written(u64),
+    /// Alg. 5: the engine runs snapshot tasks until every owned vertex is
+    /// marked.
+    Async,
+}
+
+impl Part {
+    /// The synchronous snapshot this part belongs to.
+    fn id(&self) -> Option<u64> {
+        match *self {
+            Part::Draining(id) | Part::Drained(id) | Part::Flushing(id, _) | Part::Written(id) => {
+                Some(id)
+            }
+            Part::Idle | Part::Async => None,
+        }
+    }
+}
+
+/// A control-plane `LockKind` with its payload, decoded by the engine.
+/// `SnapAsyncStart` carries the snapshot id (`id + 1` on the wire: Alg.
+/// 5's colour); `SyncPart`'s partials stay with the engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Msg {
+    Quiet(u64),
+    QuietReport(u64, bool),
+    Halt,
+    HaltAck,
+    SyncReq(u64),
+    SyncPart(u64),
+    SnapSyncStart(u64),
+    SnapSyncReady(u64),
+    SnapSyncFlush(u64),
+    SnapDone,
+    SnapResume,
+    SnapAsyncStart(u64),
+}
+
+/// What happened to the machine.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Input {
+    /// A coordination message from a machine.
+    Msg(MachineId, Msg),
+    /// Counted work arrived.
+    Work,
+    /// A loop pass ended. `idle`: nothing scheduled, queued, in the
+    /// pipeline or ready; `drained`: no lock chain of its own in flight.
+    Pass { idle: bool, drained: bool },
+    /// Master: this many updates are known executed cluster-wide; a sync
+    /// epoch is due once they reach the cadence's next mark.
+    SyncDue(u64),
+    /// Master: snapshot `id` is due; fed only while
+    /// [`Coord::may_snapshot`].
+    SnapshotDue(u64),
+    /// This machine's asynchronous part is written.
+    AsyncWritten,
+    /// Master: the stop predicate holds over the globals just finalized.
+    Stop,
+}
+
+/// What the engine does, in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Output {
+    Send(MachineId, Msg),
+    /// To every surviving peer.
+    Broadcast(Msg),
+    /// No new lock chain starts until `Resume`.
+    Pause,
+    Resume,
+    /// A snapshot boundary: the ghost-cache table's residency assumptions
+    /// go (the checkpoint may be restored into a fresh cluster; Alg. 5's
+    /// marks ride version bumps, which this makes unconditionally safe).
+    InvalidateCache,
+    /// Capture the graph as this machine's part of checkpoint `id`.
+    Capture(u64),
+    /// Start Alg. 5 for snapshot `id`: every owned vertex to mark.
+    StartAsync(u64),
+    /// This machine's partials of epoch `e`: a worker sends them, the
+    /// master opens the epoch's accumulators with them.
+    Partials(u64),
+    /// Master: combine the partials just received.
+    Combine,
+    /// Master: finalize epoch `e` and broadcast the globals.
+    Finalize(u64),
+    /// This machine's run is over.
+    Halt,
+}
+
+/// One machine's coordination state (module docs).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Coord {
+    me: MachineId,
+    /// One per machine, the dead included: a `Markers`' size.
+    slots: usize,
+    mode: SnapshotMode,
+    /// Updates between sync epochs (`Some(0)`: the final sync only; `None`:
+    /// no sync configured).
+    sync_every: Option<u64>,
+    pub(crate) quiet: Quiet,
+    pub(crate) quiet_marks: Markers,
+    pub(crate) part: Part,
+    /// Master: the round in flight; the sync epochs opened, the cadence's
+    /// next mark, and the epoch out with the partials got.
+    pub(crate) round: Round,
+    sync_epoch: u64,
+    sync_next_at: u64,
+    sync: Option<(u64, Tally)>,
+}
+
+impl Coord {
+    pub(crate) fn new(
+        me: MachineId,
+        slots: usize,
+        mode: SnapshotMode,
+        sync_every: Option<u64>,
+    ) -> Self {
+        Coord {
+            me,
+            slots,
+            mode,
+            sync_every,
+            quiet: Quiet::Done(0),
+            quiet_marks: Markers::new(slots),
+            part: Part::Idle,
+            round: Round::Idle,
+            sync_epoch: 0,
+            sync_next_at: sync_every.unwrap_or(0),
+            sync: None,
+        }
+    }
+
+    /// Abandons every protocol in flight (a crash, a rollback, an
+    /// adoption); the sync cadence restarts from `updates`.
+    pub(crate) fn reset(&mut self, updates: u64) {
+        let sync_epoch = self.sync_epoch;
+        *self = Coord { sync_epoch, ..Coord::new(self.me, self.slots, self.mode, self.sync_every) };
+        self.sync_next_at += updates;
+    }
+
+    /// Master: whether a snapshot may start now. Asked before the
+    /// snapshot window is consumed, which restarts it.
+    pub(crate) fn may_snapshot(&self) -> bool {
+        self.round == Round::Idle
+    }
+
+    /// The transition function. Inlined, so that the data plane's
+    /// `Input::Work` is one comparison.
+    #[inline]
+    pub(crate) fn step(&mut self, input: Input, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        match input {
+            Input::Work => {
+                if let Quiet::Sent(k, _) = self.quiet {
+                    self.quiet = Quiet::Sent(k, true);
+                }
+            }
+            Input::Msg(src, msg) => self.on_msg(src, msg, rec, out),
+            Input::Pass { idle, drained } => self.pass(idle, drained, rec, out),
+            Input::SyncDue(updates) => self.sync_due(updates, rec, out),
+            Input::SnapshotDue(id) => self.start_snapshot(id, rec, out),
+            Input::AsyncWritten => {
+                debug_assert_eq!(self.part, Part::Async, "an asynchronous part written twice");
+                self.part = Part::Idle;
+                self.vote(Msg::SnapDone, rec, out);
+            }
+            // A snapshot in flight is written first.
+            Input::Stop => match &mut self.round {
+                Round::Snapshot { halt, .. } => *halt = true,
+                _ => self.halt(rec, out),
+            },
+        }
+    }
+
+    fn on_msg(&mut self, src: MachineId, msg: Msg, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        match msg {
+            // This machine's own marker waits for a pass, which sees
+            // whatever work arrived ahead of this one.
+            Msg::Quiet(k) => {
+                self.quiet_marks.note(src, k);
+                let (Quiet::Done(seen) | Quiet::Owed(seen) | Quiet::Sent(seen, _)) = self.quiet;
+                if k > seen {
+                    self.quiet = Quiet::Owed(k);
+                }
+            }
+            Msg::QuietReport(k, clean) => self.collect_quiet(k, clean, rec, out),
+            Msg::Halt => out.extend([Output::Send(MASTER, Msg::HaltAck), Output::Halt]),
+            Msg::HaltAck => {
+                let Round::Halt { acks: Some(acks) } = &mut self.round else {
+                    unreachable!("an ack of no halt")
+                };
+                acks.vote();
+                if rec.complete(acks) {
+                    out.push(Output::Halt);
+                }
+            }
+            Msg::SyncReq(e) => out.push(Output::Partials(e)),
+            // A partial of an abandoned epoch is stale.
+            Msg::SyncPart(e) if self.sync.as_ref().is_some_and(|(open, _)| *open == e) => {
+                out.push(Output::Combine);
+                self.count_partials(rec, out);
+            }
+            Msg::SyncPart(_) => {}
+            Msg::SnapSyncStart(id) => {
+                debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
+                self.part = Part::Draining(id);
+                out.push(Output::Pause);
+            }
+            Msg::SnapAsyncStart(id) => {
+                debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
+                self.part = Part::Async;
+                out.extend([Output::InvalidateCache, Output::StartAsync(id)]);
+            }
+            Msg::SnapSyncReady(id) => {
+                debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");
+                self.collect_snap(true, rec, out);
+            }
+            Msg::SnapSyncFlush(id) => {
+                debug_assert_eq!(self.part.id(), Some(id), "marker of another snapshot");
+                self.flush(out).note(src, id);
+            }
+            Msg::SnapDone => self.collect_snap(false, rec, out),
+            Msg::SnapResume => {
+                self.part = Part::Idle;
+                out.extend([Output::Resume, Output::InvalidateCache]);
+            }
+        }
+    }
+
+    /// A vote or report for the master: sent, or — on the master — counted
+    /// at once, so that it decides on the pass its own vote lands (an idle
+    /// master has nothing else to wake it).
+    fn vote(&mut self, msg: Msg, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        match self.me {
+            MASTER => self.on_msg(MASTER, msg, rec, out),
+            _ => out.push(Output::Send(MASTER, msg)),
+        }
+    }
+
+    /// The end of a loop pass: this machine's snapshot part as far as it
+    /// goes, then the quiet round's local steps — an idle master opens a
+    /// round, an idle machine sends the marker it owes, and one that holds
+    /// every survivor's marker reports. Taken until none applies: the
+    /// master's own report can end a dirty round, which an idle master
+    /// follows with the next at once.
+    fn pass(&mut self, idle: bool, drained: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        loop {
+            match self.part {
+                Part::Draining(id) if drained => {
+                    self.part = Part::Drained(id);
+                    self.vote(Msg::SnapSyncReady(id), rec, out);
+                }
+                Part::Flushing(id, ref marks) if rec.holds(marks, id) => {
+                    self.part = Part::Written(id);
+                    out.push(Output::Capture(id));
+                    self.vote(Msg::SnapDone, rec, out);
+                }
+                _ => break,
+            }
+        }
+        loop {
+            match self.quiet {
+                Quiet::Done(last)
+                    if idle
+                        && self.me == MASTER
+                        && self.round == Round::Idle
+                        && self.sync.is_none() =>
+                {
+                    self.round = Round::Quiet { reports: Tally::default(), clean: true };
+                    self.quiet = Quiet::Owed(last + 1);
+                }
+                Quiet::Owed(k) if idle => {
+                    out.push(Output::Broadcast(Msg::Quiet(k)));
+                    self.quiet = Quiet::Sent(k, false);
+                }
+                Quiet::Sent(k, dirty) if rec.holds(&self.quiet_marks, k) => {
+                    self.quiet = Quiet::Done(k);
+                    self.vote(Msg::QuietReport(k, !dirty), rec, out);
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// Master: one more verdict on the round in flight. Once every
+    /// survivor's is in, the run ends if all were clean — with syncs
+    /// configured the final sync first, so that every machine halts holding
+    /// the final globals; otherwise the next round opens when the master is
+    /// idle again.
+    fn collect_quiet(&mut self, k: u64, clean: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        debug_assert!(
+            matches!(self.quiet, Quiet::Done(r) | Quiet::Owed(r) | Quiet::Sent(r, _) if r == k)
+        );
+        let Round::Quiet { reports, clean: all } = &mut self.round else {
+            unreachable!("a report of no round")
+        };
+        reports.vote();
+        *all &= clean;
+        if !rec.complete(reports) {
+            return;
+        }
+        let clean = *all;
+        self.round = Round::Idle;
+        if clean && self.sync_every.is_none() {
+            self.halt(rec, out);
+        } else if clean {
+            self.round = Round::Halt { acks: None };
+            self.open_epoch(FINAL, rec, out);
+        }
+    }
+
+    /// Master: `Halt` out; the run is over here once every survivor acked.
+    fn halt(&mut self, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        let acks = Tally::with_own_vote();
+        out.push(Output::Broadcast(Msg::Halt));
+        if rec.complete(&acks) {
+            out.push(Output::Halt);
+        }
+        self.round = Round::Halt { acks: Some(acks) };
+    }
+
+    /// Master: a background epoch, beside a snapshot but never during a
+    /// quiet round or the halt, nor once a stop is latched (a trigger is
+    /// work).
+    fn sync_due(&mut self, updates: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        let every = self.sync_every.unwrap_or(0);
+        if every > 0
+            && self.sync.is_none()
+            && matches!(self.round, Round::Idle | Round::Snapshot { halt: false, .. })
+            && updates >= self.sync_next_at
+        {
+            self.sync_next_at = updates + every;
+            self.sync_epoch += 1;
+            self.open_epoch(self.sync_epoch, rec, out);
+        }
+    }
+
+    /// Master: epoch `e` out to every peer, this machine's own partials in.
+    fn open_epoch(&mut self, e: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        self.sync = Some((e, Tally::default()));
+        out.extend([Output::Broadcast(Msg::SyncReq(e)), Output::Partials(e)]);
+        self.count_partials(rec, out);
+    }
+
+    /// Master: one more machine's partials are in; the epoch is finalized
+    /// once every survivor's are, and the final one ends the run.
+    fn count_partials(&mut self, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        let Some((e, got)) = &mut self.sync else { unreachable!("partials of no epoch") };
+        got.vote();
+        if rec.complete(got) {
+            out.push(Output::Finalize(*e));
+            if self.sync.take().is_some_and(|(e, _)| e == FINAL) {
+                self.halt(rec, out);
+            }
+        }
+    }
+
+    /// Master: snapshot `id` out to every peer, and this machine's part of
+    /// it begun.
+    fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        debug_assert!(self.may_snapshot(), "a snapshot beside a round");
+        self.round = Round::Snapshot { votes: Tally::default(), halt: false };
+        let start = match self.mode {
+            SnapshotMode::Synchronous => Msg::SnapSyncStart(id),
+            SnapshotMode::Asynchronous => Msg::SnapAsyncStart(id),
+            SnapshotMode::None => unreachable!("no snapshot is ever due"),
+        };
+        out.push(Output::Broadcast(start));
+        self.on_msg(MASTER, start, rec, out);
+    }
+
+    /// Master: one more machine drained (`ready`) or wrote its part. Once
+    /// every survivor is drained no lock chain is left anywhere, so no
+    /// machine sends counted work before the resume: the master's flush
+    /// marker opens the barrier. Once every part is written the snapshot is
+    /// over, and so is the run if a stop fired during it.
+    fn collect_snap(&mut self, ready: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        let Round::Snapshot { votes, halt } = &mut self.round else {
+            unreachable!("a vote of no snapshot")
+        };
+        votes.vote();
+        if !rec.complete(votes) {
+            return;
+        }
+        if ready {
+            *votes = Tally::default();
+            self.flush(out);
+            return;
+        }
+        let halt = *halt;
+        self.round = Round::Idle;
+        if let Part::Written(_) = self.part {
+            out.push(Output::Broadcast(Msg::SnapResume));
+            self.on_msg(MASTER, Msg::SnapResume, rec, out);
+        }
+        if halt {
+            self.halt(rec, out);
+        }
+    }
+
+    /// The synchronous snapshot's flush markers held, after broadcasting
+    /// this machine's own if it has not yet: the master does once every
+    /// survivor is drained, a worker on the first marker it receives. A
+    /// marker follows all of its sender's counted work on the channel, so
+    /// holding every survivor's means holding all of it.
+    fn flush(&mut self, out: &mut Vec<Output>) -> &mut Markers {
+        if let Part::Drained(id) = self.part {
+            out.push(Output::Broadcast(Msg::SnapSyncFlush(id)));
+            self.part = Part::Flushing(id, Markers::new(self.slots));
+        }
+        match &mut self.part {
+            Part::Flushing(_, marks) => marks,
+            _ => unreachable!("a flush marker before every survivor drained"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! An exhaustive explorer: breadth-first over every interleaving of
+    //! `n` machines' [`Coord`]s that per-channel FIFO permits, with a ghost
+    //! workload in place of the engine. Each machine may hold one task; a
+    //! task that runs may send one counted `Sched` to a peer (a shared
+    //! budget), never while its machine is paused. The master's sync and
+    //! snapshot triggers fire within their own budgets, and every finalized
+    //! background epoch is explored with the stop predicate both false and
+    //! true. After each action on a machine, that machine runs one loop
+    //! pass; nothing else wakes it (no timer). In every state reached:
+    //!
+    //! - a halt the stop predicate did not cause finds no task anywhere and
+    //!   no counted message in flight;
+    //! - no sync epoch is open beside a quiet round;
+    //! - synchronous cut: counted work sent before its sender's capture is
+    //!   delivered before its receiver's, and none sent after it before;
+    //! - each worker sends exactly one `SnapDone` per snapshot;
+    //! - a halt waits for the snapshot it interrupted;
+    //! - `step` does not panic;
+    //! - no stuck state: with no delivery, task or write left to take,
+    //!   every machine has halted — anything else is a wake-up only the
+    //!   engine's 500 ms idle backstop would give.
+    //!
+    //! A violation fails with the shortest schedule that reaches it, as a
+    //! literal the replay tests below take.
+
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::{HashSet, VecDeque};
+    use std::hash::{Hash, Hasher};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+
+    use Act::*;
+    use SnapshotMode::{Asynchronous, Synchronous};
+
+    /// What a channel carries: a coordination message, or counted work
+    /// stamped with the captures its sender had taken.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Wire {
+        Ctl(Msg),
+        Work(u8),
+    }
+
+    /// A machine: its coordination and the ghost of its engine.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Node {
+        coord: Coord,
+        task: bool,
+        paused: bool,
+        /// An asynchronous part started and not yet written.
+        writing: bool,
+        halted: bool,
+        /// Synchronous captures taken, and `SnapDone`s sent.
+        cuts: u8,
+        done: u8,
+    }
+
+    /// The cluster: machines, channels (`src * n + dst`), the budgets
+    /// left, and the master's snapshots started and closed.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct World {
+        nodes: Vec<Node>,
+        chans: Vec<VecDeque<Wire>>,
+        sends: u8,
+        sync_dues: u8,
+        snap_dues: u8,
+        started: u8,
+        closed: u8,
+        stopped: bool,
+    }
+
+    /// One step of a schedule.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Act {
+        /// Deliver the head of channel `src → dst`; `true`: the stop
+        /// predicate holds over an epoch this finalizes.
+        Deliver(usize, usize, bool),
+        /// The same with no pass after it: the engine drains its inbox
+        /// before a pass, so this needs another message for `dst` behind.
+        Drain(usize, usize, bool),
+        /// Machine `i` runs its task, sending counted work to a peer.
+        Run(usize, Option<usize>),
+        /// The master's sync cadence is due (`true` as for `Deliver`).
+        SyncDue(bool),
+        SnapshotDue,
+        /// Machine `i`'s asynchronous part is written.
+        Write(usize),
+    }
+
+    impl Act {
+        /// The same step with the stop predicate holding, if it can.
+        fn stopping(self) -> Option<Act> {
+            match self {
+                Deliver(src, dst, false) => Some(Deliver(src, dst, true)),
+                Drain(src, dst, false) => Some(Drain(src, dst, true)),
+                SyncDue(false) => Some(SyncDue(true)),
+                _ => None,
+            }
+        }
+    }
+
+    /// How far the explorer looks.
+    #[derive(Clone, Copy, Debug)]
+    struct Bounds {
+        n: usize,
+        mode: SnapshotMode,
+        syncs: bool,
+        sends: u8,
+        sync_dues: u8,
+        snap_dues: u8,
+    }
+
+    impl Bounds {
+        /// Three counted sends, two sync dues (syncs on) and two snapshot
+        /// dues (snapshots on).
+        fn new(n: usize, mode: SnapshotMode, syncs: bool) -> Self {
+            let (sync_dues, snap_dues) =
+                (2 * u8::from(syncs), 2 * u8::from(mode != SnapshotMode::None));
+            Bounds { n, mode, syncs, sends: 3, sync_dues, snap_dues }
+        }
+    }
+
+    /// The bounds and the trackers (no machine dies, so they stay out of
+    /// the state).
+    struct Model {
+        b: Bounds,
+        recs: Vec<RecoveryTracker>,
+    }
+
+    impl Model {
+        fn new(b: Bounds) -> Self {
+            Model { b, recs: (0..b.n).map(|i| RecoveryTracker::new(i, b.n)).collect() }
+        }
+
+        /// Every machine holds a task; nothing is in flight.
+        fn start(&self) -> World {
+            let n = self.b.n;
+            let node = |i: usize| Node {
+                coord: Coord::new(MachineId(i as u16), n, self.b.mode, self.b.syncs.then_some(1)),
+                task: true,
+                paused: false,
+                writing: false,
+                halted: false,
+                cuts: 0,
+                done: 0,
+            };
+            World {
+                nodes: (0..n).map(node).collect(),
+                chans: vec![VecDeque::new(); n * n],
+                sends: self.b.sends,
+                sync_dues: self.b.sync_dues,
+                snap_dues: self.b.snap_dues,
+                started: 0,
+                closed: 0,
+                stopped: false,
+            }
+        }
+
+        /// The actions `w` enables, the stop predicate false.
+        fn enabled(&self, w: &World) -> Vec<Act> {
+            let n = self.b.n;
+            let mut acts = Vec::new();
+            for (c, chan) in w.chans.iter().enumerate() {
+                let (src, dst) = (c / n, c % n);
+                if !chan.is_empty() {
+                    acts.push(Deliver(src, dst, false));
+                }
+                let inbox: usize = (0..n).map(|s| w.chans[s * n + dst].len()).sum();
+                if !chan.is_empty() && inbox > 1 && !w.nodes[dst].halted {
+                    acts.push(Drain(src, dst, false));
+                }
+            }
+            for (i, node) in w.nodes.iter().enumerate() {
+                if node.task && !node.paused && !node.halted {
+                    acts.push(Run(i, None));
+                    let peers = (0..n).filter(|&j| j != i && w.sends > 0);
+                    acts.extend(peers.map(|j| Run(i, Some(j))));
+                }
+                if node.writing && !node.halted {
+                    acts.push(Write(i));
+                }
+            }
+            let master = &w.nodes[0];
+            if !master.halted && w.sync_dues > 0 {
+                acts.push(SyncDue(false));
+            }
+            if !master.halted && w.snap_dues > 0 && master.coord.may_snapshot() {
+                acts.push(SnapshotDue);
+            }
+            acts
+        }
+
+        /// `act` taken in `w`, then a pass of the machine it acted on;
+        /// `Err` names the invariant broken. The flag: an epoch was
+        /// finalized, so the stop predicate matters.
+        fn apply(&self, w: &World, act: Act) -> Result<(World, bool), String> {
+            let (mut w, n) = (w.clone(), self.b.n);
+            let (i, input, stop) = match act {
+                Deliver(src, dst, stop) | Drain(src, dst, stop) => {
+                    let wire =
+                        w.chans[src * n + dst].pop_front().expect("an empty channel delivered");
+                    if w.nodes[dst].halted {
+                        return Ok((w, false));
+                    }
+                    let input = match wire {
+                        Wire::Work(cuts) => {
+                            if cuts > w.nodes[dst].cuts {
+                                let why = "sent after a capture reached its receiver before it";
+                                return Err(format!("cut: m{src}'s work {why}, at m{dst}"));
+                            }
+                            w.nodes[dst].task = true;
+                            Input::Work
+                        }
+                        Wire::Ctl(msg) => Input::Msg(MachineId(src as u16), msg),
+                    };
+                    (dst, Some(input), stop)
+                }
+                Run(i, to) => {
+                    w.nodes[i].task = false;
+                    if let Some(j) = to {
+                        w.sends -= 1;
+                        let cuts = w.nodes[i].cuts;
+                        w.chans[i * n + j].push_back(Wire::Work(cuts));
+                    }
+                    (i, None, false)
+                }
+                SyncDue(stop) => {
+                    w.sync_dues -= 1;
+                    (0, Some(Input::SyncDue(w.nodes[0].coord.sync_next_at)), stop)
+                }
+                SnapshotDue => {
+                    w.snap_dues -= 1;
+                    w.started += 1;
+                    (0, Some(Input::SnapshotDue(u64::from(w.started - 1))), false)
+                }
+                Write(i) => {
+                    w.nodes[i].writing = false;
+                    (i, Some(Input::AsyncWritten), false)
+                }
+            };
+            let mut finalized = false;
+            if let Some(input) = input {
+                finalized |= self.feed(&mut w, i, input, stop)?;
+            }
+            if !w.nodes[i].halted && !matches!(act, Drain(..)) {
+                let node = &w.nodes[i];
+                let pass = Input::Pass { idle: !node.task && !node.writing, drained: true };
+                finalized |= self.feed(&mut w, i, pass, false)?;
+            }
+            Ok((w, finalized))
+        }
+
+        /// One input and the `Stop` a finalized epoch feeds back, applied
+        /// the way the engine applies them, invariants checked.
+        fn feed(&self, w: &mut World, i: usize, input: Input, stop: bool) -> Result<bool, String> {
+            let n = self.b.n;
+            let (mut next, mut finalized) = (Some(input), false);
+            while let Some(input) = next.take() {
+                let mut out = Vec::new();
+                let snapshot_open = matches!(w.nodes[i].coord.round, Round::Snapshot { .. });
+                let coord = &mut w.nodes[i].coord;
+                catch_unwind(AssertUnwindSafe(|| coord.step(input, &self.recs[i], &mut out)))
+                    .map_err(|_| format!("m{i} panicked on {input:?}"))?;
+                let master = &w.nodes[0].coord;
+                if matches!(master.round, Round::Quiet { .. }) && master.sync.is_some() {
+                    return Err("a sync epoch is open beside a quiet round".into());
+                }
+                let closed =
+                    i == 0 && snapshot_open && !matches!(master.round, Round::Snapshot { .. });
+                for output in out {
+                    match output {
+                        Output::Send(dst, msg) => {
+                            if msg == Msg::SnapDone {
+                                w.nodes[i].done += 1;
+                                if w.nodes[i].done > w.started {
+                                    return Err(format!(
+                                        "m{i} sent a second SnapDone for one snapshot"
+                                    ));
+                                }
+                            }
+                            w.chans[i * n + dst.index()].push_back(Wire::Ctl(msg));
+                        }
+                        Output::Broadcast(msg) => {
+                            if msg == Msg::Halt {
+                                check_halt(w)?;
+                            }
+                            for j in (0..n).filter(|&j| j != i) {
+                                w.chans[i * n + j].push_back(Wire::Ctl(msg));
+                            }
+                        }
+                        Output::Pause => w.nodes[i].paused = true,
+                        Output::Resume => w.nodes[i].paused = false,
+                        Output::Capture(_) => {
+                            let cuts = w.nodes[i].cuts;
+                            let late = (0..n).find(|&s| {
+                                w.chans[s * n + i].iter().any(|&m| m == Wire::Work(cuts))
+                            });
+                            if let Some(s) = late {
+                                let why = "work from before its capture in flight";
+                                return Err(format!("cut: m{i} captured with m{s}'s {why}"));
+                            }
+                            w.nodes[i].cuts += 1;
+                        }
+                        Output::StartAsync(_) => w.nodes[i].writing = true,
+                        Output::Partials(e) if i != 0 => {
+                            w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
+                        }
+                        Output::Finalize(e) if e != FINAL => {
+                            finalized = true;
+                            if stop {
+                                w.stopped = true;
+                                next = Some(Input::Stop);
+                            }
+                        }
+                        Output::Halt => w.nodes[i].halted = true,
+                        Output::InvalidateCache
+                        | Output::Partials(_)
+                        | Output::Combine
+                        | Output::Finalize(_) => {}
+                    }
+                }
+                if closed {
+                    w.closed += 1;
+                    if let Some(j) = (1..n).find(|&j| w.nodes[j].done != w.closed) {
+                        let done = w.nodes[j].done;
+                        return Err(format!(
+                            "snapshot {} closed with m{j}'s SnapDone count at {done}",
+                            w.closed - 1
+                        ));
+                    }
+                }
+            }
+            Ok(finalized)
+        }
+    }
+
+    /// The master's `Halt` is going out.
+    fn check_halt(w: &World) -> Result<(), String> {
+        let unwritten = |i: usize, node: &Node| match node.coord.part {
+            Part::Draining(_) | Part::Drained(_) | Part::Flushing(..) | Part::Async => true,
+            Part::Idle | Part::Written(_) => i > 0 && node.done < w.started,
+        };
+        if let Some(j) = w.nodes.iter().enumerate().position(|(i, node)| unwritten(i, node)) {
+            return Err(format!("halted with m{j}'s part of snapshot {} unwritten", w.started - 1));
+        }
+        let busy = w.nodes.iter().position(|node| node.task);
+        let in_flight = w.chans.iter().any(|chan| chan.iter().any(|m| matches!(m, Wire::Work(_))));
+        match (w.stopped, busy) {
+            (false, Some(j)) => Err(format!("halted with a task on m{j}")),
+            (false, None) if in_flight => Err("halted with counted work in flight".into()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether `act` makes progress the engine would wake for (a trigger
+    /// needs updates, which need progress).
+    fn progress(act: &Act) -> bool {
+        matches!(act, Deliver(..) | Drain(..) | Run(..) | Write(_))
+    }
+
+    fn fingerprint(w: &World) -> u64 {
+        let mut h = DefaultHasher::new();
+        w.hash(&mut h);
+        h.finish()
+    }
+
+    /// `Err` if some machine has not halted and nothing but a timer could
+    /// move the cluster on.
+    fn check_live(model: &Model, w: &World) -> Result<(), String> {
+        let stuck =
+            !model.enabled(w).iter().any(progress) && w.nodes.iter().any(|node| !node.halted);
+        if stuck {
+            return Err(format!(
+                "stuck: {:?}",
+                w.nodes.iter().map(|node| &node.coord).collect::<Vec<_>>()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Explores every state within `b`, breadth-first; panics with the
+    /// shortest schedule to the first violation. Returns the states seen.
+    fn explore(b: Bounds) -> usize {
+        let model = Model::new(b);
+        let start = model.start();
+        let mut seen = HashSet::from([fingerprint(&start)]);
+        // Per state, its parent and the action that reached it (the start's
+        // entry is never read).
+        let mut trail: Vec<(usize, Act)> = vec![(0, SnapshotDue)];
+        let mut queue = VecDeque::from([(start, 0)]);
+        let fail = |trail: &[(usize, Act)], mut id: usize, last: Option<Act>, why: String| -> ! {
+            let mut schedule: Vec<Act> = last.into_iter().collect();
+            while id != 0 {
+                schedule.push(trail[id].1);
+                id = trail[id].0;
+            }
+            schedule.reverse();
+            panic!("{b:?}: {why}\nshortest schedule ({} steps): &{schedule:?}", schedule.len());
+        };
+        while let Some((w, id)) = queue.pop_front() {
+            if let Err(why) = check_live(&model, &w) {
+                fail(&trail, id, None, why);
+            }
+            for act in model.enabled(&w) {
+                let mut tried = Some(act);
+                while let Some(act) = tried.take() {
+                    match model.apply(&w, act) {
+                        Ok((next, finalized)) => {
+                            if finalized {
+                                tried = act.stopping();
+                            }
+                            if seen.insert(fingerprint(&next)) {
+                                trail.push((id, act));
+                                queue.push_back((next, trail.len() - 1));
+                            }
+                        }
+                        Err(why) => fail(&trail, id, Some(act), why),
+                    }
+                }
+            }
+        }
+        seen.len()
+    }
+
+    /// Takes `schedule` in order, every invariant checked and every step
+    /// enabled, and returns where it ends, which must not be stuck.
+    fn replay(b: Bounds, schedule: &[Act]) -> World {
+        let model = Model::new(b);
+        let mut w = model.start();
+        for (k, &act) in schedule.iter().enumerate() {
+            let plain = match act {
+                Deliver(src, dst, _) => Deliver(src, dst, false),
+                Drain(src, dst, _) => Drain(src, dst, false),
+                SyncDue(_) => SyncDue(false),
+                act => act,
+            };
+            assert!(model.enabled(&w).contains(&plain), "step {k}, {act:?}, is not enabled");
+            w = model.apply(&w, act).unwrap_or_else(|why| panic!("step {k}, {act:?}: {why}")).0;
+        }
+        check_live(&model, &w).unwrap_or_else(|why| panic!("after the schedule: {why}"));
+        w
+    }
+
+    // Five rules past changes proved by hand, each with the shortest
+    // counterexample the explorer printed once the rule's mutation was
+    // applied. Replayed against the code as it is, every step is enabled,
+    // nothing is violated, and the rule's own outcome holds.
+
+    /// Report a quiet round only once every survivor's marker is held.
+    /// Mutation: drop `rec.holds(..)` from the `Quiet::Sent` arm of
+    /// `Coord::pass`. Then machine 1's `Sched`, ahead of its marker, finds
+    /// the master reported already, and the master halts with the task
+    /// unrun (6 steps).
+    #[test]
+    fn replay_a_report_before_every_marker_arrived() {
+        let schedule = [
+            Run(0, None),
+            Deliver(0, 1, false),
+            Run(1, Some(0)),
+            Deliver(1, 0, false),
+            Deliver(1, 0, false),
+            Deliver(1, 0, false),
+        ];
+        let w = replay(Bounds::new(2, SnapshotMode::None, false), &schedule);
+        assert_eq!(
+            (w.nodes[0].coord.quiet, &w.nodes[0].coord.round),
+            (Quiet::Done(1), &Round::Idle)
+        );
+        assert!(w.nodes[0].task && !w.nodes[0].halted, "the dirty round halted the run");
+    }
+
+    /// No quiet round opens during a snapshot. Mutation: let the
+    /// `Quiet::Done` arm of `Coord::pass` open one during `Round::Snapshot`.
+    /// Then the round takes the snapshot's place, which closes without
+    /// machine 1's part (10 steps).
+    #[test]
+    fn replay_a_quiet_round_during_a_snapshot() {
+        let schedule = [
+            Run(0, None),
+            Deliver(0, 1, false),
+            Run(1, Some(0)),
+            Deliver(1, 0, false),
+            Deliver(1, 0, false),
+            Run(0, Some(1)),
+            Deliver(0, 1, false),
+            Run(1, Some(0)),
+            Drain(1, 0, false),
+            SnapshotDue,
+        ];
+        let w = replay(Bounds::new(2, Synchronous, false), &schedule);
+        assert!(
+            matches!(w.nodes[0].coord.round, Round::Snapshot { .. }),
+            "{:?}",
+            w.nodes[0].coord.round
+        );
+    }
+
+    /// A stop during a snapshot halts the run once the snapshot is
+    /// written. Mutation: drop the `Round::Snapshot` arm of `Input::Stop`.
+    /// Then the run halts with the lone machine's asynchronous part
+    /// unwritten (2 steps).
+    #[test]
+    fn replay_a_stop_during_a_snapshot() {
+        let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true)]);
+        assert_eq!(w.nodes[0].coord.round, Round::Snapshot { votes: Tally::default(), halt: true });
+        let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true), Write(0)]);
+        assert!(w.nodes[0].halted, "the latched stop halts once the part is written");
+    }
+
+    /// Capture once every survivor's flush marker is held. Mutation: drop
+    /// `rec.holds(..)` from the `Part::Flushing` arm of `Coord::pass`, so a
+    /// machine captures once its own marker is out — a worker on the first
+    /// marker it receives. Then machine 1's marker reaches a master that
+    /// captured without it, and `flush` panics (5 steps).
+    #[test]
+    fn replay_a_capture_on_the_first_flush_marker() {
+        let schedule = [
+            SnapshotDue,
+            Deliver(0, 1, false),
+            Deliver(1, 0, false),
+            Deliver(0, 1, false),
+            Deliver(1, 0, false),
+        ];
+        let w = replay(Bounds::new(2, Synchronous, false), &schedule);
+        assert!(w
+            .nodes
+            .iter()
+            .all(|node| matches!(node.coord.part, Part::Written(0)) && node.cuts == 1));
+    }
+
+    /// The master decides on the pass its own report lands. Mutation:
+    /// `return` after the report in the `Quiet::Sent` arm of `Coord::pass`.
+    /// Then the master's report, the last of a dirty round, leaves an idle
+    /// master with no round open and nothing to wake it: stuck (7 steps).
+    /// Decided, that pass opens round 2.
+    #[test]
+    fn replay_the_masters_own_report_landing_last() {
+        let schedule = [
+            Run(0, None),
+            Deliver(0, 1, false),
+            Run(1, Some(0)),
+            Deliver(1, 0, false),
+            Run(0, None),
+            Drain(1, 0, false),
+            Deliver(1, 0, false),
+        ];
+        let w = replay(Bounds::new(2, SnapshotMode::None, false), &schedule);
+        assert_eq!(w.nodes[0].coord.quiet, Quiet::Sent(2, false));
+        assert_eq!(w.chans[1], [Wire::Ctl(Msg::Quiet(2))]);
+    }
+
+    #[test]
+    fn the_explorer_finds_no_violation_on_one_two_and_three_machines() {
+        let began = std::time::Instant::now();
+        let mut states = 0;
+        for n in 1..=3 {
+            for mode in [SnapshotMode::None, Synchronous, Asynchronous] {
+                for syncs in [false, true] {
+                    let b = Bounds::new(n, mode, syncs);
+                    // A debug build, `step`'s assertions live, looks less far.
+                    let (sync_dues, snap_dues) = (b.sync_dues.min(1), b.snap_dues.min(1));
+                    let b = if cfg!(debug_assertions) {
+                        Bounds { sends: 2, sync_dues, snap_dues, ..b }
+                    } else {
+                        b
+                    };
+                    let seen = explore(b);
+                    println!("{b:?}: {seen} states");
+                    states += seen;
+                }
+            }
+        }
+        println!("coord explorer: {states} states in {:.1} s", began.elapsed().as_secs_f64());
+    }
+}

@@ -49,6 +49,7 @@
 
 pub mod chromatic;
 pub mod config;
+pub(crate) mod coord;
 pub mod driver;
 pub mod globals;
 pub mod local;

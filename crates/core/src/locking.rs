@@ -54,77 +54,12 @@
 //!   the machine lists of released chains, which the next forwarded
 //!   requests take over.
 //!
-//! # Termination: the quiet round
-//!
-//! The run is over when every machine is idle (scheduler, snapshot queue,
-//! pipeline and ready list empty) and no work is in flight. §4.2.2 evaluates
-//! this "using the distributed consensus algorithm described in
-//! \[Misra 83\]", which counts nothing: it runs markers over FIFO
-//! channels, as every other barrier here does (`recovery::Markers`).
-//! Quiet round `k`:
-//!
-//! - the idle master broadcasts `Quiet(k)` ([`LockKind::Quiet`]); every
-//!   other machine broadcasts its own on the first one it receives, but
-//!   only once it is idle — a busy machine defers, so the round waits
-//!   instead of polling;
-//! - a machine is *dirty* if work ([`LockKind::is_counted_work`]) reaches
-//!   it after it sent its own marker and before it holds every survivor's;
-//! - holding every survivor's, it reports `(k, clean)` to the master
-//!   ([`LockKind::QuietReport`]). If every report is clean the master goes
-//!   on to the final sync and `Halt`; otherwise it starts round `k + 1`
-//!   once it is idle again.
-//!
-//! Master triggers count as work ("Coordination" below). A death needs
-//! nothing of its own: recovery discards the pre-drain traffic,
-//! `reset_engine_state` abandons the round everywhere, and the master opens
-//! a fresh one once it is idle after the resume. On a lone survivor the
-//! round has no peers and completes at once.
-//!
-//! **Why a clean round is sound.** Suppose every report of round `k` was
-//! clean, and take the first counted message any machine sent after its
-//! own marker. Its sender was idle when it sent the marker, so something
-//! woke it: a counted message it received after its marker. That message
-//! was sent earlier, so before its own sender's marker; by FIFO it arrived
-//! ahead of that marker, so its receiver got it after its own marker and
-//! before it held every survivor's — the receiver was dirty, which
-//! contradicts the clean reports. So no machine sent work after its
-//! marker, every machine was idle at its marker, and all work sent before
-//! a marker reached its receiver before the receiver's own: the cluster is
-//! quiescent.
-//!
 //! # Coordination
 //!
-//! Where the master stands in its protocols is one `Round`; where a machine
-//! stands in a snapshot (§4.3) is one `SnapPart`. Their transitions:
-//!
-//! - `Round` (master): `Idle → Quiet → Idle` (dirty) or `→ Halt` (clean);
-//!   `Idle → Snapshot → Idle` once every survivor's part is written;
-//!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
-//!   sync first when syncs are configured and no epoch just finalized the
-//!   globals, then counts the acks.
-//! - `SnapPart`, stop-and-flush: `Idle → Sync(Draining → Drained →
-//!   Flushing → Written) → Idle`, from `SnapSyncStart` to `SnapResume`, its
-//!   flush a FIFO marker barrier like recovery's. Chandy-Lamport as a
-//!   prioritised update function (Alg. 5): `Idle → Async → Idle`, from
-//!   `SnapAsyncStart` until every owned vertex is marked and the part
-//!   written. The per-vertex colour and the snapshot id live beside it:
-//!   Alg. 5's colour outlives the part.
-//!
-//! A trigger is work (a snapshot wakes machines with no counted message):
-//! a quiet round or a snapshot starts only from `Idle`, a quiet round only
-//! with no sync epoch out, and no sync epoch starts during a quiet round or
-//! the halt. Two overlaps are allowed:
-//!
-//! - a sync epoch runs beside a snapshot (it is not in the enum): its
-//!   partials read the graph as it stands and carry no work;
-//! - a stop predicate that fires during a snapshot (from such an epoch)
-//!   halts the run only once that snapshot is written, so the last
-//!   checkpoint taken is complete: `Snapshot`'s `halt` latch.
-//!
-//! The master's own votes, reports and broadcasts go where its peers' go:
-//! `tell_master` and `broadcast_all` hand them to `handle` at once, so the
-//! master decides on the pass its own vote lands — an idle master has
-//! nothing else to wake it. A reset sets both enums to `Idle`.
+//! Termination, both snapshot modes (§4.3), sync epochs and the halt are
+//! `crate::coord`'s decisions, fed each control message, pass and trigger;
+//! this engine applies them to its data — Alg. 5's `AsyncPart` and colour
+//! among them.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -138,12 +73,13 @@ use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::config::SnapshotMode;
+use crate::coord::{Coord, Input, Msg, Output, FINAL};
 use crate::driver::{MachineResult, MachineSetup};
 use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
 use crate::machine::Machine;
 use crate::messages::*;
 use crate::metrics::HotCounters;
-use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Tally};
+use crate::recovery::{self, RecoveryHost, RecoveryPhase};
 use crate::scheduler::Scheduler;
 use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
@@ -175,81 +111,13 @@ const STRAGGLER_POLL: Duration = Duration::from_millis(2);
 /// Identifies a lock chain cluster-wide: `(requester machine, reqid)`.
 type ChainKey = (u16, u64);
 
-/// Master-side in-flight sync epoch: `(epoch, accumulators, partials got)`.
-type SyncEpoch = (u64, Vec<Box<dyn std::any::Any + Send>>, Tally);
-
-/// Where a machine stands in the quiet round (termination; module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Quiet {
-    /// Round `k` reported here, or none started yet (`Done(0)`).
-    Done(u64),
-    /// Round `k` reached this machine; its own marker waits until it is
-    /// idle.
-    Owed(u64),
-    /// Its own marker of round `k` is out; `true` once work arrived since.
-    Sent(u64, bool),
-}
-
-impl Quiet {
-    /// The latest round this machine has seen.
-    fn round(self) -> u64 {
-        match self {
-            Quiet::Done(k) | Quiet::Owed(k) | Quiet::Sent(k, _) => k,
-        }
-    }
-}
-
-/// The master's round in flight (module docs, "Coordination").
-enum Round {
-    /// None: a quiet round or a snapshot may start.
-    Idle,
-    /// A quiet round: the reports got, and whether every one was clean.
-    Quiet { reports: Tally, clean: bool },
-    /// A snapshot: `SnapSyncReady` votes until every survivor drained
-    /// (synchronous mode), then `SnapDone` votes — no part is written
-    /// before the master's flush marker. `halt`: the stop predicate fired
-    /// during it, so the run halts once it is written.
-    Snapshot { votes: Tally, halt: bool },
-    /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
-    /// acks.
-    Halt { acks: Option<Tally> },
-}
-
-/// This machine's part of the snapshot in flight (module docs,
-/// "Coordination").
-enum SnapPart {
-    /// None in flight, or this machine's asynchronous part is written.
-    Idle,
-    /// Stop-and-flush: no new lock chain starts until `SnapResume`.
-    Sync(SyncPart),
-    /// Alg. 5: owned vertices to snapshot (all of them, then the ones
-    /// neighbours schedule), the rows saved so far, and how many owned
-    /// vertices are still unmarked.
-    Async { queue: VecDeque<u32>, buffer: SnapshotFile, remaining: usize },
-}
-
-/// Where a machine stands in a synchronous snapshot.
-enum SyncPart {
-    /// Chains of its own still in flight.
-    Draining,
-    /// None left; `SnapSyncReady` sent.
-    Drained,
-    /// Its flush marker out; the survivors' markers held so far.
-    Flushing(Markers),
-    /// Captured and written, `SnapDone` sent.
-    Written,
-}
-
-impl SnapPart {
-    /// Whether new lock chains wait for the resume.
-    fn pauses(&self) -> bool {
-        matches!(self, SnapPart::Sync(_))
-    }
-
-    /// Whether snapshot tasks are queued.
-    fn has_tasks(&self) -> bool {
-        matches!(self, SnapPart::Async { queue, .. } if !queue.is_empty())
-    }
+/// This machine's asynchronous part of a snapshot in flight (Alg. 5): owned
+/// vertices to snapshot (all of them, then the ones neighbours schedule),
+/// the rows saved so far, and how many owned vertices are still unmarked.
+struct AsyncPart {
+    queue: VecDeque<u32>,
+    buffer: SnapshotFile,
+    remaining: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -466,23 +334,24 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     out_index: IdMap<u64, SlotRef>,
     ready: VecDeque<SlotRef>,
     next_reqid: u64,
-    /// Termination: this machine's part in the quiet round, and the
-    /// `LockKind::Quiet` markers held.
-    quiet: Quiet,
-    quiet_marks: Markers,
     halted: bool,
     cap_reached: bool,
 
-    // Snapshot state.
+    /// Quiet round, snapshots, sync epochs, halt: what to do is its call;
+    /// `todo` holds what it asked for until applied.
+    coord: Coord,
+    todo: Vec<Output>,
+    /// Between `Output::Pause` and `Output::Resume`: no new chain starts.
+    paused: bool,
+    // Alg. 5: each vertex's snapshot colour, the colour of the one in
+    // flight, and this machine's part of it.
     snap_epoch: Vec<u32>,
     current_snap: u32,
-    part: SnapPart,
-
-    // Master-only coordination state.
-    round: Round,
-    m_sync_epoch: u64,
-    m_sync_next_at: u64,
-    m_sync_outstanding: Option<SyncEpoch>,
+    snap: Option<AsyncPart>,
+    /// Master: the sync epoch's accumulators, and the partials of the
+    /// `SyncPart` being handled.
+    accs: Vec<Box<dyn std::any::Any + Send>>,
+    partials: Vec<(u32, Bytes)>,
 
     // Commit/hop scratch, reused across updates (beside `core.rowbuf`):
     // chains woken by a release, per-destination commit output (by machine
@@ -541,7 +410,14 @@ where
         }
         let note_every =
             if finest == u64::MAX { 0 } else { (finest / (8 * m as u64)).max(1) };
+        let sync_every = (!setup.syncs.is_empty()).then_some(setup.config.sync_interval_updates);
         LockingMachine {
+            coord: Coord::new(lg.machine(), m, snap_cfg.mode, sync_every),
+            todo: Vec::new(),
+            paused: false,
+            snap: None,
+            accs: Vec::new(),
+            partials: Vec::new(),
             scheduler: Scheduler::new(setup.config.scheduler, nv),
             locks: LockTable::new(nv),
             cache: RemoteCacheTable::new(m, nv, ne),
@@ -552,17 +428,10 @@ where
             out_index: IdMap::default(),
             ready: VecDeque::new(),
             next_reqid: 1,
-            quiet: Quiet::Done(0),
-            quiet_marks: Markers::new(m),
             halted: false,
             cap_reached: false,
             snap_epoch: vec![0; nv],
             current_snap: 0,
-            part: SnapPart::Idle,
-            round: Round::Idle,
-            m_sync_epoch: 0,
-            m_sync_next_at: setup.config.sync_interval_updates,
-            m_sync_outstanding: None,
             woken: Vec::new(),
             outbox: (0..m).map(|_| Outbox::default()).collect(),
             rest_pool: Vec::new(),
@@ -614,10 +483,9 @@ where
                 }
                 self.pump();
                 self.execute_ready();
-                self.check_snapshot_progress();
-                self.update_idle();
+                self.end_pass();
                 if self.core.is_master() {
-                    // update_idle may have ended a quiet round (a clean one
+                    // The pass may have ended a quiet round (a clean one
                     // halts a lone master): start what is due now rather
                     // than after a full idle deadline.
                     self.master_triggers();
@@ -717,13 +585,13 @@ where
         if !self.ready.is_empty() {
             return true;
         }
-        if self.part.pauses() || self.halted {
+        if self.paused || self.halted {
             return false;
         }
         if self.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
             return false;
         }
-        if self.part.has_tasks() {
+        if self.has_snap_tasks() {
             return true;
         }
         !self.cap_reached && !self.scheduler.is_empty()
@@ -731,8 +599,13 @@ where
 
     // ---- pipeline ----
 
+    /// Whether snapshot tasks are queued.
+    fn has_snap_tasks(&self) -> bool {
+        self.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
+    }
+
     fn pump(&mut self) {
-        if self.part.pauses() || self.halted {
+        if self.paused || self.halted {
             return;
         }
         if !self.cap_reached && self.core.capped(self.core.live_updates()) {
@@ -758,7 +631,7 @@ where
     }
 
     fn pop_snap_task(&mut self) -> Option<u32> {
-        let SnapPart::Async { queue, .. } = &mut self.part else { return None };
+        let AsyncPart { queue, .. } = self.snap.as_mut()?;
         while let Some(l) = queue.pop_front() {
             if self.snap_epoch[l as usize] != self.current_snap {
                 return Some(l);
@@ -987,7 +860,7 @@ where
     fn schedule_owned(&mut self, lv: u32, prio: f64, is_snapshot: bool) {
         debug_assert!(self.core.lg.owns_vertex(lv));
         if is_snapshot {
-            if let SnapPart::Async { queue, .. } = &mut self.part {
+            if let Some(AsyncPart { queue, .. }) = &mut self.snap {
                 if self.snap_epoch[lv as usize] != self.current_snap {
                     queue.push_back(lv);
                 }
@@ -1144,7 +1017,7 @@ where
         self.core.effects.clear();
         if self.snap_epoch[center as usize] != snap {
             // An owned vertex is unmarked only while its part is not written.
-            let SnapPart::Async { buffer, remaining, .. } = &mut self.part else {
+            let Some(AsyncPart { buffer, remaining, .. }) = &mut self.snap else {
                 unreachable!("an unmarked snapshot task outside an asynchronous part")
             };
             let lg = &self.core.lg;
@@ -1170,12 +1043,13 @@ where
 
     // ---- message handling ----
 
+    /// The four data-plane kinds, the globals and the update notes are
+    /// handled here; every other kind is decoded for `coord`.
     fn handle(&mut self, kind: LockKind, env: Envelope) {
         if kind.is_counted_work() {
-            if let Quiet::Sent(k, _) = self.quiet {
-                self.quiet = Quiet::Sent(k, true);
-            }
+            self.coord.step(Input::Work, &self.core.rec, &mut self.todo);
         }
+        let src = env.src;
         match kind {
             LockKind::Req => {
                 // The chain's head is this hop; the machines behind it are
@@ -1283,74 +1157,9 @@ where
                     }
                 })
             }),
-            LockKind::Quiet => {
-                // This machine's own marker waits for `update_idle`, which
-                // sees whatever work arrived ahead of this one.
-                let k: u64 = dec(env.payload);
-                self.quiet_marks.note(env.src, k);
-                if k > self.quiet.round() {
-                    self.quiet = Quiet::Owed(k);
-                }
-            }
-            LockKind::QuietReport => self.master_collect_quiet(dec(env.payload)),
-            LockKind::Halt => {
-                tr!("[m{}] HALT sched_len={} out={} ready={}", self.core.me().0,
-                    self.scheduler.len(), self.outs.live(), self.ready.len());
-                self.core.send(MachineId(0), LockKind::HaltAck, Bytes::new());
-                self.halted = true;
-            }
-            LockKind::HaltAck => {
-                let Round::Halt { acks: Some(acks) } = &mut self.round else {
-                    unreachable!("an ack of no halt")
-                };
-                acks.vote();
-                self.halted = self.core.rec.complete(acks);
-            }
-            LockKind::SyncPart => {
-                let msg: LockSyncPartialMsg = dec(env.payload);
-                self.master_collect_sync(msg);
-            }
             LockKind::SyncGlob => {
                 let msg: SyncGlobalsMsg = dec(env.payload);
                 apply_globals(&self.core.setup.syncs, msg.globals, &mut self.core.globals);
-            }
-            LockKind::SyncReq => {
-                let epoch: u64 = dec(env.payload);
-                let partials = local_partials(&self.core.setup.syncs, &self.core.lg);
-                self.tell_master(LockKind::SyncPart, enc(&LockSyncPartialMsg { epoch, partials }));
-            }
-            LockKind::SnapSyncStart => {
-                debug_assert!(matches!(self.part, SnapPart::Idle), "a snapshot inside a snapshot");
-                self.part = SnapPart::Sync(SyncPart::Draining);
-            }
-            LockKind::SnapSyncReady => {
-                debug_assert_eq!(dec::<u64>(env.payload), self.core.snapshots, "READY of another snapshot");
-                self.master_collect_snap(kind);
-            }
-            LockKind::SnapSyncFlush => {
-                let snap: u64 = dec(env.payload);
-                debug_assert_eq!(snap, self.core.snapshots, "marker of another snapshot");
-                self.snap_flush().note(env.src, snap);
-            }
-            LockKind::SnapDone => self.master_collect_snap(kind),
-            LockKind::SnapResume => {
-                self.part = SnapPart::Idle;
-                // Conservative: the checkpoint just cut may be restored into
-                // a fresh cluster later; drop residency assumptions so the
-                // table never spans a snapshot boundary.
-                self.cache.invalidate_all();
-            }
-            LockKind::SnapAsyncStart => {
-                debug_assert!(matches!(self.part, SnapPart::Idle), "a snapshot inside a snapshot");
-                // Snapshot boundary: drop all residency assumptions (see
-                // LockKind::SnapResume). Alg. 5's marker propagation also
-                // relies on version bumps, which this makes unconditionally
-                // safe.
-                self.cache.invalidate_all();
-                self.current_snap = dec::<u64>(env.payload) as u32;
-                let owned = self.core.lg.owned_vertices();
-                let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
-                self.part = SnapPart::Async { queue, buffer: SnapshotFile::default(), remaining };
             }
             LockKind::UpdNote => {
                 let msg: UpdNoteMsg = dec(env.payload);
@@ -1358,261 +1167,154 @@ where
                     self.core.note_peer_updates(msg.from, msg.updates);
                 }
             }
+            LockKind::SyncPart => {
+                let LockSyncPartialMsg { epoch, partials } = dec(env.payload);
+                self.partials = partials;
+                self.feed(Input::Msg(src, Msg::SyncPart(epoch)));
+            }
+            LockKind::Quiet => self.feed(Input::Msg(src, Msg::Quiet(dec(env.payload)))),
+            LockKind::QuietReport => {
+                let QuietReportMsg { round, clean } = dec(env.payload);
+                self.feed(Input::Msg(src, Msg::QuietReport(round, clean)));
+            }
+            LockKind::Halt => self.feed(Input::Msg(src, Msg::Halt)),
+            LockKind::HaltAck => self.feed(Input::Msg(src, Msg::HaltAck)),
+            LockKind::SyncReq => self.feed(Input::Msg(src, Msg::SyncReq(dec(env.payload)))),
+            LockKind::SnapSyncStart => {
+                self.feed(Input::Msg(src, Msg::SnapSyncStart(dec(env.payload))));
+            }
+            LockKind::SnapSyncReady => {
+                self.feed(Input::Msg(src, Msg::SnapSyncReady(dec(env.payload))));
+            }
+            LockKind::SnapSyncFlush => {
+                self.feed(Input::Msg(src, Msg::SnapSyncFlush(dec(env.payload))));
+            }
+            LockKind::SnapDone => self.feed(Input::Msg(src, Msg::SnapDone)),
+            LockKind::SnapResume => self.feed(Input::Msg(src, Msg::SnapResume)),
+            // Alg. 5's colour on the wire: the snapshot id plus one.
+            LockKind::SnapAsyncStart => {
+                let id = dec::<u64>(env.payload) - 1;
+                self.feed(Input::Msg(src, Msg::SnapAsyncStart(id)));
+            }
         }
     }
 
-    /// The quiet round's local steps (module docs): an idle master opens a
-    /// round, an idle machine sends the marker it owes, and one that holds
-    /// every survivor's marker reports. Taken until none applies: the
-    /// master's own report can end a dirty round, which an idle master
-    /// follows with the next at once — nothing else would wake it.
-    fn update_idle(&mut self) {
-        let idle = (self.scheduler.is_empty() || self.cap_reached)
-            && !self.part.has_tasks()
-            && self.outs.live() == 0
-            && self.ready.is_empty();
+    // ---- coordination: `crate::coord` decides, this applies ----
+
+    /// Master: the triggers, from the counts the notes announce. The
+    /// snapshot window is consumed only when a snapshot may start.
+    fn master_triggers(&mut self) {
+        self.feed(Input::SyncDue(self.core.observed_updates()));
+        if self.coord.may_snapshot() {
+            if let Some(id) = self.core.snapshot_due() {
+                self.feed(Input::SnapshotDue(id));
+            }
+        }
+    }
+
+    /// The end of a loop pass: an asynchronous part with every owned vertex
+    /// marked is written, and an idle worker closes the master's trigger
+    /// window with an exact count (notes are not work) before `coord` hears.
+    fn end_pass(&mut self) {
+        if let Some(part) = self.snap.take_if(|part| part.remaining == 0) {
+            self.core.write_checkpoint(self.current_snap as u64 - 1, part.buffer);
+            self.feed(Input::AsyncWritten);
+        }
+        let drained = self.outs.live() == 0 && self.ready.is_empty();
+        let idle =
+            drained && (self.scheduler.is_empty() || self.cap_reached) && !self.has_snap_tasks();
         if idle {
-            // Close the master's last trigger window with an exact count
-            // before going quiet (notes are not work: they dirty no round).
             self.maybe_send_upd_note(true);
         }
-        loop {
-            match self.quiet {
-                Quiet::Done(last)
-                    if idle
-                        && self.core.is_master()
-                        && matches!(self.round, Round::Idle)
-                        && self.m_sync_outstanding.is_none() =>
-                {
-                    self.round = Round::Quiet { reports: Tally::default(), clean: true };
-                    self.quiet = Quiet::Owed(last + 1);
+        self.feed(Input::Pass { idle, drained });
+    }
+
+    /// Hands `input` to `coord` and applies what it returns, in order; a
+    /// finalized epoch over whose globals the stop predicate holds (§3.5:
+    /// it doubles as the final sync) is fed back as `Input::Stop`.
+    fn feed(&mut self, input: Input) {
+        let (mut todo, mut next) = (std::mem::take(&mut self.todo), Some(input));
+        while let Some(input) = next.take() {
+            self.coord.step(input, &self.core.rec, &mut todo);
+            for output in todo.drain(..) {
+                if self.apply(output) {
+                    next = Some(Input::Stop);
                 }
-                Quiet::Owed(k) if idle => {
-                    self.core.broadcast(LockKind::Quiet, &enc(&k));
-                    self.quiet = Quiet::Sent(k, false);
-                }
-                Quiet::Sent(k, dirty) if self.core.rec.holds(&self.quiet_marks, k) => {
-                    self.quiet = Quiet::Done(k);
-                    let report = QuietReportMsg { round: k, clean: !dirty };
-                    self.tell_master(LockKind::QuietReport, enc(&report));
-                }
-                _ => return,
             }
         }
+        self.todo = todo;
     }
 
-    /// Handles this machine's own `kind` message at once, as a peer does
-    /// on receipt (nothing is sent to oneself).
-    fn handle_own(&mut self, kind: LockKind, payload: Bytes) {
-        let me = self.core.me();
-        self.handle(kind, Envelope { src: me, dst: me, kind: kind as u16, payload });
-    }
-
-    /// A vote or report for the master: sent, or on the master itself
-    /// handled at once, so that it decides on the pass its own vote lands —
-    /// an idle master has nothing else to wake it.
-    fn tell_master(&mut self, kind: LockKind, payload: Bytes) {
-        if self.core.is_master() {
-            self.handle_own(kind, payload);
-        } else {
-            self.core.send(MachineId(0), kind, payload);
-        }
-    }
-
-    /// Master: `kind` to every peer, and handled here as they handle it.
-    fn broadcast_all(&mut self, kind: LockKind, payload: Bytes) {
-        self.core.broadcast(kind, &payload);
-        self.handle_own(kind, payload);
-    }
-
-    // ---- master coordination ----
-
-    fn master_triggers(&mut self) {
-        debug_assert!(self.core.is_master());
-        let g_updates = self.core.observed_updates();
-
-        // Background sync epochs: beside a snapshot, never during a quiet
-        // round or the halt, nor once a stop is latched (a trigger is work).
-        let interval = self.core.setup.config.sync_interval_updates;
-        if interval > 0
-            && !self.core.setup.syncs.is_empty()
-            && self.m_sync_outstanding.is_none()
-            && matches!(self.round, Round::Idle | Round::Snapshot { halt: false, .. })
-            && g_updates >= self.m_sync_next_at
-        {
-            self.m_sync_next_at = g_updates + interval;
-            self.start_sync_epoch(false);
-        }
-
-        // Snapshot triggers.
-        let idle = matches!(self.round, Round::Idle);
-        if let Some(id) = if idle { self.core.snapshot_due() } else { None } {
-            self.round = Round::Snapshot { votes: Tally::default(), halt: false };
-            let (kind, payload) = match self.core.setup.config.snapshot.mode {
-                SnapshotMode::Synchronous => (LockKind::SnapSyncStart, enc(&id)),
-                SnapshotMode::Asynchronous => (LockKind::SnapAsyncStart, enc(&(id + 1))),
-                SnapshotMode::None => unreachable!("no snapshot is ever due"),
-            };
-            self.broadcast_all(kind, payload);
-        }
-    }
-
-    /// Master: one more verdict on the round in flight. Once every
-    /// survivor's is in, the run ends if all were clean — with syncs
-    /// configured the final sync first, so that every machine halts holding
-    /// the final globals; otherwise the next round opens when the master is
-    /// idle again.
-    fn master_collect_quiet(&mut self, report: QuietReportMsg) {
-        debug_assert_eq!(report.round, self.quiet.round(), "report of another round");
-        let Round::Quiet { reports, clean } = &mut self.round else {
-            unreachable!("a report of no round in flight")
-        };
-        reports.vote();
-        *clean &= report.clean;
-        if self.core.rec.complete(reports) {
-            let clean = *clean;
-            tr!("[m{}] QUIET round={} clean={}", self.core.me().0, report.round, clean);
-            self.round = Round::Idle;
-            if clean && self.core.setup.syncs.is_empty() {
-                self.halt();
-            } else if clean {
-                self.round = Round::Halt { acks: None };
-                self.start_sync_epoch(true);
+    /// `true` after a finalized epoch over whose globals the stop
+    /// predicate holds.
+    fn apply(&mut self, output: Output) -> bool {
+        match output {
+            Output::Send(dst, msg) => {
+                let (kind, payload) = wire(msg);
+                self.core.send(dst, kind, payload);
             }
-        }
-    }
-
-    /// Master: `Halt` out; the run is over here once every survivor acked.
-    fn halt(&mut self) {
-        let acks = Tally::with_own_vote();
-        self.halted = self.core.rec.complete(&acks);
-        self.round = Round::Halt { acks: Some(acks) };
-        self.core.broadcast(LockKind::Halt, &Bytes::new());
-    }
-
-    /// Master: every machine's partials, the master's own included, are
-    /// collected by `master_collect_sync`.
-    fn start_sync_epoch(&mut self, fin: bool) {
-        self.m_sync_epoch += 1;
-        let epoch = if fin { u64::MAX } else { self.m_sync_epoch };
-        let accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
-        self.m_sync_outstanding = Some((epoch, accs, Tally::default()));
-        self.broadcast_all(LockKind::SyncReq, enc(&epoch));
-    }
-
-    fn master_collect_sync(&mut self, msg: LockSyncPartialMsg) {
-        let Some((epoch, accs, got)) = self.m_sync_outstanding.as_mut() else {
-            return; // stale partial from an abandoned epoch
-        };
-        if msg.epoch != *epoch {
-            return;
-        }
-        combine_partials(&self.core.setup.syncs, accs, &msg.partials);
-        got.vote();
-        if self.core.rec.complete(got) {
-            self.finish_sync_epoch();
-        }
-    }
-
-    fn finish_sync_epoch(&mut self) {
-        let (epoch, accs, _) = self.m_sync_outstanding.take().expect("epoch active");
-        let total = self.core.lg.total_vertices();
-        let rows = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
-        let msg = SyncGlobalsMsg { cycle: epoch, globals: rows, halt: false, snapshot: None };
-        let payload = enc(&msg);
-        self.core.broadcast(LockKind::SyncGlob, &payload);
-        if epoch == u64::MAX {
-            self.halt();
-        } else if self.core.stop_hit() {
-            // Aggregate-driven termination (§3.5): the stop predicate over
-            // the just-finalized globals. The epoch that tripped it doubles
-            // as the final sync — everyone already holds these values. A
-            // snapshot in flight is written first.
-            tr!("[m{}] STOP_WHEN fired at epoch {}", self.core.me().0, epoch);
-            match &mut self.round {
-                Round::Snapshot { halt, .. } => *halt = true,
-                _ => self.halt(),
+            Output::Broadcast(msg) => {
+                let (kind, payload) = wire(msg);
+                self.core.broadcast(kind, &payload);
             }
-        }
-    }
-
-    // ---- snapshots ----
-
-    /// Moves this machine's part as far as it goes (module docs,
-    /// "Coordination"): an asynchronous part is written once every owned
-    /// vertex is marked; a synchronous one is drained once no chain of its
-    /// own is left, and written once every survivor's flush marker is held.
-    fn check_snapshot_progress(&mut self) {
-        loop {
-            let snap = self.core.snapshots;
-            match &mut self.part {
-                SnapPart::Async { remaining: 0, buffer, .. } => {
-                    let file = std::mem::take(buffer);
-                    self.part = SnapPart::Idle;
-                    self.core.write_checkpoint(self.current_snap as u64 - 1, file);
-                    self.tell_master(LockKind::SnapDone, Bytes::new());
-                }
-                SnapPart::Sync(SyncPart::Draining)
-                    if self.outs.live() == 0 && self.ready.is_empty() =>
-                {
-                    self.part = SnapPart::Sync(SyncPart::Drained);
-                    self.tell_master(LockKind::SnapSyncReady, enc(&snap));
-                }
-                SnapPart::Sync(SyncPart::Flushing(marks)) if self.core.rec.holds(marks, snap) => {
-                    self.part = SnapPart::Sync(SyncPart::Written);
-                    let file = SnapshotFile::capture(&self.core.lg);
-                    self.core.write_checkpoint(snap, file);
-                    self.tell_master(LockKind::SnapDone, Bytes::new());
-                }
-                _ => return,
+            Output::Pause => self.paused = true,
+            Output::Resume => self.paused = false,
+            Output::InvalidateCache => self.cache.invalidate_all(),
+            Output::Capture(id) => {
+                self.core.write_checkpoint(id, SnapshotFile::capture(&self.core.lg));
             }
+            Output::StartAsync(id) => {
+                self.current_snap = id as u32 + 1;
+                let owned = self.core.lg.owned_vertices();
+                let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
+                self.snap = Some(AsyncPart { queue, buffer: SnapshotFile::default(), remaining });
+            }
+            Output::Partials(epoch) => {
+                let syncs = &self.core.setup.syncs;
+                let partials = local_partials(syncs, &self.core.lg);
+                if self.core.is_master() {
+                    self.accs = syncs.iter().map(|op| op.init_acc()).collect();
+                    combine_partials(syncs, &mut self.accs, &partials);
+                } else {
+                    let msg = LockSyncPartialMsg { epoch, partials };
+                    self.core.send(MachineId(0), LockKind::SyncPart, enc(&msg));
+                }
+            }
+            Output::Combine => {
+                combine_partials(&self.core.setup.syncs, &mut self.accs, &self.partials);
+            }
+            Output::Finalize(epoch) => {
+                let (accs, total) = (std::mem::take(&mut self.accs), self.core.lg.total_vertices());
+                let globals =
+                    finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
+                let msg = SyncGlobalsMsg { cycle: epoch, globals, halt: false, snapshot: None };
+                self.core.broadcast(LockKind::SyncGlob, &enc(&msg));
+                return epoch != FINAL && self.core.stop_hit();
+            }
+            Output::Halt => self.halted = true,
         }
+        false
     }
+}
 
-    /// Master: one more machine drained (`kind` `SnapSyncReady`) or wrote
-    /// its part (`SnapDone`). Once every survivor is drained no lock chain
-    /// is left anywhere, so no machine sends counted work before the
-    /// resume: the master's flush marker opens the barrier. Once every
-    /// part is written the snapshot is over, and so is the run if a stop
-    /// fired during it.
-    fn master_collect_snap(&mut self, kind: LockKind) {
-        let Round::Snapshot { votes, halt } = &mut self.round else {
-            unreachable!("{} of no snapshot in flight", kind.name())
-        };
-        votes.vote();
-        if !self.core.rec.complete(votes) {
-            return;
+/// A coordination message as the wire carries it (a worker's partials
+/// leave as `Output::Partials`, with their bytes).
+fn wire(msg: Msg) -> (LockKind, Bytes) {
+    match msg {
+        Msg::Quiet(k) => (LockKind::Quiet, enc(&k)),
+        Msg::QuietReport(round, clean) => {
+            (LockKind::QuietReport, enc(&QuietReportMsg { round, clean }))
         }
-        if kind == LockKind::SnapSyncReady {
-            *votes = Tally::default();
-            self.snap_flush();
-            return;
-        }
-        let halt = *halt;
-        self.round = Round::Idle;
-        if self.core.setup.config.snapshot.mode == SnapshotMode::Synchronous {
-            self.broadcast_all(LockKind::SnapResume, Bytes::new());
-        }
-        if halt {
-            self.halt();
-        }
-    }
-
-    /// The synchronous snapshot's flush markers held, after broadcasting
-    /// this machine's own if it has not yet: the master does once every
-    /// survivor is drained, a worker on the first marker it receives. A
-    /// marker follows all of its sender's counted work on the channel, so
-    /// holding every survivor's means holding all of it.
-    fn snap_flush(&mut self) -> &mut Markers {
-        if let SnapPart::Sync(SyncPart::Drained) = self.part {
-            let payload = enc(&self.core.snapshots);
-            self.core.broadcast(LockKind::SnapSyncFlush, &payload);
-            self.part = SnapPart::Sync(SyncPart::Flushing(Markers::new(self.core.slots())));
-        }
-        match &mut self.part {
-            SnapPart::Sync(SyncPart::Flushing(marks)) => marks,
-            _ => unreachable!("a flush marker before every survivor drained"),
-        }
+        Msg::Halt => (LockKind::Halt, Bytes::new()),
+        Msg::HaltAck => (LockKind::HaltAck, Bytes::new()),
+        Msg::SyncReq(epoch) => (LockKind::SyncReq, enc(&epoch)),
+        Msg::SyncPart(_) => unreachable!("partials leave with their bytes"),
+        Msg::SnapSyncStart(id) => (LockKind::SnapSyncStart, enc(&id)),
+        Msg::SnapSyncReady(id) => (LockKind::SnapSyncReady, enc(&id)),
+        Msg::SnapSyncFlush(id) => (LockKind::SnapSyncFlush, enc(&id)),
+        Msg::SnapDone => (LockKind::SnapDone, Bytes::new()),
+        Msg::SnapResume => (LockKind::SnapResume, Bytes::new()),
+        Msg::SnapAsyncStart(id) => (LockKind::SnapAsyncStart, enc(&(id + 1))),
     }
 }
 
@@ -1630,10 +1332,10 @@ where
     }
 
     /// Resets every piece of volatile engine state — scheduler, lock
-    /// table, chains, quiet round, snapshot and master coordination
-    /// state — reallocating everything sized by the local
-    /// graph, and rebuilding the lock plans derived from it (a rollback or
-    /// an adoption may have replaced the graph).
+    /// table, chains, the coordination, the snapshot part — reallocating
+    /// everything sized by the local graph, and rebuilding the lock plans
+    /// derived from it (a rollback or an adoption may have replaced the
+    /// graph).
     fn reset_engine_state(&mut self) {
         let nv = self.core.lg.num_local_vertices();
         let ne = self.core.lg.num_local_edges();
@@ -1646,21 +1348,17 @@ where
         self.outs = Slab::default();
         self.out_index.clear();
         self.ready.clear();
-        // The round in flight is abandoned; the master opens a fresh one
-        // once it is idle after the resume.
-        self.quiet = Quiet::Done(0);
-        self.quiet_marks = Markers::new(self.core.slots());
         self.cap_reached = false;
+        // Every round in flight is abandoned; the master opens a fresh
+        // quiet round once it is idle after the resume.
+        self.coord.reset(self.core.observed_updates());
+        self.paused = false;
         self.snap_epoch = vec![0; nv];
         self.current_snap = 0;
-        self.part = SnapPart::Idle;
-        self.round = Round::Idle;
+        self.snap = None;
         // The LockKind::UpdNote state (`last_noted`, like the machine's
         // counts) deliberately survives: counts are cumulative and never
         // reset, which is what makes stale notes idempotent.
-        self.m_sync_outstanding = None;
-        self.m_sync_next_at =
-            self.core.observed_updates() + self.core.setup.config.sync_interval_updates;
     }
 
     fn reseed(&mut self, l: u32) {
@@ -1675,6 +1373,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coord::{Part, Quiet, Round};
     use crate::driver::tests::{scripted_machine, NoUpdate};
     use crate::reference::InitialSchedule;
     use crate::snapshot::{restore_snapshot, snapshot_exists};
@@ -1743,7 +1442,7 @@ mod tests {
             while let Ok(env) = m.core.net.try_recv() {
                 m.dispatch(env);
             }
-            m.check_snapshot_progress();
+            m.end_pass();
         };
         let marker = (LockKind::SnapSyncFlush, enc(&0u64));
         // Machine 1's chain holds vertex 2's lock when the snapshot starts.
@@ -1776,7 +1475,7 @@ mod tests {
 
         from(0, LockKind::SnapResume, Bytes::new());
         pump(&mut m);
-        assert!(matches!(m.part, SnapPart::Idle) && m.chains.live() == 0);
+        assert!(matches!(m.coord.part, Part::Idle) && m.chains.live() == 0);
     }
 
     /// Machine `src`'s `kind` message, handled by `m` as the loop would.
@@ -1796,23 +1495,23 @@ mod tests {
         let (mut m, peers) = hop_machine(0);
         let quiet = |k: u64| (LockKind::Quiet, enc(&k));
         let clean = enc(&QuietReportMsg { round: 1, clean: true });
-        m.update_idle();
+        m.end_pass();
         assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet(1)], [quiet(1)]]);
 
         let sched = ScheduleMsg { tasks: vec![(VertexId(0), 1.0)] };
         deliver(&mut m, 1, LockKind::Sched, enc(&sched));
         deliver(&mut m, 1, LockKind::Quiet, enc(&1u64));
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
-        m.update_idle();
-        assert_eq!(m.quiet, Quiet::Sent(1, true));
+        m.end_pass();
+        assert_eq!(m.coord.quiet, Quiet::Sent(1, true));
         assert_eq!(m.scheduler.pop(), m.core.lg.local_vertex(VertexId(0)), "the task ran");
 
         deliver(&mut m, 2, LockKind::Quiet, enc(&1u64));
         deliver(&mut m, 2, LockKind::QuietReport, clean);
-        m.update_idle();
+        m.end_pass();
         m.master_triggers();
-        assert!(!matches!(m.round, Round::Halt { .. }), "a dirty round halted the run");
-        assert_eq!(m.quiet, Quiet::Sent(2, false));
+        assert!(!matches!(m.coord.round, Round::Halt { .. }), "a dirty round halted the run");
+        assert_eq!(m.coord.quiet, Quiet::Sent(2, false));
         assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet(2)], [quiet(2)]]);
     }
 
@@ -1824,29 +1523,29 @@ mod tests {
     fn a_reset_abandons_the_quiet_round_and_the_master_opens_a_fresh_one() {
         let (mut m, peers) = hop_machine(0);
         let clean = enc(&QuietReportMsg { round: 1, clean: true });
-        m.update_idle();
+        m.end_pass();
         deliver(&mut m, 1, LockKind::Quiet, enc(&1u64));
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
-        assert!(matches!(m.round, Round::Quiet { .. }) && m.quiet_marks.next(MachineId(1)) == 2);
+        assert!(matches!(m.coord.round, Round::Quiet { .. }) && m.coord.quiet_marks.next(MachineId(1)) == 2);
 
         m.core.reset_engine_state();
         RecoveryHost::reset_engine_state(&mut m);
-        assert_eq!(m.quiet, Quiet::Done(0));
-        assert_eq!(m.quiet_marks.next(MachineId(1)), 0, "a pre-reset marker survived");
-        assert!(matches!(m.round, Round::Idle), "a pre-reset report survived");
+        assert_eq!(m.coord.quiet, Quiet::Done(0));
+        assert_eq!(m.coord.quiet_marks.next(MachineId(1)), 0, "a pre-reset marker survived");
+        assert!(matches!(m.coord.round, Round::Idle), "a pre-reset report survived");
         let _round_1 = (inbox(&peers[0]), inbox(&peers[1]));
 
-        m.update_idle();
+        m.end_pass();
         let quiet = (LockKind::Quiet, enc(&1u64));
         assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet.clone()], [quiet]]);
         for src in [1, 2] {
             deliver(&mut m, src, LockKind::Quiet, enc(&1u64));
         }
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
-        m.update_idle();
-        assert!(!matches!(m.round, Round::Halt { .. }), "halted without machine 2's report");
+        m.end_pass();
+        assert!(!matches!(m.coord.round, Round::Halt { .. }), "halted without machine 2's report");
         deliver(&mut m, 2, LockKind::QuietReport, clean);
-        assert!(matches!(m.round, Round::Halt { .. }));
+        assert!(matches!(m.coord.round, Round::Halt { .. }));
     }
 
     /// A trigger is work: while a synchronous snapshot is in flight an idle
@@ -1859,11 +1558,11 @@ mod tests {
         let mode = SnapshotMode::Synchronous;
         m.core.setup.config.snapshot =
             crate::config::SnapshotConfig { mode, every_updates: 1, max_snapshots: 1 };
+        m.coord = Coord::new(MachineId(0), 3, mode, None);
         m.core.note_peer_updates(MachineId(1), 1);
         let pass = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
             m.master_triggers();
-            m.check_snapshot_progress();
-            m.update_idle();
+            m.end_pass();
         };
         let to_both = |kind: LockKind, payload: Bytes| [[(kind, payload.clone())], [(kind, payload)]];
         pass(&mut m);
@@ -1882,7 +1581,7 @@ mod tests {
         assert!(inbox(&peers[0]).is_empty() && inbox(&peers[1]).is_empty(), "a round during a snapshot");
 
         deliver(&mut m, 2, LockKind::SnapDone, Bytes::new());
-        assert!(matches!((&m.round, &m.part), (Round::Idle, SnapPart::Idle)));
+        assert!(matches!((&m.coord.round, &m.coord.part), (Round::Idle, Part::Idle)));
         pass(&mut m);
         let (resume, quiet) = ((LockKind::SnapResume, Bytes::new()), (LockKind::Quiet, enc(&1u64)));
         let both = [resume, quiet];
@@ -1890,7 +1589,7 @@ mod tests {
     }
 
     /// A worker's asynchronous part is written once and announced once,
-    /// although `check_snapshot_progress` runs on every pass of the loop.
+    /// although `end_pass` runs on every pass of the loop.
     #[test]
     fn an_asynchronous_part_is_written_and_announced_once() {
         let (mut m, peers) = hop_machine(2);
@@ -1910,14 +1609,14 @@ mod tests {
         deliver(&mut m, 1, LockKind::Req, enc(&back));
         m.execute_ready();
         for _ in 0..3 {
-            m.check_snapshot_progress();
+            m.end_pass();
         }
         let done = |ep| inbox(ep).iter().filter(|(kind, _)| *kind == LockKind::SnapDone).count();
         assert_eq!((done(&peers[0]), done(&peers[1])), (1, 0), "announced once, to the master");
         let mut restored = triangle();
         let (nv, _) = restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
         assert_eq!(nv, 1, "vertex 2's row, not an empty second write over it");
-        assert!(matches!(m.part, SnapPart::Idle));
+        assert!(matches!(m.coord.part, Part::Idle));
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's

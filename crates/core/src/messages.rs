@@ -339,7 +339,7 @@ impl Kind {
 
 impl LockKind {
     /// Whether this kind carries engine *work*: work that dirties a quiet
-    /// round (termination, see `crate::locking`). The control kinds,
+    /// round (termination, see `crate::coord`). The control kinds,
     /// [`LockKind::UpdNote`] among them, dirty none.
     pub fn is_counted_work(self) -> bool {
         use LockKind::*;

@@ -140,7 +140,7 @@ mod tally {
     /// least of all.
     ///
     /// [`RecoveryTracker::complete`]: super::RecoveryTracker::complete
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
     pub(crate) struct Tally(usize);
 
     impl Tally {
@@ -162,7 +162,7 @@ mod tally {
     /// every survivor's marker of a round arrived?
     ///
     /// [`RecoveryTracker::holds`]: super::RecoveryTracker::holds
-    #[derive(Debug)]
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     pub(crate) struct Markers(Vec<Option<u64>>);
 
     impl Markers {

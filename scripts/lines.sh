@@ -21,7 +21,7 @@ for dir in $core $net; do
     printf '%-50s %6d\n' "$dir total" "$(cat $dir/*.rs | wc -l)"
     printf '%-50s %6d\n' "$dir outside #[cfg(test)]" "$(outside_tests $dir/*.rs)"
 done
-for f in chromatic locking recovery; do
+for f in chromatic coord locking recovery; do
     printf '%-50s %6d\n' "$core/$f.rs" "$(wc -l < $core/$f.rs)"
     printf '%-50s %6d\n' "$core/$f.rs outside #[cfg(test)]" "$(outside_tests $core/$f.rs)"
 done
