@@ -43,7 +43,7 @@ pub enum PlacementStrategy {
 }
 
 /// Assignment of atoms to machines.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Placement {
     machine_of: Vec<MachineId>,
     num_machines: usize,

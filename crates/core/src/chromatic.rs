@@ -55,7 +55,8 @@ use crate::update::UpdateFunction;
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Receive deadline while a recovery round is in progress: stall detection
-/// is timer-based (`recovery::tick`), so the pump must tick.
+/// is timer-based (a receive timeout fed to `recovery::on_recv`), so the
+/// pump must time out.
 const RECOVERY_POLL: Duration = Duration::from_millis(25);
 
 /// An open block goes on the wire once it holds this many bytes: well under
@@ -217,12 +218,8 @@ where
             // it inside the machine), this machine leaves the run, or the
             // run fails.
             while step == Step::Continue {
-                step = match self.core.net.recv_timeout(RECOVERY_POLL) {
-                    Ok(env) => recovery::on_envelope(&mut self, Kind::of(&env), env),
-                    Err(RecvError::Timeout) => recovery::tick(&mut self),
-                    Err(RecvError::MachineDown) => recovery::on_self_death(&mut self),
-                    Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
-                };
+                let got = self.core.net.recv_timeout(RECOVERY_POLL).map(|env| (Kind::of(&env), env));
+                step = recovery::on_recv(&mut self, got);
             }
             if self.core.ends_run(step) {
                 break;
@@ -300,20 +297,16 @@ where
     /// A timeout is a stall (clean failure, never a hang).
     fn recv_env(&mut self, timeout: Duration) -> Result<(ChromKind, Envelope), Interrupt> {
         loop {
-            let step = match self.core.net.recv_timeout(timeout) {
-                Ok(env) => match Kind::of(&env) {
-                    Kind::Chrom(kind) => return Ok((kind, env)),
-                    kind @ Kind::Recovery(_) => recovery::on_envelope(self, kind, env),
-                    Kind::Lock(kind) => panic!("{} in the chromatic engine", kind.name()),
-                },
+            let step = match self.core.net.recv_timeout(timeout).map(|env| (Kind::of(&env), env)) {
+                Ok((Kind::Chrom(kind), env)) => return Ok((kind, env)),
+                Ok((Kind::Lock(kind), _)) => panic!("{} in the chromatic engine", kind.name()),
                 Err(RecvError::Timeout) => Step::Abort(format!(
                     "chromatic engine stalled: machine {} step {} received nothing for {:?}",
                     self.core.me().0,
                     self.step,
                     timeout
                 )),
-                Err(RecvError::MachineDown) => recovery::on_self_death(self),
-                Err(RecvError::Disconnected) => Step::Abort("fabric disconnected".into()),
+                got => recovery::on_recv(self, got),
             };
             // Stale control of a finished round is simply consumed.
             if step != Step::Continue || self.core.rec.phase() != RecoveryPhase::Normal {
@@ -350,7 +343,7 @@ where
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
             // Ascending local ids are ascending global ids.
             tasks.sort_unstable();
-            rec.send_with(net, MachineId::from(j), ChromKind::Sched, |buf| {
+            net.send_with(MachineId::from(j), rec.wire(ChromKind::Sched), |buf| {
                 StepTagged::<TaskSetMsg>::put(buf, *step, 0, |buf| {
                     TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
                 })

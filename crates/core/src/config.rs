@@ -34,7 +34,7 @@ pub struct SnapshotConfig {
 }
 
 /// What the cluster does when a machine dies with no restart scheduled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum RecoveryMode {
     /// Classic checkpoint recovery only: a permanent death fails the run
     /// cleanly ("no restart scheduled"), a death with a scheduled restart

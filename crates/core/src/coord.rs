@@ -593,15 +593,15 @@ mod tests {
     //! A violation fails with the shortest schedule that reaches it, as a
     //! literal the replay tests below take.
 
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::{HashSet, VecDeque};
-    use std::hash::{Hash, Hasher};
+    use std::collections::VecDeque;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use super::*;
+    use crate::explore;
 
     use Act::*;
     use SnapshotMode::{Asynchronous, Synchronous};
+    use crate::config::RecoveryMode;
 
     /// What a channel carries: a coordination message, or counted work
     /// stamped with the captures its sender had taken.
@@ -699,71 +699,14 @@ mod tests {
 
     impl Model {
         fn new(b: Bounds) -> Self {
-            Model { b, recs: (0..b.n).map(|i| RecoveryTracker::new(i, b.n)).collect() }
-        }
-
-        /// Every machine holds a task; nothing is in flight.
-        fn start(&self) -> World {
-            let n = self.b.n;
-            let node = |i: usize| Node {
-                coord: Coord::new(MachineId(i as u16), n, self.b.mode, self.b.syncs.then_some(1)),
-                task: true,
-                paused: false,
-                writing: false,
-                halted: false,
-                cuts: 0,
-                done: 0,
-            };
-            World {
-                nodes: (0..n).map(node).collect(),
-                chans: vec![VecDeque::new(); n * n],
-                sends: self.b.sends,
-                sync_dues: self.b.sync_dues,
-                snap_dues: self.b.snap_dues,
-                started: 0,
-                closed: 0,
-                stopped: false,
-            }
-        }
-
-        /// The actions `w` enables, the stop predicate false.
-        fn enabled(&self, w: &World) -> Vec<Act> {
-            let n = self.b.n;
-            let mut acts = Vec::new();
-            for (c, chan) in w.chans.iter().enumerate() {
-                let (src, dst) = (c / n, c % n);
-                if !chan.is_empty() {
-                    acts.push(Deliver(src, dst, false));
-                }
-                let inbox: usize = (0..n).map(|s| w.chans[s * n + dst].len()).sum();
-                if !chan.is_empty() && inbox > 1 && !w.nodes[dst].halted {
-                    acts.push(Drain(src, dst, false));
-                }
-            }
-            for (i, node) in w.nodes.iter().enumerate() {
-                if node.task && !node.paused && !node.halted {
-                    acts.push(Run(i, None));
-                    let peers = (0..n).filter(|&j| j != i && w.sends > 0);
-                    acts.extend(peers.map(|j| Run(i, Some(j))));
-                }
-                if node.writing && !node.halted {
-                    acts.push(Write(i));
-                }
-            }
-            let master = &w.nodes[0];
-            if !master.halted && w.sync_dues > 0 {
-                acts.push(SyncDue(false));
-            }
-            if !master.halted && w.snap_dues > 0 && master.coord.may_snapshot() {
-                acts.push(SnapshotDue);
-            }
-            acts
+            let recs = (0..b.n).map(|i| RecoveryTracker::new(i, b.n, RecoveryMode::Rollback)).collect();
+            Model { b, recs }
         }
 
         /// `act` taken in `w`, then a pass of the machine it acted on;
         /// `Err` names the invariant broken. The flag: an epoch was
         /// finalized, so the stop predicate matters.
-        fn apply(&self, w: &World, act: Act) -> Result<(World, bool), String> {
+        fn take(&self, w: &World, act: Act) -> Result<(World, bool), String> {
             let (mut w, n) = (w.clone(), self.b.n);
             let (i, input, stop) = match act {
                 Deliver(src, dst, stop) | Drain(src, dst, stop) => {
@@ -928,87 +871,104 @@ mod tests {
         matches!(act, Deliver(..) | Drain(..) | Run(..) | Write(_))
     }
 
-    fn fingerprint(w: &World) -> u64 {
-        let mut h = DefaultHasher::new();
-        w.hash(&mut h);
-        h.finish()
-    }
+    impl explore::Model for Model {
+        type State = World;
+        type Act = Act;
 
-    /// `Err` if some machine has not halted and nothing but a timer could
-    /// move the cluster on.
-    fn check_live(model: &Model, w: &World) -> Result<(), String> {
-        let stuck =
-            !model.enabled(w).iter().any(progress) && w.nodes.iter().any(|node| !node.halted);
-        if stuck {
-            return Err(format!(
-                "stuck: {:?}",
-                w.nodes.iter().map(|node| &node.coord).collect::<Vec<_>>()
-            ));
+        /// Every machine holds a task; nothing is in flight.
+        fn start(&self) -> World {
+            let n = self.b.n;
+            let node = |i: usize| Node {
+                coord: Coord::new(MachineId(i as u16), n, self.b.mode, self.b.syncs.then_some(1)),
+                task: true,
+                paused: false,
+                writing: false,
+                halted: false,
+                cuts: 0,
+                done: 0,
+            };
+            World {
+                nodes: (0..n).map(node).collect(),
+                chans: vec![VecDeque::new(); n * n],
+                sends: self.b.sends,
+                sync_dues: self.b.sync_dues,
+                snap_dues: self.b.snap_dues,
+                started: 0,
+                closed: 0,
+                stopped: false,
+            }
         }
-        Ok(())
-    }
 
-    /// Explores every state within `b`, breadth-first; panics with the
-    /// shortest schedule to the first violation. Returns the states seen.
-    fn explore(b: Bounds) -> usize {
-        let model = Model::new(b);
-        let start = model.start();
-        let mut seen = HashSet::from([fingerprint(&start)]);
-        // Per state, its parent and the action that reached it (the start's
-        // entry is never read).
-        let mut trail: Vec<(usize, Act)> = vec![(0, SnapshotDue)];
-        let mut queue = VecDeque::from([(start, 0)]);
-        let fail = |trail: &[(usize, Act)], mut id: usize, last: Option<Act>, why: String| -> ! {
-            let mut schedule: Vec<Act> = last.into_iter().collect();
-            while id != 0 {
-                schedule.push(trail[id].1);
-                id = trail[id].0;
-            }
-            schedule.reverse();
-            panic!("{b:?}: {why}\nshortest schedule ({} steps): &{schedule:?}", schedule.len());
-        };
-        while let Some((w, id)) = queue.pop_front() {
-            if let Err(why) = check_live(&model, &w) {
-                fail(&trail, id, None, why);
-            }
-            for act in model.enabled(&w) {
-                let mut tried = Some(act);
-                while let Some(act) = tried.take() {
-                    match model.apply(&w, act) {
-                        Ok((next, finalized)) => {
-                            if finalized {
-                                tried = act.stopping();
-                            }
-                            if seen.insert(fingerprint(&next)) {
-                                trail.push((id, act));
-                                queue.push_back((next, trail.len() - 1));
-                            }
-                        }
-                        Err(why) => fail(&trail, id, Some(act), why),
-                    }
+        /// The actions `w` enables, the stop predicate false.
+        fn enabled(&self, w: &World) -> Vec<Act> {
+            let n = self.b.n;
+            let mut acts = Vec::new();
+            for (c, chan) in w.chans.iter().enumerate() {
+                let (src, dst) = (c / n, c % n);
+                if !chan.is_empty() {
+                    acts.push(Deliver(src, dst, false));
+                }
+                let inbox: usize = (0..n).map(|s| w.chans[s * n + dst].len()).sum();
+                if !chan.is_empty() && inbox > 1 && !w.nodes[dst].halted {
+                    acts.push(Drain(src, dst, false));
                 }
             }
+            for (i, node) in w.nodes.iter().enumerate() {
+                if node.task && !node.paused && !node.halted {
+                    acts.push(Run(i, None));
+                    let peers = (0..n).filter(|&j| j != i && w.sends > 0);
+                    acts.extend(peers.map(|j| Run(i, Some(j))));
+                }
+                if node.writing && !node.halted {
+                    acts.push(Write(i));
+                }
+            }
+            let master = &w.nodes[0];
+            if !master.halted && w.sync_dues > 0 {
+                acts.push(SyncDue(false));
+            }
+            if !master.halted && w.snap_dues > 0 && master.coord.may_snapshot() {
+                acts.push(SnapshotDue);
+            }
+            acts
         }
-        seen.len()
-    }
 
-    /// Takes `schedule` in order, every invariant checked and every step
-    /// enabled, and returns where it ends, which must not be stuck.
-    fn replay(b: Bounds, schedule: &[Act]) -> World {
-        let model = Model::new(b);
-        let mut w = model.start();
-        for (k, &act) in schedule.iter().enumerate() {
-            let plain = match act {
+        /// An epoch finalized: the stop predicate matters, so try it true.
+        fn apply(&self, w: &World, act: Act) -> Result<(World, Option<Act>), String> {
+            let (next, finalized) = self.take(w, act)?;
+            Ok((next, if finalized { act.stopping() } else { None }))
+        }
+
+        /// `Err` if some machine has not halted and nothing but a timer could
+        /// move the cluster on.
+        fn check(&self, w: &World) -> Result<(), String> {
+            let stuck =
+                !self.enabled(w).iter().any(progress) && w.nodes.iter().any(|node| !node.halted);
+            if stuck {
+                return Err(format!(
+                    "stuck: {:?}",
+                    w.nodes.iter().map(|node| &node.coord).collect::<Vec<_>>()
+                ));
+            }
+            Ok(())
+        }
+
+        fn plain(&self, act: Act) -> Act {
+            match act {
                 Deliver(src, dst, _) => Deliver(src, dst, false),
                 Drain(src, dst, _) => Drain(src, dst, false),
                 SyncDue(_) => SyncDue(false),
                 act => act,
-            };
-            assert!(model.enabled(&w).contains(&plain), "step {k}, {act:?}, is not enabled");
-            w = model.apply(&w, act).unwrap_or_else(|why| panic!("step {k}, {act:?}: {why}")).0;
+            }
         }
-        check_live(&model, &w).unwrap_or_else(|why| panic!("after the schedule: {why}"));
-        w
+    }
+
+    fn explore(b: Bounds) -> usize {
+        explore::explore(&Model::new(b), b)
+    }
+
+    fn replay(b: Bounds, schedule: &[Act]) -> World {
+        explore::replay(&Model::new(b), schedule)
     }
 
     // Five rules past changes proved by hand, each with the shortest

@@ -51,6 +51,7 @@ pub mod chromatic;
 pub mod config;
 pub(crate) mod coord;
 pub mod driver;
+mod explore;
 pub mod globals;
 pub mod local;
 pub mod locking;

@@ -41,10 +41,10 @@
 //!   the wire without changing it), through [`IdMap`]: a `Release` finds its
 //!   chain by `(requester, reqid)`, a `ScopeData` its scope by `reqid`, rows
 //!   their datum by global id. Single-machine scopes are never indexed.
-//! - **Messages** have no buffer of their own. A send hands
-//!   `RecoveryTracker::send_with` — the single send point — the message's
-//!   `put` from `messages.rs`, which encodes straight into the
-//!   destination's `Batcher` queue; a received `Req`, `ScopeData`,
+//! - **Messages** have no buffer of their own. A send hands the
+//!   destination's `Batcher` queue the kind `RecoveryTracker::wire` checked
+//!   and the message's `put` from `messages.rs`, which encodes straight
+//!   into the queue; a received `Req`, `ScopeData`,
 //!   `Release` or `Sched` ([`LockKind`]) is walked in place by the matching
 //!   `read`, rows applied as they are met, a datum decoded from a view of
 //!   the envelope. `messages.rs` owns every wire layout, both ways.
@@ -513,15 +513,11 @@ where
                         self.idle_wakeups += 1;
                     }
                 }
-                Err(RecvError::Timeout) => {
-                    let step = recovery::tick(&mut self);
-                    self.halted |= self.core.ends_run(step);
-                }
-                Err(RecvError::MachineDown) => {
-                    let step = recovery::on_self_death(&mut self);
-                    self.halted |= self.core.ends_run(step);
-                }
                 Err(RecvError::Disconnected) => break,
+                Err(e) => {
+                    let step = recovery::on_recv(&mut self, Err(e));
+                    self.halted |= self.core.ends_run(step);
+                }
             }
         }
         // Halt-era messages (acks, final releases) may still sit in the
@@ -552,7 +548,7 @@ where
             Kind::Lock(_) | Kind::Recovery(_) => {
                 // A resumed round needs nothing: the loop simply finds the
                 // phase normal again.
-                let step = recovery::on_envelope(self, kind, env);
+                let step = recovery::on_recv(self, Ok((kind, env)));
                 self.halted |= self.core.ends_run(step);
             }
             Kind::Chrom(kind) => panic!("{} in the locking engine", kind.name()),
@@ -786,7 +782,7 @@ where
         let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
         let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
         let cx = &mut (&mut self.cache, &mut self.core.rowbuf);
-        self.core.rec.send_with(&mut self.core.net, to, LockKind::ScopeData, |buf| {
+        self.core.net.send_with(to, self.core.rec.wire(LockKind::ScopeData), |buf| {
             ScopeDataMsg::put(
                 buf,
                 cx,
@@ -946,7 +942,7 @@ where
             }
             let (lg, snap_epoch, ob) = (&self.core.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
             let rowbuf = &mut self.core.rowbuf;
-            self.core.rec.send_with(&mut self.core.net, mm, LockKind::Release, |buf| {
+            self.core.net.send_with(mm, self.core.rec.wire(LockKind::Release), |buf| {
                 ReleaseMsg::put(
                     buf,
                     rowbuf,

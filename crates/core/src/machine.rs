@@ -73,7 +73,7 @@ impl<V, E> Machine<V, E> {
             net.enable_lease(LeaseConfig::with_period(period));
         }
         Machine {
-            rec: RecoveryTracker::new(lg.machine().index(), m),
+            rec: RecoveryTracker::new(lg.machine().index(), m, setup.config.recovery),
             globals: GlobalRegistry::new(),
             snapshots: 0,
             updates_local: 0,
@@ -106,24 +106,28 @@ impl<V, E> Machine<V, E> {
     }
 
     /// Single send point for all engine traffic (see
-    /// [`RecoveryTracker::send_with`] for the invariant it guards). A `put`
-    /// that reads this machine's graph calls the tracker with `net` beside it.
+    /// [`RecoveryTracker::wire`] for the invariant it guards). A `put`
+    /// that reads this machine's graph calls `net.send_with(dst,
+    /// rec.wire(kind), put)` with the fields beside it.
     pub fn send_with(
         &mut self,
         dst: MachineId,
         kind: impl Into<Kind>,
         put: impl FnOnce(&mut BytesMut),
     ) {
-        self.rec.send_with(&mut self.net, dst, kind, put);
+        self.net.send_with(dst, self.rec.wire(kind), put);
     }
 
     pub fn send(&mut self, dst: MachineId, kind: impl Into<Kind>, payload: Bytes) {
-        self.rec.send(&mut self.net, dst, kind, payload);
+        self.net.send(dst, self.rec.wire(kind), payload);
     }
 
     /// Sends `payload` to every surviving peer.
     pub fn broadcast(&mut self, kind: impl Into<Kind>, payload: &Bytes) {
-        self.rec.broadcast(&mut self.net, kind, payload);
+        let kind = self.rec.wire(kind);
+        for dst in self.rec.peers() {
+            self.net.send(dst, kind, payload.clone());
+        }
     }
 
     /// The initial schedule's tasks on vertices this machine owns, as

@@ -284,7 +284,7 @@ kinds! {
 
     /// Recovery and fabric control plane (both engines), `40..=47` and the
     /// transport's fault and lease notifications: received by
-    /// `recovery::on_envelope`. The only traffic a machine emits between
+    /// `recovery::on_recv`. The only traffic a machine emits between
     /// its drain point and the cluster-wide resume, which is what makes
     /// the [`RecoveryKind::FlushMark`] barrier exact: everything a peer
     /// sent before its marker is engine traffic from before its drain.
@@ -1012,7 +1012,7 @@ codec_fields! { QuietReportMsg { round, clean } }
 /// Master's rollback order: broadcast the era's [`RecoveryKind::FlushMark`] to every
 /// peer, drain inbound channels until every peer's marker arrived, then
 /// restore checkpoint `snap` and reset all volatile engine state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RollbackMsg {
     /// Fault era the rollback resolves.
     pub era: u32,
@@ -1041,7 +1041,7 @@ codec_fields! { RecoverEraMsg { era } }
 
 /// Unrecoverable-failure broadcast: the run fails cleanly with `reason`
 /// (e.g. *"no complete checkpoint"*) instead of hanging or panicking.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RecoverAbortMsg {
     /// Fault era the abort resolves.
     pub era: u32,
@@ -1058,7 +1058,7 @@ codec_fields! { RecoverAbortMsg { era, reason } }
 /// placement's journals, then overlay checkpoint `snap` for the adopted
 /// atoms when one is complete (`None` = journal-only adoption: adopted
 /// vertices restart from their ingress-initial data and are re-scheduled).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AdoptPlanMsg {
     /// Fault era the adoption resolves.
     pub era: u32,
@@ -1081,13 +1081,11 @@ codec_fields! { AdoptPlanMsg { era, dead, placement, snap } }
 pub struct AdoptDataMsg {
     /// Fault era the adoption resolves.
     pub era: u32,
-    /// `(vertex, encoded V)` rows owned by the sender.
-    pub vrows: Vec<(VertexId, Bytes)>,
-    /// `(edge, encoded E)` rows owned by the sender.
-    pub erows: Vec<(EdgeId, Bytes)>,
+    /// The sender's owned rows, in a checkpoint file's form.
+    pub rows: crate::snapshot::SnapshotFile,
 }
 
-codec_fields! { AdoptDataMsg { era, vrows, erows } }
+codec_fields! { AdoptDataMsg { era, rows } }
 
 #[cfg(test)]
 mod tests {
@@ -1184,8 +1182,10 @@ mod tests {
         });
         rt(AdoptDataMsg {
             era: 4,
-            vrows: vec![(VertexId(3), Bytes::from_static(b"v"))],
-            erows: vec![(EdgeId(9), Bytes::new())],
+            rows: crate::snapshot::SnapshotFile {
+                vrows: vec![(VertexId(3), Bytes::from_static(b"v"))],
+                erows: vec![(EdgeId(9), Bytes::new())],
+            },
         });
     }
 

@@ -1,64 +1,91 @@
-//! The engines' failure-recovery protocol (§4.3; see the
-//! [`crate::snapshot`] module docs for the full protocol walkthrough).
+//! The engines' failure-recovery protocol (§4.3): one pure transition
+//! function, [`RecoveryTracker::step`], and the host half that feeds it
+//! and applies what it returns.
 //!
-//! Both engines drive the one master-coordinated state machine in this
-//! module, keyed on the fabric **fault era** (total kills so far, carried
-//! by every [`RecoveryKind::Down`]/[`RecoveryKind::Up`] notification; the
-//! edges below are [`RecoveryKind`]s):
+//! # Failure model
+//!
+//! Any machine but the master may crash, as the fabric's
+//! [`graphlab_net::fault::FaultPlan`] injects it or a lease expiry declares
+//! it. It loses all volatile state, the fabric drops everything on the wire
+//! to or from it, and every live machine gets a `K_DOWN`
+//! ([`RecoveryKind::Down`]) carrying the **fault era**, the number of kills
+//! so far. A restartable machine comes back empty and first sees its own
+//! `K_UP` ([`RecoveryKind::Up`]) with the current era. Checkpoints and atom
+//! journals on the DFS are the only durable state; permanent deaths are
+//! the one fact a crash keeps.
+//!
+//! # The protocol
+//!
+//! One round per fault era, coordinated by machine 0:
 //!
 //! ```text
-//! normal --Down--> drain --Rollback--> marker flush --all marks-->
-//!   restore+reset ------------------------> await-resume --Resume--> normal
-//!                  \-AdoptPlan-> marker flush --all marks-->
-//!   reload+reset+overlay --all AdoptData--^
-//!
-//! any phase --own death--> dead --Up--> drain
-//! any phase --newer era--> drain (the round restarts)
+//! normal --Down--> drain --Rollback|AdoptPlan--> flush-wait --every FlushMark-->
+//!   rollback: restore ------------------------------> await-resume --Resume--> normal
+//!   adoption: reload + overlay --every AdoptData--^
+//! any phase --own death--> dead --Up--> drain;  --Down of a newer era--> drain
 //! ```
 //!
-//! The master orders a **rollback** when every machine of the era reported
-//! READY, and an **adoption** when some of them are permanently dead (only
-//! possible under [`RecoveryMode::Adopt`]; otherwise a permanent death
-//! aborts the run): survivors reload their part under the re-balanced
-//! placement, keep their live rows, overlay the latest complete per-atom
-//! checkpoint on adopted atoms, and refresh ghosts with one
-//! `RecoveryKind::AdoptData` round between every surviving pair.
+//! 1. **Drain.** A machine stops its engine work, sends no engine message
+//!    until the resume ([`RecoveryTracker::wire`] asserts it) and reports
+//!    `Ready` to the master; a reborn machine does so on its `Up`.
+//! 2. **Order.** With every survivor's `Ready` in, the master reads the
+//!    DFS. If a machine is permanently dead (only under
+//!    [`RecoveryMode::Adopt`]; otherwise that death aborts the run) it plans
+//!    an **adoption**: the dead machines' atoms spread over the survivors,
+//!    plus the latest complete checkpoint to overlay, if any. Otherwise it
+//!    orders a **rollback** to the latest complete checkpoint, torn ones
+//!    pruned, or aborts cleanly when there is none.
+//! 3. **Flush.** A machine that has the order broadcasts the era's
+//!    `FlushMark` and discards engine traffic until it holds every
+//!    survivor's. A marker follows all its sender sent before its drain on
+//!    the same FIFO channel, so no pre-drain engine message can surface
+//!    after the restore. The dead owe no marker: the fabric drops a dead
+//!    incarnation's traffic, and a reborn machine starts with an empty inbox.
+//! 4. **Restore.** A rollback restores owned and ghost rows and resets
+//!    versions. An adoption reloads the journals under the new placement,
+//!    keeps the live rows of what the machine owned, overlays the
+//!    checkpoint on adopted atoms and sends every surviving peer one
+//!    `AdoptData` ghost round, empty ones too (its receipt is a barrier); a
+//!    round that overtook a slower peer's marker waits for the reload. Then
+//!    volatile engine state is reset and every owned vertex reseeded.
+//! 5. **Resume.** Every survivor reports `Recovered`, then the master
+//!    broadcasts `Resume`. Work from early resumers is buffered and
+//!    replayed after it.
 //!
-//! The **marker flush** is what makes the cut exact without any global
-//! counters: a machine stops sending engine traffic when it enters the
-//! drain (only recovery control flows after — [`RecoveryTracker::send`]
-//! asserts it), and broadcasts the era's `RecoveryKind::FlushMark` when the
-//! order arrives. Per-channel FIFO then guarantees that once a machine holds the
-//! current era's marker from every peer, every pre-drain engine message
-//! has already been delivered (and discarded) — nothing stale can surface
-//! after the restore. Channels touching the dead machine need no flushing
-//! at all: the fabric drops in-flight traffic of dead incarnations, and
-//! the reborn machine starts from an empty inbox.
+//! Every message but `Abort` carries its era and is inert outside it.
+//! Rolled-back updates re-execute (`EngineMetrics::updates` counts them:
+//! Fig. 4's recomputation cost); self-stabilising programs reconverge.
 //!
-//! # Host seam
+//! # The boundary
 //!
-//! An engine feeds the machine every recovery-control envelope (and, while
-//! a round is in progress, every envelope) through [`on_envelope`], its
-//! own death through [`on_self_death`] and idle time through [`tick`], and
-//! acts on the returned [`Step`]. The machine reaches back only through
-//! [`RecoveryHost`]: the [`Machine`] under the engine — whose tracker,
-//! batcher, local graph, DFS handle and placement the protocol drives as
-//! plain fields — plus three engine-specific operations: reallocate all
-//! volatile scheduling/isolation state at the current local sizes, reseed
-//! one owned vertex, handle one engine envelope. Everything else (era
-//! arithmetic, survivor-counted barriers, per-phase discard/buffer/replay
-//! of engine traffic, the stall deadline) lives here once.
+//! `step` takes one [`Input`] (a decoded recovery message, an engine
+//! envelope, a receive timeout, its own death, the master's order read
+//! from the DFS) and appends the [`Output`]s to apply, in order. **The
+//! transition function owns every decision; the host half owns every
+//! datum and every byte**: [`on_recv`], both engines' one entry point,
+//! decodes and applies, and the engine adds what [`RecoveryHost`] asks.
+//! Each [`Phase`] carries its own data; what a round heard is a per-era
+//! `Round` that an era bump replaces whole, noted for the current era only
+//! and asked for by one question, [`RecoveryTracker::holds`]. Buffers are
+//! generic, so the explorer in `recovery::tests` runs `step` over ghosts.
+//! In every state it reaches:
+//!
+//! - no work stamped with an era before its receiver's last restore is
+//!   handled or replayed; no era regresses; `step` does not panic;
+//! - every machine that applies an order of an era applies the same one;
+//! - once nothing can move, every live machine is normal at the cluster's
+//!   era, or the master has aborted cleanly and no live machine is normal.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use graphlab_atoms::load_machine_part;
 use graphlab_graph::{AtomId, MachineId};
 use graphlab_net::clock;
 use graphlab_net::codec::Codec;
 use graphlab_net::fault::{DownMsg, UpMsg};
-use graphlab_net::{Batcher, Envelope};
+use graphlab_net::{Envelope, RecvError};
 
 use crate::config::RecoveryMode;
 use crate::driver::MachineSetup;
@@ -73,7 +100,7 @@ use crate::snapshot::{
 /// A recovery phase that makes no progress for this long fails the run
 /// with a clean error instead of hanging (the chaos suite's "never hangs"
 /// guarantee; generous against CI scheduling noise).
-pub(crate) const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
+const RECOVERY_DEADLINE: Duration = Duration::from_secs(60);
 
 /// The clean failure reason for a permanent (restart-less) kill — shared
 /// so every detection site (either engine, survivor or victim) reports
@@ -86,46 +113,6 @@ pub(crate) fn unrecoverable_down(d: &DownMsg) -> String {
     )
 }
 
-/// The latest checkpoint complete in every part (one per atom in the
-/// engines' per-atom layout), torn ones newer than it pruned.
-fn latest_checkpoint<V, E>(s: &MachineSetup<V, E>) -> Option<u64> {
-    let latest = latest_complete_snapshot(&s.dfs, &s.snap_prefix, s.config.num_atoms);
-    prune_snapshots_after(&s.dfs, &s.snap_prefix, latest);
-    latest
-}
-
-/// Master, all READYs in: prunes torn checkpoints and picks the rollback
-/// target. `Ok` is the order to broadcast; `Err` is the abort to broadcast
-/// (no complete checkpoint — nothing to roll back to).
-fn pick_rollback<V, E>(s: &MachineSetup<V, E>, era: u32) -> Result<RollbackMsg, RecoverAbortMsg> {
-    match latest_checkpoint(s) {
-        Some(snap) => Ok(RollbackMsg { era, snap }),
-        None => Err(RecoverAbortMsg {
-            era,
-            reason: format!(
-                "machine failure at fault era {era} with no complete checkpoint to roll back \
-                 to — configure snapshots (SnapshotConfig) to make runs recoverable"
-            ),
-        }),
-    }
-}
-
-/// Master, all surviving READYs in under [`crate::RecoveryMode::Adopt`]:
-/// computes the adoption order — the re-balanced placement (dead
-/// machines' atoms LPT-spread over survivors) plus the latest complete
-/// per-atom checkpoint to overlay, if any (`None` degrades to
-/// journal-only adoption: adopted vertices restart from ingress-initial
-/// data and reconverge through re-scheduling — adoption never *requires*
-/// checkpoints the way rollback does).
-fn pick_adoption<V, E>(s: &MachineSetup<V, E>, era: u32, dead: &[bool]) -> AdoptPlanMsg {
-    AdoptPlanMsg {
-        era,
-        dead: (0..dead.len()).filter(|&m| dead[m]).map(|m| m as u16).collect(),
-        placement: s.placement.adopt(&s.index, dead),
-        snap: latest_checkpoint(s),
-    }
-}
-
 pub(crate) use tally::{Markers, Tally};
 
 /// In a module of its own so that nothing — this file included — can read
@@ -134,8 +121,8 @@ mod tally {
     use graphlab_graph::MachineId;
 
     /// Votes collected towards a barrier (halt acks, snapshot DONEs, sync
-    /// partials, RECOVEREDs). Dead machines never vote, so the one question
-    /// a tally answers is [`RecoveryTracker::complete`] — as many votes as
+    /// partials). Dead machines never vote, so the one question a tally
+    /// answers is [`RecoveryTracker::complete`] — as many votes as
     /// survivors; it compares with nothing else, the static machine count
     /// least of all.
     ///
@@ -183,7 +170,7 @@ mod tally {
         }
     }
 
-    impl super::RecoveryTracker {
+    impl<W, G> super::RecoveryTracker<W, G> {
         /// Whether every machine still alive has voted.
         pub(crate) fn complete(&self, votes: &Tally) -> bool {
             votes.0 >= self.survivors()
@@ -198,164 +185,207 @@ mod tally {
     }
 }
 
-/// Where a machine stands in the recovery protocol.
+/// Where a machine stands in the recovery protocol: the name of its
+/// [`Phase`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RecoveryPhase {
+    Normal,
+    Dead,
+    Drain,
+    FlushWait,
+    AdoptData,
+    AwaitResume,
+}
+
+/// Where a machine stands, with what only that phase holds. `W` is engine
+/// work, `G` a ghost round's rows.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Phase<W, G> {
     /// No recovery in progress.
     Normal,
-    /// This machine is dead (fault plan); waiting for the fabric restart.
+    /// Killed; waiting for the fabric restart.
     Dead,
-    /// Drained and READY sent; waiting for the master's order.
+    /// Drained and `Ready` sent; waiting for the master's order.
     Drain,
-    /// Order received and own marker broadcast; discarding stale traffic
-    /// until every peer's flush marker arrived.
-    FlushWait,
-    /// Adoption applied locally; waiting for every surviving peer's
-    /// `RecoveryKind::AdoptData` ghost round.
-    AdoptData,
-    /// Rolled back (or adopted); waiting for the cluster-wide resume
-    /// barrier.
-    AwaitResume,
+    /// Own marker out; discarding engine traffic until every survivor's
+    /// marker arrived. `held`: ghost rounds of this era that overtook one.
+    FlushWait { order: Order, held: Vec<G> },
+    /// Adoption applied; waiting for every surviving peer's ghost round.
+    /// `buffer`: engine work from machines that resumed first.
+    AdoptData { buffer: Vec<W> },
+    /// Restored; waiting for the master's `Resume`.
+    AwaitResume { buffer: Vec<W> },
+}
+
+/// One fault era's round: the era, and from which machines its `Ready`,
+/// `FlushMark`, `AdoptData` and `Recovered` arrived. An era bump replaces
+/// it whole.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct Round {
+    era: u32,
+    ready: Markers,
+    marks: Markers,
+    ghosts: Markers,
+    recovered: Markers,
+}
+
+impl Round {
+    fn new(era: u32, slots: usize) -> Self {
+        let none = Markers::new(slots);
+        Round { era, ready: none.clone(), marks: none.clone(), ghosts: none.clone(), recovered: none }
+    }
 }
 
 /// The master's order for one fault era: roll everyone back to a
 /// checkpoint, or have the survivors adopt the dead machines' atoms.
-#[derive(Debug)]
-enum Order {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Order {
     Rollback(RollbackMsg),
     Adopt(AdoptPlanMsg),
 }
 
-/// Per-machine recovery state shared by both distributed engines.
+impl Order {
+    fn era(&self) -> u32 {
+        match self {
+            Order::Rollback(msg) => msg.era,
+            Order::Adopt(plan) => plan.era,
+        }
+    }
+}
+
+/// A recovery message with its payload, decoded by the host.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Msg<G> {
+    Down(DownMsg),
+    Up(UpMsg),
+    Ready(u32),
+    Order(Order),
+    FlushMark(u32),
+    /// A ghost round of the era.
+    AdoptData(u32, G),
+    Recovered(u32),
+    Resume(u32),
+    Abort(RecoverAbortMsg),
+}
+
+/// What happened to the machine.
 #[derive(Debug)]
-pub(crate) struct RecoveryTracker {
+pub(crate) enum Input<W, G> {
+    /// A recovery message from a machine.
+    Msg(MachineId, Msg<G>),
+    /// An engine envelope arrived.
+    Work(W),
+    /// A receive timed out.
+    Timeout,
+    /// This machine was killed; `permanent`: no restart is scheduled.
+    Died { permanent: bool },
+    /// Master: the order the DFS gave for [`Output::Decide`], or the abort
+    /// when a rollback has no complete checkpoint.
+    Ordered(Result<Order, RecoverAbortMsg>),
+}
+
+/// What the host does, in order.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Output<W, G> {
+    /// To one machine, then flushed.
+    Send(MachineId, Msg<G>),
+    /// To every surviving peer, then flushed.
+    Broadcast(Msg<G>),
+    /// `machine` died at `era`: fence its lease, and its traffic too when
+    /// the death is permanent.
+    Fence { machine: u16, era: u32, permanent: bool },
+    /// Master: `machine` is back at `era`; lease it afresh.
+    Lease { machine: u16, era: u32 },
+    /// A crash: drop queued traffic and every piece of volatile state.
+    Wipe,
+    /// Master: read `era`'s order from the DFS — an adoption of the `dead`
+    /// machines' atoms, or (`None`) a rollback — for [`Input::Ordered`].
+    Decide { era: u32, dead: Option<Vec<bool>> },
+    /// Restore the checkpoint, or reload under the plan; then reset.
+    Apply(Order),
+    /// Send every surviving peer its ghost round of the era.
+    SendGhosts(u32),
+    /// Write a peer's ghost round into the graph.
+    ApplyGhosts(G),
+    /// Schedule every owned vertex.
+    Reseed,
+    /// Hand engine work to the engine, as in the normal phase.
+    Replay(W),
+    /// The round is over; the phase is normal again.
+    Resumed,
+    /// Permanently dead under [`RecoveryMode::Adopt`]: leave the run.
+    Exit,
+    /// Fail the run with this reason.
+    Abort(String),
+}
+
+/// Per-machine recovery state shared by both distributed engines: who
+/// survives, and the phase of the round in flight.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RecoveryTracker<W = Work, G = SnapshotFile> {
     me: usize,
-    n: usize,
-    /// Latest fabric fault era seen (0 = no fault yet).
-    pub era: u32,
+    mode: RecoveryMode,
     /// Completed rollbacks on this machine.
     pub recoveries: u64,
     /// Completed adoption rounds on this machine (restart-free recovery).
     pub adoptions: u64,
-    /// Machines known permanently dead (no restart scheduled). Every
-    /// collection below counts survivors only; deaths persist across
-    /// eras. Restartable kills are *not* recorded here — the rollback
-    /// round must wait for the reborn machine's READY.
+    /// Machines known permanently dead, one slot per machine. Every barrier
+    /// counts survivors only; deaths persist across eras and crashes.
+    /// Restartable kills are *not* recorded here — the round must wait for
+    /// the reborn machine.
     dead: Vec<bool>,
-    /// Master: machines whose READY arrived for the current era.
-    ready: Vec<bool>,
-    /// Peers' flush markers, by era.
-    marks: Markers,
-    /// Master: RecoveryKind::Recovered acknowledgements for the current era.
-    recovered: Tally,
-    phase: RecoveryPhase,
-    /// Entry time of the current phase (stall deadline).
-    phase_since: Option<Instant>,
-    /// The order being flushed towards (FlushWait).
-    order: Option<Order>,
-    /// Surviving peers whose ghost round arrived (AdoptData).
-    adopt_got: Vec<bool>,
-    /// `RecoveryKind::AdoptData` that raced ahead of a slower peer's flush marker —
-    /// applied once our own adoption surgery is done.
-    adopt_early: Vec<Envelope>,
-    /// Post-recovery engine traffic from machines that resumed before us
-    /// (AdoptData/AwaitResume) — replayed after `RecoveryKind::Resume`, never dropped.
-    resume_buffer: Vec<(Kind, Envelope)>,
+    round: Round,
+    phase: Phase<W, G>,
+    /// When the phase or the era last changed (the stall deadline).
+    since: Option<Instant>,
 }
 
-impl RecoveryTracker {
-    pub(crate) fn new(me: usize, n: usize) -> Self {
+impl<W, G> RecoveryTracker<W, G> {
+    pub(crate) fn new(me: usize, slots: usize, mode: RecoveryMode) -> Self {
         RecoveryTracker {
             me,
-            n,
-            era: 0,
+            mode,
             recoveries: 0,
             adoptions: 0,
-            dead: vec![false; n],
-            ready: vec![false; n],
-            marks: Markers::new(n),
-            recovered: Tally::default(),
-            phase: RecoveryPhase::Normal,
-            phase_since: None,
-            order: None,
-            adopt_got: Vec::new(),
-            adopt_early: Vec::new(),
-            resume_buffer: Vec::new(),
+            dead: vec![false; slots],
+            round: Round::new(0, slots),
+            phase: Phase::Normal,
+            since: None,
         }
     }
 
     /// The phase this machine is in.
+    #[inline]
     pub(crate) fn phase(&self) -> RecoveryPhase {
-        self.phase
-    }
-
-    fn enter(&mut self, phase: RecoveryPhase) {
-        self.phase = phase;
-        self.phase_since = Some(clock::now());
-    }
-
-    /// Crash semantics: everything but the permanent deaths is forgotten.
-    /// Those are cluster-durable facts (a real deployment relearns them
-    /// from the master) — a reborn machine that forgot them would wait
-    /// forever for a dead peer's flush marker.
-    fn wipe(&mut self) {
-        let dead = std::mem::take(&mut self.dead);
-        *self = RecoveryTracker::new(self.me, self.n);
-        self.dead = dead;
-    }
-
-    /// Single send point for all traffic of a recovering machine.
-    /// Recovery correctness depends on a machine sending **no** engine
-    /// message between its drain point and the cluster-wide resume — the
-    /// flush-marker barrier is only a barrier because everything after a
-    /// machine's drain is recovery control; this assert enforces it.
-    /// `put` encodes the message straight into `dst`'s batch queue
-    /// ([`Batcher::send_with`]).
-    pub(crate) fn send_with(
-        &self,
-        net: &mut Batcher,
-        dst: MachineId,
-        kind: impl Into<Kind>,
-        put: impl FnOnce(&mut BytesMut),
-    ) {
-        net.send_with(dst, self.may_send(kind.into()), put);
-    }
-
-    /// [`Self::send_with`] for a payload already encoded (control traffic,
-    /// and blobs too big for a queue, which leave without a copy).
-    pub(crate) fn send(
-        &self,
-        net: &mut Batcher,
-        dst: MachineId,
-        kind: impl Into<Kind>,
-        payload: Bytes,
-    ) {
-        net.send(dst, self.may_send(kind.into()), payload);
-    }
-
-    /// `kind` as the transport takes it, having checked it may leave now.
-    fn may_send(&self, kind: Kind) -> u16 {
-        debug_assert!(
-            self.phase == RecoveryPhase::Normal || matches!(kind, Kind::Recovery(_)),
-            "engine message {} sent during recovery phase {:?}",
-            kind.name(),
-            self.phase
-        );
-        kind.wire()
-    }
-
-    /// Sends `payload` to every surviving peer.
-    pub(crate) fn broadcast(&self, net: &mut Batcher, kind: impl Into<Kind>, payload: &Bytes) {
-        let kind = kind.into();
-        for dst in self.peers() {
-            self.send(net, dst, kind, payload.clone());
+        match self.phase {
+            Phase::Normal => RecoveryPhase::Normal,
+            Phase::Dead => RecoveryPhase::Dead,
+            Phase::Drain => RecoveryPhase::Drain,
+            Phase::FlushWait { .. } => RecoveryPhase::FlushWait,
+            Phase::AdoptData { .. } => RecoveryPhase::AdoptData,
+            Phase::AwaitResume { .. } => RecoveryPhase::AwaitResume,
         }
     }
 
-    /// Records a permanent (restart-less) death: `machine` drops out of
-    /// every barrier from here on. Idempotent.
-    pub(crate) fn note_death(&mut self, machine: usize) {
-        self.dead[machine] = true;
+    /// The latest fault era seen (0: no fault yet).
+    pub(crate) fn era(&self) -> u32 {
+        self.round.era
+    }
+
+    /// `kind` as the transport takes it, checked that it may leave now.
+    /// Every send asks, the engines' row sends included: a machine
+    /// sends **no** engine message between its drain point and
+    /// the cluster-wide resume, or the flush-marker barrier would not be a
+    /// barrier — everything after a machine's drain is recovery control.
+    pub(crate) fn wire(&self, kind: impl Into<Kind>) -> u16 {
+        let kind = kind.into();
+        debug_assert!(
+            matches!(self.phase, Phase::Normal) || matches!(kind, Kind::Recovery(_)),
+            "engine message {} sent during recovery phase {:?}",
+            kind.name(),
+            self.phase()
+        );
+        kind.wire()
     }
 
     /// Number of machines still alive. Private: a barrier asks
@@ -367,62 +397,253 @@ impl RecoveryTracker {
     /// Every surviving machine but this one, ascending: whom a broadcast
     /// reaches and who owes this machine a reply.
     pub(crate) fn peers(&self) -> impl Iterator<Item = MachineId> + '_ {
-        (0..self.n).filter(|&j| j != self.me && !self.dead[j]).map(MachineId::from)
+        (0..self.dead.len()).filter(|&j| j != self.me && !self.dead[j]).map(MachineId::from)
     }
 
     /// Whether `holds` of every surviving machine, this one included (the
     /// dead owe nothing).
     pub(crate) fn all_survivors(&self, mut holds: impl FnMut(usize) -> bool) -> bool {
-        (0..self.n).all(|j| self.dead[j] || holds(j))
+        (0..self.dead.len()).all(|j| self.dead[j] || holds(j))
     }
 
-    /// Observes a fault era (from `K_DOWN`, `K_UP`, or — on a reborn
-    /// machine — the order itself). Returns `true` when the era advanced:
-    /// the caller must (re-)enter the drain phase and send a fresh READY;
-    /// all collection state restarts.
-    pub(crate) fn observe_era(&mut self, era: u32) -> bool {
-        if era <= self.era {
-            return false;
+    /// The transition function (module docs, "The boundary"): `input`
+    /// taken at `now`, then every step it makes possible; `out` ends with
+    /// [`Output::Abort`] or [`Output::Exit`] when the run is over here.
+    pub(crate) fn step(&mut self, input: Input<W, G>, now: Instant, out: &mut Vec<Output<W, G>>) {
+        let was = (self.phase(), self.round.era);
+        match input {
+            Input::Msg(src, msg) => self.on_msg(src, msg, out),
+            Input::Work(w) => match &mut self.phase {
+                Phase::Normal => out.push(Output::Replay(w)),
+                // Post-recovery work of an early resumer.
+                Phase::AdoptData { buffer } | Phase::AwaitResume { buffer } => buffer.push(w),
+                // It precedes its sender's marker, and the restore wipes
+                // whatever it would change; a crash loses it.
+                Phase::Dead | Phase::Drain | Phase::FlushWait { .. } => {}
+            },
+            Input::Timeout => {}
+            Input::Died { permanent } => self.die(permanent, out),
+            Input::Ordered(Ok(order)) => {
+                out.push(Output::Broadcast(Msg::Order(order.clone())));
+                self.order(order, out);
+            }
+            Input::Ordered(Err(abort)) => {
+                out.push(Output::Broadcast(Msg::Abort(abort.clone())));
+                out.push(Output::Abort(abort.reason));
+            }
         }
-        self.era = era;
-        self.ready.fill(false);
-        self.recovered = Tally::default();
-        true
-    }
-
-    /// Master: records machine `src`'s READY for `era` (stale ignored).
-    pub(crate) fn note_ready(&mut self, src: usize, era: u32) {
-        if era == self.era {
-            self.ready[src] = true;
+        if matches!(out.last(), Some(Output::Abort(_) | Output::Exit)) {
+            return;
+        }
+        self.advance(out);
+        if (self.phase(), self.round.era) != was {
+            self.since = Some(now);
+        } else if self.phase() != RecoveryPhase::Normal
+            && self.since.is_some_and(|t| now - t > RECOVERY_DEADLINE)
+        {
+            let (phase, era, me) = (self.phase(), self.round.era, self.me);
+            let why = format!("recovery stalled in {phase:?} at fault era {era} (machine {me}, {:?})", self.round);
+            out.push(Output::Abort(why));
         }
     }
 
-    /// Master: whether every *surviving* machine (reborn included — a
-    /// restartable kill never enters the dead set) reported READY for the
-    /// current era.
-    pub(crate) fn all_ready(&self) -> bool {
-        self.all_survivors(|j| self.ready[j])
-    }
-
-    /// Called when this machine's rollback is applied.
-    pub(crate) fn after_rollback(&mut self) {
-        self.recoveries += 1;
-    }
-
-    /// Called when this machine's adoption round completes.
-    pub(crate) fn after_adoption(&mut self) {
-        self.adoptions += 1;
-    }
-
-    /// Master: counts a RecoveryKind::Recovered for `era`; returns whether every
-    /// survivor has recovered and the resume barrier can release.
-    pub(crate) fn note_recovered(&mut self, era: u32) -> bool {
-        if era == self.era {
-            self.recovered.vote();
+    fn on_msg(&mut self, src: MachineId, msg: Msg<G>, out: &mut Vec<Output<W, G>>) {
+        let (era, master) = (self.round.era, self.me == 0);
+        match msg {
+            Msg::Up(u) => {
+                debug_assert_eq!(u.machine as usize, self.me, "K_UP reaches the reborn machine only");
+                if !matches!(self.phase, Phase::Dead) {
+                    // The dead window passed while this machine was busy on
+                    // its pre-crash backlog: complete the crash now.
+                    out.push(Output::Wipe);
+                }
+                self.drain(u.era.max(era), out);
+            }
+            // The dead hear nothing but their rebirth: a crash loses the
+            // pre-crash backlog.
+            _ if matches!(self.phase, Phase::Dead) => {}
+            // The fabric's wake-up for a victim blocked in `recv`.
+            Msg::Down(d) if d.machine as usize == self.me => self.die(!d.restart, out),
+            Msg::Down(d) => {
+                // Fenced for every kind of death: a restartable victim is
+                // silent through its dead window and must not be
+                // re-declared by lease expiry (its `Ready` lifts the fence).
+                out.push(Output::Fence { machine: d.machine, era: d.era, permanent: !d.restart });
+                if !d.restart {
+                    if self.mode != RecoveryMode::Adopt {
+                        return out.push(Output::Abort(unrecoverable_down(&d)));
+                    }
+                    self.dead[d.machine as usize] = true;
+                }
+                if d.era > era {
+                    self.drain(d.era, out);
+                }
+            }
+            Msg::Ready(e) if master => {
+                // The fabric tells only the reborn machine it is up; its
+                // `Ready` is the master's cue to lease it afresh.
+                out.push(Output::Lease { machine: src.0, era: e });
+                // A peer heard of a death first; its `Down` is on the way.
+                if e > era {
+                    self.drain(e, out);
+                }
+                if e == self.round.era {
+                    self.round.ready.note(src, e.into());
+                }
+            }
+            Msg::Order(order) => self.order(order, out),
+            Msg::FlushMark(e) if e == era => self.round.marks.note(src, e.into()),
+            Msg::AdoptData(e, rows) if e == era => match &mut self.phase {
+                // Our own reload has not run yet: hold the rows.
+                Phase::FlushWait { held, .. } => {
+                    self.round.ghosts.note(src, e.into());
+                    held.push(rows);
+                }
+                Phase::AdoptData { .. } => {
+                    self.round.ghosts.note(src, e.into());
+                    out.push(Output::ApplyGhosts(rows));
+                }
+                // A peer applies only after our marker, which leaves with
+                // our order: a round already completed.
+                _ => {}
+            },
+            Msg::Recovered(e) if master && e == era => self.round.recovered.note(src, e.into()),
+            Msg::Resume(e) if e == era => {
+                if let Phase::AwaitResume { buffer } = &mut self.phase {
+                    let buffer = std::mem::take(buffer);
+                    self.resume(buffer, out);
+                }
+            }
+            Msg::Abort(abort) => out.push(Output::Abort(abort.reason)),
+            // Superseded eras, and what only the master hears.
+            Msg::Ready(_)
+            | Msg::FlushMark(_)
+            | Msg::AdoptData(..)
+            | Msg::Recovered(_)
+            | Msg::Resume(_) => {}
         }
-        self.complete(&self.recovered)
+    }
+
+    /// Killed: everything volatile goes, permanent deaths excepted. With
+    /// no restart scheduled the machine leaves the run, cleanly under
+    /// adoption; otherwise the run fails (survivors abort on their own
+    /// `Down` in parallel).
+    fn die(&mut self, permanent: bool, out: &mut Vec<Output<W, G>>) {
+        if matches!(self.phase, Phase::Dead) {
+            return;
+        }
+        if permanent && self.mode != RecoveryMode::Adopt {
+            // The kill itself advanced the era past the last one seen here.
+            let d = DownMsg { machine: self.me as u16, restart: false, era: self.round.era + 1 };
+            return out.push(Output::Abort(unrecoverable_down(&d)));
+        }
+        out.push(Output::Wipe);
+        self.phase = Phase::Dead;
+        if permanent {
+            out.push(Output::Exit);
+        }
+    }
+
+    /// A new round, for `era`: stop engine work and tell the master.
+    fn drain(&mut self, era: u32, out: &mut Vec<Output<W, G>>) {
+        self.round = Round::new(era, self.dead.len());
+        self.phase = Phase::Drain;
+        if self.me != 0 {
+            out.push(Output::Send(MachineId(0), Msg::Ready(era)));
+        }
+    }
+
+    /// The order received, or on the master issued: this era's marker out,
+    /// then flush-wait. The order's era and dead set are authoritative: a
+    /// reborn machine may have missed `Down`s.
+    fn order(&mut self, order: Order, out: &mut Vec<Output<W, G>>) {
+        let era = order.era();
+        if era < self.round.era {
+            return;
+        }
+        if era > self.round.era {
+            self.round = Round::new(era, self.dead.len());
+        }
+        if let Order::Adopt(plan) = &order {
+            for &machine in &plan.dead {
+                self.dead[machine as usize] = true;
+                out.push(Output::Fence { machine, era, permanent: true });
+            }
+        }
+        out.push(Output::Broadcast(Msg::FlushMark(era)));
+        self.phase = Phase::FlushWait { order, held: Vec::new() };
+    }
+
+    /// Progress that no single message carries, taken until none applies:
+    /// the master's order once every `Ready` is in, the order applied once
+    /// every marker is, the resume joined once every ghost round is, and
+    /// the master's resume once every `Recovered` is.
+    fn advance(&mut self, out: &mut Vec<Output<W, G>>) {
+        let (era, master) = (self.round.era, self.me == 0);
+        loop {
+            let due = match self.phase {
+                Phase::Drain => master && self.holds(&self.round.ready, era.into()),
+                Phase::FlushWait { .. } => self.holds(&self.round.marks, era.into()),
+                Phase::AdoptData { .. } => self.holds(&self.round.ghosts, era.into()),
+                Phase::AwaitResume { .. } => master && self.holds(&self.round.recovered, era.into()),
+                Phase::Normal | Phase::Dead => false,
+            };
+            if !due {
+                return;
+            }
+            match std::mem::replace(&mut self.phase, Phase::Drain) {
+                Phase::FlushWait { order: Order::Rollback(msg), .. } => {
+                    out.push(Output::Apply(Order::Rollback(msg)));
+                    self.recoveries += 1;
+                    self.join(Vec::new(), out);
+                }
+                Phase::FlushWait { order: Order::Adopt(plan), held } => {
+                    out.extend([Output::Apply(Order::Adopt(plan)), Output::SendGhosts(era)]);
+                    out.extend(held.into_iter().map(Output::ApplyGhosts));
+                    self.phase = Phase::AdoptData { buffer: Vec::new() };
+                }
+                Phase::AdoptData { buffer } => {
+                    self.adoptions += 1;
+                    self.join(buffer, out);
+                }
+                Phase::AwaitResume { buffer } => {
+                    out.push(Output::Broadcast(Msg::Resume(era)));
+                    return self.resume(buffer, out);
+                }
+                phase => {
+                    self.phase = phase;
+                    let dead = self.dead.contains(&true).then(|| self.dead.clone());
+                    return out.push(Output::Decide { era, dead });
+                }
+            }
+        }
+    }
+
+    /// Data in place: reseed (adopted data may lag live data; re-execution
+    /// reconverges) and wait at the `Recovered`/`Resume` barrier, which
+    /// keeps post-recovery work from racing ahead of machines still
+    /// restoring.
+    fn join(&mut self, buffer: Vec<W>, out: &mut Vec<Output<W, G>>) {
+        out.push(Output::Reseed);
+        if self.me != 0 {
+            out.push(Output::Send(MachineId(0), Msg::Recovered(self.round.era)));
+        }
+        self.phase = Phase::AwaitResume { buffer };
+    }
+
+    /// Back to normal, replaying buffered work in arrival order.
+    fn resume(&mut self, buffer: Vec<W>, out: &mut Vec<Output<W, G>>) {
+        self.phase = Phase::Normal;
+        out.extend(buffer.into_iter().map(Output::Replay));
+        out.push(Output::Resumed);
     }
 }
+
+// ---- the host half ----
+
+/// Engine work as the host holds it: an envelope, decoded as its kind where
+/// it was received.
+pub(crate) type Work = (Kind, Envelope);
 
 /// What the recovery machine needs from the engine it recovers.
 pub(crate) trait RecoveryHost {
@@ -444,8 +665,7 @@ pub(crate) trait RecoveryHost {
     fn reseed(&mut self, l: u32);
 
     /// Handles one engine envelope, decoded as `kind` where it was
-    /// received, as in the normal phase (replay of traffic buffered while
-    /// waiting for the resume barrier).
+    /// received, as in the normal phase (traffic buffered for the resume).
     fn replay(&mut self, kind: Kind, env: Envelope);
 }
 
@@ -454,8 +674,7 @@ pub(crate) trait RecoveryHost {
 pub(crate) enum Step {
     /// Keep receiving.
     Continue,
-    /// The round completed: data restored or adopted, engine state reset
-    /// and reseeded, buffered traffic replayed; the phase is Normal again.
+    /// The round completed; the phase is Normal again.
     Resumed,
     /// Permanently dead under [`RecoveryMode::Adopt`]: leave the run
     /// cleanly with no rows to report (the survivors adopt our atoms).
@@ -464,205 +683,142 @@ pub(crate) enum Step {
     Abort(String),
 }
 
-/// Routes one envelope, decoded as `kind` where it was received (the one
-/// decode of its `u16`). The recovery/fabric control plane is handled in
-/// every phase; engine traffic is handled (Normal), discarded (Drain and
-/// FlushWait — it precedes its sender's flush marker, and the restore
-/// wipes whatever it would have changed), or buffered for replay
-/// (AdoptData/AwaitResume — post-recovery work from early resumers). A
-/// dead machine ignores everything but its rebirth: a crash loses the
-/// pre-crash backlog.
-pub(crate) fn on_envelope<H: RecoveryHost>(h: &mut H, kind: Kind, env: Envelope) -> Step {
-    let m = h.machine();
-    if m.rec.phase == RecoveryPhase::Dead && kind != Kind::Recovery(RecoveryKind::Up) {
-        return tick(h);
-    }
-    let kind = match kind {
-        Kind::Recovery(kind) => kind,
-        Kind::Chrom(_) | Kind::Lock(_) => {
-            match m.rec.phase {
-                RecoveryPhase::Normal => h.replay(kind, env),
-                RecoveryPhase::AdoptData | RecoveryPhase::AwaitResume => {
-                    m.rec.resume_buffer.push((kind, env))
-                }
-                RecoveryPhase::Drain | RecoveryPhase::FlushWait | RecoveryPhase::Dead => {}
-            }
-            return tick(h);
+/// The engines' one way into recovery: what a receive returned, an
+/// envelope decoded as its kind where it was received — every recovery
+/// envelope, any envelope or timeout during a round, and `MachineDown`.
+pub(crate) fn on_recv<H: RecoveryHost>(h: &mut H, got: Result<Work, RecvError>) -> Step {
+    let input = match got {
+        Ok((Kind::Recovery(kind), env)) => Input::Msg(env.src, decode(kind, env.payload)),
+        Ok(work) => Input::Work(work),
+        Err(RecvError::Timeout) => Input::Timeout,
+        Err(RecvError::MachineDown) => {
+            Input::Died { permanent: h.machine().net.self_death() == Some(false) }
         }
+        Err(RecvError::Disconnected) => return Step::Abort("fabric disconnected".into()),
     };
-    let src = env.src.index();
-    match kind {
-        RecoveryKind::Down => {
-            let d: DownMsg = dec(env.payload);
-            return on_down(h, d);
+    let mut next = Some(input);
+    let mut out = Vec::new();
+    while let Some(input) = next.take() {
+        let rec = &mut h.machine().rec;
+        let was = (rec.phase(), rec.era());
+        rec.step(input, clock::now(), &mut out);
+        if (rec.phase(), rec.era()) != was {
+            tr!("[m{}] RECOVERY {:?} era={}", rec.me, rec.phase(), rec.era());
         }
-        RecoveryKind::Up => {
-            let u: UpMsg = dec(env.payload);
-            on_self_up(h, u);
-        }
-        RecoveryKind::Lease => unreachable!("the Batcher consumes lease heartbeats"),
-        RecoveryKind::Ready => {
-            let msg: RecoverEraMsg = dec(env.payload);
-            if m.rec.me == 0 {
-                // The fabric delivers K_UP to the reborn machine only; its
-                // READY is the master's cue to lease it afresh (and to
-                // lift the expiry fence a restartable kill raised).
-                m.net.lease_note_up(env.src.0, msg.era);
-                m.rec.note_ready(src, msg.era);
+        for output in out.drain(..) {
+            if let Some(step) = apply(h, output, &mut next) {
+                return step;
             }
         }
-        RecoveryKind::Rollback => {
-            let msg: RollbackMsg = dec(env.payload);
-            on_order(h, msg.era, Order::Rollback(msg));
-        }
-        RecoveryKind::AdoptPlan => {
-            let msg: AdoptPlanMsg = dec(env.payload);
-            on_order(h, msg.era, Order::Adopt(msg));
-        }
-        RecoveryKind::FlushMark => {
-            let msg: RecoverEraMsg = dec(env.payload);
-            // Stale eras leave no trace (the era fence).
-            if msg.era == m.rec.era {
-                m.rec.marks.note(env.src, msg.era.into());
-            }
-        }
-        RecoveryKind::AdoptData => match m.rec.phase {
-            // Our own surgery has not run yet: hold the rows until the
-            // local graph exists under the new placement.
-            RecoveryPhase::Drain | RecoveryPhase::FlushWait => m.rec.adopt_early.push(env),
-            RecoveryPhase::AdoptData => {
-                apply_adopt_data(h, env);
-                return check_adopt_done(h);
-            }
-            // A round we already completed (a peer cannot start a newer
-            // one before our own flush marker, which we have not sent).
-            _ => {}
-        },
-        RecoveryKind::Recovered => {
-            let msg: RecoverEraMsg = dec(env.payload);
-            // Early finishers are only counted; the barrier releases once
-            // the master itself waits at it.
-            if m.rec.me == 0
-                && m.rec.note_recovered(msg.era)
-                && m.rec.phase == RecoveryPhase::AwaitResume
-            {
-                return release_resume(h);
-            }
-        }
-        RecoveryKind::Resume => {
-            let msg: RecoverEraMsg = dec(env.payload);
-            return on_resume(h, msg.era);
-        }
-        RecoveryKind::Abort => {
-            let msg: RecoverAbortMsg = dec(env.payload);
-            return Step::Abort(msg.reason);
-        }
-    }
-    tick(h)
-}
-
-/// Progress that no single message carries: the stall deadline, applying
-/// the order once the channels are flushed, and the master's order once
-/// every READY is in. Call after every receive timeout while a round is
-/// in progress ([`on_envelope`] does so itself).
-pub(crate) fn tick<H: RecoveryHost>(h: &mut H) -> Step {
-    let rec = &h.machine().rec;
-    if rec.phase == RecoveryPhase::Normal {
-        return Step::Continue;
-    }
-    if rec.phase_since.is_some_and(|t| clock::now() - t > RECOVERY_DEADLINE) {
-        return Step::Abort(format!(
-            "recovery stalled in {:?} at fault era {} (machine {}, dead {:?}, ready {:?}, \
-             marks {:?}, recovered {:?})",
-            rec.phase, rec.era, rec.me, rec.dead, rec.ready, rec.marks, rec.recovered
-        ));
-    }
-    // Every survivor's marker of the era: no pre-drain engine message can
-    // surface any more.
-    if rec.phase == RecoveryPhase::FlushWait && rec.holds(&rec.marks, rec.era.into()) {
-        return apply_order(h);
-    }
-    if rec.me == 0 && rec.phase == RecoveryPhase::Drain && rec.all_ready() {
-        return master_order(h);
     }
     Step::Continue
 }
 
-/// A peer died (or the notification is about ourselves — the fabric's
-/// wakeup for a victim that was blocked in `recv` when the kill fired).
-/// Enters, or on a newer era restarts, the drain.
-fn on_down<H: RecoveryHost>(h: &mut H, d: DownMsg) -> Step {
-    let m = h.machine();
-    if d.machine as usize == m.rec.me {
-        return on_self_death(h);
-    }
-    // Fence the victim's lease for every kind of death: a restartable
-    // victim is silent through its dead window and must not be
-    // re-declared by expiry (its READY after rebirth lifts the fence).
-    m.net.lease_note_death(d.machine, d.era);
-    if !d.restart {
-        if m.setup.config.recovery != RecoveryMode::Adopt {
-            return Step::Abort(unrecoverable_down(&d));
+fn decode(kind: RecoveryKind, p: Bytes) -> Msg<SnapshotFile> {
+    let era = |p| dec::<RecoverEraMsg>(p).era;
+    match kind {
+        RecoveryKind::Down => Msg::Down(dec(p)),
+        RecoveryKind::Up => Msg::Up(dec(p)),
+        RecoveryKind::Lease => unreachable!("the Batcher consumes lease heartbeats"),
+        RecoveryKind::Ready => Msg::Ready(era(p)),
+        RecoveryKind::Rollback => Msg::Order(Order::Rollback(dec(p))),
+        RecoveryKind::AdoptPlan => Msg::Order(Order::Adopt(dec(p))),
+        RecoveryKind::FlushMark => Msg::FlushMark(era(p)),
+        RecoveryKind::AdoptData => {
+            let msg: AdoptDataMsg = dec(p);
+            Msg::AdoptData(msg.era, msg.rows)
         }
-        m.rec.note_death(d.machine as usize);
-        m.net.fence(d.machine);
+        RecoveryKind::Recovered => Msg::Recovered(era(p)),
+        RecoveryKind::Resume => Msg::Resume(era(p)),
+        RecoveryKind::Abort => Msg::Abort(dec(p)),
     }
-    tr!("[m{}] PEER_DOWN m{} era={} restart={}", m.rec.me, d.machine, d.era, d.restart);
-    if m.rec.observe_era(d.era) {
-        enter_drain(h);
-    }
-    tick(h)
 }
 
-/// Fabric notification on the reborn machine itself: rejoin the round for
-/// the current era with empty state.
-fn on_self_up<H: RecoveryHost>(h: &mut H, u: UpMsg) {
-    let rec = &h.machine().rec;
-    debug_assert_eq!(u.machine as usize, rec.me, "K_UP is delivered to the reborn machine only");
-    tr!("[m{}] SELF_UP era={}", rec.me, u.era);
-    if rec.phase != RecoveryPhase::Dead {
-        // The dead window passed without this thread ever observing
-        // MachineDown (it was busy on its pre-crash inbox backlog):
-        // complete the crash now, before rejoining.
-        wipe_volatile(h);
+fn encode(msg: Msg<SnapshotFile>) -> (RecoveryKind, Bytes) {
+    let era = |era| enc(&RecoverEraMsg { era });
+    match msg {
+        Msg::Ready(e) => (RecoveryKind::Ready, era(e)),
+        Msg::Order(Order::Rollback(msg)) => (RecoveryKind::Rollback, enc(&msg)),
+        Msg::Order(Order::Adopt(plan)) => (RecoveryKind::AdoptPlan, enc(&plan)),
+        Msg::FlushMark(e) => (RecoveryKind::FlushMark, era(e)),
+        Msg::Recovered(e) => (RecoveryKind::Recovered, era(e)),
+        Msg::Resume(e) => (RecoveryKind::Resume, era(e)),
+        Msg::Abort(abort) => (RecoveryKind::Abort, enc(&abort)),
+        Msg::Down(_) | Msg::Up(_) | Msg::AdoptData(..) => {
+            unreachable!("the fabric's notices and the ghost rounds are not sent through `step`")
+        }
     }
-    h.machine().rec.observe_era(u.era);
-    enter_drain(h);
 }
 
-/// This machine was killed (`RecvError::MachineDown`, or a `K_DOWN` about
-/// itself): discard all volatile state and wait for the fabric restart —
-/// the engine equivalent of a process replacement that will reload from
-/// the checkpoint. With no restart scheduled the machine leaves the run:
-/// cleanly under adoption, failing fast otherwise (survivors abort on
-/// their `K_DOWN{restart: false}` in parallel).
-pub(crate) fn on_self_death<H: RecoveryHost>(h: &mut H) -> Step {
+/// Applies one output; `Some` when it ends the event. A master's order
+/// read from the DFS is left in `next` for the tracker.
+fn apply<H: RecoveryHost>(
+    h: &mut H,
+    output: Output<Work, SnapshotFile>,
+    next: &mut Option<Input<Work, SnapshotFile>>,
+) -> Option<Step> {
     let m = h.machine();
-    if m.rec.phase == RecoveryPhase::Dead {
-        return tick(h); // still dead; keep polling for rebirth
+    match output {
+        Output::Send(dst, msg) => {
+            let (kind, payload) = encode(msg);
+            m.send(dst, kind, payload);
+            m.net.flush_all();
+        }
+        Output::Broadcast(msg) => {
+            let (kind, payload) = encode(msg);
+            m.broadcast(kind, &payload);
+            m.net.flush_all();
+        }
+        Output::Fence { machine, era, permanent } => {
+            m.net.lease_note_death(machine, era);
+            if permanent {
+                m.net.fence(machine);
+            }
+        }
+        Output::Lease { machine, era } => m.net.lease_note_up(machine, era),
+        Output::Wipe => {
+            m.net.clear();
+            reset_engine_state(h);
+        }
+        Output::Decide { era, dead } => {
+            let order = match dead {
+                Some(dead) => Ok(Order::Adopt(pick_adoption(&m.setup, era, &dead))),
+                None => pick_rollback(&m.setup, era).map(Order::Rollback),
+            };
+            *next = Some(Input::Ordered(order));
+        }
+        Output::Apply(Order::Rollback(msg)) => {
+            let (dfs, prefix) = (&m.setup.dfs, &m.setup.snap_prefix);
+            if let Err(e) = restore_into_local(dfs, prefix, msg.snap, &mut m.lg) {
+                let why = format!("checkpoint {} unreadable during rollback: {e}", msg.snap);
+                return Some(Step::Abort(why));
+            }
+            m.snapshots = msg.snap + 1;
+            reset_engine_state(h);
+        }
+        Output::Apply(Order::Adopt(plan)) => {
+            if let Err(why) = adopt(m, plan) {
+                return Some(Step::Abort(why));
+            }
+            reset_engine_state(h);
+        }
+        Output::SendGhosts(era) => send_ghosts(m, era),
+        Output::ApplyGhosts(rows) => {
+            if let Err(e) = apply_file(rows, &mut m.lg) {
+                return Some(Step::Abort(format!("ghost round unreadable during adoption: {e}")));
+            }
+        }
+        Output::Reseed => {
+            for l in m.lg.owned_vertices().to_vec() {
+                h.reseed(l);
+            }
+        }
+        Output::Replay((kind, env)) => h.replay(kind, env),
+        Output::Resumed => return Some(Step::Resumed),
+        Output::Exit => return Some(Step::Exit),
+        Output::Abort(why) => return Some(Step::Abort(why)),
     }
-    let permanent = m.net.self_death() == Some(false);
-    if permanent && m.setup.config.recovery != RecoveryMode::Adopt {
-        // The kill itself advanced the era past the last one seen here.
-        let d = DownMsg { machine: m.rec.me as u16, restart: false, era: m.rec.era + 1 };
-        return Step::Abort(unrecoverable_down(&d));
-    }
-    tr!("[m{}] SELF_DEATH permanent={permanent}", m.rec.me);
-    wipe_volatile(h);
-    h.machine().rec.enter(RecoveryPhase::Dead);
-    if permanent {
-        Step::Exit
-    } else {
-        Step::Continue
-    }
-}
-
-/// Crash semantics: every piece of volatile state is gone. Graph data is
-/// restored (and work re-seeded) by the round that must follow.
-fn wipe_volatile<H: RecoveryHost>(h: &mut H) {
-    h.machine().net.clear();
-    reset_engine_state(h);
-    h.machine().rec.wipe();
+    None
 }
 
 /// All volatile state below the tracker: the machine's share, then the
@@ -672,105 +828,42 @@ fn reset_engine_state<H: RecoveryHost>(h: &mut H) {
     h.reset_engine_state();
 }
 
-/// Stops engine work and reports the drain point to the master.
-fn enter_drain<H: RecoveryHost>(h: &mut H) {
-    let m = h.machine();
-    m.rec.enter(RecoveryPhase::Drain);
-    m.rec.order = None;
-    m.rec.adopt_early.clear();
-    m.rec.resume_buffer.clear();
-    // Engine sends still sitting in batch queues precede the drain point
-    // and must go out ahead of the (future) flush marker on each channel:
-    // flush, do not clear.
-    m.net.flush_all();
-    let era = m.rec.era;
-    tr!("[m{}] DRAIN era={era}", m.rec.me);
-    if m.rec.me == 0 {
-        m.rec.note_ready(0, era);
-    } else {
-        m.send(MachineId(0), RecoveryKind::Ready, enc(&RecoverEraMsg { era }));
-        m.net.flush_all();
+/// The latest checkpoint complete in every part (one per atom in the
+/// engines' per-atom layout), torn ones newer than it pruned.
+fn latest_checkpoint<V, E>(s: &MachineSetup<V, E>) -> Option<u64> {
+    let latest = latest_complete_snapshot(&s.dfs, &s.snap_prefix, s.config.num_atoms);
+    prune_snapshots_after(&s.dfs, &s.snap_prefix, latest);
+    latest
+}
+
+/// Master, all READYs in: prunes torn checkpoints and picks the rollback
+/// target. `Err` is the abort to broadcast (no complete checkpoint —
+/// nothing to roll back to).
+fn pick_rollback<V, E>(s: &MachineSetup<V, E>, era: u32) -> Result<RollbackMsg, RecoverAbortMsg> {
+    match latest_checkpoint(s) {
+        Some(snap) => Ok(RollbackMsg { era, snap }),
+        None => Err(RecoverAbortMsg {
+            era,
+            reason: format!(
+                "machine failure at fault era {era} with no complete checkpoint to roll back \
+                 to — configure snapshots (SnapshotConfig) to make runs recoverable"
+            ),
+        }),
     }
 }
 
-/// Master, every surviving READY in: a non-empty dead set (possible only
-/// under [`RecoveryMode::Adopt`] — any other mode aborts on the `K_DOWN`)
-/// means restart-free adoption; a full cluster rolls back to the newest
-/// complete checkpoint, or aborts cleanly when there is none.
-fn master_order<H: RecoveryHost>(h: &mut H) -> Step {
-    let m = h.machine();
-    let (era, s) = (m.rec.era, &m.setup);
-    let order = if m.rec.dead.contains(&true) {
-        let plan = pick_adoption(s, era, &m.rec.dead);
-        m.broadcast(RecoveryKind::AdoptPlan, &enc(&plan));
-        Order::Adopt(plan)
-    } else {
-        match pick_rollback(s, era) {
-            Ok(msg) => {
-                m.broadcast(RecoveryKind::Rollback, &enc(&msg));
-                Order::Rollback(msg)
-            }
-            Err(abort) => {
-                m.broadcast(RecoveryKind::Abort, &enc(&abort));
-                m.net.flush_all();
-                return Step::Abort(abort.reason);
-            }
-        }
-    };
-    m.net.flush_all();
-    on_order(h, era, order);
-    tick(h)
-}
-
-/// Order received (or, on the master, just issued): broadcast this era's
-/// flush marker — everything this machine sent before it is pre-drain
-/// engine traffic, delivered ahead of it by per-channel FIFO — then
-/// discard inbound traffic until every survivor's marker arrived.
-fn on_order<H: RecoveryHost>(h: &mut H, era: u32, order: Order) {
-    let m = h.machine();
-    if era < m.rec.era {
-        return; // superseded round
-    }
-    // A reborn machine may have missed intermediate K_DOWNs; the order's
-    // era is authoritative.
-    m.rec.observe_era(era);
-    if let Order::Adopt(plan) = &order {
-        // So is the plan about who died (a machine that was itself dead
-        // at the time never saw that K_DOWN).
-        for &dm in &plan.dead {
-            m.rec.note_death(dm as usize);
-            m.net.lease_note_death(dm, era);
-            m.net.fence(dm);
-        }
-    }
-    tr!("[m{}] ORDER era={era} adopt={}", m.rec.me, matches!(order, Order::Adopt(_)));
-    m.broadcast(RecoveryKind::FlushMark, &enc(&RecoverEraMsg { era }));
-    m.net.flush_all();
-    m.rec.order = Some(order);
-    m.rec.enter(RecoveryPhase::FlushWait);
-}
-
-/// Channels flushed: apply the order.
-fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
-    let m = h.machine();
-    match m.rec.order.take().expect("FlushWait holds an order") {
-        Order::Rollback(msg) => {
-            // Restore the checkpoint, rebuild all volatile state, re-seed.
-            let (dfs, prefix) = (&m.setup.dfs, &m.setup.snap_prefix);
-            if let Err(e) = restore_into_local(dfs, prefix, msg.snap, &mut m.lg) {
-                return Step::Abort(format!(
-                    "checkpoint {} unreadable during rollback: {e}",
-                    msg.snap
-                ));
-            }
-            reset_engine_state(h);
-            let m = h.machine();
-            m.snapshots = msg.snap + 1;
-            m.rec.after_rollback();
-            tr!("[m{}] ROLLED_BACK snap={} era={}", m.rec.me, msg.snap, m.rec.era);
-            join_resume_barrier(h)
-        }
-        Order::Adopt(plan) => adopt(h, plan),
+/// Master, all surviving READYs in under [`crate::RecoveryMode::Adopt`]:
+/// the re-balanced placement (dead machines' atoms LPT-spread over
+/// survivors) plus the latest complete per-atom checkpoint to overlay, if
+/// any (`None` degrades to journal-only adoption: adopted vertices restart
+/// from ingress-initial data and reconverge through re-scheduling —
+/// adoption never *requires* checkpoints the way rollback does).
+fn pick_adoption<V, E>(s: &MachineSetup<V, E>, era: u32, dead: &[bool]) -> AdoptPlanMsg {
+    AdoptPlanMsg {
+        era,
+        dead: (0..dead.len()).filter(|&m| dead[m]).map(|m| m as u16).collect(),
+        placement: s.placement.adopt(&s.index, dead),
+        snap: latest_checkpoint(s),
     }
 }
 
@@ -778,12 +871,8 @@ fn apply_order<H: RecoveryHost>(h: &mut H) -> Step {
 /// this machine under the adopted placement without rolling the cluster
 /// back. Own atoms keep their *live* data; adopted atoms overlay the
 /// latest complete per-atom checkpoint when one exists (journal-only
-/// otherwise — ingress-initial data reconverges through re-scheduling);
-/// then one [`RecoveryKind::AdoptData`] ghost round between every surviving pair
-/// refreshes replicas and doubles as the FIFO barrier before the resume
-/// handshake.
-fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
-    let m = h.machine();
+/// otherwise — ingress-initial data reconverges through re-scheduling).
+fn adopt<V: Codec, E: Codec>(m: &mut Machine<V, E>, plan: AdoptPlanMsg) -> Result<(), String> {
     let me = m.me();
     // Diff against what this machine *currently* holds — the plan's
     // placement is absolute, so adoptions interrupted by overlapping
@@ -797,52 +886,37 @@ fn adopt<H: RecoveryHost>(h: &mut H, plan: AdoptPlanMsg) -> Step {
     // journals under the adopted placement (new ghost structure, mirror
     // lists and atom spans).
     let live = SnapshotFile::capture(&m.lg);
-    match load_machine_part(&m.setup.dfs, &m.setup.index, &plan.placement, me) {
-        Ok(init) => m.lg = LocalGraph::from_init(init, m.setup.coloring.as_deref()),
-        Err(e) => return Step::Abort(format!("adoption reload failed on machine {}: {e}", me.0)),
-    }
+    let init = load_machine_part(&m.setup.dfs, &m.setup.index, &plan.placement, me)
+        .map_err(|e| format!("adoption reload failed on machine {}: {e}", me.0))?;
+    m.lg = LocalGraph::from_init(init, m.setup.coloring.as_deref());
     m.setup.placement = Arc::new(plan.placement);
-    reset_engine_state(h);
-
-    let m = h.machine();
     // Own rows keep their live values...
-    if let Err(e) = apply_file(live, &mut m.lg) {
-        return Step::Abort(format!("live data re-apply failed during adoption: {e}"));
-    }
+    apply_file(live, &mut m.lg).map_err(|e| format!("live data re-apply failed during adoption: {e}"))?;
     // ...and adopted rows overlay from the checkpoint, when one exists.
     if let (Some(snap), false) = (plan.snap, adopted.is_empty()) {
         let (dfs, prefix) = (&m.setup.dfs, &m.setup.snap_prefix);
-        if let Err(e) = restore_atoms_into_local(dfs, prefix, snap, &adopted, &mut m.lg) {
-            return Step::Abort(format!("checkpoint {snap} unreadable during adoption: {e}"));
-        }
+        restore_atoms_into_local(dfs, prefix, snap, &adopted, &mut m.lg)
+            .map_err(|e| format!("checkpoint {snap} unreadable during adoption: {e}"))?;
     }
     // Journal-only adoption restarts the snapshot ids from 0.
     m.snapshots = plan.snap.map_or(0, |s| s + 1);
-    tr!("[m{}] ADOPTED atoms={adopted:?} era={}", me.0, plan.era);
-
-    send_adopt_data(m, plan.era);
-    m.rec.adopt_got = vec![false; m.rec.n];
-    m.rec.enter(RecoveryPhase::AdoptData);
-    for env in std::mem::take(&mut m.rec.adopt_early) {
-        apply_adopt_data(h, env);
-    }
-    check_adopt_done(h)
+    Ok(())
 }
 
-/// Sends exactly one [`RecoveryKind::AdoptData`] to every surviving peer — even when
-/// empty, so receipt of the round is a per-channel barrier — carrying the
-/// owned vertex rows mirrored on that peer and the owned edge rows
-/// replicated there.
-fn send_adopt_data<V: Codec, E: Codec>(m: &mut Machine<V, E>, era: u32) {
+/// Sends exactly one [`RecoveryKind::AdoptData`] to every surviving peer —
+/// even when empty, so receipt of the round is a per-channel barrier —
+/// carrying the owned vertex rows mirrored on that peer and the owned edge
+/// rows replicated there.
+fn send_ghosts<V: Codec, E: Codec>(m: &mut Machine<V, E>, era: u32) {
     let (me, lg) = (m.me(), &m.lg);
-    let mut out = vec![AdoptDataMsg { era, vrows: Vec::new(), erows: Vec::new() }; m.rec.n];
+    let mut files = vec![SnapshotFile::default(); m.slots()];
     for &l in lg.owned_vertices() {
         if lg.vertex_mirrors(l).is_empty() {
             continue;
         }
         let row = (lg.vertex_gvid(l), enc(lg.vertex_data(l)));
         for mm in lg.vertex_mirrors(l) {
-            out[mm.index()].vrows.push(row.clone());
+            files[mm.index()].vrows.push(row.clone());
         }
     }
     for l in (0..lg.num_local_edges() as u32).filter(|&l| lg.owns_edge(l)) {
@@ -850,162 +924,120 @@ fn send_adopt_data<V: Codec, E: Codec>(m: &mut Machine<V, E>, era: u32) {
         let (ms, md) = (lg.vertex_owner(s), lg.vertex_owner(d));
         let other = if ms == me { md } else { ms };
         if other != me {
-            out[other.index()].erows.push((lg.edge_geid(l), enc(lg.edge_data(l))));
+            files[other.index()].erows.push((lg.edge_geid(l), enc(lg.edge_data(l))));
         }
     }
+    let kind = m.rec.wire(RecoveryKind::AdoptData);
     for dst in m.rec.peers() {
-        m.rec.send(&mut m.net, dst, RecoveryKind::AdoptData, enc(&out[dst.index()]));
+        let rows = std::mem::take(&mut files[dst.index()]);
+        m.net.send(dst, kind, enc(&AdoptDataMsg { era, rows }));
     }
     m.net.flush_all();
-}
-
-/// One surviving peer's ghost round (AdoptData phase): apply its rows;
-/// rounds from superseded eras are dropped.
-fn apply_adopt_data<H: RecoveryHost>(h: &mut H, env: Envelope) {
-    let m = h.machine();
-    let msg: AdoptDataMsg = dec(env.payload);
-    if msg.era != m.rec.era {
-        return;
-    }
-    for (v, blob) in msg.vrows {
-        if let Some(l) = m.lg.local_vertex(v) {
-            *m.lg.vertex_data_mut(l) = dec(blob);
-        }
-    }
-    for (e, blob) in msg.erows {
-        if let Some(l) = m.lg.local_edge(e) {
-            *m.lg.edge_data_mut(l) = dec(blob);
-        }
-    }
-    m.rec.adopt_got[env.src.index()] = true;
-}
-
-/// Every surviving peer's ghost round arrived: join the resume barrier.
-fn check_adopt_done<H: RecoveryHost>(h: &mut H) -> Step {
-    let rec = &mut h.machine().rec;
-    if !rec.all_survivors(|j| j == rec.me || rec.adopt_got[j]) {
-        return Step::Continue;
-    }
-    rec.after_adoption();
-    tr!("[m{}] ADOPT_DONE era={}", rec.me, rec.era);
-    join_resume_barrier(h)
-}
-
-/// Data is in place: re-seed every owned vertex (adopted data may lag
-/// surviving live data; re-execution reconverges) and wait at the
-/// `Recovered`/`Resume` barrier, which keeps post-recovery work from
-/// racing ahead of machines still restoring.
-fn join_resume_barrier<H: RecoveryHost>(h: &mut H) -> Step {
-    for l in h.machine().lg.owned_vertices().to_vec() {
-        h.reseed(l);
-    }
-    let m = h.machine();
-    m.rec.enter(RecoveryPhase::AwaitResume);
-    let era = m.rec.era;
-    if m.rec.me != 0 {
-        m.send(MachineId(0), RecoveryKind::Recovered, enc(&RecoverEraMsg { era }));
-        m.net.flush_all();
-    } else if m.rec.note_recovered(era) {
-        return release_resume(h);
-    }
-    Step::Continue
-}
-
-/// Master: every survivor recovered — release the resume barrier.
-fn release_resume<H: RecoveryHost>(h: &mut H) -> Step {
-    let m = h.machine();
-    let era = m.rec.era;
-    m.broadcast(RecoveryKind::Resume, &enc(&RecoverEraMsg { era }));
-    m.net.flush_all();
-    on_resume(h, era)
-}
-
-/// Resume barrier released: back to normal operation, replaying buffered
-/// post-recovery traffic in arrival order.
-fn on_resume<H: RecoveryHost>(h: &mut H, era: u32) -> Step {
-    let rec = &mut h.machine().rec;
-    if era != rec.era || rec.phase != RecoveryPhase::AwaitResume {
-        return tick(h); // stale
-    }
-    tr!("[m{}] RESUME era={era} buffered={}", rec.me, rec.resume_buffer.len());
-    rec.enter(RecoveryPhase::Normal);
-    for (kind, env) in std::mem::take(&mut rec.resume_buffer) {
-        h.replay(kind, env);
-    }
-    Step::Resumed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // ---- the transition function alone ----
+
+    /// A tracker whose work and ghost rounds are bare numbers.
+    type Bare = RecoveryTracker<u32, u32>;
+
+    fn feed_bare(t: &mut Bare, input: Input<u32, u32>) -> Vec<Output<u32, u32>> {
+        let mut out = Vec::new();
+        t.step(input, clock::now(), &mut out);
+        out
+    }
+
+    fn msg(t: &mut Bare, src: u16, msg: Msg<u32>) -> Vec<Output<u32, u32>> {
+        feed_bare(t, Input::Msg(MachineId(src), msg))
+    }
+
+    fn down_of(machine: u16, restart: bool, era: u32) -> Msg<u32> {
+        Msg::Down(DownMsg { machine, restart, era })
+    }
+
+    fn rollback(era: u32) -> Order {
+        Order::Rollback(RollbackMsg { era, snap: 0 })
+    }
+
     #[test]
     fn era_advance_resets_collection() {
-        let mut t = RecoveryTracker::new(0, 3);
-        assert!(t.observe_era(1));
-        t.note_ready(0, 1);
-        t.note_ready(1, 1);
-        t.note_ready(2, 1);
-        assert!(t.all_ready());
-        t.marks.note(MachineId(1), 1);
-        t.marks.note(MachineId(2), 1);
-        assert!(t.holds(&t.marks, 1));
-        // A second failure restarts the round.
-        assert!(t.observe_era(2));
-        assert!(!t.all_ready());
-        assert!(!t.holds(&t.marks, 2));
-        assert!(!t.observe_era(2), "same era observed twice is a no-op");
-        assert!(!t.observe_era(1), "stale era ignored");
+        let mut t = Bare::new(0, 3, RecoveryMode::Rollback);
+        msg(&mut t, 2, down_of(2, true, 1));
+        msg(&mut t, 1, Msg::Ready(1));
+        let out = msg(&mut t, 2, Msg::Ready(1));
+        assert_eq!(out.last(), Some(&Output::Decide { era: 1, dead: None }), "every READY in");
+        // A second failure restarts the round: the era-1 READYs are gone.
+        msg(&mut t, 2, down_of(2, true, 2));
+        assert_eq!((t.phase(), t.era()), (RecoveryPhase::Drain, 2));
+        let out = msg(&mut t, 1, Msg::Ready(2));
+        assert!(!out.iter().any(|o| matches!(o, Output::Decide { .. })), "machine 2 owes a READY");
+        let out = msg(&mut t, 2, down_of(2, true, 2));
+        assert!(!out.iter().any(|o| matches!(o, Output::Decide { .. })), "the same era twice is no news");
+        let out = msg(&mut t, 2, down_of(2, true, 1));
+        assert!(!out.iter().any(|o| matches!(o, Output::Decide { .. })), "a stale era is no news");
+        assert_eq!(t.era(), 2);
     }
 
     #[test]
     fn stale_control_is_ignored() {
-        let mut t = RecoveryTracker::new(1, 2);
-        t.observe_era(3);
-        t.note_ready(0, 2); // stale era
-        assert!(!t.all_ready());
-        t.marks.note(MachineId(0), 2); // stale era
-        assert!(!t.holds(&t.marks, 3));
-        t.marks.note(MachineId(0), 3);
-        assert!(t.holds(&t.marks, 3), "own channel needs no marker");
+        let mut t = Bare::new(1, 3, RecoveryMode::Rollback);
+        msg(&mut t, 2, down_of(2, true, 3));
+        msg(&mut t, 0, Msg::Order(rollback(3)));
+        assert_eq!(t.phase(), RecoveryPhase::FlushWait);
+        msg(&mut t, 0, Msg::FlushMark(2)); // stale era
+        msg(&mut t, 2, Msg::FlushMark(3));
+        assert_eq!(t.phase(), RecoveryPhase::FlushWait, "the stale marker is not machine 0's");
+        let out = msg(&mut t, 0, Msg::FlushMark(3));
+        assert_eq!(t.phase(), RecoveryPhase::AwaitResume, "own channel needs no marker");
+        assert_eq!(out[0], Output::Apply(rollback(3)));
+        let out = msg(&mut t, 0, Msg::Resume(2));
+        assert_eq!((out, t.phase()), (vec![], RecoveryPhase::AwaitResume), "stale resume");
     }
 
     #[test]
     fn dead_machines_drop_out_of_every_barrier() {
-        let mut t = RecoveryTracker::new(0, 4);
-        t.observe_era(1);
-        t.note_death(2);
-        assert_eq!(t.dead, [false, false, true, false]);
-        assert_eq!(t.survivors(), 3);
-        t.note_ready(0, 1);
-        t.note_ready(1, 1);
-        assert!(!t.all_ready(), "machine 3 still owes a READY");
-        t.note_ready(3, 1);
-        assert!(t.all_ready(), "the dead machine owes nothing");
-        t.marks.note(MachineId(1), 1);
-        t.marks.note(MachineId(3), 1);
-        assert!(t.holds(&t.marks, 1), "no marker expected from the dead");
-        assert!(!t.note_recovered(1));
-        assert!(!t.note_recovered(1));
-        assert!(t.note_recovered(1), "resume releases at 3 survivors");
-        // Deaths persist across eras; collection state does not.
-        assert!(t.observe_era(2));
+        let mut t = Bare::new(0, 4, RecoveryMode::Adopt);
+        msg(&mut t, 2, down_of(2, false, 1));
+        assert_eq!((t.dead.as_slice(), t.survivors()), ([false, false, true, false].as_slice(), 3));
+        assert!(msg(&mut t, 1, Msg::Ready(1)).iter().all(|o| !matches!(o, Output::Decide { .. })));
+        let dead = Some(vec![false, false, true, false]);
+        let out = msg(&mut t, 3, Msg::Ready(1));
+        assert_eq!(out.last(), Some(&Output::Decide { era: 1, dead }), "the dead owe no READY");
+        let placement = graphlab_atoms::Placement::round_robin(4, 4);
+        let plan = AdoptPlanMsg { era: 1, dead: vec![2], placement, snap: None };
+        feed_bare(&mut t, Input::Ordered(Ok(Order::Adopt(plan))));
+        for src in [1, 3] {
+            msg(&mut t, src, Msg::FlushMark(1));
+        }
+        assert_eq!(t.phase(), RecoveryPhase::AdoptData, "no marker expected from the dead");
+        for src in [1, 3] {
+            msg(&mut t, src, Msg::AdoptData(1, src.into()));
+        }
+        msg(&mut t, 1, Msg::Recovered(1));
+        let out = msg(&mut t, 3, Msg::Recovered(1));
+        assert_eq!(out.last(), Some(&Output::Resumed), "resume releases at 3 survivors");
+        // Deaths persist across eras; what a round heard does not.
+        msg(&mut t, 1, down_of(1, true, 2));
         assert!(t.dead[2]);
-        assert!(!t.all_ready());
-        t.after_adoption();
-        assert_eq!(t.adoptions, 1);
-        assert_eq!(t.recoveries, 0);
+        let out = msg(&mut t, 3, Msg::Ready(2));
+        assert!(!out.iter().any(|o| matches!(o, Output::Decide { .. })), "machine 1 owes a READY");
+        assert_eq!((t.adoptions, t.recoveries), (1, 0));
     }
 
     #[test]
     fn resume_barrier_counts_current_era_only() {
-        let mut t = RecoveryTracker::new(0, 2);
-        t.observe_era(1);
-        assert!(!t.note_recovered(1));
-        assert!(!t.note_recovered(0), "stale era not counted");
-        assert!(t.note_recovered(1));
-        t.after_rollback();
-        assert_eq!(t.recoveries, 1);
+        let mut t = Bare::new(0, 2, RecoveryMode::Rollback);
+        msg(&mut t, 1, down_of(1, true, 1));
+        msg(&mut t, 1, Msg::Ready(1));
+        feed_bare(&mut t, Input::Ordered(Ok(rollback(1))));
+        msg(&mut t, 1, Msg::FlushMark(1));
+        assert_eq!((t.phase(), t.recoveries), (RecoveryPhase::AwaitResume, 1));
+        assert_eq!(msg(&mut t, 1, Msg::Recovered(0)), [], "stale era not counted");
+        let out = msg(&mut t, 1, Msg::Recovered(1));
+        assert_eq!(out, [Output::Broadcast(Msg::Resume(1)), Output::Resumed]);
     }
 
     // ---- the state machine, driven by scripted envelopes ----
@@ -1109,11 +1141,16 @@ mod tests {
 
     /// `e` as from the wire: decoded once, where it is received.
     fn feed(h: &mut FakeHost, e: Envelope) -> Step {
-        on_envelope(h, Kind::of(&e), e)
+        on_recv(h, Ok((Kind::of(&e), e)))
     }
 
     fn down(machine: u16, restart: bool, era: u32) -> Envelope {
         env(0, RecoveryKind::Down, &DownMsg { machine, restart, era })
+    }
+
+    /// A ghost round of `era` carrying `vrows`.
+    fn ghosts(era: u32, vrows: Vec<(VertexId, Bytes)>) -> AdoptDataMsg {
+        AdoptDataMsg { era, rows: SnapshotFile { vrows, erows: Vec::new() } }
     }
 
     /// Everything in `ep`'s inbox, as `(kind, era)` (every recovery
@@ -1179,7 +1216,7 @@ mod tests {
         // With three or more survivors a fast peer's ghost round overtakes
         // a slow peer's marker; with two, scripting the round ahead of the
         // marker forces the same hold.
-        let data = AdoptDataMsg { era: 1, vrows: vec![(ghost, enc(&42.0f64))], erows: Vec::new() };
+        let data = ghosts(1, vec![(ghost, enc(&42.0f64))]);
         assert_eq!(feed(&mut h, env(0, RecoveryKind::AdoptData, &data)), Step::Continue);
         assert_eq!((h.core.rec.phase(), h.resets), (RecoveryPhase::FlushWait, 0), "held, not applied");
         feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
@@ -1195,6 +1232,21 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_ghost_round_fails_the_run_cleanly() {
+        let (mut h, _ep0, plan, ghost) = drained_for_adoption();
+        feed(&mut h, env(0, RecoveryKind::AdoptPlan, &plan));
+        feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
+        assert_eq!(h.core.rec.phase(), RecoveryPhase::AdoptData);
+        // One byte where an `f64` takes eight.
+        let torn = ghosts(1, vec![(ghost, Bytes::from_static(b"\x01"))]);
+        let step = feed(&mut h, env(0, RecoveryKind::AdoptData, &torn));
+        assert_eq!(
+            step,
+            Step::Abort("ghost round unreadable during adoption: corrupt vertex blob".into())
+        );
+    }
+
+    #[test]
     fn engine_traffic_is_discarded_then_buffered_then_replayed_in_order() {
         let (mut h, _ep0, plan, _) = drained_for_adoption();
         let work = |kind: LockKind| env(0, kind, &0u32);
@@ -1204,8 +1256,7 @@ mod tests {
         feed(&mut h, env(0, RecoveryKind::FlushMark, &RecoverEraMsg { era: 1 }));
         assert_eq!(h.core.rec.phase(), RecoveryPhase::AdoptData);
         feed(&mut h, work(LockKind::Release));
-        let data = AdoptDataMsg { era: 1, vrows: Vec::new(), erows: Vec::new() };
-        feed(&mut h, env(0, RecoveryKind::AdoptData, &data));
+        feed(&mut h, env(0, RecoveryKind::AdoptData, &ghosts(1, Vec::new())));
         assert_eq!(h.core.rec.phase(), RecoveryPhase::AwaitResume);
         feed(&mut h, work(LockKind::Sched));
         feed(&mut h, work(LockKind::Quiet));
@@ -1237,11 +1288,11 @@ mod tests {
             | RecoveryKind::Resume => env(src, kind, &RecoverEraMsg { era }),
             RecoveryKind::AdoptData => {
                 let vrows = (0..12).map(|v| (VertexId(v), enc(&STALE))).collect();
-                env(src, kind, &AdoptDataMsg { era, vrows, erows: Vec::new() })
+                env(src, kind, &ghosts(era, vrows))
             }
             RecoveryKind::Down => down(2, true, era),
-            // From the local fabric, once per rebirth, to a tracker the
-            // crash wiped back to era 0: every era is news to it.
+            // From the local fabric, once per rebirth: every rebirth opens
+            // a round of its own.
             RecoveryKind::Up => return None,
             // Fails the run in whatever era it is read.
             RecoveryKind::Abort => return None,
@@ -1250,18 +1301,13 @@ mod tests {
         })
     }
 
-    /// What a message could disturb: the tracker, what the engine saw of it
-    /// and the vertex data. Ghost rounds held for the local surgery are set
-    /// aside — `apply_adopt_data` checks their era when it applies them, and
-    /// the vertex data then shows whether it did.
-    fn observable(h: &mut FakeHost) -> String {
-        let held = std::mem::take(&mut h.core.rec.adopt_early);
+    /// What a message could disturb: the tracker (held ghost rounds
+    /// included), what the engine saw of it and the vertex data.
+    fn observable(h: &FakeHost) -> String {
         let data: Vec<f64> =
             (0..h.core.lg.num_local_vertices() as u32).map(|l| *h.core.lg.vertex_data(l)).collect();
         let seen = (h.resets, &h.seeded, &h.replayed, h.core.snapshots, data);
-        let all = format!("{:?} {seen:?}", h.core.rec);
-        h.core.rec.adopt_early = held;
-        all
+        format!("{:?} {seen:?}", h.core.rec)
     }
 
     /// Delivers a copy from the superseded `era` of every era-carrying
@@ -1321,7 +1367,7 @@ mod tests {
             let dead = [false, false, true];
             let plan = pick_adoption(&h.core.setup, 2, &dead);
             let now = RecoverEraMsg { era: 2 };
-            let rows = AdoptDataMsg { era: 2, vrows: Vec::new(), erows: Vec::new() };
+            let rows = ghosts(2, Vec::new());
             // What the one surviving peer sends, and where it takes `h`.
             let round = [
                 (down(2, false, 2), RecoveryPhase::Drain),
@@ -1347,13 +1393,455 @@ mod tests {
     fn permanent_self_death_exits_under_adopt_and_aborts_under_rollback() {
         let kill = || Some(FaultPlan::seeded(1).kill(1, FaultTrigger::Deliveries(0)));
         let (mut h, ..) = cluster(RecoveryMode::Adopt, kill());
-        assert_eq!(on_self_death(&mut h), Step::Exit);
+        assert_eq!(on_recv(&mut h, Err(RecvError::MachineDown)), Step::Exit);
         assert_eq!((h.core.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
         assert_eq!(feed(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
         assert_eq!(h.core.rec.survivors(), 3);
 
         let (mut h, ..) = cluster(RecoveryMode::Rollback, kill());
         let d = DownMsg { machine: 1, restart: false, era: 1 };
-        assert_eq!(on_self_death(&mut h), Step::Abort(unrecoverable_down(&d)));
+        assert_eq!(on_recv(&mut h, Err(RecvError::MachineDown)), Step::Abort(unrecoverable_down(&d)));
+    }
+
+    mod explorer {
+        //! An exhaustive explorer (`crate::explore`) over 2 and 3 machines'
+        //! [`RecoveryTracker`]s, every FIFO interleaving of per-ordered-pair
+        //! channels, under both [`RecoveryMode`]s. The master is never killed;
+        //! at most two kills of workers come at any point, each restartable or,
+        //! under `Adopt`, permanent. A kill drops the victim's traffic in
+        //! flight both ways and puts a `Down` on its channel to every live
+        //! machine, so the `Down` reaches each of them before anything of the
+        //! victim's next incarnation and otherwise interleaves freely (the
+        //! fabric's guarantee as `graphlab_net::fault` states it). The victim
+        //! learns of its death whenever it next receives, or never, if its
+        //! restart comes first; a restart, any time after the kill, hands it its
+        //! `Up`. The master's order is explored with and without a complete
+        //! checkpoint (under `Adopt` the answer is only the plan's overlay,
+        //! which the protocol never reads). Up to two units of engine work, each
+        //! stamped with its sender's era, leave machines in the normal phase;
+        //! ghost rounds are stamped with theirs. The invariants are the module
+        //! docs'; a violation prints the shortest schedule as a literal that
+        //! [`replay`] takes.
+
+        use std::collections::VecDeque;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        use graphlab_atoms::Placement;
+
+        use super::super::*;
+        use crate::explore;
+
+        use Act::*;
+        use RecoveryMode::{Adopt, Rollback};
+
+        /// The era a unit of work or a ghost round was sent in.
+        type Stamp = u32;
+
+        type Tracker = RecoveryTracker<Stamp, Stamp>;
+
+        /// What a channel carries.
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        enum Wire {
+            Msg(Msg<Stamp>),
+            Work(Stamp),
+        }
+
+        /// A machine as the fabric sees it.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Life {
+            Alive,
+            /// Killed; `noticed` once its own death was fed to it.
+            Dead { restart: bool, noticed: bool },
+            /// Its run is over: `Exit`, or (`true`) `Abort`.
+            Ended(bool),
+        }
+
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct Node {
+            rec: Tracker,
+            life: Life,
+            /// The era of its last restore (rollback or adoption applied).
+            restored: u32,
+        }
+
+        /// The cluster: machines, channels (`src * n + dst`), the fabric era,
+        /// the budgets left, and each era's order as first applied (its era
+        /// and dead set).
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        pub(super) struct World {
+            nodes: Vec<Node>,
+            chans: Vec<VecDeque<Wire>>,
+            era: u32,
+            kills: u8,
+            sends: u8,
+            orders: Vec<(u32, Vec<u16>)>,
+        }
+
+        /// One step of a schedule.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(super) enum Act {
+            /// Deliver the head of channel `src → dst`; `false`: an order the
+            /// master reads from the DFS finds no complete checkpoint.
+            Deliver(usize, usize, bool),
+            /// Kill worker `i`; `true`: for good.
+            Kill(usize, bool),
+            /// Killed machine `i` receives and learns it is dead.
+            Notice(usize),
+            Restart(usize),
+            /// Machine `i` sends a unit of engine work to machine `j`.
+            Work(usize, usize),
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        pub(super) struct Bounds {
+            pub n: usize,
+            pub mode: RecoveryMode,
+            pub kills: u8,
+            pub sends: u8,
+        }
+
+        impl Bounds {
+            pub fn new(n: usize, mode: RecoveryMode) -> Self {
+                Bounds { n, mode, kills: 2, sends: 2 }
+            }
+        }
+
+        /// The bounds and the one instant every step is taken at: no stall
+        /// deadline ever passes, so a state only a timer would leave is stuck.
+        pub(super) struct Model {
+            b: Bounds,
+            now: Instant,
+        }
+
+        impl Model {
+            pub fn new(b: Bounds) -> Self {
+                Model { b, now: clock::now() }
+            }
+
+            /// `wire` onto channel `src → dst`, unless the fabric drops it:
+            /// `dst` is dead.
+            fn send(&self, w: &mut World, src: usize, dst: usize, wire: Wire) {
+                if w.nodes[dst].life == Life::Alive {
+                    w.chans[src * self.b.n + dst].push_back(wire);
+                }
+            }
+
+            /// `input` fed to machine `i` and its outputs applied, the way
+            /// `on_recv` applies them, invariants checked. `true`: the master
+            /// read a rollback order from the DFS.
+            fn feed(
+                &self,
+                w: &mut World,
+                i: usize,
+                input: Input<Stamp, Stamp>,
+                checkpoint: bool,
+            ) -> Result<bool, String> {
+                let (mut next, mut decided) = (Some(input), false);
+                while let Some(input) = next.take() {
+                    let mut out = Vec::new();
+                    let era = w.nodes[i].rec.era();
+                    let rec = &mut w.nodes[i].rec;
+                    let what = format!("{input:?}");
+                    catch_unwind(AssertUnwindSafe(|| rec.step(input, self.now, &mut out)))
+                        .map_err(|_| format!("m{i} panicked on {what}"))?;
+                    if w.nodes[i].rec.era() < era {
+                        return Err(format!("m{i}'s era regressed from {era} on {what}"));
+                    }
+                    for output in out {
+                        let node = &w.nodes[i];
+                        match output {
+                            Output::Send(dst, msg) => self.send(w, i, dst.index(), Wire::Msg(msg)),
+                            Output::Broadcast(msg) => {
+                                for dst in node.rec.peers().collect::<Vec<_>>() {
+                                    self.send(w, i, dst.index(), Wire::Msg(msg.clone()));
+                                }
+                            }
+                            Output::SendGhosts(era) => {
+                                for dst in node.rec.peers().collect::<Vec<_>>() {
+                                    self.send(w, i, dst.index(), Wire::Msg(Msg::AdoptData(era, era)));
+                                }
+                            }
+                            Output::Decide { era, dead } => {
+                                decided = dead.is_none();
+                                next = Some(Input::Ordered(match dead {
+                                    Some(dead) => Ok(Order::Adopt(AdoptPlanMsg {
+                                        era,
+                                        dead: (0..dead.len()).filter(|&m| dead[m]).map(|m| m as u16).collect(),
+                                        placement: Placement::round_robin(1, 1),
+                                        snap: None,
+                                    })),
+                                    None if checkpoint => Ok(Order::Rollback(RollbackMsg { era, snap: 0 })),
+                                    None => Err(RecoverAbortMsg { era, reason: "no checkpoint".into() }),
+                                }));
+                            }
+                            Output::Apply(order) => {
+                                let (era, dead) = match order {
+                                    Order::Rollback(msg) => (msg.era, Vec::new()),
+                                    Order::Adopt(plan) => (plan.era, plan.dead),
+                                };
+                                w.nodes[i].restored = era;
+                                match w.orders.iter().find(|(e, _)| *e == era) {
+                                    Some((_, first)) if *first != dead => {
+                                        return Err(format!(
+                                            "m{i} applied era {era}'s order with dead {dead:?}, \
+                                             another machine with {first:?}"
+                                        ));
+                                    }
+                                    Some(_) => {}
+                                    None => w.orders.push((era, dead)),
+                                }
+                            }
+                            Output::ApplyGhosts(stamp) | Output::Replay(stamp)
+                                if stamp < node.restored =>
+                            {
+                                return Err(format!(
+                                    "m{i} took work or ghost rows of era {stamp} after restoring at \
+                                     era {}",
+                                    node.restored
+                                ));
+                            }
+                            Output::Exit | Output::Abort(_) => {
+                                w.nodes[i].life = Life::Ended(matches!(output, Output::Abort(_)));
+                                return Ok(decided);
+                            }
+                            Output::Fence { .. }
+                            | Output::Lease { .. }
+                            | Output::Wipe
+                            | Output::ApplyGhosts(_)
+                            | Output::Replay(_)
+                            | Output::Reseed
+                            | Output::Resumed => {}
+                        }
+                    }
+                }
+                Ok(decided)
+            }
+
+            /// `act` taken in `w`; the flag: the master read a rollback order.
+            fn take(&self, w: &World, act: Act) -> Result<(World, bool), String> {
+                let (mut w, n) = (w.clone(), self.b.n);
+                let decided = match act {
+                    Deliver(src, dst, checkpoint) => {
+                        let wire = w.chans[src * n + dst].pop_front().expect("an empty channel delivered");
+                        let input = match wire {
+                            Wire::Msg(msg) => Input::Msg(MachineId(src as u16), msg),
+                            Wire::Work(stamp) => Input::Work(stamp),
+                        };
+                        self.feed(&mut w, dst, input, checkpoint)?
+                    }
+                    Kill(v, permanent) => {
+                        w.kills -= 1;
+                        w.era += 1;
+                        w.nodes[v].life = Life::Dead { restart: !permanent, noticed: false };
+                        for j in 0..n {
+                            // The victim's inbox goes; a `Down` already handed
+                            // to a survivor stays.
+                            w.chans[j * n + v].clear();
+                            w.chans[v * n + j].retain(|wire| matches!(wire, Wire::Msg(Msg::Down(_))));
+                            if j != v {
+                                let down = DownMsg { machine: v as u16, restart: !permanent, era: w.era };
+                                self.send(&mut w, v, j, Wire::Msg(Msg::Down(down)));
+                            }
+                        }
+                        false
+                    }
+                    Notice(v) => {
+                        let Life::Dead { restart, .. } = w.nodes[v].life else { unreachable!() };
+                        w.nodes[v].life = Life::Dead { restart, noticed: true };
+                        self.feed(&mut w, v, Input::Died { permanent: !restart }, true)?
+                    }
+                    Restart(v) => {
+                        w.nodes[v].life = Life::Alive;
+                        let up = UpMsg { machine: v as u16, era: w.era };
+                        self.feed(&mut w, v, Input::Msg(MachineId(v as u16), Msg::Up(up)), true)?
+                    }
+                    Work(i, j) => {
+                        w.sends -= 1;
+                        let stamp = w.nodes[i].rec.era();
+                        self.send(&mut w, i, j, Wire::Work(stamp));
+                        false
+                    }
+                };
+                Ok((w, decided))
+            }
+        }
+
+        /// Whether `act` is progress the cluster will make on its own.
+        fn progress(act: &Act) -> bool {
+            matches!(act, Deliver(..) | Notice(_) | Restart(_))
+        }
+
+        impl explore::Model for Model {
+            type State = World;
+            type Act = Act;
+
+            fn start(&self) -> World {
+                let n = self.b.n;
+                let node = |i| Node { rec: Tracker::new(i, n, self.b.mode), life: Life::Alive, restored: 0 };
+                World {
+                    nodes: (0..n).map(node).collect(),
+                    chans: vec![VecDeque::new(); n * n],
+                    era: 0,
+                    kills: self.b.kills,
+                    sends: self.b.sends,
+                    orders: Vec::new(),
+                }
+            }
+
+            fn enabled(&self, w: &World) -> Vec<Act> {
+                let n = self.b.n;
+                let mut acts = Vec::new();
+                for (c, chan) in w.chans.iter().enumerate() {
+                    if !chan.is_empty() && w.nodes[c % n].life == Life::Alive {
+                        acts.push(Deliver(c / n, c % n, true));
+                    }
+                }
+                for (i, node) in w.nodes.iter().enumerate() {
+                    match node.life {
+                        Life::Alive if node.rec.phase() == RecoveryPhase::Normal && w.sends > 0 => {
+                            acts.extend((0..n).filter(|&j| j != i).map(|j| Work(i, j)));
+                        }
+                        Life::Dead { noticed: false, .. } => acts.push(Notice(i)),
+                        _ => {}
+                    }
+                    if let Life::Dead { restart: true, .. } = node.life {
+                        acts.push(Restart(i));
+                    }
+                    if i > 0 && node.life == Life::Alive && w.kills > 0 {
+                        acts.push(Kill(i, false));
+                        if self.b.mode == Adopt {
+                            acts.push(Kill(i, true));
+                        }
+                    }
+                }
+                acts
+            }
+
+            fn apply(&self, w: &World, act: Act) -> Result<(World, Option<Act>), String> {
+                let (next, decided) = self.take(w, act)?;
+                Ok((next, match act {
+                    Deliver(src, dst, true) if decided => Some(Deliver(src, dst, false)),
+                    _ => None,
+                }))
+            }
+
+            /// Quiescence: every live machine normal at the cluster's era, or
+            /// the master's clean abort with no live machine normal.
+            fn check(&self, w: &World) -> Result<(), String> {
+                if self.enabled(w).iter().any(progress) {
+                    return Ok(());
+                }
+                let live = || w.nodes.iter().filter(|node| node.life == Life::Alive);
+                let settled = live().all(|node| {
+                    node.rec.phase() == RecoveryPhase::Normal && node.rec.era() == w.era
+                }) && !w.nodes.iter().any(|node| node.life == Life::Ended(true));
+                let aborted = w.nodes[0].life == Life::Ended(true)
+                    && live().all(|node| node.rec.phase() != RecoveryPhase::Normal);
+                if settled || aborted {
+                    return Ok(());
+                }
+                let state: Vec<_> =
+                    w.nodes.iter().map(|node| (node.life, node.rec.phase(), node.rec.era())).collect();
+                Err(format!("stuck at era {}: {state:?}", w.era))
+            }
+
+            fn plain(&self, act: Act) -> Act {
+                match act {
+                    Deliver(src, dst, _) => Deliver(src, dst, true),
+                    act => act,
+                }
+            }
+        }
+
+        pub(super) fn replay(b: Bounds, schedule: &[Act]) -> World {
+            explore::replay(&Model::new(b), schedule)
+        }
+
+        // Each schedule below was printed by the explorer, and is replayed
+        // against the code as it is: every step enabled, nothing violated.
+
+        /// Resume only once every survivor's `FlushMark` is in. Mutation:
+        /// make the `FlushWait` arm of `advance` due at once, without
+        /// `holds(..)`. Then machine 1 restores on the order itself, and
+        /// machine 2's work of era 0, sent before its drain, is replayed
+        /// after the resume (16 steps). Here that work reaches machine 1
+        /// still in flush-wait, which discards it.
+        #[test]
+        fn replay_work_ahead_of_a_peers_flush_mark() {
+            let schedule = [
+                Kill(1, false),
+                Deliver(1, 0, true),
+                Restart(1),
+                Deliver(1, 0, true),
+                Work(2, 1),
+                Deliver(1, 2, true),
+                Deliver(2, 0, true),
+                Deliver(0, 1, true),
+                Deliver(0, 1, true),
+                Deliver(0, 2, true),
+                Deliver(1, 0, true),
+                Deliver(2, 1, true),
+            ];
+            let w = replay(Bounds::new(3, Rollback), &schedule);
+            let m1 = &w.nodes[1];
+            assert_eq!((m1.rec.phase(), m1.restored), (RecoveryPhase::FlushWait, 0));
+            assert_eq!(w.chans[2 * 3 + 1], [Wire::Msg(Msg::FlushMark(1))]);
+        }
+
+        /// A finding: machine 2's `Ready` reaches the master ahead of the
+        /// victim's `Down`, which the fabric model allows. A master that
+        /// drops a `Ready` of an era it has not seen then waits for it
+        /// forever (stuck, 6 steps). SimNet puts a `Down` in every inbox
+        /// at once, and a lease's `Down` comes from the master itself, so
+        /// neither reaches it; the master now drains on such a `Ready`.
+        #[test]
+        fn replay_a_ready_ahead_of_the_masters_down() {
+            let schedule = [
+                Kill(1, false),
+                Deliver(1, 2, true),
+                Deliver(2, 0, true),
+                Deliver(1, 0, true),
+                Restart(1),
+                Deliver(1, 0, true),
+            ];
+            let w = replay(Bounds::new(3, Rollback), &schedule);
+            assert_eq!((w.nodes[0].rec.phase(), w.nodes[0].rec.era()), (RecoveryPhase::FlushWait, 1));
+        }
+
+        /// A finding: the master aborts (no complete checkpoint), the
+        /// `Abort` in flight dies with machine 1's second kill, and reborn
+        /// machine 1 drains for a master that has left. Only the stall
+        /// deadline ends its run (6 steps); quiescence counts that wait as
+        /// the clean abort it ends in.
+        #[test]
+        fn replay_a_kill_after_the_masters_abort() {
+            let schedule = [
+                Kill(1, false),
+                Deliver(1, 0, true),
+                Restart(1),
+                Deliver(1, 0, false),
+                Kill(1, false),
+                Restart(1),
+            ];
+            let w = replay(Bounds::new(2, Rollback), &schedule);
+            assert_eq!(w.nodes[0].life, Life::Ended(true));
+            let m1 = &w.nodes[1];
+            assert_eq!((m1.life, m1.rec.phase(), m1.rec.era()), (Life::Alive, RecoveryPhase::Drain, 2));
+        }
+
+        #[test]
+        fn the_explorer_finds_no_violation_on_two_and_three_machines() {
+            let began = clock::now();
+            let mut states = 0;
+            for n in [2, 3] {
+                for mode in [Rollback, Adopt] {
+                    let b = Bounds::new(n, mode);
+                    let seen = explore::explore(&Model::new(b), b);
+                    println!("{b:?}: {seen} states");
+                    states += seen;
+                }
+            }
+            println!("recovery explorer: {states} states in {:.1} s", (clock::now() - began).as_secs_f64());
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!   drain → marker flush → save → resume protocol: once every machine
 //!   is drained, each broadcasts a `SnapSyncFlush` marker behind its last
 //!   counted message and saves once it holds every survivor's — the same
-//!   FIFO barrier as the chromatic step's and recovery's below.
+//!   FIFO barrier as the chromatic step's and recovery's.
 //! - **Asynchronous**: the Chandy-Lamport variant expressed *as a GraphLab
 //!   update function* (Alg. 5), valid under edge consistency with
 //!   schedule-before-unlock and snapshot-update priority. Each vertex saves
@@ -16,57 +16,9 @@
 //!   the `snapshotted` marker propagates with the ordinary versioned scope
 //!   data synchronisation.
 //!
-//! # Failure model and recovery protocol
-//!
-//! The failure model is **crash-restart of any non-master machine**,
-//! injected deterministically by the fabric's
-//! [`graphlab_net::fault::FaultPlan`]: a killed machine loses all volatile
-//! state (local graph data, scheduler, locks, caches, in-flight traffic),
-//! the fabric drops everything on the wire to or from it, and every
-//! survivor is notified with a fabric `K_DOWN` envelope. The checkpoint
-//! files on the DFS are the only durable state (§4.3: "the failed machine
-//! is restored from the last checkpoint").
-//!
-//! Recovery is a master-coordinated cluster rollback, keyed on the fabric
-//! *fault era* (total kills so far). Both engines run the single
-//! implementation in `crate::recovery` (one event-driven state machine
-//! behind a small host seam; its module docs also cover the restart-free
-//! *adoption* branch taken under [`crate::RecoveryMode::Adopt`]):
-//!
-//! 1. **Drain.** On `K_DOWN` every survivor abandons its in-progress work
-//!    (epochs, snapshots, lock chains), stops sending engine traffic, and
-//!    reports `READY{era}` to the master. A reborn machine reports as
-//!    soon as its fabric `K_UP` (which carries the current era) arrives.
-//! 2. **Rollback.** With all `n` READYs of the current era, the master
-//!    prunes incomplete snapshots from the DFS, picks the **latest
-//!    complete checkpoint** ([`latest_complete_snapshot`]) — or aborts the
-//!    run with a clean *"no complete checkpoint"* error — and broadcasts
-//!    `ROLLBACK{era, snap}`.
-//! 3. **Marker flush + restore.** On the rollback order each machine
-//!    broadcasts the era's `FLUSH_MARK` to every peer, then consumes (and
-//!    discards) incoming traffic until every peer's marker arrived. A
-//!    peer's engine traffic all predates its drain point, and markers ride
-//!    the same per-channel FIFO the engines already rely on — so holding
-//!    all markers proves no stale pre-rollback message can ever surface
-//!    (channels touching the dead machine need no flushing: the fabric
-//!    drops dead incarnations' traffic and the reborn machine starts from
-//!    an empty inbox). The machine then restores owned *and ghost* data
-//!    from the checkpoint ([`restore_into_local`]), resets versions to
-//!    zero, conservatively invalidates its `RemoteCacheTable`, rebuilds
-//!    scheduler/lock/engine state (the locking engine's quiet round in
-//!    flight is abandoned; the master opens a fresh one after the resume),
-//!    and re-schedules all owned vertices (the conservative
-//!    over-approximation of the lost scheduler state).
-//! 4. **Resume.** A final `RECOVERED`/`RESUME` barrier keeps post-rollback
-//!    work from racing ahead of machines still restoring; traffic that
-//!    does arrive early is buffered, not dropped. Overlapping failures
-//!    advance the era and restart the round from step 1.
-//!
-//! Rolled-back updates re-execute, so `EngineMetrics::updates` counts some
-//! work twice after a failure — exactly the recomputation cost Fig. 4
-//! measures. Self-stabilising programs (PageRank, ALS, LBP, anything with
-//! a confluent or contracting fixpoint) reconverge to the fault-free
-//! answer; the chaos suite (`tests/properties.rs::recovery`) pins that.
+//! Restoring a checkpoint after a crash, and adopting a dead machine's
+//! atoms instead, is `crate::recovery`'s protocol; its module docs walk
+//! through it.
 //!
 //! This module holds what the engines share: the checkpoint file format on
 //! the DFS, restoration, completeness scanning/pruning, and Young's

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::cluster::{K_DOWN, K_UP};
 
 /// Payload of a [`K_DOWN`] notification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DownMsg {
     /// The machine that died.
     pub machine: u16,
@@ -55,7 +55,7 @@ pub struct DownMsg {
 crate::codec_fields! { DownMsg { machine, restart, era } }
 
 /// Payload of a [`K_UP`] notification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct UpMsg {
     /// The machine that restarted (always the receiver).
     pub machine: u16,

@@ -3,7 +3,7 @@
 # exemption budget (`#[expect(clippy::disallowed_methods` sites in `core`
 # and `net`), so that a simplicity PR's number is one command's output.
 # Run from anywhere: `scripts/lines.sh [repo root]`. "Outside #[cfg(test)]" counts each file
-# up to, not including, its last `#[cfg(test)]` line (the unit-test module
+# up to, not including, its last `#[cfg(test)]` or `#![cfg(test)]` line (the unit-test module
 # closes every file that has one); a file with none counts whole.
 set -eu
 cd "${1:-$(dirname "$0")/..}"
@@ -13,7 +13,7 @@ net=crates/net/src
 outside_tests() {
     awk 'FNR == 1 { total += cut ? cut - 1 : n; n = 0; cut = 0 }
          { n = FNR }
-         /^[[:space:]]*#\[cfg\(test\)\]/ { cut = FNR }
+         /^[[:space:]]*#!?\[cfg\(test\)\]/ { cut = FNR }
          END { print total + (cut ? cut - 1 : n) }' "$@"
 }
 

@@ -628,8 +628,10 @@ mod wire_codec {
             });
             rt(AdoptDataMsg {
                 era,
-                vrows: vrows.into_iter().map(|(v, b)| (VertexId(v), b)).collect(),
-                erows: erows.into_iter().map(|(e, b)| (EdgeId(e), b)).collect(),
+                rows: graphlab::core::snapshot::SnapshotFile {
+                    vrows: vrows.into_iter().map(|(v, b)| (VertexId(v), b)).collect(),
+                    erows: erows.into_iter().map(|(e, b)| (EdgeId(e), b)).collect(),
+                },
             });
         }
     }
@@ -1001,7 +1003,7 @@ fn wire_bytes_are_pinned() {
             "01166e6f20636f6d706c65746520636865636b706f696e74"),
         drift(AdoptPlanMsg { era: 4, dead: vec![2, 300], placement, snap: Some(6) },
             "040202ac02050001020001030106"),
-        drift(AdoptDataMsg { era: 5, vrows, erows: vec![(EdgeId(9), b(b"ee"))] },
+        drift(AdoptDataMsg { era: 5, rows: SnapshotFile { vrows, erows: vec![(EdgeId(9), b(b"ee"))] } },
             "0502030176c801000109026565"),
         drift(SnapshotFile {
             vrows: vec![(VertexId(1), b(b"x")), (VertexId(128), b(b"yz"))],
