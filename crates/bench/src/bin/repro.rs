@@ -30,8 +30,8 @@ use graphlab_bench::Table;
 use graphlab_core::messages::LockKind;
 use graphlab_core::metrics::traffic_of;
 use graphlab_core::{
-    young_interval, EngineConfig, EngineKind, FaultPlan, FaultTrigger, GraphLab,
-    PartitionStrategy, PlacementStrategy, RecoveryMode, SchedulerKind, SnapshotConfig,
+    young_interval, Ablation, BatchPolicy, EngineConfig, EngineKind, FaultPlan, FaultTrigger,
+    GraphLab, PartitionStrategy, PlacementStrategy, RecoveryMode, SchedulerKind, SnapshotConfig,
     SnapshotMode, StragglerConfig, SyncCadence,
 };
 use graphlab_graph::Coloring;
@@ -154,13 +154,14 @@ fn fig1c() {
     let params = LoopyBp { labels: 2, smoothing: 2.0, epsilon: 1e-6, dynamic: true, damping: 0.3 };
     let n = base.num_vertices() as f64;
 
-    // Sync (Pregel-style): full Jacobi sweeps.
+    // Sync (Pregel-style): full sweeps. A static update schedules nothing,
+    // so each FIFO run visits every vertex once in index order.
     let sync_curve = {
         let mut g = base.clone();
         let sweep = LoopyBp { dynamic: false, ..params.clone() };
         let mut curve = Vec::new();
         for s in 1..=40u64 {
-            GraphLab::on(&mut g).scheduler(SchedulerKind::Sweep).run(sweep.clone());
+            GraphLab::on(&mut g).run(sweep.clone());
             curve.push((s as f64, total_residual(&g, &params)));
         }
         curve
@@ -205,14 +206,14 @@ fn fig1d() {
     let mut t = Table::new(&["updates cap", "serializable train RMSE", "racing train RMSE"]);
     for mult in [1u64, 2, 4, 8] {
         let mut rmse = [0.0f64; 2];
-        for (i, racing) in [false, true].into_iter().enumerate() {
+        for (i, ablation) in [Ablation::Off, Ablation::Racing].into_iter().enumerate() {
             let mut g = problem.graph.clone();
             GraphLab::on(&mut g)
                 .engine(EngineKind::Locking)
                 .machines(4)
                 .scheduler(SchedulerKind::Priority)
                 .max_updates(mult * n)
-                .configure(|c| c.racing = racing)
+                .configure(|c| c.ablation = ablation)
                 .run(Als { d: 16, lambda: 0.06, epsilon: 1e-6, dynamic: true });
             rmse[i] = train_rmse(&g);
         }
@@ -870,7 +871,9 @@ fn abl_versioning() {
     );
     let base = web_graph(10_000, 4, 21);
     let mut t = Table::new(&["version filter", "bytes sent", "runtime"]);
-    for (name, off) in [("on (default)", false), ("off (always resend)", true)] {
+    for (name, ablation) in
+        [("on (default)", Ablation::Off), ("off (always resend)", Ablation::FullScopeResend)]
+    {
         let mut g = base.clone();
         init_ranks(&mut g);
         let cap = 3 * g.num_vertices() as u64;
@@ -878,7 +881,7 @@ fn abl_versioning() {
             .engine(EngineKind::Locking)
             .machines(4)
             .max_updates(cap)
-            .configure(|c| c.no_version_filter = off)
+            .configure(|c| c.ablation = ablation)
             .run(PageRank { alpha: 0.15, epsilon: 1e-9, dynamic: true });
         t.row(vec![
             name.into(),
@@ -900,8 +903,8 @@ fn abl_batching() {
     let mut t = Table::new(&["batching", "total msgs", "total MB", "runtime", "L1 vs oracle"]);
     let mut msgs = [0u64; 2];
     for (i, (name, policy)) in [
-        ("off", graphlab_core::BatchPolicy::disabled()),
-        ("on (16 KiB / 64 msgs)", graphlab_core::BatchPolicy::default()),
+        ("off", BatchPolicy::Disabled),
+        ("on (16 KiB / 64 msgs)", BatchPolicy::default()),
     ]
     .into_iter()
     .enumerate()
@@ -961,24 +964,24 @@ fn abl_bytes() {
     let base = web_graph(8_000, 4, 33);
     let oracle = exact_pagerank(&base, 0.15, 150);
 
-    let arms: [(&str, bool, graphlab_core::BatchPolicy); 3] = [
-        ("baseline (full resend, raw)", true, graphlab_core::BatchPolicy::uncompressed()),
-        ("delta sync, raw", false, graphlab_core::BatchPolicy::uncompressed()),
-        ("delta sync + compression", false, graphlab_core::BatchPolicy::default()),
+    let arms: [(&str, Ablation, BatchPolicy); 3] = [
+        ("baseline (full resend, raw)", Ablation::FullScopeResend, BatchPolicy::Uncompressed),
+        ("delta sync, raw", Ablation::Off, BatchPolicy::Uncompressed),
+        ("delta sync + compression", Ablation::Off, BatchPolicy::default()),
     ];
     let mut bytes = [0u64; 3];
     let mut rank_sets: Vec<Vec<f64>> = Vec::new();
     let mut kind_rows: Vec<Vec<(u16, graphlab_net::KindTraffic)>> = Vec::new();
     let mut t =
         Table::new(&["wire format", "total MB", "vs baseline", "total msgs", "runtime", "L1 vs oracle"]);
-    for (i, (name, no_filter, policy)) in arms.iter().enumerate() {
+    for (i, (name, ablation, policy)) in arms.iter().enumerate() {
         let mut g = base.clone();
         init_ranks(&mut g);
         let out = GraphLab::on(&mut g)
             .engine(EngineKind::Locking)
             .machines(8)
             .configure(|c| {
-                c.no_version_filter = *no_filter;
+                c.ablation = *ablation;
                 c.batch = *policy;
             })
             .run(PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true });
@@ -1032,13 +1035,13 @@ fn abl_bytes() {
         *seeded.vertex_data_mut(v) = (v.index() as u64).wrapping_mul(2_654_435_761) as f64;
     }
     let mut fixpoints: Vec<Vec<f64>> = Vec::new();
-    for (_, no_filter, policy) in &arms {
+    for (_, ablation, policy) in &arms {
         let mut g = seeded.clone();
         GraphLab::on(&mut g)
             .engine(EngineKind::Locking)
             .machines(8)
             .configure(|c| {
-                c.no_version_filter = *no_filter;
+                c.ablation = *ablation;
                 c.batch = *policy;
             })
             .run(MaxDiffusion);

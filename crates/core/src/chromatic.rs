@@ -725,7 +725,7 @@ mod tests {
         machines: usize,
     ) -> (Machine, Vec<Endpoint>) {
         let mut config = crate::EngineConfig::new(machines);
-        config.batch = BatchPolicy::disabled();
+        config.batch = BatchPolicy::Disabled;
         let (setup, init, mut eps) =
             scripted_machine(graph, partition, MachineId(0), config, InitialSchedule::AllVertices);
         (ChromaticMachine::new(eps.remove(0), setup, Arc::new(NoUpdate), init), eps)

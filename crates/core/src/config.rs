@@ -64,6 +64,24 @@ pub struct StragglerConfig {
     pub duration: Duration,
 }
 
+/// A deliberately weakened locking-engine run, for the ablation
+/// experiments. [`crate::GraphLab::run`] refuses one on any other engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+pub enum Ablation {
+    /// The engine as designed.
+    #[default]
+    Off,
+    /// **Deliberately unsafe** (Fig. 1(d)): acquire only the central
+    /// vertex's write lock while still letting the update read neighbour
+    /// data — the "non-serializable (racing)" execution the paper shows is
+    /// unstable for dynamic ALS.
+    Racing,
+    /// DESIGN.md D4: no version-aware delta scope sync (the owner-side
+    /// remote-cache table and its "unchanged" markers), so every lock
+    /// grant re-sends the full scope data even when unchanged.
+    FullScopeResend,
+}
+
 /// Configuration for a distributed engine run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -93,8 +111,8 @@ pub struct EngineConfig {
     /// before every blocking receive. The default additionally
     /// LZ-compresses envelopes of at least `graphlab_net::batch::COMPRESS_MIN`
     /// bytes;
-    /// `BatchPolicy::uncompressed()` keeps batching but ships raw bytes,
-    /// `BatchPolicy::disabled()` sends every message individually and raw
+    /// `BatchPolicy::Uncompressed` keeps batching but ships raw bytes,
+    /// `BatchPolicy::Disabled` sends every message individually and raw
     /// (ablation baselines).
     pub batch: BatchPolicy,
     /// Maximum outstanding lock requests per machine (§4.2.2 pipelining).
@@ -107,10 +125,10 @@ pub struct EngineConfig {
     /// Optional straggler fault injection.
     pub straggler: Option<StragglerConfig>,
     /// Optional deterministic crash/partition fault injection
-    /// ([`graphlab_net::fault`]): the fabric kills machines per the plan
-    /// and the engines recover by rolling the cluster back to the latest
-    /// complete checkpoint (so pair it with a [`SnapshotConfig`] unless
-    /// the clean "no complete checkpoint" failure path is the point).
+    /// ([`graphlab_net::fault`]), which `crate::recovery` survives: a
+    /// restart rolls the cluster back to the latest complete checkpoint (so
+    /// pair it with a [`SnapshotConfig`]), a permanent death fails the run
+    /// or, under [`RecoveryMode::Adopt`], hands its atoms to the survivors.
     /// Machine 0 (the coordination master) must not be a kill target.
     pub faults: Option<FaultPlan>,
     /// Response to a permanent machine death (no restart scheduled):
@@ -128,15 +146,8 @@ pub struct EngineConfig {
     /// Safety cap on total updates (0 = unlimited). The engine halts once
     /// the cap is reached even if the schedulers are non-empty.
     pub max_updates: u64,
-    /// **Deliberately unsafe** (Fig. 1(d)): acquire only the central
-    /// vertex's write lock while still letting the update read neighbour
-    /// data — the "non-serializable (racing)" execution the paper shows is
-    /// unstable for dynamic ALS. Locking engine only.
-    pub racing: bool,
-    /// Ablation (DESIGN.md D4): disable the version-aware delta scope sync
-    /// (the owner-side remote-cache table and its "unchanged" markers) so
-    /// every lock grant re-sends the full scope data even when unchanged.
-    pub no_version_filter: bool,
+    /// Ablation arm (locking engine only; default [`Ablation::Off`]).
+    pub ablation: Ablation,
     /// Seed for partitioning and tie-breaking.
     pub seed: u64,
 }
@@ -161,8 +172,7 @@ impl EngineConfig {
             lease: None,
             trace: false,
             max_updates: 0,
-            racing: false,
-            no_version_filter: false,
+            ablation: Ablation::Off,
             seed: 0x5EED,
         }
     }

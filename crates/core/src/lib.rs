@@ -66,13 +66,12 @@ pub mod snapshot;
 pub mod sync;
 pub mod update;
 
-pub use config::{EngineConfig, RecoveryMode, SnapshotConfig, SnapshotMode, StragglerConfig};
+pub use config::{
+    Ablation, EngineConfig, RecoveryMode, SnapshotConfig, SnapshotMode, StragglerConfig,
+};
 pub use graphlab_atoms::PlacementStrategy;
 pub use graphlab_net::{BatchPolicy, FaultPlan, FaultTrigger, TcpConfig, Transport};
 pub use driver::{EngineKind, EngineOutput, PartitionStrategy};
-/// `Engine` is an alias for [`EngineKind`], matching the builder-chain
-/// spelling `GraphLab::on(..).engine(Engine::Locking)`.
-pub use driver::EngineKind as Engine;
 pub use globals::{GlobalHandle, GlobalRegistry};
 pub use local::{LocalAdjEntry, LocalGraph, RemoteCacheTable, ScopePlans};
 pub use metrics::{EngineMetrics, HotCounters, PhaseTimes};

@@ -72,7 +72,7 @@ use graphlab_graph::{ConsistencyModel, IdMap, LockType, MachineId, VertexId};
 use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
-use crate::config::SnapshotMode;
+use crate::config::{Ablation, SnapshotMode};
 use crate::coord::{Coord, Input, Msg, Output, FINAL};
 use crate::driver::{MachineResult, MachineSetup};
 use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
@@ -639,7 +639,7 @@ where
     fn initiate_chain(&mut self, l: u32, is_snapshot: bool) {
         let model = if is_snapshot {
             ConsistencyModel::Edge
-        } else if self.core.setup.config.racing {
+        } else if self.core.setup.config.ablation == Ablation::Racing {
             // Fig. 1(d): lock only the central vertex; reads of neighbour
             // ghosts race against concurrent writers.
             ConsistencyModel::Vertex
@@ -770,7 +770,7 @@ where
     /// owned edge set is the plan row's edge list.
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
         let req = to.index();
-        let filter = !self.core.setup.config.no_version_filter;
+        let filter = self.core.setup.config.ablation != Ablation::FullScopeResend;
         let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
         let (lg, snap_epoch) = (&self.core.lg, &self.snap_epoch);
         let stale_v = |cache: &RemoteCacheTable, lv| {
@@ -906,7 +906,7 @@ where
         // Scheduling — must happen before the scope is unlocked (snapshot
         // correctness condition, and per-channel FIFO makes "before" hold
         // remotely too). Sends fan out in machine order so delivery
-        // interleavings are a function of the seed (fault-trace replay);
+        // interleavings are a function of the seed;
         // every scheduled vertex is in the scope, so the row's owners cover
         // them under every consistency model.
         for &(lv, prio) in &effects.scheduled {
@@ -1405,7 +1405,7 @@ mod tests {
         );
         let mut config = crate::EngineConfig::new(3);
         config.consistency = ConsistencyModel::Full;
-        config.batch = graphlab_net::BatchPolicy::disabled();
+        config.batch = graphlab_net::BatchPolicy::Disabled;
         let none = InitialSchedule::Vertices(Vec::new());
         let (setup, init, mut eps) =
             scripted_machine(&triangle(), &one_each, MachineId(me), config, none);

@@ -128,8 +128,7 @@ pub struct EngineMetrics {
     /// kind; batch sub-messages attributed to their real kinds, compressed
     /// envelopes to `K_ZIP`) — the `repro -- abl-bytes` breakdown.
     pub bytes_by_kind: Vec<(u16, graphlab_net::KindTraffic)>,
-    /// Engine-specific progress unit: colour-steps for the chromatic
-    /// engine, scheduler passes for sweep-style runs, 0 otherwise.
+    /// Colour-steps of a chromatic run; 0 on the other engines.
     pub steps: u64,
     /// Snapshots completed during the run.
     pub snapshots: u64,

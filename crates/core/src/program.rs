@@ -41,7 +41,7 @@ use graphlab_graph::{
 use graphlab_net::codec::Codec;
 use graphlab_net::{FaultPlan, LatencyModel, Transport};
 
-use crate::config::{EngineConfig, RecoveryMode, SnapshotConfig};
+use crate::config::{Ablation, EngineConfig, RecoveryMode, SnapshotConfig};
 use crate::driver::{run_distributed, EngineKind, EngineOutput, PartitionStrategy, StopFn};
 use crate::globals::{GlobalHandle, GlobalRegistry};
 use crate::reference::{run_sequential_program, InitialSchedule};
@@ -133,8 +133,8 @@ where
         self
     }
 
-    /// Scheduler flavour (default: FIFO). The chromatic engine is
-    /// inherently sweep-within-colour and ignores this.
+    /// Scheduler flavour of the sequential and locking engines (default:
+    /// FIFO). The chromatic engine sweeps colour by colour and ignores it.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.config.scheduler = kind;
         self
@@ -201,13 +201,15 @@ where
     }
 
     /// Deterministic fault injection (§4.3 failure model): the fabric
-    /// kills/restarts machines per `plan` and the engines roll the cluster
-    /// back to the latest complete checkpoint (see
-    /// [`crate::snapshot`] for the recovery protocol). Requires a
-    /// distributed engine; machine 0 (the coordination master) must not be
-    /// a kill target. Pair with [`GraphLab::snapshot`] — without a
-    /// completed checkpoint a kill fails the run with a clean
-    /// "no complete checkpoint" error ([`GraphLab::try_run`]).
+    /// kills/restarts machines per `plan` and the engines recover through
+    /// the protocol in `crate::recovery` — a restarted machine rolls the
+    /// cluster back to the latest complete checkpoint, a permanent death
+    /// fails the run or, under [`RecoveryMode::Adopt`], hands its atoms to
+    /// the survivors. Requires a distributed engine; machine 0 (the
+    /// coordination master) must not be a kill target. Pair with
+    /// [`GraphLab::snapshot`] — without a completed checkpoint a rollback
+    /// fails the run with a clean "no complete checkpoint" error
+    /// ([`GraphLab::try_run`]).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.config.faults = Some(plan);
         self
@@ -298,7 +300,8 @@ where
     /// # Panics
     /// On an invalid configuration (a supplied colouring that violates the
     /// consistency model's order, a `stop_when` without syncs to drive it,
-    /// fewer atoms than machines), or when an injected fault proves
+    /// fewer atoms than machines, an [`Ablation`] off the locking engine),
+    /// or when an injected fault proves
     /// unrecoverable — use [`GraphLab::try_run`] when a clean failure is an
     /// expected outcome.
     pub fn run<U>(self, update: U) -> EngineOutput
@@ -377,6 +380,12 @@ where
                 );
             }
         }
+
+        assert!(
+            engine == EngineKind::Locking || config.ablation == Ablation::Off,
+            "{:?} is a locking-engine ablation; the {engine:?} engine does not read it",
+            config.ablation
+        );
 
         if config.transport.is_tcp() {
             assert!(
@@ -526,6 +535,16 @@ mod tests {
         let _ = GraphLab::on(&mut g)
             .sync(A, crate::FnSync::new(1, |_, d: &f64| vec![*d], |a, _| a), SyncCadence::Final)
             .sync(B, crate::FnSync::new(1, |_, d: &f64| vec![*d], |a, _| a), SyncCadence::Final);
+    }
+
+    #[test]
+    #[should_panic(expected = "locking-engine ablation")]
+    fn ablation_on_the_chromatic_engine_rejected() {
+        let mut g = ring(4);
+        GraphLab::on(&mut g)
+            .engine(EngineKind::Chromatic)
+            .configure(|c| c.ablation = Ablation::FullScopeResend)
+            .run(MaxDiffusion);
     }
 
     #[test]

@@ -1112,7 +1112,7 @@ mod tests {
         };
         let mine = eps.remove(me as usize);
         let mut config = crate::EngineConfig::new(3);
-        (config.num_atoms, config.recovery, config.batch) = (6, mode, BatchPolicy::disabled());
+        (config.num_atoms, config.recovery, config.batch) = (6, mode, BatchPolicy::Disabled);
         let setup = MachineSetup {
             dfs: Arc::new(dfs),
             index: Arc::new(index),

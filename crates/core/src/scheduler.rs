@@ -11,8 +11,6 @@
 //!   buckets popped hottest-first (the C++ implementation's approximate
 //!   priority queue; §5.2 uses it for residual BP). Re-scheduling an
 //!   enqueued vertex with a higher priority promotes it.
-//! - [`SchedulerKind::Sweep`] — cyclic scan over local vertices, a cheap
-//!   static order used by sweep-style experiments.
 //!
 //! The priority queue is a **lazy-delete bucket queue**: promotion pushes
 //! a second entry into the hotter bucket and the stale one is skipped at
@@ -35,8 +33,6 @@ pub enum SchedulerKind {
     Fifo,
     /// Approximate priority (bucketed, highest first).
     Priority,
-    /// Cyclic sweep over local vertices.
-    Sweep,
 }
 
 const NUM_BUCKETS: usize = 64;
@@ -68,8 +64,6 @@ pub struct Scheduler {
     /// Occupancy mask: bit `b` set ⇔ `buckets[b]` is non-empty (stale
     /// entries count — they are discovered and discarded at pop time).
     occupied: u64,
-    /// Sweep state.
-    sweep_pos: usize,
     len: usize,
 }
 
@@ -83,10 +77,9 @@ impl Scheduler {
             fifo: VecDeque::new(),
             buckets: match kind {
                 SchedulerKind::Priority => (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
-                _ => Vec::new(),
+                SchedulerKind::Fifo => Vec::new(),
             },
             occupied: 0,
-            sweep_pos: 0,
             len: 0,
         }
     }
@@ -134,7 +127,6 @@ impl Scheduler {
                 self.buckets[b as usize].push_back(v);
                 self.occupied |= 1 << b;
             }
-            SchedulerKind::Sweep => {}
         }
         true
     }
@@ -171,19 +163,6 @@ impl Scheduler {
                     self.occupied &= !(1 << b);
                 }
                 unreachable!("len > 0 but no live entry found");
-            }
-            SchedulerKind::Sweep => {
-                let n = self.queued.len();
-                for _ in 0..n {
-                    let v = self.sweep_pos;
-                    self.sweep_pos = (self.sweep_pos + 1) % n;
-                    if self.queued[v] {
-                        self.queued[v] = false;
-                        self.len -= 1;
-                        return Some(v as u32);
-                    }
-                }
-                unreachable!("len > 0 but sweep found nothing");
             }
         }
     }
@@ -247,21 +226,6 @@ mod tests {
         s.add(0, 0.0001); // lower: ignored
         assert_eq!(s.pop(), Some(0));
         assert_eq!(s.pop(), Some(1));
-    }
-
-    #[test]
-    fn sweep_cycles_in_index_order() {
-        let mut s = Scheduler::new(SchedulerKind::Sweep, 6);
-        s.add(4, 1.0);
-        s.add(1, 1.0);
-        s.add(5, 1.0);
-        assert_eq!(s.pop(), Some(1));
-        assert_eq!(s.pop(), Some(4));
-        s.add(0, 1.0);
-        assert_eq!(s.pop(), Some(5));
-        // wrapped around
-        assert_eq!(s.pop(), Some(0));
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -340,7 +304,7 @@ mod tests {
 
     #[test]
     fn pop_then_readd_cycles_indefinitely() {
-        for kind in [SchedulerKind::Fifo, SchedulerKind::Priority, SchedulerKind::Sweep] {
+        for kind in [SchedulerKind::Fifo, SchedulerKind::Priority] {
             let mut s = Scheduler::new(kind, 3);
             for round in 0..5 {
                 assert!(s.add(2, 1.0), "round {round}: fresh insert after pop ({kind:?})");
@@ -357,7 +321,7 @@ mod tests {
         // add returns whether the vertex was newly inserted. Drive every
         // kind through a deterministic interleaving of adds and pops and
         // check set semantics (dedup, len, total pops) against the model.
-        for kind in [SchedulerKind::Fifo, SchedulerKind::Priority, SchedulerKind::Sweep] {
+        for kind in [SchedulerKind::Fifo, SchedulerKind::Priority] {
             let n = 16u32;
             let mut s = Scheduler::new(kind, n as usize);
             let mut queued = vec![false; n as usize];

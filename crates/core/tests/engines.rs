@@ -685,6 +685,27 @@ fn web(n: usize) -> DataGraph<f64, f64> {
     b.build()
 }
 
+/// The racing ablation locks the centre of a scope and nothing else: one
+/// acquisition per update, where an edge-consistent run also takes its
+/// neighbours' read locks.
+#[test]
+fn racing_ablation_locks_only_the_centre() {
+    for ablation in [Ablation::Off, Ablation::Racing] {
+        let mut graph = web(2_000);
+        let out = GraphLab::on(&mut graph)
+            .engine(EngineKind::Locking)
+            .machines(3)
+            .configure(|c| c.ablation = ablation)
+            .run(DynamicPageRank(1e-6));
+        let (acquires, updates) = (out.metrics.hot.lock_acquires, out.metrics.updates);
+        if ablation == Ablation::Racing {
+            assert_eq!(acquires, updates, "racing takes the centre lock alone");
+        } else {
+            assert!(acquires > updates, "{acquires} acquires for {updates} updates");
+        }
+    }
+}
+
 /// What a chromatic run did: updates, colour-steps, and every vertex datum
 /// to the bit.
 fn chromatic_outcome(
@@ -739,7 +760,7 @@ fn chromatic_traffic_is_per_step_not_per_update() {
         .engine(EngineKind::Chromatic)
         .machines(2)
         .seed(42)
-        .configure(|c| c.batch = BatchPolicy::uncompressed())
+        .configure(|c| c.batch = BatchPolicy::Uncompressed)
         .run(DynamicPageRank(1e-10));
     let sched = out.metrics.traffic(messages::ChromKind::Sched);
     let vdata = out.metrics.traffic(messages::ChromKind::VData);

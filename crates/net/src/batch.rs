@@ -83,20 +83,6 @@ pub enum BatchPolicy {
     Compressed,
 }
 
-impl BatchPolicy {
-    /// A pass-through policy: every message goes out individually and raw
-    /// (ablation / traffic-accounting baselines).
-    pub fn disabled() -> Self {
-        BatchPolicy::Disabled
-    }
-
-    /// Default batching thresholds without the compression pass (wire
-    /// format ablation arm).
-    pub fn uncompressed() -> Self {
-        BatchPolicy::Uncompressed
-    }
-}
-
 /// Sub-messages framed back to back, waiting for one destination. The
 /// buffer stays with the queue: a flush copies out (or compresses) what it
 /// ships, so a warm queue never allocates.
@@ -582,8 +568,8 @@ mod tests {
     #[test]
     fn in_place_append_matches_send() {
         let lens = [0usize, 1, 127, 128, 300, BATCH_BYTES - 1, BATCH_BYTES, 25_000, 5];
-        let (net_a, mut a0, mut a1) = pair(BatchPolicy::uncompressed());
-        let (net_b, mut b0, mut b1) = pair(BatchPolicy::uncompressed());
+        let (net_a, mut a0, mut a1) = pair(BatchPolicy::Uncompressed);
+        let (net_b, mut b0, mut b1) = pair(BatchPolicy::Uncompressed);
         for (k, &len) in lens.iter().enumerate() {
             let payload: Vec<u8> = (0..len).map(|i| (i * 7 + k) as u8).collect();
             a0.send(MachineId(1), k as u16, Bytes::from(payload.clone()));
@@ -629,7 +615,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_is_pass_through() {
-        let (net, mut b0, mut b1) = pair(BatchPolicy::disabled());
+        let (net, mut b0, mut b1) = pair(BatchPolicy::Disabled);
         for k in 0..5u16 {
             b0.send(MachineId(1), k, Bytes::new());
         }
@@ -697,7 +683,7 @@ mod tests {
 
     #[test]
     fn uncompressed_policy_never_zips() {
-        let (net, mut b0, mut b1) = pair(BatchPolicy::uncompressed());
+        let (net, mut b0, mut b1) = pair(BatchPolicy::Uncompressed);
         for k in 0..40u16 {
             b0.send(MachineId(1), k, Bytes::from(vec![0u8; 64]));
         }

@@ -3,8 +3,8 @@
 //! `Instant::now`, `Instant::elapsed` and `thread::sleep` anywhere else.
 //! Reading it is sound because time decides only *when* something happens (a
 //! delivery, a heartbeat, an expiry, a redial, a timeout) and how long a phase
-//! took, never *what* crosses the wire: no timestamp enters a payload, a
-//! checkpoint or a fault trace, and message order is pinned by per-channel
+//! took, never *what* crosses the wire: no timestamp enters a payload or a
+//! checkpoint, and message order is pinned by per-channel
 //! FIFO. A state machine that decides on time takes `now` as an argument
 //! (`FaultState::poll`, [`crate::lease::LeaseState`]), so its tests pass exact
 //! instants. An elapsed time is written `clock::now() - t`.

@@ -49,7 +49,7 @@ use graphlab_graph::MachineId;
 use parking_lot::Mutex;
 
 use crate::clock;
-use crate::fault::{FaultEvent, FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultState};
 use crate::latency::LatencyModel;
 use crate::transport::{Endpoint, Link};
 
@@ -403,7 +403,6 @@ impl SimLink {
 /// Builder/owner of the cluster fabric.
 pub struct SimNet {
     stats: Arc<NetStats>,
-    faults: Option<FaultCtl>,
     delivery: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -487,18 +486,12 @@ impl SimNet {
             })
             .collect();
 
-        (SimNet { stats, faults, delivery }, endpoints)
+        (SimNet { stats, delivery }, endpoints)
     }
 
     /// Traffic counters for the cluster.
     pub fn stats(&self) -> &Arc<NetStats> {
         &self.stats
-    }
-
-    /// Drains the recorded fault-layer event log (empty unless the plan
-    /// enabled [`FaultPlan::trace`]).
-    pub fn fault_trace(&self) -> Vec<FaultEvent> {
-        self.faults.as_ref().map(|f| f.lock().take_trace()).unwrap_or_default()
     }
 }
 

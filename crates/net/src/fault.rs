@@ -1,12 +1,17 @@
 //! Deterministic fault injection for the simulated fabric.
 //!
 //! FoundationDB-style simulation testing works because the *simulator*
-//! owns every failure: a seeded [`FaultPlan`] decides ahead of time which
-//! machine dies when, whether it comes back, which channels drop or
-//! partition — and the same plan replays the same faults. The fabric
-//! mediates every delivery through the plan, so fault points are exact
-//! (after the *n*-th delivery, not "roughly around then") and a failing
-//! chaos seed reproduces.
+//! owns every failure: a declarative [`FaultPlan`] decides ahead of time
+//! which machine dies when, whether it comes back, and which machine
+//! groups are partitioned — and the same plan replays the same faults. The
+//! fabric mediates every delivery through the plan, so fault points are
+//! exact (after the *n*-th delivery, not "roughly around then") and a
+//! failing chaos case reproduces.
+//!
+//! The failure model is the paper's (§4.3): machines fail by stopping, and
+//! channels between live machines are reliable and FIFO. Every flush in
+//! the engines is a marker barrier that rests on it, so the plan can kill
+//! and partition but never lose a message between live machines.
 //!
 //! Semantics of a **kill**:
 //!
@@ -27,13 +32,10 @@
 //!
 //! A **transient partition** buffers (not drops — TCP would retransmit)
 //! traffic between a machine group and its complement and releases it in
-//! channel order when the partition heals. A **drop rate** discards a
-//! deterministic, per-channel-seeded fraction of deliveries (fabric-level
-//! chaos for transport tests; the engines assume reliable channels).
+//! channel order when the partition heals.
 //!
-//! All decisions are taken under one lock at the delivery point, so a
-//! plan with [`FaultPlan::trace`] enabled records a single serialized
-//! event log — the byte-identical trace the determinism tests pin.
+//! All decisions are taken under one lock at the delivery point, which
+//! orders every kill, restart and heal against every delivery.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -103,22 +105,16 @@ pub struct PartitionSpec {
     pub until: FaultTrigger,
 }
 
-/// A seeded, declarative fault schedule for one [`crate::SimNet`].
+/// A declarative fault schedule for one [`crate::SimNet`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the per-channel drop streams.
+    /// A label naming the plan (a chaos case's seed, say). No fault
+    /// decision reads it: the kills and partitions are the whole schedule.
     pub seed: u64,
     /// Scheduled kills.
     pub kills: Vec<KillSpec>,
     /// Scheduled transient partitions.
     pub partitions: Vec<PartitionSpec>,
-    /// Probability in `[0, 1)` that any given delivery is discarded
-    /// (drawn from a deterministic per-channel stream). Engine protocols
-    /// assume reliable channels; this knob is for transport-level chaos.
-    pub drop_rate: f64,
-    /// Record every fault-layer decision in an event log
-    /// ([`crate::SimNet::fault_trace`]).
-    pub record_trace: bool,
     /// Suppress the fabric's oracle `K_DOWN` notification to survivors on
     /// a kill. The victim itself is still notified (a dead thread blocked
     /// in a long receive must wake), but the *survivors* only learn of the
@@ -128,7 +124,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed.
+    /// An empty plan labelled `seed`.
     pub fn seeded(seed: u64) -> Self {
         FaultPlan { seed, ..FaultPlan::default() }
     }
@@ -154,19 +150,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-delivery drop probability.
-    pub fn drop_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "drop rate must be in [0, 1)");
-        self.drop_rate = rate;
-        self
-    }
-
-    /// Enables event-log recording.
-    pub fn trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Disables the oracle `K_DOWN` notification to survivors — deaths
     /// must then be detected by lease expiry (see [`FaultPlan::no_oracle`]).
     pub fn without_oracle(mut self) -> Self {
@@ -176,7 +159,7 @@ impl FaultPlan {
 
     /// Whether the plan injects any fault at all.
     pub fn is_empty(&self) -> bool {
-        self.kills.is_empty() && self.partitions.is_empty() && self.drop_rate == 0.0
+        self.kills.is_empty() && self.partitions.is_empty()
     }
 
     /// Panics unless every referenced machine id is `< n`.
@@ -190,70 +173,6 @@ impl FaultPlan {
             }
         }
     }
-}
-
-/// One entry of the recorded fault-layer event log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// An envelope was handed to its destination inbox.
-    Delivered {
-        /// Sender.
-        src: u16,
-        /// Receiver.
-        dst: u16,
-        /// Message kind.
-        kind: u16,
-        /// Payload length.
-        bytes: u32,
-        /// Per-channel delivery sequence number.
-        chan_seq: u64,
-    },
-    /// An envelope was discarded.
-    Dropped {
-        /// Sender.
-        src: u16,
-        /// Receiver.
-        dst: u16,
-        /// Message kind.
-        kind: u16,
-        /// Why it was discarded.
-        reason: DropReason,
-    },
-    /// An envelope was buffered by an active partition.
-    Held {
-        /// Sender.
-        src: u16,
-        /// Receiver.
-        dst: u16,
-        /// Message kind.
-        kind: u16,
-    },
-    /// A machine died.
-    Killed {
-        /// Victim.
-        machine: u16,
-        /// Fault era after the kill.
-        era: u32,
-    },
-    /// A machine came back.
-    Restarted {
-        /// The reborn machine.
-        machine: u16,
-        /// Fault era at restart.
-        era: u32,
-    },
-}
-
-/// Why the fault layer discarded an envelope.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// Destination machine is dead.
-    DstDead,
-    /// Source machine is dead (or the envelope belongs to a previous
-    /// incarnation of either endpoint).
-    SrcDead,
-    /// Lost to the configured drop rate.
-    Random,
 }
 
 struct PendingPartition {
@@ -278,11 +197,12 @@ struct HeldMsg {
 }
 
 /// The live fault state shared by every endpoint and the delivery thread.
-/// All fault decisions are serialized under one lock (the determinism
-/// anchor for the recorded trace).
+/// All fault decisions are serialized under one lock, so a kill lands
+/// between two deliveries, never inside one.
 pub(crate) struct FaultState {
     start: Instant,
-    plan: FaultPlan,
+    /// [`FaultPlan::no_oracle`].
+    no_oracle: bool,
     /// Total envelope delivery attempts so far (the `Deliveries` clock).
     deliveries: u64,
     /// Total kills so far (the fault era).
@@ -297,11 +217,6 @@ pub(crate) struct FaultState {
     restarts: Vec<(u16, ResolvedTrigger)>,
     partitions: Vec<PendingPartition>,
     held: VecDeque<HeldMsg>,
-    /// Per-channel xorshift streams for drop decisions.
-    chan_rng: Vec<u64>,
-    /// Per-channel delivered-message counters (trace sequence numbers).
-    chan_seq: Vec<u64>,
-    trace: Vec<FaultEvent>,
     inboxes: Vec<crossbeam::channel::Sender<crate::cluster::Envelope>>,
     stats: std::sync::Arc<crate::cluster::NetStats>,
 }
@@ -316,33 +231,23 @@ impl FaultState {
         stats: std::sync::Arc<crate::cluster::NetStats>,
     ) -> Self {
         plan.validate(n);
-        let kills = plan.kills.clone();
         let partitions = plan
             .partitions
-            .iter()
-            .map(|spec| PendingPartition { spec: spec.clone(), active: false, done: false })
-            .collect();
-        let chan_rng = (0..n * n)
-            .map(|i| {
-                // Distinct non-zero xorshift seed per (src, dst) channel.
-                (plan.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
-            })
+            .into_iter()
+            .map(|spec| PendingPartition { spec, active: false, done: false })
             .collect();
         FaultState {
             start,
+            no_oracle: plan.no_oracle,
             deliveries: 0,
             era: 0,
             alive: vec![true; n],
             incarnation: vec![0; n],
             restart_scheduled: vec![false; n],
-            kills,
+            kills: plan.kills,
             restarts: Vec::new(),
             partitions,
             held: VecDeque::new(),
-            chan_rng,
-            chan_seq: vec![0; n * n],
-            trace: Vec::new(),
-            plan,
             inboxes,
             stats,
         }
@@ -420,9 +325,6 @@ impl FaultState {
         self.held.retain(|h| {
             h.env.src.index() != m && h.env.dst.index() != m
         });
-        if self.plan.record_trace {
-            self.trace.push(FaultEvent::Killed { machine: k.machine, era: self.era });
-        }
         // Tell every survivor. The injection happens under the fault lock,
         // after every envelope the victim ever got delivered and before any
         // later delivery can be processed — so "messages from m after
@@ -440,7 +342,7 @@ impl FaultState {
         let msg = DownMsg { machine: k.machine, restart: k.restart_at.is_some(), era: self.era };
         let payload = crate::codec::encode_to_bytes(&msg);
         for j in 0..self.inboxes.len() {
-            if self.plan.no_oracle && j != m {
+            if self.no_oracle && j != m {
                 continue;
             }
             if j == m || self.alive[j] {
@@ -461,9 +363,6 @@ impl FaultState {
         }
         self.alive[m] = true;
         self.restart_scheduled[m] = false;
-        if self.plan.record_trace {
-            self.trace.push(FaultEvent::Restarted { machine, era: self.era });
-        }
         // The reborn machine's inbox was drained while dead; the first
         // thing it sees is its own K_UP carrying the current era.
         let msg = UpMsg { machine, era: self.era };
@@ -485,22 +384,11 @@ impl FaultState {
         })
     }
 
-    /// Re-attempts every held envelope whose channel is no longer
-    /// partitioned, in arrival order (per-channel FIFO is preserved:
-    /// holds and releases both happen under this lock).
+    /// Re-attempts every held envelope, in arrival order (per-channel FIFO
+    /// is preserved: holds and releases both happen under this lock).
     fn flush_held(&mut self) {
-        let held = std::mem::take(&mut self.held);
-        for h in held {
-            let (s, d) = (h.env.src.index(), h.env.dst.index());
-            if !self.alive[d] || h.dst_inc != self.incarnation[d] {
-                self.note_drop(&h.env, DropReason::DstDead);
-            } else if !self.alive[s] || h.src_inc != self.incarnation[s] {
-                self.note_drop(&h.env, DropReason::SrcDead);
-            } else if self.partitioned(s, d) {
-                self.held.push_back(h);
-            } else {
-                self.finish_delivery(h.env);
-            }
+        for h in std::mem::take(&mut self.held) {
+            self.check_and_route(h.env, h.src_inc, h.dst_inc);
         }
     }
 
@@ -526,59 +414,15 @@ impl FaultState {
     /// deliver.
     fn check_and_route(&mut self, env: crate::cluster::Envelope, src_inc: u32, dst_inc: u32) {
         let (s, d) = (env.src.index(), env.dst.index());
-        if !self.alive[d] || dst_inc != self.incarnation[d] {
-            self.note_drop(&env, DropReason::DstDead);
-            return;
-        }
-        if !self.alive[s] || src_inc != self.incarnation[s] {
-            self.note_drop(&env, DropReason::SrcDead);
-            return;
+        let live = |m: usize, inc: u32| self.alive[m] && inc == self.incarnation[m];
+        if !live(d, dst_inc) || !live(s, src_inc) {
+            return; // an end died since the send: the envelope is lost
         }
         if self.partitioned(s, d) {
-            if self.plan.record_trace {
-                self.trace.push(FaultEvent::Held { src: env.src.0, dst: env.dst.0, kind: env.kind });
-            }
             self.held.push_back(HeldMsg { env, src_inc, dst_inc });
-            return;
+        } else {
+            crate::cluster::deliver(&self.inboxes, &self.stats, env);
         }
-        if self.plan.drop_rate > 0.0 {
-            let n = self.alive.len();
-            let state = &mut self.chan_rng[s * n + d];
-            let r = crate::latency::xorshift64(state);
-            let frac = (r >> 11) as f64 / (1u64 << 53) as f64;
-            if frac < self.plan.drop_rate {
-                self.note_drop(&env, DropReason::Random);
-                return;
-            }
-        }
-        self.finish_delivery(env);
-    }
-
-    fn note_drop(&mut self, env: &crate::cluster::Envelope, reason: DropReason) {
-        if self.plan.record_trace {
-            self.trace.push(FaultEvent::Dropped {
-                src: env.src.0,
-                dst: env.dst.0,
-                kind: env.kind,
-                reason,
-            });
-        }
-    }
-
-    fn finish_delivery(&mut self, env: crate::cluster::Envelope) {
-        let n = self.alive.len();
-        let chan = env.src.index() * n + env.dst.index();
-        self.chan_seq[chan] += 1;
-        if self.plan.record_trace {
-            self.trace.push(FaultEvent::Delivered {
-                src: env.src.0,
-                dst: env.dst.0,
-                kind: env.kind,
-                bytes: env.payload.len() as u32,
-                chan_seq: self.chan_seq[chan],
-            });
-        }
-        crate::cluster::deliver(&self.inboxes, &self.stats, env);
     }
 
     pub(crate) fn is_alive(&self, m: usize) -> bool {
@@ -591,10 +435,6 @@ impl FaultState {
 
     pub(crate) fn restart_scheduled(&self, m: usize) -> bool {
         self.restart_scheduled[m]
-    }
-
-    pub(crate) fn take_trace(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.trace)
     }
 }
 
@@ -738,49 +578,6 @@ mod tests {
         eps[0].send(MachineId(2), 8, Bytes::new()); // across: held
         assert_eq!(eps[1].recv_timeout(T).unwrap().kind, 7);
         assert_eq!(eps[2].recv_timeout(Duration::from_millis(10)).unwrap_err(), RecvError::Timeout);
-    }
-
-    /// Runs a fixed single-threaded send script under `plan` and returns
-    /// the recorded fault trace.
-    fn scripted_trace(plan: FaultPlan) -> Vec<FaultEvent> {
-        let (net, eps) = SimNet::with_faults(3, LatencyModel::ZERO, 1, plan.trace());
-        for round in 0..40u16 {
-            eps[0].send(MachineId(1), round, Bytes::from(vec![round as u8; 8]));
-            eps[1].send(MachineId(2), round, Bytes::from(vec![round as u8; 4]));
-            eps[2].send(MachineId(0), round, Bytes::new());
-        }
-        net.fault_trace()
-    }
-
-    #[test]
-    fn same_seed_same_plan_gives_byte_identical_trace() {
-        // The chaos determinism pin: kills, restarts and per-channel drop
-        // decisions replay exactly for the same seed and send script.
-        let plan = FaultPlan::seeded(0xC0FFEE)
-            .kill_and_restart(2, FaultTrigger::Deliveries(30), FaultTrigger::Deliveries(60))
-            .drop_rate(0.25);
-        let a = scripted_trace(plan.clone());
-        let b = scripted_trace(plan);
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "same seed must replay the same delivery/kill trace");
-        // The trace actually contains the interesting events.
-        assert!(a.iter().any(|e| matches!(e, FaultEvent::Killed { machine: 2, .. })));
-        assert!(a.iter().any(|e| matches!(e, FaultEvent::Restarted { machine: 2, .. })));
-        assert!(a.iter().any(|e| matches!(e, FaultEvent::Dropped { reason: DropReason::Random, .. })));
-        assert!(a.iter().any(|e| matches!(e, FaultEvent::Delivered { .. })));
-    }
-
-    #[test]
-    fn different_drop_seed_changes_the_pattern() {
-        let mk = |seed| {
-            scripted_trace(FaultPlan::seeded(seed).drop_rate(0.3))
-                .iter()
-                .filter(|e| matches!(e, FaultEvent::Dropped { .. }))
-                .count()
-        };
-        let drops: Vec<usize> = (0..8).map(mk).collect();
-        assert!(drops.iter().any(|&d| d > 0), "a 30% drop rate must drop something");
-        assert!(drops.iter().any(|&d| d < 120), "a 30% drop rate must not drop everything");
     }
 
     #[test]

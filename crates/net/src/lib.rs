@@ -11,7 +11,7 @@
 //!
 //! - [`cluster::SimNet`] — the deterministic in-process twin: every
 //!   *machine* is an OS thread, latency is modelled, faults are injected
-//!   from a seeded plan, and whole-cluster runs replay bit-identically.
+//!   from a declarative plan, and whole-cluster runs replay bit-identically.
 //! - [`tcp::TcpNet`] — real length-prefixed TCP between OS processes
 //!   (one per machine, full mesh, handshake-validated), for honest
 //!   wall-clock numbers.
@@ -142,7 +142,7 @@ pub use cluster::{
     K_UP, K_ZIP,
 };
 pub use codec::{decode_from, encode_to_bytes, Codec};
-pub use fault::{DownMsg, FaultEvent, FaultPlan, FaultTrigger, UpMsg};
+pub use fault::{DownMsg, FaultPlan, FaultTrigger, UpMsg};
 pub use latency::LatencyModel;
 pub use lease::{LeaseConfig, LeaseMsg, LeaseState};
 pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpNet, MIN_TCP_LEASE};

@@ -96,7 +96,7 @@ fn envelope_round(tx: &mut Batcher, rx: &mut Batcher, round: u64) -> usize {
 
 #[test]
 fn a_warm_message_path_allocates_per_envelope_not_per_message() {
-    for policy in [BatchPolicy::default(), BatchPolicy::uncompressed()] {
+    for policy in [BatchPolicy::default(), BatchPolicy::Uncompressed] {
         let (_net, mut eps) = SimNet::new(2, LatencyModel::ZERO);
         let mut rx = Batcher::new(eps.pop().expect("two endpoints"), policy);
         let mut tx = Batcher::new(eps.pop().expect("two endpoints"), policy);

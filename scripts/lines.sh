@@ -1,7 +1,9 @@
 #!/bin/sh
-# The figures ROADMAP's "Lines (after PR N)" paragraph quotes, and the
+# The figures ROADMAP's "Lines (after PR N)" paragraph quotes, the
 # exemption budget (`#[expect(clippy::disallowed_methods` sites in `core`
-# and `net`), so that a simplicity PR's number is one command's output.
+# and `net`) and the option count (the fields of `EngineConfig` and
+# `FaultPlan`, the variants of `SchedulerKind`), so that a simplicity PR's
+# number is one command's output.
 # Run from anywhere: `scripts/lines.sh [repo root]`. "Outside #[cfg(test)]" counts each file
 # up to, not including, its last `#[cfg(test)]` or `#![cfg(test)]` line (the unit-test module
 # closes every file that has one); a file with none counts whole.
@@ -17,6 +19,14 @@ outside_tests() {
          END { print total + (cut ? cut - 1 : n) }' "$@"
 }
 
+# Items of `pub <kind> <Name> {` in a file: its `pub` fields or its variants.
+members() {
+    awk -v head="pub $2 {" '$0 == head { on = 1; next }
+         on && /^}/ { exit }
+         on && /^    (pub |[A-Z])/ { n++ }
+         END { print n + 0 }' "$1"
+}
+
 for dir in $core $net; do
     printf '%-50s %6d\n' "$dir total" "$(cat $dir/*.rs | wc -l)"
     printf '%-50s %6d\n' "$dir outside #[cfg(test)]" "$(outside_tests $dir/*.rs)"
@@ -29,3 +39,6 @@ printf '%-50s %6d\n' "disallowed_methods #[expect]s in core + net" \
     "$(cat $core/*.rs $net/*.rs | grep -c '#\[expect(clippy::disallowed_methods')"
 printf '%-50s %6d\n' "Rust under crates src tests examples" \
     "$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l)"
+printf '%-50s %6d\n' "EngineConfig fields" "$(members $core/config.rs 'struct EngineConfig')"
+printf '%-50s %6d\n' "FaultPlan fields" "$(members $net/fault.rs 'struct FaultPlan')"
+printf '%-50s %6d\n' "SchedulerKind variants" "$(members $core/scheduler.rs 'enum SchedulerKind')"

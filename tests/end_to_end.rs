@@ -16,8 +16,8 @@ use graphlab::baselines::mapreduce::{coem_mapreduce, pagerank_mapreduce, MapRedu
 use graphlab::baselines::mpi::coem_mpi;
 use graphlab::baselines::pregel::{PregelConfig, PregelEngine, PregelPageRank};
 use graphlab::core::{
-    EngineKind, FaultPlan, FaultTrigger, GraphLab, PartitionStrategy, RecoveryMode, SchedulerKind,
-    SnapshotConfig, SnapshotMode, SyncCadence,
+    Ablation, EngineKind, FaultPlan, FaultTrigger, GraphLab, PartitionStrategy, RecoveryMode,
+    SchedulerKind, SnapshotConfig, SnapshotMode, SyncCadence,
 };
 use graphlab::graph::Coloring;
 use graphlab::net::LatencyModel;
@@ -300,7 +300,7 @@ fn batching_reduces_messages_and_preserves_ranks() {
     let pr = PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true };
 
     let mut msgs = [0u64; 2];
-    for (i, policy) in [graphlab::core::BatchPolicy::disabled(), graphlab::core::BatchPolicy::default()]
+    for (i, policy) in [graphlab::core::BatchPolicy::Disabled, graphlab::core::BatchPolicy::default()]
         .into_iter()
         .enumerate()
     {
@@ -332,9 +332,9 @@ fn delta_sync_and_compression_preserve_pagerank_both_engines_under_latency() {
     let oracle = exact_pagerank(&base, 0.15, 150);
     let pr = PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true };
 
-    for (arm, no_filter, policy) in [
-        ("off", true, graphlab::core::BatchPolicy::uncompressed()),
-        ("on", false, graphlab::core::BatchPolicy::default()),
+    for (arm, ablation, policy) in [
+        ("off", Ablation::FullScopeResend, graphlab::core::BatchPolicy::Uncompressed),
+        ("on", Ablation::Off, graphlab::core::BatchPolicy::default()),
     ] {
         for engine in [EngineKind::Locking, EngineKind::Chromatic] {
             let mut g = base.clone();
@@ -344,7 +344,10 @@ fn delta_sync_and_compression_preserve_pagerank_both_engines_under_latency() {
                 .machines(8)
                 .latency(LatencyModel::ec2_like())
                 .configure(|c| {
-                    c.no_version_filter = no_filter;
+                    // The chromatic engine has no scope sync to ablate.
+                    if engine == EngineKind::Locking {
+                        c.ablation = ablation;
+                    }
                     c.batch = policy;
                 })
                 .run(pr.clone());
@@ -364,9 +367,9 @@ fn delta_sync_and_compression_preserve_als_under_latency() {
     let users = problem.users;
     let mut rmses: Vec<f64> = Vec::new();
 
-    for (no_filter, policy) in [
-        (true, graphlab::core::BatchPolicy::uncompressed()),
-        (false, graphlab::core::BatchPolicy::default()),
+    for (ablation, policy) in [
+        (Ablation::FullScopeResend, graphlab::core::BatchPolicy::Uncompressed),
+        (Ablation::Off, graphlab::core::BatchPolicy::default()),
     ] {
         let mut g = problem.graph.clone();
         GraphLab::on(&mut g)
@@ -376,7 +379,7 @@ fn delta_sync_and_compression_preserve_als_under_latency() {
             .scheduler(SchedulerKind::Priority)
             .max_updates(15_000)
             .configure(|c| {
-                c.no_version_filter = no_filter;
+                c.ablation = ablation;
                 c.batch = policy;
             })
             .run(als.clone());
@@ -389,10 +392,7 @@ fn delta_sync_and_compression_preserve_als_under_latency() {
             .latency(LatencyModel::ec2_like())
             .coloring(Coloring::bipartite(problem.graph.num_vertices(), |v| v.index() >= users))
             .max_updates(15_000)
-            .configure(|c| {
-                c.no_version_filter = no_filter;
-                c.batch = policy;
-            })
+            .configure(|c| c.batch = policy)
             .run(als.clone());
         rmses.push(train_rmse(&g));
     }
@@ -800,7 +800,7 @@ fn every_message_kind_is_delivered_in_a_clean_run() {
             .snapshot(SnapshotConfig { mode, every_updates: 400, max_snapshots: 64 })
             .recovery(recovery)
             // A compressed envelope hides the kinds inside it.
-            .configure(|c| c.batch = BatchPolicy::uncompressed())
+            .configure(|c| c.batch = BatchPolicy::Uncompressed)
             .sync(PAGERANK_RESIDUAL, RankResidual { alpha: 0.15 }, SyncCadence::Updates(n));
         let killed = faults.is_some();
         if let Some(plan) = faults {

@@ -5,7 +5,7 @@
 //! each other and with the power-iteration oracle.
 
 use graphlab::apps::pagerank::{exact_pagerank, init_ranks, l1_error, PageRank};
-use graphlab::core::{Engine, EngineKind, GraphLab};
+use graphlab::core::{EngineKind, GraphLab};
 use graphlab::graph::{DataGraph, GraphBuilder, VertexId};
 use graphlab::workloads::web_graph;
 
@@ -52,7 +52,7 @@ fn run_engine(base: &DataGraph<f64, f64>, engine: EngineKind, machines: usize) -
 fn assert_three_engine_agreement(base: &DataGraph<f64, f64>, machines: usize, oracle: &[f64]) {
     let seq = run_engine(base, EngineKind::Sequential, 1);
     let chro = run_engine(base, EngineKind::Chromatic, machines);
-    let lock = run_engine(base, Engine::Locking, machines);
+    let lock = run_engine(base, EngineKind::Locking, machines);
     assert!(l1_error(&seq, oracle) < 1e-6, "sequential vs oracle: {}", l1_error(&seq, oracle));
     assert!(l1_error(&chro, oracle) < 1e-6, "chromatic vs oracle: {}", l1_error(&chro, oracle));
     assert!(l1_error(&lock, oracle) < 1e-6, "locking vs oracle: {}", l1_error(&lock, oracle));

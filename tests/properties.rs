@@ -1206,7 +1206,7 @@ mod compression {
                 msgs.into_iter().map(|(flag, fill, size)| (flag == 1, fill, size)).collect();
             let at = big.0 % msgs.len();
             msgs[at].2 = big.1;
-            for policy in [BatchPolicy::default(), BatchPolicy::uncompressed()] {
+            for policy in [BatchPolicy::default(), BatchPolicy::Uncompressed] {
                 let all_send = deliver(policy, &msgs, |_| false);
                 prop_assert_eq!(all_send.0.len(), msgs.len());
                 prop_assert_eq!(&deliver(policy, &msgs, |flag| flag), &all_send);
