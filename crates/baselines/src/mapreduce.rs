@@ -113,12 +113,12 @@ impl MapReduceEngine {
         // Map phase (parallel over input chunks).
         let chunk = inputs.len().div_ceil(workers).max(1);
         let mut emitted: Vec<Vec<(K, V)>> = Vec::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = inputs
                 .chunks(chunk)
                 .map(|slice| {
                     let map = &map;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut out = Vec::new();
                         for rec in slice {
                             map(rec, &mut out);
@@ -130,8 +130,7 @@ impl MapReduceEngine {
             for h in handles {
                 emitted.push(h.join().expect("map task"));
             }
-        })
-        .expect("map scope");
+        });
 
         // Shuffle: encode every record (materialisation cost), then group.
         let mut shuffle_bytes = 0u64;
@@ -153,19 +152,18 @@ impl MapReduceEngine {
         let grouped: Vec<(K, Vec<V>)> = groups.into_iter().collect();
         let rchunk = grouped.len().div_ceil(workers).max(1);
         let mut outputs: Vec<O> = Vec::with_capacity(grouped.len());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = grouped
                 .chunks(rchunk)
                 .map(|slice| {
                     let reduce = &reduce;
-                    s.spawn(move |_| slice.iter().map(|(k, vs)| reduce(k, vs)).collect::<Vec<O>>())
+                    s.spawn(move || slice.iter().map(|(k, vs)| reduce(k, vs)).collect::<Vec<O>>())
                 })
                 .collect();
             for h in handles {
                 outputs.extend(h.join().expect("reduce task"));
             }
-        })
-        .expect("reduce scope");
+        });
 
         let out_bytes: u64 = outputs.iter().map(|o| output_bytes(o) as u64).sum();
 

@@ -63,13 +63,13 @@ pub fn als_mpi(
                 .filter(|&v| if side == 0 { (v as usize) >= users } else { (v as usize) < users })
                 .collect();
             let chunk = range.len().div_ceil(ranks).max(1);
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for shard in range.chunks(chunk) {
                     let factors = &factors;
                     let barrier = &barrier;
                     let updates = &updates;
                     let bytes = &bytes;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for &v in shard {
                             let vid = graphlab_graph::VertexId(v);
                             let adj = graph.adj(vid);
@@ -100,12 +100,11 @@ pub fn als_mpi(
                 // Fill unused barrier slots when fewer shards than ranks.
                 for _ in range.chunks(chunk).count()..ranks {
                     let barrier = &barrier;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         barrier.wait();
                     });
                 }
-            })
-            .expect("mpi scope");
+            });
             supersteps += 1;
         }
     }
@@ -142,14 +141,14 @@ pub fn coem_mpi(
         let snapshot: Vec<Vec<f64>> = dists.iter().map(|l| l.read().clone()).collect();
         let ids: Vec<u32> = (0..n as u32).collect();
         let chunk = ids.len().div_ceil(ranks).max(1);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for shard in ids.chunks(chunk) {
                 let dists = &dists;
                 let snapshot = &snapshot;
                 let seeds = &seeds;
                 let updates = &updates;
                 let bytes = &bytes;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &v in shard {
                         if seeds[v as usize] {
                             continue;
@@ -179,8 +178,7 @@ pub fn coem_mpi(
                     }
                 });
             }
-        })
-        .expect("mpi scope");
+        });
     }
 
     let out: Vec<Vec<f64>> = dists.into_iter().map(|l| l.into_inner()).collect();

@@ -167,12 +167,12 @@ impl PregelEngine {
             let graph_ref: &DataGraph<V, E> = graph;
             let superstep = stats.supersteps;
             let mut shard_results: Vec<ShardResult<V, M>> = Vec::new();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n)
                     .step_by(chunk)
                     .map(|base| {
                         let hi = (base + chunk).min(n);
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let mut out = ShardResult {
                                 base,
                                 values: Vec::with_capacity(hi - base),
@@ -215,8 +215,7 @@ impl PregelEngine {
                 for h in handles {
                     shard_results.push(h.join().expect("pregel shard"));
                 }
-            })
-            .expect("pregel scope");
+            });
 
             let mut scratch = BytesMut::new();
             for shard in shard_results {

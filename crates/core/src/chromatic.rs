@@ -31,8 +31,13 @@
 //! Between colour *cycles* (one pass over all colours) the machines run the
 //! sync operations and the master decides halting ("the entire cycle
 //! executed zero updates and all schedulers are empty") and snapshot
-//! triggers.
+//! triggers. A worker's sync partial is its vote of round `2·cycle`, its
+//! `SnapDone` one of `2·cycle + 1`, in a second `Markers`; the master folds
+//! a partial in when it arrives, which may be during the last flush round.
+//! Every wait (flush round, cycle end, checkpoint) is one receive loop,
+//! `wait`, on what `handle_msg`, the one decode site, recorded.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,10 +49,9 @@ use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::driver::{MachineResult, MachineSetup};
-use crate::local::RemoteCacheTable;
 use crate::machine::Machine;
 use crate::messages::*;
-use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step, Tally};
+use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step};
 use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
@@ -111,17 +115,6 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     core: Machine<V, E>,
     update: Arc<U>,
     num_colors: u32,
-    /// Owner-side ghost version table over the exchange path.
-    ///
-    /// The chromatic exchange is *push-based*: every row pushed to a ghost
-    /// follows a strictly newer version bump, so — unlike the locking
-    /// engine's pull-based scope sync — direct pushes are already
-    /// version-minimal by construction and carry no guard here. The table
-    /// earns its keep on the **write-back fan-out**: a write-back source is
-    /// noted at the bumped version, and forwards go only to mirrors whose
-    /// known version is older, which is the version-aware generalisation
-    /// of "do not bounce the data back to its writer".
-    cache: RemoteCacheTable,
 
     // Task queues, one per colour; `queued` dedups, per local vertex: an
     // owned one is in its colour's queue, a ghost in this step's
@@ -141,11 +134,16 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// most one round ahead, and its marker of the next round implies the
     /// current one's.
     marks: Markers,
-    /// Sync partials that raced ahead of the master's own cycle end: a
-    /// fast peer can finish the cycle's last flush round and send its
-    /// partial while we are still collecting flushes from a slower peer.
-    /// `handle_msg` stashes them here; `cycle_end_round` drains first.
-    sync_stash: VecDeque<Envelope>,
+    /// Colour cycles completed since the BSP machinery (re)started.
+    cycle: u64,
+    /// The cycle end's record. Master: the sync accumulators (made when
+    /// the cycle opens) and pending tasks, each partial folded in as it
+    /// arrives, and the votes. Worker: the master's verdict and resume.
+    accs: Vec<Box<dyn Any + Send>>,
+    pend: u64,
+    votes: Markers,
+    verdict: Option<SyncGlobalsMsg>,
+    resumed: bool,
     /// The open row blocks: `blocks[dst][kind as usize]`.
     /// Blocks of one `(step, phase)` leave in slot order, not in the order
     /// their first rows were written, and a row may overtake one of another
@@ -177,16 +175,18 @@ where
         let core = Machine::new(ep, setup, init);
         let (m, nv) = (core.slots(), core.lg.num_local_vertices());
         ChromaticMachine {
-            // Edge slots unused: edges have exactly two replicas, so an
-            // edge write-back never fans out.
-            cache: RemoteCacheTable::new(m, nv, 0),
             queues: (0..num_colors).map(|_| VecDeque::new()).collect(),
             queued: vec![false; nv],
             pending_total: 0,
             remote_tasks: vec![Vec::new(); m],
             step: 0,
             marks: Markers::new(m),
-            sync_stash: VecDeque::new(),
+            cycle: 0,
+            accs: Vec::new(),
+            pend: 0,
+            votes: Markers::new(m),
+            verdict: None,
+            resumed: false,
             blocks: (0..m).map(|_| Default::default()).collect(),
             steps_total: 0,
             num_colors,
@@ -236,8 +236,9 @@ where
     /// unwinds with an [`Interrupt`] when a failure (ours or a peer's)
     /// preempts it.
     fn run_cycles(&mut self) -> Result<(), Interrupt> {
-        let mut cycle = 0u64;
+        self.cycle = 0;
         loop {
+            self.accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
             for color in 0..self.num_colors {
                 self.execute_color_step(color);
                 self.flush_round(0)?;
@@ -246,14 +247,14 @@ where
                 self.steps_total += 1;
                 self.core.maybe_straggle();
             }
-            let (halt, snapshot) = self.cycle_end_round(cycle)?;
+            let (halt, snapshot) = self.cycle_end_round()?;
             if let Some(snap) = snapshot {
                 self.write_snapshot(snap)?;
             }
             if halt {
                 return Ok(());
             }
-            cycle += 1;
+            self.cycle += 1;
         }
     }
 
@@ -290,21 +291,33 @@ where
         block.buf.clear();
     }
 
+    /// The one receive loop: handles engine envelopes until `done` yields
+    /// what was waited for.
+    fn wait<T>(&mut self, mut done: impl FnMut(&mut Self) -> Option<T>) -> Result<T, Interrupt> {
+        loop {
+            if let Some(got) = done(self) {
+                return Ok(got);
+            }
+            let (kind, env) = self.recv_env()?;
+            self.handle_msg(kind, env);
+        }
+    }
+
     /// Receives one engine envelope. The fault/recovery control plane is
     /// delegated to the shared machine; anything that starts a round (a
     /// fresh `K_DOWN`, our own death, a `K_UP` on a machine that slept
     /// through its dead window) or ends the run unwinds the BSP stack.
     /// A timeout is a stall (clean failure, never a hang).
-    fn recv_env(&mut self, timeout: Duration) -> Result<(ChromKind, Envelope), Interrupt> {
+    fn recv_env(&mut self) -> Result<(ChromKind, Envelope), Interrupt> {
         loop {
-            let step = match self.core.net.recv_timeout(timeout).map(|env| (Kind::of(&env), env)) {
+            let step = match self.core.net.recv_timeout(RECV_TIMEOUT).map(|env| (Kind::of(&env), env)) {
                 Ok((Kind::Chrom(kind), env)) => return Ok((kind, env)),
                 Ok((Kind::Lock(kind), _)) => panic!("{} in the chromatic engine", kind.name()),
                 Err(RecvError::Timeout) => Step::Abort(format!(
                     "chromatic engine stalled: machine {} step {} received nothing for {:?}",
                     self.core.me().0,
                     self.step,
-                    timeout
+                    RECV_TIMEOUT
                 )),
                 got => recovery::on_recv(self, got),
             };
@@ -465,11 +478,7 @@ where
         }
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         self.core.broadcast(kind, &enc(&step));
-        while !self.core.rec.holds(&self.marks, round((step, phase))) {
-            let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
-            self.handle_msg(kind, env);
-        }
-        Ok(())
+        self.wait(|m| m.core.rec.holds(&m.marks, round((step, phase))).then_some(()))
     }
 
     /// Walks the row block in `env` in place, handing `row` each row with
@@ -492,8 +501,8 @@ where
         debug_assert!(round(tag) >= self.marks.next(src), "machine {} sent {tag:?} behind its marker", src.0);
     }
 
-    /// Handles one envelope of a colour-step's exchange; the kinds of the
-    /// sync and snapshot rounds are taken by those rounds' own loops.
+    /// Handles one engine envelope: the one place its payload is decoded
+    /// and what it brings recorded.
     fn handle_msg(&mut self, kind: ChromKind, env: Envelope) {
         match kind {
             ChromKind::VData => {
@@ -513,19 +522,16 @@ where
                 debug_assert!(this.core.lg.owns_vertex(l));
                 *this.core.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
                 let version = this.core.lg.bump_vertex_version(l);
-                // The writer holds exactly the data it sent us.
-                this.cache.note_v(env.src.index(), l, version);
-                // Forward to every mirror whose known version is older
-                // (phase 1 accounting) — version-aware exclusion of the
-                // writer itself.
+                // Forward to every mirror but the writer, which holds what it
+                // sent us (phase 1): under full consistency, the only one with
+                // write-backs, the datum has no other writer in the step.
                 let mut encoded = false;
                 for k in 0..this.core.lg.vertex_mirrors(l).len() {
                     let mm = this.core.lg.vertex_mirrors(l)[k];
-                    if this.cache.v_known(mm.index(), l) < version {
+                    if mm != env.src {
                         if !std::mem::replace(&mut encoded, true) {
                             this.encode_vertex(l);
                         }
-                        this.cache.note_v(mm.index(), l, version);
                         this.send_row(mm, RowKind::VData, (step, 1), |buf, data| {
                             VertexRow::put(buf, vid, version, 0, data)
                         });
@@ -557,106 +563,73 @@ where
                 debug_assert_eq!(r, self.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
                 self.marks.note(env.src, r);
             }
-            ChromKind::SyncPart => self.sync_stash.push_back(env),
-            ChromKind::SyncGlob | ChromKind::SnapDone | ChromKind::SnapResume => {
-                panic!("{} outside its round", kind.name())
+            ChromKind::SyncPart => {
+                debug_assert!(self.core.is_master(), "a sync partial at a worker");
+                let p: SyncPartialMsg = dec(env.payload);
+                assert_eq!(p.cycle, self.cycle, "sync round out of step");
+                self.core.note_peer_updates(env.src, p.updates);
+                combine_partials(&self.core.setup.syncs, &mut self.accs, &p.partials);
+                self.pend += p.pending;
+                self.votes.note(env.src, round((self.cycle, 0)));
+            }
+            ChromKind::SnapDone => self.votes.note(env.src, round((self.cycle, 1))),
+            ChromKind::SyncGlob => {
+                debug_assert!(!self.core.is_master(), "a verdict at the master");
+                let g: SyncGlobalsMsg = dec(env.payload);
+                assert_eq!(g.cycle, self.cycle, "sync verdict out of step");
+                self.verdict = Some(g);
+            }
+            ChromKind::SnapResume => {
+                debug_assert!(!self.core.is_master(), "a resume at the master");
+                self.resumed = true;
             }
         }
     }
 
-    /// Cycle-end sync + halt + snapshot coordination. Returns
-    /// `(halt, snapshot_id)`.
-    fn cycle_end_round(&mut self, cycle: u64) -> Result<(bool, Option<u64>), Interrupt> {
-        let my_msg = SyncPartialMsg {
-            cycle,
+    /// Cycle-end sync + halt + snapshot coordination: the master decides
+    /// once it holds every survivor's partial. Returns `(halt, snapshot_id)`.
+    fn cycle_end_round(&mut self) -> Result<(bool, Option<u64>), Interrupt> {
+        let mine = SyncPartialMsg {
+            cycle: self.cycle,
             partials: local_partials(&self.core.setup.syncs, &self.core.lg),
             pending: self.pending_total,
             updates: self.core.updates_local,
         };
-        if self.core.is_master() {
-            // Master: collect, combine, decide, broadcast.
-            let mut pend = my_msg.pending;
-            let mut accs: Vec<Box<dyn std::any::Any + Send>> =
-                self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
-            combine_partials(&self.core.setup.syncs, &mut accs, &my_msg.partials);
-            let mut received = Tally::with_own_vote();
-            while !self.core.rec.complete(&received) {
-                let (kind, env) = match self.sync_stash.pop_front() {
-                    Some(env) => (ChromKind::SyncPart, env),
-                    None => self.recv_env(RECV_TIMEOUT)?,
-                };
-                if kind == ChromKind::SyncPart {
-                    let src = env.src;
-                    let p: SyncPartialMsg = dec(env.payload);
-                    assert_eq!(p.cycle, cycle, "sync round out of step");
-                    pend += p.pending;
-                    self.core.note_peer_updates(src, p.updates);
-                    combine_partials(&self.core.setup.syncs, &mut accs, &p.partials);
-                    received.vote();
-                } else {
-                    return Err(Interrupt(Step::Abort(format!(
-                        "unexpected {} during sync round",
-                        kind.name()
-                    ))));
-                }
-            }
-            let total = self.core.lg.total_vertices();
-            let globals_rows =
-                finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
-            // Aggregate-driven termination (§3.5): the stop predicate runs
-            // over the just-finalized globals, composing with the cap and
-            // the natural no-pending-work halt.
-            let stop_hit = self.core.stop_hit();
-            let halt = pend == 0 || self.core.capped(self.core.observed_updates()) || stop_hit;
-            let snapshot = if halt { None } else { self.core.snapshot_due() };
-            let out = SyncGlobalsMsg { cycle, globals: globals_rows, halt, snapshot };
-            let payload = enc(&out);
-            self.core.broadcast(ChromKind::SyncGlob, &payload);
-            Ok((halt, snapshot))
-        } else {
-            self.core.send(MachineId(0), ChromKind::SyncPart, enc(&my_msg));
-            loop {
-                let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
-                if kind == ChromKind::SyncGlob {
-                    let g: SyncGlobalsMsg = dec(env.payload);
-                    assert_eq!(g.cycle, cycle);
-                    apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
-                    return Ok((g.halt, g.snapshot));
-                }
-                // Faster peers may already be executing the next cycle's
-                // first colour-step: absorb their (step-tagged) data
-                // traffic while we wait for our globals.
-                self.handle_msg(kind, env);
-            }
+        if !self.core.is_master() {
+            self.core.send(MachineId(0), ChromKind::SyncPart, enc(&mine));
+            // Faster peers may already be executing the next cycle's first
+            // colour-step: `wait` absorbs their (step-tagged) traffic.
+            let g = self.wait(|m| m.verdict.take())?;
+            apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
+            return Ok((g.halt, g.snapshot));
         }
+        combine_partials(&self.core.setup.syncs, &mut self.accs, &mine.partials);
+        self.pend += mine.pending;
+        self.wait(|m| m.core.rec.holds(&m.votes, round((m.cycle, 0))).then_some(()))?;
+        let (accs, total) = (std::mem::take(&mut self.accs), self.core.lg.total_vertices());
+        let globals = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
+        // Aggregate-driven termination (§3.5): the stop predicate runs
+        // over the just-finalized globals, composing with the cap and
+        // the natural no-pending-work halt.
+        let (stop_hit, pend) = (self.core.stop_hit(), std::mem::take(&mut self.pend));
+        let halt = pend == 0 || self.core.capped(self.core.observed_updates()) || stop_hit;
+        let snapshot = if halt { None } else { self.core.snapshot_due() };
+        let verdict = SyncGlobalsMsg { cycle: self.cycle, globals, halt, snapshot };
+        self.core.broadcast(ChromKind::SyncGlob, &enc(&verdict));
+        Ok((halt, snapshot))
     }
 
+    /// Writes this machine's part of checkpoint `snap`; the master resumes
+    /// the cluster once it holds every survivor's `SnapDone`.
     fn write_snapshot(&mut self, snap: u64) -> Result<(), Interrupt> {
         self.core.write_checkpoint(snap, SnapshotFile::capture(&self.core.lg));
         if self.core.is_master() {
-            let mut done = Tally::with_own_vote();
-            while !self.core.rec.complete(&done) {
-                let (kind, _) = self.recv_env(RECV_TIMEOUT)?;
-                if kind == ChromKind::SnapDone {
-                    done.vote();
-                } else {
-                    return Err(Interrupt(Step::Abort(format!(
-                        "unexpected {} during snapshot",
-                        kind.name()
-                    ))));
-                }
-            }
+            self.wait(|m| m.core.rec.holds(&m.votes, round((m.cycle, 1))).then_some(()))?;
             self.core.broadcast(ChromKind::SnapResume, &Bytes::new());
         } else {
             self.core.send(MachineId(0), ChromKind::SnapDone, Bytes::new());
-            loop {
-                let (kind, env) = self.recv_env(RECV_TIMEOUT)?;
-                if kind == ChromKind::SnapResume {
-                    break;
-                }
-                // Resumed peers may already be racing ahead.
-                self.handle_msg(kind, env);
-            }
+            // Resumed peers may already be racing ahead.
+            self.wait(|m| std::mem::take(&mut m.resumed).then_some(()))?;
         }
         Ok(())
     }
@@ -676,18 +649,22 @@ where
     }
 
     /// Resets all volatile BSP state — colour queues, collected tasks, open
-    /// blocks, step and marker counts, stashed sync partials, ghost-cache
-    /// assumptions — sized by the current local graph.
+    /// blocks, step, cycle and marker counts, the cycle end's accumulators,
+    /// votes and verdict — sized by the current local graph.
     fn reset_engine_state(&mut self) {
         let nv = self.core.lg.num_local_vertices();
-        self.cache = RemoteCacheTable::new(self.core.slots(), nv, 0);
         self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
         self.queued = vec![false; nv];
         self.pending_total = 0;
         self.remote_tasks.iter_mut().for_each(Vec::clear);
         self.step = 0;
         self.marks = Markers::new(self.core.slots());
-        self.sync_stash.clear();
+        self.cycle = 0;
+        self.accs.clear();
+        self.pend = 0;
+        self.votes = Markers::new(self.core.slots());
+        self.verdict = None;
+        self.resumed = false;
         self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
     }
 
@@ -810,9 +787,24 @@ mod tests {
         m.core.rec.holds(&m.marks, round)
     }
 
-    /// The first round whose marker machine 0 lacks, per machine.
-    fn next_marks(m: &Machine) -> Vec<u64> {
-        (0..m.blocks.len() as u16).map(|j| m.marks.next(MachineId(j))).collect()
+    /// The first round whose marker (or vote) in `marks` machine 0 lacks,
+    /// per machine.
+    fn next_marks(m: &Machine, marks: &Markers) -> Vec<u64> {
+        (0..m.blocks.len() as u16).map(|j| marks.next(MachineId(j))).collect()
+    }
+
+    /// Registers one sync on machine 0, the sum of one `f64` per vertex
+    /// (1.0 on each of its own), and opens the cycle's accumulators.
+    fn with_sum_sync(m: &mut Machine) {
+        use crate::sync::{FnSync, RegisteredSync};
+        let op = FnSync::new(1, |_, _: &f64| vec![1.0], |acc, _| acc);
+        m.core.setup.syncs = Arc::new(vec![Box::new(RegisteredSync { id: 0, op })]);
+        m.accs = m.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+    }
+
+    /// A sync partial of `cycle` whose sum is `sum`.
+    fn partial(cycle: u64, sum: f64, pending: u64, updates: u64) -> Bytes {
+        enc(&SyncPartialMsg { cycle, partials: vec![(0, enc(&vec![sum]))], pending, updates })
     }
 
     /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
@@ -916,7 +908,7 @@ mod tests {
         assert!(holds(&m, 1) && !holds(&m, 2));
         handle_from(&mut m, 2, ChromKind::FlushA, enc(&1u64));
         assert!(holds(&m, 2) && !holds(&m, 3));
-        assert_eq!(next_marks(&m), [0, 3, 3]);
+        assert_eq!(next_marks(&m, &m.marks), [0, 3, 3]);
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
@@ -970,12 +962,11 @@ mod tests {
         m.core.updates_local = 10;
         // One cycle end with machine 1 reporting `updates`: what the master
         // decided, as broadcast.
-        let mut cycle = 0;
-        let mut round = |m: &mut Machine, updates: u64| {
-            let part = SyncPartialMsg { cycle, partials: Vec::new(), pending: 1, updates };
+        let round = |m: &mut Machine, updates: u64| {
+            let part = SyncPartialMsg { cycle: m.cycle, partials: Vec::new(), pending: 1, updates };
             handle_from(m, 1, ChromKind::SyncPart, enc(&part));
-            assert!(m.cycle_end_round(cycle).is_ok());
-            cycle += 1;
+            assert!(m.cycle_end_round().is_ok());
+            m.cycle += 1;
             let env = peers[0].try_recv().expect("the round's globals");
             assert_eq!(kind_of(&env), ChromKind::SyncGlob);
             let g: SyncGlobalsMsg = dec(env.payload);
@@ -1001,22 +992,59 @@ mod tests {
         assert_eq!(round(&mut m, 95), (true, None), "10 + 95 crosses the cap");
     }
 
-    /// Regression: `reset_engine_state` (rollback, crash wipe) forgot
-    /// `sync_stash`, so a `ChromKind::SyncPart` the master stashed while
-    /// still in `flush_round` survived a rollback and the restarted
-    /// `cycle_end_round(0)` drained it — "sync round out of step", or a
-    /// stale partial counted in place of the real one. The same holds for
-    /// every engine buffer: a rollback or an adoption must find no pre-crash
-    /// row, task or count in one, as `Batcher::clear` guarantees for the
+    /// A partial can overtake the cycle's last flush round: machine 1 ran
+    /// the last step and sent its sync partial while machine 0 still waits
+    /// in that step's second flush round for machine 2's marker. The
+    /// partial is folded as it arrives and counted once, and the cycle end
+    /// then waits for machine 2's partial alone.
+    #[test]
+    fn a_partial_that_overtakes_the_last_flush_round_is_counted_once() {
+        let (mut m, peers) = triangle();
+        with_sum_sync(&mut m);
+        let last = m.num_colors as u64 - 1;
+        at_step(&mut m, last);
+        promise(&mut m, last, 0);
+        let send = |j: usize, kind: ChromKind, payload| peers[j - 1].send(MachineId(0), kind as u16, payload);
+        send(1, ChromKind::FlushB, enc(&last));
+        send(1, ChromKind::SyncPart, partial(0, 10.0, 2, 7));
+        send(2, ChromKind::FlushB, enc(&last));
+        assert!(m.flush_round(1).is_ok());
+        assert_eq!((m.pend, m.core.observed_updates()), (2, 7), "folded as it arrived");
+        assert_eq!(next_marks(&m, &m.votes), [0, 1, 0], "machine 1's vote, and only its");
+
+        send(2, ChromKind::SyncPart, partial(0, 100.0, 0, 4));
+        assert_eq!(m.cycle_end_round().ok(), Some((false, None)));
+        assert_eq!((m.pend, m.core.observed_updates()), (0, 11));
+        for ep in &peers {
+            assert_eq!(flush_marker(ep), Some((ChromKind::FlushB, last)));
+            let env = ep.try_recv().expect("the verdict");
+            assert_eq!(kind_of(&env), ChromKind::SyncGlob);
+            let g: SyncGlobalsMsg = dec(env.payload);
+            let sum: Vec<f64> = dec(g.globals[0].2.clone());
+            assert_eq!((g.cycle, g.halt, sum), (0, false, vec![111.0]), "1 + 10 + 100");
+            assert!(ep.try_recv().is_err());
+        }
+    }
+
+    /// `reset_engine_state` (rollback, crash wipe) drops the cycle end's
+    /// record: a partial folded or a vote noted before the crash would
+    /// reach the restarted cycle 0 — "sync round out of step", or a stale
+    /// partial counted in place of the real one. The same holds for every
+    /// engine buffer: a rollback or an adoption must find no pre-crash row,
+    /// task, vote or count in one, as `Batcher::clear` guarantees for the
     /// queues.
     #[test]
-    fn reset_drops_stashed_sync_partials_and_every_other_volatile_field() {
+    fn reset_drops_the_cycle_ends_record_and_every_other_volatile_field() {
         let (mut m, peers) = ring();
+        with_sum_sync(&mut m);
         m.initial_schedule();
         at_step(&mut m, 5);
-        let stale = SyncPartialMsg { cycle: 3, partials: Vec::new(), pending: 0, updates: 9 };
-        handle_from(&mut m, 1, ChromKind::SyncPart, enc(&stale));
-        assert_eq!(m.sync_stash.len(), 1);
+        m.cycle = 3;
+        handle_from(&mut m, 1, ChromKind::SyncPart, partial(3, 9.0, 4, 9));
+        handle_from(&mut m, 1, ChromKind::SnapDone, Bytes::new());
+        assert_eq!((m.pend, next_marks(&m, &m.votes)), (4, vec![0, 8]));
+        m.verdict = Some(SyncGlobalsMsg { cycle: 3, globals: Vec::new(), halt: false, snapshot: None });
+        m.resumed = true;
         // An update that left a row in an open block and a task in the set
         // for machine 1.
         let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
@@ -1028,13 +1056,15 @@ mod tests {
         assert!(m.queued[ghost as usize] && m.remote_tasks[1] == [ghost]);
 
         m.reset_engine_state();
-        assert!(m.sync_stash.is_empty(), "a stale partial must not reach the restarted cycle 0");
-        assert_eq!((m.step, m.pending_total), (0, 0));
+        assert_eq!((m.step, m.cycle, m.pending_total, m.pend), (0, 0, 0, 0));
+        assert!(m.accs.is_empty(), "a stale partial must not reach the restarted cycle 0");
+        assert_eq!(next_marks(&m, &m.votes), [0, 0], "a pre-crash vote survived");
+        assert!(m.verdict.is_none() && !m.resumed, "a pre-crash verdict survived");
         assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
         assert_eq!(m.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
-        assert_eq!(next_marks(&m), [0, 0], "a pre-crash marker survived");
+        assert_eq!(next_marks(&m, &m.marks), [0, 0], "a pre-crash marker survived");
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 }

@@ -120,11 +120,11 @@ pub(crate) use tally::{Markers, Tally};
 mod tally {
     use graphlab_graph::MachineId;
 
-    /// Votes collected towards a barrier (halt acks, snapshot DONEs, sync
-    /// partials). Dead machines never vote, so the one question a tally
-    /// answers is [`RecoveryTracker::complete`] — as many votes as
-    /// survivors; it compares with nothing else, the static machine count
-    /// least of all.
+    /// The locking master's votes (`coord.rs`: quiet reports, snapshot
+    /// DONEs, sync partials, halt acks). Dead machines never vote, so the
+    /// one question a tally answers is [`RecoveryTracker::complete`] — as
+    /// many votes as survivors; it compares with nothing else, the static
+    /// machine count least of all.
     ///
     /// [`RecoveryTracker::complete`]: super::RecoveryTracker::complete
     #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -141,12 +141,12 @@ mod tally {
         }
     }
 
-    /// The FIFO marker barriers' record — the chromatic step's flush
-    /// rounds, the synchronous snapshot's, recovery's fault eras, the quiet
-    /// round's: per machine, the highest round whose marker arrived from
-    /// it. A marker follows everything its sender sent before it on the
-    /// channel, so the one question is [`RecoveryTracker::holds`]: has
-    /// every survivor's marker of a round arrived?
+    /// The FIFO marker barriers' record — the chromatic engine's flush
+    /// rounds and cycle-end votes, the locking engine's synchronous
+    /// snapshot, recovery's fault eras, the quiet round: per machine, the
+    /// highest round whose marker arrived from it. A marker follows
+    /// everything its sender sent before it on the channel, so the one
+    /// question is [`RecoveryTracker::holds`]: has every survivor's marker of a round arrived?
     ///
     /// [`RecoveryTracker::holds`]: super::RecoveryTracker::holds
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]

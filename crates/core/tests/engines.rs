@@ -706,22 +706,30 @@ fn racing_ablation_locks_only_the_centre() {
     }
 }
 
-/// What a chromatic run did: updates, colour-steps, and every vertex datum
-/// to the bit.
+/// What a chromatic run did: updates, colour-steps, every vertex datum to
+/// the bit, and the checkpoints taken — none unless `checkpoints`, which
+/// registers a sync and takes a synchronous checkpoint every |V| updates.
 fn chromatic_outcome(
     mut graph: DataGraph<f64, f64>,
     machines: usize,
     consistency: ConsistencyModel,
     update: impl UpdateFunction<f64, f64> + 'static,
-) -> (u64, u64, Vec<u64>) {
-    let out = GraphLab::on(&mut graph)
+    checkpoints: bool,
+) -> (u64, u64, Vec<u64>, u64) {
+    let every_updates = graph.num_vertices() as u64;
+    let mut lab = GraphLab::on(&mut graph)
         .engine(EngineKind::Chromatic)
         .machines(machines)
         .consistency(consistency)
-        .seed(42)
-        .run(update);
+        .seed(42);
+    if checkpoints {
+        lab = lab
+            .sync(SUM, FnSync::new(1, |_, d: &f64| vec![*d], |acc, _| acc), SyncCadence::Final)
+            .snapshot(SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates, max_snapshots: 1000 });
+    }
+    let out = lab.run(update);
     let data = graph.vertices().map(|v| graph.vertex_data(v).to_bits()).collect();
-    (out.metrics.updates, out.metrics.steps, data)
+    (out.metrics.updates, out.metrics.steps, data, out.metrics.snapshots)
 }
 
 /// The set a colour-step executes is a function of the graph and the
@@ -730,22 +738,32 @@ fn chromatic_outcome(
 /// write-back, forward and task arrived before the next step began. This
 /// is the exact oracle for the exchange: edge consistency with ghost pushes
 /// and remote tasks (PageRank), full consistency with write-backs and
-/// their phase-1 forwards (`PushMax`).
+/// their phase-1 forwards (`PushMax`). Synchronous checkpoints and the
+/// cycle end's sync fold must change neither, and the checkpoints taken
+/// are themselves a function of the per-cycle update counts.
 #[test]
 fn chromatic_work_and_fixpoint_do_not_depend_on_the_machine_count() {
-    fn check(app: &str, run: impl Fn(usize) -> (u64, u64, Vec<u64>)) {
-        let (updates, steps, data) = run(1);
+    fn check(app: &str, run: impl Fn(usize, bool) -> (u64, u64, Vec<u64>, u64)) {
+        let (updates, steps, data, _) = run(1, false);
         assert!(updates > data.len() as u64 && steps > 2, "{app}: the run is dynamic");
-        for m in [2usize, 3, 4, 8] {
-            let (u, s, d) = run(m);
-            assert_eq!((u, s), (updates, steps), "{app}: updates and steps on {m} machines");
-            assert!(d == data, "{app}: vertex data differs on {m} machines");
+        let mut taken = None;
+        for m in [1usize, 2, 3, 4, 8] {
+            for checkpoints in [false, true].into_iter().filter(|&c| c || m > 1) {
+                let cell = format!("{app} on {m} machines, checkpoints {checkpoints}");
+                let (u, s, d, n) = run(m, checkpoints);
+                assert_eq!((u, s), (updates, steps), "{cell}: updates and steps");
+                assert!(d == data, "{cell}: vertex data differs");
+                if checkpoints {
+                    let first = *taken.get_or_insert(n);
+                    assert!(n >= 2 && n == first, "{cell}: {n} checkpoints, {first} on 1 machine");
+                }
+            }
         }
     }
     let (edge, full) = (ConsistencyModel::Edge, ConsistencyModel::Full);
-    check("pagerank", |m| chromatic_outcome(web(3_000), m, edge, DynamicPageRank(1e-10)));
-    check("push-max on a ring", |m| chromatic_outcome(ring(20), m, full, PushMax));
-    check("push-max on a grid", |m| chromatic_outcome(grid(9, 7), m, full, PushMax));
+    check("pagerank", |m, c| chromatic_outcome(web(3_000), m, edge, DynamicPageRank(1e-10), c));
+    check("push-max on a ring", |m, c| chromatic_outcome(ring(20), m, full, PushMax, c));
+    check("push-max on a grid", |m, c| chromatic_outcome(grid(9, 7), m, full, PushMax, c));
 }
 
 /// The colour-step is the unit of exchange: a machine sends an owner one
@@ -793,8 +811,8 @@ fn free_ports(n: usize) -> Vec<String> {
 /// one endpoint, whichever fabric is under it.
 #[test]
 fn chromatic_over_tcp_matches_its_simnet_twin() {
-    let (updates, steps, data) =
-        chromatic_outcome(web(1_500), 2, ConsistencyModel::Edge, DynamicPageRank(1e-10));
+    let (updates, steps, data, _) =
+        chromatic_outcome(web(1_500), 2, ConsistencyModel::Edge, DynamicPageRank(1e-10), false);
     let peers = free_ports(2);
     let run_id = u64::from(std::process::id()) << 16 | 0xE9;
     let machines: Vec<_> = (0..2u16)
