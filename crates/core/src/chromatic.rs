@@ -52,7 +52,6 @@ use crate::driver::{MachineResult, MachineSetup};
 use crate::machine::Machine;
 use crate::messages::*;
 use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step};
-use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
 
@@ -622,7 +621,7 @@ where
     /// Writes this machine's part of checkpoint `snap`; the master resumes
     /// the cluster once it holds every survivor's `SnapDone`.
     fn write_snapshot(&mut self, snap: u64) -> Result<(), Interrupt> {
-        self.core.write_checkpoint(snap, SnapshotFile::capture(&self.core.lg));
+        self.core.capture_checkpoint(snap);
         if self.core.is_master() {
             self.wait(|m| m.core.rec.holds(&m.votes, round((m.cycle, 1))).then_some(()))?;
             self.core.broadcast(ChromKind::SnapResume, &Bytes::new());

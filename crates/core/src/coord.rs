@@ -220,9 +220,9 @@ pub(crate) enum Output {
     /// No new lock chain starts until `Resume`.
     Pause,
     Resume,
-    /// A snapshot boundary: the ghost-cache table's residency assumptions
-    /// go (the checkpoint may be restored into a fresh cluster; Alg. 5's
-    /// marks ride version bumps, which this makes unconditionally safe).
+    /// A synchronous snapshot's resume: the ghost-cache table's residency
+    /// assumptions go. Alg. 5's start needs no such output (see
+    /// `RemoteCacheTable`): marking a vertex bumps its version.
     InvalidateCache,
     /// Capture the graph as this machine's part of checkpoint `id`.
     Capture(u64),
@@ -360,7 +360,7 @@ impl Coord {
             Msg::SnapAsyncStart(id) => {
                 debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
                 self.part = Part::Async;
-                out.extend([Output::InvalidateCache, Output::StartAsync(id)]);
+                out.push(Output::StartAsync(id));
             }
             Msg::SnapSyncReady(id) => {
                 debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");

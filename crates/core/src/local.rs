@@ -680,10 +680,13 @@ impl ScopePlans {
 /// **Invalidation**: local writes bump the datum's version, which makes
 /// every machine's entry stale automatically (entry < current ⇒ resend);
 /// [`RemoteCacheTable::invalidate_all`] additionally drops every
-/// assumption, used conservatively at snapshot boundaries so a checkpoint
-/// cut never depends on residency bookkeeping. Entries start at 0, which
-/// is *valid* knowledge: version-0 data is the ingress-loaded initial
-/// value every machine already holds.
+/// assumption, at a synchronous snapshot's resume (recovery builds a fresh
+/// table). The asynchronous snapshot (Alg. 5) starts without it: marking a
+/// vertex bumps its version, so the filter re-ships every marked row with
+/// its snapshot colour, and a row not yet marked may keep a stale colour at
+/// a peer, where it reads "not yet snapshotted" — which is true. Entries
+/// start at 0, which is *valid* knowledge: version-0 data is the
+/// ingress-loaded initial value every machine already holds.
 #[derive(Debug)]
 pub struct RemoteCacheTable {
     nv: usize,

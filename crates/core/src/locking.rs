@@ -16,8 +16,11 @@
 //!    is acknowledged with compact "unchanged" markers. The table advances
 //!    on every row shipped and every write-back applied (both FIFO), so a
 //!    skipped row is always already resident at the requester by the time
-//!    its scope executes. It is conservatively invalidated at snapshot
-//!    boundaries.
+//!    its scope executes. A synchronous snapshot's resume invalidates it;
+//!    an asynchronous snapshot need not: marking a vertex bumps its
+//!    version, so the filter re-ships every marked row with its colour, and
+//!    an unmarked row's stale colour reads "not yet snapshotted", which is
+//!    true.
 //! 2. **Pipelining** — every machine keeps up to `max_pipeline` lock
 //!    chains in flight; scopes whose locks and data have arrived are
 //!    executed by the machine loop while the rest of the pipeline fills
@@ -81,7 +84,6 @@ use crate::messages::*;
 use crate::metrics::HotCounters;
 use crate::recovery::{self, RecoveryHost, RecoveryPhase};
 use crate::scheduler::Scheduler;
-use crate::snapshot::SnapshotFile;
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
 
@@ -112,11 +114,11 @@ const STRAGGLER_POLL: Duration = Duration::from_millis(2);
 type ChainKey = (u16, u64);
 
 /// This machine's asynchronous part of a snapshot in flight (Alg. 5): owned
-/// vertices to snapshot (all of them, then the ones neighbours schedule),
-/// the rows saved so far, and how many owned vertices are still unmarked.
+/// vertices to snapshot (all of them, then the ones neighbours schedule)
+/// and how many owned vertices are still unmarked. The rows saved so far
+/// are in `Machine::ckpt`.
 struct AsyncPart {
     queue: VecDeque<u32>,
-    buffer: SnapshotFile,
     remaining: usize,
 }
 
@@ -1013,19 +1015,19 @@ where
         self.core.effects.clear();
         if self.snap_epoch[center as usize] != snap {
             // An owned vertex is unmarked only while its part is not written.
-            let Some(AsyncPart { buffer, remaining, .. }) = &mut self.snap else {
+            let Some(AsyncPart { remaining, .. }) = &mut self.snap else {
                 unreachable!("an unmarked snapshot task outside an asynchronous part")
             };
-            let lg = &self.core.lg;
+            let core = &mut self.core;
             // Save D_v.
-            buffer.vrows.push((lg.vertex_gvid(center), enc(lg.vertex_data(center))));
+            core.ckpt.save_vertex(&core.lg, center);
             // Save edges to not-yet-snapshotted neighbours; schedule them
             // (commit routes owned ones to the snapshot queue, the rest to
             // their owners).
-            for e in lg.adj(center) {
+            for e in core.lg.adj(center) {
                 if self.snap_epoch[e.nbr as usize] != snap {
-                    buffer.erows.push((lg.edge_geid(e.edge), enc(lg.edge_data(e.edge))));
-                    self.core.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
+                    core.ckpt.save_edge(&core.lg, e.edge);
+                    core.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
@@ -1212,8 +1214,8 @@ where
     /// marked is written, and an idle worker closes the master's trigger
     /// window with an exact count (notes are not work) before `coord` hears.
     fn end_pass(&mut self) {
-        if let Some(part) = self.snap.take_if(|part| part.remaining == 0) {
-            self.core.write_checkpoint(self.current_snap as u64 - 1, part.buffer);
+        if self.snap.take_if(|part| part.remaining == 0).is_some() {
+            self.core.write_checkpoint(self.current_snap as u64 - 1);
             self.feed(Input::AsyncWritten);
         }
         let drained = self.outs.live() == 0 && self.ready.is_empty();
@@ -1256,14 +1258,12 @@ where
             Output::Pause => self.paused = true,
             Output::Resume => self.paused = false,
             Output::InvalidateCache => self.cache.invalidate_all(),
-            Output::Capture(id) => {
-                self.core.write_checkpoint(id, SnapshotFile::capture(&self.core.lg));
-            }
+            Output::Capture(id) => self.core.capture_checkpoint(id),
             Output::StartAsync(id) => {
                 self.current_snap = id as u32 + 1;
                 let owned = self.core.lg.owned_vertices();
                 let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
-                self.snap = Some(AsyncPart { queue, buffer: SnapshotFile::default(), remaining });
+                self.snap = Some(AsyncPart { queue, remaining });
             }
             Output::Partials(epoch) => {
                 let syncs = &self.core.setup.syncs;

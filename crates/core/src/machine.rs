@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 use bytes::{Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{MachineId, VertexId};
-use graphlab_net::{Batcher, Endpoint, LeaseConfig};
+use graphlab_net::{Batcher, Codec, Endpoint, LeaseConfig};
 
 use crate::config::{SnapshotMode, StragglerConfig};
 use crate::driver::{MachineResult, MachineSetup};
@@ -25,7 +25,7 @@ use crate::local::LocalGraph;
 use crate::messages::Kind;
 use crate::recovery::{RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
-use crate::snapshot::{write_snapshot_atoms, SnapshotFile};
+use crate::snapshot::CheckpointWriter;
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
 pub(crate) struct Machine<V, E> {
@@ -57,6 +57,9 @@ pub(crate) struct Machine<V, E> {
     pub effects: UpdateEffects,
     /// Row scratch: the datum of the row being sent, encoded once.
     pub rowbuf: BytesMut,
+    /// The rows of the checkpoint being saved, in either snapshot mode;
+    /// empty between checkpoints, its buffers kept.
+    pub ckpt: CheckpointWriter,
     /// Permanently dead under adoption: the run ends cleanly with no owned
     /// data (the survivors adopted it).
     pub dead: bool,
@@ -83,6 +86,7 @@ impl<V, E> Machine<V, E> {
             straggled: false,
             effects: UpdateEffects::default(),
             rowbuf: BytesMut::new(),
+            ckpt: CheckpointWriter::default(),
             dead: false,
             failure: None,
             lg,
@@ -228,11 +232,23 @@ impl<V, E> Machine<V, E> {
         }
     }
 
-    /// Writes `rows` as this machine's atoms' part of checkpoint `id`.
-    pub fn write_checkpoint(&mut self, id: u64, rows: SnapshotFile) {
-        let mine = self.setup.placement.atoms_of(self.me());
-        write_snapshot_atoms(&self.setup.dfs, &self.setup.snap_prefix, id, rows, &self.lg, &mine);
+    /// Writes the rows saved in `ckpt` as this machine's atoms' part of
+    /// checkpoint `id`, emptying it.
+    pub fn write_checkpoint(&mut self, id: u64) {
+        let (me, mine) = (self.me(), self.setup.placement.atoms_of(self.me()));
+        self.ckpt.write(&self.setup.dfs, &self.setup.snap_prefix, id, me, &mine);
         self.snapshots = self.snapshots.max(id + 1);
+    }
+
+    /// A synchronous checkpoint: saves every owned row and writes them as
+    /// checkpoint `id`.
+    pub fn capture_checkpoint(&mut self, id: u64)
+    where
+        V: Codec,
+        E: Codec,
+    {
+        self.ckpt.save_owned(&self.lg);
+        self.write_checkpoint(id);
     }
 
     /// The machine's share of a reset of all volatile state (a crash, a
@@ -243,6 +259,7 @@ impl<V, E> Machine<V, E> {
     /// stale reports idempotent).
     pub fn reset_engine_state(&mut self) {
         self.effects.clear();
+        self.ckpt.clear();
         self.last_snap_updates = self.observed_updates();
     }
 
@@ -362,6 +379,29 @@ mod tests {
         m.snapshots = 2;
         m.updates_local = 1_000;
         assert_eq!(m.snapshot_due(), None, "max_snapshots reached");
+    }
+
+    #[test]
+    fn a_reset_drops_the_rows_of_an_interrupted_checkpoint() {
+        use crate::snapshot::SnapshotFile;
+        let mut m = machine0(InitialSchedule::AllVertices);
+        let files = |m: &Machine<f64, f64>, id: u64| -> Vec<SnapshotFile> {
+            let dfs = &m.setup.dfs;
+            let dir = format!("{}/snap_{id:06}/", m.setup.snap_prefix);
+            let decode = |f: &String| graphlab_net::decode_from(dfs.read(f).unwrap()).unwrap();
+            dfs.list_prefix(&dir).iter().map(decode).collect()
+        };
+        let mine = m.setup.placement.atoms_of(m.me()).len();
+        m.capture_checkpoint(0);
+        let rows: usize = files(&m, 0).iter().map(|f| f.vrows.len()).sum();
+        assert_eq!((files(&m, 0).len(), rows), (mine, m.lg.owned_vertices().len()));
+
+        // Half an asynchronous part, then a rollback: none of it is written.
+        let l = m.lg.owned_vertices()[0];
+        m.ckpt.save_vertex(&m.lg, l);
+        m.reset_engine_state();
+        m.write_checkpoint(1);
+        assert_eq!(files(&m, 1), vec![SnapshotFile::default(); mine]);
     }
 
     #[test]

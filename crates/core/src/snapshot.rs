@@ -21,20 +21,32 @@
 //! through it.
 //!
 //! This module holds what the engines share: the checkpoint file format on
-//! the DFS, restoration, completeness scanning/pruning, and Young's
-//! first-order optimal checkpoint interval (Eq. 3).
+//! the DFS, the one way a checkpoint is written, restoration,
+//! completeness scanning/pruning, and Young's first-order optimal
+//! checkpoint interval (Eq. 3).
+//!
+//! Every checkpoint is written through a [`CheckpointWriter`]: the
+//! synchronous snapshot of either engine saves every owned row into it,
+//! the asynchronous one each row as Alg. 5 reaches it, and each row is
+//! encoded once, straight into the body of the file of its atom.
+//! [`write_snapshot_atoms`] feeds a whole [`SnapshotFile`] through the same
+//! writer.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{AtomId, DataGraph, EdgeId, MachineId, VertexId};
-use graphlab_net::codec::{decode_from, encode_to_bytes, Codec};
+use graphlab_net::codec::{decode_from, encode_to_bytes, patch_len, put_uvarint, Codec};
 use graphlab_atoms::SimDfs;
 
 use crate::local::LocalGraph;
 
-/// A checkpoint file: one per machine per snapshot.
+/// A checkpoint file's contents: one file per atom per machine per
+/// snapshot, written by the atom's owner or, as a ghost file, by a
+/// neighbour (see [`write_snapshot_atoms`]). Also the payload of
+/// adoption's ghost exchange.
 ///
 /// Vertex/edge data are stored as encoded blobs so the file format is
-/// independent of the user types.
+/// independent of the user types. [`CheckpointWriter`] writes the same
+/// bytes without building one.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct SnapshotFile {
     /// Saved vertex rows `(vertex, encoded data)`.
@@ -234,18 +246,150 @@ pub(crate) fn apply_file<V: Codec, E: Codec>(
     Ok((nv, ne))
 }
 
-/// Writes one machine's checkpoint rows as **per-atom** files: `rows`
-/// (typically [`SnapshotFile::capture`] of the whole machine, or the
-/// asynchronous snapshot's accumulated buffer) is split by owner atom —
-/// vertices by their atom, edges by their target's atom — and one file is
-/// written per atom in `my_atoms` *even when empty*, so completeness
-/// counting ([`latest_complete_snapshot`] with `parts = num_atoms`) can
-/// demand every atom without special-casing atoms that own nothing. Rows
-/// of foreign atoms (the asynchronous snapshot saves ghost-edge data on
-/// whichever side snapshots first) are written as *ghost* files
-/// (`ghost_snap_file_name`): restored like any other, but invisible to
-/// completeness counting, so they can never mark a dead owner's atom as
-/// checkpointed.
+/// One machine's rows of one checkpoint, encoded as they are saved: per
+/// atom, a vertex body and an edge body, each row `id ‖ len ‖ datum` — the
+/// wire form of a `(VertexId, Bytes)` or `(EdgeId, Bytes)` — written in
+/// place behind a held length byte, as `Batcher::send_with` writes a
+/// message. A row's atom is its local id's (an edge's is its target's), so
+/// saving looks nothing up.
+///
+/// [`CheckpointWriter::write`] turns each atom's bodies into its file,
+/// `count ‖ vrows ‖ count ‖ erows`, byte for byte the
+/// [`encode_to_bytes`] of the [`SnapshotFile`] of the same rows in the same
+/// order, and empties the writer but keeps its buffers: a warm writer
+/// allocates per file, never per row.
+#[derive(Debug, Default)]
+pub struct CheckpointWriter {
+    /// Indexed by atom id; grown on the first row of an atom.
+    atoms: Vec<AtomRows>,
+}
+
+#[derive(Debug, Default)]
+struct AtomRows {
+    v: Rows,
+    e: Rows,
+}
+
+/// The body of a `Vec<(id, Bytes)>`: its rows without their count.
+#[derive(Debug, Default)]
+struct Rows {
+    count: u64,
+    body: BytesMut,
+}
+
+impl Rows {
+    fn put(&mut self, id: u32, datum: impl FnOnce(&mut BytesMut)) {
+        put_uvarint(&mut self.body, id as u64);
+        let at = self.body.len();
+        self.body.put_u8(0);
+        datum(&mut self.body);
+        let len = self.body.len() - at - 1;
+        patch_len(&mut self.body, at, len);
+        self.count += 1;
+    }
+
+    /// Appends `count ‖ body` to `file` and empties the rows.
+    fn drain_into(&mut self, file: &mut BytesMut) {
+        put_uvarint(file, self.count);
+        file.put_slice(&self.body);
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.count = 0;
+        self.body.clear();
+    }
+}
+
+impl AtomRows {
+    fn is_empty(&self) -> bool {
+        self.v.count == 0 && self.e.count == 0
+    }
+
+    /// The atom's file, in [`SnapshotFile`]'s encoding; empties the rows.
+    fn take_file(&mut self) -> Bytes {
+        let mut file = BytesMut::with_capacity(20 + self.v.body.len() + self.e.body.len());
+        self.v.drain_into(&mut file);
+        self.e.drain_into(&mut file);
+        file.freeze()
+    }
+}
+
+impl CheckpointWriter {
+    fn rows(&mut self, atom: AtomId) -> &mut AtomRows {
+        let i = atom.0 as usize;
+        if i >= self.atoms.len() {
+            self.atoms.resize_with(i + 1, AtomRows::default);
+        }
+        &mut self.atoms[i]
+    }
+
+    /// Saves local vertex `l`'s datum.
+    pub fn save_vertex<V: Codec, E>(&mut self, lg: &LocalGraph<V, E>, l: u32) {
+        let data = lg.vertex_data(l);
+        self.rows(lg.vertex_atom(l)).v.put(lg.vertex_gvid(l).0, |buf| data.encode(buf));
+    }
+
+    /// Saves local edge `l`'s datum.
+    pub fn save_edge<V, E: Codec>(&mut self, lg: &LocalGraph<V, E>, l: u32) {
+        let data = lg.edge_data(l);
+        self.rows(lg.edge_atom(l)).e.put(lg.edge_geid(l).0, |buf| data.encode(buf));
+    }
+
+    /// Saves every owned row — a synchronous snapshot's part, in
+    /// [`SnapshotFile::capture`]'s order.
+    pub fn save_owned<V: Codec, E: Codec>(&mut self, lg: &LocalGraph<V, E>) {
+        for &l in lg.owned_vertices() {
+            self.save_vertex(lg, l);
+        }
+        for l in (0..lg.num_local_edges() as u32).filter(|&l| lg.owns_edge(l)) {
+            self.save_edge(lg, l);
+        }
+    }
+
+    /// Drops every saved row, keeping the buffers.
+    pub fn clear(&mut self) {
+        for rows in &mut self.atoms {
+            rows.v.clear();
+            rows.e.clear();
+        }
+    }
+
+    /// Writes `machine`'s part of checkpoint `id` as **per-atom** files and
+    /// empties the writer. Every atom in `mine` gets its file *even when
+    /// empty*, so completeness counting ([`latest_complete_snapshot`] with
+    /// `parts = num_atoms`) can demand every atom without special-casing
+    /// atoms that own nothing. Rows of a foreign atom (the asynchronous
+    /// snapshot saves ghost-edge data on whichever side snapshots first) go
+    /// to a *ghost* file (`ghost_snap_file_name`): restored like any other,
+    /// but invisible to completeness counting, so it can never mark a dead
+    /// owner's atom as checkpointed.
+    pub fn write(
+        &mut self,
+        dfs: &SimDfs,
+        prefix: &str,
+        id: u64,
+        machine: MachineId,
+        mine: &[AtomId],
+    ) {
+        for &atom in mine {
+            let file = self.rows(atom).take_file();
+            dfs.write(&atom_snap_file_name(prefix, id, atom, machine), file);
+        }
+        // What is left is foreign.
+        for (atom, rows) in self.atoms.iter_mut().enumerate() {
+            if !rows.is_empty() {
+                let name = ghost_snap_file_name(prefix, id, AtomId(atom as u32), machine);
+                dfs.write(&name, rows.take_file());
+            }
+        }
+    }
+}
+
+/// Writes `rows` (typically [`SnapshotFile::capture`] of the whole
+/// machine) as one machine's part of checkpoint `id`: each row goes to the
+/// atom of its vertex (an edge to its target's), and
+/// [`CheckpointWriter::write`] writes the files.
 pub fn write_snapshot_atoms<V, E>(
     dfs: &SimDfs,
     prefix: &str,
@@ -254,25 +398,16 @@ pub fn write_snapshot_atoms<V, E>(
     lg: &LocalGraph<V, E>,
     my_atoms: &[AtomId],
 ) {
-    let mine: std::collections::BTreeSet<AtomId> = my_atoms.iter().copied().collect();
-    let mut by_atom: std::collections::BTreeMap<AtomId, SnapshotFile> =
-        my_atoms.iter().map(|&a| (a, SnapshotFile::default())).collect();
-    for (v, blob) in rows.vrows {
-        let atom = lg.vertex_atom(lg.local_vertex(v).expect("saved vertex is local"));
-        by_atom.entry(atom).or_default().vrows.push((v, blob));
+    let mut writer = CheckpointWriter::default();
+    for (v, blob) in &rows.vrows {
+        let atom = lg.vertex_atom(lg.local_vertex(*v).expect("saved vertex is local"));
+        writer.rows(atom).v.put(v.0, |buf| buf.put_slice(blob));
     }
-    for (e, blob) in rows.erows {
-        let atom = lg.edge_atom(lg.local_edge(e).expect("saved edge is local"));
-        by_atom.entry(atom).or_default().erows.push((e, blob));
+    for (e, blob) in &rows.erows {
+        let atom = lg.edge_atom(lg.local_edge(*e).expect("saved edge is local"));
+        writer.rows(atom).e.put(e.0, |buf| buf.put_slice(blob));
     }
-    for (atom, file) in by_atom {
-        let name = if mine.contains(&atom) {
-            atom_snap_file_name(prefix, id, atom, lg.machine())
-        } else {
-            ghost_snap_file_name(prefix, id, atom, lg.machine())
-        };
-        dfs.write(&name, encode_to_bytes(&file));
-    }
+    writer.write(dfs, prefix, id, lg.machine(), my_atoms);
 }
 
 /// Adoption overlay: applies snapshot `id`'s rows of exactly the given

@@ -312,6 +312,167 @@ proptest! {
     }
 }
 
+/// Checkpoint files: the in-place [`CheckpointWriter`] against the regroup
+/// `write_snapshot_atoms` ran before the writer — rows captured as a whole
+/// [`SnapshotFile`], split by atom through an ordered map, each atom's file
+/// its `encode_to_bytes`.
+mod checkpoint_files {
+    use std::collections::BTreeMap;
+
+    use bytes::Bytes;
+    use graphlab::core::snapshot::{
+        atom_snap_file_name, restore_snapshot, write_snapshot_atoms, CheckpointWriter, SnapshotFile,
+    };
+    use graphlab::core::LocalGraph;
+    use graphlab::graph::{AtomId, EdgeId};
+    use proptest::prelude::*;
+
+    use super::*;
+
+    type Lg = LocalGraph<Vec<f64>, f64>;
+
+    /// Vertex data of 0 to 39 floats, so a row's length takes one varint
+    /// byte or two.
+    fn arb_wide_graph() -> impl Strategy<Value = DataGraph<Vec<f64>, f64>> {
+        (2usize..40).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n, 0..n, -100.0f64..100.0), 0..120);
+            edges.prop_map(move |edges| {
+                let mut b = GraphBuilder::new();
+                for i in 0..n {
+                    b.add_vertex(vec![i as f64; i * 13 % 40]);
+                }
+                for (s, d, w) in edges {
+                    if s != d {
+                        b.add_edge(VertexId(s as u32), VertexId(d as u32), w).unwrap();
+                    }
+                }
+                b.build()
+            })
+        })
+    }
+
+    /// The reference model: the files `lg`'s machine writes for snapshot
+    /// `id`, by name.
+    /// Owned atoms get a file even when empty; a foreign atom with rows
+    /// gets a ghost file.
+    fn reference_files(
+        rows: SnapshotFile,
+        lg: &Lg,
+        id: u64,
+        mine: &[AtomId],
+    ) -> BTreeMap<String, Bytes> {
+        let mut by_atom: BTreeMap<AtomId, SnapshotFile> =
+            mine.iter().map(|&a| (a, SnapshotFile::default())).collect();
+        for (v, blob) in rows.vrows {
+            let atom = lg.vertex_atom(lg.local_vertex(v).unwrap());
+            by_atom.entry(atom).or_default().vrows.push((v, blob));
+        }
+        for (e, blob) in rows.erows {
+            let atom = lg.edge_atom(lg.local_edge(e).unwrap());
+            by_atom.entry(atom).or_default().erows.push((e, blob));
+        }
+        by_atom
+            .into_iter()
+            .map(|(atom, file)| {
+                let name = atom_snap_file_name("ckpt", id, atom, lg.machine());
+                let name = if mine.contains(&atom) { name } else { name.replace("/atom_", "/ghost_") };
+                (name, encode_to_bytes(&file))
+            })
+            .collect()
+    }
+
+    fn files(dfs: &SimDfs) -> BTreeMap<String, Bytes> {
+        dfs.list_prefix("ckpt/").into_iter().map(|name| (name.clone(), dfs.read(&name).unwrap())).collect()
+    }
+
+    proptest! {
+        /// Every machine saves a random sequence of rows — its owned
+        /// vertices and any local edge, foreign-atom edges included, in any
+        /// order, repeats allowed — twice, through one writer reused across
+        /// machines and snapshots. Every file equals the reference model's,
+        /// byte for byte, and so do the files of the `SnapshotFile`
+        /// adapter; restoring either set gives the same graph.
+        #[test]
+        fn the_writer_writes_the_bytes_of_the_regrouped_snapshot_file(
+            g in arb_wide_graph(),
+            k in 1usize..12,
+            machines in 1usize..5,
+            saves in proptest::collection::vec((0u8..2, 0u32..u32::MAX), 0..160),
+        ) {
+            let machines = 1 + (machines - 1) % k;
+            let p = VertexPartition::random_hash(g.num_vertices(), k, 7);
+            let (atoms, index) = build_atoms(&g, &p, "t");
+            let graph_dfs = SimDfs::new();
+            write_atoms(&graph_dfs, "t", &atoms, &index);
+            let placement = Placement::compute(&index, machines);
+
+            let (written, adapted, reference) = (SimDfs::new(), SimDfs::new(), SimDfs::new());
+            let mut writer = CheckpointWriter::default();
+            for id in 0..2u64 {
+                for m in (0..machines).map(MachineId::from) {
+                    let part = load_machine_part(&graph_dfs, &index, &placement, m).unwrap();
+                    let lg: Lg = LocalGraph::from_init(part, None);
+                    let mine = placement.atoms_of(m);
+                    let mut rows = SnapshotFile::default();
+                    // Each snapshot saves another slice of the sequence.
+                    for &(edge, pick) in saves.iter().skip(id as usize * saves.len() / 2) {
+                        let owned = lg.owned_vertices();
+                        if edge == 1 && lg.num_local_edges() > 0 {
+                            let l = pick % lg.num_local_edges() as u32;
+                            writer.save_edge(&lg, l);
+                            rows.erows.push((lg.edge_geid(l), encode_to_bytes(lg.edge_data(l))));
+                        } else if !owned.is_empty() {
+                            let l = owned[pick as usize % owned.len()];
+                            writer.save_vertex(&lg, l);
+                            rows.vrows.push((lg.vertex_gvid(l), encode_to_bytes(lg.vertex_data(l))));
+                        }
+                    }
+                    writer.write(&written, "ckpt", id, m, &mine);
+                    write_snapshot_atoms(&adapted, "ckpt", id, rows.clone(), &lg, &mine);
+                    for (name, bytes) in reference_files(rows, &lg, id, &mine) {
+                        reference.write(&name, bytes);
+                    }
+                }
+            }
+            let want = files(&reference);
+            prop_assert!(want.keys().any(|name| name.contains("/atom_")), "owned atoms always get a file");
+            prop_assert_eq!(&files(&written), &want);
+            prop_assert_eq!(&files(&adapted), &want);
+
+            for id in 0..2 {
+                let restored: Vec<DataGraph<Vec<f64>, f64>> = [&written, &reference]
+                    .into_iter()
+                    .map(|dfs| {
+                        let mut h = g.clone();
+                        for v in 0..h.num_vertices() as u32 {
+                            h.vertex_data_mut(VertexId(v)).clear();
+                        }
+                        for e in 0..h.num_edges() as u32 {
+                            *h.edge_data_mut(EdgeId(e)) = f64::NAN;
+                        }
+                        restore_snapshot(dfs, "ckpt", id, &mut h).unwrap();
+                        h
+                    })
+                    .collect();
+                for v in (0..g.num_vertices() as u32).map(VertexId) {
+                    prop_assert_eq!(restored[0].vertex_data(v), restored[1].vertex_data(v));
+                }
+                for e in 0..g.num_edges() as u32 {
+                    let [a, b] = [&restored[0], &restored[1]].map(|h| h.edge_data(EdgeId(e)).to_bits());
+                    prop_assert_eq!(a, b);
+                }
+            }
+            // Writing emptied the writer: one more write is the owned
+            // atoms' empty files alone.
+            let (tail, mine) = (SimDfs::new(), placement.atoms_of(MachineId(0)));
+            writer.write(&tail, "ckpt", 2, MachineId(0), &mine);
+            let empty = encode_to_bytes(&SnapshotFile::default());
+            prop_assert_eq!(files(&tail).len(), mine.len());
+            prop_assert!(files(&tail).values().all(|f| *f == empty));
+        }
+    }
+}
+
 /// Fabric delivery-order property (ISSUE 2): per-(src, dst) delivery is
 /// FIFO under *arbitrary* latency models — fixed, bandwidth-proportional
 /// and jittered terms in any combination. Before the per-channel FIFO
