@@ -3,14 +3,17 @@
 //! modes, background sync epochs and the halt.
 //!
 //! [`Coord::step`] takes one [`Input`] and the machine's
-//! [`RecoveryTracker`], which it asks only who survives (`complete`,
-//! `holds`), and appends the [`Output`]s the engine applies, in order.
+//! [`RecoveryTracker`], which it asks only whether every survivor has
+//! answered a round (`holds`), and appends the [`Output`]s the engine
+//! applies, in order.
 //! **This module owns every decision; [`crate::locking`] owns every datum
 //! and every byte**: the sync accumulators, Alg. 5's queue, rows and
 //! per-vertex colour, the graph, the `UpdNote` pacing, every encode and
-//! decode. The barriers' `Markers`/`holds` rule is `crate::recovery`'s.
-//! The master's own votes, reports and broadcasts are transitions inside
-//! `step`, so it decides on the pass its own vote lands.
+//! decode. Every barrier here, the master's four votes included, is a
+//! `Markers` noted at the round a message answers and asked with `holds`,
+//! `crate::recovery`'s rule. `holds` skips the asker, so the master reads
+//! its own vote from its own state; its votes, reports and broadcasts are
+//! transitions inside `step`, so it decides on the pass its own vote lands.
 //!
 //! # Termination: the quiet round
 //!
@@ -58,7 +61,7 @@
 //! - `Round` (master): `Idle → Quiet → Idle` (dirty) or `→ Halt` (clean);
 //!   `Idle → Snapshot → Idle` once every survivor's part is written;
 //!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
-//!   sync first when syncs are configured, then counts the acks.
+//!   sync first when syncs are configured, then waits for the acks.
 //! - `Part`, stop-and-flush: `Idle → Draining → Drained → Flushing →
 //!   Written → Idle`, from `SnapSyncStart` to `SnapResume`, its flush a
 //!   FIFO marker barrier like recovery's. Chandy-Lamport as a prioritised
@@ -102,7 +105,7 @@
 use graphlab_graph::MachineId;
 
 use crate::config::SnapshotMode;
-use crate::recovery::{Markers, RecoveryTracker, Tally};
+use crate::recovery::{Markers, RecoveryTracker};
 
 /// The machine that runs the master's half of every protocol.
 const MASTER: MachineId = MachineId(0);
@@ -127,15 +130,17 @@ pub(crate) enum Quiet {
 pub(crate) enum Round {
     /// None: a quiet round or a snapshot may start.
     Idle,
-    /// A quiet round: the reports got, and whether every one was clean.
-    Quiet { reports: Tally, clean: bool },
-    /// A snapshot: `SnapSyncReady` votes until every survivor drained
-    /// (synchronous mode), then `SnapDone` votes. `halt`: the stop
-    /// predicate fired during it, so the run halts once it is written.
-    Snapshot { votes: Tally, halt: bool },
+    /// A quiet round: the reports got, each at its round `k`, and whether
+    /// every one was clean.
+    Quiet { reports: Markers, clean: bool },
+    /// Snapshot `id`: the `SnapSyncReady` votes (synchronous mode), each at
+    /// `2·id`, and the `SnapDone` votes at `2·id + 1` (`SnapDone` carries
+    /// no id). `halt`: the stop predicate fired during it, so the run halts
+    /// once it is written.
+    Snapshot { id: u64, votes: Markers, halt: bool },
     /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
-    /// acks.
-    Halt { acks: Option<Tally> },
+    /// acks at [`FINAL`].
+    Halt { acks: Option<Markers> },
 }
 
 /// The control half of this machine's part of the snapshot in flight
@@ -253,11 +258,11 @@ pub(crate) struct Coord {
     pub(crate) quiet_marks: Markers,
     pub(crate) part: Part,
     /// Master: the round in flight; the sync epochs opened, the cadence's
-    /// next mark, and the epoch out with the partials got.
+    /// next mark, and the epoch out with the partials got at it.
     pub(crate) round: Round,
     sync_epoch: u64,
     sync_next_at: u64,
-    sync: Option<(u64, Tally)>,
+    sync: Option<(u64, Markers)>,
 }
 
 impl Coord {
@@ -334,14 +339,14 @@ impl Coord {
                     self.quiet = Quiet::Owed(k);
                 }
             }
-            Msg::QuietReport(k, clean) => self.collect_quiet(k, clean, rec, out),
+            Msg::QuietReport(k, clean) => self.collect_quiet(src, k, clean, rec, out),
             Msg::Halt => out.extend([Output::Send(MASTER, Msg::HaltAck), Output::Halt]),
             Msg::HaltAck => {
                 let Round::Halt { acks: Some(acks) } = &mut self.round else {
                     unreachable!("an ack of no halt")
                 };
-                acks.vote();
-                if rec.complete(acks) {
+                acks.note(src, FINAL);
+                if rec.holds(acks, FINAL) {
                     out.push(Output::Halt);
                 }
             }
@@ -349,7 +354,7 @@ impl Coord {
             // A partial of an abandoned epoch is stale.
             Msg::SyncPart(e) if self.sync.as_ref().is_some_and(|(open, _)| *open == e) => {
                 out.push(Output::Combine);
-                self.count_partials(rec, out);
+                self.collect_partials(src, rec, out);
             }
             Msg::SyncPart(_) => {}
             Msg::SnapSyncStart(id) => {
@@ -364,13 +369,13 @@ impl Coord {
             }
             Msg::SnapSyncReady(id) => {
                 debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");
-                self.collect_snap(true, rec, out);
+                self.collect_snap(src, false, rec, out);
             }
             Msg::SnapSyncFlush(id) => {
                 debug_assert_eq!(self.part.id(), Some(id), "marker of another snapshot");
                 self.flush(out).note(src, id);
             }
-            Msg::SnapDone => self.collect_snap(false, rec, out),
+            Msg::SnapDone => self.collect_snap(src, true, rec, out),
             Msg::SnapResume => {
                 self.part = Part::Idle;
                 out.extend([Output::Resume, Output::InvalidateCache]);
@@ -378,7 +383,7 @@ impl Coord {
         }
     }
 
-    /// A vote or report for the master: sent, or — on the master — counted
+    /// A vote or report for the master: sent, or — on the master — taken
     /// at once, so that it decides on the pass its own vote lands (an idle
     /// master has nothing else to wake it).
     fn vote(&mut self, msg: Msg, rec: &RecoveryTracker, out: &mut Vec<Output>) {
@@ -417,7 +422,7 @@ impl Coord {
                         && self.round == Round::Idle
                         && self.sync.is_none() =>
                 {
-                    self.round = Round::Quiet { reports: Tally::default(), clean: true };
+                    self.round = Round::Quiet { reports: Markers::new(self.slots), clean: true };
                     self.quiet = Quiet::Owed(last + 1);
                 }
                 Quiet::Owed(k) if idle => {
@@ -433,21 +438,28 @@ impl Coord {
         }
     }
 
-    /// Master: one more verdict on the round in flight. Once every
-    /// survivor's is in, the run ends if all were clean — with syncs
-    /// configured the final sync first, so that every machine halts holding
-    /// the final globals; otherwise the next round opens when the master is
-    /// idle again.
-    fn collect_quiet(&mut self, k: u64, clean: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+    /// Master: `src`'s verdict on round `k`, the one in flight. Once every
+    /// survivor's is in, its own too, the run ends if all were clean — with
+    /// syncs configured the final sync first, so that every machine halts
+    /// holding the final globals; otherwise the next round opens when the
+    /// master is idle again.
+    fn collect_quiet(
+        &mut self,
+        src: MachineId,
+        k: u64,
+        clean: bool,
+        rec: &RecoveryTracker,
+        out: &mut Vec<Output>,
+    ) {
         debug_assert!(
             matches!(self.quiet, Quiet::Done(r) | Quiet::Owed(r) | Quiet::Sent(r, _) if r == k)
         );
         let Round::Quiet { reports, clean: all } = &mut self.round else {
             unreachable!("a report of no round")
         };
-        reports.vote();
+        reports.note(src, k);
         *all &= clean;
-        if !rec.complete(reports) {
+        if self.quiet != Quiet::Done(k) || !rec.holds(reports, k) {
             return;
         }
         let clean = *all;
@@ -462,9 +474,9 @@ impl Coord {
 
     /// Master: `Halt` out; the run is over here once every survivor acked.
     fn halt(&mut self, rec: &RecoveryTracker, out: &mut Vec<Output>) {
-        let acks = Tally::with_own_vote();
+        let acks = Markers::new(self.slots);
         out.push(Output::Broadcast(Msg::Halt));
-        if rec.complete(&acks) {
+        if rec.holds(&acks, FINAL) {
             out.push(Output::Halt);
         }
         self.round = Round::Halt { acks: Some(acks) };
@@ -488,17 +500,17 @@ impl Coord {
 
     /// Master: epoch `e` out to every peer, this machine's own partials in.
     fn open_epoch(&mut self, e: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
-        self.sync = Some((e, Tally::default()));
+        self.sync = Some((e, Markers::new(self.slots)));
         out.extend([Output::Broadcast(Msg::SyncReq(e)), Output::Partials(e)]);
-        self.count_partials(rec, out);
+        self.collect_partials(MASTER, rec, out);
     }
 
-    /// Master: one more machine's partials are in; the epoch is finalized
-    /// once every survivor's are, and the final one ends the run.
-    fn count_partials(&mut self, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+    /// Master: `src`'s partials of the open epoch are in; the epoch is
+    /// finalized once every survivor's are, and the final one ends the run.
+    fn collect_partials(&mut self, src: MachineId, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         let Some((e, got)) = &mut self.sync else { unreachable!("partials of no epoch") };
-        got.vote();
-        if rec.complete(got) {
+        got.note(src, *e);
+        if rec.holds(got, *e) {
             out.push(Output::Finalize(*e));
             if self.sync.take().is_some_and(|(e, _)| e == FINAL) {
                 self.halt(rec, out);
@@ -510,7 +522,7 @@ impl Coord {
     /// it begun.
     fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         debug_assert!(self.may_snapshot(), "a snapshot beside a round");
-        self.round = Round::Snapshot { votes: Tally::default(), halt: false };
+        self.round = Round::Snapshot { id, votes: Markers::new(self.slots), halt: false };
         let start = match self.mode {
             SnapshotMode::Synchronous => Msg::SnapSyncStart(id),
             SnapshotMode::Asynchronous => Msg::SnapAsyncStart(id),
@@ -520,25 +532,32 @@ impl Coord {
         self.on_msg(MASTER, start, rec, out);
     }
 
-    /// Master: one more machine drained (`ready`) or wrote its part. Once
-    /// every survivor is drained no lock chain is left anywhere, so no
-    /// machine sends counted work before the resume: the master's flush
-    /// marker opens the barrier. Once every part is written the snapshot is
-    /// over, and so is the run if a stop fired during it.
-    fn collect_snap(&mut self, ready: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
-        let Round::Snapshot { votes, halt } = &mut self.round else {
+    /// Master: `src` drained or (`done`) wrote its part. Once every
+    /// survivor is drained, the master too, no lock chain is left anywhere,
+    /// so no machine sends counted work before the resume: the master's
+    /// flush marker opens the barrier. Once every part is written, the
+    /// master's too, the snapshot is over, and so is the run if a stop fired
+    /// during it.
+    fn collect_snap(
+        &mut self,
+        src: MachineId,
+        done: bool,
+        rec: &RecoveryTracker,
+        out: &mut Vec<Output>,
+    ) {
+        let Round::Snapshot { id, votes, halt } = &mut self.round else {
             unreachable!("a vote of no snapshot")
         };
-        votes.vote();
-        if !rec.complete(votes) {
-            return;
-        }
-        if ready {
-            *votes = Tally::default();
+        let (id, halt) = (*id, *halt);
+        votes.note(src, 2 * id + u64::from(done));
+        if self.part == Part::Drained(id) && rec.holds(votes, 2 * id) {
             self.flush(out);
             return;
         }
-        let halt = *halt;
+        let written = matches!(self.part, Part::Written(_) | Part::Idle);
+        if !written || !rec.holds(votes, 2 * id + 1) {
+            return;
+        }
         self.round = Round::Idle;
         if let Part::Written(_) = self.part {
             out.push(Output::Broadcast(Msg::SnapResume));
@@ -971,7 +990,7 @@ mod tests {
         explore::replay(&Model::new(b), schedule)
     }
 
-    // Five rules past changes proved by hand, each with the shortest
+    // Six rules past changes proved by hand, each with the shortest
     // counterexample the explorer printed once the rule's mutation was
     // applied. Replayed against the code as it is, every step is enabled,
     // nothing is violated, and the rule's own outcome holds.
@@ -1032,7 +1051,7 @@ mod tests {
     #[test]
     fn replay_a_stop_during_a_snapshot() {
         let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true)]);
-        assert_eq!(w.nodes[0].coord.round, Round::Snapshot { votes: Tally::default(), halt: true });
+        assert!(matches!(w.nodes[0].coord.round, Round::Snapshot { id: 0, halt: true, .. }));
         let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true), Write(0)]);
         assert!(w.nodes[0].halted, "the latched stop halts once the part is written");
     }
@@ -1077,6 +1096,84 @@ mod tests {
         let w = replay(Bounds::new(2, SnapshotMode::None, false), &schedule);
         assert_eq!(w.nodes[0].coord.quiet, Quiet::Sent(2, false));
         assert_eq!(w.chans[1], [Wire::Ctl(Msg::Quiet(2))]);
+    }
+
+    /// A snapshot closes once every survivor's `SnapDone` answers its own
+    /// round. Mutation: in `Coord::collect_snap`, note `SnapDone` at `2·id`,
+    /// the round `SnapSyncReady` answers. Then machine 1's `SnapDone`
+    /// answers no round the master waits on, and the snapshot never closes:
+    /// stuck (6 steps).
+    #[test]
+    fn replay_a_snap_done_noted_at_the_ready_round() {
+        let schedule = [
+            SnapshotDue,
+            Deliver(0, 1, false),
+            Deliver(1, 0, false),
+            Deliver(0, 1, false),
+            Deliver(1, 0, false),
+            Deliver(1, 0, false),
+        ];
+        let w = replay(Bounds::new(2, Synchronous, false), &schedule);
+        assert_eq!((&w.nodes[0].coord.round, &w.nodes[0].coord.part), (&Round::Idle, &Part::Idle));
+        assert_eq!(w.chans[1], [Wire::Ctl(Msg::SnapResume)]);
+    }
+
+    /// Each of the master's four vote barriers on three machines: worker
+    /// 1's vote delivered twice and worker 2's never leaves the round open.
+    #[test]
+    fn a_duplicate_vote_does_not_stand_in_for_a_missing_one() {
+        let rec = RecoveryTracker::new(0, 3, RecoveryMode::Rollback);
+        let coord = |mode, sync_every| Coord::new(MASTER, 3, mode, sync_every);
+        let step = |c: &mut Coord, input| {
+            let mut out = Vec::new();
+            c.step(input, &rec, &mut out);
+            out
+        };
+        let from = |i: u16, msg| Input::Msg(MachineId(i), msg);
+        let idle = Input::Pass { idle: true, drained: true };
+        let twice = |c: &mut Coord, msg| [step(c, from(1, msg)), step(c, from(1, msg))].concat();
+
+        // The quiet round: the master reported, worker 1 twice.
+        let mut c = coord(SnapshotMode::None, None);
+        step(&mut c, idle);
+        step(&mut c, from(1, Msg::Quiet(1)));
+        step(&mut c, from(2, Msg::Quiet(1)));
+        step(&mut c, idle);
+        assert_eq!(c.quiet, Quiet::Done(1));
+        twice(&mut c, Msg::QuietReport(1, true));
+        assert!(matches!(c.round, Round::Quiet { .. }), "{:?}", c.round);
+
+        // The snapshot's `SnapSyncReady`s: no flush marker leaves.
+        let mut c = coord(Synchronous, None);
+        step(&mut c, Input::SnapshotDue(0));
+        step(&mut c, idle);
+        assert_eq!(c.part, Part::Drained(0));
+        let out = twice(&mut c, Msg::SnapSyncReady(0));
+        assert!(!out.contains(&Output::Broadcast(Msg::SnapSyncFlush(0))), "{out:?}");
+        assert_eq!(c.part, Part::Drained(0));
+
+        // Its `SnapDone`s, once every survivor drained and flushed.
+        step(&mut c, from(2, Msg::SnapSyncReady(0)));
+        step(&mut c, from(1, Msg::SnapSyncFlush(0)));
+        step(&mut c, from(2, Msg::SnapSyncFlush(0)));
+        step(&mut c, idle);
+        assert_eq!(c.part, Part::Written(0));
+        let out = twice(&mut c, Msg::SnapDone);
+        assert!(!out.contains(&Output::Broadcast(Msg::SnapResume)), "{out:?}");
+        assert!(matches!(c.round, Round::Snapshot { .. }), "{:?}", c.round);
+
+        // A sync epoch's partials.
+        let mut c = coord(SnapshotMode::None, Some(1));
+        step(&mut c, Input::SyncDue(1));
+        let out = twice(&mut c, Msg::SyncPart(1));
+        assert!(!out.contains(&Output::Finalize(1)), "{out:?}");
+        assert!(c.sync.is_some());
+
+        // The halt's acks.
+        let mut c = coord(SnapshotMode::None, None);
+        step(&mut c, Input::Stop);
+        let out = twice(&mut c, Msg::HaltAck);
+        assert!(!out.contains(&Output::Halt), "{out:?}");
     }
 
     #[test]

@@ -715,7 +715,7 @@ where
             }
             chain.next += 1;
         }
-        self.complete_hop(r);
+        self.finish_hop(r);
     }
 
     /// Resumes a chain whose parked lock was just granted by
@@ -728,7 +728,7 @@ where
 
     /// All local locks of chain `r` granted: send fresh scope data to the
     /// requester and forward the chain.
-    fn complete_hop(&mut self, r: SlotRef) {
+    fn finish_hop(&mut self, r: SlotRef) {
         let me = self.core.me();
         let chain = self.chains.get(r);
         let (requester, reqid, center, model) =

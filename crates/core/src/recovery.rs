@@ -113,40 +113,23 @@ pub(crate) fn unrecoverable_down(d: &DownMsg) -> String {
     )
 }
 
-pub(crate) use tally::{Markers, Tally};
+pub(crate) use markers::Markers;
 
-/// In a module of its own so that nothing — this file included — can read
-/// the count: a quorum is asked for, never computed.
-mod tally {
+/// In a module of its own so that nothing — this file included — reads a
+/// machine's round but `next` and `holds`: a quorum is asked for, never
+/// computed.
+mod markers {
     use graphlab_graph::MachineId;
 
-    /// The locking master's votes (`coord.rs`: quiet reports, snapshot
-    /// DONEs, sync partials, halt acks). Dead machines never vote, so the
-    /// one question a tally answers is [`RecoveryTracker::complete`] — as
-    /// many votes as survivors; it compares with nothing else, the static
-    /// machine count least of all.
-    ///
-    /// [`RecoveryTracker::complete`]: super::RecoveryTracker::complete
-    #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-    pub(crate) struct Tally(usize);
-
-    impl Tally {
-        /// A tally that starts with the collecting machine's own vote.
-        pub(crate) fn with_own_vote() -> Self {
-            Tally(1)
-        }
-
-        pub(crate) fn vote(&mut self) {
-            self.0 += 1;
-        }
-    }
-
-    /// The FIFO marker barriers' record — the chromatic engine's flush
-    /// rounds and cycle-end votes, the locking engine's synchronous
-    /// snapshot, recovery's fault eras, the quiet round: per machine, the
-    /// highest round whose marker arrived from it. A marker follows
-    /// everything its sender sent before it on the channel, so the one
-    /// question is [`RecoveryTracker::holds`]: has every survivor's marker of a round arrived?
+    /// Every barrier's record — the chromatic engine's flush rounds and
+    /// cycle-end votes, the locking engine's synchronous snapshot and
+    /// quiet round, the locking master's votes (quiet reports, snapshot
+    /// votes, sync partials, halt acks), recovery's fault eras: per
+    /// machine, the highest round it answered. A marker follows everything
+    /// its sender sent before it on the channel, so the one question is
+    /// [`RecoveryTracker::holds`]: has every survivor answered a round? A
+    /// duplicate answer stands in for no missing one, and the static
+    /// machine count is never asked.
     ///
     /// [`RecoveryTracker::holds`]: super::RecoveryTracker::holds
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -171,14 +154,10 @@ mod tally {
     }
 
     impl<W, G> super::RecoveryTracker<W, G> {
-        /// Whether every machine still alive has voted.
-        pub(crate) fn complete(&self, votes: &Tally) -> bool {
-            votes.0 >= self.survivors()
-        }
-
-        /// Whether every surviving peer's marker of `round`, or of a later
-        /// one, has arrived. A machine needs no marker from itself, and the
-        /// dead owe none: the fabric drops their in-flight traffic.
+        /// Whether every surviving peer's answer to `round`, or to a later
+        /// one, has arrived. A machine needs no answer from itself (it
+        /// reads its own from its own state), and the dead owe none: the
+        /// fabric drops their in-flight traffic.
         pub(crate) fn holds(&self, marks: &Markers, round: u64) -> bool {
             self.all_survivors(|j| j == self.me || marks.0[j] >= Some(round))
         }
@@ -388,14 +367,9 @@ impl<W, G> RecoveryTracker<W, G> {
         kind.wire()
     }
 
-    /// Number of machines still alive. Private: a barrier asks
-    /// [`Self::complete`], [`Self::all_survivors`] or [`Self::peers`].
-    fn survivors(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-
     /// Every surviving machine but this one, ascending: whom a broadcast
-    /// reaches and who owes this machine a reply.
+    /// reaches. A barrier does not count them: it asks [`Self::holds`] or
+    /// [`Self::all_survivors`].
     pub(crate) fn peers(&self) -> impl Iterator<Item = MachineId> + '_ {
         (0..self.dead.len()).filter(|&j| j != self.me && !self.dead[j]).map(MachineId::from)
     }
@@ -1001,7 +975,7 @@ mod tests {
     fn dead_machines_drop_out_of_every_barrier() {
         let mut t = Bare::new(0, 4, RecoveryMode::Adopt);
         msg(&mut t, 2, down_of(2, false, 1));
-        assert_eq!((t.dead.as_slice(), t.survivors()), ([false, false, true, false].as_slice(), 3));
+        assert_eq!((t.dead.as_slice(), t.peers().count()), ([false, false, true, false].as_slice(), 2));
         assert!(msg(&mut t, 1, Msg::Ready(1)).iter().all(|o| !matches!(o, Output::Decide { .. })));
         let dead = Some(vec![false, false, true, false]);
         let out = msg(&mut t, 3, Msg::Ready(1));
@@ -1196,7 +1170,7 @@ mod tests {
     fn drained_for_adoption() -> (FakeHost, Endpoint, AdoptPlanMsg, VertexId) {
         let (mut h, ep0, _ep2) = cluster(RecoveryMode::Adopt, None);
         assert_eq!(feed(&mut h, down(2, false, 1)), Step::Continue);
-        assert_eq!((h.core.rec.phase(), h.core.rec.survivors()), (RecoveryPhase::Drain, 2));
+        assert_eq!((h.core.rec.phase(), h.core.rec.peers().count()), (RecoveryPhase::Drain, 1));
         let dead = [false, false, true];
         let plan = pick_adoption(&h.core.setup, 1, &dead);
         let init = load_machine_part(&h.core.setup.dfs, &h.core.setup.index, &plan.placement, MachineId(1)).unwrap();
@@ -1334,7 +1308,7 @@ mod tests {
         let mine = h.core.setup.placement.atoms_of(MachineId(1));
         write_snapshot_atoms(&h.core.setup.dfs, "ckpt", 4, file, &h.core.lg, &mine);
         feed(&mut h, down(2, true, 2));
-        assert_eq!((h.core.rec.phase(), h.core.rec.survivors()), (RecoveryPhase::Drain, 3));
+        assert_eq!((h.core.rec.phase(), h.core.rec.peers().count()), (RecoveryPhase::Drain, 2));
         assert_eq!(inbox(&ep0), [(RecoveryKind::Ready, 2)]);
         assert_stale_is_inert(&mut h, [&ep0, &ep2], 1);
         // The current era's order goes through...
@@ -1396,7 +1370,7 @@ mod tests {
         assert_eq!(on_recv(&mut h, Err(RecvError::MachineDown)), Step::Exit);
         assert_eq!((h.core.rec.phase(), h.resets), (RecoveryPhase::Dead, 1));
         assert_eq!(feed(&mut h, down(2, false, 2)), Step::Continue, "the dead hear nothing");
-        assert_eq!(h.core.rec.survivors(), 3);
+        assert_eq!(h.core.rec.peers().count(), 2);
 
         let (mut h, ..) = cluster(RecoveryMode::Rollback, kill());
         let d = DownMsg { machine: 1, restart: false, era: 1 };

@@ -459,21 +459,17 @@ fn kill_mid_run_recovers_all_four_cells() {
     let pr = PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true };
     let oracle = exact_pagerank(&base, 0.15, 200);
 
-    // Kill points sit comfortably after the first checkpoint completes
-    // (snapshots every 400 updates) and before the run winds down:
-    // fault-free totals are ~8.7k envelopes (locking/sync), ~31k
-    // (locking/async, Alg. 5 traffic included) and ~1.9k (chromatic).
-    for (engine, mode, kill_at) in [
-        (EngineKind::Locking, SnapshotMode::Synchronous, 4_000u64),
-        (EngineKind::Locking, SnapshotMode::Asynchronous, 12_000),
-        (EngineKind::Chromatic, SnapshotMode::Synchronous, 1_000),
-        (EngineKind::Chromatic, SnapshotMode::Asynchronous, 1_000),
+    for (engine, mode) in [
+        (EngineKind::Locking, SnapshotMode::Synchronous),
+        (EngineKind::Locking, SnapshotMode::Asynchronous),
+        (EngineKind::Chromatic, SnapshotMode::Synchronous),
+        (EngineKind::Chromatic, SnapshotMode::Asynchronous),
     ] {
         let snapshot = SnapshotConfig { mode, every_updates: 400, max_snapshots: 64 };
 
         let mut undisturbed = base.clone();
         init_ranks(&mut undisturbed);
-        GraphLab::on(&mut undisturbed)
+        let clean = GraphLab::on(&mut undisturbed)
             .engine(engine)
             .machines(4)
             .latency(LatencyModel::ec2_like())
@@ -481,6 +477,11 @@ fn kill_mid_run_recovers_all_four_cells() {
             .run(pr.clone());
         let base_ranks: Vec<f64> =
             undisturbed.vertices().map(|v| *undisturbed.vertex_data(v)).collect();
+        // 2/5 into the undisturbed run's traffic, as `repro abl-recovery`
+        // kills: after the first checkpoint (every 400 updates), before the
+        // run winds down. Every envelope sent to a peer is one delivery on
+        // the `Deliveries` clock.
+        let kill_at = clean.metrics.total_messages * 2 / 5;
 
         let mut killed = base.clone();
         init_ranks(&mut killed);
