@@ -9,6 +9,16 @@
 //!
 //! and, when *dynamic*, schedules out-neighbours only if the rank moved by
 //! more than `ε` — the adaptive pull model Pregel cannot express (§3.2).
+//!
+//! Under a priority scheduler an out-neighbour `t` of `v` is scheduled with
+//! priority `(1 − α)·w_{v,t}·|ΔR(v)| / R(t)`: the relative change this one
+//! contribution makes to `t`'s rank, the residual at the target rather than
+//! at the source. An absolute `|ΔR(v)|` ranks every task by the size of
+//! its source, so high-rank hubs, whose scopes are the largest, are
+//! re-popped again and again while their relative changes are already
+//! small; on `web_graph(12 000, 4, ·)` at ε = 1e-9 that took ~40 % more
+//! updates than FIFO, where the relative priority takes ~25 % fewer
+//! (`repro -- abl-priority`).
 
 use graphlab_core::{Aggregate, GlobalHandle, SyncScope, UpdateContext, UpdateFunction};
 use graphlab_graph::{DataGraph, EdgeDir};
@@ -34,6 +44,12 @@ impl Default for PageRank {
 }
 
 impl UpdateFunction<f64, f64> for PageRank {
+    /// Recomputes `R(v)` from its in-neighbours. If the rank moved by more
+    /// than `ε`, schedules every out-neighbour `t`, with priority
+    /// `(1 − α)·w_{v,t}·|ΔR(v)| / R(t)` when the engine pops by priority
+    /// ([`UpdateContext::prioritized`]; `R(t)` is floored at
+    /// `f64::MIN_POSITIVE`, so a zero rank gives no infinity or NaN), and
+    /// with `|ΔR(v)|`, which costs no read, where the priority is ignored.
     fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
         let n = ctx.num_vertices() as f64;
         let mut rank = self.alpha / n;
@@ -45,9 +61,21 @@ impl UpdateFunction<f64, f64> for PageRank {
         let old = *ctx.vertex_data();
         *ctx.vertex_data_mut() = rank;
         let delta = (rank - old).abs();
-        if self.dynamic && delta > self.epsilon {
-            // Out-neighbours depend on R(v): schedule them with the size of
-            // the change as priority (residual scheduling).
+        if !(self.dynamic && delta > self.epsilon) {
+            return;
+        }
+        // Out-neighbours depend on R(v): schedule them. Asked once, not per
+        // neighbour: the chromatic engine and FIFO ignore the priority, and
+        // computing it reads every neighbour's rank.
+        if ctx.prioritized() {
+            let moved = (1.0 - self.alpha) * delta;
+            for i in 0..ctx.num_neighbors() {
+                if ctx.nbr_dir(i) == EdgeDir::Out {
+                    let target = ctx.nbr_data(i).max(f64::MIN_POSITIVE);
+                    ctx.schedule_nbr(i, moved * ctx.edge_data(i) / target);
+                }
+            }
+        } else {
             for i in 0..ctx.num_neighbors() {
                 if ctx.nbr_dir(i) == EdgeDir::Out {
                     ctx.schedule_nbr(i, delta);
@@ -139,8 +167,12 @@ pub fn init_ranks(graph: &mut DataGraph<f64, f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphlab_core::{GraphLab, SyncCadence};
-    use graphlab_graph::{GraphBuilder, VertexId};
+    use graphlab_core::{
+        EngineKind, GlobalRegistry, GraphLab, LocalGraph, SchedulerKind, SyncCadence,
+        UpdateEffects,
+    };
+    use graphlab_graph::{ConsistencyModel, GraphBuilder, VertexId};
+    use graphlab_workloads::web_graph;
 
     /// Small web graph with out-weight normalisation.
     fn web() -> DataGraph<f64, f64> {
@@ -239,5 +271,94 @@ mod tests {
             .run(PageRank { alpha: 0.15, epsilon: -1.0, dynamic: true });
         assert!(out.metrics.updates < 200 * 5, "halted at {}", out.metrics.updates);
         assert!(*out.globals.get(PAGERANK_RESIDUAL).unwrap() < 1e-9);
+    }
+
+    /// Runs `a`'s update on a three-vertex graph `a → b`, `a → c` with
+    /// `R(b) = 0.5`, `R(c) = 0` and returns the priorities it scheduled.
+    fn priorities_from_a(prioritized: bool) -> Vec<(u32, f64)> {
+        let mut b = GraphBuilder::new();
+        let a = b.add_vertex(0.2);
+        let (hi, zero) = (b.add_vertex(0.5), b.add_vertex(0.0));
+        b.add_edge(a, hi, 1.0).unwrap();
+        b.add_edge(a, zero, 1.0).unwrap();
+        let g = b.build();
+        let mut lg = LocalGraph::single_machine(&g, None);
+        let (globals, mut fx) = (GlobalRegistry::new(), UpdateEffects::default());
+        let l = lg.local_vertex(a).unwrap();
+        let mut ctx =
+            UpdateContext::new(&mut lg, l, ConsistencyModel::Edge, prioritized, &globals, &mut fx);
+        PageRank::default().update(&mut ctx);
+        fx.scheduled.sort_by_key(|&(v, _)| v);
+        fx.scheduled
+    }
+
+    #[test]
+    fn priority_is_the_relative_change_at_the_target() {
+        // R(a): 0.2 → α/3 = 0.05, so |ΔR(a)| = 0.15.
+        let delta: f64 = 0.2 - 0.15 / 3.0;
+        let got = priorities_from_a(true);
+        assert_eq!(got.len(), 2);
+        let expect = 0.85 * delta / 0.5;
+        assert!((got[0].1 - expect).abs() < 1e-12, "{got:?}");
+        // A zero rank at the target gives a huge priority, never inf or NaN.
+        assert!(got[1].1.is_finite() && got[1].1 > got[0].1, "{got:?}");
+        // Where priorities are not popped, the source's change is passed.
+        let plain = priorities_from_a(false);
+        assert!(plain.iter().all(|&(_, p)| (p - delta).abs() < 1e-12), "{plain:?}");
+    }
+
+    /// Updates to ε = 1e-9 of `engine` under `kind` on `web_graph(3 000, 4,
+    /// seed)`, and the result's L1 distance to power iteration.
+    fn updates_to_fixpoint(engine: EngineKind, kind: SchedulerKind, seed: u64) -> (u64, f64) {
+        let mut g = web_graph(3_000, 4, seed);
+        let oracle = exact_pagerank(&g, 0.15, 150);
+        init_ranks(&mut g);
+        let out = GraphLab::on(&mut g)
+            .engine(engine)
+            .machines(2)
+            .scheduler(kind)
+            .run(PageRank { alpha: 0.15, epsilon: 1e-9, dynamic: true });
+        let got: Vec<f64> = g.vertices().map(|v| *g.vertex_data(v)).collect();
+        (out.metrics.updates, l1_error(&got, &oracle))
+    }
+
+    /// `glbench`'s L1 bound on a converged PageRank at ε = 1e-9.
+    const L1_BOUND: f64 = 2e-5;
+
+    #[test]
+    fn priority_needs_far_fewer_updates_than_fifo_on_the_sequential_engine() {
+        let (mut prio, mut fifo) = (0, 0);
+        for seed in 1..=4 {
+            let arms = [(SchedulerKind::Priority, &mut prio), (SchedulerKind::Fifo, &mut fifo)];
+            for (kind, total) in arms {
+                let (updates, l1) = updates_to_fixpoint(EngineKind::Sequential, kind, seed);
+                assert!(l1 < L1_BOUND, "{kind:?}, seed {seed}: L1 {l1}");
+                *total += updates;
+            }
+        }
+        assert!(prio as f64 <= 0.85 * fifo as f64, "priority {prio}, FIFO {fifo}");
+    }
+
+    /// The locking engine's count follows the threads' interleaving: a
+    /// single run under priority has come out above a FIFO one when other
+    /// tests loaded the CPUs, so each graph compares the median of three.
+    #[test]
+    fn priority_needs_fewer_updates_than_fifo_on_the_locking_engine() {
+        let median_of_three = |kind, seed| {
+            let mut runs: Vec<u64> = (0..3)
+                .map(|_| {
+                    let (updates, l1) = updates_to_fixpoint(EngineKind::Locking, kind, seed);
+                    assert!(l1 < L1_BOUND, "{kind:?}, seed {seed}: L1 {l1}");
+                    updates
+                })
+                .collect();
+            runs.sort_unstable();
+            runs[1]
+        };
+        for seed in 1..=4 {
+            let prio = median_of_three(SchedulerKind::Priority, seed);
+            let fifo = median_of_three(SchedulerKind::Fifo, seed);
+            assert!(prio < fifo, "seed {seed}: priority {prio}, FIFO {fifo}");
+        }
     }
 }

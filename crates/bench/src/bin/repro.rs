@@ -1364,7 +1364,7 @@ fn abl_priority() {
     banner(
         "abl-priority",
         "ablation: residual priority vs FIFO scheduling (DESIGN.md D9)",
-        "priority scheduling converges LBP with fewer updates",
+        "priority scheduling converges LBP and PageRank with fewer updates",
     );
     let (base, _) = webspam_mrf(3_000, 4, 0.3, 0.2, 5);
     let mut t = Table::new(&["scheduler", "updates to eps=1e-5", "final residual"]);
@@ -1379,6 +1379,69 @@ fn abl_priority() {
             name.into(),
             format!("{}", m.metrics.updates),
             format!("{:.2e}", total_residual(&g, &p)),
+        ]);
+    }
+    t.print();
+
+    // PageRank on `glbench`'s `pr-locking` input (12 000 vertices, ε = 1e-9)
+    // over ten graph seeds: a task's priority is the relative change its
+    // scheduling contribution makes to the target's rank.
+    println!("  PageRank, web_graph(12 000, 4, seed), seeds 1..=10:");
+    let arms = [
+        ("sequential", EngineKind::Sequential, "priority", SchedulerKind::Priority),
+        ("sequential", EngineKind::Sequential, "FIFO", SchedulerKind::Fifo),
+        ("locking, 2 machines", EngineKind::Locking, "priority", SchedulerKind::Priority),
+        ("locking, 2 machines", EngineKind::Locking, "FIFO", SchedulerKind::Fifo),
+    ];
+    // Per arm: updates per seed, lock acquires, runtime, worst L1.
+    let mut runs = vec![(Vec::new(), 0u64, Duration::ZERO, 0f64); arms.len()];
+    for seed in 1..=10 {
+        let mut base = web_graph(12_000, 4, seed);
+        let oracle = exact_pagerank(&base, 0.15, 150);
+        init_ranks(&mut base);
+        for (run, &(_, engine, _, kind)) in runs.iter_mut().zip(&arms) {
+            let mut g = base.clone();
+            let m = GraphLab::on(&mut g)
+                .engine(engine)
+                .machines(2)
+                .scheduler(kind)
+                .seed(42)
+                .run(PageRank { alpha: 0.15, epsilon: 1e-9, dynamic: true })
+                .metrics;
+            let ranks: Vec<f64> = g.vertices().map(|v| *g.vertex_data(v)).collect();
+            run.0.push(m.updates);
+            run.1 += m.hot.lock_acquires;
+            run.2 += m.runtime;
+            run.3 = run.3.max(l1_error(&ranks, &oracle));
+        }
+    }
+    let mut t = Table::new(&[
+        "engine", "scheduler", "updates to eps=1e-9", "min..max per graph", "lock acquires/update",
+        "runtime", "max L1 vs oracle",
+    ]);
+    for ((engine, _, name, _), (updates, acquires, runtime, l1)) in arms.iter().zip(&runs) {
+        let total: u64 = updates.iter().sum();
+        t.row(vec![
+            (*engine).into(),
+            (*name).into(),
+            format!("{total}"),
+            format!("{}..{}", updates.iter().min().unwrap(), updates.iter().max().unwrap()),
+            if *acquires > 0 { format!("{:.1}", *acquires as f64 / total as f64) } else { "-".into() },
+            format!("{runtime:.2?}"),
+            format!("{l1:.1e}"),
+        ]);
+    }
+    t.print();
+    // ROADMAP 9(a)'s target: locking within 15 % of sequential per graph.
+    let mut t = Table::new(&["scheduler", "locking / sequential updates", "graphs within 1.15x"]);
+    for arm in [2, 3] {
+        let ratios: Vec<f64> =
+            runs[arm].0.iter().zip(&runs[arm - 2].0).map(|(&l, &s)| l as f64 / s as f64).collect();
+        let (lo, hi) = ratios.iter().fold((f64::MAX, 0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+        t.row(vec![
+            arms[arm].2.into(),
+            format!("{lo:.2}..{hi:.2}"),
+            format!("{} of {}", ratios.iter().filter(|&&r| r <= 1.15).count(), ratios.len()),
         ]);
     }
     t.print();

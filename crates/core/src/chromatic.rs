@@ -338,7 +338,8 @@ where
             self.queued[l as usize] = false;
         }
         for &l in &batch {
-            self.core.execute(&*self.update, l);
+            // Colour steps ignore priorities.
+            self.core.execute(&*self.update, l, false);
             self.commit(l);
             // Respect the global update cap: stop executing this step.
             if self.core.capped(self.core.live_updates()) {

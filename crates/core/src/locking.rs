@@ -62,7 +62,9 @@
 //! Termination, both snapshot modes (§4.3), sync epochs and the halt are
 //! `crate::coord`'s decisions, fed each control message, pass and trigger;
 //! this engine applies them to its data — Alg. 5's `AsyncPart` and colour
-//! among them.
+//! among them. An asynchronous snapshot queues every owned vertex at its
+//! start, so the snapshot update schedules nothing (`AsyncPart` says why
+//! that is Alg. 5's neighbour scheduling).
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -83,13 +85,9 @@ use crate::machine::Machine;
 use crate::messages::*;
 use crate::metrics::HotCounters;
 use crate::recovery::{self, RecoveryHost, RecoveryPhase};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
-
-/// Priority marking a schedule request as a snapshot task (Alg. 5:
-/// "the Snapshot Update is prioritized over other update functions").
-pub const SNAPSHOT_PRIORITY: f64 = f64::INFINITY;
 
 /// Receive deadline while the machine is in a recovery phase: recovery
 /// stall detection is timer-based, so the loop must tick.
@@ -114,9 +112,16 @@ const STRAGGLER_POLL: Duration = Duration::from_millis(2);
 type ChainKey = (u16, u64);
 
 /// This machine's asynchronous part of a snapshot in flight (Alg. 5): owned
-/// vertices to snapshot (all of them, then the ones neighbours schedule)
-/// and how many owned vertices are still unmarked. The rows saved so far
-/// are in `Machine::ckpt`.
+/// vertices to snapshot and how many owned vertices are still unmarked. The
+/// rows saved so far are in `Machine::ckpt`.
+///
+/// The queue holds every owned vertex from the start, and snapshot tasks
+/// pop before application tasks. That subsumes Alg. 5's scheduling of a
+/// snapshotted vertex's unmarked neighbours: such a task would either
+/// duplicate one already queued here, or reach a machine whose part has not
+/// started and be dropped. The cut's consistency does not rest on that
+/// order: it rests on the snapshot update running under edge consistency
+/// and on the mark travelling with the vertex's row.
 struct AsyncPart {
     queue: VecDeque<u32>,
     remaining: usize,
@@ -833,7 +838,8 @@ where
 
     fn execute_update(&mut self, out: SlotRef) {
         let center = self.outs.get(out).center;
-        self.core.execute(&*self.update, center);
+        let prioritized = self.scheduler.kind() == SchedulerKind::Priority;
+        self.core.execute(&*self.update, center, prioritized);
         if trace_on() {
             let nbrs: Vec<(u32, u64)> = self
                 .core
@@ -852,18 +858,10 @@ where
         self.commit_and_release(out);
     }
 
-    /// Enqueues a task for a vertex this machine owns: a snapshot task
-    /// (Alg. 5) to the asynchronous part's queue unless the vertex is
-    /// already marked, an application task to the scheduler.
-    fn schedule_owned(&mut self, lv: u32, prio: f64, is_snapshot: bool) {
+    /// Enqueues an application task for a vertex this machine owns.
+    fn schedule_owned(&mut self, lv: u32, prio: f64) {
         debug_assert!(self.core.lg.owns_vertex(lv));
-        if is_snapshot {
-            if let Some(AsyncPart { queue, .. }) = &mut self.snap {
-                if self.snap_epoch[lv as usize] != self.current_snap {
-                    queue.push_back(lv);
-                }
-            }
-        } else if !self.cap_reached {
+        if !self.cap_reached {
             let fresh = self.scheduler.add(lv, prio);
             tr!("[m{}] SCHED v{} fresh={}", self.core.me().0, self.core.lg.vertex_gvid(lv).0, fresh);
         }
@@ -874,7 +872,6 @@ where
         let mut effects = std::mem::take(&mut self.core.effects);
         let scope = self.outs.get(out);
         let (reqid, center, model, chain) = (scope.reqid, scope.center, scope.model, scope.chain);
-        let is_snapshot = scope.is_snapshot;
         if scope.remote_needed > 0 {
             self.out_index.remove(&reqid);
         }
@@ -914,12 +911,8 @@ where
         for &(lv, prio) in &effects.scheduled {
             let owner = self.core.lg.vertex_owner(lv);
             if owner == me {
-                self.schedule_owned(lv, prio, is_snapshot);
+                self.schedule_owned(lv, prio);
             } else {
-                // Infinity is the snapshot-task sentinel on the wire: an
-                // application task that hot travels as the largest finite
-                // priority (SSSP schedules unreached neighbours with +inf).
-                let prio = if is_snapshot { SNAPSHOT_PRIORITY } else { prio.min(f64::MAX) };
                 self.outbox[owner.index()].sched.push((self.core.lg.vertex_gvid(lv), prio));
             }
         }
@@ -1019,15 +1012,13 @@ where
                 unreachable!("an unmarked snapshot task outside an asynchronous part")
             };
             let core = &mut self.core;
-            // Save D_v.
+            // Save D_v and the edges to not-yet-snapshotted neighbours.
+            // Alg. 5 also schedules those neighbours; their owners' queues
+            // already hold them (see `AsyncPart`).
             core.ckpt.save_vertex(&core.lg, center);
-            // Save edges to not-yet-snapshotted neighbours; schedule them
-            // (commit routes owned ones to the snapshot queue, the rest to
-            // their owners).
             for e in core.lg.adj(center) {
                 if self.snap_epoch[e.nbr as usize] != snap {
                     core.ckpt.save_edge(&core.lg, e.edge);
-                    core.effects.scheduled.push((e.nbr, SNAPSHOT_PRIORITY));
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
@@ -1151,7 +1142,7 @@ where
             LockKind::Sched => read_all(&env.payload, |p| {
                 ScheduleMsg::read(p, |gv, prio| {
                     if let Some(lv) = self.core.lg.local_vertex(gv) {
-                        self.schedule_owned(lv, prio, prio == SNAPSHOT_PRIORITY);
+                        self.schedule_owned(lv, prio);
                     }
                 })
             }),

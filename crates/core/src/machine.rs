@@ -150,13 +150,21 @@ impl<V, E> Machine<V, E> {
     }
 
     /// Runs `update` on owned vertex `l` and books it; what it asked for is
-    /// in `effects` for the engine to commit.
-    pub fn execute<U: UpdateFunction<V, E> + ?Sized>(&mut self, update: &U, l: u32) {
+    /// in `effects` for the engine to commit. `prioritized` says whether
+    /// the engine pops the tasks it schedules by priority
+    /// ([`UpdateContext::prioritized`]).
+    pub fn execute<U: UpdateFunction<V, E> + ?Sized>(
+        &mut self,
+        update: &U,
+        l: u32,
+        prioritized: bool,
+    ) {
         self.effects.clear();
         let mut ctx = UpdateContext::new(
             &mut self.lg,
             l,
             self.setup.config.consistency,
+            prioritized,
             &self.globals,
             &mut self.effects,
         );

