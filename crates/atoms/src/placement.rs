@@ -307,9 +307,17 @@ impl Codec for Placement {
         raw.encode(buf);
         (self.num_machines as u32).encode(buf);
     }
+    /// `None` unless the machine count is one a `MachineId` can name (1 to
+    /// `u16::MAX + 1`) and every atom's machine is below it: `loads` and
+    /// `adopt` index and size by what a peer sent.
     fn decode(buf: &mut Bytes) -> Option<Self> {
         let raw = Vec::<u16>::decode(buf)?;
         let num_machines = u32::decode(buf)? as usize;
+        if !(1..=u16::MAX as usize + 1).contains(&num_machines)
+            || raw.iter().any(|&m| m as usize >= num_machines)
+        {
+            return None;
+        }
         Some(Placement { machine_of: raw.into_iter().map(MachineId).collect(), num_machines })
     }
 }

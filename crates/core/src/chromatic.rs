@@ -36,6 +36,9 @@
 //! a partial in when it arrives, which may be during the last flush round.
 //! Every wait (flush round, cycle end, checkpoint) is one receive loop,
 //! `wait`, on what `handle_msg`, the one decode site, recorded.
+//!
+//! A crash loses `Volatile`, which `reset_engine_state` replaces whole; it
+//! keeps the `Machine`, the colour count and the run's `steps_total`.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -113,8 +116,19 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// The machine under the engine: everything the locking engine has too.
     core: Machine<V, E>,
     update: Arc<U>,
+    /// The colouring's, which a crash keeps.
     num_colors: u32,
+    /// What a crash loses, replaced whole by `reset_engine_state`.
+    vol: Volatile,
+    /// Colour-steps executed across the whole run (unlike `vol.step`, never
+    /// reset by a rollback — the metrics source).
+    steps_total: u64,
+}
 
+/// The BSP machinery's state: everything a crash, a rollback or an
+/// adoption loses. One constructor builds it at the start and on every
+/// reset, so no pre-crash row, task, marker, vote or count can outlive one.
+struct Volatile {
     // Task queues, one per colour; `queued` dedups, per local vertex: an
     // owned one is in its colour's queue, a ghost in this step's
     // `remote_tasks`.
@@ -151,10 +165,29 @@ pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
     /// writer per colour-step, so no two rows of a step carry the same
     /// datum, and every row of a step is applied before the next begins.
     blocks: Vec<[Block; RowKind::ALL.len()]>,
+}
 
-    /// Colour-steps executed across the whole run (unlike `step`, never
-    /// reset by a rollback — the metrics source).
-    steps_total: u64,
+impl Volatile {
+    /// Empty queues, sets and blocks at step 0, cycle 0, sized by `core`'s
+    /// local graph and machine count.
+    fn new<V, E>(core: &Machine<V, E>, num_colors: u32) -> Self {
+        let (m, nv) = (core.slots(), core.lg.num_local_vertices());
+        Volatile {
+            queues: (0..num_colors).map(|_| VecDeque::new()).collect(),
+            queued: vec![false; nv],
+            pending_total: 0,
+            remote_tasks: vec![Vec::new(); m],
+            step: 0,
+            marks: Markers::new(m),
+            cycle: 0,
+            accs: Vec::new(),
+            pend: 0,
+            votes: Markers::new(m),
+            verdict: None,
+            resumed: false,
+            blocks: (0..m).map(|_| Default::default()).collect(),
+        }
+    }
 }
 
 impl<V, E, U> ChromaticMachine<V, E, U>
@@ -172,34 +205,15 @@ where
         let coloring = setup.coloring.as_ref().expect("the chromatic engine runs on a colouring");
         let num_colors = coloring.num_colors().max(1);
         let core = Machine::new(ep, setup, init);
-        let (m, nv) = (core.slots(), core.lg.num_local_vertices());
-        ChromaticMachine {
-            queues: (0..num_colors).map(|_| VecDeque::new()).collect(),
-            queued: vec![false; nv],
-            pending_total: 0,
-            remote_tasks: vec![Vec::new(); m],
-            step: 0,
-            marks: Markers::new(m),
-            cycle: 0,
-            accs: Vec::new(),
-            pend: 0,
-            votes: Markers::new(m),
-            verdict: None,
-            resumed: false,
-            blocks: (0..m).map(|_| Default::default()).collect(),
-            steps_total: 0,
-            num_colors,
-            core,
-            update,
-        }
+        ChromaticMachine { vol: Volatile::new(&core, num_colors), steps_total: 0, num_colors, core, update }
     }
 
     fn enqueue_local(&mut self, l: u32) {
-        if !self.queued[l as usize] {
-            self.queued[l as usize] = true;
+        if !self.vol.queued[l as usize] {
+            self.vol.queued[l as usize] = true;
             let c = self.core.lg.vertex_color(l) as usize;
-            self.queues[c].push_back(l);
-            self.pending_total += 1;
+            self.vol.queues[c].push_back(l);
+            self.vol.pending_total += 1;
         }
     }
 
@@ -235,14 +249,14 @@ where
     /// unwinds with an [`Interrupt`] when a failure (ours or a peer's)
     /// preempts it.
     fn run_cycles(&mut self) -> Result<(), Interrupt> {
-        self.cycle = 0;
+        self.vol.cycle = 0;
         loop {
-            self.accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+            self.vol.accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
             for color in 0..self.num_colors {
                 self.execute_color_step(color);
                 self.flush_round(0)?;
                 self.flush_round(1)?;
-                self.step += 1;
+                self.vol.step += 1;
                 self.steps_total += 1;
                 self.core.maybe_straggle();
             }
@@ -253,7 +267,7 @@ where
             if halt {
                 return Ok(());
             }
-            self.cycle += 1;
+            self.vol.cycle += 1;
         }
     }
 
@@ -267,11 +281,11 @@ where
         tag: (u64, u8),
         put: impl FnOnce(&mut BytesMut, &[u8]),
     ) {
-        let block = &self.blocks[dst.index()][kind as usize];
+        let block = &self.vol.blocks[dst.index()][kind as usize];
         if !block.buf.is_empty() && block.tag != tag {
             self.close_block(dst, kind);
         }
-        let block = &mut self.blocks[dst.index()][kind as usize];
+        let block = &mut self.vol.blocks[dst.index()][kind as usize];
         if block.buf.is_empty() {
             block.tag = tag;
             StepTagged::<()>::put(&mut block.buf, tag.0, tag.1, |_| {});
@@ -284,8 +298,8 @@ where
 
     /// Puts `dst`'s open `kind` block on the wire.
     fn close_block(&mut self, dst: MachineId, kind: RowKind) {
-        let Self { blocks, core, .. } = self;
-        let block = &mut blocks[dst.index()][kind as usize];
+        let Self { vol, core, .. } = self;
+        let block = &mut vol.blocks[dst.index()][kind as usize];
         core.send_with(dst, kind.wire(), |buf| buf.put_slice(&block.buf));
         block.buf.clear();
     }
@@ -315,7 +329,7 @@ where
                 Err(RecvError::Timeout) => Step::Abort(format!(
                     "chromatic engine stalled: machine {} step {} received nothing for {:?}",
                     self.core.me().0,
-                    self.step,
+                    self.vol.step,
                     RECV_TIMEOUT
                 )),
                 got => recovery::on_recv(self, got),
@@ -332,10 +346,10 @@ where
     fn execute_color_step(&mut self, color: u32) {
         // The step executes what its queue held when it began: a vertex
         // that schedules itself meanwhile runs next cycle.
-        let mut batch = std::mem::take(&mut self.queues[color as usize]);
-        self.pending_total -= batch.len() as u64;
+        let mut batch = std::mem::take(&mut self.vol.queues[color as usize]);
+        self.vol.pending_total -= batch.len() as u64;
         for &l in &batch {
-            self.queued[l as usize] = false;
+            self.vol.queued[l as usize] = false;
         }
         for &l in &batch {
             // Colour steps ignore priorities.
@@ -348,11 +362,11 @@ where
         }
         // The drained queue keeps its buffer.
         batch.clear();
-        batch.append(&mut self.queues[color as usize]);
-        self.queues[color as usize] = batch;
+        batch.append(&mut self.vol.queues[color as usize]);
+        self.vol.queues[color as usize] = batch;
 
-        let Self { remote_tasks, queued, core, step, .. } = self;
-        let Machine { lg, rec, net, .. } = core;
+        let (Volatile { remote_tasks, queued, step, .. }, Machine { lg, rec, net, .. }) =
+            (&mut self.vol, &mut self.core);
         for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
             // Ascending local ids are ascending global ids.
             tasks.sort_unstable();
@@ -371,7 +385,7 @@ where
     /// write-backs and schedule forwards.
     fn commit(&mut self, l: u32) {
         let me = self.core.me();
-        let tag = (self.step, 0);
+        let tag = (self.vol.step, 0);
         let mut effects = std::mem::take(&mut self.core.effects);
 
         if effects.dirty_self {
@@ -421,8 +435,8 @@ where
         for &(lv, _) in &effects.scheduled {
             if self.core.lg.owns_vertex(lv) {
                 self.enqueue_local(lv);
-            } else if !std::mem::replace(&mut self.queued[lv as usize], true) {
-                self.remote_tasks[self.core.lg.vertex_owner(lv).index()].push(lv);
+            } else if !std::mem::replace(&mut self.vol.queued[lv as usize], true) {
+                self.vol.remote_tasks[self.core.lg.vertex_owner(lv).index()].push(lv);
             }
         }
 
@@ -449,7 +463,7 @@ where
         if self.core.lg.vertex_mirrors(l).is_empty() {
             return;
         }
-        let (gvid, tag) = (self.encode_vertex(l), (self.step, 0));
+        let (gvid, tag) = (self.encode_vertex(l), (self.vol.step, 0));
         for k in 0..self.core.lg.vertex_mirrors(l).len() {
             let mm = self.core.lg.vertex_mirrors(l)[k];
             self.send_row(mm, RowKind::VData, tag, |buf, data| {
@@ -458,27 +472,27 @@ where
         }
     }
 
-    /// Closes every open block, sends the markers of `(self.step, phase)`
+    /// Closes every open block, sends the markers of `(self.vol.step, phase)`
     /// behind them, then blocks until every surviving peer's marker of the
     /// round arrived — and with it, by per-channel FIFO, all it sent in the
     /// round. Dead machines owe nothing: their atoms were adopted and the
     /// fabric drops their in-flight traffic.
     fn flush_round(&mut self, phase: u8) -> Result<(), Interrupt> {
-        let step = self.step;
+        let step = self.vol.step;
         debug_assert!(
-            self.blocks.iter().flatten().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
+            self.vol.blocks.iter().flatten().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
             "a row outlived the flush marker of its (step, phase)"
         );
         for (dst, kind) in
-            (0..self.blocks.len()).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k)))
+            (0..self.vol.blocks.len()).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k)))
         {
-            if !self.blocks[dst.index()][kind as usize].buf.is_empty() {
+            if !self.vol.blocks[dst.index()][kind as usize].buf.is_empty() {
                 self.close_block(dst, kind);
             }
         }
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         self.core.broadcast(kind, &enc(&step));
-        self.wait(|m| m.core.rec.holds(&m.marks, round((step, phase))).then_some(()))
+        self.wait(|m| m.core.rec.holds(&m.vol.marks, round((step, phase))).then_some(()))
     }
 
     /// Walks the row block in `env` in place, handing `row` each row with
@@ -498,7 +512,7 @@ where
     /// A block or task set tagged `tag` from `src` travels ahead of its
     /// round's marker on the channel.
     fn debug_assert_ahead_of_marker(&self, src: MachineId, tag: (u64, u8)) {
-        debug_assert!(round(tag) >= self.marks.next(src), "machine {} sent {tag:?} behind its marker", src.0);
+        debug_assert!(round(tag) >= self.vol.marks.next(src), "machine {} sent {tag:?} behind its marker", src.0);
     }
 
     /// Handles one engine envelope: the one place its payload is decoded
@@ -560,28 +574,28 @@ where
             }
             ChromKind::FlushA | ChromKind::FlushB => {
                 let r = round((dec(env.payload), (kind == ChromKind::FlushB) as u8));
-                debug_assert_eq!(r, self.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
-                self.marks.note(env.src, r);
+                debug_assert_eq!(r, self.vol.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
+                self.vol.marks.note(env.src, r);
             }
             ChromKind::SyncPart => {
                 debug_assert!(self.core.is_master(), "a sync partial at a worker");
                 let p: SyncPartialMsg = dec(env.payload);
-                assert_eq!(p.cycle, self.cycle, "sync round out of step");
+                assert_eq!(p.cycle, self.vol.cycle, "sync round out of step");
                 self.core.note_peer_updates(env.src, p.updates);
-                combine_partials(&self.core.setup.syncs, &mut self.accs, &p.partials);
-                self.pend += p.pending;
-                self.votes.note(env.src, round((self.cycle, 0)));
+                combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &p.partials);
+                self.vol.pend += p.pending;
+                self.vol.votes.note(env.src, round((self.vol.cycle, 0)));
             }
-            ChromKind::SnapDone => self.votes.note(env.src, round((self.cycle, 1))),
+            ChromKind::SnapDone => self.vol.votes.note(env.src, round((self.vol.cycle, 1))),
             ChromKind::SyncGlob => {
                 debug_assert!(!self.core.is_master(), "a verdict at the master");
                 let g: SyncGlobalsMsg = dec(env.payload);
-                assert_eq!(g.cycle, self.cycle, "sync verdict out of step");
-                self.verdict = Some(g);
+                assert_eq!(g.cycle, self.vol.cycle, "sync verdict out of step");
+                self.vol.verdict = Some(g);
             }
             ChromKind::SnapResume => {
                 debug_assert!(!self.core.is_master(), "a resume at the master");
-                self.resumed = true;
+                self.vol.resumed = true;
             }
         }
     }
@@ -590,31 +604,31 @@ where
     /// once it holds every survivor's partial. Returns `(halt, snapshot_id)`.
     fn cycle_end_round(&mut self) -> Result<(bool, Option<u64>), Interrupt> {
         let mine = SyncPartialMsg {
-            cycle: self.cycle,
+            cycle: self.vol.cycle,
             partials: local_partials(&self.core.setup.syncs, &self.core.lg),
-            pending: self.pending_total,
+            pending: self.vol.pending_total,
             updates: self.core.updates_local,
         };
         if !self.core.is_master() {
             self.core.send(MachineId(0), ChromKind::SyncPart, enc(&mine));
             // Faster peers may already be executing the next cycle's first
             // colour-step: `wait` absorbs their (step-tagged) traffic.
-            let g = self.wait(|m| m.verdict.take())?;
+            let g = self.wait(|m| m.vol.verdict.take())?;
             apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
             return Ok((g.halt, g.snapshot));
         }
-        combine_partials(&self.core.setup.syncs, &mut self.accs, &mine.partials);
-        self.pend += mine.pending;
-        self.wait(|m| m.core.rec.holds(&m.votes, round((m.cycle, 0))).then_some(()))?;
-        let (accs, total) = (std::mem::take(&mut self.accs), self.core.lg.total_vertices());
+        combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &mine.partials);
+        self.vol.pend += mine.pending;
+        self.wait(|m| m.core.rec.holds(&m.vol.votes, round((m.vol.cycle, 0))).then_some(()))?;
+        let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
         let globals = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
         // Aggregate-driven termination (§3.5): the stop predicate runs
         // over the just-finalized globals, composing with the cap and
         // the natural no-pending-work halt.
-        let (stop_hit, pend) = (self.core.stop_hit(), std::mem::take(&mut self.pend));
+        let (stop_hit, pend) = (self.core.stop_hit(), std::mem::take(&mut self.vol.pend));
         let halt = pend == 0 || self.core.capped(self.core.observed_updates()) || stop_hit;
         let snapshot = if halt { None } else { self.core.snapshot_due() };
-        let verdict = SyncGlobalsMsg { cycle: self.cycle, globals, halt, snapshot };
+        let verdict = SyncGlobalsMsg { cycle: self.vol.cycle, globals, halt, snapshot };
         self.core.broadcast(ChromKind::SyncGlob, &enc(&verdict));
         Ok((halt, snapshot))
     }
@@ -624,12 +638,12 @@ where
     fn write_snapshot(&mut self, snap: u64) -> Result<(), Interrupt> {
         self.core.capture_checkpoint(snap);
         if self.core.is_master() {
-            self.wait(|m| m.core.rec.holds(&m.votes, round((m.cycle, 1))).then_some(()))?;
+            self.wait(|m| m.core.rec.holds(&m.vol.votes, round((m.vol.cycle, 1))).then_some(()))?;
             self.core.broadcast(ChromKind::SnapResume, &Bytes::new());
         } else {
             self.core.send(MachineId(0), ChromKind::SnapDone, Bytes::new());
             // Resumed peers may already be racing ahead.
-            self.wait(|m| std::mem::take(&mut m.resumed).then_some(()))?;
+            self.wait(|m| std::mem::take(&mut m.vol.resumed).then_some(()))?;
         }
         Ok(())
     }
@@ -648,24 +662,8 @@ where
         &mut self.core
     }
 
-    /// Resets all volatile BSP state — colour queues, collected tasks, open
-    /// blocks, step, cycle and marker counts, the cycle end's accumulators,
-    /// votes and verdict — sized by the current local graph.
     fn reset_engine_state(&mut self) {
-        let nv = self.core.lg.num_local_vertices();
-        self.queues = (0..self.num_colors).map(|_| VecDeque::new()).collect();
-        self.queued = vec![false; nv];
-        self.pending_total = 0;
-        self.remote_tasks.iter_mut().for_each(Vec::clear);
-        self.step = 0;
-        self.marks = Markers::new(self.core.slots());
-        self.cycle = 0;
-        self.accs.clear();
-        self.pend = 0;
-        self.votes = Markers::new(self.core.slots());
-        self.verdict = None;
-        self.resumed = false;
-        self.blocks.iter_mut().flatten().for_each(|b| b.buf.clear());
+        self.vol = Volatile::new(&self.core, self.num_colors);
     }
 
     fn reseed(&mut self, l: u32) {
@@ -769,28 +767,28 @@ mod tests {
     /// returns without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
         let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
-        for j in 1..m.blocks.len() as u16 {
+        for j in 1..m.vol.blocks.len() as u16 {
             handle_from(m, j, kind, enc(&step));
         }
     }
 
     /// Machine 0 as it enters `step` (> 0): every round before it complete.
     fn at_step(m: &mut Machine, step: u64) {
-        m.step = step;
-        for j in 1..m.blocks.len() as u16 {
-            m.marks.note(MachineId(j), round((step, 0)) - 1);
+        m.vol.step = step;
+        for j in 1..m.vol.blocks.len() as u16 {
+            m.vol.marks.note(MachineId(j), round((step, 0)) - 1);
         }
     }
 
     /// Whether machine 0 holds every peer's marker of `round`.
     fn holds(m: &Machine, round: u64) -> bool {
-        m.core.rec.holds(&m.marks, round)
+        m.core.rec.holds(&m.vol.marks, round)
     }
 
     /// The first round whose marker (or vote) in `marks` machine 0 lacks,
     /// per machine.
     fn next_marks(m: &Machine, marks: &Markers) -> Vec<u64> {
-        (0..m.blocks.len() as u16).map(|j| marks.next(MachineId(j))).collect()
+        (0..m.vol.blocks.len() as u16).map(|j| marks.next(MachineId(j))).collect()
     }
 
     /// Registers one sync on machine 0, the sum of one `f64` per vertex
@@ -799,7 +797,7 @@ mod tests {
         use crate::sync::{FnSync, RegisteredSync};
         let op = FnSync::new(1, |_, _: &f64| vec![1.0], |acc, _| acc);
         m.core.setup.syncs = Arc::new(vec![Box::new(RegisteredSync { id: 0, op })]);
-        m.accs = m.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+        m.vol.accs = m.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
     }
 
     /// A sync partial of `cycle` whose sum is `sum`.
@@ -856,7 +854,7 @@ mod tests {
         assert!(m.flush_round(1).is_ok());
         assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 0)));
         assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 0)));
-        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()));
+        assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
@@ -908,7 +906,7 @@ mod tests {
         assert!(holds(&m, 1) && !holds(&m, 2));
         handle_from(&mut m, 2, ChromKind::FlushA, enc(&1u64));
         assert!(holds(&m, 2) && !holds(&m, 3));
-        assert_eq!(next_marks(&m, &m.marks), [0, 3, 3]);
+        assert_eq!(next_marks(&m, &m.vol.marks), [0, 3, 3]);
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
@@ -926,7 +924,7 @@ mod tests {
             m.core.effects.scheduled = ghosts.iter().map(|&g| (g, 1.0)).chain([(l, 2.0)]).collect();
             m.commit(l);
         }
-        assert_eq!((m.pending_total, m.remote_tasks[1].len()), (1, ghosts.len()));
+        assert_eq!((m.vol.pending_total, m.vol.remote_tasks[1].len()), (1, ghosts.len()));
         assert!(peers[0].try_recv().is_err(), "nothing leaves per update");
 
         at_step(&mut m, 4);
@@ -938,7 +936,7 @@ mod tests {
         assert_eq!(kind_of(&env), ChromKind::Sched);
         assert_eq!(dec::<StepTagged<TaskSetMsg>>(env.payload), expected);
         assert!(peers[0].try_recv().is_err());
-        assert!(m.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.queued[g as usize]));
+        assert!(m.vol.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.vol.queued[g as usize]));
         promise(&mut m, 4, 0);
         assert!(m.flush_round(0).is_ok());
         assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 4)));
@@ -958,15 +956,15 @@ mod tests {
         m.core.setup.config.max_updates = 100;
         m.core.setup.config.snapshot =
             SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 40, max_snapshots: 9 };
-        m.pending_total = 1; // work is left: only the cap can halt the run
+        m.vol.pending_total = 1; // work is left: only the cap can halt the run
         m.core.updates_local = 10;
         // One cycle end with machine 1 reporting `updates`: what the master
         // decided, as broadcast.
         let round = |m: &mut Machine, updates: u64| {
-            let part = SyncPartialMsg { cycle: m.cycle, partials: Vec::new(), pending: 1, updates };
+            let part = SyncPartialMsg { cycle: m.vol.cycle, partials: Vec::new(), pending: 1, updates };
             handle_from(m, 1, ChromKind::SyncPart, enc(&part));
             assert!(m.cycle_end_round().is_ok());
-            m.cycle += 1;
+            m.vol.cycle += 1;
             let env = peers[0].try_recv().expect("the round's globals");
             assert_eq!(kind_of(&env), ChromKind::SyncGlob);
             let g: SyncGlobalsMsg = dec(env.payload);
@@ -987,7 +985,7 @@ mod tests {
         m.core.last_snap_updates = 0;
         m.core.reset_engine_state();
         m.reset_engine_state();
-        m.pending_total = 1;
+        m.vol.pending_total = 1;
         assert_eq!(m.core.last_snap_updates, 90);
         assert_eq!(round(&mut m, 95), (true, None), "10 + 95 crosses the cap");
     }
@@ -1009,12 +1007,12 @@ mod tests {
         send(1, ChromKind::SyncPart, partial(0, 10.0, 2, 7));
         send(2, ChromKind::FlushB, enc(&last));
         assert!(m.flush_round(1).is_ok());
-        assert_eq!((m.pend, m.core.observed_updates()), (2, 7), "folded as it arrived");
-        assert_eq!(next_marks(&m, &m.votes), [0, 1, 0], "machine 1's vote, and only its");
+        assert_eq!((m.vol.pend, m.core.observed_updates()), (2, 7), "folded as it arrived");
+        assert_eq!(next_marks(&m, &m.vol.votes), [0, 1, 0], "machine 1's vote, and only its");
 
         send(2, ChromKind::SyncPart, partial(0, 100.0, 0, 4));
         assert_eq!(m.cycle_end_round().ok(), Some((false, None)));
-        assert_eq!((m.pend, m.core.observed_updates()), (0, 11));
+        assert_eq!((m.vol.pend, m.core.observed_updates()), (0, 11));
         for ep in &peers {
             assert_eq!(flush_marker(ep), Some((ChromKind::FlushB, last)));
             let env = ep.try_recv().expect("the verdict");
@@ -1039,12 +1037,12 @@ mod tests {
         with_sum_sync(&mut m);
         m.initial_schedule();
         at_step(&mut m, 5);
-        m.cycle = 3;
+        m.vol.cycle = 3;
         handle_from(&mut m, 1, ChromKind::SyncPart, partial(3, 9.0, 4, 9));
         handle_from(&mut m, 1, ChromKind::SnapDone, Bytes::new());
-        assert_eq!((m.pend, next_marks(&m, &m.votes)), (4, vec![0, 8]));
-        m.verdict = Some(SyncGlobalsMsg { cycle: 3, globals: Vec::new(), halt: false, snapshot: None });
-        m.resumed = true;
+        assert_eq!((m.vol.pend, next_marks(&m, &m.vol.votes)), (4, vec![0, 8]));
+        m.vol.verdict = Some(SyncGlobalsMsg { cycle: 3, globals: Vec::new(), halt: false, snapshot: None });
+        m.vol.resumed = true;
         // An update that left a row in an open block and a task in the set
         // for machine 1.
         let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
@@ -1052,19 +1050,19 @@ mod tests {
         m.core.effects.dirty_self = true;
         m.core.effects.scheduled.push((ghost, 1.0));
         m.commit(l);
-        assert!(m.blocks.iter().flatten().any(|b| !b.buf.is_empty()));
-        assert!(m.queued[ghost as usize] && m.remote_tasks[1] == [ghost]);
+        assert!(m.vol.blocks.iter().flatten().any(|b| !b.buf.is_empty()));
+        assert!(m.vol.queued[ghost as usize] && m.vol.remote_tasks[1] == [ghost]);
 
         m.reset_engine_state();
-        assert_eq!((m.step, m.cycle, m.pending_total, m.pend), (0, 0, 0, 0));
-        assert!(m.accs.is_empty(), "a stale partial must not reach the restarted cycle 0");
-        assert_eq!(next_marks(&m, &m.votes), [0, 0], "a pre-crash vote survived");
-        assert!(m.verdict.is_none() && !m.resumed, "a pre-crash verdict survived");
-        assert!(m.queues.iter().all(|q| q.is_empty()) && !m.queued.contains(&true));
-        assert_eq!(m.queued.len(), m.core.lg.num_local_vertices());
-        assert!(m.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
-        assert!(m.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
-        assert_eq!(next_marks(&m, &m.marks), [0, 0], "a pre-crash marker survived");
+        assert_eq!((m.vol.step, m.vol.cycle, m.vol.pending_total, m.vol.pend), (0, 0, 0, 0));
+        assert!(m.vol.accs.is_empty(), "a stale partial must not reach the restarted cycle 0");
+        assert_eq!(next_marks(&m, &m.vol.votes), [0, 0], "a pre-crash vote survived");
+        assert!(m.vol.verdict.is_none() && !m.vol.resumed, "a pre-crash verdict survived");
+        assert!(m.vol.queues.iter().all(|q| q.is_empty()) && !m.vol.queued.contains(&true));
+        assert_eq!(m.vol.queued.len(), m.core.lg.num_local_vertices());
+        assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
+        assert!(m.vol.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
+        assert_eq!(next_marks(&m, &m.vol.marks), [0, 0], "a pre-crash marker survived");
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 }

@@ -117,9 +117,6 @@ pub struct EngineConfig {
     pub batch: BatchPolicy,
     /// Maximum outstanding lock requests per machine (§4.2.2 pipelining).
     pub max_pipeline: usize,
-    /// Run sync operations every this many local updates (locking engine;
-    /// the chromatic engine syncs between colour cycles). 0 disables.
-    pub sync_interval_updates: u64,
     /// Snapshot policy.
     pub snapshot: SnapshotConfig,
     /// Optional straggler fault injection.
@@ -164,7 +161,6 @@ impl EngineConfig {
             transport: Transport::default(),
             batch: BatchPolicy::default(),
             max_pipeline: 64,
-            sync_interval_updates: 0,
             snapshot: SnapshotConfig::default(),
             straggler: None,
             faults: None,

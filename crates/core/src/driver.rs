@@ -173,6 +173,9 @@ pub(crate) struct MachineSetup<V, E> {
     pub stop: Option<StopFn>,
     pub initial: Arc<InitialSchedule>,
     pub config: EngineConfig,
+    /// Updates between background sync epochs (locking engine): the
+    /// finest `SyncCadence::Updates`, 0 for none.
+    pub sync_every: u64,
     pub counters: Arc<LiveCounters>,
     pub snap_prefix: String,
 }
@@ -204,6 +207,7 @@ pub(crate) fn run_distributed<V, E, U>(
     initial: InitialSchedule,
     syncs: SyncList<V, E>,
     stop: Option<StopFn>,
+    sync_every: u64,
     config: &EngineConfig,
     strategy: &PartitionStrategy,
 ) -> EngineOutput
@@ -255,6 +259,7 @@ where
         stop: stop.clone(),
         initial: Arc::clone(&initial),
         config: config.clone(),
+        sync_every,
         counters: Arc::clone(&counters),
         snap_prefix: "ckpt".to_string(),
     };
@@ -511,6 +516,7 @@ pub(crate) mod tests {
             stop: None,
             initial: Arc::new(initial),
             config,
+            sync_every: 0,
             counters: LiveCounters::new(),
             snap_prefix: "ckpt".to_string(),
         };

@@ -65,6 +65,13 @@
 //! among them. An asynchronous snapshot queues every owned vertex at its
 //! start, so the snapshot update schedules nothing (`AsyncPart` says why
 //! that is Alg. 5's neighbour scheduling).
+//!
+//! # What a crash keeps
+//!
+//! A crash, a rollback or an adoption loses `Volatile`, which
+//! `reset_engine_state` replaces whole, beside `Coord::reset` (which keeps
+//! the sync epoch). The engine keeps its `Machine`, the metrics, the
+//! run-long `next_reqid` and `last_noted`, and scratch empty between uses.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -325,6 +332,52 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// The machine under the engine: everything the chromatic engine has too.
     core: Machine<V, E>,
     update: Arc<U>,
+    /// What a crash loses, replaced whole by `reset_engine_state`.
+    vol: Volatile,
+    /// Never reused, so `(requester, reqid)` names one chain for the whole
+    /// run, a reset included.
+    next_reqid: u64,
+    /// The run is over here; nothing after it resets the engine.
+    halted: bool,
+
+    /// Quiet round, snapshots, sync epochs, halt: what to do is its call;
+    /// `todo` holds what it asked for until applied (empty between feeds).
+    coord: Coord,
+    todo: Vec<Output>,
+    /// The partials of the `SyncPart` being handled: empty between messages.
+    partials: Vec<(u32, Bytes)>,
+
+    // Commit/hop scratch, reused across updates (beside `core.rowbuf`) and
+    // empty between them: chains woken by a release, per-destination
+    // commit output (by machine id) and the emptied `HopChain::rest`
+    // vectors of released chains.
+    woken: Vec<SlotRef>,
+    outbox: Vec<Outbox>,
+    rest_pool: Vec<Vec<MachineId>>,
+
+    // Run-long metrics: the hot path's counters and the control-plane
+    // accounting (`repro -- abl-control`).
+    hot: HotCounters,
+    /// Lock-chain span histogram: `chain_spans[s]` counts chains that
+    /// touched exactly `s` machines.
+    chain_spans: Vec<u64>,
+    /// Normal-phase receive deadlines that expired with no message and no
+    /// runnable work. Message-driven triggers keep this at zero on an
+    /// idle healthy cluster.
+    idle_wakeups: u64,
+    /// [`LockKind::UpdNote`] granule: a worker notifies the master every
+    /// `note_every` local updates. 0 = no counter-driven triggers are
+    /// configured, so no notes are ever sent.
+    note_every: u64,
+    /// Local update count as of the last note sent (workers only); counts
+    /// are cumulative, which makes stale notes idempotent.
+    last_noted: u64,
+}
+
+/// The engine's state that a crash, a rollback or an adoption loses. One
+/// constructor builds it at the start and on every reset, sized by the
+/// local graph at the time (an adoption changes it).
+struct Volatile {
     scheduler: Scheduler,
     locks: LockTable,
     /// Owner-side ghost-cache version table: what every peer already holds
@@ -340,14 +393,7 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// `LockKind::ScopeData` (and per `LockKind::Req` reaching its own requester).
     out_index: IdMap<u64, SlotRef>,
     ready: VecDeque<SlotRef>,
-    next_reqid: u64,
-    halted: bool,
     cap_reached: bool,
-
-    /// Quiet round, snapshots, sync epochs, halt: what to do is its call;
-    /// `todo` holds what it asked for until applied.
-    coord: Coord,
-    todo: Vec<Output>,
     /// Between `Output::Pause` and `Output::Resume`: no new chain starts.
     paused: bool,
     // Alg. 5: each vertex's snapshot colour, the colour of the one in
@@ -355,33 +401,34 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     snap_epoch: Vec<u32>,
     current_snap: u32,
     snap: Option<AsyncPart>,
-    /// Master: the sync epoch's accumulators, and the partials of the
-    /// `SyncPart` being handled.
+    /// Master: the sync epoch's accumulators.
     accs: Vec<Box<dyn std::any::Any + Send>>,
-    partials: Vec<(u32, Bytes)>,
+}
 
-    // Commit/hop scratch, reused across updates (beside `core.rowbuf`):
-    // chains woken by a release, per-destination commit output (by machine
-    // id) and the `HopChain::rest` vectors of released chains.
-    woken: Vec<SlotRef>,
-    outbox: Vec<Outbox>,
-    rest_pool: Vec<Vec<MachineId>>,
-    hot: HotCounters,
-
-    // Control-plane accounting (`repro -- abl-control`).
-    /// Lock-chain span histogram: `chain_spans[s]` counts chains that
-    /// touched exactly `s` machines.
-    chain_spans: Vec<u64>,
-    /// Normal-phase receive deadlines that expired with no message and no
-    /// runnable work. Message-driven triggers keep this at zero on an
-    /// idle healthy cluster.
-    idle_wakeups: u64,
-    /// [`LockKind::UpdNote`] granule: a worker notifies the master every
-    /// `note_every` local updates. 0 = no counter-driven triggers are
-    /// configured, so no notes are ever sent.
-    note_every: u64,
-    /// Local update count as of the last note sent (workers only).
-    last_noted: u64,
+impl Volatile {
+    /// No task, lock, chain or snapshot part, sized by `core`'s local
+    /// graph, with the lock plans built from it.
+    fn new<V, E>(core: &Machine<V, E>) -> Self {
+        let lg = &core.lg;
+        let (nv, ne) = (lg.num_local_vertices(), lg.num_local_edges());
+        Volatile {
+            scheduler: Scheduler::new(core.setup.config.scheduler, nv),
+            locks: LockTable::new(nv),
+            cache: RemoteCacheTable::new(core.slots(), nv, ne),
+            plans: ScopePlans::build(lg),
+            chains: Slab::default(),
+            chain_index: IdMap::default(),
+            outs: Slab::default(),
+            out_index: IdMap::default(),
+            ready: VecDeque::new(),
+            cap_reached: false,
+            paused: false,
+            snap_epoch: vec![0; nv],
+            current_snap: 0,
+            snap: None,
+            accs: Vec::new(),
+        }
+    }
 }
 
 impl<V, E, U> LockingMachine<V, E, U>
@@ -397,48 +444,25 @@ where
         init: LocalGraphInit<V, E>,
     ) -> Self {
         let core = Machine::new(ep, setup, init);
-        let (setup, lg, m) = (&core.setup, &core.lg, core.slots());
-        let (nv, ne) = (lg.num_local_vertices(), lg.num_local_edges());
+        let (setup, m) = (&core.setup, core.slots());
         // LockKind::UpdNote granule: fine enough that the master observes a
         // counter-driven trigger at most ~1/8 interval late across the
         // whole cluster (m-1 peers, each up to a granule behind), coarse
         // enough that notes stay a negligible traffic fraction. No
         // counter-driven triggers configured → no notes, ever.
-        let mut finest = u64::MAX;
-        if setup.config.sync_interval_updates > 0 && !setup.syncs.is_empty() {
-            finest = finest.min(setup.config.sync_interval_updates);
-        }
+        let sync_every = (!setup.syncs.is_empty()).then_some(setup.sync_every);
         let snap_cfg = setup.config.snapshot;
-        if snap_cfg.mode != SnapshotMode::None
-            && snap_cfg.every_updates > 0
-            && snap_cfg.max_snapshots > 0
-        {
-            finest = finest.min(snap_cfg.every_updates);
-        }
-        let note_every =
-            if finest == u64::MAX { 0 } else { (finest / (8 * m as u64)).max(1) };
-        let sync_every = (!setup.syncs.is_empty()).then_some(setup.config.sync_interval_updates);
+        let snap_every = (snap_cfg.mode != SnapshotMode::None && snap_cfg.max_snapshots > 0)
+            .then_some(snap_cfg.every_updates);
+        let finest = [sync_every, snap_every].into_iter().flatten().filter(|&n| n > 0).min();
+        let note_every = finest.map_or(0, |n| (n / (8 * m as u64)).max(1));
         LockingMachine {
-            coord: Coord::new(lg.machine(), m, snap_cfg.mode, sync_every),
+            coord: Coord::new(core.lg.machine(), m, snap_cfg.mode, sync_every),
             todo: Vec::new(),
-            paused: false,
-            snap: None,
-            accs: Vec::new(),
             partials: Vec::new(),
-            scheduler: Scheduler::new(setup.config.scheduler, nv),
-            locks: LockTable::new(nv),
-            cache: RemoteCacheTable::new(m, nv, ne),
-            plans: ScopePlans::build(lg),
-            chains: Slab::default(),
-            chain_index: IdMap::default(),
-            outs: Slab::default(),
-            out_index: IdMap::default(),
-            ready: VecDeque::new(),
+            vol: Volatile::new(&core),
             next_reqid: 1,
             halted: false,
-            cap_reached: false,
-            snap_epoch: vec![0; nv],
-            current_snap: 0,
             woken: Vec::new(),
             outbox: (0..m).map(|_| Outbox::default()).collect(),
             rest_pool: Vec::new(),
@@ -477,13 +501,13 @@ where
 
     pub(crate) fn run(mut self) -> MachineResult<V, E> {
         for (l, p) in self.core.initial_tasks() {
-            self.scheduler.add(l, p);
+            self.vol.scheduler.add(l, p);
         }
         while !self.halted && self.core.failure.is_none() {
             let normal = self.core.rec.phase() == RecoveryPhase::Normal;
             if normal {
                 self.hot.loop_iters += 1;
-                self.hot.pipeline_occupancy += self.outs.live() as u64;
+                self.hot.pipeline_occupancy += self.vol.outs.live() as u64;
                 self.core.maybe_straggle();
                 if self.core.is_master() {
                     self.master_triggers();
@@ -585,44 +609,44 @@ where
     /// Whether `pump`/`execute_ready` could make progress right now
     /// without receiving anything.
     fn has_runnable_work(&self) -> bool {
-        if !self.ready.is_empty() {
+        if !self.vol.ready.is_empty() {
             return true;
         }
-        if self.paused || self.halted {
+        if self.vol.paused || self.halted {
             return false;
         }
-        if self.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
+        if self.vol.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
             return false;
         }
         if self.has_snap_tasks() {
             return true;
         }
-        !self.cap_reached && !self.scheduler.is_empty()
+        !self.vol.cap_reached && !self.vol.scheduler.is_empty()
     }
 
     // ---- pipeline ----
 
     /// Whether snapshot tasks are queued.
     fn has_snap_tasks(&self) -> bool {
-        self.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
+        self.vol.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
     }
 
     fn pump(&mut self) {
-        if self.paused || self.halted {
+        if self.vol.paused || self.halted {
             return;
         }
-        if !self.cap_reached && self.core.capped(self.core.live_updates()) {
+        if !self.vol.cap_reached && self.core.capped(self.core.live_updates()) {
             // Drop remaining tasks so the cluster can quiesce.
-            self.cap_reached = true;
+            self.vol.cap_reached = true;
             let nv = self.core.lg.num_local_vertices();
-            self.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
+            self.vol.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         }
-        while self.outs.live() < self.core.setup.config.max_pipeline.max(1) {
+        while self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) {
             // Snapshot tasks first (priority), then the app scheduler.
             let (l, is_snap) = if let Some(l) = self.pop_snap_task() {
                 (l, true)
-            } else if !self.cap_reached {
-                match self.scheduler.pop() {
+            } else if !self.vol.cap_reached {
+                match self.vol.scheduler.pop() {
                     Some(l) => (l, false),
                     None => break,
                 }
@@ -634,9 +658,9 @@ where
     }
 
     fn pop_snap_task(&mut self) -> Option<u32> {
-        let AsyncPart { queue, .. } = self.snap.as_mut()?;
+        let AsyncPart { queue, .. } = self.vol.snap.as_mut()?;
         while let Some(l) = queue.pop_front() {
-            if self.snap_epoch[l as usize] != self.current_snap {
+            if self.vol.snap_epoch[l as usize] != self.vol.current_snap {
                 return Some(l);
             }
         }
@@ -654,7 +678,7 @@ where
             self.core.setup.config.consistency
         };
         let me = self.core.me();
-        let machines = self.plans.lock_owners(l, me, model);
+        let machines = self.vol.plans.lock_owners(l, me, model);
         let (span, first) = (machines.len(), machines[0]);
         if self.chain_spans.len() <= span {
             self.chain_spans.resize(span + 1, 0);
@@ -665,7 +689,7 @@ where
         self.next_reqid += 1;
         tr!("[m{}] INIT reqid={} center=v{} machines={:?}",
             me.0, reqid, self.core.lg.vertex_gvid(l).0, machines);
-        let out = self.outs.insert(OutScope {
+        let out = self.vol.outs.insert(OutScope {
             reqid,
             center: l,
             model,
@@ -674,13 +698,13 @@ where
             ..OutScope::default()
         });
         if span > 1 {
-            self.out_index.insert(reqid, out);
+            self.vol.out_index.insert(reqid, out);
         }
         if first == me {
             let chain = HopChain { requester: me, reqid, center: l, model, out, ..HopChain::default() };
             self.start_hop(chain);
         } else {
-            let (scope_v, machines) = (self.core.lg.vertex_gvid(l), self.plans.lock_owners(l, me, model));
+            let (scope_v, machines) = (self.core.lg.vertex_gvid(l), self.vol.plans.lock_owners(l, me, model));
             let model = consistency_to_u8(model);
             self.core.send_with(first, LockKind::Req, |buf| {
                 LockReqMsg::put(buf, me, reqid, scope_v, machines, model)
@@ -693,28 +717,28 @@ where
     /// Starts this machine's hop of `chain`: its share of the centre's plan
     /// row, taken lock by lock.
     fn start_hop(&mut self, mut chain: HopChain) {
-        debug_assert!(self.plans.row_is_current(&self.core.lg, chain.center), "plans outlived their graph");
+        debug_assert!(self.vol.plans.row_is_current(&self.core.lg, chain.center), "plans outlived their graph");
         let me = self.core.me();
-        chain.locks = self.plans.share(chain.center, me, chain.model);
+        chain.locks = self.vol.plans.share(chain.center, me, chain.model);
         chain.next = chain.locks.start;
         debug_assert!(!chain.locks.is_empty(), "hop visits a machine owning scope vertices");
         let (requester, reqid, out) = (chain.requester, chain.reqid, chain.out);
-        let r = self.chains.insert(chain);
+        let r = self.vol.chains.insert(chain);
         if requester == me {
-            self.outs.get(out).chain = r;
+            self.vol.outs.get(out).chain = r;
         } else {
-            self.chain_index.insert((requester.0, reqid), r);
+            self.vol.chain_index.insert((requester.0, reqid), r);
         }
         self.advance_chain(r);
     }
 
     fn advance_chain(&mut self, r: SlotRef) {
-        let chain = self.chains.get(r);
+        let chain = self.vol.chains.get(r);
         while chain.next < chain.locks.end {
-            let lv = self.plans.vert(chain.next);
+            let lv = self.vol.plans.vert(chain.next);
             let t = scope_lock(chain.model, chain.center, lv).expect("planned vertex is locked");
             self.hot.lock_acquires += 1;
-            if !self.locks.acquire(lv, t, r) {
+            if !self.vol.locks.acquire(lv, t, r) {
                 self.hot.lock_parks += 1;
                 return; // parked; resumed through resume_chain
             }
@@ -727,7 +751,7 @@ where
     /// [`LockTable::release`]: the lock at `next` is already held, so step
     /// past it before continuing sequential acquisition.
     fn resume_chain(&mut self, r: SlotRef) {
-        self.chains.get(r).next += 1;
+        self.vol.chains.get(r).next += 1;
         self.advance_chain(r);
     }
 
@@ -735,7 +759,7 @@ where
     /// requester and forward the chain.
     fn finish_hop(&mut self, r: SlotRef) {
         let me = self.core.me();
-        let chain = self.chains.get(r);
+        let chain = self.vol.chains.get(r);
         let (requester, reqid, center, model) =
             (chain.requester, chain.reqid, chain.center, chain.model);
         if requester != me {
@@ -743,10 +767,10 @@ where
             self.send_scope_data(requester, reqid, center, locks);
         } else {
             let out = chain.out;
-            let scope = self.outs.get(out);
+            let scope = self.vol.outs.get(out);
             scope.local_done = true;
             if scope.is_ready() {
-                self.ready.push_back(out);
+                self.vol.ready.push_back(out);
             }
         }
 
@@ -754,10 +778,10 @@ where
         // order, naming only the machines still to visit so visited hops
         // stop paying wire bytes.
         let rest = if requester == me {
-            let machines = self.plans.lock_owners(center, me, model);
+            let machines = self.vol.plans.lock_owners(center, me, model);
             &machines[machines.partition_point(|&m| m <= me)..]
         } else {
-            &self.chains.get(r).rest[..]
+            &self.vol.chains.get(r).rest[..]
         };
         if let Some(&dst) = rest.first() {
             debug_assert!(dst > me, "chains visit machines in ascending order");
@@ -778,17 +802,17 @@ where
     fn send_scope_data(&mut self, to: MachineId, reqid: u64, center: u32, locks: Range<u32>) {
         let req = to.index();
         let filter = self.core.setup.config.ablation != Ablation::FullScopeResend;
-        let (verts, edges) = (self.plans.verts(locks), self.plans.owned_edges(center));
-        let (lg, snap_epoch) = (&self.core.lg, &self.snap_epoch);
+        let (verts, edges) = (self.vol.plans.verts(locks), self.vol.plans.owned_edges(center));
+        let (lg, snap_epoch) = (&self.core.lg, &self.vol.snap_epoch);
         let stale_v = |cache: &RemoteCacheTable, lv| {
             !filter || cache.v_known(req, lv) < lg.vertex_version(lv)
         };
         let stale_e =
             |cache: &RemoteCacheTable, le| !filter || cache.e_known(req, le) < lg.edge_version(le);
         // The fresh-row counts prefix the rows on the wire: count first.
-        let nv = verts.iter().filter(|&&lv| stale_v(&self.cache, lv)).count();
-        let ne = edges.iter().filter(|&&le| stale_e(&self.cache, le)).count();
-        let cx = &mut (&mut self.cache, &mut self.core.rowbuf);
+        let nv = verts.iter().filter(|&&lv| stale_v(&self.vol.cache, lv)).count();
+        let ne = edges.iter().filter(|&&le| stale_e(&self.vol.cache, le)).count();
+        let cx = &mut (&mut self.vol.cache, &mut self.core.rowbuf);
         self.core.net.send_with(to, self.core.rec.wire(LockKind::ScopeData), |buf| {
             ScopeDataMsg::put(
                 buf,
@@ -827,8 +851,8 @@ where
     // ---- execution ----
 
     fn execute_ready(&mut self) {
-        while let Some(out) = self.ready.pop_front() {
-            if self.outs.get(out).is_snapshot {
+        while let Some(out) = self.vol.ready.pop_front() {
+            if self.vol.outs.get(out).is_snapshot {
                 self.execute_snapshot_update(out);
             } else {
                 self.execute_update(out);
@@ -837,8 +861,8 @@ where
     }
 
     fn execute_update(&mut self, out: SlotRef) {
-        let center = self.outs.get(out).center;
-        let prioritized = self.scheduler.kind() == SchedulerKind::Priority;
+        let center = self.vol.outs.get(out).center;
+        let prioritized = self.vol.scheduler.kind() == SchedulerKind::Priority;
         self.core.execute(&*self.update, center, prioritized);
         if trace_on() {
             let nbrs: Vec<(u32, u64)> = self
@@ -849,7 +873,7 @@ where
                 .map(|e| (self.core.lg.vertex_gvid(e.nbr).0, self.core.lg.vertex_version(e.nbr)))
                 .collect();
             tr!("[m{}] EXEC reqid={} v{} dirty={} sched={:?} nbr_vers={:?}",
-                self.core.me().0, self.outs.get(out).reqid, self.core.lg.vertex_gvid(center).0,
+                self.core.me().0, self.vol.outs.get(out).reqid, self.core.lg.vertex_gvid(center).0,
                 self.core.effects.dirty_self,
                 self.core.effects.scheduled.iter().map(|s| self.core.lg.vertex_gvid(s.0).0).collect::<Vec<_>>(),
                 nbrs);
@@ -861,8 +885,8 @@ where
     /// Enqueues an application task for a vertex this machine owns.
     fn schedule_owned(&mut self, lv: u32, prio: f64) {
         debug_assert!(self.core.lg.owns_vertex(lv));
-        if !self.cap_reached {
-            let fresh = self.scheduler.add(lv, prio);
+        if !self.vol.cap_reached {
+            let fresh = self.vol.scheduler.add(lv, prio);
             tr!("[m{}] SCHED v{} fresh={}", self.core.me().0, self.core.lg.vertex_gvid(lv).0, fresh);
         }
     }
@@ -870,12 +894,12 @@ where
     fn commit_and_release(&mut self, out: SlotRef) {
         let me = self.core.me();
         let mut effects = std::mem::take(&mut self.core.effects);
-        let scope = self.outs.get(out);
+        let scope = self.vol.outs.get(out);
         let (reqid, center, model, chain) = (scope.reqid, scope.center, scope.model, scope.chain);
         if scope.remote_needed > 0 {
-            self.out_index.remove(&reqid);
+            self.vol.out_index.remove(&reqid);
         }
-        self.outs.free(out);
+        self.vol.outs.free(out);
 
         // Version bumps for locally-owned dirty data; remotely-owned dirty
         // data is written back with its owner's release.
@@ -916,8 +940,8 @@ where
                 self.outbox[owner.index()].sched.push((self.core.lg.vertex_gvid(lv), prio));
             }
         }
-        for k in 0..self.plans.owners(center).len() {
-            let mm = self.plans.owners(center)[k];
+        for k in 0..self.vol.plans.owners(center).len() {
+            let mm = self.vol.plans.owners(center)[k];
             if !self.outbox[mm.index()].sched.is_empty() {
                 let tasks = &mut self.outbox[mm.index()].sched;
                 tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
@@ -929,13 +953,13 @@ where
 
         // Release per machine, with piggybacked write-backs. Remote hops
         // drop their own lock share (the release only names the chain).
-        for k in 0..self.plans.lock_owners(center, me, model).len() {
-            let mm = self.plans.lock_owners(center, me, model)[k];
+        for k in 0..self.vol.plans.lock_owners(center, me, model).len() {
+            let mm = self.vol.plans.lock_owners(center, me, model)[k];
             if mm == me {
                 self.release_chain(chain);
                 continue;
             }
-            let (lg, snap_epoch, ob) = (&self.core.lg, &self.snap_epoch, &mut self.outbox[mm.index()]);
+            let (lg, snap_epoch, ob) = (&self.core.lg, &self.vol.snap_epoch, &mut self.outbox[mm.index()]);
             let rowbuf = &mut self.core.rowbuf;
             self.core.net.send_with(mm, self.core.rec.wire(LockKind::Release), |buf| {
                 ReleaseMsg::put(
@@ -980,35 +1004,35 @@ where
     /// Drops every lock chain `r` holds here, resuming the chains each
     /// release grants before the next lock is released, then frees the slot.
     fn release_chain(&mut self, r: SlotRef) {
-        let chain = self.chains.get(r);
+        let chain = self.vol.chains.get(r);
         let (locks, center, model) = (chain.locks.clone(), chain.center, chain.model);
         debug_assert_eq!(chain.next, locks.end, "released chain holds its whole share");
         let mut woken = std::mem::take(&mut self.woken);
         for i in locks {
-            let lv = self.plans.vert(i);
+            let lv = self.vol.plans.vert(i);
             let t = scope_lock(model, center, lv).expect("planned vertex is locked");
-            self.locks.release(lv, t, &mut woken);
+            self.vol.locks.release(lv, t, &mut woken);
             for w in woken.drain(..) {
                 self.resume_chain(w);
             }
         }
         self.woken = woken;
-        let mut rest = std::mem::take(&mut self.chains.get(r).rest);
+        let mut rest = std::mem::take(&mut self.vol.chains.get(r).rest);
         if rest.capacity() > 0 {
             rest.clear();
             self.rest_pool.push(rest);
         }
-        self.chains.free(r);
+        self.vol.chains.free(r);
     }
 
     /// Alg. 5: the snapshot update function.
     fn execute_snapshot_update(&mut self, out: SlotRef) {
-        let center = self.outs.get(out).center;
-        let snap = self.current_snap;
+        let center = self.vol.outs.get(out).center;
+        let snap = self.vol.current_snap;
         self.core.effects.clear();
-        if self.snap_epoch[center as usize] != snap {
+        if self.vol.snap_epoch[center as usize] != snap {
             // An owned vertex is unmarked only while its part is not written.
-            let Some(AsyncPart { remaining, .. }) = &mut self.snap else {
+            let Some(AsyncPart { remaining, .. }) = &mut self.vol.snap else {
                 unreachable!("an unmarked snapshot task outside an asynchronous part")
             };
             let core = &mut self.core;
@@ -1017,13 +1041,13 @@ where
             // already hold them (see `AsyncPart`).
             core.ckpt.save_vertex(&core.lg, center);
             for e in core.lg.adj(center) {
-                if self.snap_epoch[e.nbr as usize] != snap {
+                if self.vol.snap_epoch[e.nbr as usize] != snap {
                     core.ckpt.save_edge(&core.lg, e.edge);
                 }
             }
             // Mark v as snapshotted; bump the version so the marker
             // propagates with the ordinary scope-data synchronisation.
-            self.snap_epoch[center as usize] = snap;
+            self.vol.snap_epoch[center as usize] = snap;
             *remaining -= 1;
             self.core.lg.bump_vertex_version(center);
         }
@@ -1054,7 +1078,7 @@ where
                 let model = consistency_from_u8(model).expect("valid consistency model");
                 let center = self.core.lg.local_vertex(scope_v).expect("scope centre replicated at hop");
                 let out = if requester == self.core.me() {
-                    *self.out_index.get(&reqid).expect("own scope")
+                    *self.vol.out_index.get(&reqid).expect("own scope")
                 } else {
                     SlotRef::default()
                 };
@@ -1073,8 +1097,8 @@ where
                                 let applied = m.core.lg.apply_vertex_update(lv, version, datum);
                                 tr!("[m{}] DATA from=m{} v{} ver={} applied={}", m.core.me().0,
                                     src.0, vid.0, version, applied);
-                                if snap > m.snap_epoch[lv as usize] {
-                                    m.snap_epoch[lv as usize] = snap;
+                                if snap > m.vol.snap_epoch[lv as usize] {
+                                    m.vol.snap_epoch[lv as usize] = snap;
                                 }
                             }
                         },
@@ -1087,22 +1111,22 @@ where
                 });
                 tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.core.me().0, reqid,
                     nv, ne, vsame, esame);
-                let out = self.out_index.get(&reqid).copied();
+                let out = self.vol.out_index.get(&reqid).copied();
                 // Rows + unchanged markers must cover the hop's whole share
                 // of the scope's vertices (the requester's plan row says
                 // exactly which of them env.src owns).
                 debug_assert!(
                     out.is_none_or(|out| {
-                        let (c, model) = (self.outs.get(out).center, self.outs.get(out).model);
-                        nv + vsame as usize == self.plans.share(c, src, model).len()
+                        let (c, model) = (self.vol.outs.get(out).center, self.vol.outs.get(out).model);
+                        nv + vsame as usize == self.vol.plans.share(c, src, model).len()
                     }),
                     "scope response does not cover the hop's owned vertices"
                 );
                 if let Some(out) = out {
-                    let scope = self.outs.get(out);
+                    let scope = self.vol.outs.get(out);
                     scope.data_got += 1;
                     if scope.is_ready() {
-                        self.ready.push_back(out);
+                        self.vol.ready.push_back(out);
                     }
                 }
             }
@@ -1119,9 +1143,9 @@ where
                             let ver = m.core.lg.bump_vertex_version(lv);
                             // The bump invalidates every peer's cache entry;
                             // the writer itself holds exactly the data it wrote.
-                            m.cache.note_v(src, lv, ver);
-                            if snap > m.snap_epoch[lv as usize] {
-                                m.snap_epoch[lv as usize] = snap;
+                            m.vol.cache.note_v(src, lv, ver);
+                            if snap > m.vol.snap_epoch[lv as usize] {
+                                m.vol.snap_epoch[lv as usize] = snap;
                             }
                         },
                         |m, e, data| {
@@ -1129,11 +1153,12 @@ where
                             debug_assert!(m.core.lg.owns_edge(le));
                             *m.core.lg.edge_data_mut(le) = dec_in(payload, data);
                             let ver = m.core.lg.bump_edge_version(le);
-                            m.cache.note_e(src, le, ver);
+                            m.vol.cache.note_e(src, le, ver);
                         },
                     )
                 });
                 let chain = self
+                    .vol
                     .chain_index
                     .remove(&(env.src.0, reqid))
                     .expect("release for a chain this hop holds");
@@ -1160,6 +1185,7 @@ where
                 let LockSyncPartialMsg { epoch, partials } = dec(env.payload);
                 self.partials = partials;
                 self.feed(Input::Msg(src, Msg::SyncPart(epoch)));
+                self.partials.clear();
             }
             LockKind::Quiet => self.feed(Input::Msg(src, Msg::Quiet(dec(env.payload)))),
             LockKind::QuietReport => {
@@ -1205,13 +1231,13 @@ where
     /// marked is written, and an idle worker closes the master's trigger
     /// window with an exact count (notes are not work) before `coord` hears.
     fn end_pass(&mut self) {
-        if self.snap.take_if(|part| part.remaining == 0).is_some() {
-            self.core.write_checkpoint(self.current_snap as u64 - 1);
+        if self.vol.snap.take_if(|part| part.remaining == 0).is_some() {
+            self.core.write_checkpoint(self.vol.current_snap as u64 - 1);
             self.feed(Input::AsyncWritten);
         }
-        let drained = self.outs.live() == 0 && self.ready.is_empty();
+        let drained = self.vol.outs.live() == 0 && self.vol.ready.is_empty();
         let idle =
-            drained && (self.scheduler.is_empty() || self.cap_reached) && !self.has_snap_tasks();
+            drained && (self.vol.scheduler.is_empty() || self.vol.cap_reached) && !self.has_snap_tasks();
         if idle {
             self.maybe_send_upd_note(true);
         }
@@ -1246,32 +1272,32 @@ where
                 let (kind, payload) = wire(msg);
                 self.core.broadcast(kind, &payload);
             }
-            Output::Pause => self.paused = true,
-            Output::Resume => self.paused = false,
-            Output::InvalidateCache => self.cache.invalidate_all(),
+            Output::Pause => self.vol.paused = true,
+            Output::Resume => self.vol.paused = false,
+            Output::InvalidateCache => self.vol.cache.invalidate_all(),
             Output::Capture(id) => self.core.capture_checkpoint(id),
             Output::StartAsync(id) => {
-                self.current_snap = id as u32 + 1;
+                self.vol.current_snap = id as u32 + 1;
                 let owned = self.core.lg.owned_vertices();
                 let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
-                self.snap = Some(AsyncPart { queue, remaining });
+                self.vol.snap = Some(AsyncPart { queue, remaining });
             }
             Output::Partials(epoch) => {
                 let syncs = &self.core.setup.syncs;
                 let partials = local_partials(syncs, &self.core.lg);
                 if self.core.is_master() {
-                    self.accs = syncs.iter().map(|op| op.init_acc()).collect();
-                    combine_partials(syncs, &mut self.accs, &partials);
+                    self.vol.accs = syncs.iter().map(|op| op.init_acc()).collect();
+                    combine_partials(syncs, &mut self.vol.accs, &partials);
                 } else {
                     let msg = LockSyncPartialMsg { epoch, partials };
                     self.core.send(MachineId(0), LockKind::SyncPart, enc(&msg));
                 }
             }
             Output::Combine => {
-                combine_partials(&self.core.setup.syncs, &mut self.accs, &self.partials);
+                combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &self.partials);
             }
             Output::Finalize(epoch) => {
-                let (accs, total) = (std::mem::take(&mut self.accs), self.core.lg.total_vertices());
+                let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
                 let globals =
                     finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
                 let msg = SyncGlobalsMsg { cycle: epoch, globals, halt: false, snapshot: None };
@@ -1318,38 +1344,15 @@ where
         &mut self.core
     }
 
-    /// Resets every piece of volatile engine state — scheduler, lock
-    /// table, chains, the coordination, the snapshot part — reallocating
-    /// everything sized by the local graph, and rebuilding the lock plans
-    /// derived from it (a rollback or an adoption may have replaced the
-    /// graph).
+    /// Every round in flight is abandoned with the rest; the master opens
+    /// a fresh quiet round once it is idle after the resume.
     fn reset_engine_state(&mut self) {
-        let nv = self.core.lg.num_local_vertices();
-        let ne = self.core.lg.num_local_edges();
-        self.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
-        self.locks = LockTable::new(nv);
-        self.cache = RemoteCacheTable::new(self.core.slots(), nv, ne);
-        self.plans = ScopePlans::build(&self.core.lg);
-        self.chains = Slab::default();
-        self.chain_index.clear();
-        self.outs = Slab::default();
-        self.out_index.clear();
-        self.ready.clear();
-        self.cap_reached = false;
-        // Every round in flight is abandoned; the master opens a fresh
-        // quiet round once it is idle after the resume.
+        self.vol = Volatile::new(&self.core);
         self.coord.reset(self.core.observed_updates());
-        self.paused = false;
-        self.snap_epoch = vec![0; nv];
-        self.current_snap = 0;
-        self.snap = None;
-        // The LockKind::UpdNote state (`last_noted`, like the machine's
-        // counts) deliberately survives: counts are cumulative and never
-        // reset, which is what makes stale notes idempotent.
     }
 
     fn reseed(&mut self, l: u32) {
-        self.scheduler.add(l, 1.0);
+        self.vol.scheduler.add(l, 1.0);
     }
 
     fn replay(&mut self, kind: Kind, env: Envelope) {
@@ -1462,7 +1465,7 @@ mod tests {
 
         from(0, LockKind::SnapResume, Bytes::new());
         pump(&mut m);
-        assert!(matches!(m.coord.part, Part::Idle) && m.chains.live() == 0);
+        assert!(matches!(m.coord.part, Part::Idle) && m.vol.chains.live() == 0);
     }
 
     /// Machine `src`'s `kind` message, handled by `m` as the loop would.
@@ -1491,7 +1494,7 @@ mod tests {
         deliver(&mut m, 1, LockKind::QuietReport, clean.clone());
         m.end_pass();
         assert_eq!(m.coord.quiet, Quiet::Sent(1, true));
-        assert_eq!(m.scheduler.pop(), m.core.lg.local_vertex(VertexId(0)), "the task ran");
+        assert_eq!(m.vol.scheduler.pop(), m.core.lg.local_vertex(VertexId(0)), "the task ran");
 
         deliver(&mut m, 2, LockKind::Quiet, enc(&1u64));
         deliver(&mut m, 2, LockKind::QuietReport, clean);
@@ -1646,27 +1649,27 @@ mod tests {
 
         m.dispatch(request(1));
         assert_eq!(answered(&ep0), Some(1));
-        assert_eq!(m.locks.held(w), (0, true));
+        assert_eq!(m.vol.locks.held(w), (0, true));
         // The overtaking request parks behind chain 1's write lock.
         m.dispatch(request(1 + p));
         assert_eq!(answered(&ep0), None);
-        assert_eq!((m.chains.live(), m.hot.lock_parks), (2, 1));
-        let first = m.chain_index[&(0, 1)];
+        assert_eq!((m.vol.chains.live(), m.hot.lock_parks), (2, 1));
+        let first = m.vol.chain_index[&(0, 1)];
         // The release frees chain 1 and wakes the parked chain.
         m.dispatch(release(1));
         assert_eq!(answered(&ep0), Some(1 + p));
-        assert_eq!(m.chains.live(), 1);
+        assert_eq!(m.vol.chains.live(), 1);
         // The next request takes over the freed slot under a new generation
         // while the woken chain still holds the lock it waits for.
         m.dispatch(request(2 + p));
-        let reused = m.chain_index[&(0, 2 + p)];
+        let reused = m.vol.chain_index[&(0, 2 + p)];
         assert_eq!((reused.slot, reused.generation), (first.slot, first.generation + 1));
         assert_eq!(answered(&ep0), None);
         m.dispatch(release(1 + p));
         assert_eq!(answered(&ep0), Some(2 + p));
         m.dispatch(release(2 + p));
-        assert_eq!((m.chains.live(), m.chain_index.len()), (0, 0));
-        assert_eq!(m.locks.held(w), (0, false));
+        assert_eq!((m.vol.chains.live(), m.vol.chain_index.len()), (0, 0));
+        assert_eq!(m.vol.locks.held(w), (0, false));
     }
 
     #[test]

@@ -337,7 +337,7 @@ where
         let GraphLab {
             graph,
             engine,
-            mut config,
+            config,
             coloring,
             strategy,
             initial,
@@ -348,23 +348,16 @@ where
         } = self;
 
         // The finest registered Updates cadence drives the background sync
-        // interval. Cadences are "at least every n", so an explicitly
-        // configured finer interval is kept (min, not overwrite);
-        // Final-only registrations leave the configured interval untouched.
-        if let Some(n) = cadences
+        // interval (cadences are "at least every n"); 0 when every
+        // registration is Final-only.
+        let sync_every = cadences
             .iter()
             .filter_map(|c| match c {
                 SyncCadence::Updates(n) => Some(*n),
                 SyncCadence::Final => None,
             })
             .min()
-        {
-            config.sync_interval_updates = if config.sync_interval_updates == 0 {
-                n
-            } else {
-                config.sync_interval_updates.min(n)
-            };
-        }
+            .unwrap_or(0);
 
         if let Some(plan) = &config.faults {
             if !plan.is_empty() {
@@ -407,7 +400,7 @@ where
             );
             if engine != EngineKind::Chromatic {
                 assert!(
-                    config.sync_interval_updates > 0,
+                    sync_every > 0,
                     "stop_when on the {engine:?} engine requires a SyncCadence::Updates \
                      cadence (the chromatic engine evaluates every colour cycle)"
                 );
@@ -418,7 +411,7 @@ where
         let syncs: SyncList<V, E> = Arc::new(syncs);
         match engine {
             EngineKind::Sequential => {
-                run_sequential_program(graph, &*update, initial, &syncs, stop, &config)
+                run_sequential_program(graph, &*update, initial, &syncs, stop, sync_every, &config)
             }
             EngineKind::Chromatic | EngineKind::Locking => {
                 // Only the chromatic engine reads a colouring.
@@ -432,6 +425,7 @@ where
                     initial,
                     syncs,
                     stop,
+                    sync_every,
                     &config,
                     &strategy,
                 )

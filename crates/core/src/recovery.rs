@@ -1096,6 +1096,7 @@ mod tests {
             stop: None,
             initial: Arc::new(crate::InitialSchedule::AllVertices),
             config,
+            sync_every: 0,
             counters: crate::metrics::LiveCounters::new(),
             snap_prefix: "ckpt".to_string(),
         };

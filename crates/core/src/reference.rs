@@ -48,6 +48,7 @@ pub(crate) fn run_sequential_program<V, E, U>(
     initial: InitialSchedule,
     syncs: &[Box<dyn ErasedSync<V, E>>],
     stop: Option<StopFn>,
+    sync_every: u64,
     config: &EngineConfig,
 ) -> EngineOutput
 where
@@ -96,9 +97,7 @@ where
         for &(lv, prio) in &effects.scheduled {
             scheduler.add(lv, prio);
         }
-        if config.sync_interval_updates > 0
-            && updates.is_multiple_of(config.sync_interval_updates)
-        {
+        if sync_every > 0 && updates.is_multiple_of(sync_every) {
             run_local_syncs(syncs, &lg, &mut globals);
             // Aggregate-driven convergence check (§3.5) at the sync
             // boundary, composing with the update cap below.

@@ -804,6 +804,42 @@ mod wire_codec {
         rt(ScheduleMsg { tasks: vec![(VertexId(1), f64::INFINITY)] });
     }
 
+    /// An adoption plan's placement is read off the wire and then indexed
+    /// and sized by: a machine count a `MachineId` cannot name, or an atom
+    /// on a machine past it, decodes to `None`, alone and inside the plan.
+    #[test]
+    fn placement_decode_refuses_machines_out_of_range() {
+        let placement = |ids: &[u16], machines: u32| {
+            let mut buf = BytesMut::new();
+            ids.to_vec().encode(&mut buf);
+            machines.encode(&mut buf);
+            buf.freeze()
+        };
+        let in_plan = |wire: Bytes| {
+            let mut buf = BytesMut::new();
+            (4u32, vec![2u16]).encode(&mut buf);
+            buf.extend_from_slice(&wire);
+            Some(6u64).encode(&mut buf);
+            decode_from::<AdoptPlanMsg>(buf.freeze())
+        };
+        let rr = Placement::round_robin(5, 3);
+        assert_eq!(decode_from(placement(&[0, 1, 2, 0, 1], 3)), Some(rr.clone()));
+        assert!(in_plan(placement(&[0, 1, 2, 0, 1], 3)).is_some_and(|p| p.placement == rr));
+        assert!(decode_from::<Placement>(placement(&[u16::MAX], 65_536)).is_some(), "the largest cluster");
+        for (ids, machines) in [
+            (&[0, 3][..], 3),
+            (&[][..], 0),
+            (&[0][..], 0),
+            (&[0][..], 65_537),
+            (&[0][..], u32::MAX),
+            (&[u16::MAX][..], 65_535),
+        ] {
+            let wire = placement(ids, machines);
+            assert_eq!(decode_from::<Placement>(wire.clone()), None, "{ids:?} on {machines}");
+            assert_eq!(in_plan(wire), None, "{ids:?} on {machines} in a plan");
+        }
+    }
+
     // ---- ISSUE 17: the in-place readers and the in-place append ----
     //
     // The engines no longer build these messages: they append them to the
