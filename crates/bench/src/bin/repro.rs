@@ -119,7 +119,6 @@ fn fig1b() {
     // convergence threshold.
     let eps = 0.03 / g.num_vertices() as f64;
     let m = GraphLab::on(&mut g)
-        .trace(true)
         .run(PageRank { alpha: 0.15, epsilon: eps, dynamic: true })
         .metrics;
     let n = g.num_vertices() as f64;
@@ -309,7 +308,6 @@ fn snapshot_run(
     let out = GraphLab::on(&mut g)
         .engine(EngineKind::Locking)
         .machines(4)
-        .trace(true)
         .max_updates(10 * n)
         .snapshot(SnapshotConfig { mode, every_updates: 3 * n, max_snapshots: 1 })
         .partition(PartitionStrategy::BfsGrow)

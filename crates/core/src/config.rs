@@ -138,8 +138,6 @@ pub struct EngineConfig {
     /// real TCP, where there is no fault-fabric oracle. `None` disables
     /// the detector on SimNet; TCP runs default it on (2 s period).
     pub lease: Option<Duration>,
-    /// Collect per-vertex update counts and the updates-vs-time series.
-    pub trace: bool,
     /// Safety cap on total updates (0 = unlimited). The engine halts once
     /// the cap is reached even if the schedulers are non-empty.
     pub max_updates: u64,
@@ -166,7 +164,6 @@ impl EngineConfig {
             faults: None,
             recovery: RecoveryMode::default(),
             lease: None,
-            trace: false,
             max_updates: 0,
             ablation: Ablation::Off,
             seed: 0x5EED,

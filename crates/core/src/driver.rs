@@ -19,7 +19,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graphlab_atoms::{build_atoms, load_machine_part, write_atoms, SimDfs, VertexPartition};
 use graphlab_atoms::placement::Placement;
@@ -32,7 +32,7 @@ use crate::config::EngineConfig;
 use crate::globals::GlobalRegistry;
 use crate::locking::LockingMachine;
 use crate::messages::{enc, Kind, RecoverAbortMsg, RecoveryKind};
-use crate::metrics::{sample_timeline, EngineMetrics, HotCounters, LiveCounters, PhaseTimes};
+use crate::metrics::{fold_timeline, EngineMetrics, HotCounters, LiveCounters, PhaseTimes};
 use crate::reference::InitialSchedule;
 use crate::sync::SyncList;
 use crate::update::UpdateFunction;
@@ -115,7 +115,10 @@ pub(crate) struct MachineResult<V, E> {
     pub erows: Vec<(EdgeId, E)>,
     pub globals: GlobalRegistry,
     pub updates: u64,
-    pub update_counts: Vec<(VertexId, u64)>,
+    /// Updates per vertex, indexed by global vertex id.
+    pub update_counts: Vec<u32>,
+    /// `(when, cumulative updates)` samples, in time order.
+    pub timeline: Vec<(Instant, u64)>,
     pub steps: u64,
     pub snapshots: u64,
     pub recoveries: u64,
@@ -146,6 +149,7 @@ impl<V, E> Default for MachineResult<V, E> {
             globals: GlobalRegistry::new(),
             updates: 0,
             update_counts: Vec::new(),
+            timeline: Vec::new(),
             steps: 0,
             snapshots: 0,
             recoveries: 0,
@@ -264,12 +268,6 @@ where
         snap_prefix: "ckpt".to_string(),
     };
 
-    let sampler = if config.trace {
-        Some(sample_timeline(&counters, Duration::from_millis(5)))
-    } else {
-        None
-    };
-
     // Open the transport: the endpoints this process holds — every
     // machine's under SimNet, where machines are threads of this process;
     // its own under TCP, where it is exactly one machine of the mesh. The
@@ -334,9 +332,7 @@ where
         // drops.
         net.shutdown();
     }
-    let runtime = clock::now() - start;
-    counters.done.store(true, Ordering::Relaxed);
-    let updates_timeline = sampler.map(|s| s.join().expect("sampler")).unwrap_or_default();
+    let end = clock::now();
     let (stats, results) = match ran {
         Ok(x) => x,
         Err(failure) => {
@@ -355,8 +351,8 @@ where
     // that wrote (the spawn harness merges the per-process outputs); a
     // SimNet run holds them all and writes the whole graph back.
     let mut owned = config.transport.is_tcp().then(Vec::new);
-    let mut update_counts =
-        if config.trace { vec![0u64; graph.num_vertices()] } else { Vec::new() };
+    let mut update_counts = vec![0u64; graph.num_vertices()];
+    let mut timelines = Vec::new();
     let mut total_updates = 0u64;
     let mut steps = 0u64;
     let mut snapshots = 0u64;
@@ -384,9 +380,10 @@ where
                 *graph.edge_data_mut(e) = d;
             }
         }
-        for (v, c) in r.update_counts {
-            update_counts[v.index()] += c;
+        for (total, &c) in update_counts.iter_mut().zip(&r.update_counts) {
+            *total += u64::from(c);
         }
+        timelines.push(r.timeline);
         total_updates += r.updates;
         steps = steps.max(r.steps);
         snapshots = snapshots.max(r.snapshots);
@@ -410,9 +407,9 @@ where
 
     let metrics = EngineMetrics {
         updates: total_updates,
-        runtime,
+        runtime: end - start,
         update_counts,
-        updates_timeline,
+        updates_timeline: fold_timeline(start, end, &timelines),
         bytes_sent_per_machine: stats.all().iter().map(|t| t.bytes_sent).collect(),
         total_messages: stats.total_msgs(),
         bytes_by_kind: stats.by_kind(),

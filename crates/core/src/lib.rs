@@ -35,6 +35,7 @@
 
 #![deny(
     clippy::disallowed_methods,
+    clippy::disallowed_macros,
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
@@ -42,8 +43,9 @@
     test,
     allow(
         clippy::disallowed_methods,
+        clippy::disallowed_macros,
         clippy::iter_over_hash_type,
-        reason = "unit tests script raw endpoints and time themselves; the invariants bind shipped code"
+        reason = "unit tests script raw endpoints, time themselves and print the explorers' state counts; the invariants bind shipped code"
     )
 )]
 

@@ -687,8 +687,6 @@ where
 
         let reqid = self.next_reqid;
         self.next_reqid += 1;
-        tr!("[m{}] INIT reqid={} center=v{} machines={:?}",
-            me.0, reqid, self.core.lg.vertex_gvid(l).0, machines);
         let out = self.vol.outs.insert(OutScope {
             reqid,
             center: l,
@@ -864,20 +862,6 @@ where
         let center = self.vol.outs.get(out).center;
         let prioritized = self.vol.scheduler.kind() == SchedulerKind::Priority;
         self.core.execute(&*self.update, center, prioritized);
-        if trace_on() {
-            let nbrs: Vec<(u32, u64)> = self
-                .core
-                .lg
-                .adj(center)
-                .iter()
-                .map(|e| (self.core.lg.vertex_gvid(e.nbr).0, self.core.lg.vertex_version(e.nbr)))
-                .collect();
-            tr!("[m{}] EXEC reqid={} v{} dirty={} sched={:?} nbr_vers={:?}",
-                self.core.me().0, self.vol.outs.get(out).reqid, self.core.lg.vertex_gvid(center).0,
-                self.core.effects.dirty_self,
-                self.core.effects.scheduled.iter().map(|s| self.core.lg.vertex_gvid(s.0).0).collect::<Vec<_>>(),
-                nbrs);
-        }
         self.maybe_send_upd_note(false);
         self.commit_and_release(out);
     }
@@ -886,8 +870,7 @@ where
     fn schedule_owned(&mut self, lv: u32, prio: f64) {
         debug_assert!(self.core.lg.owns_vertex(lv));
         if !self.vol.cap_reached {
-            let fresh = self.vol.scheduler.add(lv, prio);
-            tr!("[m{}] SCHED v{} fresh={}", self.core.me().0, self.core.lg.vertex_gvid(lv).0, fresh);
+            self.vol.scheduler.add(lv, prio);
         }
     }
 
@@ -944,8 +927,6 @@ where
             let mm = self.vol.plans.owners(center)[k];
             if !self.outbox[mm.index()].sched.is_empty() {
                 let tasks = &mut self.outbox[mm.index()].sched;
-                tr!("[m{}] SCHED_SEND to=m{} {:?}", me.0, mm.0,
-                    tasks.iter().map(|(v, _)| v.0).collect::<Vec<_>>());
                 self.core.send_with(mm, LockKind::Sched, |buf| ScheduleMsg::put(buf, tasks));
                 tasks.clear();
             }
@@ -1087,16 +1068,14 @@ where
             LockKind::ScopeData => {
                 // Rows are applied as they are read: nothing is built.
                 let (src, payload) = (env.src, &env.payload);
-                let (reqid, (nv, vsame), (ne, esame)) = read_all(payload, |p| {
+                let (reqid, (nv, vsame), _) = read_all(payload, |p| {
                     ScopeDataMsg::read(
                         p,
                         self,
                         |m, vid, version, snap, data| {
                             if let Some(lv) = m.core.lg.local_vertex(vid) {
                                 let datum = dec_in(payload, data);
-                                let applied = m.core.lg.apply_vertex_update(lv, version, datum);
-                                tr!("[m{}] DATA from=m{} v{} ver={} applied={}", m.core.me().0,
-                                    src.0, vid.0, version, applied);
+                                m.core.lg.apply_vertex_update(lv, version, datum);
                                 if snap > m.vol.snap_epoch[lv as usize] {
                                     m.vol.snap_epoch[lv as usize] = snap;
                                 }
@@ -1109,8 +1088,6 @@ where
                         },
                     )
                 });
-                tr!("[m{}] DATA reqid={} rows={}v/{}e same={}v/{}e", self.core.me().0, reqid,
-                    nv, ne, vsame, esame);
                 let out = self.vol.out_index.get(&reqid).copied();
                 // Rows + unchanged markers must cover the hop's whole share
                 // of the scope's vertices (the requester's plan row says

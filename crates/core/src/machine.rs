@@ -10,13 +10,13 @@
 //! the sync/snapshot choreography — does not belong here, and neither does
 //! the update function: [`Machine::execute`] borrows it per call.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use graphlab_atoms::LocalGraphInit;
-use graphlab_graph::{MachineId, VertexId};
-use graphlab_net::{Batcher, Codec, Endpoint, LeaseConfig};
+use graphlab_graph::MachineId;
+use graphlab_net::{clock, Batcher, Codec, Endpoint, LeaseConfig};
 
 use crate::config::{SnapshotMode, StragglerConfig};
 use crate::driver::{MachineResult, MachineSetup};
@@ -27,6 +27,9 @@ use crate::recovery::{RecoveryTracker, Step};
 use crate::reference::InitialSchedule;
 use crate::snapshot::CheckpointWriter;
 use crate::update::{UpdateContext, UpdateEffects, UpdateFunction};
+
+/// Updates between two samples of a machine's timeline.
+const TIMELINE_EVERY: u64 = 64;
 
 pub(crate) struct Machine<V, E> {
     pub lg: LocalGraph<V, E>,
@@ -49,9 +52,13 @@ pub(crate) struct Machine<V, E> {
     peer_updates: Vec<u64>,
     /// Master: [`Self::observed_updates`] at the last snapshot trigger.
     pub last_snap_updates: u64,
-    // BTreeMap: drained into the run's trace output at finish — iteration
-    // order must be deterministic, not the hasher's.
-    update_count_map: BTreeMap<VertexId, u64>,
+    /// Updates executed here per vertex, indexed by global vertex id: a
+    /// dense column, so the counts outlive the `LocalGraph` an adoption
+    /// rebuilds. The source of Fig. 1(b).
+    update_counts: Vec<u32>,
+    /// `(when, updates_local)` at every [`TIMELINE_EVERY`]-th update and at
+    /// finish: this machine's part of Fig. 4's updates-against-time series.
+    timeline: Vec<(Instant, u64)>,
     straggled: bool,
     /// What the update just executed asked for, until the engine commits it.
     pub effects: UpdateEffects,
@@ -82,7 +89,8 @@ impl<V, E> Machine<V, E> {
             updates_local: 0,
             peer_updates: vec![0; m],
             last_snap_updates: 0,
-            update_count_map: BTreeMap::new(),
+            update_counts: vec![0; lg.total_vertices() as usize],
+            timeline: Vec::new(),
             straggled: false,
             effects: UpdateEffects::default(),
             rowbuf: BytesMut::new(),
@@ -171,8 +179,9 @@ impl<V, E> Machine<V, E> {
         update.update(&mut ctx);
         self.updates_local += 1;
         self.setup.counters.updates.fetch_add(1, Ordering::Relaxed);
-        if self.setup.config.trace {
-            *self.update_count_map.entry(self.lg.vertex_gvid(l)).or_insert(0) += 1;
+        self.update_counts[self.lg.vertex_gvid(l).index()] += 1;
+        if self.updates_local.is_multiple_of(TIMELINE_EVERY) {
+            self.timeline.push((clock::now(), self.updates_local));
         }
     }
 
@@ -236,7 +245,7 @@ impl<V, E> Machine<V, E> {
         let due = self.straggler_pending().filter(|s| self.live_updates() >= s.after_updates);
         if let Some(s) = due {
             self.straggled = true;
-            graphlab_net::clock::sleep(s.duration);
+            clock::sleep(s.duration);
         }
     }
 
@@ -284,7 +293,8 @@ impl<V, E> Machine<V, E> {
 
     /// What this machine hands back at join time; the engine adds its own
     /// counters.
-    pub fn finish(self) -> MachineResult<V, E> {
+    pub fn finish(mut self) -> MachineResult<V, E> {
+        self.timeline.push((clock::now(), self.updates_local));
         // A dead machine's rows are stale by definition (survivors adopted
         // its atoms): it must contribute nothing to the write-back.
         let (vrows, erows) =
@@ -294,7 +304,8 @@ impl<V, E> Machine<V, E> {
             erows,
             globals: self.globals,
             updates: self.updates_local,
-            update_counts: self.update_count_map.into_iter().collect(),
+            update_counts: self.update_counts,
+            timeline: self.timeline,
             snapshots: self.snapshots,
             recoveries: self.rec.recoveries,
             adoptions: self.rec.adoptions,
@@ -311,7 +322,7 @@ mod tests {
     use crate::config::SnapshotConfig;
     use crate::driver::tests::scripted_machine;
     use graphlab_atoms::VertexPartition;
-    use graphlab_graph::GraphBuilder;
+    use graphlab_graph::{GraphBuilder, VertexId};
 
     /// Machine 0 of two over the ring on eight vertices, scheduled with
     /// `initial`; machine 1's endpoint is dropped (nothing here receives).

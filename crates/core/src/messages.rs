@@ -90,23 +90,6 @@ fn put_blob(buf: &mut BytesMut, data: &[u8]) {
     buf.put_slice(data);
 }
 
-/// Whether `GRAPHLAB_TRACE` is set (read once per process).
-pub(crate) fn trace_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("GRAPHLAB_TRACE").is_some())
-}
-
-/// Per-machine protocol event tracing to stderr under `GRAPHLAB_TRACE=1`
-/// (engine INIT/EXEC/SCHED/DATA/HALT lines and every recovery transition).
-macro_rules! tr {
-    ($($arg:tt)*) => {
-        if $crate::messages::trace_on() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-pub(crate) use tr;
-
 // ---- message kinds ----
 
 /// Declares the wire's kinds, once: a `#[repr(u16)]` enum per receiving

@@ -1,56 +1,72 @@
 //! Engine instrumentation backing the paper's evaluation figures.
 //!
-//! The counters here are *simulation instrumentation*: shared atomics that
-//! bypass the share-nothing message rule (the real system would aggregate
-//! them post-hoc from per-machine logs) and hold only the machines of this
-//! process — one, under `Transport::Tcp`. The masters' halt, sync and
-//! snapshot decisions do not read them (both engines count updates from
-//! the messages they get). Three reads remain in the engines, each a
-//! per-machine approximation over TCP: the `max_updates` break in the
-//! middle of a chromatic colour-step (the cycle end decides the halt), the
-//! same cap in the locking engine's `pump`, and the one-shot
+//! Every machine measures itself, whatever the configuration: it counts
+//! its updates per vertex (Fig. 1(b)) and samples its cumulative update
+//! count against the clock (Fig. 4), and hands both over at finish; the
+//! driver sums the counts and merges the samples with `fold_timeline`
+//! into [`EngineMetrics`].
+//!
+//! [`LiveCounters`] is the exception: a shared atomic that bypasses the
+//! share-nothing message rule (the real system would aggregate post-hoc
+//! from per-machine logs) and holds only the machines of this process —
+//! one, under `Transport::Tcp`. Nothing is measured through it, and the
+//! masters' halt, sync and snapshot decisions do not read it (both engines
+//! count updates from the messages they get). What still reads it is where
+//! no message can be waited for, each a per-machine approximation over
+//! TCP: the update cap — the `max_updates` break in the middle of a
+//! chromatic colour-step (the cycle end decides the halt) and the same cap
+//! in the locking engine's `pump` — and the one-shot
 //! `EngineConfig::straggler` trigger.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
-
-use graphlab_net::clock;
+use std::time::{Duration, Instant};
 
 /// Live counters shared by all machine threads of one engine run.
 #[derive(Debug)]
 pub struct LiveCounters {
     /// Total update-function executions.
     pub updates: AtomicU64,
-    /// Set once the engine halts (stops the timeline sampler).
-    pub done: AtomicBool,
 }
 
 impl LiveCounters {
     /// Fresh counters.
     pub fn new() -> Arc<Self> {
-        Arc::new(LiveCounters { updates: AtomicU64::new(0), done: AtomicBool::new(false) })
+        Arc::new(LiveCounters { updates: AtomicU64::new(0) })
     }
 }
 
-/// Samples `(elapsed seconds, cumulative updates)` on a fixed cadence —
-/// the raw series behind Fig. 4(a)/(b).
-pub fn sample_timeline(
-    counters: &Arc<LiveCounters>,
-    period: Duration,
-) -> std::thread::JoinHandle<Vec<(f64, u64)>> {
-    let counters = Arc::clone(counters);
-    std::thread::spawn(move || {
-        let start = clock::now();
-        let mut series = Vec::new();
-        loop {
-            series.push(((clock::now() - start).as_secs_f64(), counters.updates.load(Ordering::Relaxed)));
-            if counters.done.load(Ordering::Relaxed) {
-                return series;
+/// The grid of [`EngineMetrics::updates_timeline`].
+const TIMELINE_STEP: Duration = Duration::from_millis(5);
+
+/// Folds the machines' timelines — each its `(when, cumulative updates)`
+/// samples in time order — into the cluster's `(seconds since start,
+/// cumulative updates)` series behind Fig. 4: a point every
+/// [`TIMELINE_STEP`] from `start` and a last one at `end`, each the sum of
+/// every machine's latest sample at or before it (0 for a machine with
+/// none yet).
+pub(crate) fn fold_timeline(
+    start: Instant,
+    end: Instant,
+    machines: &[Vec<(Instant, u64)>],
+) -> Vec<(f64, u64)> {
+    let mut next = vec![0usize; machines.len()];
+    let mut latest = vec![0u64; machines.len()];
+    let mut series = Vec::new();
+    let mut t = start;
+    loop {
+        for (i, samples) in machines.iter().enumerate() {
+            while let Some(&(_, n)) = samples.get(next[i]).filter(|&&(when, _)| when <= t) {
+                latest[i] = n;
+                next[i] += 1;
             }
-            clock::sleep(period);
         }
-    })
+        series.push(((t - start).as_secs_f64(), latest.iter().sum()));
+        if t >= end {
+            return series;
+        }
+        t = (t + TIMELINE_STEP).min(end);
+    }
 }
 
 /// Wall-clock breakdown of one machine's run: where its time actually
@@ -114,11 +130,13 @@ pub struct EngineMetrics {
     pub updates: u64,
     /// Wall-clock runtime (including snapshotting, excluding ingress).
     pub runtime: Duration,
-    /// Per-vertex update counts indexed by global vertex id (empty unless
-    /// tracing was enabled) — the histogram source of Fig. 1(b).
+    /// Per-vertex update counts indexed by global vertex id, always filled
+    /// (one entry per vertex; they sum to `updates`) — the histogram source
+    /// of Fig. 1(b). Over TCP, this process's machine's counts only.
     pub update_counts: Vec<u64>,
-    /// Sampled `(seconds, cumulative updates)` series (empty unless
-    /// tracing) — Fig. 4.
+    /// `(seconds since the run started, cumulative updates)` on a 5 ms grid
+    /// and at the end, always filled on the distributed engines (empty on
+    /// the sequential one) — Fig. 4. Over TCP, this process's machine only.
     pub updates_timeline: Vec<(f64, u64)>,
     /// Wire bytes sent per machine — Fig. 6(b).
     pub bytes_sent_per_machine: Vec<u64>,
@@ -237,14 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn timeline_sampler_terminates() {
-        let counters = LiveCounters::new();
-        let handle = sample_timeline(&counters, Duration::from_millis(1));
-        counters.updates.store(42, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(10));
-        counters.done.store(true, Ordering::Relaxed);
-        let series = handle.join().unwrap();
-        assert!(!series.is_empty());
-        assert_eq!(series.last().unwrap().1, 42);
+    fn the_fold_sums_each_machines_latest_sample_on_the_grid() {
+        let start = Instant::now();
+        let ms = |k| start + Duration::from_millis(k);
+        // Machine 0 stands still from 2 ms to 12 ms.
+        let m0 = vec![(ms(1), 64), (ms(2), 128), (ms(12), 192)];
+        let m1 = vec![(ms(4), 64), (ms(14), 100)];
+        let series = fold_timeline(start, ms(14), &[m0, m1]);
+        assert_eq!(series, vec![(0.0, 0), (0.005, 192), (0.010, 192), (0.014, 292)]);
+        // An end on the grid is not repeated; a machine with no samples adds 0.
+        let series = fold_timeline(start, ms(10), &[vec![(ms(3), 7)], vec![]]);
+        assert_eq!(series, vec![(0.0, 0), (0.005, 7), (0.010, 7)]);
     }
 }

@@ -239,12 +239,6 @@ where
         self
     }
 
-    /// Collect per-vertex update counts and the updates-vs-time series.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
     /// Seed for partitioning and tie-breaking.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;

@@ -347,6 +347,7 @@ impl<W, G> RecoveryTracker<W, G> {
     }
 
     /// The latest fault era seen (0: no fault yet).
+    #[cfg(test)]
     pub(crate) fn era(&self) -> u32 {
         self.round.era
     }
@@ -674,11 +675,7 @@ pub(crate) fn on_recv<H: RecoveryHost>(h: &mut H, got: Result<Work, RecvError>) 
     let mut out = Vec::new();
     while let Some(input) = next.take() {
         let rec = &mut h.machine().rec;
-        let was = (rec.phase(), rec.era());
         rec.step(input, clock::now(), &mut out);
-        if (rec.phase(), rec.era()) != was {
-            tr!("[m{}] RECOVERY {:?} era={}", rec.me, rec.phase(), rec.era());
-        }
         for output in out.drain(..) {
             if let Some(step) = apply(h, output, &mut next) {
                 return step;

@@ -78,8 +78,7 @@ where
     run_local_syncs(syncs, &lg, &mut globals);
 
     let mut updates = 0u64;
-    let mut update_counts =
-        if config.trace { vec![0u64; lg.total_vertices() as usize] } else { Vec::new() };
+    let mut update_counts = vec![0u64; lg.total_vertices() as usize];
     let mut effects = UpdateEffects::default();
     let prioritized = config.scheduler == SchedulerKind::Priority;
 
@@ -91,9 +90,7 @@ where
             update.update(&mut ctx);
         }
         updates += 1;
-        if config.trace {
-            update_counts[lg.vertex_gvid(l).index()] += 1;
-        }
+        update_counts[lg.vertex_gvid(l).index()] += 1;
         for &(lv, prio) in &effects.scheduled {
             scheduler.add(lv, prio);
         }
@@ -210,9 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_counts_updates_per_vertex() {
+    fn counts_updates_per_vertex() {
         let mut g = path(4);
-        let out = GraphLab::on(&mut g).trace(true).run(MaxDiffusion);
+        let out = GraphLab::on(&mut g).run(MaxDiffusion);
         assert_eq!(out.metrics.update_counts.len(), 4);
         assert_eq!(out.metrics.update_counts.iter().sum::<u64>(), out.metrics.updates);
     }

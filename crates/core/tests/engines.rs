@@ -389,17 +389,44 @@ fn initial_subset_scheduling() {
     assert!(out.metrics.updates >= 30);
 }
 
+/// Every run counts its updates per vertex and, on the distributed
+/// engines, over time, with no switch set: on each engine, and on a
+/// three-machine locking run whose worker dies and is adopted (its counts
+/// outlive the local graph the survivors rebuild).
 #[test]
-fn trace_collects_update_counts() {
-    let mut dist = ring(12);
-    let out = GraphLab::on(&mut dist)
-        .engine(EngineKind::Locking)
-        .machines(2)
-        .trace(true)
-        .run(MaxDiffusion);
-    assert_eq!(out.metrics.update_counts.len(), 12);
-    assert_eq!(out.metrics.update_counts.iter().sum::<u64>(), out.metrics.updates);
-    assert!(!out.metrics.updates_timeline.is_empty());
+fn every_run_counts_updates_per_vertex_and_over_time() {
+    let runs = [
+        (EngineKind::Sequential, 1, false),
+        (EngineKind::Chromatic, 2, false),
+        (EngineKind::Locking, 2, false),
+        (EngineKind::Locking, 3, true),
+    ];
+    for (engine, machines, killed) in runs {
+        let mut graph = web(2_000);
+        let mut b = GraphLab::on(&mut graph).engine(engine).machines(machines);
+        if killed {
+            b = b
+                .recovery(RecoveryMode::Adopt)
+                .faults(FaultPlan::seeded(1).kill(2, FaultTrigger::Deliveries(200)));
+        }
+        let out = b.run(DynamicPageRank(1e-6));
+        let m = &out.metrics;
+        let cell = format!("{engine:?} on {machines}, killed: {killed}");
+        assert!(!killed || m.adoptions >= 1, "{cell}: the kill must be adopted");
+        assert_eq!(m.update_counts.len(), 2_000, "{cell}");
+        assert_eq!(m.update_counts.iter().sum::<u64>(), m.updates, "{cell}");
+        if engine == EngineKind::Sequential {
+            assert!(m.updates_timeline.is_empty(), "{cell}");
+            continue;
+        }
+        assert!(!m.updates_timeline.is_empty(), "{cell}");
+        for w in m.updates_timeline.windows(2) {
+            assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1, "{cell}: {w:?}");
+        }
+        // The last point is at the end of the run, after every machine's
+        // final sample.
+        assert_eq!(m.updates_timeline.last().map(|p| p.1), Some(m.updates), "{cell}");
+    }
 }
 
 #[test]

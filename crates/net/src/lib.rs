@@ -113,6 +113,7 @@
 
 #![deny(
     clippy::disallowed_methods,
+    clippy::disallowed_macros,
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
@@ -120,6 +121,7 @@
     test,
     allow(
         clippy::disallowed_methods,
+        clippy::disallowed_macros,
         clippy::iter_over_hash_type,
         reason = "unit tests drive raw endpoints and time themselves; the invariants bind shipped code"
     )

@@ -2,9 +2,11 @@
 # The figures ROADMAP's "Lines (after PR N)" paragraph quotes, the
 # exemption budget (`#[expect(clippy::disallowed_methods` sites in `core`
 # and `net`), the option count (the fields of `EngineConfig` and
-# `FaultPlan`, the variants of `SchedulerKind`) and the panic sites a
-# clean `Err` would replace (`.unwrap(` / `.expect(` calls in `core`, `net`
-# and `atoms`), so that a simplicity PR's number is one command's output.
+# `FaultPlan`, the variants of `SchedulerKind`, and the environment
+# switches: `env::var` / `env::var_os` reads in `core`, `net` and `atoms`)
+# and the panic sites a clean `Err` would replace (`.unwrap(` / `.expect(`
+# calls in those three), so that a simplicity PR's number is one command's
+# output.
 # Run from anywhere: `scripts/lines.sh [repo root]`. "Outside #[cfg(test)]" counts each file
 # up to, not including, its last `#[cfg(test)]` or `#![cfg(test)]` line (the unit-test module
 # closes every file that has one); a file with none counts whole.
@@ -21,12 +23,15 @@ outside_tests() {
          END { print total + (cut ? cut - 1 : n) }' "$@"
 }
 
-# `.unwrap(` and `.expect(` calls outside #[cfg(test)], cut as `outside_tests` cuts.
-panics_outside_tests() {
-    awk 'function close_file() { total += cut ? upto[cut - 1] : upto[n] }
+# Matches of the extended regex $1 in the files that follow, outside
+# #[cfg(test)], cut as `outside_tests` cuts.
+matches_outside_tests() {
+    RE=$1
+    shift
+    RE=$RE awk 'function close_file() { total += cut ? upto[cut - 1] : upto[n] }
          FNR == 1 && NR > 1 { close_file() }
          FNR == 1 { n = 0; cut = 0; seen = 0; split("", upto) }
-         { n = FNR; line = $0; seen += gsub(/\.(unwrap|expect)\(/, "", line); upto[FNR] = seen }
+         { n = FNR; line = $0; seen += gsub(ENVIRON["RE"], "", line); upto[FNR] = seen }
          /^[[:space:]]*#!?\[cfg\(test\)\]/ { cut = FNR }
          END { close_file(); print total + 0 }' "$@"
 }
@@ -51,13 +56,16 @@ printf '%-50s %6d\n' "disallowed_methods #[expect]s in core + net" \
     "$(cat $core/*.rs $net/*.rs | grep -c '#\[expect(clippy::disallowed_methods')"
 printf '%-50s %6d\n' "Rust under crates src tests examples" \
     "$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l)"
+panics='\.(unwrap|expect)\('
 for dir in $core $net $atoms; do
-    printf '%-50s %6d\n' ".unwrap(/.expect( in $dir, non-test" "$(panics_outside_tests $dir/*.rs)"
+    printf '%-50s %6d\n' ".unwrap(/.expect( in $dir, non-test" "$(matches_outside_tests "$panics" $dir/*.rs)"
 done
 printf '%-50s %6d\n' ".unwrap(/.expect( in those three, non-test" \
-    "$(panics_outside_tests $core/*.rs $net/*.rs $atoms/*.rs)"
+    "$(matches_outside_tests "$panics" $core/*.rs $net/*.rs $atoms/*.rs)"
 printf '%-50s %6d\n' ".unwrap(/.expect( in those three, with tests" \
     "$(cat $core/*.rs $net/*.rs $atoms/*.rs | grep -oE '\.(unwrap|expect)\(' | wc -l)"
 printf '%-50s %6d\n' "EngineConfig fields" "$(members $core/config.rs 'struct EngineConfig')"
 printf '%-50s %6d\n' "FaultPlan fields" "$(members $net/fault.rs 'struct FaultPlan')"
 printf '%-50s %6d\n' "SchedulerKind variants" "$(members $core/scheduler.rs 'enum SchedulerKind')"
+printf '%-50s %6d\n' "env::var/env::var_os reads in those three, non-test" \
+    "$(matches_outside_tests 'env::var(_os)?\(' $core/*.rs $net/*.rs $atoms/*.rs)"
