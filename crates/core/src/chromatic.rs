@@ -7,7 +7,7 @@
 //! ghost data are communicated **asynchronously while the colour-step
 //! runs**, and a full communication barrier separates colour-steps.
 //!
-//! The colour-step is the unit of exchange. Ghost rows and write-backs are
+//! The colour-step is the unit of exchange. Vertex rows and edge rows are
 //! collected in one open *block* per (destination, kind) — the
 //! `(step, phase)` tag once, then rows back to back — which goes on the
 //! wire when it reaches `BLOCK_BYTES` (so communication still overlaps
@@ -16,15 +16,22 @@
 //! per owner (duplicates merge, as in the local queues) sent once when the
 //! step has executed.
 //!
-//! The barrier is two rounds of FIFO markers, like recovery's `FlushMark`:
-//! after executing its part of the step, every machine sends every other
-//! machine a `FlushA` marker behind its blocks and task sets (round A);
-//! write-backs applied during round A may trigger forwards to other
-//! mirrors, which go out ahead of the `FlushB` marker (round B). Per-channel
-//! FIFO makes a peer's marker proof that everything it sent in the round
-//! has arrived, so a machine enters the next colour-step once it holds
-//! every surviving peer's markers and all modifications are visible before
-//! the next colour begins. The one invariant: **no row outlives its
+//! A row's role is the receiver's ownership of its datum (§4.2.1: a
+//! writer's change goes to the owner, who passes it to every other
+//! replica). A row that reaches a mirror is a ghost push, applied by
+//! version; one that reaches the owner is a write-back, applied and
+//! bumped, and a vertex's is forwarded to every mirror but its writer.
+//!
+//! The barrier is two rounds of FIFO markers, like recovery's `FlushMark`;
+//! step `s`'s rounds are `2·s` and `2·s + 1`, and a `Flush` marker carries
+//! its round. After executing its part of the step, every machine sends
+//! every other machine its marker of round `2·s` behind its blocks and
+//! task sets; write-backs applied during that round may trigger forwards
+//! to other mirrors, which go out ahead of its marker of round `2·s + 1`.
+//! Per-channel FIFO makes a peer's marker proof that everything it sent in
+//! the round has arrived, so a machine enters the next colour-step once it
+//! holds every surviving peer's markers and all modifications are visible
+//! before the next colour begins. The one invariant: **no row outlives its
 //! round's marker** — `flush_round` closes every block before it sends
 //! the markers.
 //!
@@ -76,19 +83,15 @@ const BLOCK_BYTES: usize = 4 * 1024;
 enum RowKind {
     VData,
     EData,
-    WbV,
-    WbE,
 }
 
 impl RowKind {
-    const ALL: [RowKind; 4] = [RowKind::VData, RowKind::EData, RowKind::WbV, RowKind::WbE];
+    const ALL: [RowKind; 2] = [RowKind::VData, RowKind::EData];
 
     fn wire(self) -> ChromKind {
         match self {
             RowKind::VData => ChromKind::VData,
             RowKind::EData => ChromKind::EData,
-            RowKind::WbV => ChromKind::WbV,
-            RowKind::WbE => ChromKind::WbE,
         }
     }
 }
@@ -410,7 +413,7 @@ where
                 }
             } else {
                 let (owner, geid) = (self.core.lg.edge_owner(le), self.encode_edge(le));
-                self.send_row(owner, RowKind::WbE, tag, |buf, data| {
+                self.send_row(owner, RowKind::EData, tag, |buf, data| {
                     EdgeRow::put(buf, geid, 0, data)
                 });
             }
@@ -424,7 +427,7 @@ where
                 self.push_to_mirrors(ln, version);
             } else {
                 let (owner, gvid) = (self.core.lg.vertex_owner(ln), self.encode_vertex(ln));
-                self.send_row(owner, RowKind::WbV, tag, |buf, data| {
+                self.send_row(owner, RowKind::VData, tag, |buf, data| {
                     VertexRow::put(buf, gvid, 0, 0, data)
                 });
             }
@@ -490,9 +493,9 @@ where
                 self.close_block(dst, kind);
             }
         }
-        let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
-        self.core.broadcast(kind, &enc(&step));
-        self.wait(|m| m.core.rec.holds(&m.vol.marks, round((step, phase))).then_some(()))
+        let r = round((step, phase));
+        self.core.broadcast(ChromKind::Flush, &enc(&r));
+        self.wait(|m| m.core.rec.holds(&m.vol.marks, r).then_some(()))
     }
 
     /// Walks the row block in `env` in place, handing `row` each row with
@@ -519,26 +522,19 @@ where
     /// and what it brings recorded.
     fn handle_msg(&mut self, kind: ChromKind, env: Envelope) {
         match kind {
-            ChromKind::VData => {
-                self.on_block(&env, VertexRow::read, |this, _, (vid, version, _, data)| {
-                    if let Some(l) = this.core.lg.local_vertex(vid) {
-                        this.core.lg.apply_vertex_update(l, version, dec_in(&env.payload, data));
-                    }
-                })
-            }
-            ChromKind::EData => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
-                if let Some(l) = this.core.lg.local_edge(eid) {
-                    this.core.lg.apply_edge_update(l, version, dec_in(&env.payload, data));
+            ChromKind::VData => self.on_block(&env, VertexRow::read, |this, step, (vid, version, _, data)| {
+                let Some(l) = this.core.lg.local_vertex(vid) else { return };
+                let datum = dec_in(&env.payload, data);
+                if !this.core.lg.owns_vertex(l) {
+                    this.core.lg.apply_vertex_update(l, version, datum);
+                    return;
                 }
-            }),
-            ChromKind::WbV => self.on_block(&env, VertexRow::read, |this, step, (vid, _, _, data)| {
-                let l = this.core.lg.local_vertex(vid).expect("write-back target owned");
-                debug_assert!(this.core.lg.owns_vertex(l));
-                *this.core.lg.vertex_data_mut(l) = dec_in(&env.payload, data);
+                // A write-back. Forward it to every mirror but the writer,
+                // which holds what it sent us (phase 1): under full
+                // consistency, the only one with write-backs, the datum has
+                // no other writer in the step.
+                *this.core.lg.vertex_data_mut(l) = datum;
                 let version = this.core.lg.bump_vertex_version(l);
-                // Forward to every mirror but the writer, which holds what it
-                // sent us (phase 1): under full consistency, the only one with
-                // write-backs, the datum has no other writer in the step.
                 let mut encoded = false;
                 for k in 0..this.core.lg.vertex_mirrors(l).len() {
                     let mm = this.core.lg.vertex_mirrors(l)[k];
@@ -552,13 +548,17 @@ where
                     }
                 }
             }),
-            ChromKind::WbE => self.on_block(&env, EdgeRow::read, |this, _, (eid, _, data)| {
-                let l = this.core.lg.local_edge(eid).expect("write-back target owned");
-                debug_assert!(this.core.lg.owns_edge(l));
-                *this.core.lg.edge_data_mut(l) = dec_in(&env.payload, data);
-                // An edge has exactly two replicas; the write-back came from
-                // the only mirror, so no forward is needed.
-                this.core.lg.bump_edge_version(l);
+            ChromKind::EData => self.on_block(&env, EdgeRow::read, |this, _, (eid, version, data)| {
+                let Some(l) = this.core.lg.local_edge(eid) else { return };
+                let datum = dec_in(&env.payload, data);
+                if this.core.lg.owns_edge(l) {
+                    // A write-back. An edge has exactly two replicas and it
+                    // came from the other, so no forward is needed.
+                    *this.core.lg.edge_data_mut(l) = datum;
+                    this.core.lg.bump_edge_version(l);
+                } else {
+                    this.core.lg.apply_edge_update(l, version, datum);
+                }
             }),
             ChromKind::Sched => {
                 let tag = read_all(&env.payload, |p| {
@@ -572,8 +572,8 @@ where
                 });
                 self.debug_assert_ahead_of_marker(env.src, tag);
             }
-            ChromKind::FlushA | ChromKind::FlushB => {
-                let r = round((dec(env.payload), (kind == ChromKind::FlushB) as u8));
+            ChromKind::Flush => {
+                let r = dec(env.payload);
                 debug_assert_eq!(r, self.vol.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
                 self.vol.marks.note(env.src, r);
             }
@@ -757,18 +757,22 @@ mod tests {
     }
 
     /// The next envelope at `ep` as a flush marker, whose whole payload is
-    /// its step: `(kind, step)`.
+    /// its round: `(kind, round)`.
     fn flush_marker(ep: &Endpoint) -> Option<(ChromKind, u64)> {
         let env = ep.try_recv().ok()?;
         Some((kind_of(&env), dec(env.payload)))
     }
 
+    /// The marker of `(step, phase)` as `flush_marker` reads it.
+    fn marker(step: u64, phase: u8) -> Option<(ChromKind, u64)> {
+        Some((ChromKind::Flush, round((step, phase))))
+    }
+
     /// Scripts every peer's marker of `(step, phase)`, so `flush_round`
     /// returns without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
-        let kind = if phase == 0 { ChromKind::FlushA } else { ChromKind::FlushB };
         for j in 1..m.vol.blocks.len() as u16 {
-            handle_from(m, j, kind, enc(&step));
+            handle_from(m, j, ChromKind::Flush, enc(&round((step, phase))));
         }
     }
 
@@ -848,12 +852,12 @@ mod tests {
         let forwarded = (ChromKind::VData, (0, 1), vec![(0, version + 1)]);
         assert_eq!(vertex_block(&peers[0]), Some(forwarded));
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 0)));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 0)));
+        assert_eq!(flush_marker(&peers[0]), marker(0, 0));
+        assert_eq!(flush_marker(&peers[1]), marker(0, 0));
         promise(&mut m, 0, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 0)));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 0)));
+        assert_eq!(flush_marker(&peers[0]), marker(0, 1));
+        assert_eq!(flush_marker(&peers[1]), marker(0, 1));
         assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
@@ -871,7 +875,7 @@ mod tests {
         StepTagged::<VertexRow>::put(&mut wb, 3, 0, |buf| {
             VertexRow::put(buf, VertexId(0), 0, 0, &enc(&7.5f64))
         });
-        handle_from(&mut m, 1, ChromKind::WbV, wb.freeze());
+        handle_from(&mut m, 1, ChromKind::VData, wb.freeze());
         let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
         assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (7.5, 1));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()), "nothing leaves before the step");
@@ -879,13 +883,48 @@ mod tests {
         m.execute_color_step(0);
         promise(&mut m, 3, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 3)), "not to the writer");
+        assert_eq!(flush_marker(&peers[0]), marker(3, 0), "not to the writer");
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (3, 1), vec![(0, 1)])));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushA, 3)));
+        assert_eq!(flush_marker(&peers[1]), marker(3, 0));
         promise(&mut m, 3, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushB, 3)));
-        assert_eq!(flush_marker(&peers[1]), Some((ChromKind::FlushB, 3)));
+        assert_eq!(flush_marker(&peers[0]), marker(3, 1));
+        assert_eq!(flush_marker(&peers[1]), marker(3, 1));
+        assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
+    }
+
+    /// A row's role is the receiver's: one `VData` block from machine 1
+    /// holds a ghost push of its own vertex 1, which machine 0 mirrors,
+    /// and a write-back of vertex 0, which machine 0 owns. The push is
+    /// applied by version (a stale one is not); the write-back is applied,
+    /// bumped and forwarded to machine 2 in the step's second round, not
+    /// to its writer.
+    #[test]
+    fn one_vertex_block_carries_a_ghost_push_and_a_write_back() {
+        let (mut m, peers) = triangle();
+        let block = |rows: &[(u32, u64, f64)]| {
+            let mut buf = BytesMut::new();
+            StepTagged::<VertexRow>::put(&mut buf, 0, 0, |buf| {
+                for &(v, version, x) in rows {
+                    VertexRow::put(buf, VertexId(v), version, 0, &enc(&x));
+                }
+            });
+            buf.freeze()
+        };
+        let state = |m: &Machine, v: u32| {
+            let l = m.core.lg.local_vertex(VertexId(v)).unwrap();
+            (*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l))
+        };
+        handle_from(&mut m, 1, ChromKind::VData, block(&[(1, 5, 3.5), (0, 0, 7.5)]));
+        assert_eq!((state(&m, 1), state(&m, 0)), ((3.5, 5), (7.5, 1)));
+        handle_from(&mut m, 1, ChromKind::VData, block(&[(1, 4, 9.0)]));
+        assert_eq!(state(&m, 1), (3.5, 5), "a stale push is dropped");
+
+        promise(&mut m, 0, 0);
+        assert!(m.flush_round(0).is_ok());
+        assert_eq!(flush_marker(&peers[0]), marker(0, 0), "not to the writer");
+        assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 1), vec![(0, 1)])));
+        assert_eq!(flush_marker(&peers[1]), marker(0, 0));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
@@ -899,12 +938,12 @@ mod tests {
         assert!(holds(&m, 0) && !holds(&m, 1));
         // Machine 1 finished round (0, 1) and sent step 1's first marker;
         // machine 2's (0, 1) marker is still on its way.
-        handle_from(&mut m, 1, ChromKind::FlushB, enc(&0u64));
-        handle_from(&mut m, 1, ChromKind::FlushA, enc(&1u64));
+        handle_from(&mut m, 1, ChromKind::Flush, enc(&1u64));
+        handle_from(&mut m, 1, ChromKind::Flush, enc(&2u64));
         assert!(!holds(&m, 1));
-        handle_from(&mut m, 2, ChromKind::FlushB, enc(&0u64));
+        handle_from(&mut m, 2, ChromKind::Flush, enc(&1u64));
         assert!(holds(&m, 1) && !holds(&m, 2));
-        handle_from(&mut m, 2, ChromKind::FlushA, enc(&1u64));
+        handle_from(&mut m, 2, ChromKind::Flush, enc(&2u64));
         assert!(holds(&m, 2) && !holds(&m, 3));
         assert_eq!(next_marks(&m, &m.vol.marks), [0, 3, 3]);
     }
@@ -939,7 +978,7 @@ mod tests {
         assert!(m.vol.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.vol.queued[g as usize]));
         promise(&mut m, 4, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), Some((ChromKind::FlushA, 4)));
+        assert_eq!(flush_marker(&peers[0]), marker(4, 0));
         assert!(peers[0].try_recv().is_err());
     }
 
@@ -1003,9 +1042,9 @@ mod tests {
         at_step(&mut m, last);
         promise(&mut m, last, 0);
         let send = |j: usize, kind: ChromKind, payload| peers[j - 1].send(MachineId(0), kind as u16, payload);
-        send(1, ChromKind::FlushB, enc(&last));
+        send(1, ChromKind::Flush, enc(&round((last, 1))));
         send(1, ChromKind::SyncPart, partial(0, 10.0, 2, 7));
-        send(2, ChromKind::FlushB, enc(&last));
+        send(2, ChromKind::Flush, enc(&round((last, 1))));
         assert!(m.flush_round(1).is_ok());
         assert_eq!((m.vol.pend, m.core.observed_updates()), (2, 7), "folded as it arrived");
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 1, 0], "machine 1's vote, and only its");
@@ -1014,7 +1053,7 @@ mod tests {
         assert_eq!(m.cycle_end_round().ok(), Some((false, None)));
         assert_eq!((m.vol.pend, m.core.observed_updates()), (0, 11));
         for ep in &peers {
-            assert_eq!(flush_marker(ep), Some((ChromKind::FlushB, last)));
+            assert_eq!(flush_marker(ep), marker(last, 1));
             let env = ep.try_recv().expect("the verdict");
             assert_eq!(kind_of(&env), ChromKind::SyncGlob);
             let g: SyncGlobalsMsg = dec(env.payload);

@@ -62,12 +62,13 @@
 //!   `Idle → Snapshot → Idle` once every survivor's part is written;
 //!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
 //!   sync first when syncs are configured, then waits for the acks.
-//! - `Part`, stop-and-flush: `Idle → Draining → Drained → Flushing →
-//!   Written → Idle`, from `SnapSyncStart` to `SnapResume`, its flush a
-//!   FIFO marker barrier like recovery's. Chandy-Lamport as a prioritised
-//!   update function (Alg. 5): `Idle → Async → Idle`, from `SnapAsyncStart`
-//!   until the engine has marked every owned vertex and written the part.
-//!   Either mode's part written is one `SnapDone` vote.
+//! - `Part`: a snapshot begins at one `SnapStart`, in the mode every
+//!   machine's config names. Stop-and-flush: `Idle → Draining → Drained →
+//!   Flushing → Written → Idle`, from `SnapStart` to `SnapResume`, its
+//!   flush a FIFO marker barrier like recovery's. Chandy-Lamport as a
+//!   prioritised update function (Alg. 5): `Idle → Async → Idle`, from
+//!   `SnapStart` until the engine has marked every owned vertex and
+//!   written the part. Either mode's part written is one `SnapDone` vote.
 //!
 //! A trigger is work (a snapshot wakes machines with no counted message):
 //! a quiet round or a snapshot starts only from `Idle`, a quiet round only
@@ -176,8 +177,7 @@ impl Part {
 }
 
 /// A control-plane `LockKind` with its payload, decoded by the engine.
-/// `SnapAsyncStart` carries the snapshot id (`id + 1` on the wire: Alg.
-/// 5's colour); `SyncPart`'s partials stay with the engine.
+/// `SyncPart`'s partials stay with the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Msg {
     Quiet(u64),
@@ -186,12 +186,11 @@ pub(crate) enum Msg {
     HaltAck,
     SyncReq(u64),
     SyncPart(u64),
-    SnapSyncStart(u64),
+    SnapStart(u64),
     SnapSyncReady(u64),
     SnapSyncFlush(u64),
     SnapDone,
     SnapResume,
-    SnapAsyncStart(u64),
 }
 
 /// What happened to the machine.
@@ -357,15 +356,19 @@ impl Coord {
                 self.collect_partials(src, rec, out);
             }
             Msg::SyncPart(_) => {}
-            Msg::SnapSyncStart(id) => {
+            Msg::SnapStart(id) => {
                 debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
-                self.part = Part::Draining(id);
-                out.push(Output::Pause);
-            }
-            Msg::SnapAsyncStart(id) => {
-                debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
-                self.part = Part::Async;
-                out.push(Output::StartAsync(id));
+                match self.mode {
+                    SnapshotMode::Synchronous => {
+                        self.part = Part::Draining(id);
+                        out.push(Output::Pause);
+                    }
+                    SnapshotMode::Asynchronous => {
+                        self.part = Part::Async;
+                        out.push(Output::StartAsync(id));
+                    }
+                    SnapshotMode::None => unreachable!("a snapshot with snapshots off"),
+                }
             }
             Msg::SnapSyncReady(id) => {
                 debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");
@@ -523,13 +526,8 @@ impl Coord {
     fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         debug_assert!(self.may_snapshot(), "a snapshot beside a round");
         self.round = Round::Snapshot { id, votes: Markers::new(self.slots), halt: false };
-        let start = match self.mode {
-            SnapshotMode::Synchronous => Msg::SnapSyncStart(id),
-            SnapshotMode::Asynchronous => Msg::SnapAsyncStart(id),
-            SnapshotMode::None => unreachable!("no snapshot is ever due"),
-        };
-        out.push(Output::Broadcast(start));
-        self.on_msg(MASTER, start, rec, out);
+        out.push(Output::Broadcast(Msg::SnapStart(id)));
+        self.on_msg(MASTER, Msg::SnapStart(id), rec, out);
     }
 
     /// Master: `src` drained or (`done`) wrote its part. Once every

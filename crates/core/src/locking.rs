@@ -494,8 +494,7 @@ where
         };
         if due {
             self.last_noted = self.core.updates_local;
-            let msg = UpdNoteMsg { from: self.core.me(), updates: self.core.updates_local };
-            self.core.send(MachineId(0), LockKind::UpdNote, enc(&msg));
+            self.core.send(MachineId(0), LockKind::UpdNote, enc(&self.core.updates_local));
         }
     }
 
@@ -615,20 +614,19 @@ where
         if self.vol.paused || self.halted {
             return false;
         }
-        if self.vol.outs.live() >= self.core.setup.config.max_pipeline.max(1) {
-            return false;
-        }
-        if self.has_snap_tasks() {
-            return true;
-        }
-        !self.vol.cap_reached && !self.vol.scheduler.is_empty()
+        self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) && self.chain_could_start()
     }
 
     // ---- pipeline ----
 
-    /// Whether snapshot tasks are queued.
-    fn has_snap_tasks(&self) -> bool {
+    /// Whether a lock chain could start, pipeline room aside: a snapshot
+    /// task is queued, or the scheduler holds a task and the update cap
+    /// has not been reached. The one copy of the condition: `pump` starts
+    /// chains while it holds, the receive deadline is zero while it holds,
+    /// and a pass is idle only once it does not.
+    fn chain_could_start(&self) -> bool {
         self.vol.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
+            || (!self.vol.cap_reached && !self.vol.scheduler.is_empty())
     }
 
     fn pump(&mut self) {
@@ -641,19 +639,19 @@ where
             let nv = self.core.lg.num_local_vertices();
             self.vol.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         }
-        while self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) {
-            // Snapshot tasks first (priority), then the app scheduler.
-            let (l, is_snap) = if let Some(l) = self.pop_snap_task() {
-                (l, true)
-            } else if !self.vol.cap_reached {
-                match self.vol.scheduler.pop() {
-                    Some(l) => (l, false),
-                    None => break,
+        while self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) && self.chain_could_start() {
+            // Snapshot tasks first (priority), then the app scheduler. A
+            // snapshot queue of marked vertices only leaves the condition
+            // to the scheduler.
+            match self.pop_snap_task() {
+                Some(l) => self.initiate_chain(l, true),
+                None if self.chain_could_start() => {
+                    if let Some(l) = self.vol.scheduler.pop() {
+                        self.initiate_chain(l, false);
+                    }
                 }
-            } else {
-                break;
-            };
-            self.initiate_chain(l, is_snap);
+                None => break,
+            }
         }
     }
 
@@ -1149,13 +1147,11 @@ where
                 })
             }),
             LockKind::SyncGlob => {
-                let msg: SyncGlobalsMsg = dec(env.payload);
-                apply_globals(&self.core.setup.syncs, msg.globals, &mut self.core.globals);
+                apply_globals(&self.core.setup.syncs, dec(env.payload), &mut self.core.globals);
             }
             LockKind::UpdNote => {
-                let msg: UpdNoteMsg = dec(env.payload);
                 if self.core.is_master() {
-                    self.core.note_peer_updates(msg.from, msg.updates);
+                    self.core.note_peer_updates(src, dec(env.payload));
                 }
             }
             LockKind::SyncPart => {
@@ -1172,9 +1168,7 @@ where
             LockKind::Halt => self.feed(Input::Msg(src, Msg::Halt)),
             LockKind::HaltAck => self.feed(Input::Msg(src, Msg::HaltAck)),
             LockKind::SyncReq => self.feed(Input::Msg(src, Msg::SyncReq(dec(env.payload)))),
-            LockKind::SnapSyncStart => {
-                self.feed(Input::Msg(src, Msg::SnapSyncStart(dec(env.payload))));
-            }
+            LockKind::SnapStart => self.feed(Input::Msg(src, Msg::SnapStart(dec(env.payload)))),
             LockKind::SnapSyncReady => {
                 self.feed(Input::Msg(src, Msg::SnapSyncReady(dec(env.payload))));
             }
@@ -1183,11 +1177,6 @@ where
             }
             LockKind::SnapDone => self.feed(Input::Msg(src, Msg::SnapDone)),
             LockKind::SnapResume => self.feed(Input::Msg(src, Msg::SnapResume)),
-            // Alg. 5's colour on the wire: the snapshot id plus one.
-            LockKind::SnapAsyncStart => {
-                let id = dec::<u64>(env.payload) - 1;
-                self.feed(Input::Msg(src, Msg::SnapAsyncStart(id)));
-            }
         }
     }
 
@@ -1213,8 +1202,7 @@ where
             self.feed(Input::AsyncWritten);
         }
         let drained = self.vol.outs.live() == 0 && self.vol.ready.is_empty();
-        let idle =
-            drained && (self.vol.scheduler.is_empty() || self.vol.cap_reached) && !self.has_snap_tasks();
+        let idle = drained && !self.chain_could_start();
         if idle {
             self.maybe_send_upd_note(true);
         }
@@ -1277,8 +1265,7 @@ where
                 let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
                 let globals =
                     finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
-                let msg = SyncGlobalsMsg { cycle: epoch, globals, halt: false, snapshot: None };
-                self.core.broadcast(LockKind::SyncGlob, &enc(&msg));
+                self.core.broadcast(LockKind::SyncGlob, &enc(&globals));
                 return epoch != FINAL && self.core.stop_hit();
             }
             Output::Halt => self.halted = true,
@@ -1299,12 +1286,11 @@ fn wire(msg: Msg) -> (LockKind, Bytes) {
         Msg::HaltAck => (LockKind::HaltAck, Bytes::new()),
         Msg::SyncReq(epoch) => (LockKind::SyncReq, enc(&epoch)),
         Msg::SyncPart(_) => unreachable!("partials leave with their bytes"),
-        Msg::SnapSyncStart(id) => (LockKind::SnapSyncStart, enc(&id)),
+        Msg::SnapStart(id) => (LockKind::SnapStart, enc(&id)),
         Msg::SnapSyncReady(id) => (LockKind::SnapSyncReady, enc(&id)),
         Msg::SnapSyncFlush(id) => (LockKind::SnapSyncFlush, enc(&id)),
         Msg::SnapDone => (LockKind::SnapDone, Bytes::new()),
         Msg::SnapResume => (LockKind::SnapResume, Bytes::new()),
-        Msg::SnapAsyncStart(id) => (LockKind::SnapAsyncStart, enc(&(id + 1))),
     }
 }
 
@@ -1384,6 +1370,13 @@ mod tests {
         (LockingMachine::new(eps.remove(me as usize), setup, update, init), eps)
     }
 
+    /// `m` with snapshots in `mode` configured: one, due after an update.
+    fn snapshots(m: &mut LockingMachine<f64, f64, NoUpdate>, mode: SnapshotMode) {
+        m.core.setup.config.snapshot =
+            crate::config::SnapshotConfig { mode, every_updates: 1, max_snapshots: 1 };
+        m.coord = Coord::new(m.core.me(), 3, mode, None);
+    }
+
     /// What has arrived at `ep`, as `(kind, payload)`.
     fn inbox(ep: &Endpoint) -> Vec<(LockKind, Bytes)> {
         std::iter::from_fn(|| ep.try_recv().ok())
@@ -1402,6 +1395,7 @@ mod tests {
     #[test]
     fn sync_snapshot_captures_once_every_survivors_marker_arrived() {
         let (mut m, peers) = hop_machine(2);
+        snapshots(&mut m, SnapshotMode::Synchronous);
         let from = |src: usize, kind: LockKind, payload: Bytes| {
             peers[src].send(MachineId(2), kind as u16, payload)
         };
@@ -1416,7 +1410,7 @@ mod tests {
         let (model, machines) = (consistency_to_u8(ConsistencyModel::Full), vec![MachineId(2)]);
         let req = LockReqMsg { requester: MachineId(1), reqid: 7, scope_v: VertexId(1), machines, model };
         from(1, LockKind::Req, enc(&req));
-        from(0, LockKind::SnapSyncStart, enc(&0u64));
+        from(0, LockKind::SnapStart, enc(&0u64));
         pump(&mut m);
         assert_eq!(inbox(&peers[1]).len(), 1, "the chain's scope data");
         assert_eq!(inbox(&peers[0]), [(LockKind::SnapSyncReady, enc(&0u64))]);
@@ -1522,10 +1516,7 @@ mod tests {
     #[test]
     fn no_quiet_round_opens_while_a_snapshot_is_in_flight() {
         let (mut m, peers) = hop_machine(0);
-        let mode = SnapshotMode::Synchronous;
-        m.core.setup.config.snapshot =
-            crate::config::SnapshotConfig { mode, every_updates: 1, max_snapshots: 1 };
-        m.coord = Coord::new(MachineId(0), 3, mode, None);
+        snapshots(&mut m, SnapshotMode::Synchronous);
         m.core.note_peer_updates(MachineId(1), 1);
         let pass = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
             m.master_triggers();
@@ -1533,7 +1524,7 @@ mod tests {
         };
         let to_both = |kind: LockKind, payload: Bytes| [[(kind, payload.clone())], [(kind, payload)]];
         pass(&mut m);
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapSyncStart, enc(&0u64)));
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapStart, enc(&0u64)));
         for src in [1, 2] {
             deliver(&mut m, src, LockKind::SnapSyncReady, enc(&0u64));
         }
@@ -1560,7 +1551,8 @@ mod tests {
     #[test]
     fn an_asynchronous_part_is_written_and_announced_once() {
         let (mut m, peers) = hop_machine(2);
-        deliver(&mut m, 0, LockKind::SnapAsyncStart, enc(&1u64));
+        snapshots(&mut m, SnapshotMode::Asynchronous);
+        deliver(&mut m, 0, LockKind::SnapStart, enc(&0u64));
         // Vertex 2's snapshot update locks its whole scope: machine 0's hop,
         // then machine 1's, then its own.
         m.pump();

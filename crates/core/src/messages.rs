@@ -5,9 +5,10 @@
 //! once, as [`Kind`]: a `#[repr(u16)]` enum per plane that receives them,
 //! with the wire numbers as discriminants.
 //!
-//! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): ghost data and
-//!   write-back row blocks, one task set per colour-step and owner, the
-//!   step barrier's two marker rounds, and the per-cycle sync/halt round.
+//! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): vertex and edge
+//!   row blocks (a ghost push at a mirror, a write-back at the owner), one
+//!   task set per colour-step and owner, the step barrier's marker, and
+//!   the per-cycle sync/halt round.
 //! - [`LockKind`], `20..=38` and `48..=49` — locking engine (§4.2.2):
 //!   pipelined lock chains, scope data synchronisation, releases with
 //!   piggybacked write-backs, the quiet round's markers and reports and halt
@@ -43,7 +44,7 @@
 //! during commit must reach the owner before the [`ReleaseMsg`] that
 //! unlocks the scope, the Alg. 5 snapshot markers ride data messages in
 //! channel order, and every channel flush is a marker barrier — once a
-//! machine holds a peer's marker ([`ChromKind::FlushA`]/[`ChromKind::FlushB`],
+//! machine holds a peer's marker ([`ChromKind::Flush`],
 //! [`LockKind::SnapSyncFlush`], [`RecoveryKind::FlushMark`],
 //! [`LockKind::Quiet`]), it holds everything that peer sent it before the
 //! marker.
@@ -173,27 +174,27 @@ macro_rules! kinds {
 kinds! {
     /// Chromatic engine (§4.2.1), `1..=11`: received by
     /// `ChromaticMachine::handle_msg` and its sync and snapshot rounds.
+    /// 3 and 4 (the write-backs' own kinds, which now ride 1 and 2: a row
+    /// that reaches its datum's owner is one) and 7 (the second marker
+    /// round, which the round number in [`ChromKind::Flush`] names) stay
+    /// unassigned.
     Chrom(ChromKind) {
-        /// Vertex ghost updates (owner → mirror), a block of [`VertexRow`]s.
+        /// Vertex rows, a block of [`VertexRow`]s. At a mirror each is a
+        /// ghost push (owner → mirror), applied by version; at the owner a
+        /// write-back (mirror → owner; full consistency), applied, bumped
+        /// and forwarded to the other mirrors.
         VData = 1, "chrom/vdata";
-        /// Edge ghost updates (owner → mirror), a block of [`EdgeRow`]s.
+        /// Edge rows, a block of [`EdgeRow`]s: a ghost push at the mirror,
+        /// a write-back at the owner.
         EData = 2, "chrom/edata";
-        /// Vertex write-backs (mirror → owner; full consistency), a block
-        /// of [`VertexRow`]s.
-        WbV = 3, "chrom/wb-v";
-        /// Edge write-backs (mirror → owner), a block of [`EdgeRow`]s.
-        WbE = 4, "chrom/wb-e";
         /// A colour-step's remote schedule requests for one owner, a
         /// tagged [`TaskSetMsg`].
         Sched = 5, "chrom/sched";
-        /// First-round step marker (all → all; the payload is the step):
-        /// the sender's direct blocks and task sets of the step are ahead
-        /// of it on the channel.
-        FlushA = 6, "chrom/flush-a";
-        /// Second-round step marker (all → all; the payload is the step):
-        /// the sender's forwarded write-back blocks of the step are ahead
-        /// of it.
-        FlushB = 7, "chrom/flush-b";
+        /// Step marker (all → all; the payload is the round, `2·step +
+        /// phase`): the sender's blocks and task sets of the round are
+        /// ahead of it on the channel — in phase 0 its direct rows and
+        /// task sets, in phase 1 its forwarded write-backs.
+        Flush = 6, "chrom/flush";
         /// Per-cycle sync partial (machine → master).
         SyncPart = 8, "chrom/sync-part";
         /// Per-cycle globals + halt decision (master → all).
@@ -206,7 +207,9 @@ kinds! {
 
     /// Locking engine (§4.2.2), `20..=38` and `48..=49`: received by
     /// `LockingMachine::handle`. 24 (the termination token before the quiet
-    /// round), 35 (the asynchronous snapshot's own "part written" vote,
+    /// round), 34 (the asynchronous snapshot's own start, now
+    /// [`LockKind::SnapStart`]: every machine reads the mode from its own
+    /// config), 35 (the asynchronous snapshot's own "part written" vote,
     /// now [`LockKind::SnapDone`]), 36 (skipped when the background-sync
     /// request landed at 37, never shipped) and 39 (headroom before the
     /// recovery block) stay unassigned: a decoder for a recycled number
@@ -226,10 +229,13 @@ kinds! {
         HaltAck = 26, "lock/halt-ack";
         /// Background sync partial (machine → master).
         SyncPart = 27, "lock/sync-part";
-        /// Background sync globals (master → all).
+        /// Background sync globals (master → all): the finalized rows
+        /// alone.
         SyncGlob = 28, "lock/sync-glob";
-        /// Synchronous snapshot — suspend request (master → all).
-        SnapSyncStart = 29, "snap/sync-start";
+        /// Snapshot start (master → all; the payload is the snapshot id),
+        /// in the mode every machine's config names: stop-and-flush
+        /// suspends new lock chains, Alg. 5 starts marking owned vertices.
+        SnapStart = 29, "snap/start";
         /// Synchronous snapshot — machine drained: no lock chain of its own
         /// is left (machine → master; the payload is the snapshot id).
         SnapSyncReady = 30, "snap/sync-ready";
@@ -243,17 +249,19 @@ kinds! {
         SnapDone = 32, "snap/done";
         /// Resume computation (master → all).
         SnapResume = 33, "snap/resume";
-        /// Asynchronous snapshot start (master → all).
-        SnapAsyncStart = 34, "snap/async-start";
         /// Background sync request (master → all); payload is the epoch.
         SyncReq = 37, "lock/sync-req";
-        /// Counter-threshold update note (machine → master). Sent when a
-        /// machine's cumulative local update count crosses a granule of the
-        /// finest configured trigger interval (background sync / snapshot
-        /// cadence), and once more with the exact count when it goes idle.
-        /// All sync/snapshot/halt triggers are driven by these notes, so an
+        /// Counter-threshold update note (machine → master; the payload is
+        /// the sender's cumulative local update count, a `u64`). Sent when
+        /// the count crosses a granule of the finest configured trigger
+        /// interval (background sync / snapshot cadence), and once more
+        /// with the exact count when the machine goes idle. All
+        /// sync/snapshot/halt triggers are driven by these notes, so an
         /// idle cluster exchanges no control traffic at all. Never sent
-        /// when no trigger is configured.
+        /// when no trigger is configured. Cumulative and therefore
+        /// idempotent: the master keeps the max per sender, so duplicates,
+        /// reordering across rollbacks (counts never reset) and a dead
+        /// peer's last value are all harmless.
         UpdNote = 38, "lock/upd-note";
         /// Quiet-round marker (all → all; the payload is the round): an
         /// idle master opens a round with it, every other machine sends
@@ -328,9 +336,8 @@ impl LockKind {
         use LockKind::*;
         match self {
             Req | ScopeData | Release | Sched => true,
-            Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapSyncStart
-            | SnapSyncReady | SnapSyncFlush | SnapDone | SnapResume | SnapAsyncStart | Quiet
-            | QuietReport => false,
+            Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapStart | SnapSyncReady
+            | SnapSyncFlush | SnapDone | SnapResume | Quiet | QuietReport => false,
         }
     }
 }
@@ -489,12 +496,12 @@ impl Codec for ScheduleMsg {
 
 // ---- chromatic engine ----
 //
-// The colour-step is the unit of exchange. Payloads of the five data kinds,
-// every one behind the `(step, phase)` tag of [`StepTagged`]:
+// The colour-step is the unit of exchange. Payloads of the three data
+// kinds, every one behind the `(step, phase)` tag of [`StepTagged`]:
 //
-//   ChromKind::VData, ChromKind::WbV   step, phase, VertexRow*   (a row block)
-//   ChromKind::EData, ChromKind::WbE   step, phase, EdgeRow*     (a row block)
-//   ChromKind::Sched                 step, phase, TaskSetMsg
+//   ChromKind::VData   step, phase, VertexRow*   (a row block)
+//   ChromKind::EData   step, phase, EdgeRow*     (a row block)
+//   ChromKind::Sched   step, phase, TaskSetMsg
 //
 // A row block carries the tag once and then rows back to back to the end
 // of the payload, with no count: a `StepTagged<VertexRow>` is a block of
@@ -949,22 +956,6 @@ pub struct LockSyncPartialMsg {
 
 codec_fields! { LockSyncPartialMsg { epoch, partials } }
 
-/// Counter-threshold update note ([`LockKind::UpdNote`], machine → master): the
-/// sender has executed `updates` update functions in total since engine
-/// start. Cumulative and therefore idempotent — the master keeps the max
-/// per peer, so duplicates, reordering across rollbacks (counters never
-/// reset; re-executed work keeps counting) and a dead peer's last value
-/// are all harmless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdNoteMsg {
-    /// Sending machine.
-    pub from: MachineId,
-    /// Sender's cumulative local update count.
-    pub updates: u64,
-}
-
-codec_fields! { UpdNoteMsg { from, updates } }
-
 /// A machine's verdict on quiet round `round` ([`LockKind::QuietReport`],
 /// machine → master): `clean` unless counted work reached it between its
 /// own marker and the last survivor's.
@@ -1130,7 +1121,6 @@ mod tests {
             ewrites: vec![(EdgeId(9), Bytes::from_static(b"z"))],
         });
         rt(LockSyncPartialMsg { epoch: 1, partials: vec![(2, Bytes::from_static(b"p"))] });
-        rt(UpdNoteMsg { from: MachineId(3), updates: 12345 });
         rt(QuietReportMsg { round: 4, clean: false });
     }
 
@@ -1161,17 +1151,14 @@ mod tests {
     }
 
     /// The wire must not move: every number that has a name, with its
-    /// name (24, 35, 36 and 39 stay unassigned).
+    /// name (3, 4, 7, 24, 34, 35, 36 and 39 stay unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 42] = [
+        const TABLE: [(u16, &str); 38] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
-            (3, "chrom/wb-v"),
-            (4, "chrom/wb-e"),
             (5, "chrom/sched"),
-            (6, "chrom/flush-a"),
-            (7, "chrom/flush-b"),
+            (6, "chrom/flush"),
             (8, "chrom/sync-part"),
             (9, "chrom/sync-glob"),
             (10, "chrom/snap-done"),
@@ -1184,12 +1171,11 @@ mod tests {
             (26, "lock/halt-ack"),
             (27, "lock/sync-part"),
             (28, "lock/sync-glob"),
-            (29, "snap/sync-start"),
+            (29, "snap/start"),
             (30, "snap/sync-ready"),
             (31, "snap/sync-flush"),
             (32, "snap/done"),
             (33, "snap/resume"),
-            (34, "snap/async-start"),
             (37, "lock/sync-req"),
             (38, "lock/upd-note"),
             (40, "recover/ready"),

@@ -12,7 +12,11 @@
 //!   priority queue; §5.2 uses it for residual BP). Re-scheduling an
 //!   enqueued vertex with a higher priority promotes it.
 //!
-//! The priority queue is a **lazy-delete bucket queue**: promotion pushes
+//! Both are one queue discipline. FIFO is the bucket queue with every
+//! priority in bucket 0: one bucket keeps insertion order, nothing is ever
+//! promoted and so no entry goes stale.
+//!
+//! The queue is a **lazy-delete bucket queue**: promotion pushes
 //! a second entry into the hotter bucket and the stale one is skipped at
 //! pop time, and a 64-bit occupancy mask over the buckets makes finding
 //! the hottest non-empty bucket one `leading_zeros` instead of a scan —
@@ -62,10 +66,9 @@ pub struct Scheduler {
     kind: SchedulerKind,
     /// Dedup flag: vertex currently scheduled.
     queued: Vec<bool>,
-    /// Current bucket of a queued vertex (priority only; detects stale
-    /// bucket entries after promotion).
+    /// Current bucket of a queued vertex (detects stale bucket entries
+    /// after promotion).
     bucket: Vec<u8>,
-    fifo: VecDeque<u32>,
     buckets: Vec<VecDeque<u32>>,
     /// Occupancy mask: bit `b` set ⇔ `buckets[b]` is non-empty (stale
     /// entries count — they are discovered and discarded at pop time).
@@ -80,11 +83,7 @@ impl Scheduler {
             kind,
             queued: vec![false; n],
             bucket: vec![0; n],
-            fifo: VecDeque::new(),
-            buckets: match kind {
-                SchedulerKind::Priority => (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
-                SchedulerKind::Fifo => Vec::new(),
-            },
+            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
             occupied: 0,
             len: 0,
         }
@@ -110,31 +109,23 @@ impl Scheduler {
     /// Returns true if the vertex was newly inserted.
     pub fn add(&mut self, v: u32, priority: f64) -> bool {
         let vi = v as usize;
-        if self.queued[vi] {
-            if self.kind == SchedulerKind::Priority {
-                let b = bucket_of(priority);
-                if b > self.bucket[vi] {
-                    // Promote: push into the hotter bucket; the stale entry
-                    // is skipped at pop time via the bucket check.
-                    self.bucket[vi] = b;
-                    self.buckets[b as usize].push_back(v);
-                    self.occupied |= 1 << b;
-                }
-            }
+        let b = match self.kind {
+            SchedulerKind::Fifo => 0,
+            SchedulerKind::Priority => bucket_of(priority),
+        };
+        let fresh = !self.queued[vi];
+        if fresh {
+            self.queued[vi] = true;
+            self.len += 1;
+        } else if b <= self.bucket[vi] {
             return false;
         }
-        self.queued[vi] = true;
-        self.len += 1;
-        match self.kind {
-            SchedulerKind::Fifo => self.fifo.push_back(v),
-            SchedulerKind::Priority => {
-                let b = bucket_of(priority);
-                self.bucket[vi] = b;
-                self.buckets[b as usize].push_back(v);
-                self.occupied |= 1 << b;
-            }
-        }
-        true
+        // A fresh entry, or a promotion: the entry in the colder bucket
+        // goes stale and is skipped at pop time via the bucket check.
+        self.bucket[vi] = b;
+        self.buckets[b as usize].push_back(v);
+        self.occupied |= 1 << b;
+        fresh
     }
 
     /// Removes and returns the next vertex, or `None` when empty.
@@ -142,35 +133,25 @@ impl Scheduler {
         if self.len == 0 {
             return None;
         }
-        match self.kind {
-            SchedulerKind::Fifo => {
-                let v = self.fifo.pop_front().expect("len > 0");
-                self.queued[v as usize] = false;
-                self.len -= 1;
-                Some(v)
-            }
-            SchedulerKind::Priority => {
-                // Hottest occupied bucket in O(1) via the occupancy mask;
-                // stale (promoted/popped) entries are lazily discarded.
-                while self.occupied != 0 {
-                    let b = 63 - self.occupied.leading_zeros() as usize;
-                    while let Some(v) = self.buckets[b].pop_front() {
-                        let vi = v as usize;
-                        if self.buckets[b].is_empty() {
-                            self.occupied &= !(1 << b);
-                        }
-                        if self.queued[vi] && self.bucket[vi] == b as u8 {
-                            self.queued[vi] = false;
-                            self.len -= 1;
-                            return Some(v);
-                        }
-                        // stale entry (promoted or already popped): skip
-                    }
+        // Hottest occupied bucket in O(1) via the occupancy mask; stale
+        // (promoted/popped) entries are lazily discarded.
+        while self.occupied != 0 {
+            let b = 63 - self.occupied.leading_zeros() as usize;
+            while let Some(v) = self.buckets[b].pop_front() {
+                let vi = v as usize;
+                if self.buckets[b].is_empty() {
                     self.occupied &= !(1 << b);
                 }
-                unreachable!("len > 0 but no live entry found");
+                if self.queued[vi] && self.bucket[vi] == b as u8 {
+                    self.queued[vi] = false;
+                    self.len -= 1;
+                    return Some(v);
+                }
+                // stale entry (promoted or already popped): skip
             }
+            self.occupied &= !(1 << b);
         }
+        unreachable!("len > 0 but no live entry found");
     }
 }
 

@@ -56,6 +56,24 @@ impl UpdateFunction<f64, f64> for EdgeStamp {
     }
 }
 
+/// Edge counter: each update adds one to its vertex and to every adjacent
+/// edge, and runs again until its vertex reaches `self.0`. Every edge
+/// ends at the number of updates of its two endpoints, so, unlike
+/// `EdgeStamp`'s fixpoint, the count shows an edge write-back lost or
+/// applied twice.
+struct EdgeCount(f64);
+impl UpdateFunction<f64, f64> for EdgeCount {
+    fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
+        *ctx.vertex_data_mut() += 1.0;
+        for i in 0..ctx.num_neighbors() {
+            *ctx.edge_data_mut(i) += 1.0;
+        }
+        if *ctx.vertex_data() < self.0 {
+            ctx.schedule_self(1.0);
+        }
+    }
+}
+
 fn ring(n: usize) -> DataGraph<f64, f64> {
     let mut b = GraphBuilder::new();
     let vs: Vec<_> = (0..n).map(|i| b.add_vertex(((i * 7919) % n) as f64)).collect();
@@ -766,16 +784,20 @@ fn racing_ablation_locks_only_the_centre() {
     }
 }
 
-/// What a chromatic run did: updates, colour-steps, every vertex datum to
-/// the bit, and the checkpoints taken — none unless `checkpoints`, which
-/// registers a sync and takes a synchronous checkpoint every |V| updates.
+/// What a chromatic run did: updates, colour-steps, every vertex datum and
+/// every edge datum to the bit, and the checkpoints taken.
+type Outcome = (u64, u64, Vec<u64>, Vec<u64>, u64);
+
+/// A chromatic run's [`Outcome`]. It takes no checkpoint unless
+/// `checkpoints`, which registers a sync and takes a synchronous
+/// checkpoint every |V| updates.
 fn chromatic_outcome(
     mut graph: DataGraph<f64, f64>,
     machines: usize,
     consistency: ConsistencyModel,
     update: impl UpdateFunction<f64, f64> + 'static,
     checkpoints: bool,
-) -> (u64, u64, Vec<u64>, u64) {
+) -> Outcome {
     let every_updates = graph.num_vertices() as u64;
     let mut lab = GraphLab::on(&mut graph)
         .engine(EngineKind::Chromatic)
@@ -789,7 +811,8 @@ fn chromatic_outcome(
     }
     let out = lab.run(update);
     let data = graph.vertices().map(|v| graph.vertex_data(v).to_bits()).collect();
-    (out.metrics.updates, out.metrics.steps, data, out.metrics.snapshots)
+    let edges = graph.edges().map(|e| graph.edge_data(e).to_bits()).collect();
+    (out.metrics.updates, out.metrics.steps, data, edges, out.metrics.snapshots)
 }
 
 /// The set a colour-step executes is a function of the graph and the
@@ -797,22 +820,25 @@ fn chromatic_outcome(
 /// the same on any number of machines — provided every ghost row,
 /// write-back, forward and task arrived before the next step began. This
 /// is the exact oracle for the exchange: edge consistency with ghost pushes
-/// and remote tasks (PageRank), full consistency with write-backs and
-/// their phase-1 forwards (`PushMax`). Synchronous checkpoints and the
-/// cycle end's sync fold must change neither, and the checkpoints taken
-/// are themselves a function of the per-cycle update counts.
+/// and remote tasks (PageRank), full consistency with vertex write-backs
+/// and their phase-1 forwards (`PushMax`), and edge consistency with edge
+/// pushes and edge write-backs (`EdgeStamp`, and `EdgeCount`, whose edges
+/// count their writes). Synchronous checkpoints and the cycle end's sync
+/// fold must change none of them, and the checkpoints taken are
+/// themselves a function of the per-cycle update counts.
 #[test]
 fn chromatic_work_and_fixpoint_do_not_depend_on_the_machine_count() {
-    fn check(app: &str, run: impl Fn(usize, bool) -> (u64, u64, Vec<u64>, u64)) {
-        let (updates, steps, data, _) = run(1, false);
+    fn check(app: &str, run: impl Fn(usize, bool) -> Outcome) {
+        let (updates, steps, data, edges, _) = run(1, false);
         assert!(updates > data.len() as u64 && steps > 2, "{app}: the run is dynamic");
         let mut taken = None;
         for m in [1usize, 2, 3, 4, 8] {
             for checkpoints in [false, true].into_iter().filter(|&c| c || m > 1) {
                 let cell = format!("{app} on {m} machines, checkpoints {checkpoints}");
-                let (u, s, d, n) = run(m, checkpoints);
+                let (u, s, d, e, n) = run(m, checkpoints);
                 assert_eq!((u, s), (updates, steps), "{cell}: updates and steps");
                 assert!(d == data, "{cell}: vertex data differs");
+                assert!(e == edges, "{cell}: edge data differs");
                 if checkpoints {
                     let first = *taken.get_or_insert(n);
                     assert!(n >= 2 && n == first, "{cell}: {n} checkpoints, {first} on 1 machine");
@@ -824,6 +850,9 @@ fn chromatic_work_and_fixpoint_do_not_depend_on_the_machine_count() {
     check("pagerank", |m, c| chromatic_outcome(web(3_000), m, edge, DynamicPageRank(1e-10), c));
     check("push-max on a ring", |m, c| chromatic_outcome(ring(20), m, full, PushMax, c));
     check("push-max on a grid", |m, c| chromatic_outcome(grid(9, 7), m, full, PushMax, c));
+    check("edge-stamp on a ring", |m, c| chromatic_outcome(ring(20), m, edge, EdgeStamp, c));
+    check("edge-stamp on a grid", |m, c| chromatic_outcome(grid(9, 7), m, edge, EdgeStamp, c));
+    check("edge-count on a grid", |m, c| chromatic_outcome(grid(9, 7), m, edge, EdgeCount(100.0), c));
 }
 
 /// The colour-step is the unit of exchange: a machine sends an owner one
@@ -871,7 +900,7 @@ fn free_ports(n: usize) -> Vec<String> {
 /// one endpoint, whichever fabric is under it.
 #[test]
 fn chromatic_over_tcp_matches_its_simnet_twin() {
-    let (updates, steps, data, _) =
+    let (updates, steps, data, _, _) =
         chromatic_outcome(web(1_500), 2, ConsistencyModel::Edge, DynamicPageRank(1e-10), false);
     let peers = free_ports(2);
     let run_id = u64::from(std::process::id()) << 16 | 0xE9;

@@ -283,20 +283,9 @@ impl<V, E> DataGraph<V, E> {
         })
     }
 
-    /// Consumes the graph and returns the raw data columns
-    /// `(vertex_data, edge_data)`.
-    pub fn into_data(self) -> (Vec<V>, Vec<E>) {
-        (self.vertex_data, self.edge_data)
-    }
-
     /// Borrow all vertex data as a slice (index = vertex id).
     pub fn vertex_data_slice(&self) -> &[V] {
         &self.vertex_data
-    }
-
-    /// Borrow all edge data as a slice (index = edge id).
-    pub fn edge_data_slice(&self) -> &[E] {
-        &self.edge_data
     }
 
     /// Applies `f` to every vertex's data.

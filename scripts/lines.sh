@@ -1,7 +1,7 @@
 #!/bin/sh
-# The figures ROADMAP's "Lines (after PR N)" paragraph quotes, the
-# exemption budget (`#[expect(clippy::disallowed_methods` sites in `core`
-# and `net`), the option count (the fields of `EngineConfig` and
+# The figures ROADMAP's "Lines (after PR N)" paragraph quotes, the number
+# of wire kinds, the exemption budget (`#[expect(clippy::disallowed_methods`
+# sites in `core` and `net`), the option count (the fields of `EngineConfig` and
 # `FaultPlan`, the variants of `SchedulerKind`, and the environment
 # switches: `env::var` / `env::var_os` reads in `core`, `net` and `atoms`)
 # and the panic sites a clean `Err` would replace (`.unwrap(` / `.expect(`
@@ -64,6 +64,11 @@ printf '%-50s %6d\n' ".unwrap(/.expect( in those three, non-test" \
     "$(matches_outside_tests "$panics" $core/*.rs $net/*.rs $atoms/*.rs)"
 printf '%-50s %6d\n' ".unwrap(/.expect( in those three, with tests" \
     "$(cat $core/*.rs $net/*.rs $atoms/*.rs | grep -oE '\.(unwrap|expect)\(' | wc -l)"
+# Every wire number with a name, as `kinds_are_pinned` counts them: the rows
+# of the `kinds!` registry and the envelope kinds `kind_name` adds.
+kinds=$(grep -cE '^ +[A-Z][A-Za-z]* = [^,]+, "[^"]+";$' $core/messages.rs)
+envelopes=$(grep -c 'None if kind == graphlab_net::K_' $core/messages.rs)
+printf '%-50s %6d\n' "wire kinds (kinds! rows + envelope kinds)" $((kinds + envelopes))
 printf '%-50s %6d\n' "EngineConfig fields" "$(members $core/config.rs 'struct EngineConfig')"
 printf '%-50s %6d\n' "FaultPlan fields" "$(members $net/fault.rs 'struct FaultPlan')"
 printf '%-50s %6d\n' "SchedulerKind variants" "$(members $core/scheduler.rs 'enum SchedulerKind')"
