@@ -1551,7 +1551,7 @@ fn phases() {
     }
     t.print();
     println!("  (real-socket numbers: `cargo run -p graphlab-node --release -- spawn \\");
-    println!("   --machines 4 --engine both --check` writes BENCH_tcp_smoke.json)");
+    println!("   --machines 4 --engine both --check --bench BENCH_tcp_smoke.json`)");
 }
 
 // ---------------------------------------------------------------- driver

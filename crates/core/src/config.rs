@@ -138,8 +138,8 @@ pub struct EngineConfig {
     /// real TCP, where there is no fault-fabric oracle. `None` disables
     /// the detector on SimNet; TCP runs default it on (2 s period).
     pub lease: Option<Duration>,
-    /// Safety cap on total updates (0 = unlimited). The engine halts once
-    /// the cap is reached even if the schedulers are non-empty.
+    /// Safety cap on total updates (0 = unlimited). Reaching it drops every
+    /// machine's tasks; the run ends once the work in flight has finished.
     pub max_updates: u64,
     /// Ablation arm (locking engine only; default [`Ablation::Off`]).
     pub ablation: Ablation,

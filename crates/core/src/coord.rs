@@ -59,9 +59,12 @@
 //! machine stands in a snapshot is one [`Part`]. Their transitions:
 //!
 //! - `Round` (master): `Idle → Quiet → Idle` (dirty) or `→ Halt` (clean);
-//!   `Idle → Snapshot → Idle` once every survivor's part is written;
-//!   `Idle → Halt` when the stop predicate fires. `Halt` runs the final
-//!   sync first when syncs are configured, then waits for the acks.
+//!   `Idle → Snapshot → Idle` once every survivor's part is written.
+//!   `Halt` runs the final sync first when syncs are configured, then waits
+//!   for the acks. A clean quiet round is the one way into it. A stop
+//!   predicate or an update cap only makes the engine stop taking tasks on
+//!   every machine, so the chains in flight finish and a later round comes
+//!   out clean.
 //! - `Part`: a snapshot begins at one `SnapStart`, in the mode every
 //!   machine's config names. Stop-and-flush: `Idle → Draining → Drained →
 //!   Flushing → Written → Idle`, from `SnapStart` to `SnapResume`, its
@@ -73,21 +76,19 @@
 //! A trigger is work (a snapshot wakes machines with no counted message):
 //! a quiet round or a snapshot starts only from `Idle`, a quiet round only
 //! with no sync epoch out, and no sync epoch starts during a quiet round or
-//! the halt. Two overlaps are allowed:
-//!
-//! - a sync epoch runs beside a snapshot (it is not in the enum): its
-//!   partials read the graph as it stands and carry no work;
-//! - a stop predicate that fires during a snapshot (from such an epoch)
-//!   halts the run only once that snapshot is written, so the last
-//!   checkpoint taken is complete: `Snapshot`'s `halt` latch.
+//! the halt. One overlap is allowed: a sync epoch runs beside a snapshot
+//! (it is not in the enum), since its partials read the graph as it stands
+//! and carry no work. A stop that epoch decides needs nothing of its own:
+//! no quiet round opens beside a snapshot, so the run halts only after
+//! that snapshot is written.
 //!
 //! # The chromatic engine's BSP master is another state machine
 //!
 //! `ChromaticMachine::{cycle_end_round, write_snapshot}` do not fit this
 //! `Input` alphabet. They are one blocking exchange that every machine
 //! enters at the end of every colour cycle, not protocols running beside
-//! the work. Of the inputs above they would take only "snapshot due",
-//! "stop fired" and their own round's messages: termination there is a
+//! the work. Of the inputs above they would take only "snapshot due" and
+//! their own round's messages: termination there is a
 //! count (`SyncPartialMsg::pending`, summed at the master) taken at a
 //! global barrier, so "counted work arrived" and a pass's `idle` and
 //! `drained` mean nothing; the step barrier is already held when a cycle
@@ -136,9 +137,8 @@ pub(crate) enum Round {
     Quiet { reports: Markers, clean: bool },
     /// Snapshot `id`: the `SnapSyncReady` votes (synchronous mode), each at
     /// `2·id`, and the `SnapDone` votes at `2·id + 1` (`SnapDone` carries
-    /// no id). `halt`: the stop predicate fired during it, so the run halts
-    /// once it is written.
-    Snapshot { id: u64, votes: Markers, halt: bool },
+    /// no id).
+    Snapshot { id: u64, votes: Markers },
     /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
     /// acks at [`FINAL`].
     Halt { acks: Option<Markers> },
@@ -211,8 +211,6 @@ pub(crate) enum Input {
     SnapshotDue(u64),
     /// This machine's asynchronous part is written.
     AsyncWritten,
-    /// Master: the stop predicate holds over the globals just finalized.
-    Stop,
 }
 
 /// What the engine does, in order.
@@ -319,11 +317,6 @@ impl Coord {
                 self.part = Part::Idle;
                 self.vote(Msg::SnapDone, rec, out);
             }
-            // A snapshot in flight is written first.
-            Input::Stop => match &mut self.round {
-                Round::Snapshot { halt, .. } => *halt = true,
-                _ => self.halt(rec, out),
-            },
         }
     }
 
@@ -486,13 +479,12 @@ impl Coord {
     }
 
     /// Master: a background epoch, beside a snapshot but never during a
-    /// quiet round or the halt, nor once a stop is latched (a trigger is
-    /// work).
+    /// quiet round or the halt (a trigger is work).
     fn sync_due(&mut self, updates: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         let every = self.sync_every.unwrap_or(0);
         if every > 0
             && self.sync.is_none()
-            && matches!(self.round, Round::Idle | Round::Snapshot { halt: false, .. })
+            && matches!(self.round, Round::Idle | Round::Snapshot { .. })
             && updates >= self.sync_next_at
         {
             self.sync_next_at = updates + every;
@@ -525,7 +517,7 @@ impl Coord {
     /// it begun.
     fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         debug_assert!(self.may_snapshot(), "a snapshot beside a round");
-        self.round = Round::Snapshot { id, votes: Markers::new(self.slots), halt: false };
+        self.round = Round::Snapshot { id, votes: Markers::new(self.slots) };
         out.push(Output::Broadcast(Msg::SnapStart(id)));
         self.on_msg(MASTER, Msg::SnapStart(id), rec, out);
     }
@@ -534,8 +526,7 @@ impl Coord {
     /// survivor is drained, the master too, no lock chain is left anywhere,
     /// so no machine sends counted work before the resume: the master's
     /// flush marker opens the barrier. Once every part is written, the
-    /// master's too, the snapshot is over, and so is the run if a stop fired
-    /// during it.
+    /// master's too, the snapshot is over.
     fn collect_snap(
         &mut self,
         src: MachineId,
@@ -543,10 +534,10 @@ impl Coord {
         rec: &RecoveryTracker,
         out: &mut Vec<Output>,
     ) {
-        let Round::Snapshot { id, votes, halt } = &mut self.round else {
+        let Round::Snapshot { id, votes } = &mut self.round else {
             unreachable!("a vote of no snapshot")
         };
-        let (id, halt) = (*id, *halt);
+        let id = *id;
         votes.note(src, 2 * id + u64::from(done));
         if self.part == Part::Drained(id) && rec.holds(votes, 2 * id) {
             self.flush(out);
@@ -560,9 +551,6 @@ impl Coord {
         if let Part::Written(_) = self.part {
             out.push(Output::Broadcast(Msg::SnapResume));
             self.on_msg(MASTER, Msg::SnapResume, rec, out);
-        }
-        if halt {
-            self.halt(rec, out);
         }
     }
 
@@ -590,18 +578,17 @@ mod tests {
     //! workload in place of the engine. Each machine may hold one task; a
     //! task that runs may send one counted `Sched` to a peer (a shared
     //! budget), never while its machine is paused. The master's sync and
-    //! snapshot triggers fire within their own budgets, and every finalized
-    //! background epoch is explored with the stop predicate both false and
-    //! true. After each action on a machine, that machine runs one loop
+    //! snapshot triggers fire within their own budgets. A stop predicate or
+    //! an update cap only takes tasks away, which `Run(i, None)` already
+    //! does. After each action on a machine, that machine runs one loop
     //! pass; nothing else wakes it (no timer). In every state reached:
     //!
-    //! - a halt the stop predicate did not cause finds no task anywhere and
-    //!   no counted message in flight;
+    //! - a halt finds no task anywhere and no counted message in flight;
     //! - no sync epoch is open beside a quiet round;
     //! - synchronous cut: counted work sent before its sender's capture is
     //!   delivered before its receiver's, and none sent after it before;
     //! - each worker sends exactly one `SnapDone` per snapshot;
-    //! - a halt waits for the snapshot it interrupted;
+    //! - a halt finds every snapshot part written;
     //! - `step` does not panic;
     //! - no stuck state: with no delivery, task or write left to take,
     //!   every machine has halted — anything else is a wake-up only the
@@ -653,37 +640,23 @@ mod tests {
         snap_dues: u8,
         started: u8,
         closed: u8,
-        stopped: bool,
     }
 
     /// One step of a schedule.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Act {
-        /// Deliver the head of channel `src → dst`; `true`: the stop
-        /// predicate holds over an epoch this finalizes.
-        Deliver(usize, usize, bool),
+        /// Deliver the head of channel `src → dst`.
+        Deliver(usize, usize),
         /// The same with no pass after it: the engine drains its inbox
         /// before a pass, so this needs another message for `dst` behind.
-        Drain(usize, usize, bool),
+        Drain(usize, usize),
         /// Machine `i` runs its task, sending counted work to a peer.
         Run(usize, Option<usize>),
-        /// The master's sync cadence is due (`true` as for `Deliver`).
-        SyncDue(bool),
+        /// The master's sync cadence is due.
+        SyncDue,
         SnapshotDue,
         /// Machine `i`'s asynchronous part is written.
         Write(usize),
-    }
-
-    impl Act {
-        /// The same step with the stop predicate holding, if it can.
-        fn stopping(self) -> Option<Act> {
-            match self {
-                Deliver(src, dst, false) => Some(Deliver(src, dst, true)),
-                Drain(src, dst, false) => Some(Drain(src, dst, true)),
-                SyncDue(false) => Some(SyncDue(true)),
-                _ => None,
-            }
-        }
     }
 
     /// How far the explorer looks.
@@ -721,16 +694,15 @@ mod tests {
         }
 
         /// `act` taken in `w`, then a pass of the machine it acted on;
-        /// `Err` names the invariant broken. The flag: an epoch was
-        /// finalized, so the stop predicate matters.
-        fn take(&self, w: &World, act: Act) -> Result<(World, bool), String> {
+        /// `Err` names the invariant broken.
+        fn take(&self, w: &World, act: Act) -> Result<World, String> {
             let (mut w, n) = (w.clone(), self.b.n);
-            let (i, input, stop) = match act {
-                Deliver(src, dst, stop) | Drain(src, dst, stop) => {
+            let (i, input) = match act {
+                Deliver(src, dst) | Drain(src, dst) => {
                     let wire =
                         w.chans[src * n + dst].pop_front().expect("an empty channel delivered");
                     if w.nodes[dst].halted {
-                        return Ok((w, false));
+                        return Ok(w);
                     }
                     let input = match wire {
                         Wire::Work(cuts) => {
@@ -743,7 +715,7 @@ mod tests {
                         }
                         Wire::Ctl(msg) => Input::Msg(MachineId(src as u16), msg),
                     };
-                    (dst, Some(input), stop)
+                    (dst, Some(input))
                 }
                 Run(i, to) => {
                     w.nodes[i].task = false;
@@ -752,115 +724,101 @@ mod tests {
                         let cuts = w.nodes[i].cuts;
                         w.chans[i * n + j].push_back(Wire::Work(cuts));
                     }
-                    (i, None, false)
+                    (i, None)
                 }
-                SyncDue(stop) => {
+                SyncDue => {
                     w.sync_dues -= 1;
-                    (0, Some(Input::SyncDue(w.nodes[0].coord.sync_next_at)), stop)
+                    (0, Some(Input::SyncDue(w.nodes[0].coord.sync_next_at)))
                 }
                 SnapshotDue => {
                     w.snap_dues -= 1;
                     w.started += 1;
-                    (0, Some(Input::SnapshotDue(u64::from(w.started - 1))), false)
+                    (0, Some(Input::SnapshotDue(u64::from(w.started - 1))))
                 }
                 Write(i) => {
                     w.nodes[i].writing = false;
-                    (i, Some(Input::AsyncWritten), false)
+                    (i, Some(Input::AsyncWritten))
                 }
             };
-            let mut finalized = false;
             if let Some(input) = input {
-                finalized |= self.feed(&mut w, i, input, stop)?;
+                self.feed(&mut w, i, input)?;
             }
             if !w.nodes[i].halted && !matches!(act, Drain(..)) {
                 let node = &w.nodes[i];
                 let pass = Input::Pass { idle: !node.task && !node.writing, drained: true };
-                finalized |= self.feed(&mut w, i, pass, false)?;
+                self.feed(&mut w, i, pass)?;
             }
-            Ok((w, finalized))
+            Ok(w)
         }
 
-        /// One input and the `Stop` a finalized epoch feeds back, applied
-        /// the way the engine applies them, invariants checked.
-        fn feed(&self, w: &mut World, i: usize, input: Input, stop: bool) -> Result<bool, String> {
+        /// One input, applied the way the engine applies it, invariants
+        /// checked.
+        fn feed(&self, w: &mut World, i: usize, input: Input) -> Result<(), String> {
             let n = self.b.n;
-            let (mut next, mut finalized) = (Some(input), false);
-            while let Some(input) = next.take() {
-                let mut out = Vec::new();
-                let snapshot_open = matches!(w.nodes[i].coord.round, Round::Snapshot { .. });
-                let coord = &mut w.nodes[i].coord;
-                catch_unwind(AssertUnwindSafe(|| coord.step(input, &self.recs[i], &mut out)))
-                    .map_err(|_| format!("m{i} panicked on {input:?}"))?;
-                let master = &w.nodes[0].coord;
-                if matches!(master.round, Round::Quiet { .. }) && master.sync.is_some() {
-                    return Err("a sync epoch is open beside a quiet round".into());
-                }
-                let closed =
-                    i == 0 && snapshot_open && !matches!(master.round, Round::Snapshot { .. });
-                for output in out {
-                    match output {
-                        Output::Send(dst, msg) => {
-                            if msg == Msg::SnapDone {
-                                w.nodes[i].done += 1;
-                                if w.nodes[i].done > w.started {
-                                    return Err(format!(
-                                        "m{i} sent a second SnapDone for one snapshot"
-                                    ));
-                                }
-                            }
-                            w.chans[i * n + dst.index()].push_back(Wire::Ctl(msg));
-                        }
-                        Output::Broadcast(msg) => {
-                            if msg == Msg::Halt {
-                                check_halt(w)?;
-                            }
-                            for j in (0..n).filter(|&j| j != i) {
-                                w.chans[i * n + j].push_back(Wire::Ctl(msg));
+            let mut out = Vec::new();
+            let snapshot_open = matches!(w.nodes[i].coord.round, Round::Snapshot { .. });
+            let coord = &mut w.nodes[i].coord;
+            catch_unwind(AssertUnwindSafe(|| coord.step(input, &self.recs[i], &mut out)))
+                .map_err(|_| format!("m{i} panicked on {input:?}"))?;
+            let master = &w.nodes[0].coord;
+            if matches!(master.round, Round::Quiet { .. }) && master.sync.is_some() {
+                return Err("a sync epoch is open beside a quiet round".into());
+            }
+            let closed = i == 0 && snapshot_open && !matches!(master.round, Round::Snapshot { .. });
+            for output in out {
+                match output {
+                    Output::Send(dst, msg) => {
+                        if msg == Msg::SnapDone {
+                            w.nodes[i].done += 1;
+                            if w.nodes[i].done > w.started {
+                                return Err(format!("m{i} sent a second SnapDone for one snapshot"));
                             }
                         }
-                        Output::Pause => w.nodes[i].paused = true,
-                        Output::Resume => w.nodes[i].paused = false,
-                        Output::Capture(_) => {
-                            let cuts = w.nodes[i].cuts;
-                            let late = (0..n).find(|&s| {
-                                w.chans[s * n + i].iter().any(|&m| m == Wire::Work(cuts))
-                            });
-                            if let Some(s) = late {
-                                let why = "work from before its capture in flight";
-                                return Err(format!("cut: m{i} captured with m{s}'s {why}"));
-                            }
-                            w.nodes[i].cuts += 1;
-                        }
-                        Output::StartAsync(_) => w.nodes[i].writing = true,
-                        Output::Partials(e) if i != 0 => {
-                            w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
-                        }
-                        Output::Finalize(e) if e != FINAL => {
-                            finalized = true;
-                            if stop {
-                                w.stopped = true;
-                                next = Some(Input::Stop);
-                            }
-                        }
-                        Output::Halt => w.nodes[i].halted = true,
-                        Output::InvalidateCache
-                        | Output::Partials(_)
-                        | Output::Combine
-                        | Output::Finalize(_) => {}
+                        w.chans[i * n + dst.index()].push_back(Wire::Ctl(msg));
                     }
-                }
-                if closed {
-                    w.closed += 1;
-                    if let Some(j) = (1..n).find(|&j| w.nodes[j].done != w.closed) {
-                        let done = w.nodes[j].done;
-                        return Err(format!(
-                            "snapshot {} closed with m{j}'s SnapDone count at {done}",
-                            w.closed - 1
-                        ));
+                    Output::Broadcast(msg) => {
+                        if msg == Msg::Halt {
+                            check_halt(w)?;
+                        }
+                        for j in (0..n).filter(|&j| j != i) {
+                            w.chans[i * n + j].push_back(Wire::Ctl(msg));
+                        }
                     }
+                    Output::Pause => w.nodes[i].paused = true,
+                    Output::Resume => w.nodes[i].paused = false,
+                    Output::Capture(_) => {
+                        let cuts = w.nodes[i].cuts;
+                        let late = (0..n).find(|&s| {
+                            w.chans[s * n + i].iter().any(|&m| m == Wire::Work(cuts))
+                        });
+                        if let Some(s) = late {
+                            let why = "work from before its capture in flight";
+                            return Err(format!("cut: m{i} captured with m{s}'s {why}"));
+                        }
+                        w.nodes[i].cuts += 1;
+                    }
+                    Output::StartAsync(_) => w.nodes[i].writing = true,
+                    Output::Partials(e) if i != 0 => {
+                        w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
+                    }
+                    Output::Halt => w.nodes[i].halted = true,
+                    Output::InvalidateCache
+                    | Output::Partials(_)
+                    | Output::Combine
+                    | Output::Finalize(_) => {}
                 }
             }
-            Ok(finalized)
+            if closed {
+                w.closed += 1;
+                if let Some(j) = (1..n).find(|&j| w.nodes[j].done != w.closed) {
+                    let done = w.nodes[j].done;
+                    return Err(format!(
+                        "snapshot {} closed with m{j}'s SnapDone count at {done}",
+                        w.closed - 1
+                    ));
+                }
+            }
+            Ok(())
         }
     }
 
@@ -873,13 +831,13 @@ mod tests {
         if let Some(j) = w.nodes.iter().enumerate().position(|(i, node)| unwritten(i, node)) {
             return Err(format!("halted with m{j}'s part of snapshot {} unwritten", w.started - 1));
         }
-        let busy = w.nodes.iter().position(|node| node.task);
-        let in_flight = w.chans.iter().any(|chan| chan.iter().any(|m| matches!(m, Wire::Work(_))));
-        match (w.stopped, busy) {
-            (false, Some(j)) => Err(format!("halted with a task on m{j}")),
-            (false, None) if in_flight => Err("halted with counted work in flight".into()),
-            _ => Ok(()),
+        if let Some(j) = w.nodes.iter().position(|node| node.task) {
+            return Err(format!("halted with a task on m{j}"));
         }
+        if w.chans.iter().any(|chan| chan.iter().any(|m| matches!(m, Wire::Work(_)))) {
+            return Err("halted with counted work in flight".into());
+        }
+        Ok(())
     }
 
     /// Whether `act` makes progress the engine would wake for (a trigger
@@ -912,22 +870,21 @@ mod tests {
                 snap_dues: self.b.snap_dues,
                 started: 0,
                 closed: 0,
-                stopped: false,
             }
         }
 
-        /// The actions `w` enables, the stop predicate false.
+        /// The actions `w` enables.
         fn enabled(&self, w: &World) -> Vec<Act> {
             let n = self.b.n;
             let mut acts = Vec::new();
             for (c, chan) in w.chans.iter().enumerate() {
                 let (src, dst) = (c / n, c % n);
                 if !chan.is_empty() {
-                    acts.push(Deliver(src, dst, false));
+                    acts.push(Deliver(src, dst));
                 }
                 let inbox: usize = (0..n).map(|s| w.chans[s * n + dst].len()).sum();
                 if !chan.is_empty() && inbox > 1 && !w.nodes[dst].halted {
-                    acts.push(Drain(src, dst, false));
+                    acts.push(Drain(src, dst));
                 }
             }
             for (i, node) in w.nodes.iter().enumerate() {
@@ -942,7 +899,7 @@ mod tests {
             }
             let master = &w.nodes[0];
             if !master.halted && w.sync_dues > 0 {
-                acts.push(SyncDue(false));
+                acts.push(SyncDue);
             }
             if !master.halted && w.snap_dues > 0 && master.coord.may_snapshot() {
                 acts.push(SnapshotDue);
@@ -950,10 +907,8 @@ mod tests {
             acts
         }
 
-        /// An epoch finalized: the stop predicate matters, so try it true.
         fn apply(&self, w: &World, act: Act) -> Result<(World, Option<Act>), String> {
-            let (next, finalized) = self.take(w, act)?;
-            Ok((next, if finalized { act.stopping() } else { None }))
+            Ok((self.take(w, act)?, None))
         }
 
         /// `Err` if some machine has not halted and nothing but a timer could
@@ -969,15 +924,6 @@ mod tests {
             }
             Ok(())
         }
-
-        fn plain(&self, act: Act) -> Act {
-            match act {
-                Deliver(src, dst, _) => Deliver(src, dst, false),
-                Drain(src, dst, _) => Drain(src, dst, false),
-                SyncDue(_) => SyncDue(false),
-                act => act,
-            }
-        }
     }
 
     fn explore(b: Bounds) -> usize {
@@ -988,7 +934,7 @@ mod tests {
         explore::replay(&Model::new(b), schedule)
     }
 
-    // Six rules past changes proved by hand, each with the shortest
+    // Five rules past changes proved by hand, each with the shortest
     // counterexample the explorer printed once the rule's mutation was
     // applied. Replayed against the code as it is, every step is enabled,
     // nothing is violated, and the rule's own outcome holds.
@@ -1002,11 +948,11 @@ mod tests {
     fn replay_a_report_before_every_marker_arrived() {
         let schedule = [
             Run(0, None),
-            Deliver(0, 1, false),
+            Deliver(0, 1),
             Run(1, Some(0)),
-            Deliver(1, 0, false),
-            Deliver(1, 0, false),
-            Deliver(1, 0, false),
+            Deliver(1, 0),
+            Deliver(1, 0),
+            Deliver(1, 0),
         ];
         let w = replay(Bounds::new(2, SnapshotMode::None, false), &schedule);
         assert_eq!(
@@ -1024,14 +970,14 @@ mod tests {
     fn replay_a_quiet_round_during_a_snapshot() {
         let schedule = [
             Run(0, None),
-            Deliver(0, 1, false),
+            Deliver(0, 1),
             Run(1, Some(0)),
-            Deliver(1, 0, false),
-            Deliver(1, 0, false),
+            Deliver(1, 0),
+            Deliver(1, 0),
             Run(0, Some(1)),
-            Deliver(0, 1, false),
+            Deliver(0, 1),
             Run(1, Some(0)),
-            Drain(1, 0, false),
+            Drain(1, 0),
             SnapshotDue,
         ];
         let w = replay(Bounds::new(2, Synchronous, false), &schedule);
@@ -1040,18 +986,6 @@ mod tests {
             "{:?}",
             w.nodes[0].coord.round
         );
-    }
-
-    /// A stop during a snapshot halts the run once the snapshot is
-    /// written. Mutation: drop the `Round::Snapshot` arm of `Input::Stop`.
-    /// Then the run halts with the lone machine's asynchronous part
-    /// unwritten (2 steps).
-    #[test]
-    fn replay_a_stop_during_a_snapshot() {
-        let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true)]);
-        assert!(matches!(w.nodes[0].coord.round, Round::Snapshot { id: 0, halt: true, .. }));
-        let w = replay(Bounds::new(1, Asynchronous, true), &[SnapshotDue, SyncDue(true), Write(0)]);
-        assert!(w.nodes[0].halted, "the latched stop halts once the part is written");
     }
 
     /// Capture once every survivor's flush marker is held. Mutation: drop
@@ -1063,10 +997,10 @@ mod tests {
     fn replay_a_capture_on_the_first_flush_marker() {
         let schedule = [
             SnapshotDue,
-            Deliver(0, 1, false),
-            Deliver(1, 0, false),
-            Deliver(0, 1, false),
-            Deliver(1, 0, false),
+            Deliver(0, 1),
+            Deliver(1, 0),
+            Deliver(0, 1),
+            Deliver(1, 0),
         ];
         let w = replay(Bounds::new(2, Synchronous, false), &schedule);
         assert!(w
@@ -1084,12 +1018,12 @@ mod tests {
     fn replay_the_masters_own_report_landing_last() {
         let schedule = [
             Run(0, None),
-            Deliver(0, 1, false),
+            Deliver(0, 1),
             Run(1, Some(0)),
-            Deliver(1, 0, false),
+            Deliver(1, 0),
             Run(0, None),
-            Drain(1, 0, false),
-            Deliver(1, 0, false),
+            Drain(1, 0),
+            Deliver(1, 0),
         ];
         let w = replay(Bounds::new(2, SnapshotMode::None, false), &schedule);
         assert_eq!(w.nodes[0].coord.quiet, Quiet::Sent(2, false));
@@ -1105,11 +1039,11 @@ mod tests {
     fn replay_a_snap_done_noted_at_the_ready_round() {
         let schedule = [
             SnapshotDue,
-            Deliver(0, 1, false),
-            Deliver(1, 0, false),
-            Deliver(0, 1, false),
-            Deliver(1, 0, false),
-            Deliver(1, 0, false),
+            Deliver(0, 1),
+            Deliver(1, 0),
+            Deliver(0, 1),
+            Deliver(1, 0),
+            Deliver(1, 0),
         ];
         let w = replay(Bounds::new(2, Synchronous, false), &schedule);
         assert_eq!((&w.nodes[0].coord.round, &w.nodes[0].coord.part), (&Round::Idle, &Part::Idle));
@@ -1141,6 +1075,12 @@ mod tests {
         twice(&mut c, Msg::QuietReport(1, true));
         assert!(matches!(c.round, Round::Quiet { .. }), "{:?}", c.round);
 
+        // The halt's acks, once worker 2's report ends the round clean.
+        step(&mut c, from(2, Msg::QuietReport(1, true)));
+        assert!(matches!(c.round, Round::Halt { acks: Some(_) }), "{:?}", c.round);
+        let out = twice(&mut c, Msg::HaltAck);
+        assert!(!out.contains(&Output::Halt), "{out:?}");
+
         // The snapshot's `SnapSyncReady`s: no flush marker leaves.
         let mut c = coord(Synchronous, None);
         step(&mut c, Input::SnapshotDue(0));
@@ -1166,12 +1106,6 @@ mod tests {
         let out = twice(&mut c, Msg::SyncPart(1));
         assert!(!out.contains(&Output::Finalize(1)), "{out:?}");
         assert!(c.sync.is_some());
-
-        // The halt's acks.
-        let mut c = coord(SnapshotMode::None, None);
-        step(&mut c, Input::Stop);
-        let out = twice(&mut c, Msg::HaltAck);
-        assert!(!out.contains(&Output::Halt), "{out:?}");
     }
 
     #[test]

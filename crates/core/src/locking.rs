@@ -85,7 +85,7 @@ use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::config::{Ablation, SnapshotMode};
-use crate::coord::{Coord, Input, Msg, Output, FINAL};
+use crate::coord::{Coord, Input, Msg, Output};
 use crate::driver::{MachineResult, MachineSetup};
 use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
 use crate::machine::Machine;
@@ -393,7 +393,7 @@ struct Volatile {
     /// `LockKind::ScopeData` (and per `LockKind::Req` reaching its own requester).
     out_index: IdMap<u64, SlotRef>,
     ready: VecDeque<SlotRef>,
-    cap_reached: bool,
+    no_more_tasks: bool,
     /// Between `Output::Pause` and `Output::Resume`: no new chain starts.
     paused: bool,
     // Alg. 5: each vertex's snapshot colour, the colour of the one in
@@ -421,7 +421,7 @@ impl Volatile {
             outs: Slab::default(),
             out_index: IdMap::default(),
             ready: VecDeque::new(),
-            cap_reached: false,
+            no_more_tasks: false,
             paused: false,
             snap_epoch: vec![0; nv],
             current_snap: 0,
@@ -620,24 +620,21 @@ where
     // ---- pipeline ----
 
     /// Whether a lock chain could start, pipeline room aside: a snapshot
-    /// task is queued, or the scheduler holds a task and the update cap
-    /// has not been reached. The one copy of the condition: `pump` starts
-    /// chains while it holds, the receive deadline is zero while it holds,
-    /// and a pass is idle only once it does not.
+    /// task is queued, or the scheduler holds a task and still takes them.
+    /// The one copy of the condition: `pump` starts chains while it holds,
+    /// the receive deadline is zero while it holds, and a pass is idle
+    /// only once it does not.
     fn chain_could_start(&self) -> bool {
         self.vol.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
-            || (!self.vol.cap_reached && !self.vol.scheduler.is_empty())
+            || (!self.vol.no_more_tasks && !self.vol.scheduler.is_empty())
     }
 
     fn pump(&mut self) {
         if self.vol.paused || self.halted {
             return;
         }
-        if !self.vol.cap_reached && self.core.capped(self.core.live_updates()) {
-            // Drop remaining tasks so the cluster can quiesce.
-            self.vol.cap_reached = true;
-            let nv = self.core.lg.num_local_vertices();
-            self.vol.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
+        if self.core.capped(self.core.live_updates()) {
+            self.take_no_more_tasks();
         }
         while self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) && self.chain_could_start() {
             // Snapshot tasks first (priority), then the app scheduler. A
@@ -652,6 +649,16 @@ where
                 }
                 None => break,
             }
+        }
+    }
+
+    /// The update cap or the stop predicate fired: the tasks go, none is
+    /// taken until a reset, and the next clean quiet round ends the run.
+    fn take_no_more_tasks(&mut self) {
+        if !self.vol.no_more_tasks {
+            self.vol.no_more_tasks = true;
+            let nv = self.core.lg.num_local_vertices();
+            self.vol.scheduler = Scheduler::new(self.core.setup.config.scheduler, nv);
         }
     }
 
@@ -867,7 +874,7 @@ where
     /// Enqueues an application task for a vertex this machine owns.
     fn schedule_owned(&mut self, lv: u32, prio: f64) {
         debug_assert!(self.core.lg.owns_vertex(lv));
-        if !self.vol.cap_reached {
+        if !self.vol.no_more_tasks {
             self.vol.scheduler.add(lv, prio);
         }
     }
@@ -1148,6 +1155,9 @@ where
             }),
             LockKind::SyncGlob => {
                 apply_globals(&self.core.setup.syncs, dec(env.payload), &mut self.core.globals);
+                if self.core.stop_hit() {
+                    self.take_no_more_tasks();
+                }
             }
             LockKind::UpdNote => {
                 if self.core.is_master() {
@@ -1209,25 +1219,17 @@ where
         self.feed(Input::Pass { idle, drained });
     }
 
-    /// Hands `input` to `coord` and applies what it returns, in order; a
-    /// finalized epoch over whose globals the stop predicate holds (§3.5:
-    /// it doubles as the final sync) is fed back as `Input::Stop`.
+    /// Hands `input` to `coord` and applies what it returns, in order.
     fn feed(&mut self, input: Input) {
-        let (mut todo, mut next) = (std::mem::take(&mut self.todo), Some(input));
-        while let Some(input) = next.take() {
-            self.coord.step(input, &self.core.rec, &mut todo);
-            for output in todo.drain(..) {
-                if self.apply(output) {
-                    next = Some(Input::Stop);
-                }
-            }
+        let mut todo = std::mem::take(&mut self.todo);
+        self.coord.step(input, &self.core.rec, &mut todo);
+        for output in todo.drain(..) {
+            self.apply(output);
         }
         self.todo = todo;
     }
 
-    /// `true` after a finalized epoch over whose globals the stop
-    /// predicate holds.
-    fn apply(&mut self, output: Output) -> bool {
+    fn apply(&mut self, output: Output) {
         match output {
             Output::Send(dst, msg) => {
                 let (kind, payload) = wire(msg);
@@ -1261,16 +1263,18 @@ where
             Output::Combine => {
                 combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &self.partials);
             }
-            Output::Finalize(epoch) => {
+            Output::Finalize(_) => {
                 let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
                 let globals =
                     finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
                 self.core.broadcast(LockKind::SyncGlob, &enc(&globals));
-                return epoch != FINAL && self.core.stop_hit();
+                // §3.5; at the final epoch there is nothing left to drop.
+                if self.core.stop_hit() {
+                    self.take_no_more_tasks();
+                }
             }
             Output::Halt => self.halted = true,
         }
-        false
     }
 }
 

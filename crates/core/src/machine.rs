@@ -231,7 +231,8 @@ impl<V, E> Machine<V, E> {
     }
 
     /// Aggregate-driven termination (§3.5): the stop predicate over the
-    /// globals as they stand — the master asks right after finalizing them.
+    /// globals as they stand — a master asks right after finalizing them,
+    /// and a locking worker right after applying them.
     pub fn stop_hit(&self) -> bool {
         self.setup.stop.as_ref().is_some_and(|f| f(&self.globals))
     }

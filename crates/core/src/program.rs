@@ -172,7 +172,8 @@ where
     }
 
     /// Safety cap on total updates (0 = unlimited). Composes with
-    /// [`GraphLab::stop_when`]: the run halts at whichever fires first.
+    /// [`GraphLab::stop_when`]: the run halts at whichever fires first, on
+    /// the locking engine as the stop does (so the count may pass the cap).
     pub fn max_updates(mut self, cap: u64) -> Self {
         self.config.max_updates = cap;
         self
@@ -276,12 +277,14 @@ where
     }
 
     /// First-class termination (§3.5): halt when `stop` returns true over
-    /// the finalized globals. Evaluated by the sync master at every sync
-    /// boundary (chromatic: each colour cycle; locking/sequential: each
-    /// sync epoch), so it requires at least one registered [`sync`] — and,
-    /// on the locking/sequential engines, one with a
-    /// [`SyncCadence::Updates`] cadence. Composes with
-    /// [`GraphLab::max_updates`].
+    /// the finalized globals. Evaluated at every sync boundary
+    /// (chromatic: each colour cycle; locking/sequential: each sync
+    /// epoch), so it requires at least one registered [`sync`] — and, on
+    /// the locking/sequential engines, one with a [`SyncCadence::Updates`]
+    /// cadence. Every locking machine asks it, so `stop` must be pure. Where
+    /// it holds, every machine stops taking tasks, the lock chains in flight
+    /// finish, and the run ends at the next clean quiet round, after the
+    /// final sync. Composes with [`GraphLab::max_updates`].
     ///
     /// [`sync`]: GraphLab::sync
     pub fn stop_when(mut self, stop: impl Fn(&GlobalRegistry) -> bool + Send + Sync + 'static) -> Self {

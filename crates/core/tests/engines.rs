@@ -711,6 +711,62 @@ fn stop_when_halts_locking_engine_mid_run() {
     }
 }
 
+/// A run stopped mid-flight keeps every update it committed (§3.4 of
+/// arXiv 1006.4990): on the locking engine a stop drops the tasks, the
+/// chains in flight finish, and the run ends at the next clean quiet
+/// round, after the final sync. `EdgeCount` with no bound adds one to its
+/// vertex and to every adjacent edge, so an edge off the sum of its
+/// endpoints lost a write-back (or applied one twice), and the final sum
+/// sync must read the returned graph's vertex sum. On 2, 3 and 4
+/// machines, 10 seeds each; beside the stop, the locking engine stopped by
+/// `max_updates` and the chromatic engine stopped at a cycle end.
+#[test]
+fn stop_when_mid_run_loses_no_committed_write_back() {
+    const TOTAL: GlobalHandle<Vec<f64>> = GlobalHandle::new(6);
+    let arms = [
+        (EngineKind::Locking, 2, true),
+        (EngineKind::Locking, 3, true),
+        (EngineKind::Locking, 4, true),
+        (EngineKind::Locking, 3, false),
+        (EngineKind::Chromatic, 3, true),
+    ];
+    let mut failures = Vec::new();
+    for (engine, machines, stop) in arms {
+        for seed in 0..10 {
+            let mut g = grid(12, 12);
+            for v in 0..144 {
+                *g.vertex_data_mut(VertexId(v)) = 0.0;
+            }
+            let run = GraphLab::on(&mut g)
+                .engine(engine)
+                .machines(machines)
+                .consistency(ConsistencyModel::Edge)
+                .seed(seed)
+                .sync(TOTAL, FnSync::new(1, |_, d: &f64| vec![*d], |a, _| a), SyncCadence::Updates(200));
+            let run = if stop {
+                run.stop_when(|g| g.get(TOTAL).is_some_and(|t| t[0] >= 3000.0))
+            } else {
+                run.max_updates(3000)
+            };
+            let arm = format!("{engine:?} on {machines}, stop_when {stop}, seed {seed}");
+            let out = run.try_run(EdgeCount(f64::INFINITY)).unwrap_or_else(|e| panic!("{arm}: {e}"));
+            let wrong = g
+                .edges()
+                .filter(|&e| {
+                    let (a, b) = g.edge_endpoints(e);
+                    *g.edge_data(e) != g.vertex_data(a) + g.vertex_data(b)
+                })
+                .count();
+            let sum: f64 = g.vertices().map(|v| *g.vertex_data(v)).sum();
+            let total = out.globals.get(TOTAL).map(|t| t[0]);
+            if wrong > 0 || total != Some(sum) {
+                failures.push(format!("{arm}: {wrong} edges wrong, globals {total:?}, sum {sum}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{} runs lost work:\n{}", failures.len(), failures.join("\n"));
+}
+
 // ---- the chromatic engine's colour-step exchange ----
 
 /// Dynamic PageRank (the paper's Alg. 1, α 0.15): out-neighbours are

@@ -331,7 +331,8 @@ pub struct SpawnOpts {
     /// Fail (`Err`) if any engine's TCP-vs-Sim L1 is ≥ this (`None`
     /// disables the gate).
     pub check_l1: Option<f64>,
-    /// Where to persist the JSON benchmark record (`None` skips it).
+    /// Where to persist the JSON benchmark record (`None`, the default,
+    /// skips it).
     pub bench_out: Option<PathBuf>,
 }
 
@@ -342,7 +343,7 @@ impl Default for SpawnOpts {
             engines: EngineSel::Both,
             workload: Workload::default(),
             check_l1: None,
-            bench_out: Some(PathBuf::from("BENCH_tcp_smoke.json")),
+            bench_out: None,
         }
     }
 }
@@ -382,7 +383,7 @@ pub fn alloc_ports(n: usize) -> std::io::Result<Vec<String>> {
 /// Spawns an `opts.machines`-process PageRank cluster per selected
 /// engine, merges the workers' fixpoints, and compares each against the
 /// single-process SimNet twin. Prints a timing table per engine and
-/// persists the JSON benchmark record.
+/// persists the JSON benchmark record when `opts.bench_out` names a file.
 pub fn spawn_cluster(opts: &SpawnOpts) -> Result<Vec<EngineReport>, String> {
     assert!(opts.machines >= 1);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;

@@ -159,7 +159,7 @@ fn cmd_spawn(args: &[String]) -> Result<(), String> {
         },
         workload: workload_from(&flags)?,
         check_l1: if flags.get("--check").is_some() { Some(1e-9) } else { None },
-        bench_out: Some(PathBuf::from(flags.get("--bench").unwrap_or("BENCH_tcp_smoke.json"))),
+        bench_out: flags.get("--bench").map(PathBuf::from),
     };
     spawn_cluster(&opts)?;
     Ok(())

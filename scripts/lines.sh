@@ -36,9 +36,10 @@ matches_outside_tests() {
          END { close_file(); print total + 0 }' "$@"
 }
 
-# Items of `pub <kind> <Name> {` in a file: its `pub` fields or its variants.
+# Items of `pub <kind> <Name> {` or `pub(crate) <kind> <Name> {` in a file:
+# its `pub` fields or its variants.
 members() {
-    awk -v head="pub $2 {" '$0 == head { on = 1; next }
+    awk -v head="$2 {" '$0 == "pub " head || $0 == "pub(crate) " head { on = 1; next }
          on && /^}/ { exit }
          on && /^    (pub |[A-Z])/ { n++ }
          END { print n + 0 }' "$1"
@@ -72,5 +73,6 @@ printf '%-50s %6d\n' "wire kinds (kinds! rows + envelope kinds)" $((kinds + enve
 printf '%-50s %6d\n' "EngineConfig fields" "$(members $core/config.rs 'struct EngineConfig')"
 printf '%-50s %6d\n' "FaultPlan fields" "$(members $net/fault.rs 'struct FaultPlan')"
 printf '%-50s %6d\n' "SchedulerKind variants" "$(members $core/scheduler.rs 'enum SchedulerKind')"
+printf '%-50s %6d\n' "coord::Input variants" "$(members $core/coord.rs 'enum Input')"
 printf '%-50s %6d\n' "env::var/env::var_os reads in those three, non-test" \
     "$(matches_outside_tests 'env::var(_os)?\(' $core/*.rs $net/*.rs $atoms/*.rs)"
