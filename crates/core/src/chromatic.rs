@@ -61,16 +61,11 @@ use graphlab_net::{Endpoint, Envelope, RecvError};
 use crate::driver::{MachineResult, MachineSetup};
 use crate::machine::Machine;
 use crate::messages::*;
-use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step};
+use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step, RECOVERY_POLL};
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Receive deadline while a recovery round is in progress: stall detection
-/// is timer-based (a receive timeout fed to `recovery::on_recv`), so the
-/// pump must time out.
-const RECOVERY_POLL: Duration = Duration::from_millis(25);
 
 /// An open block goes on the wire once it holds this many bytes: well under
 /// `graphlab_net::batch::BATCH_BYTES`, so ghost changes leave while the colour-step
@@ -240,7 +235,7 @@ where
             if self.core.ends_run(step) {
                 break;
             }
-            // Recovered: the BSP machinery restarts at cycle 0.
+            // Resumed: the BSP machinery restarts at cycle 0.
         }
         // The master's final globals/halt broadcast may still sit in the
         // batch queues; peers are blocked waiting for it.

@@ -91,14 +91,10 @@ use crate::local::{scope_lock, RemoteCacheTable, ScopePlans};
 use crate::machine::Machine;
 use crate::messages::*;
 use crate::metrics::HotCounters;
-use crate::recovery::{self, RecoveryHost, RecoveryPhase};
+use crate::recovery::{self, RecoveryHost, RecoveryPhase, RECOVERY_POLL};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
-
-/// Receive deadline while the machine is in a recovery phase: recovery
-/// stall detection is timer-based, so the loop must tick.
-const IDLE_BLOCK: Duration = Duration::from_millis(25);
 
 /// Receive deadline for an idle (or pipeline-full) machine in the normal
 /// phase — master included, now that [`LockKind::UpdNote`] announces worker
@@ -524,7 +520,7 @@ where
                     }
                 }
             }
-            let deadline = if normal { self.next_recv_deadline() } else { IDLE_BLOCK };
+            let deadline = if normal { self.next_recv_deadline() } else { RECOVERY_POLL };
             self.hot.blocking_recvs += u64::from(normal && deadline > Duration::ZERO);
             match self.core.net.recv_timeout(deadline) {
                 Ok(env) => {

@@ -276,38 +276,38 @@ kinds! {
     /// Recovery and fabric control plane (both engines), `40..=47` and the
     /// transport's fault and lease notifications: received by
     /// `recovery::on_recv`. The only traffic a machine emits between
-    /// its drain point and the cluster-wide resume, which is what makes
-    /// the [`RecoveryKind::FlushMark`] barrier exact: everything a peer
-    /// sent before its marker is engine traffic from before its drain.
+    /// its drain point and its own resume, which is what makes a peer's
+    /// barrier message ([`RecoveryKind::FlushMark`] under a rollback,
+    /// [`RecoveryKind::AdoptData`] under an adoption) split its channel
+    /// exactly: engine traffic ahead of it was sent before that peer
+    /// drained, engine traffic behind it after that peer resumed. 42 and 43
+    /// (the "recovered" report to the master and its cluster-wide
+    /// "resume", which held early resumers back until the split did the
+    /// same per channel) stay unassigned.
     Recovery(RecoveryKind) {
         /// Machine has stopped sending engine traffic for the current
         /// fault era (machine → master).
         Ready = 40, "recover/ready";
-        /// Roll back to checkpoint `snap` after the marker flush
-        /// (master → all).
+        /// Roll back to checkpoint `snap` once every survivor's marker is
+        /// in (master → all).
         Rollback = 41, "recover/rollback";
-        /// Rollback applied, ready to resume (machine → master).
-        Recovered = 42, "recover/recovered";
-        /// All machines rolled back — resume computation (master → all).
-        Resume = 43, "recover/resume";
         /// Unrecoverable — fail the run with the attached reason
         /// (master → all).
         Abort = 44, "recover/abort";
-        /// Channel flush marker (all → all, sent on receiving the rollback
-        /// order). Per-channel FIFO makes it a barrier: once a machine
-        /// holds the current era's marker from every peer, no pre-rollback
-        /// message can ever surface on any channel.
+        /// A rollback's barrier message: the channel marker (all → all,
+        /// sent on receiving the rollback order). A machine restores and
+        /// resumes once it holds every survivor's marker of the era.
         FlushMark = 45, "recover/flush-mark";
         /// The master's adoption plan (master → survivors). Carries the
         /// re-balanced atom placement survivors rebuild from; dead
         /// machines' atoms have been reassigned, survivors' own atoms stay
         /// put.
         AdoptPlan = 46, "recover/adopt-plan";
-        /// Ghost-rebuild data round (survivor → survivor, exactly one per
-        /// ordered pair even when empty). Carries the sender's
-        /// authoritative rows for vertices/edges the receiver mirrors;
-        /// doubling as a FIFO barrier that flushes pre-adoption traffic off
-        /// each channel.
+        /// An adoption's barrier message: the ghost-rebuild data round
+        /// (survivor → survivor, sent once the sender reloaded under the
+        /// plan, exactly one per ordered pair even when empty). Carries
+        /// the sender's authoritative rows for vertices/edges the receiver
+        /// mirrors. A machine resumes once it holds every surviving peer's.
         AdoptData = 47, "recover/adopt-data";
         /// Lease heartbeat ([`graphlab_net::K_LEASE`]); the `Batcher`
         /// consumes it.
@@ -972,8 +972,8 @@ codec_fields! { QuietReportMsg { round, clean } }
 // ---- recovery (both engines) ----
 
 /// Master's rollback order: broadcast the era's [`RecoveryKind::FlushMark`] to every
-/// peer, drain inbound channels until every peer's marker arrived, then
-/// restore checkpoint `snap` and reset all volatile engine state.
+/// peer, and once every peer's marker arrived restore checkpoint `snap`,
+/// reset all volatile engine state and resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RollbackMsg {
     /// Fault era the rollback resolves.
@@ -988,14 +988,12 @@ codec_fields! { RollbackMsg { era, snap } }
 /// - [`RecoveryKind::Ready`], the drain acknowledgement: "I have stopped
 ///   sending engine traffic for this era" (machine → master; a reborn
 ///   machine sends it as soon as its fabric `K_UP` arrives);
-/// - [`RecoveryKind::FlushMark`], the channel marker (all → all);
-/// - [`RecoveryKind::Recovered`], rollback applied (machine → master);
-/// - [`RecoveryKind::Resume`], the final barrier release (master → all), so
-///   late resumers never miss work sent by early ones — pre-resume arrivals
-///   are buffered.
+/// - [`RecoveryKind::FlushMark`], the channel marker (all → all): engine
+///   traffic behind it is buffered until its receiver resumes, so late
+///   resumers never miss work sent by early ones.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoverEraMsg {
-    /// Fault era being acknowledged/released.
+    /// Fault era being acknowledged or flushed.
     pub era: u32,
 }
 
@@ -1154,7 +1152,7 @@ mod tests {
     /// name (3, 4, 7, 24, 34, 35, 36 and 39 stay unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 38] = [
+        const TABLE: [(u16, &str); 36] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (5, "chrom/sched"),
@@ -1180,8 +1178,6 @@ mod tests {
             (38, "lock/upd-note"),
             (40, "recover/ready"),
             (41, "recover/rollback"),
-            (42, "recover/recovered"),
-            (43, "recover/resume"),
             (44, "recover/abort"),
             (45, "recover/flush-mark"),
             (46, "recover/adopt-plan"),

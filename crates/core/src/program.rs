@@ -284,7 +284,12 @@ where
     /// cadence. Every locking machine asks it, so `stop` must be pure. Where
     /// it holds, every machine stops taking tasks, the lock chains in flight
     /// finish, and the run ends at the next clean quiet round, after the
-    /// final sync. Composes with [`GraphLab::max_updates`].
+    /// final sync. Composes with [`GraphLab::max_updates`]. On the locking
+    /// engine the stop lands at the first sync epoch that finds it, which
+    /// opens only on a loop pass of the master's thread and closes only
+    /// once every worker's partial is in: on a host with fewer cores than
+    /// machines a run can overshoot its stop by thousands of updates while
+    /// the OS runs other threads.
     ///
     /// [`sync`]: GraphLab::sync
     pub fn stop_when(mut self, stop: impl Fn(&GlobalRegistry) -> bool + Send + Sync + 'static) -> Self {
