@@ -37,12 +37,22 @@
 //!
 //! Between colour *cycles* (one pass over all colours) the machines run the
 //! sync operations and the master decides halting ("the entire cycle
-//! executed zero updates and all schedulers are empty") and snapshot
-//! triggers. A worker's sync partial is its vote of round `2·cycle`, its
-//! `SnapDone` one of `2·cycle + 1`, in a second `Markers`; the master folds
-//! a partial in when it arrives, which may be during the last flush round.
-//! Every wait (flush round, cycle end, checkpoint) is one receive loop,
-//! `wait`, on what `handle_msg`, the one decode site, recorded.
+//! executed zero updates and all schedulers are empty") and checkpoints,
+//! in one exchange: each worker's sync partial, its vote of round `cycle`
+//! in a second `Markers`, then the master's verdict. The master folds a
+//! partial in when it arrives, which may be during the last flush round.
+//! A checkpoint is §4.3's synchronous snapshot — suspend, flush, save —
+//! whose first two the cycle's last flush round already did: every machine
+//! captures the checkpoint its verdict names before it handles anything of
+//! the next cycle. The master captures once its verdict is out. A worker
+//! that has sent its partial handles only the verdict: a peer that got the
+//! verdict first may already run the next cycle, so every other envelope
+//! is set aside and handled, in arrival order, once the verdict is applied
+//! and its checkpoint captured. On two machines the list stays empty: the
+//! worker's one peer is the master, whose next-cycle traffic follows its
+//! verdict on the same FIFO channel. Every other wait (a flush round, the
+//! master's cycle end) is one receive loop, `wait`, on what `handle_msg`,
+//! the one decode site of the rows, tasks, markers and partials, recorded.
 //!
 //! A crash loses `Volatile`, which `reset_engine_state` replaces whole; it
 //! keeps the `Machine`, the colour count and the run's `steps_total`.
@@ -52,7 +62,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::{EdgeId, MachineId, VertexId};
 use graphlab_net::codec::Codec;
@@ -149,12 +159,12 @@ struct Volatile {
     cycle: u64,
     /// The cycle end's record. Master: the sync accumulators (made when
     /// the cycle opens) and pending tasks, each partial folded in as it
-    /// arrives, and the votes. Worker: the master's verdict and resume.
+    /// arrives, and the votes. Worker: what arrived behind its partial
+    /// and ahead of the verdict, in arrival order.
     accs: Vec<Box<dyn Any + Send>>,
     pend: u64,
     votes: Markers,
-    verdict: Option<SyncGlobalsMsg>,
-    resumed: bool,
+    aside: Vec<(ChromKind, Envelope)>,
     /// The open row blocks: `blocks[dst][kind as usize]`.
     /// Blocks of one `(step, phase)` leave in slot order, not in the order
     /// their first rows were written, and a row may overtake one of another
@@ -181,8 +191,7 @@ impl Volatile {
             accs: Vec::new(),
             pend: 0,
             votes: Markers::new(m),
-            verdict: None,
-            resumed: false,
+            aside: Vec::new(),
             blocks: (0..m).map(|_| Default::default()).collect(),
         }
     }
@@ -258,11 +267,7 @@ where
                 self.steps_total += 1;
                 self.core.maybe_straggle();
             }
-            let (halt, snapshot) = self.cycle_end_round()?;
-            if let Some(snap) = snapshot {
-                self.write_snapshot(snap)?;
-            }
-            if halt {
+            if self.cycle_end_round()? {
                 return Ok(());
             }
             self.vol.cycle += 1;
@@ -579,25 +584,16 @@ where
                 self.core.note_peer_updates(env.src, p.updates);
                 combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &p.partials);
                 self.vol.pend += p.pending;
-                self.vol.votes.note(env.src, round((self.vol.cycle, 0)));
+                self.vol.votes.note(env.src, self.vol.cycle);
             }
-            ChromKind::SnapDone => self.vol.votes.note(env.src, round((self.vol.cycle, 1))),
-            ChromKind::SyncGlob => {
-                debug_assert!(!self.core.is_master(), "a verdict at the master");
-                let g: SyncGlobalsMsg = dec(env.payload);
-                assert_eq!(g.cycle, self.vol.cycle, "sync verdict out of step");
-                self.vol.verdict = Some(g);
-            }
-            ChromKind::SnapResume => {
-                debug_assert!(!self.core.is_master(), "a resume at the master");
-                self.vol.resumed = true;
-            }
+            ChromKind::SyncGlob => panic!("a verdict outside its worker's cycle end"),
         }
     }
 
-    /// Cycle-end sync + halt + snapshot coordination: the master decides
-    /// once it holds every survivor's partial. Returns `(halt, snapshot_id)`.
-    fn cycle_end_round(&mut self) -> Result<(bool, Option<u64>), Interrupt> {
+    /// Cycle-end sync + halt + checkpoint: the master decides once it
+    /// holds every survivor's partial, and every machine captures the
+    /// checkpoint the verdict names. Returns whether the run halts.
+    fn cycle_end_round(&mut self) -> Result<bool, Interrupt> {
         let mine = SyncPartialMsg {
             cycle: self.vol.cycle,
             partials: local_partials(&self.core.setup.syncs, &self.core.lg),
@@ -606,15 +602,25 @@ where
         };
         if !self.core.is_master() {
             self.core.send(MachineId(0), ChromKind::SyncPart, enc(&mine));
-            // Faster peers may already be executing the next cycle's first
-            // colour-step: `wait` absorbs their (step-tagged) traffic.
-            let g = self.wait(|m| m.vol.verdict.take())?;
+            let g: SyncGlobalsMsg = loop {
+                match self.recv_env()? {
+                    (ChromKind::SyncGlob, env) => break dec(env.payload),
+                    got => self.vol.aside.push(got),
+                }
+            };
+            assert_eq!(g.cycle, self.vol.cycle, "sync verdict out of step");
             apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
-            return Ok((g.halt, g.snapshot));
+            if let Some(snap) = g.snapshot {
+                self.core.capture_checkpoint(snap);
+            }
+            for (kind, env) in std::mem::take(&mut self.vol.aside) {
+                self.handle_msg(kind, env);
+            }
+            return Ok(g.halt);
         }
         combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &mine.partials);
         self.vol.pend += mine.pending;
-        self.wait(|m| m.core.rec.holds(&m.vol.votes, round((m.vol.cycle, 0))).then_some(()))?;
+        self.wait(|m| m.core.rec.holds(&m.vol.votes, m.vol.cycle).then_some(()))?;
         let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
         let globals = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
         // Aggregate-driven termination (§3.5): the stop predicate runs
@@ -625,22 +631,10 @@ where
         let snapshot = if halt { None } else { self.core.snapshot_due() };
         let verdict = SyncGlobalsMsg { cycle: self.vol.cycle, globals, halt, snapshot };
         self.core.broadcast(ChromKind::SyncGlob, &enc(&verdict));
-        Ok((halt, snapshot))
-    }
-
-    /// Writes this machine's part of checkpoint `snap`; the master resumes
-    /// the cluster once it holds every survivor's `SnapDone`.
-    fn write_snapshot(&mut self, snap: u64) -> Result<(), Interrupt> {
-        self.core.capture_checkpoint(snap);
-        if self.core.is_master() {
-            self.wait(|m| m.core.rec.holds(&m.vol.votes, round((m.vol.cycle, 1))).then_some(()))?;
-            self.core.broadcast(ChromKind::SnapResume, &Bytes::new());
-        } else {
-            self.core.send(MachineId(0), ChromKind::SnapDone, Bytes::new());
-            // Resumed peers may already be racing ahead.
-            self.wait(|m| std::mem::take(&mut m.vol.resumed).then_some(()))?;
+        if let Some(snap) = snapshot {
+            self.core.capture_checkpoint(snap);
         }
-        Ok(())
+        Ok(halt)
     }
 }
 
@@ -678,27 +672,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use crate::driver::tests::{scripted_machine, NoUpdate};
     use crate::reference::InitialSchedule;
+    use crate::snapshot::restore_snapshot;
     use graphlab_atoms::VertexPartition;
     use graphlab_graph::{AtomId, GraphBuilder};
     use graphlab_net::BatchPolicy;
 
     type Machine = ChromaticMachine<f64, f64, NoUpdate>;
 
-    /// Machine 0 of `machines` over `graph`, unbatched — every block is an
-    /// envelope of its own on the wire — and the other machines' endpoints
-    /// (`peers[j - 1]` is machine `j`'s).
-    fn machine0(
+    /// Machine `me` of `machines` over `graph`, unbatched — every block is
+    /// an envelope of its own on the wire — and the other machines'
+    /// endpoints, ascending (for machine 0, `peers[j - 1]` is machine `j`'s).
+    fn machine(
         graph: &graphlab_graph::DataGraph<f64, f64>,
         partition: &VertexPartition,
         machines: usize,
+        me: u16,
     ) -> (Machine, Vec<Endpoint>) {
         let mut config = crate::EngineConfig::new(machines);
         config.batch = BatchPolicy::Disabled;
         let (setup, init, mut eps) =
-            scripted_machine(graph, partition, MachineId(0), config, InitialSchedule::AllVertices);
-        (ChromaticMachine::new(eps.remove(0), setup, Arc::new(NoUpdate), init), eps)
+            scripted_machine(graph, partition, MachineId(me), config, InitialSchedule::AllVertices);
+        (ChromaticMachine::new(eps.remove(me.into()), setup, Arc::new(NoUpdate), init), eps)
     }
 
     /// The complete digraph on three vertices, vertex `i` on machine `i`:
@@ -710,17 +707,22 @@ mod tests {
             b.add_edge(v[i], v[j], 1.0).unwrap();
         }
         let one_each = VertexPartition::from_assignment((0..3).map(AtomId).collect(), 3);
-        machine0(&b.build(), &one_each, 3)
+        machine(&b.build(), &one_each, 3, 0)
     }
 
-    /// The ring on eight vertices over two machines.
-    fn ring() -> (Machine, Vec<Endpoint>) {
+    /// The ring on eight vertices, vertex `i` holding `i`.
+    fn ring_graph() -> graphlab_graph::DataGraph<f64, f64> {
         let mut b = GraphBuilder::new();
         let v: Vec<VertexId> = (0..8).map(|i| b.add_vertex(i as f64)).collect();
         for i in 0..8 {
             b.add_edge(v[i], v[(i + 1) % 8], 1.0).unwrap();
         }
-        machine0(&b.build(), &VertexPartition::random_hash(8, 4, 3), 2)
+        b.build()
+    }
+
+    /// Machine `me` of [`ring_graph`] over two machines.
+    fn ring(me: u16) -> (Machine, Vec<Endpoint>) {
+        machine(&ring_graph(), &VertexPartition::random_hash(8, 4, 3), 2, me)
     }
 
     /// Machine 0 handles `payload` as a `kind` from machine `src`.
@@ -771,10 +773,10 @@ mod tests {
         }
     }
 
-    /// Machine 0 as it enters `step` (> 0): every round before it complete.
+    /// `m` as it enters `step` (> 0): every round before it complete.
     fn at_step(m: &mut Machine, step: u64) {
         m.vol.step = step;
-        for j in 1..m.vol.blocks.len() as u16 {
+        for j in (0..m.vol.blocks.len() as u16).filter(|&j| MachineId(j) != m.core.me()) {
             m.vol.marks.note(MachineId(j), round((step, 0)) - 1);
         }
     }
@@ -857,9 +859,10 @@ mod tests {
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
-    /// A racing peer: machine 1 is already in step 3 while machine 0 still
-    /// waits in `cycle_end_round` (or `write_snapshot`) after step 2. Its
-    /// write-back is applied at once; the forward to the other mirror waits
+    /// A racing peer: machine 1 is already in step 3 while machine 0 has not
+    /// begun it (it waits for a slower peer's last marker of step 2, or, a
+    /// worker at a cycle end, handles what it set aside for the verdict).
+    /// Its write-back is applied at once; the forward to the other mirror waits
     /// in a phase-1 block tagged 3, which leaves when step 3's first round
     /// ends, ahead of both its markers — and never to the writer.
     #[test]
@@ -948,7 +951,7 @@ mod tests {
     /// ahead of the step's first marker.
     #[test]
     fn remote_tasks_of_a_step_leave_as_one_ascending_set() {
-        let (mut m, peers) = ring();
+        let (mut m, peers) = ring(0);
         let l = m.core.lg.owned_vertices()[0];
         let mut ghosts: Vec<u32> =
             (0..m.core.lg.num_local_vertices() as u32).filter(|&g| !m.core.lg.owns_vertex(g)).collect();
@@ -986,7 +989,7 @@ mod tests {
     fn the_master_counts_updates_from_the_sync_partials() {
         use crate::config::{SnapshotConfig, SnapshotMode};
         use std::sync::atomic::Ordering;
-        let (mut m, peers) = ring();
+        let (mut m, peers) = ring(0);
         m.core.setup.config.max_updates = 100;
         m.core.setup.config.snapshot =
             SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 40, max_snapshots: 9 };
@@ -1014,7 +1017,7 @@ mod tests {
         assert_eq!(round(&mut m, 35), (false, Some(0)), "10 + 35 crosses the interval");
         assert_eq!(round(&mut m, 5), (false, None), "a stale, lower report never lowers the total");
         assert_eq!((m.core.observed_updates(), m.core.last_snap_updates), (45, 45));
-        assert_eq!(round(&mut m, 80), (false, Some(0)), "10 + 80: an interval past the last");
+        assert_eq!(round(&mut m, 80), (false, Some(1)), "10 + 80: an interval past the last");
         // A rollback re-bases the trigger on the same view.
         m.core.last_snap_updates = 0;
         m.core.reset_engine_state();
@@ -1045,7 +1048,7 @@ mod tests {
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 1, 0], "machine 1's vote, and only its");
 
         send(2, ChromKind::SyncPart, partial(0, 100.0, 0, 4));
-        assert_eq!(m.cycle_end_round().ok(), Some((false, None)));
+        assert_eq!(m.cycle_end_round().ok(), Some(false));
         assert_eq!((m.vol.pend, m.core.observed_updates()), (0, 11));
         for ep in &peers {
             assert_eq!(flush_marker(ep), marker(last, 1));
@@ -1061,22 +1064,23 @@ mod tests {
     /// `reset_engine_state` (rollback, crash wipe) drops the cycle end's
     /// record: a partial folded or a vote noted before the crash would
     /// reach the restarted cycle 0 — "sync round out of step", or a stale
-    /// partial counted in place of the real one. The same holds for every
+    /// partial counted in place of the real one — and an envelope set
+    /// aside for the verdict is pre-crash work. The same holds for every
     /// engine buffer: a rollback or an adoption must find no pre-crash row,
     /// task, vote or count in one, as `Batcher::clear` guarantees for the
     /// queues.
     #[test]
     fn reset_drops_the_cycle_ends_record_and_every_other_volatile_field() {
-        let (mut m, peers) = ring();
+        let (mut m, peers) = ring(0);
         with_sum_sync(&mut m);
         m.initial_schedule();
         at_step(&mut m, 5);
         m.vol.cycle = 3;
         handle_from(&mut m, 1, ChromKind::SyncPart, partial(3, 9.0, 4, 9));
-        handle_from(&mut m, 1, ChromKind::SnapDone, Bytes::new());
-        assert_eq!((m.vol.pend, next_marks(&m, &m.vol.votes)), (4, vec![0, 8]));
-        m.vol.verdict = Some(SyncGlobalsMsg { cycle: 3, globals: Vec::new(), halt: false, snapshot: None });
-        m.vol.resumed = true;
+        assert_eq!((m.vol.pend, next_marks(&m, &m.vol.votes)), (4, vec![0, 4]));
+        let kind = ChromKind::Flush;
+        let marker = Envelope { src: MachineId(1), dst: MachineId(0), kind: kind as u16, payload: enc(&10u64) };
+        m.vol.aside.push((kind, marker));
         // An update that left a row in an open block and a task in the set
         // for machine 1.
         let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
@@ -1091,12 +1095,45 @@ mod tests {
         assert_eq!((m.vol.step, m.vol.cycle, m.vol.pending_total, m.vol.pend), (0, 0, 0, 0));
         assert!(m.vol.accs.is_empty(), "a stale partial must not reach the restarted cycle 0");
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 0], "a pre-crash vote survived");
-        assert!(m.vol.verdict.is_none() && !m.vol.resumed, "a pre-crash verdict survived");
+        assert!(m.vol.aside.is_empty(), "an envelope set aside before the crash survived");
         assert!(m.vol.queues.iter().all(|q| q.is_empty()) && !m.vol.queued.contains(&true));
         assert_eq!(m.vol.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
         assert!(m.vol.remote_tasks.iter().all(|t| t.is_empty()), "a pre-crash task survived");
         assert_eq!(next_marks(&m, &m.vol.marks), [0, 0], "a pre-crash marker survived");
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
+    }
+
+    /// A checkpoint is the cycle end's cut: machine 1, a worker on the
+    /// ring, finds a peer's write-back of the next cycle's first step —
+    /// to a vertex it owns — queued ahead of the verdict that names
+    /// checkpoint 0. The block is set aside until the checkpoint is
+    /// captured: the checkpoint holds the vertex's old value, the graph
+    /// the new one. Mutation: handle the block on arrival in the worker's
+    /// receive loop of `cycle_end_round`; the checkpoint then holds the
+    /// next cycle's value. (On two machines FIFO never queues the master's
+    /// next-cycle traffic ahead of its verdict: the script stands in for a
+    /// third machine's.)
+    #[test]
+    fn a_next_cycle_write_back_waits_until_the_verdicts_checkpoint_is_captured() {
+        let (mut m, peers) = ring(1);
+        let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
+        let v = m.core.lg.vertex_gvid(l);
+        let next = m.num_colors as u64;
+        at_step(&mut m, next);
+        let mut wb = BytesMut::new();
+        StepTagged::<VertexRow>::put(&mut wb, next, 0, |buf| VertexRow::put(buf, v, 0, 0, &enc(&99.0f64)));
+        let verdict = SyncGlobalsMsg { cycle: 0, globals: Vec::new(), halt: false, snapshot: Some(0) };
+        peers[0].send(MachineId(1), ChromKind::VData as u16, wb.freeze());
+        peers[0].send(MachineId(1), ChromKind::SyncGlob as u16, enc(&verdict));
+
+        assert_eq!(m.cycle_end_round().ok(), Some(false));
+        let env = peers[0].try_recv().expect("the partial");
+        assert_eq!(kind_of(&env), ChromKind::SyncPart);
+        assert!(m.vol.aside.is_empty());
+        assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (99.0, 1), "applied after");
+        let mut restored = ring_graph();
+        restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
+        assert_eq!(*restored.vertex_data(v), v.0 as f64, "the next cycle's write-back in the checkpoint");
     }
 }

@@ -84,19 +84,19 @@
 //!
 //! # The chromatic engine's BSP master is another state machine
 //!
-//! `ChromaticMachine::{cycle_end_round, write_snapshot}` do not fit this
-//! `Input` alphabet. They are one blocking exchange that every machine
-//! enters at the end of every colour cycle, not protocols running beside
-//! the work. Of the inputs above they would take only "snapshot due" and
-//! their own round's messages: termination there is a
-//! count (`SyncPartialMsg::pending`, summed at the master) taken at a
-//! global barrier, so "counted work arrived" and a pass's `idle` and
-//! `drained` mean nothing; the step barrier is already held when a cycle
-//! ends, so a part has no `Draining` or `Flushing`; and sync, halt and
-//! snapshot are one decision per cycle in one `SyncGlobalsMsg`, where the
-//! locking master runs three protocols that overlap. Fitting them would
-//! take a new input, "cycle ended (pending, updates)", and a `Round` that
-//! shares no transition with this one.
+//! `ChromaticMachine::cycle_end_round` does not fit this `Input`
+//! alphabet. It is one blocking partial → verdict exchange that every
+//! machine enters at the end of every colour cycle, not protocols running
+//! beside the work. Of the inputs above it would take only "snapshot due"
+//! and its own round's messages: termination there is a count
+//! (`SyncPartialMsg::pending`, summed at the master) taken at a global
+//! barrier, so "counted work arrived" and a pass's `idle` and `drained`
+//! mean nothing; the step barrier is already held when a cycle ends, so a
+//! part has no `Draining` or `Flushing`, and no vote or resume either; and
+//! sync, halt and checkpoint are one decision per cycle in one
+//! `SyncGlobalsMsg`, where the locking master runs three protocols that
+//! overlap. Fitting it would take a new input, "cycle ended (pending,
+//! updates)", and a `Round` that shares no transition with this one.
 //!
 //! `coord::tests` checks all of this by exhaustive search (its docs).
 //!
@@ -222,11 +222,8 @@ pub(crate) enum Output {
     /// No new lock chain starts until `Resume`.
     Pause,
     Resume,
-    /// A synchronous snapshot's resume: the ghost-cache table's residency
-    /// assumptions go. Alg. 5's start needs no such output (see
-    /// `RemoteCacheTable`): marking a vertex bumps its version.
-    InvalidateCache,
-    /// Capture the graph as this machine's part of checkpoint `id`.
+    /// Capture the graph as this machine's part of checkpoint `id`. It
+    /// changes no datum and no version, so the ghost-cache table stays true.
     Capture(u64),
     /// Start Alg. 5 for snapshot `id`: every owned vertex to mark.
     StartAsync(u64),
@@ -374,7 +371,7 @@ impl Coord {
             Msg::SnapDone => self.collect_snap(src, true, rec, out),
             Msg::SnapResume => {
                 self.part = Part::Idle;
-                out.extend([Output::Resume, Output::InvalidateCache]);
+                out.push(Output::Resume);
             }
         }
     }
@@ -577,7 +574,14 @@ mod tests {
     //! `n` machines' [`Coord`]s that per-channel FIFO permits, with a ghost
     //! workload in place of the engine. Each machine may hold one task; a
     //! task that runs may send one counted `Sched` to a peer (a shared
-    //! budget), never while its machine is paused. The master's sync and
+    //! budget), never while its machine is paused. Under synchronous
+    //! snapshots that send is a lock chain's release: `Run(i, Some(j))`
+    //! starts the chain and `Commit(i)` releases it, and a machine with a
+    //! chain in flight is neither idle nor drained, so a stop-and-flush
+    //! meets chains still to release (elsewhere the two are one act, which
+    //! keeps the explorer's state count down): capture before the last one
+    //! released, dropping the `drained` guard of `Part::Draining` in
+    //! `Coord::pass`, breaks the cut in 6 steps. The master's sync and
     //! snapshot triggers fire within their own budgets. A stop predicate or
     //! an update cap only takes tasks away, which `Run(i, None)` already
     //! does. After each action on a machine, that machine runs one loop
@@ -620,6 +624,8 @@ mod tests {
     struct Node {
         coord: Coord,
         task: bool,
+        /// The peer its lock chain in flight releases work to.
+        chain: Option<usize>,
         paused: bool,
         /// An asynchronous part started and not yet written.
         writing: bool,
@@ -650,8 +656,11 @@ mod tests {
         /// The same with no pass after it: the engine drains its inbox
         /// before a pass, so this needs another message for `dst` behind.
         Drain(usize, usize),
-        /// Machine `i` runs its task, sending counted work to a peer.
+        /// Machine `i` runs its task, sending counted work to a peer —
+        /// under synchronous snapshots, starting a chain that sends it.
         Run(usize, Option<usize>),
+        /// Machine `i`'s chain in flight releases: its counted work leaves.
+        Commit(usize),
         /// The master's sync cadence is due.
         SyncDue,
         SnapshotDue,
@@ -721,9 +730,15 @@ mod tests {
                     w.nodes[i].task = false;
                     if let Some(j) = to {
                         w.sends -= 1;
-                        let cuts = w.nodes[i].cuts;
-                        w.chans[i * n + j].push_back(Wire::Work(cuts));
+                        w.nodes[i].chain = Some(j);
+                        if self.b.mode != Synchronous {
+                            release(&mut w, n, i);
+                        }
                     }
+                    (i, None)
+                }
+                Commit(i) => {
+                    release(&mut w, n, i);
                     (i, None)
                 }
                 SyncDue => {
@@ -745,7 +760,8 @@ mod tests {
             }
             if !w.nodes[i].halted && !matches!(act, Drain(..)) {
                 let node = &w.nodes[i];
-                let pass = Input::Pass { idle: !node.task && !node.writing, drained: true };
+                let drained = node.chain.is_none();
+                let pass = Input::Pass { idle: drained && !node.task && !node.writing, drained };
                 self.feed(&mut w, i, pass)?;
             }
             Ok(w)
@@ -802,8 +818,7 @@ mod tests {
                         w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
                     }
                     Output::Halt => w.nodes[i].halted = true,
-                    Output::InvalidateCache
-                    | Output::Partials(_)
+                    Output::Partials(_)
                     | Output::Combine
                     | Output::Finalize(_) => {}
                 }
@@ -822,6 +837,14 @@ mod tests {
         }
     }
 
+    /// Machine `i`'s chain releases its counted work, stamped with the
+    /// captures `i` had taken.
+    fn release(w: &mut World, n: usize, i: usize) {
+        let j = w.nodes[i].chain.take().expect("a release of no chain");
+        let cuts = w.nodes[i].cuts;
+        w.chans[i * n + j].push_back(Wire::Work(cuts));
+    }
+
     /// The master's `Halt` is going out.
     fn check_halt(w: &World) -> Result<(), String> {
         let unwritten = |i: usize, node: &Node| match node.coord.part {
@@ -831,8 +854,8 @@ mod tests {
         if let Some(j) = w.nodes.iter().enumerate().position(|(i, node)| unwritten(i, node)) {
             return Err(format!("halted with m{j}'s part of snapshot {} unwritten", w.started - 1));
         }
-        if let Some(j) = w.nodes.iter().position(|node| node.task) {
-            return Err(format!("halted with a task on m{j}"));
+        if let Some(j) = w.nodes.iter().position(|node| node.task || node.chain.is_some()) {
+            return Err(format!("halted with a task or a chain on m{j}"));
         }
         if w.chans.iter().any(|chan| chan.iter().any(|m| matches!(m, Wire::Work(_)))) {
             return Err("halted with counted work in flight".into());
@@ -843,7 +866,7 @@ mod tests {
     /// Whether `act` makes progress the engine would wake for (a trigger
     /// needs updates, which need progress).
     fn progress(act: &Act) -> bool {
-        matches!(act, Deliver(..) | Drain(..) | Run(..) | Write(_))
+        matches!(act, Deliver(..) | Drain(..) | Run(..) | Commit(_) | Write(_))
     }
 
     impl explore::Model for Model {
@@ -856,6 +879,7 @@ mod tests {
             let node = |i: usize| Node {
                 coord: Coord::new(MachineId(i as u16), n, self.b.mode, self.b.syncs.then_some(1)),
                 task: true,
+                chain: None,
                 paused: false,
                 writing: false,
                 halted: false,
@@ -890,8 +914,11 @@ mod tests {
             for (i, node) in w.nodes.iter().enumerate() {
                 if node.task && !node.paused && !node.halted {
                     acts.push(Run(i, None));
-                    let peers = (0..n).filter(|&j| j != i && w.sends > 0);
+                    let peers = (0..n).filter(|&j| j != i && w.sends > 0 && node.chain.is_none());
                     acts.extend(peers.map(|j| Run(i, Some(j))));
+                }
+                if node.chain.is_some() && !node.halted {
+                    acts.push(Commit(i));
                 }
                 if node.writing && !node.halted {
                     acts.push(Write(i));
@@ -964,22 +991,12 @@ mod tests {
 
     /// No quiet round opens during a snapshot. Mutation: let the
     /// `Quiet::Done` arm of `Coord::pass` open one during `Round::Snapshot`.
-    /// Then the round takes the snapshot's place, which closes without
-    /// machine 1's part (10 steps).
+    /// Then the master, idle once its own chain released, opens a round
+    /// that takes the snapshot's place, and the snapshot closes without
+    /// machine 1's part (3 steps).
     #[test]
     fn replay_a_quiet_round_during_a_snapshot() {
-        let schedule = [
-            Run(0, None),
-            Deliver(0, 1),
-            Run(1, Some(0)),
-            Deliver(1, 0),
-            Deliver(1, 0),
-            Run(0, Some(1)),
-            Deliver(0, 1),
-            Run(1, Some(0)),
-            Drain(1, 0),
-            SnapshotDue,
-        ];
+        let schedule = [Run(0, Some(1)), SnapshotDue, Commit(0)];
         let w = replay(Bounds::new(2, Synchronous, false), &schedule);
         assert!(
             matches!(w.nodes[0].coord.round, Round::Snapshot { .. }),

@@ -678,15 +678,15 @@ impl ScopePlans {
 ///    the data it wrote).
 ///
 /// **Invalidation**: local writes bump the datum's version, which makes
-/// every machine's entry stale automatically (entry < current ⇒ resend);
-/// [`RemoteCacheTable::invalidate_all`] additionally drops every
-/// assumption, at a synchronous snapshot's resume (recovery builds a fresh
-/// table). The asynchronous snapshot (Alg. 5) starts without it: marking a
-/// vertex bumps its version, so the filter re-ships every marked row with
+/// every machine's entry stale automatically (entry < current ⇒ resend),
+/// and nothing else is needed. A synchronous snapshot's capture changes no
+/// datum and no version. The asynchronous snapshot (Alg. 5) marks a vertex
+/// by bumping its version, so the filter re-ships every marked row with
 /// its snapshot colour, and a row not yet marked may keep a stale colour at
-/// a peer, where it reads "not yet snapshotted" — which is true. Entries
-/// start at 0, which is *valid* knowledge: version-0 data is the
-/// ingress-loaded initial value every machine already holds.
+/// a peer, where it reads "not yet snapshotted" — which is true. Recovery,
+/// which replaces data, builds a fresh table. Entries start at 0, which is
+/// *valid* knowledge: version-0 data is the ingress-loaded initial value
+/// every machine already holds.
 #[derive(Debug)]
 pub struct RemoteCacheTable {
     nv: usize,
@@ -735,6 +735,8 @@ impl RemoteCacheTable {
     }
 
     /// Forgets everything: every subsequent sync re-sends ground truth.
+    /// No engine needs it (see "Invalidation" above); the `glbench`
+    /// cache-table layer resets a table with it between passes.
     pub fn invalidate_all(&mut self) {
         self.v.fill(0);
         self.e.fill(0);

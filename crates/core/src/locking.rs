@@ -16,11 +16,11 @@
 //!    is acknowledged with compact "unchanged" markers. The table advances
 //!    on every row shipped and every write-back applied (both FIFO), so a
 //!    skipped row is always already resident at the requester by the time
-//!    its scope executes. A synchronous snapshot's resume invalidates it;
-//!    an asynchronous snapshot need not: marking a vertex bumps its
-//!    version, so the filter re-ships every marked row with its colour, and
-//!    an unmarked row's stale colour reads "not yet snapshotted", which is
-//!    true.
+//!    its scope executes. A snapshot leaves it true: a synchronous capture
+//!    changes no datum and no version, and marking a vertex (Alg. 5) bumps
+//!    its version, so the filter re-ships every marked row with its colour,
+//!    and an unmarked row's stale colour reads "not yet snapshotted", which
+//!    is true. Every recovery builds a fresh one.
 //! 2. **Pipelining** — every machine keeps up to `max_pipeline` lock
 //!    chains in flight; scopes whose locks and data have arrived are
 //!    executed by the machine loop while the rest of the pipeline fills
@@ -1237,7 +1237,6 @@ where
             }
             Output::Pause => self.vol.paused = true,
             Output::Resume => self.vol.paused = false,
-            Output::InvalidateCache => self.vol.cache.invalidate_all(),
             Output::Capture(id) => self.core.capture_checkpoint(id),
             Output::StartAsync(id) => {
                 self.vol.current_snap = id as u32 + 1;
@@ -1391,7 +1390,9 @@ mod tests {
     /// worker: a peer's `SnapSyncFlush` that overtakes the master's makes
     /// it send its own, once; nothing is captured until every survivor's
     /// marker has arrived; and a `Release` write-back queued ahead of a
-    /// marker on the same channel is in the checkpoint.
+    /// marker on the same channel is in the checkpoint. The resume keeps
+    /// the ghost-cache table: the next request for the same scope gets no
+    /// row its requester already holds.
     #[test]
     fn sync_snapshot_captures_once_every_survivors_marker_arrived() {
         let (mut m, peers) = hop_machine(2);
@@ -1437,6 +1438,15 @@ mod tests {
         from(0, LockKind::SnapResume, Bytes::new());
         pump(&mut m);
         assert!(matches!(m.coord.part, Part::Idle) && m.vol.chains.live() == 0);
+
+        // The capture changed no datum and no version: machine 1 holds
+        // vertex 2 as it wrote it, and the same scope again gets an
+        // unchanged marker in place of the row.
+        from(1, LockKind::Req, enc(&LockReqMsg { reqid: 8, ..req }));
+        pump(&mut m);
+        let [(LockKind::ScopeData, reply)] = &inbox(&peers[1])[..] else { panic!("one ScopeData") };
+        let reply: ScopeDataMsg = dec(reply.clone());
+        assert_eq!((reply.reqid, reply.vrows.len(), reply.vsame), (8, 0, 1), "vertex 2 re-shipped");
     }
 
     /// Machine `src`'s `kind` message, handled by `m` as the loop would.

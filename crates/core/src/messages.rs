@@ -5,10 +5,10 @@
 //! once, as [`Kind`]: a `#[repr(u16)]` enum per plane that receives them,
 //! with the wire numbers as discriminants.
 //!
-//! - [`ChromKind`], `1..=11` — chromatic engine (§4.2.1): vertex and edge
+//! - [`ChromKind`], `1..=9` — chromatic engine (§4.2.1): vertex and edge
 //!   row blocks (a ghost push at a mirror, a write-back at the owner), one
 //!   task set per colour-step and owner, the step barrier's marker, and
-//!   the per-cycle sync/halt round.
+//!   the per-cycle sync/halt/checkpoint exchange.
 //! - [`LockKind`], `20..=38` and `48..=49` — locking engine (§4.2.2):
 //!   pipelined lock chains, scope data synchronisation, releases with
 //!   piggybacked write-backs, the quiet round's markers and reports and halt
@@ -172,12 +172,14 @@ macro_rules! kinds {
 }
 
 kinds! {
-    /// Chromatic engine (§4.2.1), `1..=11`: received by
-    /// `ChromaticMachine::handle_msg` and its sync and snapshot rounds.
-    /// 3 and 4 (the write-backs' own kinds, which now ride 1 and 2: a row
-    /// that reaches its datum's owner is one) and 7 (the second marker
-    /// round, which the round number in [`ChromKind::Flush`] names) stay
-    /// unassigned.
+    /// Chromatic engine (§4.2.1), `1..=9`: received by
+    /// `ChromaticMachine::handle_msg` and its cycle end. 3 and 4 (the
+    /// write-backs' own kinds, which now ride 1 and 2: a row that reaches
+    /// its datum's owner is one), 7 (the second marker round, which the
+    /// round number in [`ChromKind::Flush`] names) and 10 and 11 (a
+    /// checkpoint's "part written" vote and the master's resume: the cycle
+    /// end's flush already made the cut, and every machine captures before
+    /// it handles anything of the next cycle) stay unassigned.
     Chrom(ChromKind) {
         /// Vertex rows, a block of [`VertexRow`]s. At a mirror each is a
         /// ghost push (owner → mirror), applied by version; at the owner a
@@ -197,12 +199,9 @@ kinds! {
         Flush = 6, "chrom/flush";
         /// Per-cycle sync partial (machine → master).
         SyncPart = 8, "chrom/sync-part";
-        /// Per-cycle globals + halt decision (master → all).
+        /// Per-cycle globals, halt decision and checkpoint to capture
+        /// (master → all).
         SyncGlob = 9, "chrom/sync-glob";
-        /// Snapshot written acknowledgement (machine → master).
-        SnapDone = 10, "chrom/snap-done";
-        /// Resume after snapshot (master → all).
-        SnapResume = 11, "chrom/snap-resume";
     }
 
     /// Locking engine (§4.2.2), `20..=38` and `48..=49`: received by
@@ -629,7 +628,8 @@ pub struct SyncGlobalsMsg {
     pub globals: Vec<(u32, u64, Bytes)>,
     /// All machines must halt after this cycle.
     pub halt: bool,
-    /// All machines must write a snapshot (id) before the next cycle.
+    /// The checkpoint (id) every machine captures before it handles
+    /// anything of the next cycle.
     pub snapshot: Option<u64>,
 }
 
@@ -1152,15 +1152,13 @@ mod tests {
     /// name (3, 4, 7, 24, 34, 35, 36 and 39 stay unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 36] = [
+        const TABLE: [(u16, &str); 34] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (5, "chrom/sched"),
             (6, "chrom/flush"),
             (8, "chrom/sync-part"),
             (9, "chrom/sync-glob"),
-            (10, "chrom/snap-done"),
-            (11, "chrom/snap-resume"),
             (20, "lock/req"),
             (21, "lock/scope-data"),
             (22, "lock/release"),

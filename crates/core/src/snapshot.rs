@@ -4,11 +4,15 @@
 //!
 //! - **Synchronous**: suspend update execution, flush all communication
 //!   channels, save all owned data. The chromatic engine does this at a
-//!   cycle boundary (a natural barrier); the locking engine runs a
-//!   drain → marker flush → save → resume protocol: once every machine
-//!   is drained, each broadcasts a `SnapSyncFlush` marker behind its last
-//!   counted message and saves once it holds every survivor's — the same
-//!   FIFO barrier as the chromatic step's and recovery's.
+//!   cycle boundary, whose last step barrier has already suspended and
+//!   flushed: the master's verdict names the checkpoint, and every machine
+//!   saves before it handles anything of the next cycle, with no vote and
+//!   no resume. The locking engine runs a drain → marker flush → save →
+//!   resume protocol: once every machine is drained, each broadcasts a
+//!   `SnapSyncFlush` marker behind its last counted message and saves once
+//!   it holds every survivor's — the same FIFO barrier as the chromatic
+//!   step's and recovery's. Saving changes no datum and no version, so the
+//!   locking engine's ghost-cache table stays true across it.
 //! - **Asynchronous**: the Chandy-Lamport variant expressed *as a GraphLab
 //!   update function* (Alg. 5), valid under edge consistency with
 //!   schedule-before-unlock and snapshot-update priority. Each vertex saves
