@@ -1243,12 +1243,11 @@ fn abl_recovery() {
     // Note on the sync-vs-async overhead: the paper's Fig. 4 favours the
     // asynchronous snapshot because stop-the-world pauses are expensive on
     // a real cluster (slow replicated DFS writes, stragglers). In this
-    // zero-latency simulation the sync pause is nearly free while Alg. 5
-    // pays a lock chain per vertex — its snapshot update is an update
-    // like any other — so the ordering flips. The checkpoint's bookkeeping
-    // is not what async pays for: each saved row is encoded once, in place,
-    // into its atom's file (`CheckpointWriter`). The honest shape here is
-    // the *recovery* column, not the pause cost.
+    // zero-latency simulation the sync pause is nearly free, and the
+    // asynchronous snapshot (Chandy–Lamport between machines, no lock
+    // chain of its own) costs one save of the owned rows plus the pre-cut
+    // write-backs saved again. The honest shape here is the *recovery*
+    // column, not the pause cost.
     let base = web_graph(3_000, 4, 33);
     let oracle = exact_pagerank(&base, 0.15, 150);
     let pr = PageRank { alpha: 0.15, epsilon: 1e-12, dynamic: true };

@@ -16,8 +16,9 @@ pub enum SnapshotMode {
     None,
     /// Synchronous snapshots: suspend, flush, save, resume.
     Synchronous,
-    /// Asynchronous Chandy-Lamport snapshots expressed as update functions
-    /// (Alg. 5).
+    /// Asynchronous Chandy–Lamport snapshots between machines, the markers
+    /// on the same FIFO channels as the lock chains (the paper's Alg. 5
+    /// runs it as an update function instead; README, "Fault tolerance").
     Asynchronous,
 }
 

@@ -7,18 +7,18 @@
 //! answered a round (`holds`), and appends the [`Output`]s the engine
 //! applies, in order.
 //! **This module owns every decision; [`crate::locking`] owns every datum
-//! and every byte**: the sync accumulators, Alg. 5's queue, rows and
-//! per-vertex colour, the graph, the `UpdNote` pacing, every encode and
-//! decode. Every barrier here, the master's four votes included, is a
-//! `Markers` noted at the round a message answers and asked with `holds`,
-//! `crate::recovery`'s rule. `holds` skips the asker, so the master reads
-//! its own vote from its own state; its votes, reports and broadcasts are
-//! transitions inside `step`, so it decides on the pass its own vote lands.
+//! and every byte**: the sync accumulators, the saved rows, the graph,
+//! the `UpdNote` pacing, every encode and decode. Every barrier here, the
+//! master's four votes included, is a `Markers` noted at the round a
+//! message answers and asked with `holds`, `crate::recovery`'s rule.
+//! `holds` skips the asker, so the master reads its own vote from its own
+//! state; its votes, reports and broadcasts are transitions inside `step`,
+//! so it decides on the pass its own vote lands.
 //!
 //! # Termination: the quiet round
 //!
-//! The run is over when every machine is idle (scheduler, snapshot queue,
-//! pipeline and ready list empty) and no work is in flight. §4.2.2 evaluates
+//! The run is over when every machine is idle (scheduler, pipeline and
+//! ready list empty) and no work is in flight. §4.2.2 evaluates
 //! this "using the distributed consensus algorithm described in
 //! \[Misra 83\]", which counts nothing: it runs markers over FIFO
 //! channels, as every other barrier here does (`recovery::Markers`).
@@ -68,10 +68,32 @@
 //! - `Part`: a snapshot begins at one `SnapStart`, in the mode every
 //!   machine's config names. Stop-and-flush: `Idle → Draining → Drained →
 //!   Flushing → Written → Idle`, from `SnapStart` to `SnapResume`, its
-//!   flush a FIFO marker barrier like recovery's. Chandy-Lamport as a
-//!   prioritised update function (Alg. 5): `Idle → Async → Idle`, from
-//!   `SnapStart` until the engine has marked every owned vertex and
-//!   written the part. Either mode's part written is one `SnapDone` vote.
+//!   flush a FIFO marker barrier like recovery's. Chandy–Lamport between
+//!   machines: `Idle → Async → Idle`, from the first `SnapStart` a machine
+//!   receives (the master: `SnapshotDue`) until it holds every survivor's.
+//!   Either mode's part written is one `SnapDone` vote.
+//!
+//! # The asynchronous cut
+//!
+//! `SnapStart(id)` is the marker, and every channel is FIFO. A machine's
+//! part starts at the first one it receives: before it sends anything else
+//! it saves every owned row (`Output::Save`), broadcasts its own
+//! `SnapStart(id)` and enters `Part::Async(id, markers)`. A write-back from
+//! a peer whose marker has not arrived yet ([`Coord::pre_cut`]) is pre-cut:
+//! the engine saves the row again once it is applied, behind the first
+//! copy, and restore applies a file's rows in order, so the last one wins.
+//! Holding every survivor's marker, the machine writes its part
+//! (`Output::Write`) and votes `SnapDone`. The cut is consistent under edge
+//! and full consistency:
+//!
+//! - a post-cut write reaches a machine only behind its sender's marker, so
+//!   after that machine's capture;
+//! - a pre-cut writer holds a lock on the datum's vertex until the
+//!   `Release` that carries the write, so no post-cut write lands between
+//!   the capture and the re-save;
+//! - a pre-cut update never reads post-cut data: any `ScopeData` a hop
+//!   sends after its capture follows its marker, so the requester captures
+//!   before that update runs.
 //!
 //! A trigger is work (a snapshot wakes machines with no counted message):
 //! a quiet round or a snapshot starts only from `Idle`, a quiet round only
@@ -159,9 +181,10 @@ pub(crate) enum Part {
     Drained(u64),
     Flushing(u64, Markers),
     Written(u64),
-    /// Alg. 5: the engine runs snapshot tasks until every owned vertex is
-    /// marked.
-    Async,
+    /// Snapshot `id`, Chandy–Lamport: owned rows saved and its own marker
+    /// out, with the survivors' `SnapStart(id)` held so far (module docs,
+    /// "The asynchronous cut").
+    Async(u64, Markers),
 }
 
 impl Part {
@@ -171,7 +194,7 @@ impl Part {
             Part::Draining(id) | Part::Drained(id) | Part::Flushing(id, _) | Part::Written(id) => {
                 Some(id)
             }
-            Part::Idle | Part::Async => None,
+            Part::Idle | Part::Async(..) => None,
         }
     }
 }
@@ -209,8 +232,6 @@ pub(crate) enum Input {
     /// Master: snapshot `id` is due; fed only while
     /// [`Coord::may_snapshot`].
     SnapshotDue(u64),
-    /// This machine's asynchronous part is written.
-    AsyncWritten,
 }
 
 /// What the engine does, in order.
@@ -222,11 +243,11 @@ pub(crate) enum Output {
     /// No new lock chain starts until `Resume`.
     Pause,
     Resume,
-    /// Capture the graph as this machine's part of checkpoint `id`. It
-    /// changes no datum and no version, so the ghost-cache table stays true.
-    Capture(u64),
-    /// Start Alg. 5 for snapshot `id`: every owned vertex to mark.
-    StartAsync(u64),
+    /// Save every owned row into the checkpoint writer. It changes no datum
+    /// and no version, so the ghost-cache table stays true.
+    Save,
+    /// Write the saved rows as this machine's part of checkpoint `id`.
+    Write(u64),
     /// This machine's partials of epoch `e`: a worker sends them, the
     /// master opens the epoch's accumulators with them.
     Partials(u64),
@@ -309,12 +330,16 @@ impl Coord {
             Input::Pass { idle, drained } => self.pass(idle, drained, rec, out),
             Input::SyncDue(updates) => self.sync_due(updates, rec, out),
             Input::SnapshotDue(id) => self.start_snapshot(id, rec, out),
-            Input::AsyncWritten => {
-                debug_assert_eq!(self.part, Part::Async, "an asynchronous part written twice");
-                self.part = Part::Idle;
-                self.vote(Msg::SnapDone, rec, out);
-            }
         }
+    }
+
+    /// Whether a write-back from `src` is pre-cut: this machine's
+    /// asynchronous part is open and `src`'s marker has not arrived. The
+    /// engine saves such a row again once it is applied (module docs, "The
+    /// asynchronous cut").
+    #[inline]
+    pub(crate) fn pre_cut(&self, src: MachineId) -> bool {
+        matches!(&self.part, Part::Async(id, marks) if marks.next(src) <= *id)
     }
 
     fn on_msg(&mut self, src: MachineId, msg: Msg, rec: &RecoveryTracker, out: &mut Vec<Output>) {
@@ -346,20 +371,15 @@ impl Coord {
                 self.collect_partials(src, rec, out);
             }
             Msg::SyncPart(_) => {}
-            Msg::SnapStart(id) => {
-                debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
-                match self.mode {
-                    SnapshotMode::Synchronous => {
-                        self.part = Part::Draining(id);
-                        out.push(Output::Pause);
-                    }
-                    SnapshotMode::Asynchronous => {
-                        self.part = Part::Async;
-                        out.push(Output::StartAsync(id));
-                    }
-                    SnapshotMode::None => unreachable!("a snapshot with snapshots off"),
+            Msg::SnapStart(id) => match self.mode {
+                SnapshotMode::Synchronous => {
+                    debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
+                    self.part = Part::Draining(id);
+                    out.push(Output::Pause);
                 }
-            }
+                SnapshotMode::Asynchronous => self.marker(src, id, rec, out),
+                SnapshotMode::None => unreachable!("a snapshot with snapshots off"),
+            },
             Msg::SnapSyncReady(id) => {
                 debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");
                 self.collect_snap(src, false, rec, out);
@@ -401,7 +421,7 @@ impl Coord {
                 }
                 Part::Flushing(id, ref marks) if rec.holds(marks, id) => {
                     self.part = Part::Written(id);
-                    out.push(Output::Capture(id));
+                    out.extend([Output::Save, Output::Write(id)]);
                     self.vote(Msg::SnapDone, rec, out);
                 }
                 _ => break,
@@ -515,8 +535,31 @@ impl Coord {
     fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         debug_assert!(self.may_snapshot(), "a snapshot beside a round");
         self.round = Round::Snapshot { id, votes: Markers::new(self.slots) };
-        out.push(Output::Broadcast(Msg::SnapStart(id)));
+        if self.mode == SnapshotMode::Synchronous {
+            out.push(Output::Broadcast(Msg::SnapStart(id)));
+        }
         self.on_msg(MASTER, Msg::SnapStart(id), rec, out);
+    }
+
+    /// `src`'s marker of asynchronous snapshot `id` (the master's own at
+    /// `SnapshotDue`). The first one starts this machine's part: its owned
+    /// rows saved and its own marker out before it sends anything else.
+    /// Holding every survivor's, it writes the part and votes.
+    fn marker(&mut self, src: MachineId, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        if self.part == Part::Idle {
+            out.extend([Output::Save, Output::Broadcast(Msg::SnapStart(id))]);
+            self.part = Part::Async(id, Markers::new(self.slots));
+        }
+        let Part::Async(at, marks) = &mut self.part else {
+            unreachable!("an asynchronous marker inside a synchronous snapshot")
+        };
+        debug_assert_eq!(*at, id, "a marker of another snapshot");
+        marks.note(src, id);
+        if rec.holds(marks, id) {
+            self.part = Part::Idle;
+            out.push(Output::Write(id));
+            self.vote(Msg::SnapDone, rec, out);
+        }
     }
 
     /// Master: `src` drained or (`done`) wrote its part. Once every
@@ -589,8 +632,10 @@ mod tests {
     //!
     //! - a halt finds no task anywhere and no counted message in flight;
     //! - no sync epoch is open beside a quiet round;
-    //! - synchronous cut: counted work sent before its sender's capture is
-    //!   delivered before its receiver's, and none sent after it before;
+    //! - the cut, in both snapshot modes: counted work sent after its
+    //!   sender's capture is not delivered before its receiver's, and work
+    //!   sent before it is delivered before its receiver writes its part
+    //!   (under Chandy–Lamport, what the engine saves again);
     //! - each worker sends exactly one `SnapDone` per snapshot;
     //! - a halt finds every snapshot part written;
     //! - `step` does not panic;
@@ -627,10 +672,8 @@ mod tests {
         /// The peer its lock chain in flight releases work to.
         chain: Option<usize>,
         paused: bool,
-        /// An asynchronous part started and not yet written.
-        writing: bool,
         halted: bool,
-        /// Synchronous captures taken, and `SnapDone`s sent.
+        /// Captures taken (`Output::Save`), and `SnapDone`s sent.
         cuts: u8,
         done: u8,
     }
@@ -664,8 +707,6 @@ mod tests {
         /// The master's sync cadence is due.
         SyncDue,
         SnapshotDue,
-        /// Machine `i`'s asynchronous part is written.
-        Write(usize),
     }
 
     /// How far the explorer looks.
@@ -750,10 +791,6 @@ mod tests {
                     w.started += 1;
                     (0, Some(Input::SnapshotDue(u64::from(w.started - 1))))
                 }
-                Write(i) => {
-                    w.nodes[i].writing = false;
-                    (i, Some(Input::AsyncWritten))
-                }
             };
             if let Some(input) = input {
                 self.feed(&mut w, i, input)?;
@@ -761,7 +798,7 @@ mod tests {
             if !w.nodes[i].halted && !matches!(act, Drain(..)) {
                 let node = &w.nodes[i];
                 let drained = node.chain.is_none();
-                let pass = Input::Pass { idle: drained && !node.task && !node.writing, drained };
+                let pass = Input::Pass { idle: drained && !node.task, drained };
                 self.feed(&mut w, i, pass)?;
             }
             Ok(w)
@@ -802,18 +839,16 @@ mod tests {
                     }
                     Output::Pause => w.nodes[i].paused = true,
                     Output::Resume => w.nodes[i].paused = false,
-                    Output::Capture(_) => {
+                    Output::Save => w.nodes[i].cuts += 1,
+                    Output::Write(_) => {
                         let cuts = w.nodes[i].cuts;
-                        let late = (0..n).find(|&s| {
-                            w.chans[s * n + i].iter().any(|&m| m == Wire::Work(cuts))
-                        });
+                        let pre_cut = |m: &Wire| matches!(*m, Wire::Work(c) if c < cuts);
+                        let late = (0..n).find(|&s| w.chans[s * n + i].iter().any(pre_cut));
                         if let Some(s) = late {
                             let why = "work from before its capture in flight";
-                            return Err(format!("cut: m{i} captured with m{s}'s {why}"));
+                            return Err(format!("cut: m{i} wrote its part with m{s}'s {why}"));
                         }
-                        w.nodes[i].cuts += 1;
                     }
-                    Output::StartAsync(_) => w.nodes[i].writing = true,
                     Output::Partials(e) if i != 0 => {
                         w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
                     }
@@ -848,7 +883,7 @@ mod tests {
     /// The master's `Halt` is going out.
     fn check_halt(w: &World) -> Result<(), String> {
         let unwritten = |i: usize, node: &Node| match node.coord.part {
-            Part::Draining(_) | Part::Drained(_) | Part::Flushing(..) | Part::Async => true,
+            Part::Draining(_) | Part::Drained(_) | Part::Flushing(..) | Part::Async(..) => true,
             Part::Idle | Part::Written(_) => i > 0 && node.done < w.started,
         };
         if let Some(j) = w.nodes.iter().enumerate().position(|(i, node)| unwritten(i, node)) {
@@ -866,7 +901,7 @@ mod tests {
     /// Whether `act` makes progress the engine would wake for (a trigger
     /// needs updates, which need progress).
     fn progress(act: &Act) -> bool {
-        matches!(act, Deliver(..) | Drain(..) | Run(..) | Commit(_) | Write(_))
+        matches!(act, Deliver(..) | Drain(..) | Run(..) | Commit(_))
     }
 
     impl explore::Model for Model {
@@ -881,7 +916,6 @@ mod tests {
                 task: true,
                 chain: None,
                 paused: false,
-                writing: false,
                 halted: false,
                 cuts: 0,
                 done: 0,
@@ -919,9 +953,6 @@ mod tests {
                 }
                 if node.chain.is_some() && !node.halted {
                     acts.push(Commit(i));
-                }
-                if node.writing && !node.halted {
-                    acts.push(Write(i));
                 }
             }
             let master = &w.nodes[0];
@@ -961,7 +992,7 @@ mod tests {
         explore::replay(&Model::new(b), schedule)
     }
 
-    // Five rules past changes proved by hand, each with the shortest
+    // Six rules past changes proved by hand, each with the shortest
     // counterexample the explorer printed once the rule's mutation was
     // applied. Replayed against the code as it is, every step is enabled,
     // nothing is violated, and the rule's own outcome holds.
@@ -1065,6 +1096,19 @@ mod tests {
         let w = replay(Bounds::new(2, Synchronous, false), &schedule);
         assert_eq!((&w.nodes[0].coord.round, &w.nodes[0].coord.part), (&Round::Idle, &Part::Idle));
         assert_eq!(w.chans[1], [Wire::Ctl(Msg::SnapResume)]);
+    }
+
+    /// Under Chandy–Lamport every machine broadcasts its own marker at its
+    /// first. Mutation: in `Coord::marker`, let only the master broadcast.
+    /// Then the master never holds worker 1's marker, its part stays open,
+    /// and the snapshot never closes: stuck (5 steps). With the broadcast,
+    /// both parts are written and the worker's `SnapDone` is on its way.
+    #[test]
+    fn replay_a_worker_that_does_not_broadcast_its_marker() {
+        let schedule = [Run(1, None), SnapshotDue, Deliver(0, 1), Deliver(1, 0), Run(0, None)];
+        let w = replay(Bounds::new(2, Asynchronous, false), &schedule);
+        assert!(w.nodes.iter().all(|node| node.coord.part == Part::Idle && node.cuts == 1));
+        assert_eq!(w.chans[2], [Wire::Ctl(Msg::SnapDone)], "channel 1 → 0");
     }
 
     /// Each of the master's four vote barriers on three machines: worker

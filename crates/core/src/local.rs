@@ -679,11 +679,8 @@ impl ScopePlans {
 ///
 /// **Invalidation**: local writes bump the datum's version, which makes
 /// every machine's entry stale automatically (entry < current ⇒ resend),
-/// and nothing else is needed. A synchronous snapshot's capture changes no
-/// datum and no version. The asynchronous snapshot (Alg. 5) marks a vertex
-/// by bumping its version, so the filter re-ships every marked row with
-/// its snapshot colour, and a row not yet marked may keep a stale colour at
-/// a peer, where it reads "not yet snapshotted" — which is true. Recovery,
+/// and nothing else is needed. A snapshot, in either mode, saves rows and
+/// changes no datum and no version. Recovery,
 /// which replaces data, builds a fresh table. Entries start at 0, which is
 /// *valid* knowledge: version-0 data is the ingress-loaded initial value
 /// every machine already holds.

@@ -16,11 +16,9 @@
 //!    is acknowledged with compact "unchanged" markers. The table advances
 //!    on every row shipped and every write-back applied (both FIFO), so a
 //!    skipped row is always already resident at the requester by the time
-//!    its scope executes. A snapshot leaves it true: a synchronous capture
-//!    changes no datum and no version, and marking a vertex (Alg. 5) bumps
-//!    its version, so the filter re-ships every marked row with its colour,
-//!    and an unmarked row's stale colour reads "not yet snapshotted", which
-//!    is true. Every recovery builds a fresh one.
+//!    its scope executes. A snapshot leaves it true: saving a row changes
+//!    no datum and no version, in either mode. Every recovery builds a
+//!    fresh one.
 //! 2. **Pipelining** — every machine keeps up to `max_pipeline` lock
 //!    chains in flight; scopes whose locks and data have arrived are
 //!    executed by the machine loop while the rest of the pipeline fills
@@ -61,10 +59,12 @@
 //!
 //! Termination, both snapshot modes (§4.3), sync epochs and the halt are
 //! `crate::coord`'s decisions, fed each control message, pass and trigger;
-//! this engine applies them to its data — Alg. 5's `AsyncPart` and colour
-//! among them. An asynchronous snapshot queues every owned vertex at its
-//! start, so the snapshot update schedules nothing (`AsyncPart` says why
-//! that is Alg. 5's neighbour scheduling).
+//! this engine applies them to its data. An asynchronous snapshot is
+//! Chandy–Lamport between machines, its markers the `SnapStart`s on the
+//! channels every lock chain uses: no snapshot chain runs. The one datum
+//! it needs from the data plane is a `Release`'s sender: a write-back that
+//! `Coord::pre_cut` names is saved again once applied (`crate::coord`'s
+//! module docs say why the cut holds).
 //!
 //! # What a crash keeps
 //!
@@ -113,22 +113,6 @@ const STRAGGLER_POLL: Duration = Duration::from_millis(2);
 
 /// Identifies a lock chain cluster-wide: `(requester machine, reqid)`.
 type ChainKey = (u16, u64);
-
-/// This machine's asynchronous part of a snapshot in flight (Alg. 5): owned
-/// vertices to snapshot and how many owned vertices are still unmarked. The
-/// rows saved so far are in `Machine::ckpt`.
-///
-/// The queue holds every owned vertex from the start, and snapshot tasks
-/// pop before application tasks. That subsumes Alg. 5's scheduling of a
-/// snapshotted vertex's unmarked neighbours: such a task would either
-/// duplicate one already queued here, or reach a machine whose part has not
-/// started and be dropped. The cut's consistency does not rest on that
-/// order: it rests on the snapshot update running under edge consistency
-/// and on the mark travelling with the vertex's row.
-struct AsyncPart {
-    queue: VecDeque<u32>,
-    remaining: usize,
-}
 
 // ---------------------------------------------------------------------
 // Non-blocking callback readers-writer lock table
@@ -298,7 +282,6 @@ struct OutScope {
     remote_needed: u32,
     data_got: u32,
     local_done: bool,
-    is_snapshot: bool,
     /// The local hop's chain, once it started.
     chain: SlotRef,
 }
@@ -392,18 +375,13 @@ struct Volatile {
     no_more_tasks: bool,
     /// Between `Output::Pause` and `Output::Resume`: no new chain starts.
     paused: bool,
-    // Alg. 5: each vertex's snapshot colour, the colour of the one in
-    // flight, and this machine's part of it.
-    snap_epoch: Vec<u32>,
-    current_snap: u32,
-    snap: Option<AsyncPart>,
     /// Master: the sync epoch's accumulators.
     accs: Vec<Box<dyn std::any::Any + Send>>,
 }
 
 impl Volatile {
-    /// No task, lock, chain or snapshot part, sized by `core`'s local
-    /// graph, with the lock plans built from it.
+    /// No task, lock or chain, sized by `core`'s local graph, with the lock
+    /// plans built from it.
     fn new<V, E>(core: &Machine<V, E>) -> Self {
         let lg = &core.lg;
         let (nv, ne) = (lg.num_local_vertices(), lg.num_local_edges());
@@ -419,9 +397,6 @@ impl Volatile {
             ready: VecDeque::new(),
             no_more_tasks: false,
             paused: false,
-            snap_epoch: vec![0; nv],
-            current_snap: 0,
-            snap: None,
             accs: Vec::new(),
         }
     }
@@ -615,14 +590,12 @@ where
 
     // ---- pipeline ----
 
-    /// Whether a lock chain could start, pipeline room aside: a snapshot
-    /// task is queued, or the scheduler holds a task and still takes them.
-    /// The one copy of the condition: `pump` starts chains while it holds,
-    /// the receive deadline is zero while it holds, and a pass is idle
-    /// only once it does not.
+    /// Whether a lock chain could start, pipeline room aside: the scheduler
+    /// holds a task and still takes them. The one copy of the condition:
+    /// `pump` starts chains while it holds, the receive deadline is zero
+    /// while it holds, and a pass is idle only once it does not.
     fn chain_could_start(&self) -> bool {
-        self.vol.snap.as_ref().is_some_and(|part| !part.queue.is_empty())
-            || (!self.vol.no_more_tasks && !self.vol.scheduler.is_empty())
+        !self.vol.no_more_tasks && !self.vol.scheduler.is_empty()
     }
 
     fn pump(&mut self) {
@@ -633,17 +606,8 @@ where
             self.take_no_more_tasks();
         }
         while self.vol.outs.live() < self.core.setup.config.max_pipeline.max(1) && self.chain_could_start() {
-            // Snapshot tasks first (priority), then the app scheduler. A
-            // snapshot queue of marked vertices only leaves the condition
-            // to the scheduler.
-            match self.pop_snap_task() {
-                Some(l) => self.initiate_chain(l, true),
-                None if self.chain_could_start() => {
-                    if let Some(l) = self.vol.scheduler.pop() {
-                        self.initiate_chain(l, false);
-                    }
-                }
-                None => break,
+            if let Some(l) = self.vol.scheduler.pop() {
+                self.initiate_chain(l);
             }
         }
     }
@@ -658,20 +622,8 @@ where
         }
     }
 
-    fn pop_snap_task(&mut self) -> Option<u32> {
-        let AsyncPart { queue, .. } = self.vol.snap.as_mut()?;
-        while let Some(l) = queue.pop_front() {
-            if self.vol.snap_epoch[l as usize] != self.vol.current_snap {
-                return Some(l);
-            }
-        }
-        None
-    }
-
-    fn initiate_chain(&mut self, l: u32, is_snapshot: bool) {
-        let model = if is_snapshot {
-            ConsistencyModel::Edge
-        } else if self.core.setup.config.ablation == Ablation::Racing {
+    fn initiate_chain(&mut self, l: u32) {
+        let model = if self.core.setup.config.ablation == Ablation::Racing {
             // Fig. 1(d): lock only the central vertex; reads of neighbour
             // ghosts race against concurrent writers.
             ConsistencyModel::Vertex
@@ -693,7 +645,6 @@ where
             center: l,
             model,
             remote_needed: span as u32 - 1,
-            is_snapshot,
             ..OutScope::default()
         });
         if span > 1 {
@@ -802,7 +753,7 @@ where
         let req = to.index();
         let filter = self.core.setup.config.ablation != Ablation::FullScopeResend;
         let (verts, edges) = (self.vol.plans.verts(locks), self.vol.plans.owned_edges(center));
-        let (lg, snap_epoch) = (&self.core.lg, &self.vol.snap_epoch);
+        let lg = &self.core.lg;
         let stale_v = |cache: &RemoteCacheTable, lv| {
             !filter || cache.v_known(req, lv) < lg.vertex_version(lv)
         };
@@ -826,8 +777,7 @@ where
                             cache.note_v(req, lv, cur);
                             row.clear();
                             lg.vertex_data(lv).encode(row);
-                            let snap = snap_epoch[lv as usize];
-                            VertexRow::put(buf, lg.vertex_gvid(lv), cur, snap, row);
+                            VertexRow::put(buf, lg.vertex_gvid(lv), cur, 0, row);
                         }
                     }
                 },
@@ -851,20 +801,12 @@ where
 
     fn execute_ready(&mut self) {
         while let Some(out) = self.vol.ready.pop_front() {
-            if self.vol.outs.get(out).is_snapshot {
-                self.execute_snapshot_update(out);
-            } else {
-                self.execute_update(out);
-            }
+            let center = self.vol.outs.get(out).center;
+            let prioritized = self.vol.scheduler.kind() == SchedulerKind::Priority;
+            self.core.execute(&*self.update, center, prioritized);
+            self.maybe_send_upd_note(false);
+            self.commit_and_release(out);
         }
-    }
-
-    fn execute_update(&mut self, out: SlotRef) {
-        let center = self.vol.outs.get(out).center;
-        let prioritized = self.vol.scheduler.kind() == SchedulerKind::Priority;
-        self.core.execute(&*self.update, center, prioritized);
-        self.maybe_send_upd_note(false);
-        self.commit_and_release(out);
     }
 
     /// Enqueues an application task for a vertex this machine owns.
@@ -941,7 +883,7 @@ where
                 self.release_chain(chain);
                 continue;
             }
-            let (lg, snap_epoch, ob) = (&self.core.lg, &self.vol.snap_epoch, &mut self.outbox[mm.index()]);
+            let (lg, ob) = (&self.core.lg, &mut self.outbox[mm.index()]);
             let rowbuf = &mut self.core.rowbuf;
             self.core.net.send_with(mm, self.core.rec.wire(LockKind::Release), |buf| {
                 ReleaseMsg::put(
@@ -953,8 +895,7 @@ where
                         for lv in ob.vwrites.drain(..) {
                             row.clear();
                             lg.vertex_data(lv).encode(row);
-                            let snap = snap_epoch[lv as usize];
-                            ReleaseMsg::put_vwrite(buf, lg.vertex_gvid(lv), snap, row);
+                            ReleaseMsg::put_vwrite(buf, lg.vertex_gvid(lv), 0, row);
                         }
                     },
                     ob.ewrites.len(),
@@ -1007,35 +948,6 @@ where
         self.vol.chains.free(r);
     }
 
-    /// Alg. 5: the snapshot update function.
-    fn execute_snapshot_update(&mut self, out: SlotRef) {
-        let center = self.vol.outs.get(out).center;
-        let snap = self.vol.current_snap;
-        self.core.effects.clear();
-        if self.vol.snap_epoch[center as usize] != snap {
-            // An owned vertex is unmarked only while its part is not written.
-            let Some(AsyncPart { remaining, .. }) = &mut self.vol.snap else {
-                unreachable!("an unmarked snapshot task outside an asynchronous part")
-            };
-            let core = &mut self.core;
-            // Save D_v and the edges to not-yet-snapshotted neighbours.
-            // Alg. 5 also schedules those neighbours; their owners' queues
-            // already hold them (see `AsyncPart`).
-            core.ckpt.save_vertex(&core.lg, center);
-            for e in core.lg.adj(center) {
-                if self.vol.snap_epoch[e.nbr as usize] != snap {
-                    core.ckpt.save_edge(&core.lg, e.edge);
-                }
-            }
-            // Mark v as snapshotted; bump the version so the marker
-            // propagates with the ordinary scope-data synchronisation.
-            self.vol.snap_epoch[center as usize] = snap;
-            *remaining -= 1;
-            self.core.lg.bump_vertex_version(center);
-        }
-        self.commit_and_release(out);
-    }
-
     // ---- message handling ----
 
     /// The four data-plane kinds, the globals and the update notes are
@@ -1073,13 +985,9 @@ where
                     ScopeDataMsg::read(
                         p,
                         self,
-                        |m, vid, version, snap, data| {
+                        |m, vid, version, _, data| {
                             if let Some(lv) = m.core.lg.local_vertex(vid) {
-                                let datum = dec_in(payload, data);
-                                m.core.lg.apply_vertex_update(lv, version, datum);
-                                if snap > m.vol.snap_epoch[lv as usize] {
-                                    m.vol.snap_epoch[lv as usize] = snap;
-                                }
+                                m.core.lg.apply_vertex_update(lv, version, dec_in(payload, data));
                             }
                         },
                         |m, eid, version, data| {
@@ -1110,11 +1018,14 @@ where
             }
             LockKind::Release => {
                 let (src, payload) = (env.src.index(), &env.payload);
+                // A pre-cut write-back's row is saved again, behind the
+                // capture's copy: restore applies the last one.
+                let resave = self.coord.pre_cut(env.src);
                 let reqid = read_all(payload, |p| {
                     ReleaseMsg::read(
                         p,
                         self,
-                        |m, v, snap, data| {
+                        |m, v, _, data| {
                             let lv = m.core.lg.local_vertex(v).expect("write-back target local");
                             debug_assert!(m.core.lg.owns_vertex(lv));
                             *m.core.lg.vertex_data_mut(lv) = dec_in(payload, data);
@@ -1122,8 +1033,8 @@ where
                             // The bump invalidates every peer's cache entry;
                             // the writer itself holds exactly the data it wrote.
                             m.vol.cache.note_v(src, lv, ver);
-                            if snap > m.vol.snap_epoch[lv as usize] {
-                                m.vol.snap_epoch[lv as usize] = snap;
+                            if resave {
+                                m.core.ckpt.save_vertex(&m.core.lg, lv);
                             }
                         },
                         |m, e, data| {
@@ -1132,6 +1043,9 @@ where
                             *m.core.lg.edge_data_mut(le) = dec_in(payload, data);
                             let ver = m.core.lg.bump_edge_version(le);
                             m.vol.cache.note_e(src, le, ver);
+                            if resave {
+                                m.core.ckpt.save_edge(&m.core.lg, le);
+                            }
                         },
                     )
                 });
@@ -1199,14 +1113,9 @@ where
         }
     }
 
-    /// The end of a loop pass: an asynchronous part with every owned vertex
-    /// marked is written, and an idle worker closes the master's trigger
+    /// The end of a loop pass: an idle worker closes the master's trigger
     /// window with an exact count (notes are not work) before `coord` hears.
     fn end_pass(&mut self) {
-        if self.vol.snap.take_if(|part| part.remaining == 0).is_some() {
-            self.core.write_checkpoint(self.vol.current_snap as u64 - 1);
-            self.feed(Input::AsyncWritten);
-        }
         let drained = self.vol.outs.live() == 0 && self.vol.ready.is_empty();
         let idle = drained && !self.chain_could_start();
         if idle {
@@ -1237,13 +1146,8 @@ where
             }
             Output::Pause => self.vol.paused = true,
             Output::Resume => self.vol.paused = false,
-            Output::Capture(id) => self.core.capture_checkpoint(id),
-            Output::StartAsync(id) => {
-                self.vol.current_snap = id as u32 + 1;
-                let owned = self.core.lg.owned_vertices();
-                let (queue, remaining) = (owned.iter().copied().collect(), owned.len());
-                self.vol.snap = Some(AsyncPart { queue, remaining });
-            }
+            Output::Save => self.core.ckpt.save_owned(&self.core.lg),
+            Output::Write(id) => self.core.write_checkpoint(id),
             Output::Partials(epoch) => {
                 let syncs = &self.core.setup.syncs;
                 let partials = local_partials(syncs, &self.core.lg);
@@ -1556,36 +1460,57 @@ mod tests {
         assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [both.clone(), both]);
     }
 
-    /// A worker's asynchronous part is written once and announced once,
-    /// although `end_pass` runs on every pass of the loop.
+    /// Chandy–Lamport on machine 2, a worker. Machine 1's `SnapStart`
+    /// overtakes the master's: machine 2 saves its rows at once and
+    /// broadcasts its own marker. Machine 0's write-back, ahead of 0's
+    /// marker, is pre-cut and saved again; machine 1's, behind 1's marker,
+    /// is not, though it lands last. The master's marker, the last
+    /// survivor's, writes the part, and exactly one `SnapDone` leaves.
     #[test]
-    fn an_asynchronous_part_is_written_and_announced_once() {
+    fn a_peers_marker_starts_the_part_and_pre_cut_write_backs_are_saved_again() {
         let (mut m, peers) = hop_machine(2);
         snapshots(&mut m, SnapshotMode::Asynchronous);
+        let model = consistency_to_u8(ConsistencyModel::Full);
+        let req = |requester: u16, reqid: u64| LockReqMsg {
+            requester: MachineId(requester),
+            reqid,
+            scope_v: VertexId(requester as u32),
+            machines: vec![MachineId(2)],
+            model,
+        };
+        let release = |reqid: u64, value: f64| {
+            let vwrites = vec![(VertexId(2), 0, enc(&value))];
+            enc(&ReleaseMsg { reqid, vwrites, ewrites: vec![] })
+        };
+        let marker = (LockKind::SnapStart, enc(&0u64));
+        // Machine 0's chain holds vertex 2; machine 1's parks behind it.
+        deliver(&mut m, 0, LockKind::Req, enc(&req(0, 7)));
+        deliver(&mut m, 1, LockKind::Req, enc(&req(1, 9)));
+        assert_eq!(inbox(&peers[0]).len(), 1, "chain 7's scope data");
+
+        deliver(&mut m, 1, LockKind::SnapStart, enc(&0u64));
+        assert!(matches!(m.coord.part, Part::Async(0, _)), "{:?}", m.coord.part);
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker.clone()]]);
+
+        deliver(&mut m, 0, LockKind::Release, release(7, 42.0));
+        assert_eq!(inbox(&peers[1]).len(), 1, "chain 9's scope data");
+        deliver(&mut m, 1, LockKind::Release, release(9, 11.0));
+        m.end_pass();
+        assert!(inbox(&peers[0]).is_empty(), "written before the master's marker");
+
         deliver(&mut m, 0, LockKind::SnapStart, enc(&0u64));
-        // Vertex 2's snapshot update locks its whole scope: machine 0's hop,
-        // then machine 1's, then its own.
-        m.pump();
-        let sent = inbox(&peers[0]);
-        let [(LockKind::Req, req)] = &sent[..] else { panic!("no chain to machine 0: {sent:?}") };
-        let reqid = dec::<LockReqMsg>(req.clone()).reqid;
-        let data = ScopeDataMsg { reqid, vrows: vec![], erows: vec![], vsame: 1, esame: 0 };
-        for src in [0, 1] {
-            deliver(&mut m, src, LockKind::ScopeData, enc(&data));
-        }
-        let (model, machines) = (consistency_to_u8(ConsistencyModel::Edge), vec![MachineId(2)]);
-        let back = LockReqMsg { requester: MachineId(2), reqid, scope_v: VertexId(2), machines, model };
-        deliver(&mut m, 1, LockKind::Req, enc(&back));
-        m.execute_ready();
         for _ in 0..3 {
             m.end_pass();
         }
-        let done = |ep| inbox(ep).iter().filter(|(kind, _)| *kind == LockKind::SnapDone).count();
-        assert_eq!((done(&peers[0]), done(&peers[1])), (1, 0), "announced once, to the master");
+        let done = (LockKind::SnapDone, Bytes::new());
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [vec![done], vec![]]);
+        assert!(matches!(m.coord.part, Part::Idle));
+        let w = m.core.lg.local_vertex(VertexId(2)).unwrap();
+        assert_eq!(*m.core.lg.vertex_data(w), 11.0);
         let mut restored = triangle();
         let (nv, _) = restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
-        assert_eq!(nv, 1, "vertex 2's row, not an empty second write over it");
-        assert!(matches!(m.coord.part, Part::Idle));
+        assert_eq!(nv, 2, "the capture's row and the pre-cut write-back's");
+        assert_eq!(*restored.vertex_data(VertexId(2)), 42.0);
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's

@@ -42,12 +42,11 @@
 //! Several protocol invariants assume the fabric's **per-channel FIFO**
 //! delivery guarantee (see `graphlab-net`): a [`ScheduleMsg`] emitted
 //! during commit must reach the owner before the [`ReleaseMsg`] that
-//! unlocks the scope, the Alg. 5 snapshot markers ride data messages in
-//! channel order, and every channel flush is a marker barrier — once a
-//! machine holds a peer's marker ([`ChromKind::Flush`],
-//! [`LockKind::SnapSyncFlush`], [`RecoveryKind::FlushMark`],
-//! [`LockKind::Quiet`]), it holds everything that peer sent it before the
-//! marker.
+//! unlocks the scope, and every channel flush or cut is a marker barrier —
+//! once a machine holds a peer's marker ([`ChromKind::Flush`],
+//! [`LockKind::SnapSyncFlush`], [`LockKind::SnapStart`] under
+//! Chandy–Lamport, [`RecoveryKind::FlushMark`], [`LockKind::Quiet`]), it
+//! holds everything that peer sent it before the marker.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, MachineId, VertexId};
@@ -231,9 +230,10 @@ kinds! {
         /// Background sync globals (master → all): the finalized rows
         /// alone.
         SyncGlob = 28, "lock/sync-glob";
-        /// Snapshot start (master → all; the payload is the snapshot id),
-        /// in the mode every machine's config names: stop-and-flush
-        /// suspends new lock chains, Alg. 5 starts marking owned vertices.
+        /// Snapshot start (the payload is the snapshot id), in the mode
+        /// every machine's config names: stop-and-flush (master → all)
+        /// suspends new lock chains; under Chandy–Lamport it is the marker
+        /// (all → all), each machine's own broadcast at its first.
         SnapStart = 29, "snap/start";
         /// Synchronous snapshot — machine drained: no lock chain of its own
         /// is left (machine → master; the payload is the snapshot id).
@@ -377,8 +377,8 @@ pub struct VertexRow {
     pub vid: VertexId,
     /// Owner-side version.
     pub version: u64,
-    /// Snapshot epoch marker (asynchronous Chandy-Lamport snapshots ride
-    /// with the data; 0 = not snapshotted).
+    /// Always 0 (a snapshot colour no engine sets). Kept on the wire so
+    /// that the layout, and callers that build a row, stay as they are.
     pub snap: u32,
     /// Encoded `V`.
     pub data: Bytes,
@@ -859,7 +859,8 @@ impl Codec for ScopeDataMsg {
 pub struct ReleaseMsg {
     /// Request being released.
     pub reqid: u64,
-    /// Dirty vertex data owned by the receiver (snap marker rides along).
+    /// Dirty vertex data owned by the receiver, each with a snapshot
+    /// colour that is always 0 (see [`VertexRow::snap`]).
     pub vwrites: Vec<(VertexId, u32, Bytes)>,
     /// Dirty edge data owned by the receiver.
     pub ewrites: Vec<(EdgeId, Bytes)>,
@@ -886,7 +887,7 @@ impl ReleaseMsg {
         ewrites(cx, buf);
     }
 
-    /// One vertex write-back row.
+    /// One vertex write-back row; the engine writes `snap` as 0.
     pub(crate) fn put_vwrite(buf: &mut BytesMut, v: VertexId, snap: u32, data: &[u8]) {
         v.encode(buf);
         snap.encode(buf);

@@ -13,12 +13,26 @@
 //!   it holds every survivor's — the same FIFO barrier as the chromatic
 //!   step's and recovery's. Saving changes no datum and no version, so the
 //!   locking engine's ghost-cache table stays true across it.
-//! - **Asynchronous**: the Chandy-Lamport variant expressed *as a GraphLab
-//!   update function* (Alg. 5), valid under edge consistency with
-//!   schedule-before-unlock and snapshot-update priority. Each vertex saves
-//!   its own datum and the data of edges to not-yet-snapshotted neighbours;
-//!   the `snapshotted` marker propagates with the ordinary versioned scope
-//!   data synchronisation.
+//! - **Asynchronous** (locking engine): Chandy–Lamport between machines,
+//!   over the per-channel FIFO links the lock chains use; the paper's Alg. 5
+//!   runs the same algorithm as an update function, one lock chain per
+//!   vertex (README, "Fault tolerance", says why this one does not). A
+//!   machine's part starts at the first `SnapStart` marker it receives (the
+//!   master's at the trigger): before it sends anything else it saves every
+//!   owned row and broadcasts its own marker. A write-back from a peer whose
+//!   marker has not arrived is pre-cut: its row is saved again once applied,
+//!   behind the first copy, and restore applies a file's rows in order, so
+//!   the last one wins. Holding every survivor's marker, the machine writes
+//!   its part. The cut is consistent under edge and full consistency
+//!   because:
+//!   - a post-cut write reaches a machine only behind its sender's marker,
+//!     so after that machine's capture;
+//!   - a pre-cut writer holds a lock on the datum's vertex until the
+//!     `Release` that carries the write, so no post-cut write can land
+//!     between the capture and the re-save;
+//!   - a pre-cut update never reads post-cut data: any `ScopeData` a hop
+//!     sends after its capture follows its marker, so the requester
+//!     captures before that update runs.
 //!
 //! Restoring a checkpoint after a crash, and adopting a dead machine's
 //! atoms instead, is `crate::recovery`'s protocol; its module docs walk
@@ -29,10 +43,10 @@
 //! completeness scanning/pruning, and Young's first-order optimal
 //! checkpoint interval (Eq. 3).
 //!
-//! Every checkpoint is written through a [`CheckpointWriter`]: the
-//! synchronous snapshot of either engine saves every owned row into it,
-//! the asynchronous one each row as Alg. 5 reaches it, and each row is
-//! encoded once, straight into the body of the file of its atom.
+//! Every checkpoint is written through a [`CheckpointWriter`]: every
+//! snapshot saves every owned row into it at its capture (the asynchronous
+//! one also each pre-cut write-back's row), and each row is encoded once,
+//! straight into the body of the file of its atom.
 //! [`write_snapshot_atoms`] feeds a whole [`SnapshotFile`] through the same
 //! writer.
 
@@ -44,9 +58,10 @@ use graphlab_atoms::SimDfs;
 use crate::local::LocalGraph;
 
 /// A checkpoint file's contents: one file per atom per machine per
-/// snapshot, written by the atom's owner or, as a ghost file, by a
-/// neighbour (see [`write_snapshot_atoms`]). Also the payload of
-/// adoption's ghost exchange.
+/// snapshot, written by the atom's owner (a ghost file, by a neighbour,
+/// only for foreign rows, which no engine saves; see
+/// [`write_snapshot_atoms`]). Also the payload of adoption's ghost
+/// exchange.
 ///
 /// Vertex/edge data are stored as encoded blobs so the file format is
 /// independent of the user types. [`CheckpointWriter`] writes the same
@@ -96,13 +111,13 @@ pub fn atom_snap_file_name(prefix: &str, id: u64, atom: AtomId, machine: Machine
     format!("{}/atom_{:06}_m{:06}", snap_dir(prefix, id), atom.0, machine.0)
 }
 
-/// DFS file name for rows of a **foreign** atom saved by `machine` — the
-/// asynchronous snapshot saves ghost-edge data on whichever side reaches
-/// the marker first, which may not be the owner. Ghost files are restored
-/// like owner files but never count toward snapshot completeness: a
-/// machine that died mid-snapshot must not have its atoms "completed" by
-/// surviving neighbours' ghost rows, leaving a torn cut that passes the
-/// completeness check.
+/// DFS file name for rows of a **foreign** atom saved by `machine`. No
+/// engine writes a foreign row any more: every snapshot saves owned rows
+/// only, so only a [`write_snapshot_atoms`] caller's foreign rows land
+/// here. Ghost files are restored like owner files but never count
+/// toward snapshot completeness: a machine that died mid-snapshot must not
+/// have its atoms "completed" by surviving neighbours' ghost rows, leaving
+/// a torn cut that passes the completeness check.
 fn ghost_snap_file_name(prefix: &str, id: u64, atom: AtomId, machine: MachineId) -> String {
     format!("{}/ghost_{:06}_m{:06}", snap_dir(prefix, id), atom.0, machine.0)
 }
@@ -363,11 +378,10 @@ impl CheckpointWriter {
     /// empties the writer. Every atom in `mine` gets its file *even when
     /// empty*, so completeness counting ([`latest_complete_snapshot`] with
     /// `parts = num_atoms`) can demand every atom without special-casing
-    /// atoms that own nothing. Rows of a foreign atom (the asynchronous
-    /// snapshot saves ghost-edge data on whichever side snapshots first) go
-    /// to a *ghost* file (`ghost_snap_file_name`): restored like any other,
-    /// but invisible to completeness counting, so it can never mark a dead
-    /// owner's atom as checkpointed.
+    /// atoms that own nothing. Rows of a foreign atom (no engine saves one
+    /// any more) go to a *ghost* file (`ghost_snap_file_name`): restored
+    /// like any other, but invisible to completeness counting, so it can
+    /// never mark a dead owner's atom as checkpointed.
     pub fn write(
         &mut self,
         dfs: &SimDfs,
@@ -444,9 +458,8 @@ where
 /// snapshot was taken from). Returns the number of vertex and edge records
 /// applied.
 ///
-/// Asynchronous snapshots may save an edge on both sides of a machine
-/// boundary; records are applied idempotently (the values are identical by
-/// the Chandy-Lamport argument).
+/// Records are applied in file order, so a row saved again (an
+/// asynchronous snapshot's pre-cut write-back) overrides its first copy.
 pub fn restore_snapshot<V, E>(
     dfs: &SimDfs,
     prefix: &str,
@@ -682,9 +695,9 @@ mod tests {
             dfs.write(&atom_snap_file_name("ckpt", 0, AtomId(atom), MachineId(m)), blob());
         }
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 4), None, "atom 3 missing");
-        // A ghost contribution for the missing atom (async ghost-edge
-        // saves from a non-owner) must NOT complete the snapshot: the
-        // owner may have died mid-cut, and restoring would tear the cut.
+        // A ghost contribution for the missing atom (foreign rows saved by
+        // a non-owner) must NOT complete the snapshot: the owner may have
+        // died mid-cut, and restoring would tear the cut.
         dfs.write(&ghost_snap_file_name("ckpt", 0, AtomId(3), MachineId(0)), blob());
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 4), None, "ghost file spoofed an atom");
         dfs.write(&atom_snap_file_name("ckpt", 0, AtomId(3), MachineId(1)), blob());

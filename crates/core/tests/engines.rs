@@ -561,7 +561,7 @@ fn chip_grid(w: usize, h: usize, chips: &[(usize, u64)]) -> DataGraph<u64, ()> {
     g
 }
 
-fn chips(g: &DataGraph<u64, ()>) -> Vec<u64> {
+fn chips<E>(g: &DataGraph<u64, E>) -> Vec<u64> {
     g.vertices().map(|v| *g.vertex_data(v)).collect()
 }
 
@@ -600,6 +600,107 @@ fn sync_snapshots_of_chip_firing_conserve_every_chip() {
                 let mut restored = chip_grid(w, h, &[]);
                 restore_snapshot(&out.dfs, "ckpt", id, &mut restored).unwrap();
                 let held: u64 = chips(&restored).iter().sum();
+                assert_eq!(held, total, "{cell}: checkpoint {id} is a torn cut");
+            }
+        }
+    }
+}
+
+/// Chip-firing with the chips in transit on the edges, under edge
+/// consistency: an edge holds `(chips travelling source → target, chips
+/// travelling target → source)`. A vertex absorbs what travels toward it,
+/// then, holding at least its degree, fires one chip onto each adjacent
+/// edge, away from itself. Every update conserves vertex plus edge chips,
+/// so a checkpoint that caught a write on one side of a machine boundary
+/// and not the other holds the wrong total.
+struct EdgeChipFiring;
+impl UpdateFunction<u64, (u64, u64)> for EdgeChipFiring {
+    fn update(&self, ctx: &mut UpdateContext<'_, u64, (u64, u64)>) {
+        for i in 0..ctx.num_neighbors() {
+            let mut edge = *ctx.edge_data(i);
+            let arrived = std::mem::take(lane(&mut edge, ctx.nbr_dir(i), true));
+            if arrived > 0 {
+                *ctx.edge_data_mut(i) = edge;
+                *ctx.vertex_data_mut() += arrived;
+            }
+        }
+        let deg = ctx.num_neighbors() as u64;
+        if *ctx.vertex_data() < deg.max(1) {
+            return;
+        }
+        *ctx.vertex_data_mut() -= deg;
+        for i in 0..ctx.num_neighbors() {
+            let dir = ctx.nbr_dir(i);
+            *lane(ctx.edge_data_mut(i), dir, false) += 1;
+            ctx.schedule_nbr(i, 1.0);
+        }
+        if *ctx.vertex_data() >= deg {
+            ctx.schedule_self(1.0);
+        }
+    }
+}
+
+/// The chips on edge datum `e` travelling toward the vertex that sees the
+/// edge as `dir` (`inbound`), or away from it.
+fn lane(e: &mut (u64, u64), dir: EdgeDir, inbound: bool) -> &mut u64 {
+    if (dir == EdgeDir::In) == inbound {
+        &mut e.0
+    } else {
+        &mut e.1
+    }
+}
+
+/// [`chip_grid`] with empty `(u64, u64)` edges.
+fn edge_chip_grid(w: usize, h: usize, chips: &[(usize, u64)]) -> DataGraph<u64, (u64, u64)> {
+    let g = chip_grid(w, h, chips);
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = g.vertices().map(|v| b.add_vertex(*g.vertex_data(v))).collect();
+    for e in g.edges() {
+        let (s, t) = g.edge_endpoints(e);
+        b.add_edge(ids[s.0 as usize], ids[t.0 as usize], (0, 0)).unwrap();
+    }
+    b.build()
+}
+
+/// Vertex chips plus the chips in transit on the edges.
+fn chips_on_board(g: &DataGraph<u64, (u64, u64)>) -> u64 {
+    let on_edges: u64 = g.edges().map(|e| g.edge_data(e).0 + g.edge_data(e).1).sum();
+    g.vertices().map(|v| *g.vertex_data(v)).sum::<u64>() + on_edges
+}
+
+/// Every asynchronous checkpoint is a consistent cut: on 2 and 3 machines,
+/// at zero and at `ec2_like()` latency, each one restored into a fresh
+/// graph holds exactly the chips the run started with, on the vertices and
+/// in transit, and the run's fixpoint is the sequential engine's.
+#[test]
+fn async_snapshots_of_edge_chip_firing_conserve_every_chip() {
+    let (w, h) = (12, 12); // 264 edges
+    let placed = [(0, 60), (77, 60), (143, 60)];
+    let total: u64 = placed.iter().map(|&(_, c)| c).sum();
+    let mut seq = edge_chip_grid(w, h, &placed);
+    let seq_updates = GraphLab::on(&mut seq).run(EdgeChipFiring).metrics.updates;
+    assert_eq!(chips_on_board(&seq), total);
+    for machines in [2, 3] {
+        for latency in [LatencyModel::ZERO, LatencyModel::ec2_like()] {
+            let cell = format!("{machines} machines at {latency:?}");
+            let mut dist = edge_chip_grid(w, h, &placed);
+            let out = GraphLab::on(&mut dist)
+                .engine(EngineKind::Locking)
+                .machines(machines)
+                .latency(latency)
+                .snapshot(SnapshotConfig {
+                    mode: SnapshotMode::Asynchronous,
+                    every_updates: seq_updates / 8,
+                    max_snapshots: 6,
+                })
+                .run(EdgeChipFiring);
+            assert_eq!(chips_on_board(&dist), total, "{cell}: the run lost a chip");
+            assert_eq!(chips(&dist), chips(&seq), "{cell}: fixpoint");
+            assert!(out.metrics.snapshots >= 2, "{cell}: {} snapshots", out.metrics.snapshots);
+            for id in 0..out.metrics.snapshots {
+                let mut restored = edge_chip_grid(w, h, &[]);
+                restore_snapshot(&out.dfs, "ckpt", id, &mut restored).unwrap();
+                let held = chips_on_board(&restored);
                 assert_eq!(held, total, "{cell}: checkpoint {id} is a torn cut");
             }
         }

@@ -18,8 +18,8 @@
 //!    clamps successors to be no earlier, so a small message can never
 //!    overtake a large or unluckily-jittered predecessor on the same
 //!    channel — the property TCP gives the paper's RPC layer, and which
-//!    both engines' protocols (schedule-before-release, the Alg. 5
-//!    snapshot marker, the marker barriers of the chromatic step, the
+//!    both engines' protocols (schedule-before-release, the
+//!    Chandy–Lamport snapshot marker, the marker barriers of the chromatic step, the
 //!    synchronous snapshot and recovery) depend on.
 //! 2. **Bandwidth-serialized links.** A channel transmits one message at a
 //!    time: `per_kib` charges *queueing* delay, not just propagation. A

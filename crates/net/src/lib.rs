@@ -53,7 +53,7 @@
 //!
 //! Engine protocols may (and do) rely on per-channel ordering: the
 //! locking engine's schedule-before-release invariant, the asynchronous
-//! Chandy-Lamport snapshot marker (Alg. 5), and the four channel flushes
+//! Chandy–Lamport snapshot marker, and the four channel flushes
 //! — the chromatic step barrier, the synchronous snapshot's, recovery's
 //! and the locking engine's termination round — which are marker barriers
 //! with no message counts: a peer's marker proves everything it sent

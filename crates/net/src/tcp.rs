@@ -24,7 +24,8 @@
 //!
 //! The redial path is outside the per-channel FIFO contract the engines'
 //! marker barriers (the chromatic step, the synchronous snapshot,
-//! recovery's `FlushMark`), schedule-before-release and Alg. 5 rely on: a
+//! recovery's `FlushMark`), schedule-before-release and the Chandy–Lamport
+//! snapshot rely on: a
 //! frame can be lost with a broken stream, and the old and new streams'
 //! reader threads can each deliver into the inbox. A peer whose stream
 //! broke is the lease's matter (a peer death), not the barriers'. (Until

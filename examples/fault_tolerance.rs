@@ -30,7 +30,7 @@ fn main() {
     );
 
     // Snapshot construction comparison: synchronous stop-the-world vs the
-    // asynchronous Chandy-Lamport update function (Alg. 5).
+    // asynchronous Chandy–Lamport snapshot between machines.
     let (mesh, _) = mesh3d_mrf(12, 12, 6, 2, 0.2, 5);
     println!(
         "\nLBP on a {}-vertex 26-connected mesh, one snapshot mid-run:",

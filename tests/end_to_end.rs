@@ -254,7 +254,7 @@ fn snapshot_recovery_end_to_end() {
 }
 
 /// Regression for the ISSUE 2 headline bug: the asynchronous
-/// Chandy-Lamport snapshot (Alg. 5) assumes per-channel FIFO delivery, and
+/// Chandy–Lamport snapshot assumes per-channel FIFO delivery, and
 /// `ec2_like()` (non-zero `per_kib` + jitter) is exactly the model under
 /// which the old fabric reordered channels — a small schedule/release
 /// overtaking a large scope-data message could tear the snapshot cut.
@@ -409,7 +409,7 @@ fn delta_sync_and_compression_preserve_als_under_latency() {
 /// sync + compression on**, restored and re-converged on a fresh cluster
 /// (again with delta sync on), must reach the uninterrupted run's
 /// fixpoint. A remote-cache invalidation bug would skip a row carrying
-/// the Alg. 5 snapshot marker or resume a restored cluster against stale
+/// a write-back the cut must hold or resume a restored cluster against stale
 /// residency assumptions — either tears the cut.
 #[test]
 fn delta_sync_snapshot_restore_mid_run_is_consistent() {
