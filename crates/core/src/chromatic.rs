@@ -35,29 +35,23 @@
 //! round's marker** — `flush_round` closes every block before it sends
 //! the markers.
 //!
-//! Between colour *cycles* (one pass over all colours) the machines run the
-//! sync operations and the master decides halting ("the entire cycle
-//! executed zero updates and all schedulers are empty") and checkpoints,
-//! in one exchange: each worker's sync partial, its vote of round `cycle`
-//! in a second `Markers`, then the master's verdict. The master folds a
-//! partial in when it arrives, which may be during the last flush round.
-//! A checkpoint is §4.3's synchronous snapshot — suspend, flush, save —
-//! whose first two the cycle's last flush round already did: every machine
-//! captures the checkpoint its verdict names before it handles anything of
-//! the next cycle. The master captures once its verdict is out. A worker
-//! that has sent its partial handles only the verdict: a peer that got the
-//! verdict first may already run the next cycle, so every other envelope
-//! is set aside and handled, in arrival order, once the verdict is applied
-//! and its checkpoint captured. On two machines the list stays empty: the
-//! worker's one peer is the master, whose next-cycle traffic follows its
-//! verdict on the same FIFO channel. Every other wait (a flush round, the
-//! master's cycle end) is one receive loop, `wait`, on what `handle_msg`,
-//! the one decode site of the rows, tasks, markers and partials, recorded.
+//! Between colour *cycles* (one pass over all colours) every machine
+//! broadcasts its sync partial, its vote of round `cycle` in a second
+//! `Markers`. Holding every survivor's, it decides with one pure function
+//! of them all in machine-id order, `decide`: the globals, bit for bit the
+//! same on every machine, halting ("the entire cycle executed zero updates
+//! and all schedulers are empty") and the next checkpoint. There is no
+//! master and no verdict. A checkpoint (§4.3's synchronous snapshot:
+//! suspend, flush, save) named at cycle `k`'s end is captured after cycle
+//! `k + 1`'s last flush round, before the partial leaves: every row of the
+//! cycle has arrived, and no peer sends the next cycle's traffic before it
+//! holds that partial, so the capture is a cut. It may fall in the cycle
+//! that halts. Every wait, a flush round's or the cycle end's, is one
+//! receive loop, `wait`, on what `handle_msg` decoded and recorded.
 //!
 //! A crash loses `Volatile`, which `reset_engine_state` replaces whole; it
 //! keeps the `Machine`, the colour count and the run's `steps_total`.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,10 +63,11 @@ use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
 use crate::driver::{MachineResult, MachineSetup};
+use crate::globals::GlobalRegistry;
 use crate::machine::Machine;
 use crate::messages::*;
 use crate::recovery::{self, Markers, RecoveryHost, RecoveryPhase, Step, RECOVERY_POLL};
-use crate::sync::{apply_globals, combine_partials, finalize_into, local_partials};
+use crate::sync::{combine_partials, finalize_into, local_partials};
 use crate::update::UpdateFunction;
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
@@ -157,14 +152,15 @@ struct Volatile {
     marks: Markers,
     /// Colour cycles completed since the BSP machinery (re)started.
     cycle: u64,
-    /// The cycle end's record. Master: the sync accumulators (made when
-    /// the cycle opens) and pending tasks, each partial folded in as it
-    /// arrives, and the votes. Worker: what arrived behind its partial
-    /// and ahead of the verdict, in arrival order.
-    accs: Vec<Box<dyn Any + Send>>,
-    pend: u64,
+    /// The cycle end's record: each machine's partial of this cycle by
+    /// sender, this machine's own included, and the votes.
+    parts: Vec<Option<SyncPartialMsg>>,
     votes: Markers,
-    aside: Vec<(ChromKind, Envelope)>,
+    /// The checkpoint the last cycle end named, captured at this one's.
+    snapshot: Option<u64>,
+    /// The snapshot window's base, an update total of some cycle end's
+    /// partials; `None` from a reset until the next cycle end re-bases it.
+    window: Option<u64>,
     /// The open row blocks: `blocks[dst][kind as usize]`.
     /// Blocks of one `(step, phase)` leave in slot order, not in the order
     /// their first rows were written, and a row may overtake one of another
@@ -188,10 +184,10 @@ impl Volatile {
             step: 0,
             marks: Markers::new(m),
             cycle: 0,
-            accs: Vec::new(),
-            pend: 0,
+            parts: vec![None; m],
             votes: Markers::new(m),
-            aside: Vec::new(),
+            snapshot: None,
+            window: None,
             blocks: (0..m).map(|_| Default::default()).collect(),
         }
     }
@@ -212,7 +208,9 @@ where
         let coloring = setup.coloring.as_ref().expect("the chromatic engine runs on a colouring");
         let num_colors = coloring.num_colors().max(1);
         let core = Machine::new(ep, setup, init);
-        ChromaticMachine { vol: Volatile::new(&core, num_colors), steps_total: 0, num_colors, core, update }
+        // The run opens the snapshot window at 0; a reset re-bases it.
+        let vol = Volatile { window: Some(0), ..Volatile::new(&core, num_colors) };
+        ChromaticMachine { vol, steps_total: 0, num_colors, core, update }
     }
 
     fn enqueue_local(&mut self, l: u32) {
@@ -246,8 +244,8 @@ where
             }
             // Resumed: the BSP machinery restarts at cycle 0.
         }
-        // The master's final globals/halt broadcast may still sit in the
-        // batch queues; peers are blocked waiting for it.
+        // The last partial may still sit in the batch queues, and a peer
+        // that has not decided yet waits for it.
         self.core.net.flush_all();
         MachineResult { steps: self.steps_total, ..self.core.finish() }
     }
@@ -256,9 +254,7 @@ where
     /// unwinds with an [`Interrupt`] when a failure (ours or a peer's)
     /// preempts it.
     fn run_cycles(&mut self) -> Result<(), Interrupt> {
-        self.vol.cycle = 0;
         loop {
-            self.vol.accs = self.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
             for color in 0..self.num_colors {
                 self.execute_color_step(color);
                 self.flush_round(0)?;
@@ -578,64 +574,66 @@ where
                 self.vol.marks.note(env.src, r);
             }
             ChromKind::SyncPart => {
-                debug_assert!(self.core.is_master(), "a sync partial at a worker");
                 let p: SyncPartialMsg = dec(env.payload);
                 assert_eq!(p.cycle, self.vol.cycle, "sync round out of step");
-                self.core.note_peer_updates(env.src, p.updates);
-                combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &p.partials);
-                self.vol.pend += p.pending;
-                self.vol.votes.note(env.src, self.vol.cycle);
+                self.vol.votes.note(env.src, p.cycle);
+                self.vol.parts[env.src.index()] = Some(p);
             }
-            ChromKind::SyncGlob => panic!("a verdict outside its worker's cycle end"),
         }
     }
 
-    /// Cycle-end sync + halt + checkpoint: the master decides once it
-    /// holds every survivor's partial, and every machine captures the
-    /// checkpoint the verdict names. Returns whether the run halts.
+    /// The cycle end: captures the checkpoint the last one named (the cut),
+    /// broadcasts this machine's partial and, holding every survivor's,
+    /// decides with them all. Returns whether the run halts.
     fn cycle_end_round(&mut self) -> Result<bool, Interrupt> {
+        if let Some(id) = self.vol.snapshot.take() {
+            self.core.capture_checkpoint(id);
+        }
         let mine = SyncPartialMsg {
             cycle: self.vol.cycle,
             partials: local_partials(&self.core.setup.syncs, &self.core.lg),
             pending: self.vol.pending_total,
             updates: self.core.updates_local,
         };
-        if !self.core.is_master() {
-            self.core.send(MachineId(0), ChromKind::SyncPart, enc(&mine));
-            let g: SyncGlobalsMsg = loop {
-                match self.recv_env()? {
-                    (ChromKind::SyncGlob, env) => break dec(env.payload),
-                    got => self.vol.aside.push(got),
-                }
-            };
-            assert_eq!(g.cycle, self.vol.cycle, "sync verdict out of step");
-            apply_globals(&self.core.setup.syncs, g.globals, &mut self.core.globals);
-            if let Some(snap) = g.snapshot {
-                self.core.capture_checkpoint(snap);
-            }
-            for (kind, env) in std::mem::take(&mut self.vol.aside) {
-                self.handle_msg(kind, env);
-            }
-            return Ok(g.halt);
-        }
-        combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &mine.partials);
-        self.vol.pend += mine.pending;
+        self.core.broadcast(ChromKind::SyncPart, &enc(&mine));
+        self.vol.parts[self.core.me().index()] = Some(mine);
         self.wait(|m| m.core.rec.holds(&m.vol.votes, m.vol.cycle).then_some(()))?;
-        let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
-        let globals = finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
-        // Aggregate-driven termination (§3.5): the stop predicate runs
-        // over the just-finalized globals, composing with the cap and
-        // the natural no-pending-work halt.
-        let (stop_hit, pend) = (self.core.stop_hit(), std::mem::take(&mut self.vol.pend));
-        let halt = pend == 0 || self.core.capped(self.core.observed_updates()) || stop_hit;
-        let snapshot = if halt { None } else { self.core.snapshot_due() };
-        let verdict = SyncGlobalsMsg { cycle: self.vol.cycle, globals, halt, snapshot };
-        self.core.broadcast(ChromKind::SyncGlob, &enc(&verdict));
-        if let Some(snap) = snapshot {
-            self.core.capture_checkpoint(snap);
-        }
+        let parts: Vec<SyncPartialMsg> = self.vol.parts.iter_mut().filter_map(Option::take).collect();
+        let Machine { setup, lg, snapshots, globals, .. } = &mut self.core;
+        let (halt, snapshot) = decide(setup, &parts, lg.total_vertices(), *snapshots, &mut self.vol.window, globals);
+        self.vol.snapshot = snapshot;
         Ok(halt)
     }
+}
+
+/// The cycle end, a function of the partials (in machine-id order) and of
+/// what every survivor holds alike: the setup, the next checkpoint id
+/// (recovery's order sets it on all) and the snapshot window's base
+/// (`None` after a reset, when each machine's own count differs: re-based
+/// here, naming none). Finalizes the syncs into `globals`; halts when no
+/// task is pending, the partials' update total reaches the cap or the stop
+/// predicate holds (§3.5); else names `snapshots`, to capture at the next
+/// cycle end, once the total has moved its interval past the window.
+fn decide<V, E>(
+    setup: &MachineSetup<V, E>,
+    parts: &[SyncPartialMsg],
+    total_vertices: u64,
+    snapshots: u64,
+    window: &mut Option<u64>,
+    globals: &mut GlobalRegistry,
+) -> (bool, Option<u64>) {
+    let mut accs: Vec<_> = setup.syncs.iter().map(|op| op.init_acc()).collect();
+    parts.iter().for_each(|p| combine_partials(&setup.syncs, &mut accs, &p.partials));
+    finalize_into(&setup.syncs, accs, total_vertices, globals);
+    let (updates, cap) = (parts.iter().map(|p| p.updates).sum::<u64>(), setup.config.max_updates);
+    let halt = parts.iter().all(|p| p.pending == 0)
+        || (cap > 0 && updates >= cap)
+        || setup.stop.as_ref().is_some_and(|f| f(globals));
+    let snapshot = window.filter(|&w| !halt && setup.config.snapshot.due(snapshots, updates.saturating_sub(w)));
+    if snapshot.is_some() || window.is_none() {
+        *window = Some(updates);
+    }
+    (halt, snapshot.map(|_| snapshots))
 }
 
 impl<V, E, U> RecoveryHost for ChromaticMachine<V, E, U>
@@ -698,16 +696,26 @@ mod tests {
         (ChromaticMachine::new(eps.remove(me.into()), setup, Arc::new(NoUpdate), init), eps)
     }
 
-    /// The complete digraph on three vertices, vertex `i` on machine `i`:
-    /// machine 0's vertex has a mirror on both peers.
-    fn triangle() -> (Machine, Vec<Endpoint>) {
+    /// The complete digraph on `n` vertices, vertex `i` holding `i`.
+    fn complete_graph(n: usize) -> graphlab_graph::DataGraph<f64, f64> {
         let mut b = GraphBuilder::new();
-        let v: Vec<VertexId> = (0..3).map(|i| b.add_vertex(i as f64)).collect();
-        for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+        let v: Vec<VertexId> = (0..n).map(|i| b.add_vertex(i as f64)).collect();
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j) {
             b.add_edge(v[i], v[j], 1.0).unwrap();
         }
-        let one_each = VertexPartition::from_assignment((0..3).map(AtomId).collect(), 3);
-        machine(&b.build(), &one_each, 3, 0)
+        b.build()
+    }
+
+    /// Machine 0 of [`complete_graph`] over `n` machines, vertex `i` on
+    /// machine `i`: machine 0's vertex has a mirror on every peer.
+    fn complete(n: usize) -> (Machine, Vec<Endpoint>) {
+        let one_each = VertexPartition::from_assignment((0..n as u32).map(AtomId).collect(), n);
+        machine(&complete_graph(n), &one_each, n, 0)
+    }
+
+    /// [`complete`] on three machines.
+    fn triangle() -> (Machine, Vec<Endpoint>) {
+        complete(3)
     }
 
     /// The ring on eight vertices, vertex `i` holding `i`.
@@ -792,18 +800,35 @@ mod tests {
         (0..m.vol.blocks.len() as u16).map(|j| marks.next(MachineId(j))).collect()
     }
 
-    /// Registers one sync on machine 0, the sum of one `f64` per vertex
-    /// (1.0 on each of its own), and opens the cycle's accumulators.
+    /// The handle of [`with_sum_sync`]'s global.
+    const SUM: crate::GlobalHandle<Vec<f64>> = crate::GlobalHandle::new(0);
+
+    /// Registers one sync on `m`, the sum of its vertices' data.
     fn with_sum_sync(m: &mut Machine) {
         use crate::sync::{FnSync, RegisteredSync};
-        let op = FnSync::new(1, |_, _: &f64| vec![1.0], |acc, _| acc);
-        m.core.setup.syncs = Arc::new(vec![Box::new(RegisteredSync { id: 0, op })]);
-        m.vol.accs = m.core.setup.syncs.iter().map(|op| op.init_acc()).collect();
+        let op = FnSync::new(1, |_, d: &f64| vec![*d], |acc, _| acc);
+        m.core.setup.syncs = Arc::new(vec![Box::new(RegisteredSync { id: SUM.id(), op })]);
     }
 
     /// A sync partial of `cycle` whose sum is `sum`.
     fn partial(cycle: u64, sum: f64, pending: u64, updates: u64) -> Bytes {
-        enc(&SyncPartialMsg { cycle, partials: vec![(0, enc(&vec![sum]))], pending, updates })
+        enc(&SyncPartialMsg { cycle, partials: vec![(SUM.id(), enc(&vec![sum]))], pending, updates })
+    }
+
+    /// The partial `m` broadcasts at its cycle end, as it stands.
+    fn own_partial(m: &Machine) -> SyncPartialMsg {
+        let partials = local_partials(&m.core.setup.syncs, &m.core.lg);
+        SyncPartialMsg { cycle: m.vol.cycle, partials, pending: m.vol.pending_total, updates: m.core.updates_local }
+    }
+
+    /// What `m` decided at its last cycle end: the bits of [`SUM`], the
+    /// halt, the checkpoint named and the window.
+    type Decided = (Option<u64>, bool, Option<u64>, Option<u64>);
+
+    /// Runs `m`'s cycle end, every partial it waits for already queued.
+    fn decided(m: &mut Machine) -> Decided {
+        let Ok(halt) = m.cycle_end_round() else { panic!("a vote was not queued") };
+        (m.core.globals.get(SUM).map(|s| s[0].to_bits()), halt, m.vol.snapshot, m.vol.window)
     }
 
     /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
@@ -860,8 +885,8 @@ mod tests {
     }
 
     /// A racing peer: machine 1 is already in step 3 while machine 0 has not
-    /// begun it (it waits for a slower peer's last marker of step 2, or, a
-    /// worker at a cycle end, handles what it set aside for the verdict).
+    /// begun it (it waits for a slower peer's last marker of step 2, or, at
+    /// a cycle end, for a slower peer's partial).
     /// Its write-back is applied at once; the forward to the other mirror waits
     /// in a phase-1 block tagged 3, which leaves when step 3's first round
     /// ends, ahead of both its markers — and never to the writer.
@@ -980,58 +1005,177 @@ mod tests {
         assert!(peers[0].try_recv().is_err());
     }
 
-    /// The master decides the `max_updates` halt and the snapshot trigger
-    /// from the counts the sync partials carry — its own plus each peer's
-    /// highest — and not from the process's `LiveCounters`, which under
-    /// `Transport::Tcp` hold machine 0's updates only (the cap then applied
-    /// per machine and snapshots came ~m times late).
+    /// Every machine decides the `max_updates` halt and the checkpoint from
+    /// the update counts this cycle's partials carry — its own and every
+    /// peer's — and not from the process's `LiveCounters`, which under
+    /// `Transport::Tcp` hold one machine's updates only (the cap then
+    /// applied per machine and snapshots came ~m times late). A checkpoint
+    /// named at one cycle end is captured at the next, and a reset drops a
+    /// named one and re-bases the window at the first cycle end after it.
     #[test]
-    fn the_master_counts_updates_from_the_sync_partials() {
+    fn every_machine_counts_updates_from_the_cycles_partials() {
         use crate::config::{SnapshotConfig, SnapshotMode};
         use std::sync::atomic::Ordering;
         let (mut m, peers) = ring(0);
         m.core.setup.config.max_updates = 100;
         m.core.setup.config.snapshot =
             SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 40, max_snapshots: 9 };
-        m.vol.pending_total = 1; // work is left: only the cap can halt the run
         m.core.updates_local = 10;
-        // One cycle end with machine 1 reporting `updates`: what the master
-        // decided, as broadcast.
+        // One cycle end with machine 1 reporting `updates`: what machine 0
+        // decided, and its partial on the wire.
         let round = |m: &mut Machine, updates: u64| {
+            m.vol.pending_total = 1; // work is left: only the cap can halt the run
             let part = SyncPartialMsg { cycle: m.vol.cycle, partials: Vec::new(), pending: 1, updates };
             handle_from(m, 1, ChromKind::SyncPart, enc(&part));
-            assert!(m.cycle_end_round().is_ok());
+            let mine = own_partial(m);
+            let (_, halt, snapshot, _) = decided(m);
             m.vol.cycle += 1;
-            let env = peers[0].try_recv().expect("the round's globals");
-            assert_eq!(kind_of(&env), ChromKind::SyncGlob);
-            let g: SyncGlobalsMsg = dec(env.payload);
-            (g.halt, g.snapshot)
+            let env = peers[0].try_recv().expect("the partial");
+            assert_eq!((kind_of(&env), dec::<SyncPartialMsg>(env.payload)), (ChromKind::SyncPart, mine));
+            (halt, snapshot)
         };
+        let written = |m: &Machine, id| crate::snapshot::snapshot_exists(&m.core.setup.dfs, "ckpt", id);
 
         // The shared atomic is far past the cap and the interval; the
         // reported 10 + 20 updates are past neither.
         m.core.setup.counters.updates.store(10_000, Ordering::Relaxed);
         assert_eq!(round(&mut m, 20), (false, None));
-        // From here the atomic says nothing ran, and the reports decide.
+        // From here the atomic says nothing ran, and the partials decide.
         m.core.setup.counters.updates.store(0, Ordering::Relaxed);
         assert_eq!(round(&mut m, 35), (false, Some(0)), "10 + 35 crosses the interval");
-        assert_eq!(round(&mut m, 5), (false, None), "a stale, lower report never lowers the total");
-        assert_eq!((m.core.observed_updates(), m.core.last_snap_updates), (45, 45));
-        assert_eq!(round(&mut m, 80), (false, Some(1)), "10 + 80: an interval past the last");
-        // A rollback re-bases the trigger on the same view.
-        m.core.last_snap_updates = 0;
+        assert!(!written(&m, 0), "named, not yet captured");
+        assert_eq!(round(&mut m, 40), (false, None), "10 + 40: 5 past the window");
+        assert_eq!((written(&m, 0), m.core.snapshots), (true, 1), "captured at the next cycle end");
+        assert_eq!(round(&mut m, 80), (false, Some(1)), "10 + 80: an interval past the window");
+        // A rollback drops checkpoint 1, named but not captured, and the
+        // first cycle end after it re-bases the window on its total.
         m.core.reset_engine_state();
         m.reset_engine_state();
-        m.vol.pending_total = 1;
-        assert_eq!(m.core.last_snap_updates, 90);
+        assert_eq!((m.vol.snapshot, m.vol.window), (None, None));
+        assert_eq!(round(&mut m, 85), (false, None), "re-based on 10 + 85");
+        assert_eq!((written(&m, 1), m.vol.window), (false, Some(95)));
         assert_eq!(round(&mut m, 95), (true, None), "10 + 95 crosses the cap");
+    }
+
+    /// Two machines whose own views of the run differ — machine 0 kept a
+    /// report machine 1's last incarnation sent, so its `observed_updates`
+    /// and the snapshot window its reset re-based on are machine 1's plus
+    /// a thousand — decide every cycle end alike: globals, halt, checkpoint
+    /// and window come from the partials alone.
+    #[test]
+    fn machines_whose_own_counts_differ_decide_alike() {
+        use crate::config::{SnapshotConfig, SnapshotMode};
+        let (mut ms, _peers): (Vec<Machine>, Vec<_>) = (0..2).map(ring).unzip();
+        ms[0].core.note_peer_updates(MachineId(1), 1_000);
+        for (j, m) in ms.iter_mut().enumerate() {
+            with_sum_sync(m);
+            m.core.setup.config.snapshot =
+                SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: 8, max_snapshots: 9 };
+            m.core.reset_engine_state();
+            m.reset_engine_state();
+            m.vol.pending_total = 1;
+            m.core.updates_local = 3 + j as u64;
+        }
+        assert_ne!(ms[0].core.observed_updates(), ms[1].core.observed_updates());
+        let mut seen = Vec::new();
+        for updates in [10, 20] {
+            let parts = [own_partial(&ms[0]), own_partial(&ms[1])];
+            handle_from(&mut ms[0], 1, ChromKind::SyncPart, enc(&parts[1]));
+            handle_from(&mut ms[1], 0, ChromKind::SyncPart, enc(&parts[0]));
+            let both: Vec<Decided> = ms.iter_mut().map(decided).collect();
+            assert_eq!(both[0], both[1], "cycle {}", ms[0].vol.cycle);
+            seen.push(both[0]);
+            for m in &mut ms {
+                m.vol.cycle += 1;
+                m.core.updates_local += updates;
+            }
+        }
+        let sum = (0..8).map(f64::from).sum::<f64>().to_bits();
+        assert_eq!(seen, [(Some(sum), false, None, Some(7)), (Some(sum), false, Some(0), Some(27))]);
+    }
+
+    /// The proptest of the cycle end: `decide` folds the partials in
+    /// machine-id order, so their arrival order — a peer's may overtake
+    /// the last flush round, this machine's own is recorded when it leaves
+    /// — changes no bit of the globals, the halt, the checkpoint or the
+    /// window. Partial sums span 44 decades and both signs, so a float
+    /// fold in arrival order gives other bits; the update cap, a stop
+    /// predicate over the sum and the snapshot window take random values.
+    mod order_independence {
+        use super::*;
+        use crate::config::{SnapshotConfig, SnapshotMode};
+        use proptest::prelude::*;
+
+        /// A float of magnitude `10^(e - 22)`, mantissa `1 + k/1000`.
+        fn float((e, sign, k): (u32, u32, u32)) -> f64 {
+            let x = (1.0 + f64::from(k) / 1000.0) * 10f64.powi(e as i32 - 22);
+            if sign == 0 { x } else { -x }
+        }
+
+        /// One machine's `(sum, pending, updates)`.
+        type Part = ((u32, u32, u32), u64, u64);
+
+        /// Machine 0 of `parts.len()` decides with `setup` applied, each
+        /// peer's partial arriving in `order`; the first `early` of them
+        /// before its cycle end begins, the rest while it waits.
+        fn decide_in(parts: &[Part], setup: &dyn Fn(&mut Machine), order: &[usize], early: usize) -> Decided {
+            let (mut m, peers) = complete(parts.len());
+            with_sum_sync(&mut m);
+            setup(&mut m);
+            let l = m.core.lg.owned_vertices()[0];
+            let (sum, pending, updates) = parts[0];
+            *m.core.lg.vertex_data_mut(l) = float(sum);
+            (m.vol.pending_total, m.core.updates_local) = (pending, updates);
+            for (i, &j) in order.iter().enumerate() {
+                let (sum, pending, updates) = parts[j];
+                let payload = partial(0, float(sum), pending, updates);
+                if i < early {
+                    handle_from(&mut m, j as u16, ChromKind::SyncPart, payload);
+                } else {
+                    peers[j - 1].send(MachineId(0), ChromKind::SyncPart as u16, payload);
+                }
+            }
+            decided(&mut m)
+        }
+
+        proptest! {
+            #[test]
+            fn the_cycle_end_does_not_depend_on_the_partials_arrival_order(
+                parts in proptest::collection::vec(((0u32..44, 0u32..2, 0u32..1000), 0u64..3, 0u64..60), 2..5),
+                keys in proptest::collection::vec(0u32..1000, 4..5),
+                early in 0usize..4,
+                cap in 0u64..200,
+                stop_at in (0u32..44, 0u32..2, 0u32..1000),
+                every in 1u64..80,
+                window in 0u64..100,
+                rebase in 0u32..4,
+                next_id in 0u64..3,
+            ) {
+                let n = parts.len();
+                let threshold = float(stop_at);
+                let window = (rebase > 0).then_some(window);
+                let setup = move |m: &mut Machine| {
+                    m.core.setup.config.max_updates = cap;
+                    m.core.setup.config.snapshot =
+                        SnapshotConfig { mode: SnapshotMode::Synchronous, every_updates: every, max_snapshots: 3 };
+                    m.core.setup.stop = Some(Arc::new(move |g: &GlobalRegistry| g.get(SUM).is_some_and(|s| s[0] > threshold)));
+                    m.core.snapshots = next_id;
+                    m.vol.window = window;
+                };
+                let mut order: Vec<usize> = (1..n).collect();
+                order.sort_by_key(|&j| keys[j]);
+                let by_id: Vec<usize> = (1..n).collect();
+                let want = decide_in(&parts, &setup, &by_id, 0);
+                prop_assert_eq!(decide_in(&parts, &setup, &order, early.min(n - 1)), want);
+            }
+        }
     }
 
     /// A partial can overtake the cycle's last flush round: machine 1 ran
     /// the last step and sent its sync partial while machine 0 still waits
     /// in that step's second flush round for machine 2's marker. The
-    /// partial is folded as it arrives and counted once, and the cycle end
-    /// then waits for machine 2's partial alone.
+    /// partial is recorded as it arrives and counted once, and the cycle
+    /// end then waits for machine 2's partial alone.
     #[test]
     fn a_partial_that_overtakes_the_last_flush_round_is_counted_once() {
         let (mut m, peers) = triangle();
@@ -1044,31 +1188,29 @@ mod tests {
         send(1, ChromKind::SyncPart, partial(0, 10.0, 2, 7));
         send(2, ChromKind::Flush, enc(&round((last, 1))));
         assert!(m.flush_round(1).is_ok());
-        assert_eq!((m.vol.pend, m.core.observed_updates()), (2, 7), "folded as it arrived");
+        assert_eq!(m.vol.parts[1].as_ref().map(|p| (p.pending, p.updates)), Some((2, 7)), "recorded as it arrived");
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 1, 0], "machine 1's vote, and only its");
 
         send(2, ChromKind::SyncPart, partial(0, 100.0, 0, 4));
-        assert_eq!(m.cycle_end_round().ok(), Some(false));
-        assert_eq!((m.vol.pend, m.core.observed_updates()), (0, 11));
+        let mine = own_partial(&m);
+        assert_eq!(decided(&mut m), (Some(110f64.to_bits()), false, None, Some(0)), "0 + 10 + 100");
+        assert!(m.vol.parts.iter().all(Option::is_none), "the cycle's partials are spent");
         for ep in &peers {
             assert_eq!(flush_marker(ep), marker(last, 1));
-            let env = ep.try_recv().expect("the verdict");
-            assert_eq!(kind_of(&env), ChromKind::SyncGlob);
-            let g: SyncGlobalsMsg = dec(env.payload);
-            let sum: Vec<f64> = dec(g.globals[0].2.clone());
-            assert_eq!((g.cycle, g.halt, sum), (0, false, vec![111.0]), "1 + 10 + 100");
-            assert!(ep.try_recv().is_err());
+            let env = ep.try_recv().expect("the partial");
+            assert_eq!((kind_of(&env), dec::<SyncPartialMsg>(env.payload)), (ChromKind::SyncPart, mine.clone()));
+            assert!(ep.try_recv().is_err(), "no verdict");
         }
     }
 
     /// `reset_engine_state` (rollback, crash wipe) drops the cycle end's
-    /// record: a partial folded or a vote noted before the crash would
-    /// reach the restarted cycle 0 — "sync round out of step", or a stale
-    /// partial counted in place of the real one — and an envelope set
-    /// aside for the verdict is pre-crash work. The same holds for every
-    /// engine buffer: a rollback or an adoption must find no pre-crash row,
-    /// task, vote or count in one, as `Batcher::clear` guarantees for the
-    /// queues.
+    /// record: a partial or a vote recorded before the crash would reach
+    /// the restarted cycle 0 — "sync round out of step", or a stale
+    /// partial counted in place of the real one — a named checkpoint is
+    /// pre-crash state, and the window was counted on this machine's own.
+    /// The same holds for every engine buffer: a rollback or an adoption
+    /// must find no pre-crash row, task, vote or count in one, as
+    /// `Batcher::clear` guarantees for the queues.
     #[test]
     fn reset_drops_the_cycle_ends_record_and_every_other_volatile_field() {
         let (mut m, peers) = ring(0);
@@ -1077,10 +1219,8 @@ mod tests {
         at_step(&mut m, 5);
         m.vol.cycle = 3;
         handle_from(&mut m, 1, ChromKind::SyncPart, partial(3, 9.0, 4, 9));
-        assert_eq!((m.vol.pend, next_marks(&m, &m.vol.votes)), (4, vec![0, 4]));
-        let kind = ChromKind::Flush;
-        let marker = Envelope { src: MachineId(1), dst: MachineId(0), kind: kind as u16, payload: enc(&10u64) };
-        m.vol.aside.push((kind, marker));
+        assert_eq!((m.vol.parts[1].is_some(), next_marks(&m, &m.vol.votes)), (true, vec![0, 4]));
+        (m.vol.snapshot, m.vol.window) = (Some(2), Some(50));
         // An update that left a row in an open block and a task in the set
         // for machine 1.
         let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
@@ -1092,10 +1232,10 @@ mod tests {
         assert!(m.vol.queued[ghost as usize] && m.vol.remote_tasks[1] == [ghost]);
 
         m.reset_engine_state();
-        assert_eq!((m.vol.step, m.vol.cycle, m.vol.pending_total, m.vol.pend), (0, 0, 0, 0));
-        assert!(m.vol.accs.is_empty(), "a stale partial must not reach the restarted cycle 0");
+        assert_eq!((m.vol.step, m.vol.cycle, m.vol.pending_total), (0, 0, 0));
+        assert!(m.vol.parts.iter().all(Option::is_none), "a stale partial must not reach the restarted cycle 0");
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 0], "a pre-crash vote survived");
-        assert!(m.vol.aside.is_empty(), "an envelope set aside before the crash survived");
+        assert_eq!((m.vol.snapshot, m.vol.window), (None, None), "a pre-crash checkpoint or window survived");
         assert!(m.vol.queues.iter().all(|q| q.is_empty()) && !m.vol.queued.contains(&true));
         assert_eq!(m.vol.queued.len(), m.core.lg.num_local_vertices());
         assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()), "a pre-crash row survived");
@@ -1104,36 +1244,37 @@ mod tests {
         assert!(peers[0].try_recv().is_err(), "a reset sends nothing");
     }
 
-    /// A checkpoint is the cycle end's cut: machine 1, a worker on the
-    /// ring, finds a peer's write-back of the next cycle's first step —
-    /// to a vertex it owns — queued ahead of the verdict that names
-    /// checkpoint 0. The block is set aside until the checkpoint is
-    /// captured: the checkpoint holds the vertex's old value, the graph
-    /// the new one. Mutation: handle the block on arrival in the worker's
-    /// receive loop of `cycle_end_round`; the checkpoint then holds the
-    /// next cycle's value. (On two machines FIFO never queues the master's
-    /// next-cycle traffic ahead of its verdict: the script stands in for a
-    /// third machine's.)
+    /// A checkpoint is captured before the partial leaves, which makes it
+    /// a cut: on the triangle, machine 1 has both other partials, decided
+    /// and sent machine 0 a write-back of the next cycle's first step, to
+    /// the vertex machine 0 owns, while machine 2's partial is still on
+    /// its way. Machine 0 applies the write-back as it waits, and the
+    /// checkpoint the last cycle end named holds the vertex's old value.
+    /// Mutation: capture after the decision; the checkpoint then holds the
+    /// next cycle's value. (On two machines the peer's next-cycle traffic
+    /// follows its partial on the one channel, and `wait` returns at that
+    /// partial: it takes a third machine.)
     #[test]
-    fn a_next_cycle_write_back_waits_until_the_verdicts_checkpoint_is_captured() {
-        let (mut m, peers) = ring(1);
-        let l = *m.core.lg.owned_vertices().iter().find(|&&l| !m.core.lg.vertex_mirrors(l).is_empty()).unwrap();
+    fn a_checkpoints_rows_are_captured_before_the_partial_leaves() {
+        let (mut m, peers) = triangle();
+        with_sum_sync(&mut m);
+        let l = m.core.lg.owned_vertices()[0];
         let v = m.core.lg.vertex_gvid(l);
         let next = m.num_colors as u64;
         at_step(&mut m, next);
+        m.vol.snapshot = Some(0);
         let mut wb = BytesMut::new();
         StepTagged::<VertexRow>::put(&mut wb, next, 0, |buf| VertexRow::put(buf, v, 0, 0, &enc(&99.0f64)));
-        let verdict = SyncGlobalsMsg { cycle: 0, globals: Vec::new(), halt: false, snapshot: Some(0) };
-        peers[0].send(MachineId(1), ChromKind::VData as u16, wb.freeze());
-        peers[0].send(MachineId(1), ChromKind::SyncGlob as u16, enc(&verdict));
+        peers[0].send(MachineId(0), ChromKind::SyncPart as u16, partial(0, 0.0, 1, 0));
+        peers[0].send(MachineId(0), ChromKind::VData as u16, wb.freeze());
+        peers[1].send(MachineId(0), ChromKind::SyncPart as u16, partial(0, 0.0, 1, 0));
 
-        assert_eq!(m.cycle_end_round().ok(), Some(false));
-        let env = peers[0].try_recv().expect("the partial");
-        assert_eq!(kind_of(&env), ChromKind::SyncPart);
-        assert!(m.vol.aside.is_empty());
-        assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (99.0, 1), "applied after");
-        let mut restored = ring_graph();
+        assert!(!decided(&mut m).1);
+        assert_eq!((*m.core.lg.vertex_data(l), m.core.lg.vertex_version(l)), (99.0, 1), "applied as it waited");
+        let mut restored = complete_graph(3);
+        *restored.vertex_data_mut(v) = f64::NAN;
         restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
         assert_eq!(*restored.vertex_data(v), v.0 as f64, "the next cycle's write-back in the checkpoint");
+        assert_eq!(m.core.snapshots, 1);
     }
 }

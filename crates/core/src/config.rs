@@ -34,6 +34,17 @@ pub struct SnapshotConfig {
     pub max_snapshots: u64,
 }
 
+impl SnapshotConfig {
+    /// Whether checkpoint `id` is due once `since` updates have run since
+    /// the window last restarted.
+    pub(crate) fn due(&self, id: u64, since: u64) -> bool {
+        self.mode != SnapshotMode::None
+            && self.every_updates > 0
+            && id < self.max_snapshots
+            && since >= self.every_updates
+    }
+}
+
 /// What the cluster does when a machine dies with no restart scheduled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum RecoveryMode {
@@ -141,6 +152,9 @@ pub struct EngineConfig {
     pub lease: Option<Duration>,
     /// Safety cap on total updates (0 = unlimited). Reaching it drops every
     /// machine's tasks; the run ends once the work in flight has finished.
+    /// The chromatic engine counts, at each cycle end, the updates of the
+    /// machines alive then: a machine that died for good stops counting,
+    /// and the survivors that adopted its atoms count what they redo.
     pub max_updates: u64,
     /// Ablation arm (locking engine only; default [`Ablation::Off`]).
     pub ablation: Ablation,

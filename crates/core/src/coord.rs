@@ -104,21 +104,21 @@
 //! no quiet round opens beside a snapshot, so the run halts only after
 //! that snapshot is written.
 //!
-//! # The chromatic engine's BSP master is another state machine
+//! # The chromatic cycle end has no master, and needs no state machine
 //!
-//! `ChromaticMachine::cycle_end_round` does not fit this `Input`
-//! alphabet. It is one blocking partial → verdict exchange that every
-//! machine enters at the end of every colour cycle, not protocols running
-//! beside the work. Of the inputs above it would take only "snapshot due"
-//! and its own round's messages: termination there is a count
-//! (`SyncPartialMsg::pending`, summed at the master) taken at a global
-//! barrier, so "counted work arrived" and a pass's `idle` and `drained`
-//! mean nothing; the step barrier is already held when a cycle ends, so a
-//! part has no `Draining` or `Flushing`, and no vote or resume either; and
-//! sync, halt and checkpoint are one decision per cycle in one
-//! `SyncGlobalsMsg`, where the locking master runs three protocols that
-//! overlap. Fitting it would take a new input, "cycle ended (pending,
-//! updates)", and a `Round` that shares no transition with this one.
+//! `ChromaticMachine::cycle_end_round` does not fit this `Input` alphabet,
+//! and needs none of it. It is one all-to-all round that every machine
+//! enters at the end of every colour cycle, not protocols running beside
+//! the work: each machine broadcasts its `SyncPartialMsg` and, holding
+//! every survivor's, decides with one pure function of them all (globals
+//! folded in machine-id order, halt, next checkpoint), so every machine
+//! decides alike and nothing is sent back. Termination there is a count
+//! (`SyncPartialMsg::pending`, summed) taken at a global barrier, so
+//! "counted work arrived" and a pass's `idle` and `drained` mean nothing;
+//! the step barrier is already held when a cycle ends, so a checkpoint
+//! needs no `Draining` or `Flushing`, no vote and no resume; and sync, halt
+//! and checkpoint are one decision per cycle, where the locking master runs
+//! three protocols that overlap.
 //!
 //! `coord::tests` checks all of this by exhaustive search (its docs).
 //!

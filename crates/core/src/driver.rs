@@ -56,8 +56,8 @@ pub enum EngineKind {
     Locking,
 }
 
-/// Convergence predicate over finalized globals, evaluated by the sync
-/// master at sync boundaries (§3.5 aggregate-driven termination).
+/// Convergence predicate over finalized globals, evaluated where they are
+/// finalized, at sync boundaries (§3.5 aggregate-driven termination).
 pub(crate) type StopFn = Arc<dyn Fn(&GlobalRegistry) -> bool + Send + Sync>;
 
 /// How to over-partition the data graph into atoms (phase one of §4.1).
@@ -89,7 +89,8 @@ pub struct EngineOutput {
     /// Run metrics.
     pub metrics: EngineMetrics,
     /// Final global values (typed, keyed by [`crate::GlobalHandle`]), from
-    /// the sync master.
+    /// machine 0: the locking engine's sync master; every chromatic machine
+    /// holds the same.
     pub globals: GlobalRegistry,
     /// The simulated DFS used for atoms and snapshots (inspect snapshot
     /// files, restore checkpoints). Fresh and empty for sequential runs.
@@ -392,7 +393,7 @@ where
         if failure.is_none() {
             failure = r.failed;
         }
-        // The sync master's, or under TCP this machine's own.
+        // Machine 0's, or under TCP this machine's own.
         globals.get_or_insert(r.globals);
         phases[i] = r.phase;
         if chain_spans.len() < r.chain_spans.len() {

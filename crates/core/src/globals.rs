@@ -92,7 +92,8 @@ impl GlobalRegistry {
         self.values.get(&id).map_or(0, |(ver, _)| *ver)
     }
 
-    /// Writes a value (sync master), bumping its version.
+    /// Writes a value (a machine that finalized its sync), bumping its
+    /// version.
     pub fn set(&mut self, id: u32, value: Arc<dyn Any + Send + Sync>) -> u64 {
         let entry = self.values.entry(id).or_insert_with(|| (0, Arc::new(())));
         entry.0 += 1;

@@ -18,7 +18,7 @@ use graphlab_atoms::LocalGraphInit;
 use graphlab_graph::MachineId;
 use graphlab_net::{clock, Batcher, Codec, Endpoint, LeaseConfig};
 
-use crate::config::{SnapshotMode, StragglerConfig};
+use crate::config::StragglerConfig;
 use crate::driver::{MachineResult, MachineSetup};
 use crate::globals::GlobalRegistry;
 use crate::local::LocalGraph;
@@ -46,12 +46,13 @@ pub(crate) struct Machine<V, E> {
     /// Updates executed here over the whole run (a rollback never resets it,
     /// which keeps the cluster total monotone).
     pub updates_local: u64,
-    /// Master: the highest cumulative update count each peer has reported
-    /// (own slot unused). Per-peer maxima, so the total stays monotone
-    /// across rollbacks and adoptions (a dead peer's last report stands).
+    /// The highest cumulative update count each peer has reported (own
+    /// slot unused), which the locking engine's master keeps. Per-peer
+    /// maxima, so the total stays monotone across rollbacks and adoptions
+    /// (a dead peer's last report stands).
     peer_updates: Vec<u64>,
-    /// Master: [`Self::observed_updates`] at the last snapshot trigger.
-    pub last_snap_updates: u64,
+    /// [`Self::observed_updates`] at the last snapshot trigger.
+    last_snap_updates: u64,
     /// Updates executed here per vertex, indexed by global vertex id: a
     /// dense column, so the counts outlive the `LocalGraph` an adoption
     /// rebuilds. The source of Fig. 1(b).
@@ -198,32 +199,30 @@ impl<V, E> Machine<V, E> {
         cap > 0 && updates >= cap
     }
 
-    /// Master: records that `peer` reported `updates` executed so far.
+    /// Records that `peer` reported `updates` executed so far.
     pub fn note_peer_updates(&mut self, peer: MachineId, updates: u64) {
         let slot = &mut self.peer_updates[peer.index()];
         *slot = (*slot).max(updates);
     }
 
-    /// The master's message-driven view of the cluster-wide update count:
-    /// its own plus the highest each peer reported — a lower bound on the
-    /// true total, and the same over TCP as on SimNet (the process-shared
-    /// `LiveCounters` only ever hold the machines of this process). On a
-    /// worker it is the local count.
+    /// A message-driven view of the cluster-wide update count: this
+    /// machine's own plus the highest each peer reported — a lower bound on
+    /// the true total, and the same over TCP as on SimNet (the
+    /// process-shared `LiveCounters` only ever hold the machines of this
+    /// process). The locking engine's master drives its triggers by it; the
+    /// chromatic engine, whose machines must all count alike, reads each
+    /// cycle's partials instead.
     pub fn observed_updates(&self) -> u64 {
         self.updates_local + self.peer_updates.iter().sum::<u64>()
     }
 
-    /// Master: the id of the checkpoint to start now, if the configured
-    /// interval of [`Self::observed_updates`] has passed since the last
-    /// trigger; the window then restarts. The caller first rules out what
-    /// only its engine knows (halting, a snapshot in progress).
+    /// The id of the checkpoint to start now, if the configured interval
+    /// of [`Self::observed_updates`] has passed since the last trigger; the
+    /// window then restarts. The caller first rules out what only its
+    /// engine knows (a snapshot in progress).
     pub fn snapshot_due(&mut self) -> Option<u64> {
-        let cfg = self.setup.config.snapshot;
         let updates = self.observed_updates();
-        let due = cfg.mode != SnapshotMode::None
-            && cfg.every_updates > 0
-            && self.snapshots < cfg.max_snapshots
-            && updates.saturating_sub(self.last_snap_updates) >= cfg.every_updates;
+        let due = self.setup.config.snapshot.due(self.snapshots, updates.saturating_sub(self.last_snap_updates));
         due.then(|| {
             self.last_snap_updates = updates;
             self.snapshots
@@ -231,8 +230,8 @@ impl<V, E> Machine<V, E> {
     }
 
     /// Aggregate-driven termination (§3.5): the stop predicate over the
-    /// globals as they stand — a master asks right after finalizing them,
-    /// and a locking worker right after applying them.
+    /// globals as they stand — the locking master asks right after
+    /// finalizing them, and a locking worker right after applying them.
     pub fn stop_hit(&self) -> bool {
         self.setup.stop.as_ref().is_some_and(|f| f(&self.globals))
     }
@@ -320,7 +319,7 @@ impl<V, E> Machine<V, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SnapshotConfig;
+    use crate::config::{SnapshotConfig, SnapshotMode};
     use crate::driver::tests::scripted_machine;
     use graphlab_atoms::VertexPartition;
     use graphlab_graph::{GraphBuilder, VertexId};

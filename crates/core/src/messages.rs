@@ -5,10 +5,10 @@
 //! once, as [`Kind`]: a `#[repr(u16)]` enum per plane that receives them,
 //! with the wire numbers as discriminants.
 //!
-//! - [`ChromKind`], `1..=9` — chromatic engine (§4.2.1): vertex and edge
+//! - [`ChromKind`], `1..=8` — chromatic engine (§4.2.1): vertex and edge
 //!   row blocks (a ghost push at a mirror, a write-back at the owner), one
 //!   task set per colour-step and owner, the step barrier's marker, and
-//!   the per-cycle sync/halt/checkpoint exchange.
+//!   the per-cycle sync partial every machine decides the cycle end from.
 //! - [`LockKind`], `20..=38` and `48..=49` — locking engine (§4.2.2):
 //!   pipelined lock chains, scope data synchronisation, releases with
 //!   piggybacked write-backs, the quiet round's markers and reports and halt
@@ -171,14 +171,14 @@ macro_rules! kinds {
 }
 
 kinds! {
-    /// Chromatic engine (§4.2.1), `1..=9`: received by
-    /// `ChromaticMachine::handle_msg` and its cycle end. 3 and 4 (the
-    /// write-backs' own kinds, which now ride 1 and 2: a row that reaches
-    /// its datum's owner is one), 7 (the second marker round, which the
-    /// round number in [`ChromKind::Flush`] names) and 10 and 11 (a
-    /// checkpoint's "part written" vote and the master's resume: the cycle
-    /// end's flush already made the cut, and every machine captures before
-    /// it handles anything of the next cycle) stay unassigned.
+    /// Chromatic engine (§4.2.1), `1..=8`: received by
+    /// `ChromaticMachine::handle_msg`. 3 and 4 (the write-backs' own kinds,
+    /// which now ride 1 and 2: a row that reaches its datum's owner is
+    /// one), 7 (the second marker round, which the round number in
+    /// [`ChromKind::Flush`] names), 9 (the master's cycle-end verdict:
+    /// every machine decides alike from the partials it holds) and 10 and
+    /// 11 (a checkpoint's "part written" vote and the master's resume: the
+    /// cycle end is the cut) stay unassigned.
     Chrom(ChromKind) {
         /// Vertex rows, a block of [`VertexRow`]s. At a mirror each is a
         /// ghost push (owner → mirror), applied by version; at the owner a
@@ -196,11 +196,9 @@ kinds! {
         /// ahead of it on the channel — in phase 0 its direct rows and
         /// task sets, in phase 1 its forwarded write-backs.
         Flush = 6, "chrom/flush";
-        /// Per-cycle sync partial (machine → master).
+        /// Per-cycle sync partial (all → all), a [`SyncPartialMsg`]: the
+        /// sender's vote of the cycle end.
         SyncPart = 8, "chrom/sync-part";
-        /// Per-cycle globals, halt decision and checkpoint to capture
-        /// (master → all).
-        SyncGlob = 9, "chrom/sync-glob";
     }
 
     /// Locking engine (§4.2.2), `20..=38` and `48..=49`: received by
@@ -597,8 +595,10 @@ impl Codec for TaskSetMsg {
     }
 }
 
-/// Sync partial accumulators for one cycle (machine → master). Also the
-/// cycle-end barrier: sent even when no sync ops are registered.
+/// One machine's part of a cycle end (all → all): its sync partials, its
+/// pending tasks and its update count. Sent even when no sync ops are
+/// registered: it is the sender's vote, and every machine decides the
+/// cycle end from every survivor's.
 ///
 /// Partials are `(handle id, codec bytes)` rows: each registered
 /// [`crate::Aggregate`]'s typed accumulator travels pre-encoded, tagged by
@@ -612,28 +612,11 @@ pub struct SyncPartialMsg {
     pub partials: Vec<(u32, Bytes)>,
     /// Sender's pending task count at cycle end.
     pub pending: u64,
-    /// Sender's executed-update count for the whole cycle.
+    /// Sender's executed-update count over the whole run.
     pub updates: u64,
 }
 
 codec_fields! { SyncPartialMsg { cycle, partials, pending, updates } }
-
-/// Master's cycle-end broadcast: finalised globals, halt flag, snapshot
-/// trigger.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SyncGlobalsMsg {
-    /// Cycle number.
-    pub cycle: u64,
-    /// `(handle id, version, encoded finalized value)` rows to apply.
-    pub globals: Vec<(u32, u64, Bytes)>,
-    /// All machines must halt after this cycle.
-    pub halt: bool,
-    /// The checkpoint (id) every machine captures before it handles
-    /// anything of the next cycle.
-    pub snapshot: Option<u64>,
-}
-
-codec_fields! { SyncGlobalsMsg { cycle, globals, halt, snapshot } }
 
 // ---- locking engine ----
 
@@ -1080,12 +1063,6 @@ mod tests {
             pending: 7,
             updates: 4,
         });
-        rt(SyncGlobalsMsg {
-            cycle: 2,
-            globals: vec![(4, 3, Bytes::from_static(b"out"))],
-            halt: true,
-            snapshot: Some(1),
-        });
     }
 
     #[test]
@@ -1150,16 +1127,16 @@ mod tests {
     }
 
     /// The wire must not move: every number that has a name, with its
-    /// name (3, 4, 7, 24, 34, 35, 36 and 39 stay unassigned).
+    /// name (3, 4, 7, 9, 10, 11, 24, 34, 35, 36, 39, 42 and 43 stay
+    /// unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 34] = [
+        const TABLE: [(u16, &str); 33] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (5, "chrom/sched"),
             (6, "chrom/flush"),
             (8, "chrom/sync-part"),
-            (9, "chrom/sync-glob"),
             (20, "lock/req"),
             (21, "lock/scope-data"),
             (22, "lock/release"),

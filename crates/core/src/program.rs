@@ -281,7 +281,7 @@ where
     /// (chromatic: each colour cycle; locking/sequential: each sync
     /// epoch), so it requires at least one registered [`sync`] — and, on
     /// the locking/sequential engines, one with a [`SyncCadence::Updates`]
-    /// cadence. Every locking machine asks it, so `stop` must be pure. Where
+    /// cadence. Every machine asks it, so `stop` must be pure. Where
     /// it holds, every machine stops taking tasks, the lock chains in flight
     /// finish, and the run ends at the next clean quiet round, after the
     /// final sync. Composes with [`GraphLab::max_updates`]. On the locking

@@ -5,13 +5,16 @@
 //! - **Synchronous**: suspend update execution, flush all communication
 //!   channels, save all owned data. The chromatic engine does this at a
 //!   cycle boundary, whose last step barrier has already suspended and
-//!   flushed: the master's verdict names the checkpoint, and every machine
-//!   saves before it handles anything of the next cycle, with no vote and
-//!   no resume. The locking engine runs a drain → marker flush → save →
-//!   resume protocol: once every machine is drained, each broadcasts a
-//!   `SnapSyncFlush` marker behind its last counted message and saves once
-//!   it holds every survivor's — the same FIFO barrier as the chromatic
-//!   step's and recovery's. Saving changes no datum and no version, so the
+//!   flushed: the end of one cycle names the checkpoint, and every machine
+//!   saves at the end of the next, after its last flush round and before
+//!   its sync partial leaves, with no vote and no resume (no peer sends
+//!   anything of the following cycle before it holds that partial). So a
+//!   checkpoint may be captured in the cycle that halts. The locking
+//!   engine runs a drain → marker flush → save → resume protocol: once
+//!   every machine is drained, each broadcasts a `SnapSyncFlush` marker
+//!   behind its last counted message and saves once it holds every
+//!   survivor's — the same FIFO barrier as the chromatic step's and
+//!   recovery's. Saving changes no datum and no version, so the
 //!   locking engine's ghost-cache table stays true across it.
 //! - **Asynchronous** (locking engine): Chandy–Lamport between machines,
 //!   over the per-channel FIFO links the lock chains use; the paper's Alg. 5
@@ -57,11 +60,8 @@ use graphlab_atoms::SimDfs;
 
 use crate::local::LocalGraph;
 
-/// A checkpoint file's contents: one file per atom per machine per
-/// snapshot, written by the atom's owner (a ghost file, by a neighbour,
-/// only for foreign rows, which no engine saves; see
-/// [`write_snapshot_atoms`]). Also the payload of adoption's ghost
-/// exchange.
+/// A checkpoint file's contents: one file per atom per snapshot, written
+/// by the atom's owner. Also the payload of adoption's ghost exchange.
 ///
 /// Vertex/edge data are stored as encoded blobs so the file format is
 /// independent of the user types. [`CheckpointWriter`] writes the same
@@ -106,20 +106,10 @@ fn snap_dir(prefix: &str, id: u64) -> String {
 
 /// DFS file name of `machine`'s rows for `atom` in snapshot `id` — the
 /// per-atom checkpoint layout adoption restores from. Written only by the
-/// atom's **owner**; these are the files completeness counting demands.
+/// atom's **owner**; these are the files completeness counting demands,
+/// and no other name counts.
 pub fn atom_snap_file_name(prefix: &str, id: u64, atom: AtomId, machine: MachineId) -> String {
     format!("{}/atom_{:06}_m{:06}", snap_dir(prefix, id), atom.0, machine.0)
-}
-
-/// DFS file name for rows of a **foreign** atom saved by `machine`. No
-/// engine writes a foreign row any more: every snapshot saves owned rows
-/// only, so only a [`write_snapshot_atoms`] caller's foreign rows land
-/// here. Ghost files are restored like owner files but never count
-/// toward snapshot completeness: a machine that died mid-snapshot must not
-/// have its atoms "completed" by surviving neighbours' ghost rows, leaving
-/// a torn cut that passes the completeness check.
-fn ghost_snap_file_name(prefix: &str, id: u64, atom: AtomId, machine: MachineId) -> String {
-    format!("{}/ghost_{:06}_m{:06}", snap_dir(prefix, id), atom.0, machine.0)
 }
 
 /// Whether any file of snapshot `id` exists.
@@ -136,43 +126,34 @@ fn parse_snap_id(prefix: &str, name: &str) -> Option<u64> {
     id.parse().ok()
 }
 
-/// The part a snapshot file contributes: an atom's rows, written by its
-/// owner or — a ghost contribution, real data but `counted: false` — by a
-/// neighbour.
+/// The part an [`atom_snap_file_name`] file contributes: an atom's rows in
+/// one snapshot.
 struct SnapPart {
     id: u64,
     atom: u64,
-    /// Whether this part counts toward snapshot completeness. Ghost files
-    /// don't: only the owner's write proves the atom finished its cut.
-    counted: bool,
 }
 
+/// `None` for any name [`atom_snap_file_name`] did not make.
 fn parse_snap_part(prefix: &str, name: &str) -> Option<SnapPart> {
     let rest = name.strip_prefix(prefix)?.strip_prefix("/snap_")?;
     let (id, part) = rest.split_once('/')?;
     let id: u64 = id.parse().ok()?;
-    let (atom, counted) = match part.strip_prefix("atom_") {
-        Some(atom) => (atom, true),
-        None => (part.strip_prefix("ghost_")?, false),
-    };
+    let atom = part.strip_prefix("atom_")?;
     let atom = atom.split_once("_m").map_or(atom, |(a, _)| a).parse().ok()?;
-    Some(SnapPart { id, atom, counted })
+    Some(SnapPart { id, atom })
 }
 
-/// The newest snapshot id for which all `parts` distinct counted parts
-/// exist — every atom written *by its owner* — the only kind of
-/// checkpoint recovery may restore (a partial set is a torn cut: some
-/// machine died mid-write). Ghost contributions never count: they would
-/// mark a dead machine's atoms complete without its data. Ids compare
-/// numerically, never lexicographically.
+/// The newest snapshot id for which all `parts` distinct atoms have their
+/// owner's file — the only kind of checkpoint recovery may restore (a
+/// partial set is a torn cut: some machine died mid-write). A file of any
+/// other name never counts. Ids compare numerically, never
+/// lexicographically.
 pub fn latest_complete_snapshot(dfs: &SimDfs, prefix: &str, parts: usize) -> Option<u64> {
     let mut seen: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
         std::collections::BTreeMap::new();
     for name in dfs.list_prefix(&format!("{prefix}/snap_")) {
         if let Some(p) = parse_snap_part(prefix, &name) {
-            if p.counted {
-                seen.entry(p.id).or_default().insert(p.atom);
-            }
+            seen.entry(p.id).or_default().insert(p.atom);
         }
     }
     seen.into_iter().rev().find(|(_, s)| s.len() >= parts).map(|(id, _)| id)
@@ -378,10 +359,13 @@ impl CheckpointWriter {
     /// empties the writer. Every atom in `mine` gets its file *even when
     /// empty*, so completeness counting ([`latest_complete_snapshot`] with
     /// `parts = num_atoms`) can demand every atom without special-casing
-    /// atoms that own nothing. Rows of a foreign atom (no engine saves one
-    /// any more) go to a *ghost* file (`ghost_snap_file_name`): restored
-    /// like any other, but invisible to completeness counting, so it can
-    /// never mark a dead owner's atom as checkpointed.
+    /// atoms that own nothing.
+    ///
+    /// # Panics
+    ///
+    /// On a saved row of an atom outside `mine`. Every snapshot saves owned
+    /// rows only, so such a row is a bug in this process, and dropping it
+    /// would leave a checkpoint short of a row it was given.
     pub fn write(
         &mut self,
         dfs: &SimDfs,
@@ -394,20 +378,21 @@ impl CheckpointWriter {
             let file = self.rows(atom).take_file();
             dfs.write(&atom_snap_file_name(prefix, id, atom, machine), file);
         }
-        // What is left is foreign.
-        for (atom, rows) in self.atoms.iter_mut().enumerate() {
-            if !rows.is_empty() {
-                let name = ghost_snap_file_name(prefix, id, AtomId(atom as u32), machine);
-                dfs.write(&name, rows.take_file());
-            }
-        }
+        let foreign = self.atoms.iter().position(|rows| !rows.is_empty());
+        assert!(
+            foreign.is_none(),
+            "bug in this process: checkpoint {id} saved rows of atom {}, which machine {} does not own",
+            foreign.unwrap_or_default(),
+            machine.0
+        );
     }
 }
 
 /// Writes `rows` (typically [`SnapshotFile::capture`] of the whole
 /// machine) as one machine's part of checkpoint `id`: each row goes to the
 /// atom of its vertex (an edge to its target's), and
-/// [`CheckpointWriter::write`] writes the files.
+/// [`CheckpointWriter::write`] writes the files. Every row must be of an
+/// atom in `my_atoms`: `write` panics on one that is not.
 pub fn write_snapshot_atoms<V, E>(
     dfs: &SimDfs,
     prefix: &str,
@@ -429,8 +414,7 @@ pub fn write_snapshot_atoms<V, E>(
 }
 
 /// Adoption overlay: applies snapshot `id`'s rows of exactly the given
-/// `atoms` (every contributing machine's owner *and* ghost files) into
-/// `lg`. Used by a
+/// `atoms` (their owners' files) into `lg`. Used by a
 /// survivor after it reloaded an adopted atom's journal — the checkpoint
 /// rows advance the adopted vertices from their ingress-initial data to
 /// the last checkpointed cut without touching any other atom's state.
@@ -695,10 +679,10 @@ mod tests {
             dfs.write(&atom_snap_file_name("ckpt", 0, AtomId(atom), MachineId(m)), blob());
         }
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 4), None, "atom 3 missing");
-        // A ghost contribution for the missing atom (foreign rows saved by
-        // a non-owner) must NOT complete the snapshot: the owner may have
-        // died mid-cut, and restoring would tear the cut.
-        dfs.write(&ghost_snap_file_name("ckpt", 0, AtomId(3), MachineId(0)), blob());
+        // A file of another name for the missing atom (as non-owners once
+        // wrote foreign rows) must NOT complete the snapshot: only the
+        // owner's write proves the atom finished its cut.
+        dfs.write("ckpt/snap_000000/ghost_000003_m000000", blob());
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 4), None, "ghost file spoofed an atom");
         dfs.write(&atom_snap_file_name("ckpt", 0, AtomId(3), MachineId(1)), blob());
         assert_eq!(latest_complete_snapshot(&dfs, "ckpt", 4), Some(0));

@@ -6,10 +6,11 @@
 //! ```
 //!
 //! An [`Aggregate`] maps every vertex **scope** to a typed, codec-encodable
-//! accumulator; partial accumulators are combined up to the master,
-//! finalised, and the result is broadcast back into every machine's
-//! [`crate::GlobalRegistry`] under the [`crate::GlobalHandle`] the program
-//! registered it with. Update functions read it back with
+//! accumulator; partial accumulators are combined and finalised into every
+//! machine's [`crate::GlobalRegistry`] under the [`crate::GlobalHandle`] the
+//! program registered it with — by every machine itself, in machine order,
+//! at a chromatic cycle end, and by the locking master, which broadcasts
+//! the result. Update functions read it back with
 //! [`crate::UpdateContext::global`] — a typed read keyed by a `Copy` id, so
 //! no names travel on the wire and nothing allocates per evaluation.
 //!
@@ -188,19 +189,19 @@ pub fn local_partial<V, E, A: Aggregate<V, E>>(op: &A, lg: &LocalGraph<V, E>) ->
 
 /// Object-safe seam between the engines and the typed [`Aggregate`]s the
 /// program registered: accumulators cross it as codec [`Bytes`] (the wire
-/// shape) or `dyn Any` (the master's in-flight fold), tagged by the `Copy`
-/// handle id.
+/// shape) or `dyn Any` (a fold in progress), tagged by the `Copy` handle
+/// id.
 pub(crate) trait ErasedSync<V, E>: Send + Sync {
     /// Handle id the finalized value publishes under.
     fn id(&self) -> u32;
     /// One machine's encoded partial over its owned vertices.
     fn local_partial(&self, lg: &LocalGraph<V, E>) -> Bytes;
-    /// Fresh identity accumulator for the master-side fold.
+    /// Fresh identity accumulator for a fold.
     fn init_acc(&self) -> Box<dyn Any + Send>;
     /// Decodes `part` and folds it into `acc`.
     fn combine(&self, acc: &mut dyn Any, part: &Bytes);
     /// Finalizes: returns the encoded value (for broadcast) and the typed
-    /// value (for the master's own registry).
+    /// value (for the finalizing machine's own registry).
     fn finalize(&self, acc: Box<dyn Any + Send>, total_vertices: u64)
         -> (Bytes, Arc<dyn Any + Send + Sync>);
     /// Decodes a broadcast finalized value into its typed form.
@@ -263,8 +264,8 @@ pub(crate) fn local_partials<V, E>(
     syncs.iter().map(|op| (op.id(), op.local_partial(lg))).collect()
 }
 
-/// Master: folds one machine's partials into the epoch's accumulators
-/// (`accs[i]` from `syncs[i].init_acc()`).
+/// Folds one machine's partials into a fold's accumulators (`accs[i]` from
+/// `syncs[i].init_acc()`).
 pub(crate) fn combine_partials<V, E>(
     syncs: &[Box<dyn ErasedSync<V, E>>],
     accs: &mut [Box<dyn Any + Send>],
@@ -276,8 +277,9 @@ pub(crate) fn combine_partials<V, E>(
     }
 }
 
-/// Master: finalizes the epoch's accumulators into its own `globals` and
-/// returns the `(handle id, version, encoded value)` rows to broadcast.
+/// Finalizes the accumulators into this machine's `globals` and returns
+/// the `(handle id, version, encoded value)` rows the locking master
+/// broadcasts.
 pub(crate) fn finalize_into<V, E>(
     syncs: &[Box<dyn ErasedSync<V, E>>],
     accs: Vec<Box<dyn Any + Send>>,
@@ -292,7 +294,8 @@ pub(crate) fn finalize_into<V, E>(
     rows
 }
 
-/// Applies the rows the master broadcast to this machine's `globals`.
+/// Applies the rows the locking master broadcast to this machine's
+/// `globals`.
 pub(crate) fn apply_globals<V, E>(
     syncs: &[Box<dyn ErasedSync<V, E>>],
     rows: Vec<(u32, u64, Bytes)>,

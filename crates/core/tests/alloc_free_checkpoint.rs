@@ -82,19 +82,11 @@ fn a_warm_checkpoint_allocates_per_file_not_per_row() {
         LocalGraph::from_init(load_machine_part(&dfs, &index, &placement, MachineId(0)).unwrap(), None);
     let mine: Vec<AtomId> = placement.atoms_of(lg.machine());
 
-    // Every owned row, and every edge row to a ghost besides, as an
-    // asynchronous snapshot saves them: those go to foreign atoms' ghost
-    // files.
-    let save = |w: &mut CheckpointWriter| {
-        w.save_owned(&lg);
-        for l in (0..lg.num_local_edges() as u32).filter(|&l| !lg.owns_edge(l)) {
-            w.save_edge(&lg, l);
-        }
-    };
+    // Every owned row, as every snapshot saves them.
+    let save = |w: &mut CheckpointWriter| w.save_owned(&lg);
     let owned_edges = (0..lg.num_local_edges() as u32).filter(|&l| lg.owns_edge(l)).count();
-    let rows = lg.owned_vertices().len() + lg.num_local_edges();
-    assert!(lg.owned_vertices().len() + owned_edges >= 5_000, "{rows} rows");
-    assert!(owned_edges < lg.num_local_edges(), "the part has ghost edges");
+    let rows = lg.owned_vertices().len() + owned_edges;
+    assert!(rows >= 5_000, "{rows} rows");
 
     let mut w = CheckpointWriter::default();
     let cold = allocs(|| {
@@ -107,7 +99,7 @@ fn a_warm_checkpoint_allocates_per_file_not_per_row() {
         assert_eq!(saving, 0, "checkpoint {id}: saving {rows} rows into a warm writer allocated");
         let writing = allocs(|| w.write(&dfs, "ckpt", id, lg.machine(), &mine));
         let files = dfs.list_prefix(&format!("ckpt/snap_{id:06}/")).len();
-        assert!(files > mine.len(), "checkpoint {id}: ghost files written");
+        assert_eq!(files, mine.len(), "checkpoint {id}: one file per owned atom");
         assert!(
             writing <= PER_FILE * files,
             "checkpoint {id}: {writing} allocations for {files} files of {rows} rows; \

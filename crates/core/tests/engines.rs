@@ -1095,6 +1095,45 @@ fn chromatic_over_tcp_matches_its_simnet_twin() {
     assert!(merged.iter().map(|b| b.expect("every vertex owned")).eq(data), "fixpoint bits");
 }
 
+/// Every machine finalizes the globals itself, folding every machine's
+/// partial in machine-id order, so all hold the same bits — under a float
+/// sum whose value depends on the fold order: its terms run from 1 to
+/// 10^22 in both signs, so a float sum of three partials taken in another
+/// order rounds otherwise. Over TCP each machine's `EngineOutput::globals`
+/// is its own registry: one thread per machine, as one process each would
+/// be.
+#[test]
+fn chromatic_machines_all_finalize_the_same_float_globals() {
+    const SPREAD: GlobalHandle<Vec<f64>> = GlobalHandle::new(21);
+    let term = |v: VertexId, d: &f64| {
+        let sign = if v.0.is_multiple_of(2) { 1.0 } else { -1.0 };
+        vec![sign * 10f64.powi((v.0 * 7 % 23) as i32) * (1.0 + d / 3.0)]
+    };
+    for n in 2..=4u16 {
+        let peers = free_ports(n.into());
+        let run_id = u64::from(std::process::id()) << 16 | 0xF0 | u64::from(n);
+        let machines: Vec<_> = (0..n)
+            .map(|m| {
+                let config = TcpConfig::new(graphlab_graph::MachineId(m), peers.clone(), run_id);
+                std::thread::spawn(move || {
+                    let mut graph = ring(24);
+                    let out = GraphLab::on(&mut graph)
+                        .engine(EngineKind::Chromatic)
+                        .machines(n.into())
+                        .seed(42)
+                        .sync(SPREAD, FnSync::new(1, term, |acc, _| acc), SyncCadence::Final)
+                        .transport(Transport::Tcp(config))
+                        .try_run(MaxDiffusion)
+                        .expect("a clean run");
+                    out.globals.get(SPREAD).expect("finalized").iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let bits: Vec<Vec<u64>> = machines.into_iter().map(|m| m.join().expect("machine thread")).collect();
+        assert!(bits.iter().all(|b| *b == bits[0]), "{n} machines: {bits:x?}");
+    }
+}
+
 /// A peer that never comes up ends `try_run` in an `Err` at the mesh
 /// deadline, not in a panic or a hang.
 #[test]

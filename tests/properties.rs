@@ -352,9 +352,7 @@ mod checkpoint_files {
     }
 
     /// The reference model: the files `lg`'s machine writes for snapshot
-    /// `id`, by name.
-    /// Owned atoms get a file even when empty; a foreign atom with rows
-    /// gets a ghost file.
+    /// `id`, by name. Owned atoms get a file even when empty.
     fn reference_files(
         rows: SnapshotFile,
         lg: &Lg,
@@ -365,19 +363,15 @@ mod checkpoint_files {
             mine.iter().map(|&a| (a, SnapshotFile::default())).collect();
         for (v, blob) in rows.vrows {
             let atom = lg.vertex_atom(lg.local_vertex(v).unwrap());
-            by_atom.entry(atom).or_default().vrows.push((v, blob));
+            by_atom.get_mut(&atom).expect("a row of an owned atom").vrows.push((v, blob));
         }
         for (e, blob) in rows.erows {
             let atom = lg.edge_atom(lg.local_edge(e).unwrap());
-            by_atom.entry(atom).or_default().erows.push((e, blob));
+            by_atom.get_mut(&atom).expect("a row of an owned atom").erows.push((e, blob));
         }
         by_atom
             .into_iter()
-            .map(|(atom, file)| {
-                let name = atom_snap_file_name("ckpt", id, atom, lg.machine());
-                let name = if mine.contains(&atom) { name } else { name.replace("/atom_", "/ghost_") };
-                (name, encode_to_bytes(&file))
-            })
+            .map(|(atom, file)| (atom_snap_file_name("ckpt", id, atom, lg.machine()), encode_to_bytes(&file)))
             .collect()
     }
 
@@ -387,8 +381,7 @@ mod checkpoint_files {
 
     proptest! {
         /// Every machine saves a random sequence of rows — its owned
-        /// vertices and any local edge, foreign-atom edges included, in any
-        /// order, repeats allowed — twice, through one writer reused across
+        /// vertices and edges, in any order, repeats allowed — twice, through one writer reused across
         /// machines and snapshots. Every file equals the reference model's,
         /// byte for byte, and so do the files of the `SnapshotFile`
         /// adapter; restoring either set gives the same graph.
@@ -413,12 +406,14 @@ mod checkpoint_files {
                     let part = load_machine_part(&graph_dfs, &index, &placement, m).unwrap();
                     let lg: Lg = LocalGraph::from_init(part, None);
                     let mine = placement.atoms_of(m);
+                    let owned_edges: Vec<u32> =
+                        (0..lg.num_local_edges() as u32).filter(|&l| lg.owns_edge(l)).collect();
                     let mut rows = SnapshotFile::default();
                     // Each snapshot saves another slice of the sequence.
                     for &(edge, pick) in saves.iter().skip(id as usize * saves.len() / 2) {
                         let owned = lg.owned_vertices();
-                        if edge == 1 && lg.num_local_edges() > 0 {
-                            let l = pick % lg.num_local_edges() as u32;
+                        if edge == 1 && !owned_edges.is_empty() {
+                            let l = owned_edges[pick as usize % owned_edges.len()];
                             writer.save_edge(&lg, l);
                             rows.erows.push((lg.edge_geid(l), encode_to_bytes(lg.edge_data(l))));
                         } else if !owned.is_empty() {
@@ -677,24 +672,6 @@ mod wire_codec {
         ) {
             rt(SyncPartialMsg { cycle, partials: partials.clone(), pending, updates });
             rt(LockSyncPartialMsg { epoch: cycle, partials });
-        }
-
-        #[test]
-        fn sync_globals_msgs_roundtrip(
-            cycle in 0u64..u64::MAX,
-            rows in proptest::collection::vec(
-                (0u32..u32::MAX, 0u64..u64::MAX, arb_bytes()),
-                0..5,
-            ),
-            halt in 0u32..2,
-            snapshot in 0u64..u64::MAX,
-        ) {
-            rt(SyncGlobalsMsg {
-                cycle,
-                globals: rows.clone(),
-                halt: halt == 1,
-                snapshot: if halt == 1 { Some(snapshot) } else { None },
-            });
         }
 
         #[test]
@@ -1132,7 +1109,7 @@ fn every_codec_impl_in_messages_has_a_wire_codec_property() {
         }
         impls.extend(outside.split_whitespace().map(str::to_owned));
     }
-    assert!(impls.len() >= 17, "the scan lost the types it used to find: {impls:?}");
+    assert!(impls.len() >= 16, "the scan lost the types it used to find: {impls:?}");
     let suite = include_str!("properties.rs")
         .split_once("\nmod wire_codec {")
         .and_then(|(_, rest)| rest.split_once("\n}\n"))
@@ -1176,12 +1153,9 @@ fn wire_bytes_are_pinned() {
     let vrows = vec![(VertexId(3), b(b"v")), (VertexId(200), b(b""))];
     let placement = Placement::round_robin(5, 3);
     let entries = vec![entry(0, "a"), entry(1, "b")];
-    let globals = vec![(4, 300, b(b"out"))];
     let moved: Vec<_> = [
         drift(SyncPartialMsg { cycle: 300, partials, pending: 7, updates: 70_000 },
             "ac020205036163638080400007f0a204"),
-        drift(SyncGlobalsMsg { cycle: 2, globals, halt: true, snapshot: Some(129) },
-            "020104ac02036f757401018101"),
         drift(LockSyncPartialMsg { epoch: 9, partials: vec![(200, b(b"p"))] }, "0901c8010170"),
         drift(QuietReportMsg { round: 130, clean: true }, "820101"),
         drift(RollbackMsg { era: 2, snap: 1 << 35 }, "02808080808001"),
