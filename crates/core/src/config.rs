@@ -14,7 +14,12 @@ pub enum SnapshotMode {
     /// No fault tolerance.
     #[default]
     None,
-    /// Synchronous snapshots: suspend, flush, save, resume.
+    /// Synchronous snapshots: suspend, flush, save, resume. The chromatic
+    /// engine saves at a cycle end, where its step barrier has suspended
+    /// and flushed; the locking engine takes the asynchronous marker cut
+    /// with new lock chains paused on each machine from its save until its
+    /// part is written, and each machine resumes on its own (README, "Fault
+    /// tolerance").
     Synchronous,
     /// Asynchronous Chandy–Lamport snapshots between machines, the markers
     /// on the same FIFO channels as the lock chains (the paper's Alg. 5

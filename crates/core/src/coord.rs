@@ -65,20 +65,16 @@
 //!   predicate or an update cap only makes the engine stop taking tasks on
 //!   every machine, so the chains in flight finish and a later round comes
 //!   out clean.
-//! - `Part`: a snapshot begins at one `SnapStart`, in the mode every
-//!   machine's config names. Stop-and-flush: `Idle → Draining → Drained →
-//!   Flushing → Written → Idle`, from `SnapStart` to `SnapResume`, its
-//!   flush a FIFO marker barrier like recovery's. Chandy–Lamport between
-//!   machines: `Idle → Async → Idle`, from the first `SnapStart` a machine
-//!   receives (the master: `SnapshotDue`) until it holds every survivor's.
-//!   Either mode's part written is one `SnapDone` vote.
+//! - `Part`: `Idle → Cut → Idle`, in either snapshot mode, from the first
+//!   `SnapStart` a machine receives (the master: `SnapshotDue`) until it
+//!   holds every survivor's; its part written is one `SnapDone` vote.
 //!
-//! # The asynchronous cut
+//! # The cut, in both snapshot modes
 //!
 //! `SnapStart(id)` is the marker, and every channel is FIFO. A machine's
 //! part starts at the first one it receives: before it sends anything else
 //! it saves every owned row (`Output::Save`), broadcasts its own
-//! `SnapStart(id)` and enters `Part::Async(id, markers)`. A write-back from
+//! `SnapStart(id)` and enters `Part::Cut(id, markers)`. A write-back from
 //! a peer whose marker has not arrived yet ([`Coord::pre_cut`]) is pre-cut:
 //! the engine saves the row again once it is applied, behind the first
 //! copy, and restore applies a file's rows in order, so the last one wins.
@@ -94,6 +90,15 @@
 //! - a pre-cut update never reads post-cut data: any `ScopeData` a hop
 //!   sends after its capture follows its marker, so the requester captures
 //!   before that update runs.
+//!
+//! The synchronous mode (§4.3: suspend, flush, save, resume) is this cut
+//! taken while paused: `Output::Pause` before the save, `Output::Resume`
+//! after the write, so no new lock chain starts on a machine between its
+//! capture and its part written, and each machine resumes on its own. The
+//! argument above does not rest on the pause; the chains in flight at the
+//! capture finish under the same rule. The pause keeps the paper's cost
+//! model: every machine waits for the slowest peer's marker before it
+//! starts new work, so a straggler stalls a synchronous snapshot.
 //!
 //! A trigger is work (a snapshot wakes machines with no counted message):
 //! a quiet round or a snapshot starts only from `Idle`, a quiet round only
@@ -114,9 +119,9 @@
 //! folded in machine-id order, halt, next checkpoint), so every machine
 //! decides alike and nothing is sent back. Termination there is a count
 //! (`SyncPartialMsg::pending`, summed) taken at a global barrier, so
-//! "counted work arrived" and a pass's `idle` and `drained` mean nothing;
-//! the step barrier is already held when a cycle ends, so a checkpoint
-//! needs no `Draining` or `Flushing`, no vote and no resume; and sync, halt
+//! "counted work arrived" and a pass's `idle` mean nothing; the step
+//! barrier is already held when a cycle ends, so a checkpoint needs no
+//! markers of its own, no vote and no resume; and sync, halt
 //! and checkpoint are one decision per cycle, where the locking master runs
 //! three protocols that overlap.
 //!
@@ -157,9 +162,8 @@ pub(crate) enum Round {
     /// A quiet round: the reports got, each at its round `k`, and whether
     /// every one was clean.
     Quiet { reports: Markers, clean: bool },
-    /// Snapshot `id`: the `SnapSyncReady` votes (synchronous mode), each at
-    /// `2·id`, and the `SnapDone` votes at `2·id + 1` (`SnapDone` carries
-    /// no id).
+    /// Snapshot `id`: the `SnapDone` votes, each at `id` (`SnapDone`
+    /// carries no id).
     Snapshot { id: u64, votes: Markers },
     /// The run ends: the final sync's epoch is out (`None`), then `Halt`'s
     /// acks at [`FINAL`].
@@ -167,36 +171,14 @@ pub(crate) enum Round {
 }
 
 /// The control half of this machine's part of the snapshot in flight
-/// (module docs, "Coordination"); an asynchronous part's data is the
-/// engine's.
+/// (module docs, "Coordination"); its data is the engine's.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Part {
-    /// None in flight, or this machine's asynchronous part is written.
+    /// None in flight, or this machine's part is written.
     Idle,
-    /// Snapshot `id`, stop-and-flush (no new lock chain until `SnapResume`):
-    /// chains of its own still in flight; none left, `SnapSyncReady` sent;
-    /// its flush marker out, with the survivors' held so far; captured,
-    /// `SnapDone` sent.
-    Draining(u64),
-    Drained(u64),
-    Flushing(u64, Markers),
-    Written(u64),
-    /// Snapshot `id`, Chandy–Lamport: owned rows saved and its own marker
-    /// out, with the survivors' `SnapStart(id)` held so far (module docs,
-    /// "The asynchronous cut").
-    Async(u64, Markers),
-}
-
-impl Part {
-    /// The synchronous snapshot this part belongs to.
-    fn id(&self) -> Option<u64> {
-        match *self {
-            Part::Draining(id) | Part::Drained(id) | Part::Flushing(id, _) | Part::Written(id) => {
-                Some(id)
-            }
-            Part::Idle | Part::Async(..) => None,
-        }
-    }
+    /// Snapshot `id`: owned rows saved and its own marker out, with the
+    /// survivors' `SnapStart(id)` held so far (module docs, "The cut").
+    Cut(u64, Markers),
 }
 
 /// A control-plane `LockKind` with its payload, decoded by the engine.
@@ -210,10 +192,7 @@ pub(crate) enum Msg {
     SyncReq(u64),
     SyncPart(u64),
     SnapStart(u64),
-    SnapSyncReady(u64),
-    SnapSyncFlush(u64),
     SnapDone,
-    SnapResume,
 }
 
 /// What happened to the machine.
@@ -224,8 +203,8 @@ pub(crate) enum Input {
     /// Counted work arrived.
     Work,
     /// A loop pass ended. `idle`: nothing scheduled, queued, in the
-    /// pipeline or ready; `drained`: no lock chain of its own in flight.
-    Pass { idle: bool, drained: bool },
+    /// pipeline or ready.
+    Pass { idle: bool },
     /// Master: this many updates are known executed cluster-wide; a sync
     /// epoch is due once they reach the cadence's next mark.
     SyncDue(u64),
@@ -249,11 +228,10 @@ pub(crate) enum Output {
     /// Write the saved rows as this machine's part of checkpoint `id`.
     Write(u64),
     /// This machine's partials of epoch `e`: a worker sends them, the
-    /// master opens the epoch's accumulators with them.
+    /// master keeps them as its own.
     Partials(u64),
-    /// Master: combine the partials just received.
-    Combine,
-    /// Master: finalize epoch `e` and broadcast the globals.
+    /// Master: fold every survivor's partials of epoch `e` in machine-id
+    /// order, finalize them and broadcast the globals.
     Finalize(u64),
     /// This machine's run is over.
     Halt,
@@ -327,19 +305,18 @@ impl Coord {
                 }
             }
             Input::Msg(src, msg) => self.on_msg(src, msg, rec, out),
-            Input::Pass { idle, drained } => self.pass(idle, drained, rec, out),
+            Input::Pass { idle } => self.pass(idle, rec, out),
             Input::SyncDue(updates) => self.sync_due(updates, rec, out),
             Input::SnapshotDue(id) => self.start_snapshot(id, rec, out),
         }
     }
 
-    /// Whether a write-back from `src` is pre-cut: this machine's
-    /// asynchronous part is open and `src`'s marker has not arrived. The
-    /// engine saves such a row again once it is applied (module docs, "The
-    /// asynchronous cut").
+    /// Whether a write-back from `src` is pre-cut: this machine's part is
+    /// open and `src`'s marker has not arrived. The engine saves such a row
+    /// again once it is applied (module docs, "The cut").
     #[inline]
     pub(crate) fn pre_cut(&self, src: MachineId) -> bool {
-        matches!(&self.part, Part::Async(id, marks) if marks.next(src) <= *id)
+        matches!(&self.part, Part::Cut(id, marks) if marks.next(src) <= *id)
     }
 
     fn on_msg(&mut self, src: MachineId, msg: Msg, rec: &RecoveryTracker, out: &mut Vec<Output>) {
@@ -367,32 +344,11 @@ impl Coord {
             Msg::SyncReq(e) => out.push(Output::Partials(e)),
             // A partial of an abandoned epoch is stale.
             Msg::SyncPart(e) if self.sync.as_ref().is_some_and(|(open, _)| *open == e) => {
-                out.push(Output::Combine);
-                self.collect_partials(src, rec, out);
+                self.collect_partials(src, rec, out)
             }
             Msg::SyncPart(_) => {}
-            Msg::SnapStart(id) => match self.mode {
-                SnapshotMode::Synchronous => {
-                    debug_assert_eq!(self.part, Part::Idle, "a snapshot inside a snapshot");
-                    self.part = Part::Draining(id);
-                    out.push(Output::Pause);
-                }
-                SnapshotMode::Asynchronous => self.marker(src, id, rec, out),
-                SnapshotMode::None => unreachable!("a snapshot with snapshots off"),
-            },
-            Msg::SnapSyncReady(id) => {
-                debug_assert_eq!(self.part.id(), Some(id), "READY of another snapshot");
-                self.collect_snap(src, false, rec, out);
-            }
-            Msg::SnapSyncFlush(id) => {
-                debug_assert_eq!(self.part.id(), Some(id), "marker of another snapshot");
-                self.flush(out).note(src, id);
-            }
-            Msg::SnapDone => self.collect_snap(src, true, rec, out),
-            Msg::SnapResume => {
-                self.part = Part::Idle;
-                out.push(Output::Resume);
-            }
+            Msg::SnapStart(id) => self.marker(src, id, rec, out),
+            Msg::SnapDone => self.collect_snap(src, rec),
         }
     }
 
@@ -406,27 +362,12 @@ impl Coord {
         }
     }
 
-    /// The end of a loop pass: this machine's snapshot part as far as it
-    /// goes, then the quiet round's local steps — an idle master opens a
-    /// round, an idle machine sends the marker it owes, and one that holds
-    /// every survivor's marker reports. Taken until none applies: the
-    /// master's own report can end a dirty round, which an idle master
-    /// follows with the next at once.
-    fn pass(&mut self, idle: bool, drained: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
-        loop {
-            match self.part {
-                Part::Draining(id) if drained => {
-                    self.part = Part::Drained(id);
-                    self.vote(Msg::SnapSyncReady(id), rec, out);
-                }
-                Part::Flushing(id, ref marks) if rec.holds(marks, id) => {
-                    self.part = Part::Written(id);
-                    out.extend([Output::Save, Output::Write(id)]);
-                    self.vote(Msg::SnapDone, rec, out);
-                }
-                _ => break,
-            }
-        }
+    /// The end of a loop pass: the quiet round's local steps — an idle
+    /// master opens a round, an idle machine sends the marker it owes, and
+    /// one that holds every survivor's marker reports. Taken until none
+    /// applies: the master's own report can end a dirty round, which an
+    /// idle master follows with the next at once.
+    fn pass(&mut self, idle: bool, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         loop {
             match self.quiet {
                 Quiet::Done(last)
@@ -530,83 +471,49 @@ impl Coord {
         }
     }
 
-    /// Master: snapshot `id` out to every peer, and this machine's part of
-    /// it begun.
+    /// Master: snapshot `id` begun here, its marker out to every peer.
     fn start_snapshot(&mut self, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
         debug_assert!(self.may_snapshot(), "a snapshot beside a round");
         self.round = Round::Snapshot { id, votes: Markers::new(self.slots) };
-        if self.mode == SnapshotMode::Synchronous {
-            out.push(Output::Broadcast(Msg::SnapStart(id)));
-        }
-        self.on_msg(MASTER, Msg::SnapStart(id), rec, out);
+        self.marker(MASTER, id, rec, out);
     }
 
-    /// `src`'s marker of asynchronous snapshot `id` (the master's own at
-    /// `SnapshotDue`). The first one starts this machine's part: its owned
-    /// rows saved and its own marker out before it sends anything else.
-    /// Holding every survivor's, it writes the part and votes.
+    /// `src`'s marker of snapshot `id` (the master's own at `SnapshotDue`).
+    /// The first one starts this machine's part: new chains paused under
+    /// synchronous snapshots, its owned rows saved and its own marker out
+    /// before it sends anything else. Holding every survivor's, it writes
+    /// the part, resumes and votes.
     fn marker(&mut self, src: MachineId, id: u64, rec: &RecoveryTracker, out: &mut Vec<Output>) {
+        let paused = self.mode == SnapshotMode::Synchronous;
         if self.part == Part::Idle {
+            if paused {
+                out.push(Output::Pause);
+            }
             out.extend([Output::Save, Output::Broadcast(Msg::SnapStart(id))]);
-            self.part = Part::Async(id, Markers::new(self.slots));
+            self.part = Part::Cut(id, Markers::new(self.slots));
         }
-        let Part::Async(at, marks) = &mut self.part else {
-            unreachable!("an asynchronous marker inside a synchronous snapshot")
-        };
+        let Part::Cut(at, marks) = &mut self.part else { unreachable!("no part open") };
         debug_assert_eq!(*at, id, "a marker of another snapshot");
         marks.note(src, id);
         if rec.holds(marks, id) {
             self.part = Part::Idle;
             out.push(Output::Write(id));
+            if paused {
+                out.push(Output::Resume);
+            }
             self.vote(Msg::SnapDone, rec, out);
         }
     }
 
-    /// Master: `src` drained or (`done`) wrote its part. Once every
-    /// survivor is drained, the master too, no lock chain is left anywhere,
-    /// so no machine sends counted work before the resume: the master's
-    /// flush marker opens the barrier. Once every part is written, the
-    /// master's too, the snapshot is over.
-    fn collect_snap(
-        &mut self,
-        src: MachineId,
-        done: bool,
-        rec: &RecoveryTracker,
-        out: &mut Vec<Output>,
-    ) {
+    /// Master: `src` wrote its part. Once every survivor's part is written,
+    /// the master's too, the snapshot is over.
+    fn collect_snap(&mut self, src: MachineId, rec: &RecoveryTracker) {
         let Round::Snapshot { id, votes } = &mut self.round else {
             unreachable!("a vote of no snapshot")
         };
-        let id = *id;
-        votes.note(src, 2 * id + u64::from(done));
-        if self.part == Part::Drained(id) && rec.holds(votes, 2 * id) {
-            self.flush(out);
-            return;
-        }
-        let written = matches!(self.part, Part::Written(_) | Part::Idle);
-        if !written || !rec.holds(votes, 2 * id + 1) {
-            return;
-        }
-        self.round = Round::Idle;
-        if let Part::Written(_) = self.part {
-            out.push(Output::Broadcast(Msg::SnapResume));
-            self.on_msg(MASTER, Msg::SnapResume, rec, out);
-        }
-    }
-
-    /// The synchronous snapshot's flush markers held, after broadcasting
-    /// this machine's own if it has not yet: the master does once every
-    /// survivor is drained, a worker on the first marker it receives. A
-    /// marker follows all of its sender's counted work on the channel, so
-    /// holding every survivor's means holding all of it.
-    fn flush(&mut self, out: &mut Vec<Output>) -> &mut Markers {
-        if let Part::Drained(id) = self.part {
-            out.push(Output::Broadcast(Msg::SnapSyncFlush(id)));
-            self.part = Part::Flushing(id, Markers::new(self.slots));
-        }
-        match &mut self.part {
-            Part::Flushing(_, marks) => marks,
-            _ => unreachable!("a flush marker before every survivor drained"),
+        votes.note(src, *id);
+        if self.part == Part::Idle && rec.holds(votes, *id) {
+            self.round = Round::Idle;
         }
     }
 }
@@ -620,11 +527,9 @@ mod tests {
     //! budget), never while its machine is paused. Under synchronous
     //! snapshots that send is a lock chain's release: `Run(i, Some(j))`
     //! starts the chain and `Commit(i)` releases it, and a machine with a
-    //! chain in flight is neither idle nor drained, so a stop-and-flush
-    //! meets chains still to release (elsewhere the two are one act, which
-    //! keeps the explorer's state count down): capture before the last one
-    //! released, dropping the `drained` guard of `Part::Draining` in
-    //! `Coord::pass`, breaks the cut in 6 steps. The master's sync and
+    //! chain in flight is not idle, so a paused part meets chains still to
+    //! release, which finish under the cut's rule (elsewhere the two are one
+    //! act, which keeps the explorer's state count down). The master's sync and
     //! snapshot triggers fire within their own budgets. A stop predicate or
     //! an update cap only takes tasks away, which `Run(i, None)` already
     //! does. After each action on a machine, that machine runs one loop
@@ -635,7 +540,9 @@ mod tests {
     //! - the cut, in both snapshot modes: counted work sent after its
     //!   sender's capture is not delivered before its receiver's, and work
     //!   sent before it is delivered before its receiver writes its part
-    //!   (under Chandy–Lamport, what the engine saves again);
+    //!   (what the engine saves again);
+    //! - under synchronous snapshots, a machine is paused from its capture
+    //!   until its part is written, and only then;
     //! - each worker sends exactly one `SnapDone` per snapshot;
     //! - a halt finds every snapshot part written;
     //! - `step` does not panic;
@@ -797,8 +704,7 @@ mod tests {
             }
             if !w.nodes[i].halted && !matches!(act, Drain(..)) {
                 let node = &w.nodes[i];
-                let drained = node.chain.is_none();
-                let pass = Input::Pass { idle: drained && !node.task, drained };
+                let pass = Input::Pass { idle: node.chain.is_none() && !node.task };
                 self.feed(&mut w, i, pass)?;
             }
             Ok(w)
@@ -853,10 +759,13 @@ mod tests {
                         w.chans[i * n].push_back(Wire::Ctl(Msg::SyncPart(e)))
                     }
                     Output::Halt => w.nodes[i].halted = true,
-                    Output::Partials(_)
-                    | Output::Combine
-                    | Output::Finalize(_) => {}
+                    Output::Partials(_) | Output::Finalize(_) => {}
                 }
+            }
+            let node = &w.nodes[i];
+            if self.b.mode == Synchronous && node.paused != matches!(node.coord.part, Part::Cut(..)) {
+                let part = &node.coord.part;
+                return Err(format!("m{i} paused: {}, its part {part:?}", node.paused));
             }
             if closed {
                 w.closed += 1;
@@ -883,8 +792,8 @@ mod tests {
     /// The master's `Halt` is going out.
     fn check_halt(w: &World) -> Result<(), String> {
         let unwritten = |i: usize, node: &Node| match node.coord.part {
-            Part::Draining(_) | Part::Drained(_) | Part::Flushing(..) | Part::Async(..) => true,
-            Part::Idle | Part::Written(_) => i > 0 && node.done < w.started,
+            Part::Cut(..) => true,
+            Part::Idle => i > 0 && node.done < w.started,
         };
         if let Some(j) = w.nodes.iter().enumerate().position(|(i, node)| unwritten(i, node)) {
             return Err(format!("halted with m{j}'s part of snapshot {} unwritten", w.started - 1));
@@ -992,7 +901,7 @@ mod tests {
         explore::replay(&Model::new(b), schedule)
     }
 
-    // Six rules past changes proved by hand, each with the shortest
+    // Five rules, each with the shortest
     // counterexample the explorer printed once the rule's mutation was
     // applied. Replayed against the code as it is, every step is enabled,
     // nothing is violated, and the rule's own outcome holds.
@@ -1036,27 +945,6 @@ mod tests {
         );
     }
 
-    /// Capture once every survivor's flush marker is held. Mutation: drop
-    /// `rec.holds(..)` from the `Part::Flushing` arm of `Coord::pass`, so a
-    /// machine captures once its own marker is out — a worker on the first
-    /// marker it receives. Then machine 1's marker reaches a master that
-    /// captured without it, and `flush` panics (5 steps).
-    #[test]
-    fn replay_a_capture_on_the_first_flush_marker() {
-        let schedule = [
-            SnapshotDue,
-            Deliver(0, 1),
-            Deliver(1, 0),
-            Deliver(0, 1),
-            Deliver(1, 0),
-        ];
-        let w = replay(Bounds::new(2, Synchronous, false), &schedule);
-        assert!(w
-            .nodes
-            .iter()
-            .all(|node| matches!(node.coord.part, Part::Written(0)) && node.cuts == 1));
-    }
-
     /// The master decides on the pass its own report lands. Mutation:
     /// `return` after the report in the `Quiet::Sent` arm of `Coord::pass`.
     /// Then the master's report, the last of a dirty round, leaves an idle
@@ -1078,31 +966,28 @@ mod tests {
         assert_eq!(w.chans[1], [Wire::Ctl(Msg::Quiet(2))]);
     }
 
-    /// A snapshot closes once every survivor's `SnapDone` answers its own
-    /// round. Mutation: in `Coord::collect_snap`, note `SnapDone` at `2·id`,
-    /// the round `SnapSyncReady` answers. Then machine 1's `SnapDone`
-    /// answers no round the master waits on, and the snapshot never closes:
-    /// stuck (6 steps).
+    /// A synchronous part pauses new chains from its capture until it is
+    /// written. Mutation: drop `Output::Pause` from `Coord::marker`. Then
+    /// the master's part is open on a master that may start chains (1
+    /// step). Paused, it starts none until it holds machine 1's marker,
+    /// and both machines resume on their own once written.
     #[test]
-    fn replay_a_snap_done_noted_at_the_ready_round() {
-        let schedule = [
-            SnapshotDue,
-            Deliver(0, 1),
-            Deliver(1, 0),
-            Deliver(0, 1),
-            Deliver(1, 0),
-            Deliver(1, 0),
-        ];
-        let w = replay(Bounds::new(2, Synchronous, false), &schedule);
-        assert_eq!((&w.nodes[0].coord.round, &w.nodes[0].coord.part), (&Round::Idle, &Part::Idle));
-        assert_eq!(w.chans[1], [Wire::Ctl(Msg::SnapResume)]);
+    fn replay_a_synchronous_part_that_does_not_pause() {
+        let b = Bounds::new(2, Synchronous, false);
+        let w = replay(b, &[SnapshotDue]);
+        assert!(w.nodes[0].paused && matches!(w.nodes[0].coord.part, Part::Cut(0, _)));
+        let w = replay(b, &[SnapshotDue, Deliver(0, 1), Deliver(1, 0)]);
+        assert!(w.nodes.iter().all(|node| !node.paused && node.coord.part == Part::Idle && node.cuts == 1));
+        assert_eq!(w.chans[2], [Wire::Ctl(Msg::SnapDone)], "channel 1 → 0");
     }
 
-    /// Under Chandy–Lamport every machine broadcasts its own marker at its
-    /// first. Mutation: in `Coord::marker`, let only the master broadcast.
-    /// Then the master never holds worker 1's marker, its part stays open,
-    /// and the snapshot never closes: stuck (5 steps). With the broadcast,
-    /// both parts are written and the worker's `SnapDone` is on its way.
+    /// Every machine broadcasts its own marker at its first. Mutation: in
+    /// `Coord::marker`, let only the master broadcast. Then the master
+    /// never holds worker 1's marker, its part stays open, and the
+    /// snapshot never closes: stuck (5 steps under asynchronous bounds; 4
+    /// under synchronous ones, explored first, where the paused master
+    /// takes no task). With the broadcast, both parts are written and the
+    /// worker's `SnapDone` is on its way.
     #[test]
     fn replay_a_worker_that_does_not_broadcast_its_marker() {
         let schedule = [Run(1, None), SnapshotDue, Deliver(0, 1), Deliver(1, 0), Run(0, None)];
@@ -1123,7 +1008,7 @@ mod tests {
             out
         };
         let from = |i: u16, msg| Input::Msg(MachineId(i), msg);
-        let idle = Input::Pass { idle: true, drained: true };
+        let idle = Input::Pass { idle: true };
         let twice = |c: &mut Coord, msg| [step(c, from(1, msg)), step(c, from(1, msg))].concat();
 
         // The quiet round: the master reported, worker 1 twice.
@@ -1142,24 +1027,16 @@ mod tests {
         let out = twice(&mut c, Msg::HaltAck);
         assert!(!out.contains(&Output::Halt), "{out:?}");
 
-        // The snapshot's `SnapSyncReady`s: no flush marker leaves.
+        // A snapshot's `SnapDone`s, once the master's own part is written.
         let mut c = coord(Synchronous, None);
         step(&mut c, Input::SnapshotDue(0));
-        step(&mut c, idle);
-        assert_eq!(c.part, Part::Drained(0));
-        let out = twice(&mut c, Msg::SnapSyncReady(0));
-        assert!(!out.contains(&Output::Broadcast(Msg::SnapSyncFlush(0))), "{out:?}");
-        assert_eq!(c.part, Part::Drained(0));
-
-        // Its `SnapDone`s, once every survivor drained and flushed.
-        step(&mut c, from(2, Msg::SnapSyncReady(0)));
-        step(&mut c, from(1, Msg::SnapSyncFlush(0)));
-        step(&mut c, from(2, Msg::SnapSyncFlush(0)));
-        step(&mut c, idle);
-        assert_eq!(c.part, Part::Written(0));
-        let out = twice(&mut c, Msg::SnapDone);
-        assert!(!out.contains(&Output::Broadcast(Msg::SnapResume)), "{out:?}");
+        step(&mut c, from(1, Msg::SnapStart(0)));
+        step(&mut c, from(2, Msg::SnapStart(0)));
+        assert_eq!(c.part, Part::Idle);
+        twice(&mut c, Msg::SnapDone);
         assert!(matches!(c.round, Round::Snapshot { .. }), "{:?}", c.round);
+        step(&mut c, from(2, Msg::SnapDone));
+        assert_eq!(c.round, Round::Idle);
 
         // A sync epoch's partials.
         let mut c = coord(SnapshotMode::None, Some(1));

@@ -59,19 +59,24 @@
 //!
 //! Termination, both snapshot modes (§4.3), sync epochs and the halt are
 //! `crate::coord`'s decisions, fed each control message, pass and trigger;
-//! this engine applies them to its data. An asynchronous snapshot is
+//! this engine applies them to its data. Either snapshot mode is
 //! Chandy–Lamport between machines, its markers the `SnapStart`s on the
-//! channels every lock chain uses: no snapshot chain runs. The one datum
-//! it needs from the data plane is a `Release`'s sender: a write-back that
-//! `Coord::pre_cut` names is saved again once applied (`crate::coord`'s
-//! module docs say why the cut holds).
+//! channels every lock chain uses: no snapshot chain runs, and a
+//! synchronous snapshot only pauses new chains on a machine from its
+//! capture until its part is written. The one datum it needs from the data
+//! plane is a `Release`'s sender: a write-back that `Coord::pre_cut` names
+//! is saved again once applied (`crate::coord`'s module docs say why the
+//! cut holds). The master folds a sync epoch's partials in machine-id
+//! order, whatever order they arrived in, so a float global's bits are a
+//! function of the partials alone.
 //!
 //! # What a crash keeps
 //!
 //! A crash, a rollback or an adoption loses `Volatile`, which
 //! `reset_engine_state` replaces whole, beside `Coord::reset` (which keeps
 //! the sync epoch). The engine keeps its `Machine`, the metrics, the
-//! run-long `next_reqid` and `last_noted`, and scratch empty between uses.
+//! run-long `next_reqid` and `last_noted`, the master's per-peer update
+//! counts and snapshot window, and scratch empty between uses.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -323,8 +328,6 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// `todo` holds what it asked for until applied (empty between feeds).
     coord: Coord,
     todo: Vec<Output>,
-    /// The partials of the `SyncPart` being handled: empty between messages.
-    partials: Vec<(u32, Bytes)>,
 
     // Commit/hop scratch, reused across updates (beside `core.rowbuf`) and
     // empty between them: chains woken by a release, per-destination
@@ -351,6 +354,13 @@ pub(crate) struct LockingMachine<V, E, U: ?Sized> {
     /// Local update count as of the last note sent (workers only); counts
     /// are cumulative, which makes stale notes idempotent.
     last_noted: u64,
+    /// Master: the highest cumulative update count each peer has noted
+    /// (own slot unused). Per-peer maxima, so the total stays monotone
+    /// across rollbacks and adoptions (a dead peer's last note stands).
+    peer_updates: Vec<u64>,
+    /// Master: [`Self::observed_updates`] at the last snapshot trigger or
+    /// reset.
+    last_snap_updates: u64,
 }
 
 /// The engine's state that a crash, a rollback or an adoption loses. One
@@ -375,8 +385,11 @@ struct Volatile {
     no_more_tasks: bool,
     /// Between `Output::Pause` and `Output::Resume`: no new chain starts.
     paused: bool,
-    /// Master: the sync epoch's accumulators.
-    accs: Vec<Box<dyn std::any::Any + Send>>,
+    /// Master: each machine's partials of the open sync epoch, by machine
+    /// id (empty: none yet). A worker answers each epoch once and in
+    /// order, so at `Output::Finalize` every survivor's slot holds that
+    /// epoch's.
+    parts: Vec<Vec<(u32, Bytes)>>,
 }
 
 impl Volatile {
@@ -397,7 +410,7 @@ impl Volatile {
             ready: VecDeque::new(),
             no_more_tasks: false,
             paused: false,
-            accs: Vec::new(),
+            parts: vec![Vec::new(); core.slots()],
         }
     }
 }
@@ -430,7 +443,6 @@ where
         LockingMachine {
             coord: Coord::new(core.lg.machine(), m, snap_cfg.mode, sync_every),
             todo: Vec::new(),
-            partials: Vec::new(),
             vol: Volatile::new(&core),
             next_reqid: 1,
             halted: false,
@@ -442,6 +454,8 @@ where
             idle_wakeups: 0,
             note_every,
             last_noted: 0,
+            peer_updates: vec![0; m],
+            last_snap_updates: 0,
             core,
             update,
         }
@@ -451,7 +465,7 @@ where
     /// cumulative update count when it crosses a granule boundary, or
     /// (`flush`) with its exact value on the idle transition, so the
     /// master's last trigger window closes without a timer. The master's
-    /// `Machine::observed_updates` — what drives its sync and snapshot
+    /// [`Self::observed_updates`] — what drives its sync and snapshot
     /// triggers instead of polling the shared counter — is then at most
     /// ~`finest_interval / 8` behind the true total.
     fn maybe_send_upd_note(&mut self, flush: bool) {
@@ -1071,14 +1085,13 @@ where
             }
             LockKind::UpdNote => {
                 if self.core.is_master() {
-                    self.core.note_peer_updates(src, dec(env.payload));
+                    self.note_peer_updates(src, dec(env.payload));
                 }
             }
             LockKind::SyncPart => {
                 let LockSyncPartialMsg { epoch, partials } = dec(env.payload);
-                self.partials = partials;
+                self.vol.parts[src.index()] = partials;
                 self.feed(Input::Msg(src, Msg::SyncPart(epoch)));
-                self.partials.clear();
             }
             LockKind::Quiet => self.feed(Input::Msg(src, Msg::Quiet(dec(env.payload)))),
             LockKind::QuietReport => {
@@ -1089,14 +1102,7 @@ where
             LockKind::HaltAck => self.feed(Input::Msg(src, Msg::HaltAck)),
             LockKind::SyncReq => self.feed(Input::Msg(src, Msg::SyncReq(dec(env.payload)))),
             LockKind::SnapStart => self.feed(Input::Msg(src, Msg::SnapStart(dec(env.payload)))),
-            LockKind::SnapSyncReady => {
-                self.feed(Input::Msg(src, Msg::SnapSyncReady(dec(env.payload))));
-            }
-            LockKind::SnapSyncFlush => {
-                self.feed(Input::Msg(src, Msg::SnapSyncFlush(dec(env.payload))));
-            }
             LockKind::SnapDone => self.feed(Input::Msg(src, Msg::SnapDone)),
-            LockKind::SnapResume => self.feed(Input::Msg(src, Msg::SnapResume)),
         }
     }
 
@@ -1105,23 +1111,49 @@ where
     /// Master: the triggers, from the counts the notes announce. The
     /// snapshot window is consumed only when a snapshot may start.
     fn master_triggers(&mut self) {
-        self.feed(Input::SyncDue(self.core.observed_updates()));
+        self.feed(Input::SyncDue(self.observed_updates()));
         if self.coord.may_snapshot() {
-            if let Some(id) = self.core.snapshot_due() {
+            if let Some(id) = self.snapshot_due() {
                 self.feed(Input::SnapshotDue(id));
             }
         }
     }
 
+    /// Master: records that `peer` noted `updates` executed so far.
+    fn note_peer_updates(&mut self, peer: MachineId, updates: u64) {
+        let slot = &mut self.peer_updates[peer.index()];
+        *slot = (*slot).max(updates);
+    }
+
+    /// Master: a message-driven view of the cluster-wide update count, its
+    /// own plus the highest each peer noted — a lower bound on the true
+    /// total, and the same over TCP as on SimNet (the process-shared
+    /// `LiveCounters` only ever hold the machines of this process).
+    fn observed_updates(&self) -> u64 {
+        self.core.updates_local + self.peer_updates.iter().sum::<u64>()
+    }
+
+    /// Master: the id of the checkpoint to start now, if the configured
+    /// interval of [`Self::observed_updates`] has passed since the last
+    /// trigger; the window then restarts.
+    fn snapshot_due(&mut self) -> Option<u64> {
+        let updates = self.observed_updates();
+        let since = updates.saturating_sub(self.last_snap_updates);
+        let due = self.core.setup.config.snapshot.due(self.core.snapshots, since);
+        due.then(|| {
+            self.last_snap_updates = updates;
+            self.core.snapshots
+        })
+    }
+
     /// The end of a loop pass: an idle worker closes the master's trigger
     /// window with an exact count (notes are not work) before `coord` hears.
     fn end_pass(&mut self) {
-        let drained = self.vol.outs.live() == 0 && self.vol.ready.is_empty();
-        let idle = drained && !self.chain_could_start();
+        let idle = self.vol.outs.live() == 0 && self.vol.ready.is_empty() && !self.chain_could_start();
         if idle {
             self.maybe_send_upd_note(true);
         }
-        self.feed(Input::Pass { idle, drained });
+        self.feed(Input::Pass { idle });
     }
 
     /// Hands `input` to `coord` and applies what it returns, in order.
@@ -1149,23 +1181,22 @@ where
             Output::Save => self.core.ckpt.save_owned(&self.core.lg),
             Output::Write(id) => self.core.write_checkpoint(id),
             Output::Partials(epoch) => {
-                let syncs = &self.core.setup.syncs;
-                let partials = local_partials(syncs, &self.core.lg);
+                let partials = local_partials(&self.core.setup.syncs, &self.core.lg);
                 if self.core.is_master() {
-                    self.vol.accs = syncs.iter().map(|op| op.init_acc()).collect();
-                    combine_partials(syncs, &mut self.vol.accs, &partials);
+                    self.vol.parts[self.core.me().index()] = partials;
                 } else {
                     let msg = LockSyncPartialMsg { epoch, partials };
                     self.core.send(MachineId(0), LockKind::SyncPart, enc(&msg));
                 }
             }
-            Output::Combine => {
-                combine_partials(&self.core.setup.syncs, &mut self.vol.accs, &self.partials);
-            }
             Output::Finalize(_) => {
-                let (accs, total) = (std::mem::take(&mut self.vol.accs), self.core.lg.total_vertices());
-                let globals =
-                    finalize_into(&self.core.setup.syncs, accs, total, &mut self.core.globals);
+                let syncs = &self.core.setup.syncs;
+                let mut accs: Vec<_> = syncs.iter().map(|op| op.init_acc()).collect();
+                for part in &mut self.vol.parts {
+                    combine_partials(syncs, &mut accs, &std::mem::take(part));
+                }
+                let total = self.core.lg.total_vertices();
+                let globals = finalize_into(syncs, accs, total, &mut self.core.globals);
                 self.core.broadcast(LockKind::SyncGlob, &enc(&globals));
                 // §3.5; at the final epoch there is nothing left to drop.
                 if self.core.stop_hit() {
@@ -1190,10 +1221,7 @@ fn wire(msg: Msg) -> (LockKind, Bytes) {
         Msg::SyncReq(epoch) => (LockKind::SyncReq, enc(&epoch)),
         Msg::SyncPart(_) => unreachable!("partials leave with their bytes"),
         Msg::SnapStart(id) => (LockKind::SnapStart, enc(&id)),
-        Msg::SnapSyncReady(id) => (LockKind::SnapSyncReady, enc(&id)),
-        Msg::SnapSyncFlush(id) => (LockKind::SnapSyncFlush, enc(&id)),
         Msg::SnapDone => (LockKind::SnapDone, Bytes::new()),
-        Msg::SnapResume => (LockKind::SnapResume, Bytes::new()),
     }
 }
 
@@ -1211,10 +1239,14 @@ where
     }
 
     /// Every round in flight is abandoned with the rest; the master opens
-    /// a fresh quiet round once it is idle after the resume.
+    /// a fresh quiet round once it is idle after the resume. The sync
+    /// cadence and the snapshot window restart from the counts as they
+    /// stand: they are cumulative and were not rolled back, which is what
+    /// makes stale notes idempotent.
     fn reset_engine_state(&mut self) {
         self.vol = Volatile::new(&self.core);
-        self.coord.reset(self.core.observed_updates());
+        self.last_snap_updates = self.observed_updates();
+        self.coord.reset(self.last_snap_updates);
     }
 
     fn reseed(&mut self, l: u32) {
@@ -1288,69 +1320,6 @@ mod tests {
                 kind => panic!("{} is not the locking engine's", kind.name()),
             })
             .collect()
-    }
-
-    /// The synchronous snapshot's flush is a marker barrier. Machine 2, a
-    /// worker: a peer's `SnapSyncFlush` that overtakes the master's makes
-    /// it send its own, once; nothing is captured until every survivor's
-    /// marker has arrived; and a `Release` write-back queued ahead of a
-    /// marker on the same channel is in the checkpoint. The resume keeps
-    /// the ghost-cache table: the next request for the same scope gets no
-    /// row its requester already holds.
-    #[test]
-    fn sync_snapshot_captures_once_every_survivors_marker_arrived() {
-        let (mut m, peers) = hop_machine(2);
-        snapshots(&mut m, SnapshotMode::Synchronous);
-        let from = |src: usize, kind: LockKind, payload: Bytes| {
-            peers[src].send(MachineId(2), kind as u16, payload)
-        };
-        let pump = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
-            while let Ok(env) = m.core.net.try_recv() {
-                m.dispatch(env);
-            }
-            m.end_pass();
-        };
-        let marker = (LockKind::SnapSyncFlush, enc(&0u64));
-        // Machine 1's chain holds vertex 2's lock when the snapshot starts.
-        let (model, machines) = (consistency_to_u8(ConsistencyModel::Full), vec![MachineId(2)]);
-        let req = LockReqMsg { requester: MachineId(1), reqid: 7, scope_v: VertexId(1), machines, model };
-        from(1, LockKind::Req, enc(&req));
-        from(0, LockKind::SnapStart, enc(&0u64));
-        pump(&mut m);
-        assert_eq!(inbox(&peers[1]).len(), 1, "the chain's scope data");
-        assert_eq!(inbox(&peers[0]), [(LockKind::SnapSyncReady, enc(&0u64))]);
-
-        // Machine 1 drained and got the master's marker first: its release
-        // (with vertex 2's write-back) and its own marker are on the channel.
-        let vwrites = vec![(VertexId(2), 0, enc(&42.0f64))];
-        from(1, LockKind::Release, enc(&ReleaseMsg { reqid: 7, vwrites, ewrites: vec![] }));
-        from(1, LockKind::SnapSyncFlush, enc(&0u64));
-        pump(&mut m);
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker.clone()]]);
-        let dfs = m.core.setup.dfs.clone();
-        assert!(!snapshot_exists(&dfs, "ckpt", 0), "captured without the master's marker");
-
-        // The master's marker: the barrier is complete, no second marker leaves.
-        from(0, LockKind::SnapSyncFlush, enc(&0u64));
-        pump(&mut m);
-        assert_eq!(inbox(&peers[0]), [(LockKind::SnapDone, Bytes::new())]);
-        assert!(inbox(&peers[1]).is_empty());
-        let mut restored = triangle();
-        restore_snapshot(&dfs, "ckpt", 0, &mut restored).unwrap();
-        assert_eq!(*restored.vertex_data(VertexId(2)), 42.0, "the write-back ahead of the marker");
-
-        from(0, LockKind::SnapResume, Bytes::new());
-        pump(&mut m);
-        assert!(matches!(m.coord.part, Part::Idle) && m.vol.chains.live() == 0);
-
-        // The capture changed no datum and no version: machine 1 holds
-        // vertex 2 as it wrote it, and the same scope again gets an
-        // unchanged marker in place of the row.
-        from(1, LockKind::Req, enc(&LockReqMsg { reqid: 8, ..req }));
-        pump(&mut m);
-        let [(LockKind::ScopeData, reply)] = &inbox(&peers[1])[..] else { panic!("one ScopeData") };
-        let reply: ScopeDataMsg = dec(reply.clone());
-        assert_eq!((reply.reqid, reply.vrows.len(), reply.vsame), (8, 0, 1), "vertex 2 re-shipped");
     }
 
     /// Machine `src`'s `kind` message, handled by `m` as the loop would.
@@ -1431,20 +1400,16 @@ mod tests {
     fn no_quiet_round_opens_while_a_snapshot_is_in_flight() {
         let (mut m, peers) = hop_machine(0);
         snapshots(&mut m, SnapshotMode::Synchronous);
-        m.core.note_peer_updates(MachineId(1), 1);
+        m.note_peer_updates(MachineId(1), 1);
         let pass = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
             m.master_triggers();
             m.end_pass();
         };
-        let to_both = |kind: LockKind, payload: Bytes| [[(kind, payload.clone())], [(kind, payload)]];
+        let marker = (LockKind::SnapStart, enc(&0u64));
         pass(&mut m);
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapStart, enc(&0u64)));
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker]]);
         for src in [1, 2] {
-            deliver(&mut m, src, LockKind::SnapSyncReady, enc(&0u64));
-        }
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], to_both(LockKind::SnapSyncFlush, enc(&0u64)));
-        for src in [1, 2] {
-            deliver(&mut m, src, LockKind::SnapSyncFlush, enc(&0u64));
+            deliver(&mut m, src, LockKind::SnapStart, enc(&0u64));
         }
         pass(&mut m);
         assert!(snapshot_exists(&m.core.setup.dfs, "ckpt", 0), "the master's part");
@@ -1455,62 +1420,167 @@ mod tests {
         deliver(&mut m, 2, LockKind::SnapDone, Bytes::new());
         assert!(matches!((&m.coord.round, &m.coord.part), (Round::Idle, Part::Idle)));
         pass(&mut m);
-        let (resume, quiet) = ((LockKind::SnapResume, Bytes::new()), (LockKind::Quiet, enc(&1u64)));
-        let both = [resume, quiet];
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [both.clone(), both]);
+        let quiet = (LockKind::Quiet, enc(&1u64));
+        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[quiet.clone()], [quiet]]);
     }
 
-    /// Chandy–Lamport on machine 2, a worker. Machine 1's `SnapStart`
-    /// overtakes the master's: machine 2 saves its rows at once and
-    /// broadcasts its own marker. Machine 0's write-back, ahead of 0's
+    /// The cut on machine 2, a worker, in both snapshot modes. Machine 1's
+    /// `SnapStart` overtakes the master's: machine 2 saves its rows at once
+    /// and broadcasts its own marker. Machine 0's write-back, ahead of 0's
     /// marker, is pre-cut and saved again; machine 1's, behind 1's marker,
     /// is not, though it lands last. The master's marker, the last
-    /// survivor's, writes the part, and exactly one `SnapDone` leaves.
+    /// survivor's, writes the part, and exactly one `SnapDone` leaves. A
+    /// task that arrives meanwhile starts its chain at once under
+    /// Chandy–Lamport; a synchronous part starts none from its capture
+    /// until it is written, and one right after. Saving changes no datum
+    /// and no version: machine 1 holds vertex 2 as it wrote it, and the
+    /// same scope again gets an unchanged marker in place of the row.
     #[test]
     fn a_peers_marker_starts_the_part_and_pre_cut_write_backs_are_saved_again() {
-        let (mut m, peers) = hop_machine(2);
-        snapshots(&mut m, SnapshotMode::Asynchronous);
-        let model = consistency_to_u8(ConsistencyModel::Full);
-        let req = |requester: u16, reqid: u64| LockReqMsg {
-            requester: MachineId(requester),
-            reqid,
-            scope_v: VertexId(requester as u32),
-            machines: vec![MachineId(2)],
-            model,
-        };
-        let release = |reqid: u64, value: f64| {
-            let vwrites = vec![(VertexId(2), 0, enc(&value))];
-            enc(&ReleaseMsg { reqid, vwrites, ewrites: vec![] })
-        };
-        let marker = (LockKind::SnapStart, enc(&0u64));
-        // Machine 0's chain holds vertex 2; machine 1's parks behind it.
-        deliver(&mut m, 0, LockKind::Req, enc(&req(0, 7)));
-        deliver(&mut m, 1, LockKind::Req, enc(&req(1, 9)));
-        assert_eq!(inbox(&peers[0]).len(), 1, "chain 7's scope data");
+        for mode in [SnapshotMode::Asynchronous, SnapshotMode::Synchronous] {
+            let paused = mode == SnapshotMode::Synchronous;
+            let (mut m, peers) = hop_machine(2);
+            snapshots(&mut m, mode);
+            let model = consistency_to_u8(ConsistencyModel::Full);
+            let req = |requester: u16, reqid: u64| LockReqMsg {
+                requester: MachineId(requester),
+                reqid,
+                scope_v: VertexId(requester as u32),
+                machines: vec![MachineId(2)],
+                model,
+            };
+            let release = |reqid: u64, value: f64| {
+                let vwrites = vec![(VertexId(2), 0, enc(&value))];
+                enc(&ReleaseMsg { reqid, vwrites, ewrites: vec![] })
+            };
+            // Chains started here: each sends its request to machine 0 first.
+            let started = |m: &mut LockingMachine<f64, f64, NoUpdate>| {
+                m.pump();
+                (m.vol.outs.live(), m.vol.paused)
+            };
+            let marker = (LockKind::SnapStart, enc(&0u64));
+            // Machine 0's chain holds vertex 2; machine 1's parks behind it.
+            deliver(&mut m, 0, LockKind::Req, enc(&req(0, 7)));
+            deliver(&mut m, 1, LockKind::Req, enc(&req(1, 9)));
+            assert_eq!(inbox(&peers[0]).len(), 1, "chain 7's scope data");
 
-        deliver(&mut m, 1, LockKind::SnapStart, enc(&0u64));
-        assert!(matches!(m.coord.part, Part::Async(0, _)), "{:?}", m.coord.part);
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker.clone()]]);
+            deliver(&mut m, 1, LockKind::SnapStart, enc(&0u64));
+            assert!(matches!(m.coord.part, Part::Cut(0, _)), "{:?}", m.coord.part);
+            assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [[marker.clone()], [marker.clone()]]);
+            let sched = ScheduleMsg { tasks: vec![(VertexId(2), 1.0)] };
+            deliver(&mut m, 1, LockKind::Sched, enc(&sched));
+            assert_eq!(started(&mut m), (usize::from(!paused), paused), "{mode:?}");
+            let reqs = inbox(&peers[0]);
+            assert!(reqs.len() == m.vol.outs.live() && reqs.iter().all(|(kind, _)| *kind == LockKind::Req));
 
-        deliver(&mut m, 0, LockKind::Release, release(7, 42.0));
-        assert_eq!(inbox(&peers[1]).len(), 1, "chain 9's scope data");
-        deliver(&mut m, 1, LockKind::Release, release(9, 11.0));
-        m.end_pass();
-        assert!(inbox(&peers[0]).is_empty(), "written before the master's marker");
-
-        deliver(&mut m, 0, LockKind::SnapStart, enc(&0u64));
-        for _ in 0..3 {
+            deliver(&mut m, 0, LockKind::Release, release(7, 42.0));
+            assert_eq!(inbox(&peers[1]).len(), 1, "chain 9's scope data");
+            deliver(&mut m, 1, LockKind::Release, release(9, 11.0));
             m.end_pass();
+            assert!(inbox(&peers[0]).is_empty(), "written before the master's marker");
+            assert_eq!(started(&mut m), (usize::from(!paused), paused), "{mode:?}");
+
+            deliver(&mut m, 0, LockKind::SnapStart, enc(&0u64));
+            for _ in 0..3 {
+                m.end_pass();
+            }
+            let done = (LockKind::SnapDone, Bytes::new());
+            assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [vec![done], vec![]]);
+            assert!(matches!(m.coord.part, Part::Idle));
+            assert_eq!(started(&mut m), (1, false), "{mode:?}: the chain after the write");
+            let w = m.core.lg.local_vertex(VertexId(2)).unwrap();
+            assert_eq!(*m.core.lg.vertex_data(w), 11.0);
+            let mut restored = triangle();
+            let (nv, _) = restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
+            assert_eq!(nv, 2, "the capture's row and the pre-cut write-back's");
+            assert_eq!(*restored.vertex_data(VertexId(2)), 42.0);
+
+            inbox(&peers[0]);
+            deliver(&mut m, 1, LockKind::Req, enc(&req(1, 10)));
+            let [(LockKind::ScopeData, reply)] = &inbox(&peers[1])[..] else { panic!("one ScopeData") };
+            let reply: ScopeDataMsg = dec(reply.clone());
+            assert_eq!((reply.reqid, reply.vrows.len(), reply.vsame), (10, 0, 1), "vertex 2 re-shipped");
         }
-        let done = (LockKind::SnapDone, Bytes::new());
-        assert_eq!([inbox(&peers[0]), inbox(&peers[1])], [vec![done], vec![]]);
-        assert!(matches!(m.coord.part, Part::Idle));
-        let w = m.core.lg.local_vertex(VertexId(2)).unwrap();
-        assert_eq!(*m.core.lg.vertex_data(w), 11.0);
-        let mut restored = triangle();
-        let (nv, _) = restore_snapshot(&m.core.setup.dfs, "ckpt", 0, &mut restored).unwrap();
-        assert_eq!(nv, 2, "the capture's row and the pre-cut write-back's");
-        assert_eq!(*restored.vertex_data(VertexId(2)), 42.0);
+    }
+
+    /// Registers one sync on `m`, the sum of its vertices' data, with an
+    /// epoch due every update; returns its handle.
+    fn with_sum_sync(m: &mut LockingMachine<f64, f64, NoUpdate>) -> crate::GlobalHandle<Vec<f64>> {
+        use crate::sync::{FnSync, RegisteredSync};
+        let sum = crate::GlobalHandle::new(0);
+        let op = FnSync::new(1, |_, d: &f64| vec![*d], |acc, _| acc);
+        m.core.setup.syncs = Arc::new(vec![Box::new(RegisteredSync { id: sum.id(), op })]);
+        m.coord = Coord::new(m.core.me(), 3, SnapshotMode::None, Some(1));
+        sum
+    }
+
+    /// The master folds a sync epoch's partials in machine-id order. Its
+    /// own sum is 10^16, the workers' 1 and −10^16: in machine order the 1
+    /// is lost to rounding before −10^16 cancels, so the global is 0
+    /// whichever worker's partial arrives first; folded in arrival order,
+    /// machine 2's first, it would be 1.
+    #[test]
+    fn the_master_folds_sync_partials_in_machine_id_order() {
+        let global = |order: [u16; 2]| {
+            let (mut m, _peers) = hop_machine(0);
+            let sum = with_sum_sync(&mut m);
+            let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
+            *m.core.lg.vertex_data_mut(l) = 1e16;
+            m.feed(Input::SyncDue(1));
+            for src in order {
+                let partials = vec![(sum.id(), enc(&vec![[0.0, 1.0, -1e16][src as usize]]))];
+                deliver(&mut m, src, LockKind::SyncPart, enc(&LockSyncPartialMsg { epoch: 1, partials }));
+            }
+            m.core.globals.get(sum).expect("epoch 1 finalized")[0].to_bits()
+        };
+        assert_eq!(global([1, 2]), 0f64.to_bits());
+        assert_eq!(global([2, 1]), 0f64.to_bits());
+    }
+
+    /// The master's snapshot trigger: the window honours the config, counts
+    /// each peer's highest note, and restarts at a trigger and at a reset
+    /// from the counts as they stand.
+    #[test]
+    fn the_snapshot_trigger_honours_its_config_and_restarts_its_window_after_a_reset() {
+        use crate::config::SnapshotConfig;
+        let (mut m, _peers) = hop_machine(0);
+        let every = |mode, every_updates, max_snapshots| SnapshotConfig { mode, every_updates, max_snapshots };
+        m.core.updates_local = 100;
+        for off in [
+            every(SnapshotMode::None, 10, 9),
+            every(SnapshotMode::Synchronous, 0, 9),
+            every(SnapshotMode::Asynchronous, 10, 0),
+        ] {
+            m.core.setup.config.snapshot = off;
+            assert_eq!((m.snapshot_due(), m.last_snap_updates), (None, 0), "{off:?}");
+        }
+
+        m.core.setup.config.snapshot = every(SnapshotMode::Synchronous, 40, 2);
+        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(0), 100));
+        assert_eq!(m.snapshot_due(), None, "the window restarted at the trigger");
+        m.note_peer_updates(MachineId(1), 39);
+        assert_eq!(m.snapshot_due(), None, "100 + 39: one short of the interval");
+        m.note_peer_updates(MachineId(1), 40);
+        m.note_peer_updates(MachineId(1), 5); // a stale note never lowers the total
+        assert_eq!(m.observed_updates(), 140);
+        m.core.snapshots = 1; // the first checkpoint was written meanwhile
+        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(1), 140));
+
+        // A rollback to checkpoint 0 re-bases the window on the counts as
+        // they stand: they are cumulative and were not rolled back.
+        m.core.updates_local = 200;
+        m.core.effects.dirty_self = true;
+        m.core.reset_engine_state();
+        RecoveryHost::reset_engine_state(&mut m);
+        m.core.snapshots = 1;
+        assert_eq!((m.last_snap_updates, m.core.effects.dirty_self), (240, false));
+        m.core.updates_local = 239;
+        assert_eq!(m.snapshot_due(), None);
+        m.core.updates_local = 240;
+        assert_eq!(m.snapshot_due(), Some(1));
+        m.core.snapshots = 2;
+        m.core.updates_local = 1_000;
+        assert_eq!(m.snapshot_due(), None, "max_snapshots reached");
     }
 
     /// The interleaving per-channel FIFO cannot rule out: requester 0's

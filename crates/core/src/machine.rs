@@ -1,13 +1,13 @@
 //! One GraphLab machine (§4.4, Fig. 5(a)): the state and behaviour every
 //! machine has whichever engine runs on it — local graph, comms layer, DFS
-//! handle and placement, fault-tolerance state, update accounting, the
-//! master's view of the cluster-wide update count.
+//! handle and placement, fault-tolerance state, update accounting.
 //!
 //! The engines ([`crate::chromatic`], [`crate::locking`]) each hold one as
 //! `core` and add only how they order and exchange updates;
 //! [`crate::recovery`] drives it directly (`RecoveryHost::machine`). What
 //! only one engine has — colour queues and blocks, lock table and chains,
-//! the sync/snapshot choreography — does not belong here, and neither does
+//! the sync/snapshot choreography, the locking master's per-peer update
+//! counts and snapshot window — does not belong here, and neither does
 //! the update function: [`Machine::execute`] borrows it per call.
 
 use std::sync::atomic::Ordering;
@@ -46,13 +46,6 @@ pub(crate) struct Machine<V, E> {
     /// Updates executed here over the whole run (a rollback never resets it,
     /// which keeps the cluster total monotone).
     pub updates_local: u64,
-    /// The highest cumulative update count each peer has reported (own
-    /// slot unused), which the locking engine's master keeps. Per-peer
-    /// maxima, so the total stays monotone across rollbacks and adoptions
-    /// (a dead peer's last report stands).
-    peer_updates: Vec<u64>,
-    /// [`Self::observed_updates`] at the last snapshot trigger.
-    last_snap_updates: u64,
     /// Updates executed here per vertex, indexed by global vertex id: a
     /// dense column, so the counts outlive the `LocalGraph` an adoption
     /// rebuilds. The source of Fig. 1(b).
@@ -88,8 +81,6 @@ impl<V, E> Machine<V, E> {
             globals: GlobalRegistry::new(),
             snapshots: 0,
             updates_local: 0,
-            peer_updates: vec![0; m],
-            last_snap_updates: 0,
             update_counts: vec![0; lg.total_vertices() as usize],
             timeline: Vec::new(),
             straggled: false,
@@ -115,7 +106,7 @@ impl<V, E> Machine<V, E> {
     /// Length of a table with one slot per machine, the dead included. Never
     /// a quorum: barriers ask the tracker.
     pub fn slots(&self) -> usize {
-        self.peer_updates.len()
+        self.rec.slots()
     }
 
     /// Single send point for all engine traffic (see
@@ -199,36 +190,6 @@ impl<V, E> Machine<V, E> {
         cap > 0 && updates >= cap
     }
 
-    /// Records that `peer` reported `updates` executed so far.
-    pub fn note_peer_updates(&mut self, peer: MachineId, updates: u64) {
-        let slot = &mut self.peer_updates[peer.index()];
-        *slot = (*slot).max(updates);
-    }
-
-    /// A message-driven view of the cluster-wide update count: this
-    /// machine's own plus the highest each peer reported — a lower bound on
-    /// the true total, and the same over TCP as on SimNet (the
-    /// process-shared `LiveCounters` only ever hold the machines of this
-    /// process). The locking engine's master drives its triggers by it; the
-    /// chromatic engine, whose machines must all count alike, reads each
-    /// cycle's partials instead.
-    pub fn observed_updates(&self) -> u64 {
-        self.updates_local + self.peer_updates.iter().sum::<u64>()
-    }
-
-    /// The id of the checkpoint to start now, if the configured interval
-    /// of [`Self::observed_updates`] has passed since the last trigger; the
-    /// window then restarts. The caller first rules out what only its
-    /// engine knows (a snapshot in progress).
-    pub fn snapshot_due(&mut self) -> Option<u64> {
-        let updates = self.observed_updates();
-        let due = self.setup.config.snapshot.due(self.snapshots, updates.saturating_sub(self.last_snap_updates));
-        due.then(|| {
-            self.last_snap_updates = updates;
-            self.snapshots
-        })
-    }
-
     /// Aggregate-driven termination (§3.5): the stop predicate over the
     /// globals as they stand — the locking master asks right after
     /// finalizing them, and a locking worker right after applying them.
@@ -271,13 +232,10 @@ impl<V, E> Machine<V, E> {
     /// The machine's share of a reset of all volatile state (a crash, a
     /// rollback, an adoption), applied by [`crate::recovery`] beside
     /// `RecoveryHost::reset_engine_state`: nothing of an interrupted update
-    /// survives, and the snapshot window restarts from the counts as they
-    /// stand (they are cumulative and never reset, which is what makes
-    /// stale reports idempotent).
+    /// or checkpoint survives.
     pub fn reset_engine_state(&mut self) {
         self.effects.clear();
         self.ckpt.clear();
-        self.last_snap_updates = self.observed_updates();
     }
 
     /// Books the recovery machine's verdict; `true` when it ends this
@@ -319,7 +277,6 @@ impl<V, E> Machine<V, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SnapshotConfig, SnapshotMode};
     use crate::driver::tests::scripted_machine;
     use graphlab_atoms::VertexPartition;
     use graphlab_graph::{GraphBuilder, VertexId};
@@ -357,47 +314,6 @@ mod tests {
         assert!(m.ends_run(Step::Abort("why".into())));
         let r = m.finish();
         assert_eq!((r.failed.as_deref(), r.dead, r.vrows.len()), (Some("why"), false, owned));
-    }
-
-    #[test]
-    fn the_snapshot_trigger_honours_its_config_and_restarts_its_window_after_a_reset() {
-        let mut m = machine0(InitialSchedule::AllVertices);
-        let every = |mode, every_updates, max_snapshots| SnapshotConfig { mode, every_updates, max_snapshots };
-        m.updates_local = 100;
-        for off in [
-            every(SnapshotMode::None, 10, 9),
-            every(SnapshotMode::Synchronous, 0, 9),
-            every(SnapshotMode::Asynchronous, 10, 0),
-        ] {
-            m.setup.config.snapshot = off;
-            assert_eq!((m.snapshot_due(), m.last_snap_updates), (None, 0), "{off:?}");
-        }
-
-        m.setup.config.snapshot = every(SnapshotMode::Synchronous, 40, 2);
-        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(0), 100));
-        assert_eq!(m.snapshot_due(), None, "the window restarted at the trigger");
-        m.note_peer_updates(MachineId(1), 39);
-        assert_eq!(m.snapshot_due(), None, "100 + 39: one short of the interval");
-        m.note_peer_updates(MachineId(1), 40);
-        m.note_peer_updates(MachineId(1), 5); // a stale report never lowers the total
-        assert_eq!(m.observed_updates(), 140);
-        m.snapshots = 1; // the first checkpoint was written meanwhile
-        assert_eq!((m.snapshot_due(), m.last_snap_updates), (Some(1), 140));
-
-        // A rollback to checkpoint 0 re-bases the window on the counts as
-        // they stand: they are cumulative and were not rolled back.
-        m.updates_local = 200;
-        m.effects.dirty_self = true;
-        m.reset_engine_state();
-        m.snapshots = 1;
-        assert_eq!((m.last_snap_updates, m.effects.dirty_self), (240, false));
-        m.updates_local = 239;
-        assert_eq!(m.snapshot_due(), None);
-        m.updates_local = 240;
-        assert_eq!(m.snapshot_due(), Some(1));
-        m.snapshots = 2;
-        m.updates_local = 1_000;
-        assert_eq!(m.snapshot_due(), None, "max_snapshots reached");
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! during commit must reach the owner before the [`ReleaseMsg`] that
 //! unlocks the scope, and every channel flush or cut is a marker barrier —
 //! once a machine holds a peer's marker ([`ChromKind::Flush`],
-//! [`LockKind::SnapSyncFlush`], [`LockKind::SnapStart`] under
-//! Chandy–Lamport, [`RecoveryKind::FlushMark`], [`LockKind::Quiet`]), it
-//! holds everything that peer sent it before the marker.
+//! [`LockKind::SnapStart`], [`RecoveryKind::FlushMark`],
+//! [`LockKind::Quiet`]), it holds everything that peer sent it before the
+//! marker.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use graphlab_graph::{ConsistencyModel, EdgeId, MachineId, VertexId};
@@ -205,11 +205,15 @@ kinds! {
     /// `LockingMachine::handle`. 24 (the termination token before the quiet
     /// round), 34 (the asynchronous snapshot's own start, now
     /// [`LockKind::SnapStart`]: every machine reads the mode from its own
-    /// config), 35 (the asynchronous snapshot's own "part written" vote,
-    /// now [`LockKind::SnapDone`]), 36 (skipped when the background-sync
-    /// request landed at 37, never shipped) and 39 (headroom before the
-    /// recovery block) stay unassigned: a decoder for a recycled number
-    /// would misparse snapshots and traces recorded before the reuse.
+    /// config), 30, 31 and 33 (the synchronous snapshot's drained vote,
+    /// flush marker and the master's resume: a synchronous snapshot is the
+    /// [`LockKind::SnapStart`] marker cut taken with new chains paused, and
+    /// each machine resumes once its part is written), 35 (the asynchronous
+    /// snapshot's own "part written" vote, now [`LockKind::SnapDone`]), 36
+    /// (skipped when the background-sync request landed at 37, never
+    /// shipped) and 39 (headroom before the recovery block) stay
+    /// unassigned: a decoder for a recycled number would misparse snapshots
+    /// and traces recorded before the reuse.
     Lock(LockKind) {
         /// Lock chain request hop.
         Req = 20, "lock/req";
@@ -228,24 +232,14 @@ kinds! {
         /// Background sync globals (master → all): the finalized rows
         /// alone.
         SyncGlob = 28, "lock/sync-glob";
-        /// Snapshot start (the payload is the snapshot id), in the mode
-        /// every machine's config names: stop-and-flush (master → all)
-        /// suspends new lock chains; under Chandy–Lamport it is the marker
-        /// (all → all), each machine's own broadcast at its first.
+        /// Snapshot marker (all → all; the payload is the snapshot id), in
+        /// either mode: the master's at the trigger, every other machine's
+        /// own broadcast at the first one it receives. The sender's counted
+        /// work from before its capture is ahead of it on the channel.
         SnapStart = 29, "snap/start";
-        /// Synchronous snapshot — machine drained: no lock chain of its own
-        /// is left (machine → master; the payload is the snapshot id).
-        SnapSyncReady = 30, "snap/sync-ready";
-        /// Synchronous snapshot — channel marker (all → all; the payload is
-        /// the snapshot id): the master's once every survivor is drained, a
-        /// worker's on the first one it receives. The sender's counted work
-        /// is ahead of it on the channel.
-        SnapSyncFlush = 31, "snap/sync-flush";
         /// The machine's part of a snapshot written, in either mode
         /// (machine → master).
         SnapDone = 32, "snap/done";
-        /// Resume computation (master → all).
-        SnapResume = 33, "snap/resume";
         /// Background sync request (master → all); payload is the epoch.
         SyncReq = 37, "lock/sync-req";
         /// Counter-threshold update note (machine → master; the payload is
@@ -333,8 +327,8 @@ impl LockKind {
         use LockKind::*;
         match self {
             Req | ScopeData | Release | Sched => true,
-            Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapStart | SnapSyncReady
-            | SnapSyncFlush | SnapDone | SnapResume | Quiet | QuietReport => false,
+            Halt | HaltAck | SyncPart | SyncGlob | SyncReq | UpdNote | SnapStart | SnapDone
+            | Quiet | QuietReport => false,
         }
     }
 }
@@ -1131,7 +1125,7 @@ mod tests {
     /// unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 33] = [
+        const TABLE: [(u16, &str); 30] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (5, "chrom/sched"),
@@ -1146,10 +1140,7 @@ mod tests {
             (27, "lock/sync-part"),
             (28, "lock/sync-glob"),
             (29, "snap/start"),
-            (30, "snap/sync-ready"),
-            (31, "snap/sync-flush"),
             (32, "snap/done"),
-            (33, "snap/resume"),
             (37, "lock/sync-req"),
             (38, "lock/upd-note"),
             (40, "recover/ready"),

@@ -138,8 +138,8 @@ mod markers {
     use graphlab_graph::MachineId;
 
     /// Every barrier's record — the chromatic engine's flush rounds and
-    /// cycle-end votes, the locking engine's synchronous snapshot and
-    /// quiet round, the locking master's votes (quiet reports, snapshot
+    /// cycle-end votes, the locking engine's snapshot cut and quiet
+    /// round, the locking master's votes (quiet reports, snapshot
     /// votes, sync partials, halt acks), recovery's fault eras: per
     /// machine, the highest round it answered. A marker follows everything
     /// its sender sent before it on the channel, so the one question is
@@ -353,6 +353,12 @@ impl<W, G> RecoveryTracker<W, G> {
             Phase::FlushWait { .. } => RecoveryPhase::FlushWait,
             Phase::AdoptData { .. } => RecoveryPhase::AdoptData,
         }
+    }
+
+    /// One per machine, the dead included: the length of a per-machine
+    /// table. Never a quorum: barriers ask [`Self::holds`].
+    pub(crate) fn slots(&self) -> usize {
+        self.dead.len()
     }
 
     /// The latest fault era seen (0: no fault yet).

@@ -10,12 +10,12 @@
 //!   its sync partial leaves, with no vote and no resume (no peer sends
 //!   anything of the following cycle before it holds that partial). So a
 //!   checkpoint may be captured in the cycle that halts. The locking
-//!   engine runs a drain → marker flush → save → resume protocol: once
-//!   every machine is drained, each broadcasts a `SnapSyncFlush` marker
-//!   behind its last counted message and saves once it holds every
-//!   survivor's — the same FIFO barrier as the chromatic step's and
-//!   recovery's. Saving changes no datum and no version, so the
-//!   locking engine's ghost-cache table stays true across it.
+//!   engine takes the asynchronous cut below with new lock chains paused
+//!   on each machine from its save until its part is written: pause,
+//!   marker cut, and each machine resumes on its own (README, "Fault
+//!   tolerance", on this departure). Saving changes no datum and no
+//!   version, so the locking engine's ghost-cache table stays true across
+//!   it, in either mode.
 //! - **Asynchronous** (locking engine): Chandy–Lamport between machines,
 //!   over the per-channel FIFO links the lock chains use; the paper's Alg. 5
 //!   runs the same algorithm as an update function, one lock chain per
@@ -47,8 +47,8 @@
 //! checkpoint interval (Eq. 3).
 //!
 //! Every checkpoint is written through a [`CheckpointWriter`]: every
-//! snapshot saves every owned row into it at its capture (the asynchronous
-//! one also each pre-cut write-back's row), and each row is encoded once,
+//! snapshot saves every owned row into it at its capture (the locking
+//! engine's also each pre-cut write-back's row), and each row is encoded once,
 //! straight into the body of the file of its atom.
 //! [`write_snapshot_atoms`] feeds a whole [`SnapshotFile`] through the same
 //! writer.

@@ -674,6 +674,18 @@ fn chips_on_board(g: &DataGraph<u64, (u64, u64)>) -> u64 {
 /// in transit, and the run's fixpoint is the sequential engine's.
 #[test]
 fn async_snapshots_of_edge_chip_firing_conserve_every_chip() {
+    edge_chip_firing_checkpoints_hold_every_chip(SnapshotMode::Asynchronous);
+}
+
+/// The same for synchronous checkpoints: the locking engine takes the
+/// asynchronous cut with new chains paused, so the chains in flight at a
+/// capture still write back across it.
+#[test]
+fn sync_snapshots_of_edge_chip_firing_conserve_every_chip() {
+    edge_chip_firing_checkpoints_hold_every_chip(SnapshotMode::Synchronous);
+}
+
+fn edge_chip_firing_checkpoints_hold_every_chip(mode: SnapshotMode) {
     let (w, h) = (12, 12); // 264 edges
     let placed = [(0, 60), (77, 60), (143, 60)];
     let total: u64 = placed.iter().map(|&(_, c)| c).sum();
@@ -682,14 +694,14 @@ fn async_snapshots_of_edge_chip_firing_conserve_every_chip() {
     assert_eq!(chips_on_board(&seq), total);
     for machines in [2, 3] {
         for latency in [LatencyModel::ZERO, LatencyModel::ec2_like()] {
-            let cell = format!("{machines} machines at {latency:?}");
+            let cell = format!("{mode:?}, {machines} machines at {latency:?}");
             let mut dist = edge_chip_grid(w, h, &placed);
             let out = GraphLab::on(&mut dist)
                 .engine(EngineKind::Locking)
                 .machines(machines)
                 .latency(latency)
                 .snapshot(SnapshotConfig {
-                    mode: SnapshotMode::Asynchronous,
+                    mode,
                     every_updates: seq_updates / 8,
                     max_snapshots: 6,
                 })

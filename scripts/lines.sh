@@ -1,7 +1,8 @@
 #!/bin/sh
 # The figures ROADMAP's "Lines (after PR N)" paragraph quotes, the number
-# of wire kinds, the variants of the two protocols' alphabets
-# (`coord::Input`, `coord::Output`, `RecoveryPhase`), the exemption budget (`#[expect(clippy::disallowed_methods`
+# of wire kinds, the variants of the two protocols' alphabets and states
+# (`coord::Input`, `coord::Output`, `coord::Msg`, `coord::Part`,
+# `RecoveryPhase`), the exemption budget (`#[expect(clippy::disallowed_methods`
 # sites in `core` and `net`), the option count (the fields of `EngineConfig` and
 # `FaultPlan`, the variants of `SchedulerKind`, and the environment
 # switches: `env::var` / `env::var_os` reads in `core`, `net` and `atoms`)
@@ -76,6 +77,8 @@ printf '%-50s %6d\n' "FaultPlan fields" "$(members $net/fault.rs 'struct FaultPl
 printf '%-50s %6d\n' "SchedulerKind variants" "$(members $core/scheduler.rs 'enum SchedulerKind')"
 printf '%-50s %6d\n' "coord::Input variants" "$(members $core/coord.rs 'enum Input')"
 printf '%-50s %6d\n' "coord::Output variants" "$(members $core/coord.rs 'enum Output')"
+printf '%-50s %6d\n' "coord::Msg variants" "$(members $core/coord.rs 'enum Msg')"
+printf '%-50s %6d\n' "coord::Part variants" "$(members $core/coord.rs 'enum Part')"
 printf '%-50s %6d\n' "RecoveryPhase variants" "$(members $core/recovery.rs 'enum RecoveryPhase')"
 printf '%-50s %6d\n' "env::var/env::var_os reads in those three, non-test" \
     "$(matches_outside_tests 'env::var(_os)?\(' $core/*.rs $net/*.rs $atoms/*.rs)"
