@@ -89,8 +89,8 @@ pub struct EngineOutput {
     /// Run metrics.
     pub metrics: EngineMetrics,
     /// Final global values (typed, keyed by [`crate::GlobalHandle`]), from
-    /// machine 0: the locking engine's sync master; every chromatic machine
-    /// holds the same.
+    /// machine 0 (under [`Transport::Tcp`], this process's): every machine
+    /// holds the same, a locking worker by applying its sync master's.
     pub globals: GlobalRegistry,
     /// The simulated DFS used for atoms and snapshots (inspect snapshot
     /// files, restore checkpoints). Fresh and empty for sequential runs.

@@ -246,9 +246,9 @@ kinds! {
         /// the sender's cumulative local update count, a `u64`). Sent when
         /// the count crosses a granule of the finest configured trigger
         /// interval (background sync / snapshot cadence), and once more
-        /// with the exact count when the machine goes idle. All
-        /// sync/snapshot/halt triggers are driven by these notes, so an
-        /// idle cluster exchanges no control traffic at all. Never sent
+        /// with the exact count when the machine goes idle. The master's
+        /// sync and snapshot triggers read these notes (a quiet round ends
+        /// a run), so an idle cluster sends no control traffic. Never sent
         /// when no trigger is configured. Cumulative and therefore
         /// idempotent: the master keeps the max per sender, so duplicates,
         /// reordering across rollbacks (counts never reset) and a dead

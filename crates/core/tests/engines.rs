@@ -1113,9 +1113,8 @@ fn chromatic_over_tcp_matches_its_simnet_twin() {
 /// 10^22 in both signs, so a float sum of three partials taken in another
 /// order rounds otherwise. Over TCP each machine's `EngineOutput::globals`
 /// is its own registry: one thread per machine, as one process each would
-/// be.
-#[test]
-fn chromatic_machines_all_finalize_the_same_float_globals() {
+/// be. `tag` keeps concurrent runs' ids apart.
+fn machines_all_finalize_the_same_float_globals(engine: EngineKind, cadence: SyncCadence, tag: u64) {
     const SPREAD: GlobalHandle<Vec<f64>> = GlobalHandle::new(21);
     let term = |v: VertexId, d: &f64| {
         let sign = if v.0.is_multiple_of(2) { 1.0 } else { -1.0 };
@@ -1123,17 +1122,17 @@ fn chromatic_machines_all_finalize_the_same_float_globals() {
     };
     for n in 2..=4u16 {
         let peers = free_ports(n.into());
-        let run_id = u64::from(std::process::id()) << 16 | 0xF0 | u64::from(n);
+        let run_id = u64::from(std::process::id()) << 16 | tag << 8 | 0xF0 | u64::from(n);
         let machines: Vec<_> = (0..n)
             .map(|m| {
                 let config = TcpConfig::new(graphlab_graph::MachineId(m), peers.clone(), run_id);
                 std::thread::spawn(move || {
                     let mut graph = ring(24);
                     let out = GraphLab::on(&mut graph)
-                        .engine(EngineKind::Chromatic)
+                        .engine(engine)
                         .machines(n.into())
                         .seed(42)
-                        .sync(SPREAD, FnSync::new(1, term, |acc, _| acc), SyncCadence::Final)
+                        .sync(SPREAD, FnSync::new(1, term, |acc, _| acc), cadence)
                         .transport(Transport::Tcp(config))
                         .try_run(MaxDiffusion)
                         .expect("a clean run");
@@ -1142,8 +1141,21 @@ fn chromatic_machines_all_finalize_the_same_float_globals() {
             })
             .collect();
         let bits: Vec<Vec<u64>> = machines.into_iter().map(|m| m.join().expect("machine thread")).collect();
-        assert!(bits.iter().all(|b| *b == bits[0]), "{n} machines: {bits:x?}");
+        assert!(bits.iter().all(|b| *b == bits[0]), "{engine:?}, {cadence:?}, {n} machines: {bits:x?}");
     }
+}
+
+#[test]
+fn chromatic_machines_all_finalize_the_same_float_globals() {
+    machines_all_finalize_the_same_float_globals(EngineKind::Chromatic, SyncCadence::Final, 0);
+}
+
+/// The locking engine's final epoch, and its background epochs every 8
+/// updates before it.
+#[test]
+fn locking_machines_all_finalize_the_same_float_globals() {
+    machines_all_finalize_the_same_float_globals(EngineKind::Locking, SyncCadence::Final, 1);
+    machines_all_finalize_the_same_float_globals(EngineKind::Locking, SyncCadence::Updates(8), 2);
 }
 
 /// A peer that never comes up ends `try_run` in an `Err` at the mesh
