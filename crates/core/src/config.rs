@@ -153,7 +153,8 @@ pub struct EngineConfig {
     /// only when idle past half the period) and the master declares a
     /// machine dead when its lease expires — the detector that works on
     /// real TCP, where there is no fault-fabric oracle. `None` disables
-    /// the detector on SimNet; TCP runs default it on (2 s period).
+    /// the detector on SimNet; TCP runs default it on
+    /// ([`graphlab_net::TCP_LEASE`]).
     pub lease: Option<Duration>,
     /// Safety cap on total updates (0 = unlimited). Reaching it drops every
     /// machine's tasks; the run ends once the work in flight has finished.

@@ -229,14 +229,11 @@ where
     );
 
     // Over real sockets a crashed peer never announces itself — lease
-    // expiry is the only failure detector, so it defaults on. The period
-    // is clamped to the transport's floor: below it, a peer blocked in one
-    // reconnect stall looks dead and the master adopts live machines.
+    // expiry is the only failure detector, so it defaults on.
     let config = &{
         let mut c = config.clone();
         if matches!(c.transport, Transport::Tcp(_)) {
-            let period = c.lease.unwrap_or(graphlab_net::MIN_TCP_LEASE);
-            c.lease = Some(period.max(graphlab_net::MIN_TCP_LEASE));
+            c.lease.get_or_insert(graphlab_net::TCP_LEASE);
         }
         c
     };

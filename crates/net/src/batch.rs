@@ -139,8 +139,10 @@ pub struct Batcher {
     lease: Option<LeaseState>,
     /// Machines known *permanently* dead: traffic to them is dropped at
     /// the wire hop. On the sim fabric the drop merely mirrors what the
-    /// fabric does anyway; on TCP it is what keeps a survivor from
-    /// stalling in 2-second redials towards a vanished process. Survives
+    /// fabric does anyway; on TCP it keeps a survivor from writing to a
+    /// peer that no longer reads: once the stream's send buffer fills, a
+    /// write to a host that vanished without a reset blocks until TCP
+    /// itself gives up. Survives
     /// [`Batcher::clear`] — permanent deaths are cluster-durable facts.
     fenced: Vec<bool>,
 }

@@ -2,7 +2,7 @@
 //! in the two crates' shipped code is [`now`] or [`sleep`], and clippy refuses
 //! `Instant::now`, `Instant::elapsed` and `thread::sleep` anywhere else.
 //! Reading it is sound because time decides only *when* something happens (a
-//! delivery, a heartbeat, an expiry, a redial, a timeout) and how long a phase
+//! delivery, a heartbeat, an expiry, a dial retry, a timeout) and how long a phase
 //! took, never *what* crosses the wire: no timestamp enters a payload or a
 //! checkpoint, and message order is pinned by per-channel
 //! FIFO. A state machine that decides on time takes `now` as an argument

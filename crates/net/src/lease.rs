@@ -17,8 +17,9 @@
 //! This is what makes recovery transport-independent: on [`crate::SimNet`]
 //! the fabric's oracle notification becomes a test-only ground truth the
 //! chaos suite checks the detector *against*, and on [`crate::tcp::TcpNet`]
-//! — where a crashed peer otherwise only ever surfaces as reconnect
-//! timeouts — lease expiry is the *only* detector.
+//! — where a crashed peer otherwise only ever surfaces as a failed write,
+//! which silently ends that one channel — lease expiry is the *only*
+//! detector.
 //!
 //! A lease is a promise about real time: [`LeaseState`] decides on the
 //! `now` its caller reads from [`crate::clock`], and only whether a

@@ -52,16 +52,16 @@
 //! - **No cross-channel ordering**: distinct channels interleave freely.
 //!
 //! Engine protocols may (and do) rely on per-channel ordering: the
-//! locking engine's schedule-before-release invariant, the asynchronous
-//! Chandy–Lamport snapshot marker, and the four channel flushes
-//! — the chromatic step barrier, the synchronous snapshot's, recovery's
-//! and the locking engine's termination round — which are marker barriers
-//! with no message counts: a peer's marker proves everything it sent
-//! before it has arrived. That assumes **reliable** per-channel FIFO
-//! between live machines. `SimNet` enforces
-//! it with its deliver-at clamp (see [`cluster`]); `TcpNet` gets it from
-//! TCP itself by dedicating one stream to each ordered (src, dst) pair
-//! (see [`tcp`]), except across a redial, which is outside the contract.
+//! locking engine's schedule-before-release invariant, the Chandy–Lamport
+//! snapshot cut (both snapshot modes), and the three channel flushes
+//! — the chromatic step barrier, recovery's and the locking engine's
+//! termination round — which are marker barriers with no message counts:
+//! a peer's marker proves everything it sent before it has arrived. That
+//! assumes **reliable** per-channel FIFO between live machines. `SimNet`
+//! enforces it with its deliver-at clamp (see [`cluster`]); `TcpNet` gets
+//! it from TCP itself by dedicating one stream, dialled once, to each
+//! ordered (src, dst) pair (see [`tcp`]). A stream that breaks ends its
+//! channel, so a receiver holds a FIFO prefix of what was sent.
 //!
 //! ## Wire format
 //!
@@ -147,5 +147,5 @@ pub use codec::{decode_from, encode_to_bytes, Codec};
 pub use fault::{DownMsg, FaultPlan, FaultTrigger, UpMsg};
 pub use latency::LatencyModel;
 pub use lease::{LeaseConfig, LeaseMsg, LeaseState};
-pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpNet, MIN_TCP_LEASE};
+pub use tcp::{mesh_established, shutdown_active, TcpConfig, TcpNet, TCP_LEASE};
 pub use transport::{Endpoint, Transport};

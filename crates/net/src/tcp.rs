@@ -13,24 +13,28 @@
 //! carrying `(magic, version, machine id, cluster size, run id)`; the
 //! accept side validates all five and answers with a one-byte ACK before
 //! either side puts engine traffic on the wire, so a stray process from
-//! another run (or another cluster size) is rejected at the door.
+//! another run (or another cluster size) is rejected at the door. It ACKs
+//! exactly one stream from each *other* machine — a second stream from a
+//! peer, or one that names the receiver itself, gets none — and then
+//! closes its listener.
 //!
 //! Failure semantics are deliberately thinner than the sim fabric's: there
-//! is no fault plan, no latency model and no delivery oracle. A send that
-//! hits a broken stream redials the peer once (reconnect-on-transient-
-//! error) and otherwise drops the message — exactly what a crashed peer
-//! looks like from the outside. Deterministic chaos testing stays on
-//! [`SimNet`]; `TcpNet` is the honest-wall-clock twin.
+//! is no fault plan, no latency model and no delivery oracle. A channel is
+//! one stream, dialled once at mesh setup: a write that fails ends the
+//! channel for the rest of the run, and later sends on it are dropped —
+//! exactly what a crashed peer looks like from the outside. Deterministic
+//! chaos testing stays on [`SimNet`]; `TcpNet` is the honest-wall-clock
+//! twin.
 //!
-//! The redial path is outside the per-channel FIFO contract the engines'
-//! marker barriers (the chromatic step, the synchronous snapshot,
-//! recovery's `FlushMark`), schedule-before-release and the Chandy–Lamport
-//! snapshot rely on: a
-//! frame can be lost with a broken stream, and the old and new streams'
-//! reader threads can each deliver into the inbox. A peer whose stream
-//! broke is the lease's matter (a peer death), not the barriers'. (Until
-//! PR 25 the chromatic step counted its messages and would have noticed a
-//! lost frame, as a 30 s stall; a marker does not.)
+//! So the per-channel FIFO contract holds with no exception: a channel's
+//! receiver always holds a FIFO prefix of what was sent on it, and a marker
+//! that arrives vouches for everything sent before it. That is what the
+//! engines' marker barriers (the chromatic step, recovery's `FlushMark`,
+//! the locking engine's quiet round), schedule-before-release and the
+//! Chandy–Lamport snapshot cut rely on. A peer that dies is the lease's
+//! matter: its expiry is the only failure detector over sockets. A stream
+//! that breaks between two live machines stalls the barrier that waits on
+//! it; no barrier passes with a hole.
 //!
 //! Traffic accounting matches the sim fabric byte for byte: sends charge
 //! [`Envelope::wire_bytes`] (payload + the same [`crate::cluster::HEADER_BYTES`]
@@ -72,18 +76,10 @@ const ACK: u8 = 0xA5;
 /// treated as stream corruption and the connection is dropped.
 const MAX_FRAME: usize = 256 * 1024 * 1024;
 
-/// How long a mid-run reconnect attempt may take before the message is
-/// declared lost (initial mesh setup uses [`TcpConfig::connect_timeout`]).
-const RECONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Smallest safe lease period over this transport. A send to an
-/// unresponsive peer can block the engine thread for a full
-/// `RECONNECT_TIMEOUT` before the link's fail-fast probation kicks in,
-/// and during that stall the machine cannot refresh its own lease. A lease
-/// shorter than a couple of those windows turns ordinary redial stalls
-/// into false-positive deaths — the master then "adopts" machines that
-/// are still alive. The driver clamps any configured period up to this.
-pub const MIN_TCP_LEASE: Duration = Duration::from_secs(5);
+/// The lease period of a run over this transport whose config names none:
+/// a crashed peer never announces itself over sockets, so lease expiry,
+/// the only failure detector, is on by default.
+pub const TCP_LEASE: Duration = Duration::from_secs(5);
 
 /// Configuration of one machine's TCP transport.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,10 +168,11 @@ pub struct TcpNet {
 
 impl TcpNet {
     /// Builds this machine's side of the mesh: binds `peers[machine]`,
-    /// accepts and validates incoming connections in the background, and
-    /// dials every peer (retrying until `connect_timeout`) with the
-    /// handshake. Returns once all outgoing connections are established —
-    /// incoming ones complete asynchronously as peers dial in.
+    /// accepts and validates one incoming stream from each other machine
+    /// in the background, and dials every peer (retrying until
+    /// `connect_timeout`) with the handshake. Returns once all outgoing
+    /// connections are established — incoming ones complete
+    /// asynchronously as peers dial in.
     pub fn connect(cfg: &TcpConfig) -> io::Result<(TcpNet, Endpoint)> {
         let n = cfg.peers.len();
         let me = cfg.machine;
@@ -196,7 +193,7 @@ impl TcpNet {
         let net = TcpNet { shared: Arc::clone(&shared), threads };
 
         // Acceptor: validates handshakes and spawns one reader per incoming
-        // stream, for the life of the transport (reconnects re-enter here).
+        // stream, until every other machine has one.
         {
             let shared = Arc::clone(&shared);
             let stats = Arc::clone(&stats);
@@ -204,7 +201,7 @@ impl TcpNet {
             let run_id = cfg.run_id;
             let acceptor = std::thread::Builder::new()
                 .name(format!("tcp-accept-{me}"))
-                .spawn(move || accept_loop(listener, me, n as u16, run_id, stats, inbox_tx, shared))
+                .spawn(move || accept_peers(listener, me, n as u16, run_id, stats, inbox_tx, shared))
                 .expect("spawn tcp acceptor");
             net.threads.lock().push(acceptor);
         }
@@ -222,7 +219,7 @@ impl TcpNet {
             outs.push(Mutex::new(OutLink::new(Some(s))));
         }
 
-        let link = TcpLink { run_id: cfg.run_id, peers: cfg.peers.clone(), outs, shared };
+        let link = TcpLink { outs };
         let ep = Endpoint::new(me, n, stats, rx, inbox_tx, Link::Tcp(link));
         MESH_UP.store(true, Ordering::SeqCst);
         Ok((net, ep))
@@ -248,73 +245,38 @@ impl Drop for TcpNet {
     }
 }
 
-/// Outgoing link to one peer: the live stream (if any) plus the fail-fast
-/// probation marker set when a redial burns its full deadline.
+/// Outgoing link to one peer: its stream until a write on it fails (or
+/// none, for this machine itself).
 struct OutLink {
     stream: Option<TcpStream>,
-    /// After a failed redial, sends to this peer drop immediately until
-    /// this instant instead of dialling again. Without the probation a
-    /// dead peer costs every send a full `RECONNECT_TIMEOUT` stall,
-    /// which blocks the engine thread long enough to starve its own lease
-    /// heartbeats — the master then declares *live* machines dead.
-    retry_after: Option<Instant>,
     /// The frame being written (header + payload, one `write`), reused.
     frame: Vec<u8>,
 }
 
 impl OutLink {
     fn new(stream: Option<TcpStream>) -> Self {
-        OutLink { stream, retry_after: None, frame: Vec::new() }
+        OutLink { stream, frame: Vec::new() }
     }
 }
 
 /// How an envelope leaves a [`TcpNet`] machine: the [`Endpoint`]'s link
 /// over real sockets, one outgoing stream per peer.
 pub(crate) struct TcpLink {
-    run_id: u64,
-    peers: Vec<String>,
     outs: Vec<Mutex<OutLink>>,
-    shared: Arc<TcpShared>,
 }
 
 impl TcpLink {
     /// Writes `env` (already charged, bound for another machine) to its
-    /// peer's stream. A broken stream is redialled once (with a fresh
-    /// handshake); if that also fails the message is dropped — the peer is
-    /// gone — and the link enters a fail-fast probation: further sends drop
-    /// immediately (no dial, no stall) until `RECONNECT_TIMEOUT` has
-    /// passed, so a dead peer costs the caller at most one redial deadline
-    /// per probation window.
+    /// peer's stream. A write that fails ends the channel: the stream is
+    /// dropped for the rest of the run, and this and every later message
+    /// to the peer with it, so what the peer received stays a FIFO prefix
+    /// of what was sent.
     pub(crate) fn send(&self, env: Envelope) {
-        let dst = env.dst.index();
-        let mut out = self.outs[dst].lock();
-        let OutLink { stream, frame, .. } = &mut *out;
-        let sent = match stream {
-            Some(s) => write_frame(s, &env, frame).is_ok(),
-            None => false,
-        };
-        if sent {
-            return;
+        let mut out = self.outs[env.dst.index()].lock();
+        let OutLink { stream, frame } = &mut *out;
+        if stream.as_mut().is_some_and(|s| write_frame(s, &env, frame).is_err()) {
+            *stream = None;
         }
-        out.stream = None;
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = clock::now();
-        if out.retry_after.is_some_and(|t| now < t) {
-            return; // peer recently unreachable: fail fast, drop the message
-        }
-        let deadline = now + RECONNECT_TIMEOUT;
-        let n = self.peers.len() as u16;
-        if let Ok(mut s) = dial(&self.peers[dst], env.src, n, self.run_id, deadline) {
-            if write_frame(&mut s, &env, &mut out.frame).is_ok() {
-                self.shared.register(&s);
-                out.stream = Some(s);
-                out.retry_after = None;
-                return;
-            }
-        }
-        out.retry_after = Some(clock::now() + RECONNECT_TIMEOUT);
     }
 }
 
@@ -373,8 +335,10 @@ fn reader_loop(
     }
 }
 
-/// Accepts, validates and wires up incoming connections until shutdown.
-fn accept_loop(
+/// Accepts and validates one incoming stream from each other machine and
+/// starts its reader; a second stream from a peer, or one naming this
+/// machine, gets no ACK. Then drops the listener and joins the readers.
+fn accept_peers(
     listener: TcpListener,
     me: MachineId,
     n: u16,
@@ -383,35 +347,37 @@ fn accept_loop(
     inbox_tx: Sender<Envelope>,
     shared: Arc<TcpShared>,
 ) {
+    let mut accepted = vec![false; usize::from(n)];
+    accepted[me.index()] = true;
     let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut s, _)) => {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                match read_handshake(&mut s, n, run_id) {
-                    Ok(src) => {
-                        if s.write_all(&[ACK]).is_err() {
-                            continue;
-                        }
-                        let _ = s.set_read_timeout(None);
-                        shared.register(&s);
-                        let stats = Arc::clone(&stats);
-                        let tx = inbox_tx.clone();
-                        let h = std::thread::Builder::new()
-                            .name(format!("tcp-read-{me}-from-{src}"))
-                            .spawn(move || reader_loop(s, src, me, stats, tx))
-                            .expect("spawn tcp reader");
-                        readers.push(h);
-                    }
-                    Err(_) => drop(s), // wrong magic/version/run/size: reject
-                }
-            }
-            Err(_) => clock::sleep(Duration::from_millis(2)), // none pending, or a transient error
+    while accepted.contains(&false) && !shared.shutdown.load(Ordering::SeqCst) {
+        let Ok((mut s, _)) = listener.accept() else {
+            clock::sleep(Duration::from_millis(2)); // none pending, or a transient error
+            continue;
+        };
+        let _ = s.set_nodelay(true);
+        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+        let src = match read_handshake(&mut s, n, run_id) {
+            Ok(src) if !accepted[src.index()] => src,
+            _ => continue, // wrong magic/version/run/size, this machine or a second stream: reject
+        };
+        if s.write_all(&[ACK]).is_err() {
+            continue;
         }
+        accepted[src.index()] = true;
+        let _ = s.set_read_timeout(None);
+        shared.register(&s);
+        let stats = Arc::clone(&stats);
+        let tx = inbox_tx.clone();
+        let h = std::thread::Builder::new()
+            .name(format!("tcp-read-{me}-from-{src}"))
+            .spawn(move || reader_loop(s, src, me, stats, tx))
+            .expect("spawn tcp reader");
+        readers.push(h);
     }
-    // Readers exit on EOF or forced close; TcpNet::drop has closed every
-    // registered stream by the time the acceptor sees the latch.
+    drop(listener);
+    // Readers exit on EOF or forced close: TcpNet::drop closes every
+    // registered stream.
     for h in readers {
         let _ = h.join();
     }
@@ -472,5 +438,89 @@ fn retry_until<T>(deadline: Instant, mut attempt: impl FnMut() -> io::Result<T>)
             Err(_) if clock::now() < deadline => clock::sleep(Duration::from_millis(25)),
             result => return result,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Each test plays machine 1 of a 2-machine mesh with raw streams
+    //! against a real `TcpNet` machine 0.
+
+    use super::*;
+
+    const RUN: u64 = 0x0051;
+
+    /// Machine 0's transport, the address it listens on, the fake machine
+    /// 1's listener and the stream machine 0 dialled into it.
+    struct Mesh {
+        ep: Endpoint,
+        _net: TcpNet,
+        addr0: String,
+        listener1: TcpListener,
+        from0: TcpStream,
+    }
+
+    /// Starts machine 0 and answers its dial as machine 1.
+    fn machine_0_against_a_fake_machine_1() -> Mesh {
+        let addr0 = TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr()).expect("a free port");
+        let listener1 = TcpListener::bind("127.0.0.1:0").expect("a free port");
+        let addr1 = listener1.local_addr().expect("bound");
+        let cfg = TcpConfig::new(MachineId(0), vec![addr0.to_string(), addr1.to_string()], RUN);
+        let machine0 = std::thread::spawn(move || TcpNet::connect(&cfg));
+        let (mut from0, _) = listener1.accept().expect("machine 0 dials machine 1");
+        let mut hs = [0u8; 16];
+        from0.read_exact(&mut hs).expect("handshake");
+        assert_eq!(hs, handshake_bytes(MachineId(0), 2, RUN));
+        from0.write_all(&[ACK]).expect("ACK");
+        let (net, ep) = machine0.join().expect("no panic").expect("mesh up");
+        Mesh { ep, _net: net, addr0: addr0.to_string(), listener1, from0 }
+    }
+
+    /// Opens a stream to `addr` with handshake `hs`; the stream, if it was
+    /// ACKed.
+    fn dial_as(addr: &str, hs: [u8; 16]) -> Option<TcpStream> {
+        let mut s = TcpStream::connect(addr).ok()?;
+        s.set_read_timeout(Some(Duration::from_secs(2))).expect("set timeout");
+        let mut ack = [0u8; 1];
+        (s.write_all(&hs).is_ok() && s.read_exact(&mut ack).is_ok() && ack[0] == ACK).then_some(s)
+    }
+
+    #[test]
+    fn a_broken_stream_ends_its_channel_without_a_redial() {
+        let m = machine_0_against_a_fake_machine_1();
+        let _to0 = dial_as(&m.addr0, handshake_bytes(MachineId(1), 2, RUN)).expect("machine 0 ACKs machine 1");
+        drop(m.from0);
+        // The first write after the close may still land in the socket
+        // buffer; the peer's reset fails a later one.
+        let t0 = clock::now();
+        for _ in 0..10 {
+            m.ep.send(MachineId(1), 7, Bytes::from_static(b"after the close"));
+            clock::sleep(Duration::from_millis(5));
+        }
+        let took = clock::now() - t0;
+        m.listener1.set_nonblocking(true).expect("nonblocking");
+        let redialled = m.listener1.accept().is_ok();
+        assert!(
+            took < Duration::from_secs(1) && !redialled,
+            "ten sends took {took:?}; machine 0 dialled machine 1 again: {redialled}"
+        );
+    }
+
+    #[test]
+    fn a_second_stream_from_a_peer_gets_no_ack() {
+        let m = machine_0_against_a_fake_machine_1();
+        let hs = handshake_bytes(MachineId(1), 2, RUN);
+        let _to0 = dial_as(&m.addr0, hs).expect("machine 0 ACKs machine 1");
+        assert!(dial_as(&m.addr0, hs).is_none(), "machine 0 ACKed a second stream from machine 1");
+    }
+
+    #[test]
+    fn a_handshake_naming_the_receiver_gets_no_ack() {
+        let m = machine_0_against_a_fake_machine_1();
+        assert!(
+            dial_as(&m.addr0, handshake_bytes(MachineId(0), 2, RUN)).is_none(),
+            "machine 0 ACKed a stream from itself"
+        );
+        assert!(dial_as(&m.addr0, handshake_bytes(MachineId(1), 2, RUN)).is_some(), "machine 0 ACKs machine 1");
     }
 }
