@@ -1553,6 +1553,84 @@ fn phases() {
     println!("   --machines 4 --engine both --check --bench BENCH_tcp_smoke.json`)");
 }
 
+// ---------------------------------------------------------------- rounds
+
+/// The median and the extremes of `xs`.
+fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
+}
+
+/// What a protocol round costs where latency is not zero: both distributed
+/// engines on dynamic PageRank at 2, 4 and 8 machines, with no latency and
+/// with `ec2_like()`, five runs a cell. A round is invisible at zero
+/// latency, so a change that removes one shows in the `ec2_like()` rows.
+fn rounds() {
+    banner(
+        "rounds",
+        "round latency: both engines x {2, 4, 8} machines x {zero, EC2-like} latency, dynamic PageRank",
+        "the network, not the update, bounds PageRank's scaling on EC2 (Fig. 6); each barrier round costs a latency",
+    );
+    const RUNS: usize = 5;
+    let mut base = web_graph(20_000, 4, 42);
+    init_ranks(&mut base);
+    let mut t = Table::new(&[
+        "engine", "machines", "latency", "runtime median", "min", "max", "net-wait share",
+        "net-wait s", "bytes/update", "msgs/update", "updates", "steps",
+    ]);
+    for (engine, name) in [(EngineKind::Chromatic, "chromatic"), (EngineKind::Locking, "locking")] {
+        for machines in [2, 4, 8] {
+            for (label, model) in [("zero", LatencyModel::ZERO), ("ec2_like", LatencyModel::ec2_like())] {
+                let (mut runtime, mut share, mut wait) = (Vec::new(), 0.0, 0.0);
+                let (mut bytes, mut msgs, mut updates, mut steps) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                for _ in 0..RUNS {
+                    let mut g = base.clone();
+                    let m = GraphLab::on(&mut g)
+                        .engine(engine)
+                        .machines(machines)
+                        .latency(model)
+                        .seed(42)
+                        .run(PageRank { alpha: 0.15, epsilon: 1e-9, dynamic: true })
+                        .metrics;
+                    let n = m.updates.max(1) as f64;
+                    runtime.push(m.runtime.as_secs_f64());
+                    for p in &m.phases {
+                        share += p.net_wait.as_secs_f64() / p.total().as_secs_f64().max(1e-9);
+                        wait += p.net_wait.as_secs_f64();
+                    }
+                    bytes.push(m.bytes_sent_per_machine.iter().sum::<u64>() as f64 / n);
+                    msgs.push(m.total_messages as f64 / n);
+                    updates.push(m.updates as f64);
+                    steps.push(m.steps as f64);
+                }
+                let per_machine = (RUNS * machines) as f64;
+                let (rt, lo, hi) = median_min_max(runtime);
+                t.row(vec![
+                    name.into(),
+                    format!("{machines}"),
+                    label.into(),
+                    format!("{rt:.3}"),
+                    format!("{lo:.3}"),
+                    format!("{hi:.3}"),
+                    format!("{:.3}", share / per_machine),
+                    format!("{:.3}", wait / per_machine),
+                    format!("{:.2}", median_min_max(bytes).0),
+                    format!("{:.4}", median_min_max(msgs).0),
+                    format!("{}", median_min_max(updates).0),
+                    if engine == EngineKind::Chromatic {
+                        format!("{}", median_min_max(steps).0)
+                    } else {
+                        "-".into()
+                    },
+                ]);
+            }
+        }
+    }
+    t.print();
+    println!("  (runtime and net-wait in seconds; net-wait is the mean over machines and runs, and");
+    println!("   the other columns are medians over the runs)");
+}
+
 // ---------------------------------------------------------------- driver
 
 fn main() {
@@ -1588,6 +1666,7 @@ fn main() {
         ("abl-priority", abl_priority),
         ("abl-partition", abl_partition),
         ("phases", phases),
+        ("rounds", rounds),
     ];
     match exp {
         "all" => {
