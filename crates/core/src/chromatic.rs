@@ -12,9 +12,7 @@
 //! `(step, phase)` tag once, then rows back to back — which goes on the
 //! wire when it reaches `BLOCK_BYTES` (so communication still overlaps
 //! the step), when a row of another `(step, phase)` joins its slot, and at
-//! the latest when the round ends. Remote scheduling requests are a *set*
-//! per owner (duplicates merge, as in the local queues) sent once when the
-//! step has executed.
+//! the latest when the round ends.
 //!
 //! A row's role is the receiver's ownership of its datum (§4.2.1: a
 //! writer's change goes to the owner, who passes it to every other
@@ -22,18 +20,17 @@
 //! version; one that reaches the owner is a write-back, applied and
 //! bumped, and a vertex's is forwarded to every mirror but its writer.
 //!
-//! The barrier is two rounds of FIFO markers, like recovery's `FlushMark`;
-//! step `s`'s rounds are `2·s` and `2·s + 1`, and a `Flush` marker carries
-//! its round. After executing its part of the step, every machine sends
-//! every other machine its marker of round `2·s` behind its blocks and
-//! task sets; write-backs applied during that round may trigger forwards
-//! to other mirrors, which go out ahead of its marker of round `2·s + 1`.
-//! Per-channel FIFO makes a peer's marker proof that everything it sent in
-//! the round has arrived, so a machine enters the next colour-step once it
-//! holds every surviving peer's markers and all modifications are visible
-//! before the next colour begins. The one invariant: **no row outlives its
-//! round's marker** — `flush_round` closes every block before it sends
-//! the markers.
+//! The barrier is rounds of FIFO markers, like recovery's `FlushMark`. A
+//! round's end is one message to each peer, the `(step, phase)`-tagged
+//! *set* of its vertices the step scheduled (duplicates merge, as in the
+//! local queues; often empty). Outside full consistency one round, `s`,
+//! ends step `s`; under full consistency, the one model with vertex
+//! write-backs, those applied in round `2·s` are forwarded to the other
+//! mirrors ahead of round `2·s + 1`'s empty ends. Per-channel FIFO makes a
+//! peer's round end proof that all it sent in the round has arrived, so a
+//! machine enters the next colour-step once it holds every surviving
+//! peer's. The one invariant: **no row outlives its round's end** —
+//! `flush_round` closes every block before the task sets.
 //!
 //! Between colour *cycles* (one pass over all colours) every machine
 //! broadcasts its sync partial, its vote of round `cycle` in a second
@@ -58,7 +55,7 @@ use std::time::Duration;
 
 use bytes::{BufMut, BytesMut};
 use graphlab_atoms::LocalGraphInit;
-use graphlab_graph::{EdgeId, MachineId, VertexId};
+use graphlab_graph::{ConsistencyModel, EdgeId, MachineId, VertexId};
 use graphlab_net::codec::Codec;
 use graphlab_net::{Endpoint, Envelope, RecvError};
 
@@ -104,15 +101,8 @@ struct Block {
     buf: BytesMut,
 }
 
-/// The flush round of a `(step, phase)` tag, numbered in the order the
-/// machines run them.
-fn round((step, phase): (u64, u8)) -> u64 {
-    2 * step + phase as u64
-}
-
-/// Unwinds the BSP call stack to the top-level run loop with the recovery
-/// step that preempted it (`Continue` = a round is in progress). The
-/// protocol itself is event-driven and lives in [`crate::recovery`].
+/// Unwinds the BSP call stack to the run loop with the [`crate::recovery`]
+/// step that preempted it (`Continue` = a round is in progress).
 struct Interrupt(Step);
 
 pub(crate) struct ChromaticMachine<V, E, U: ?Sized> {
@@ -139,16 +129,19 @@ struct Volatile {
     queued: Vec<bool>,
     pending_total: u64,
     /// The tasks the running step's updates scheduled on each other
-    /// machine's vertices (local ids), sent as one set when it ends. Every
-    /// scheduled neighbour has another colour and runs in a later step
-    /// either way, so the set executed in each step is what per-update
-    /// forwarding gave.
+    /// machine's vertices (local ids): one set ends its first round, and
+    /// runs in a later step, as per-update forwarding's did.
     remote_tasks: Vec<Vec<u32>>,
 
     step: u64,
-    /// Flush markers received, by round `2·step + phase`. A peer runs at
-    /// most one round ahead, and its marker of the next round implies the
-    /// current one's.
+    /// Steps executed since the (re)start: `step + 1` once `step` has run.
+    done: u64,
+    /// Tasks of step `done` from a peer one step ahead, enqueued once it has
+    /// run: under vertex consistency's one colour they would run in it.
+    early: Vec<u32>,
+    /// Rounds' ends received (a peer's task set of the round), by round
+    /// `rounds·step + phase`. A peer runs at most one round ahead, and its
+    /// end of the next round implies the current one's.
     marks: Markers,
     /// Colour cycles completed since the BSP machinery (re)started.
     cycle: u64,
@@ -161,13 +154,11 @@ struct Volatile {
     /// The snapshot window's base, an update total of some cycle end's
     /// partials; `None` from a reset until the next cycle end re-bases it.
     window: Option<u64>,
-    /// The open row blocks: `blocks[dst][kind as usize]`.
-    /// Blocks of one `(step, phase)` leave in slot order, not in the order
-    /// their first rows were written, and a row may overtake one of another
-    /// kind. That is safe: a proper colouring — first-order for edge,
-    /// second-order for full consistency — gives every datum at most one
-    /// writer per colour-step, so no two rows of a step carry the same
-    /// datum, and every row of a step is applied before the next begins.
+    /// The open row blocks: `blocks[dst][kind as usize]`. Blocks of one
+    /// `(step, phase)` leave in slot order, and a row may overtake one of
+    /// another kind. That is safe: a proper colouring gives every datum at
+    /// most one writer per colour-step, so no two rows of a step carry the
+    /// same datum, and every row of a step is applied before the next.
     blocks: Vec<[Block; RowKind::ALL.len()]>,
 }
 
@@ -182,6 +173,8 @@ impl Volatile {
             pending_total: 0,
             remote_tasks: vec![Vec::new(); m],
             step: 0,
+            done: 0,
+            early: Vec::new(),
             marks: Markers::new(m),
             cycle: 0,
             parts: vec![None; m],
@@ -222,6 +215,17 @@ where
         }
     }
 
+    /// The flush rounds of a colour-step: two under full consistency, whose
+    /// owners forward write-backs in the second, one otherwise.
+    fn rounds(&self) -> u8 {
+        1 + u8::from(self.core.setup.config.consistency == ConsistencyModel::Full)
+    }
+
+    /// The flush round of a `(step, phase)` tag, in the machines' order.
+    fn round(&self, (step, phase): (u64, u8)) -> u64 {
+        u64::from(self.rounds()) * step + u64::from(phase)
+    }
+
     fn initial_schedule(&mut self) {
         for (l, _) in self.core.initial_tasks() {
             self.enqueue_local(l);
@@ -257,8 +261,9 @@ where
         loop {
             for color in 0..self.num_colors {
                 self.execute_color_step(color);
-                self.flush_round(0)?;
-                self.flush_round(1)?;
+                for phase in 0..self.rounds() {
+                    self.flush_round(phase)?;
+                }
                 self.vol.step += 1;
                 self.steps_total += 1;
                 self.core.maybe_straggle();
@@ -340,8 +345,7 @@ where
         }
     }
 
-    /// Executes all queued vertices of `color`, then sends every owner the
-    /// set of its vertices they scheduled.
+    /// Executes all queued vertices of `color`, then queues `early`'s tasks.
     fn execute_color_step(&mut self, color: u32) {
         // The step executes what its queue held when it began: a vertex
         // that schedules itself meanwhile runs next cycle.
@@ -363,21 +367,8 @@ where
         batch.clear();
         batch.append(&mut self.vol.queues[color as usize]);
         self.vol.queues[color as usize] = batch;
-
-        let (Volatile { remote_tasks, queued, step, .. }, Machine { lg, rec, net, .. }) =
-            (&mut self.vol, &mut self.core);
-        for (j, tasks) in remote_tasks.iter_mut().enumerate().filter(|(_, t)| !t.is_empty()) {
-            // Ascending local ids are ascending global ids.
-            tasks.sort_unstable();
-            net.send_with(MachineId::from(j), rec.wire(ChromKind::Sched), |buf| {
-                StepTagged::<TaskSetMsg>::put(buf, *step, 0, |buf| {
-                    TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
-                })
-            });
-            for l in tasks.drain(..) {
-                queued[l as usize] = false;
-            }
-        }
+        self.vol.done = self.vol.step + 1;
+        std::mem::take(&mut self.vol.early).into_iter().for_each(|l| self.enqueue_local(l));
     }
 
     /// Applies an update's effects: version bumps, ghost pushes,
@@ -471,16 +462,16 @@ where
         }
     }
 
-    /// Closes every open block, sends the markers of `(self.vol.step, phase)`
-    /// behind them, then blocks until every surviving peer's marker of the
-    /// round arrived — and with it, by per-channel FIFO, all it sent in the
-    /// round. Dead machines owe nothing: their atoms were adopted and the
-    /// fabric drops their in-flight traffic.
+    /// Closes every open block, sends each surviving peer the round's end
+    /// behind them (its task set, empty after phase 0), then blocks until
+    /// every surviving peer's end arrived — and with it, by per-channel
+    /// FIFO, all it sent in the round. Dead machines owe nothing: their
+    /// atoms were adopted and the fabric drops their in-flight traffic.
     fn flush_round(&mut self, phase: u8) -> Result<(), Interrupt> {
         let step = self.vol.step;
         debug_assert!(
             self.vol.blocks.iter().flatten().all(|b| b.buf.is_empty() || (b.tag.0 == step && b.tag.1 >= phase)),
-            "a row outlived the flush marker of its (step, phase)"
+            "a row outlived the end of its (step, phase)"
         );
         for (dst, kind) in
             (0..self.vol.blocks.len()).flat_map(|j| RowKind::ALL.map(|k| (MachineId::from(j), k)))
@@ -489,13 +480,27 @@ where
                 self.close_block(dst, kind);
             }
         }
-        let r = round((step, phase));
-        self.core.broadcast(ChromKind::Flush, &enc(&r));
+        let (Volatile { remote_tasks, queued, .. }, Machine { lg, rec, net, .. }) = (&mut self.vol, &mut self.core);
+        for dst in rec.peers() {
+            let tasks = &mut remote_tasks[dst.index()];
+            // Ascending local ids are ascending global ids.
+            tasks.sort_unstable();
+            net.send_with(dst, rec.wire(ChromKind::Sched), |buf| {
+                StepTagged::<TaskSetMsg>::put(buf, step, phase, |buf| {
+                    TaskSetMsg::put(buf, tasks.len(), tasks.iter().map(|&l| lg.vertex_gvid(l)))
+                })
+            });
+            for l in tasks.drain(..) {
+                queued[l as usize] = false;
+            }
+        }
+        let r = self.round((step, phase));
         self.wait(|m| m.core.rec.holds(&m.vol.marks, r).then_some(()))
     }
 
     /// Walks the row block in `env` in place, handing `row` each row with
-    /// the block's step as it is met.
+    /// the block's step as it is met. A block travels ahead of its round's
+    /// end on the channel.
     fn on_block<'a, R>(
         &mut self,
         env: &'a Envelope,
@@ -505,13 +510,7 @@ where
         let tag = read_all(&env.payload, |p| {
             StepTagged::<R>::read_block(p, read, |step, r| row(self, step, r))
         });
-        self.debug_assert_ahead_of_marker(env.src, tag);
-    }
-
-    /// A block or task set tagged `tag` from `src` travels ahead of its
-    /// round's marker on the channel.
-    fn debug_assert_ahead_of_marker(&self, src: MachineId, tag: (u64, u8)) {
-        debug_assert!(round(tag) >= self.vol.marks.next(src), "machine {} sent {tag:?} behind its marker", src.0);
+        debug_assert!(self.round(tag) >= self.vol.marks.next(env.src), "machine {} sent {tag:?} late", env.src.0);
     }
 
     /// Handles one engine envelope: the one place its payload is decoded
@@ -529,6 +528,7 @@ where
                 // which holds what it sent us (phase 1): under full
                 // consistency, the only one with write-backs, the datum has
                 // no other writer in the step.
+                debug_assert_eq!(this.rounds(), 2, "a vertex write-back outside full consistency");
                 *this.core.lg.vertex_data_mut(l) = datum;
                 let version = this.core.lg.bump_vertex_version(l);
                 let mut encoded = false;
@@ -561,15 +561,16 @@ where
                     let tag = StepTagged::<TaskSetMsg>::read(p)?;
                     TaskSetMsg::read(p, |gv| {
                         let l = self.core.lg.local_vertex(gv).expect("scheduled vertex is local");
-                        debug_assert!(self.core.lg.owns_vertex(l));
-                        self.enqueue_local(l);
+                        debug_assert!(self.core.lg.owns_vertex(l) && tag.0 <= self.vol.done);
+                        if tag.0 < self.vol.done {
+                            self.enqueue_local(l);
+                        } else {
+                            self.vol.early.push(l);
+                        }
                     })?;
                     Some(tag)
                 });
-                self.debug_assert_ahead_of_marker(env.src, tag);
-            }
-            ChromKind::Flush => {
-                let r = dec(env.payload);
+                let r = self.round(tag);
                 debug_assert_eq!(r, self.vol.marks.next(env.src), "machine {} skipped a flush round", env.src.0);
                 self.vol.marks.note(env.src, r);
             }
@@ -718,6 +719,14 @@ mod tests {
         complete(3)
     }
 
+    /// [`triangle`] under full consistency, the one model with vertex
+    /// write-backs and a second round.
+    fn full_triangle() -> (Machine, Vec<Endpoint>) {
+        let (mut m, peers) = triangle();
+        m.core.setup.config.consistency = ConsistencyModel::Full;
+        (m, peers)
+    }
+
     /// The ring on eight vertices, vertex `i` holding `i`.
     fn ring_graph() -> graphlab_graph::DataGraph<f64, f64> {
         let mut b = GraphBuilder::new();
@@ -761,31 +770,45 @@ mod tests {
         Some((kind_of(&env), tag, rows))
     }
 
-    /// The next envelope at `ep` as a flush marker, whose whole payload is
-    /// its round: `(kind, round)`.
-    fn flush_marker(ep: &Endpoint) -> Option<(ChromKind, u64)> {
+    /// A round's end off the wire: its kind and its tagged task set.
+    type RoundEnd = (ChromKind, StepTagged<TaskSetMsg>);
+
+    /// The next envelope at `ep`, read as a round's end.
+    fn round_end(ep: &Endpoint) -> Option<RoundEnd> {
         let env = ep.try_recv().ok()?;
         Some((kind_of(&env), dec(env.payload)))
     }
 
-    /// The marker of `(step, phase)` as `flush_marker` reads it.
-    fn marker(step: u64, phase: u8) -> Option<(ChromKind, u64)> {
-        Some((ChromKind::Flush, round((step, phase))))
+    /// The end of round `(step, phase)` carrying `tasks`, as `round_end`
+    /// reads it.
+    fn end_with(step: u64, phase: u8, tasks: Vec<VertexId>) -> Option<RoundEnd> {
+        Some((ChromKind::Sched, StepTagged { step, phase, inner: TaskSetMsg { tasks } }))
     }
 
-    /// Scripts every peer's marker of `(step, phase)`, so `flush_round`
+    /// The end of round `(step, phase)` with no task.
+    fn marker(step: u64, phase: u8) -> Option<RoundEnd> {
+        end_with(step, phase, Vec::new())
+    }
+
+    /// The end of round `(step, phase)` with no task, on the wire.
+    fn end(step: u64, phase: u8) -> Bytes {
+        enc(&marker(step, phase).unwrap().1)
+    }
+
+    /// Scripts every peer's end of round `(step, phase)`, so `flush_round`
     /// returns without waiting.
     fn promise(m: &mut Machine, step: u64, phase: u8) {
         for j in 1..m.vol.blocks.len() as u16 {
-            handle_from(m, j, ChromKind::Flush, enc(&round((step, phase))));
+            handle_from(m, j, ChromKind::Sched, end(step, phase));
         }
     }
 
     /// `m` as it enters `step` (> 0): every round before it complete.
     fn at_step(m: &mut Machine, step: u64) {
         m.vol.step = step;
+        let last = m.round((step, 0)) - 1;
         for j in (0..m.vol.blocks.len() as u16).filter(|&j| MachineId(j) != m.core.me()) {
-            m.vol.marks.note(MachineId(j), round((step, 0)) - 1);
+            m.vol.marks.note(MachineId(j), last);
         }
     }
 
@@ -833,11 +856,12 @@ mod tests {
 
     /// A block leaves when it reaches `BLOCK_BYTES`, when a row of another
     /// `(step, phase)` joins its slot, and at the latest when the round
-    /// ends — on every peer's channel ahead of its round's marker, which
-    /// carries the step and nothing else.
+    /// ends — on every peer's channel ahead of the round's end, here an
+    /// empty task set. (Under full consistency: the forward is a phase-1
+    /// row.)
     #[test]
     fn a_block_closes_when_full_on_a_change_of_tag_and_when_the_round_ends() {
-        let (mut m, peers) = triangle();
+        let (mut m, peers) = full_triangle();
         let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
         let push = |m: &mut Machine| {
             let version = m.core.lg.bump_vertex_version(l);
@@ -867,19 +891,19 @@ mod tests {
         assert_eq!(vertex_block(&peers[0]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
         assert_eq!(vertex_block(&peers[1]), None);
 
-        // End of the round: what is open leaves ahead of the markers — the
-        // forward of round B included.
+        // End of the round: what is open leaves ahead of the round's end —
+        // the forward of round B included.
         promise(&mut m, 0, 0);
         assert!(m.flush_round(0).is_ok());
         let forwarded = (ChromKind::VData, (0, 1), vec![(0, version + 1)]);
         assert_eq!(vertex_block(&peers[0]), Some(forwarded));
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 0), vec![(0, version)])));
-        assert_eq!(flush_marker(&peers[0]), marker(0, 0));
-        assert_eq!(flush_marker(&peers[1]), marker(0, 0));
+        assert_eq!(round_end(&peers[0]), marker(0, 0));
+        assert_eq!(round_end(&peers[1]), marker(0, 0));
         promise(&mut m, 0, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), marker(0, 1));
-        assert_eq!(flush_marker(&peers[1]), marker(0, 1));
+        assert_eq!(round_end(&peers[0]), marker(0, 1));
+        assert_eq!(round_end(&peers[1]), marker(0, 1));
         assert!(m.vol.blocks.iter().flatten().all(|b| b.buf.is_empty()));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
@@ -889,10 +913,10 @@ mod tests {
     /// a cycle end, for a slower peer's partial).
     /// Its write-back is applied at once; the forward to the other mirror waits
     /// in a phase-1 block tagged 3, which leaves when step 3's first round
-    /// ends, ahead of both its markers — and never to the writer.
+    /// ends, ahead of both its round ends — and never to the writer.
     #[test]
     fn a_write_back_of_the_next_step_is_forwarded_in_that_steps_second_round() {
-        let (mut m, peers) = triangle();
+        let (mut m, peers) = full_triangle();
         at_step(&mut m, 3);
         let mut wb = BytesMut::new();
         StepTagged::<VertexRow>::put(&mut wb, 3, 0, |buf| {
@@ -906,13 +930,13 @@ mod tests {
         m.execute_color_step(0);
         promise(&mut m, 3, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), marker(3, 0), "not to the writer");
+        assert_eq!(round_end(&peers[0]), marker(3, 0), "not to the writer");
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (3, 1), vec![(0, 1)])));
-        assert_eq!(flush_marker(&peers[1]), marker(3, 0));
+        assert_eq!(round_end(&peers[1]), marker(3, 0));
         promise(&mut m, 3, 1);
         assert!(m.flush_round(1).is_ok());
-        assert_eq!(flush_marker(&peers[0]), marker(3, 1));
-        assert_eq!(flush_marker(&peers[1]), marker(3, 1));
+        assert_eq!(round_end(&peers[0]), marker(3, 1));
+        assert_eq!(round_end(&peers[1]), marker(3, 1));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
@@ -924,7 +948,7 @@ mod tests {
     /// to its writer.
     #[test]
     fn one_vertex_block_carries_a_ghost_push_and_a_write_back() {
-        let (mut m, peers) = triangle();
+        let (mut m, peers) = full_triangle();
         let block = |rows: &[(u32, u64, f64)]| {
             let mut buf = BytesMut::new();
             StepTagged::<VertexRow>::put(&mut buf, 0, 0, |buf| {
@@ -945,35 +969,47 @@ mod tests {
 
         promise(&mut m, 0, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), marker(0, 0), "not to the writer");
+        assert_eq!(round_end(&peers[0]), marker(0, 0), "not to the writer");
         assert_eq!(vertex_block(&peers[1]), Some((ChromKind::VData, (0, 1), vec![(0, 1)])));
-        assert_eq!(flush_marker(&peers[1]), marker(0, 0));
+        assert_eq!(round_end(&peers[1]), marker(0, 0));
         assert!(peers.iter().all(|ep| ep.try_recv().is_err()));
     }
 
-    /// A peer runs at most one round ahead: its marker of the next round
+    /// A peer runs at most one round ahead: its end of the next round
     /// arrives while machine 0 still waits for a slower peer's, and the
-    /// count keeps it for the round it belongs to.
+    /// count keeps it for the round it belongs to. Under edge consistency
+    /// a round is a step, and the early end's task waits until machine 0
+    /// has run that step too: under vertex consistency, whose one colour
+    /// every step shares, it would run in it (on 3 and 4 machines the
+    /// `Halve` cell of `engines.rs`'s machine-count test read 2–3 fewer
+    /// updates than on 1).
     #[test]
     fn a_marker_of_the_next_round_counts_for_that_round() {
         let (mut m, _peers) = triangle();
         promise(&mut m, 0, 0);
+        m.vol.step = 1;
+        m.execute_color_step(1);
         assert!(holds(&m, 0) && !holds(&m, 1));
-        // Machine 1 finished round (0, 1) and sent step 1's first marker;
-        // machine 2's (0, 1) marker is still on its way.
-        handle_from(&mut m, 1, ChromKind::Flush, enc(&1u64));
-        handle_from(&mut m, 1, ChromKind::Flush, enc(&2u64));
+        // Machine 1 finished step 1 and sent step 2's end, which schedules
+        // machine 0's vertex; machine 2's end of step 1 is still on its way.
+        handle_from(&mut m, 1, ChromKind::Sched, end(1, 0));
+        let task = enc(&end_with(2, 0, vec![VertexId(0)]).unwrap().1);
+        handle_from(&mut m, 1, ChromKind::Sched, task);
         assert!(!holds(&m, 1));
-        handle_from(&mut m, 2, ChromKind::Flush, enc(&1u64));
+        handle_from(&mut m, 2, ChromKind::Sched, end(1, 0));
         assert!(holds(&m, 1) && !holds(&m, 2));
-        handle_from(&mut m, 2, ChromKind::Flush, enc(&2u64));
+        assert_eq!((m.vol.pending_total, m.vol.early.len()), (0, 1), "held until step 2 has run here");
+        m.vol.step = 2;
+        m.execute_color_step(2);
+        assert_eq!((m.vol.pending_total, m.vol.early.len()), (1, 0), "queued once it has");
+        handle_from(&mut m, 2, ChromKind::Sched, end(2, 0));
         assert!(holds(&m, 2) && !holds(&m, 3));
         assert_eq!(next_marks(&m, &m.vol.marks), [0, 3, 3]);
     }
 
     /// The remote tasks of a step are one set per owner: duplicates merge,
-    /// the ids ascend, and it is sent once, when the step has executed,
-    /// ahead of the step's first marker.
+    /// the ids ascend, and it is sent once, as the end of the step's first
+    /// round.
     #[test]
     fn remote_tasks_of_a_step_leave_as_one_ascending_set() {
         let (mut m, peers) = ring(0);
@@ -991,18 +1027,48 @@ mod tests {
 
         at_step(&mut m, 4);
         m.execute_color_step(m.core.lg.vertex_color(l));
-        let env = peers[0].try_recv().expect("the step's task set");
-        let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.core.lg.vertex_gvid(g)).collect();
-        set.reverse();
-        let expected = StepTagged { step: 4, phase: 0, inner: TaskSetMsg { tasks: set } };
-        assert_eq!(kind_of(&env), ChromKind::Sched);
-        assert_eq!(dec::<StepTagged<TaskSetMsg>>(env.payload), expected);
-        assert!(peers[0].try_recv().is_err());
-        assert!(m.vol.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.vol.queued[g as usize]));
+        assert!(peers[0].try_recv().is_err(), "nothing leaves when the step has executed");
         promise(&mut m, 4, 0);
         assert!(m.flush_round(0).is_ok());
-        assert_eq!(flush_marker(&peers[0]), marker(4, 0));
+        let mut set: Vec<VertexId> = ghosts.iter().map(|&g| m.core.lg.vertex_gvid(g)).collect();
+        set.reverse();
+        assert_eq!(round_end(&peers[0]), end_with(4, 0, set));
         assert!(peers[0].try_recv().is_err());
+        assert!(m.vol.remote_tasks[1].is_empty() && ghosts.iter().all(|&g| !m.vol.queued[g as usize]));
+    }
+
+    /// Outside full consistency one message ends a step: after executing
+    /// it, machine 0 sends each peer the row block of its pushes and then
+    /// the round's end, carrying the peer's vertex the step scheduled, and
+    /// step `s`'s round is `s`. Under full consistency a step takes rounds
+    /// `2·s` and `2·s + 1`, and the second round's end is empty.
+    #[test]
+    fn outside_full_consistency_one_message_ends_the_step() {
+        for (model, rounds) in [(ConsistencyModel::Vertex, 1), (ConsistencyModel::Edge, 1), (ConsistencyModel::Full, 2)] {
+            let (mut m, peers) = triangle();
+            m.core.setup.config.consistency = model;
+            at_step(&mut m, 5);
+            let l = m.core.lg.local_vertex(VertexId(0)).unwrap();
+            let ghosts = [1, 2].map(|v| m.core.lg.local_vertex(VertexId(v)).unwrap());
+            m.core.effects.dirty_self = true;
+            m.core.effects.scheduled = ghosts.iter().map(|&g| (g, 1.0)).collect();
+            m.commit(l);
+            for phase in 0..rounds {
+                promise(&mut m, 5, phase);
+                assert!(m.flush_round(phase).is_ok());
+            }
+            for (j, ep) in peers.iter().enumerate() {
+                assert_eq!(vertex_block(ep), Some((ChromKind::VData, (5, 0), vec![(0, 1)])), "{model}");
+                assert_eq!(round_end(ep), end_with(5, 0, vec![VertexId(j as u32 + 1)]), "{model}");
+                if rounds == 2 {
+                    assert_eq!(round_end(ep), marker(5, 1), "{model}");
+                }
+                assert!(ep.try_recv().is_err(), "{model}: one message per round");
+            }
+            let r = |s| u64::from(rounds) * s;
+            assert_eq!((m.round((5, 0)), m.round((6, 0))), (r(5), r(6)), "{model}");
+            assert_eq!(next_marks(&m, &m.vol.marks), [0, r(6), r(6)], "{model}: step 5's rounds held");
+        }
     }
 
     /// Every machine decides the `max_updates` halt and the checkpoint from
@@ -1170,21 +1236,20 @@ mod tests {
 
     /// A partial can overtake the cycle's last flush round: machine 1 ran
     /// the last step and sent its sync partial while machine 0 still waits
-    /// in that step's second flush round for machine 2's marker. The
-    /// partial is recorded as it arrives and counted once, and the cycle
-    /// end then waits for machine 2's partial alone.
+    /// in that step's flush round for machine 2's round end. The partial is
+    /// recorded as it arrives and counted once, and the cycle end then
+    /// waits for machine 2's partial alone.
     #[test]
     fn a_partial_that_overtakes_the_last_flush_round_is_counted_once() {
         let (mut m, peers) = triangle();
         with_sum_sync(&mut m);
         let last = m.num_colors as u64 - 1;
         at_step(&mut m, last);
-        promise(&mut m, last, 0);
         let send = |j: usize, kind: ChromKind, payload| peers[j - 1].send(MachineId(0), kind as u16, payload);
-        send(1, ChromKind::Flush, enc(&round((last, 1))));
+        send(1, ChromKind::Sched, end(last, 0));
         send(1, ChromKind::SyncPart, partial(0, 10.0, 2, 7));
-        send(2, ChromKind::Flush, enc(&round((last, 1))));
-        assert!(m.flush_round(1).is_ok());
+        send(2, ChromKind::Sched, end(last, 0));
+        assert!(m.flush_round(0).is_ok());
         assert_eq!(m.vol.parts[1].as_ref().map(|p| (p.pending, p.updates)), Some((2, 7)), "recorded as it arrived");
         assert_eq!(next_marks(&m, &m.vol.votes), [0, 1, 0], "machine 1's vote, and only its");
 
@@ -1193,7 +1258,7 @@ mod tests {
         assert_eq!(decided(&mut m), (Some(110f64.to_bits()), false, None, Some(0)), "0 + 10 + 100");
         assert!(m.vol.parts.iter().all(Option::is_none), "the cycle's partials are spent");
         for ep in &peers {
-            assert_eq!(flush_marker(ep), marker(last, 1));
+            assert_eq!(round_end(ep), marker(last, 0));
             let env = ep.try_recv().expect("the partial");
             assert_eq!((kind_of(&env), dec::<SyncPartialMsg>(env.payload)), (ChromKind::SyncPart, mine.clone()));
             assert!(ep.try_recv().is_err(), "no verdict");
@@ -1242,7 +1307,8 @@ mod tests {
     }
 
     /// A checkpoint is captured before the partial leaves, which makes it
-    /// a cut: on the triangle, machine 1 has both other partials, decided
+    /// a cut: on the triangle under full consistency, machine 1 has both
+    /// other partials, decided
     /// and sent machine 0 a write-back of the next cycle's first step, to
     /// the vertex machine 0 owns, while machine 2's partial is still on
     /// its way. Machine 0 applies the write-back as it waits, and the
@@ -1253,7 +1319,7 @@ mod tests {
     /// partial: it takes a third machine.)
     #[test]
     fn a_checkpoints_rows_are_captured_before_the_partial_leaves() {
-        let (mut m, peers) = triangle();
+        let (mut m, peers) = full_triangle();
         with_sum_sync(&mut m);
         let l = m.core.lg.owned_vertices()[0];
         let v = m.core.lg.vertex_gvid(l);

@@ -7,7 +7,7 @@
 //!
 //! - [`ChromKind`], `1..=8` — chromatic engine (§4.2.1): vertex and edge
 //!   row blocks (a ghost push at a mirror, a write-back at the owner), one
-//!   task set per colour-step and owner, the step barrier's marker, and
+//!   task set per round and peer that is the step barrier's marker, and
 //!   the per-cycle sync partial every machine decides the cycle end from.
 //! - [`LockKind`], `20..=38` and `48..=49` — locking engine (§4.2.2):
 //!   pipelined lock chains, scope data synchronisation, releases with
@@ -43,7 +43,7 @@
 //! delivery guarantee (see `graphlab-net`): a [`ScheduleMsg`] emitted
 //! during commit must reach the owner before the [`ReleaseMsg`] that
 //! unlocks the scope, and every channel flush or cut is a marker barrier —
-//! once a machine holds a peer's marker ([`ChromKind::Flush`],
+//! once a machine holds a peer's marker ([`ChromKind::Sched`],
 //! [`LockKind::SnapStart`], [`RecoveryKind::FlushMark`],
 //! [`LockKind::Quiet`]), it holds everything that peer sent it before the
 //! marker.
@@ -174,11 +174,11 @@ kinds! {
     /// Chromatic engine (§4.2.1), `1..=8`: received by
     /// `ChromaticMachine::handle_msg`. 3 and 4 (the write-backs' own kinds,
     /// which now ride 1 and 2: a row that reaches its datum's owner is
-    /// one), 7 (the second marker round, which the round number in
-    /// [`ChromKind::Flush`] names), 9 (the master's cycle-end verdict:
-    /// every machine decides alike from the partials it holds) and 10 and
-    /// 11 (a checkpoint's "part written" vote and the master's resume: the
-    /// cycle end is the cut) stay unassigned.
+    /// one), 6 and 7 (the step's markers: a round ends with its task set,
+    /// [`ChromKind::Sched`]), 9 (the master's cycle-end verdict: every
+    /// machine decides alike from the partials it holds) and 10 and 11 (a
+    /// checkpoint's "part written" vote and the master's resume: the cycle
+    /// end is the cut) stay unassigned.
     Chrom(ChromKind) {
         /// Vertex rows, a block of [`VertexRow`]s. At a mirror each is a
         /// ghost push (owner → mirror), applied by version; at the owner a
@@ -188,14 +188,13 @@ kinds! {
         /// Edge rows, a block of [`EdgeRow`]s: a ghost push at the mirror,
         /// a write-back at the owner.
         EData = 2, "chrom/edata";
-        /// A colour-step's remote schedule requests for one owner, a
-        /// tagged [`TaskSetMsg`].
+        /// A flush round's end (all → all), a tagged [`TaskSetMsg`]: the
+        /// vertices of the receiver that the sender's step scheduled, empty
+        /// when there are none and in every round after the step's first.
+        /// The sender's blocks of the round are ahead of it on the channel:
+        /// in phase 0 its direct rows, in phase 1 (full consistency only)
+        /// its forwarded write-backs.
         Sched = 5, "chrom/sched";
-        /// Step marker (all → all; the payload is the round, `2·step +
-        /// phase`): the sender's blocks and task sets of the round are
-        /// ahead of it on the channel — in phase 0 its direct rows and
-        /// task sets, in phase 1 its forwarded write-backs.
-        Flush = 6, "chrom/flush";
         /// Per-cycle sync partial (all → all), a [`SyncPartialMsg`]: the
         /// sender's vote of the cycle end.
         SyncPart = 8, "chrom/sync-part";
@@ -492,14 +491,14 @@ impl Codec for ScheduleMsg {
 //
 //   ChromKind::VData   step, phase, VertexRow*   (a row block)
 //   ChromKind::EData   step, phase, EdgeRow*     (a row block)
-//   ChromKind::Sched   step, phase, TaskSetMsg
+//   ChromKind::Sched   step, phase, TaskSetMsg   (the round's end)
 //
 // A row block carries the tag once and then rows back to back to the end
 // of the payload, with no count: a `StepTagged<VertexRow>` is a block of
 // one row, and [`StepTagged::read_block`] walks any block in place.
 
-/// Step-tagged data envelope: the `(step, phase)` of the flush round whose
-/// marker the message goes out ahead of.
+/// Step-tagged data envelope: the `(step, phase)` of the flush round it
+/// belongs to, ahead of the round's end or that end itself.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StepTagged<T> {
     /// Global colour-step counter.
@@ -552,9 +551,9 @@ impl<T: Codec> Codec for StepTagged<T> {
 
 /// The vertices of one owner that one colour-step's updates on one machine
 /// scheduled: a *set*, as the scheduler is (duplicate requests merge,
-/// arXiv 1006.4990 §3.4), sent once when the step ends. Ascending global
-/// ids, gap-encoded ([`put_id_deltas`]' layout); no priorities — the
-/// chromatic engine executes by colour and has never used them.
+/// arXiv 1006.4990 §3.4), sent once, as the step's first round's end.
+/// Ascending global ids, gap-encoded ([`put_id_deltas`]' layout); no
+/// priorities — the chromatic engine executes by colour and never did.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskSetMsg {
     /// Vertices to enqueue at the receiving owner, ascending.
@@ -649,9 +648,9 @@ pub struct LockReqMsg {
     /// forwarding, so visited hops stop paying wire bytes.
     pub machines: Vec<MachineId>,
     /// Consistency model the scope is locked under (0 = vertex, 1 = edge,
-    /// 2 = full; see [`consistency_to_u8`]). Snapshot chains lock under
-    /// edge consistency regardless of the engine default, so the model
-    /// must ride with the request.
+    /// 2 = full; see [`consistency_to_u8`]). `Ablation::Racing` locks under
+    /// vertex consistency whatever the engine's model, so the model rides
+    /// with the request.
     pub model: u8,
 }
 
@@ -1121,15 +1120,14 @@ mod tests {
     }
 
     /// The wire must not move: every number that has a name, with its
-    /// name (3, 4, 7, 9, 10, 11, 24, 34, 35, 36, 39, 42 and 43 stay
+    /// name (3, 4, 6, 7, 9, 10, 11, 24, 34, 35, 36, 39, 42 and 43 stay
     /// unassigned).
     #[test]
     fn kinds_are_pinned() {
-        const TABLE: [(u16, &str); 30] = [
+        const TABLE: [(u16, &str); 29] = [
             (1, "chrom/vdata"),
             (2, "chrom/edata"),
             (5, "chrom/sched"),
-            (6, "chrom/flush"),
             (8, "chrom/sync-part"),
             (20, "lock/req"),
             (21, "lock/scope-data"),

@@ -74,6 +74,23 @@ impl UpdateFunction<f64, f64> for EdgeCount {
     }
 }
 
+/// Halving: each update halves its vertex and, until it falls below
+/// `self.0`, schedules itself and every neighbour. It reads and writes its
+/// own vertex alone, so it runs under vertex consistency, where remote
+/// tasks are the only exchange that shapes the run.
+struct Halve(f64);
+impl UpdateFunction<f64, f64> for Halve {
+    fn update(&self, ctx: &mut UpdateContext<'_, f64, f64>) {
+        *ctx.vertex_data_mut() /= 2.0;
+        if *ctx.vertex_data() >= self.0 {
+            ctx.schedule_self(1.0);
+            for i in 0..ctx.num_neighbors() {
+                ctx.schedule_nbr(i, 1.0);
+            }
+        }
+    }
+}
+
 fn ring(n: usize) -> DataGraph<f64, f64> {
     let mut b = GraphBuilder::new();
     let vs: Vec<_> = (0..n).map(|i| b.add_vertex(((i * 7919) % n) as f64)).collect();
@@ -990,9 +1007,10 @@ fn chromatic_outcome(
 /// write-back, forward and task arrived before the next step began. This
 /// is the exact oracle for the exchange: edge consistency with ghost pushes
 /// and remote tasks (PageRank), full consistency with vertex write-backs
-/// and their phase-1 forwards (`PushMax`), and edge consistency with edge
+/// and their phase-1 forwards (`PushMax`), edge consistency with edge
 /// pushes and edge write-backs (`EdgeStamp`, and `EdgeCount`, whose edges
-/// count their writes). Synchronous checkpoints and the cycle end's sync
+/// count their writes), and vertex consistency, one colour and one round a
+/// step, with remote tasks (`Halve`). Synchronous checkpoints and the cycle end's sync
 /// fold must change none of them, and the checkpoints taken are
 /// themselves a function of the per-cycle update counts.
 #[test]
@@ -1015,20 +1033,22 @@ fn chromatic_work_and_fixpoint_do_not_depend_on_the_machine_count() {
             }
         }
     }
-    let (edge, full) = (ConsistencyModel::Edge, ConsistencyModel::Full);
+    let (vertex, edge, full) = (ConsistencyModel::Vertex, ConsistencyModel::Edge, ConsistencyModel::Full);
     check("pagerank", |m, c| chromatic_outcome(web(3_000), m, edge, DynamicPageRank(1e-10), c));
     check("push-max on a ring", |m, c| chromatic_outcome(ring(20), m, full, PushMax, c));
     check("push-max on a grid", |m, c| chromatic_outcome(grid(9, 7), m, full, PushMax, c));
     check("edge-stamp on a ring", |m, c| chromatic_outcome(ring(20), m, edge, EdgeStamp, c));
     check("edge-stamp on a grid", |m, c| chromatic_outcome(grid(9, 7), m, edge, EdgeStamp, c));
     check("edge-count on a grid", |m, c| chromatic_outcome(grid(9, 7), m, edge, EdgeCount(100.0), c));
+    check("halve on a grid", |m, c| chromatic_outcome(grid(9, 7), m, vertex, Halve(1e-3), c));
 }
 
-/// The colour-step is the unit of exchange: a machine sends an owner one
-/// task set per step, and a mirror's machine one row block per step plus
-/// one per `BLOCK_BYTES` (4 KiB) of rows — not a message per update or per
-/// ghost row. (Uncompressed: a compressed envelope hides its sub-messages
-/// from `bytes_by_kind`.)
+/// The colour-step is the unit of exchange: under edge consistency a
+/// machine sends each peer one task set per step, which ends the step's one
+/// round, and a mirror's machine one row block per step plus one per
+/// `BLOCK_BYTES` (4 KiB) of rows — not a message per update or per ghost
+/// row. (Uncompressed: a compressed envelope hides its sub-messages from
+/// `bytes_by_kind`.)
 #[test]
 fn chromatic_traffic_is_per_step_not_per_update() {
     let mut graph = web(6_000);
@@ -1043,7 +1063,7 @@ fn chromatic_traffic_is_per_step_not_per_update() {
     let per_step = out.metrics.steps * 2;
     assert!(out.metrics.updates > 20 * per_step, "too small a run to tell steps from updates");
     assert!(sched.msgs > 0 && vdata.msgs > 0);
-    assert!(sched.msgs <= per_step, "{} task sets in {} steps", sched.msgs, out.metrics.steps);
+    assert_eq!(sched.msgs, per_step, "{} task sets in {} steps", sched.msgs, out.metrics.steps);
     assert!(
         vdata.msgs <= per_step + vdata.bytes / 4096,
         "{} row blocks ({} bytes) in {} steps",
