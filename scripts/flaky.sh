@@ -89,7 +89,7 @@ while [ "$run" -le "$n" ]; do
     while read -r exe dir; do
         (cd "$dir" && CARGO_MANIFEST_DIR=$dir "$exe" "$filter" < /dev/null) > "$work/out" 2>&1 || failed=1
         awk -v exe="$exe" -v run="$run" 'BEGIN { OFS = "\t" }
-            /^test .* \.\.\. / { name = $0; sub(/^test /, "", name); sub(/ \.\.\. .*/, "", name)
+            /^test .* \.\.\. / { name = $0; sub(/^test /, "", name); sub(/ \.\.\. .*/, "", name); sub(/ - should panic$/, "", name)
                                   print exe, "verdict", name, ($NF == "ok" ? "ok" : "fail") }
             /^---- .* stdout ----$/ { sect = $0; sub(/^---- /, "", sect); sub(/ stdout ----$/, "", sect); next }
             sect != "" && /panicked at/ { line = $0; getline more; if (more !~ /^note:/) line = line " " more
